@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-cancel-race bench-smoke bench bench-all smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
+.PHONY: check vet build test test-race test-cancel-race bench-smoke bench bench-compare bench-all smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
 
 # check is the CI gate: static analysis, build, tests, benchmark smoke.
 check: vet build test bench-smoke
@@ -45,10 +45,17 @@ test-cancel-race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
 
-# bench runs the regression benchmarks with -benchmem and writes a
-# BENCH_<date>.json snapshot (the perf trajectory).
+# bench is the repo's one yardstick (benchmark/README.md): all seven
+# workloads end to end through ermatch, then the per-layer traced runs;
+# results land in .bench_build/out/result.json.
 bench:
-	scripts/bench.sh
+	$(GO) run ./benchmark -seed 1
+
+# bench-compare judges result file B (the change) against A (the
+# parent) by the bounds in BENCHMARK.json:
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # bench-all runs the full figure + micro benchmark suite (slow).
 bench-all:

@@ -6,9 +6,13 @@
 package repro_test
 
 import (
+	"strconv"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/entity"
 	"repro/internal/mapreduce"
+	"repro/internal/match"
 	"repro/internal/obs"
 )
 
@@ -65,5 +69,49 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 					parallelism, mode, allocs, ceiling)
 			}
 		}
+	}
+}
+
+// TestBlockKernelAllocsPinned pins the reduce-side comparison path the
+// strategy reducers drive: acquiring match.EditDistance's pooled block,
+// loading and probing a whole group through core.Block (a self-join,
+// then cross probes that are not kept), and releasing it allocates
+// nothing once the pool is warm.
+func TestBlockKernelAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool items at will; the pin would flake")
+	}
+	bm := match.EditDistance("title", 0.8).(core.BlockMatcher)
+	var group []entity.Entity
+	for i, title := range []string{
+		"canon eos 5d mark iii digital slr camera body",
+		"canon eos 5d mark iv digital slr camera body",
+		"canon powershot sx740 compact travel zoom",
+		"cable hdmi 2m",
+		"canon eos 5d mark iii digital slr camera bodies",
+		"caméra canon eos 5d mark iii",
+		"cable hdmi 3m",
+	} {
+		group = append(group, entity.New(strconv.Itoa(i), "title", title))
+	}
+	hits := 0
+	cycle := func() {
+		blk := bm.AcquireBlock()
+		for i, e := range group {
+			rows, _ := blk.Probe(e, 0, i, true)
+			hits += len(rows)
+		}
+		for _, e := range group {
+			rows, _ := blk.Probe(e, 3, len(group), false)
+			hits += len(rows)
+		}
+		blk.Release()
+	}
+	cycle()
+	if hits == 0 {
+		t.Fatal("the group must produce hits for the pin to cover the hit path")
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("warm acquire/probe/release cycle: %v allocs, want 0", allocs)
 	}
 }

@@ -13,6 +13,7 @@
 package repro_test
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -506,9 +507,10 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkMatcherEndToEnd runs a real edit-distance matching pass over
 // a small catalog through the PairRange pipeline (the workload of the
-// cmd/ermatch tool), using the prepared comparison kernel the tool now
-// uses. BenchmarkMatcherEndToEndPlain keeps the pre-kernel per-pair
-// path alive so the win stays visible in one -bench run.
+// cmd/ermatch tool). match.EditDistance is a core.BlockMatcher, so this
+// is the block-at-a-time kernel; BenchmarkMatcherEndToEndPlain runs the
+// same pipeline through the per-pair adapter block with a plain matcher
+// so the gap stays visible in one -bench run.
 func BenchmarkMatcherEndToEnd(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
@@ -615,4 +617,99 @@ func BenchmarkSimilarityKernels(b *testing.B) {
 			similarity.Prepare(near1)
 		}
 	})
+	// One 1,300-row reduce group decided both ways, on the two title
+	// shapes that stress opposite ends of the filter chain: uniform random
+	// letters (benchmark/gen.go's shape — few repeated letters, the bit
+	// planes decide nearly everything) and dictionary words (English
+	// letter frequencies — 'e', 't' and the space saturate the planes and
+	// the full-count histogram has to carry the bag filter).
+	th := similarity.NewThresholder(0.8)
+	for _, shape := range []struct {
+		name   string
+		titles []string
+	}{
+		{"random-letters", randomLetterTitles(1300)},
+		{"english-8-words", englishTitles(1300, 8)},
+		{"english-16-words", englishTitles(1300, 16)},
+	} {
+		titles := shape.titles
+		pairs := float64(len(titles) * (len(titles) - 1) / 2)
+		b.Run("LevBlock/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var blk similarity.LevBlock
+			for i := 0; i < b.N; i++ {
+				blk.Use(th)
+				for _, s := range titles {
+					blk.Probe(s, 0, blk.Len(), true)
+				}
+				blk.Reset()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+		})
+		b.Run("Thresholder/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			prep := make([]*similarity.Prepared, len(titles))
+			for i := 0; i < b.N; i++ {
+				for j, s := range titles {
+					prep[j] = similarity.PreparePooled(s)
+					for _, p := range prep[:j] {
+						th.Match(p, prep[j])
+					}
+				}
+				for _, p := range prep {
+					p.Release()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+		})
+	}
+}
+
+// randomLetterTitles builds n titles of the shape benchmark/gen.go gives
+// one block: a shared three-letter prefix, then two to five more words
+// of uniform random letters.
+func randomLetterTitles(n int) []string {
+	rng := rand.New(rand.NewSource(5))
+	word := func(b []byte, lo, hi int) []byte {
+		for i, k := 0, lo+rng.Intn(hi-lo+1); i < k; i++ {
+			b = append(b, byte('a'+rng.Intn(26)))
+		}
+		return b
+	}
+	titles := make([]string, n)
+	for i := range titles {
+		b := word([]byte("abc"), 0, 4)
+		for w, words := 0, 2+rng.Intn(4); w < words; w++ {
+			b = word(append(b, ' '), 2, 8)
+		}
+		titles[i] = string(b)
+	}
+	return titles
+}
+
+// englishTitles builds n product-title-like strings of the given number
+// of dictionary words, the first one shared (a block's titles share
+// their blocking prefix).
+func englishTitles(n, words int) []string {
+	vocab := strings.Fields(`the and for with digital camera lens black white silver
+		wireless portable leather stainless steel edition series professional
+		compact battery charger adapter cable case cover screen protector
+		deluxe premium original replacement universal waterproof
+		bluetooth speaker headphones keyboard mouse monitor printer cartridge
+		memory card reader storage external internal drive laptop notebook
+		tablet phone smart watch fitness tracker kitchen coffee maker blender
+		toaster electric kettle garden outdoor indoor furniture office chair
+		desk table lamp light bulb set pack piece inch large small medium`)
+	rng := rand.New(rand.NewSource(5))
+	titles := make([]string, n)
+	for i := range titles {
+		var sb strings.Builder
+		sb.WriteString("canon")
+		for w := 1; w < words; w++ {
+			sb.WriteByte(' ')
+			sb.WriteString(vocab[rng.Intn(len(vocab))])
+		}
+		titles[i] = sb.String()
+	}
+	return titles
 }

@@ -3,8 +3,9 @@ package repro_test
 // Benchmarks of the out-of-core dataflow: the spill/merge overhead
 // versus the in-memory typed engine at several budgets, and an
 // end-to-end run on a datagen dataset ≥10× the spill budget reporting
-// peak heap (runtime.ReadMemStats sampling). Regression-tracked in
-// BENCH_<date>.json via scripts/bench.sh.
+// peak heap (runtime.ReadMemStats sampling). The tracked figure is the
+// benchmark/ harness's flat-spill workload; these stay as the
+// while-you-work micro view.
 
 import (
 	"runtime"

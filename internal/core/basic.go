@@ -30,7 +30,7 @@ func (Basic) Job(_ *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 
 // JobPrepared implements PreparedStrategy.
 func (Basic) JobPrepared(_ *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return basicJob(r, preparedKernel(pm))
+	return basicJob(r, matchKernel{pm: pm})
 }
 
 func basicJob(r int, kern matchKernel) (MatchJob, error) {
@@ -52,7 +52,7 @@ func basicJob(r int, kern matchKernel) (MatchJob, error) {
 			}
 		},
 		NewReducer: func() mapreduce.Reducer[string, entity.Entity, MatchOutput] {
-			return &basicReducer{kern: kern}
+			return &basicReducer{group: kern.newGroup()}
 		},
 		Partition: mapreduce.HashPartition,
 		Compare:   strings.Compare,
@@ -62,42 +62,21 @@ func basicJob(r int, kern matchKernel) (MatchJob, error) {
 	}, nil
 }
 
-type basicReducer struct {
-	kern   matchKernel
-	buffer []entity.Entity
-	prep   []PreparedEntity
-}
+type basicReducer struct{ *group }
 
-// Reduce compares all entities of one block with each other. The buffer
-// of already-seen entities is what forces a reduce task to hold an entire
-// block in memory — the paper's memory-bottleneck argument against Basic.
 func (b *basicReducer) Configure(_, _, _ int) {}
 
+// Reduce compares all entities of one block with each other: each value
+// meets every row loaded before it and becomes a row itself. Holding
+// every already-seen entity is what forces a reduce task to keep an
+// entire block in memory — the paper's memory-bottleneck argument
+// against Basic.
 func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[string, entity.Entity]) {
-	if pm := b.kern.pm; pm != nil {
-		// Prepared path: derive each entity's comparison form once per
-		// group, compare cached forms pairwise.
-		b.buffer, b.prep = b.buffer[:0], b.prep[:0]
-		for _, v := range values {
-			e2 := v.Value
-			p2 := pm.Prepare(e2)
-			for i, e1 := range b.buffer {
-				matchAndEmitPrepared(ctx, pm, e1, e2, b.prep[i], p2)
-			}
-			b.buffer = append(b.buffer, e2)
-			b.prep = append(b.prep, p2)
-		}
-		b.kern.releaseAll(b.prep)
-		return
-	}
-	b.buffer = b.buffer[:0]
+	b.begin(len(values))
 	for _, v := range values {
-		e2 := v.Value
-		for _, e1 := range b.buffer {
-			matchAndEmit(ctx, b.kern.match, e1, e2)
-		}
-		b.buffer = append(b.buffer, e2)
+		b.probe(ctx, v.Value, 0, b.len(), true)
 	}
+	b.end()
 }
 
 // Plan implements Strategy: per-reduce-task comparisons follow from

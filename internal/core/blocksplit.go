@@ -297,7 +297,7 @@ func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) 
 
 // JobPrepared implements PreparedStrategy.
 func (bs BlockSplit) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return blockSplitJob(x, r, preparedKernel(pm), nil, bs.MaxEntitiesPerTask)
+	return blockSplitJob(x, r, matchKernel{pm: pm}, nil, bs.MaxEntitiesPerTask)
 }
 
 // JobWithAssign is Job with a custom assignment policy (for ablations).
@@ -323,7 +323,7 @@ func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, assign AssignFunc, ma
 			return &bsMapper{x: x, asg: asg}
 		},
 		NewReducer: func() mapreduce.Reducer[BSKey, bsValue, MatchOutput] {
-			return &bsReducer{kern: kern}
+			return &bsReducer{group: kern.newGroup()}
 		},
 		Partition: func(key BSKey, r int) int { return key.Reduce % r },
 		Compare:   compareBSKeys,
@@ -380,82 +380,31 @@ func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, bsValu
 	}
 }
 
-type bsReducer struct {
-	kern   matchKernel
-	buffer []entity.Entity
-	prep   []PreparedEntity
-}
+type bsReducer struct{ *group }
 
 func (rd *bsReducer) Configure(_, _, _ int) {}
 
 // Reduce implements Algorithm 1 lines 48-65. For a self-join task
-// (unsplit block or single sub-block, I == J) it compares all values
-// pairwise. For a cross-product task it buffers the first partition's
-// entities (the stable map-task-ordered merge guarantees they arrive
-// first) and compares every later entity against the buffer. With a
-// prepared matcher, every buffered entity is prepared exactly once; in a
-// cross-product task the non-buffered side's entity is prepared once and
-// compared against the whole buffer.
+// (unsplit block or single sub-block, I == J) every value meets all
+// rows loaded before it and becomes a row. For a cross-product task the
+// first partition's entities are loaded as rows (the stable
+// map-task-ordered merge guarantees they arrive first) and every later
+// entity meets all of them without being kept.
 func (rd *bsReducer) Reduce(ctx *matchCtx, k BSKey, values []mapreduce.Rec[BSKey, bsValue]) {
-	if rd.kern.pm != nil {
-		rd.reducePrepared(ctx, k, values)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
-	if k.I == k.J {
-		for _, v := range values {
-			e2 := v.Value.E
-			for _, e1 := range rd.buffer {
-				matchAndEmit(ctx, rd.kern.match, e1, e2)
-			}
-			rd.buffer = append(rd.buffer, e2)
-		}
-		return
-	}
+	rd.begin(len(values))
 	firstPartition := values[0].Value.Partition
 	for _, v := range values {
 		bv := v.Value
-		if bv.Partition == firstPartition {
-			rd.buffer = append(rd.buffer, bv.E)
-			continue
-		}
-		for _, e1 := range rd.buffer {
-			matchAndEmit(ctx, rd.kern.match, e1, bv.E)
+		switch {
+		case k.I == k.J:
+			rd.probe(ctx, bv.E, 0, rd.len(), true)
+		case bv.Partition == firstPartition:
+			rd.probe(ctx, bv.E, 0, 0, true)
+		default:
+			rd.probe(ctx, bv.E, 0, rd.len(), false)
 		}
 	}
-}
-
-func (rd *bsReducer) reducePrepared(ctx *matchCtx, k BSKey, values []mapreduce.Rec[BSKey, bsValue]) {
-	pm := rd.kern.pm
-	rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-	if k.I == k.J {
-		for _, v := range values {
-			e2 := v.Value.E
-			p2 := pm.Prepare(e2)
-			for i, e1 := range rd.buffer {
-				matchAndEmitPrepared(ctx, pm, e1, e2, rd.prep[i], p2)
-			}
-			rd.buffer = append(rd.buffer, e2)
-			rd.prep = append(rd.prep, p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
-	}
-	firstPartition := values[0].Value.Partition
-	for _, v := range values {
-		bv := v.Value
-		if bv.Partition == firstPartition {
-			rd.buffer = append(rd.buffer, bv.E)
-			rd.prep = append(rd.prep, pm.Prepare(bv.E))
-			continue
-		}
-		p2 := pm.Prepare(bv.E)
-		for i, e1 := range rd.buffer {
-			matchAndEmitPrepared(ctx, pm, e1, bv.E, rd.prep[i], p2)
-		}
-		rd.kern.release(p2)
-	}
-	rd.kern.releaseAll(rd.prep)
+	rd.end()
 }
 
 // Plan implements Strategy: it reuses the exact match-task creation and

@@ -49,10 +49,11 @@ type PreparedEntity any
 // PreparedMatcher is the two-phase form of Matcher. The reducers of all
 // strategies prepare each entity exactly once per key group — O(group)
 // preparation instead of re-deriving both sides on every one of the
-// O(group²) comparisons — and invoke MatchPrepared on the cached forms.
-// Prepare is called from a single goroutine per reduce group; the
-// returned PreparedEntity is never shared across groups. MatchPrepared
-// must be safe for concurrent use across groups (pure functions are).
+// O(group²) comparisons — and invoke MatchPrepared on the cached forms
+// (through a Block, see kernel.go). Prepare is called from a single
+// goroutine per reduce group; the returned PreparedEntity is never
+// shared across groups. MatchPrepared must be safe for concurrent use
+// across groups (pure functions are).
 //
 // A PreparedMatcher must be semantically equivalent to the plain Matcher
 // PlainMatcher derives from it: same decisions, same similarities.
@@ -66,7 +67,8 @@ type PreparedMatcher interface {
 
 // PreparedReleaser is an optional extension of PreparedMatcher: a
 // matcher whose prepared forms come from a free list implements it, and
-// the strategy reducers hand every PreparedEntity back via
+// every per-pair caller (the adapter block of kernel.go, sorted
+// neighborhood, multi-pass) hands each PreparedEntity back via
 // ReleasePrepared as soon as its reduce group is finished. A released
 // entity must never be used again. Matchers without the interface are
 // simply never released (the GC reclaims their prepared forms).
@@ -89,43 +91,6 @@ func PlainMatcher(pm PreparedMatcher) Matcher {
 			rel.ReleasePrepared(pb)
 		}
 		return sim, ok
-	}
-}
-
-// matchKernel carries whichever matcher form a job was built with. At
-// most one of match/pm is set; both nil means "count comparisons
-// without comparing" (the nil-Matcher contract). rel is pm's optional
-// release hook.
-type matchKernel struct {
-	match Matcher
-	pm    PreparedMatcher
-	rel   PreparedReleaser
-}
-
-// preparedKernel builds the kernel for a prepared matcher, wiring the
-// release hook when the matcher provides one.
-func preparedKernel(pm PreparedMatcher) matchKernel {
-	k := matchKernel{pm: pm}
-	if r, ok := pm.(PreparedReleaser); ok {
-		k.rel = r
-	}
-	return k
-}
-
-// release hands one prepared entity back to the matcher's free list.
-func (k *matchKernel) release(p PreparedEntity) {
-	if k.rel != nil {
-		k.rel.ReleasePrepared(p)
-	}
-}
-
-// releaseAll hands a whole group buffer back.
-func (k *matchKernel) releaseAll(ps []PreparedEntity) {
-	if k.rel == nil {
-		return
-	}
-	for _, p := range ps {
-		k.rel.ReleasePrepared(p)
 	}
 }
 
@@ -301,26 +266,6 @@ func newPlan(strategy string, m, r int) *Plan {
 		MapEmits:          make([]int64, m),
 		ReduceRecords:     make([]int64, r),
 		ReduceComparisons: make([]int64, r),
-	}
-}
-
-// matchAndEmit performs one comparison via the matcher and emits the
-// canonical pair on success. A nil matcher counts only.
-func matchAndEmit(ctx *matchCtx, match Matcher, a, b entity.Entity) {
-	ctx.Inc(ComparisonsCounter, 1)
-	if match == nil {
-		return
-	}
-	if sim, ok := match(a, b); ok {
-		ctx.Emit(MatchOutput{Key: NewMatchPair(a.ID, b.ID), Value: sim})
-	}
-}
-
-// matchAndEmitPrepared is matchAndEmit on already-prepared forms.
-func matchAndEmitPrepared(ctx *matchCtx, pm PreparedMatcher, a, b entity.Entity, pa, pb PreparedEntity) {
-	ctx.Inc(ComparisonsCounter, 1)
-	if sim, ok := pm.MatchPrepared(pa, pb); ok {
-		ctx.Emit(MatchOutput{Key: NewMatchPair(a.ID, b.ID), Value: sim})
 	}
 }
 

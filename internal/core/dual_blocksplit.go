@@ -189,7 +189,7 @@ func (BlockSplitDual) Job(x *bdm.DualMatrix, r int, match Matcher) (MatchJob, er
 
 // JobPrepared implements PreparedDualStrategy.
 func (BlockSplitDual) JobPrepared(x *bdm.DualMatrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return blockSplitDualJob(x, r, preparedKernel(pm))
+	return blockSplitDualJob(x, r, matchKernel{pm: pm})
 }
 
 func blockSplitDualJob(x *bdm.DualMatrix, r int, kern matchKernel) (MatchJob, error) {
@@ -207,7 +207,7 @@ func blockSplitDualJob(x *bdm.DualMatrix, r int, kern matchKernel) (MatchJob, er
 			return &bsdMapper{x: x, asg: asg}
 		},
 		NewReducer: func() mapreduce.Reducer[BSDKey, entity.Entity, MatchOutput] {
-			return &bsdReducer{kern: kern}
+			return &bsdReducer{group: kern.newGroup()}
 		},
 		Partition: func(key BSDKey, r int) int { return key.Reduce % r },
 		Compare:   compareBSDKeys,
@@ -265,49 +265,23 @@ func (mp *bsdMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSDKey, enti
 	}
 }
 
-type bsdReducer struct {
-	kern   matchKernel
-	buffer []entity.Entity
-	prep   []PreparedEntity
-}
+type bsdReducer struct{ *group }
 
 func (rd *bsdReducer) Configure(_, _, _ int) {}
 
-// Reduce buffers all R entities (sorted first via the Source key
-// component) and compares each S entity against the buffer — only
-// cross-source pairs are evaluated. With a prepared matcher, each R
-// entity is prepared once while buffering and each S entity once before
-// its scan of the buffer.
+// Reduce loads all R entities as rows (sorted first via the Source key
+// component) and compares each S entity against all of them — only
+// cross-source pairs are evaluated.
 func (rd *bsdReducer) Reduce(ctx *matchCtx, _ BSDKey, values []mapreduce.Rec[BSDKey, entity.Entity]) {
-	if pm := rd.kern.pm; pm != nil {
-		rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-		for _, v := range values {
-			e := v.Value
-			if v.Key.Source == bdm.SourceR {
-				rd.buffer = append(rd.buffer, e)
-				rd.prep = append(rd.prep, pm.Prepare(e))
-				continue
-			}
-			p2 := pm.Prepare(e)
-			for i, e1 := range rd.buffer {
-				matchAndEmitPrepared(ctx, pm, e1, e, rd.prep[i], p2)
-			}
-			rd.kern.release(p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
+	rd.begin(len(values))
 	for _, v := range values {
-		e := v.Value
 		if v.Key.Source == bdm.SourceR {
-			rd.buffer = append(rd.buffer, e)
-			continue
-		}
-		for _, e1 := range rd.buffer {
-			matchAndEmit(ctx, rd.kern.match, e1, e)
+			rd.probe(ctx, v.Value, 0, 0, true)
+		} else {
+			rd.probe(ctx, v.Value, 0, rd.len(), false)
 		}
 	}
+	rd.end()
 }
 
 // Plan implements DualStrategy analytically.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/bdm"
 	"repro/internal/entity"
@@ -34,14 +35,6 @@ type PRDKey struct {
 
 func (k PRDKey) String() string {
 	return fmt.Sprintf("%d.%d.%s.%d", k.Range, k.Block, k.Source, k.Index)
-}
-
-// prdValue is the reduce-side buffer entry for R entities; source and
-// index travel in the record's PRDKey, so the shuffle carries the bare
-// entity.
-type prdValue struct {
-	E     entity.Entity
-	Index int64
 }
 
 func comparePRDKeys(a, b PRDKey) int {
@@ -125,7 +118,7 @@ func (PairRangeDual) Job(x *bdm.DualMatrix, r int, match Matcher) (MatchJob, err
 
 // JobPrepared implements PreparedDualStrategy.
 func (PairRangeDual) JobPrepared(x *bdm.DualMatrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return pairRangeDualJob(x, r, preparedKernel(pm))
+	return pairRangeDualJob(x, r, matchKernel{pm: pm})
 }
 
 func pairRangeDualJob(x *bdm.DualMatrix, r int, kern matchKernel) (MatchJob, error) {
@@ -143,7 +136,7 @@ func pairRangeDualJob(x *bdm.DualMatrix, r int, kern matchKernel) (MatchJob, err
 			return &prdMapper{x: x, ranges: ranges}
 		},
 		NewReducer: func() mapreduce.Reducer[PRDKey, entity.Entity, MatchOutput] {
-			return &prdReducer{x: x, ranges: ranges, kern: kern}
+			return &prdReducer{x: x, ranges: ranges, group: kern.newGroup()}
 		},
 		Partition: func(key PRDKey, r int) int { return key.Range % r },
 		Compare:   comparePRDKeys,
@@ -189,66 +182,33 @@ func (mp *prdMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRDKey, enti
 type prdReducer struct {
 	x      *bdm.DualMatrix
 	ranges Ranges
-	kern   matchKernel
 	task   int
-	buffer []prdValue
-	prep   []PreparedEntity
+	*group
 }
 
 func (rd *prdReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 
 // Reduce receives one (range, block) group with all relevant R entities
-// (ascending index) followed by all relevant S entities. For each S
-// entity it scans the R buffer; pair indexes grow with the R index, so
-// the scan stops once the range is exceeded. With a prepared matcher,
-// every entity is prepared exactly once per group.
+// (ascending index) followed by all relevant S entities. The R entities
+// are loaded as rows; pair indexes grow with the R index, so each S
+// entity's in-range partners are one run of rows, found by binary
+// search (see prReducer.Reduce for the bound-comparison argument).
 func (rd *prdReducer) Reduce(ctx *matchCtx, k PRDKey, values []mapreduce.Rec[PRDKey, entity.Entity]) {
 	ns := int64(rd.x.SourceSize(k.Block, bdm.SourceS))
 	off := rd.x.PairOffset(k.Block)
-	// Direct bound comparisons replace the per-pair Ranges.Index
-	// division; see prReducer.Reduce for the equivalence argument.
 	lo, hi := rd.ranges.Bounds(rd.task)
-	if pm := rd.kern.pm; pm != nil {
-		rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-		for _, v := range values {
-			pv := prdValue{E: v.Value, Index: v.Key.Index}
-			if v.Key.Source == bdm.SourceR {
-				rd.buffer = append(rd.buffer, pv)
-				rd.prep = append(rd.prep, pm.Prepare(pv.E))
-				continue
-			}
-			p2 := pm.Prepare(pv.E)
-			for i, b := range rd.buffer {
-				p := off + b.Index*ns + pv.Index
-				if p >= hi {
-					break
-				}
-				if p >= lo {
-					matchAndEmitPrepared(ctx, pm, b.E, pv.E, rd.prep[i], p2)
-				}
-			}
-			rd.kern.release(p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
+	rd.begin(len(values))
 	for _, v := range values {
-		pv := prdValue{E: v.Value, Index: v.Key.Index}
 		if v.Key.Source == bdm.SourceR {
-			rd.buffer = append(rd.buffer, pv)
+			rd.probe(ctx, v.Value, 0, 0, true)
 			continue
 		}
-		for _, b := range rd.buffer {
-			p := off + b.Index*ns + pv.Index
-			if p >= hi {
-				break
-			}
-			if p >= lo {
-				matchAndEmit(ctx, rd.kern.match, b.E, pv.E)
-			}
-		}
+		y, rows := v.Key.Index, rd.len()
+		first := sort.Search(rows, func(i int) bool { return off+values[i].Key.Index*ns+y >= lo })
+		end := first + sort.Search(rows-first, func(i int) bool { return off+values[first+i].Key.Index*ns+y >= hi })
+		rd.probe(ctx, v.Value, first, end, false)
 	}
+	rd.end()
 }
 
 // Plan implements DualStrategy analytically: for each range and each

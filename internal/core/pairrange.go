@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/bdm"
 	"repro/internal/entity"
@@ -35,16 +36,6 @@ type PRKey struct {
 }
 
 func (k PRKey) String() string { return fmt.Sprintf("%d.%d.%d", k.Range, k.Block, k.Index) }
-
-// prValue is the reduce-side buffer entry: the entity plus its
-// block-wise index. The shuffle carries the bare entity — the index
-// already travels in the record's PRKey, so the reduce function
-// reconstructs prValue from (key, value) instead of shipping the index
-// twice per record.
-type prValue struct {
-	E     entity.Entity
-	Index int64
-}
 
 func comparePRKeys(a, b PRKey) int {
 	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
@@ -90,7 +81,7 @@ func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 
 // JobPrepared implements PreparedStrategy.
 func (PairRange) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return pairRangeJob(x, r, preparedKernel(pm))
+	return pairRangeJob(x, r, matchKernel{pm: pm})
 }
 
 func pairRangeJob(x *bdm.Matrix, r int, kern matchKernel) (MatchJob, error) {
@@ -108,7 +99,7 @@ func pairRangeJob(x *bdm.Matrix, r int, kern matchKernel) (MatchJob, error) {
 			return &prMapper{x: x, ranges: ranges}
 		},
 		NewReducer: func() mapreduce.Reducer[PRKey, entity.Entity, MatchOutput] {
-			return &prReducer{x: x, ranges: ranges, kern: kern}
+			return &prReducer{x: x, ranges: ranges, group: kern.newGroup()}
 		},
 		Partition: func(key PRKey, r int) int { return key.Range % r },
 		Compare:   comparePRKeys,
@@ -160,26 +151,26 @@ func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity
 type prReducer struct {
 	x      *bdm.Matrix
 	ranges Ranges
-	kern   matchKernel
 	task   int
-	buffer []prValue
-	prep   []PreparedEntity
+	*group
 }
 
 func (rd *prReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 
 // Reduce implements Algorithm 2 lines 32-42: for one (range, block)
 // group it receives the block's relevant entities in ascending index
-// order, generates candidate pairs (x1, x2) with x1 < x2, and compares
-// exactly those whose pair index falls into this task's range.
+// order — the index travels in each record's key — and compares exactly
+// the candidate pairs (x1, x2), x1 < x2, whose pair index falls into
+// this task's range.
 //
 // Deviation from the paper's listing: when a candidate pair's range
 // exceeds the task's range, the listing returns from the whole reduce
 // call. That would skip valid pairs — e.g. after (x1,x2) overshoots,
-// (x1', x2+1) with x1' < x1 can still fall in range (pair indexes grow
-// with both components, so only the *rest of the inner loop* is safely
-// skippable). We break the inner loop instead; completeness is covered
-// by property tests against serial matching.
+// (x1', x2+1) with x1' < x1 can still fall in range. Pair indexes grow
+// with both components, so for a fixed x2 the in-range partners x1 are
+// one run of the rows loaded so far; its two ends are found by binary
+// search and the run is probed in one call. Completeness is covered by
+// property tests against serial matching.
 func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey, entity.Entity]) {
 	n := int64(rd.x.Size(k.Block))
 	off := rd.x.PairOffset(k.Block)
@@ -188,51 +179,14 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 	// exceeds this task, p >= lo iff it is at least this task (every
 	// valid p is < P, so the clamped bounds preserve both equivalences).
 	lo, hi := rd.ranges.Bounds(rd.task)
-	// Every value lands in the buffer; presizing once avoids the
-	// append-doubling allocations the profiler showed on large groups.
-	if cap(rd.buffer) < len(values) {
-		rd.buffer = make([]prValue, 0, len(values))
+	rd.begin(len(values))
+	for j, v := range values {
+		x2 := v.Key.Index
+		first := sort.Search(j, func(i int) bool { return CellIndex(values[i].Key.Index, x2, n)+off >= lo })
+		end := first + sort.Search(j-first, func(i int) bool { return CellIndex(values[first+i].Key.Index, x2, n)+off >= hi })
+		rd.probe(ctx, v.Value, first, end, true)
 	}
-	if pm := rd.kern.pm; pm != nil {
-		if cap(rd.prep) < len(values) {
-			rd.prep = make([]PreparedEntity, 0, len(values))
-		}
-		rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-		for _, v := range values {
-			pv := prValue{E: v.Value, Index: v.Key.Index}
-			p2 := pm.Prepare(pv.E)
-			for i, b := range rd.buffer {
-				p := CellIndex(b.Index, pv.Index, n) + off
-				if p >= hi {
-					break
-				}
-				if p >= lo {
-					matchAndEmitPrepared(ctx, pm, b.E, pv.E, rd.prep[i], p2)
-				}
-			}
-			rd.buffer = append(rd.buffer, pv)
-			rd.prep = append(rd.prep, p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
-	for _, v := range values {
-		pv := prValue{E: v.Value, Index: v.Key.Index}
-		for _, b := range rd.buffer {
-			p := CellIndex(b.Index, pv.Index, n) + off
-			if p >= hi {
-				// Within this row (fixed pv.Index), pair indexes grow
-				// with the buffered entity's index: nothing further in
-				// the buffer can be in range.
-				break
-			}
-			if p >= lo {
-				matchAndEmit(ctx, rd.kern.match, b.E, pv.E)
-			}
-		}
-		rd.buffer = append(rd.buffer, pv)
-	}
+	rd.end()
 }
 
 // Plan implements Strategy. All quantities are exact and computed in

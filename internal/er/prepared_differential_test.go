@@ -1,6 +1,7 @@
 package er
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/mapreduce"
 	"repro/internal/match"
 	"repro/internal/similarity"
 )
@@ -215,5 +217,145 @@ func TestPreparedMatcherFallback(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Matches, got.Matches) || want.Comparisons != got.Comparisons {
 		t.Fatal("fallback path result differs from prepared path")
+	}
+}
+
+// perPairOnly hides a matcher's native core.Block (and nothing else),
+// forcing the reducers' adapter-over-PreparedMatcher path.
+type perPairOnly struct{ core.PreparedMatcher }
+
+func (m perPairOnly) ReleasePrepared(p core.PreparedEntity) {
+	m.PreparedMatcher.(core.PreparedReleaser).ReleasePrepared(p)
+}
+
+// mixedEntities is randEntities with accented and CJK runes mixed into
+// some titles, so reduce groups hold ASCII and non-ASCII rows side by
+// side and the native block's rune fallback decides real pairs.
+func mixedEntities(rng *rand.Rand, n int) []entity.Entity {
+	alphabet := []rune("aabbccdd  é日")
+	es := make([]entity.Entity, n)
+	for i := range es {
+		rs := make([]rune, 3+rng.Intn(10))
+		for j := range rs {
+			rs[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		rs[0] = rune('a' + rng.Intn(3)) // the blocking prefix stays ASCII
+		es[i] = entity.New(idFor(i), "title", string(rs))
+	}
+	return es
+}
+
+// blockKernelEngines lists the dataflows the block differential covers;
+// the external engine spills every few records.
+func blockKernelEngines(t *testing.T) map[string]func() *mapreduce.Engine {
+	return map[string]func() *mapreduce.Engine{
+		"typed": func() *mapreduce.Engine { return &mapreduce.Engine{Parallelism: 3} },
+		"external": func() *mapreduce.Engine {
+			return &mapreduce.Engine{Parallelism: 3, Dataflow: mapreduce.DataflowExternal, SpillBudget: 128, TmpDir: t.TempDir()}
+		},
+	}
+}
+
+// TestBlockKernelDifferential proves the one reduce-side comparison
+// path is the same path for every matcher form: the native
+// structure-of-arrays block of match.EditDistance, the adapter block
+// over the same matcher's per-pair MatchPrepared, and the adapter block
+// over a hand-written plain Matcher produce identical full Results —
+// matches, similarities in emit order, and every TaskMetrics field —
+// for all five strategies on the typed and the external dataflow.
+func TestBlockKernelDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1313))
+	es := mixedEntities(rng, 220)
+	key := blocking.NormalizedPrefix(1)
+	const th = 0.6
+	type form struct {
+		name     string
+		plain    core.Matcher
+		prepared core.PreparedMatcher
+	}
+	forms := []form{
+		{name: "native block", prepared: match.EditDistance("title", th)},
+		{name: "adapter over PreparedMatcher", prepared: perPairOnly{match.EditDistance("title", th)}},
+		{name: "adapter over plain Matcher", plain: plainEditDistance("title", th)},
+	}
+	if _, ok := forms[0].prepared.(core.BlockMatcher); !ok {
+		t.Fatal("match.EditDistance must implement core.BlockMatcher")
+	}
+	if _, ok := forms[1].prepared.(core.BlockMatcher); ok {
+		t.Fatal("perPairOnly must hide the native block")
+	}
+	for ename, newEngine := range blockKernelEngines(t) {
+		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
+			var want *Result
+			for _, f := range forms {
+				cfg := Config{Strategy: strat, Attr: "title", BlockKey: key, R: 5,
+					Matcher: f.plain, PreparedMatcher: f.prepared}
+				cfg.Engine = newEngine()
+				got, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 4)), cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", ename, strat.Name(), f.name, err)
+				}
+				if want == nil {
+					if want = got; len(want.Matches) == 0 {
+						t.Fatalf("%s/%s: differential vacuous, no matches", ename, strat.Name())
+					}
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: %s diverges from %s", ename, strat.Name(), f.name, forms[0].name)
+				}
+			}
+		}
+		for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
+			var want *DualResult
+			for _, f := range forms {
+				cfg := DualConfig{Strategy: strat, Attr: "title", BlockKey: key, R: 4,
+					Matcher: f.plain, PreparedMatcher: f.prepared}
+				cfg.Engine = newEngine()
+				got, err := RunDualPipeline(context.Background(),
+					FromPartitions(entity.SplitRoundRobin(es[:130], 2)), FromPartitions(entity.SplitRoundRobin(es[130:], 3)), cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", ename, strat.Name(), f.name, err)
+				}
+				if want == nil {
+					if want = got; len(want.Matches) == 0 {
+						t.Fatalf("%s/%s: differential vacuous, no matches", ename, strat.Name())
+					}
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: %s diverges from %s", ename, strat.Name(), f.name, forms[0].name)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockKernelChaos: reduce attempts that die mid-group abandon
+// their acquired block; under a seeded fault schedule the native block
+// still produces the fault-free Result (attempt counters aside).
+func TestBlockKernelChaos(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	parts := entity.SplitRoundRobin(mixedEntities(rng, 200), 3)
+	run := func(hook mapreduce.FaultHook) (*Result, int64) {
+		cfg := Config{Strategy: core.PairRange{}, Attr: "title", BlockKey: blocking.NormalizedPrefix(1), R: 4,
+			PreparedMatcher: match.EditDistance("title", 0.6)}
+		cfg.Engine = &mapreduce.Engine{Parallelism: 3, FaultHook: hook, Retry: mapreduce.RetryPolicy{BaseBackoff: 1}}
+		res, err := RunPipeline(context.Background(), FromPartitions(parts), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduceRetries := res.MatchResult.Retries
+		for _, m := range []*mapreduce.Metrics{&res.BDMResult.Metrics, &res.MatchResult.Metrics} {
+			m.Attempts, m.Retries, m.SpeculativeLaunched, m.SpeculativeWon = 0, 0, 0, 0
+		}
+		return res, reduceRetries
+	}
+	want, _ := run(nil)
+	if len(want.Matches) == 0 {
+		t.Fatal("differential vacuous, no matches")
+	}
+	got, retries := run(mapreduce.ChaosHook(17, 0.3, 0))
+	if retries == 0 {
+		t.Fatal("chaos seed never failed a match-job attempt")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("chaotic run diverges from the fault-free run")
 	}
 }

@@ -344,6 +344,11 @@ type taskSupervisor[T any] struct {
 	stats attemptStats
 	board *specBoard
 
+	// weigh, when set, is a task's relative cost as known before the
+	// phase starts; forEachTask starts the heaviest tasks first. Set
+	// after init, which clears it.
+	weigh func(task int) int64
+
 	// First failed task in task order — the phase's reported error.
 	// (Tracking the minimum beats an n-sized error slice: supervision
 	// stays allocation-free on the fault-free path.)
@@ -365,6 +370,7 @@ func (sv *taskSupervisor[T]) init(e *Engine, phase TaskKind, jobID uint32, ops t
 	sv.jobID = jobID
 	sv.firstTask = -1
 	sv.firstErr = nil
+	sv.weigh = nil
 }
 
 // record emits one trace event stamped with the supervisor's job and
@@ -406,11 +412,11 @@ func (sv *taskSupervisor[T]) supervise(ctx context.Context, n int) (attemptStats
 			defer mwg.Done()
 			sv.monitor(ctx, stop)
 		}()
-		sv.e.forEachTask(ctx, n, sv)
+		sv.e.forEachTask(ctx, n, sv.weigh, sv)
 		close(stop)
 		mwg.Wait()
 	} else {
-		sv.e.forEachTask(ctx, n, sv)
+		sv.e.forEachTask(ctx, n, sv.weigh, sv)
 	}
 	return sv.stats, sv.firstErr
 }
@@ -474,18 +480,21 @@ func (o *funcTaskOps[T]) discardOut(out T)                 { o.discard(out) }
 
 // superviseTasks is the closure-based entry point over
 // taskSupervisor.supervise, used by the boxed and external dataflows.
+// weigh is the supervisor's dispatch weight (nil: index order).
 func superviseTasks[T any](
 	ctx context.Context,
 	e *Engine,
 	phase TaskKind,
 	jobID uint32,
 	n int,
+	weigh func(task int) int64,
 	run func(ctx context.Context, hook *taskHook, task, attempt int) (T, error),
 	commit func(task int, out T) error,
 	discard func(out T),
 ) (attemptStats, error) {
 	sv := &taskSupervisor[T]{}
 	sv.init(e, phase, jobID, &funcTaskOps[T]{run: run, commit: commit, discard: discard})
+	sv.weigh = weigh
 	return sv.supervise(ctx, n)
 }
 

@@ -172,3 +172,77 @@ func TestParseChaos(t *testing.T) {
 		}
 	}
 }
+
+func TestHeaviestFirstOrder(t *testing.T) {
+	weight := []int64{3, 9, 3, 0, 9, 5}
+	got := heaviestFirst(len(weight), func(task int) int64 { return weight[task] })
+	want := []int{1, 4, 5, 0, 2, 3} // descending weight, equal weights in index order
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("heaviestFirst = %v, want %v", got, want)
+	}
+}
+
+// gatedRunner records the order in which tasks start and holds each one
+// until the test releases it, so the test sees exactly which tasks the
+// feed has handed out.
+type gatedRunner struct {
+	started chan int
+	release []chan struct{}
+}
+
+func (g *gatedRunner) runOne(_ context.Context, task int) {
+	g.started <- task
+	<-g.release[task]
+}
+
+// TestForEachTaskStartsHeaviestFirst pins the dispatch order: with fewer
+// workers than tasks the tasks start in descending weight, and with one
+// worker (or no weights) in index order.
+func TestForEachTaskStartsHeaviestFirst(t *testing.T) {
+	weight := []int64{1, 1, 7, 1, 4, 1}
+	weigh := func(task int) int64 { return weight[task] }
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+		weigh       func(int) int64
+		want        []int
+	}{
+		{"two workers, weighed", 2, weigh, []int{2, 4, 0, 1, 3, 5}},
+		{"two workers, no weights", 2, nil, []int{0, 1, 2, 3, 4, 5}},
+		{"one worker, weighed", 1, weigh, []int{0, 1, 2, 3, 4, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(weight)
+			g := &gatedRunner{started: make(chan int), release: make([]chan struct{}, n)}
+			for i := range g.release {
+				g.release[i] = make(chan struct{})
+			}
+			e := &Engine{Parallelism: tc.parallelism}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				e.forEachTask(context.Background(), n, tc.weigh, g)
+			}()
+			// The first `parallelism` tasks start concurrently, in either
+			// order; each later task starts only once an earlier one is
+			// released, so from there on the order is exact.
+			var got []int
+			for len(got) < tc.parallelism {
+				got = append(got, <-g.started)
+			}
+			if tc.parallelism == 2 && got[0] == tc.want[1] {
+				got[0], got[1] = got[1], got[0]
+			}
+			for next := 0; next < n; next++ {
+				close(g.release[got[next]])
+				if len(got) < n {
+					got = append(got, <-g.started)
+				}
+			}
+			<-done
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("start order %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

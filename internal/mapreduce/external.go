@@ -132,7 +132,7 @@ func (j *Job[I, K, V, O]) runExternal(ctx context.Context, e *Engine, input [][]
 
 	// ---- Map phase (spilling) ----
 	mapOut := make([]extMapOutput[I, K, V], m)
-	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m,
+	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m, nil,
 		func(actx context.Context, hook *taskHook, task, attempt int) (extMapOutput[I, K, V], error) {
 			return st.runMapAttemptExternal(actx, hook, cfg, task, attempt, m, input[task])
 		},
@@ -193,6 +193,16 @@ func (j *Job[I, K, V, O]) runExternal(ctx context.Context, e *Engine, input [][]
 	// ---- Shuffle + external merge + reduce phase ----
 	reduceOut := make([][]O, r)
 	rstats, rerr := superviseTasks(ctx, e, ReduceTask, jobID, r,
+		func(task int) int64 {
+			var records int64
+			for mi := range mapOut {
+				for _, info := range mapOut[mi].runs {
+					records += info.Segments[task].Records
+				}
+				records += int64(len(mapOut[mi].buckets[task]))
+			}
+			return records
+		},
 		func(actx context.Context, hook *taskHook, task, attempt int) (typedReduceOut[O], error) {
 			return st.runReduceAttemptExternal(actx, hook, cfg, task, attempt, mapOut)
 		},

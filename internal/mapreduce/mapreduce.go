@@ -37,6 +37,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -329,7 +330,9 @@ const (
 )
 
 // Engine executes jobs. Parallelism bounds the number of concurrently
-// executing tasks per phase; 0 means one goroutine per task.
+// executing tasks per phase; 0 means one goroutine per task. When the
+// bound is below a reduce phase's task count, the tasks with the most
+// input start first (see forEachTask).
 type Engine struct {
 	Parallelism int
 	// Shuffle selects the reduce-side merge implementation. The zero
@@ -454,7 +457,7 @@ func (e *Engine) runBoxed(ctx context.Context, job *BoxedJob, input [][]KeyValue
 	// mapOut[mapTask][reduceTask] holds the bucketed map output,
 	// published per task by the supervisor's commit step.
 	mapOut := make([][][]KeyValue, m)
-	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m,
+	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m, nil,
 		func(actx context.Context, hook *taskHook, task, attempt int) (boxedMapOut, error) {
 			return e.runMapAttempt(actx, hook, job, task, m, input[task])
 		},
@@ -487,6 +490,7 @@ func (e *Engine) runBoxed(ctx context.Context, job *BoxedJob, input [][]KeyValue
 	// Output) only at commit — the task-commit protocol.
 	reduceOut := make([][]KeyValue, r)
 	rstats, rerr := superviseTasks(ctx, e, ReduceTask, jobID, r,
+		bucketRecords(mapOut),
 		func(actx context.Context, hook *taskHook, task, attempt int) (boxedReduceOut, error) {
 			return e.runReduceAttempt(actx, hook, job, task, m, mapOut)
 		},
@@ -759,7 +763,13 @@ type taskRunner interface {
 // every worker goroutine is joined before forEachTask returns, so a
 // cancelled phase leaks nothing. The caller detects cancellation via
 // ctx.Err().
-func (e *Engine) forEachTask(ctx context.Context, n int, r taskRunner) {
+//
+// With fewer workers than tasks and a non-nil weigh, tasks start in
+// descending order of weigh(task) instead of in index order (see
+// heaviestFirst). One worker runs the tasks in index order regardless:
+// the order cannot change how long the phase takes, and it is the order
+// in which a streaming sink then sees the committed outputs.
+func (e *Engine) forEachTask(ctx context.Context, n int, weigh func(task int) int64, r taskRunner) {
 	workers := e.Parallelism
 	if workers <= 0 || workers > n {
 		workers = n
@@ -772,6 +782,10 @@ func (e *Engine) forEachTask(ctx context.Context, n int, r taskRunner) {
 			r.runOne(ctx, i)
 		}
 		return
+	}
+	var order []int
+	if weigh != nil && workers < n {
+		order = heaviestFirst(n, weigh)
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -791,12 +805,46 @@ func (e *Engine) forEachTask(ctx context.Context, n int, r taskRunner) {
 	done := ctx.Done()
 feed:
 	for i := 0; i < n; i++ {
+		task := i
+		if order != nil {
+			task = order[i]
+		}
 		select {
-		case next <- i:
+		case next <- task:
 		case <-done:
 			break feed
 		}
 	}
 	close(next)
 	wg.Wait()
+}
+
+// bucketRecords weighs a reduce task by the records the map tasks'
+// in-memory buckets (mapOut[mapTask][reduceTask]) hold for it.
+func bucketRecords[R any](mapOut [][][]R) func(task int) int64 {
+	return func(task int) int64 {
+		var records int64
+		for _, buckets := range mapOut {
+			records += int64(len(buckets[task]))
+		}
+		return records
+	}
+}
+
+// heaviestFirst returns the tasks [0,n) in descending order of weight,
+// equal weights in index order. Reduce phases weigh a task by its input
+// records: started in index order, a phase with one dominant task (the
+// Basic strategy on skewed blocks) takes that task's time plus that of
+// however many lighter tasks the partitioner happened to number before
+// it, which depends on nothing but how the dominant key hashes; started
+// first, the dominant task overlaps all the others and the phase takes
+// its time alone.
+func heaviestFirst(n int, weigh func(task int) int64) []int {
+	weight := make([]int64, n)
+	order := make([]int, n)
+	for i := range order {
+		weight[i], order[i] = weigh(i), i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
+	return order
 }

@@ -392,7 +392,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 
 	// ---- Map phase (remote dispatch, run replication) ----
 	runs := make([]RemoteRun, m)
-	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m,
+	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m, nil,
 		func(actx context.Context, hook *taskHook, task, attempt int) (remoteMapOut[I], error) {
 			var out remoteMapOut[I]
 			path := filepath.Join(dir, fmt.Sprintf("m%04d-a%03d.run", task, attempt))
@@ -453,6 +453,15 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 	// ---- Reduce phase (remote dispatch over committed runs) ----
 	reduceOut := make([][]O, r)
 	rstats, rerr := superviseTasks(ctx, e, ReduceTask, jobID, r,
+		func(task int) int64 {
+			var records int64
+			for _, run := range runs {
+				if run.Info != nil {
+					records += run.Info.Segments[task].Records
+				}
+			}
+			return records
+		},
 		func(actx context.Context, hook *taskHook, task, attempt int) (typedReduceOut[O], error) {
 			var rout typedReduceOut[O]
 			rr, err := e.Remote.RunReduceAttempt(actx, m, task, attempt, runs)

@@ -449,6 +449,7 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 	reduceOut := make([][]O, r)
 	st.redPhase = typedReducePhase[I, K, V, O]{st: st, e: e, m: m, res: res, mapOut: mapOut, sink: sink, reduceOut: reduceOut}
 	st.redSup.init(e, ReduceTask, jobID, &st.redPhase)
+	st.redSup.weigh = bucketRecords(mapOut)
 	rstats, rerr := st.redSup.supervise(ctx, r)
 	res.addStats(rstats)
 	if err := ctx.Err(); err != nil {

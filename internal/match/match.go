@@ -11,12 +11,16 @@
 // per-pair preparation cost.
 //
 // All matchers draw their prepared forms from similarity's free list
-// and implement core.PreparedReleaser, so the strategy reducers recycle
-// every prepared entity once its reduce group is finished — the
-// steady-state matching pipeline allocates no prepared forms at all.
+// and implement core.PreparedReleaser, so every prepared entity is
+// recycled once its reduce group is finished — the steady-state
+// matching pipeline allocates no prepared forms at all. EditDistance is
+// also a core.BlockMatcher: the strategy reducers run it a group at a
+// time on a pooled similarity.LevBlock instead of pair by pair.
 package match
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/similarity"
@@ -25,7 +29,8 @@ import (
 // EditDistance matches two entities when the normalized Levenshtein
 // similarity of their attr values reaches threshold — the paper's match
 // rule (threshold 0.8). The kernel rejects clearly dissimilar pairs with
-// length and bag-distance pre-filters before running the banded DP.
+// length and bag-distance pre-filters before running the exact
+// bit-parallel distance.
 func EditDistance(attr string, threshold float64) core.PreparedMatcher {
 	return editDistance{attr: attr, th: similarity.NewThresholder(threshold)}
 }
@@ -44,6 +49,39 @@ func (editDistance) ReleasePrepared(p core.PreparedEntity) { releasePrepared(p) 
 
 func (m editDistance) MatchPrepared(a, b core.PreparedEntity) (float64, bool) {
 	return m.th.Match(a.(*similarity.Prepared), b.(*similarity.Prepared))
+}
+
+// editBlock is EditDistance's core.Block: a LevBlock over the attr
+// values of the group's entities.
+type editBlock struct {
+	similarity.LevBlock
+	attr string
+}
+
+// editBlockPool is the process-wide free list of edit-distance blocks.
+// A block's row arrays replace the per-entity Prepared of every ASCII
+// row, and one block at a time serves each running reducer, so the pool
+// holds about as many blocks as reduce tasks run concurrently.
+var editBlockPool = sync.Pool{New: func() any { return new(editBlock) }}
+
+// AcquireBlock implements core.BlockMatcher.
+func (m editDistance) AcquireBlock() core.Block {
+	b := editBlockPool.Get().(*editBlock)
+	b.attr = m.attr
+	b.Use(m.th)
+	return b
+}
+
+func (b *editBlock) Probe(e entity.Entity, lo, hi int, keep bool) ([]int32, []float64) {
+	return b.LevBlock.Probe(e.Attr(b.attr), lo, hi, keep)
+}
+
+// Release empties the block — the external dataflow's values alias
+// ~32KB decode blocks, which a stale row would pin — and returns it to
+// the free list.
+func (b *editBlock) Release() {
+	b.Reset()
+	editBlockPool.Put(b)
 }
 
 // TokenJaccard matches two entities when the Jaccard coefficient of the

@@ -1,0 +1,361 @@
+package similarity
+
+import (
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// planesOf builds the bit-plane histogram of s the way LevBlock.push
+// does: bytes for ASCII, runes otherwise.
+func planesOf(s string) *bagPlanes {
+	p := new(bagPlanes)
+	if !p.fillASCII(s) {
+		*p = bagPlanes{}
+		for _, r := range s {
+			p.add(uint32(r))
+		}
+	}
+	return p
+}
+
+// planeBoundRef is the scalar definition the bit planes must reproduce
+// exactly: per-bucket rune counts (bucket = rune & 63) clamped at the
+// plane count, then the larger one-sided difference.
+func planeBoundRef(a, b string) int {
+	var ca, cb [64]int
+	for _, r := range a {
+		ca[uint32(r)&63]++
+	}
+	for _, r := range b {
+		cb[uint32(r)&63]++
+	}
+	onlyA, onlyB := 0, 0
+	for i := range ca {
+		x, y := min(ca[i], len(bagPlanes{})), min(cb[i], len(bagPlanes{}))
+		if x > y {
+			onlyA += x - y
+		} else {
+			onlyB += y - x
+		}
+	}
+	return max(onlyA, onlyB)
+}
+
+// checkPlaneBound asserts the properties LevBlock's filter rests on: the
+// planes compute the reference bound (and their popcount the mass stage
+// 2 derives the second direction from); the bound never exceeds the
+// textbook edit distance; and while neither histogram is saturated it is
+// at least the full-count BagBound, so stage 3 may skip that one.
+func checkPlaneBound(t *testing.T, a, b string) {
+	t.Helper()
+	pa, pb := planesOf(a), planesOf(b)
+	ab, ba := bagExcess(pa, pb), bagExcess(pb, pa)
+	got := max(ab, ba)
+	if want := planeBoundRef(a, b); got != want {
+		t.Fatalf("plane bound(%.20q, %.20q) = %d, reference %d", a, b, got, want)
+	}
+	if ab-ba != pa.mass()-pb.mass() {
+		t.Fatalf("plane bound(%.20q, %.20q): excesses %d, %d disagree with masses %d, %d", a, b, ab, ba, pa.mass(), pb.mass())
+	}
+	if d := levenshteinRunes([]rune(a), []rune(b)); got > d {
+		t.Fatalf("plane bound(%.20q, %.20q) = %d exceeds edit distance %d: filter unsound", a, b, got, d)
+	}
+	if full := BagBound(Prepare(a), Prepare(b)); !pa.saturated() && !pb.saturated() && got < full {
+		t.Fatalf("plane bound(%.20q, %.20q) = %d below BagBound %d with no bucket saturated", a, b, got, full)
+	}
+}
+
+var (
+	mixedAlphabet = []rune("abc dé日")
+	wideAlphabet  = []rune("éüß日本語中文")
+	// collideAlphabet is eight runes in one bucket (r & 63 == 1): counts
+	// merge, so a single bucket saturates quickly.
+	collideAlphabet = []rune("aAÁāŁ ⁁ぁ")
+)
+
+// planeBoundSeeds are the fixed corners: empty strings, one bucket pushed
+// past the saturation cap, lengths across 64 and across maxCachedBound.
+var planeBoundSeeds = [][2]string{
+	{"", ""},
+	{"", "abc"},
+	{"aaaa", "aaaaa"},  // both saturated: the bound sees no difference
+	{"aaa", "aaaaaaa"}, // one side saturates
+	{strings.Repeat("a", 400), strings.Repeat("a", 3)},
+	{strings.Repeat("ab", 32), strings.Repeat("ba", 32) + "x"},
+	{strings.Repeat("é日", 32), strings.Repeat("日é", 33)},
+	{strings.Repeat("abcdefgh ", 57), strings.Repeat("abcdefgh ", 56) + "xyz"},
+	{"aA ⁁", "Áā"},
+	{"\xff\xfe", "a\x80"}, // invalid UTF-8 decodes to U+FFFD on every path
+}
+
+func TestPlaneBound(t *testing.T) {
+	for _, s := range planeBoundSeeds {
+		checkPlaneBound(t, s[0], s[1])
+	}
+	rng := rand.New(rand.NewSource(31))
+	alphabets := [][]rune{asciiAlphabet, mixedAlphabet, wideAlphabet, collideAlphabet}
+	lengths := []int{0, 1, 5, 13, 63, 64, 65, maxCachedBound - 1, maxCachedBound, maxCachedBound + 1}
+	for trial := 0; trial < 400; trial++ {
+		alphabet := alphabets[trial%len(alphabets)]
+		a := randRunes(rng, lengths[rng.Intn(len(lengths))], alphabet)
+		b := randRunes(rng, lengths[rng.Intn(len(lengths))], alphabet)
+		if trial%2 == 0 {
+			b = mutate(rng, a, 6, alphabet)
+		}
+		checkPlaneBound(t, string(a), string(b))
+	}
+	for trial := 0; trial < 3000; trial++ {
+		alphabet := alphabets[trial%len(alphabets)]
+		a := randRunes(rng, rng.Intn(24), alphabet)
+		b := randRunes(rng, rng.Intn(24), alphabet)
+		checkPlaneBound(t, string(a), string(b))
+	}
+}
+
+func FuzzPlaneBound(f *testing.F) {
+	for _, s := range planeBoundSeeds {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 2000 || len(b) > 2000 {
+			t.Skip() // the reference DP is quadratic
+		}
+		checkPlaneBound(t, a, b)
+	})
+}
+
+// refMatch is the rune-DP reference decision: textbook distance, the
+// similarity formula of LevenshteinSimilarity, compared to the
+// threshold.
+func refMatch(a, b string, threshold float64) (float64, bool) {
+	ra, rb := []rune(a), []rune(b)
+	longest := max(len(ra), len(rb))
+	if longest == 0 {
+		return 1, threshold <= 1
+	}
+	sim := 1 - float64(levenshteinRunes(ra, rb))/float64(longest)
+	return sim, sim >= threshold
+}
+
+// blockCorpus returns strings that make every stage of the filter chain
+// decide something: clusters of near-duplicates over ASCII, mixed and
+// non-ASCII alphabets, empty strings, and lengths across 64 runes and
+// across maxCachedBound.
+func blockCorpus(rng *rand.Rand) []string {
+	out := []string{"", "", "a", "é"}
+	add := func(alphabet []rune, n, copies, edits int) {
+		base := randRunes(rng, n, alphabet)
+		out = append(out, string(base))
+		for c := 0; c < copies; c++ {
+			out = append(out, string(mutate(rng, base, edits, alphabet)))
+		}
+	}
+	for i := 0; i < 6; i++ {
+		add(asciiAlphabet, 1+rng.Intn(20), 3, 3)
+		add(mixedAlphabet, 1+rng.Intn(20), 2, 3)
+		add(wideAlphabet, 1+rng.Intn(12), 1, 2)
+	}
+	add(asciiAlphabet, 62, 3, 4)
+	add(asciiAlphabet, 70, 2, 8)
+	add(mixedAlphabet, 64, 2, 4)
+	add(asciiAlphabet, maxCachedBound-2, 2, 5)
+	add(asciiAlphabet, 2*maxCachedBound, 1, 300)
+	add(wideAlphabet, maxCachedBound, 1, 5)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestLevBlockMatchesThresholder: a block probe over any row range is
+// exactly the per-pair kernel — and the rune-DP reference — applied to
+// each row in ascending order: same hit set, same float similarities.
+func TestLevBlockMatchesThresholder(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	corpus := blockCorpus(rng)
+	for _, threshold := range []float64{0, 0.5, 0.8, 1, 1.5} {
+		th := NewThresholder(threshold)
+		var b LevBlock
+		b.Use(th)
+		var loaded []string
+		for n, s := range corpus {
+			// Alternate the three shapes the reducers use: a self-join row
+			// (probe everything so far, keep), a loaded row (empty range,
+			// keep), and a cross probe over a sub-range (not kept).
+			lo, hi, keep := 0, len(loaded), true
+			switch n % 3 {
+			case 1:
+				hi = 0
+			case 2:
+				lo = rng.Intn(len(loaded) + 1)
+				hi = lo + rng.Intn(len(loaded)-lo+1)
+				keep = false
+			}
+			rows, sims := b.Probe(s, lo, hi, keep)
+			var wantRows []int32
+			var wantSims []float64
+			for i := lo; i < hi; i++ {
+				sim, ok := th.Match(Prepare(loaded[i]), Prepare(s))
+				if refSim, refOK := refMatch(loaded[i], s, threshold); ok != refOK || (ok && sim != refSim) {
+					t.Fatalf("th=%v: Thresholder.Match(%.12q, %.12q) = (%v, %v), rune DP says (%v, %v)",
+						threshold, loaded[i], s, sim, ok, refSim, refOK)
+				}
+				if ok {
+					wantRows, wantSims = append(wantRows, int32(i)), append(wantSims, sim)
+				}
+			}
+			if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
+				t.Fatalf("th=%v probe %d %.12q over [%d,%d): block says rows %v sims %v, per-pair kernel rows %v sims %v",
+					threshold, n, s, lo, hi, rows, sims, wantRows, wantSims)
+			}
+			if keep {
+				loaded = append(loaded, s)
+			}
+			if b.Len() != len(loaded) {
+				t.Fatalf("th=%v probe %d keep=%v: block has %d rows, want %d", threshold, n, keep, b.Len(), len(loaded))
+			}
+		}
+		b.Reset()
+	}
+}
+
+// TestLevBlockFiltersNoWeakerThanPerPair: on dictionary-word titles —
+// English letter frequencies, where 'e', 't' and the space saturate the
+// bit planes — the block's filter chain lets no more pairs through to
+// the distance kernel than the per-pair kernel's length filter and
+// BagBound do.
+func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
+	vocab := strings.Fields(`the and for with digital camera lens black white
+		wireless portable leather stainless steel edition series professional
+		battery charger adapter cable case cover screen protector replacement`)
+	rng := rand.New(rand.NewSource(3))
+	th := NewThresholder(0.8)
+	for _, words := range []int{3, 5, 8, 16} {
+		titles := make([]string, 150)
+		for i := range titles {
+			parts := []string{"canon"}
+			for w := 1; w < words; w++ {
+				parts = append(parts, vocab[rng.Intn(len(vocab))])
+			}
+			titles[i] = strings.Join(parts, " ")
+		}
+		// Two lengths past the bound cache, where the length window is
+		// open above and stage 2 has to restate the filter.
+		titles = append(titles, strings.Repeat("canon lens ", 90), strings.Repeat("canon lens ", 60))
+		perPair, lengthOnly := 0, 0
+		for i, a := range titles {
+			for _, c := range titles[:i] {
+				longest := max(len(a), len(c))
+				if maxDist := th.MaxDist(longest); longest-min(len(a), len(c)) <= maxDist {
+					lengthOnly++
+					if BagBound(Prepare(a), Prepare(c)) <= maxDist {
+						perPair++
+					}
+				}
+			}
+		}
+		var b LevBlock
+		b.Use(th)
+		for _, s := range titles {
+			b.Probe(s, 0, b.Len(), true)
+		}
+		if b.verified > perPair {
+			t.Errorf("%d-word titles: %d pairs reached the block's distance kernel, %d the per-pair kernel's (%d pass the length filter)",
+				words, b.verified, perPair, lengthOnly)
+		}
+		b.Reset()
+	}
+}
+
+// TestThresholderWindow: the cached length window is exactly the set of
+// partner lengths the per-pair length filter admits, and past the cache
+// it never excludes one.
+func TestThresholderWindow(t *testing.T) {
+	for _, threshold := range []float64{-1, 0, 0.3, 0.5, 0.8, 0.95, 1, 1.5} {
+		th := NewThresholder(threshold)
+		for _, l := range []int{0, 1, 2, 5, 9, 10, 64, 100, maxCachedBound, maxCachedBound + 1, 3 * maxCachedBound} {
+			lo, hi := th.window(l)
+			for k := 0; k <= 6*maxCachedBound; k++ {
+				longest, diff := max(l, k), max(l, k)-min(l, k)
+				passes := diff <= th.MaxDist(longest)
+				inside := int64(k) >= int64(lo) && int64(k) <= int64(hi)
+				if passes && !inside {
+					t.Fatalf("th=%v: lengths (%d,%d) pass the filter but window is [%d,%d]", threshold, l, k, lo, hi)
+				}
+				if !passes && inside && l <= maxCachedBound && k <= windowScan {
+					t.Fatalf("th=%v: lengths (%d,%d) fail the filter but cached window is [%d,%d]", threshold, l, k, lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// TestLevBlockSteadyStateAllocs pins the block's allocation contract: a
+// warm block loads and probes a whole group — hits, non-ASCII rows and
+// dropped cross probes included — without allocating.
+func TestLevBlockSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool items at will; steady-state 0 allocs does not hold")
+	}
+	th := NewThresholder(0.8)
+	group := []string{
+		"canon eos 5d mark iii digital slr camera body",
+		"canon eos 5d mark iv digital slr camera body",
+		"nikon d850 45mp full frame dslr with battery grip",
+		"canon eos 5d mark iii digital slr camera bodies",
+		"caméra canon eos 5d mark iii",
+		"caméra canon eos 5d mark iv",
+	}
+	var b LevBlock
+	hits := 0
+	cycle := func() {
+		b.Use(th)
+		for _, s := range group {
+			rows, _ := b.Probe(s, 0, b.Len(), true)
+			hits += len(rows)
+		}
+		for _, s := range group {
+			rows, _ := b.Probe(s, 1, b.Len(), false)
+			hits += len(rows)
+		}
+		b.Reset()
+	}
+	cycle()
+	if hits == 0 {
+		t.Fatal("the group must produce hits for the pin to cover the hit path")
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm load+probe cycle: %v allocs, want 0", allocs)
+	}
+}
+
+// TestLevBlockResetDropsReferences: on the external dataflow a row's
+// string aliases a ~32KB decode block, so a block waiting in a free list
+// must not reference any — not even past its slices' lengths, where a
+// dropped cross probe or an earlier, larger group left entries.
+func TestLevBlockResetDropsReferences(t *testing.T) {
+	th := NewThresholder(0.8)
+	var b LevBlock
+	b.Use(th)
+	for _, s := range []string{"alpha one", "alpha two", "álpha three", "beta"} {
+		b.Probe(s, 0, b.Len(), true)
+	}
+	b.Probe("alpha öne", 0, b.Len(), false) // materializes runes of ASCII rows, then is dropped
+	b.Reset()
+	if b.Len() != 0 || b.th != nil {
+		t.Fatalf("Reset left %d rows, threshold %v", b.Len(), b.th)
+	}
+	for i, s := range b.raws[:cap(b.raws)] {
+		if s != "" {
+			t.Errorf("raws[%d] still references %q after Reset", i, s)
+		}
+	}
+	for i, p := range b.wide[:cap(b.wide)] {
+		if p != nil {
+			t.Errorf("wide[%d] still holds a Prepared after Reset", i)
+		}
+	}
+	if b.peq != [128]uint64{} {
+		t.Error("probe pattern table not zeroed")
+	}
+}

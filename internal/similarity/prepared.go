@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -275,12 +276,20 @@ func myersASCII(p, t string) int {
 	for i := 0; i < len(p); i++ {
 		peq[p[i]] |= 1 << uint(i)
 	}
+	return myersASCIIMasks(&peq, len(p), t)
+}
+
+// myersASCIIMasks is myersASCII on a prebuilt pattern mask table: peq[c]
+// has bit i set iff pattern byte i is c, m is the pattern length. The
+// recurrence is symmetric in which string plays the pattern, so a block
+// probe builds the table once per row and reuses it for every text.
+func myersASCIIMasks(peq *[128]uint64, m int, t string) int {
 	pv := ^uint64(0)
 	mv := uint64(0)
-	score := len(p)
-	last := uint64(1) << uint(len(p)-1)
+	score := m
+	last := uint64(1) << uint(m-1)
 	for i := 0; i < len(t); i++ {
-		eq := peq[t[i]]
+		eq := peq[t[i]&127]
 		xv := eq | mv
 		xh := (((eq & pv) + pv) ^ pv) | eq
 		ph := mv | ^(xh | pv)
@@ -438,11 +447,18 @@ func levenshteinMatchBounded(a, b *Prepared, longest, diff, maxDist int) (float6
 type Thresholder struct {
 	threshold float64
 	bounds    [maxCachedBound + 1]int16
+	// windows[l] is the closed interval of partner lengths that pass
+	// the length filter against a string of l runes (see window).
+	windows [maxCachedBound + 1][2]int32
 }
 
 // maxCachedBound is the largest string length whose distance bound is
 // precomputed; longer strings fall back to the on-the-fly computation.
 const maxCachedBound = 512
+
+// windowScan is the largest partner length the precomputed windows
+// resolve exactly; a window still open there is left unbounded above.
+const windowScan = 4 * maxCachedBound
 
 // NewThresholder precomputes the distance bounds for the threshold.
 func NewThresholder(threshold float64) *Thresholder {
@@ -450,16 +466,58 @@ func NewThresholder(threshold float64) *Thresholder {
 	for l := 0; l <= maxCachedBound; l++ {
 		t.bounds[l] = int16(levenshteinMaxDist(l, threshold))
 	}
+	// A partner of k > l runes passes iff k-MaxDist(k) <= l. reach[v] is
+	// the largest scanned k with k-MaxDist(k) <= v.
+	var reach [maxCachedBound + 1]int32
+	for k := 0; k <= windowScan; k++ {
+		if v := k - t.MaxDist(k); v <= maxCachedBound {
+			reach[v] = int32(k)
+		}
+	}
+	for l := 0; l <= maxCachedBound; l++ {
+		if l > 0 && reach[l] < reach[l-1] {
+			reach[l] = reach[l-1]
+		}
+		hi := reach[l]
+		if hi == windowScan {
+			hi = math.MaxInt32
+		}
+		t.windows[l] = [2]int32{int32(l - int(t.bounds[l])), hi}
+	}
 	return t
+}
+
+// window returns the closed interval [lo, hi] of rune lengths k for
+// which a pair of lengths (l, k) can reach the threshold, i.e. passes
+// the length filter |l-k| <= MaxDist(max(l, k)). It is an interval
+// because both MaxDist(k) and k-MaxDist(k) are non-decreasing in k: a
+// shorter partner needs k >= l-MaxDist(l), a longer one
+// k-MaxDist(k) <= l. The interval is exact where it is cached; past the
+// cache hi is left open, which is why a block probe still applies the
+// exact filter to the survivors.
+func (t *Thresholder) window(l int) (lo, hi int32) {
+	if l <= maxCachedBound {
+		w := &t.windows[l]
+		return w[0], w[1]
+	}
+	return int32(l - t.maxDistUncached(l)), math.MaxInt32
 }
 
 // MaxDist returns the largest edit distance at which two strings of
 // maximum rune length `longest` still reach the threshold (−1 when none
 // does), identical to the bound LevenshteinAtLeast derives.
 func (t *Thresholder) MaxDist(longest int) int {
-	if longest >= 0 && longest <= maxCachedBound {
+	if uint(longest) <= maxCachedBound {
 		return int(t.bounds[longest])
 	}
+	return t.maxDistUncached(longest)
+}
+
+// maxDistUncached is kept out of line so that MaxDist's table lookup
+// inlines into the kernels' loops.
+//
+//go:noinline
+func (t *Thresholder) maxDistUncached(longest int) int {
 	return levenshteinMaxDist(longest, t.threshold)
 }
 
