@@ -107,6 +107,44 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	faultHook, err := mapreduce.ParseChaos(*faults, *maxAttempts)
+	if err != nil {
+		usage(fmt.Errorf("invalid -faults value: %v (expected rate[:seed], rate in [0,1])", err))
+	}
+	observer, err := obsCLI.Start(nil)
+	if err != nil {
+		usage(err)
+	}
+	opts := er.RunOptions{
+		Parallelism: *parallelism,
+		SpillBudget: budget,
+		TmpDir:      *tmpdir,
+		Retry:       mapreduce.RetryPolicy{MaxAttempts: *maxAttempts, TaskTimeout: *taskTimeout},
+		FaultHook:   faultHook,
+		Obs:         observer,
+	}
+	if distributed {
+		// The master is started here (not inside the pipeline), before
+		// the input is read, so its URL is in -master-addr-file while
+		// ingest runs: scripted workers start and register during it, not
+		// after it. The pipeline then dispatches through it. It shares
+		// the run's Observer: dispatch spans and dist.master.* metrics
+		// land in the same trace and /debug/vars as the engine's.
+		master := dist.NewMaster(dist.MasterOptions{Addr: *masterAddr, Obs: observer, PProf: obsCLI.PProf})
+		if err := master.Start(); err != nil {
+			fail(err)
+		}
+		defer master.Close()
+		if *addrFile != "" {
+			if err := os.WriteFile(*addrFile, []byte(master.URL()+"\n"), 0o644); err != nil {
+				fail(err)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "ermatch: master listening at %s (waiting for %d workers)\n", master.URL(), *workers)
+		opts.Master = master
+		opts.Workers = *workers
+	}
+
 	// Stream rows straight into the m input partitions: no intermediate
 	// full entity slice, so the pre-map memory high-water mark is the
 	// partitioned input itself.
@@ -125,42 +163,6 @@ func main() {
 	// -out installs a streaming writer sink: matches flow from the
 	// reduce tasks to the file as they are found and are never
 	// accumulated in memory.
-	faultHook, err := mapreduce.ParseChaos(*faults, *maxAttempts)
-	if err != nil {
-		usage(fmt.Errorf("invalid -faults value: %v (expected rate[:seed], rate in [0,1])", err))
-	}
-	observer, err := obsCLI.Start(nil)
-	if err != nil {
-		usage(err)
-	}
-	opts := er.RunOptions{
-		Parallelism: *parallelism,
-		SpillBudget: budget,
-		TmpDir:      *tmpdir,
-		Retry:       mapreduce.RetryPolicy{MaxAttempts: *maxAttempts, TaskTimeout: *taskTimeout},
-		FaultHook:   faultHook,
-		Obs:         observer,
-	}
-	if distributed {
-		// The master is started here (not inside the pipeline) so its
-		// URL can be published to -master-addr-file before any worker
-		// needs it; the pipeline then dispatches through it. It shares
-		// the run's Observer: dispatch spans and dist.master.* metrics
-		// land in the same trace and /debug/vars as the engine's.
-		master := dist.NewMaster(dist.MasterOptions{Addr: *masterAddr, Obs: observer, PProf: obsCLI.PProf})
-		if err := master.Start(); err != nil {
-			fail(err)
-		}
-		defer master.Close()
-		if *addrFile != "" {
-			if err := os.WriteFile(*addrFile, []byte(master.URL()+"\n"), 0o644); err != nil {
-				fail(err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "ermatch: master listening at %s (waiting for %d workers)\n", master.URL(), *workers)
-		opts.Master = master
-		opts.Workers = *workers
-	}
 	var count func() int64
 	var outFile *os.File
 	var outTmp string

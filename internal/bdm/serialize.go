@@ -21,16 +21,27 @@ import (
 func (x *Matrix) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	count := func(c int, err error) error {
-		n += int64(c)
-		return err
-	}
-	if err := count(fmt.Fprintf(bw, "bdm\t%d\n", x.m)); err != nil {
+	line := strconv.AppendInt([]byte("bdm\t"), int64(x.m), 10)
+	c, err := bw.Write(append(line, '\n'))
+	n += int64(c)
+	if err != nil {
 		return n, fmt.Errorf("bdm: write header: %w", err)
 	}
-	for _, c := range x.Cells() {
-		if err := count(fmt.Fprintf(bw, "%s\t%d\t%d\n", strconv.Quote(c.BlockKey), c.Partition, c.Count)); err != nil {
-			return n, fmt.Errorf("bdm: write cell %q: %w", c.BlockKey, err)
+	for k, key := range x.keys {
+		// Every cell line of a block starts with the same quoted key.
+		line = append(strconv.AppendQuote(line[:0], key), '\t')
+		quoted := len(line)
+		for p, count := range x.sizes[k] {
+			if count == 0 {
+				continue
+			}
+			line = strconv.AppendInt(line[:quoted], int64(p), 10)
+			line = strconv.AppendInt(append(line, '\t'), int64(count), 10)
+			c, err := bw.Write(append(line, '\n'))
+			n += int64(c)
+			if err != nil {
+				return n, fmt.Errorf("bdm: write cell %q: %w", key, err)
+			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -39,48 +50,58 @@ func (x *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadFrom parses a matrix previously written by WriteTo.
+// ReadFrom parses a matrix previously written by WriteTo. It reads r to
+// the end first — the matrix is larger than its text — and parses the
+// text in place: a key without escapes is a substring of it, cells is
+// sized from the line count, and no per-line slice is built.
 func ReadFrom(r io.Reader) (*Matrix, error) {
-	br := bufio.NewScanner(r)
-	br.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !br.Scan() {
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("bdm: read header: %w", err)
-		}
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, fmt.Errorf("bdm: read: %w", err)
+	}
+	text := sb.String()
+	if text == "" {
 		return nil, fmt.Errorf("bdm: empty input")
 	}
-	header := strings.Split(br.Text(), "\t")
-	if len(header) != 2 || header[0] != "bdm" {
-		return nil, fmt.Errorf("bdm: malformed header %q", br.Text())
+	header, text := cutLine(text)
+	name, parts, ok := strings.Cut(header, "\t")
+	if !ok || name != "bdm" || strings.Contains(parts, "\t") {
+		return nil, fmt.Errorf("bdm: malformed header %q", header)
 	}
-	m, err := strconv.Atoi(header[1])
+	m, err := strconv.Atoi(parts)
 	if err != nil || m <= 0 {
-		return nil, fmt.Errorf("bdm: malformed partition count %q", header[1])
+		return nil, fmt.Errorf("bdm: malformed partition count %q", parts)
 	}
-	var cells []Cell
-	line := 1
-	for br.Scan() {
-		line++
-		fields := strings.Split(br.Text(), "\t")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("bdm: line %d: want 3 fields, got %d", line, len(fields))
+	cells := make([]Cell, 0, strings.Count(text, "\n")+1)
+	for line := 2; text != ""; line++ {
+		var row string
+		row, text = cutLine(text)
+		quoted, rest, ok1 := strings.Cut(row, "\t")
+		partText, countText, ok2 := strings.Cut(rest, "\t")
+		if !ok1 || !ok2 || strings.Contains(countText, "\t") {
+			return nil, fmt.Errorf("bdm: line %d: want 3 fields, got %d", line, strings.Count(row, "\t")+1)
 		}
-		key, err := strconv.Unquote(fields[0])
+		key, err := strconv.Unquote(quoted)
 		if err != nil {
-			return nil, fmt.Errorf("bdm: line %d: bad key %q: %w", line, fields[0], err)
+			return nil, fmt.Errorf("bdm: line %d: bad key %q: %w", line, quoted, err)
 		}
-		part, err := strconv.Atoi(fields[1])
+		part, err := strconv.Atoi(partText)
 		if err != nil {
-			return nil, fmt.Errorf("bdm: line %d: bad partition %q: %w", line, fields[1], err)
+			return nil, fmt.Errorf("bdm: line %d: bad partition %q: %w", line, partText, err)
 		}
-		cnt, err := strconv.Atoi(fields[2])
+		cnt, err := strconv.Atoi(countText)
 		if err != nil {
-			return nil, fmt.Errorf("bdm: line %d: bad count %q: %w", line, fields[2], err)
+			return nil, fmt.Errorf("bdm: line %d: bad count %q: %w", line, countText, err)
 		}
 		cells = append(cells, Cell{BlockKey: key, Partition: part, Count: cnt})
 	}
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("bdm: read: %w", err)
-	}
 	return FromCells(cells, m)
+}
+
+// cutLine splits text at its first newline the way bufio.ScanLines
+// does: the line loses its terminator and one carriage return before
+// it, and a last line needs no terminator.
+func cutLine(text string) (line, rest string) {
+	line, rest, _ = strings.Cut(text, "\n")
+	return strings.TrimSuffix(line, "\r"), rest
 }

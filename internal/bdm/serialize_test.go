@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -117,5 +118,63 @@ func TestReadFromEmptyMatrix(t *testing.T) {
 	}
 	if x.NumBlocks() != 0 || x.NumPartitions() != 4 {
 		t.Errorf("empty matrix = %d blocks × %d partitions", x.NumBlocks(), x.NumPartitions())
+	}
+}
+
+// TestWriteToFormat pins the text format byte for byte against its
+// definition: a "bdm\t<m>" header, then one "<quoted key>\t<partition>\t
+// <count>" line per non-zero cell in (block, partition) order.
+func TestWriteToFormat(t *testing.T) {
+	parts := entity.Partitions{
+		{entity.New("a", "k", "tab\tkey"), entity.New("b", "k", "plain"), entity.New("c", "k", "plain")},
+		{entity.New("d", "k", `quoted "key"`), entity.New("e", "k", "plain"), entity.New("f", "k", "")},
+		{},
+	}
+	x, err := FromPartitions(parts, "k", blocking.Identity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("bdm\t%d\n", x.NumPartitions())
+	for _, c := range x.Cells() {
+		want += fmt.Sprintf("%s\t%d\t%d\n", strconv.Quote(c.BlockKey), c.Partition, c.Count)
+	}
+	var buf bytes.Buffer
+	if n, err := x.WriteTo(&buf); err != nil || n != int64(len(want)) {
+		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, len(want))
+	}
+	if buf.String() != want {
+		t.Fatalf("WriteTo wrote\n%q\nwant\n%q", buf.String(), want)
+	}
+}
+
+// TestReadFromAllocatesPerMatrix: parsing costs the text, the cell
+// slice and the matrix — not a string, a field slice or a growth step
+// per cell.
+func TestReadFromAllocatesPerMatrix(t *testing.T) {
+	const blocks, m = 3000, 4
+	var cells []Cell
+	for k := 0; k < blocks; k++ {
+		for p := 0; p < m; p++ {
+			cells = append(cells, Cell{BlockKey: fmt.Sprintf("key%05d", k), Partition: p, Count: 1 + (k+p)%5})
+		}
+	}
+	x, err := FromCells(cells, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		back, err := ReadFrom(strings.NewReader(text))
+		if err != nil || back.NumBlocks() != blocks {
+			t.Fatalf("ReadFrom: %v", err)
+		}
+	})
+	// About 20 today, nearly all of them FromCells assembling the matrix.
+	if allocs > 40 {
+		t.Errorf("ReadFrom of %d cells: %.0f allocs, want a number that does not grow with the cells", len(cells), allocs)
 	}
 }

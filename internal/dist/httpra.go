@@ -83,10 +83,7 @@ func (r *httpReaderAt) readRange(url string, p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusPartialContent {
 		return 0, fmt.Errorf("status %s (want 206 Partial Content)", resp.Status)
 	}

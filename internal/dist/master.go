@@ -194,7 +194,7 @@ func (m *Master) Start() error {
 	} else {
 		mux.Handle(pathStatus, obs.StatusHandler(m.statusSnapshot))
 	}
-	m.srv = &http.Server{Handler: mux}
+	m.srv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout}
 	go func() {
 		defer close(m.serveDone)
 		m.srv.Serve(ln)
@@ -269,7 +269,7 @@ func (m *Master) broadcastLocked() {
 
 func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&req); err != nil || req.URL == "" {
 		http.Error(w, "bad register request", http.StatusBadRequest)
 		return
 	}
@@ -310,7 +310,7 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&req); err != nil {
 		http.Error(w, "bad heartbeat request", http.StatusBadRequest)
 		return
 	}
@@ -528,7 +528,13 @@ func (m *Master) unregisterReplicas(urls []string) {
 // RegisterJob) in the worker binary; spec is the opaque job description
 // the builder consumes.
 func (m *Master) Session(name string, spec []byte) *Session {
-	s := &Session{m: m, ref: NewJobRef(name, spec), replicaURLs: map[string]string{}}
+	s := &Session{
+		m:           m,
+		ref:         NewJobRef(name, spec),
+		spec:        spec,
+		replicaURLs: map[string]string{},
+		installs:    map[int64]*jobInstall{},
+	}
 	if o := m.obs; o != nil {
 		s.jobID = o.Tracer.InternJob(name)
 	}
@@ -537,8 +543,9 @@ func (m *Master) Session(name string, spec []byte) *Session {
 
 // Session implements mapreduce.RemoteDispatcher for one job.
 type Session struct {
-	m   *Master
-	ref JobRef
+	m    *Master
+	ref  JobRef
+	spec []byte
 	// jobID is the interned trace name for dispatch spans (0 when the
 	// master has no Observer).
 	jobID uint32
@@ -546,6 +553,18 @@ type Session struct {
 	mu sync.Mutex
 	// replicaURLs caches the /replica/ URL per master-local run path.
 	replicaURLs map[string]string
+	// installs records, per worker id, how often this session has sent
+	// the worker its spec: once, unless the worker forgot it. A worker
+	// that re-registers gets a new id and so a fresh entry.
+	installs map[int64]*jobInstall
+}
+
+// jobInstall serializes one worker's spec sends: dispatches that find
+// an install under way wait for it and do not send their own.
+type jobInstall struct {
+	mu sync.Mutex
+	// sends counts completed sends.
+	sends int
 }
 
 var _ mapreduce.RemoteDispatcher = (*Session)(nil)
@@ -582,8 +601,7 @@ func (s *Session) release() {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+pathRelease, bytes.NewReader(body))
 		if err == nil {
 			if resp, err := s.m.client.Do(req); err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+				drain(resp.Body)
 			}
 		}
 		cancel()
@@ -597,15 +615,14 @@ func (s *Session) release() {
 // commits. From commit on, the task's output survives the worker.
 func (s *Session) RunMapAttempt(ctx context.Context, m, task, attempt int, input []byte, inputCount int, replicaPath string) (*mapreduce.RemoteMapResult, error) {
 	var resp TaskResponse
-	ws, err := s.dispatch(ctx, &TaskRequest{
-		Job:        s.ref,
-		Phase:      "map",
-		M:          m,
-		Task:       task,
-		Attempt:    attempt,
-		Input:      input,
-		InputCount: inputCount,
-	}, &resp)
+	ws, side, err := s.dispatch(ctx, &TaskRequest{
+		JobID:   s.ref.ID,
+		Phase:   "map",
+		M:       m,
+		Task:    task,
+		Attempt: attempt,
+		Records: inputCount,
+	}, input, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -620,8 +637,8 @@ func (s *Session) RunMapAttempt(ctx context.Context, m, task, attempt int, input
 	return &mapreduce.RemoteMapResult{
 		Info:      info,
 		Origin:    resp.RunURL,
-		Side:      resp.Side,
-		SideCount: resp.SideCount,
+		Side:      side,
+		SideCount: resp.Records,
 		Metrics:   resp.Metrics,
 	}, nil
 }
@@ -652,19 +669,20 @@ func (s *Session) RunReduceAttempt(ctx context.Context, m, task, attempt int, ru
 		})
 	}
 	var resp TaskResponse
-	if _, err := s.dispatch(ctx, &TaskRequest{
-		Job:     s.ref,
+	_, output, err := s.dispatch(ctx, &TaskRequest{
+		JobID:   s.ref.ID,
 		Phase:   "reduce",
 		M:       m,
 		Task:    task,
 		Attempt: attempt,
 		Sources: refs,
-	}, &resp); err != nil {
+	}, nil, &resp)
+	if err != nil {
 		return nil, err
 	}
 	return &mapreduce.RemoteReduceResult{
-		Output:      resp.Output,
-		OutputCount: resp.OutputCount,
+		Output:      output,
+		OutputCount: resp.Records,
 		Metrics:     resp.Metrics,
 	}, nil
 }
@@ -681,15 +699,16 @@ func (s *Session) replicaURL(path string) string {
 }
 
 // dispatch sends one task attempt to an acquired worker and decodes the
-// outcome. Error taxonomy: transport failure or lease expiry mid-task
-// marks the worker dead and fails the attempt (retryable — the
+// outcome: the response header into out, the response payload as the
+// returned blob. Error taxonomy: transport failure or lease expiry
+// mid-task marks the worker dead and fails the attempt (retryable — the
 // supervisor reassigns); an ErrorResponse is the attempt's own failure
 // with Fatal/Corrupt classification preserved, and says nothing about
 // worker health.
-func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, out *TaskResponse) (*workerState, error) {
+func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, payload []byte, out *TaskResponse) (*workerState, []byte, error) {
 	ws, release, err := s.m.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer release()
 
@@ -700,7 +719,7 @@ func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, out *TaskResp
 	m.met.dispatches.Inc()
 	m.met.dispatchInfl.Add(1)
 	s.recordDispatch(obs.EvBegin, treq, ws, 0)
-	err = s.exchange(ctx, ws, treq, out)
+	blob, err := s.exchange(ctx, ws, treq, payload, out)
 	var failed int64
 	if err != nil {
 		failed = 1
@@ -709,9 +728,9 @@ func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, out *TaskResp
 	s.recordDispatch(obs.EvEnd, treq, ws, failed)
 	m.met.dispatchInfl.Add(-1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ws, nil
+	return ws, blob, nil
 }
 
 func (s *Session) recordDispatch(typ obs.EventType, treq *TaskRequest, ws *workerState, arg int64) {
@@ -730,9 +749,16 @@ func (s *Session) recordDispatch(typ obs.EventType, treq *TaskRequest, ws *worke
 	})
 }
 
-// exchange performs the task POST to one acquired worker and decodes
-// the outcome; dispatch wraps it with the span and counters.
-func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskRequest, out *TaskResponse) error {
+// errUnknownJob is a worker's statusUnknownJob answer.
+var errUnknownJob = errors.New("worker does not hold the job")
+
+// exchange runs one task attempt on one acquired worker: the spec
+// first, if this session has not given it to this worker yet, then the
+// task frame; dispatch wraps it with the span and counters. A worker
+// that answers statusUnknownJob has lost its runnable (a /release from
+// a session with the same spec, a restart behind the same lease): it is
+// sent the spec again and the task once more.
+func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskRequest, payload []byte, out *TaskResponse) ([]byte, error) {
 	// The dispatch context dies with the attempt or with the worker's
 	// lease, whichever goes first — a hung worker cannot hang the task.
 	dctx, cancel := context.WithCancel(ctx)
@@ -740,39 +766,111 @@ func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskReque
 	stop := context.AfterFunc(ws.ctx, cancel)
 	defer stop()
 
-	body, err := json.Marshal(treq)
+	what := fmt.Sprintf("%s task %d attempt %d", treq.Phase, treq.Task, treq.Attempt)
+	sends, err := s.install(ctx, dctx, ws, 0)
 	if err != nil {
-		return mapreduce.Fatal(fmt.Errorf("dist: encode task request: %w", err))
+		return nil, err
 	}
-	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+pathTask, bytes.NewReader(body))
+	blob, err := s.postTask(ctx, dctx, ws, what, treq, payload, out)
+	if errors.Is(err, errUnknownJob) {
+		if _, err := s.install(ctx, dctx, ws, sends); err != nil {
+			return nil, err
+		}
+		blob, err = s.postTask(ctx, dctx, ws, what, treq, payload, out)
+	}
+	return blob, err
+}
+
+// install makes sure the worker has been sent the job's spec more than
+// seen times (0 = at all) and reports how often it has been sent.
+func (s *Session) install(ctx, dctx context.Context, ws *workerState, seen int) (int, error) {
+	s.mu.Lock()
+	in := s.installs[ws.id]
+	if in == nil {
+		in = &jobInstall{}
+		s.installs[ws.id] = in
+	}
+	s.mu.Unlock()
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.sends > seen {
+		return in.sends, nil
+	}
+	resp, err := s.post(ctx, dctx, ws, pathJob, "install job "+s.ref.Name, &s.ref, s.spec)
 	if err != nil {
-		return mapreduce.Fatal(err)
+		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	drain(resp.Body)
+	in.sends++
+	return in.sends, nil
+}
+
+// postTask sends the task frame and reads the response frame.
+func (s *Session) postTask(ctx, dctx context.Context, ws *workerState, what string, treq *TaskRequest, payload []byte, out *TaskResponse) ([]byte, error) {
+	resp, err := s.post(ctx, dctx, ws, pathTask, what, treq, payload)
+	if err != nil {
+		return nil, err
+	}
+	defer drain(resp.Body)
+	blob, err := readFrame(resp.Body, resp.ContentLength, out)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		s.m.markDead(ws, fmt.Sprintf("bad task response: %v", err))
+		return nil, fmt.Errorf("dist: worker %d: %s: response: %w", ws.id, what, err)
+	}
+	return blob, nil
+}
+
+// post sends one frame to a worker endpoint and returns the worker's
+// 200 response, body unread. Anything else is the classified error:
+// the attempt's context error if it is done, a dead worker on transport
+// failure, errUnknownJob, the worker's ErrorResponse, or the status and
+// what the worker said.
+func (s *Session) post(ctx, dctx context.Context, ws *workerState, path, what string, meta any, payload []byte) (*http.Response, error) {
+	head, err := frameHead(meta, len(payload))
+	if err != nil {
+		return nil, mapreduce.Fatal(err)
+	}
+	// The payload goes out as it is — no copy into a joined buffer.
+	body := func() io.Reader { return io.MultiReader(bytes.NewReader(head), bytes.NewReader(payload)) }
+	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+path, body())
+	if err != nil {
+		return nil, mapreduce.Fatal(err)
+	}
+	// What NewRequest works out by itself for a single bytes.Reader.
+	req.ContentLength = int64(len(head) + len(payload))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(body()), nil }
+	req.Header.Set("Content-Type", frameContentType)
 	resp, err := s.m.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		s.m.markDead(ws, fmt.Sprintf("dispatch failed: %v", err))
-		return fmt.Errorf("dist: worker %d: %s task %d attempt %d: %w", ws.id, treq.Phase, treq.Task, treq.Attempt, err)
+		return nil, fmt.Errorf("dist: worker %d: %s: %w", ws.id, what, err)
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		var er ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
-			return fmt.Errorf("dist: worker %d: %s task %d attempt %d: http %s", ws.id, treq.Phase, treq.Task, treq.Attempt, resp.Status)
-		}
-		return fmt.Errorf("dist: worker %d: %s task %d attempt %d: %w", ws.id, treq.Phase, treq.Task, treq.Attempt, er.toError())
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		s.m.markDead(ws, fmt.Sprintf("bad task response: %v", err))
-		return fmt.Errorf("dist: worker %d: decode task response: %w", ws.id, err)
+	defer drain(resp.Body)
+	if resp.StatusCode == statusUnknownJob {
+		return nil, fmt.Errorf("dist: worker %d: %s: %w", ws.id, what, errUnknownJob)
 	}
-	return nil
+	said, _ := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
+	var er ErrorResponse
+	if err := json.Unmarshal(said, &er); err == nil && er.Error != "" {
+		return nil, fmt.Errorf("dist: worker %d: %s: %w", ws.id, what, er.toError())
+	}
+	return nil, fmt.Errorf("dist: worker %d: %s: http %s: %s", ws.id, what, resp.Status, bytes.TrimSpace(said))
+}
+
+// drain reads a response body to its end and closes it, so the
+// connection goes back to the pool.
+func drain(body io.ReadCloser) {
+	io.Copy(io.Discard, body)
+	body.Close()
 }
 
 // download fetches a worker's run file to a master-local replica.
@@ -789,10 +887,7 @@ func (s *Session) download(ctx context.Context, ws *workerState, url, path strin
 		s.m.markDead(ws, fmt.Sprintf("run download failed: %v", err))
 		return err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("download %s: http %s", url, resp.Status)
 	}

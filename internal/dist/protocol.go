@@ -1,6 +1,6 @@
-// Package dist is the distributed master/worker control plane: an
-// HTTP/JSON protocol that dispatches the engine's task attempts to
-// worker processes and ships map output between them as ERN1 runs.
+// Package dist is the distributed master/worker control plane: an HTTP
+// protocol that dispatches the engine's task attempts to worker
+// processes and ships map output between them as ERN1 runs.
 //
 // Layering: internal/mapreduce defines the process-agnostic seam
 // (RemoteDispatcher on the master side, RemoteRunnable on the worker
@@ -10,13 +10,25 @@
 // entry points are Master (embedded by driver processes; see
 // er.RunDistributedPipeline) and Worker (cmd/erworker).
 //
-// Wire conventions: every record payload ([]byte fields) is a
-// mapreduce record blob (EncodeRecords), which JSON transports as
-// base64 — an exact byte round-trip, so float64 values travel as codec
-// bytes, never as JSON numbers. Errors cross the wire as ErrorResponse
-// with the engine's two orthogonal classifications preserved: Fatal
-// (don't retry) and Corrupt (structural ERN1/blob damage,
-// runio.ErrCorrupt).
+// Wire conventions. The control plane (/register, /heartbeat, /release,
+// /status) is small JSON. Everything that carries records or a job spec
+// is a frame (frame.go): a 16-byte prefix with magic, version and two
+// lengths, the message's metadata as a short JSON header, then the raw
+// payload — a mapreduce record blob (EncodeRecords) or a spec — exactly
+// as the sender encoded it, so float64 values travel as codec bytes and
+// no record byte is ever escaped or scanned. A job's spec crosses to a
+// worker once per session (/job); task requests name the job by id, and
+// a worker that does not hold that id answers statusUnknownJob, on
+// which the master sends the spec again, once. Task failures cross the
+// wire as ErrorResponse with the engine's two orthogonal
+// classifications preserved: Fatal (don't retry) and Corrupt
+// (structural ERN1/blob damage, runio.ErrCorrupt).
+//
+// Bounds: servers give a peer headerReadTimeout to send its request
+// header; control bodies stop at maxControlBody and frames at
+// maxFrameBody (header ≤ maxFrameHeader, payload ≤ maxFramePayload); a
+// frame whose magic, version or lengths are wrong is refused with a 4xx
+// before anything is decoded.
 package dist
 
 import (
@@ -24,23 +36,38 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"net/http"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/runio"
 )
 
 // Protocol endpoints. Master serves /register, /heartbeat, /replica/;
-// workers serve /task, /run/, /release.
+// workers serve /job, /task, /run/, /release.
 const (
 	pathRegister  = "/register"
 	pathHeartbeat = "/heartbeat"
 	pathReplica   = "/replica/"
+	pathJob       = "/job"
 	pathTask      = "/task"
 	pathRun       = "/run/"
 	pathRelease   = "/release"
 	// Introspection endpoints (master and workers both serve them;
 	// obs.Attach mounts /debug/vars and the opt-in pprof handlers).
 	pathStatus = "/status"
+)
+
+const (
+	// statusUnknownJob is a worker's answer to a task whose job id it
+	// holds no runnable for: not a failure of the attempt, a request for
+	// the spec.
+	statusUnknownJob = http.StatusPreconditionFailed
+	// headerReadTimeout is how long a peer may take over its request
+	// header before the master's and the workers' servers drop it.
+	headerReadTimeout = 10 * time.Second
+	// maxControlBody bounds the JSON bodies of the control plane.
+	maxControlBody = 64 << 10
 )
 
 // RegisterRequest announces a worker to the master.
@@ -75,22 +102,23 @@ type HeartbeatResponse struct {
 	OK bool `json:"ok"`
 }
 
-// JobRef identifies and fully describes a job to a worker: the
-// registered builder name plus the opaque spec blob the builder turns
-// into a RemoteRunnable. ID keys the worker's runnable cache.
+// JobRef identifies a job to a worker: the registered builder name and
+// the content-derived ID that keys the worker's runnable cache. It is
+// the header of the /job frame, whose payload is the opaque spec the
+// builder turns into a RemoteRunnable.
 type JobRef struct {
 	Name string `json:"name"`
-	Spec []byte `json:"spec,omitempty"`
 	ID   string `json:"id"`
 }
 
-// NewJobRef builds a JobRef with its content-derived ID.
+// NewJobRef builds the JobRef of (name, spec): equal names and specs
+// give equal IDs, anything else a different one.
 func NewJobRef(name string, spec []byte) JobRef {
 	h := sha256.New()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
 	h.Write(spec)
-	return JobRef{Name: name, Spec: spec, ID: hex.EncodeToString(h.Sum(nil)[:16])}
+	return JobRef{Name: name, ID: hex.EncodeToString(h.Sum(nil)[:16])}
 }
 
 // SegmentRef locates one map task's partition segment for a reduce
@@ -106,35 +134,35 @@ type SegmentRef struct {
 	CodeWidth int      `json:"code_width"`
 }
 
-// TaskRequest dispatches one task attempt to a worker.
+// TaskRequest is the header of a /task request frame: one task attempt
+// of a job the worker already holds. A map request's payload is the
+// task's input partition as a record blob; a reduce request has none.
 type TaskRequest struct {
-	Job   JobRef `json:"job"`
+	JobID string `json:"job_id"`
 	Phase string `json:"phase"` // "map" or "reduce"
 	// M is the job's input partition count (= number of map tasks).
 	M       int `json:"m"`
 	Task    int `json:"task"`
 	Attempt int `json:"attempt"`
-	// Map phase: the task's input partition as a record blob.
-	Input      []byte `json:"input,omitempty"`
-	InputCount int    `json:"input_count"`
+	// Records is the number of records in the payload.
+	Records int `json:"records"`
 	// Reduce phase: one segment per map task with records for this
 	// partition, in map-task order.
 	Sources []SegmentRef `json:"sources,omitempty"`
 }
 
-// TaskResponse reports a completed attempt.
+// TaskResponse is the header of a /task response frame: a completed
+// attempt. The payload is the attempt's side output (map) or its
+// output (reduce) as a record blob.
 type TaskResponse struct {
 	Metrics mapreduce.TaskMetrics `json:"metrics"`
-	// Map phase: the attempt's side output and the URL its ERN1 run is
-	// served at. The run's segment index travels inside the run file
-	// itself (the ERN1 trailer) — the master re-reads and re-validates
-	// it from its replica rather than trusting a wire copy.
-	Side      []byte `json:"side,omitempty"`
-	SideCount int    `json:"side_count,omitempty"`
-	RunURL    string `json:"run_url,omitempty"`
-	// Reduce phase: the attempt's output as a record blob.
-	Output      []byte `json:"output,omitempty"`
-	OutputCount int    `json:"output_count,omitempty"`
+	// Records is the number of records in the payload.
+	Records int `json:"records"`
+	// Map phase: the URL the attempt's ERN1 run is served at. The run's
+	// segment index travels inside the run file itself (the ERN1
+	// trailer) — the master re-reads and re-validates it from its
+	// replica rather than trusting a wire copy.
+	RunURL string `json:"run_url,omitempty"`
 }
 
 // ErrorResponse is a task failure crossing the wire with the engine's

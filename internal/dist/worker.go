@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -69,9 +69,9 @@ type Worker struct {
 	id atomic.Int64
 
 	mu        sync.Mutex
-	runnables map[string]mapreduce.RemoteRunnable // by JobRef.ID
-	runs      map[string]string                   // serving token → path
-	jobRuns   map[string][]string                 // JobRef.ID → tokens
+	jobs      map[string]workerJob // installed by /job, by JobRef.ID
+	runs      map[string]string    // serving token → path
+	jobRuns   map[string][]string  // JobRef.ID → tokens
 	nextToken int64
 
 	ctx       context.Context
@@ -79,6 +79,13 @@ type Worker struct {
 	serveDone chan struct{}
 	loopDone  chan struct{}
 	closeOnce sync.Once
+}
+
+// workerJob is one installed job: the runnable its spec built, and the
+// builder name its spans are filed under.
+type workerJob struct {
+	name string
+	rr   mapreduce.RemoteRunnable
 }
 
 // workerMetrics caches the worker's dist.worker.* registry handles.
@@ -117,7 +124,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	w := &Worker{
 		opts:      opts,
-		runnables: map[string]mapreduce.RemoteRunnable{},
+		jobs:      map[string]workerJob{},
 		runs:      map[string]string{},
 		jobRuns:   map[string][]string{},
 		serveDone: make(chan struct{}),
@@ -149,6 +156,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	//erlint:ignore ctxflow worker lifecycle root: this context is the serve loop lifetime, cancelled by Close
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
+	mux.HandleFunc(pathJob, w.handleJob)
 	mux.HandleFunc(pathTask, w.handleTask)
 	mux.HandleFunc(pathRun, w.handleRun)
 	mux.HandleFunc(pathRelease, w.handleRelease)
@@ -157,7 +165,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	} else {
 		mux.Handle(pathStatus, obs.StatusHandler(w.statusSnapshot))
 	}
-	w.srv = &http.Server{Handler: mux}
+	w.srv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout}
 	go func() {
 		defer close(w.serveDone)
 		w.srv.Serve(ln)
@@ -287,43 +295,49 @@ func (w *Worker) postJSON(url string, body []byte, out any) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: http %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// runnableFor returns the job's cached executor, building it through
-// the registered builder on first use.
-func (w *Worker) runnableFor(ref JobRef) (mapreduce.RemoteRunnable, error) {
-	w.mu.Lock()
-	rr, ok := w.runnables[ref.ID]
-	w.mu.Unlock()
-	if ok {
-		return rr, nil
+// handleJob installs a job: the frame's header names the builder and
+// the job's id, its payload is the spec. The runnable is built here,
+// once, so a spec the builder rejects fails the install — fatally —
+// and not the first task.
+func (w *Worker) handleJob(rw http.ResponseWriter, r *http.Request) {
+	var ref JobRef
+	spec, err := readFrame(http.MaxBytesReader(rw, r.Body, maxFrameBody), r.ContentLength, &ref)
+	if err != nil {
+		refuseFrame(rw, err)
+		return
 	}
 	build, ok := lookupJob(ref.Name)
 	if !ok {
-		return nil, fmt.Errorf("dist: worker: no job builder registered for %q (is the package imported?)", ref.Name)
+		w.taskError(rw, mapreduce.Fatal(fmt.Errorf("dist: worker: no job builder registered for %q (is the package imported?)", ref.Name)))
+		return
 	}
-	rr, err := build(ref.Spec)
+	rr, err := build(spec)
 	if err != nil {
-		return nil, fmt.Errorf("dist: worker: build job %q: %w", ref.Name, err)
+		w.taskError(rw, mapreduce.Fatal(fmt.Errorf("dist: worker: build job %q: %w", ref.Name, err)))
+		return
 	}
 	w.mu.Lock()
-	// A concurrent builder for the same ref may have won; either value
-	// is equivalent, keep the first.
-	if prev, ok := w.runnables[ref.ID]; ok {
-		rr = prev
-	} else {
-		w.runnables[ref.ID] = rr
-	}
+	w.jobs[ref.ID] = workerJob{name: ref.Name, rr: rr}
 	w.mu.Unlock()
-	return rr, nil
+	rw.WriteHeader(http.StatusOK)
+}
+
+// refuseFrame answers a request whose body is not a frame this build
+// reads: 413 when it ran past maxFrameBody, 400 otherwise.
+func refuseFrame(rw http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(rw, err.Error(), status)
 }
 
 // handleTask executes one dispatched attempt. The request context is
@@ -332,13 +346,16 @@ func (w *Worker) runnableFor(ref JobRef) (mapreduce.RemoteRunnable, error) {
 // typed attempt at its usual cancellation points.
 func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad task request", http.StatusBadRequest)
+	input, err := readFrame(http.MaxBytesReader(rw, r.Body, maxFrameBody), r.ContentLength, &req)
+	if err != nil {
+		refuseFrame(rw, err)
 		return
 	}
-	rr, err := w.runnableFor(req.Job)
-	if err != nil {
-		w.taskError(rw, mapreduce.Fatal(err))
+	w.mu.Lock()
+	job, ok := w.jobs[req.JobID]
+	w.mu.Unlock()
+	if !ok {
+		http.Error(rw, "unknown job "+req.JobID, statusUnknownJob)
 		return
 	}
 	// Worker-side task span: the worker's own timeline of dispatched
@@ -346,9 +363,9 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	// already traces attempts; this is the remote half of the picture).
 	w.met.tasks.Inc()
 	w.met.inflight.Add(1)
-	w.recordTask(obs.EvBegin, &req)
+	w.recordTask(obs.EvBegin, job.name, &req)
 	defer func() {
-		w.recordTask(obs.EvEnd, &req)
+		w.recordTask(obs.EvEnd, job.name, &req)
 		w.met.inflight.Add(-1)
 	}()
 	ctx := r.Context()
@@ -357,15 +374,15 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	}
 	switch req.Phase {
 	case "map":
-		w.execMap(ctx, rw, rr, &req)
+		w.execMap(ctx, rw, job.rr, &req, input)
 	case "reduce":
-		w.execReduce(ctx, rw, rr, &req)
+		w.execReduce(ctx, rw, job, &req)
 	default:
 		w.taskError(rw, mapreduce.Fatal(fmt.Errorf("dist: worker: unknown phase %q", req.Phase)))
 	}
 }
 
-func (w *Worker) recordTask(typ obs.EventType, req *TaskRequest) {
+func (w *Worker) recordTask(typ obs.EventType, jobName string, req *TaskRequest) {
 	o := w.obs
 	if o == nil {
 		return
@@ -376,7 +393,7 @@ func (w *Worker) recordTask(typ obs.EventType, req *TaskRequest) {
 	}
 	o.Tracer.Record(obs.Event{
 		Type: typ, Kind: obs.KTask, Phase: phase,
-		Job:  o.Tracer.InternJob(req.Job.Name),
+		Job:  o.Tracer.InternJob(jobName),
 		Task: int32(req.Task), Attempt: int32(req.Attempt),
 		Worker: int32(w.id.Load()),
 	})
@@ -385,7 +402,7 @@ func (w *Worker) recordTask(typ obs.EventType, req *TaskRequest) {
 // statusSnapshot assembles the worker's /status view.
 func (w *Worker) statusSnapshot() any {
 	w.mu.Lock()
-	jobs := len(w.runnables)
+	jobs := len(w.jobs)
 	runs := len(w.runs)
 	w.mu.Unlock()
 	return map[string]any{
@@ -400,8 +417,8 @@ func (w *Worker) statusSnapshot() any {
 	}
 }
 
-func (w *Worker) execMap(ctx context.Context, rw http.ResponseWriter, rr mapreduce.RemoteRunnable, req *TaskRequest) {
-	jobDir := filepath.Join(w.dir, req.Job.ID)
+func (w *Worker) execMap(ctx context.Context, rw http.ResponseWriter, rr mapreduce.RemoteRunnable, req *TaskRequest, input []byte) {
+	jobDir := filepath.Join(w.dir, req.JobID)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		w.taskError(rw, err)
 		return
@@ -410,21 +427,20 @@ func (w *Worker) execMap(ctx context.Context, rw http.ResponseWriter, rr mapredu
 	// A retried dispatch of the same attempt (master resend after a cut
 	// response) may find the file already there; recreate it.
 	os.Remove(runPath)
-	res, err := rr.ExecRemoteMap(ctx, req.M, req.Task, req.Attempt, req.Input, req.InputCount, runPath)
+	res, err := rr.ExecRemoteMap(ctx, req.M, req.Task, req.Attempt, input, req.Records, runPath)
 	if err != nil {
 		w.taskError(rw, err)
 		return
 	}
-	token := w.registerRun(req.Job.ID, runPath)
-	writeJSON(rw, TaskResponse{
-		Metrics:   res.Metrics,
-		Side:      res.Side,
-		SideCount: res.SideCount,
-		RunURL:    w.URL() + pathRun + token,
-	})
+	token := w.registerRun(req.JobID, runPath)
+	w.respond(rw, &TaskResponse{
+		Metrics: res.Metrics,
+		Records: res.SideCount,
+		RunURL:  w.URL() + pathRun + token,
+	}, res.Side)
 }
 
-func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, rr mapreduce.RemoteRunnable, req *TaskRequest) {
+func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, job workerJob, req *TaskRequest) {
 	srcs := make([]mapreduce.SegmentSource, len(req.Sources))
 	for i, ref := range req.Sources {
 		ra := &httpReaderAt{client: w.client, ctx: ctx, urls: ref.URLs}
@@ -433,7 +449,7 @@ func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, rr mapr
 			// span per range read, Arg = bytes fetched.
 			ra.obs = o
 			ra.bytes = w.met.shuffleBytes
-			ra.job = o.Tracer.InternJob(req.Job.Name)
+			ra.job = o.Tracer.InternJob(job.name)
 			ra.task = int32(req.Task)
 			ra.attempt = int32(req.Attempt)
 			ra.worker = int32(w.id.Load())
@@ -444,16 +460,25 @@ func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, rr mapr
 			Path: fmt.Sprintf("map task %d run (%v)", ref.MapTask, ref.URLs),
 		}
 	}
-	res, err := rr.ExecRemoteReduce(ctx, req.M, req.Task, req.Attempt, srcs)
+	res, err := job.rr.ExecRemoteReduce(ctx, req.M, req.Task, req.Attempt, srcs)
 	if err != nil {
 		w.taskError(rw, err)
 		return
 	}
-	writeJSON(rw, TaskResponse{
-		Metrics:     res.Metrics,
-		Output:      res.Output,
-		OutputCount: res.OutputCount,
-	})
+	w.respond(rw, &TaskResponse{Metrics: res.Metrics, Records: res.OutputCount}, res.Output)
+}
+
+// respond writes a completed attempt's response frame. A write error
+// means the master hung up; it sees a failed dispatch and retries.
+func (w *Worker) respond(rw http.ResponseWriter, resp *TaskResponse, payload []byte) {
+	head, err := frameHead(resp, len(payload))
+	if err != nil {
+		w.taskError(rw, mapreduce.Fatal(err))
+		return
+	}
+	rw.Header().Set("Content-Type", frameContentType)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(head)+len(payload)))
+	writeFrame(rw, head, payload)
 }
 
 func (w *Worker) taskError(rw http.ResponseWriter, err error) {
@@ -493,12 +518,12 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 	var req struct {
 		JobID string `json:"job_id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxControlBody)).Decode(&req); err != nil {
 		http.Error(rw, "bad release request", http.StatusBadRequest)
 		return
 	}
 	w.mu.Lock()
-	delete(w.runnables, req.JobID)
+	delete(w.jobs, req.JobID)
 	for _, token := range w.jobRuns[req.JobID] {
 		delete(w.runs, token)
 	}

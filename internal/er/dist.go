@@ -78,12 +78,10 @@ func (p *DistParams) config() (Config, error) {
 	return cfg, nil
 }
 
-// matchSpec is the er/match job spec: the parameters plus the BDM in
-// its canonical text serialization ("" for Basic).
-type matchSpec struct {
-	Params DistParams `json:"params"`
-	BDM    string     `json:"bdm,omitempty"`
-}
+// The er/match job spec is the parameters as one line of JSON, then —
+// unless the strategy is Basic — the BDM in its canonical text
+// serialization, verbatim: the matrix is most of the spec, and nothing
+// re-escapes or re-scans it on the way to bdm.ReadFrom.
 
 // RunDistributedPipeline executes the workflow of Figure 2 with both
 // jobs' tasks dispatched to worker processes: it starts (or borrows)
@@ -153,24 +151,18 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 		job2Input = AnnotateInput(parts, cfg.Attr, cfg.BlockKey)
 	}
 
-	spec := matchSpec{Params: p}
+	spec := bytes.NewBuffer(append(paramsJSON, '\n'))
 	if res.BDM != nil {
-		var buf bytes.Buffer
-		if _, err := res.BDM.WriteTo(&buf); err != nil {
+		if _, err := res.BDM.WriteTo(spec); err != nil {
 			return nil, err
 		}
-		spec.BDM = buf.String()
-	}
-	specJSON, err := json.Marshal(&spec)
-	if err != nil {
-		return nil, err
 	}
 	job, err := buildMatchJob(cfg, res.BDM)
 	if err != nil {
 		return nil, err
 	}
 	eng := *baseEng
-	session := master.Session("er/match", specJSON)
+	session := master.Session("er/match", spec.Bytes())
 	eng.Remote = session
 	matchRes, matches, err := runMatchJob(ctx, &eng, job, job2Input, cfg.Sink)
 	session.Close()
@@ -200,18 +192,19 @@ func init() {
 			UseCombiner:    cfg.UseCombiner,
 		}))
 	})
-	dist.RegisterJob("er/match", func(specJSON []byte) (mapreduce.RemoteRunnable, error) {
-		var spec matchSpec
-		if err := json.Unmarshal(specJSON, &spec); err != nil {
+	dist.RegisterJob("er/match", func(spec []byte) (mapreduce.RemoteRunnable, error) {
+		paramsJSON, bdmText, _ := bytes.Cut(spec, []byte{'\n'})
+		var p DistParams
+		if err := json.Unmarshal(paramsJSON, &p); err != nil {
 			return nil, fmt.Errorf("er/match spec: %w", err)
 		}
-		cfg, err := spec.Params.config()
+		cfg, err := p.config()
 		if err != nil {
 			return nil, err
 		}
 		var matrix *bdm.Matrix
-		if spec.BDM != "" {
-			matrix, err = bdm.ReadFrom(strings.NewReader(spec.BDM))
+		if len(bdmText) > 0 {
+			matrix, err = bdm.ReadFrom(bytes.NewReader(bdmText))
 			if err != nil {
 				return nil, fmt.Errorf("er/match spec BDM: %w", err)
 			}

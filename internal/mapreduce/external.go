@@ -77,6 +77,20 @@ type extConfig[K, V any] struct {
 	jobID uint32
 }
 
+// newExtConfig fixes what the codecs decide: the arena read path when
+// both support it, and the width of the key-code prefix of each on-disk
+// record. Callers fill in the run's directory, budget and observer.
+func newExtConfig[K, V any](kc runio.Codec[K], vc runio.Codec[V], coded bool) *extConfig[K, V] {
+	cfg := &extConfig[K, V]{kc: kc, vc: vc}
+	_, kshared := kc.(runio.SharedDecoder[K])
+	_, vshared := vc.(runio.SharedDecoder[V])
+	cfg.shared = kshared && vshared
+	if coded {
+		cfg.codeWidth = 16
+	}
+	return cfg
+}
+
 // runExternal executes the job on the external dataflow (the job is
 // already validated by Job.run, which dispatches here). See
 // Job.RunContext for the semantics; this path additionally requires
@@ -109,15 +123,10 @@ func (j *Job[I, K, V, O]) runExternal(ctx context.Context, e *Engine, input [][]
 	jobID := e.beginJob(j.Name)
 	defer e.endJob(jobID)
 	st.obs, st.jobID = e.Obs, jobID
-	cfg := &extConfig[K, V]{kc: kc, vc: vc, dir: dir, budget: e.SpillBudget, obs: e.Obs, jobID: jobID}
+	cfg := newExtConfig(kc, vc, st.encode != nil)
+	cfg.dir, cfg.budget, cfg.obs, cfg.jobID = dir, e.SpillBudget, e.Obs, jobID
 	if cfg.budget <= 0 {
 		cfg.budget = DefaultSpillBudget
-	}
-	_, kshared := kc.(runio.SharedDecoder[K])
-	_, vshared := vc.(runio.SharedDecoder[V])
-	cfg.shared = kshared && vshared
-	if st.encode != nil {
-		cfg.codeWidth = 16
 	}
 
 	r := j.NumReduceTasks
@@ -436,7 +445,45 @@ func (st *runState[I, K, V, O]) mergeSpilled(cfg *extConfig[K, V], sp *extSpille
 	return nil
 }
 
-func (st *runState[I, K, V, O]) runReduceAttemptExternal(actx context.Context, hook *taskHook, cfg *extConfig[K, V], idx, attempt int, mapOut []extMapOutput[I, K, V]) (rout typedReduceOut[O], err error) {
+// reduceInput is one pre-sorted input of a reduce attempt's merge: one
+// partition segment of an ERN1 run, read through R (the map task's open
+// spill file, a replica, or an HTTP range reader), or — when bucket is
+// non-nil — a map task's in-memory tail bucket.
+type reduceInput[K, V any] struct {
+	SegmentSource
+	bucket []Rec[K, V]
+}
+
+// runReduceAttemptExternal merges reduce task idx's share of every
+// committed map output: per map task its runs' segments in run order,
+// then its in-memory tail bucket.
+func (st *runState[I, K, V, O]) runReduceAttemptExternal(actx context.Context, hook *taskHook, cfg *extConfig[K, V], idx, attempt int, mapOut []extMapOutput[I, K, V]) (typedReduceOut[O], error) {
+	n := len(mapOut)
+	for mi := range mapOut {
+		n += len(mapOut[mi].runs)
+	}
+	inputs := make([]reduceInput[K, V], 0, n)
+	for mi := range mapOut {
+		for _, info := range mapOut[mi].runs {
+			if seg := info.Segments[idx]; seg.Records > 0 {
+				inputs = append(inputs, reduceInput[K, V]{SegmentSource: SegmentSource{R: mapOut[mi].file, Seg: seg, Path: info.Path}})
+			}
+		}
+		if b := mapOut[mi].buckets[idx]; len(b) > 0 {
+			inputs = append(inputs, reduceInput[K, V]{bucket: b})
+		}
+	}
+	return st.runReduceAttemptMerge(actx, hook, cfg, idx, attempt, len(mapOut), inputs)
+}
+
+// runReduceAttemptMerge is the reduce-attempt body of every dataflow
+// whose map output is sorted runs: the external dataflow, the
+// distributed worker, and the master's local degradation path. The
+// input order is the merge tiebreak — (map task, run, tail) — which
+// extends the typed engine's map-task tiebreak with temporal run order:
+// the stability guarantee. Segments decode on the arena read path when
+// cfg.shared, whatever io.ReaderAt they are read through.
+func (st *runState[I, K, V, O]) runReduceAttemptMerge(actx context.Context, hook *taskHook, cfg *extConfig[K, V], idx, attempt, m int, inputs []reduceInput[K, V]) (rout typedReduceOut[O], err error) {
 	defer recoverAttempt(&err)
 	if err := hook.fire(FaultTaskStart); err != nil {
 		return rout, err
@@ -445,44 +492,39 @@ func (st *runState[I, K, V, O]) runReduceAttemptExternal(actx context.Context, h
 	metrics := &rout.metrics
 	ctx := &ReduceContext[O]{metrics: metrics, out: getOutBuf[O](st.outPool), hook: hook}
 	reducer := j.NewReducer()
-	reducer.Configure(len(mapOut), j.NumReduceTasks, idx)
+	reducer.Configure(m, j.NumReduceTasks, idx)
 
-	// One source per (map task, run) segment plus one per in-memory
-	// tail bucket, in (map task, run, tail) order: the source index is
-	// the merge tiebreak, which extends the typed engine's map-task
-	// tiebreak with temporal run order — the stability guarantee.
 	dec := newRecDecoder(cfg)
-	var sources []mergeSource[K, V]
+	sources := make([]mergeSource[K, V], 0, len(inputs))
 	var total int64
 	var spillRead *obs.Counter // nil-safe handle when observability is off
 	if cfg.obs != nil {
 		spillRead = cfg.obs.Engine.SpillBytesRead
 	}
-	for mi := range mapOut {
-		for _, info := range mapOut[mi].runs {
-			seg := info.Segments[idx]
-			if seg.Records == 0 {
-				continue
-			}
-			if cfg.shared {
-				ss := &sharedSegSource[K, V]{dec: dec, part: int32(idx)}
-				ss.sr.Init(mapOut[mi].file, seg, info.Path)
-				sources = append(sources, ss)
-			} else {
-				sources = append(sources, &segSource[K, V]{
-					sr:   runio.NewSegmentReader(mapOut[mi].file, seg, info.Path),
-					dec:  dec,
-					part: int32(idx),
-				})
-			}
-			total += seg.Records
-			metrics.SpillBytesRead += seg.Len
-			spillRead.Add(seg.Len)
+	for i := range inputs {
+		in := &inputs[i]
+		if in.bucket != nil {
+			sources = append(sources, &bucketSource[K, V]{recs: in.bucket, part: int32(idx)})
+			total += int64(len(in.bucket))
+			continue
 		}
-		if b := mapOut[mi].buckets[idx]; len(b) > 0 {
-			sources = append(sources, &bucketSource[K, V]{recs: b, part: int32(idx)})
-			total += int64(len(b))
+		if in.Seg.Records == 0 {
+			continue
 		}
+		if cfg.shared {
+			ss := &sharedSegSource[K, V]{dec: dec, part: int32(idx)}
+			ss.sr.Init(in.R, in.Seg, in.Path)
+			sources = append(sources, ss)
+		} else {
+			sources = append(sources, &segSource[K, V]{
+				sr:   runio.NewSegmentReader(in.R, in.Seg, in.Path),
+				dec:  dec,
+				part: int32(idx),
+			})
+		}
+		total += in.Seg.Records
+		metrics.SpillBytesRead += in.Seg.Len
+		spillRead.Add(in.Seg.Len)
 	}
 	metrics.InputRecords = total
 

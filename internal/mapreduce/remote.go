@@ -94,8 +94,8 @@ type RemoteDispatcher interface {
 }
 
 // SegmentSource locates one map task's segment of one sorted run for a
-// remote reduce attempt. R typically wraps an open file or an HTTP
-// range reader; runio.SegmentReader bounds every read to Seg.
+// reduce attempt. R is an open file or an HTTP range reader; runio's
+// segment readers bound every read to Seg.
 type SegmentSource struct {
 	R    io.ReaderAt
 	Seg  runio.Segment
@@ -140,21 +140,19 @@ func NewRemoteRunnable[I, K, V, O any](j *Job[I, K, V, O]) (RemoteRunnable, erro
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for output type %T", j.Name, *new(O))
 	}
-	rr := &remoteRunnable[I, K, V, O]{j: j, st: newRunState(j), ic: ic, kc: kc, vc: vc, oc: oc}
-	if rr.st.encode != nil {
-		rr.codeWidth = 16
-	}
-	return rr, nil
+	st := newRunState(j)
+	return &remoteRunnable[I, K, V, O]{j: j, st: st, ic: ic, oc: oc, cfg: newExtConfig(kc, vc, st.encode != nil)}, nil
 }
 
 type remoteRunnable[I, K, V, O any] struct {
-	j         *Job[I, K, V, O]
-	st        *runState[I, K, V, O]
-	ic        runio.Codec[I]
-	kc        runio.Codec[K]
-	vc        runio.Codec[V]
-	oc        runio.Codec[O]
-	codeWidth int
+	j  *Job[I, K, V, O]
+	st *runState[I, K, V, O]
+	ic runio.Codec[I]
+	oc runio.Codec[O]
+	// cfg holds the run-file half of the external dataflow's parameters
+	// (codecs, key-code width, arena read path); a worker has no spill
+	// directory, budget or observer of its own.
+	cfg *extConfig[K, V]
 }
 
 func (rr *remoteRunnable[I, K, V, O]) JobName() string { return rr.j.Name }
@@ -167,15 +165,18 @@ func (rr *remoteRunnable[I, K, V, O]) ExecRemoteMap(ctx context.Context, m, task
 	if err != nil {
 		return nil, fmt.Errorf("map task %d input: %w", task, err)
 	}
-	return rr.st.execMapToRun(ctx, nil, task, m, recs, rr.ic, rr.kc, rr.vc, rr.codeWidth, runPath)
+	return rr.st.execMapToRun(ctx, nil, task, m, recs, rr.ic, rr.cfg, runPath)
 }
 
 func (rr *remoteRunnable[I, K, V, O]) ExecRemoteReduce(ctx context.Context, m, task, attempt int, sources []SegmentSource) (*RemoteReduceResult, error) {
 	if err := rr.j.validate(m); err != nil {
 		return nil, Fatal(err)
 	}
-	dec := &recDecoder[K, V]{kc: rr.kc, vc: rr.vc, codeWidth: rr.codeWidth}
-	rout, err := rr.st.runReduceAttemptSegments(ctx, nil, task, m, sources, dec)
+	inputs := make([]reduceInput[K, V], len(sources))
+	for i, s := range sources {
+		inputs[i].SegmentSource = s
+	}
+	rout, err := rr.st.runReduceAttemptMerge(ctx, nil, rr.cfg, task, attempt, m, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -190,13 +191,13 @@ func (rr *remoteRunnable[I, K, V, O]) ExecRemoteReduce(ctx context.Context, m, t
 // implementation of the worker-side executor and the master's local
 // degradation path. The run counters it sets (one run, its file bytes)
 // are execution history, outside the differential contract.
-func (st *runState[I, K, V, O]) execMapToRun(actx context.Context, hook *taskHook, task, m int, input []I, ic runio.Codec[I], kc runio.Codec[K], vc runio.Codec[V], codeWidth int, runPath string) (*RemoteMapResult, error) {
+func (st *runState[I, K, V, O]) execMapToRun(actx context.Context, hook *taskHook, task, m int, input []I, ic runio.Codec[I], cfg *extConfig[K, V], runPath string) (*RemoteMapResult, error) {
 	mout, err := st.runMapAttempt(actx, hook, task, m, input)
 	if err != nil {
 		st.pools.putRecBuf(mout.flat)
 		return nil, err
 	}
-	info, err := writeRun(runPath, mout.buckets, kc, vc, codeWidth)
+	info, err := writeRun(runPath, mout.buckets, cfg.kc, cfg.vc, cfg.codeWidth)
 	st.pools.putRecBuf(mout.flat)
 	if err != nil {
 		return nil, err
@@ -242,73 +243,6 @@ func writeRun[K, V any](path string, buckets [][]Rec[K, V], kc runio.Codec[K], v
 		return nil, err
 	}
 	return info, nil
-}
-
-// runReduceAttemptSegments is the segment-merge reduce attempt shared
-// by the worker executor and the master's local degradation path: the
-// external dataflow's reduce discipline over one sorted run segment per
-// map task. Source order is the merge tiebreak, so callers must pass
-// segments in map-task order — that reproduces the typed engine's
-// map-task stability exactly (one run per task, no tail).
-func (st *runState[I, K, V, O]) runReduceAttemptSegments(actx context.Context, hook *taskHook, idx, m int, srcs []SegmentSource, dec *recDecoder[K, V]) (rout typedReduceOut[O], err error) {
-	defer recoverAttempt(&err)
-	if err := hook.fire(FaultTaskStart); err != nil {
-		return rout, err
-	}
-	j := st.job
-	metrics := &rout.metrics
-	ctx := &ReduceContext[O]{metrics: metrics, out: getOutBuf[O](st.outPool), hook: hook}
-	reducer := j.NewReducer()
-	reducer.Configure(m, j.NumReduceTasks, idx)
-
-	sources := make([]mergeSource[K, V], 0, len(srcs))
-	var total int64
-	for _, s := range srcs {
-		if s.Seg.Records == 0 {
-			continue
-		}
-		sources = append(sources, &segSource[K, V]{
-			sr:   runio.NewSegmentReader(s.R, s.Seg, s.Path),
-			dec:  dec,
-			part: int32(idx),
-		})
-		total += s.Seg.Records
-		metrics.SpillBytesRead += s.Seg.Len
-	}
-	metrics.InputRecords = total
-
-	if err := hook.fire(FaultMerge); err != nil {
-		return rout, err
-	}
-	mg, err := newExtMerger(st, sources)
-	if err != nil {
-		return rout, err
-	}
-	group := st.pools.getRecBuf()
-	check := actx.Done() != nil
-	for n := 0; ; n++ {
-		if check && n&cancelCheckMask == 0 && actx.Err() != nil {
-			return rout, actx.Err()
-		}
-		rec, _, ok, err := mg.next()
-		if err != nil {
-			return rout, err
-		}
-		if !ok {
-			break
-		}
-		if len(group) > 0 && !st.sameGroup(&group[0], &rec) {
-			st.emitGroup(ctx, reducer, group)
-			group = group[:0]
-		}
-		group = append(group, rec)
-	}
-	if len(group) > 0 {
-		st.emitGroup(ctx, reducer, group)
-	}
-	st.pools.putRecBuf(group)
-	rout.out = ctx.out
-	return rout, nil
 }
 
 // remoteMapOut is one distributed map attempt's private output.
@@ -374,11 +308,8 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 
 	st := newRunState(j)
 	st.obs, st.jobID = e.Obs, jobID
-	codeWidth := 0
-	if st.encode != nil {
-		codeWidth = 16
-	}
-	dec := &recDecoder[K, V]{kc: kc, vc: vc, codeWidth: codeWidth}
+	cfg := newExtConfig(kc, vc, st.encode != nil)
+	cfg.obs, cfg.jobID = e.Obs, jobID
 
 	r := j.NumReduceTasks
 	res := &Result[I, O]{
@@ -404,7 +335,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 				// Degradation ladder, bottom rung: no live worker — run
 				// the attempt in-process so the job still completes.
 				logDegraded()
-				rm, err = st.execMapToRun(actx, hook, task, m, input[task], ic, kc, vc, codeWidth, path)
+				rm, err = st.execMapToRun(actx, hook, task, m, input[task], ic, cfg, path)
 				if err != nil {
 					return out, err
 				}
@@ -470,7 +401,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 					return rout, err
 				}
 				logDegraded()
-				return st.runReduceSegmentsLocal(actx, hook, task, m, runs, dec)
+				return st.runReduceSegmentsLocal(actx, hook, cfg, task, attempt, m, runs)
 			}
 			out := getOutBuf[O](st.outPool)
 			out, derr := DecodeRecordsInto(oc, rr.Output, rr.OutputCount, out)
@@ -523,8 +454,8 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 // runReduceSegmentsLocal is the reduce-side degradation path: open each
 // committed run's master-local replica and merge the task's segments
 // in-process.
-func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hook *taskHook, task, m int, runs []RemoteRun, dec *recDecoder[K, V]) (rout typedReduceOut[O], err error) {
-	srcs := make([]SegmentSource, 0, m)
+func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hook *taskHook, cfg *extConfig[K, V], task, attempt, m int, runs []RemoteRun) (rout typedReduceOut[O], err error) {
+	inputs := make([]reduceInput[K, V], 0, m)
 	files := make([]*os.File, 0, m)
 	defer func() {
 		for _, f := range files {
@@ -541,17 +472,35 @@ func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hoo
 			return rout, fmt.Errorf("open run replica: %w", oerr)
 		}
 		files = append(files, f)
-		srcs = append(srcs, SegmentSource{R: f, Seg: run.Info.Segments[task], Path: run.Path})
+		inputs = append(inputs, reduceInput[K, V]{SegmentSource: SegmentSource{R: f, Seg: run.Info.Segments[task], Path: run.Path}})
 	}
-	return st.runReduceAttemptSegments(actx, hook, task, m, srcs, dec)
+	return st.runReduceAttemptMerge(actx, hook, cfg, task, attempt, m, inputs)
 }
+
+// encodeSample is how many leading records EncodeRecords sizes its blob
+// from.
+const encodeSample = 16
 
 // EncodeRecords concatenates the codec encodings of recs into one blob
 // (nil for an empty slice) — the record-blob convention remote inputs,
-// side outputs, and reduce outputs cross process boundaries in.
+// side outputs, and reduce outputs cross process boundaries in. The
+// blob is allocated once, at the size the first records predict plus an
+// eighth; records that run longer than that grow it the usual way.
 func EncodeRecords[T any](c runio.Codec[T], recs []T) []byte {
-	var b []byte
-	for i := range recs {
+	if len(recs) == 0 {
+		return nil
+	}
+	b := make([]byte, 0, 64*encodeSample)
+	k := min(encodeSample, len(recs))
+	for i := 0; i < k; i++ {
+		b = c.Append(b, recs[i])
+	}
+	if k == len(recs) {
+		return b
+	}
+	est := len(b) * len(recs) / k
+	b = append(make([]byte, 0, est+est/8), b...)
+	for i := k; i < len(recs); i++ {
 		b = c.Append(b, recs[i])
 	}
 	return b
@@ -571,18 +520,34 @@ func DecodeRecords[T any](c runio.Codec[T], b []byte, count int) ([]T, error) {
 }
 
 // DecodeRecordsInto is DecodeRecords appending into a caller-provided
-// buffer.
+// buffer. A codec with a runio.SharedDecoder decodes on the arena path,
+// chosen from the codec type like the external dataflow's read path:
+// one copy seals the blob as an immutable block, and every decoded
+// string aliases it, so the cost is a handful of allocations per blob
+// where the byte path pays one per string field. The records pin that
+// block for as long as any of them is reachable; the engine's callers
+// keep or drop a blob's records together.
 func DecodeRecordsInto[T any](c runio.Codec[T], b []byte, count int, dst []T) ([]T, error) {
+	if sd, ok := c.(runio.SharedDecoder[T]); ok {
+		return decodeBlob(sd.NewSharedDecoder(), string(b), count, dst)
+	}
+	return decodeBlob(c.Decode, b, count, dst)
+}
+
+// decodeBlob is the one blob walk of both decode paths: count records,
+// no trailing bytes, or an error — dst then holds the records decoded
+// before it, which callers discard.
+func decodeBlob[T any, S string | []byte](dec func(S) (T, int, error), src S, count int, dst []T) ([]T, error) {
 	for i := 0; i < count; i++ {
-		v, n, err := c.Decode(b)
+		v, n, err := dec(src)
 		if err != nil {
 			return dst, fmt.Errorf("record %d of %d: %w", i, count, err)
 		}
-		b = b[n:]
+		src = src[n:]
 		dst = append(dst, v)
 	}
-	if len(b) != 0 {
-		return dst, fmt.Errorf("%w: %d trailing bytes after %d records", runio.ErrCorrupt, len(b), count)
+	if len(src) != 0 {
+		return dst, fmt.Errorf("%w: %d trailing bytes after %d records", runio.ErrCorrupt, len(src), count)
 	}
 	return dst, nil
 }
@@ -638,10 +603,34 @@ func (c PairCodec[K, V]) Decode(src []byte) (Pair[K, V], int, error) {
 	return p, n + n2, nil
 }
 
+// sharedPairCodec is PairCodec over two codecs that both have shared
+// decoders: the pair then has one too, so pair-shaped inputs and
+// outputs decode on the arena path.
+type sharedPairCodec[K, V any] struct{ PairCodec[K, V] }
+
+// NewSharedDecoder implements runio.SharedDecoder: both halves alias src.
+func (c sharedPairCodec[K, V]) NewSharedDecoder() func(string) (Pair[K, V], int, error) {
+	kdec := c.KC.(runio.SharedDecoder[K]).NewSharedDecoder()
+	vdec := c.VC.(runio.SharedDecoder[V]).NewSharedDecoder()
+	return func(src string) (Pair[K, V], int, error) {
+		var p Pair[K, V]
+		k, n, err := kdec(src)
+		if err != nil {
+			return p, 0, fmt.Errorf("pair key: %w", err)
+		}
+		v, n2, err := vdec(src[n:])
+		if err != nil {
+			return p, 0, fmt.Errorf("pair value: %w", err)
+		}
+		p.Key, p.Value = k, v
+		return p, n + n2, nil
+	}
+}
+
 // RegisterPairCodec registers a codec for Pair[K, V] built from the
-// registered codecs of K and V. It panics when either half is missing,
-// like a direct runio.Register of an unregistrable codec would at
-// first use.
+// registered codecs of K and V — with a shared decoder when both halves
+// have one. It panics when either half is missing, like a direct
+// runio.Register of an unregistrable codec would at first use.
 func RegisterPairCodec[K, V any]() {
 	kc, ok := runio.Lookup[K]()
 	if !ok {
@@ -651,5 +640,12 @@ func RegisterPairCodec[K, V any]() {
 	if !ok {
 		panic(fmt.Sprintf("mapreduce: RegisterPairCodec: no runio codec for value type %T", *new(V)))
 	}
-	runio.Register[Pair[K, V]](PairCodec[K, V]{KC: kc, VC: vc})
+	pc := PairCodec[K, V]{KC: kc, VC: vc}
+	_, kshared := kc.(runio.SharedDecoder[K])
+	_, vshared := vc.(runio.SharedDecoder[V])
+	if kshared && vshared {
+		runio.Register[Pair[K, V]](sharedPairCodec[K, V]{pc})
+		return
+	}
+	runio.Register[Pair[K, V]](pc)
 }
