@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-cancel-race bench-smoke bench bench-compare bench-all smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
+.PHONY: check vet build test test-race test-cancel-race bench-smoke bench bench-compare bench-all loc smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
 
 # check is the CI gate: static analysis, build, tests, benchmark smoke.
 check: vet build test bench-smoke
@@ -60,6 +60,11 @@ bench-compare:
 # bench-all runs the full figure + micro benchmark suite (slow).
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# loc prints non-blank, non-comment, non-test Go lines per package —
+# the figure a simplicity PR reports its line delta in.
+loc:
+	scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

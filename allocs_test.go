@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 				ceiling, mode = obsAllocCeiling, "obs enabled"
 			}
 			run := func() {
-				if _, err := job.Run(&eng, input); err != nil {
+				if _, err := job.RunContext(context.Background(), &eng, input); err != nil {
 					t.Fatal(err)
 				}
 			}

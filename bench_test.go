@@ -13,6 +13,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -457,7 +458,7 @@ func BenchmarkShuffleMerge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := job.Run(&eng, input); err != nil {
+				if _, err := job.RunContext(context.Background(), &eng, input); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -485,7 +486,7 @@ func BenchmarkEngineAllocs(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := job.Run(&eng, input); err != nil {
+				if _, err := job.RunContext(context.Background(), &eng, input); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,8 +43,8 @@ func main() {
 		scale       = flag.Float64("scale", 0.05, "dataset scale factor in (0,1]; 1 = paper-sized datasets")
 		executed    = flag.Bool("exec", false, "figures 9/10: execute the real MapReduce jobs instead of the analytic planner (identical tables, slower)")
 		parallelism = flag.Int("parallelism", 0, "engine worker bound for executed runs (0 = default)")
-		spillBudget = flag.String("spill-budget", "0", "per-map-task spill budget in bytes for executed runs (suffixes k/m/g); > 0 runs the out-of-core external dataflow")
-		tmpdir      = flag.String("tmpdir", "", "spill directory root for -spill-budget (default: system temp dir)")
+		spillBudget = flag.String("spill-budget", "0", "per-map-task spill budget in bytes for executed runs (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
+		tmpdir      = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
 		in          = flag.String("in", "", "CSV dataset replacing the generated DS1 stand-in (streamed row by row)")
 		csv         = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		maxAttempts = flag.Int("max-attempts", 0, "per-task attempt budget for executed runs (0 = engine default)")

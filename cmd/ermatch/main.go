@@ -55,8 +55,8 @@ func main() {
 		threshold    = flag.Float64("threshold", 0.8, "minimum normalized edit-distance similarity")
 		window       = flag.Int("window", 10, "sorted-neighborhood window size (strategy sn)")
 		parallelism  = flag.Int("parallelism", runtime.NumCPU(), "engine worker bound: concurrently executing tasks per phase (0 = one goroutine per task)")
-		spillBudget  = flag.String("spill-budget", "0", "per-map-task spill budget in bytes (suffixes k/m/g); > 0 runs the out-of-core external dataflow")
-		tmpdir       = flag.String("tmpdir", "", "spill directory root for -spill-budget (default: system temp dir)")
+		spillBudget  = flag.String("spill-budget", "0", "per-map-task spill budget in bytes (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
+		tmpdir       = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
 		out          = flag.String("out", "", "stream matches to this file instead of buffering them ('-' = stdout)")
 		format       = flag.String("format", "csv", "match output format for -out: csv or ndjson")
 		showPairs    = flag.Bool("pairs", false, "print every match pair")
@@ -102,8 +102,8 @@ func main() {
 		report = os.Stderr
 	}
 
-	// Ctrl-C cancels the run between engine tasks; the external
-	// dataflow's spill directory is removed on the way out.
+	// Ctrl-C cancels the run between engine tasks; a spill directory,
+	// if the run created one, is removed on the way out.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

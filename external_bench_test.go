@@ -58,7 +58,6 @@ func BenchmarkExternalShuffle(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			run(b, &mapreduce.Engine{
 				Parallelism: 4,
-				Dataflow:    mapreduce.DataflowExternal,
 				SpillBudget: budget,
 				TmpDir:      b.TempDir(),
 			})
@@ -136,7 +135,6 @@ func BenchmarkExternalEndToEnd(b *testing.B) {
 	b.Run("external", func(b *testing.B) {
 		run(b, &mapreduce.Engine{
 			Parallelism: 4,
-			Dataflow:    mapreduce.DataflowExternal,
 			SpillBudget: budget,
 			TmpDir:      b.TempDir(),
 		}, true)

@@ -1,9 +1,9 @@
-// Package codecreg ties the typed engine's external dataflow to the
-// runio codec registry at build time. DataflowExternal serializes
-// every intermediate key and value through a codec looked up by
-// reflect.Type at job start; a missing registration is only discovered
-// when a job first runs with the external (or remote) dataflow — often
-// in a long out-of-core benchmark. The repo's convention is that each
+// Package codecreg ties the typed engine's run files to the runio
+// codec registry at build time. A run whose intermediate records leave
+// memory (Engine.SpillBudget > 0, Engine.Remote) serializes every key
+// and value through a codec looked up by reflect.Type at job start; a
+// missing registration is only discovered when a job first runs that
+// way — often in a long out-of-core benchmark. The repo's convention is that each
 // package registers codecs for its own key/value types in init (see
 // internal/core/codec.go), so the check is package-local: any concrete
 // type this package owns that appears as the K or V argument of a
@@ -87,7 +87,7 @@ func run(pass *analysis.Pass) error {
 		}
 		reported[named.Obj().Name()] = true
 		pass.Reportf(u.pos,
-			"Job %s type %s has no runio codec: add runio.Register[%s](...) to an init in this package (external dataflow resolves codecs by type at job start)",
+			"Job %s type %s has no runio codec: add runio.Register[%s](...) to an init in this package (a run that spills or is distributed resolves codecs by type at job start)",
 			u.role, named.Obj().Name(), named.Obj().Name())
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -100,7 +101,7 @@ func runDualStrategy(t *testing.T, strat DualStrategy, x *bdm.DualMatrix, parts 
 	if err != nil {
 		t.Fatalf("%s.Job: %v", strat.Name(), err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotatedInput(parts, exAttr))
+	res, err := job.RunContext(context.Background(), &mapreduce.Engine{}, annotatedInput(parts, exAttr))
 	if err != nil {
 		t.Fatalf("%s: Run: %v", strat.Name(), err)
 	}

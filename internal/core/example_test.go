@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -151,7 +152,7 @@ func TestPaperExampleBlockSplitExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Job: %v", err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotated(exampleParts()))
+	res, err := job.RunContext(context.Background(), &mapreduce.Engine{}, annotated(exampleParts()))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -209,7 +210,7 @@ func TestPaperExamplePairRangeExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Job: %v", err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotated(exampleParts()))
+	res, err := job.RunContext(context.Background(), &mapreduce.Engine{}, annotated(exampleParts()))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ func assertPlanMatchesExecution(t *testing.T, strat Strategy, x *bdm.Matrix, par
 	if err != nil {
 		t.Fatalf("%s.Job: %v", strat.Name(), err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotatedInput(parts, attr))
+	res, err := job.RunContext(context.Background(), &mapreduce.Engine{}, annotatedInput(parts, attr))
 	if err != nil {
 		t.Fatalf("%s: Run: %v", strat.Name(), err)
 	}
@@ -101,7 +102,7 @@ func runStrategy(t *testing.T, strat Strategy, x *bdm.Matrix, parts entity.Parti
 	if err != nil {
 		t.Fatalf("%s.Job: %v", strat.Name(), err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotatedInput(parts, "k"))
+	res, err := job.RunContext(context.Background(), &mapreduce.Engine{}, annotatedInput(parts, "k"))
 	if err != nil {
 		t.Fatalf("%s: Run: %v", strat.Name(), err)
 	}

@@ -26,12 +26,18 @@ import (
 
 var chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the chaos-hook pipeline differential test")
 
+// dataflowSpilling labels the tables' third row — the typed engine with
+// a spill budget — next to the typed engine in memory and the boxed
+// oracle; faultEngine turns it into DataflowTyped plus a SpillBudget.
+const dataflowSpilling mapreduce.DataflowMode = -1
+
 // faultEngine builds one engine per dataflow for the pipeline runs;
-// external engines spill aggressively into a per-test temp dir.
+// spilling engines spill aggressively into a per-test temp dir.
 func faultEngine(t *testing.T, dataflow mapreduce.DataflowMode) *mapreduce.Engine {
 	t.Helper()
 	e := &mapreduce.Engine{Parallelism: 4, Dataflow: dataflow}
-	if dataflow == mapreduce.DataflowExternal {
+	if dataflow == dataflowSpilling {
+		e.Dataflow = mapreduce.DataflowTyped
 		e.SpillBudget = 128
 		e.TmpDir = t.TempDir()
 	}
@@ -121,7 +127,7 @@ func TestERChaosDifferential(t *testing.T) {
 	dataflows := map[string]mapreduce.DataflowMode{
 		"typed":    mapreduce.DataflowTyped,
 		"boxed":    mapreduce.DataflowBoxed,
-		"external": mapreduce.DataflowExternal,
+		"external": dataflowSpilling,
 	}
 	for dname, dataflow := range dataflows {
 		t.Run(dname, func(t *testing.T) {
@@ -157,7 +163,7 @@ func TestERFaultScheduleDifferential(t *testing.T) {
 	dataflows := map[string]mapreduce.DataflowMode{
 		"typed":    mapreduce.DataflowTyped,
 		"boxed":    mapreduce.DataflowBoxed,
-		"external": mapreduce.DataflowExternal,
+		"external": dataflowSpilling,
 	}
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		for dname, dataflow := range dataflows {
@@ -173,7 +179,7 @@ func TestERFaultScheduleDifferential(t *testing.T) {
 			}
 			zeroHistory(baseline)
 			for _, fault := range erFaults() {
-				if fault.extOnly && dataflow != mapreduce.DataflowExternal {
+				if fault.extOnly && dataflow != dataflowSpilling {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", strat.Name(), dname, fault.name), func(t *testing.T) {

@@ -24,12 +24,14 @@ type RunOptions struct {
 	// default). Ignored when Engine is set — configure the engine
 	// directly instead.
 	Parallelism int
-	// SpillBudget, when > 0, runs the jobs on the out-of-core external
-	// dataflow with this per-map-task spill budget in bytes (see
-	// mapreduce.Engine.SpillBudget). Ignored when Engine is set.
+	// SpillBudget, when > 0, runs the jobs out of core: a map task
+	// spills a sorted run to disk whenever it has buffered this many
+	// encoded bytes (see mapreduce.Engine.SpillBudget). 0 keeps every
+	// intermediate record in memory. Ignored when Engine is set.
 	SpillBudget int64
-	// TmpDir is the spill directory root for SpillBudget > 0 ("" = the
-	// system temp dir). Ignored when Engine is set.
+	// TmpDir is where a run that spills, or a distributed run that
+	// replicates worker output, creates its directory ("" = the system
+	// temp dir). Ignored when Engine is set.
 	TmpDir string
 	// Sink, when non-nil, receives the matching phase's emitted pairs
 	// as a stream instead of having them collected into the result
@@ -68,8 +70,7 @@ type RunOptions struct {
 }
 
 // ResolveEngine returns the effective engine: the configured one, or a
-// fresh engine built from the option fields (external dataflow when a
-// spill budget is set).
+// fresh engine built from the option fields.
 func (o *RunOptions) ResolveEngine() *mapreduce.Engine {
 	if o.Engine != nil {
 		if o.Engine.Obs == nil {
@@ -77,13 +78,10 @@ func (o *RunOptions) ResolveEngine() *mapreduce.Engine {
 		}
 		return o.Engine
 	}
-	e := &mapreduce.Engine{Parallelism: o.Parallelism, Retry: o.Retry, FaultHook: o.FaultHook, Obs: o.Obs}
-	if o.SpillBudget > 0 {
-		e.Dataflow = mapreduce.DataflowExternal
-		e.SpillBudget = o.SpillBudget
-		e.TmpDir = o.TmpDir
+	return &mapreduce.Engine{
+		Parallelism: o.Parallelism, Retry: o.Retry, FaultHook: o.FaultHook, Obs: o.Obs,
+		SpillBudget: o.SpillBudget, TmpDir: o.TmpDir,
 	}
-	return e
 }
 
 // runMatchJob executes a matching job against the configured output

@@ -251,7 +251,7 @@ func blockKernelEngines(t *testing.T) map[string]func() *mapreduce.Engine {
 	return map[string]func() *mapreduce.Engine{
 		"typed": func() *mapreduce.Engine { return &mapreduce.Engine{Parallelism: 3} },
 		"external": func() *mapreduce.Engine {
-			return &mapreduce.Engine{Parallelism: 3, Dataflow: mapreduce.DataflowExternal, SpillBudget: 128, TmpDir: t.TempDir()}
+			return &mapreduce.Engine{Parallelism: 3, SpillBudget: 128, TmpDir: t.TempDir()}
 		},
 	}
 }

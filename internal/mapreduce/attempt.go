@@ -12,8 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the task-attempt supervision layer shared by all three
-// dataflows (typed, boxed, external). Every map and reduce task executes
+// This file is the task-attempt supervision layer shared by the typed
+// dataflow and the boxed oracle. Every map and reduce task executes
 // as a sequence of *attempts*: a panic or error inside one attempt fails
 // only that attempt, the RetryPolicy decides whether and when the task
 // re-runs, and straggling tasks can be speculatively duplicated — the
@@ -210,8 +210,8 @@ const (
 	// FaultEmit fires on every Emit of the attempt's map/combine/reduce
 	// context.
 	FaultEmit
-	// FaultSpill fires before the external dataflow writes a sorted run
-	// to disk.
+	// FaultSpill fires before a map task over its spill budget writes a
+	// sorted run to disk.
 	FaultSpill
 	// FaultMerge fires before a reduce (or map-side combine) merge
 	// starts consuming its sources.
@@ -307,8 +307,9 @@ type attemptStats struct {
 // taskOps is the phase-specific half of the supervisor: how to run one
 // attempt, publish a winner, and release a loser. Implementations are
 // passed by pointer, so the interface conversion never allocates — the
-// typed fast path embeds both its ops and its supervisor in runState
-// and pays zero allocations for supervision.
+// typed dataflow's phases are pointer-shaped views of its runState,
+// which also embeds both supervisors, so it pays zero allocations for
+// supervision.
 type taskOps[T any] interface {
 	// runTaskAttempt executes one attempt. It must keep all observable
 	// output private to the attempt and clean up its own resources on
@@ -464,8 +465,8 @@ func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 	}
 }
 
-// funcTaskOps adapts free functions to taskOps for the call sites that
-// build their phases from closures (boxed and external dataflows).
+// funcTaskOps adapts free functions to taskOps for the boxed engine,
+// which builds its phases from closures.
 type funcTaskOps[T any] struct {
 	run     func(ctx context.Context, hook *taskHook, task, attempt int) (T, error)
 	commit  func(task int, out T) error
@@ -479,7 +480,7 @@ func (o *funcTaskOps[T]) commitTask(task int, out T) error { return o.commit(tas
 func (o *funcTaskOps[T]) discardOut(out T)                 { o.discard(out) }
 
 // superviseTasks is the closure-based entry point over
-// taskSupervisor.supervise, used by the boxed and external dataflows.
+// taskSupervisor.supervise, used by the boxed engine.
 // weigh is the supervisor's dispatch weight (nil: index order).
 func superviseTasks[T any](
 	ctx context.Context,

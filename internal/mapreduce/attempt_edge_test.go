@@ -32,7 +32,7 @@ func TestMaxAttemptsOneFailsFast(t *testing.T) {
 				}
 				return nil
 			}
-			_, err := wordJob(4, false).Run(e, wordInput(2))
+			_, err := wordJob(4, false).RunContext(context.Background(), e, wordInput(2))
 			if err == nil {
 				t.Fatal("MaxAttempts=1 run with a failing task succeeded")
 			}
@@ -53,7 +53,7 @@ func TestMaxAttemptsOneCleanRunCountsSingleAttempts(t *testing.T) {
 	before := testleak.Snapshot()
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Retry.MaxAttempts = 1
-	res, err := wordJob(r, false).Run(e, wordInput(m))
+	res, err := wordJob(r, false).RunContext(context.Background(), e, wordInput(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFatalShortCircuitsWhileSiblingsInFlight(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := wordJob(3, false).Run(e, wordInput(m))
+	_, err := wordJob(3, false).RunContext(context.Background(), e, wordInput(m))
 	testleak.Check(t, before)
 	var te *mapreduce.TaskError
 	if !errors.As(err, &te) || te.Phase != mapreduce.MapTask || te.Task != 0 || te.Attempt != 1 {

@@ -24,7 +24,7 @@ import (
 var allDataflows = map[string]mapreduce.DataflowMode{
 	"typed":    mapreduce.DataflowTyped,
 	"boxed":    mapreduce.DataflowBoxed,
-	"external": mapreduce.DataflowExternal,
+	"external": dataflowSpilling,
 }
 
 // clearAttemptCounters zeroes the execution-history counters (see the
@@ -58,7 +58,7 @@ func failFirstAttempt(at mapreduce.FaultPoint) mapreduce.FaultHook {
 func TestRetryTransientFault(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, input)
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRetryTransientFault(t *testing.T) {
 				before := testleak.Snapshot()
 				e, _ := engineFor(t, dataflow)
 				e.FaultHook = failFirstAttempt(at)
-				res, err := wordJob(r, false).Run(e, input)
+				res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +104,7 @@ func TestRetryExhaustedFailsWithTaskError(t *testing.T) {
 				}
 				return nil
 			}
-			res, err := wordJob(4, false).Run(e, wordInput(3))
+			res, err := wordJob(4, false).RunContext(context.Background(), e, wordInput(3))
 			if res != nil || err == nil {
 				t.Fatalf("res=%v err=%v, want nil result and an error", res, err)
 			}
@@ -141,7 +141,7 @@ func TestFatalFaultFailsFirstAttempt(t *testing.T) {
 				}
 				return nil
 			}
-			_, err := wordJob(4, false).Run(e, wordInput(2))
+			_, err := wordJob(4, false).RunContext(context.Background(), e, wordInput(2))
 			if err == nil {
 				t.Fatal("fatal fault did not fail the run")
 			}
@@ -167,7 +167,7 @@ func TestRetryableClassifierStopsRetry(t *testing.T) {
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Retry.Retryable = func(error) bool { return false }
 	e.FaultHook = failFirstAttempt(mapreduce.FaultTaskStart)
-	_, err := wordJob(2, false).Run(e, wordInput(1))
+	_, err := wordJob(2, false).RunContext(context.Background(), e, wordInput(1))
 	var te *mapreduce.TaskError
 	if !errors.As(err, &te) || te.Attempt != 1 {
 		t.Fatalf("err = %v, want a first-attempt TaskError under a false classifier", err)
@@ -177,7 +177,7 @@ func TestRetryableClassifierStopsRetry(t *testing.T) {
 
 func TestTaskTimeoutRetries(t *testing.T) {
 	const m, r = 2, 3
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, wordInput(m))
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, wordInput(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTaskTimeoutRetries(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := wordJob(r, false).Run(e, wordInput(m))
+	res, err := wordJob(r, false).RunContext(context.Background(), e, wordInput(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func specPolicy() mapreduce.RetryPolicy {
 func TestSpeculativeBackupWins(t *testing.T) {
 	const m, r = 4, 4
 	input := wordInput(m)
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, input)
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSpeculativeBackupWins(t *testing.T) {
 				}
 				return nil
 			}
-			res, err := wordJob(r, false).Run(e, input)
+			res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestSpeculativeBackupWins(t *testing.T) {
 func TestSpeculativePrimaryWins(t *testing.T) {
 	const m, r = 4, 4
 	input := wordInput(m)
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, input)
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSpeculativePrimaryWins(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	res, err := wordJob(r, false).Run(e, input)
+	res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestPanicInUserCodeRecovered(t *testing.T) {
 			}
 			e, _ := engineFor(t, dataflow)
 			e.Retry.BaseBackoff = time.Microsecond
-			res, err := j.Run(e, wordInput(2))
+			res, err := j.RunContext(context.Background(), e, wordInput(2))
 			if err != nil {
 				t.Fatalf("panic was not retried: %v", err)
 			}
@@ -354,7 +354,7 @@ func TestPanicExhaustsIntoTaskError(t *testing.T) {
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Retry.MaxAttempts = 2
 	e.Retry.BaseBackoff = time.Microsecond
-	_, err := j.Run(e, wordInput(1))
+	_, err := j.RunContext(context.Background(), e, wordInput(1))
 	var te *mapreduce.TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want a TaskError", err)

@@ -46,15 +46,22 @@ func cancelJob(r int, phase mapreduce.TaskKind, cancel context.CancelFunc) *mapr
 	return j
 }
 
-// engineFor builds the engine for one dataflow; external engines get a
+// dataflowSpilling is the suites' third "dataflow" next to the typed
+// engine in memory and the boxed oracle: the typed engine with a spill
+// budget. It is a row label for the tables below, not an engine mode —
+// engineFor turns it into DataflowTyped plus a SpillBudget.
+const dataflowSpilling mapreduce.DataflowMode = -1
+
+// engineFor builds the engine for one dataflow; spilling engines get a
 // tiny budget (forcing spills before the cancel) rooted in a fresh
 // directory whose emptiness the caller asserts afterwards.
 func engineFor(t *testing.T, dataflow mapreduce.DataflowMode) (*mapreduce.Engine, string) {
 	t.Helper()
 	e := &mapreduce.Engine{Parallelism: 2, Dataflow: dataflow}
 	var tmp string
-	if dataflow == mapreduce.DataflowExternal {
+	if dataflow == dataflowSpilling {
 		tmp = t.TempDir()
+		e.Dataflow = mapreduce.DataflowTyped
 		e.SpillBudget = 64
 		e.TmpDir = tmp
 	}
@@ -85,7 +92,7 @@ func TestCancelMidPhase(t *testing.T) {
 	dataflows := map[string]mapreduce.DataflowMode{
 		"typed":    mapreduce.DataflowTyped,
 		"boxed":    mapreduce.DataflowBoxed,
-		"external": mapreduce.DataflowExternal,
+		"external": dataflowSpilling,
 	}
 	phases := map[string]mapreduce.TaskKind{
 		"map":    mapreduce.MapTask,
@@ -114,7 +121,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, mapreduce.DataflowExternal,
+		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, dataflowSpilling,
 	} {
 		e, _ := engineFor(t, dataflow)
 		ran := false

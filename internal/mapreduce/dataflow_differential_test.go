@@ -12,6 +12,7 @@ package mapreduce_test
 // dataflow and nothing else.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -168,11 +169,11 @@ func TestDataflowDifferentialSideOutput(t *testing.T) {
 			input[i][k] = bdm.Annotated{Value: e}
 		}
 	}
-	typed, err := job.Run(&mapreduce.Engine{Parallelism: 2}, input)
+	typed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2}, input)
 	if err != nil {
 		t.Fatalf("typed run: %v", err)
 	}
-	boxed, err := job.Run(&mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowBoxed}, input)
+	boxed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowBoxed}, input)
 	if err != nil {
 		t.Fatalf("boxed oracle run: %v", err)
 	}

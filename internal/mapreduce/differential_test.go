@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -144,7 +145,7 @@ func TestEngineAgainstReferenceModel(t *testing.T) {
 		job := randomJob(rng, r)
 		want := referenceRun(job, input)
 		for _, par := range []int{1, 4} {
-			got, err := (&Engine{Parallelism: par}).Run(job, input)
+			got, err := (&Engine{Parallelism: par}).RunContext(context.Background(), job, input)
 			if err != nil {
 				t.Fatalf("trial %d (par=%d): %v", trial, par, err)
 			}
@@ -155,7 +156,7 @@ func TestEngineAgainstReferenceModel(t *testing.T) {
 			// The streaming k-way merge must produce a BoxedResult that is
 			// byte-identical — output, side output, and every TaskMetrics
 			// field — to the concat+stable-sort oracle path.
-			oracle, err := (&Engine{Parallelism: par, Shuffle: ShuffleConcatSort}).Run(job, input)
+			oracle, err := (&Engine{Parallelism: par, Shuffle: ShuffleConcatSort}).RunContext(context.Background(), job, input)
 			if err != nil {
 				t.Fatalf("trial %d (par=%d, oracle): %v", trial, par, err)
 			}
@@ -194,11 +195,11 @@ func TestShuffleModesAgreeOnCombinerJobs(t *testing.T) {
 				},
 			}
 		}
-		merge, err := (&Engine{Parallelism: 2}).Run(job, input)
+		merge, err := (&Engine{Parallelism: 2}).RunContext(context.Background(), job, input)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		oracle, err := (&Engine{Parallelism: 2, Shuffle: ShuffleConcatSort}).Run(job, input)
+		oracle, err := (&Engine{Parallelism: 2, Shuffle: ShuffleConcatSort}).RunContext(context.Background(), job, input)
 		if err != nil {
 			t.Fatalf("trial %d (oracle): %v", trial, err)
 		}

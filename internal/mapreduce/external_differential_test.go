@@ -13,6 +13,7 @@ package mapreduce_test
 // the residency of the intermediate records and nothing else.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -78,7 +79,6 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 
 					cfg.Engine = &mapreduce.Engine{
 						Parallelism: par,
-						Dataflow:    mapreduce.DataflowExternal,
 						SpillBudget: tinySpillBudget,
 						TmpDir:      tmp,
 					}
@@ -144,7 +144,6 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 
 						cfg.Engine = &mapreduce.Engine{
 							Parallelism: par,
-							Dataflow:    mapreduce.DataflowExternal,
 							SpillBudget: tinySpillBudget,
 							TmpDir:      tmp,
 						}
@@ -192,13 +191,12 @@ func TestExternalDifferentialSideOutput(t *testing.T) {
 			input[i][k] = bdm.Annotated{Value: e}
 		}
 	}
-	typed, err := job.Run(&mapreduce.Engine{Parallelism: 2}, input)
+	typed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2}, input)
 	if err != nil {
 		t.Fatalf("typed run: %v", err)
 	}
-	ext, err := job.Run(&mapreduce.Engine{
+	ext, err := job.RunContext(context.Background(), &mapreduce.Engine{
 		Parallelism: 2,
-		Dataflow:    mapreduce.DataflowExternal,
 		SpillBudget: tinySpillBudget,
 		TmpDir:      t.TempDir(),
 	}, input)

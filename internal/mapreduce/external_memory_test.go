@@ -9,6 +9,7 @@ package mapreduce_test
 // failing if spilling ever stops relieving memory.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -107,7 +108,7 @@ func TestExternalShuffleMemoryBounded(t *testing.T) {
 		var res *mapreduce.Result[int, int]
 		var err error
 		peak := sampleHeapDuring(func() {
-			res, err = job.Run(e, input)
+			res, err = job.RunContext(context.Background(), e, input)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +118,6 @@ func TestExternalShuffleMemoryBounded(t *testing.T) {
 
 	extPeak, extRes := run(&mapreduce.Engine{
 		Parallelism: 4,
-		Dataflow:    mapreduce.DataflowExternal,
 		SpillBudget: memSpillBudget,
 		TmpDir:      t.TempDir(),
 	})

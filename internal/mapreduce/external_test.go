@@ -8,10 +8,13 @@ package mapreduce_test
 // external_differential_test.go.
 
 import (
+	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -99,60 +102,145 @@ func clearSpillCounters(ms []mapreduce.TaskMetrics) {
 	}
 }
 
+// TestExternalWordCountDifferential sweeps every residency of the
+// intermediate records against the concat-sort reference: budget 0 (in
+// memory), budgets that spill after every record or two, and a budget
+// nothing reaches. A run that does not spill must equal the reference
+// outright, spill counters included, and must not touch TmpDir at all —
+// it is given a path that does not exist and must leave it that way.
 func TestExternalWordCountDifferential(t *testing.T) {
 	for _, combine := range []bool{false, true} {
-		for _, budget := range []int64{1, 64, 200, 1 << 20} {
+		for _, budget := range []int64{0, 1, 64, 200, 1 << 20} {
 			for m := 1; m <= 3; m++ {
 				name := fmt.Sprintf("combine=%v/budget=%d/m=%d", combine, budget, m)
 				input := wordInput(m)
 				job := wordJob(4, combine)
+				spills := budget > 0 && budget < 1<<20
 
-				typed, err := job.Run(&mapreduce.Engine{}, input)
+				want, err := job.RunContext(context.Background(), &mapreduce.Engine{Shuffle: mapreduce.ShuffleConcatSort}, input)
 				if err != nil {
-					t.Fatalf("%s: typed: %v", name, err)
+					t.Fatalf("%s: reference: %v", name, err)
 				}
 				tmp := t.TempDir()
-				ext, err := job.Run(&mapreduce.Engine{
-					Dataflow:    mapreduce.DataflowExternal,
+				if !spills {
+					tmp = filepath.Join(tmp, "never-created")
+				}
+				got, err := job.RunContext(context.Background(), &mapreduce.Engine{
 					SpillBudget: budget,
 					TmpDir:      tmp,
 				}, input)
 				if err != nil {
-					t.Fatalf("%s: external: %v", name, err)
+					t.Fatalf("%s: %v", name, err)
 				}
 
 				if budget == 1 {
 					// Every record triggers a spill: each map task must
 					// have flushed at least 4 runs.
-					for i := range ext.MapMetrics {
-						if ext.MapMetrics[i].SpillRuns < 4 {
+					for i := range got.MapMetrics {
+						if got.MapMetrics[i].SpillRuns < 4 {
 							t.Errorf("%s: map task %d spilled %d runs, want >= 4",
-								name, i, ext.MapMetrics[i].SpillRuns)
+								name, i, got.MapMetrics[i].SpillRuns)
 						}
 					}
 				}
-				if budget >= 1<<20 {
-					for i := range ext.MapMetrics {
-						if ext.MapMetrics[i].SpillRuns != 0 {
-							t.Errorf("%s: map task %d spilled despite huge budget", name, i)
-						}
-					}
+				if spills {
+					clearSpillCounters(got.MapMetrics)
+					clearSpillCounters(got.ReduceMetrics)
 				}
-				clearSpillCounters(ext.MapMetrics)
-				clearSpillCounters(ext.ReduceMetrics)
-				if !reflect.DeepEqual(typed, ext) {
-					t.Fatalf("%s: external Result diverges from typed\ntyped: %+v\nexternal: %+v", name, typed, ext)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: Result diverges from the reference\nreference: %+v\ngot: %+v", name, want, got)
 				}
 
-				// The per-Run spill directory must be gone.
+				// The per-run spill directory must be gone; a run that
+				// never spilled must not have created even its root.
 				ents, err := os.ReadDir(tmp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ents) != 0 {
-					t.Fatalf("%s: temp dir not empty after Run: %v", name, ents)
+				switch {
+				case !spills && !os.IsNotExist(err):
+					t.Fatalf("%s: run without spills touched TmpDir (ReadDir: %v, %v)", name, ents, err)
+				case spills && (err != nil || len(ents) != 0):
+					t.Fatalf("%s: temp dir not empty after the run: %v (err %v)", name, ents, err)
 				}
 			}
+		}
+	}
+}
+
+// countingCombiner is combinerFunc counting its Combine calls.
+type countingCombiner struct {
+	combinerFunc
+	calls *atomic.Int64
+}
+
+func (c countingCombiner) Combine(ctx *mapreduce.MapContext[string, string, int], key string, values []mapreduce.Rec[string, int]) {
+	c.calls.Add(1)
+	c.combinerFunc.Combine(ctx, key, values)
+}
+
+// TestCombineGroupsAcrossRunsAndPartitions pins the map-side combine's
+// per-partition merge. With a budget of a few records every map task
+// spills many runs, every run holds records of several partitions, and
+// every word recurs in many runs — so a group's records straddle run
+// boundaries and a run's records straddle partition boundaries. The
+// combiner must still be called exactly once per (task, word), as in
+// memory, and the Result must not move.
+func TestCombineGroupsAcrossRunsAndPartitions(t *testing.T) {
+	const m, r = 3, 4
+	input := wordInput(m)
+	var distinct int64
+	for _, part := range input {
+		words := map[string]bool{}
+		for _, line := range part {
+			for _, w := range strings.Fields(line) {
+				words[w] = true
+			}
+		}
+		distinct += int64(len(words))
+	}
+	run := func(e *mapreduce.Engine) (*mapreduce.Result[string, mapreduce.Pair[string, int]], int64) {
+		var calls atomic.Int64
+		job := wordJob(r, true)
+		job.NewCombiner = func() mapreduce.Combiner[string, string, int] {
+			return countingCombiner{calls: &calls}
+		}
+		res, err := job.RunContext(context.Background(), e, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, calls.Load()
+	}
+	inMem, memCalls := run(&mapreduce.Engine{})
+	tmp := t.TempDir()
+	spilled, spillCalls := run(&mapreduce.Engine{SpillBudget: 48, TmpDir: tmp})
+	for i := range spilled.MapMetrics {
+		if runs := spilled.MapMetrics[i].SpillRuns; runs < 2*r {
+			t.Errorf("map task %d spilled %d runs; the budget is too large for groups to straddle runs", i, runs)
+		}
+	}
+	if memCalls != distinct || spillCalls != distinct {
+		t.Errorf("combiner calls: in memory %d, spilled %d, want one per (task, word) = %d", memCalls, spillCalls, distinct)
+	}
+	clearSpillCounters(spilled.MapMetrics)
+	clearSpillCounters(spilled.ReduceMetrics)
+	if !reflect.DeepEqual(inMem, spilled) {
+		t.Errorf("spilled combiner run diverges from the in-memory run\nin memory: %+v\nspilled: %+v", inMem, spilled)
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Errorf("temp dir not empty after the run: %v (err %v)", ents, err)
+	}
+}
+
+// TestConcatSortNeedsInputsInMemory: the reference shuffle cannot read
+// runs, so asking for it together with a spill budget or a dispatcher
+// must fail up front, naming both fields — not silently run the k-way
+// merge and let a differential test compare the merge with itself.
+func TestConcatSortNeedsInputsInMemory(t *testing.T) {
+	for field, e := range map[string]*mapreduce.Engine{
+		"SpillBudget": {Shuffle: mapreduce.ShuffleConcatSort, SpillBudget: 64, TmpDir: t.TempDir()},
+		"Remote":      {Shuffle: mapreduce.ShuffleConcatSort, Remote: &localDispatcher{down: true}},
+	} {
+		_, err := wordJob(2, false).RunContext(context.Background(), e, wordInput(2))
+		if err == nil || !strings.Contains(err.Error(), "Engine.Shuffle") || !strings.Contains(err.Error(), "Engine."+field) {
+			t.Errorf("ShuffleConcatSort with %s: err = %v, want a validation error naming Engine.Shuffle and Engine.%s", field, err, field)
 		}
 	}
 }
@@ -163,12 +251,11 @@ func TestExternalNoCoding(t *testing.T) {
 	input := wordInput(3)
 	job := wordJob(4, true)
 	job.Coding = mapreduce.KeyCoding[string]{}
-	typed, err := job.Run(&mapreduce.Engine{}, input)
+	typed, err := job.RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := job.Run(&mapreduce.Engine{
-		Dataflow:    mapreduce.DataflowExternal,
+	ext, err := job.RunContext(context.Background(), &mapreduce.Engine{
 		SpillBudget: 64,
 		TmpDir:      t.TempDir(),
 	}, input)
@@ -195,8 +282,7 @@ func TestExternalTempCleanupOnError(t *testing.T) {
 		}
 	}
 	tmp := t.TempDir()
-	_, err := job.Run(&mapreduce.Engine{
-		Dataflow:    mapreduce.DataflowExternal,
+	_, err := job.RunContext(context.Background(), &mapreduce.Engine{
 		SpillBudget: 1,
 		TmpDir:      tmp,
 	}, input)
@@ -221,7 +307,7 @@ func TestExternalTempCleanupOnError(t *testing.T) {
 			},
 		}
 	}
-	if _, err := job2.Run(&mapreduce.Engine{Dataflow: mapreduce.DataflowExternal, SpillBudget: 1, TmpDir: tmp}, input); err == nil {
+	if _, err := job2.RunContext(context.Background(), &mapreduce.Engine{SpillBudget: 1, TmpDir: tmp}, input); err == nil {
 		t.Fatal("map-side failure not reported")
 	}
 	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
@@ -250,7 +336,7 @@ func TestExternalMissingCodec(t *testing.T) {
 		Partition: func(k unregisteredKey, r int) int { return 0 },
 		Compare:   func(a, b unregisteredKey) int { return a.X - b.X },
 	}
-	_, err := job.Run(&mapreduce.Engine{Dataflow: mapreduce.DataflowExternal}, [][]string{{"x"}})
+	_, err := job.RunContext(context.Background(), &mapreduce.Engine{SpillBudget: 1}, [][]string{{"x"}})
 	if err == nil || !strings.Contains(err.Error(), "no runio codec") {
 		t.Fatalf("err = %v, want missing-codec error", err)
 	}

@@ -28,7 +28,7 @@ func TestFaultScheduleDifferential(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
 	for _, combine := range []bool{false, true} {
-		baseline, err := wordJob(r, combine).Run(&mapreduce.Engine{}, input)
+		baseline, err := wordJob(r, combine).RunContext(context.Background(), &mapreduce.Engine{}, input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestFaultScheduleDifferential(t *testing.T) {
 					e, _ := engineFor(t, dataflow)
 					e.Retry.BaseBackoff = 1
 					e.FaultHook = mapreduce.ChaosHook(*chaosSeed, rate, e.Retry.MaxAttempts)
-					res, err := wordJob(r, combine).Run(e, input)
+					res, err := wordJob(r, combine).RunContext(context.Background(), e, input)
 					if err != nil {
 						t.Fatalf("chaos-seed=%d: %v", *chaosSeed, err)
 					}
@@ -70,7 +70,7 @@ func TestFaultScheduleDifferential(t *testing.T) {
 func TestSpillFaultDifferential(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, input)
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSpillFaultDifferential(t *testing.T) {
 	for _, at := range []mapreduce.FaultPoint{mapreduce.FaultSpill, mapreduce.FaultMerge} {
 		t.Run(at.String(), func(t *testing.T) {
 			before := testleak.Snapshot()
-			e, tmp := engineFor(t, mapreduce.DataflowExternal)
+			e, tmp := engineFor(t, dataflowSpilling)
 			e.Retry.BaseBackoff = 1
 			var fired atomic.Int64
 			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
@@ -88,7 +88,7 @@ func TestSpillFaultDifferential(t *testing.T) {
 				}
 				return nil
 			}
-			res, err := wordJob(r, false).Run(e, input)
+			res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,26 +14,32 @@
 //
 // The engine runs one map task per input partition (m = #partitions) and
 // r reduce tasks. Map tasks execute concurrently on goroutines; each map
-// task sorts its per-reduce-task output buckets at spill time, and every
-// reduce task performs a streaming k-way merge of its m pre-sorted
-// buckets, tie-breaking equal keys by map task index. This stable merge
-// mirrors Hadoop's merge of per-map-task spill files and is load-bearing
-// for BlockSplit: its reduce function assumes all values from input
+// task leaves its output partitioned by reduce task and sorted, and
+// every reduce task performs a streaming k-way merge of its share,
+// tie-breaking equal keys by map task index. This stable merge mirrors
+// Hadoop's merge of per-map-task spill files and is load-bearing for
+// BlockSplit: its reduce function assumes all values from input
 // partition i arrive before those of partition j>i within one key group.
 // See DESIGN.md for the full merge/stability model.
 //
-// The package provides two dataflow representations of that model:
+// The package provides that model twice:
 //
 //   - The typed engine (Job[I, K, V, O], the primary API): every record
-//     holds concrete key/value types end to end — map output, spill
-//     buckets, the map-side stable sort, the k-way merge heap, and the
-//     reduce group buffers are all free of interface boxing — and an
-//     optional order-preserving binary key code (KeyCoding) accelerates
-//     sort, merge, and grouping, Hadoop-RawComparator-style.
-//   - The boxed engine (BoxedJob, Engine.Run): the original any-keyed
-//     dataflow, kept as the differential oracle. Job.Run routes through
-//     it unchanged when Engine.Dataflow is DataflowBoxed, so every typed
-//     job can be re-executed on the oracle and compared byte-for-byte.
+//     holds concrete key/value types end to end — no interface boxing —
+//     and an optional order-preserving binary key code (KeyCoding)
+//     accelerates sort, merge, and grouping, Hadoop-RawComparator-style.
+//     It is one dataflow over sorted runs (dataflow.go): a map task's
+//     output is zero or more sorted on-disk runs plus an in-memory tail,
+//     and one driver, one map-attempt body and one reduce-attempt body
+//     serve the in-memory run (nothing ever spills), the out-of-core run
+//     (Engine.SpillBudget) and the distributed run (Engine.Remote: the
+//     same bodies executed on a worker). Only the run store (spill.go)
+//     knows where intermediate records reside.
+//   - The boxed engine (BoxedJob, Engine.RunContext): the original
+//     any-keyed dataflow, kept as the differential oracle. A typed job
+//     routes through it unchanged when Engine.Dataflow is DataflowBoxed,
+//     so every typed job can be re-executed on the oracle and compared
+//     byte-for-byte.
 package mapreduce
 
 import (
@@ -222,14 +228,14 @@ type TaskMetrics struct {
 	Comparisons int64
 	Counters    map[string]int64
 
-	// The spill fields are only non-zero on the external dataflow
-	// (DataflowExternal): SpillRuns counts the sorted runs a map task
-	// flushed to disk, SpillBytesWritten the run-file bytes it wrote,
-	// and SpillBytesRead the run bytes streamed back (by reduce tasks,
-	// and by map tasks re-reading their own runs for the combiner).
-	// They are deliberately excluded from the external≡typed
-	// differential contract — everything else in TaskMetrics must be
-	// byte-identical across dataflows.
+	// The spill fields are only non-zero when map output left memory
+	// (Engine.SpillBudget, Engine.Remote): SpillRuns counts the sorted
+	// runs a map task flushed to disk, SpillBytesWritten the run-file
+	// bytes it wrote, and SpillBytesRead the run bytes streamed back (by
+	// reduce tasks, and by map tasks re-reading their own runs for the
+	// combiner). They are deliberately excluded from the differential
+	// contract — everything else in TaskMetrics must be byte-identical
+	// wherever the intermediate records resided.
 	SpillRuns         int64
 	SpillBytesWritten int64
 	SpillBytesRead    int64
@@ -319,14 +325,6 @@ const (
 	// DataflowBoxed routes a typed Job through the boxed any-based
 	// engine via a thin boxing adapter — the differential oracle.
 	DataflowBoxed
-	// DataflowExternal is the out-of-core dataflow: map output beyond
-	// the per-task SpillBudget is flushed to sorted on-disk runs
-	// (Hadoop's spill-file model), and reduce tasks stream an external
-	// k-way merge over disk segments and the in-memory tail. Requires a
-	// runio codec registered for the job's key and value types; results
-	// are byte-identical to DataflowTyped except the TaskMetrics spill
-	// counters. See external.go and DESIGN.md ("External dataflow").
-	DataflowExternal
 )
 
 // Engine executes jobs. Parallelism bounds the number of concurrently
@@ -338,20 +336,28 @@ type Engine struct {
 	// Shuffle selects the reduce-side merge implementation. The zero
 	// value is the streaming k-way merge; ShuffleConcatSort is the
 	// reference concat+stable-sort path. Both produce byte-identical
-	// results (the differential tests prove it).
+	// results (the differential tests prove it). The reference needs
+	// every reduce input in memory: combining it with SpillBudget > 0 or
+	// Remote is a validation error.
 	Shuffle ShuffleMode
-	// Dataflow selects the record representation for typed Jobs (see
-	// Job.Run). The boxed engine's Run ignores it.
+	// Dataflow selects the record representation for typed Jobs: the
+	// typed engine (the zero value) or the boxed oracle. The boxed
+	// engine's own RunContext ignores it.
 	Dataflow DataflowMode
-	// SpillBudget bounds, in encoded bytes, the map-output buffer a
-	// task accumulates before flushing a sorted run to disk on the
-	// external dataflow (0 = DefaultSpillBudget). Ignored by the other
-	// dataflows.
+	// SpillBudget decides where a typed job's intermediate records
+	// reside. 0 keeps them in memory: nothing ever spills and the run
+	// touches no filesystem. > 0 bounds, in encoded bytes, the map
+	// output a task buffers before it flushes a sorted run to disk, and
+	// requires a runio codec registered for the job's key and value
+	// types; results are byte-identical either way, the TaskMetrics
+	// spill counters excepted. The boxed oracle and distributed
+	// execution (where workers hold map output) ignore it.
 	SpillBudget int64
-	// TmpDir is where the external dataflow creates its per-run spill
-	// directory ("" = the system temp dir). The directory is created on
-	// demand and the per-run subdirectory is removed when Run returns,
-	// error or not.
+	// TmpDir is where a run that spills (or, under Remote, replicates
+	// worker runs) creates its per-run directory ("" = the system temp
+	// dir). Both are created at the first spill — a run that never
+	// spills never touches TmpDir — and the per-run directory is removed
+	// when the run returns, error or not.
 	TmpDir string
 	// Retry is the task-attempt supervision policy: every map/reduce
 	// task runs as a sequence of attempts governed by it (panic
@@ -370,7 +376,8 @@ type Engine struct {
 	// Remote, when non-nil, dispatches typed task attempts to worker
 	// processes instead of running them in-process (the distributed
 	// execution mode — see remote.go and internal/dist). It overrides
-	// Dataflow for typed jobs; the boxed engine ignores it.
+	// Dataflow and SpillBudget for typed jobs; the boxed engine ignores
+	// it.
 	Remote RemoteDispatcher
 	// Obs, when non-nil, enables the observability layer: task-timeline
 	// tracing, engine metrics, and structured logging (see internal/obs
@@ -411,13 +418,6 @@ func (e *Engine) endJob(jobID uint32) {
 	if o := e.Obs; o != nil {
 		o.Tracer.Record(obs.Event{Type: obs.EvEnd, Kind: obs.KJob, Job: jobID, Task: -1})
 	}
-}
-
-// Run executes the job over the given input partitions and returns the
-// result — the pre-context adapter over RunContext.
-func (e *Engine) Run(job *BoxedJob, input [][]KeyValue) (*BoxedResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return e.RunContext(context.Background(), job, input)
 }
 
 // RunContext executes the job over the given input partitions and
@@ -592,8 +592,7 @@ func (e *Engine) runMapAttempt(actx context.Context, hook *taskHook, job *BoxedJ
 		if p < 0 || p >= r {
 			putInt32Buf(parts)
 			putInt32Buf(counts)
-			// A deterministic user-logic bug: re-running cannot fix it.
-			return mout, Fatal(fmt.Errorf("partition function returned %d for %d reduce tasks", p, r))
+			return mout, errBadPartition(p, r)
 		}
 		parts[i] = int32(p)
 		counts[p]++

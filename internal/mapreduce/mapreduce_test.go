@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -60,7 +61,7 @@ func countsOf(res *BoxedResult) map[string]int {
 func TestWordCount(t *testing.T) {
 	for _, combiner := range []bool{false, true} {
 		for _, r := range []int{1, 2, 7} {
-			res, err := (&Engine{}).Run(wordCountJob(r, combiner), [][]KeyValue{
+			res, err := (&Engine{}).RunContext(context.Background(), wordCountJob(r, combiner), [][]KeyValue{
 				lines("a b a", "c"),
 				lines("b a", "c c c"),
 			})
@@ -77,11 +78,11 @@ func TestWordCount(t *testing.T) {
 
 func TestCombinerReducesMapOutput(t *testing.T) {
 	input := [][]KeyValue{lines("a a a a b", "a b"), lines("b b")}
-	plain, err := (&Engine{}).Run(wordCountJob(3, false), input)
+	plain, err := (&Engine{}).RunContext(context.Background(), wordCountJob(3, false), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := (&Engine{}).Run(wordCountJob(3, true), input)
+	combined, err := (&Engine{}).RunContext(context.Background(), wordCountJob(3, true), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestStableMergeOrder(t *testing.T) {
 	// Run several times: with parallel map tasks the merge order must
 	// still be deterministic (map task 0's values first).
 	for trial := 0; trial < 10; trial++ {
-		res, err := (&Engine{Parallelism: 4}).Run(job, [][]KeyValue{
+		res, err := (&Engine{Parallelism: 4}).RunContext(context.Background(), job, [][]KeyValue{
 			{{Value: "m0-a"}, {Value: "m0-b"}},
 			{{Value: "m1-a"}},
 			{{Value: "m2-a"}, {Value: "m2-b"}},
@@ -184,7 +185,7 @@ func TestCompositeKeyGrouping(t *testing.T) {
 	}, {
 		{Key: ck{"black", "circle"}}, {Key: ck{"light", "triangle"}},
 	}}
-	res, err := (&Engine{}).Run(job, input)
+	res, err := (&Engine{}).RunContext(context.Background(), job, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestGroupCoarserThanSort(t *testing.T) {
 		},
 		Group: func(x, y any) int { return CompareInts(x.(ck).a, y.(ck).a) },
 	}
-	res, err := (&Engine{}).Run(job, [][]KeyValue{{
+	res, err := (&Engine{}).RunContext(context.Background(), job, [][]KeyValue{{
 		{Key: ck{0, 5}}, {Key: ck{0, 1}}, {Key: ck{1, 9}}, {Key: ck{0, 3}}, {Key: ck{1, 2}},
 	}})
 	if err != nil {
@@ -257,7 +258,7 @@ func TestSideOutputPerTask(t *testing.T) {
 			},
 		}
 	}
-	res, err := (&Engine{}).Run(job, [][]KeyValue{
+	res, err := (&Engine{}).RunContext(context.Background(), job, [][]KeyValue{
 		{{Value: "a"}, {Value: "b"}},
 		{{Value: "c"}},
 	})
@@ -275,21 +276,21 @@ func TestSideOutputPerTask(t *testing.T) {
 func TestValidation(t *testing.T) {
 	good := wordCountJob(2, false)
 	eng := &Engine{}
-	if _, err := eng.Run(good, nil); err == nil {
+	if _, err := eng.RunContext(context.Background(), good, nil); err == nil {
 		t.Error("no input partitions: want error")
 	}
 	bad := wordCountJob(0, false)
-	if _, err := eng.Run(bad, [][]KeyValue{lines("a")}); err == nil {
+	if _, err := eng.RunContext(context.Background(), bad, [][]KeyValue{lines("a")}); err == nil {
 		t.Error("r=0: want error")
 	}
 	noMap := wordCountJob(1, false)
 	noMap.NewMapper = nil
-	if _, err := eng.Run(noMap, [][]KeyValue{lines("a")}); err == nil {
+	if _, err := eng.RunContext(context.Background(), noMap, [][]KeyValue{lines("a")}); err == nil {
 		t.Error("nil NewMapper: want error")
 	}
 	noCmp := wordCountJob(1, false)
 	noCmp.Compare = nil
-	if _, err := eng.Run(noCmp, [][]KeyValue{lines("a")}); err == nil {
+	if _, err := eng.RunContext(context.Background(), noCmp, [][]KeyValue{lines("a")}); err == nil {
 		t.Error("nil Compare: want error")
 	}
 }
@@ -297,7 +298,7 @@ func TestValidation(t *testing.T) {
 func TestBadPartitionFunctionIsAnError(t *testing.T) {
 	job := wordCountJob(2, false)
 	job.Partition = func(any, int) int { return 99 }
-	_, err := (&Engine{}).Run(job, [][]KeyValue{lines("a")})
+	_, err := (&Engine{}).RunContext(context.Background(), job, [][]KeyValue{lines("a")})
 	if err == nil || !strings.Contains(err.Error(), "partition function returned") {
 		t.Errorf("out-of-range partition: err = %v", err)
 	}
@@ -308,20 +309,20 @@ func TestPanicsInUserCodeBecomeErrors(t *testing.T) {
 	job.NewMapper = func() BoxedMapper {
 		return &FuncMapper{OnMap: func(*BoxedContext, KeyValue) { panic("boom in map") }}
 	}
-	if _, err := (&Engine{}).Run(job, [][]KeyValue{lines("a")}); err == nil || !strings.Contains(err.Error(), "boom in map") {
+	if _, err := (&Engine{}).RunContext(context.Background(), job, [][]KeyValue{lines("a")}); err == nil || !strings.Contains(err.Error(), "boom in map") {
 		t.Errorf("map panic: err = %v", err)
 	}
 	job2 := wordCountJob(1, false)
 	job2.NewReducer = func() BoxedReducer {
 		return &FuncReducer{OnReduce: func(*BoxedContext, any, []KeyValue) { panic("boom in reduce") }}
 	}
-	if _, err := (&Engine{}).Run(job2, [][]KeyValue{lines("a")}); err == nil || !strings.Contains(err.Error(), "boom in reduce") {
+	if _, err := (&Engine{}).RunContext(context.Background(), job2, [][]KeyValue{lines("a")}); err == nil || !strings.Contains(err.Error(), "boom in reduce") {
 		t.Errorf("reduce panic: err = %v", err)
 	}
 }
 
 func TestMetricsAccounting(t *testing.T) {
-	res, err := (&Engine{}).Run(wordCountJob(2, false), [][]KeyValue{
+	res, err := (&Engine{}).RunContext(context.Background(), wordCountJob(2, false), [][]KeyValue{
 		lines("a b", "c d e"),
 		lines("f"),
 	})
@@ -360,7 +361,7 @@ func TestUserCounters(t *testing.T) {
 			},
 		}
 	}
-	res, err := (&Engine{}).Run(job, [][]KeyValue{lines("a b a")})
+	res, err := (&Engine{}).RunContext(context.Background(), job, [][]KeyValue{lines("a b a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 	var baseline []KeyValue
 	for _, par := range []int{1, 2, 4, 8} {
-		res, err := (&Engine{Parallelism: par}).Run(wordCountJob(5, true), input)
+		res, err := (&Engine{Parallelism: par}).RunContext(context.Background(), wordCountJob(5, true), input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +449,7 @@ func TestReduceOutputOrderedByTask(t *testing.T) {
 		Partition: func(key any, r int) int { return key.(int) % r },
 		Compare:   func(a, b any) int { return CompareInts(a.(int), b.(int)) },
 	}
-	res, err := (&Engine{Parallelism: 4}).Run(job, [][]KeyValue{{
+	res, err := (&Engine{Parallelism: 4}).RunContext(context.Background(), job, [][]KeyValue{{
 		{Value: 3}, {Value: 1}, {Value: 2}, {Value: 0}, {Value: 7}, {Value: 5},
 	}})
 	if err != nil {

@@ -197,7 +197,7 @@ func TestTraceInvariantsUnderChaos(t *testing.T) {
 				e.Obs = obs.New(obs.Options{Log: obs.Quiet()})
 				e.Retry.BaseBackoff = time.Microsecond
 				e.FaultHook = mapreduce.ChaosHook(seed, 0.3, 0)
-				res, err := wordJob(r, dataflow == mapreduce.DataflowExternal).Run(e, input)
+				res, err := wordJob(r, dataflow == dataflowSpilling).RunContext(context.Background(), e, input)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func TestTraceInvariantsUnderSpeculation(t *testing.T) {
 				}
 				return nil
 			}
-			res, err := wordJob(r, false).Run(e, input)
+			res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestTracerOverflowKeepsPrefix(t *testing.T) {
 	const m, r = 4, 5
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Obs = obs.New(obs.Options{TraceCapacity: 8, Log: obs.Quiet()})
-	if _, err := wordJob(r, false).Run(e, wordInput(m)); err != nil {
+	if _, err := wordJob(r, false).RunContext(context.Background(), e, wordInput(m)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Obs.Tracer.Dropped() == 0 {

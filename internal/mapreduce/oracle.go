@@ -19,8 +19,8 @@ import "context"
 //
 // Fault tolerance needs no bridging: attempts, retry, speculation, and
 // the fault hook live in the engine-level task supervisor (attempt.go),
-// which the boxed dataflow shares with the typed and external ones, so
-// the oracle exercises the same supervision code the typed paths do.
+// which the boxed dataflow shares with the typed one, so the oracle
+// exercises the same supervision code the typed dataflow does.
 
 func (j *Job[I, K, V, O]) runBoxed(ctx context.Context, e *Engine, input [][]I, sink *outputSink[O]) (*Result[I, O], error) {
 	bj := &BoxedJob{

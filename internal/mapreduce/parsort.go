@@ -6,7 +6,7 @@ import (
 )
 
 // Parallel stable sorting. The task hot paths (map-side bucket sort,
-// combiner pre-sort, external spill-run sort) all funnel into the
+// spill-run sort, the concat-sort oracle) all funnel into the
 // generic machinery below: a bottom-up stable merge sort that can split
 // the input into contiguous chunks, sort the chunks on worker
 // goroutines, and merge adjacent chunks pairwise — also in parallel,

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -104,7 +105,7 @@ func TestSortLimiterSerial(t *testing.T) {
 
 // TestEngineSortParallelismDifferential runs a sort-heavy job (every
 // record through one reduce partition, forcing one large bucket sort)
-// across parallelism 1/2/4 on the typed and external dataflows and
+// across parallelism 1/2/4 in memory and with a spill budget and
 // requires byte-identical Results — the engine-level proof that the
 // parallel sort changes nothing observable.
 func TestEngineSortParallelismDifferential(t *testing.T) {
@@ -120,11 +121,11 @@ func TestEngineSortParallelismDifferential(t *testing.T) {
 	}
 	var want *Result[string, string]
 	for _, par := range []int{1, 2, 4} {
-		for _, flow := range []DataflowMode{DataflowTyped, DataflowExternal} {
-			e := &Engine{Parallelism: par, Dataflow: flow, SpillBudget: 1 << 16, TmpDir: t.TempDir()}
-			res, err := sortHeavyJob().Run(e, input)
+		for _, budget := range []int64{0, 1 << 16} {
+			e := &Engine{Parallelism: par, SpillBudget: budget, TmpDir: t.TempDir()}
+			res, err := sortHeavyJob().RunContext(context.Background(), e, input)
 			if err != nil {
-				t.Fatalf("parallelism=%d dataflow=%v: %v", par, flow, err)
+				t.Fatalf("parallelism=%d budget=%d: %v", par, budget, err)
 			}
 			scrub(res)
 			if want == nil {
@@ -132,7 +133,7 @@ func TestEngineSortParallelismDifferential(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(want, res) {
-				t.Fatalf("parallelism=%d dataflow=%v: Result diverges from parallelism=1 typed baseline", par, flow)
+				t.Fatalf("parallelism=%d budget=%d: Result diverges from parallelism=1 in-memory baseline", par, budget)
 			}
 		}
 	}
@@ -199,7 +200,7 @@ func BenchmarkMapSortParallelism(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := j.Run(e, input); err != nil {
+				if _, err := j.RunContext(context.Background(), e, input); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -78,7 +78,7 @@ func TestRemoteDispatchMatchesLocal(t *testing.T) {
 	input := wordInput(m)
 	for _, combine := range []bool{false, true} {
 		t.Run(fmt.Sprintf("combine=%v", combine), func(t *testing.T) {
-			baseline, err := wordJob(r, combine).Run(&mapreduce.Engine{}, input)
+			baseline, err := wordJob(r, combine).RunContext(context.Background(), &mapreduce.Engine{}, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestRemoteDispatchMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := &mapreduce.Engine{Parallelism: 2, TmpDir: t.TempDir(), Remote: &localDispatcher{rr: rr}}
-			res, err := wordJob(r, combine).Run(e, input)
+			res, err := wordJob(r, combine).RunContext(context.Background(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestRemoteDispatchMatchesLocal(t *testing.T) {
 func TestRemoteDispatchErrorRetried(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, input)
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRemoteDispatchErrorRetried(t *testing.T) {
 	d.failReduces.Store(1) // first reduce dispatch dies
 	e := &mapreduce.Engine{Parallelism: 2, TmpDir: t.TempDir(), Remote: d}
 	e.Retry.BaseBackoff = 1
-	res, err := wordJob(r, false).Run(e, input)
+	res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRemoteDispatchErrorRetried(t *testing.T) {
 func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
-	baseline, err := wordJob(r, false).Run(&mapreduce.Engine{}, input)
+	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 			lastLog.Store(fmt.Sprintf(format, args...))
 		}),
 	}
-	res, err := wordJob(r, false).Run(e, input)
+	res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 	if err != nil {
 		t.Fatal(err)
 	}

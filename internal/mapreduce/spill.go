@@ -1,0 +1,794 @@
+package mapreduce
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sync"
+
+	"repro/internal/obs"
+	"repro/internal/runio"
+)
+
+// This file is the run store: the one place that knows where a typed
+// job's intermediate records reside. Map output is one thing — per map
+// task, zero or more sorted ERN1 runs plus an in-memory tail of sorted
+// buckets — and the three ways of running a job differ only in how much
+// of it is in which half:
+//
+//   - in memory (Engine.SpillBudget == 0): the tail is everything and
+//     nothing ever spills; the spiller is a plain append and the run
+//     touches no filesystem;
+//   - out of core (SpillBudget > 0): the spiller encodes each record
+//     once at emit time (runio codecs; exact byte-denominated budget
+//     accounting), and whenever the encoded bytes reach the budget it
+//     stable-sorts the batch by (reduce partition, key) — binary key
+//     code first, like every sort in the engine — and appends it as one
+//     run to the attempt's spill file;
+//   - distributed (Engine.Remote): the same attempt bodies execute on a
+//     worker, which hands its whole output back as a single run; the
+//     master keeps a replica file per map task (remote.go).
+//
+// A reducer merges, per map task, the partition's segment of every run
+// in run order and then the tail bucket. Runs are temporal segments of
+// one task's output, so that order reproduces the task's emission order
+// for equal keys: the stability tiebreak extends from (key, map task)
+// to (key, map task, run), and the merged stream is identical to the
+// all-in-memory sort. Segments are read through whatever io.ReaderAt
+// holds the run — the map task's still-open spill fd (a run is never
+// reopened), a replica file, or an HTTP range reader.
+//
+// Temp-file lifecycle: the run's mr-spill-* directory under
+// Engine.TmpDir is created at the first spill (or first replica) and
+// removed when the run returns, on every exit path. Each map *attempt*
+// spills into an attempt-scoped subdirectory (m0007-a001/), also
+// created at its first spill; the supervisor's commit step adopts the
+// directory by renaming it to the task's final name (m0007/), and a
+// failed or superseded attempt's directory is reaped instead — so
+// concurrent attempts of one task never collide and a retried task
+// never leaves stale runs behind.
+
+// runStore carries what the spillers, decoders and merge sources of one
+// run need: the job's partition and record order, the residency policy
+// (budget, temp dir) and the codecs. It is the (K, V)-typed half of
+// runState, split out because map contexts cannot name the job's
+// output type.
+type runStore[K, V any] struct {
+	r       int
+	part    func(K, int) int
+	cmp     func(a, b *Rec[K, V]) int
+	pools   *recPools[K, V]
+	limiter *sortLimiter
+
+	// obs/jobID carry the run's observability identity into spill and
+	// merge spans. nil/0 when observability is off — including always on
+	// the worker side of distributed execution, where tracing happens at
+	// the dist layer instead.
+	obs   *obs.Observer
+	jobID uint32
+
+	// budget > 0 bounds, in encoded bytes, what a map task buffers
+	// before it spills a run; 0 keeps everything in memory.
+	budget int64
+	tmpDir string
+
+	// The codecs are bound (bindCodecs) only when records can leave
+	// memory. shared is true when both implement runio.SharedDecoder, so
+	// merge sources read through the arena path (block strings, aliasing
+	// decoders, zero copies per record) instead of the byte path;
+	// codeWidth is the width of the key-code prefix of each on-disk
+	// record.
+	kc        runio.Codec[K]
+	vc        runio.Codec[V]
+	shared    bool
+	codeWidth int
+
+	dirOnce sync.Once
+	dir     string
+	dirErr  error
+}
+
+// runDir returns the run's temp directory, creating it on first use.
+func (rs *runStore[K, V]) runDir() (string, error) {
+	rs.dirOnce.Do(func() {
+		if rs.tmpDir != "" {
+			if err := os.MkdirAll(rs.tmpDir, 0o755); err != nil {
+				rs.dirErr = fmt.Errorf("create tmp dir: %w", err)
+				return
+			}
+		}
+		if rs.dir, rs.dirErr = os.MkdirTemp(rs.tmpDir, "mr-spill-*"); rs.dirErr != nil {
+			rs.dirErr = fmt.Errorf("create spill dir: %w", rs.dirErr)
+		}
+	})
+	return rs.dir, rs.dirErr
+}
+
+// removeRunDir reaps the run directory if the run ever created one; the
+// driver calls it once every attempt has been joined.
+func (rs *runStore[K, V]) removeRunDir() {
+	if rs.dir != "" {
+		os.RemoveAll(rs.dir)
+	}
+}
+
+// lookupCodec resolves the registered runio codec of one of a job's
+// record types, or explains which registration is missing.
+func lookupCodec[T any](job, role string) (runio.Codec[T], error) {
+	c, ok := runio.Lookup[T]()
+	if !ok {
+		return nil, fmt.Errorf("mapreduce: job %q: no runio codec registered for %s type %T, which spilling and distributed execution need (runio.Register it in the type's package)", job, role, *new(T))
+	}
+	return c, nil
+}
+
+// bindCodecs looks up the key and value codecs and fixes what they
+// decide: the arena read path when both support it, and the on-disk
+// key-code width.
+func (rs *runStore[K, V]) bindCodecs(job string, coded bool) (err error) {
+	if rs.kc, err = lookupCodec[K](job, "key"); err != nil {
+		return err
+	}
+	if rs.vc, err = lookupCodec[V](job, "value"); err != nil {
+		return err
+	}
+	_, kshared := rs.kc.(runio.SharedDecoder[K])
+	_, vshared := rs.vc.(runio.SharedDecoder[V])
+	rs.shared = kshared && vshared
+	if coded {
+		rs.codeWidth = 16
+	}
+	return nil
+}
+
+// appendRec appends one record's on-disk form: code ‖ key ‖ value.
+func (rs *runStore[K, V]) appendRec(dst []byte, rec *Rec[K, V]) []byte {
+	if rs.codeWidth != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, rec.code.Hi)
+		dst = binary.LittleEndian.AppendUint64(dst, rec.code.Lo)
+	}
+	dst = rs.kc.Append(dst, rec.Key)
+	return rs.vc.Append(dst, rec.Value)
+}
+
+// writeRun persists one map attempt's bucketed output as a single
+// sorted ERN1 run of its own (one segment per reduce partition) — how a
+// worker, or the master running a dispatched attempt itself, hands map
+// output back.
+func (rs *runStore[K, V]) writeRun(path string, buckets [][]Rec[K, V]) (*runio.Info, error) {
+	w, err := runio.Create(path, len(buckets), rs.codeWidth)
+	if err != nil {
+		return nil, err
+	}
+	var buf []byte
+	for p, b := range buckets {
+		for i := range b {
+			buf = rs.appendRec(buf[:0], &b[i])
+			if err := w.Append(p, buf); err != nil {
+				w.Abort()
+				os.Remove(path)
+				return nil, err
+			}
+		}
+	}
+	info, err := w.Finish()
+	if err != nil {
+		os.Remove(path)
+		return nil, err
+	}
+	return info, nil
+}
+
+// ---- the spiller ----
+
+// spiller buffers one generation of one map attempt's emitted records.
+// With a budget it also keeps them encoded — once, at emit time, so the
+// accounting is exact and nothing is re-encoded at spill — and flushes a
+// sorted run whenever the encoded bytes reach the budget. Without one,
+// add is a plain append: the encode is what only a task that can spill
+// needs.
+type spiller[K, V any] struct {
+	rs      *runStore[K, V]
+	metrics *TaskMetrics
+	hook    *taskHook
+	// task/attempt identify the owning attempt in spill trace spans and
+	// in its spill directory's name; dir points at that directory's
+	// path in the attempt's output, shared by its generations and set
+	// by whichever spills first.
+	task    int
+	attempt int
+	dir     *string
+	prefix  string // run generation within the attempt ("g0"/"g1")
+
+	recs  []Rec[K, V]
+	enc   []byte
+	spans []extSpan
+	runs  []*runio.Info
+	err   error // sticky: first spill failure stops the task
+
+	// All of a generation's runs are appended as sections of one spill
+	// file sharing one fd (runio.NewRunWriter), created lazily at the
+	// first spill. The fd is kept open — the map-side combine and the
+	// reduce phase read segments through it via pread — so a run costs
+	// zero file-lifecycle syscalls beyond its writes, instead of the
+	// create/close/reopen/unlink per run that dominated small-budget
+	// profiles.
+	f       *os.File
+	path    string
+	fileOff int64
+}
+
+type extSpan struct{ off, end int64 }
+
+func (rs *runStore[K, V]) newSpiller(dir *string, prefix string, task, attempt int, metrics *TaskMetrics, hook *taskHook) *spiller[K, V] {
+	return &spiller[K, V]{
+		rs: rs, metrics: metrics, hook: hook,
+		task: task, attempt: attempt, dir: dir, prefix: prefix,
+		recs: rs.pools.getRecBuf(),
+	}
+}
+
+// add appends one record, spilling the buffered batch when the encoded
+// bytes reach the budget. Errors are sticky (checked by the task after
+// the map loop) because Emit has no error channel.
+func (sp *spiller[K, V]) add(rec Rec[K, V]) {
+	rs := sp.rs
+	if rs.budget == 0 {
+		sp.recs = append(sp.recs, rec)
+		return
+	}
+	if sp.err != nil {
+		return
+	}
+	off := int64(len(sp.enc))
+	sp.enc = rs.appendRec(sp.enc, &rec)
+	sp.spans = append(sp.spans, extSpan{off: off, end: int64(len(sp.enc))})
+	sp.recs = append(sp.recs, rec)
+	if int64(len(sp.enc)) >= rs.budget {
+		sp.err = sp.spill()
+	}
+}
+
+// takeRecs hands the buffered tail to the caller and detaches it from
+// the spiller (the encoded copy is dropped).
+func (sp *spiller[K, V]) takeRecs() []Rec[K, V] {
+	recs := sp.recs
+	sp.recs, sp.enc, sp.spans = nil, nil, nil
+	return recs
+}
+
+// takeFile hands the generation's runs and their open spill file to the
+// attempt's output, which closes the fd at commit/discard time.
+func (sp *spiller[K, V]) takeFile() ([]*runio.Info, *os.File) {
+	f := sp.f
+	sp.f, sp.path = nil, ""
+	return sp.runs, f
+}
+
+// discard releases whatever the spiller still owns: a generation that
+// the map-side combine has drained, or any generation of a failed
+// attempt. Idempotent, and a no-op on a spiller that never came to be.
+func (sp *spiller[K, V]) discard() {
+	if sp == nil {
+		return
+	}
+	if sp.f != nil {
+		sp.f.Close()
+		os.Remove(sp.path)
+		sp.f = nil
+	}
+	sp.rs.pools.putRecBuf(sp.takeRecs())
+}
+
+// recordSpill emits a spill-span event with the owning attempt's
+// identity. Callers guard on rs.obs.
+func (sp *spiller[K, V]) recordSpill(typ obs.EventType, arg int64) {
+	sp.rs.obs.Tracer.Record(obs.Event{
+		Type: typ, Kind: obs.KSpill, Phase: obs.PhaseMap, Job: sp.rs.jobID,
+		Task: int32(sp.task), Attempt: int32(sp.attempt), Arg: arg,
+	})
+}
+
+// sortedPerm computes each buffered record's reduce partition and a
+// permutation that orders the batch by (partition, key), stable in
+// emission order. Both slices are pooled; the caller returns them.
+func (sp *spiller[K, V]) sortedPerm() (parts, perm []int32, err error) {
+	rs := sp.rs
+	n := len(sp.recs)
+	parts = getInt32Buf(n)
+	perm = getInt32Buf(n)
+	for i := range sp.recs {
+		p := rs.part(sp.recs[i].Key, rs.r)
+		if p < 0 || p >= rs.r {
+			putInt32Buf(parts)
+			putInt32Buf(perm)
+			return nil, nil, errBadPartition(p, rs.r)
+		}
+		parts[i] = int32(p)
+		perm[i] = int32(i)
+	}
+	// Sort the permutation with the shared stable merge sort — parallel
+	// when the run's limiter has free workers, bitwise-identical to the
+	// serial order either way (parsort.go).
+	cmp := func(x, y *int32) int {
+		a, b := *x, *y
+		if parts[a] != parts[b] {
+			return int(parts[a]) - int(parts[b])
+		}
+		return rs.cmp(&sp.recs[a], &sp.recs[b])
+	}
+	scratch := getInt32Buf(n)
+	stableSortParallelG(perm, scratch, rs.limiter, cmp)
+	putInt32Buf(scratch)
+	return parts, perm, nil
+}
+
+// openFile creates the generation's spill file in the attempt's spill
+// directory, creating that (and the run's directory) first if this is
+// the attempt's first spill.
+func (sp *spiller[K, V]) openFile() error {
+	if *sp.dir == "" {
+		root, err := sp.rs.runDir()
+		if err != nil {
+			return err
+		}
+		dir := filepath.Join(root, fmt.Sprintf("m%04d-a%03d", sp.task, sp.attempt))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			return fmt.Errorf("create spill dir: %w", err)
+		}
+		*sp.dir = dir
+	}
+	path := filepath.Join(*sp.dir, sp.prefix+".runs")
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return fmt.Errorf("create spill file: %w", err)
+	}
+	sp.f, sp.path = f, path
+	return nil
+}
+
+// spill writes the buffered batch as one sorted run and resets the
+// buffers (capacity retained: the next batch will be about as large).
+func (sp *spiller[K, V]) spill() error {
+	if len(sp.recs) == 0 {
+		return nil
+	}
+	if err := sp.hook.fire(FaultSpill); err != nil {
+		return err
+	}
+	rs := sp.rs
+	if rs.obs != nil {
+		sp.recordSpill(obs.EvBegin, int64(len(sp.enc)))
+		// Arg mirrors the begin event's buffered-byte count; the span's
+		// duration covers the sort and the run write together.
+		defer sp.recordSpill(obs.EvEnd, int64(len(sp.enc)))
+	}
+	parts, perm, err := sp.sortedPerm()
+	if err != nil {
+		return err
+	}
+	defer putInt32Buf(parts)
+	defer putInt32Buf(perm)
+	if sp.f == nil {
+		if err := sp.openFile(); err != nil {
+			return err
+		}
+	}
+	w, err := runio.NewRunWriter(sp.f, sp.fileOff, rs.r, rs.codeWidth)
+	if err != nil {
+		return err
+	}
+	for _, i := range perm {
+		s := sp.spans[i]
+		if err := w.Append(int(parts[i]), sp.enc[s.off:s.end]); err != nil {
+			w.Abort()
+			return err
+		}
+	}
+	info, err := w.Finish()
+	if err != nil {
+		return err
+	}
+	sp.fileOff += info.FileBytes
+	sp.runs = append(sp.runs, info)
+	sp.metrics.SpillRuns++
+	sp.metrics.SpillBytesWritten += info.FileBytes
+	if o := rs.obs; o != nil {
+		// Obs counters count every attempt's spills as they happen;
+		// TaskMetrics above is attempt-private and published only on
+		// commit — that asymmetry is deliberate (obs is observational,
+		// TaskMetrics is inside the differential contract).
+		o.Engine.SpillRuns.Inc()
+		o.Engine.SpillBytesWritten.Add(info.FileBytes)
+	}
+	clear(sp.recs)
+	sp.recs = sp.recs[:0]
+	sp.enc = sp.enc[:0]
+	sp.spans = sp.spans[:0]
+	return nil
+}
+
+// ---- reading runs back: decoder, merge sources, the merge heap ----
+
+// recDecoder decodes one on-disk record (code ‖ key ‖ value) into a
+// Rec. On the byte path, decoded values never alias the read buffer
+// (codec contract); on the shared path (kdec/vdec non-nil), decoded
+// strings alias the reader's immutable blocks (SharedDecoder contract).
+type recDecoder[K, V any] struct {
+	kc        runio.Codec[K]
+	vc        runio.Codec[V]
+	codeWidth int
+	kdec      func(string) (K, int, error)
+	vdec      func(string) (V, int, error)
+}
+
+// newRecDecoder builds the per-attempt decoder; the shared decode
+// functions are stateful (arenas) and single-goroutine, hence one
+// decoder per task attempt, shared across that attempt's sources.
+func (rs *runStore[K, V]) newRecDecoder() *recDecoder[K, V] {
+	d := &recDecoder[K, V]{kc: rs.kc, vc: rs.vc, codeWidth: rs.codeWidth}
+	if rs.shared {
+		d.kdec = rs.kc.(runio.SharedDecoder[K]).NewSharedDecoder()
+		d.vdec = rs.vc.(runio.SharedDecoder[V]).NewSharedDecoder()
+	}
+	return d
+}
+
+func (d *recDecoder[K, V]) decode(b []byte, dst *Rec[K, V]) error {
+	if d.codeWidth != 0 {
+		if len(b) < d.codeWidth {
+			return fmt.Errorf("%w: record shorter than key code", runio.ErrCorrupt)
+		}
+		dst.code.Hi = binary.LittleEndian.Uint64(b)
+		dst.code.Lo = binary.LittleEndian.Uint64(b[8:])
+		b = b[d.codeWidth:]
+	} else {
+		dst.code = Code{}
+	}
+	k, n, err := d.kc.Decode(b)
+	if err != nil {
+		return fmt.Errorf("decode key: %w", err)
+	}
+	v, n2, err := d.vc.Decode(b[n:])
+	if err != nil {
+		return fmt.Errorf("decode value: %w", err)
+	}
+	if n+n2 != len(b) {
+		return fmt.Errorf("%w: %d trailing record bytes", runio.ErrCorrupt, len(b)-n-n2)
+	}
+	dst.Key, dst.Value = k, v
+	return nil
+}
+
+// decodeShared is decode over a record string from the arena read path.
+func (d *recDecoder[K, V]) decodeShared(b string, dst *Rec[K, V]) error {
+	if d.codeWidth != 0 {
+		if len(b) < d.codeWidth {
+			return fmt.Errorf("%w: record shorter than key code", runio.ErrCorrupt)
+		}
+		dst.code.Hi, _ = runio.Uint64LEString(b)
+		dst.code.Lo, _ = runio.Uint64LEString(b[8:])
+		b = b[d.codeWidth:]
+	} else {
+		dst.code = Code{}
+	}
+	k, n, err := d.kdec(b)
+	if err != nil {
+		return fmt.Errorf("decode key: %w", err)
+	}
+	v, n2, err := d.vdec(b[n:])
+	if err != nil {
+		return fmt.Errorf("decode value: %w", err)
+	}
+	if n+n2 != len(b) {
+		return fmt.Errorf("%w: %d trailing record bytes", runio.ErrCorrupt, len(b)-n-n2)
+	}
+	//erlint:ignore arenaretain engine-internal transient: the record aliases the block only until the group callback returns; sinks clone what they retain
+	dst.Key, dst.Value = k, v
+	return nil
+}
+
+// SegmentSource locates one map task's segment of one sorted run for a
+// reduce attempt. R is an open file or an HTTP range reader; runio's
+// segment readers bound every read to Seg.
+type SegmentSource struct {
+	R    io.ReaderAt
+	Seg  runio.Segment
+	Path string // names the run in corruption errors
+}
+
+// reduceInput is one pre-sorted input of a merge: one partition segment
+// of an ERN1 run, or — when bucket is non-nil — a map task's in-memory
+// tail bucket.
+type reduceInput[K, V any] struct {
+	SegmentSource
+	bucket []Rec[K, V]
+}
+
+func (in *reduceInput[K, V]) records() int64 {
+	if in.bucket != nil {
+		return int64(len(in.bucket))
+	}
+	return in.Seg.Records
+}
+
+// mergeSource streams one pre-sorted sequence of records into the merge
+// heap. next returns the source's next record, valid until the call
+// after, or nil once the source is exhausted.
+type mergeSource[K, V any] interface {
+	next() (*Rec[K, V], error)
+}
+
+// bucketSource streams one in-memory tail bucket; its records are handed
+// out in place.
+type bucketSource[K, V any] struct {
+	recs []Rec[K, V]
+}
+
+func (s *bucketSource[K, V]) next() (*Rec[K, V], error) {
+	if len(s.recs) == 0 {
+		return nil, nil
+	}
+	rec := &s.recs[0]
+	s.recs = s.recs[1:]
+	return rec, nil
+}
+
+// segSource streams one partition segment of one run on the byte path
+// (a codec without a shared decoder).
+type segSource[K, V any] struct {
+	sr  *runio.SegmentReader
+	dec *recDecoder[K, V]
+	cur Rec[K, V]
+}
+
+func (s *segSource[K, V]) next() (*Rec[K, V], error) {
+	b, err := s.sr.Next()
+	if err == io.EOF {
+		return nil, nil
+	}
+	if err == nil {
+		err = s.dec.decode(b, &s.cur)
+	}
+	return &s.cur, err
+}
+
+// sharedSegSource is segSource on the arena read path: records arrive
+// as substrings of immutable blocks and decode without copying. The
+// reader is embedded by value so the sources of one merge are one slab.
+type sharedSegSource[K, V any] struct {
+	sr  runio.SharedSegmentReader
+	dec *recDecoder[K, V]
+	cur Rec[K, V]
+}
+
+func (s *sharedSegSource[K, V]) next() (*Rec[K, V], error) {
+	b, err := s.sr.Next()
+	if err == io.EOF {
+		return nil, nil
+	}
+	if err == nil {
+		err = s.dec.decodeShared(b, &s.cur)
+	}
+	return &s.cur, err
+}
+
+// merger is the engine's one k-way merge of Recs: a binary min-heap of
+// sources keyed by (head record, source index), streamed out one key
+// group at a time. The source-index tiebreak is the order the inputs
+// are listed in — (map task, run, tail) — which makes the merged stream
+// identical to concatenating the inputs in that order and stable-
+// sorting: the Hadoop merge semantics BlockSplit's reduce function
+// depends on (see DESIGN.md). With a binary key coding, every heap
+// comparison is one or two uint64 compares.
+//
+// Heads are pointers — into the bucket for in-memory sources, at the
+// source's decode slot otherwise — so a record is copied exactly once,
+// into the group buffer. A merger lives on its attempt's stack and its
+// sources in per-kind slabs, so a merge allocates a handful of times
+// however many inputs it has; reset reuses all of it for the next
+// merge of the same attempt (the map-side combine runs one per
+// partition).
+type merger[I, K, V, O any] struct {
+	st   *runState[I, K, V, O]
+	heap []mergeItem[K, V]
+	// advance is set once the top's head has been consumed: its source
+	// moves on at the next peek, not before — the head must stay valid
+	// while the caller still reads it.
+	advance bool
+	group   []Rec[K, V]
+
+	// Attempt cancellation is polled every cancelCheckMask+1 records,
+	// and only when the context is cancellable at all.
+	actx  context.Context
+	check bool
+	n     int
+
+	dec     *recDecoder[K, V]
+	buckets []bucketSource[K, V]
+	segs    []segSource[K, V]
+	shared  []sharedSegSource[K, V]
+}
+
+type mergeItem[K, V any] struct {
+	head *Rec[K, V]
+	src  mergeSource[K, V]
+	seq  int32
+}
+
+func (mg *merger[I, K, V, O]) init(st *runState[I, K, V, O], actx context.Context) {
+	mg.st, mg.actx, mg.check = st, actx, actx.Done() != nil
+}
+
+// release returns the pooled group buffer; deferred by every merging
+// attempt body, so it runs on the error and cancel paths too.
+func (mg *merger[I, K, V, O]) release() {
+	mg.st.pools.putRecBuf(mg.group)
+	mg.group = nil
+}
+
+// resized returns s with length n, reallocating only when it must: the
+// heap holds pointers into the slabs, so they are sized before use and
+// never grown by append.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reset points the merger at a new set of inputs, given in tiebreak
+// order, and primes the heap with each one's first record. Segment
+// bytes count as read here, on the attempt's metrics and the obs
+// counter alike. Segments decode on the arena read path when the
+// codecs allow, whatever io.ReaderAt they are read through.
+func (mg *merger[I, K, V, O]) reset(inputs []reduceInput[K, V], metrics *TaskMetrics) error {
+	st := mg.st
+	nb := 0
+	for i := range inputs {
+		if inputs[i].bucket != nil {
+			nb++
+		}
+	}
+	mg.buckets = resized(mg.buckets, nb)
+	if ns := len(inputs) - nb; ns > 0 {
+		if mg.dec == nil {
+			mg.dec = st.newRecDecoder()
+		}
+		if st.shared {
+			mg.shared = resized(mg.shared, ns)
+		} else {
+			mg.segs = resized(mg.segs, ns)
+		}
+	}
+	var spillRead *obs.Counter // nil-safe handle when observability is off
+	if st.obs != nil {
+		spillRead = st.obs.Engine.SpillBytesRead
+	}
+	if mg.group == nil {
+		mg.group = st.pools.getRecBuf()
+	}
+	mg.heap = resized(mg.heap, len(inputs))[:0]
+	mg.advance = false
+	nb, ns := 0, 0
+	for i := range inputs {
+		in := &inputs[i]
+		var src mergeSource[K, V]
+		switch {
+		case in.bucket != nil:
+			mg.buckets[nb] = bucketSource[K, V]{recs: in.bucket}
+			src = &mg.buckets[nb]
+			nb++
+		case in.Seg.Records == 0:
+			continue
+		case st.shared:
+			s := &mg.shared[ns]
+			s.dec = mg.dec
+			s.sr.Init(in.R, in.Seg, in.Path)
+			src = s
+			ns++
+		default:
+			mg.segs[ns] = segSource[K, V]{sr: runio.NewSegmentReader(in.R, in.Seg, in.Path), dec: mg.dec}
+			src = &mg.segs[ns]
+			ns++
+		}
+		if in.bucket == nil {
+			metrics.SpillBytesRead += in.Seg.Len
+			spillRead.Add(in.Seg.Len)
+		}
+		head, err := src.next()
+		if err != nil {
+			return err
+		}
+		if head != nil {
+			mg.heap = append(mg.heap, mergeItem[K, V]{head: head, src: src, seq: int32(i)})
+		}
+	}
+	for i := len(mg.heap)/2 - 1; i >= 0; i-- {
+		mg.siftDown(i)
+	}
+	return nil
+}
+
+func (mg *merger[I, K, V, O]) less(x, y *mergeItem[K, V]) bool {
+	if c := mg.st.cmpRec(x.head, y.head); c != 0 {
+		return c < 0
+	}
+	return x.seq < y.seq
+}
+
+func (mg *merger[I, K, V, O]) siftDown(i int) {
+	h := mg.heap
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		s := l
+		if r := l + 1; r < n && mg.less(&h[r], &h[l]) {
+			s = r
+		}
+		if !mg.less(&h[s], &h[i]) {
+			return
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
+}
+
+// peek returns the globally smallest remaining record without consuming
+// it, or nil once every source is drained.
+func (mg *merger[I, K, V, O]) peek() (*Rec[K, V], error) {
+	if mg.advance {
+		mg.advance = false
+		top := &mg.heap[0]
+		head, err := top.src.next()
+		if err != nil {
+			return nil, err
+		}
+		if head != nil {
+			top.head = head
+		} else {
+			last := len(mg.heap) - 1
+			mg.heap[0] = mg.heap[last]
+			mg.heap[last] = mergeItem[K, V]{} // drop source + record refs
+			mg.heap = mg.heap[:last]
+		}
+		if len(mg.heap) > 1 {
+			mg.siftDown(0)
+		}
+	}
+	if len(mg.heap) == 0 {
+		return nil, nil
+	}
+	return mg.heap[0].head, nil
+}
+
+// nextGroup returns the next key group of the merged stream — the
+// records one reduce (or combine) call receives, in merged order — or
+// an empty slice once the inputs are drained. The slice is the merger's
+// reused buffer: valid until the next call.
+func (mg *merger[I, K, V, O]) nextGroup() ([]Rec[K, V], error) {
+	group := mg.group[:0]
+	for {
+		if mg.check && mg.n&cancelCheckMask == 0 && mg.actx.Err() != nil {
+			return nil, mg.actx.Err()
+		}
+		mg.n++
+		rec, err := mg.peek()
+		if err != nil {
+			return nil, err
+		}
+		if rec == nil || (len(group) > 0 && !mg.st.sameGroup(&group[0], rec)) {
+			break
+		}
+		group = append(group, *rec)
+		mg.advance = true
+	}
+	mg.group = group
+	return group, nil
+}

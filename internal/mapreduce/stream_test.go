@@ -29,14 +29,11 @@ func sortedPairs(ps []mapreduce.Pair[string, int]) []mapreduce.Pair[string, int]
 
 func TestRunStreamMatchesRunContext(t *testing.T) {
 	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, mapreduce.DataflowExternal,
+		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, dataflowSpilling,
 	} {
 		for _, par := range []int{1, 4} {
-			e := &mapreduce.Engine{Parallelism: par, Dataflow: dataflow}
-			if dataflow == mapreduce.DataflowExternal {
-				e.SpillBudget = 64
-				e.TmpDir = t.TempDir()
-			}
+			e, _ := engineFor(t, dataflow)
+			e.Parallelism = par
 			input := wordInput(3)
 			collected, err := wordJob(4, false).RunContext(context.Background(), e, input)
 			if err != nil {
@@ -78,13 +75,9 @@ func TestRunStreamMatchesRunContext(t *testing.T) {
 func TestRunStreamSinkErrorFailsRun(t *testing.T) {
 	sinkErr := errors.New("sink full")
 	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, mapreduce.DataflowExternal,
+		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, dataflowSpilling,
 	} {
-		e := &mapreduce.Engine{Parallelism: 2, Dataflow: dataflow}
-		if dataflow == mapreduce.DataflowExternal {
-			e.SpillBudget = 64
-			e.TmpDir = t.TempDir()
-		}
+		e, _ := engineFor(t, dataflow)
 		n := 0
 		_, err := wordJob(4, false).RunStream(context.Background(), e, wordInput(3), func(p mapreduce.Pair[string, int]) error {
 			n++

@@ -61,18 +61,17 @@ func (st *runState[I, K, V, O]) sortBuckets(buckets [][]Rec[K, V]) {
 
 // ---- pooled typed scratch buffers ----
 
-// recPools holds the reusable record and run-list buffers of one
-// (K, V) instantiation. The capacity bound, clearing discipline, and
-// box recycling mirror the boxed pools in sort.go (slicePool).
+// recPools holds the reusable record buffers of one (K, V)
+// instantiation. The capacity bound, clearing discipline, and box
+// recycling mirror the boxed pools in sort.go (slicePool).
 type recPools[K, V any] struct {
-	recBuf  slicePool[Rec[K, V]]
-	runsBuf slicePool[[]Rec[K, V]]
+	recBuf slicePool[Rec[K, V]]
 }
 
 // recPoolRegistry maps a Rec[K, V] type to its process-wide *recPools:
 // generic package-level variables do not exist in Go, so this registry
 // is how typed scratch buffers survive across runs and jobs the way the
-// boxed engine's global pools do. Looked up once per Run, never on a
+// boxed engine's global pools do. Looked up once per run, never on a
 // per-record path.
 var recPoolRegistry sync.Map // reflect.Type -> *recPools[K, V]
 
@@ -87,7 +86,7 @@ func poolFor[K, V any]() *recPools[K, V] {
 
 // outPoolRegistry pools reduce-output buffers per output type O. A
 // reduce task's emissions are copied into Result.Output at the end of
-// Run, so the per-task buffers themselves are recyclable.
+// the run, so the per-task buffers themselves are recyclable.
 var outPoolRegistry sync.Map // reflect.Type -> *slicePool[O]
 
 func outPoolFor[O any]() *slicePool[O] {
@@ -126,20 +125,4 @@ func (p *recPools[K, V]) putRecBuf(b []Rec[K, V]) {
 	}
 	clear(b[:cap(b)])
 	p.recBuf.put(b[:0])
-}
-
-// getRunsBuf returns an empty [][]Rec with capacity for at least n runs.
-func (p *recPools[K, V]) getRunsBuf(n int) [][]Rec[K, V] {
-	if b := p.runsBuf.get(); cap(b) >= n {
-		return b[:0]
-	}
-	return make([][]Rec[K, V], 0, n)
-}
-
-func (p *recPools[K, V]) putRunsBuf(b [][]Rec[K, V]) {
-	if cap(b) == 0 || cap(b) > maxPooledCap {
-		return
-	}
-	clear(b[:cap(b)]) // drop bucket references
-	p.runsBuf.put(b[:0])
 }
