@@ -117,7 +117,11 @@ func FromCells(cells []Cell, m int) (*Matrix, error) {
 		if c.Count < 0 {
 			return nil, fmt.Errorf("bdm: cell %q partition %d has negative count %d", c.BlockKey, c.Partition, c.Count)
 		}
-		keys = append(keys, c.BlockKey)
+		// Reduce output arrives grouped by block: dropping adjacent
+		// repeats first leaves the sort one key per block, not per cell.
+		if len(keys) == 0 || keys[len(keys)-1] != c.BlockKey {
+			keys = append(keys, c.BlockKey)
+		}
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)

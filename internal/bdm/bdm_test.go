@@ -113,7 +113,8 @@ func TestCellsRoundTrip(t *testing.T) {
 
 // TestMRJobAgreesWithDirectBuilder is the core BDM property: Algorithm 3
 // executed on the MR engine produces exactly the direct computation, for
-// random inputs, any reduce-task count, with and without the combiner.
+// random inputs, any reduce-task count, with and without the per-task
+// aggregation of footnote 2 (UseCombiner).
 func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
@@ -131,7 +132,7 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 		}
 		for _, combiner := range []bool{false, true} {
 			r := rng.Intn(7) + 1
-			got, side, _, err := Compute(&mapreduce.Engine{}, parts, JobOptions{
+			got, side, res, err := Compute(&mapreduce.Engine{}, parts, JobOptions{
 				Attr: "k", KeyFunc: blocking.Identity(), NumReduceTasks: r, UseCombiner: combiner,
 			})
 			if err != nil {
@@ -139,6 +140,15 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Cells(), want.Cells()) {
 				t.Fatalf("trial %d (r=%d combiner=%v): MR cells differ", trial, r, combiner)
+			}
+			// Footnote 2: one map-output record per non-zero cell instead
+			// of one per entity.
+			wantOut := n
+			if combiner {
+				wantOut = len(want.Cells())
+			}
+			if res.MapOutputRecords != int64(wantOut) {
+				t.Fatalf("trial %d (combiner=%v): MapOutputRecords = %d, want %d", trial, combiner, res.MapOutputRecords, wantOut)
 			}
 			// Side output preserves partitioning and annotates keys.
 			for p := range parts {

@@ -55,14 +55,17 @@ type JobOptions struct {
 	KeyFunc blocking.KeyFunc
 	// NumReduceTasks is r for the BDM job.
 	NumReduceTasks int
-	// UseCombiner enables the frequency-aggregating combiner the paper
-	// suggests as an optimization (footnote 2).
+	// UseCombiner enables the optimization the paper suggests in
+	// footnote 2 — aggregate the frequencies per map task: the mapper
+	// counts its partition's entities per block and emits one record per
+	// non-zero matrix cell at end of input, instead of a 1 per entity.
 	UseCombiner bool
 }
 
 // Job returns the MapReduce job of Algorithm 3. The map function
 // computes each entity's blocking key, side-writes the annotated entity
-// for Job 2, and emits (blockingKey.partitionIndex, 1). Input records
+// for Job 2, and emits (blockingKey.partitionIndex, 1) — or, with
+// UseCombiner, one (blockingKey.partitionIndex, n) per block. Input records
 // are annotated entities whose key is ignored (pass "" when running the
 // job standalone). Partitioning is by blocking key only so all cells of
 // one block are produced by the same reduce task; sort and group use
@@ -74,11 +77,15 @@ func Job(opts JobOptions) *mapreduce.Job[Annotated, Key, int, CountRecord] {
 	if opts.NumReduceTasks <= 0 {
 		panic("bdm: JobOptions.NumReduceTasks must be > 0")
 	}
-	job := &mapreduce.Job[Annotated, Key, int, CountRecord]{
+	return &mapreduce.Job[Annotated, Key, int, CountRecord]{
 		Name:           "bdm",
 		NumReduceTasks: opts.NumReduceTasks,
 		NewMapper: func() mapreduce.Mapper[Annotated, Key, int] {
-			return &bdmMapper{attr: opts.Attr, keyFunc: opts.KeyFunc}
+			m := &bdmMapper{attr: opts.Attr, keyFunc: opts.KeyFunc}
+			if opts.UseCombiner {
+				m.cell = make(map[string]int)
+			}
+			return m
 		},
 		NewReducer: func() mapreduce.Reducer[Key, int, CountRecord] {
 			return &countReducer{}
@@ -91,16 +98,21 @@ func Job(opts JobOptions) *mapreduce.Job[Annotated, Key, int, CountRecord] {
 		Group:  compareKeys,
 		Coding: keyCoding,
 	}
-	if opts.UseCombiner {
-		job.NewCombiner = func() mapreduce.Combiner[Annotated, Key, int] { return &countCombiner{} }
-	}
-	return job
 }
 
 type bdmMapper struct {
 	attr      string
 	keyFunc   blocking.KeyFunc
 	partition int
+
+	// The per-task count table of footnote 2 (cell is nil without
+	// UseCombiner): cell maps a block to its slot in blocks/counts, which
+	// are in first-seen order so that Close emits deterministically. It
+	// holds one entry per distinct block of the partition — one column of
+	// the matrix the planner holds whole anyway.
+	cell   map[string]int
+	blocks []string
+	counts []int
 }
 
 func (m *bdmMapper) Configure(_, _, partitionIndex int) { m.partition = partitionIndex }
@@ -110,12 +122,33 @@ func (m *bdmMapper) Map(ctx *mapreduce.MapContext[Annotated, Key, int], rec Anno
 	blockKey := m.keyFunc(e.Attr(m.attr))
 	// additionalOutput: the annotated entity for the second MR job.
 	ctx.SideEmit(Annotated{Key: blockKey, Value: e})
-	ctx.Emit(Key{BlockKey: blockKey, Partition: m.partition}, 1)
+	if m.cell == nil {
+		ctx.Emit(Key{BlockKey: blockKey, Partition: m.partition}, 1)
+		return
+	}
+	i, ok := m.cell[blockKey]
+	if !ok {
+		i = len(m.blocks)
+		m.cell[blockKey] = i
+		m.blocks = append(m.blocks, blockKey)
+		m.counts = append(m.counts, 0)
+	}
+	m.counts[i]++
 }
 
-// countReducer sums the 1s (or partial sums from a combiner) for one
+// Close implements mapreduce.MapCloser: one record per non-zero cell of
+// the task's matrix column.
+func (m *bdmMapper) Close(ctx *mapreduce.MapContext[Annotated, Key, int]) {
+	for i, blockKey := range m.blocks {
+		ctx.Emit(Key{BlockKey: blockKey, Partition: m.partition}, m.counts[i])
+	}
+}
+
+// countReducer sums the 1s (or per-task counts) for one
 // (block, partition) group and emits a cell record.
-type countReducer struct{}
+type countReducer struct {
+	block string // the current block's key, cloned once
+}
 
 func (c *countReducer) Configure(_, _, _ int) {}
 
@@ -125,24 +158,14 @@ func (c *countReducer) Reduce(ctx *mapreduce.ReduceContext[CountRecord], key Key
 		sum += v.Value
 	}
 	// The emitted record outlives the reduce call; clone the block key,
-	// which on the external dataflow's arena read path aliases a decode
-	// block (copy-what-you-retain). One clone per matrix cell.
-	key.BlockKey = strings.Clone(key.BlockKey)
-	ctx.Emit(CountRecord{Key: key, Value: sum})
-}
-
-// countCombiner is the combiner form of countReducer: it re-emits the
-// composite key with the partial count.
-type countCombiner struct{}
-
-func (c *countCombiner) Configure(_, _, _ int) {}
-
-func (c *countCombiner) Combine(ctx *mapreduce.MapContext[Annotated, Key, int], key Key, values []mapreduce.Rec[Key, int]) {
-	sum := 0
-	for _, v := range values {
-		sum += v.Value
+	// which on the arena read path aliases a decode block
+	// (copy-what-you-retain). The cells of a block reach a reduce task
+	// consecutively, so one clone serves them all.
+	if key.BlockKey != c.block {
+		c.block = strings.Clone(key.BlockKey)
 	}
-	ctx.Emit(key, sum)
+	key.BlockKey = c.block
+	ctx.Emit(CountRecord{Key: key, Value: sum})
 }
 
 // Compute runs Algorithm 3 over the partitioned input — the pre-context

@@ -95,8 +95,8 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 		if got := side[1][4].Key; got != "z" {
 			t.Errorf("M's side-output key = %q, want z", got)
 		}
-		// Combiner compresses the map output: one pair per non-zero
-		// (block, partition) cell instead of one per entity.
+		// Aggregating per map task compresses the map output: one pair
+		// per non-zero (block, partition) cell instead of one per entity.
 		if combiner && res.MapOutputRecords != 8 {
 			t.Errorf("combined map output = %d records, want 8 cells", res.MapOutputRecords)
 		}

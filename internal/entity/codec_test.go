@@ -1,6 +1,7 @@
 package entity
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,5 +123,60 @@ func TestReadPartitionsCSV(t *testing.T) {
 	}
 	if _, err := ReadPartitionsCSV(strings.NewReader(csv), 0); err == nil {
 		t.Fatal("m=0 accepted")
+	}
+}
+
+// The loaders that keep every row carve attribute arrays from slabs and
+// collect rows in chunks; neither may show in what they return.
+func TestReadPartitionsCSVLarge(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("id,title,price\n")
+	const n = 10_000 // several chunks and slabs, the last ones partial
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "p%d,title %d,%d\n", i, i, i%7)
+	}
+	all, err := ReadCSV(strings.NewReader(b.String()))
+	if err != nil || len(all) != n {
+		t.Fatalf("ReadCSV: %d rows, err %v", len(all), err)
+	}
+	var scanned []Entity
+	if err := ScanCSV(strings.NewReader(b.String()), func(e Entity) error {
+		scanned = append(scanned, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all, scanned) {
+		t.Fatal("ReadCSV and ScanCSV disagree")
+	}
+	for _, m := range []int{1, 3, 4, 7} {
+		ps, err := ReadPartitionsCSV(strings.NewReader(b.String()), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := SplitRoundRobin(all, m); !reflect.DeepEqual(ps, want) {
+			t.Fatalf("m=%d: ReadPartitionsCSV differs from SplitRoundRobin", m)
+		}
+		for p := range ps {
+			if len(ps[p]) != cap(ps[p]) {
+				t.Fatalf("m=%d: partition %d has %d rows in a %d-row array", m, p, len(ps[p]), cap(ps[p]))
+			}
+		}
+	}
+	// Rows are neighbours in a slab: growing one must not reach the next.
+	grown := all[0]
+	grown.setAttr("zzz", "x")
+	if grown.Attr("zzz") != "x" || !reflect.DeepEqual(all[1], scanned[1]) {
+		t.Fatalf("row 1 after growing row 0: %v", all[1])
+	}
+}
+
+func TestReadPartitionsCSVFewRows(t *testing.T) {
+	ps, err := ReadPartitionsCSV(strings.NewReader("id,title\np0,a\np1,b\n"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 4 || ps.Total() != 2 || len(ps[0]) != 1 || len(ps[1]) != 1 || ps[2] != nil || ps[3] != nil {
+		t.Fatalf("ReadPartitionsCSV = %v", ps)
 	}
 }

@@ -40,7 +40,7 @@ type DistParams struct {
 	Threshold float64 `json:"threshold"`
 	// R is the number of reduce tasks of both jobs.
 	R int `json:"r"`
-	// UseCombiner enables the BDM job's combiner.
+	// UseCombiner makes the BDM job aggregate per map task.
 	UseCombiner bool `json:"use_combiner"`
 }
 

@@ -54,7 +54,8 @@ type Config struct {
 	// R is the number of reduce tasks of the matching job (and of the
 	// BDM job).
 	R int
-	// UseCombiner enables the combiner in the BDM job.
+	// UseCombiner makes the BDM job aggregate per map task (the paper's
+	// footnote 2; bdm.JobOptions.UseCombiner).
 	UseCombiner bool
 }
 

@@ -12,7 +12,7 @@ import (
 // BDMWorkload computes the analytic workload of the BDM job (Job 1) from
 // the matrix it would produce: every map task reads its partition and
 // emits one pair per entity (or one partial count per non-empty
-// (block, partition) cell when the combiner is enabled); each reduce
+// (block, partition) cell when the mapper aggregates); each reduce
 // task receives the cells of the blocks hashed to it and performs no
 // comparisons.
 func BDMWorkload(x *bdm.Matrix, r int, combiner bool) cluster.JobWorkload {

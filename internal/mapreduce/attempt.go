@@ -207,14 +207,14 @@ const (
 	// FaultTaskStart fires once when an attempt starts, before any user
 	// code runs.
 	FaultTaskStart FaultPoint = iota
-	// FaultEmit fires on every Emit of the attempt's map/combine/reduce
-	// context.
+	// FaultEmit fires on every Emit of the attempt's map or reduce
+	// context, a mapper's end-of-input emissions included.
 	FaultEmit
 	// FaultSpill fires before a map task over its spill budget writes a
 	// sorted run to disk.
 	FaultSpill
-	// FaultMerge fires before a reduce (or map-side combine) merge
-	// starts consuming its sources.
+	// FaultMerge fires before a reduce merge starts consuming its
+	// sources.
 	FaultMerge
 )
 
@@ -278,7 +278,7 @@ func (h *taskHook) fireEmit() {
 type injectedFault struct{ err error }
 
 // recoverAttempt is deferred at the top of every attempt runner: a panic
-// in user Map/Reduce/Combine code (or an injected fault) becomes the
+// in user Map/Close/Reduce code (or an injected fault) becomes the
 // attempt's error instead of killing the process.
 func recoverAttempt(err *error) {
 	if p := recover(); p != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -83,9 +84,9 @@ func newRunState[I, K, V, O any](j *Job[I, K, V, O]) *runState[I, K, V, O] {
 		st.group = j.Compare
 	}
 	st.r, st.part, st.pools = j.NumReduceTasks, j.Partition, poolFor[K, V]()
-	// cmpRec is bound once so the sort machinery receives a stable func
-	// value instead of allocating a method closure per call.
-	st.cmp = st.cmpRec
+	if !st.exact {
+		st.tie = j.Compare
+	}
 	return st
 }
 
@@ -125,9 +126,10 @@ func (st *runState[I, K, V, O]) configure(e *Engine) error {
 	return nil
 }
 
-// cmpRec is the record comparator of the spill sort and the merge heap:
-// binary codes first, the struct comparator only on code ties (never,
-// for exact codings).
+// cmpRec is the record comparator of the merge heap: binary codes
+// first, the struct comparator only on code ties (never, for exact
+// codings) — the order the map-side sort (sortedEntries) leaves within
+// each partition.
 func (st *runState[I, K, V, O]) cmpRec(a, b *Rec[K, V]) int {
 	if st.encode != nil {
 		if c := a.code.Cmp(b.code); c != 0 {
@@ -322,11 +324,7 @@ func (p mapPhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHoo
 }
 
 func (p mapPhase[I, K, V, O]) commitTask(task int, out mapOutput[I, K, V]) error {
-	switch {
-	case len(out.runs) == 0 && out.dir != "":
-		// Every run the attempt spilled was drained again by its combine.
-		os.RemoveAll(out.dir)
-	case out.dir != "":
+	if out.dir != "" {
 		// Adopt the attempt's spill directory under the task's final
 		// name; the rename is the commit point for the on-disk runs. The
 		// spill file's open fd survives it.
@@ -412,8 +410,8 @@ func appendInputs[K, V any](inputs []reduceInput[K, V], p int, runs []*runio.Inf
 }
 
 // runMapAttempt is the one map-attempt body: run the mapper over the
-// task's input into a spiller, combine if the job has a combiner, and
-// bucket and sort what is left in memory.
+// task's input into a spiller, give it its end-of-input call, and sort
+// what is left in memory into the tail buckets.
 func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, input []I) (out mapOutput[I, K, V], err error) {
 	// Declared before recoverAttempt so it runs after it (LIFO): by the
 	// time the attempt's files and buffers are released, a recovered
@@ -426,18 +424,18 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 		}
 	}()
 	defer recoverAttempt(&err)
-	sp = st.newSpiller(&out.dir, "g0", idx, attempt, &out.metrics, hook)
+	sp = st.newSpiller(&out.dir, idx, attempt, len(input), &out.metrics, hook)
 	if err := hook.fire(FaultTaskStart); err != nil {
 		return out, err
 	}
-	j := st.job
 	metrics := &out.metrics
 	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp, sideCap: len(input), hook: hook}
-	mapper := j.NewMapper()
+	mapper := st.job.NewMapper()
 	mapper.Configure(m, st.r, idx)
 	// Attempt cancellation (a losing speculative attempt, a per-attempt
-	// timeout) is observed between input records; the gate keeps
-	// background-context runs free of per-record checks.
+	// timeout) is observed between input records and before the
+	// end-of-input call; the gate keeps background-context runs free of
+	// per-record checks.
 	check := actx.Done() != nil
 	for i := range input {
 		if check && i&cancelCheckMask == 0 && actx.Err() != nil {
@@ -446,134 +444,54 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 		metrics.InputRecords++
 		mapper.Map(ctx, input[i])
 	}
-	out.side = ctx.side
-	if sp.err == nil && j.NewCombiner != nil {
-		if sp, err = st.combine(actx, hook, sp, idx, attempt, m, &out); err != nil {
-			return out, err
+	if closer, ok := mapper.(MapCloser[I, K, V]); ok {
+		if check && actx.Err() != nil {
+			return out, actx.Err()
 		}
+		closer.Close(ctx)
 	}
+	out.side = ctx.side
 	if sp.err != nil {
 		return out, sp.err
 	}
 	out.runs, out.file = sp.takeFile()
-	out.buckets, out.flat, err = st.partitionAndSort(sp.takeRecs())
+	out.buckets, out.flat, err = st.sortTail(sp.takeRecs())
 	return out, err
 }
 
-// combine runs the job's combiner over one map task's first-generation
-// output, grouped exactly like the reduce side would group it, and
-// returns the second-generation spiller its emissions went to (also on
-// error, once it exists, for the caller to discard). The output is re-read the way a
-// reducer reads it: for each partition in order, the merge of that
-// partition's segment of every spilled run, in run order, and of the
-// sorted tail bucket. A group never spans partitions — grouping must be
-// compatible with partitioning, as in Hadoop — so the combiner sees the
-// same groups at every budget, and the same emission order
-// (partition, key, run, tail), unlike Hadoop's per-spill combining.
-func (st *runState[I, K, V, O]) combine(actx context.Context, hook *taskHook, sp *spiller[K, V], idx, attempt, m int, out *mapOutput[I, K, V]) (*spiller[K, V], error) {
-	// The first generation is dead once drained; its file goes before
-	// the second generation's tail is sorted.
-	defer sp.discard()
-	metrics := &out.metrics
-	if len(sp.runs) > 0 {
-		if err := hook.fire(FaultMerge); err != nil {
-			return nil, err
-		}
-		if st.obs != nil {
-			st.recordMerge(obs.EvBegin, obs.PhaseMap, idx, attempt, int64(len(sp.runs)))
-			defer st.recordMerge(obs.EvEnd, obs.PhaseMap, idx, attempt, int64(len(sp.runs)))
-		}
-	}
-	buckets, flat, err := st.partitionAndSort(sp.takeRecs())
+// sortTail turns one map task's in-memory output into its tail: the
+// records gathered in sorted order (sortedEntries) into one flat array,
+// cut into one bucket per reduce partition, so the reduce-side merge
+// only has to interleave pre-sorted inputs — the Hadoop spill-file
+// model. It takes ownership of recs (the buffer is recycled); the
+// returned flat backing array must be recycled by the caller once the
+// buckets are drained.
+func (st *runState[I, K, V, O]) sortTail(recs []Rec[K, V]) (buckets [][]Rec[K, V], flat []Rec[K, V], err error) {
+	entries, err := st.sortedEntries(recs)
 	if err != nil {
-		return nil, err
-	}
-	defer st.pools.putRecBuf(flat)
-	var mg merger[I, K, V, O]
-	mg.init(st, actx)
-	defer mg.release()
-
-	// The second generation starts only now, so that its buffer is one
-	// the first generation's sort has just returned to the pool. The
-	// combiner rewrites the task's output: its emissions count
-	// OutputRecords afresh.
-	sp2 := st.newSpiller(&out.dir, "g1", idx, attempt, metrics, hook)
-	metrics.OutputRecords = 0
-	cctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp2, hook: hook}
-	combiner := st.job.NewCombiner()
-	combiner.Configure(m, st.r, idx)
-	inputs := make([]reduceInput[K, V], 0, len(sp.runs)+1)
-	for p, bucket := range buckets {
-		inputs = appendInputs(inputs[:0], p, sp.runs, sp.f, bucket)
-		if err := mg.reset(inputs, metrics); err != nil {
-			return sp2, err
-		}
-		for {
-			group, err := mg.nextGroup()
-			if err != nil {
-				return sp2, err
-			}
-			if len(group) == 0 {
-				break
-			}
-			combiner.Combine(cctx, group[0].Key, group)
-		}
-	}
-	return sp2, nil
-}
-
-// partitionAndSort buckets one map task's in-memory output by partition
-// and stable-sorts each bucket, so the reduce-side merge only has to
-// interleave pre-sorted inputs — the Hadoop spill-file model. It takes
-// ownership of out (the buffer is recycled); the returned flat backing
-// array must be recycled by the caller once the buckets are drained.
-func (st *runState[I, K, V, O]) partitionAndSort(out []Rec[K, V]) (buckets [][]Rec[K, V], flat []Rec[K, V], err error) {
-	r := st.r
-	// Bucket by partition: count first, then carve exact-size buckets
-	// out of one flat allocation instead of growing r slices.
-	parts := getInt32Buf(len(out))
-	counts := getInt32Buf(r)
-	defer putInt32Buf(parts)
-	defer putInt32Buf(counts)
-	clear(counts)
-	for i := range out {
-		p := st.part(out[i].Key, r)
-		if p < 0 || p >= r {
-			return nil, nil, errBadPartition(p, r)
-		}
-		parts[i] = int32(p)
-		counts[p]++
+		return nil, nil, err
 	}
 	// The buckets' shared backing array comes from the record pool (a
 	// previous run's bucket array, recycled when that run ended).
 	flat = st.pools.getRecBuf()
-	if cap(flat) < len(out) {
-		flat = make([]Rec[K, V], len(out))
+	if cap(flat) < len(recs) {
+		flat = make([]Rec[K, V], len(recs))
 	}
-	flat = flat[:len(out)]
-	// Turn counts into running write offsets (counts[p] ends up holding
-	// the bucket's end offset).
-	next := int32(0)
-	for p := 0; p < r; p++ {
-		c := counts[p]
-		counts[p] = next
-		next += c
+	flat = flat[:len(recs)]
+	for i, e := range entries {
+		flat[i] = recs[e.idx]
 	}
-	for i := range out {
-		p := parts[i]
-		flat[counts[p]] = out[i]
-		counts[p]++
+	buckets = make([][]Rec[K, V], st.r)
+	for lo := 0; lo < len(entries); {
+		p, hi := entries[lo].part, lo+1
+		for hi < len(entries) && entries[hi].part == p {
+			hi++
+		}
+		buckets[p] = flat[lo:hi:hi]
+		lo = hi
 	}
-	buckets = make([][]Rec[K, V], r)
-	start := int32(0)
-	for p := 0; p < r; p++ {
-		end := counts[p]
-		buckets[p] = flat[start:end:end]
-		start = end
-	}
-	st.pools.putRecBuf(out)
-	// Buckets spread across the run's free sort workers.
-	st.sortBuckets(buckets)
+	putScratch(&sortEntryPool, entries)
+	st.pools.putRecBuf(recs)
 	return buckets, flat, nil
 }
 
@@ -615,7 +533,7 @@ func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *tas
 		for i := range inputs {
 			all = append(all, inputs[i].bucket...)
 		}
-		st.sortRecsStable(all)
+		slices.SortStableFunc(all, func(a, b Rec[K, V]) int { return st.cmpRec(&a, &b) })
 		for lo := 0; lo < len(all); {
 			hi := lo + 1
 			for hi < len(all) && st.sameGroup(&all[lo], &all[hi]) {
@@ -632,8 +550,8 @@ func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *tas
 		return rout, err
 	}
 	if st.obs != nil {
-		st.recordMerge(obs.EvBegin, obs.PhaseReduce, idx, attempt, metrics.InputRecords)
-		defer st.recordMerge(obs.EvEnd, obs.PhaseReduce, idx, attempt, metrics.InputRecords)
+		st.recordMerge(obs.EvBegin, idx, attempt, metrics.InputRecords)
+		defer st.recordMerge(obs.EvEnd, idx, attempt, metrics.InputRecords)
 	}
 	if err := mg.reset(inputs, metrics); err != nil {
 		return rout, err
@@ -654,9 +572,9 @@ func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *tas
 
 // recordMerge emits a merge-span event carrying the run's job identity.
 // Callers guard on st.obs.
-func (st *runState[I, K, V, O]) recordMerge(typ obs.EventType, phase uint8, task, attempt int, arg int64) {
+func (st *runState[I, K, V, O]) recordMerge(typ obs.EventType, task, attempt int, arg int64) {
 	st.obs.Tracer.Record(obs.Event{
-		Type: typ, Kind: obs.KMerge, Phase: phase, Job: st.jobID,
+		Type: typ, Kind: obs.KMerge, Phase: obs.PhaseReduce, Job: st.jobID,
 		Task: int32(task), Attempt: int32(attempt), Arg: arg,
 	})
 }

@@ -168,47 +168,6 @@ func TestEngineAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// TestShuffleModesAgreeOnCombinerJobs covers the combiner path (shared
-// map side, both reduce paths) against the oracle as well.
-func TestShuffleModesAgreeOnCombinerJobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		m := rng.Intn(4) + 1
-		r := rng.Intn(5) + 1
-		input := make([][]KeyValue, m)
-		for i := range input {
-			n := rng.Intn(40)
-			input[i] = make([]KeyValue, n)
-			for j := range input[i] {
-				input[i][j] = KeyValue{Value: rng.Intn(60)}
-			}
-		}
-		job := randomJob(rng, r)
-		job.NewCombiner = func() BoxedReducer {
-			return &FuncReducer{
-				OnReduce: func(ctx *BoxedContext, key any, values []KeyValue) {
-					// Re-emit each value under its own key: a pass-through
-					// combiner that still exercises the grouping machinery.
-					for _, v := range values {
-						ctx.Emit(v.Key, v.Value)
-					}
-				},
-			}
-		}
-		merge, err := (&Engine{Parallelism: 2}).RunContext(context.Background(), job, input)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		oracle, err := (&Engine{Parallelism: 2, Shuffle: ShuffleConcatSort}).RunContext(context.Background(), job, input)
-		if err != nil {
-			t.Fatalf("trial %d (oracle): %v", trial, err)
-		}
-		if !reflect.DeepEqual(merge, oracle) {
-			t.Fatalf("trial %d (m=%d r=%d): combiner job BoxedResult diverges between shuffle modes", trial, m, r)
-		}
-	}
-}
-
 func nonEmpty(kvs []KeyValue) []KeyValue {
 	if kvs == nil {
 		return []KeyValue{}

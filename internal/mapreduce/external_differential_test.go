@@ -7,7 +7,7 @@ package mapreduce_test
 // comparison covers the complete Result — match pairs, comparison
 // counts, raw job outputs, side outputs, and every TaskMetrics field
 // except the external-only spill counters — across Basic/BlockSplit/
-// PairRange × 1..4 map partitions × 1..8 reduce tasks (combiner on) and
+// PairRange × 1..4 map partitions × 1..8 reduce tasks (UseCombiner on) and
 // both dual-source strategies, each with sequential and concurrent
 // execution. This is the proof that moving the shuffle to disk changed
 // the residency of the intermediate records and nothing else.
@@ -89,7 +89,9 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 
 					assertSpilled(t, name+"/match", ext.MatchResult.MapMetrics, 4)
 					if ext.BDMResult != nil {
-						assertSpilled(t, name+"/bdm", ext.BDMResult.MapMetrics, 4)
+						// The aggregating BDM mapper emits one record per
+						// matrix cell — a handful per task here.
+						assertSpilled(t, name+"/bdm", ext.BDMResult.MapMetrics, 1)
 						clearResultSpillCounters(&ext.BDMResult.Metrics)
 					}
 					clearResultSpillCounters(&ext.MatchResult.Metrics)
@@ -203,7 +205,7 @@ func TestExternalDifferentialSideOutput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("external run: %v", err)
 	}
-	assertSpilled(t, "bdm", ext.MapMetrics, 4)
+	assertSpilled(t, "bdm", ext.MapMetrics, 1)
 	clearResultSpillCounters(&ext.Metrics)
 	if !reflect.DeepEqual(typed, ext) {
 		t.Errorf("BDM job Result (incl. SideOutput) diverges between dataflows\ntyped: %+v\nexternal: %+v", typed, ext)

@@ -14,17 +14,18 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce"
 )
 
 // wordJob builds a typed job over (doc line → word counts): map emits
-// (word, 1) per occurrence, an optional combiner pre-aggregates, reduce
-// sums. Keys get the engine's string-prefix coding, exercising the
-// coded-key disk layout with inexact codes.
-func wordJob(r int, combine bool) *mapreduce.Job[string, string, int, mapreduce.Pair[string, int]] {
+// (word, 1) per occurrence — or, with aggregate, counts its partition's
+// words itself and emits one (word, n) per distinct word from its
+// end-of-input hook — and reduce sums. Keys get the engine's
+// string-prefix coding, exercising the coded-key disk layout with
+// inexact codes.
+func wordJob(r int, aggregate bool) *mapreduce.Job[string, string, int, mapreduce.Pair[string, int]] {
 	j := &mapreduce.Job[string, string, int, mapreduce.Pair[string, int]]{
 		Name:           "wordcount",
 		NumReduceTasks: r,
@@ -53,23 +54,40 @@ func wordJob(r int, combine bool) *mapreduce.Job[string, string, int, mapreduce.
 		Compare:   strings.Compare,
 		Coding:    mapreduce.KeyCoding[string]{Encode: mapreduce.StringPrefixCode},
 	}
-	if combine {
-		j.NewCombiner = func() mapreduce.Combiner[string, string, int] {
-			return &combinerFunc{}
-		}
+	if aggregate {
+		j.NewMapper = func() mapreduce.Mapper[string, string, int] { return &aggWords{slot: map[string]int{}} }
 	}
 	return j
 }
 
-type combinerFunc struct{}
+// aggWords is the in-mapper-aggregating word count (the shape of the BDM
+// job's mapper): a per-task count table, emitted in first-seen order by
+// Close.
+type aggWords struct {
+	slot   map[string]int
+	words  []string
+	counts []int
+}
 
-func (combinerFunc) Configure(m, r, taskIndex int) {}
-func (combinerFunc) Combine(ctx *mapreduce.MapContext[string, string, int], key string, values []mapreduce.Rec[string, int]) {
-	sum := 0
-	for _, v := range values {
-		sum += v.Value
+func (a *aggWords) Configure(m, r, partitionIndex int) {}
+
+func (a *aggWords) Map(ctx *mapreduce.MapContext[string, string, int], line string) {
+	for _, w := range strings.Fields(line) {
+		i, ok := a.slot[w]
+		if !ok {
+			i = len(a.words)
+			a.slot[w] = i
+			a.words = append(a.words, w)
+			a.counts = append(a.counts, 0)
+		}
+		a.counts[i]++
 	}
-	ctx.Emit(key, sum)
+}
+
+func (a *aggWords) Close(ctx *mapreduce.MapContext[string, string, int]) {
+	for i, w := range a.words {
+		ctx.Emit(w, a.counts[i])
+	}
 }
 
 // wordInput builds m partitions of synthetic text with heavy key skew
@@ -109,12 +127,12 @@ func clearSpillCounters(ms []mapreduce.TaskMetrics) {
 // outright, spill counters included, and must not touch TmpDir at all —
 // it is given a path that does not exist and must leave it that way.
 func TestExternalWordCountDifferential(t *testing.T) {
-	for _, combine := range []bool{false, true} {
+	for _, aggregate := range []bool{false, true} {
 		for _, budget := range []int64{0, 1, 64, 200, 1 << 20} {
 			for m := 1; m <= 3; m++ {
-				name := fmt.Sprintf("combine=%v/budget=%d/m=%d", combine, budget, m)
+				name := fmt.Sprintf("aggregate=%v/budget=%d/m=%d", aggregate, budget, m)
 				input := wordInput(m)
-				job := wordJob(4, combine)
+				job := wordJob(4, aggregate)
 				spills := budget > 0 && budget < 1<<20
 
 				want, err := job.RunContext(context.Background(), &mapreduce.Engine{Shuffle: mapreduce.ShuffleConcatSort}, input)
@@ -162,70 +180,6 @@ func TestExternalWordCountDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// countingCombiner is combinerFunc counting its Combine calls.
-type countingCombiner struct {
-	combinerFunc
-	calls *atomic.Int64
-}
-
-func (c countingCombiner) Combine(ctx *mapreduce.MapContext[string, string, int], key string, values []mapreduce.Rec[string, int]) {
-	c.calls.Add(1)
-	c.combinerFunc.Combine(ctx, key, values)
-}
-
-// TestCombineGroupsAcrossRunsAndPartitions pins the map-side combine's
-// per-partition merge. With a budget of a few records every map task
-// spills many runs, every run holds records of several partitions, and
-// every word recurs in many runs — so a group's records straddle run
-// boundaries and a run's records straddle partition boundaries. The
-// combiner must still be called exactly once per (task, word), as in
-// memory, and the Result must not move.
-func TestCombineGroupsAcrossRunsAndPartitions(t *testing.T) {
-	const m, r = 3, 4
-	input := wordInput(m)
-	var distinct int64
-	for _, part := range input {
-		words := map[string]bool{}
-		for _, line := range part {
-			for _, w := range strings.Fields(line) {
-				words[w] = true
-			}
-		}
-		distinct += int64(len(words))
-	}
-	run := func(e *mapreduce.Engine) (*mapreduce.Result[string, mapreduce.Pair[string, int]], int64) {
-		var calls atomic.Int64
-		job := wordJob(r, true)
-		job.NewCombiner = func() mapreduce.Combiner[string, string, int] {
-			return countingCombiner{calls: &calls}
-		}
-		res, err := job.RunContext(context.Background(), e, input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, calls.Load()
-	}
-	inMem, memCalls := run(&mapreduce.Engine{})
-	tmp := t.TempDir()
-	spilled, spillCalls := run(&mapreduce.Engine{SpillBudget: 48, TmpDir: tmp})
-	for i := range spilled.MapMetrics {
-		if runs := spilled.MapMetrics[i].SpillRuns; runs < 2*r {
-			t.Errorf("map task %d spilled %d runs; the budget is too large for groups to straddle runs", i, runs)
-		}
-	}
-	if memCalls != distinct || spillCalls != distinct {
-		t.Errorf("combiner calls: in memory %d, spilled %d, want one per (task, word) = %d", memCalls, spillCalls, distinct)
-	}
-	clearSpillCounters(spilled.MapMetrics)
-	clearSpillCounters(spilled.ReduceMetrics)
-	if !reflect.DeepEqual(inMem, spilled) {
-		t.Errorf("spilled combiner run diverges from the in-memory run\nin memory: %+v\nspilled: %+v", inMem, spilled)
-	}
-	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
-		t.Errorf("temp dir not empty after the run: %v (err %v)", ents, err)
 	}
 }
 

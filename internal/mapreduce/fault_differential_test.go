@@ -27,20 +27,20 @@ var chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the chaos-hook fault-sche
 func TestFaultScheduleDifferential(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
-	for _, combine := range []bool{false, true} {
-		baseline, err := wordJob(r, combine).RunContext(context.Background(), &mapreduce.Engine{}, input)
+	for _, aggregate := range []bool{false, true} {
+		baseline, err := wordJob(r, aggregate).RunContext(context.Background(), &mapreduce.Engine{}, input)
 		if err != nil {
 			t.Fatal(err)
 		}
 		normalize(baseline)
 		for dname, dataflow := range allDataflows {
 			for _, rate := range []float64{0.2, 0.6} {
-				t.Run(fmt.Sprintf("combine=%v/%s/rate=%v", combine, dname, rate), func(t *testing.T) {
+				t.Run(fmt.Sprintf("aggregate=%v/%s/rate=%v", aggregate, dname, rate), func(t *testing.T) {
 					before := testleak.Snapshot()
 					e, _ := engineFor(t, dataflow)
 					e.Retry.BaseBackoff = 1
 					e.FaultHook = mapreduce.ChaosHook(*chaosSeed, rate, e.Retry.MaxAttempts)
-					res, err := wordJob(r, combine).RunContext(context.Background(), e, input)
+					res, err := wordJob(r, aggregate).RunContext(context.Background(), e, input)
 					if err != nil {
 						t.Fatalf("chaos-seed=%d: %v", *chaosSeed, err)
 					}

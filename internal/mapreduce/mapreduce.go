@@ -70,6 +70,12 @@ type BoxedMapper interface {
 	Map(ctx *BoxedContext, kv KeyValue)
 }
 
+// BoxedMapCloser is the boxed counterpart of MapCloser: the optional
+// end-of-input hook, called once per attempt after the last Map.
+type BoxedMapCloser interface {
+	Close(ctx *BoxedContext)
+}
+
 // BoxedReducer is instantiated once per reduce task.
 type BoxedReducer interface {
 	Configure(m, r, taskIndex int)
@@ -101,12 +107,6 @@ type BoxedJob struct {
 	// call iff Group(a,b) == 0. It must be compatible with Compare
 	// (groups are runs of the sorted order). When nil, Compare is used.
 	Group func(a, b any) int
-
-	// NewCombiner, when non-nil, is run over each map task's output
-	// before the shuffle (grouped with the same Group/Compare), the
-	// standard Hadoop combiner optimization the paper suggests for the
-	// BDM job.
-	NewCombiner func() BoxedReducer
 }
 
 func (j *BoxedJob) validate(numPartitions int) error {
@@ -231,9 +231,8 @@ type TaskMetrics struct {
 	// The spill fields are only non-zero when map output left memory
 	// (Engine.SpillBudget, Engine.Remote): SpillRuns counts the sorted
 	// runs a map task flushed to disk, SpillBytesWritten the run-file
-	// bytes it wrote, and SpillBytesRead the run bytes streamed back (by
-	// reduce tasks, and by map tasks re-reading their own runs for the
-	// combiner). They are deliberately excluded from the differential
+	// bytes it wrote, and SpillBytesRead the run bytes reduce tasks
+	// streamed back. They are deliberately excluded from the differential
 	// contract — everything else in TaskMetrics must be byte-identical
 	// wherever the intermediate records resided.
 	SpillRuns         int64
@@ -258,7 +257,7 @@ type Metrics struct {
 	MapMetrics    []TaskMetrics
 	ReduceMetrics []TaskMetrics
 	// MapOutputRecords is the total number of key-value pairs emitted by
-	// the map phase after combining — the quantity plotted in Figure 12.
+	// the map phase — the quantity plotted in Figure 12.
 	MapOutputRecords int64
 
 	// Attempt accounting of the fault-tolerance layer (attempt.go).
@@ -567,17 +566,13 @@ func (e *Engine) runMapAttempt(actx context.Context, hook *taskHook, job *BoxedJ
 		ctx.metrics.InputRecords++
 		mapper.Map(ctx, kv)
 	}
-	out := ctx.out
-	if job.NewCombiner != nil {
-		combined, cerr := e.combine(job, idx, m, out, ctx.metrics, hook)
-		if cerr != nil {
-			return mout, cerr
+	if closer, ok := mapper.(BoxedMapCloser); ok {
+		if check && actx.Err() != nil {
+			return mout, actx.Err()
 		}
-		putKVBuf(out)
-		out = combined
-		// The combiner rewrote the task's output; fix the metric.
-		ctx.metrics.OutputRecords = int64(len(out))
+		closer.Close(ctx)
 	}
+	out := ctx.out
 	mout.side = ctx.side
 
 	// Bucket by partition: count first, then carve exact-size buckets
@@ -628,25 +623,6 @@ func (e *Engine) runMapAttempt(actx context.Context, hook *taskHook, job *BoxedJ
 	}
 	mout.buckets = buckets
 	return mout, nil
-}
-
-// combine runs the job's combiner over one map task's output, grouped
-// exactly like the reduce side would group it.
-func (e *Engine) combine(job *BoxedJob, idx, m int, out []KeyValue, metrics *TaskMetrics, hook *taskHook) ([]KeyValue, error) {
-	sortKVsStable(out, job.Compare)
-	combiner := job.NewCombiner()
-	combiner.Configure(m, job.NumReduceTasks, idx)
-	cctx := &BoxedContext{taskKind: MapTask, taskIdx: idx, metrics: metrics, hook: hook}
-	cctx.out = getKVBuf()
-	for lo := 0; lo < len(out); {
-		hi := lo + 1
-		for hi < len(out) && job.group(out[lo].Key, out[hi].Key) == 0 {
-			hi++
-		}
-		combiner.Reduce(cctx, out[lo].Key, out[lo:hi])
-		lo = hi
-	}
-	return cctx.out, nil
 }
 
 func (e *Engine) runReduceAttempt(actx context.Context, hook *taskHook, job *BoxedJob, idx, m int, mapOut [][][]KeyValue) (rout boxedReduceOut, err error) {

@@ -8,8 +8,10 @@ import (
 	"testing"
 )
 
-// wordCountJob is the canonical MR smoke test.
-func wordCountJob(r int, combiner bool) *BoxedJob {
+// wordCountJob is the canonical MR smoke test. With aggregate, the
+// mapper counts its partition's words itself and emits one (word, n)
+// per distinct word from its end-of-input hook.
+func wordCountJob(r int, aggregate bool) *BoxedJob {
 	j := &BoxedJob{
 		Name:           "wordcount",
 		NumReduceTasks: r,
@@ -36,10 +38,39 @@ func wordCountJob(r int, combiner bool) *BoxedJob {
 		Partition: func(key any, r int) int { return HashPartition(key.(string), r) },
 		Compare:   CompareStrings,
 	}
-	if combiner {
-		j.NewCombiner = j.NewReducer
+	if aggregate {
+		j.NewMapper = func() BoxedMapper { return &aggWordMapper{slot: map[string]int{}} }
 	}
 	return j
+}
+
+// aggWordMapper is the in-mapper-aggregating word count: a per-task
+// count table, emitted in first-seen order by Close.
+type aggWordMapper struct {
+	slot   map[string]int
+	words  []string
+	counts []int
+}
+
+func (a *aggWordMapper) Configure(m, r, partitionIndex int) {}
+
+func (a *aggWordMapper) Map(ctx *BoxedContext, kv KeyValue) {
+	for _, w := range strings.Fields(kv.Value.(string)) {
+		i, ok := a.slot[w]
+		if !ok {
+			i = len(a.words)
+			a.slot[w] = i
+			a.words = append(a.words, w)
+			a.counts = append(a.counts, 0)
+		}
+		a.counts[i]++
+	}
+}
+
+func (a *aggWordMapper) Close(ctx *BoxedContext) {
+	for i, w := range a.words {
+		ctx.Emit(w, a.counts[i])
+	}
 }
 
 func lines(ls ...string) []KeyValue {
@@ -59,42 +90,42 @@ func countsOf(res *BoxedResult) map[string]int {
 }
 
 func TestWordCount(t *testing.T) {
-	for _, combiner := range []bool{false, true} {
+	for _, aggregate := range []bool{false, true} {
 		for _, r := range []int{1, 2, 7} {
-			res, err := (&Engine{}).RunContext(context.Background(), wordCountJob(r, combiner), [][]KeyValue{
+			res, err := (&Engine{}).RunContext(context.Background(), wordCountJob(r, aggregate), [][]KeyValue{
 				lines("a b a", "c"),
 				lines("b a", "c c c"),
 			})
 			if err != nil {
-				t.Fatalf("r=%d combiner=%v: %v", r, combiner, err)
+				t.Fatalf("r=%d aggregate=%v: %v", r, aggregate, err)
 			}
 			want := map[string]int{"a": 3, "b": 2, "c": 4}
 			if got := countsOf(res); !reflect.DeepEqual(got, want) {
-				t.Errorf("r=%d combiner=%v: counts = %v, want %v", r, combiner, got, want)
+				t.Errorf("r=%d aggregate=%v: counts = %v, want %v", r, aggregate, got, want)
 			}
 		}
 	}
 }
 
-func TestCombinerReducesMapOutput(t *testing.T) {
+func TestInMapperAggregationReducesMapOutput(t *testing.T) {
 	input := [][]KeyValue{lines("a a a a b", "a b"), lines("b b")}
 	plain, err := (&Engine{}).RunContext(context.Background(), wordCountJob(3, false), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := (&Engine{}).RunContext(context.Background(), wordCountJob(3, true), input)
+	aggregated, err := (&Engine{}).RunContext(context.Background(), wordCountJob(3, true), input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.MapOutputRecords != 9 {
 		t.Errorf("plain map output = %d, want 9", plain.MapOutputRecords)
 	}
-	// Map task 0 emits {a,b}, map task 1 emits {b}: 3 combined records.
-	if combined.MapOutputRecords != 3 {
-		t.Errorf("combined map output = %d, want 3", combined.MapOutputRecords)
+	// Map task 0 emits {a,b}, map task 1 emits {b}: 3 aggregated records.
+	if aggregated.MapOutputRecords != 3 {
+		t.Errorf("aggregated map output = %d, want 3", aggregated.MapOutputRecords)
 	}
-	if !reflect.DeepEqual(countsOf(plain), countsOf(combined)) {
-		t.Error("combiner changed the result")
+	if !reflect.DeepEqual(countsOf(plain), countsOf(aggregated)) {
+		t.Error("in-mapper aggregation changed the result")
 	}
 }
 

@@ -10,8 +10,8 @@ import "context"
 // byte-for-byte against the typed engine, which is exactly what the
 // dataflow differential tests do.
 //
-// The adapter is deliberately thin: user mapper/reducer/combiner logic
-// runs unchanged; only record representation and the comparator/
+// The adapter is deliberately thin: user mapper/reducer logic runs
+// unchanged; only record representation and the comparator/
 // partition/group functions are bridged. Binary key codes are not used
 // on this path (the boxed engine predates them), so the oracle also
 // cross-checks the codes' order/group behaviour against the plain
@@ -37,11 +37,6 @@ func (j *Job[I, K, V, O]) runBoxed(ctx context.Context, e *Engine, input [][]I, 
 	}
 	if j.Group != nil {
 		bj.Group = func(a, b any) int { return j.Group(a.(K), b.(K)) }
-	}
-	if j.NewCombiner != nil {
-		bj.NewCombiner = func() BoxedReducer {
-			return &oracleCombiner[I, K, V]{inner: j.NewCombiner()}
-		}
 	}
 
 	binput := make([][]KeyValue, len(input))
@@ -99,6 +94,14 @@ func (o *oracleMapper[I, K, V]) Map(bctx *BoxedContext, kv KeyValue) {
 	o.inner.Map(&o.ctx, kv.Key.(I))
 }
 
+// Close forwards the end-of-input call to a typed mapper that has one.
+func (o *oracleMapper[I, K, V]) Close(bctx *BoxedContext) {
+	if closer, ok := o.inner.(MapCloser[I, K, V]); ok {
+		o.ctx.boxed = bctx
+		closer.Close(&o.ctx)
+	}
+}
+
 // oracleReducer unboxes each group into a reused []Rec and hands it to
 // the typed reducer, emissions flowing through the boxed context.
 type oracleReducer[K, V, O any] struct {
@@ -118,26 +121,4 @@ func (o *oracleReducer[K, V, O]) Reduce(bctx *BoxedContext, key any, values []Ke
 		o.vals = append(o.vals, Rec[K, V]{Key: kv.Key.(K), Value: kv.Value.(V)})
 	}
 	o.inner.Reduce(&o.ctx, key.(K), o.vals)
-}
-
-// oracleCombiner is the combiner analogue of oracleReducer: the typed
-// combiner re-emits intermediate pairs through a boxed-backed
-// MapContext.
-type oracleCombiner[I, K, V any] struct {
-	inner Combiner[I, K, V]
-	ctx   MapContext[I, K, V]
-	vals  []Rec[K, V]
-}
-
-func (o *oracleCombiner[I, K, V]) Configure(m, r, taskIndex int) {
-	o.inner.Configure(m, r, taskIndex)
-}
-
-func (o *oracleCombiner[I, K, V]) Reduce(bctx *BoxedContext, key any, values []KeyValue) {
-	o.ctx.boxed = bctx
-	o.vals = o.vals[:0]
-	for _, kv := range values {
-		o.vals = append(o.vals, Rec[K, V]{Key: kv.Key.(K), Value: kv.Value.(V)})
-	}
-	o.inner.Combine(&o.ctx, key.(K), o.vals)
 }

@@ -76,20 +76,20 @@ func (d *localDispatcher) RunReduceAttempt(ctx context.Context, m, task, attempt
 func TestRemoteDispatchMatchesLocal(t *testing.T) {
 	const m, r = 3, 4
 	input := wordInput(m)
-	for _, combine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("combine=%v", combine), func(t *testing.T) {
-			baseline, err := wordJob(r, combine).RunContext(context.Background(), &mapreduce.Engine{}, input)
+	for _, aggregate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("aggregate=%v", aggregate), func(t *testing.T) {
+			baseline, err := wordJob(r, aggregate).RunContext(context.Background(), &mapreduce.Engine{}, input)
 			if err != nil {
 				t.Fatal(err)
 			}
 			normalize(baseline)
 			before := testleak.Snapshot()
-			rr, err := mapreduce.NewRemoteRunnable(wordJob(r, combine))
+			rr, err := mapreduce.NewRemoteRunnable(wordJob(r, aggregate))
 			if err != nil {
 				t.Fatal(err)
 			}
 			e := &mapreduce.Engine{Parallelism: 2, TmpDir: t.TempDir(), Remote: &localDispatcher{rr: rr}}
-			res, err := wordJob(r, combine).RunContext(context.Background(), e, input)
+			res, err := wordJob(r, aggregate).RunContext(context.Background(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,30 +142,34 @@ func putKVBuf(b []KeyValue) {
 	kvBufPool.put(b[:0])
 }
 
-var int32BufPool slicePool[int32]
-
-// getInt32Buf returns a length-n scratch slice with arbitrary contents.
-// Misses allocate the next power-of-two capacity so slightly-growing
-// request sequences (spill batches wobble around the byte budget)
-// converge on one reused buffer instead of allocating every time.
-func getInt32Buf(n int) []int32 {
-	b := int32BufPool.get()
+// getScratch returns a length-n scratch slice with arbitrary contents
+// from a pool of pointer-free buffers. Misses allocate the next
+// power-of-two capacity so slightly-growing request sequences (spill
+// batches wobble around the byte budget) converge on one reused buffer
+// instead of allocating every time.
+func getScratch[T any](pool *slicePool[T], n int) []T {
+	b := pool.get()
 	if cap(b) < n {
 		c := 1
 		for c < n {
 			c <<= 1
 		}
-		return make([]int32, n, c)
+		return make([]T, n, c)
 	}
 	return b[:n]
 }
 
-func putInt32Buf(b []int32) {
+func putScratch[T any](pool *slicePool[T], b []T) {
 	if cap(b) == 0 || cap(b) > maxPooledCap {
 		return
 	}
-	int32BufPool.put(b[:0])
+	pool.put(b[:0])
 }
+
+var int32BufPool slicePool[int32]
+
+func getInt32Buf(n int) []int32 { return getScratch(&int32BufPool, n) }
+func putInt32Buf(b []int32)     { putScratch(&int32BufPool, b) }
 
 var runsBufPool slicePool[[]KeyValue]
 

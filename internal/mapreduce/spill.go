@@ -57,9 +57,11 @@ import (
 // runState, split out because map contexts cannot name the job's
 // output type.
 type runStore[K, V any] struct {
-	r       int
-	part    func(K, int) int
-	cmp     func(a, b *Rec[K, V]) int
+	r    int
+	part func(K, int) int
+	// tie orders two keys whose binary codes are equal; nil when equal
+	// codes mean equal keys (an Exact coding).
+	tie     func(a, b K) int
 	pools   *recPools[K, V]
 	limiter *sortLimiter
 
@@ -184,8 +186,7 @@ func (rs *runStore[K, V]) writeRun(path string, buckets [][]Rec[K, V]) (*runio.I
 
 // ---- the spiller ----
 
-// spiller buffers one generation of one map attempt's emitted records.
-// With a budget it also keeps them encoded — once, at emit time, so the
+// spiller buffers one map attempt's emitted records. With a budget it also keeps them encoded — once, at emit time, so the
 // accounting is exact and nothing is re-encoded at spill — and flushes a
 // sorted run whenever the encoded bytes reach the budget. Without one,
 // add is a plain append: the encode is what only a task that can spill
@@ -196,12 +197,10 @@ type spiller[K, V any] struct {
 	hook    *taskHook
 	// task/attempt identify the owning attempt in spill trace spans and
 	// in its spill directory's name; dir points at that directory's
-	// path in the attempt's output, shared by its generations and set
-	// by whichever spills first.
+	// path in the attempt's output, set at the first spill.
 	task    int
 	attempt int
 	dir     *string
-	prefix  string // run generation within the attempt ("g0"/"g1")
 
 	recs  []Rec[K, V]
 	enc   []byte
@@ -209,10 +208,10 @@ type spiller[K, V any] struct {
 	runs  []*runio.Info
 	err   error // sticky: first spill failure stops the task
 
-	// All of a generation's runs are appended as sections of one spill
+	// All of the attempt's runs are appended as sections of one spill
 	// file sharing one fd (runio.NewRunWriter), created lazily at the
-	// first spill. The fd is kept open — the map-side combine and the
-	// reduce phase read segments through it via pread — so a run costs
+	// first spill. The fd is kept open — the reduce phase reads segments
+	// through it via pread — so a run costs
 	// zero file-lifecycle syscalls beyond its writes, instead of the
 	// create/close/reopen/unlink per run that dominated small-budget
 	// profiles.
@@ -223,11 +222,19 @@ type spiller[K, V any] struct {
 
 type extSpan struct{ off, end int64 }
 
-func (rs *runStore[K, V]) newSpiller(dir *string, prefix string, task, attempt int, metrics *TaskMetrics, hook *taskHook) *spiller[K, V] {
+// newSpiller starts one map attempt's buffer. sizeHint is the attempt's
+// input size: a task that keeps everything in memory and finds the pool
+// empty (the first tasks of a process) starts with that capacity,
+// instead of growing to it through a series of ever larger copies.
+func (rs *runStore[K, V]) newSpiller(dir *string, task, attempt, sizeHint int, metrics *TaskMetrics, hook *taskHook) *spiller[K, V] {
+	recs := rs.pools.getRecBuf()
+	if rs.budget == 0 && cap(recs) == 0 {
+		recs = make([]Rec[K, V], 0, sizeHint)
+	}
 	return &spiller[K, V]{
 		rs: rs, metrics: metrics, hook: hook,
-		task: task, attempt: attempt, dir: dir, prefix: prefix,
-		recs: rs.pools.getRecBuf(),
+		task: task, attempt: attempt, dir: dir,
+		recs: recs,
 	}
 }
 
@@ -260,7 +267,7 @@ func (sp *spiller[K, V]) takeRecs() []Rec[K, V] {
 	return recs
 }
 
-// takeFile hands the generation's runs and their open spill file to the
+// takeFile hands the spilled runs and their open spill file to the
 // attempt's output, which closes the fd at commit/discard time.
 func (sp *spiller[K, V]) takeFile() ([]*runio.Info, *os.File) {
 	f := sp.f
@@ -268,9 +275,8 @@ func (sp *spiller[K, V]) takeFile() ([]*runio.Info, *os.File) {
 	return sp.runs, f
 }
 
-// discard releases whatever the spiller still owns: a generation that
-// the map-side combine has drained, or any generation of a failed
-// attempt. Idempotent, and a no-op on a spiller that never came to be.
+// discard releases whatever the spiller of a failed attempt still owns.
+// Idempotent, and a no-op on a spiller that never came to be.
 func (sp *spiller[K, V]) discard() {
 	if sp == nil {
 		return
@@ -292,56 +298,19 @@ func (sp *spiller[K, V]) recordSpill(typ obs.EventType, arg int64) {
 	})
 }
 
-// sortedPerm computes each buffered record's reduce partition and a
-// permutation that orders the batch by (partition, key), stable in
-// emission order. Both slices are pooled; the caller returns them.
-func (sp *spiller[K, V]) sortedPerm() (parts, perm []int32, err error) {
-	rs := sp.rs
-	n := len(sp.recs)
-	parts = getInt32Buf(n)
-	perm = getInt32Buf(n)
-	for i := range sp.recs {
-		p := rs.part(sp.recs[i].Key, rs.r)
-		if p < 0 || p >= rs.r {
-			putInt32Buf(parts)
-			putInt32Buf(perm)
-			return nil, nil, errBadPartition(p, rs.r)
-		}
-		parts[i] = int32(p)
-		perm[i] = int32(i)
-	}
-	// Sort the permutation with the shared stable merge sort — parallel
-	// when the run's limiter has free workers, bitwise-identical to the
-	// serial order either way (parsort.go).
-	cmp := func(x, y *int32) int {
-		a, b := *x, *y
-		if parts[a] != parts[b] {
-			return int(parts[a]) - int(parts[b])
-		}
-		return rs.cmp(&sp.recs[a], &sp.recs[b])
-	}
-	scratch := getInt32Buf(n)
-	stableSortParallelG(perm, scratch, rs.limiter, cmp)
-	putInt32Buf(scratch)
-	return parts, perm, nil
-}
-
-// openFile creates the generation's spill file in the attempt's spill
-// directory, creating that (and the run's directory) first if this is
-// the attempt's first spill.
+// openFile creates the attempt's spill directory (and the run's
+// directory, if this is the run's first spill) and the spill file in it.
 func (sp *spiller[K, V]) openFile() error {
-	if *sp.dir == "" {
-		root, err := sp.rs.runDir()
-		if err != nil {
-			return err
-		}
-		dir := filepath.Join(root, fmt.Sprintf("m%04d-a%03d", sp.task, sp.attempt))
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			return fmt.Errorf("create spill dir: %w", err)
-		}
-		*sp.dir = dir
+	root, err := sp.rs.runDir()
+	if err != nil {
+		return err
 	}
-	path := filepath.Join(*sp.dir, sp.prefix+".runs")
+	dir := filepath.Join(root, fmt.Sprintf("m%04d-a%03d", sp.task, sp.attempt))
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return fmt.Errorf("create spill dir: %w", err)
+	}
+	*sp.dir = dir
+	path := filepath.Join(dir, "spill.runs")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("create spill file: %w", err)
@@ -366,12 +335,11 @@ func (sp *spiller[K, V]) spill() error {
 		// duration covers the sort and the run write together.
 		defer sp.recordSpill(obs.EvEnd, int64(len(sp.enc)))
 	}
-	parts, perm, err := sp.sortedPerm()
+	entries, err := rs.sortedEntries(sp.recs)
 	if err != nil {
 		return err
 	}
-	defer putInt32Buf(parts)
-	defer putInt32Buf(perm)
+	defer putScratch(&sortEntryPool, entries)
 	if sp.f == nil {
 		if err := sp.openFile(); err != nil {
 			return err
@@ -381,9 +349,9 @@ func (sp *spiller[K, V]) spill() error {
 	if err != nil {
 		return err
 	}
-	for _, i := range perm {
-		s := sp.spans[i]
-		if err := w.Append(int(parts[i]), sp.enc[s.off:s.end]); err != nil {
+	for _, e := range entries {
+		s := sp.spans[e.idx]
+		if err := w.Append(int(e.part), sp.enc[s.off:s.end]); err != nil {
 			w.Abort()
 			return err
 		}
@@ -589,9 +557,7 @@ func (s *sharedSegSource[K, V]) next() (*Rec[K, V], error) {
 // source's decode slot otherwise — so a record is copied exactly once,
 // into the group buffer. A merger lives on its attempt's stack and its
 // sources in per-kind slabs, so a merge allocates a handful of times
-// however many inputs it has; reset reuses all of it for the next
-// merge of the same attempt (the map-side combine runs one per
-// partition).
+// however many inputs it has.
 type merger[I, K, V, O any] struct {
 	st   *runState[I, K, V, O]
 	heap []mergeItem[K, V]
@@ -769,7 +735,7 @@ func (mg *merger[I, K, V, O]) peek() (*Rec[K, V], error) {
 }
 
 // nextGroup returns the next key group of the merged stream — the
-// records one reduce (or combine) call receives, in merged order — or
+// records one reduce call receives, in merged order — or
 // an empty slice once the inputs are drained. The slice is the merger's
 // reused buffer: valid until the next call.
 func (mg *merger[I, K, V, O]) nextGroup() ([]Rec[K, V], error) {

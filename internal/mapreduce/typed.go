@@ -49,6 +49,20 @@ type Mapper[I, K, V any] interface {
 	Map(ctx *MapContext[I, K, V], rec I)
 }
 
+// MapCloser is the optional end-of-input hook of a Mapper — Hadoop's
+// Mapper.close. A mapper that implements it has Close called exactly
+// once per attempt, after the last Map call and before the attempt's
+// output is sorted, with the context the Map calls received: what it
+// emits is map output like any other (counted, spilled, fault-injected
+// and panic-recovered the same way). It is how a mapper aggregates over
+// its whole partition — the BDM job's per-task count table — where
+// Hadoop would run a combiner over the sorted output; the engine has no
+// combiner. The hook is optional rather than a Mapper method because
+// almost no mapper needs it; the attempt body asserts it once.
+type MapCloser[I, K, V any] interface {
+	Close(ctx *MapContext[I, K, V])
+}
+
 // Reducer is the typed counterpart of BoxedReducer, instantiated once
 // per reduce task. Reduce is called once per key group with the group's
 // first key and all values in merged order. The values slice is only
@@ -58,14 +72,6 @@ type Mapper[I, K, V any] interface {
 type Reducer[K, V, O any] interface {
 	Configure(m, r, taskIndex int)
 	Reduce(ctx *ReduceContext[O], key K, values []Rec[K, V])
-}
-
-// Combiner runs over each map task's output before the shuffle, grouped
-// with the same Group/Compare as the reduce side, re-emitting
-// intermediate (K, V) pairs — the standard Hadoop combiner optimization.
-type Combiner[I, K, V any] interface {
-	Configure(m, r, taskIndex int)
-	Combine(ctx *MapContext[I, K, V], key K, values []Rec[K, V])
 }
 
 // Job describes one typed MapReduce job. NewMapper/NewReducer are
@@ -89,9 +95,6 @@ type Job[I, K, V, O any] struct {
 	// call iff Group(a,b) == 0. It must be compatible with Compare
 	// (groups are runs of the sorted order). When nil, Compare is used.
 	Group func(a, b K) int
-
-	// NewCombiner, when non-nil, enables the map-side combiner.
-	NewCombiner func() Combiner[I, K, V]
 
 	// Coding is the optional order-preserving binary key code (see
 	// keycode.go). The zero value disables the fast path.
@@ -161,7 +164,7 @@ type Result[I, O any] struct {
 	SideOutput [][]I
 }
 
-// MapContext is passed to map (and combine) calls for emitting
+// MapContext is passed to map (and close) calls for emitting
 // intermediate output and updating counters. It is owned by a single
 // task; methods are not safe for concurrent use by multiple goroutines.
 type MapContext[I, K, V any] struct {

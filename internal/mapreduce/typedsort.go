@@ -5,58 +5,97 @@ import (
 	"sync"
 )
 
-// Typed counterpart of sort.go: a dedicated stable merge sort over
-// []Rec[K, V] that calls the run's record comparator directly (binary
-// key codes first, the job comparator only on code ties), plus the
-// sync.Pool-backed scratch buffers the typed task hot paths reuse.
-// Generic pools cannot be package-level globals, so each run owns a
-// recPools instance shared by its tasks (see runState).
+// The map-side sort, and the sync.Pool-backed scratch buffers the typed
+// task hot paths reuse. Generic pools cannot be package-level globals,
+// so each run owns a recPools instance shared by its tasks (see
+// runState).
 
-// sortRecsStable sorts recs with cmpRec, preserving the relative order
-// of equal keys (the emission order within one map task, which the
-// shuffle's stability guarantee is built on). Large inputs split across
-// the run's sortLimiter workers (parsort.go); the parallel sort is
-// bitwise-identical to the serial one.
-func (st *runState[I, K, V, O]) sortRecsStable(recs []Rec[K, V]) {
-	n := len(recs)
-	if n < 2 {
-		return
-	}
-	if n <= insertionRun {
-		insertionSortG(recs, st.cmp)
-		return
-	}
-	scratch := st.pools.getRecBuf()
-	if cap(scratch) < n {
-		scratch = make([]Rec[K, V], n)
-	}
-	scratch = scratch[:n]
-	stableSortParallelG(recs, scratch, st.limiter, st.cmp)
-	st.pools.putRecBuf(scratch)
+// sortEntry is one buffered map-output record as the map-side sort sees
+// it: the record's binary key code, its reduce partition and its index
+// in the buffer. The sort moves these 24 pointer-free bytes instead of
+// whole Recs (48–96 bytes holding strings the collector must trace), and
+// the records themselves move once, when the sorted order is gathered.
+type sortEntry struct {
+	code Code
+	part int32
+	idx  int32
 }
 
-// sortBuckets sorts one map task's partition buckets, spreading large
-// buckets across the run's free sort workers. Each bucket sort is
-// independent (disjoint subslices of one flat array) and pulls its own
-// pooled scratch, so the only coordination is the limiter itself.
-func (st *runState[I, K, V, O]) sortBuckets(buckets [][]Rec[K, V]) {
-	var wg sync.WaitGroup
-	for _, b := range buckets {
-		if len(b) < 2 {
-			continue
+// sortEntryPool recycles entry buffers (and the sort's scratch) across
+// tasks, runs and jobs; entries hold no pointers, so nothing is cleared.
+var sortEntryPool slicePool[sortEntry]
+
+// cmpSortEntryCode orders the entries of one partition by code.
+func cmpSortEntryCode(a, b *sortEntry) int { return a.code.Cmp(b.code) }
+
+// sortedEntries is the engine's one map-side sort: it returns the order
+// in which a map task's buffered records leave it — by reduce partition,
+// then by key, equal keys in emission order (the order the shuffle's
+// stability guarantee is built on) — as entries the caller gathers from
+// (into the tail's bucket array, or into a spilled run) and returns to
+// sortEntryPool.
+//
+// No step touches a record unless it must. Entries are dealt into
+// partition order by counting, then each partition's entries are sorted
+// by code. Only when equal codes do not mean equal keys (a coding that
+// is not Exact, or none: all codes zero) is each run of equal codes then
+// sorted by the job's Compare, reached through idx. Such a run is in
+// emission order, so its records are visited front to back, and when
+// its keys are in fact all equal — every key no longer than a prefix
+// code's 16 bytes — the sort finds it already in order after one pass.
+// Both sorts are the shared stable merge sort, parallel when the run's
+// limiter has free workers and bitwise-identical to the serial order
+// either way (parsort.go).
+func (rs *runStore[K, V]) sortedEntries(recs []Rec[K, V]) ([]sortEntry, error) {
+	n := len(recs)
+	entries := getScratch(&sortEntryPool, n)
+	scratch := getScratch(&sortEntryPool, n)
+	ends := getInt32Buf(rs.r)
+	defer putScratch(&sortEntryPool, scratch)
+	defer putInt32Buf(ends)
+	clear(ends)
+	for i := range recs {
+		p := rs.part(recs[i].Key, rs.r)
+		if p < 0 || p >= rs.r {
+			putScratch(&sortEntryPool, entries)
+			return nil, errBadPartition(p, rs.r)
 		}
-		if len(b) >= parallelSortMin && st.limiter.tryAcquire() {
-			wg.Add(1)
-			go func(b []Rec[K, V]) {
-				defer wg.Done()
-				defer st.limiter.release()
-				st.sortRecsStable(b)
-			}(b)
-		} else {
-			st.sortRecsStable(b)
-		}
+		scratch[i] = sortEntry{code: recs[i].code, part: int32(p), idx: int32(i)}
+		ends[p]++
 	}
-	wg.Wait()
+	// Counts become each partition's write offset, and after the deal
+	// its end offset.
+	var next int32
+	for p, c := range ends {
+		ends[p] = next
+		next += c
+	}
+	for i := range scratch {
+		p := scratch[i].part
+		entries[ends[p]] = scratch[i]
+		ends[p]++
+	}
+	var byKey func(a, b *sortEntry) int
+	if tie := rs.tie; tie != nil {
+		byKey = func(a, b *sortEntry) int { return tie(recs[a.idx].Key, recs[b.idx].Key) }
+	}
+	lo := 0
+	for _, end := range ends {
+		hi := int(end)
+		stableSortParallelG(entries[lo:hi], scratch[lo:hi], rs.limiter, cmpSortEntryCode)
+		if byKey != nil {
+			for lo < hi {
+				tied := lo + 1
+				for tied < hi && entries[tied].code == entries[lo].code {
+					tied++
+				}
+				stableSortParallelG(entries[lo:tied], scratch[lo:tied], rs.limiter, byKey)
+				lo = tied
+			}
+		}
+		lo = hi
+	}
+	return entries, nil
 }
 
 // ---- pooled typed scratch buffers ----

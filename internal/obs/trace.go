@@ -46,7 +46,7 @@ const (
 	KTask                     // one task: all attempts plus retry backoff
 	KAttempt                  // one attempt of a task
 	KSpill                    // external dataflow: one sorted run written to disk
-	KMerge                    // k-way merge feeding a reduce (or combine) pass
+	KMerge                    // k-way merge feeding a reduce pass
 	KShuffleFetch             // one HTTP range read of remote map output
 	KDispatch                 // master-side: one attempt posted to a worker
 	KCommit                   // instant: a task's winning attempt committed
