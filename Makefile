@@ -36,8 +36,15 @@ test-race:
 # test-cancel-race runs the cancellation tests under the race detector
 # as a fast, named gate: the cancel fires from inside concurrently
 # executing tasks, exactly where a racy context check would show up.
+# go test -run exits 0 when nothing matches, so the gate first requires
+# a match in every package it names.
+CANCEL_PKGS = ./internal/mapreduce ./internal/er ./internal/sn
 test-cancel-race:
-	$(GO) test -race -run Cancel ./internal/mapreduce ./internal/er ./internal/sn
+	@for p in $(CANCEL_PKGS); do \
+		$(GO) test -list Cancel $$p | grep -q '^Test' || \
+			{ echo "test-cancel-race: no test matches Cancel in $$p (renamed or deleted?)"; exit 1; }; \
+	done
+	$(GO) test -race -run Cancel $(CANCEL_PKGS)
 
 # bench-smoke builds and runs every benchmark in the repo exactly once,
 # so bench files cannot silently rot, without paying for a full

@@ -20,7 +20,7 @@ import (
 // typedAllocCeiling is deliberately above the measured steady state
 // (~63 allocs per run of the fixed job below) to absorb sync.Pool
 // evictions when a GC lands mid-measurement, while still catching the
-// failure modes that matter: per-record boxing (the boxed engine costs
+// failure modes that matter: per-record boxing (any-keyed records cost
 // ~6400 on the same job), per-put pool box allocation, and
 // append-doubling in the task loops — each of which shows up as
 // hundreds of allocs, not tens.

@@ -13,6 +13,7 @@
 package repro_test
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"strconv"
@@ -201,13 +202,13 @@ func BenchmarkAblationBDMCombiner(b *testing.B) {
 	var reduction float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, plain, err := bdm.Compute(eng, parts, bdm.JobOptions{
+		_, _, plain, err := bdm.ComputeContext(context.Background(), eng, parts, bdm.JobOptions{
 			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, combined, err := bdm.Compute(eng, parts, bdm.JobOptions{
+		_, _, combined, err := bdm.ComputeContext(context.Background(), eng, parts, bdm.JobOptions{
 			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
 		})
 		if err != nil {
@@ -309,7 +310,7 @@ func BenchmarkBDMJobExecution(b *testing.B) {
 	eng := &mapreduce.Engine{Parallelism: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := bdm.Compute(eng, parts, bdm.JobOptions{
+		if _, _, _, err := bdm.ComputeContext(context.Background(), eng, parts, bdm.JobOptions{
 			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
 		}); err != nil {
 			b.Fatal(err)
@@ -348,7 +349,7 @@ func BenchmarkEndToEndStrategies(b *testing.B) {
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		b.Run(strat.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := er.Run(parts, er.Config{
+				if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
 					Strategy:    strat,
 					Attr:        datagen.AttrTitle,
 					BlockKey:    datagen.BlockKey(),
@@ -367,10 +368,10 @@ func BenchmarkEndToEndStrategies(b *testing.B) {
 type shuffleKey struct{ block, sub int }
 
 func compareShuffleKeys(a, b shuffleKey) int {
-	if c := mapreduce.CompareInts(a.block, b.block); c != 0 {
+	if c := cmp.Compare(a.block, b.block); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(a.sub, b.sub)
+	return cmp.Compare(a.sub, b.sub)
 }
 
 func shuffleBlockOf(v int) shuffleKey {
@@ -435,26 +436,18 @@ func shuffleBenchInput(m, perTask int) [][]int {
 	return input
 }
 
-// BenchmarkShuffleMerge pits the engine variants against each other on
-// a shuffle-dominated job (16 map tasks × 4000 records, 8 reduce
-// tasks): the typed engine with and without binary key codes, and the
-// boxed oracle's k-way merge and concat+stable-sort paths. The group
-// makes regressions of any path visible directly in -bench output.
+// BenchmarkShuffleMerge runs a shuffle-dominated job (16 map tasks ×
+// 4000 records, 8 reduce tasks) with and without binary key codes, so a
+// regression of either comparison path shows directly in -bench output.
 func BenchmarkShuffleMerge(b *testing.B) {
 	input := shuffleBenchInput(16, 4000)
 	for _, mode := range []struct {
 		name  string
 		coded bool
-		eng   mapreduce.Engine
-	}{
-		{name: "typed-coded", coded: true, eng: mapreduce.Engine{Parallelism: 4}},
-		{name: "typed", eng: mapreduce.Engine{Parallelism: 4}},
-		{name: "kway", eng: mapreduce.Engine{Parallelism: 4, Dataflow: mapreduce.DataflowBoxed}},
-		{name: "concat-sort", eng: mapreduce.Engine{Parallelism: 4, Dataflow: mapreduce.DataflowBoxed, Shuffle: mapreduce.ShuffleConcatSort}},
-	} {
+	}{{"typed-coded", true}, {"typed", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			job := shuffleBenchJob(8, mode.coded)
-			eng := mode.eng
+			eng := mapreduce.Engine{Parallelism: 4}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -466,32 +459,22 @@ func BenchmarkShuffleMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAllocs tracks the engines' per-job allocation
+// BenchmarkEngineAllocs tracks the engine's per-job allocation
 // footprint on a small fixed job so that allocs/op regressions in the
 // task hot paths (bucketing, spill sort, group streaming) are caught.
-// The typed/boxed pair documents the per-record boxing cost the typed
-// dataflow removes.
 func BenchmarkEngineAllocs(b *testing.B) {
 	input := shuffleBenchInput(4, 500)
-	for _, mode := range []struct {
-		name string
-		eng  mapreduce.Engine
-	}{
-		{name: "typed", eng: mapreduce.Engine{}},
-		{name: "boxed", eng: mapreduce.Engine{Dataflow: mapreduce.DataflowBoxed}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			job := shuffleBenchJob(4, true)
-			eng := mode.eng
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := job.RunContext(context.Background(), &eng, input); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("typed", func(b *testing.B) {
+		job := shuffleBenchJob(4, true)
+		eng := mapreduce.Engine{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := job.RunContext(context.Background(), &eng, input); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSchedule measures the cluster simulator's list scheduler.
@@ -518,7 +501,7 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := er.Run(parts, er.Config{
+		if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
 			Strategy:        core.PairRange{},
 			Attr:            datagen.AttrTitle,
 			BlockKey:        blocking.NormalizedPrefix(3),
@@ -547,7 +530,7 @@ func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := er.Run(parts, er.Config{
+		if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
 			Strategy:   core.PairRange{},
 			Attr:       datagen.AttrTitle,
 			BlockKey:   blocking.NormalizedPrefix(3),

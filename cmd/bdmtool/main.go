@@ -10,10 +10,12 @@ package main
 
 import (
 	"cmp"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"slices"
 
 	"repro/internal/bdm"
@@ -71,7 +73,10 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	matrix, _, _, err := bdm.Compute(&mapreduce.Engine{Obs: observer}, parts, bdm.JobOptions{
+	// Ctrl-C cancels the BDM job between engine tasks.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	matrix, _, _, err := bdm.ComputeContext(ctx, &mapreduce.Engine{Obs: observer}, parts, bdm.JobOptions{
 		Attr:           *attr,
 		KeyFunc:        blocking.NormalizedPrefix(*prefix),
 		NumReduceTasks: *r,

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bdm"
@@ -30,7 +31,7 @@ func BenchmarkExtensionSortedNeighborhood(b *testing.B) {
 	var frac float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sn.Run(parts, sn.Config{
+		res, err := sn.RunPipeline(context.Background(), er.FromPartitions(parts), sn.Config{
 			Attr:       datagen.AttrBlock,
 			Key:        func(v string) string { return v },
 			Window:     10,
@@ -76,11 +77,11 @@ func BenchmarkExtensionRankedSN(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		keyed, err := sn.Run(parts, cfg)
+		keyed, err := sn.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ranked, err := sn.RunRanked(parts, cfg)
+		ranked, err := sn.RunRankedPipeline(context.Background(), er.FromPartitions(parts), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func BenchmarkExtensionMultiPass(b *testing.B) {
 	overhead := multipass.Overhead(es, passes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multipass.Run(parts, multipass.Config{
+		if _, err := multipass.RunPipeline(context.Background(), er.FromPartitions(parts), multipass.Config{
 			Passes:   passes,
 			Strategy: core.PairRange{},
 			R:        16,
@@ -128,7 +129,7 @@ func BenchmarkExtensionMissingKeys(b *testing.B) {
 	parts := entity.SplitRoundRobin(es, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := er.RunWithMissingKeys(parts, er.Config{
+		res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), er.Config{
 			Strategy:   core.BlockSplit{},
 			Attr:       datagen.AttrTitle,
 			BlockKey:   key,

@@ -8,6 +8,7 @@ package repro_test
 // while-you-work micro view.
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,7 +33,7 @@ func BenchmarkExternalShuffle(b *testing.B) {
 	run := func(b *testing.B, eng *mapreduce.Engine) {
 		var spilled int64
 		for i := 0; i < b.N; i++ {
-			res, err := er.Run(parts, er.Config{
+			res, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
 				Strategy:    core.BlockSplit{},
 				Attr:        datagen.AttrTitle,
 				BlockKey:    datagen.BlockKey(),
@@ -106,7 +107,7 @@ func BenchmarkExternalEndToEnd(b *testing.B) {
 			var res *er.Result
 			var err error
 			peak := samplePeakHeap(func() {
-				res, err = er.Run(parts, er.Config{
+				res, err = er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
 					Strategy:    core.BlockSplit{},
 					Attr:        datagen.AttrTitle,
 					BlockKey:    datagen.BlockKey(),

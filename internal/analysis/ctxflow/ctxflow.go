@@ -8,9 +8,8 @@
 // that subtree.
 //
 // Entry points are exempt structurally (package main is skipped) or
-// explicitly: lifecycle roots such as server shutdown timeouts and the
-// legacy non-context adapters carry an //erlint:ignore ctxflow with
-// the reason.
+// explicitly: lifecycle roots such as server shutdown timeouts carry an
+// //erlint:ignore ctxflow with the reason.
 package ctxflow
 
 import (

@@ -1,6 +1,7 @@
 package bdm
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -132,7 +133,7 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 		}
 		for _, combiner := range []bool{false, true} {
 			r := rng.Intn(7) + 1
-			got, side, res, err := Compute(&mapreduce.Engine{}, parts, JobOptions{
+			got, side, res, err := ComputeContext(context.Background(), &mapreduce.Engine{}, parts, JobOptions{
 				Attr: "k", KeyFunc: blocking.Identity(), NumReduceTasks: r, UseCombiner: combiner,
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package bdm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -21,10 +22,10 @@ func (k Key) String() string { return fmt.Sprintf("%s.%d", k.BlockKey, k.Partiti
 
 // compareKeys sorts by blocking key, then partition index.
 func compareKeys(a, b Key) int {
-	if c := mapreduce.CompareStrings(a.BlockKey, b.BlockKey); c != 0 {
+	if c := strings.Compare(a.BlockKey, b.BlockKey); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(a.Partition, b.Partition)
+	return cmp.Compare(a.Partition, b.Partition)
 }
 
 // keyCoding is the BDM key's binary code: a 16-byte prefix of the
@@ -166,13 +167,6 @@ func (c *countReducer) Reduce(ctx *mapreduce.ReduceContext[CountRecord], key Key
 	}
 	key.BlockKey = c.block
 	ctx.Emit(CountRecord{Key: key, Value: sum})
-}
-
-// Compute runs Algorithm 3 over the partitioned input — the pre-context
-// adapter over ComputeContext.
-func Compute(eng *mapreduce.Engine, parts entity.Partitions, opts JobOptions) (*Matrix, [][]Annotated, *JobResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return ComputeContext(context.Background(), eng, parts, opts)
 }
 
 // ComputeContext runs Algorithm 3 over the partitioned input and returns

@@ -325,9 +325,8 @@ func SimulateJob(cfg Config, cm CostModel, w JobWorkload) (JobResult, error) {
 }
 
 // WorkloadFromResult extracts a JobWorkload from an executed MR job's
-// metrics (the Metrics part shared by typed and boxed results). The
-// "comparisons" user counter must have been maintained by the reduce
-// function (the strategies in internal/core do).
+// metrics. The "comparisons" user counter must have been maintained by
+// the reduce function (the strategies in internal/core do).
 func WorkloadFromResult(res *mapreduce.Metrics) JobWorkload {
 	w := JobWorkload{
 		Name:              res.JobName,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -258,13 +259,13 @@ func (h loadHeap) siftDown(i int) {
 }
 
 func compareBSKeys(a, b BSKey) int {
-	if c := mapreduce.CompareInts(a.Block, b.Block); c != 0 {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(a.I, b.I); c != 0 {
+	if c := cmp.Compare(a.I, b.I); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(a.J, b.J)
+	return cmp.Compare(a.J, b.J)
 }
 
 // bsKeyCoding packs a BSKey into an exact order-preserving code:

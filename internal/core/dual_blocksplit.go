@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -139,26 +140,26 @@ func assignDualGreedy(tasks []*dualMatchTask, r int) []int64 {
 }
 
 func compareBSDKeys(a, b BSDKey) int {
-	if c := mapreduce.CompareInts(a.Block, b.Block); c != 0 {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(a.RPart, b.RPart); c != 0 {
+	if c := cmp.Compare(a.RPart, b.RPart); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(a.SPart, b.SPart); c != 0 {
+	if c := cmp.Compare(a.SPart, b.SPart); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(int(a.Source), int(b.Source))
+	return cmp.Compare(a.Source, b.Source)
 }
 
 func groupBSDKeys(a, b BSDKey) int {
-	if c := mapreduce.CompareInts(a.Block, b.Block); c != 0 {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(a.RPart, b.RPart); c != 0 {
+	if c := cmp.Compare(a.RPart, b.RPart); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(a.SPart, b.SPart)
+	return cmp.Compare(a.SPart, b.SPart)
 }
 
 // bsdKeyCoding packs a BSDKey exactly: block ‖ rPart+1 ‖ sPart+1 in the

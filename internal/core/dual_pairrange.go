@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -38,23 +39,23 @@ func (k PRDKey) String() string {
 }
 
 func comparePRDKeys(a, b PRDKey) int {
-	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
+	if c := cmp.Compare(a.Range, b.Range); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(a.Block, b.Block); c != 0 {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(int(a.Source), int(b.Source)); c != 0 {
+	if c := cmp.Compare(a.Source, b.Source); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInt64s(a.Index, b.Index)
+	return cmp.Compare(a.Index, b.Index)
 }
 
 func groupPRDKeys(a, b PRDKey) int {
-	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
+	if c := cmp.Compare(a.Range, b.Range); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(a.Block, b.Block)
+	return cmp.Compare(a.Block, b.Block)
 }
 
 // prdKeyCoding packs a PRDKey exactly: range ‖ block in the high word

@@ -74,7 +74,7 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 	// builder, with and without the combiner.
 	for _, combiner := range []bool{false, true} {
 		eng := &mapreduce.Engine{}
-		x, side, res, err := bdm.Compute(eng, exampleParts(), bdm.JobOptions{
+		x, side, res, err := bdm.ComputeContext(context.Background(), eng, exampleParts(), bdm.JobOptions{
 			Attr:           exAttr,
 			KeyFunc:        blocking.Identity(),
 			NumReduceTasks: 3,

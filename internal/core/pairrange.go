@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -38,20 +39,20 @@ type PRKey struct {
 func (k PRKey) String() string { return fmt.Sprintf("%d.%d.%d", k.Range, k.Block, k.Index) }
 
 func comparePRKeys(a, b PRKey) int {
-	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
+	if c := cmp.Compare(a.Range, b.Range); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareInts(a.Block, b.Block); c != 0 {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInt64s(a.Index, b.Index)
+	return cmp.Compare(a.Index, b.Index)
 }
 
 func groupPRKeys(a, b PRKey) int {
-	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
+	if c := cmp.Compare(a.Range, b.Range); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInts(a.Block, b.Block)
+	return cmp.Compare(a.Block, b.Block)
 }
 
 // prKeyCoding packs a PRKey into an exact order-preserving code:

@@ -1,6 +1,7 @@
 package er
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -119,7 +120,7 @@ func TestClustersFromPipeline(t *testing.T) {
 	// End-to-end: duplicates injected around two base entities collapse
 	// into clusters containing their bases.
 	es := smallDataset()
-	res, err := Run(entity.Partitions{es[:3], es[3:]}, Config{
+	res, err := RunPipeline(context.Background(), FromPartitions(entity.Partitions{es[:3], es[3:]}), Config{
 		Strategy: core.PairRange{},
 		Attr:     "title",
 		BlockKey: blocking.NormalizedPrefix(3),

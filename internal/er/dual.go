@@ -1,7 +1,6 @@
 package er
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bdm"
@@ -44,16 +43,6 @@ type DualResult struct {
 	Comparisons int64
 	BDM         *bdm.DualMatrix
 	MatchResult *core.MatchJobResult
-}
-
-// RunDual matches two sources. partsR and partsS are each source's input
-// partitions; as in the paper, every partition holds entities of exactly
-// one source (partition indexes are assigned R-first, then S). It is the
-// pre-context adapter over RunDualPipeline, kept for one release of
-// compatibility.
-func RunDual(partsR, partsS entity.Partitions, cfg DualConfig) (*DualResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunDualPipeline(context.Background(), FromPartitions(partsR), FromPartitions(partsS), cfg)
 }
 
 // buildDualMatchJob selects the dual matching job's matcher path (the

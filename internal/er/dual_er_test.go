@@ -1,6 +1,7 @@
 package er
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,9 +16,7 @@ func TestRunDualAgainstSerial(t *testing.T) {
 	r, s := datagen.TwoSources(es, 0.5, 5)
 	want, wantComps := SerialMatchDual(r, s, datagen.AttrTitle, datagen.BlockKey(), titleMatcher(0.85))
 	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
-		res, err := RunDual(
-			entity.SplitRoundRobin(r, 2),
-			entity.SplitRoundRobin(s, 2),
+		res, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(r, 2)), FromPartitions(entity.SplitRoundRobin(s, 2)),
 			DualConfig{
 				Strategy: strat,
 				Attr:     datagen.AttrTitle,
@@ -42,13 +41,13 @@ func TestRunDualAgainstSerial(t *testing.T) {
 
 func TestRunDualValidation(t *testing.T) {
 	parts := entity.SplitRoundRobin(smallDataset(), 1)
-	if _, err := RunDual(parts, parts, DualConfig{}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), DualConfig{}); err == nil {
 		t.Error("empty config: want error")
 	}
-	if _, err := RunDual(parts, parts, DualConfig{Strategy: core.BlockSplitDual{}, BlockKey: blocking.Prefix(3)}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), DualConfig{Strategy: core.BlockSplitDual{}, BlockKey: blocking.Prefix(3)}); err == nil {
 		t.Error("R=0: want error")
 	}
-	if _, err := RunDual(parts, parts, DualConfig{Strategy: core.BlockSplitDual{}, R: 2}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), DualConfig{Strategy: core.BlockSplitDual{}, R: 2}); err == nil {
 		t.Error("nil BlockKey: want error")
 	}
 }

@@ -9,15 +9,13 @@
 // it (constant-memory output), and the RunOptions block embedded by
 // every workflow configuration — one-source, two-source, sorted
 // neighborhood, multi-pass, missing-keys — carries the shared engine
-// plumbing. The context-aware entry points (RunPipeline,
-// RunDualPipeline, RunWithMissingKeysPipeline, and the sn/multipass
-// analogues) cancel between engine tasks; the legacy signatures (Run,
-// RunDual, RunWithMissingKeys) remain as thin adapters for one release.
-// See DESIGN.md, "Pipeline API".
+// plumbing. The entry points (RunPipeline, RunDualPipeline,
+// RunWithMissingKeysPipeline, and the sn/multipass analogues) take the
+// caller's context and cancel between engine tasks. See DESIGN.md,
+// "Pipeline API".
 package er
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -109,14 +107,6 @@ func (r *Result) SimulatedTime(cfg cluster.Config, cm cluster.CostModel) (float6
 		total += jr.Time
 	}
 	return total, nil
-}
-
-// Run executes the full workflow of Figure 2 over the partitioned
-// input — the pre-context adapter over RunPipeline, kept for one
-// release of compatibility.
-func Run(parts entity.Partitions, cfg Config) (*Result, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunPipeline(context.Background(), FromPartitions(parts), cfg)
 }
 
 // buildMatchJob selects the matching job's matcher path: the prepared

@@ -1,6 +1,7 @@
 package er
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -41,7 +42,7 @@ func TestRunAllStrategiesAgree(t *testing.T) {
 	}
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		for _, m := range []int{1, 2, 3} {
-			res, err := Run(entity.SplitRoundRobin(es, m), Config{
+			res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, m)), Config{
 				Strategy: strat,
 				Attr:     "title",
 				BlockKey: blocking.NormalizedPrefix(3),
@@ -73,7 +74,7 @@ func TestRunAgainstSerialFuzz(t *testing.T) {
 		es, _ := datagen.Generate(spec)
 		want, _ := SerialMatch(es, datagen.AttrTitle, datagen.BlockKey(), titleMatcher(0.85))
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			res, err := Run(entity.SplitRoundRobin(es, rng.Intn(4)+1), Config{
+			res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, rng.Intn(4)+1)), Config{
 				Strategy:   strat,
 				Attr:       datagen.AttrTitle,
 				BlockKey:   datagen.BlockKey(),
@@ -95,20 +96,20 @@ func TestRunAgainstSerialFuzz(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	es := smallDataset()
 	parts := entity.SplitRoundRobin(es, 2)
-	if _, err := Run(parts, Config{}); err == nil {
+	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{}); err == nil {
 		t.Error("empty config: want error")
 	}
-	if _, err := Run(parts, Config{Strategy: core.Basic{}, BlockKey: blocking.Prefix(1)}); err == nil {
+	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{Strategy: core.Basic{}, BlockKey: blocking.Prefix(1)}); err == nil {
 		t.Error("R=0: want error")
 	}
-	if _, err := Run(parts, Config{Strategy: core.Basic{}, R: 2}); err == nil {
+	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{Strategy: core.Basic{}, R: 2}); err == nil {
 		t.Error("nil BlockKey: want error")
 	}
 }
 
 func TestBasicSkipsBDMJob(t *testing.T) {
 	es := smallDataset()
-	res, err := Run(entity.SplitRoundRobin(es, 2), Config{
+	res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.Basic{},
 		Attr:     "title",
 		BlockKey: blocking.Prefix(3),
@@ -123,7 +124,7 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 	if got := len(res.Workloads()); got != 1 {
 		t.Errorf("Basic has %d workloads, want 1 (single job)", got)
 	}
-	res2, err := Run(entity.SplitRoundRobin(es, 2), Config{
+	res2, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: blocking.Prefix(3),
@@ -139,7 +140,7 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 
 func TestSimulatedTime(t *testing.T) {
 	es := smallDataset()
-	res, err := Run(entity.SplitRoundRobin(es, 2), Config{
+	res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.PairRange{},
 		Attr:     "title",
 		BlockKey: blocking.Prefix(3),
@@ -183,7 +184,7 @@ func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 		r := rng.Intn(6) + 1
 		parts := entity.SplitRoundRobin(es, m)
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			res, err := Run(parts, Config{
+			res, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
 				Strategy:    strat,
 				Attr:        datagen.AttrTitle,
 				BlockKey:    datagen.BlockKey(),

@@ -1,6 +1,7 @@
 package er_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/blocking"
@@ -12,14 +13,14 @@ import (
 
 // The complete workflow of Figure 2: BDM job, load-balanced matching,
 // match collection.
-func ExampleRun() {
+func ExampleRunPipeline() {
 	entities := []entity.Entity{
 		entity.New("p1", "title", "acme rocket skates"),
 		entity.New("p2", "title", "acme rocket skates!"),
 		entity.New("p3", "title", "acme anvil"),
 		entity.New("p4", "title", "bolt cutter"),
 	}
-	res, err := er.Run(entity.SplitRoundRobin(entities, 2), er.Config{
+	res, err := er.RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(entities, 2)), er.Config{
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: blocking.NormalizedPrefix(3),

@@ -1,6 +1,7 @@
 package er_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -35,7 +36,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		R:           4,
 		UseCombiner: true,
 	}
-	mem, err := er.Run(parts, base)
+	mem, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 	ext := base
 	ext.SpillBudget = 32
 	ext.TmpDir = tmp
-	res, err := er.Run(parts, ext)
+	res, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), ext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 	}
 
 	// Dual plumbing.
-	dmem, err := er.RunDual(parts[:2], parts[2:], er.DualConfig{
+	dmem, err := er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
 		Strategy: core.PairRangeDual{},
 		Attr:     "title",
 		BlockKey: blocking.NormalizedPrefix(3),
@@ -73,7 +74,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dext, err := er.RunDual(parts[:2], parts[2:], er.DualConfig{
+	dext, err := er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
 		Strategy:   core.PairRangeDual{},
 		Attr:       "title",
 		BlockKey:   blocking.NormalizedPrefix(3),

@@ -2,8 +2,8 @@ package er_test
 
 // End-to-end fault-schedule differential: the full ER workflow (BDM job
 // + match job) under injected faults must produce a Result
-// byte-identical to the fault-free run, for every strategy × dataflow ×
-// fault kind — proving the engine's commit protocol holds through the
+// byte-identical to the fault-free run, for every strategy × residency
+// × fault kind — proving the engine's commit protocol holds through the
 // two-job pipeline, not just a single job. Attempt counters and spill
 // counters are zeroed before comparison (execution history, not
 // output); everything else — matches, comparisons, BDM, side output,
@@ -26,18 +26,19 @@ import (
 
 var chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the chaos-hook pipeline differential test")
 
-// dataflowSpilling labels the tables' third row — the typed engine with
-// a spill budget — next to the typed engine in memory and the boxed
-// oracle; faultEngine turns it into DataflowTyped plus a SpillBudget.
-const dataflowSpilling mapreduce.DataflowMode = -1
+// residencies are the tables' rows: where the intermediate records of
+// the pipeline's jobs live. (Distributed runs have their own suite,
+// dist_differential_test.go.) The labels are older than the one dataflow
+// ("typed" ran in memory, "external" spilled) and stay, so that test
+// names do not change under the CI gates that select by them.
+var residencies = map[string]bool{"typed": false, "external": true}
 
-// faultEngine builds one engine per dataflow for the pipeline runs;
-// spilling engines spill aggressively into a per-test temp dir.
-func faultEngine(t *testing.T, dataflow mapreduce.DataflowMode) *mapreduce.Engine {
+// faultEngine builds one engine per row for the pipeline runs; spilling
+// engines spill aggressively into a per-test temp dir.
+func faultEngine(t *testing.T, spilling bool) *mapreduce.Engine {
 	t.Helper()
-	e := &mapreduce.Engine{Parallelism: 4, Dataflow: dataflow}
-	if dataflow == dataflowSpilling {
-		e.Dataflow = mapreduce.DataflowTyped
+	e := &mapreduce.Engine{Parallelism: 4}
+	if spilling {
 		e.SpillBudget = 128
 		e.TmpDir = t.TempDir()
 	}
@@ -71,7 +72,7 @@ func zeroHistory(res *er.Result) {
 
 // erFault is one fault kind of the differential matrix. install mutates
 // the engine (hook and/or retry policy); extOnly restricts disk faults
-// to the dataflow that has disk points.
+// to the runs that reach disk points.
 type erFault struct {
 	name    string
 	extOnly bool
@@ -124,15 +125,10 @@ func erFaults() []erFault {
 // Result. The chaos-smoke CI job randomizes -chaos-seed.
 func TestERChaosDifferential(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 3)
-	dataflows := map[string]mapreduce.DataflowMode{
-		"typed":    mapreduce.DataflowTyped,
-		"boxed":    mapreduce.DataflowBoxed,
-		"external": dataflowSpilling,
-	}
-	for dname, dataflow := range dataflows {
+	for dname, spilling := range residencies {
 		t.Run(dname, func(t *testing.T) {
 			cfg := baseConfig(core.BlockSplit{}, 4)
-			cfg.Engine = faultEngine(t, dataflow)
+			cfg.Engine = faultEngine(t, spilling)
 			baseline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +137,7 @@ func TestERChaosDifferential(t *testing.T) {
 
 			before := testleak.Snapshot()
 			cfg = baseConfig(core.BlockSplit{}, 4)
-			eng := faultEngine(t, dataflow)
+			eng := faultEngine(t, spilling)
 			eng.Retry.BaseBackoff = 1
 			eng.FaultHook = mapreduce.ChaosHook(*chaosSeed, 0.3, 0)
 			cfg.Engine = eng
@@ -160,16 +156,11 @@ func TestERChaosDifferential(t *testing.T) {
 
 func TestERFaultScheduleDifferential(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 3)
-	dataflows := map[string]mapreduce.DataflowMode{
-		"typed":    mapreduce.DataflowTyped,
-		"boxed":    mapreduce.DataflowBoxed,
-		"external": dataflowSpilling,
-	}
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-		for dname, dataflow := range dataflows {
-			// Fault-free baseline on the same dataflow/engine shape.
+		for dname, spilling := range residencies {
+			// Fault-free baseline on the same engine shape.
 			cfg := baseConfig(strat, 4)
-			cfg.Engine = faultEngine(t, dataflow)
+			cfg.Engine = faultEngine(t, spilling)
 			baseline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -179,13 +170,13 @@ func TestERFaultScheduleDifferential(t *testing.T) {
 			}
 			zeroHistory(baseline)
 			for _, fault := range erFaults() {
-				if fault.extOnly && dataflow != dataflowSpilling {
+				if fault.extOnly && !spilling {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", strat.Name(), dname, fault.name), func(t *testing.T) {
 					before := testleak.Snapshot()
 					cfg := baseConfig(strat, 4)
-					eng := faultEngine(t, dataflow)
+					eng := faultEngine(t, spilling)
 					fault.install(eng)
 					cfg.Engine = eng
 					res, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)

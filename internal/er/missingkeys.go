@@ -50,13 +50,6 @@ func dualStrategyFor(s core.Strategy) core.DualStrategy {
 	return core.BlockSplitDual{}
 }
 
-// RunWithMissingKeys runs the full decomposition — the pre-context
-// adapter over RunWithMissingKeysPipeline.
-func RunWithMissingKeys(parts entity.Partitions, cfg Config) (*MissingKeyResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunWithMissingKeysPipeline(context.Background(), FromPartitions(parts), cfg)
-}
-
 // RunWithMissingKeysPipeline runs the full decomposition over the
 // source's partitions. cfg.BlockKey may return "" for entities without
 // a valid key; those are routed through the Cartesian parts. All other

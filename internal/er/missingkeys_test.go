@@ -1,6 +1,7 @@
 package er
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -84,7 +85,7 @@ func TestRunWithMissingKeysAgainstSerial(t *testing.T) {
 		es := missingKeyDataset(rng, rng.Intn(60)+10)
 		want, wantComps := serialWithMissing(es, "title", prefixOrEmpty, matchSameTail)
 		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
-			res, err := RunWithMissingKeys(entity.SplitRoundRobin(es, rng.Intn(3)+1), Config{
+			res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, rng.Intn(3)+1)), Config{
 				Strategy: strat,
 				Attr:     "title",
 				BlockKey: prefixOrEmpty,
@@ -110,7 +111,7 @@ func TestRunWithMissingKeysAllKeyed(t *testing.T) {
 		entity.New("b", "title", "aa y"),
 		entity.New("c", "title", "bb z"),
 	}
-	res, err := RunWithMissingKeys(entity.SplitRoundRobin(es, 2), Config{
+	res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: prefixOrEmpty,
@@ -134,7 +135,7 @@ func TestRunWithMissingKeysAllMissing(t *testing.T) {
 		entity.New("b", "title", "?y"),
 		entity.New("c", "title", "?z"),
 	}
-	res, err := RunWithMissingKeys(entity.SplitRoundRobin(es, 2), Config{
+	res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.PairRange{},
 		Attr:     "title",
 		BlockKey: prefixOrEmpty,
@@ -160,7 +161,7 @@ func TestRunWithMissingKeysSingleNoKeyEntity(t *testing.T) {
 		entity.New("b", "title", "aa y"),
 		entity.New("q", "title", "?"),
 	}
-	res, err := RunWithMissingKeys(entity.SplitRoundRobin(es, 1), Config{
+	res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 1)), Config{
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: prefixOrEmpty,

@@ -86,7 +86,7 @@ func (o *RunOptions) ResolveEngine() *mapreduce.Engine {
 
 // runMatchJob executes a matching job against the configured output
 // path: collecting (nil sink — output and canonical matches land in the
-// result, the legacy behaviour) or streaming (each emission goes to the
+// result) or streaming (each emission goes to the
 // sink, which is flushed after a successful run; the returned matches
 // are nil and res.Output stays empty).
 func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, input [][]core.AnnotatedEntity, sink MatchSink) (*core.MatchJobResult, []core.MatchPair, error) {
@@ -116,7 +116,6 @@ func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, 
 // Basic strategy only a single job runs (it needs no BDM); its input is
 // annotated inline to keep the dataflow identical.
 //
-// This is the primary entry point; Run is the pre-context adapter.
 // Cancelling ctx stops the run between engine tasks and returns an
 // error wrapping ctx.Err(); a configured Sink streams the matches (see
 // RunOptions.Sink).
@@ -165,7 +164,8 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 
 // RunDualPipeline executes the two-source (R×S) workflow of Appendix I
 // over the two sources' partitions; see RunPipeline for the execution
-// semantics and RunDual for the input layout.
+// semantics. As in the paper, every partition holds entities of exactly
+// one source; partition indexes are assigned R-first, then S.
 func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg DualConfig) (*DualResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -1,10 +1,8 @@
 package er_test
 
-// Pipeline-API tests: the legacy adapters (Run/RunDual/
-// RunWithMissingKeys) must produce byte-identical Results — TaskMetrics
-// included — to the redesigned context-aware pipeline entry points;
-// streamed sinks must see exactly the collected match stream without
-// accumulating it; Sources must reproduce the legacy input layouts.
+// Pipeline-API tests: streamed sinks must see exactly the collected
+// match stream without accumulating it; Sources must reproduce the
+// in-memory partition layout; cancellation stops every entry point.
 
 import (
 	"bytes"
@@ -48,63 +46,6 @@ func baseConfig(strat core.Strategy, par int) er.Config {
 	}
 }
 
-// TestAdapterMatchesPipeline: er.Run ≡ er.RunPipeline on the full
-// Result — matches, comparisons, BDM, and every TaskMetrics field of
-// both jobs — across all three strategies and parallelism 1 and 4.
-func TestAdapterMatchesPipeline(t *testing.T) {
-	es := testEntities(150, 3)
-	parts := entity.SplitRoundRobin(es, 3)
-	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-		for _, par := range []int{1, 4} {
-			cfg := baseConfig(strat, par)
-			legacy, err := er.Run(parts, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pipeline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(legacy, pipeline) {
-				t.Fatalf("%s par %d: legacy adapter result differs from pipeline", strat.Name(), par)
-			}
-			if len(legacy.Matches) == 0 {
-				t.Fatalf("%s: differential test vacuous, no matches", strat.Name())
-			}
-		}
-	}
-}
-
-// TestDualAdapterMatchesPipeline: er.RunDual ≡ er.RunDualPipeline for
-// both dual strategies.
-func TestDualAdapterMatchesPipeline(t *testing.T) {
-	es := testEntities(160, 5)
-	r, s := datagen.TwoSources(es, 0.5, 11)
-	partsR := entity.SplitRoundRobin(r, 2)
-	partsS := entity.SplitRoundRobin(s, 3)
-	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
-		cfg := er.DualConfig{
-			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
-			Strategy:   strat,
-			Attr:       datagen.AttrTitle,
-			BlockKey:   datagen.BlockKey(),
-			Matcher:    testMatcher(0.8),
-			R:          4,
-		}
-		legacy, err := er.RunDual(partsR, partsS, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipeline, err := er.RunDualPipeline(context.Background(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, pipeline) {
-			t.Fatalf("%s: legacy dual adapter result differs from pipeline", strat.Name())
-		}
-	}
-}
-
 // missingKeyBlocker drops the blocking key for part of the dataset so
 // the decomposition exercises all three sub-runs.
 func missingKeyBlocker(v string) string {
@@ -112,29 +53,6 @@ func missingKeyBlocker(v string) string {
 		return ""
 	}
 	return blocking.Prefix(3)(v)
-}
-
-// TestMissingKeysAdapterMatchesPipeline: er.RunWithMissingKeys ≡
-// er.RunWithMissingKeysPipeline on the aggregated result.
-func TestMissingKeysAdapterMatchesPipeline(t *testing.T) {
-	es := testEntities(120, 7)
-	parts := entity.SplitRoundRobin(es, 3)
-	cfg := baseConfig(core.BlockSplit{}, 2)
-	cfg.BlockKey = missingKeyBlocker
-	legacy, err := er.RunWithMissingKeys(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Keyed == nil || legacy.Cross == nil || legacy.NoKey == nil {
-		t.Fatal("decomposition did not exercise all three sub-runs")
-	}
-	pipeline, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, pipeline) {
-		t.Fatal("legacy missing-keys adapter result differs from pipeline")
-	}
 }
 
 // countingSink counts without retaining — the "non-collecting sink" of
@@ -367,7 +285,7 @@ func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 	parts := entity.SplitRoundRobin(es, 3)
 	cfg := baseConfig(core.PairRange{}, 2)
 	cfg.BlockKey = missingKeyBlocker
-	collected, err := er.RunWithMissingKeys(parts, cfg)
+	collected, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

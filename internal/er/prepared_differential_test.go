@@ -78,11 +78,11 @@ func TestPreparedMatcherDifferential(t *testing.T) {
 			preparedCfg := base
 			preparedCfg.PreparedMatcher = match.EditDistance("title", th)
 
-			plainRes, err := Run(parts, plainCfg)
+			plainRes, err := RunPipeline(context.Background(), FromPartitions(parts), plainCfg)
 			if err != nil {
 				t.Fatalf("%s plain: %v", strat.Name(), err)
 			}
-			preparedRes, err := Run(parts, preparedCfg)
+			preparedRes, err := RunPipeline(context.Background(), FromPartitions(parts), preparedCfg)
 			if err != nil {
 				t.Fatalf("%s prepared: %v", strat.Name(), err)
 			}
@@ -133,13 +133,13 @@ func TestPreparedMatcherDifferentialTokenKernels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			plainRes, err := Run(parts, Config{
+			plainRes, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
 				Strategy: strat, Attr: "title", BlockKey: key, Matcher: tc.plain, R: 5,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s plain: %v", tc.name, strat.Name(), err)
 			}
-			preparedRes, err := Run(parts, Config{
+			preparedRes, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
 				Strategy: strat, Attr: "title", BlockKey: key, PreparedMatcher: tc.prepared, R: 5,
 			})
 			if err != nil {
@@ -162,8 +162,7 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 	rsrc, ssrc := es[:90], es[90:]
 	key := blocking.NormalizedPrefix(2)
 	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
-		plainRes, err := RunDual(
-			entity.SplitRoundRobin(rsrc, 2), entity.SplitRoundRobin(ssrc, 3),
+		plainRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
 			DualConfig{
 				Strategy: strat, Attr: "title", BlockKey: key,
 				Matcher: plainEditDistance("title", 0.6), R: 4,
@@ -171,8 +170,7 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s plain: %v", strat.Name(), err)
 		}
-		preparedRes, err := RunDual(
-			entity.SplitRoundRobin(rsrc, 2), entity.SplitRoundRobin(ssrc, 3),
+		preparedRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
 			DualConfig{
 				Strategy: strat, Attr: "title", BlockKey: key,
 				PreparedMatcher: match.EditDistance("title", 0.6), R: 4,
@@ -201,14 +199,14 @@ func TestPreparedMatcherFallback(t *testing.T) {
 	if _, ok := any(plainOnlyStrategy{core.PairRange{}}).(core.PreparedStrategy); ok {
 		t.Fatal("plainOnlyStrategy must not implement PreparedStrategy")
 	}
-	want, err := Run(parts, Config{
+	want, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
 		Strategy: core.PairRange{}, Attr: "title", BlockKey: key,
 		PreparedMatcher: match.EditDistance("title", 0.7), R: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(parts, Config{
+	got, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
 		Strategy: plainOnlyStrategy{core.PairRange{}}, Attr: "title", BlockKey: key,
 		PreparedMatcher: match.EditDistance("title", 0.7), R: 4,
 	})

@@ -67,7 +67,7 @@ func (c *Collect) Flush() error { return nil }
 // Canonical deduplicates the streamed matches and, at Flush, sorts them
 // into the canonical order — the streamed twin of the collecting path's
 // CollectMatches. Memory is O(distinct matches), which is exactly what
-// the legacy Result.Matches held.
+// a collecting run's Result.Matches holds.
 type Canonical struct {
 	seen    map[core.MatchPair]bool
 	matches []core.MatchPair

@@ -9,9 +9,8 @@ import (
 )
 
 // Source supplies a pipeline's partitioned input. The partition count
-// determines m, the number of map tasks, exactly as passing
-// entity.Partitions to the legacy entry points did; a Source just
-// abstracts where those partitions come from — an in-memory slice, a
+// determines m, the number of map tasks; a Source just abstracts where
+// those partitions come from — an in-memory slice, a
 // CSV stream, a data generator — so every pipeline (one-source, dual,
 // sorted neighborhood, multi-pass, missing-keys) consumes one input
 // shape.
@@ -35,8 +34,8 @@ type SourceFunc func() (entity.Partitions, error)
 // Partitions implements Source.
 func (f SourceFunc) Partitions() (entity.Partitions, error) { return f() }
 
-// FromPartitions wraps already-partitioned input — the layout the
-// legacy entry points accepted. The partitions are used as-is.
+// FromPartitions wraps already-partitioned input. The partitions are
+// used as-is.
 func FromPartitions(parts entity.Partitions) Source {
 	return SourceFunc(func() (entity.Partitions, error) { return parts, nil })
 }

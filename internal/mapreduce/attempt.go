@@ -12,17 +12,17 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the task-attempt supervision layer shared by the typed
-// dataflow and the boxed oracle. Every map and reduce task executes
-// as a sequence of *attempts*: a panic or error inside one attempt fails
-// only that attempt, the RetryPolicy decides whether and when the task
-// re-runs, and straggling tasks can be speculatively duplicated — the
-// first attempt to finish commits, the loser is cancelled. Correctness
-// under retries and duplicate attempts rests on a task-commit protocol:
-// an attempt accumulates all of its observable output (records, side
-// output, metrics) privately and the supervisor publishes it atomically
-// on commit, so a failed, retried, or superseded attempt leaves no trace
-// in the Result. See DESIGN.md ("Fault tolerance").
+// This file is the task-attempt supervision layer. Every map and reduce
+// task executes as a sequence of *attempts*: a panic or error inside one
+// attempt fails only that attempt, the RetryPolicy decides whether and
+// when the task re-runs, and straggling tasks can be speculatively
+// duplicated — the first attempt to finish commits, the loser is
+// cancelled. Correctness under retries and duplicate attempts rests on a
+// task-commit protocol: an attempt accumulates all of its observable
+// output (records, side output, metrics) privately and the supervisor
+// publishes it atomically on commit, so a failed, retried, or superseded
+// attempt leaves no trace in the Result. See DESIGN.md ("Fault
+// tolerance").
 
 // Defaults of the zero-value RetryPolicy. They are deliberately small:
 // the engine runs in-process, so "rack-local re-fetch" style backoffs
@@ -307,9 +307,8 @@ type attemptStats struct {
 // taskOps is the phase-specific half of the supervisor: how to run one
 // attempt, publish a winner, and release a loser. Implementations are
 // passed by pointer, so the interface conversion never allocates — the
-// typed dataflow's phases are pointer-shaped views of its runState,
-// which also embeds both supervisors, so it pays zero allocations for
-// supervision.
+// dataflow's phases are pointer-shaped views of its runState, which also
+// embeds both supervisors, so it pays zero allocations for supervision.
 type taskOps[T any] interface {
 	// runTaskAttempt executes one attempt. It must keep all observable
 	// output private to the attempt and clean up its own resources on
@@ -463,40 +462,6 @@ func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 		}
 		sv.errMu.Unlock()
 	}
-}
-
-// funcTaskOps adapts free functions to taskOps for the boxed engine,
-// which builds its phases from closures.
-type funcTaskOps[T any] struct {
-	run     func(ctx context.Context, hook *taskHook, task, attempt int) (T, error)
-	commit  func(task int, out T) error
-	discard func(out T)
-}
-
-func (o *funcTaskOps[T]) runTaskAttempt(ctx context.Context, hook *taskHook, task, attempt int) (T, error) {
-	return o.run(ctx, hook, task, attempt)
-}
-func (o *funcTaskOps[T]) commitTask(task int, out T) error { return o.commit(task, out) }
-func (o *funcTaskOps[T]) discardOut(out T)                 { o.discard(out) }
-
-// superviseTasks is the closure-based entry point over
-// taskSupervisor.supervise, used by the boxed engine.
-// weigh is the supervisor's dispatch weight (nil: index order).
-func superviseTasks[T any](
-	ctx context.Context,
-	e *Engine,
-	phase TaskKind,
-	jobID uint32,
-	n int,
-	weigh func(task int) int64,
-	run func(ctx context.Context, hook *taskHook, task, attempt int) (T, error),
-	commit func(task int, out T) error,
-	discard func(out T),
-) (attemptStats, error) {
-	sv := &taskSupervisor[T]{}
-	sv.init(e, phase, jobID, &funcTaskOps[T]{run: run, commit: commit, discard: discard})
-	sv.weigh = weigh
-	return sv.supervise(ctx, n)
 }
 
 // runAttempt executes one attempt: per-attempt deadline, fault-hook

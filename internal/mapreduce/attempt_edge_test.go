@@ -19,11 +19,11 @@ import (
 )
 
 func TestMaxAttemptsOneFailsFast(t *testing.T) {
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		t.Run(dname, func(t *testing.T) {
 			before := testleak.Snapshot()
 			var starts atomic.Int64
-			e, _ := engineFor(t, dataflow)
+			e, _ := engineFor(t, where, nil)
 			e.Retry.MaxAttempts = 1
 			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
 				if phase == mapreduce.ReduceTask && task == 2 && point == mapreduce.FaultTaskStart {

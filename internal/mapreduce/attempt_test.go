@@ -1,7 +1,7 @@
 package mapreduce_test
 
-// Black-box tests of the task-attempt supervision layer across all
-// three dataflows: transient faults are retried to an identical result,
+// Black-box tests of the task-attempt supervision layer in memory and
+// spilling: transient faults are retried to an identical result,
 // exhausted or fatal faults surface as *TaskError with a clean spill
 // root, per-attempt timeouts retry, and stragglers get a real
 // speculative backup whose winner commits exactly once. Every test
@@ -20,12 +20,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/testleak"
 )
-
-var allDataflows = map[string]mapreduce.DataflowMode{
-	"typed":    mapreduce.DataflowTyped,
-	"boxed":    mapreduce.DataflowBoxed,
-	"external": dataflowSpilling,
-}
 
 // clearAttemptCounters zeroes the execution-history counters (see the
 // Metrics doc: they describe how the run executed, not what it
@@ -63,11 +57,11 @@ func TestRetryTransientFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	normalize(baseline)
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		for _, at := range []mapreduce.FaultPoint{mapreduce.FaultTaskStart, mapreduce.FaultEmit} {
 			t.Run(fmt.Sprintf("%s/%s", dname, at), func(t *testing.T) {
 				before := testleak.Snapshot()
-				e, _ := engineFor(t, dataflow)
+				e, _ := engineFor(t, where, nil)
 				e.FaultHook = failFirstAttempt(at)
 				res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 				if err != nil {
@@ -92,10 +86,10 @@ func TestRetryTransientFault(t *testing.T) {
 }
 
 func TestRetryExhaustedFailsWithTaskError(t *testing.T) {
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		t.Run(dname, func(t *testing.T) {
 			before := testleak.Snapshot()
-			e, tmp := engineFor(t, dataflow)
+			e, tmp := engineFor(t, where, nil)
 			e.Retry.MaxAttempts = 3
 			e.Retry.BaseBackoff = time.Microsecond
 			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
@@ -129,11 +123,11 @@ func TestRetryExhaustedFailsWithTaskError(t *testing.T) {
 }
 
 func TestFatalFaultFailsFirstAttempt(t *testing.T) {
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		t.Run(dname, func(t *testing.T) {
 			before := testleak.Snapshot()
 			var starts atomic.Int64
-			e, tmp := engineFor(t, dataflow)
+			e, tmp := engineFor(t, where, nil)
 			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
 				if phase == mapreduce.ReduceTask && task == 0 && point == mapreduce.FaultTaskStart {
 					starts.Add(1)
@@ -231,7 +225,7 @@ func TestSpeculativeBackupWins(t *testing.T) {
 	for _, dname := range []string{"typed", "external"} {
 		t.Run(dname, func(t *testing.T) {
 			before := testleak.Snapshot()
-			e, _ := engineFor(t, allDataflows[dname])
+			e, _ := engineFor(t, localResidencies[dname], nil)
 			e.Retry = specPolicy()
 			// Attempt 1 of map task 0 straggles forever; only the backup
 			// (attempt 2) can finish the task.
@@ -311,7 +305,7 @@ func TestSpeculativePrimaryWins(t *testing.T) {
 // the attempt (not the process) and retries; a panicking final attempt
 // surfaces as a TaskError whose cause carries the panic text.
 func TestPanicInUserCodeRecovered(t *testing.T) {
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		t.Run(dname, func(t *testing.T) {
 			before := testleak.Snapshot()
 			var once atomic.Bool
@@ -328,7 +322,7 @@ func TestPanicInUserCodeRecovered(t *testing.T) {
 					},
 				}
 			}
-			e, _ := engineFor(t, dataflow)
+			e, _ := engineFor(t, where, nil)
 			e.Retry.BaseBackoff = time.Microsecond
 			res, err := j.RunContext(context.Background(), e, wordInput(2))
 			if err != nil {

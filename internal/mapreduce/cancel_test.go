@@ -2,7 +2,7 @@ package mapreduce_test
 
 // Cancellation tests: cancelling the context mid-map or mid-reduce must
 // abort the run between tasks with an error wrapping ctx.Err(), leak no
-// worker goroutines, and — on the external dataflow — remove the spill
+// worker goroutines, and — when the run spilled — remove the spill
 // directory. The CI pipeline additionally runs these under -race (the
 // cancel fires from inside concurrently executing tasks).
 
@@ -46,31 +46,9 @@ func cancelJob(r int, phase mapreduce.TaskKind, cancel context.CancelFunc) *mapr
 	return j
 }
 
-// dataflowSpilling is the suites' third "dataflow" next to the typed
-// engine in memory and the boxed oracle: the typed engine with a spill
-// budget. It is a row label for the tables below, not an engine mode —
-// engineFor turns it into DataflowTyped plus a SpillBudget.
-const dataflowSpilling mapreduce.DataflowMode = -1
-
-// engineFor builds the engine for one dataflow; spilling engines get a
-// tiny budget (forcing spills before the cancel) rooted in a fresh
-// directory whose emptiness the caller asserts afterwards.
-func engineFor(t *testing.T, dataflow mapreduce.DataflowMode) (*mapreduce.Engine, string) {
-	t.Helper()
-	e := &mapreduce.Engine{Parallelism: 2, Dataflow: dataflow}
-	var tmp string
-	if dataflow == dataflowSpilling {
-		tmp = t.TempDir()
-		e.Dataflow = mapreduce.DataflowTyped
-		e.SpillBudget = 64
-		e.TmpDir = tmp
-	}
-	return e, tmp
-}
-
 // checkCancelled asserts the error shape, the goroutine high-water
-// mark returning to the baseline (no leaked workers), and — for the
-// external dataflow — the spill root being empty again.
+// mark returning to the baseline (no leaked workers), and — for a
+// spilling run — the spill root being empty again.
 func checkCancelled(t *testing.T, err error, before int, tmp string) {
 	t.Helper()
 	if !errors.Is(err, context.Canceled) {
@@ -89,21 +67,16 @@ func checkCancelled(t *testing.T, err error, before int, tmp string) {
 }
 
 func TestCancelMidPhase(t *testing.T) {
-	dataflows := map[string]mapreduce.DataflowMode{
-		"typed":    mapreduce.DataflowTyped,
-		"boxed":    mapreduce.DataflowBoxed,
-		"external": dataflowSpilling,
-	}
 	phases := map[string]mapreduce.TaskKind{
 		"map":    mapreduce.MapTask,
 		"reduce": mapreduce.ReduceTask,
 	}
-	for dname, dataflow := range dataflows {
+	for dname, where := range localResidencies {
 		for pname, phase := range phases {
 			t.Run(dname+"/"+pname, func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				e, tmp := engineFor(t, dataflow)
+				e, tmp := engineFor(t, where, nil)
 				before := testleak.Snapshot()
 				res, err := cancelJob(4, phase, cancel).RunContext(ctx, e, wordInput(4))
 				if res != nil {
@@ -120,10 +93,8 @@ func TestCancelMidPhase(t *testing.T) {
 func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, dataflowSpilling,
-	} {
-		e, _ := engineFor(t, dataflow)
+	for dname, where := range localResidencies {
+		e, _ := engineFor(t, where, nil)
 		ran := false
 		j := wordJob(2, false)
 		innerNew := j.NewMapper
@@ -132,40 +103,10 @@ func TestCancelBeforeRun(t *testing.T) {
 			return innerNew()
 		}
 		if _, err := j.RunContext(ctx, e, wordInput(2)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("dataflow %v: err = %v, want context.Canceled", e.Dataflow, err)
+			t.Fatalf("%s: err = %v, want context.Canceled", dname, err)
 		}
 		if ran {
-			t.Fatalf("dataflow %v: map task ran despite pre-cancelled context", e.Dataflow)
+			t.Fatalf("%s: map task ran despite pre-cancelled context", dname)
 		}
 	}
-}
-
-// TestCancelBoxedEngine covers the boxed engine's own RunContext (the
-// legacy any-keyed entry point, not routed through a typed job).
-func TestCancelBoxedEngine(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	job := &mapreduce.BoxedJob{
-		Name:           "boxed-cancel",
-		NumReduceTasks: 2,
-		NewMapper: func() mapreduce.BoxedMapper {
-			return &mapreduce.FuncMapper{OnMap: func(c *mapreduce.BoxedContext, kv mapreduce.KeyValue) {
-				cancel()
-				c.Emit(kv.Key, 1)
-			}}
-		},
-		NewReducer: func() mapreduce.BoxedReducer {
-			return &mapreduce.FuncReducer{OnReduce: func(c *mapreduce.BoxedContext, key any, vs []mapreduce.KeyValue) {}}
-		},
-		Partition: func(key any, r int) int { return mapreduce.HashPartition(key.(string), r) },
-		Compare:   mapreduce.CompareStrings,
-	}
-	input := [][]mapreduce.KeyValue{{{Key: "a"}, {Key: "b"}}, {{Key: "c"}}}
-	e := &mapreduce.Engine{Parallelism: 2}
-	before := testleak.Snapshot()
-	res, err := e.RunContext(ctx, job, input)
-	if res != nil {
-		t.Fatal("cancelled run returned a result")
-	}
-	checkCancelled(t, err, before, "")
 }

@@ -112,7 +112,6 @@ func TestCloseHookOncePerAttemptAfterLastMap(t *testing.T) {
 	var want *mapreduce.Result[string, mapreduce.Pair[string, int]]
 	engines := map[string]func(*wordCount) *mapreduce.Engine{
 		"memory":   func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{} },
-		"boxed":    func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{Dataflow: mapreduce.DataflowBoxed} },
 		"spill=1":  func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{SpillBudget: 1, TmpDir: t.TempDir()} },
 		"spill=48": func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{SpillBudget: 48, TmpDir: t.TempDir()} },
 		"distributed": func(j *wordCount) *mapreduce.Engine {
@@ -177,10 +176,10 @@ func TestCloseEmitFaultRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	normalize(baseline)
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		t.Run(dname, func(t *testing.T) {
 			job, tally := probedWordJob(t, r, input)
-			e, _ := engineFor(t, dataflow)
+			e, _ := engineFor(t, where, nil)
 			e.Retry.BaseBackoff = 1
 			e.FaultHook = failNthMapEmit(3)
 			res, err := job.RunContext(context.Background(), e, input)
@@ -213,6 +212,12 @@ func bdmInput(m int) (entity.Partitions, [][]bdm.Annotated) {
 		es = append(es, entity.New(fmt.Sprintf("e%03d", i), "title", fmt.Sprintf("b%02d item %d", block, i)))
 	}
 	parts := entity.SplitRoundRobin(es, m)
+	return parts, bdmJobInput(parts)
+}
+
+// bdmJobInput is the BDM job's input over parts: the entities, not yet
+// annotated with a blocking key.
+func bdmJobInput(parts entity.Partitions) [][]bdm.Annotated {
 	input := make([][]bdm.Annotated, len(parts))
 	for i, p := range parts {
 		input[i] = make([]bdm.Annotated, len(p))
@@ -220,10 +225,11 @@ func bdmInput(m int) (entity.Partitions, [][]bdm.Annotated) {
 			input[i][k] = bdm.Annotated{Value: e}
 		}
 	}
-	return parts, input
+	return input
 }
 
-func cellsOf(t *testing.T, res *bdm.JobResult, m int) []bdm.Cell {
+// matrixOf assembles the matrix a BDM job result describes.
+func matrixOf(t *testing.T, res *bdm.JobResult, m int) *bdm.Matrix {
 	t.Helper()
 	cells := make([]bdm.Cell, 0, len(res.Output))
 	for _, rec := range res.Output {
@@ -233,7 +239,7 @@ func cellsOf(t *testing.T, res *bdm.JobResult, m int) []bdm.Cell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x.Cells()
+	return x
 }
 
 // TestBDMJobAggregatesInMapperEverywhere: the aggregated BDM job's full
@@ -277,7 +283,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 		if got := int(res.MapOutputRecords); got != len(direct.Cells()) {
 			t.Errorf("%s: MapOutputRecords = %d, want the %d non-zero cells", name, got, len(direct.Cells()))
 		}
-		if !reflect.DeepEqual(cellsOf(t, res, m), direct.Cells()) {
+		if !reflect.DeepEqual(matrixOf(t, res, m).Cells(), direct.Cells()) {
 			t.Errorf("%s: matrix differs from bdm.FromPartitions", name)
 		}
 		clearAttemptCounters(&res.Metrics)
@@ -313,7 +319,7 @@ func TestBDMCloseEmitFaultNeitherLosesNorDoubleCounts(t *testing.T) {
 		if res.Retries != m {
 			t.Errorf("%s: Retries = %d, want %d", name, res.Retries, m)
 		}
-		if !reflect.DeepEqual(cellsOf(t, res, m), direct.Cells()) {
+		if !reflect.DeepEqual(matrixOf(t, res, m).Cells(), direct.Cells()) {
 			t.Errorf("%s: matrix after close-time faults differs from bdm.FromPartitions", name)
 		}
 	}

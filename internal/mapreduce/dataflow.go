@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/runio"
 )
 
-// This file runs typed jobs: one driver (validate → map phase → weigh →
+// This file runs jobs: one driver (validate → map phase → weigh →
 // reduce phase → collect/sink), one map-attempt body and one
 // reduce-attempt body, whether the intermediate records stay in memory,
 // spill to disk or live on workers. Where they reside is the run
@@ -33,9 +32,6 @@ type runState[I, K, V, O any] struct {
 	group  func(a, b K) int
 
 	outPool *slicePool[O] // pooled []O reduce-output buffers
-
-	// concatSort selects the ShuffleConcatSort reference reduce.
-	concatSort bool
 
 	// The distributed run: the dispatcher attempts go to, the codecs
 	// inputs and outputs cross the process boundary in (also bound on
@@ -109,17 +105,10 @@ func (st *runState[I, K, V, O]) configure(e *Engine) error {
 	// limiter bounds the extra goroutines all of this run's sorts may
 	// spawn (nil = serial).
 	st.limiter = newSortLimiter(e.Parallelism)
-	st.concatSort = e.Shuffle == ShuffleConcatSort
 	switch {
 	case st.remote != nil:
-		if st.concatSort {
-			return fmt.Errorf("mapreduce: job %q: Engine.Shuffle = ShuffleConcatSort needs every reduce input in memory and cannot be combined with Engine.Remote", st.job.Name)
-		}
 		return st.bindWireCodecs()
 	case e.SpillBudget > 0:
-		if st.concatSort {
-			return fmt.Errorf("mapreduce: job %q: Engine.Shuffle = ShuffleConcatSort needs every reduce input in memory and cannot be combined with Engine.SpillBudget > 0", st.job.Name)
-		}
 		st.budget = e.SpillBudget
 		return st.bindCodecs(st.job.Name, st.encode != nil)
 	}
@@ -158,7 +147,7 @@ func errBadPartition(p, r int) error {
 	return Fatal(fmt.Errorf("partition function returned %d for %d reduce tasks", p, r))
 }
 
-// run is the one driver of typed jobs.
+// run is the one driver.
 func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink *outputSink[O]) (*Result[I, O], error) {
 	m, r := len(input), j.NumReduceTasks
 	if err := j.validate(m); err != nil {
@@ -166,9 +155,6 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
-	}
-	if e.Remote == nil && e.Dataflow == DataflowBoxed {
-		return j.runBoxed(ctx, e, input, sink)
 	}
 	st := newRunState(j)
 	if err := st.configure(e); err != nil {
@@ -523,27 +509,6 @@ func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *tas
 	reducer.Configure(m, st.r, idx)
 	for i := range inputs {
 		metrics.InputRecords += inputs[i].records()
-	}
-
-	if st.concatSort {
-		// Reference path: concatenate the buckets in map-task order and
-		// stable-sort the whole input (the pre-sorted buckets make this
-		// redundant work — that is the point of the oracle).
-		var all []Rec[K, V]
-		for i := range inputs {
-			all = append(all, inputs[i].bucket...)
-		}
-		slices.SortStableFunc(all, func(a, b Rec[K, V]) int { return st.cmpRec(&a, &b) })
-		for lo := 0; lo < len(all); {
-			hi := lo + 1
-			for hi < len(all) && st.sameGroup(&all[lo], &all[hi]) {
-				hi++
-			}
-			st.emitGroup(ctx, reducer, all[lo:hi])
-			lo = hi
-		}
-		rout.out = ctx.out
-		return rout, nil
 	}
 
 	if err := hook.fire(FaultMerge); err != nil {

@@ -1,20 +1,20 @@
 package mapreduce_test
 
-// Dataflow differential test: every strategy of the paper must produce
-// byte-identical Results on the typed engine (concrete record types +
-// binary key codes) and on the boxed any-based oracle it replaced. The
-// comparison covers the complete Result — match pairs, comparison
-// counts, raw job outputs, side outputs, and every TaskMetrics field —
-// across Basic/BlockSplit/PairRange × 1..4 map partitions × 1..8 reduce
-// tasks and both dual-source strategies, each with sequential
-// (Parallelism 1) and concurrent (Parallelism 4) execution. This is the
-// proof that killing interface boxing changed the representation of the
-// dataflow and nothing else.
+// Dataflow differential test: the jobs of the paper — the BDM job and
+// the match job of every strategy — must produce the reference's Result
+// (reference_test.go) on the engine, wherever the intermediate records
+// reside: in memory, spilled several runs per map task, and dispatched.
+// The comparison covers the complete Result — raw job outputs, side
+// outputs, comparison counts and every TaskMetrics field of the
+// differential contract — across Basic/BlockSplit/PairRange × 1..4 map
+// partitions × 1..8 reduce tasks and both dual-source strategies, each
+// with sequential (Parallelism 1) and concurrent (Parallelism 4)
+// execution. The reference sorts by Compare and groups by Group alone,
+// so this is also the proof that the strategies' key codes order and
+// group their keys exactly as their comparators do.
 
 import (
-	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/bdm"
@@ -33,52 +33,68 @@ func titleMatcher(threshold float64) core.Matcher {
 	}
 }
 
-func TestDataflowDifferentialStrategies(t *testing.T) {
+// checkBDMJob holds the BDM job over parts to the reference everywhere
+// and returns the reference's matrix and side output: Job 2's input.
+func checkBDMJob(t *testing.T, name string, parts entity.Partitions, opts bdm.JobOptions, par int) (*bdm.Matrix, [][]bdm.Annotated) {
+	t.Helper()
+	job := bdm.Job(opts)
+	rr, err := mapreduce.NewRemoteRunnable(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A task's records of one block are one matrix cell when the mapper
+	// aggregates, so its runs are few.
+	want := checkEverywhere(t, name+"/bdm", job, rr, par, bdmJobInput(parts), 1)
+	return matrixOf(t, want, len(parts)), want.SideOutput
+}
+
+// checkMatchJob holds a strategy's match job to the reference everywhere.
+func checkMatchJob(t *testing.T, name string, job core.MatchJob, par int, input [][]core.AnnotatedEntity) {
+	t.Helper()
+	rr, err := core.RemoteRunnableFor(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkEverywhere(t, name+"/match", job, rr, par, input, 4)
+	if want.Counter(core.ComparisonsCounter) == 0 || len(want.Output) == 0 {
+		t.Fatalf("%s: differential vacuous: %d comparisons, %d matches", name, want.Counter(core.ComparisonsCounter), len(want.Output))
+	}
+}
+
+// checkStrategyMatrix holds both jobs of the one-source workflow to the
+// reference for every strategy × 1..4 map partitions × 1..8 reduce tasks.
+func checkStrategyMatrix(t *testing.T, pars []int, combiner bool) {
 	es := skewedEntities()
 	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
 	for m := 1; m <= 4; m++ {
 		parts := entity.SplitRoundRobin(es, m)
 		for r := 1; r <= 8; r++ {
 			for _, strat := range strategies {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%s/m=%d/r=%d/par=%d", strat.Name(), m, r, par)
-					cfg := er.Config{
-						Strategy:    strat,
-						Attr:        "title",
-						BlockKey:    blocking.NormalizedPrefix(3),
-						Matcher:     titleMatcher(0.85),
-						R:           r,
-						UseCombiner: true,
+				for _, par := range pars {
+					name := fmt.Sprintf("%s/m=%d/r=%d/par=%d/combiner=%v", strat.Name(), m, r, par, combiner)
+					var matrix *bdm.Matrix
+					input := er.AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
+					if strat.NeedsBDM() {
+						matrix, input = checkBDMJob(t, name, parts, bdm.JobOptions{
+							Attr:           "title",
+							KeyFunc:        blocking.NormalizedPrefix(3),
+							NumReduceTasks: r,
+							UseCombiner:    combiner,
+						}, par)
 					}
-
-					cfg.Engine = &mapreduce.Engine{Parallelism: par}
-					typed, err := er.Run(parts, cfg)
+					job, err := strat.Job(matrix, r, titleMatcher(0.85))
 					if err != nil {
-						t.Fatalf("%s: typed run: %v", name, err)
+						t.Fatalf("%s: %v", name, err)
 					}
-
-					cfg.Engine = &mapreduce.Engine{Parallelism: par, Dataflow: mapreduce.DataflowBoxed}
-					boxed, err := er.Run(parts, cfg)
-					if err != nil {
-						t.Fatalf("%s: boxed oracle run: %v", name, err)
-					}
-
-					if !reflect.DeepEqual(typed.Matches, boxed.Matches) {
-						t.Errorf("%s: match pairs diverge between dataflows", name)
-					}
-					if typed.Comparisons != boxed.Comparisons {
-						t.Errorf("%s: comparisons %d (typed) != %d (boxed)", name, typed.Comparisons, boxed.Comparisons)
-					}
-					if !reflect.DeepEqual(typed.BDMResult, boxed.BDMResult) {
-						t.Errorf("%s: BDM job Result (incl. TaskMetrics) diverges between dataflows", name)
-					}
-					if !reflect.DeepEqual(typed.MatchResult, boxed.MatchResult) {
-						t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between dataflows", name)
-					}
+					checkMatchJob(t, name, job, par, input)
 				}
 			}
 		}
 	}
+}
+
+func TestDataflowDifferentialStrategies(t *testing.T) {
+	checkStrategyMatrix(t, []int{1, 4}, true)
 }
 
 // dualCatalog builds a skewed two-source catalog: a dominant shared
@@ -111,40 +127,27 @@ func TestDataflowDifferentialDualStrategies(t *testing.T) {
 	for mR := 1; mR <= 2; mR++ {
 		partsR := entity.SplitRoundRobin(esR, mR)
 		for mS := 1; mS <= 2; mS++ {
-			partsS := entity.SplitRoundRobin(esS, mS)
+			// Partition indexes are assigned R-first, then S, as
+			// er.RunDualPipeline lays them out.
+			parts := append(append(entity.Partitions{}, partsR...), entity.SplitRoundRobin(esS, mS)...)
+			sources := make([]bdm.Source, len(parts))
+			for i := mR; i < len(sources); i++ {
+				sources[i] = bdm.SourceS
+			}
+			matrix, err := bdm.FromDualPartitions(parts, sources, "title", blocking.NormalizedPrefix(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			input := er.AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
 			for r := 1; r <= 8; r++ {
 				for _, strat := range strategies {
 					for _, par := range []int{1, 4} {
 						name := fmt.Sprintf("%s/mR=%d/mS=%d/r=%d/par=%d", strat.Name(), mR, mS, r, par)
-						cfg := er.DualConfig{
-							Strategy: strat,
-							Attr:     "title",
-							BlockKey: blocking.NormalizedPrefix(3),
-							Matcher:  titleMatcher(0.85),
-							R:        r,
-						}
-
-						cfg.Engine = &mapreduce.Engine{Parallelism: par}
-						typed, err := er.RunDual(partsR, partsS, cfg)
+						job, err := strat.Job(matrix, r, titleMatcher(0.85))
 						if err != nil {
-							t.Fatalf("%s: typed run: %v", name, err)
+							t.Fatalf("%s: %v", name, err)
 						}
-
-						cfg.Engine = &mapreduce.Engine{Parallelism: par, Dataflow: mapreduce.DataflowBoxed}
-						boxed, err := er.RunDual(partsR, partsS, cfg)
-						if err != nil {
-							t.Fatalf("%s: boxed oracle run: %v", name, err)
-						}
-
-						if !reflect.DeepEqual(typed.Matches, boxed.Matches) {
-							t.Errorf("%s: match pairs diverge between dataflows", name)
-						}
-						if typed.Comparisons != boxed.Comparisons {
-							t.Errorf("%s: comparisons %d (typed) != %d (boxed)", name, typed.Comparisons, boxed.Comparisons)
-						}
-						if !reflect.DeepEqual(typed.MatchResult, boxed.MatchResult) {
-							t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between dataflows", name)
-						}
+						checkMatchJob(t, name, job, par, input)
 					}
 				}
 			}
@@ -153,31 +156,19 @@ func TestDataflowDifferentialDualStrategies(t *testing.T) {
 }
 
 // TestDataflowDifferentialSideOutput pins the side-output path (the BDM
-// job's annotated entities) to byte equality between the dataflows,
-// including the per-map-task partitioning the matching job depends on.
+// job's annotated entities, one record per input record when the mapper
+// does not aggregate) to the reference, including the per-map-task
+// partitioning the matching job depends on.
 func TestDataflowDifferentialSideOutput(t *testing.T) {
 	parts := entity.SplitRoundRobin(skewedEntities(), 3)
-	job := bdm.Job(bdm.JobOptions{
+	_, side := checkBDMJob(t, "side-output", parts, bdm.JobOptions{
 		Attr:           "title",
 		KeyFunc:        blocking.NormalizedPrefix(3),
 		NumReduceTasks: 4,
-	})
-	input := make([][]bdm.Annotated, len(parts))
+	}, 2)
 	for i, p := range parts {
-		input[i] = make([]bdm.Annotated, len(p))
-		for k, e := range p {
-			input[i][k] = bdm.Annotated{Value: e}
+		if len(side[i]) != len(p) {
+			t.Errorf("map task %d side-wrote %d records for %d entities", i, len(side[i]), len(p))
 		}
-	}
-	typed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2}, input)
-	if err != nil {
-		t.Fatalf("typed run: %v", err)
-	}
-	boxed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowBoxed}, input)
-	if err != nil {
-		t.Fatalf("boxed oracle run: %v", err)
-	}
-	if !reflect.DeepEqual(typed, boxed) {
-		t.Errorf("BDM job Result (incl. SideOutput) diverges between dataflows\ntyped: %+v\nboxed: %+v", typed, boxed)
 	}
 }

@@ -1,176 +1,178 @@
-package mapreduce
+package mapreduce_test
+
+// The engine against the reference (reference_test.go): random jobs over
+// random inputs must produce the reference's full Result — output, side
+// output and every TaskMetrics field of the differential contract —
+// wherever the intermediate records reside. This file also holds what
+// the other suites share for that comparison: the residency rows, the
+// engine builder and the Result check.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/mapreduce"
 )
 
-// This file checks the engine against a deliberately naive sequential
-// reference implementation of the MapReduce model of Section II:
-// map every record, bucket by part, sort each bucket by comp keeping
-// map-task order for ties, group by group, reduce each group. Random
-// jobs over random inputs must agree exactly.
+// residency is where a run's intermediate records live: the rows of the
+// suites' tables.
+type residency int
 
-// refRecord tags a map-output pair with its origin for the stable tie
-// ordering.
-type refRecord struct {
-	kv      KeyValue
-	mapTask int
-	seq     int
+const (
+	inMemory residency = iota
+	spilling
+	distributed
+)
+
+// localResidencies are the rows of the fault, cancellation and streaming
+// suites, whose hooks fire inside this process. The labels are older
+// than the one dataflow ("typed" ran in memory, "external" spilled) and
+// stay, so that test names do not change under the CI gates that select
+// by them. everywhere adds the dispatched run: the rows of the
+// differentials against the reference.
+var (
+	localResidencies = map[string]residency{"typed": inMemory, "external": spilling}
+	everywhere       = map[string]residency{"memory": inMemory, "spilled": spilling, "dispatched": distributed}
+)
+
+// engineFor builds a Parallelism-2 engine for one residency and returns
+// the directory it may write to ("" in memory), whose emptiness callers
+// assert afterwards. Spilling engines get a budget of a record or two
+// (tinySpillBudget). Only a distributed engine reads rr, the worker-side
+// face of the job it is going to run; attempts go to it through an
+// in-process dispatcher.
+func engineFor(t *testing.T, where residency, rr mapreduce.RemoteRunnable) (*mapreduce.Engine, string) {
+	t.Helper()
+	e := &mapreduce.Engine{Parallelism: 2}
+	switch where {
+	case spilling:
+		e.SpillBudget, e.TmpDir = tinySpillBudget, t.TempDir()
+	case distributed:
+		e.TmpDir, e.Remote = t.TempDir(), &localDispatcher{rr: rr}
+	}
+	return e, e.TmpDir
 }
 
-// referenceRun is the naive model implementation.
-func referenceRun(job *BoxedJob, input [][]KeyValue) []KeyValue {
-	r := job.NumReduceTasks
-	buckets := make([][]refRecord, r)
-	for mi, part := range input {
-		mapper := job.NewMapper()
-		mapper.Configure(len(input), r, mi)
-		ctx := &BoxedContext{metrics: &TaskMetrics{}}
-		for _, kv := range part {
-			mapper.Map(ctx, kv)
-		}
-		for seq, kv := range ctx.out {
-			p := job.Partition(kv.Key, r)
-			buckets[p] = append(buckets[p], refRecord{kv: kv, mapTask: mi, seq: seq})
-		}
-	}
-	var out []KeyValue
-	for ri := 0; ri < r; ri++ {
-		b := buckets[ri]
-		slices.SortStableFunc(b, func(x, y refRecord) int {
-			if c := job.Compare(x.kv.Key, y.kv.Key); c != 0 {
-				return c
-			}
-			if c := x.mapTask - y.mapTask; c != 0 {
-				return c
-			}
-			return x.seq - y.seq
-		})
-		reducer := job.NewReducer()
-		reducer.Configure(len(input), r, ri)
-		ctx := &BoxedContext{metrics: &TaskMetrics{}}
-		group := func(a, b any) int {
-			if job.Group != nil {
-				return job.Group(a, b)
-			}
-			return job.Compare(a, b)
-		}
-		for lo := 0; lo < len(b); {
-			hi := lo + 1
-			for hi < len(b) && group(b[lo].kv.Key, b[hi].kv.Key) == 0 {
-				hi++
-			}
-			vals := make([]KeyValue, hi-lo)
-			for i := lo; i < hi; i++ {
-				vals[i-lo] = b[i].kv
-			}
-			reducer.Reduce(ctx, b[lo].kv.Key, vals)
-			lo = hi
-		}
-		out = append(out, ctx.out...)
-	}
-	return out
+// referencer is the method the test variant of package mapreduce adds to
+// Job, as type-erased jobs (core.MatchJob) are asserted to it.
+type referencer[I, O any] interface {
+	Reference(input [][]I) *mapreduce.Result[I, O]
 }
 
-// randomJob builds a job with composite integer keys whose partition,
-// sort, and group functions exercise different key components.
-func randomJob(rng *rand.Rand, r int) *BoxedJob {
-	type ck struct{ a, b, c int }
-	return &BoxedJob{
+// checkAgainstReference holds an engine Result to the reference's. The
+// attempt and spill counters describe how the engine executed, which the
+// reference did not do; they are cleared on a copy of the engine's side.
+func checkAgainstReference[I, O any](t *testing.T, name string, got, want *mapreduce.Result[I, O]) {
+	t.Helper()
+	norm := *got
+	norm.MapMetrics = slices.Clone(got.MapMetrics)
+	norm.ReduceMetrics = slices.Clone(got.ReduceMetrics)
+	clearAttemptCounters(&norm.Metrics)
+	clearResultSpillCounters(&norm.Metrics)
+	if !reflect.DeepEqual(&norm, want) {
+		t.Errorf("%s: Result diverges from the reference\nengine:    %+v\nreference: %+v", name, norm, want)
+	}
+}
+
+// checkEverywhere runs the job in memory, spilled (at least minRuns runs
+// per map task) and through the in-process dispatcher at the given
+// parallelism, holds every Result to the reference's, which it returns,
+// and requires each run to leave its directory empty.
+func checkEverywhere[I, O any](t *testing.T, name string, job mapreduce.JobRunner[I, O], rr mapreduce.RemoteRunnable, par int, input [][]I, minRuns int64) *mapreduce.Result[I, O] {
+	t.Helper()
+	want := job.(referencer[I, O]).Reference(input)
+	for label, where := range everywhere {
+		e, tmp := engineFor(t, where, rr)
+		e.Parallelism = par
+		got, err := job.RunContext(context.Background(), e, input)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, label, err)
+		}
+		if where == spilling {
+			assertSpilled(t, name, got.MapMetrics, minRuns)
+		}
+		checkAgainstReference(t, name+"/"+label, got, want)
+		if where != inMemory {
+			if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+				t.Fatalf("%s/%s: temp dir not empty after the run: %v (err %v)", name, label, ents, err)
+			}
+		}
+	}
+	return want
+}
+
+// randomJob fans each input number out into one to three records under
+// three-digit keys "abc". It partitions on a, sorts on the whole key and
+// groups on "ab" — coarser than the sort — and its reducer passes each
+// group's length and then its records through in arrival order, so the
+// output is the merged stream itself, group boundaries included.
+func randomJob(r int, coding mapreduce.KeyCoding[string]) *mapreduce.Job[int, string, int, mapreduce.Pair[string, int]] {
+	return &mapreduce.Job[int, string, int, mapreduce.Pair[string, int]]{
 		Name:           "differential",
 		NumReduceTasks: r,
-		NewMapper: func() BoxedMapper {
-			return &FuncMapper{
-				OnMap: func(ctx *BoxedContext, kv KeyValue) {
-					v := kv.Value.(int)
-					// Deterministic fan-out of 1-3 records per input.
-					n := v%3 + 1
-					for i := 0; i < n; i++ {
-						ctx.Emit(ck{a: v % 5, b: (v + i) % 7, c: v % 2}, v*10+i)
+		NewMapper: func() mapreduce.Mapper[int, string, int] {
+			return &mapreduce.MapperFunc[int, string, int]{
+				OnMap: func(ctx *mapreduce.MapContext[int, string, int], v int) {
+					for i := 0; i < v%3+1; i++ {
+						ctx.Emit(fmt.Sprintf("%d%d%d", v%5, (v+i)%7, v%2), v*10+i)
 					}
 				},
 			}
 		},
-		NewReducer: func() BoxedReducer {
-			return &FuncReducer{
-				OnReduce: func(ctx *BoxedContext, key any, values []KeyValue) {
-					sum := 0
+		NewReducer: func() mapreduce.Reducer[string, int, mapreduce.Pair[string, int]] {
+			return &mapreduce.ReducerFunc[string, int, mapreduce.Pair[string, int]]{
+				OnReduce: func(ctx *mapreduce.ReduceContext[mapreduce.Pair[string, int]], key string, values []mapreduce.Rec[string, int]) {
+					ctx.Emit(mapreduce.Pair[string, int]{Key: key[:2], Value: len(values)})
 					for _, v := range values {
-						sum += v.Value.(int)
+						ctx.Emit(mapreduce.Pair[string, int]{Key: v.Key, Value: v.Value})
 					}
-					ctx.Emit(key, fmt.Sprintf("n=%d sum=%d", len(values), sum))
 				},
 			}
 		},
-		Partition: func(key any, r int) int { return key.(ck).a % r },
-		Compare: func(x, y any) int {
-			kx, ky := x.(ck), y.(ck)
-			if c := CompareInts(kx.a, ky.a); c != 0 {
-				return c
-			}
-			if c := CompareInts(kx.b, ky.b); c != 0 {
-				return c
-			}
-			return CompareInts(kx.c, ky.c)
-		},
-		// Group on (a, b) only: coarser than the sort.
-		Group: func(x, y any) int {
-			kx, ky := x.(ck), y.(ck)
-			if c := CompareInts(kx.a, ky.a); c != 0 {
-				return c
-			}
-			return CompareInts(kx.b, ky.b)
-		},
+		Partition: func(key string, r int) int { return int(key[0]-'0') % r },
+		Compare:   strings.Compare,
+		Group:     func(a, b string) int { return strings.Compare(a[:2], b[:2]) },
+		Coding:    coding,
 	}
 }
 
 func TestEngineAgainstReferenceModel(t *testing.T) {
+	codings := map[string]mapreduce.KeyCoding[string]{
+		"uncoded": {},
+		// The code knows the first digit only — five values for every key
+		// there is — so nearly every comparison is a code tie that Compare
+		// must settle, and groups are cut by Group.
+		"code-ties": {Encode: func(k string) mapreduce.Code { return mapreduce.Code{Hi: uint64(k[0])} }},
+		// The code is the whole key and its first two bytes the group.
+		"exact": {Encode: mapreduce.StringPrefixCode, Exact: true, GroupBits: 16},
+	}
 	rng := rand.New(rand.NewSource(127))
 	for trial := 0; trial < 40; trial++ {
 		m := rng.Intn(5) + 1
 		r := rng.Intn(6) + 1
-		input := make([][]KeyValue, m)
+		input := make([][]int, m)
 		for i := range input {
-			n := rng.Intn(30)
-			input[i] = make([]KeyValue, n)
+			input[i] = make([]int, rng.Intn(30))
 			for j := range input[i] {
-				input[i][j] = KeyValue{Value: rng.Intn(100)}
+				input[i][j] = rng.Intn(100)
 			}
 		}
-		job := randomJob(rng, r)
-		want := referenceRun(job, input)
-		for _, par := range []int{1, 4} {
-			got, err := (&Engine{Parallelism: par}).RunContext(context.Background(), job, input)
+		for cname, coding := range codings {
+			job := randomJob(r, coding)
+			rr, err := mapreduce.NewRemoteRunnable(job)
 			if err != nil {
-				t.Fatalf("trial %d (par=%d): %v", trial, par, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Output, nonEmpty(want)) && !reflect.DeepEqual(nonEmpty(got.Output), nonEmpty(want)) {
-				t.Fatalf("trial %d (m=%d r=%d par=%d): engine output diverges from the reference model\nengine:    %v\nreference: %v",
-					trial, m, r, par, got.Output, want)
-			}
-			// The streaming k-way merge must produce a BoxedResult that is
-			// byte-identical — output, side output, and every TaskMetrics
-			// field — to the concat+stable-sort oracle path.
-			oracle, err := (&Engine{Parallelism: par, Shuffle: ShuffleConcatSort}).RunContext(context.Background(), job, input)
-			if err != nil {
-				t.Fatalf("trial %d (par=%d, oracle): %v", trial, par, err)
-			}
-			if !reflect.DeepEqual(got, oracle) {
-				t.Fatalf("trial %d (m=%d r=%d par=%d): k-way merge BoxedResult diverges from concat+sort oracle\nmerge:  %+v\noracle: %+v",
-					trial, m, r, par, got, oracle)
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("trial %d (m=%d r=%d %s par=%d)", trial, m, r, cname, par)
+				checkEverywhere(t, name, job, rr, par, input, 0)
 			}
 		}
 	}
-}
-
-func nonEmpty(kvs []KeyValue) []KeyValue {
-	if kvs == nil {
-		return []KeyValue{}
-	}
-	return kvs
 }

@@ -72,7 +72,7 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: par}
-					typed, err := er.Run(parts, cfg)
+					typed, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: typed run: %v", name, err)
 					}
@@ -82,7 +82,7 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 						SpillBudget: tinySpillBudget,
 						TmpDir:      tmp,
 					}
-					ext, err := er.Run(parts, cfg)
+					ext, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: external run: %v", name, err)
 					}
@@ -139,7 +139,7 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 						}
 
 						cfg.Engine = &mapreduce.Engine{Parallelism: par}
-						typed, err := er.RunDual(partsR, partsS, cfg)
+						typed, err := er.RunDualPipeline(context.Background(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
 						if err != nil {
 							t.Fatalf("%s: typed run: %v", name, err)
 						}
@@ -149,7 +149,7 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 							SpillBudget: tinySpillBudget,
 							TmpDir:      tmp,
 						}
-						ext, err := er.RunDual(partsR, partsS, cfg)
+						ext, err := er.RunDualPipeline(context.Background(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
 						if err != nil {
 							t.Fatalf("%s: external run: %v", name, err)
 						}
@@ -186,13 +186,7 @@ func TestExternalDifferentialSideOutput(t *testing.T) {
 		NumReduceTasks: 4,
 		UseCombiner:    true,
 	})
-	input := make([][]bdm.Annotated, len(parts))
-	for i, p := range parts {
-		input[i] = make([]bdm.Annotated, len(p))
-		for k, e := range p {
-			input[i][k] = bdm.Annotated{Value: e}
-		}
-	}
+	input := bdmJobInput(parts)
 	typed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2}, input)
 	if err != nil {
 		t.Fatalf("typed run: %v", err)

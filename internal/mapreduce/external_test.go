@@ -121,11 +121,11 @@ func clearSpillCounters(ms []mapreduce.TaskMetrics) {
 }
 
 // TestExternalWordCountDifferential sweeps every residency of the
-// intermediate records against the concat-sort reference: budget 0 (in
-// memory), budgets that spill after every record or two, and a budget
-// nothing reaches. A run that does not spill must equal the reference
-// outright, spill counters included, and must not touch TmpDir at all —
-// it is given a path that does not exist and must leave it that way.
+// intermediate records against the reference: budget 0 (in memory),
+// budgets that spill after every record or two, and a budget nothing
+// reaches. A run that does not spill must equal the reference with its
+// spill counters left in, and must not touch TmpDir at all — it is
+// given a path that does not exist and must leave it that way.
 func TestExternalWordCountDifferential(t *testing.T) {
 	for _, aggregate := range []bool{false, true} {
 		for _, budget := range []int64{0, 1, 64, 200, 1 << 20} {
@@ -135,10 +135,7 @@ func TestExternalWordCountDifferential(t *testing.T) {
 				job := wordJob(4, aggregate)
 				spills := budget > 0 && budget < 1<<20
 
-				want, err := job.RunContext(context.Background(), &mapreduce.Engine{Shuffle: mapreduce.ShuffleConcatSort}, input)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", name, err)
-				}
+				want := job.Reference(input)
 				tmp := t.TempDir()
 				if !spills {
 					tmp = filepath.Join(tmp, "never-created")
@@ -161,9 +158,9 @@ func TestExternalWordCountDifferential(t *testing.T) {
 						}
 					}
 				}
+				clearAttemptCounters(&got.Metrics)
 				if spills {
-					clearSpillCounters(got.MapMetrics)
-					clearSpillCounters(got.ReduceMetrics)
+					clearResultSpillCounters(&got.Metrics)
 				}
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%s: Result diverges from the reference\nreference: %+v\ngot: %+v", name, want, got)
@@ -179,22 +176,6 @@ func TestExternalWordCountDifferential(t *testing.T) {
 					t.Fatalf("%s: temp dir not empty after the run: %v (err %v)", name, ents, err)
 				}
 			}
-		}
-	}
-}
-
-// TestConcatSortNeedsInputsInMemory: the reference shuffle cannot read
-// runs, so asking for it together with a spill budget or a dispatcher
-// must fail up front, naming both fields — not silently run the k-way
-// merge and let a differential test compare the merge with itself.
-func TestConcatSortNeedsInputsInMemory(t *testing.T) {
-	for field, e := range map[string]*mapreduce.Engine{
-		"SpillBudget": {Shuffle: mapreduce.ShuffleConcatSort, SpillBudget: 64, TmpDir: t.TempDir()},
-		"Remote":      {Shuffle: mapreduce.ShuffleConcatSort, Remote: &localDispatcher{down: true}},
-	} {
-		_, err := wordJob(2, false).RunContext(context.Background(), e, wordInput(2))
-		if err == nil || !strings.Contains(err.Error(), "Engine.Shuffle") || !strings.Contains(err.Error(), "Engine."+field) {
-			t.Errorf("ShuffleConcatSort with %s: err = %v, want a validation error naming Engine.Shuffle and Engine.%s", field, err, field)
 		}
 	}
 }

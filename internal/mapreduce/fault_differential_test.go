@@ -33,11 +33,11 @@ func TestFaultScheduleDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		normalize(baseline)
-		for dname, dataflow := range allDataflows {
+		for dname, where := range localResidencies {
 			for _, rate := range []float64{0.2, 0.6} {
 				t.Run(fmt.Sprintf("aggregate=%v/%s/rate=%v", aggregate, dname, rate), func(t *testing.T) {
 					before := testleak.Snapshot()
-					e, _ := engineFor(t, dataflow)
+					e, _ := engineFor(t, where, nil)
 					e.Retry.BaseBackoff = 1
 					e.FaultHook = mapreduce.ChaosHook(*chaosSeed, rate, e.Retry.MaxAttempts)
 					res, err := wordJob(r, aggregate).RunContext(context.Background(), e, input)
@@ -63,8 +63,8 @@ func TestFaultScheduleDifferential(t *testing.T) {
 	}
 }
 
-// TestSpillFaultDifferential targets the external dataflow's disk
-// points specifically: transient faults at spill and merge sites leave
+// TestSpillFaultDifferential targets a spilling run's disk points
+// specifically: transient faults at spill and merge sites leave
 // attempt-scoped run files behind, which the retry must supersede
 // without the dead files leaking into the merge or the directory tree.
 func TestSpillFaultDifferential(t *testing.T) {
@@ -78,7 +78,7 @@ func TestSpillFaultDifferential(t *testing.T) {
 	for _, at := range []mapreduce.FaultPoint{mapreduce.FaultSpill, mapreduce.FaultMerge} {
 		t.Run(at.String(), func(t *testing.T) {
 			before := testleak.Snapshot()
-			e, tmp := engineFor(t, dataflowSpilling)
+			e, tmp := engineFor(t, spilling, nil)
 			e.Retry.BaseBackoff = 1
 			var fired atomic.Int64
 			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {

@@ -2,40 +2,6 @@ package mapreduce
 
 import "hash/fnv"
 
-// FuncMapper adapts plain functions to the BoxedMapper interface.
-type FuncMapper struct {
-	OnConfigure func(m, r, partitionIndex int)
-	OnMap       func(ctx *BoxedContext, kv KeyValue)
-}
-
-// Configure implements BoxedMapper.
-func (f *FuncMapper) Configure(m, r, partitionIndex int) {
-	if f.OnConfigure != nil {
-		f.OnConfigure(m, r, partitionIndex)
-	}
-}
-
-// Map implements BoxedMapper.
-func (f *FuncMapper) Map(ctx *BoxedContext, kv KeyValue) { f.OnMap(ctx, kv) }
-
-// FuncReducer adapts plain functions to the BoxedReducer interface.
-type FuncReducer struct {
-	OnConfigure func(m, r, taskIndex int)
-	OnReduce    func(ctx *BoxedContext, key any, values []KeyValue)
-}
-
-// Configure implements BoxedReducer.
-func (f *FuncReducer) Configure(m, r, taskIndex int) {
-	if f.OnConfigure != nil {
-		f.OnConfigure(m, r, taskIndex)
-	}
-}
-
-// Reduce implements BoxedReducer.
-func (f *FuncReducer) Reduce(ctx *BoxedContext, key any, values []KeyValue) {
-	f.OnReduce(ctx, key, values)
-}
-
 // HashPartition is the default Hadoop-style partitioner: a stable hash of
 // the key's string form modulo the number of reduce tasks. It is what the
 // Basic strategy uses on the blocking key, and its collisions of large
@@ -44,41 +10,4 @@ func HashPartition(s string, numReduceTasks int) int {
 	h := fnv.New32a()
 	h.Write([]byte(s))
 	return int(h.Sum32() % uint32(numReduceTasks))
-}
-
-// CompareStrings is a Compare function for plain string keys.
-func CompareStrings(a, b any) int {
-	sa, sb := a.(string), b.(string)
-	switch {
-	case sa < sb:
-		return -1
-	case sa > sb:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// CompareInts orders two ints.
-func CompareInts(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// CompareInt64s orders two int64s.
-func CompareInt64s(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

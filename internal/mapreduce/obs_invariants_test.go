@@ -1,8 +1,8 @@
 package mapreduce_test
 
 // Trace-invariant suite: structural properties every recorded timeline
-// must satisfy, checked on chaos runs across all three dataflows and on
-// a speculative run. The invariants are the contract DESIGN.md's
+// must satisfy, checked on chaos runs in memory and spilling and on a
+// speculative run. The invariants are the contract DESIGN.md's
 // "Observability" section states:
 //
 //  1. Pairing — every End event has a matching Begin with the same
@@ -189,15 +189,15 @@ func checkReconciliation(t *testing.T, st traceStats, o *obs.Observer,
 func TestTraceInvariantsUnderChaos(t *testing.T) {
 	const m, r = 4, 5
 	input := wordInput(m)
-	for dname, dataflow := range allDataflows {
+	for dname, where := range localResidencies {
 		for _, seed := range []uint64{1, 7, 99} {
 			t.Run(fmt.Sprintf("%s/seed=%d", dname, seed), func(t *testing.T) {
 				before := testleak.Snapshot()
-				e, _ := engineFor(t, dataflow)
+				e, _ := engineFor(t, where, nil)
 				e.Obs = obs.New(obs.Options{Log: obs.Quiet()})
 				e.Retry.BaseBackoff = time.Microsecond
 				e.FaultHook = mapreduce.ChaosHook(seed, 0.3, 0)
-				res, err := wordJob(r, dataflow == dataflowSpilling).RunContext(context.Background(), e, input)
+				res, err := wordJob(r, where == spilling).RunContext(context.Background(), e, input)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func TestTraceInvariantsUnderSpeculation(t *testing.T) {
 	for _, dname := range []string{"typed", "external"} {
 		t.Run(dname, func(t *testing.T) {
 			before := testleak.Snapshot()
-			e, _ := engineFor(t, allDataflows[dname])
+			e, _ := engineFor(t, localResidencies[dname], nil)
 			e.Obs = obs.New(obs.Options{Log: obs.Quiet()})
 			e.Retry = specPolicy()
 			// Attempt 1 of map task 0 straggles until cancelled; only its

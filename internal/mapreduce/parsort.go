@@ -6,12 +6,11 @@ import (
 )
 
 // Parallel stable sorting. The task hot paths (map-side bucket sort,
-// spill-run sort, the concat-sort oracle) all funnel into the
-// generic machinery below: a bottom-up stable merge sort that can split
-// the input into contiguous chunks, sort the chunks on worker
-// goroutines, and merge adjacent chunks pairwise — also in parallel,
-// since the merges of one level touch disjoint regions of the array and
-// of the shared scratch buffer.
+// spill-run sort) funnel into the generic machinery below: a bottom-up
+// stable merge sort that can split the input into contiguous chunks,
+// sort the chunks on worker goroutines, and merge adjacent chunks
+// pairwise — also in parallel, since the merges of one level touch
+// disjoint regions of the array and of the shared scratch buffer.
 //
 // Correctness does not depend on the split: a stable sort's output is
 // the unique permutation ordered by (comparator, original index), and
@@ -28,6 +27,10 @@ import (
 // tokens. A sort that finds no free token degrades to serial inline
 // work instead of queueing, so total sort goroutines never exceed the
 // engine's worker bound and small inputs never pay synchronization.
+
+// insertionRun is the run length below which insertion sort beats
+// merging; it is also the initial width of the bottom-up merge.
+const insertionRun = 24
 
 // parallelSortMin is the slice length below which chunking is not
 // attempted: goroutine handoff costs more than sorting this many

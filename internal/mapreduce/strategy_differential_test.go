@@ -1,17 +1,15 @@
 package mapreduce_test
 
-// Strategy-matrix differential test: for every redistribution strategy
-// of the paper (Basic, BlockSplit, PairRange) × 1..4 map partitions ×
-// 1..8 reduce tasks, the full two-job pipeline must produce Results —
-// match pairs, comparison counts, and every TaskMetrics field including
-// MaxGroupRecords — that are byte-identical between the streaming k-way
-// merge shuffle and the reference concat+stable-sort oracle. BlockSplit
-// is the critical case: its cross-product reduce function silently
-// miscounts if equal keys ever arrive out of map-task order.
+// Strategy-matrix differential test: the matrix of
+// dataflow_differential_test.go with the BDM job in its other form — a 1
+// per entity instead of one record per matrix cell from the aggregating
+// mapper's end-of-input hook — at Parallelism 2. BlockSplit is the
+// critical case: its cross-product reduce function silently miscounts
+// if equal keys ever arrive out of map-task order.
 
 import (
+	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/blocking"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/entity"
 	"repro/internal/er"
 	"repro/internal/mapreduce"
-	"repro/internal/similarity"
 )
 
 // skewedEntities builds a small catalog whose prefix-3 blocking yields
@@ -46,55 +43,7 @@ func skewedEntities() []entity.Entity {
 }
 
 func TestStrategyMatrixShuffleDifferential(t *testing.T) {
-	es := skewedEntities()
-	matcher := func(a, b entity.Entity) (float64, bool) {
-		s := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
-		return s, s >= 0.85
-	}
-	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
-	for m := 1; m <= 4; m++ {
-		parts := entity.SplitRoundRobin(es, m)
-		for r := 1; r <= 8; r++ {
-			for _, strat := range strategies {
-				for _, combiner := range []bool{false, true} {
-					name := fmt.Sprintf("%s/m=%d/r=%d/combiner=%v", strat.Name(), m, r, combiner)
-					cfg := er.Config{
-						Strategy:    strat,
-						Attr:        "title",
-						BlockKey:    blocking.NormalizedPrefix(3),
-						Matcher:     matcher,
-						R:           r,
-						UseCombiner: combiner,
-					}
-
-					cfg.Engine = &mapreduce.Engine{Parallelism: 2}
-					merge, err := er.Run(parts, cfg)
-					if err != nil {
-						t.Fatalf("%s: merge run: %v", name, err)
-					}
-
-					cfg.Engine = &mapreduce.Engine{Parallelism: 2, Shuffle: mapreduce.ShuffleConcatSort}
-					oracle, err := er.Run(parts, cfg)
-					if err != nil {
-						t.Fatalf("%s: oracle run: %v", name, err)
-					}
-
-					if !reflect.DeepEqual(merge.Matches, oracle.Matches) {
-						t.Errorf("%s: match pairs diverge between shuffle modes", name)
-					}
-					if merge.Comparisons != oracle.Comparisons {
-						t.Errorf("%s: comparisons %d (merge) != %d (oracle)", name, merge.Comparisons, oracle.Comparisons)
-					}
-					if !reflect.DeepEqual(merge.BDMResult, oracle.BDMResult) {
-						t.Errorf("%s: BDM job Result (incl. TaskMetrics) diverges between shuffle modes", name)
-					}
-					if !reflect.DeepEqual(merge.MatchResult, oracle.MatchResult) {
-						t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between shuffle modes", name)
-					}
-				}
-			}
-		}
-	}
+	checkStrategyMatrix(t, []int{2}, false)
 }
 
 // TestShuffleMaxGroupRecordsMatchesBlockSizes pins the semantics of the
@@ -102,7 +51,7 @@ func TestStrategyMatrixShuffleDifferential(t *testing.T) {
 // reduce task, the largest group is exactly the dominant block.
 func TestShuffleMaxGroupRecordsMatchesBlockSizes(t *testing.T) {
 	es := skewedEntities()
-	res, err := er.Run(entity.SplitRoundRobin(es, 3), er.Config{
+	res, err := er.RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 3)), er.Config{
 		Strategy:   core.Basic{},
 		Attr:       "title",
 		BlockKey:   blocking.NormalizedPrefix(3),

@@ -2,8 +2,8 @@ package mapreduce_test
 
 // RunStream tests: streamed output must carry exactly the records a
 // collecting run accumulates (same metrics, same side output), leave
-// Result.Output empty, and surface sink errors as run failures — on all
-// three dataflows.
+// Result.Output empty, and surface sink errors as run failures — in
+// memory and spilling.
 
 import (
 	"context"
@@ -28,11 +28,9 @@ func sortedPairs(ps []mapreduce.Pair[string, int]) []mapreduce.Pair[string, int]
 }
 
 func TestRunStreamMatchesRunContext(t *testing.T) {
-	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, dataflowSpilling,
-	} {
+	for dname, where := range localResidencies {
 		for _, par := range []int{1, 4} {
-			e, _ := engineFor(t, dataflow)
+			e, _ := engineFor(t, where, nil)
 			e.Parallelism = par
 			input := wordInput(3)
 			collected, err := wordJob(4, false).RunContext(context.Background(), e, input)
@@ -49,7 +47,7 @@ func TestRunStreamMatchesRunContext(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(res.Output) != 0 {
-				t.Fatalf("dataflow %v: RunStream accumulated %d output records", dataflow, len(res.Output))
+				t.Fatalf("%s: RunStream accumulated %d output records", dname, len(res.Output))
 			}
 			// Emission order within a reduce task is preserved; across
 			// tasks it is the completion interleaving, so compare
@@ -59,14 +57,14 @@ func TestRunStreamMatchesRunContext(t *testing.T) {
 				got, want = sortedPairs(got), sortedPairs(want)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("dataflow %v par %d: streamed output differs from collected", dataflow, par)
+				t.Fatalf("%s par %d: streamed output differs from collected", dname, par)
 			}
 			// Everything but Output must be byte-identical.
 			collected.Output = nil
 			res.Output = nil
 			if !reflect.DeepEqual(res, collected) {
-				t.Fatalf("dataflow %v par %d: metrics/side output differ between stream and collect\nstream:  %+v\ncollect: %+v",
-					dataflow, par, res.Metrics, collected.Metrics)
+				t.Fatalf("%s par %d: metrics/side output differ between stream and collect\nstream:  %+v\ncollect: %+v",
+					dname, par, res.Metrics, collected.Metrics)
 			}
 		}
 	}
@@ -74,10 +72,8 @@ func TestRunStreamMatchesRunContext(t *testing.T) {
 
 func TestRunStreamSinkErrorFailsRun(t *testing.T) {
 	sinkErr := errors.New("sink full")
-	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, dataflowSpilling,
-	} {
-		e, _ := engineFor(t, dataflow)
+	for dname, where := range localResidencies {
+		e, _ := engineFor(t, where, nil)
 		n := 0
 		_, err := wordJob(4, false).RunStream(context.Background(), e, wordInput(3), func(p mapreduce.Pair[string, int]) error {
 			n++
@@ -87,7 +83,7 @@ func TestRunStreamSinkErrorFailsRun(t *testing.T) {
 			return nil
 		})
 		if !errors.Is(err, sinkErr) {
-			t.Fatalf("dataflow %v: err = %v, want the sink error", dataflow, err)
+			t.Fatalf("%s: err = %v, want the sink error", dname, err)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// This file is the typed engine: the generic, boxing-free realization of
+// This file is the engine's API: the generic, boxing-free realization of
 // the execution model described in the package comment. A Job[I, K, V, O]
 // fixes four concrete types —
 //
@@ -41,9 +41,10 @@ type Rec[K, V any] struct {
 	Value V
 }
 
-// Mapper is the typed counterpart of BoxedMapper, instantiated once per
-// map task. Configure receives the task's partition index before any Map
-// call, mirroring Hadoop's Mapper.configure.
+// Mapper is instantiated once per map task. Configure receives the
+// task's partition index before any Map call, mirroring Hadoop's
+// Mapper.configure — the paper's strategies use it to read the BDM and
+// precompute routing tables.
 type Mapper[I, K, V any] interface {
 	Configure(m, r, partitionIndex int)
 	Map(ctx *MapContext[I, K, V], rec I)
@@ -63,12 +64,12 @@ type MapCloser[I, K, V any] interface {
 	Close(ctx *MapContext[I, K, V])
 }
 
-// Reducer is the typed counterpart of BoxedReducer, instantiated once
-// per reduce task. Reduce is called once per key group with the group's
-// first key and all values in merged order. The values slice is only
-// valid for the duration of the call: the engine streams groups out of
-// the shuffle merge through a reused buffer. Implementations that need
-// values beyond the call must copy them.
+// Reducer is instantiated once per reduce task. Reduce is called once
+// per key group with the group's first key and all values in merged
+// order. The values slice is only valid for the duration of the call:
+// the engine streams groups out of the shuffle merge through a reused
+// buffer. Implementations that need values beyond the call must copy
+// them.
 type Reducer[K, V, O any] interface {
 	Configure(m, r, taskIndex int)
 	Reduce(ctx *ReduceContext[O], key K, values []Rec[K, V])
@@ -180,9 +181,6 @@ type MapContext[I, K, V any] struct {
 	// regrows.
 	sideCap int
 	encode  func(K) Code
-	// boxed, when non-nil, redirects all emissions and counters through
-	// the boxed oracle context (see oracle.go).
-	boxed *BoxedContext
 	// hook is the attempt's fault-injection binding (nil when the engine
 	// has no FaultHook installed).
 	hook *taskHook
@@ -191,10 +189,6 @@ type MapContext[I, K, V any] struct {
 // Emit appends an intermediate key-value pair to the task's output,
 // computing the key's binary code once if the job has a KeyCoding.
 func (c *MapContext[I, K, V]) Emit(key K, value V) {
-	if c.boxed != nil {
-		c.boxed.Emit(key, value)
-		return
-	}
 	c.hook.fireEmit()
 	var code Code
 	if c.encode != nil {
@@ -209,10 +203,6 @@ func (c *MapContext[I, K, V]) Emit(key K, value V) {
 // of Algorithm 3: blocking-key-annotated entities, written per map task
 // so the second job sees the identical input partitioning.
 func (c *MapContext[I, K, V]) SideEmit(rec I) {
-	if c.boxed != nil {
-		c.boxed.SideEmit(rec, nil)
-		return
-	}
 	if c.side == nil && c.sideCap > 0 {
 		c.side = make([]I, 0, c.sideCap)
 	}
@@ -223,10 +213,6 @@ func (c *MapContext[I, K, V]) SideEmit(rec I) {
 // Inc adds delta to the named user counter for this task.
 // ComparisonsCounter takes an allocation-free fast path.
 func (c *MapContext[I, K, V]) Inc(name string, delta int64) {
-	if c.boxed != nil {
-		c.boxed.Inc(name, delta)
-		return
-	}
 	incCounter(c.metrics, name, delta)
 }
 
@@ -235,7 +221,6 @@ func (c *MapContext[I, K, V]) Inc(name string, delta int64) {
 type ReduceContext[O any] struct {
 	metrics *TaskMetrics
 	out     []O
-	boxed   *BoxedContext
 	// hook is the attempt's fault-injection binding (nil when the engine
 	// has no FaultHook installed).
 	hook *taskHook
@@ -246,10 +231,6 @@ type ReduceContext[O any] struct {
 // attempt commits — never earlier, so a failed, retried, or superseded
 // attempt cannot double-emit (the task-commit protocol).
 func (c *ReduceContext[O]) Emit(rec O) {
-	if c.boxed != nil {
-		c.boxed.Emit(rec, nil)
-		return
-	}
 	c.hook.fireEmit()
 	c.out = append(c.out, rec)
 	c.metrics.OutputRecords++
@@ -257,14 +238,10 @@ func (c *ReduceContext[O]) Emit(rec O) {
 
 // Inc adds delta to the named user counter for this task.
 func (c *ReduceContext[O]) Inc(name string, delta int64) {
-	if c.boxed != nil {
-		c.boxed.Inc(name, delta)
-		return
-	}
 	incCounter(c.metrics, name, delta)
 }
 
-// incCounter is the shared counter-update path (mirrors BoxedContext.Inc).
+// incCounter is the contexts' shared counter-update path.
 func incCounter(metrics *TaskMetrics, name string, delta int64) {
 	if name == ComparisonsCounter {
 		metrics.Comparisons += delta
@@ -340,12 +317,9 @@ func (j *Job[I, K, V, O]) validate(numPartitions int) error {
 // RunContext executes the job over the given input partitions and
 // returns the result. Execution is deterministic and byte-identical
 // wherever the intermediate records reside (in memory, in spilled runs,
-// on workers) and across the boxed and concat-sort reference
-// implementations: map outputs are shuffled with a stable,
-// (map task, run)-ordered merge and sorted with the job's Compare
-// (accelerated by the key code when present). When e.Dataflow is
-// DataflowBoxed, the job runs on the boxed oracle engine through the
-// boxing adapter in oracle.go instead.
+// on workers): map outputs are shuffled with a stable, (map task,
+// run)-ordered merge and sorted with the job's Compare (accelerated by
+// the key code when present).
 //
 // Cancellation is checked between tasks (once ctx is done, no further
 // task or attempt starts) and periodically between records inside

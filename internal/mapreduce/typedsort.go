@@ -101,17 +101,16 @@ func (rs *runStore[K, V]) sortedEntries(recs []Rec[K, V]) ([]sortEntry, error) {
 // ---- pooled typed scratch buffers ----
 
 // recPools holds the reusable record buffers of one (K, V)
-// instantiation. The capacity bound, clearing discipline, and box
-// recycling mirror the boxed pools in sort.go (slicePool).
+// instantiation, with the capacity bound and box recycling of sort.go's
+// slicePool, and cleared on the way in.
 type recPools[K, V any] struct {
 	recBuf slicePool[Rec[K, V]]
 }
 
 // recPoolRegistry maps a Rec[K, V] type to its process-wide *recPools:
 // generic package-level variables do not exist in Go, so this registry
-// is how typed scratch buffers survive across runs and jobs the way the
-// boxed engine's global pools do. Looked up once per run, never on a
-// per-record path.
+// is how typed scratch buffers survive across runs and jobs. Looked up
+// once per run, never on a per-record path.
 var recPoolRegistry sync.Map // reflect.Type -> *recPools[K, V]
 
 func poolFor[K, V any]() *recPools[K, V] {

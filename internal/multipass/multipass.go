@@ -190,13 +190,6 @@ type Config struct {
 	ErConfig er.Config
 }
 
-// Run executes the full load-balanced multi-pass workflow — the
-// pre-context adapter over RunPipeline.
-func Run(parts entity.Partitions, cfg Config) (*er.Result, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-}
-
 // RunPipeline executes the full load-balanced multi-pass workflow over
 // the source's partitions: expand the input (one replica per entity and
 // key), run the two-job pipeline with the replica key as blocking key,

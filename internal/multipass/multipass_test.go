@@ -1,6 +1,7 @@
 package multipass
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/er"
 )
 
 // twoPass blocks on the prefix of two different attributes.
@@ -118,7 +120,7 @@ func TestRunMatchesSerialReference(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		var mu sync.Mutex
 		got := make(map[core.MatchPair]int)
-		res, err := Run(entity.SplitRoundRobin(es, 2), Config{
+		res, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 			Passes:   twoPass(),
 			Strategy: strat,
 			Matcher:  alwaysMatch(&got, &mu),
@@ -164,7 +166,7 @@ func TestRunFuzz(t *testing.T) {
 		}
 		want, _ := SerialMatch(es, twoPass(), match)
 		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
-			res, err := Run(entity.SplitRoundRobin(es, rng.Intn(3)+1), Config{
+			res, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, rng.Intn(3)+1)), Config{
 				Passes:   twoPass(),
 				Strategy: strat,
 				Matcher:  match,
@@ -182,10 +184,10 @@ func TestRunFuzz(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	parts := entity.Partitions{{mkProd("p", "t", "b")}}
-	if _, err := Run(parts, Config{Strategy: core.Basic{}, R: 2}); err == nil {
+	if _, err := RunPipeline(context.Background(), er.FromPartitions(parts), Config{Strategy: core.Basic{}, R: 2}); err == nil {
 		t.Error("no passes: want error")
 	}
-	if _, err := Run(parts, Config{Passes: twoPass(), R: 2}); err == nil {
+	if _, err := RunPipeline(context.Background(), er.FromPartitions(parts), Config{Passes: twoPass(), R: 2}); err == nil {
 		t.Error("no strategy: want error")
 	}
 }

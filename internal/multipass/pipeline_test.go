@@ -1,9 +1,8 @@
 package multipass
 
-// Pipeline-API tests for multi-pass blocking: the legacy Run adapter
-// must match RunPipeline byte for byte, and — because the
-// least-common-key rule fires before the matcher — a streaming sink
-// sees each match exactly once despite the replication.
+// Pipeline-API tests for multi-pass blocking: because the
+// least-common-key rule fires before the matcher, a streaming sink sees
+// each match exactly once despite the replication.
 
 import (
 	"context"
@@ -37,27 +36,9 @@ func pipelineFixture() (entity.Partitions, Config) {
 	return entity.SplitRoundRobin(es, 3), cfg
 }
 
-func TestMultipassAdapterMatchesPipeline(t *testing.T) {
-	parts, cfg := pipelineFixture()
-	legacy, err := Run(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Matches) == 0 {
-		t.Fatal("fixture produced no matches")
-	}
-	pipeline, err := RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, pipeline) {
-		t.Fatal("legacy multipass adapter result differs from pipeline")
-	}
-}
-
 func TestMultipassSinkSeesEachMatchOnce(t *testing.T) {
 	parts, cfg := pipelineFixture()
-	collected, err := Run(parts, cfg)
+	collected, err := RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

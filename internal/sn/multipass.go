@@ -55,13 +55,6 @@ type MultiResult struct {
 	PerPass []*Result
 }
 
-// RunMultiPass executes all passes and unions the matches — the
-// pre-context adapter over RunMultiPassPipeline.
-func RunMultiPass(parts entity.Partitions, cfg MultiConfig) (*MultiResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunMultiPassPipeline(context.Background(), er.FromPartitions(parts), cfg)
-}
-
 // RunMultiPassPipeline executes all passes over the source's partitions
 // and unions the matches (or streams them; see MultiConfig).
 func RunMultiPassPipeline(ctx context.Context, src er.Source, cfg MultiConfig) (*MultiResult, error) {

@@ -1,6 +1,7 @@
 package sn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/entity"
+	"repro/internal/er"
 )
 
 func reverseKey(v string) string {
@@ -40,7 +42,7 @@ func TestRunMultiPassAgainstSerial(t *testing.T) {
 		}
 		w := rng.Intn(5) + 2
 		want := SerialMultiPass(es, multiPasses(), w, match)
-		res, err := RunMultiPass(entity.SplitRoundRobin(es, rng.Intn(3)+1), MultiConfig{
+		res, err := RunMultiPassPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, rng.Intn(3)+1)), MultiConfig{
 			Passes:  multiPasses(),
 			Window:  w,
 			R:       rng.Intn(6) + 1,
@@ -80,13 +82,13 @@ func TestRunMultiPassRecoversCrossPassDuplicates(t *testing.T) {
 		kx, ky := x.Attr("k"), y.Attr("k")
 		return 1, kx[len(kx)-1] == ky[len(ky)-1]
 	}
-	forwardOnly, err := Run(entity.SplitRoundRobin(es, 1), Config{
+	forwardOnly, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 1)), Config{
 		Attr: "k", Key: identityKey, Window: 2, R: 2, Matcher: match,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMultiPass(entity.SplitRoundRobin(es, 1), MultiConfig{
+	multi, err := RunMultiPassPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 1)), MultiConfig{
 		Passes: multiPasses(), Window: 2, R: 2, Matcher: match,
 	})
 	if err != nil {
@@ -99,7 +101,7 @@ func TestRunMultiPassRecoversCrossPassDuplicates(t *testing.T) {
 }
 
 func TestRunMultiPassValidation(t *testing.T) {
-	if _, err := RunMultiPass(entity.Partitions{{mk("a", "x")}}, MultiConfig{Window: 3, R: 2}); err == nil {
+	if _, err := RunMultiPassPipeline(context.Background(), er.FromPartitions(entity.Partitions{{mk("a", "x")}}), MultiConfig{Window: 3, R: 2}); err == nil {
 		t.Error("no passes: want error")
 	}
 }

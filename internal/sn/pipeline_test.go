@@ -1,9 +1,8 @@
 package sn
 
-// Pipeline-API tests for sorted neighborhood: the legacy adapters
-// (Run/RunRanked/RunMultiPass) must match the context-aware pipeline
-// entry points byte for byte, and a streaming sink must see exactly the
-// window + boundary matches without accumulating them in the Result.
+// Pipeline-API tests for sorted neighborhood: a streaming sink must see
+// exactly the window + boundary matches without accumulating them in
+// the Result.
 
 import (
 	"context"
@@ -36,57 +35,6 @@ func snPipelineFixture() (entity.Partitions, Config) {
 		},
 	}
 	return entity.SplitRoundRobin(es, 3), cfg
-}
-
-// TestSNAdapterMatchesPipeline: sn.Run ≡ sn.RunPipeline and
-// sn.RunRanked ≡ sn.RunRankedPipeline on the full Result.
-func TestSNAdapterMatchesPipeline(t *testing.T) {
-	parts, cfg := snPipelineFixture()
-	legacy, err := Run(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.BoundaryComparisons == 0 || len(legacy.Matches) == 0 {
-		t.Fatal("fixture does not exercise boundary stitching")
-	}
-	pipeline, err := RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, pipeline) {
-		t.Fatal("legacy sn adapter result differs from pipeline")
-	}
-
-	legacyRanked, err := RunRanked(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipelineRanked, err := RunRankedPipeline(context.Background(), er.FromPartitions(parts), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyRanked, pipelineRanked) {
-		t.Fatal("legacy ranked sn adapter result differs from pipeline")
-	}
-
-	mcfg := MultiConfig{
-		RunOptions: cfg.RunOptions,
-		Passes:     []Pass{{Name: "k", Attr: "k", Key: identityKey}},
-		Window:     cfg.Window,
-		R:          cfg.R,
-		Matcher:    cfg.Matcher,
-	}
-	legacyMulti, err := RunMultiPass(parts, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipelineMulti, err := RunMultiPassPipeline(context.Background(), er.FromPartitions(parts), mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyMulti, pipelineMulti) {
-		t.Fatal("legacy multi-pass sn adapter result differs from pipeline")
-	}
 }
 
 // TestSNSinkStreamsWindowAndBoundaryMatches: with a sink installed,

@@ -1,6 +1,7 @@
 package sn
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -36,14 +37,14 @@ type rankKey struct {
 }
 
 func compareRankKeys(a, b rankKey) int {
-	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
+	if c := cmp.Compare(a.Range, b.Range); c != 0 {
 		return c
 	}
-	return mapreduce.CompareInt64s(a.Rank, b.Rank)
+	return cmp.Compare(a.Rank, b.Rank)
 }
 
 func groupRankKeys(a, b rankKey) int {
-	return mapreduce.CompareInts(a.Range, b.Range)
+	return cmp.Compare(a.Range, b.Range)
 }
 
 // rankKeyCoding is exact: the range fills the high word (GroupBits 64),
@@ -115,13 +116,6 @@ func buildRankDistribution(parts entity.Partitions, attr string, key KeyFunc, r 
 
 func (d *rankDistribution) rangeOfRank(rank int64) int {
 	return int(rank / d.perRange)
-}
-
-// RunRanked executes sorted neighborhood with rank partitioning — the
-// pre-context adapter over RunRankedPipeline.
-func RunRanked(parts entity.Partitions, cfg Config) (*Result, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunRankedPipeline(context.Background(), er.FromPartitions(parts), cfg)
 }
 
 // RunRankedPipeline executes sorted neighborhood with rank partitioning

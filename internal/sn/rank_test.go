@@ -1,6 +1,7 @@
 package sn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/er"
 )
 
 // TestRunRankedMatchesSerialFuzz: rank-partitioned SN equals the
@@ -29,7 +31,7 @@ func TestRunRankedMatchesSerialFuzz(t *testing.T) {
 
 		var mu sync.Mutex
 		got := make(map[core.MatchPair]int)
-		res, err := RunRanked(parts, Config{
+		res, err := RunRankedPipeline(context.Background(), er.FromPartitions(parts), Config{
 			Attr: "k", Key: identityKey, Window: w, R: r,
 			Matcher: alwaysMatch(&got, &mu),
 		})
@@ -75,11 +77,11 @@ func TestRankedBalancesSkewedKeys(t *testing.T) {
 		return core.ComputeLoadStats(loads)
 	}
 
-	keyed, err := Run(parts, Config{Attr: "k", Key: identityKey, Window: w, R: r})
+	keyed, err := RunPipeline(context.Background(), er.FromPartitions(parts), Config{Attr: "k", Key: identityKey, Window: w, R: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := RunRanked(parts, Config{Attr: "k", Key: identityKey, Window: w, R: r})
+	ranked, err := RunRankedPipeline(context.Background(), er.FromPartitions(parts), Config{Attr: "k", Key: identityKey, Window: w, R: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestRankedBalancesSkewedKeys(t *testing.T) {
 }
 
 func TestRankedSingleEntityAndValidation(t *testing.T) {
-	res, err := RunRanked(entity.Partitions{{mk("only", "x")}}, Config{
+	res, err := RunRankedPipeline(context.Background(), er.FromPartitions(entity.Partitions{{mk("only", "x")}}), Config{
 		Attr: "k", Key: identityKey, Window: 3, R: 4,
 	})
 	if err != nil {
@@ -104,7 +106,7 @@ func TestRankedSingleEntityAndValidation(t *testing.T) {
 	if res.Comparisons != 0 || len(res.Matches) != 0 {
 		t.Errorf("single entity: comparisons=%d matches=%d", res.Comparisons, len(res.Matches))
 	}
-	if _, err := RunRanked(entity.Partitions{{mk("a", "x")}}, Config{Attr: "k", Window: 3, R: 2}); err == nil {
+	if _, err := RunRankedPipeline(context.Background(), er.FromPartitions(entity.Partitions{{mk("a", "x")}}), Config{Attr: "k", Window: 3, R: 2}); err == nil {
 		t.Error("nil Key: want error")
 	}
 }

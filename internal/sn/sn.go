@@ -25,6 +25,7 @@
 package sn
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -113,17 +114,17 @@ type snKey struct {
 }
 
 func compareSNKeys(a, b snKey) int {
-	if c := mapreduce.CompareInts(a.Range, b.Range); c != 0 {
+	if c := cmp.Compare(a.Range, b.Range); c != 0 {
 		return c
 	}
-	if c := mapreduce.CompareStrings(a.Key, b.Key); c != 0 {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
 		return c
 	}
-	return mapreduce.CompareStrings(a.ID, b.ID)
+	return strings.Compare(a.ID, b.ID)
 }
 
 func groupSNKeys(a, b snKey) int {
-	return mapreduce.CompareInts(a.Range, b.Range)
+	return cmp.Compare(a.Range, b.Range)
 }
 
 // snKeyCoding packs range ‖ first 12 bytes of the sort key: the range
@@ -163,13 +164,6 @@ type fringe struct {
 	// last entity of the range, respectively).
 	Pos int
 	E   entity.Entity
-}
-
-// Run executes the full sorted-neighborhood workflow — the pre-context
-// adapter over RunPipeline, kept for one release of compatibility.
-func Run(parts entity.Partitions, cfg Config) (*Result, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 }
 
 // RunPipeline executes the full sorted-neighborhood workflow over the

@@ -1,6 +1,7 @@
 package sn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -54,7 +55,7 @@ func TestRunMatchesSerialSmall(t *testing.T) {
 	for _, w := range []int{2, 3, 5} {
 		for _, r := range []int{1, 2, 3, 4, 8} {
 			want, wantComps := Serial(es, "k", identityKey, w, func(entity.Entity, entity.Entity) (float64, bool) { return 1, true })
-			res, err := Run(entity.SplitRoundRobin(es, 2), Config{
+			res, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 				Attr: "k", Key: identityKey, Window: w, R: r,
 				Matcher: func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
 			})
@@ -88,7 +89,7 @@ func TestRunMatchesSerialFuzz(t *testing.T) {
 
 		var mu sync.Mutex
 		got := make(map[core.MatchPair]int)
-		res, err := Run(entity.SplitRoundRobin(es, m), Config{
+		res, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, m)), Config{
 			Attr: "k", Key: identityKey, Window: w, R: r,
 			Matcher: alwaysMatch(&got, &mu),
 		})
@@ -126,7 +127,7 @@ func TestSkewRobustness(t *testing.T) {
 	for i := range es {
 		es[i] = mk(fmt.Sprintf("e%03d", i), "same")
 	}
-	res, err := Run(entity.SplitRoundRobin(es, 4), Config{
+	res, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 4)), Config{
 		Attr: "k", Key: identityKey, Window: 5, R: 4,
 	})
 	if err != nil {
@@ -166,19 +167,19 @@ func TestRangeBounds(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	parts := entity.Partitions{{mk("a", "x")}}
-	if _, err := Run(parts, Config{Attr: "k", Window: 3, R: 2}); err == nil {
+	if _, err := RunPipeline(context.Background(), er.FromPartitions(parts), Config{Attr: "k", Window: 3, R: 2}); err == nil {
 		t.Error("nil Key: want error")
 	}
-	if _, err := Run(parts, Config{Attr: "k", Key: identityKey, Window: 1, R: 2}); err == nil {
+	if _, err := RunPipeline(context.Background(), er.FromPartitions(parts), Config{Attr: "k", Key: identityKey, Window: 1, R: 2}); err == nil {
 		t.Error("window < 2: want error")
 	}
-	if _, err := Run(parts, Config{Attr: "k", Key: identityKey, Window: 3, R: 0}); err == nil {
+	if _, err := RunPipeline(context.Background(), er.FromPartitions(parts), Config{Attr: "k", Key: identityKey, Window: 3, R: 0}); err == nil {
 		t.Error("r = 0: want error")
 	}
 }
 
 func TestRunSingleEntity(t *testing.T) {
-	res, err := Run(entity.Partitions{{mk("only", "x")}}, Config{
+	res, err := RunPipeline(context.Background(), er.FromPartitions(entity.Partitions{{mk("only", "x")}}), Config{
 		Attr: "k", Key: identityKey, Window: 3, R: 2,
 	})
 	if err != nil {
@@ -196,7 +197,7 @@ func TestRunParallelEngineDeterminism(t *testing.T) {
 	}
 	var base *Result
 	for trial := 0; trial < 5; trial++ {
-		res, err := Run(entity.SplitRoundRobin(es, 3), Config{
+		res, err := RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 3)), Config{
 			Attr: "k", Key: identityKey, Window: 4, R: 5,
 			Matcher:    func(a, b entity.Entity) (float64, bool) { return 1, a.ID[1] == b.ID[1] },
 			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
