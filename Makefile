@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-cancel-race bench-smoke bench bench-compare bench-all loc smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
+.PHONY: check vet build test test-race test-cancel-race fuzz-smoke bench-smoke bench bench-compare bench-all loc smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
 
 # check is the CI gate: static analysis, build, tests, benchmark smoke.
 check: vet build test bench-smoke
@@ -45,6 +45,14 @@ test-cancel-race:
 			{ echo "test-cancel-race: no test matches Cancel in $$p (renamed or deleted?)"; exit 1; }; \
 	done
 	$(GO) test -race -run Cancel $(CANCEL_PKGS)
+
+# fuzz-smoke gives every native fuzz target two seconds of the mutating
+# engine (go test alone only replays their seed corpora), about a minute
+# in all. FUZZ_TARGETS is how many the repo has: the gate fails when it
+# finds fewer, so a renamed or deleted target cannot pass unseen.
+FUZZ_TARGETS = 23
+fuzz-smoke:
+	scripts/fuzz_smoke.sh $(FUZZ_TARGETS)
 
 # bench-smoke builds and runs every benchmark in the repo exactly once,
 # so bench files cannot silently rot, without paying for a full

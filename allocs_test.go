@@ -6,7 +6,10 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -114,5 +117,46 @@ func TestBlockKernelAllocsPinned(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("warm acquire/probe/release cycle: %v allocs, want 0", allocs)
+	}
+}
+
+// csvRows is a one-attribute CSV of n rows the size of the yardstick's
+// (about 37 bytes each).
+func csvRows(n int) []byte {
+	var b bytes.Buffer
+	b.WriteString("id,title\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "e%07d,title of the entity %07d\n", i, i)
+	}
+	return b.Bytes()
+}
+
+// TestIngestAllocsPinned pins what makes ingest's cost structural: the
+// loader that keeps every row allocates per block of input and per slab
+// of attribute arrays, never per row — ten times the rows is at most
+// rows/256 + 64 more allocations — and beyond the input's own bytes it
+// allocates one Entity and one Attr per row, 72 bytes: no staging copy,
+// no per-row string, no doubling.
+func TestIngestAllocsPinned(t *testing.T) {
+	measure := func(in []byte, rows int) (allocs, size float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ps, err := entity.ReadPartitionsCSV(bytes.NewReader(in), 4)
+		runtime.ReadMemStats(&after)
+		if err != nil || ps.Total() != rows {
+			t.Fatalf("read %d rows, err %v; want %d", ps.Total(), err, rows)
+		}
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const small, large = 10_000, 100_000
+	in := csvRows(large)
+	smallAllocs, _ := measure(csvRows(small), small)
+	largeAllocs, largeBytes := measure(in, large)
+	if extra, bound := largeAllocs-smallAllocs, float64(large/256+64); extra > bound {
+		t.Errorf("%d rows cost %.0f allocations, %d rows %.0f: %.0f more, want at most %.0f",
+			small, smallAllocs, large, largeAllocs, extra, bound)
+	}
+	if bound := 1.15 * float64(len(in)+large*72); largeBytes > bound {
+		t.Errorf("%d rows in %d bytes allocated %.0f bytes, want at most %.0f", large, len(in), largeBytes, bound)
 	}
 }

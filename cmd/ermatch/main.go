@@ -88,6 +88,26 @@ func main() {
 		// -format never truncates an existing file.
 		usage(fmt.Errorf("unknown -format %q (want csv or ndjson)", *format))
 	}
+	var strat core.Strategy
+	switch *strategy {
+	case "basic":
+		strat = core.Basic{}
+	case "blocksplit":
+		strat = core.BlockSplit{}
+	case "pairrange":
+		strat = core.PairRange{}
+	case "sn":
+		if *window < 1 {
+			usage(fmt.Errorf("-window must be at least 1, got %d", *window))
+		}
+	default:
+		usage(fmt.Errorf("unknown strategy %q (want basic, blocksplit, pairrange, or sn)", *strategy))
+	}
+	// Out-of-range counts are bad invocations too, refused here — before
+	// the input is opened — not by whichever layer trips over them.
+	if *m < 1 || *r < 1 || *prefix < 1 || *parallelism < 0 {
+		usage(fmt.Errorf("-m, -r and -prefix must be at least 1 and -parallelism at least 0, got -m %d -r %d -prefix %d -parallelism %d", *m, *r, *prefix, *parallelism))
+	}
 	distributed := *masterAddr != "" || *workers > 0 || *addrFile != ""
 	if distributed && *masterAddr == "" {
 		usage(fmt.Errorf("-workers/-master-addr-file require -master"))
@@ -145,9 +165,11 @@ func main() {
 		opts.Workers = *workers
 	}
 
-	// Stream rows straight into the m input partitions: no intermediate
-	// full entity slice, so the pre-map memory high-water mark is the
-	// partitioned input itself.
+	// Rows are built in place in the m input partitions, their strings
+	// aliasing the file's bytes: the pre-map memory high-water mark is the
+	// input's text plus one Entity and its attributes per row. Nothing
+	// here holds the partitions once the pipeline has them, so Job 2 runs
+	// on Job 1's side output alone.
 	var src er.Source
 	if *in != "" {
 		src = er.FromCSVFile(*in, *m)
@@ -220,17 +242,6 @@ func main() {
 			nEntities, *m, *r, *window)
 		matches, comparisons = res.Matches, res.Comparisons
 	} else {
-		var strat core.Strategy
-		switch *strategy {
-		case "basic":
-			strat = core.Basic{}
-		case "blocksplit":
-			strat = core.BlockSplit{}
-		case "pairrange":
-			strat = core.PairRange{}
-		default:
-			usage(fmt.Errorf("unknown strategy %q (want basic, blocksplit, pairrange, or sn)", *strategy))
-		}
 		var res *er.Result
 		if distributed {
 			// Distributed runs take the declarative job description (the
@@ -312,8 +323,9 @@ func main() {
 var cleanupOnFail func()
 
 // fail reports a runtime error (exit 1); usage reports a bad
-// invocation — unknown enum value, malformed flag, conflicting flags —
-// with exit 2, matching the other er commands.
+// invocation — unknown enum value, malformed or out-of-range flag,
+// conflicting flags — with exit 2, matching the other er commands, and
+// is decided before the input or the output file is touched.
 func fail(err error) {
 	if cleanupOnFail != nil {
 		cleanupOnFail()
@@ -323,9 +335,6 @@ func fail(err error) {
 }
 
 func usage(err error) {
-	if cleanupOnFail != nil {
-		cleanupOnFail()
-	}
 	fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
 	fmt.Fprintln(os.Stderr, "run 'ermatch -h' for usage")
 	os.Exit(2)

@@ -106,11 +106,18 @@ type Cell struct {
 // every referenced partition index. Duplicate cells for the same
 // (block, partition) are rejected.
 func FromCells(cells []Cell, m int) (*Matrix, error) {
+	return fromCells(len(cells), func(i int) Cell { return cells[i] }, m)
+}
+
+// fromCells is FromCells over n cells read through cell, so that the
+// BDM job's reduce output is assembled without a copy in Cell form.
+func fromCells(n int, cell func(i int) Cell, m int) (*Matrix, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("bdm: FromCells requires m > 0, got %d", m)
 	}
-	keys := make([]string, 0, len(cells))
-	for _, c := range cells {
+	keys := []string{}
+	for i := 0; i < n; i++ {
+		c := cell(i)
 		if c.Partition < 0 || c.Partition >= m {
 			return nil, fmt.Errorf("bdm: cell %q references partition %d outside [0,%d)", c.BlockKey, c.Partition, m)
 		}
@@ -144,8 +151,13 @@ func FromCells(cells []Cell, m int) (*Matrix, error) {
 		x.index[k] = i
 		x.sizes[i] = backing[i*m : (i+1)*m : (i+1)*m]
 	}
-	for _, c := range cells {
-		k := x.index[c.BlockKey]
+	// A block's cells arrive together: one lookup places them all.
+	k, block := 0, ""
+	for i := 0; i < n; i++ {
+		c := cell(i)
+		if i == 0 || c.BlockKey != block {
+			k, block = x.index[c.BlockKey], c.BlockKey
+		}
 		if x.sizes[k][c.Partition] >= 0 {
 			return nil, fmt.Errorf("bdm: duplicate cell for block %q partition %d", c.BlockKey, c.Partition)
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/blocking"
@@ -82,11 +83,7 @@ func Job(opts JobOptions) *mapreduce.Job[Annotated, Key, int, CountRecord] {
 		Name:           "bdm",
 		NumReduceTasks: opts.NumReduceTasks,
 		NewMapper: func() mapreduce.Mapper[Annotated, Key, int] {
-			m := &bdmMapper{attr: opts.Attr, keyFunc: opts.KeyFunc}
-			if opts.UseCombiner {
-				m.cell = make(map[string]int)
-			}
-			return m
+			return &bdmMapper{attr: opts.Attr, keyFunc: opts.KeyFunc, aggregate: opts.UseCombiner}
 		},
 		NewReducer: func() mapreduce.Reducer[Key, int, CountRecord] {
 			return &countReducer{}
@@ -105,15 +102,51 @@ type bdmMapper struct {
 	attr      string
 	keyFunc   blocking.KeyFunc
 	partition int
+	aggregate bool
+	cells     countTable
+}
 
-	// The per-task count table of footnote 2 (cell is nil without
-	// UseCombiner): cell maps a block to its slot in blocks/counts, which
-	// are in first-seen order so that Close emits deterministically. It
-	// holds one entry per distinct block of the partition — one column of
-	// the matrix the planner holds whole anyway.
-	cell   map[string]int
-	blocks []string
-	counts []int
+// countTable is the per-task count table of footnote 2: one cell per
+// distinct block of the partition — one column of the matrix the planner
+// holds whole anyway — in first-seen order, so that Close emits
+// deterministically. Cells are found by open addressing from a hash of
+// the first word of the block key's prefix code: blocking keys are short,
+// so the word usually is the key, and it is in a register where a string
+// hash would walk memory.
+type countTable struct {
+	slots []int32 // cell index + 1, 0 = free; a power of two, at most half full
+	cells []Cell  // Partition is left to Close
+}
+
+// find returns the slot that names block's cell, or the free slot where
+// the probe for it ends. (Fibonacci hashing: the product's top bits
+// depend on every bit of the word.)
+func (t *countTable) find(block string) *int32 {
+	mask := len(t.slots) - 1
+	h := int(mapreduce.StringPrefixCode(block).Hi * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask)))
+	for ; ; h = (h + 1) & mask {
+		if i := t.slots[h]; i == 0 || t.cells[i-1].BlockKey == block {
+			return &t.slots[h]
+		}
+	}
+}
+
+// add counts one entity of block. A table half full is doubled first,
+// the room for cells with it, so that the append below never reallocates.
+func (t *countTable) add(block string) {
+	if 2*len(t.cells) >= len(t.slots) {
+		t.slots = make([]int32, max(2*len(t.slots), 64))
+		t.cells = append(make([]Cell, 0, len(t.slots)/2), t.cells...)
+		for i, c := range t.cells {
+			*t.find(c.BlockKey) = int32(i + 1)
+		}
+	}
+	slot := t.find(block)
+	if *slot == 0 {
+		t.cells = append(t.cells, Cell{BlockKey: block})
+		*slot = int32(len(t.cells))
+	}
+	t.cells[*slot-1].Count++
 }
 
 func (m *bdmMapper) Configure(_, _, partitionIndex int) { m.partition = partitionIndex }
@@ -123,25 +156,18 @@ func (m *bdmMapper) Map(ctx *mapreduce.MapContext[Annotated, Key, int], rec Anno
 	blockKey := m.keyFunc(e.Attr(m.attr))
 	// additionalOutput: the annotated entity for the second MR job.
 	ctx.SideEmit(Annotated{Key: blockKey, Value: e})
-	if m.cell == nil {
+	if m.aggregate {
+		m.cells.add(blockKey)
+	} else {
 		ctx.Emit(Key{BlockKey: blockKey, Partition: m.partition}, 1)
-		return
 	}
-	i, ok := m.cell[blockKey]
-	if !ok {
-		i = len(m.blocks)
-		m.cell[blockKey] = i
-		m.blocks = append(m.blocks, blockKey)
-		m.counts = append(m.counts, 0)
-	}
-	m.counts[i]++
 }
 
 // Close implements mapreduce.MapCloser: one record per non-zero cell of
 // the task's matrix column.
 func (m *bdmMapper) Close(ctx *mapreduce.MapContext[Annotated, Key, int]) {
-	for i, blockKey := range m.blocks {
-		ctx.Emit(Key{BlockKey: blockKey, Partition: m.partition}, m.counts[i])
+	for _, c := range m.cells.cells {
+		ctx.Emit(Key{BlockKey: c.BlockKey, Partition: m.partition}, c.Count)
 	}
 }
 
@@ -185,11 +211,10 @@ func ComputeContext(ctx context.Context, eng *mapreduce.Engine, parts entity.Par
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bdm: compute: %w", err)
 	}
-	cells := make([]Cell, 0, len(res.Output))
-	for _, rec := range res.Output {
-		cells = append(cells, Cell{BlockKey: rec.Key.BlockKey, Partition: rec.Key.Partition, Count: rec.Value})
-	}
-	matrix, err := FromCells(cells, len(parts))
+	matrix, err := fromCells(len(res.Output), func(i int) Cell {
+		rec := &res.Output[i]
+		return Cell{BlockKey: rec.Key.BlockKey, Partition: rec.Key.Partition, Count: rec.Value}
+	}, len(parts))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bdm: compute: assemble matrix: %w", err)
 	}

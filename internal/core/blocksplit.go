@@ -69,7 +69,7 @@ type bsValue struct {
 // taskID identifies one match task.
 type taskID struct {
 	block int
-	i, j  int // −1,−1 = unsplit; i==j = sub-block; i>j = cross product
+	i, j  int // −1,−1 = unsplit; i==j = sub-block; i>j = cross product (two sources: R×S partitions)
 }
 
 // matchTask is one unit of reduce-side work with its assignment.
@@ -84,12 +84,18 @@ type matchTask struct {
 // analytic planner are driven by it. Exported for the ablation
 // benchmarks, which compare the greedy heuristic against alternatives.
 type Assignment struct {
-	tasks   map[taskID]*matchTask
-	ordered []*matchTask // descending comparisons
-	arena   []matchTask  // chunked backing store of the task structs
-	loads   []int64      // per reduce task
-	avg     int64        // compsPerReduceTask = P/r
-	split   []bool       // per block: was it split into sub-blocks?
+	ordered []matchTask // descending comparisons
+	loads   []int64     // per reduce task
+	avg     int64       // compsPerReduceTask = P/r
+	split   []bool      // per block: was it split into sub-blocks?
+	m       int         // number of partitions
+
+	// The mappers' view, dense because it is consulted once per entity:
+	// for an unsplit block its one task's reduce task; for a split block
+	// the start of its m×m table in pairs, where [i*m+j] (i ≥ j) is task
+	// k.j×i's reduce task, or −1 when a side is empty.
+	where []int32
+	pairs []int32
 }
 
 // Split reports whether block k was split into sub-blocks.
@@ -103,7 +109,7 @@ func (a *Assignment) NumTasks() int { return len(a.ordered) }
 
 // AssignFunc chooses reduce tasks for match tasks; tasks arrive in
 // descending comparison order. The default is greedy least-loaded.
-type AssignFunc func(tasks []*matchTask, r int) (loads []int64)
+type AssignFunc func(tasks []matchTask, r int) (loads []int64)
 
 // GreedyAssign implements the paper's heuristic: process match tasks in
 // descending size and give each to the reduce task with the fewest
@@ -112,16 +118,16 @@ type AssignFunc func(tasks []*matchTask, r int) (loads []int64)
 // interface methods box one loadEntry per push and pop — two heap
 // allocations per match task, which profiling showed dominating the
 // planning phase on large assignments.
-func GreedyAssign(tasks []*matchTask, r int) []int64 {
+func GreedyAssign(tasks []matchTask, r int) []int64 {
 	loads := make([]int64, r)
 	h := make(loadHeap, r)
 	for i := range h {
 		h[i] = loadEntry{load: 0, idx: i}
 	}
 	// All-zero loads with ascending indices is already a valid min-heap.
-	for _, t := range tasks {
-		t.reduce = h[0].idx
-		h[0].load += t.comps
+	for i := range tasks {
+		tasks[i].reduce = h[0].idx
+		h[0].load += tasks[i].comps
 		loads[h[0].idx] = h[0].load
 		h.siftDown(0)
 	}
@@ -130,11 +136,11 @@ func GreedyAssign(tasks []*matchTask, r int) []int64 {
 
 // RoundRobinAssign is the naive baseline for the assignment ablation:
 // match task n goes to reduce task n mod r regardless of size.
-func RoundRobinAssign(tasks []*matchTask, r int) []int64 {
+func RoundRobinAssign(tasks []matchTask, r int) []int64 {
 	loads := make([]int64, r)
-	for n, t := range tasks {
-		t.reduce = n % r
-		loads[t.reduce] += t.comps
+	for n := range tasks {
+		tasks[n].reduce = n % r
+		loads[n%r] += tasks[n].comps
 	}
 	return loads
 }
@@ -152,8 +158,10 @@ func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *
 	}
 	m := x.NumPartitions()
 	a := &Assignment{
-		tasks: make(map[taskID]*matchTask),
-		split: make([]bool, x.NumBlocks()),
+		split:   make([]bool, x.NumBlocks()),
+		m:       m,
+		where:   make([]int32, x.NumBlocks()),
+		ordered: make([]matchTask, 0, x.NumBlocks()),
 	}
 	if p := x.Pairs(); p > 0 {
 		a.avg = p / int64(r)
@@ -161,12 +169,16 @@ func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *
 	for k := 0; k < x.NumBlocks(); k++ {
 		comps := x.BlockPairs(k)
 		if comps <= a.avg && (maxEntities <= 0 || x.Size(k) <= maxEntities) {
-			a.add(taskID{block: k, i: -1, j: -1}, comps)
+			a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: -1, j: -1}, comps: comps})
 			continue
 		}
 		// Split along the input partitions; skip combinations with an
 		// empty side (|Φik|·|Φjk| = 0).
 		a.split[k] = true
+		a.where[k] = int32(len(a.pairs))
+		for range m * m {
+			a.pairs = append(a.pairs, -1)
+		}
 		for i := 0; i < m; i++ {
 			ni := int64(x.SizeIn(k, i))
 			for j := 0; j <= i; j++ {
@@ -174,54 +186,53 @@ func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *
 				if ni*nj == 0 {
 					continue
 				}
+				comps := ni * nj
 				if i == j {
-					a.add(taskID{block: k, i: i, j: i}, ni*(ni-1)/2)
-				} else {
-					a.add(taskID{block: k, i: i, j: j}, ni*nj)
+					comps = ni * (ni - 1) / 2
 				}
+				a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: i, j: j}, comps: comps})
 			}
 		}
 	}
-	// Descending by comparisons; ties by ascending (block, i, j) for
-	// determinism (this reproduces the ordering of the paper's example).
-	// The tie-break makes the order total, so a non-stable sort on the
-	// concrete type suffices.
-	slices.SortFunc(a.ordered, func(tp, tq *matchTask) int {
-		if tp.comps != tq.comps {
-			if tp.comps > tq.comps {
-				return -1
-			}
-			return 1
-		}
-		if c := tp.id.block - tq.id.block; c != 0 {
-			return c
-		}
-		if c := tp.id.i - tq.id.i; c != 0 {
-			return c
-		}
-		return tp.id.j - tq.id.j
-	})
+	slices.SortFunc(a.ordered, compareTasks)
 	a.loads = assign(a.ordered, r)
+	for _, t := range a.ordered {
+		if k := t.id.block; a.split[k] {
+			a.pairs[int(a.where[k])+t.id.i*m+t.id.j] = int32(t.reduce)
+		} else {
+			a.where[k] = int32(t.reduce)
+		}
+	}
 	return a
 }
 
-// add creates one match task. Tasks live in chunked arenas — a split
-// block creates up to m(m+1)/2 of them, and one heap object each was
-// the planning phase's dominant allocation. A chunk is never grown, so
-// pointers into it stay valid when the next chunk is started.
-func (a *Assignment) add(id taskID, comps int64) {
-	if len(a.arena) == cap(a.arena) {
-		a.arena = make([]matchTask, 0, 1024)
+// compareTasks orders match tasks descending by comparisons; ties by
+// ascending (block, i, j) for determinism (this reproduces the ordering
+// of the paper's example). The tie-break makes the order total, so a
+// non-stable sort on the concrete type suffices.
+func compareTasks(tp, tq matchTask) int {
+	if tp.comps != tq.comps {
+		if tp.comps > tq.comps {
+			return -1
+		}
+		return 1
 	}
-	a.arena = append(a.arena, matchTask{id: id, comps: comps})
-	t := &a.arena[len(a.arena)-1]
-	a.tasks[id] = t
-	a.ordered = append(a.ordered, t)
+	if c := tp.id.block - tq.id.block; c != 0 {
+		return c
+	}
+	if c := tp.id.i - tq.id.i; c != 0 {
+		return c
+	}
+	return tp.id.j - tq.id.j
 }
 
-// lookup returns the match task for (block k, i, j), nil if absent.
-func (a *Assignment) lookup(k, i, j int) *matchTask {
-	return a.tasks[taskID{block: k, i: i, j: j}]
+// reduceOf returns the reduce task of match task (block k, i, j) — for
+// an unsplit block whatever i and j are — or −1 if there is no such task.
+func (a *Assignment) reduceOf(k, i, j int) int {
+	if !a.split[k] {
+		return int(a.where[k])
+	}
+	return int(a.pairs[int(a.where[k])+i*a.m+j])
 }
 
 type loadEntry struct {
@@ -362,8 +373,7 @@ func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, bsValu
 		if mp.x.BlockPairs(k) == 0 {
 			return // singleton block: nothing to compare
 		}
-		t := mp.asg.lookup(k, -1, -1)
-		ctx.Emit(BSKey{Reduce: t.reduce, Block: k, I: -1, J: -1},
+		ctx.Emit(BSKey{Reduce: mp.asg.reduceOf(k, -1, -1), Block: k, I: -1, J: -1},
 			bsValue{E: e, Partition: mp.partition})
 		return
 	}
@@ -372,11 +382,11 @@ func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, bsValu
 		if hi < lo {
 			hi, lo = lo, hi
 		}
-		t := mp.asg.lookup(k, hi, lo)
-		if t == nil {
+		reduce := mp.asg.reduceOf(k, hi, lo)
+		if reduce < 0 {
 			continue // empty counterpart partition
 		}
-		ctx.Emit(BSKey{Reduce: t.reduce, Block: k, I: hi, J: lo},
+		ctx.Emit(BSKey{Reduce: reduce, Block: k, I: hi, J: lo},
 			bsValue{E: e, Partition: mp.partition})
 	}
 }

@@ -42,27 +42,18 @@ func (k BSDKey) String() string {
 	return fmt.Sprintf("%d.%d.%dx%d.%s", k.Reduce, k.Block, k.RPart, k.SPart, k.Source)
 }
 
-type dualTaskID struct {
-	block        int
-	rPart, sPart int // −1,−1 = unsplit
-}
-
-type dualMatchTask struct {
-	id     dualTaskID
-	comps  int64
-	reduce int
-}
-
-// dualAssignment mirrors Assignment for the two-source case.
+// dualAssignment mirrors Assignment for the two-source case: the same
+// match tasks, order and greedy policy, with a task's i the R partition
+// and its j the S partition (−1, −1 = unsplit).
 type dualAssignment struct {
-	tasks   map[dualTaskID]*dualMatchTask
-	ordered []*dualMatchTask
+	tasks   map[taskID]*matchTask
+	ordered []matchTask
 	loads   []int64
 	avg     int64
 }
 
 func buildDualAssignment(x *bdm.DualMatrix, r int) *dualAssignment {
-	a := &dualAssignment{tasks: make(map[dualTaskID]*dualMatchTask)}
+	a := &dualAssignment{}
 	if p := x.Pairs(); p > 0 {
 		a.avg = p / int64(r)
 	}
@@ -73,7 +64,7 @@ func buildDualAssignment(x *bdm.DualMatrix, r int) *dualAssignment {
 			continue // one side empty: the block needs no processing
 		}
 		if comps <= a.avg {
-			a.add(dualTaskID{block: k, rPart: -1, sPart: -1}, comps)
+			a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: -1, j: -1}, comps: comps})
 			continue
 		}
 		for i := 0; i < m; i++ {
@@ -92,51 +83,17 @@ func buildDualAssignment(x *bdm.DualMatrix, r int) *dualAssignment {
 				if nj == 0 {
 					continue
 				}
-				a.add(dualTaskID{block: k, rPart: i, sPart: j}, ni*nj)
+				a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: i, j: j}, comps: ni * nj})
 			}
 		}
 	}
-	// Total order (ties fully broken), so a non-stable sort on the
-	// concrete type suffices.
-	slices.SortFunc(a.ordered, func(tp, tq *dualMatchTask) int {
-		if tp.comps != tq.comps {
-			if tp.comps > tq.comps {
-				return -1
-			}
-			return 1
-		}
-		if c := tp.id.block - tq.id.block; c != 0 {
-			return c
-		}
-		if c := tp.id.rPart - tq.id.rPart; c != 0 {
-			return c
-		}
-		return tp.id.sPart - tq.id.sPart
-	})
-	a.loads = assignDualGreedy(a.ordered, r)
+	slices.SortFunc(a.ordered, compareTasks)
+	a.loads = GreedyAssign(a.ordered, r)
+	a.tasks = make(map[taskID]*matchTask, len(a.ordered))
+	for n := range a.ordered {
+		a.tasks[a.ordered[n].id] = &a.ordered[n]
+	}
 	return a
-}
-
-func (a *dualAssignment) add(id dualTaskID, comps int64) {
-	t := &dualMatchTask{id: id, comps: comps}
-	a.tasks[id] = t
-	a.ordered = append(a.ordered, t)
-}
-
-func assignDualGreedy(tasks []*dualMatchTask, r int) []int64 {
-	// Same greedy least-loaded policy as the one-source GreedyAssign.
-	loads := make([]int64, r)
-	for _, t := range tasks {
-		best := 0
-		for j := 1; j < r; j++ {
-			if loads[j] < loads[best] {
-				best = j
-			}
-		}
-		t.reduce = best
-		loads[best] += t.comps
-	}
-	return loads
 }
 
 func compareBSDKeys(a, b BSDKey) int {
@@ -244,7 +201,7 @@ func (mp *bsdMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSDKey, enti
 		return // counterpart source has no entities with this key
 	}
 	if comps <= mp.asg.avg {
-		t := mp.asg.tasks[dualTaskID{block: k, rPart: -1, sPart: -1}]
+		t := mp.asg.tasks[taskID{block: k, i: -1, j: -1}]
 		ctx.Emit(BSDKey{Reduce: t.reduce, Block: k, RPart: -1, SPart: -1, Source: mp.source}, e)
 		return
 	}
@@ -254,15 +211,15 @@ func (mp *bsdMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSDKey, enti
 		if mp.x.PartitionSource(p) == mp.source || mp.x.SizeIn(k, p) == 0 {
 			continue
 		}
-		id := dualTaskID{block: k, rPart: mp.partition, sPart: p}
+		id := taskID{block: k, i: mp.partition, j: p}
 		if mp.source == bdm.SourceS {
-			id = dualTaskID{block: k, rPart: p, sPart: mp.partition}
+			id = taskID{block: k, i: p, j: mp.partition}
 		}
 		t := mp.asg.tasks[id]
 		if t == nil {
 			continue
 		}
-		ctx.Emit(BSDKey{Reduce: t.reduce, Block: k, RPart: id.rPart, SPart: id.sPart, Source: mp.source}, e)
+		ctx.Emit(BSDKey{Reduce: t.reduce, Block: k, RPart: id.i, SPart: id.j, Source: mp.source}, e)
 	}
 }
 
@@ -300,10 +257,10 @@ func (BlockSplitDual) Plan(x *bdm.DualMatrix, r int) (*Plan, error) {
 
 	for _, t := range asg.ordered {
 		k := t.id.block
-		if t.id.rPart < 0 {
+		if t.id.i < 0 {
 			p.ReduceRecords[t.reduce] += int64(x.SourceSize(k, bdm.SourceR) + x.SourceSize(k, bdm.SourceS))
 		} else {
-			p.ReduceRecords[t.reduce] += int64(x.SizeIn(k, t.id.rPart) + x.SizeIn(k, t.id.sPart))
+			p.ReduceRecords[t.reduce] += int64(x.SizeIn(k, t.id.i) + x.SizeIn(k, t.id.j))
 		}
 	}
 

@@ -139,14 +139,14 @@ func TestDualBlockSplitSplitsLargestBlock(t *testing.T) {
 		t.Fatalf("avg = %d, want 3", asg.avg)
 	}
 	zk, _ := x.BlockIndex("z")
-	if _, ok := asg.tasks[dualTaskID{block: zk, rPart: -1, sPart: -1}]; ok {
+	if _, ok := asg.tasks[taskID{block: zk, i: -1, j: -1}]; ok {
 		t.Error("block z was not split despite exceeding the average workload")
 	}
 	// Split tasks pair R partition 0 with S partitions 1 and 2.
-	if task := asg.tasks[dualTaskID{block: zk, rPart: 0, sPart: 1}]; task == nil || task.comps != 4 {
+	if task := asg.tasks[taskID{block: zk, i: 0, j: 1}]; task == nil || task.comps != 4 {
 		t.Errorf("task z.0x1 = %+v, want 4 comps", task)
 	}
-	if task := asg.tasks[dualTaskID{block: zk, rPart: 0, sPart: 2}]; task == nil || task.comps != 2 {
+	if task := asg.tasks[taskID{block: zk, i: 0, j: 2}]; task == nil || task.comps != 2 {
 		t.Errorf("task z.0x2 = %+v, want 2 comps", task)
 	}
 	// Block y has no S entities: no task at all.

@@ -271,10 +271,56 @@ func TestAssignmentDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a1.loads, a2.loads) {
 		t.Fatalf("assignment loads differ: %v vs %v", a1.loads, a2.loads)
 	}
-	for id, t1 := range a1.tasks {
-		if t2 := a2.tasks[id]; t2 == nil || t2.reduce != t1.reduce {
-			t.Fatalf("task %v assigned differently", id)
+	for n, t1 := range a1.ordered {
+		if t2 := a2.ordered[n]; t2 != t1 {
+			t.Fatalf("task %v assigned differently", t1.id)
 		}
+	}
+}
+
+// TestAssignmentDenseLookup: the tables the mappers read answer every
+// (k, i, j) as a map of the match tasks does — over the generator of
+// TestPlanExecutionEquivalenceFuzz, whose split blocks often miss a
+// partition — and an unsplit block answers with its one task.
+func TestAssignmentDenseLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	split, absent := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		mm := rng.Intn(6) + 1
+		parts := randomParts(rng, rng.Intn(150)+1, mm, rng.Intn(10)+1)
+		x := mustBDM(t, parts)
+		a := BuildAssignment(x, rng.Intn(15)+1, nil)
+		tasks := make(map[taskID]int)
+		for _, task := range a.ordered {
+			tasks[task.id] = task.reduce
+		}
+		if len(tasks) != a.NumTasks() {
+			t.Fatalf("trial %d: %d distinct ids among %d tasks", trial, len(tasks), a.NumTasks())
+		}
+		for k := 0; k < x.NumBlocks(); k++ {
+			if !a.Split(k) {
+				if got, want := a.reduceOf(k, -1, -1), tasks[taskID{k, -1, -1}]; got != want {
+					t.Fatalf("trial %d: unsplit block %d on reduce task %d, want %d", trial, k, got, want)
+				}
+				continue
+			}
+			split++
+			for i := 0; i < mm; i++ {
+				for j := 0; j <= i; j++ {
+					want, ok := tasks[taskID{k, i, j}]
+					if !ok {
+						want = -1
+						absent++
+					}
+					if got := a.reduceOf(k, i, j); got != want {
+						t.Fatalf("trial %d: task %d.%dx%d on reduce task %d, want %d", trial, k, j, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	if split == 0 || absent == 0 {
+		t.Fatalf("generator drew %d split blocks, %d absent tasks: nothing tested", split, absent)
 	}
 }
 

@@ -127,11 +127,13 @@ func TestReadPartitionsCSV(t *testing.T) {
 }
 
 // The loaders that keep every row carve attribute arrays from slabs and
-// collect rows in chunks; neither may show in what they return.
+// alias their strings out of the input's blocks, and ReadPartitionsCSV
+// sizes its partitions before it builds a row; none of it may show in
+// what they return.
 func TestReadPartitionsCSVLarge(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("id,title,price\n")
-	const n = 10_000 // several chunks and slabs, the last ones partial
+	const n = 10_000 // several blocks and slabs, the last ones partial
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "p%d,title %d,%d\n", i, i, i%7)
 	}

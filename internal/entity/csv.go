@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 )
 
 // WriteCSV writes entities as CSV with a header row. The first column is
@@ -32,50 +33,259 @@ func WriteCSV(w io.Writer, entities []Entity, attrs []string) error {
 
 // ScanCSV streams entities from CSV produced by WriteCSV (or any CSV
 // whose first column is an id and whose header names the attribute
-// columns), invoking fn once per row in input order. Only one row is
-// materialized at a time, so callers can partition or filter arbitrarily
-// large datasets without holding the full entity slice; a non-nil error
-// from fn stops the scan and is returned unwrapped.
+// columns), invoking fn once per row in input order. The dialect is
+// what encoding/csv reads with FieldsPerRecord = -1 — RFC 4180 quotes,
+// CRLF, blank lines skipped, ragged rows — and one leading UTF-8
+// byte-order mark, which spreadsheet exports carry, is not part of the
+// header. Only one row is materialized at a time, so callers can
+// partition or filter arbitrarily large datasets without holding the
+// full entity slice: each row is copied out of the read buffer, and a
+// kept entity keeps nothing else reachable. A non-nil error from fn
+// stops the scan and is returned unwrapped.
 func ScanCSV(r io.Reader, fn func(Entity) error) error {
-	return scanCSV(r, 0, fn)
+	return (&csvReader{src: r}).scan(0, fn)
 }
 
 // attrSlabRows is how many rows' attribute arrays the loaders that keep
 // every row (ReadCSV, ReadPartitionsCSV) carve from one allocation.
 const attrSlabRows = 1024
 
-// scanCSV is ScanCSV with the rows' attribute arrays carved from slabs
-// of slabRows rows each (0 = one allocation per row, which a caller that
-// keeps few rows needs: a kept row would otherwise pin its slab). A
-// loader that keeps every row loses nothing to the slab and spares the
-// collector an object per row — on a 120 k-row file a third of the
-// objects it has to mark on each of the cycles the growing heap causes.
-func scanCSV(r io.Reader, slabRows int, fn func(Entity) error) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	// The reader allocates each row's fields as one fresh string; only
-	// the slice holding them is reused.
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+// csvBlockSize is how much input is read at a time and sealed into one
+// immutable block string. A variable only so that tests can make rows
+// and quoted fields straddle blocks.
+var csvBlockSize = 64 << 10
+
+// csvReader is the package's record splitter. Input is read through a
+// scratch buffer and sealed block by block into strings (the unfinished
+// last line carried into the next block), and fields are substrings of
+// their block: no allocation per row, but a field pins its block. Only
+// a quoted field that holds "" or spans lines is built separately.
+type csvReader struct {
+	src     io.Reader // nil when replaying saved blocks
+	scratch []byte
+	err     error  // sticky: io.EOF, or what src returned
+	block   string // the current block, consumed up to pos
+	pos     int
+	quoted  bool // block holds a quote somewhere
+	line    int  // physical lines read so far
+	fields  []string
+	buf     []byte
+
+	saved []string // the blocks to replay, cut at line ends (loadAll)
+}
+
+// fill replaces the block by its unconsumed tail plus the next stretch
+// of input: a scratch buffer's worth, which a line longer than that
+// doubles, so that carrying it stays linear.
+func (r *csvReader) fill() {
+	tail := r.block[r.pos:]
+	switch {
+	case r.src != nil:
+		if len(r.scratch) <= len(tail) {
+			r.scratch = make([]byte, max(csvBlockSize, 2*len(tail)))
+		}
+		n, err := io.ReadFull(r.src, r.scratch)
+		if err == io.ErrUnexpectedEOF {
+			err = io.EOF
+		}
+		var b strings.Builder
+		b.Grow(len(tail) + n)
+		b.WriteString(tail)
+		b.Write(r.scratch[:n])
+		r.block, r.err = b.String(), err
+	case len(r.saved) > 0:
+		r.block, r.saved = r.saved[0], r.saved[1:]
+	default:
+		// Only the last saved block can leave a tail: a line without its
+		// newline.
+		r.block, r.err = tail, io.EOF
+	}
+	r.pos, r.quoted = 0, strings.IndexByte(r.block, '"') >= 0
+}
+
+// readLine returns the next physical line without its "\n" or "\r\n"
+// (or, on the last line, a lone trailing "\r": encoding/csv drops it),
+// and whether a newline ended it. The byte-order mark is cut here.
+func (r *csvReader) readLine() (line string, nl bool, err error) {
+	for {
+		rest := r.block[r.pos:]
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, nl = rest[:i], true
+			r.pos += i + 1
+		} else if r.err == nil {
+			r.fill()
+			continue
+		} else if rest == "" {
+			return "", false, r.err
+		} else {
+			line, r.pos = rest, len(r.block)
+		}
+		r.line++
+		line = strings.TrimSuffix(line, "\r")
+		if r.line == 1 {
+			line = strings.TrimPrefix(line, "\xef\xbb\xbf")
+		}
+		return line, nl, nil
+	}
+}
+
+// read returns the next record's fields, valid until the next call, or
+// io.EOF. It accepts and rejects exactly what csv.Reader does with
+// FieldsPerRecord = -1, with the same *csv.ParseError.
+func (r *csvReader) read() ([]string, error) {
+	line, nl, err := r.readLine()
+	for err == nil && line == "" {
+		line, nl, err = r.readLine()
+	}
+	if err != nil {
+		return nil, err
+	}
+	// col is the 1-based column of line[0], at is the line it is on; the
+	// two go into errors the way encoding/csv counts them. A line without
+	// a quote is split at its commas and cannot fail.
+	fields, start, at, col := r.fields[:0], r.line, r.line, 1
+	plain := !r.quoted || strings.IndexByte(line, '"') < 0
+	fail := func(col int, err error) ([]string, error) {
+		return nil, &csv.ParseError{StartLine: start, Line: at, Column: col, Err: err}
+	}
+	for {
+		if plain || line == "" || line[0] != '"' {
+			i := strings.IndexByte(line, ',')
+			field := line
+			if i >= 0 {
+				field = line[:i]
+			}
+			if !plain {
+				if j := strings.IndexByte(field, '"'); j >= 0 {
+					return fail(col+j, csv.ErrBareQuote)
+				}
+			}
+			fields = append(fields, field)
+			if i < 0 {
+				break
+			}
+			line, col = line[i+1:], col+i+1
+			continue
+		}
+		line, col = line[1:], col+1
+		buf, copied := r.buf[:0], false
+		for {
+			i := strings.IndexByte(line, '"')
+			if i < 0 {
+				// The field goes on in the next line.
+				if line == "" && !nl {
+					return fail(col, csv.ErrQuote)
+				}
+				buf, copied, col = append(buf, line...), true, col+len(line)
+				if nl {
+					buf, col = append(buf, '\n'), col+1
+				}
+				if line, nl, err = r.readLine(); err == io.EOF {
+					line, nl = "", false
+				} else if err != nil {
+					return nil, err
+				}
+				if line != "" || nl {
+					at, col = r.line, 1
+				}
+				continue
+			}
+			seg := line[:i]
+			line, col = line[i+1:], col+i+1
+			if line != "" && line[0] == '"' {
+				buf, copied = append(append(buf, seg...), '"'), true
+				line, col = line[1:], col+1
+				continue
+			}
+			if line != "" && line[0] != ',' {
+				return fail(col-1, csv.ErrQuote)
+			}
+			if copied {
+				buf = append(buf, seg...)
+				seg = string(buf)
+			}
+			fields = append(fields, seg)
+			break
+		}
+		r.buf = buf
+		if line == "" {
+			break
+		}
+		line, col = line[1:], col+1
+	}
+	r.fields = fields
+	return fields, nil
+}
+
+// loadAll reads the input into blocks cut at line ends, turns the reader
+// to replaying them, and returns how many lines they hold: one more than
+// an upper bound on the rows, exact for a file without blank lines and
+// without newlines inside quotes.
+func (r *csvReader) loadAll() (lines int, err error) {
+	var blocks []string
+	for r.err == nil {
+		r.fill()
+		r.pos = len(r.block)
+		if r.err == nil {
+			r.pos = strings.LastIndexByte(r.block, '\n') + 1
+		}
+		if r.pos > 0 {
+			blocks = append(blocks, r.block[:r.pos])
+			lines += strings.Count(r.block[:r.pos], "\n")
+		}
+	}
+	if r.err != io.EOF {
+		return 0, fmt.Errorf("entity: read csv row: %w", r.err)
+	}
+	if r.block != "" && !strings.HasSuffix(r.block, "\n") {
+		lines++
+	}
+	r.src, r.saved, r.err, r.block, r.pos = nil, blocks, nil, "", 0
+	return lines, nil
+}
+
+// cloneRow moves a record's fields out of the block into one string of
+// their own, which is what a caller that keeps few rows must be handed.
+func cloneRow(rec []string) {
+	var b strings.Builder
+	for _, f := range rec {
+		b.WriteString(f)
+	}
+	s := b.String()
+	for i, f := range rec {
+		rec[i], s = s[:len(f)], s[len(f):]
+	}
+}
+
+// scan reads the header row and invokes fn for every record after it.
+// The rows' attribute arrays are carved from slabs of slabRows rows each
+// and their strings alias the blocks; slabRows = 0 is for a caller that
+// may keep few rows, which a kept row must not pin a slab or a block
+// for: one attribute array and one copied-out string per row. A loader
+// that keeps every row loses nothing to either and spares the collector
+// two objects per row.
+func (r *csvReader) scan(slabRows int, fn func(Entity) error) error {
+	header, err := r.read()
 	if err != nil {
 		return fmt.Errorf("entity: read csv header: %w", err)
 	}
-	if len(header) == 0 || header[0] != "id" {
+	if header[0] != "id" {
 		return fmt.Errorf("entity: csv header must start with %q, got %v", "id", header)
 	}
 	header = slices.Clone(header)
+	cloneRow(header) // the names are in every entity: they must not pin the first block
 	width := len(header) - 1
 	slab := []Attr{}
 	for {
-		rec, err := cr.Read()
+		rec, err := r.read()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("entity: read csv row: %w", err)
 		}
-		if len(rec) == 0 {
-			continue
+		if slabRows == 0 {
+			cloneRow(rec)
 		}
 		if len(slab) < width {
 			slab = make([]Attr, max(slabRows, 1)*width)
@@ -95,7 +305,7 @@ func scanCSV(r io.Reader, slabRows int, fn func(Entity) error) error {
 // full dataset in memory.
 func ReadCSV(r io.Reader) ([]Entity, error) {
 	var out []Entity
-	err := scanCSV(r, attrSlabRows, func(e Entity) error {
+	err := (&csvReader{src: r}).scan(attrSlabRows, func(e Entity) error {
 		out = append(out, e)
 		return nil
 	})
@@ -107,41 +317,40 @@ func ReadCSV(r io.Reader) ([]Entity, error) {
 
 // ReadPartitionsCSV reads a CSV dataset into m round-robin partitions
 // (the SplitRoundRobin layout) — the input path of the pipeline, whose
-// partitions feed the map tasks. Every row is kept, so the rows'
-// attribute arrays come from slabs (scanCSV).
+// partitions feed the map tasks. Every row is kept and with it every
+// block, so the input is read whole before a row is built, its line
+// count sizes the partitions once, and row i is built in place at
+// ps[i%m][i/m]. Only a file with fewer rows than lines (blank lines,
+// newlines inside quotes) has its partitions copied down to size.
 func ReadPartitionsCSV(r io.Reader, m int) (Partitions, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("entity: ReadPartitionsCSV requires m > 0, got %d", m)
 	}
-	// Rows are collected in fixed-size chunks and dealt into partitions
-	// of exactly the right size once the count is known: growing m slices
-	// by append allocates five times their final size on the way.
-	const chunkRows = 4096
-	var chunks [][]Entity
-	n := 0
-	err := scanCSV(r, attrSlabRows, func(e Entity) error {
-		if n%chunkRows == 0 {
-			chunks = append(chunks, make([]Entity, 0, chunkRows))
-		}
-		last := &chunks[len(chunks)-1]
-		*last = append(*last, e)
-		n++
-		return nil
-	})
+	rd := &csvReader{src: r}
+	lines, err := rd.loadAll()
 	if err != nil {
 		return nil, err
 	}
 	ps := make(Partitions, m)
 	for p := range ps {
-		if rows := (n - p + m - 1) / m; rows > 0 {
-			ps[p] = make(Partition, 0, rows)
+		if rows := (lines - 1 - p + m - 1) / m; rows > 0 { // one line is the header
+			ps[p] = make(Partition, rows)
 		}
 	}
-	i := 0
-	for _, chunk := range chunks {
-		for _, e := range chunk {
-			ps[i%m] = append(ps[i%m], e)
-			i++
+	n, p, i := 0, 0, 0
+	err = rd.scan(attrSlabRows, func(e Entity) error {
+		ps[p][i] = e
+		if n, p = n+1, p+1; p == m {
+			p, i = 0, i+1
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for p := range ps {
+		if rows := (n - p + m - 1) / m; rows < len(ps[p]) {
+			ps[p] = append(Partition(nil), ps[p][:rows]...)
 		}
 	}
 	return ps, nil

@@ -51,9 +51,10 @@ func FromEntities(es []entity.Entity, m int) Source {
 	})
 }
 
-// FromCSV streams a CSV dataset (entity.WriteCSV format) into m
-// round-robin partitions, one row materialized at a time — the
-// out-of-core input path. The reader is consumed by the first
+// FromCSV reads a CSV dataset (entity.WriteCSV format) into m
+// round-robin partitions whose strings alias the input's bytes
+// (entity.ReadPartitionsCSV): the input is held once, as text, and
+// nothing is allocated per row. The reader is consumed by the first
 // Partitions call, so the source is single-use.
 func FromCSV(r io.Reader, m int) Source {
 	return SourceFunc(func() (entity.Partitions, error) {

@@ -15,6 +15,7 @@ package mapreduce_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/bdm"
@@ -169,6 +170,40 @@ func TestDataflowDifferentialSideOutput(t *testing.T) {
 	for i, p := range parts {
 		if len(side[i]) != len(p) {
 			t.Errorf("map task %d side-wrote %d records for %d entities", i, len(side[i]), len(p))
+		}
+	}
+}
+
+// TestBDMJobCountTableAgainstReference holds the aggregating BDM job to
+// the reference on the blocking keys its count table could get wrong:
+// keys that agree on the 8-byte word the table is probed by and differ
+// right after it, after byte 16 (where the sort's prefix code ends too)
+// or only in length, the empty key, and more distinct keys per task than
+// the table starts with room for, so that it grows with all of them in it.
+func TestBDMJobCountTableAgainstReference(t *testing.T) {
+	var keys []string
+	for i := 0; i < 150; i++ {
+		keys = append(keys, fmt.Sprintf("sameword%03d", i), fmt.Sprintf("k%03d", i))
+	}
+	keys = append(keys, "", "sameword", "samewor", "0123456789abcdefX", "0123456789abcdefY", "0123456789abcdef")
+	var es []entity.Entity
+	for i, key := range keys {
+		for n := 0; n <= i%4; n++ {
+			es = append(es, entity.New(fmt.Sprintf("e%03d-%d", i, n), "k", key))
+		}
+	}
+	for _, m := range []int{1, 3} {
+		parts := entity.SplitRoundRobin(es, m)
+		name := fmt.Sprintf("m=%d", m)
+		got, _ := checkBDMJob(t, name, parts, bdm.JobOptions{
+			Attr: "k", KeyFunc: blocking.Identity(), NumReduceTasks: 4, UseCombiner: true,
+		}, 2)
+		want, err := bdm.FromPartitions(parts, "k", blocking.Identity())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumBlocks() != len(keys) || !reflect.DeepEqual(got.Cells(), want.Cells()) {
+			t.Fatalf("%s: the job's matrix has %d blocks and differs from the direct one's %d", name, got.NumBlocks(), want.NumBlocks())
 		}
 	}
 }
