@@ -158,66 +158,6 @@ func TestDualBlockSplitSplitsLargestBlock(t *testing.T) {
 	}
 }
 
-func TestDualPlanMatchesExecution(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 15; trial++ {
-		parts, sources := randomDualParts(rng, rng.Intn(120)+2, rng.Intn(3)+1, rng.Intn(3)+1, rng.Intn(6)+1)
-		x, err := bdm.FromDualPartitions(parts, sources, exAttr, blocking.Identity())
-		if err != nil {
-			t.Fatalf("FromDualPartitions: %v", err)
-		}
-		r := rng.Intn(10) + 1
-		for _, strat := range []DualStrategy{BlockSplitDual{}, PairRangeDual{}} {
-			plan, err := strat.Plan(x, r)
-			if err != nil {
-				t.Fatalf("%s.Plan: %v", strat.Name(), err)
-			}
-			res := runDualStrategy(t, strat, x, parts, r, nil)
-			for i := range res.MapMetrics {
-				if got, want := res.MapMetrics[i].OutputRecords, plan.MapEmits[i]; got != want {
-					t.Errorf("%s trial %d: map task %d emits %d, planned %d", strat.Name(), trial, i, got, want)
-				}
-			}
-			for j := range res.ReduceMetrics {
-				if got, want := res.ReduceMetrics[j].InputRecords, plan.ReduceRecords[j]; got != want {
-					t.Errorf("%s trial %d: reduce task %d records %d, planned %d", strat.Name(), trial, j, got, want)
-				}
-				if got, want := res.ReduceMetrics[j].Counter(ComparisonsCounter), plan.ReduceComparisons[j]; got != want {
-					t.Errorf("%s trial %d: reduce task %d comparisons %d, planned %d", strat.Name(), trial, j, got, want)
-				}
-			}
-			if got := plan.TotalComparisons(); got != x.Pairs() {
-				t.Errorf("%s trial %d: Σ comparisons = %d, want P=%d", strat.Name(), trial, got, x.Pairs())
-			}
-		}
-	}
-}
-
-func TestDualCompletenessFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 15; trial++ {
-		parts, sources := randomDualParts(rng, rng.Intn(100)+2, rng.Intn(3)+1, rng.Intn(3)+1, rng.Intn(5)+1)
-		x, err := bdm.FromDualPartitions(parts, sources, exAttr, blocking.Identity())
-		if err != nil {
-			t.Fatalf("FromDualPartitions: %v", err)
-		}
-		want := expectedDualPairs(parts, sources)
-		r := rng.Intn(8) + 1
-		for _, strat := range []DualStrategy{BlockSplitDual{}, PairRangeDual{}} {
-			got := make(map[MatchPair]int)
-			runDualStrategy(t, strat, x, parts, r, recordingMatcher(&got))
-			if len(got) != len(want) {
-				t.Fatalf("%s trial %d r=%d: %d pairs, want %d", strat.Name(), trial, r, len(got), len(want))
-			}
-			for p, c := range got {
-				if !want[p] || c != 1 {
-					t.Fatalf("%s: pair %v count %d", strat.Name(), p, c)
-				}
-			}
-		}
-	}
-}
-
 func TestDualPairRangeBalanceBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {

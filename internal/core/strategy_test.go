@@ -75,23 +75,6 @@ func TestStrategyCompleteness(t *testing.T) {
 	}
 }
 
-// TestPlanExecutionEquivalenceFuzz: for random inputs, every plan
-// quantity must equal the executed engine's metrics, for all strategies.
-func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(150) + 1
-		mm := rng.Intn(6) + 1
-		blocks := rng.Intn(10) + 1
-		r := rng.Intn(15) + 1
-		parts := randomParts(rng, n, mm, blocks)
-		x := mustBDM(t, parts)
-		for _, strat := range []Strategy{Basic{}, BlockSplit{}, PairRange{}} {
-			assertPlanMatchesExecution(t, strat, x, parts, "k", r)
-		}
-	}
-}
-
 // TestPairRangeBalanceBound: PairRange guarantees every reduce task at
 // most ceil(P/r) comparisons.
 func TestPairRangeBalanceBound(t *testing.T) {
