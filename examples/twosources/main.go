@@ -1,7 +1,7 @@
 // Twosources links two product catalogs R and S (Appendix I of the
 // paper): only cross-source pairs sharing a blocking key are compared.
-// It runs both two-source strategies and verifies they find the same
-// links.
+// It runs both BDM strategies over the two sources and verifies they
+// find the same links.
 package main
 
 import (
@@ -26,12 +26,12 @@ func main() {
 
 	matcher := match.EditDistance(datagen.AttrTitle, 0.85)
 
-	var results []*er.DualResult
-	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
+	var results []*er.Result
+	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
 		res, err := er.RunDualPipeline(context.Background(),
 			er.FromEntities(r, 2),
 			er.FromEntities(s, 3),
-			er.DualConfig{
+			er.Config{
 				Strategy:        strat,
 				Attr:            datagen.AttrTitle,
 				BlockKey:        blocking.NormalizedPrefix(3),

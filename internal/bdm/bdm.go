@@ -14,17 +14,85 @@ import (
 	"slices"
 )
 
-// Matrix is the block distribution matrix for a single source. Blocks
-// are indexed 0..b-1 in lexicographic order of their blocking key (the
-// paper permits any fixed order agreed on by all map tasks).
+// Source identifies one of the two input sources in the two-source
+// matching extension of Appendix I.
+type Source int
+
+// The two sources, named as in the paper.
+const (
+	SourceR Source = 0
+	SourceS Source = 1
+)
+
+func (s Source) String() string {
+	if s == SourceR {
+		return "R"
+	}
+	return "S"
+}
+
+// Matrix is the block distribution matrix. Blocks are indexed 0..b-1 in
+// lexicographic order of their blocking key (the paper permits any fixed
+// order agreed on by all map tasks).
+//
+// A matrix of two sources R and S (Appendix I; see WithSources) also
+// records which source each partition holds. It is the one place the
+// number of sources is decided: which partitions' entities are compared
+// with each other (Compares), a block's pairs (BlockPairs), and how
+// entities are counted (EntityOffset, SourceSize). Untagged, every
+// partition holds R.
 type Matrix struct {
 	keys    []string       // block index -> blocking key
 	index   map[string]int // blocking key -> block index
 	sizes   [][]int        // [block][partition] -> #entities
 	m       int            // number of partitions
 	total   []int          // [block] -> Σ over partitions
+	sources []Source       // partition -> source; nil = one source
+	totalS  []int          // [block] -> Σ over S partitions; nil = one source
 	offsets []int64        // [block] -> Σ pairs of preceding blocks (o(i))
 	pairs   int64          // total number of pairs P
+}
+
+// WithSources returns the matrix with partition p tagged as holding
+// source sources[p] — the two-source BDM of Appendix I, in which only
+// pairs of entities from different sources count. The receiver is not
+// modified.
+func (x *Matrix) WithSources(sources []Source) (*Matrix, error) {
+	if len(sources) != x.m {
+		return nil, fmt.Errorf("bdm: %d partitions but %d source tags", x.m, len(sources))
+	}
+	y := *x
+	y.sources = slices.Clone(sources)
+	y.totalS = make([]int, len(x.keys))
+	for p, s := range sources {
+		if s != SourceR && s != SourceS {
+			return nil, fmt.Errorf("bdm: partition %d has invalid source %d", p, s)
+		}
+		if s == SourceS {
+			for k := range x.keys {
+				y.totalS[k] += x.sizes[k][p]
+			}
+		}
+	}
+	y.finalize()
+	return &y, nil
+}
+
+// TwoSources reports whether the matrix's partitions carry source tags.
+func (x *Matrix) TwoSources() bool { return x.sources != nil }
+
+// PartitionSource returns the source partition p holds.
+func (x *Matrix) PartitionSource(p int) Source {
+	if x.sources == nil {
+		return SourceR
+	}
+	return x.sources[p]
+}
+
+// Compares reports whether entities of partitions p and q are compared
+// with each other: always for one source, across sources only for two.
+func (x *Matrix) Compares(p, q int) bool {
+	return x.sources == nil || x.sources[p] != x.sources[q]
 }
 
 // NumBlocks returns b, the number of distinct blocks.
@@ -48,9 +116,25 @@ func (x *Matrix) Size(k int) int { return x.total[k] }
 // SizeIn returns the number of entities of block k in partition p.
 func (x *Matrix) SizeIn(k, p int) int { return x.sizes[k][p] }
 
-// BlockPairs returns the number of entity pairs within block k:
-// |Φk|·(|Φk|−1)/2.
+// SourceSize returns |Φk,src|, the entities of block k in src's
+// partitions.
+func (x *Matrix) SourceSize(k int, src Source) int {
+	s := 0
+	if x.totalS != nil {
+		s = x.totalS[k]
+	}
+	if src == SourceS {
+		return s
+	}
+	return x.total[k] - s
+}
+
+// BlockPairs returns the number of entity pairs block k compares:
+// |Φk|·(|Φk|−1)/2 for one source, |Φk,R|·|Φk,S| for two.
 func (x *Matrix) BlockPairs(k int) int64 {
+	if x.sources != nil {
+		return int64(x.SourceSize(k, SourceR)) * int64(x.totalS[k])
+	}
 	n := int64(x.total[k])
 	return n * (n - 1) / 2
 }
@@ -71,13 +155,16 @@ func (x *Matrix) TotalEntities() int {
 	return n
 }
 
-// EntityOffset returns the number of entities of block k in partitions
-// 0..p-1 — the base entity index assigned to block-k entities of
-// partition p by the PairRange enumeration (Section V).
+// EntityOffset returns the number of entities of block k in the
+// partitions before p that hold p's source — the base entity index
+// assigned to block-k entities of partition p by the PairRange
+// enumeration (Section V).
 func (x *Matrix) EntityOffset(k, p int) int {
 	off := 0
 	for i := 0; i < p; i++ {
-		off += x.sizes[k][i]
+		if x.PartitionSource(i) == x.PartitionSource(p) {
+			off += x.sizes[k][i]
+		}
 	}
 	return off
 }
@@ -201,7 +288,11 @@ func (x *Matrix) Cells() []Cell {
 
 // String renders the matrix as a small table for logs and tests.
 func (x *Matrix) String() string {
-	s := fmt.Sprintf("BDM %d blocks × %d partitions, P=%d pairs\n", len(x.keys), x.m, x.pairs)
+	s := fmt.Sprintf("BDM %d blocks × %d partitions, P=%d pairs", len(x.keys), x.m, x.pairs)
+	if x.sources != nil {
+		s += fmt.Sprintf(", sources %v", x.sources)
+	}
+	s += "\n"
 	for k, key := range x.keys {
 		s += fmt.Sprintf("  Φ%-3d %-12q %v total=%d pairs=%d offset=%d\n",
 			k, key, x.sizes[k], x.total[k], x.BlockPairs(k), x.offsets[k])

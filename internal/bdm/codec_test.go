@@ -3,6 +3,7 @@ package bdm
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/runio"
@@ -35,12 +36,17 @@ func FuzzBDMKeyCodec(f *testing.F) {
 
 // FuzzMatrixSerialize round-trips a matrix through the quoted-key text
 // format of WriteTo/ReadFrom — the same arbitrary-byte-key concern as
-// the runio codecs, on the other on-disk artifact of the workflow.
+// the runio codecs, on the other on-disk artifact of the workflow. tags
+// is the header's source field: "" for one source, valid tags make a
+// two-source matrix, and any other tags spliced into a header must be
+// rejected with an error naming line 1.
 func FuzzMatrixSerialize(f *testing.F) {
-	f.Add("canon", "nikon", 2, 1, 3)
-	f.Add("tab\tkey", "nl\nkey", 0, 0, 1)
-	f.Add(string([]byte{0xff, 0xfe}), string([]byte{0x00}), 1, 2, 9)
-	f.Fuzz(func(t *testing.T, key1, key2 string, p1, p2, count int) {
+	f.Add("canon", "nikon", 2, 1, 3, "")
+	f.Add("tab\tkey", "nl\nkey", 0, 0, 1, "")
+	f.Add(string([]byte{0xff, 0xfe}), string([]byte{0x00}), 1, 2, 9, "")
+	f.Add("canon", "nikon", 2, 1, 3, "RSSR")
+	f.Add("canon", "nikon", 2, 1, 3, "RSxR")
+	f.Fuzz(func(t *testing.T, key1, key2 string, p1, p2, count int, tags string) {
 		m := 4
 		norm := func(p int) int {
 			p %= m
@@ -62,16 +68,32 @@ func FuzzMatrixSerialize(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromCells: %v", err)
 		}
+		sources, badTags := parseSources(tags, m)
+		if tags != "" && badTags == nil {
+			if x, err = x.WithSources(sources); err != nil {
+				t.Fatalf("WithSources: %v", err)
+			}
+		}
 		var buf bytes.Buffer
 		if _, err := x.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
+		}
+		if tags != "" && badTags != nil {
+			if strings.ContainsAny(tags, "\r\n") {
+				return // not one header field
+			}
+			bad := strings.Replace(buf.String(), "\n", "\t"+tags+"\n", 1)
+			if _, err := ReadFrom(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "line 1:") {
+				t.Fatalf("ReadFrom of header tags %q: err = %v, want an error naming line 1", tags, err)
+			}
+			return
 		}
 		back, err := ReadFrom(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("ReadFrom: %v\ninput:\n%s", err, buf.String())
 		}
-		if !reflect.DeepEqual(x.Cells(), back.Cells()) || back.NumPartitions() != m {
-			t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", x.Cells(), back.Cells())
+		if !reflect.DeepEqual(back, x) {
+			t.Fatalf("round trip mismatch:\nwant %v\ngot  %v", x, back)
 		}
 	})
 }

@@ -12,10 +12,22 @@ import (
 
 // TestMatrixInvariants is the quick-check for DESIGN.md invariant 5:
 // for any random partitioned input, (a) every block's per-partition
-// sizes sum to its total, (b) block totals sum to the input size,
-// (c) pair offsets are the prefix sums of the per-block pair counts and
-// end at P, and (d) entity offsets partition each block contiguously.
+// sizes sum to its total and, per source, to its source sizes, (b)
+// block totals sum to the input size, (c) a block's pairs are n(n−1)/2
+// for one source and |R|·|S| for two, and pair offsets are their prefix
+// sums ending at P, and (d) entity offsets partition each block's
+// entities of one source contiguously.
 func TestMatrixInvariants(t *testing.T) {
+	checkMatrixInvariants(t, false)
+}
+
+// TestDualMatrixInvariants checks the same invariants with random R/S
+// tags on the partitions.
+func TestDualMatrixInvariants(t *testing.T) {
+	checkMatrixInvariants(t, true)
+}
+
+func checkMatrixInvariants(t *testing.T, tagged bool) {
 	f := func(seed int64, nRaw uint16, mRaw, bRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw % 400)
@@ -31,92 +43,40 @@ func TestMatrixInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		if tagged {
+			sources := make([]Source, m)
+			for p := range sources {
+				sources[p] = Source(rng.Intn(2))
+			}
+			if x, err = x.WithSources(sources); err != nil {
+				return false
+			}
+		}
 		totalEntities := 0
 		var pairSum int64
 		for k := 0; k < x.NumBlocks(); k++ {
-			rowSum := 0
+			var sum [2]int // per source: entities, also the next entity offset
 			for p := 0; p < m; p++ {
-				rowSum += x.SizeIn(k, p)
+				src := x.PartitionSource(p)
+				if x.EntityOffset(k, p) != sum[src] {
+					return false
+				}
+				sum[src] += x.SizeIn(k, p)
 			}
-			if rowSum != x.Size(k) {
+			if sum[SourceR]+sum[SourceS] != x.Size(k) || sum[SourceR] != x.SourceSize(k, SourceR) || sum[SourceS] != x.SourceSize(k, SourceS) {
+				return false
+			}
+			pairs := int64(x.Size(k)) * int64(x.Size(k)-1) / 2
+			if tagged {
+				pairs = int64(sum[SourceR]) * int64(sum[SourceS])
+			}
+			if x.BlockPairs(k) != pairs || x.PairOffset(k) != pairSum {
 				return false
 			}
 			totalEntities += x.Size(k)
-			if x.PairOffset(k) != pairSum {
-				return false
-			}
-			pairSum += x.BlockPairs(k)
-			// Entity offsets are cumulative per partition.
-			off := 0
-			for p := 0; p < m; p++ {
-				if x.EntityOffset(k, p) != off {
-					return false
-				}
-				off += x.SizeIn(k, p)
-			}
+			pairSum += pairs
 		}
 		return totalEntities == n && pairSum == x.Pairs() && x.TotalEntities() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDualMatrixInvariants mirrors the invariants for the two-source
-// matrix: per-source totals, cross-pair offsets, per-source entity
-// offsets.
-func TestDualMatrixInvariants(t *testing.T) {
-	f := func(seed int64, nRaw uint16, mrRaw, msRaw, bRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw % 300)
-		mr := int(mrRaw%4) + 1
-		ms := int(msRaw%4) + 1
-		blocks := int(bRaw%10) + 1
-		parts := make(entity.Partitions, mr+ms)
-		sources := make([]Source, mr+ms)
-		for i := mr; i < mr+ms; i++ {
-			sources[i] = SourceS
-		}
-		for i := 0; i < n; i++ {
-			p := rng.Intn(mr + ms)
-			parts[p] = append(parts[p], entity.New(
-				fmt.Sprintf("e%d", i), "k", fmt.Sprintf("b%02d", rng.Intn(blocks))))
-		}
-		x, err := FromDualPartitions(parts, sources, "k", blocking.Identity())
-		if err != nil {
-			return false
-		}
-		var pairSum int64
-		for k := 0; k < x.NumBlocks(); k++ {
-			sumR, sumS := 0, 0
-			offR, offS := 0, 0
-			for p := 0; p < x.NumPartitions(); p++ {
-				if x.PartitionSource(p) == SourceR {
-					if x.EntityOffset(k, p) != offR {
-						return false
-					}
-					offR += x.SizeIn(k, p)
-					sumR += x.SizeIn(k, p)
-				} else {
-					if x.EntityOffset(k, p) != offS {
-						return false
-					}
-					offS += x.SizeIn(k, p)
-					sumS += x.SizeIn(k, p)
-				}
-			}
-			if sumR != x.SourceSize(k, SourceR) || sumS != x.SourceSize(k, SourceS) {
-				return false
-			}
-			if x.BlockPairs(k) != int64(sumR)*int64(sumS) {
-				return false
-			}
-			if x.PairOffset(k) != pairSum {
-				return false
-			}
-			pairSum += x.BlockPairs(k)
-		}
-		return pairSum == x.Pairs()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

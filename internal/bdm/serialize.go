@@ -12,7 +12,8 @@ import (
 // as triples (blocking key, partition index, count), one per non-zero
 // cell, which the second job's map tasks read at initialization time.
 // WriteTo/ReadFrom implement that on-disk format: a header line with the
-// partition count, then one tab-separated cell per line. Blocking keys
+// partition count — and, for two sources, a third field with one R or S
+// per partition — then one tab-separated cell per line. Blocking keys
 // are quoted so that keys containing tabs or newlines survive the round
 // trip.
 
@@ -22,6 +23,12 @@ func (x *Matrix) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
 	line := strconv.AppendInt([]byte("bdm\t"), int64(x.m), 10)
+	if x.sources != nil {
+		line = append(line, '\t')
+		for _, s := range x.sources {
+			line = append(line, s.String()...)
+		}
+	}
 	c, err := bw.Write(append(line, '\n'))
 	n += int64(c)
 	if err != nil {
@@ -65,12 +72,19 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 	}
 	header, text := cutLine(text)
 	name, parts, ok := strings.Cut(header, "\t")
-	if !ok || name != "bdm" || strings.Contains(parts, "\t") {
-		return nil, fmt.Errorf("bdm: malformed header %q", header)
+	parts, tags, tagged := strings.Cut(parts, "\t")
+	if !ok || name != "bdm" || strings.Contains(tags, "\t") {
+		return nil, fmt.Errorf("bdm: line 1: malformed header %q", header)
 	}
 	m, err := strconv.Atoi(parts)
 	if err != nil || m <= 0 {
-		return nil, fmt.Errorf("bdm: malformed partition count %q", parts)
+		return nil, fmt.Errorf("bdm: line 1: malformed partition count %q", parts)
+	}
+	var sources []Source
+	if tagged {
+		if sources, err = parseSources(tags, m); err != nil {
+			return nil, fmt.Errorf("bdm: line 1: %w", err)
+		}
 	}
 	cells := make([]Cell, 0, strings.Count(text, "\n")+1)
 	for line := 2; text != ""; line++ {
@@ -95,7 +109,29 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		}
 		cells = append(cells, Cell{BlockKey: key, Partition: part, Count: cnt})
 	}
-	return FromCells(cells, m)
+	x, err := FromCells(cells, m)
+	if err != nil || sources == nil {
+		return x, err
+	}
+	return x.WithSources(sources)
+}
+
+// parseSources reads the header's source tags: one R or S per partition.
+func parseSources(tags string, m int) ([]Source, error) {
+	if len(tags) != m {
+		return nil, fmt.Errorf("%d source tags %q for %d partitions", len(tags), tags, m)
+	}
+	sources := make([]Source, m)
+	for p := range sources {
+		switch tags[p] {
+		case 'R':
+		case 'S':
+			sources[p] = SourceS
+		default:
+			return nil, fmt.Errorf("partition %d: bad source tag %q", p, tags[p])
+		}
+	}
+	return sources, nil
 }
 
 // cutLine splits text at its first newline the way bufio.ScanLines

@@ -14,27 +14,26 @@ import (
 )
 
 func TestSerializeRoundTrip(t *testing.T) {
-	x, err := FromPartitions(parts2(), "k", blocking.Identity())
+	one, err := FromPartitions(parts2(), "k", blocking.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := x.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo returned %d bytes, buffer holds %d", n, buf.Len())
-	}
-	back, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(x.Cells(), back.Cells()) || back.NumPartitions() != x.NumPartitions() {
-		t.Error("round trip changed the matrix")
-	}
-	if back.Pairs() != x.Pairs() {
-		t.Errorf("pairs = %d, want %d", back.Pairs(), x.Pairs())
+	for _, x := range []*Matrix{one, dualMatrix(t)} {
+		var buf bytes.Buffer
+		n, err := x.WriteTo(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(buf.Len()) {
+			t.Errorf("WriteTo returned %d bytes, buffer holds %d", n, buf.Len())
+		}
+		back, err := ReadFrom(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, x) {
+			t.Errorf("round trip changed the matrix:\n%v\nvs\n%v", back, x)
+		}
 	}
 }
 
@@ -103,10 +102,17 @@ func TestReadFromErrors(t *testing.T) {
 		"bad partition":   "bdm\t2\n\"a\"\tx\t1\n",
 		"out of range":    "bdm\t2\n\"a\"\t7\t1\n",
 		"duplicate cells": "bdm\t2\n\"a\"\t0\t1\n\"a\"\t0\t2\n",
+		"bad source tag":  "bdm\t2\tRX\n\"a\"\t0\t1\n",
+		"short tags":      "bdm\t2\tR\n\"a\"\t0\t1\n",
+		"empty tags":      "bdm\t2\t\n",
+		"fourth field":    "bdm\t2\tRS\tR\n",
 	}
 	for name, input := range cases {
-		if _, err := ReadFrom(strings.NewReader(input)); err == nil {
+		_, err := ReadFrom(strings.NewReader(input))
+		if err == nil {
 			t.Errorf("%s: want error", name)
+		} else if strings.Contains(input, "\tR") && !strings.Contains(err.Error(), "line 1:") {
+			t.Errorf("%s: error %q does not name line 1", name, err)
 		}
 	}
 }
@@ -143,6 +149,18 @@ func TestWriteToFormat(t *testing.T) {
 		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, len(want))
 	}
 	if buf.String() != want {
+		t.Fatalf("WriteTo wrote\n%q\nwant\n%q", buf.String(), want)
+	}
+	// Two sources add one tag per partition as a third header field.
+	y, err := x.WithSources([]Source{SourceS, SourceR, SourceS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := y.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Replace(want, "\n", "\tSRS\n", 1); buf.String() != want {
 		t.Fatalf("WriteTo wrote\n%q\nwant\n%q", buf.String(), want)
 	}
 }

@@ -18,14 +18,23 @@ func dualParts() (entity.Partitions, []Source) {
 	return parts, []Source{SourceR, SourceS, SourceS}
 }
 
-func TestFromDualPartitions(t *testing.T) {
+func dualMatrix(t *testing.T) *Matrix {
+	t.Helper()
 	parts, sources := dualParts()
-	x, err := FromDualPartitions(parts, sources, "k", blocking.Identity())
+	x, err := FromPartitions(parts, "k", blocking.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.NumBlocks() != 3 || x.NumPartitions() != 3 {
-		t.Fatalf("shape %d×%d, want 3×3", x.NumBlocks(), x.NumPartitions())
+	if x, err = x.WithSources(sources); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+func TestWithSources(t *testing.T) {
+	x := dualMatrix(t)
+	if x.NumBlocks() != 3 || x.NumPartitions() != 3 || !x.TwoSources() {
+		t.Fatalf("shape %d×%d (two sources: %v), want 3×3 tagged", x.NumBlocks(), x.NumPartitions(), x.TwoSources())
 	}
 	xk, ok := x.BlockIndex("x")
 	if !ok {
@@ -52,29 +61,29 @@ func TestFromDualPartitions(t *testing.T) {
 	if x.PartitionSource(0) != SourceR || x.PartitionSource(2) != SourceS {
 		t.Error("PartitionSource wrong")
 	}
+	if x.Compares(1, 2) || !x.Compares(0, 2) {
+		t.Error("Compares must pair R with S only")
+	}
+	// The untagged matrix it was made from is untouched: one source.
+	parts, _ := dualParts()
+	one, _ := FromPartitions(parts, "k", blocking.Identity())
+	if one.TwoSources() || one.PartitionSource(2) != SourceR || !one.Compares(1, 2) || one.Pairs() != 6+0+1 {
+		t.Errorf("one-source matrix: tagged %v, P=%d, want untagged, P=7", one.TwoSources(), one.Pairs())
+	}
 }
 
-func TestFromDualPartitionsValidation(t *testing.T) {
-	parts, sources := dualParts()
-	if _, err := FromDualPartitions(nil, nil, "k", blocking.Identity()); err == nil {
-		t.Error("empty partitions: want error")
-	}
-	if _, err := FromDualPartitions(parts, sources[:2], "k", blocking.Identity()); err == nil {
+func TestWithSourcesValidation(t *testing.T) {
+	x := dualMatrix(t)
+	if _, err := x.WithSources([]Source{SourceR, SourceS}); err == nil {
 		t.Error("mismatched source tags: want error")
 	}
-	bad := []Source{SourceR, Source(7), SourceS}
-	if _, err := FromDualPartitions(parts, bad, "k", blocking.Identity()); err == nil {
+	if _, err := x.WithSources([]Source{SourceR, Source(7), SourceS}); err == nil {
 		t.Error("invalid source: want error")
 	}
 }
 
 func TestDualString(t *testing.T) {
-	parts, sources := dualParts()
-	x, err := FromDualPartitions(parts, sources, "k", blocking.Identity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := x.String(); !strings.Contains(s, "P=4") {
+	if s := dualMatrix(t).String(); !strings.Contains(s, "P=4") || !strings.Contains(s, "[R S S]") {
 		t.Errorf("String() = %q", s)
 	}
 	if SourceR.String() != "R" || SourceS.String() != "S" {

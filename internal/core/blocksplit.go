@@ -18,6 +18,11 @@ import (
 // match tasks (k.i×j). Match tasks are assigned to reduce tasks greedily
 // in descending size order, each to the currently least-loaded task.
 //
+// Over a two-source matrix (Appendix I-A) a block's work is its R×S
+// pairs, and a split block yields only the cross products of an R and an
+// S partition; in every task the R entities are the rows each S entity
+// is compared with.
+//
 // The zero value is the paper's strategy. MaxEntitiesPerTask additionally
 // enforces the memory constraint Section IV alludes to ("assigns entire
 // blocks to reduce tasks if this does not violate load balancing or
@@ -37,15 +42,25 @@ func (BlockSplit) Name() string { return "BlockSplit" }
 func (BlockSplit) NeedsBDM() bool { return true }
 
 // BSKey is the composite map-output key: reduce index ‖ block index ‖
-// split. The partition function uses only Reduce; sorting and grouping
-// use (Block, I, J). The split component (I, J) encodes the match task:
-// I = J = −1 for an unsplit block (k.*), I = J = i for sub-block k.i,
-// and I > J for the cross product k.J×I.
+// split ‖ role. The partition function uses only Reduce; sorting uses
+// (Block, I, J, Role) and grouping (Block, I, J). The split component
+// (I, J) encodes the match task: I = J = −1 for an unsplit block (k.*),
+// I = J = i for sub-block k.i, and I > J for the cross product k.J×I.
+// Role is the value's part in its task, decided by the mapper.
 type BSKey struct {
 	Reduce int
 	Block  int
 	I, J   int
+	Role   int
 }
+
+// The values of BSKey.Role. A cross product's rows sort before its
+// probes, so the reducer needs nothing but the key.
+const (
+	roleMember = iota // self-join: meets every value before it, then is kept
+	roleRow           // cross product: is kept, meets nothing
+	roleProbe         // cross product: meets every row, is not kept
+)
 
 func (k BSKey) String() string {
 	switch {
@@ -58,18 +73,10 @@ func (k BSKey) String() string {
 	}
 }
 
-// bsValue annotates an entity with its input partition index so the
-// reduce function of a cross-product task can separate the two
-// sub-blocks.
-type bsValue struct {
-	E         entity.Entity
-	Partition int
-}
-
 // taskID identifies one match task.
 type taskID struct {
 	block int
-	i, j  int // −1,−1 = unsplit; i==j = sub-block; i>j = cross product (two sources: R×S partitions)
+	i, j  int // −1,−1 = unsplit; i==j = sub-block; i>j = cross product
 }
 
 // matchTask is one unit of reduce-side work with its assignment.
@@ -93,7 +100,7 @@ type Assignment struct {
 	// The mappers' view, dense because it is consulted once per entity:
 	// for an unsplit block its one task's reduce task; for a split block
 	// the start of its m×m table in pairs, where [i*m+j] (i ≥ j) is task
-	// k.j×i's reduce task, or −1 when a side is empty.
+	// k.j×i's reduce task, or −1 when there is no such task.
 	where []int32
 	pairs []int32
 }
@@ -173,7 +180,8 @@ func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *
 			continue
 		}
 		// Split along the input partitions; skip combinations with an
-		// empty side (|Φik|·|Φjk| = 0).
+		// empty side (|Φik|·|Φjk| = 0) and those the matrix does not
+		// compare (two sources: partitions of one source).
 		a.split[k] = true
 		a.where[k] = int32(len(a.pairs))
 		for range m * m {
@@ -183,7 +191,7 @@ func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *
 			ni := int64(x.SizeIn(k, i))
 			for j := 0; j <= i; j++ {
 				nj := int64(x.SizeIn(k, j))
-				if ni*nj == 0 {
+				if ni*nj == 0 || !x.Compares(i, j) {
 					continue
 				}
 				comps := ni * nj
@@ -269,7 +277,7 @@ func (h loadHeap) siftDown(i int) {
 	}
 }
 
-func compareBSKeys(a, b BSKey) int {
+func groupBSKeys(a, b BSKey) int {
 	if c := cmp.Compare(a.Block, b.Block); c != 0 {
 		return c
 	}
@@ -279,25 +287,32 @@ func compareBSKeys(a, b BSKey) int {
 	return cmp.Compare(a.J, b.J)
 }
 
-// bsKeyCoding packs a BSKey into an exact order-preserving code:
-// block ‖ i+1 ‖ j+1 (the +1 maps the unsplit sentinel −1 to 0, keeping
-// all components non-negative). Group ≡ Compare, so grouping is full
-// code equality. The bounds are far beyond any realistic BDM; if they
-// are ever exceeded the coding is disabled and the engine falls back to
-// the struct comparator.
+func compareBSKeys(a, b BSKey) int {
+	if c := groupBSKeys(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Role, b.Role)
+}
+
+// bsKeyCoding packs a BSKey into an exact order-preserving code: block ‖
+// i+1 ‖ j+1 in the high word — the grouping key, hence GroupBits 64; the
+// +1 maps the unsplit sentinel −1 to 0 — and the role in the low word.
+// The split components share 32 bits, so a BDM of 2¹⁶ partitions or more
+// (or of more than 2³² blocks) disables the coding and the engine falls
+// back to the struct comparator.
 func bsKeyCoding(x *bdm.Matrix) mapreduce.KeyCoding[BSKey] {
-	if x.NumBlocks() > 1<<32 || x.NumPartitions() >= 1<<31 {
+	if x.NumBlocks() > 1<<32 || x.NumPartitions() >= 1<<16 {
 		return mapreduce.KeyCoding[BSKey]{}
 	}
 	return mapreduce.KeyCoding[BSKey]{
 		Encode: func(k BSKey) mapreduce.Code {
 			return mapreduce.Code{
-				Hi: uint64(uint32(k.Block))<<32 | uint64(uint32(k.I+1)),
-				Lo: uint64(uint32(k.J + 1)),
+				Hi: uint64(uint32(k.Block))<<32 | uint64(uint16(k.I+1))<<16 | uint64(uint16(k.J+1)),
+				Lo: uint64(k.Role),
 			}
 		},
 		Exact:     true,
-		GroupBits: 128,
+		GroupBits: 64,
 	}
 }
 
@@ -328,18 +343,18 @@ func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, assign AssignFunc, ma
 	// compute it once and share it read-only (each Hadoop map task would
 	// recompute it from the distributed BDM file).
 	asg := buildAssignment(x, r, assign, maxEntities)
-	return &mapreduce.Job[AnnotatedEntity, BSKey, bsValue, MatchOutput]{
+	return &mapreduce.Job[AnnotatedEntity, BSKey, entity.Entity, MatchOutput]{
 		Name:           "blocksplit",
 		NumReduceTasks: r,
-		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, BSKey, bsValue] {
+		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, BSKey, entity.Entity] {
 			return &bsMapper{x: x, asg: asg}
 		},
-		NewReducer: func() mapreduce.Reducer[BSKey, bsValue, MatchOutput] {
+		NewReducer: func() mapreduce.Reducer[BSKey, entity.Entity, MatchOutput] {
 			return &bsReducer{group: kern.newGroup()}
 		},
 		Partition: func(key BSKey, r int) int { return key.Reduce % r },
 		Compare:   compareBSKeys,
-		Group:     compareBSKeys,
+		Group:     groupBSKeys,
 		Coding:    bsKeyCoding(x),
 	}, nil
 }
@@ -360,59 +375,65 @@ func (mp *bsMapper) Configure(m, _, partitionIndex int) {
 }
 
 // Map implements Algorithm 1 lines 29-44: one output per unsplit block
-// entity, m outputs (own sub-block + m−1 combinations) per split-block
-// entity.
-func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, bsValue], rec AnnotatedEntity) {
-	blockKey := rec.Key
-	e := rec.Value
-	k, ok := mp.x.BlockIndex(blockKey)
+// entity, one per match task of its partition (own sub-block + one cross
+// product per other compared partition) per split-block entity.
+func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Entity], rec AnnotatedEntity) {
+	k, ok := mp.x.BlockIndex(rec.Key)
 	if !ok {
-		panic(fmt.Sprintf("core: BlockSplit: blocking key %q not present in BDM", blockKey))
+		panic(fmt.Sprintf("core: BlockSplit: blocking key %q not present in BDM", rec.Key))
 	}
 	if !mp.asg.split[k] {
 		if mp.x.BlockPairs(k) == 0 {
-			return // singleton block: nothing to compare
+			return // nothing to compare
 		}
-		ctx.Emit(BSKey{Reduce: mp.asg.reduceOf(k, -1, -1), Block: k, I: -1, J: -1},
-			bsValue{E: e, Partition: mp.partition})
+		ctx.Emit(BSKey{Reduce: mp.asg.reduceOf(k, -1, -1), Block: k, I: -1, J: -1, Role: mp.role(-1, -1)}, rec.Value)
 		return
 	}
 	for i := 0; i < mp.m; i++ {
-		hi, lo := mp.partition, i
-		if hi < lo {
-			hi, lo = lo, hi
-		}
+		hi, lo := max(mp.partition, i), min(mp.partition, i)
 		reduce := mp.asg.reduceOf(k, hi, lo)
 		if reduce < 0 {
-			continue // empty counterpart partition
+			continue // empty or uncompared counterpart partition
 		}
-		ctx.Emit(BSKey{Reduce: reduce, Block: k, I: hi, J: lo},
-			bsValue{E: e, Partition: mp.partition})
+		ctx.Emit(BSKey{Reduce: reduce, Block: k, I: hi, J: lo, Role: mp.role(hi, lo)}, rec.Value)
 	}
+}
+
+// role is the part this partition's entities play in match task
+// k.lo×hi: with two sources R is the row side of every task, with one
+// source a cross product's rows are the lower partition's.
+func (mp *bsMapper) role(hi, lo int) int {
+	switch {
+	case mp.x.TwoSources() && mp.x.PartitionSource(mp.partition) == bdm.SourceR:
+		return roleRow
+	case mp.x.TwoSources():
+		return roleProbe
+	case hi == lo:
+		return roleMember
+	case mp.partition == lo:
+		return roleRow
+	}
+	return roleProbe
 }
 
 type bsReducer struct{ *group }
 
 func (rd *bsReducer) Configure(_, _, _ int) {}
 
-// Reduce implements Algorithm 1 lines 48-65. For a self-join task
-// (unsplit block or single sub-block, I == J) every value meets all
-// rows loaded before it and becomes a row. For a cross-product task the
-// first partition's entities are loaded as rows (the stable
-// map-task-ordered merge guarantees they arrive first) and every later
-// entity meets all of them without being kept.
-func (rd *bsReducer) Reduce(ctx *matchCtx, k BSKey, values []mapreduce.Rec[BSKey, bsValue]) {
+// Reduce implements Algorithm 1 lines 48-65, reading each value's role
+// from its key: a self-join member meets every row loaded before it and
+// becomes a row; a cross product's rows, which sort first, are loaded,
+// and each probe meets all of them without being kept.
+func (rd *bsReducer) Reduce(ctx *matchCtx, _ BSKey, values []mapreduce.Rec[BSKey, entity.Entity]) {
 	rd.begin(len(values))
-	firstPartition := values[0].Value.Partition
 	for _, v := range values {
-		bv := v.Value
-		switch {
-		case k.I == k.J:
-			rd.probe(ctx, bv.E, 0, rd.len(), true)
-		case bv.Partition == firstPartition:
-			rd.probe(ctx, bv.E, 0, 0, true)
+		switch v.Key.Role {
+		case roleMember:
+			rd.probe(ctx, v.Value, 0, rd.len(), true)
+		case roleRow:
+			rd.probe(ctx, v.Value, 0, 0, true)
 		default:
-			rd.probe(ctx, bv.E, 0, rd.len(), false)
+			rd.probe(ctx, v.Value, 0, rd.len(), false)
 		}
 	}
 	rd.end()
@@ -472,11 +493,11 @@ func blockSplitPlan(x *bdm.Matrix, m, r int, assign AssignFunc, maxEntities int)
 				p.MapEmits[pi] += n
 			case split:
 				// Each entity of partition pi is emitted once per match
-				// task involving pi: its own sub-block plus one cross
-				// task per other non-empty partition.
+				// task involving pi: one per non-empty partition it is
+				// compared with (its own sub-block included).
 				emitsPer := int64(0)
 				for i := 0; i < m; i++ {
-					if x.SizeIn(k, i) > 0 {
+					if x.SizeIn(k, i) > 0 && x.Compares(pi, i) {
 						emitsPer++
 					}
 				}

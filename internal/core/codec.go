@@ -3,22 +3,16 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bdm"
-	"repro/internal/entity"
 	"repro/internal/mapreduce"
 	"repro/internal/runio"
 )
 
-// runio codecs for every intermediate key/value type the five
-// redistribution strategies shuffle, registered at init so all of them
-// run unchanged on the external (out-of-core) dataflow. Composite keys
-// are flat sequences of zig-zag varints; entity-carrying values reuse
-// the entity.Codec. The 128-bit binary key code is not part of these
-// encodings — the engine stores it as a fixed-width record prefix.
-
-// entCodec is the shared entity payload codec (registered by the
-// entity package, whose init runs before this one).
-var entCodec = entity.Codec{}
+// runio codecs for every intermediate key type the redistribution
+// strategies shuffle, registered at init so all of them run unchanged
+// on the external (out-of-core) dataflow. Composite keys are flat
+// sequences of zig-zag varints; the values are entities, whose codec the
+// entity package registers. The 128-bit binary key code is not part of
+// these encodings — the engine stores it as a fixed-width record prefix.
 
 type bsKeyCodec struct{}
 
@@ -26,37 +20,17 @@ func (bsKeyCodec) Append(dst []byte, k BSKey) []byte {
 	dst = runio.AppendVarint(dst, int64(k.Reduce))
 	dst = runio.AppendVarint(dst, int64(k.Block))
 	dst = runio.AppendVarint(dst, int64(k.I))
-	return runio.AppendVarint(dst, int64(k.J))
+	dst = runio.AppendVarint(dst, int64(k.J))
+	return runio.AppendVarint(dst, int64(k.Role))
 }
 
 func (bsKeyCodec) Decode(src []byte) (BSKey, int, error) {
 	var k BSKey
-	n, err := decodeInts(src, &k.Reduce, &k.Block, &k.I, &k.J)
+	n, err := decodeInts(src, &k.Reduce, &k.Block, &k.I, &k.J, &k.Role)
 	if err != nil {
 		return k, 0, fmt.Errorf("BSKey: %w", err)
 	}
 	return k, n, nil
-}
-
-type bsValueCodec struct{}
-
-func (bsValueCodec) Append(dst []byte, v bsValue) []byte {
-	dst = runio.AppendVarint(dst, int64(v.Partition))
-	return entCodec.Append(dst, v.E)
-}
-
-func (bsValueCodec) Decode(src []byte) (bsValue, int, error) {
-	var v bsValue
-	n, err := decodeInts(src, &v.Partition)
-	if err != nil {
-		return v, 0, fmt.Errorf("bsValue: %w", err)
-	}
-	e, en, err := entCodec.Decode(src[n:])
-	if err != nil {
-		return v, 0, fmt.Errorf("bsValue: %w", err)
-	}
-	v.E = e
-	return v, n + en, nil
 }
 
 type prKeyCodec struct{}
@@ -81,52 +55,6 @@ func (prKeyCodec) Decode(src []byte) (PRKey, int, error) {
 	return k, n + in, nil
 }
 
-type bsdKeyCodec struct{}
-
-func (bsdKeyCodec) Append(dst []byte, k BSDKey) []byte {
-	dst = runio.AppendVarint(dst, int64(k.Reduce))
-	dst = runio.AppendVarint(dst, int64(k.Block))
-	dst = runio.AppendVarint(dst, int64(k.RPart))
-	dst = runio.AppendVarint(dst, int64(k.SPart))
-	return runio.AppendVarint(dst, int64(k.Source))
-}
-
-func (bsdKeyCodec) Decode(src []byte) (BSDKey, int, error) {
-	var k BSDKey
-	var src_ int
-	n, err := decodeInts(src, &k.Reduce, &k.Block, &k.RPart, &k.SPart, &src_)
-	if err != nil {
-		return k, 0, fmt.Errorf("BSDKey: %w", err)
-	}
-	k.Source = bdm.Source(src_)
-	return k, n, nil
-}
-
-type prdKeyCodec struct{}
-
-func (prdKeyCodec) Append(dst []byte, k PRDKey) []byte {
-	dst = runio.AppendVarint(dst, int64(k.Range))
-	dst = runio.AppendVarint(dst, int64(k.Block))
-	dst = runio.AppendVarint(dst, int64(k.Source))
-	return runio.AppendVarint(dst, k.Index)
-}
-
-func (prdKeyCodec) Decode(src []byte) (PRDKey, int, error) {
-	var k PRDKey
-	var src_ int
-	n, err := decodeInts(src, &k.Range, &k.Block, &src_)
-	if err != nil {
-		return k, 0, fmt.Errorf("PRDKey: %w", err)
-	}
-	k.Source = bdm.Source(src_)
-	idx, in, err := runio.Varint(src[n:])
-	if err != nil {
-		return k, 0, fmt.Errorf("PRDKey index: %w", err)
-	}
-	k.Index = idx
-	return k, n + in, nil
-}
-
 // decodeInts decodes consecutive zig-zag varints into the given int
 // fields, returning the bytes consumed.
 func decodeInts(src []byte, dst ...*int) (int, error) {
@@ -142,13 +70,12 @@ func decodeInts(src []byte, dst ...*int) (int, error) {
 	return n, nil
 }
 
-// decodeInt4String is decodeInts over a string source for up to four
-// fields (nil stops early). Taking fixed parameters instead of a
-// variadic slice keeps the hot shared-decode path free of the ...*int
-// allocation.
-func decodeInt4String(src string, a, b, c, d *int) (int, error) {
+// decodeIntsString is decodeInts over a string source for up to five
+// fields (nil stops early). Taking an array instead of a variadic slice
+// keeps the hot shared-decode path free of the ...*int allocation.
+func decodeIntsString(src string, dst [5]*int) (int, error) {
 	n := 0
-	for i, p := range [...]*int{a, b, c, d} {
+	for i, p := range dst {
 		if p == nil {
 			break
 		}
@@ -162,17 +89,15 @@ func decodeInt4String(src string, a, b, c, d *int) (int, error) {
 	return n, nil
 }
 
-// Shared decoders (runio.SharedDecoder) for the strategy codecs: the
+// Shared decoders (runio.SharedDecoder) for the strategy key codecs: the
 // composite keys are pure varints (nothing to alias — the win is that
 // having them lets the engine pick the arena read path, which needs
-// BOTH the key and value codec to support shared decoding), while
-// bsValue defers to the entity shared decoder whose decoded strings
-// alias the source block.
+// BOTH the key and value codec to support shared decoding).
 
 func (bsKeyCodec) NewSharedDecoder() func(string) (BSKey, int, error) {
 	return func(src string) (BSKey, int, error) {
 		var k BSKey
-		n, err := decodeInt4String(src, &k.Reduce, &k.Block, &k.I, &k.J)
+		n, err := decodeIntsString(src, [5]*int{&k.Reduce, &k.Block, &k.I, &k.J, &k.Role})
 		if err != nil {
 			return k, 0, fmt.Errorf("BSKey: %w", err)
 		}
@@ -180,70 +105,16 @@ func (bsKeyCodec) NewSharedDecoder() func(string) (BSKey, int, error) {
 	}
 }
 
-func (bsValueCodec) NewSharedDecoder() func(string) (bsValue, int, error) {
-	decEnt := entCodec.NewSharedDecoder()
-	return func(src string) (bsValue, int, error) {
-		var v bsValue
-		p, n, err := runio.VarintString(src)
-		if err != nil {
-			return v, 0, fmt.Errorf("bsValue: %w", err)
-		}
-		v.Partition = int(p)
-		e, en, err := decEnt(src[n:])
-		if err != nil {
-			return v, 0, fmt.Errorf("bsValue: %w", err)
-		}
-		v.E = e
-		return v, n + en, nil
-	}
-}
-
 func (prKeyCodec) NewSharedDecoder() func(string) (PRKey, int, error) {
 	return func(src string) (PRKey, int, error) {
 		var k PRKey
-		n, err := decodeInt4String(src, &k.Range, &k.Block, nil, nil)
+		n, err := decodeIntsString(src, [5]*int{&k.Range, &k.Block})
 		if err != nil {
 			return k, 0, fmt.Errorf("PRKey: %w", err)
 		}
 		idx, in, err := runio.VarintString(src[n:])
 		if err != nil {
 			return k, 0, fmt.Errorf("PRKey index: %w", err)
-		}
-		k.Index = idx
-		return k, n + in, nil
-	}
-}
-
-func (bsdKeyCodec) NewSharedDecoder() func(string) (BSDKey, int, error) {
-	return func(src string) (BSDKey, int, error) {
-		var k BSDKey
-		var srcField int
-		n, err := decodeInt4String(src, &k.Reduce, &k.Block, &k.RPart, &k.SPart)
-		if err != nil {
-			return k, 0, fmt.Errorf("BSDKey: %w", err)
-		}
-		sv, sn, err := runio.VarintString(src[n:])
-		if err != nil {
-			return k, 0, fmt.Errorf("BSDKey: field 4: %w", err)
-		}
-		srcField = int(sv)
-		k.Source = bdm.Source(srcField)
-		return k, n + sn, nil
-	}
-}
-
-func (prdKeyCodec) NewSharedDecoder() func(string) (PRDKey, int, error) {
-	return func(src string) (PRDKey, int, error) {
-		var k PRDKey
-		var srcField int
-		n, err := decodeInt4String(src, &k.Range, &k.Block, &srcField, nil)
-		if err != nil {
-			return k, 0, fmt.Errorf("PRDKey: %w", err)
-		}
-		k.Source = bdm.Source(srcField)
-		idx, in, err := runio.VarintString(src[n:])
-		if err != nil {
-			return k, 0, fmt.Errorf("PRDKey index: %w", err)
 		}
 		k.Index = idx
 		return k, n + in, nil
@@ -291,10 +162,7 @@ func (matchPairCodec) Decode(src []byte) (MatchPair, int, error) {
 
 func init() {
 	runio.Register[BSKey](bsKeyCodec{})
-	runio.Register[bsValue](bsValueCodec{})
 	runio.Register[PRKey](prKeyCodec{})
-	runio.Register[BSDKey](bsdKeyCodec{})
-	runio.Register[PRDKey](prdKeyCodec{})
 	// Distributed execution ships match outputs between processes:
 	// register MatchPair and the MatchOutput pair shape. Similarities
 	// travel as the float64 codec's fixed 8 bytes (exact bit pattern),

@@ -4,13 +4,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/bdm"
 	"repro/internal/entity"
 	"repro/internal/runio"
 )
 
-// Round-trip fuzz tests for the strategy key/value codecs — every
-// intermediate type the five redistribution strategies spill on the
+// Round-trip fuzz tests for the strategy key codecs — every
+// intermediate key type the redistribution strategies spill on the
 // external dataflow.
 
 func codecRoundTrip[T any](t *testing.T, v T) {
@@ -39,20 +38,14 @@ func codecRoundTrip[T any](t *testing.T, v T) {
 }
 
 func FuzzBSKeyCodec(f *testing.F) {
-	f.Add(0, 0, -1, -1)
-	f.Add(3, 17, 2, 0)
-	f.Add(-5, 1<<30, -1<<20, 7)
-	f.Fuzz(func(t *testing.T, reduce, block, i, j int) {
-		codecRoundTrip(t, BSKey{Reduce: reduce, Block: block, I: i, J: j})
-	})
-}
-
-func FuzzBSValueCodec(f *testing.F) {
-	f.Add("p1", "canon eos 5d", 3)
-	f.Add("tab\tid", "title\nwith\nnewlines", -1)
-	f.Add(string([]byte{0xff, 0xfe}), string([]byte{0x00, 0xc0}), 1<<30)
-	f.Fuzz(func(t *testing.T, id, title string, part int) {
-		codecRoundTrip(t, bsValue{E: entity.New(id, "title", title), Partition: part})
+	f.Add(0, 0, -1, -1, roleMember)
+	f.Add(3, 17, 2, 0, roleRow)
+	f.Add(-5, 1<<30, -1<<20, 7, roleProbe)
+	f.Add(1, 2, 1, 1, roleMember)
+	f.Add(1, 2, -1, -1, roleRow)
+	f.Add(1, 2, -1, -1, roleProbe)
+	f.Fuzz(func(t *testing.T, reduce, block, i, j, role int) {
+		codecRoundTrip(t, BSKey{Reduce: reduce, Block: block, I: i, J: j, Role: role})
 	})
 }
 
@@ -60,24 +53,11 @@ func FuzzPRKeyCodec(f *testing.F) {
 	f.Add(0, 0, int64(0))
 	f.Add(7, 123, int64(-9))
 	f.Add(-1, 1<<28, int64(1)<<60)
+	// A two-source block indexes its S entities after its R entities:
+	// PRKey carries no source, only a larger index.
+	f.Add(2, 5, int64(1)<<31)
 	f.Fuzz(func(t *testing.T, rng, block int, index int64) {
 		codecRoundTrip(t, PRKey{Range: rng, Block: block, Index: index})
-	})
-}
-
-func FuzzBSDKeyCodec(f *testing.F) {
-	f.Add(0, 0, -1, -1, 0)
-	f.Add(2, 9, 1, 3, 1)
-	f.Fuzz(func(t *testing.T, reduce, block, rp, sp, src int) {
-		codecRoundTrip(t, BSDKey{Reduce: reduce, Block: block, RPart: rp, SPart: sp, Source: bdm.Source(src)})
-	})
-}
-
-func FuzzPRDKeyCodec(f *testing.F) {
-	f.Add(0, 0, 0, int64(0))
-	f.Add(5, 44, 1, int64(1)<<40)
-	f.Fuzz(func(t *testing.T, rng, block, src int, index int64) {
-		codecRoundTrip(t, PRDKey{Range: rng, Block: block, Source: bdm.Source(src), Index: index})
 	})
 }
 
@@ -86,10 +66,9 @@ func FuzzPRDKeyCodec(f *testing.F) {
 // would silently lose external-mode support.
 func TestStrategyValueCodecsRegistered(t *testing.T) {
 	codecRoundTrip(t, "blocking-key")                 // Basic key
-	codecRoundTrip(t, entity.New("id", "title", "x")) // Basic/PairRange/dual values
-	codecRoundTrip(t, BSKey{Reduce: 1, Block: 2, I: -1, J: -1})
-	codecRoundTrip(t, bsValue{E: entity.New("a", "t", "v"), Partition: 0})
+	codecRoundTrip(t, entity.New("id", "title", "x")) // every strategy's value
+	for _, role := range []int{roleMember, roleRow, roleProbe} {
+		codecRoundTrip(t, BSKey{Reduce: 1, Block: 2, I: -1, J: -1, Role: role})
+	}
 	codecRoundTrip(t, PRKey{Range: 1, Block: 2, Index: 3})
-	codecRoundTrip(t, BSDKey{Reduce: 1, Block: 2, RPart: -1, SPart: -1, Source: bdm.SourceS})
-	codecRoundTrip(t, PRDKey{Range: 1, Block: 2, Source: bdm.SourceR, Index: 4})
 }

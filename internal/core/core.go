@@ -18,8 +18,9 @@
 // experiments (Figures 13/14) tractable on one machine; tests assert that
 // executed workloads and planned workloads agree exactly.
 //
-// Two-source variants (Appendix I) are provided as BlockSplitDual and
-// PairRangeDual.
+// Two-source matching (Appendix I) is BlockSplit and PairRange over a
+// BDM whose partitions carry source tags (bdm.Matrix.WithSources): the
+// matrix decides which pairs count, and only R×S pairs are compared.
 package core
 
 import (
@@ -154,8 +155,9 @@ type MatchJobResult = mapreduce.Result[AnnotatedEntity, MatchOutput]
 // reducers.
 type matchCtx = mapreduce.ReduceContext[MatchOutput]
 
-// Strategy is a one-source redistribution strategy. Implementations:
-// Basic, BlockSplit, PairRange.
+// Strategy is a redistribution strategy. Implementations: Basic,
+// BlockSplit, PairRange; the two that need the BDM also match two
+// sources when its partitions carry source tags.
 type Strategy interface {
 	// Name returns the paper's name for the strategy.
 	Name() string
@@ -181,21 +183,6 @@ type PreparedStrategy interface {
 	// JobPrepared is Job with a prepared matcher driving the reduce
 	// phase. pm may be nil (count comparisons only).
 	JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error)
-}
-
-// DualStrategy is a two-source (R×S) redistribution strategy from
-// Appendix I. Implementations: BlockSplitDual, PairRangeDual.
-type DualStrategy interface {
-	Name() string
-	Job(x *bdm.DualMatrix, r int, match Matcher) (MatchJob, error)
-	Plan(x *bdm.DualMatrix, r int) (*Plan, error)
-}
-
-// PreparedDualStrategy is the two-source analogue of PreparedStrategy
-// (implemented by BlockSplitDual and PairRangeDual).
-type PreparedDualStrategy interface {
-	DualStrategy
-	JobPrepared(x *bdm.DualMatrix, r int, pm PreparedMatcher) (MatchJob, error)
 }
 
 // Plan holds the exact per-task workloads a strategy's Job 2 produces.

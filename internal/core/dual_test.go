@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/bdm"
 	"repro/internal/blocking"
 	"repro/internal/entity"
-	"repro/internal/mapreduce"
 )
 
 // Two-source example in the spirit of Figure 15: source R in one
@@ -29,14 +27,23 @@ func dualExample() (parts entity.Partitions, sources []bdm.Source) {
 	return parts, sources
 }
 
-func dualExampleBDM(t *testing.T) *bdm.DualMatrix {
-	t.Helper()
-	parts, sources := dualExample()
-	x, err := bdm.FromDualPartitions(parts, sources, exAttr, blocking.Identity())
+// mustDualBDM is the BDM of parts with partition p tagged sources[p].
+func mustDualBDM(tb testing.TB, parts entity.Partitions, sources []bdm.Source) *bdm.Matrix {
+	tb.Helper()
+	x, err := bdm.FromPartitions(parts, exAttr, blocking.Identity())
+	if err == nil {
+		x, err = x.WithSources(sources)
+	}
 	if err != nil {
-		t.Fatalf("FromDualPartitions: %v", err)
+		tb.Fatalf("two-source BDM: %v", err)
 	}
 	return x
+}
+
+func dualExampleBDM(tb testing.TB) *bdm.Matrix {
+	tb.Helper()
+	parts, sources := dualExample()
+	return mustDualBDM(tb, parts, sources)
 }
 
 func TestDualBDMExample(t *testing.T) {
@@ -64,9 +71,13 @@ func TestDualBDMExample(t *testing.T) {
 	if got := x.SourceSize(zk, bdm.SourceS); got != 3 {
 		t.Errorf("|z,S| = %d, want 3", got)
 	}
-	// Entity offsets: L (partition 2, S) is the third S entity of z.
+	// Entity offsets: L (partition 2, S) is the third S entity of z, and
+	// PairRange indexes it after z's two R entities.
 	if got := x.EntityOffset(zk, 2); got != 2 {
 		t.Errorf("EntityOffset(z, Π2) = %d, want 2", got)
+	}
+	if got := entityBase(x, zk, 2); got != 4 {
+		t.Errorf("entityBase(z, Π2) = %d, want 4", got)
 	}
 }
 
@@ -95,27 +106,14 @@ func expectedDualPairs(parts entity.Partitions, sources []bdm.Source) map[MatchP
 	return want
 }
 
-func runDualStrategy(t *testing.T, strat DualStrategy, x *bdm.DualMatrix, parts entity.Partitions, r int, match Matcher) *MatchJobResult {
-	t.Helper()
-	job, err := strat.Job(x, r, match)
-	if err != nil {
-		t.Fatalf("%s.Job: %v", strat.Name(), err)
-	}
-	res, err := job.RunContext(context.Background(), &mapreduce.Engine{}, annotatedInput(parts, exAttr))
-	if err != nil {
-		t.Fatalf("%s: Run: %v", strat.Name(), err)
-	}
-	return res
-}
-
 func TestDualExampleCompleteness(t *testing.T) {
 	parts, sources := dualExample()
 	x := dualExampleBDM(t)
 	want := expectedDualPairs(parts, sources)
-	for _, strat := range []DualStrategy{BlockSplitDual{}, PairRangeDual{}} {
+	for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
 		for _, r := range []int{1, 2, 3, 5, 11} {
 			got := make(map[MatchPair]int)
-			res := runDualStrategy(t, strat, x, parts, r, recordingMatcher(&got))
+			res := runStrategy(t, strat, x, parts, r, recordingMatcher(&got))
 			if len(got) != len(want) {
 				t.Fatalf("%s r=%d: %d distinct pairs, want %d", strat.Name(), r, len(got), len(want))
 			}
@@ -133,27 +131,71 @@ func TestDualExampleCompleteness(t *testing.T) {
 
 func TestDualBlockSplitSplitsLargestBlock(t *testing.T) {
 	x := dualExampleBDM(t)
-	asg := buildDualAssignment(x, 3)
+	asg := BuildAssignment(x, 3, nil)
 	// P=11, avg=11/3=3: w (4 pairs) and z (6 pairs) split; x (1) stays.
 	if asg.avg != 3 {
 		t.Fatalf("avg = %d, want 3", asg.avg)
 	}
+	comps := make(map[taskID]int64)
+	for _, task := range asg.ordered {
+		comps[task.id] = task.comps
+	}
 	zk, _ := x.BlockIndex("z")
-	if _, ok := asg.tasks[taskID{block: zk, i: -1, j: -1}]; ok {
+	if !asg.Split(zk) {
 		t.Error("block z was not split despite exceeding the average workload")
 	}
-	// Split tasks pair R partition 0 with S partitions 1 and 2.
-	if task := asg.tasks[taskID{block: zk, i: 0, j: 1}]; task == nil || task.comps != 4 {
-		t.Errorf("task z.0x1 = %+v, want 4 comps", task)
+	// Split tasks pair R partition 0 with S partitions 1 and 2, never the
+	// S partitions with each other or a partition with itself.
+	if c := comps[taskID{block: zk, i: 1, j: 0}]; c != 4 {
+		t.Errorf("task z.0x1 has %d comps, want 4", c)
 	}
-	if task := asg.tasks[taskID{block: zk, i: 0, j: 2}]; task == nil || task.comps != 2 {
-		t.Errorf("task z.0x2 = %+v, want 2 comps", task)
+	if c := comps[taskID{block: zk, i: 2, j: 0}]; c != 2 {
+		t.Errorf("task z.0x2 has %d comps, want 2", c)
 	}
-	// Block y has no S entities: no task at all.
+	for _, id := range []taskID{{zk, 2, 1}, {zk, 0, 0}, {zk, 1, 1}} {
+		if asg.reduceOf(id.block, id.i, id.j) >= 0 {
+			t.Errorf("same-source task %v exists", id)
+		}
+	}
+	// Block y has no S entities: no comparisons anywhere.
 	yk, _ := x.BlockIndex("y")
-	for id := range asg.tasks {
-		if id.block == yk {
-			t.Errorf("block y got match task %v despite empty S side", id)
+	for id, c := range comps {
+		if id.block == yk && c != 0 {
+			t.Errorf("block y got match task %v with %d comps despite empty S side", id, c)
+		}
+	}
+}
+
+func TestDualPlanMatchesExecution(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 15; trial++ {
+		parts, sources := randomDualParts(rng, rng.Intn(120)+2, rng.Intn(3)+1, rng.Intn(3)+1, rng.Intn(6)+1)
+		x := mustDualBDM(t, parts, sources)
+		r := rng.Intn(10) + 1
+		for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
+			assertPlanMatchesExecution(t, strat, x, parts, exAttr, r)
+		}
+	}
+}
+
+func TestDualCompletenessFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 15; trial++ {
+		parts, sources := randomDualParts(rng, rng.Intn(100)+2, rng.Intn(3)+1, rng.Intn(3)+1, rng.Intn(5)+1)
+		x := mustDualBDM(t, parts, sources)
+		want := expectedDualPairs(parts, sources)
+		r := rng.Intn(8) + 1
+		for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
+			got := make(map[MatchPair]int)
+			runStrategy(t, strat, x, parts, r, recordingMatcher(&got))
+			if len(got) != len(want) {
+				t.Fatalf("%s trial %d r=%d: %d pairs, want %d", strat.Name(), trial, r, len(got), len(want))
+			}
+			for p, c := range got {
+				if !want[p] || c != 1 {
+					t.Fatalf("%s: pair %v count %d", strat.Name(), p, c)
+				}
+			}
 		}
 	}
 }
@@ -162,12 +204,9 @@ func TestDualPairRangeBalanceBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {
 		parts, sources := randomDualParts(rng, rng.Intn(200)+2, 2, 2, rng.Intn(5)+1)
-		x, err := bdm.FromDualPartitions(parts, sources, exAttr, blocking.Identity())
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := mustDualBDM(t, parts, sources)
 		r := rng.Intn(12) + 1
-		plan, err := PairRangeDual{}.Plan(x, r)
+		plan, err := PairRange{}.Plan(x, x.NumPartitions(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +221,14 @@ func TestDualPairRangeBalanceBound(t *testing.T) {
 
 func TestDualRejectsBadParams(t *testing.T) {
 	x := dualExampleBDM(t)
-	for _, strat := range []DualStrategy{BlockSplitDual{}, PairRangeDual{}} {
+	for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
 		if _, err := strat.Job(x, 0, nil); err == nil {
 			t.Errorf("%s.Job(r=0) succeeded", strat.Name())
 		}
 		if _, err := strat.Job(nil, 3, nil); err == nil {
 			t.Errorf("%s.Job(nil) succeeded", strat.Name())
 		}
-		if _, err := strat.Plan(nil, 3); err == nil {
+		if _, err := strat.Plan(nil, 3, 3); err == nil {
 			t.Errorf("%s.Plan(nil) succeeded", strat.Name())
 		}
 	}

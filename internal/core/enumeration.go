@@ -67,7 +67,78 @@ func ColumnOf(p, n int64) int64 {
 // PairIndex returns the global pair index p_k(x,y) of entities with
 // block-k entity indexes x < y.
 func PairIndex(x *bdm.Matrix, k int, ex, ey int64) int64 {
-	return CellIndex(ex, ey, int64(x.Size(k))) + x.PairOffset(k)
+	return geometryOf(x, k).pair(ex, ey) + x.PairOffset(k)
+}
+
+// geometry is how one block's entity indexes pair up — PairRange's one
+// seam between its two enumerations, chosen from the matrix. One source:
+// the triangle of pairs x1 < x2 of the block's n entities, enumerated
+// column-wise by c(x1, x2, n) above. Two sources (Appendix I-B): the
+// |Φk,R|×|Φk,S| rectangle, enumerated row-wise by x·|Φk,S| + y, where
+// R's entities hold indexes 0..|Φk,R|−1 and S's the ones after them, so
+// that x1 < x2 in every pair and a group's R rows sort before its S
+// probes.
+type geometry struct {
+	n, nR int64 // entities of the block; with two sources, those of R
+	rect  bool  // two sources
+}
+
+func geometryOf(x *bdm.Matrix, k int) geometry {
+	return geometry{n: int64(x.Size(k)), nR: int64(x.SourceSize(k, bdm.SourceR)), rect: x.TwoSources()}
+}
+
+// pair returns the block-local index of the pair of entities x1 < x2.
+func (g geometry) pair(x1, x2 int64) int64 {
+	if g.rect {
+		return x1*(g.n-g.nR) + x2 - g.nR
+	}
+	return CellIndex(x1, x2, g.n)
+}
+
+// partners returns whom entity x is paired with: as the second of a
+// pair with every x1 < before, as the first with every x2 in [after, n).
+func (g geometry) partners(x int64) (before, after int64) {
+	switch {
+	case !g.rect:
+		return x, x + 1
+	case x < g.nR:
+		return 0, g.nR
+	}
+	return g.nR, g.n
+}
+
+// relevant returns, as merged intervals, the indexes of the entities
+// that hold a pair with block-local index in [a, b), a < b — a range's
+// reduce input within the block, computed without enumerating pairs.
+func (g geometry) relevant(a, b int64) []interval {
+	if !g.rect {
+		return relevantEntities(a, b, g.n)
+	}
+	// R: the rows xa..xb. S: the partial first row, the partial last
+	// row, and all of S once a full row lies between them.
+	nS := g.n - g.nR
+	xa, xb := a/nS, (b-1)/nS
+	ya, yb := g.nR+a%nS, g.nR+(b-1)%nS
+	ivs := []interval{{xa, xb + 1}}
+	switch {
+	case xa == xb:
+		ivs = append(ivs, interval{ya, yb + 1})
+	case xb == xa+1:
+		ivs = append(ivs, interval{ya, g.n}, interval{g.nR, yb + 1})
+	default:
+		ivs = append(ivs, interval{g.nR, g.n})
+	}
+	return mergeIntervals(ivs)
+}
+
+// entityBase returns the index of block k's first entity in partition
+// p: a block's entities are indexed in partition order, R's before S's.
+func entityBase(x *bdm.Matrix, k, p int) int64 {
+	base := x.EntityOffset(k, p)
+	if x.PartitionSource(p) == bdm.SourceS {
+		base += x.SourceSize(k, bdm.SourceR)
+	}
+	return int64(base)
 }
 
 // Ranges captures the PairRange partitioning of [0, P) into r ranges of
@@ -122,36 +193,34 @@ func (rg Ranges) Size(k int) int64 {
 
 // relevantRanges returns, in ascending order, every range that contains
 // at least one pair involving the entity with index ex in a block of
-// size n whose global pair offset is off.
+// geometry g whose global pair offset is off.
 //
-// The entity participates in the "row pairs" (0,ex)...(ex−1,ex), whose
-// indexes are strictly increasing but not contiguous, and in the "column
-// pairs" (ex,ex+1)...(ex,n−1), which are contiguous. Row ranges are
-// found by galloping over range boundaries (monotonicity of the pair
-// index in the column argument); column ranges form one contiguous run.
-func (rg Ranges) relevantRanges(ex, n, off int64, out []int) []int {
+// The entity is the second of the "row pairs" (k, ex), k < before, whose
+// indexes are strictly increasing but not contiguous, and the first of
+// the "column pairs" (ex, after)...(ex, n−1), which are contiguous. Row
+// ranges are found by galloping over range boundaries (monotonicity of
+// the pair index in its first argument); column ranges form one
+// contiguous run.
+func (rg Ranges) relevantRanges(g geometry, ex, off int64, out []int) []int {
 	out = out[:0]
-	if n < 2 {
-		return out
-	}
-	// Row pairs: (k, ex) for k in [0, ex). Index f(k) = c(k,ex,n)+off is
-	// strictly increasing in k, so the sequence of range indexes is
-	// non-decreasing; enumerate each distinct range once via binary
-	// search for the last k still inside the current range.
-	for k := int64(0); k < ex; {
-		p := CellIndex(k, ex, n) + off
-		r := rg.Index(p)
+	before, after := g.partners(ex)
+	// Row pairs: index f(k) = pair(k, ex)+off is strictly increasing in
+	// k, so the sequence of range indexes is non-decreasing; enumerate
+	// each distinct range once via binary search for the last k still
+	// inside the current range.
+	for k := int64(0); k < before; {
+		r := rg.Index(g.pair(k, ex) + off)
 		out = append(out, r)
-		// Find the largest k' < ex with range(f(k')) == r.
+		// Find the largest k' < before with range(f(k')) == r.
 		_, hi := rg.Bounds(r)
-		k = searchFirstAtLeast(k+1, ex, func(kk int64) bool {
-			return CellIndex(kk, ex, n)+off >= hi
+		k = searchFirstAtLeast(k+1, before, func(kk int64) bool {
+			return g.pair(kk, ex)+off >= hi
 		})
 	}
-	// Column pairs: (ex, ex+1)..(ex, n−1), contiguous indexes.
-	if ex <= n-2 {
-		first := rg.Index(CellIndex(ex, ex+1, n) + off)
-		last := rg.Index(CellIndex(ex, n-1, n) + off)
+	// Column pairs: contiguous indexes.
+	if after < g.n {
+		first := rg.Index(g.pair(ex, after) + off)
+		last := rg.Index(g.pair(ex, g.n-1) + off)
 		for r := first; r <= last; r++ {
 			if len(out) > 0 && out[len(out)-1] == r {
 				continue

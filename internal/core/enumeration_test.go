@@ -165,7 +165,7 @@ func TestRelevantRangesAgainstBruteForce(t *testing.T) {
 		r := rng.Intn(20) + 1
 		rg := NewRanges(total, r)
 		for ex := int64(0); ex < n; ex++ {
-			got := rg.relevantRanges(ex, n, off, nil)
+			got := rg.relevantRanges(geometry{n: n}, ex, off, nil)
 			want := bruteRelevantRanges(rg, ex, n, off)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d off=%d r=%d ex=%d: relevantRanges = %v, want %v", n, off, r, ex, got, want)
@@ -176,7 +176,7 @@ func TestRelevantRangesAgainstBruteForce(t *testing.T) {
 
 func TestRelevantRangesSingletonBlock(t *testing.T) {
 	rg := NewRanges(100, 4)
-	if got := rg.relevantRanges(0, 1, 0, nil); len(got) != 0 {
+	if got := rg.relevantRanges(geometry{n: 1}, 0, 0, nil); len(got) != 0 {
 		t.Errorf("singleton block entity has relevant ranges %v, want none", got)
 	}
 }

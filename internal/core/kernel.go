@@ -7,7 +7,7 @@ import (
 )
 
 // Block is the prepared form of one reduce group: the reducers of all
-// five strategies load a group's entities into a block as rows and
+// three strategies load a group's entities into a block as rows and
 // decide each arriving entity against a contiguous row range in one
 // call. A matcher that implements BlockMatcher supplies its own block
 // (match.EditDistance runs its filter chain column-wise over a

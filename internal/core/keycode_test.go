@@ -19,23 +19,6 @@ func mustTestBDM(tb testing.TB) *bdm.Matrix {
 	return x
 }
 
-func mustTestDualBDM(tb testing.TB) *bdm.DualMatrix {
-	tb.Helper()
-	parts, sources := dualExample()
-	x, err := bdm.FromDualPartitions(parts, sources, exAttr, blocking.Identity())
-	if err != nil {
-		tb.Fatalf("FromDualPartitions: %v", err)
-	}
-	return x
-}
-
-func sourceOf(s bool) bdm.Source {
-	if s {
-		return bdm.SourceS
-	}
-	return bdm.SourceR
-}
-
 func absInt64(v int64) int64 {
 	if v < 0 {
 		if v == -v { // math.MinInt64
@@ -55,12 +38,10 @@ func absInt64(v int64) int64 {
 // guards; the BlockSplit split components use −1 as the unsplit
 // sentinel).
 
-// clampIndex maps a raw fuzz value into [-1, 1<<30).
-func clampIndex(v int64) int {
-	if v < 0 {
-		v = -v
-	}
-	return int(v%(1<<30)) - 1
+// clampPart maps a raw fuzz value into [-1, 1<<16-2]: a split component
+// of a BDM small enough for the BlockSplit coding (+1 fits 16 bits).
+func clampPart(v int64) int {
+	return clampNonNeg(v, 1<<16) - 1
 }
 
 // clampNonNeg maps a raw fuzz value into [0, bound).
@@ -72,14 +53,20 @@ func clampNonNeg(v int64, bound int64) int {
 }
 
 func FuzzBSKeyCoding(f *testing.F) {
-	f.Add(int64(0), int64(-1), int64(-1), int64(0), int64(-1), int64(-1))
-	f.Add(int64(0), int64(0), int64(0), int64(0), int64(1), int64(0))
-	f.Add(int64(1<<31), int64(1<<20), int64(0), int64(1<<31), int64(1<<20), int64(0))
+	f.Add(int64(0), int64(-1), int64(-1), int64(0), int64(0), int64(-1), int64(-1), int64(0))
+	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), int64(1), int64(0), int64(0))
+	f.Add(int64(1<<31), int64(1<<15), int64(0), int64(0), int64(1<<31), int64(1<<15), int64(0), int64(0))
+	// The same task on both sides, every pair of roles.
+	for ra := int64(roleMember); ra <= roleProbe; ra++ {
+		for rb := int64(roleMember); rb <= roleProbe; rb++ {
+			f.Add(int64(7), int64(3), int64(2), ra, int64(7), int64(3), int64(2), rb)
+		}
+	}
 	coding := bsKeyCoding(mustTestBDM(f))
-	f.Fuzz(func(t *testing.T, blockA, iA, jA, blockB, iB, jB int64) {
-		a := BSKey{Block: clampNonNeg(blockA, 1<<32), I: clampIndex(iA), J: clampIndex(jA)}
-		b := BSKey{Block: clampNonNeg(blockB, 1<<32), I: clampIndex(iB), J: clampIndex(jB)}
-		if err := coding.Verify(compareBSKeys, compareBSKeys, a, b); err != nil {
+	f.Fuzz(func(t *testing.T, blockA, iA, jA, roleA, blockB, iB, jB, roleB int64) {
+		a := BSKey{Block: clampNonNeg(blockA, 1<<32), I: clampPart(iA), J: clampPart(jA), Role: clampNonNeg(roleA, 3)}
+		b := BSKey{Block: clampNonNeg(blockB, 1<<32), I: clampPart(iB), J: clampPart(jB), Role: clampNonNeg(roleB, 3)}
+		if err := coding.Verify(compareBSKeys, groupBSKeys, a, b); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -88,6 +75,8 @@ func FuzzBSKeyCoding(f *testing.F) {
 func FuzzPRKeyCoding(f *testing.F) {
 	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), int64(1))
 	f.Add(int64(1<<31), int64(1<<32-1), int64(1<<62), int64(1<<31), int64(1<<32-1), int64(1<<62))
+	// A two-source group: the last R index against the first S index.
+	f.Add(int64(3), int64(9), int64(4), int64(3), int64(9), int64(5))
 	coding := prKeyCoding(mustTestBDM(f), 8)
 	f.Fuzz(func(t *testing.T, rangeA, blockA, idxA, rangeB, blockB, idxB int64) {
 		a := PRKey{Range: clampNonNeg(rangeA, 1<<31), Block: clampNonNeg(blockA, 1<<32), Index: absInt64(idxA)}
@@ -98,56 +87,21 @@ func FuzzPRKeyCoding(f *testing.F) {
 	})
 }
 
-func FuzzBSDKeyCoding(f *testing.F) {
-	f.Add(int64(0), int64(-1), int64(-1), true, int64(0), int64(-1), int64(0), false)
-	f.Add(int64(7), int64(3), int64(2), false, int64(7), int64(3), int64(2), true)
-	coding := bsdKeyCoding(mustTestDualBDM(f))
-	f.Fuzz(func(t *testing.T, blockA, rA, sA int64, srcA bool, blockB, rB, sB int64, srcB bool) {
-		clampPart := func(v int64) int {
-			if v < 0 {
-				v = -v
-			}
-			return int(v%((1<<16)-2)) - 1 // [-1, 1<<16-3]: +1 fits uint16
-		}
-		a := BSDKey{Block: clampNonNeg(blockA, 1<<32), RPart: clampPart(rA), SPart: clampPart(sA), Source: sourceOf(srcA)}
-		b := BSDKey{Block: clampNonNeg(blockB, 1<<32), RPart: clampPart(rB), SPart: clampPart(sB), Source: sourceOf(srcB)}
-		if err := coding.Verify(compareBSDKeys, groupBSDKeys, a, b); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func FuzzPRDKeyCoding(f *testing.F) {
-	f.Add(int64(0), int64(0), true, int64(0), int64(0), int64(0), false, int64(0))
-	f.Add(int64(1<<30), int64(1<<32-1), false, int64(1<<62), int64(1<<30), int64(1<<32-1), true, int64(1<<62))
-	coding := prdKeyCoding(mustTestDualBDM(f), 8)
-	f.Fuzz(func(t *testing.T, rangeA, blockA int64, srcA bool, idxA, rangeB, blockB int64, srcB bool, idxB int64) {
-		a := PRDKey{Range: clampNonNeg(rangeA, 1<<31), Block: clampNonNeg(blockA, 1<<32), Source: sourceOf(srcA), Index: absInt64(idxA) % (1 << 62)}
-		b := PRDKey{Range: clampNonNeg(rangeB, 1<<31), Block: clampNonNeg(blockB, 1<<32), Source: sourceOf(srcB), Index: absInt64(idxB) % (1 << 62)}
-		if err := coding.Verify(comparePRDKeys, groupPRDKeys, a, b); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestKeyCodingsRandomMatrix hammers all four codings with dense random
+// TestKeyCodingsRandomMatrix hammers both codings with dense random
 // keys drawn from a small domain, so equal comparison keys, equal
 // groups, and adjacent codes all occur constantly — the regime where an
 // off-by-one in the packing would collide or reorder.
 func TestKeyCodingsRandomMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	x := mustTestBDM(t)
-	dx := mustTestDualBDM(t)
 	bs := bsKeyCoding(x)
 	pr := prKeyCoding(x, 8)
-	bsd := bsdKeyCoding(dx)
-	prd := prdKeyCoding(dx, 8)
 	small := func(n int) int { return rng.Intn(n) }
 	for trial := 0; trial < 50000; trial++ {
 		{
-			a := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1}
-			b := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1}
-			if err := bs.Verify(compareBSKeys, compareBSKeys, a, b); err != nil {
+			a := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1, Role: small(3)}
+			b := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1, Role: small(3)}
+			if err := bs.Verify(compareBSKeys, groupBSKeys, a, b); err != nil {
 				t.Fatal("BSKey:", err)
 			}
 		}
@@ -158,27 +112,15 @@ func TestKeyCodingsRandomMatrix(t *testing.T) {
 				t.Fatal("PRKey:", err)
 			}
 		}
-		{
-			a := BSDKey{Block: small(3), RPart: small(3) - 1, SPart: small(3) - 1, Source: sourceOf(small(2) == 0)}
-			b := BSDKey{Block: small(3), RPart: small(3) - 1, SPart: small(3) - 1, Source: sourceOf(small(2) == 0)}
-			if err := bsd.Verify(compareBSDKeys, groupBSDKeys, a, b); err != nil {
-				t.Fatal("BSDKey:", err)
-			}
-		}
-		{
-			a := PRDKey{Range: small(3), Block: small(3), Source: sourceOf(small(2) == 0), Index: int64(small(4))}
-			b := PRDKey{Range: small(3), Block: small(3), Source: sourceOf(small(2) == 0), Index: int64(small(4))}
-			if err := prd.Verify(comparePRDKeys, groupPRDKeys, a, b); err != nil {
-				t.Fatal("PRDKey:", err)
-			}
-		}
 	}
 }
 
 // TestKeyCodingGuardsDisableOutOfRange pins the guard behaviour: a BDM
 // too large for the packing must disable the coding (nil Encode), never
-// produce a lossy one. Simulated via the r bound, the only guard a test
-// can trip without building a 2^32-block matrix.
+// produce a lossy one. Simulated via the bounds a test can trip without
+// building a 2^32-block matrix: r for PairRange, and the partition count
+// for BlockSplit, whose split components share 32 bits — 65535
+// partitions are coded, 65536 fall back to the comparator.
 func TestKeyCodingGuardsDisableOutOfRange(t *testing.T) {
 	x := mustTestBDM(t)
 	if c := prKeyCoding(x, 1<<31+1); c.Encode != nil {
@@ -186,5 +128,21 @@ func TestKeyCodingGuardsDisableOutOfRange(t *testing.T) {
 	}
 	if c := prKeyCoding(x, 8); c.Encode == nil {
 		t.Error("prKeyCoding: expected enabled coding for small r")
+	}
+	for m, coded := range map[int]bool{4: true, 1<<16 - 1: true, 1 << 16: false} {
+		wide, err := bdm.FromCells(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := bsKeyCoding(wide); (c.Encode != nil) != coded {
+			t.Errorf("bsKeyCoding at m=%d: coded=%v, want %v", m, c.Encode != nil, coded)
+		}
+	}
+	// The widest coded key: its split components still order exactly.
+	c := bsKeyCoding(x)
+	a := BSKey{Block: 1, I: 1<<16 - 2, J: 1<<16 - 3, Role: roleProbe}
+	b := BSKey{Block: 1, I: 1<<16 - 2, J: 1<<16 - 2, Role: roleMember}
+	if err := c.Verify(compareBSKeys, groupBSKeys, a, b); err != nil {
+		t.Error(err)
 	}
 }

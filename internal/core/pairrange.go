@@ -18,6 +18,10 @@ import (
 // range that contains at least one of its pairs, annotated with its
 // block-wise entity index so that the reduce function can recompute pair
 // indexes locally.
+//
+// Over a two-source matrix (Appendix I-B) a block's pairs are its R×S
+// cells, enumerated row-wise instead (see geometry); ranges, routing and
+// the reducer are otherwise the same.
 type PairRange struct{}
 
 // Name implements Strategy.
@@ -113,9 +117,8 @@ type prMapper struct {
 	x      *bdm.Matrix
 	ranges Ranges
 	// entityIndex[k] is the index the next block-k entity of this
-	// partition will receive (Algorithm 2 lines 4-8): the count of
-	// block-k entities in preceding partitions, then incremented per
-	// entity seen.
+	// partition will receive (Algorithm 2 lines 4-8): its partition's
+	// base index in the block, then incremented per entity seen.
 	entityIndex []int64
 	scratch     []int
 }
@@ -126,7 +129,7 @@ func (mp *prMapper) Configure(m, _, partitionIndex int) {
 	}
 	mp.entityIndex = make([]int64, mp.x.NumBlocks())
 	for k := range mp.entityIndex {
-		mp.entityIndex[k] = int64(mp.x.EntityOffset(k, partitionIndex))
+		mp.entityIndex[k] = entityBase(mp.x, k, partitionIndex)
 	}
 }
 
@@ -134,18 +137,15 @@ func (mp *prMapper) Configure(m, _, partitionIndex int) {
 // block-wise index, find all ranges containing one of its pairs, and
 // emit one annotated copy per relevant range.
 func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Entity], rec AnnotatedEntity) {
-	blockKey := rec.Key
-	e := rec.Value
-	k, ok := mp.x.BlockIndex(blockKey)
+	k, ok := mp.x.BlockIndex(rec.Key)
 	if !ok {
-		panic(fmt.Sprintf("core: PairRange: blocking key %q not present in BDM", blockKey))
+		panic(fmt.Sprintf("core: PairRange: blocking key %q not present in BDM", rec.Key))
 	}
 	x := mp.entityIndex[k]
 	mp.entityIndex[k]++
-	n := int64(mp.x.Size(k))
-	mp.scratch = mp.ranges.relevantRanges(x, n, mp.x.PairOffset(k), mp.scratch)
+	mp.scratch = mp.ranges.relevantRanges(geometryOf(mp.x, k), x, mp.x.PairOffset(k), mp.scratch)
 	for _, rg := range mp.scratch {
-		ctx.Emit(PRKey{Range: rg, Block: k, Index: x}, e)
+		ctx.Emit(PRKey{Range: rg, Block: k, Index: x}, rec.Value)
 	}
 }
 
@@ -162,7 +162,8 @@ func (rd *prReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 // group it receives the block's relevant entities in ascending index
 // order — the index travels in each record's key — and compares exactly
 // the candidate pairs (x1, x2), x1 < x2, whose pair index falls into
-// this task's range.
+// this task's range. An entity meets the rows loaded before it if it is
+// the second of any pair, and becomes a row if it is the first of one.
 //
 // Deviation from the paper's listing: when a candidate pair's range
 // exceeds the task's range, the listing returns from the whole reduce
@@ -173,7 +174,7 @@ func (rd *prReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 // search and the run is probed in one call. Completeness is covered by
 // property tests against serial matching.
 func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey, entity.Entity]) {
-	n := int64(rd.x.Size(k.Block))
+	g := geometryOf(rd.x, k.Block)
 	off := rd.x.PairOffset(k.Block)
 	// Comparing pair indexes against the task's [lo, hi) interval avoids
 	// the per-pair division of Ranges.Index: p >= hi iff the pair's range
@@ -181,11 +182,16 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 	// valid p is < P, so the clamped bounds preserve both equivalences).
 	lo, hi := rd.ranges.Bounds(rd.task)
 	rd.begin(len(values))
-	for j, v := range values {
+	for _, v := range values {
 		x2 := v.Key.Index
-		first := sort.Search(j, func(i int) bool { return CellIndex(values[i].Key.Index, x2, n)+off >= lo })
-		end := first + sort.Search(j-first, func(i int) bool { return CellIndex(values[first+i].Key.Index, x2, n)+off >= hi })
-		rd.probe(ctx, v.Value, first, end, true)
+		before, after := g.partners(x2)
+		rows := 0
+		if before > 0 {
+			rows = rd.len()
+		}
+		first := sort.Search(rows, func(i int) bool { return g.pair(values[i].Key.Index, x2)+off >= lo })
+		end := first + sort.Search(rows-first, func(i int) bool { return g.pair(values[first+i].Key.Index, x2)+off >= hi })
+		rd.probe(ctx, v.Value, first, end, after < g.n)
 	}
 	rd.end()
 }
@@ -197,10 +203,10 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 //     size;
 //   - reduce records: for each range and each block it overlaps, the
 //     relevant entities form a union of at most four index intervals
-//     (columns + row segments of the covered triangle region);
+//     (geometry.relevant);
 //   - map emits: the per-partition share of those intervals — entities
 //     of partition p hold the contiguous index interval
-//     [EntityOffset(k,p), EntityOffset(k,p)+|Φk,p|) within block k.
+//     [entityBase(k,p), entityBase(k,p)+|Φk,p|) within block k.
 func (PairRange) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 	if err := validatePlanParams("PairRange", m, r); err != nil {
 		return nil, err
@@ -237,37 +243,19 @@ func (PairRange) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 			if bHi <= bLo {
 				continue
 			}
-			a := max64(lo, bLo) - bLo
-			b := min64(hi, bHi) - bLo
-			ivs := relevantEntities(a, b, int64(x.Size(kk)))
+			ivs := geometryOf(x, kk).relevant(max(lo, bLo)-bLo, min(hi, bHi)-bLo)
 			p.ReduceRecords[j] += intervalsTotal(ivs)
 			// Charge each relevant entity to its owning partition's map
-			// task: partition pi owns index interval [off, off+size).
-			off := int64(0)
+			// task.
 			for pi := 0; pi < m; pi++ {
-				size := int64(x.SizeIn(kk, pi))
-				if size > 0 {
+				if size := int64(x.SizeIn(kk, pi)); size > 0 {
+					base := entityBase(x, kk, pi)
 					for _, iv := range ivs {
-						p.MapEmits[pi] += intersectLen(iv, off, off+size)
+						p.MapEmits[pi] += intersectLen(iv, base, base+size)
 					}
 				}
-				off += size
 			}
 		}
 	}
 	return p, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -11,19 +11,15 @@ import (
 // execution. MatchJob erases the strategy's intermediate key/value
 // types, and a worker must recover them to run typed attempts — this
 // type switch is the closed enumeration of every concrete job shape the
-// strategies build (one case per strategy family).
+// strategies build (one case per strategy).
 func RemoteRunnableFor(j MatchJob) (mapreduce.RemoteRunnable, error) {
 	switch jt := j.(type) {
 	case *mapreduce.Job[AnnotatedEntity, string, entity.Entity, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // Basic
-	case *mapreduce.Job[AnnotatedEntity, BSKey, bsValue, MatchOutput]:
+	case *mapreduce.Job[AnnotatedEntity, BSKey, entity.Entity, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // BlockSplit
 	case *mapreduce.Job[AnnotatedEntity, PRKey, entity.Entity, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // PairRange
-	case *mapreduce.Job[AnnotatedEntity, BSDKey, entity.Entity, MatchOutput]:
-		return mapreduce.NewRemoteRunnable(jt) // DualBlockSplit
-	case *mapreduce.Job[AnnotatedEntity, PRDKey, entity.Entity, MatchOutput]:
-		return mapreduce.NewRemoteRunnable(jt) // DualPairRange
 	default:
 		return nil, fmt.Errorf("core: no remote execution support for match job type %T", j)
 	}

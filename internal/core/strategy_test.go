@@ -75,6 +75,25 @@ func TestStrategyCompleteness(t *testing.T) {
 	}
 }
 
+// TestPlanExecutionEquivalenceFuzz: for random inputs, every plan
+// quantity must equal the executed engine's metrics, for all strategies.
+// internal/mapreduce's test of the same name draws the matrix itself and
+// adds the spilled and dispatched legs.
+func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		n := rng.Intn(150) + 1
+		mm := rng.Intn(6) + 1
+		blocks := rng.Intn(10) + 1
+		r := rng.Intn(15) + 1
+		parts := randomParts(rng, n, mm, blocks)
+		x := mustBDM(t, parts)
+		for _, strat := range []Strategy{Basic{}, BlockSplit{}, PairRange{}} {
+			assertPlanMatchesExecution(t, strat, x, parts, "k", r)
+		}
+	}
+}
+
 // TestPairRangeBalanceBound: PairRange guarantees every reduce task at
 // most ceil(P/r) comparisons.
 func TestPairRangeBalanceBound(t *testing.T) {
@@ -262,9 +281,9 @@ func TestAssignmentDeterminism(t *testing.T) {
 }
 
 // TestAssignmentDenseLookup: the tables the mappers read answer every
-// (k, i, j) as a map of the match tasks does — over the generator of
-// TestPlanExecutionEquivalenceFuzz, whose split blocks often miss a
-// partition — and an unsplit block answers with its one task.
+// (k, i, j) as a map of the match tasks does — over random skewed
+// inputs whose split blocks often miss a partition — and an unsplit
+// block answers with its one task.
 func TestAssignmentDenseLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	split, absent := 0, 0

@@ -15,9 +15,9 @@ func TestRunDualAgainstSerial(t *testing.T) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.003))
 	r, s := datagen.TwoSources(es, 0.5, 5)
 	want, wantComps := SerialMatchDual(r, s, datagen.AttrTitle, datagen.BlockKey(), titleMatcher(0.85))
-	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
+	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
 		res, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(r, 2)), FromPartitions(entity.SplitRoundRobin(s, 2)),
-			DualConfig{
+			Config{
 				Strategy: strat,
 				Attr:     datagen.AttrTitle,
 				BlockKey: datagen.BlockKey(),
@@ -33,22 +33,26 @@ func TestRunDualAgainstSerial(t *testing.T) {
 		if res.Comparisons != wantComps {
 			t.Errorf("%s: %d comparisons, want %d", strat.Name(), res.Comparisons, wantComps)
 		}
-		if res.BDM == nil {
-			t.Errorf("%s: missing dual BDM", strat.Name())
+		// Job 1 ran over both sources, and its matrix is tagged.
+		if res.BDM == nil || !res.BDM.TwoSources() || res.BDMResult == nil || res.BDM.Pairs() != wantComps {
+			t.Errorf("%s: missing or untagged two-source BDM", strat.Name())
 		}
 	}
 }
 
 func TestRunDualValidation(t *testing.T) {
 	parts := entity.SplitRoundRobin(smallDataset(), 1)
-	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), DualConfig{}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{}); err == nil {
 		t.Error("empty config: want error")
 	}
-	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), DualConfig{Strategy: core.BlockSplitDual{}, BlockKey: blocking.Prefix(3)}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.BlockSplit{}, BlockKey: blocking.Prefix(3)}); err == nil {
 		t.Error("R=0: want error")
 	}
-	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), DualConfig{Strategy: core.BlockSplitDual{}, R: 2}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.BlockSplit{}, R: 2}); err == nil {
 		t.Error("nil BlockKey: want error")
+	}
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.Basic{}, BlockKey: blocking.Prefix(3), R: 2}); err == nil {
+		t.Error("Basic needs no BDM to tag: want error")
 	}
 }
 

@@ -7,12 +7,11 @@
 // partitioned input (in-memory slices, streaming CSV, generators), a
 // MatchSink optionally consumes the match stream without accumulating
 // it (constant-memory output), and the RunOptions block embedded by
-// every workflow configuration — one-source, two-source, sorted
-// neighborhood, multi-pass, missing-keys — carries the shared engine
-// plumbing. The entry points (RunPipeline, RunDualPipeline,
-// RunWithMissingKeysPipeline, and the sn/multipass analogues) take the
-// caller's context and cancel between engine tasks. See DESIGN.md,
-// "Pipeline API".
+// every workflow configuration — the pipelines' Config, sorted
+// neighborhood, multi-pass — carries the shared engine plumbing. The
+// entry points (RunPipeline, RunDualPipeline, RunWithMissingKeysPipeline,
+// and the sn/multipass analogues) take the caller's context and cancel
+// between engine tasks. See DESIGN.md, "Pipeline API".
 package er
 
 import (
@@ -76,7 +75,8 @@ type Result struct {
 	// Comparisons is the total number of pair comparisons performed by
 	// the matching job's reduce phase.
 	Comparisons int64
-	// BDM is the block distribution matrix (nil for Basic).
+	// BDM is the block distribution matrix (nil for Basic), source-tagged
+	// for a two-source run.
 	BDM *bdm.Matrix
 	// BDMResult / MatchResult expose the raw outputs and per-task
 	// metrics of the two jobs (BDMResult is nil for Basic).
@@ -180,6 +180,32 @@ func SerialMatch(entities []entity.Entity, attr string, key blocking.KeyFunc, ma
 				if _, ok := match(block[i], block[j]); ok {
 					pairs = append(pairs, core.NewMatchPair(block[i].ID, block[j].ID))
 				}
+			}
+		}
+	}
+	SortMatches(pairs)
+	return pairs, comparisons
+}
+
+// SerialMatchDual is the two-source reference: compare every R entity
+// with every S entity sharing the same blocking key.
+func SerialMatchDual(r, s []entity.Entity, attr string, key blocking.KeyFunc, match core.Matcher) ([]core.MatchPair, int64) {
+	blocksR := make(map[string][]entity.Entity)
+	for _, e := range r {
+		k := key(e.Attr(attr))
+		blocksR[k] = append(blocksR[k], e)
+	}
+	var pairs []core.MatchPair
+	var comparisons int64
+	for _, es := range s {
+		k := key(es.Attr(attr))
+		for _, er := range blocksR[k] {
+			comparisons++
+			if match == nil {
+				continue
+			}
+			if _, ok := match(er, es); ok {
+				pairs = append(pairs, core.NewMatchPair(er.ID, es.ID))
 			}
 		}
 	}

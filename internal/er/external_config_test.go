@@ -15,7 +15,7 @@ import (
 )
 
 // TestConfigSpillBudgetRunsExternal covers the Engine-nil plumbing: a
-// Config/DualConfig with SpillBudget > 0 must run out-of-core (runs
+// Config with SpillBudget > 0, one source or two, must run out-of-core (runs
 // actually spill), produce the same matches as the in-memory default,
 // and leave TmpDir empty.
 func TestConfigSpillBudgetRunsExternal(t *testing.T) {
@@ -63,25 +63,14 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		t.Fatalf("TmpDir not empty after run: %v", ents)
 	}
 
-	// Dual plumbing.
-	dmem, err := er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
-		Strategy: core.PairRangeDual{},
-		Attr:     "title",
-		BlockKey: blocking.NormalizedPrefix(3),
-		Matcher:  matcher,
-		R:        4,
-	})
+	// Two-source plumbing.
+	base.Strategy = core.PairRange{}
+	dmem, err := er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dext, err := er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
-		Strategy:   core.PairRangeDual{},
-		Attr:       "title",
-		BlockKey:   blocking.NormalizedPrefix(3),
-		Matcher:    matcher,
-		R:          4,
-		RunOptions: er.RunOptions{SpillBudget: 32, TmpDir: tmp},
-	})
+	ext.Strategy = core.PairRange{}
+	dext, err := er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), ext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +79,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		druns += dext.MatchResult.MapMetrics[i].SpillRuns
 	}
 	if druns == 0 {
-		t.Fatal("DualConfig SpillBudget did not reach the engine")
+		t.Fatal("two-source SpillBudget did not reach the engine")
 	}
 	if !reflect.DeepEqual(dmem.Matches, dext.Matches) {
 		t.Fatal("dual external config run diverges from in-memory run")

@@ -119,36 +119,47 @@ func erFaults() []erFault {
 	}
 }
 
-// TestERChaosDifferential runs the full two-job pipeline under a
-// seeded random fault schedule (every hook point of every attempt may
-// fail, final attempts excepted) and requires the byte-identical
-// Result. The chaos-smoke CI job randomizes -chaos-seed.
+// TestERChaosDifferential runs the full two-job pipeline, over one
+// source and over two, under a seeded random fault schedule (every hook
+// point of every attempt may fail, final attempts excepted) and
+// requires the byte-identical Result. The chaos-smoke CI job randomizes
+// -chaos-seed.
 func TestERChaosDifferential(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 3)
+	inputs := map[string]func(cfg er.Config) (*er.Result, error){
+		"one source": func(cfg er.Config) (*er.Result, error) {
+			return er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
+		},
+		"two sources": func(cfg er.Config) (*er.Result, error) {
+			return er.RunDualPipeline(context.Background(), er.FromPartitions(parts[:1]), er.FromPartitions(parts[1:]), cfg)
+		},
+	}
 	for dname, spilling := range residencies {
 		t.Run(dname, func(t *testing.T) {
-			cfg := baseConfig(core.BlockSplit{}, 4)
-			cfg.Engine = faultEngine(t, spilling)
-			baseline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			zeroHistory(baseline)
+			for iname, run := range inputs {
+				cfg := baseConfig(core.BlockSplit{}, 4)
+				cfg.Engine = faultEngine(t, spilling)
+				baseline, err := run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zeroHistory(baseline)
 
-			before := testleak.Snapshot()
-			cfg = baseConfig(core.BlockSplit{}, 4)
-			eng := faultEngine(t, spilling)
-			eng.Retry.BaseBackoff = 1
-			eng.FaultHook = mapreduce.ChaosHook(*chaosSeed, 0.3, 0)
-			cfg.Engine = eng
-			res, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-			if err != nil {
-				t.Fatalf("chaos-seed=%d: %v", *chaosSeed, err)
-			}
-			testleak.Check(t, before)
-			zeroHistory(res)
-			if !reflect.DeepEqual(res, baseline) {
-				t.Fatalf("chaos-seed=%d: chaotic pipeline diverges from fault-free run", *chaosSeed)
+				before := testleak.Snapshot()
+				cfg = baseConfig(core.BlockSplit{}, 4)
+				eng := faultEngine(t, spilling)
+				eng.Retry.BaseBackoff = 1
+				eng.FaultHook = mapreduce.ChaosHook(*chaosSeed, 0.3, 0)
+				cfg.Engine = eng
+				res, err := run(cfg)
+				if err != nil {
+					t.Fatalf("%s: chaos-seed=%d: %v", iname, *chaosSeed, err)
+				}
+				testleak.Check(t, before)
+				zeroHistory(res)
+				if !reflect.DeepEqual(res, baseline) {
+					t.Fatalf("%s: chaos-seed=%d: chaotic pipeline diverges from fault-free run", iname, *chaosSeed)
+				}
 			}
 		})
 	}

@@ -35,19 +35,8 @@ type MissingKeyResult struct {
 	// (Cross/NoKey are nil when R∅ is empty; Keyed is nil when no
 	// entity has a key).
 	Keyed *Result
-	Cross *DualResult
+	Cross *Result
 	NoKey *Result
-}
-
-// dualStrategyFor pairs each one-source strategy with its two-source
-// counterpart for the Cartesian cross part. Basic has no dual variant in
-// the paper; BlockSplitDual degenerates gracefully (one block) and keeps
-// the Cartesian product balanced, so it serves as Basic's stand-in.
-func dualStrategyFor(s core.Strategy) core.DualStrategy {
-	if _, ok := s.(core.PairRange); ok {
-		return core.PairRangeDual{}
-	}
-	return core.BlockSplitDual{}
 }
 
 // RunWithMissingKeysPipeline runs the full decomposition over the
@@ -105,17 +94,16 @@ func RunWithMissingKeysPipeline(ctx context.Context, src Source, cfg Config) (*M
 		add(res.Matches)
 	}
 
-	// Part 2: R∅ × (R−R∅) under the constant key ⊥ (two sources).
+	// Part 2: R∅ × (R−R∅) under the constant key ⊥ (two sources). Basic
+	// needs no BDM to tag sources with; BlockSplit, which keeps the
+	// Cartesian product balanced, stands in for it.
 	if nNoKey > 0 && nKeyed > 0 {
-		res, err := RunDualPipeline(ctx, FromPartitions(compact(noKey)), FromPartitions(compact(keyed)), DualConfig{
-			RunOptions:      cfg.RunOptions,
-			Strategy:        dualStrategyFor(cfg.Strategy),
-			Attr:            cfg.Attr,
-			BlockKey:        blocking.Constant(noKeySentinel),
-			Matcher:         cfg.Matcher,
-			PreparedMatcher: cfg.PreparedMatcher,
-			R:               cfg.R,
-		})
+		cross := cfg
+		cross.BlockKey = blocking.Constant(noKeySentinel)
+		if !cross.Strategy.NeedsBDM() {
+			cross.Strategy = core.BlockSplit{}
+		}
+		res, err := RunDualPipeline(ctx, FromPartitions(compact(noKey)), FromPartitions(compact(keyed)), cross)
 		if err != nil {
 			return nil, fmt.Errorf("er: missing-keys decomposition, cross part: %w", err)
 		}

@@ -180,14 +180,35 @@ func TestRunWithMissingKeysSingleNoKeyEntity(t *testing.T) {
 	}
 }
 
-func TestDualStrategyFor(t *testing.T) {
-	if _, ok := dualStrategyFor(core.PairRange{}).(core.PairRangeDual); !ok {
-		t.Error("PairRange should map to PairRangeDual")
+// TestMissingKeysCrossHonoursMemoryCap: the cross part runs the
+// configured strategy, so BlockSplit's memory cap splits the ⊥ block —
+// the run's largest — even at r = 1, and the matches stay those of the
+// uncapped run. Basic needs no BDM; BlockSplit stands in for it there.
+func TestMissingKeysCrossHonoursMemoryCap(t *testing.T) {
+	es := missingKeyDataset(rand.New(rand.NewSource(7)), 80)
+	parts := FromPartitions(entity.SplitRoundRobin(es, 3))
+	run := func(strat core.Strategy) *MissingKeyResult {
+		t.Helper()
+		res, err := RunWithMissingKeysPipeline(context.Background(), parts, Config{
+			Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchSameTail, R: 1,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
+		}
+		return res
 	}
-	if _, ok := dualStrategyFor(core.BlockSplit{}).(core.BlockSplitDual); !ok {
-		t.Error("BlockSplit should map to BlockSplitDual")
+	want := run(core.BlockSplit{})
+	if got := want.Cross.MatchResult.ReduceMetrics[0].InputGroups; got != 1 {
+		t.Fatalf("uncapped cross part ran %d groups, want the ⊥ block whole", got)
 	}
-	if _, ok := dualStrategyFor(core.Basic{}).(core.BlockSplitDual); !ok {
-		t.Error("Basic should fall back to BlockSplitDual")
+	for _, strat := range []core.Strategy{core.BlockSplit{MaxEntitiesPerTask: 10}, core.Basic{}} {
+		got := run(strat)
+		groups := got.Cross.MatchResult.ReduceMetrics[0].InputGroups
+		if _, capped := strat.(core.BlockSplit); capped && groups <= 1 {
+			t.Errorf("%+v: the cross part ran %d group, want the ⊥ block split", strat, groups)
+		}
+		if !reflect.DeepEqual(got.Matches, want.Matches) || got.Comparisons != want.Comparisons {
+			t.Errorf("%+v: %d matches, %d comparisons; uncapped BlockSplit %d, %d", strat, len(got.Matches), got.Comparisons, len(want.Matches), want.Comparisons)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package er
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"repro/internal/bdm"
 	"repro/internal/core"
@@ -127,6 +129,38 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runPipeline(ctx, parts, nil, cfg)
+}
+
+// RunDualPipeline executes the two-source (R×S) workflow of Appendix I:
+// RunPipeline over R's partitions followed by S's, with the BDM tagging
+// each partition's source so that only pairs across the sources are
+// compared. The strategy must need the BDM (BlockSplit, PairRange).
+func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg Config) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if !cfg.Strategy.NeedsBDM() {
+		return nil, fmt.Errorf("er: %s needs no BDM, so it cannot match two sources", cfg.Strategy.Name())
+	}
+	partsR, err := srcR.Partitions()
+	if err != nil {
+		return nil, err
+	}
+	partsS, err := srcS.Partitions()
+	if err != nil {
+		return nil, err
+	}
+	sources := make([]bdm.Source, len(partsR)+len(partsS))
+	for i := len(partsR); i < len(sources); i++ {
+		sources[i] = bdm.SourceS
+	}
+	return runPipeline(ctx, slices.Concat(partsR, partsS), sources, cfg)
+}
+
+// runPipeline is the body of both entry points; sources tags the
+// partitions for two-source matching (nil = one source).
+func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Source, cfg Config) (*Result, error) {
 	eng := cfg.ResolveEngine()
 	res := &Result{}
 
@@ -140,6 +174,11 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 		})
 		if err != nil {
 			return nil, err
+		}
+		if sources != nil {
+			if matrix, err = matrix.WithSources(sources); err != nil {
+				return nil, err
+			}
 		}
 		res.BDM = matrix
 		res.BDMResult = bdmRes
@@ -160,47 +199,4 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	res.Comparisons = matchRes.Counter(core.ComparisonsCounter)
 	res.Matches = matches
 	return res, nil
-}
-
-// RunDualPipeline executes the two-source (R×S) workflow of Appendix I
-// over the two sources' partitions; see RunPipeline for the execution
-// semantics. As in the paper, every partition holds entities of exactly
-// one source; partition indexes are assigned R-first, then S.
-func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg DualConfig) (*DualResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	partsR, err := srcR.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	partsS, err := srcS.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	eng := cfg.ResolveEngine()
-	parts := append(append(entity.Partitions{}, partsR...), partsS...)
-	sources := make([]bdm.Source, len(parts))
-	for i := range partsS {
-		sources[len(partsR)+i] = bdm.SourceS
-	}
-
-	matrix, err := bdm.FromDualPartitions(parts, sources, cfg.Attr, cfg.BlockKey)
-	if err != nil {
-		return nil, err
-	}
-	job, err := buildDualMatchJob(cfg, matrix)
-	if err != nil {
-		return nil, err
-	}
-	matchRes, matches, err := runMatchJob(ctx, eng, job, AnnotateInput(parts, cfg.Attr, cfg.BlockKey), cfg.Sink)
-	if err != nil {
-		return nil, err
-	}
-	return &DualResult{
-		Matches:     matches,
-		Comparisons: matchRes.Counter(core.ComparisonsCounter),
-		BDM:         matrix,
-		MatchResult: matchRes,
-	}, nil
 }

@@ -259,12 +259,7 @@ func TestPipelineCancelled(t *testing.T) {
 			return err
 		},
 		"dual": func() error {
-			_, err := er.RunDualPipeline(ctx, er.FromPartitions(parts[:1]), er.FromPartitions(parts[1:]), er.DualConfig{
-				Strategy: core.PairRangeDual{},
-				Attr:     datagen.AttrTitle,
-				BlockKey: datagen.BlockKey(),
-				R:        2,
-			})
+			_, err := er.RunDualPipeline(ctx, er.FromPartitions(parts[:1]), er.FromPartitions(parts[1:]), baseConfig(core.PairRange{}, 2))
 			return err
 		},
 		"missingkeys": func() error {

@@ -155,15 +155,16 @@ func TestPreparedMatcherDifferentialTokenKernels(t *testing.T) {
 	}
 }
 
-// TestPreparedMatcherDualDifferential covers both two-source strategies.
+// TestPreparedMatcherDualDifferential covers both strategies over two
+// sources.
 func TestPreparedMatcherDualDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7777))
 	es := randEntities(rng, 150)
 	rsrc, ssrc := es[:90], es[90:]
 	key := blocking.NormalizedPrefix(2)
-	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
+	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
 		plainRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
-			DualConfig{
+			Config{
 				Strategy: strat, Attr: "title", BlockKey: key,
 				Matcher: plainEditDistance("title", 0.6), R: 4,
 			})
@@ -171,7 +172,7 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 			t.Fatalf("%s plain: %v", strat.Name(), err)
 		}
 		preparedRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
-			DualConfig{
+			Config{
 				Strategy: strat, Attr: "title", BlockKey: key,
 				PreparedMatcher: match.EditDistance("title", 0.6), R: 4,
 			})
@@ -260,7 +261,8 @@ func blockKernelEngines(t *testing.T) map[string]func() *mapreduce.Engine {
 // over the same matcher's per-pair MatchPrepared, and the adapter block
 // over a hand-written plain Matcher produce identical full Results —
 // matches, similarities in emit order, and every TaskMetrics field —
-// for all five strategies on the typed and the external dataflow.
+// for every strategy over one source and, where it uses the BDM, two,
+// on the typed and the external dataflow.
 func TestBlockKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
 	es := mixedEntities(rng, 220)
@@ -282,43 +284,37 @@ func TestBlockKernelDifferential(t *testing.T) {
 	if _, ok := forms[1].prepared.(core.BlockMatcher); ok {
 		t.Fatal("perPairOnly must hide the native block")
 	}
+	inputs := map[string]func(cfg Config) (*Result, error){
+		"one source": func(cfg Config) (*Result, error) {
+			return RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 4)), cfg)
+		},
+		"two sources": func(cfg Config) (*Result, error) {
+			return RunDualPipeline(context.Background(),
+				FromPartitions(entity.SplitRoundRobin(es[:130], 2)), FromPartitions(entity.SplitRoundRobin(es[130:], 3)), cfg)
+		},
+	}
 	for ename, newEngine := range blockKernelEngines(t) {
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			var want *Result
-			for _, f := range forms {
-				cfg := Config{Strategy: strat, Attr: "title", BlockKey: key, R: 5,
-					Matcher: f.plain, PreparedMatcher: f.prepared}
-				cfg.Engine = newEngine()
-				got, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 4)), cfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", ename, strat.Name(), f.name, err)
+			for iname, run := range inputs {
+				if iname == "two sources" && !strat.NeedsBDM() {
+					continue
 				}
-				if want == nil {
-					if want = got; len(want.Matches) == 0 {
-						t.Fatalf("%s/%s: differential vacuous, no matches", ename, strat.Name())
+				var want *Result
+				for _, f := range forms {
+					cfg := Config{Strategy: strat, Attr: "title", BlockKey: key, R: 5,
+						Matcher: f.plain, PreparedMatcher: f.prepared}
+					cfg.Engine = newEngine()
+					got, err := run(cfg)
+					if err != nil {
+						t.Fatalf("%s/%s/%s/%s: %v", ename, strat.Name(), iname, f.name, err)
 					}
-				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: %s diverges from %s", ename, strat.Name(), f.name, forms[0].name)
-				}
-			}
-		}
-		for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
-			var want *DualResult
-			for _, f := range forms {
-				cfg := DualConfig{Strategy: strat, Attr: "title", BlockKey: key, R: 4,
-					Matcher: f.plain, PreparedMatcher: f.prepared}
-				cfg.Engine = newEngine()
-				got, err := RunDualPipeline(context.Background(),
-					FromPartitions(entity.SplitRoundRobin(es[:130], 2)), FromPartitions(entity.SplitRoundRobin(es[130:], 3)), cfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", ename, strat.Name(), f.name, err)
-				}
-				if want == nil {
-					if want = got; len(want.Matches) == 0 {
-						t.Fatalf("%s/%s: differential vacuous, no matches", ename, strat.Name())
+					if want == nil {
+						if want = got; len(want.Matches) == 0 {
+							t.Fatalf("%s/%s/%s: differential vacuous, no matches", ename, strat.Name(), iname)
+						}
+					} else if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s/%s: %s diverges from %s", ename, strat.Name(), iname, f.name, forms[0].name)
 					}
-				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: %s diverges from %s", ename, strat.Name(), f.name, forms[0].name)
 				}
 			}
 		}

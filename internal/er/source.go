@@ -11,7 +11,7 @@ import (
 // Source supplies a pipeline's partitioned input. The partition count
 // determines m, the number of map tasks; a Source just abstracts where
 // those partitions come from — an in-memory slice, a
-// CSV stream, a data generator — so every pipeline (one-source, dual,
+// CSV stream, a data generator — so every pipeline (one-source, two-source,
 // sorted neighborhood, multi-pass, missing-keys) consumes one input
 // shape.
 //

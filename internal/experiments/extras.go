@@ -19,8 +19,8 @@ import (
 // AppendixDual exercises the two-source extension of Appendix I (the
 // paper describes the dataflow but reports no measurements): it splits
 // the DS1 stand-in into two overlapping sources and reports, per reduce
-// task count, the cross-source pair count and each dual strategy's
-// straggler factor (max/mean reduce load) and Gini coefficient.
+// task count, the cross-source pair count and each strategy's straggler
+// factor (max/mean reduce load) and Gini coefficient.
 func AppendixDual(ctx context.Context, o Options) (*report.Table, error) {
 	es := ds1(o)
 	r1, s1 := datagen.TwoSources(es, 0.5, 17)
@@ -29,7 +29,10 @@ func AppendixDual(ctx context.Context, o Options) (*report.Table, error) {
 	for i := 10; i < 20; i++ {
 		sources[i] = bdm.SourceS
 	}
-	x, err := bdm.FromDualPartitions(parts, sources, datagen.AttrTitle, datagen.BlockKey())
+	x, err := bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey())
+	if err == nil {
+		x, err = x.WithSources(sources)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -41,8 +44,8 @@ func AppendixDual(ctx context.Context, o Options) (*report.Table, error) {
 	}
 	for _, r := range []int{10, 20, 40, 80, 160} {
 		row := []any{r}
-		for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
-			plan, err := strat.Plan(x, r)
+		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
+			plan, err := strat.Plan(x, len(parts), r)
 			if err != nil {
 				return nil, err
 			}

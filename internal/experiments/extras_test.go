@@ -17,13 +17,13 @@ func TestAppendixDual(t *testing.T) {
 		// PairRange stays essentially perfectly balanced at every r.
 		pr := parseFloat(t, row[3])
 		if pr > 1.05 {
-			t.Errorf("r=%s: PairRangeDual max/mean = %g, want ~1", row[0], pr)
+			t.Errorf("r=%s: two-source PairRange max/mean = %g, want ~1", row[0], pr)
 		}
 		// BlockSplit's balance is never catastrophic (its match-task
 		// granularity bounds the straggler).
 		bs := parseFloat(t, row[1])
 		if bs > 5 {
-			t.Errorf("r=%s: BlockSplitDual max/mean = %g", row[0], bs)
+			t.Errorf("r=%s: two-source BlockSplit max/mean = %g", row[0], bs)
 		}
 	}
 }

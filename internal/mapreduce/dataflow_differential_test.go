@@ -7,13 +7,15 @@ package mapreduce_test
 // The comparison covers the complete Result — raw job outputs, side
 // outputs, comparison counts and every TaskMetrics field of the
 // differential contract — across Basic/BlockSplit/PairRange × 1..4 map
-// partitions × 1..8 reduce tasks and both dual-source strategies, each
-// with sequential (Parallelism 1) and concurrent (Parallelism 4)
-// execution. The reference sorts by Compare and groups by Group alone,
-// so this is also the proof that the strategies' key codes order and
-// group their keys exactly as their comparators do.
+// partitions × 1..8 reduce tasks, and BlockSplit/PairRange over two
+// sources in 2..4 partitions, each with sequential (Parallelism 1) and
+// concurrent (Parallelism 4) execution. The reference sorts by Compare
+// and groups by Group alone, so this is also the proof that the
+// strategies' key codes order and group their keys exactly as their
+// comparators do.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -62,26 +64,83 @@ func checkMatchJob(t *testing.T, name string, job core.MatchJob, par int, input 
 	}
 }
 
-// checkStrategyMatrix holds both jobs of the one-source workflow to the
-// reference for every strategy × 1..4 map partitions × 1..8 reduce tasks.
-func checkStrategyMatrix(t *testing.T, pars []int, combiner bool) {
-	es := skewedEntities()
+// strategyInput is one input of the strategy tables: skewedEntities in
+// m partitions of one source, or dualCatalog's R partitions followed by
+// its S partitions — the layout er.RunDualPipeline gives them.
+type strategyInput struct {
+	name  string
+	parts entity.Partitions
+	mR    int // two sources: the first mR partitions hold R; 0 = one source
+}
+
+// strategyInputs are m = 1..4 partitions of one source or, with two,
+// 1..2 + 1..2 partitions of two.
+func strategyInputs(two bool) []strategyInput {
+	var ins []strategyInput
+	if !two {
+		for m := 1; m <= 4; m++ {
+			ins = append(ins, strategyInput{name: fmt.Sprintf("m=%d", m), parts: entity.SplitRoundRobin(skewedEntities(), m)})
+		}
+		return ins
+	}
+	esR, esS := dualCatalog()
+	for mR := 1; mR <= 2; mR++ {
+		for mS := 1; mS <= 2; mS++ {
+			parts := append(entity.SplitRoundRobin(esR, mR), entity.SplitRoundRobin(esS, mS)...)
+			ins = append(ins, strategyInput{name: fmt.Sprintf("mR=%d/mS=%d", mR, mS), parts: parts, mR: mR})
+		}
+	}
+	return ins
+}
+
+// sources returns the input's source tags, nil for one source.
+func (in strategyInput) sources() []bdm.Source {
+	if in.mR == 0 {
+		return nil
+	}
+	sources := make([]bdm.Source, len(in.parts))
+	for p := in.mR; p < len(sources); p++ {
+		sources[p] = bdm.SourceS
+	}
+	return sources
+}
+
+// run runs the whole pipeline over the input.
+func (in strategyInput) run(cfg er.Config) (*er.Result, error) {
+	if in.mR == 0 {
+		return er.RunPipeline(context.Background(), er.FromPartitions(in.parts), cfg)
+	}
+	return er.RunDualPipeline(context.Background(), er.FromPartitions(in.parts[:in.mR]), er.FromPartitions(in.parts[in.mR:]), cfg)
+}
+
+// checkStrategyMatrix holds both jobs of the workflow to the reference
+// for every strategy × input × 1..8 reduce tasks; the strategies that
+// need no BDM match one source only.
+func checkStrategyMatrix(t *testing.T, ins []strategyInput, pars []int, combiner bool) {
 	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
-	for m := 1; m <= 4; m++ {
-		parts := entity.SplitRoundRobin(es, m)
+	for _, in := range ins {
 		for r := 1; r <= 8; r++ {
 			for _, strat := range strategies {
+				if in.mR > 0 && !strat.NeedsBDM() {
+					continue
+				}
 				for _, par := range pars {
-					name := fmt.Sprintf("%s/m=%d/r=%d/par=%d/combiner=%v", strat.Name(), m, r, par, combiner)
+					name := fmt.Sprintf("%s/%s/r=%d/par=%d/combiner=%v", strat.Name(), in.name, r, par, combiner)
 					var matrix *bdm.Matrix
-					input := er.AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
+					input := er.AnnotateInput(in.parts, "title", blocking.NormalizedPrefix(3))
 					if strat.NeedsBDM() {
-						matrix, input = checkBDMJob(t, name, parts, bdm.JobOptions{
+						matrix, input = checkBDMJob(t, name, in.parts, bdm.JobOptions{
 							Attr:           "title",
 							KeyFunc:        blocking.NormalizedPrefix(3),
 							NumReduceTasks: r,
 							UseCombiner:    combiner,
 						}, par)
+					}
+					var err error
+					if sources := in.sources(); sources != nil {
+						if matrix, err = matrix.WithSources(sources); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
 					}
 					job, err := strat.Job(matrix, r, titleMatcher(0.85))
 					if err != nil {
@@ -95,12 +154,16 @@ func checkStrategyMatrix(t *testing.T, pars []int, combiner bool) {
 }
 
 func TestDataflowDifferentialStrategies(t *testing.T) {
-	checkStrategyMatrix(t, []int{1, 4}, true)
+	checkStrategyMatrix(t, strategyInputs(false), []int{1, 4}, true)
+}
+
+func TestDataflowDifferentialDualStrategies(t *testing.T) {
+	checkStrategyMatrix(t, strategyInputs(true), []int{1, 4}, true)
 }
 
 // dualCatalog builds a skewed two-source catalog: a dominant shared
 // block, mid-size blocks, and blocks existing in only one source (which
-// the dual strategies must skip entirely).
+// a two-source run must skip entirely).
 func dualCatalog() (partsR, partsS []entity.Entity) {
 	add := func(dst *[]entity.Entity, n int, stem string) {
 		for i := 0; i < n; i++ {
@@ -120,40 +183,6 @@ func dualCatalog() (partsR, partsS []entity.Entity) {
 	add(&partsR, 1, "leica m11")  // cross-source singleton pair
 	add(&partsS, 1, "leica m11")
 	return partsR, partsS
-}
-
-func TestDataflowDifferentialDualStrategies(t *testing.T) {
-	esR, esS := dualCatalog()
-	strategies := []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}}
-	for mR := 1; mR <= 2; mR++ {
-		partsR := entity.SplitRoundRobin(esR, mR)
-		for mS := 1; mS <= 2; mS++ {
-			// Partition indexes are assigned R-first, then S, as
-			// er.RunDualPipeline lays them out.
-			parts := append(append(entity.Partitions{}, partsR...), entity.SplitRoundRobin(esS, mS)...)
-			sources := make([]bdm.Source, len(parts))
-			for i := mR; i < len(sources); i++ {
-				sources[i] = bdm.SourceS
-			}
-			matrix, err := bdm.FromDualPartitions(parts, sources, "title", blocking.NormalizedPrefix(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			input := er.AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
-			for r := 1; r <= 8; r++ {
-				for _, strat := range strategies {
-					for _, par := range []int{1, 4} {
-						name := fmt.Sprintf("%s/mR=%d/mS=%d/r=%d/par=%d", strat.Name(), mR, mS, r, par)
-						job, err := strat.Job(matrix, r, titleMatcher(0.85))
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						checkMatchJob(t, name, job, par, input)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestDataflowDifferentialSideOutput pins the side-output path (the BDM
@@ -180,6 +209,8 @@ func TestDataflowDifferentialSideOutput(t *testing.T) {
 // right after it, after byte 16 (where the sort's prefix code ends too)
 // or only in length, the empty key, and more distinct keys per task than
 // the table starts with room for, so that it grows with all of them in it.
+// Over two sources the job is the same; its matrix, tagged, is the
+// direct one tagged.
 func TestBDMJobCountTableAgainstReference(t *testing.T) {
 	var keys []string
 	for i := 0; i < 150; i++ {
@@ -204,6 +235,19 @@ func TestBDMJobCountTableAgainstReference(t *testing.T) {
 		}
 		if got.NumBlocks() != len(keys) || !reflect.DeepEqual(got.Cells(), want.Cells()) {
 			t.Fatalf("%s: the job's matrix has %d blocks and differs from the direct one's %d", name, got.NumBlocks(), want.NumBlocks())
+		}
+		sources := make([]bdm.Source, m)
+		sources[m-1] = bdm.SourceS
+		gotTagged, err := got.WithSources(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTagged, err := want.WithSources(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotTagged, wantTagged) {
+			t.Fatalf("%s: the job's two-source matrix differs from the direct one", name)
 		}
 	}
 }

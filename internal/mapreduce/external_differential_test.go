@@ -7,10 +7,11 @@ package mapreduce_test
 // comparison covers the complete Result — match pairs, comparison
 // counts, raw job outputs, side outputs, and every TaskMetrics field
 // except the external-only spill counters — across Basic/BlockSplit/
-// PairRange × 1..4 map partitions × 1..8 reduce tasks (UseCombiner on) and
-// both dual-source strategies, each with sequential and concurrent
-// execution. This is the proof that moving the shuffle to disk changed
-// the residency of the intermediate records and nothing else.
+// PairRange × 1..4 map partitions × 1..8 reduce tasks (UseCombiner on),
+// and BlockSplit/PairRange over two sources, each with sequential and
+// concurrent execution. This is the proof that moving the shuffle to
+// disk changed the residency of the intermediate records and nothing
+// else.
 
 import (
 	"context"
@@ -53,15 +54,27 @@ func clearResultSpillCounters(m *mapreduce.Metrics) {
 }
 
 func TestExternalDifferentialStrategies(t *testing.T) {
-	es := skewedEntities()
+	checkExternalStrategies(t, strategyInputs(false))
+}
+
+func TestExternalDifferentialDualStrategies(t *testing.T) {
+	checkExternalStrategies(t, strategyInputs(true))
+}
+
+// checkExternalStrategies holds every strategy's spilled pipeline over
+// ins to its in-memory one; the strategies that need no BDM match one
+// source only.
+func checkExternalStrategies(t *testing.T, ins []strategyInput) {
 	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
 	tmp := t.TempDir()
-	for m := 1; m <= 4; m++ {
-		parts := entity.SplitRoundRobin(es, m)
+	for _, in := range ins {
 		for r := 1; r <= 8; r++ {
 			for _, strat := range strategies {
+				if in.mR > 0 && !strat.NeedsBDM() {
+					continue
+				}
 				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%s/m=%d/r=%d/par=%d", strat.Name(), m, r, par)
+					name := fmt.Sprintf("%s/%s/r=%d/par=%d", strat.Name(), in.name, r, par)
 					cfg := er.Config{
 						Strategy:    strat,
 						Attr:        "title",
@@ -72,7 +85,7 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: par}
-					typed, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
+					typed, err := in.run(cfg)
 					if err != nil {
 						t.Fatalf("%s: typed run: %v", name, err)
 					}
@@ -82,7 +95,7 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 						SpillBudget: tinySpillBudget,
 						TmpDir:      tmp,
 					}
-					ext, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
+					ext, err := in.run(cfg)
 					if err != nil {
 						t.Fatalf("%s: external run: %v", name, err)
 					}
@@ -113,64 +126,6 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 		}
 	}
 	// Every Run removed its spill directory.
-	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
-		t.Fatalf("spill temp dir not empty after runs: %v (err %v)", ents, err)
-	}
-}
-
-func TestExternalDifferentialDualStrategies(t *testing.T) {
-	esR, esS := dualCatalog()
-	strategies := []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}}
-	tmp := t.TempDir()
-	for mR := 1; mR <= 2; mR++ {
-		partsR := entity.SplitRoundRobin(esR, mR)
-		for mS := 1; mS <= 2; mS++ {
-			partsS := entity.SplitRoundRobin(esS, mS)
-			for r := 1; r <= 8; r++ {
-				for _, strat := range strategies {
-					for _, par := range []int{1, 4} {
-						name := fmt.Sprintf("%s/mR=%d/mS=%d/r=%d/par=%d", strat.Name(), mR, mS, r, par)
-						cfg := er.DualConfig{
-							Strategy: strat,
-							Attr:     "title",
-							BlockKey: blocking.NormalizedPrefix(3),
-							Matcher:  titleMatcher(0.85),
-							R:        r,
-						}
-
-						cfg.Engine = &mapreduce.Engine{Parallelism: par}
-						typed, err := er.RunDualPipeline(context.Background(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
-						if err != nil {
-							t.Fatalf("%s: typed run: %v", name, err)
-						}
-
-						cfg.Engine = &mapreduce.Engine{
-							Parallelism: par,
-							SpillBudget: tinySpillBudget,
-							TmpDir:      tmp,
-						}
-						ext, err := er.RunDualPipeline(context.Background(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
-						if err != nil {
-							t.Fatalf("%s: external run: %v", name, err)
-						}
-
-						assertSpilled(t, name, ext.MatchResult.MapMetrics, 4)
-						clearResultSpillCounters(&ext.MatchResult.Metrics)
-
-						if !reflect.DeepEqual(typed.Matches, ext.Matches) {
-							t.Errorf("%s: match pairs diverge between dataflows", name)
-						}
-						if typed.Comparisons != ext.Comparisons {
-							t.Errorf("%s: comparisons %d (typed) != %d (external)", name, typed.Comparisons, ext.Comparisons)
-						}
-						if !reflect.DeepEqual(typed.MatchResult, ext.MatchResult) {
-							t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between dataflows", name)
-						}
-					}
-				}
-			}
-		}
-	}
 	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
 		t.Fatalf("spill temp dir not empty after runs: %v (err %v)", ents, err)
 	}

@@ -141,34 +141,18 @@ type drawnMatrix interface {
 // strategies' API.
 func drawnJob(t *testing.T, strat core.Strategy, parts entity.Partitions, sources []bdm.Source, r int) (drawnMatrix, *core.Plan, core.MatchJob) {
 	t.Helper()
-	if sources == nil {
-		x, err := bdm.FromPartitions(parts, "k", blocking.Identity())
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := strat.Plan(x, len(parts), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := strat.Job(x, r, matchAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x, plan, job
+	x, err := bdm.FromPartitions(parts, "k", blocking.Identity())
+	if err == nil && sources != nil {
+		x, err = x.WithSources(sources)
 	}
-	x, err := bdm.FromDualPartitions(parts, sources, "k", blocking.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dual core.DualStrategy = core.BlockSplitDual{}
-	if _, ok := strat.(core.PairRange); ok {
-		dual = core.PairRangeDual{}
-	}
-	plan, err := dual.Plan(x, r)
+	plan, err := strat.Plan(x, len(parts), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := dual.Job(x, r, matchAll)
+	job, err := strat.Job(x, r, matchAll)
 	if err != nil {
 		t.Fatal(err)
 	}

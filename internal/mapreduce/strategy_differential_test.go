@@ -43,7 +43,7 @@ func skewedEntities() []entity.Entity {
 }
 
 func TestStrategyMatrixShuffleDifferential(t *testing.T) {
-	checkStrategyMatrix(t, []int{2}, false)
+	checkStrategyMatrix(t, append(strategyInputs(false), strategyInputs(true)...), []int{2}, false)
 }
 
 // TestShuffleMaxGroupRecordsMatchesBlockSizes pins the semantics of the
