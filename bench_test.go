@@ -601,47 +601,55 @@ func BenchmarkSimilarityKernels(b *testing.B) {
 			similarity.Prepare(near1)
 		}
 	})
-	// One 1,300-row reduce group decided both ways, on the two title
-	// shapes that stress opposite ends of the filter chain: uniform random
-	// letters (benchmark/gen.go's shape — few repeated letters, the bit
-	// planes decide nearly everything) and dictionary words (English
-	// letter frequencies — 'e', 't' and the space saturate the planes and
-	// the full-count histogram has to carry the bag filter).
+	// Reduce groups decided both ways, on the two title shapes that
+	// stress opposite ends of the filter chain: uniform random letters
+	// (benchmark/gen.go's shape — few repeated letters, the bit planes
+	// decide nearly everything) and dictionary words (English letter
+	// frequencies — 'e', 't' and the space saturate the planes and the
+	// full-count histogram has to carry the bag filter). The skew
+	// workloads' groups are ~1,300 rows; the flat ones' are ~8, where the
+	// per-group cost of the block's length buckets shows.
 	th := similarity.NewThresholder(0.8)
 	for _, shape := range []struct {
 		name   string
 		titles []string
+		group  int
 	}{
-		{"random-letters", randomLetterTitles(1300)},
-		{"english-8-words", englishTitles(1300, 8)},
-		{"english-16-words", englishTitles(1300, 16)},
+		{"random-letters", randomLetterTitles(1300), 1300},
+		{"random-letters-8-row-groups", randomLetterTitles(1296), 8},
+		{"english-8-words", englishTitles(1300, 8), 1300},
+		{"english-16-words", englishTitles(1300, 16), 1300},
 	} {
-		titles := shape.titles
-		pairs := float64(len(titles) * (len(titles) - 1) / 2)
+		titles, group := shape.titles, shape.group
+		pairs := float64(len(titles) / group * group * (group - 1) / 2)
 		b.Run("LevBlock/"+shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var blk similarity.LevBlock
 			for i := 0; i < b.N; i++ {
-				blk.Use(th)
-				for _, s := range titles {
-					blk.Probe(s, 0, blk.Len(), true)
+				for g := 0; g+group <= len(titles); g += group {
+					blk.Use(th)
+					for _, s := range titles[g : g+group] {
+						blk.Probe(s, 0, blk.Len(), true)
+					}
+					blk.Reset()
 				}
-				blk.Reset()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 		})
 		b.Run("Thresholder/"+shape.name, func(b *testing.B) {
 			b.ReportAllocs()
-			prep := make([]*similarity.Prepared, len(titles))
+			prep := make([]*similarity.Prepared, group)
 			for i := 0; i < b.N; i++ {
-				for j, s := range titles {
-					prep[j] = similarity.PreparePooled(s)
-					for _, p := range prep[:j] {
-						th.Match(p, prep[j])
+				for g := 0; g+group <= len(titles); g += group {
+					for j, s := range titles[g : g+group] {
+						prep[j] = similarity.PreparePooled(s)
+						for _, p := range prep[:j] {
+							th.Match(p, prep[j])
+						}
 					}
-				}
-				for _, p := range prep {
-					p.Release()
+					for _, p := range prep {
+						p.Release()
+					}
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")

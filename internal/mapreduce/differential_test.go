@@ -176,3 +176,44 @@ func TestEngineAgainstReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledRecordBuffersStayZero: the engine recycles its record
+// buffers — map-side batches, sorted tails, the reduce-side group
+// buffer — and clears only the prefix each holder wrote. Whatever the
+// pool holds after a job must still be zero up to its capacity, in
+// memory, spilled and dispatched: a record left behind would pin its
+// key and value for the life of the process.
+func TestPooledRecordBuffersStayZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	input := make([][]int, 3)
+	for i := range input {
+		input[i] = make([]int, 500+rng.Intn(500))
+		for j := range input[i] {
+			input[i][j] = rng.Intn(1000)
+		}
+	}
+	job := randomJob(4, mapreduce.KeyCoding[string]{Encode: mapreduce.StringPrefixCode, Exact: true, GroupBits: 16})
+	rr, err := mapreduce.NewRemoteRunnable(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var zero mapreduce.Rec[string, int]
+	mapreduce.DrainRecBufs[string, int]()
+	for label, where := range everywhere {
+		for run := 0; run < 3; run++ {
+			e, _ := engineFor(t, where, rr)
+			if _, err := job.RunContext(context.Background(), e, input); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		bufs := mapreduce.DrainRecBufs[string, int]()
+		if len(bufs) == 0 {
+			t.Errorf("%s: the runs returned no record buffer to the pool", label)
+		}
+		for _, b := range bufs {
+			if i := slices.IndexFunc(b, func(r mapreduce.Rec[string, int]) bool { return r != zero }); i >= 0 {
+				t.Fatalf("%s: pooled buffer of capacity %d holds %+v at %d", label, len(b), b[i], i)
+			}
+		}
+	}
+}

@@ -565,7 +565,10 @@ type merger[I, K, V, O any] struct {
 	// moves on at the next peek, not before — the head must stay valid
 	// while the caller still reads it.
 	advance bool
-	group   []Rec[K, V]
+	// group is the buffer nextGroup reuses; used is the most records it
+	// has held, the prefix release must clear.
+	group []Rec[K, V]
+	used  int
 
 	// Attempt cancellation is polled every cancelCheckMask+1 records,
 	// and only when the context is cancellable at all.
@@ -592,8 +595,8 @@ func (mg *merger[I, K, V, O]) init(st *runState[I, K, V, O], actx context.Contex
 // release returns the pooled group buffer; deferred by every merging
 // attempt body, so it runs on the error and cancel paths too.
 func (mg *merger[I, K, V, O]) release() {
-	mg.st.pools.putRecBuf(mg.group)
-	mg.group = nil
+	mg.st.pools.putRecBuf(mg.group[:mg.used])
+	mg.group, mg.used = nil, 0
 }
 
 // resized returns s with length n, reallocating only when it must: the
@@ -740,14 +743,16 @@ func (mg *merger[I, K, V, O]) peek() (*Rec[K, V], error) {
 // reused buffer: valid until the next call.
 func (mg *merger[I, K, V, O]) nextGroup() ([]Rec[K, V], error) {
 	group := mg.group[:0]
+	var err error
 	for {
 		if mg.check && mg.n&cancelCheckMask == 0 && mg.actx.Err() != nil {
-			return nil, mg.actx.Err()
+			err = mg.actx.Err()
+			break
 		}
 		mg.n++
-		rec, err := mg.peek()
-		if err != nil {
-			return nil, err
+		var rec *Rec[K, V]
+		if rec, err = mg.peek(); err != nil {
+			break
 		}
 		if rec == nil || (len(group) > 0 && !mg.st.sameGroup(&group[0], rec)) {
 			break
@@ -755,6 +760,9 @@ func (mg *merger[I, K, V, O]) nextGroup() ([]Rec[K, V], error) {
 		group = append(group, *rec)
 		mg.advance = true
 	}
-	mg.group = group
+	mg.group, mg.used = group, max(mg.used, len(group))
+	if err != nil {
+		return nil, err
+	}
 	return group, nil
 }

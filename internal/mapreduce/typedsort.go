@@ -156,11 +156,14 @@ func (p *recPools[K, V]) getRecBuf() []Rec[K, V] {
 
 // putRecBuf recycles a buffer. Oversized or empty backing arrays are
 // dropped on the floor for the GC; recycled ones are cleared so the
-// pool does not pin the previous task's keys and values.
+// pool does not pin the previous task's keys and values. Pooled buffers
+// are zero up to their capacity, so b's length must cover every record
+// written since getRecBuf (its high-water mark): only that prefix is
+// cleared.
 func (p *recPools[K, V]) putRecBuf(b []Rec[K, V]) {
 	if cap(b) == 0 || cap(b) > maxPooledCap {
 		return
 	}
-	clear(b[:cap(b)])
+	clear(b)
 	p.recBuf.put(b[:0])
 }

@@ -1,22 +1,35 @@
 package similarity
 
+import (
+	"slices"
+	"sort"
+)
+
 // LevBlock is the block-at-a-time form of Thresholder.Match: the strings
-// of one reduce group held as structure-of-arrays — rune lengths, raw
-// strings, bit-plane histograms — so that one string is decided against
-// a contiguous range of rows in a single call that runs the filter
-// chain column-wise:
+// of one reduce group held so that one string is decided against a
+// contiguous range of rows in a single call. Rows are filed in buckets by
+// rune length: each occupied length holds its rows in ascending order
+// with their bit-plane histograms (bag.go) and masses side by side. A
+// probe of length l runs the filter chain bucket-wise:
 //
-//  1. a branch-free compaction pass over the contiguous length array
-//     against the probe's precomputed length window;
-//  2. a second compaction pass applying the popcount bag bound of the
-//     bit-plane histograms (bag.go) to the survivors;
+//  1. the length filter decides whole buckets: only the occupied lengths
+//     inside the probe's window are visited, and within one the distance
+//     bound is a constant;
+//  2. a straight pass over each visited bucket's histograms applies the
+//     popcount bag bound;
 //  3. on what is left, the exact Myers distance taken straight from the
 //     raw strings — after the full-count BagBound where a histogram is
 //     saturated, so the chain never rejects less than Thresholder.Match.
 //
-// Every pair in the range is individually decided: all filters are
-// lower bounds on the edit distance, so the hit set and the similarity
-// floats are exactly Thresholder.Match's.
+// Hits come out of each bucket in row order and are merged into row
+// order once the probe is done; only they are sorted, never the pairs.
+//
+// Every pair in the range is decided: a pair in a bucket the probe does
+// not visit fails the length filter, and all filters are lower bounds on
+// the edit distance, so the hit set and the similarity floats are exactly
+// Thresholder.Match's. Lengths past maxCachedBound share one overflow
+// bucket that applies the length filter row by row, so no string sizes
+// the bucket table.
 //
 // A row owns a pooled Prepared only when it needs one: rows containing
 // non-ASCII runes (their rune slice; a pair with such a row on either
@@ -27,20 +40,25 @@ package similarity
 // Reset empties it, dropping every string reference, so owners can keep
 // blocks in a free list. A block is not safe for concurrent use.
 type LevBlock struct {
-	th     *Thresholder
-	raws   []string
-	lens   []int32
-	planes []bagPlanes
-	// mass[i] is the rune count planes[i] holds (its total popcount).
-	// excess(a,b) - excess(b,a) = mass(a) - mass(b), so one one-sided
-	// difference and the two masses give the other for free.
-	mass []int32
-	// wide[i] is non-nil for non-ASCII rows, and for ASCII rows whose
+	th *Thresholder
+	// Row order: the string, its rune length and its Prepared. wide[i]
+	// is non-nil for non-ASCII rows, and for ASCII rows whose
 	// verification needed a Prepared (see prepared).
+	raws []string
+	lens []int32
 	wide []*Prepared
-	// surv is stage 1's output; rows and sims are the hits Probe
-	// returns, valid until the next call.
-	surv []int32
+	// buckets[index[k]-1] holds the rows of length k (overflowLen for
+	// every length past maxCachedBound); index[k] == 0 while none is
+	// filed. occupied lists the filed lengths in ascending order, and
+	// buckets[:len(occupied)] are the ones in use — the rest keep their
+	// capacity for the next group. bucketCap is the capacity all of them
+	// hold together.
+	index     [overflowLen + 1]int16
+	occupied  []int32
+	buckets   [][]bucketRow
+	bucketCap int
+	// rows and sims are the hits Probe returns, valid until the next
+	// call.
 	rows []int32
 	sims []float64
 	// peq is the probe row's Myers pattern table, built on the probe's
@@ -53,8 +71,22 @@ type LevBlock struct {
 	verified int
 }
 
-// maxPooledBlockRows bounds the row capacity a Reset block keeps, so
-// one pathological group cannot pin its arrays for the process.
+// bucketRow is one row as its length bucket holds it. mass is the rune
+// count planes holds (its total popcount): excess(a,b) - excess(b,a) =
+// mass(a) - mass(b), so one one-sided difference and the two masses
+// give the other for free.
+type bucketRow struct {
+	planes bagPlanes
+	mass   int32
+	row    int32
+}
+
+// overflowLen is the bucket key every length past maxCachedBound shares.
+const overflowLen = maxCachedBound + 1
+
+// maxPooledBlockRows bounds the row capacity a Reset block keeps, in row
+// order and across its buckets, so one pathological group cannot pin its
+// arrays for the process.
 const maxPooledBlockRows = 1 << 16
 
 // Use binds an empty block to the threshold its probes decide against.
@@ -65,15 +97,22 @@ func (b *LevBlock) Len() int { return len(b.raws) }
 
 // Reset empties the block: pooled Prepareds go back to their free list
 // and no string stays referenced, not even past the slices' lengths.
+// Only the occupied buckets are touched.
 func (b *LevBlock) Reset() {
 	b.truncate(0)
-	if cap(b.raws) > maxPooledBlockRows {
+	for _, k := range b.occupied {
+		b.buckets[b.index[k]-1] = b.buckets[b.index[k]-1][:0]
+		b.index[k] = 0
+	}
+	b.occupied = b.occupied[:0]
+	if cap(b.raws) > maxPooledBlockRows || b.bucketCap > maxPooledBlockRows {
 		*b = LevBlock{}
 	}
 	b.th = nil
 }
 
-// truncate drops rows n and up.
+// truncate drops rows n and up from the row-order arrays; the buckets
+// are the caller's (a dropped probe was never filed).
 func (b *LevBlock) truncate(n int) {
 	for _, p := range b.wide[n:] {
 		if p != nil {
@@ -82,7 +121,7 @@ func (b *LevBlock) truncate(n int) {
 	}
 	clear(b.raws[n:])
 	clear(b.wide[n:])
-	b.raws, b.lens, b.planes, b.mass, b.wide = b.raws[:n], b.lens[:n], b.planes[:n], b.mass[:n], b.wide[:n]
+	b.raws, b.lens, b.wide = b.raws[:n], b.lens[:n], b.wide[:n]
 }
 
 // Probe decides s against rows [lo, hi) and returns the rows it matches
@@ -91,114 +130,178 @@ func (b *LevBlock) truncate(n int) {
 // the block's next row; a block is loaded by probing with an empty
 // range. The returned slices are reused by the next call.
 func (b *LevBlock) Probe(s string, lo, hi int, keep bool) (rows []int32, sims []float64) {
-	row := b.push(s)
+	row := len(b.raws)
 	if lo < 0 || hi > row {
 		panic("similarity: LevBlock.Probe: row range outside the block")
 	}
+	var e bucketRow
+	l := b.push(s, &e)
 	b.rows, b.sims = b.rows[:0], b.sims[:0]
 	if lo < hi {
-		b.scan(row, lo, hi)
+		b.scan(&e, l, lo, hi)
 	}
-	if !keep {
+	if keep {
+		b.file(&e, l)
+	} else {
 		b.truncate(row)
 	}
 	return b.rows, b.sims
 }
 
-// push appends s as a row: one fused pass over the string classifies it
-// and builds its histogram.
-func (b *LevBlock) push(s string) int {
-	row := len(b.raws)
-	var bag bagPlanes
+// push appends s to the row-order arrays, fills e with its histogram and
+// returns its rune length: one fused pass over the string classifies it
+// and builds the planes.
+func (b *LevBlock) push(s string, e *bucketRow) int {
+	e.row = int32(len(b.raws))
 	var wide *Prepared
 	n := len(s)
-	if !bag.fillASCII(s) {
+	if !e.planes.fillASCII(s) {
 		wide = PreparePooled(s)
-		bag, n = bagPlanes{}, len(wide.runes)
+		e.planes, n = bagPlanes{}, len(wide.runes)
 		for _, r := range wide.runes {
-			bag.add(uint32(r))
+			e.planes.add(uint32(r))
 		}
 	}
+	e.mass = int32(e.planes.mass())
 	b.raws = append(b.raws, s)
 	b.lens = append(b.lens, int32(n))
-	b.planes = append(b.planes, bag)
-	b.mass = append(b.mass, int32(bag.mass()))
 	b.wide = append(b.wide, wide)
-	return row
+	return n
 }
 
-// scan runs the filter chain of row `row` against rows [lo, hi).
-func (b *LevBlock) scan(row, lo, hi int) {
+// file appends the pushed row e of l runes to its length's bucket,
+// opening the bucket if the length is new to the block.
+func (b *LevBlock) file(e *bucketRow, l int) {
+	k := int32(min(l, overflowLen))
+	if b.index[k] == 0 {
+		// One insertion-sort step: a group holds few distinct lengths.
+		occ := append(b.occupied, k)
+		i := len(occ) - 1
+		for ; i > 0 && occ[i-1] > k; i-- {
+			occ[i] = occ[i-1]
+		}
+		occ[i] = k
+		b.occupied = occ
+		if len(b.buckets) < len(occ) {
+			b.buckets = append(b.buckets, nil)
+		}
+		b.index[k] = int16(len(occ))
+	}
+	bk := &b.buckets[b.index[k]-1]
+	c := cap(*bk)
+	*bk = append(*bk, *e)
+	b.bucketCap += cap(*bk) - c
+}
+
+// cut returns the part of a bucket whose rows lie in [lo, hi). Bucket
+// rows ascend, so it is a binary search at either end that needs one;
+// the common ranges (from the first row, to the probe) need none.
+func cut(bk []bucketRow, lo, hi, all int32) []bucketRow {
+	byRow := func(e bucketRow, r int32) int { return int(e.row - r) }
+	if hi < all {
+		n, _ := slices.BinarySearchFunc(bk, hi, byRow)
+		bk = bk[:n]
+	}
+	if lo > 0 {
+		n, _ := slices.BinarySearchFunc(bk, lo, byRow)
+		bk = bk[n:]
+	}
+	return bk
+}
+
+// scan runs the filter chain of the pushed probe e, l runes long, against
+// rows [lo, hi).
+func (b *LevBlock) scan(e *bucketRow, l, lo, hi int) {
 	t := b.th
-	l := int(b.lens[row])
 	wlo, whi := t.window(l)
 	if whi < wlo {
 		return
 	}
-	if cap(b.surv) < hi-lo {
-		b.surv = make([]int32, cap(b.lens)) // grows in step with the rows
-	}
-	// Stage 1. Every candidate is written; the cursor advances only
-	// past those inside the window. d <= span as an unsigned compare is
-	// the sign bit of d-span-1, so the loop body has no branch to
-	// mispredict (63 % of the benchmark's pairs die here, at random).
-	surv := b.surv[:hi-lo]
-	span := uint64(uint32(whi - wlo))
-	n := 0
-	for i, k := range b.lens[lo:hi] {
-		surv[n] = int32(lo + i)
-		n += int((uint64(uint32(k-wlo)) - span - 1) >> 63)
-	}
-
-	// Stage 2: the same again with the plane bag bound. The window's
-	// upper end is open past the cache, so the longer-partner half of the
-	// length filter is restated here; after this pass both filters have
-	// decided every survivor.
-	probe := &b.planes[row]
-	probeMass := int(b.mass[row])
-	m := 0
-	for _, i := range surv[:n] {
-		k := int(b.lens[i])
-		maxDist := t.MaxDist(max(l, k))
-		excess := bagExcess(probe, &b.planes[i])
-		if k-l <= maxDist && excess <= maxDist && excess-probeMass+int(b.mass[i]) <= maxDist {
-			surv[m] = i
-			m++
+	// Stage 1. The window is exact over the cached lengths, so every
+	// visited bucket below the overflow one passes the length filter as a
+	// whole; the overflow bucket restates it row by row. No pair in an
+	// unvisited bucket is touched — 63 % of the benchmark's pairs die
+	// that way. The first occupied length that can pass is a binary
+	// search away.
+	first, _ := slices.BinarySearch(b.occupied, min(wlo, overflowLen))
+	for _, k := range b.occupied[first:] {
+		if k > whi {
+			break
 		}
-	}
-
-	// Stage 3: the exact distance on what is left. A pair with a
-	// saturated histogram first meets the full-count bound, which is what
-	// keeps natural-language titles out of Myers: their planes agree on
-	// every common letter.
-	for _, i := range surv[:m] {
-		longest := max(l, int(b.lens[i]))
-		if longest == 0 {
-			if t.threshold <= 1 {
-				b.hit(i, 1)
+		bk := cut(b.buckets[b.index[k]-1], int32(lo), int32(hi), e.row)
+		if k == overflowLen {
+			for i := range bk {
+				c := &bk[i]
+				n := int(b.lens[c.row])
+				maxDist := t.MaxDist(max(l, n))
+				excess := bagExcess(&e.planes, &c.planes)
+				if max(n-l, l-n) <= maxDist && excess <= maxDist && excess-int(e.mass)+int(c.mass) <= maxDist {
+					b.verify(e, c, l, n, maxDist)
+				}
 			}
 			continue
 		}
-		maxDist := t.MaxDist(longest)
-		if (probe.saturated() || b.planes[i].saturated()) &&
-			BagBound(b.prepared(row), b.prepared(int(i))) > maxDist {
-			continue
-		}
-		if d := b.distance(row, int(i)); d <= maxDist {
-			b.hit(i, 1-float64(d)/float64(longest))
+		maxDist := t.MaxDist(max(l, int(k)))
+		// Stage 2: the plane bag bound, a straight pass over the bucket.
+		// The second direction is excess - mass(e) + mass(c), with the
+		// constants folded into limit.
+		limit := maxDist + int(e.mass)
+		for i := range bk {
+			c := &bk[i]
+			if excess := bagExcess(&e.planes, &c.planes); excess <= maxDist && excess+int(c.mass) <= limit {
+				b.verify(e, c, l, int(k), maxDist)
+			}
 		}
 	}
+	// Each bucket yields its hits in row order; across buckets they
+	// interleave.
+	if !slices.IsSorted(b.rows) {
+		sort.Sort((*hitsByRow)(b))
+	}
 	if b.peqBuilt {
-		for p, j := b.raws[row], 0; j < len(p); j++ {
+		for p, j := b.raws[e.row], 0; j < len(p); j++ {
 			b.peq[p[j]] = 0
 		}
 		b.peqBuilt = false
 	}
 }
 
+// verify is stage 3, on a pair of probe e (l runes) and row c (k runes)
+// that passed the length filter and the plane bound at maxDist: the
+// exact distance. A pair with a saturated histogram first meets the
+// full-count bound, which is what keeps natural-language titles out of
+// Myers: their planes agree on every common letter.
+func (b *LevBlock) verify(e, c *bucketRow, l, k, maxDist int) {
+	longest := max(l, k)
+	if longest == 0 {
+		if b.th.threshold <= 1 {
+			b.hit(c.row, 1)
+		}
+		return
+	}
+	probe, row := int(e.row), int(c.row)
+	if (e.planes.saturated() || c.planes.saturated()) &&
+		BagBound(b.prepared(probe), b.prepared(row)) > maxDist {
+		return
+	}
+	if d := b.distance(probe, row); d <= maxDist {
+		b.hit(c.row, 1-float64(d)/float64(longest))
+	}
+}
+
 func (b *LevBlock) hit(row int32, sim float64) {
 	b.rows = append(b.rows, row)
 	b.sims = append(b.sims, sim)
+}
+
+// hitsByRow sorts a probe's hits, rows and sims together.
+type hitsByRow LevBlock
+
+func (h *hitsByRow) Len() int           { return len(h.rows) }
+func (h *hitsByRow) Less(i, j int) bool { return h.rows[i] < h.rows[j] }
+func (h *hitsByRow) Swap(i, j int) {
+	h.rows[i], h.rows[j] = h.rows[j], h.rows[i]
+	h.sims[i], h.sims[j] = h.sims[j], h.sims[i]
 }
 
 // distance returns the exact edit distance between the probe row and

@@ -1,10 +1,12 @@
 package similarity
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // planesOf builds the bit-plane histogram of s the way LevBlock.push
@@ -225,23 +227,9 @@ func TestLevBlockMatchesThresholder(t *testing.T) {
 // the distance kernel than the per-pair kernel's length filter and
 // BagBound do.
 func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
-	vocab := strings.Fields(`the and for with digital camera lens black white
-		wireless portable leather stainless steel edition series professional
-		battery charger adapter cable case cover screen protector replacement`)
-	rng := rand.New(rand.NewSource(3))
 	th := NewThresholder(0.8)
 	for _, words := range []int{3, 5, 8, 16} {
-		titles := make([]string, 150)
-		for i := range titles {
-			parts := []string{"canon"}
-			for w := 1; w < words; w++ {
-				parts = append(parts, vocab[rng.Intn(len(vocab))])
-			}
-			titles[i] = strings.Join(parts, " ")
-		}
-		// Two lengths past the bound cache, where the length window is
-		// open above and stage 2 has to restate the filter.
-		titles = append(titles, strings.Repeat("canon lens ", 90), strings.Repeat("canon lens ", 60))
+		titles := dictionaryTitles(words)
 		perPair, lengthOnly := 0, 0
 		for i, a := range titles {
 			for _, c := range titles[:i] {
@@ -264,6 +252,120 @@ func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
 				words, b.verified, perPair, lengthOnly)
 		}
 		b.Reset()
+	}
+}
+
+// dictionaryTitles returns 150 titles of the given number of words drawn
+// from a product vocabulary, plus two past the bound cache, where the
+// length window is open above and the overflow bucket has to restate the
+// filter.
+func dictionaryTitles(words int) []string {
+	vocab := strings.Fields(`the and for with digital camera lens black white
+		wireless portable leather stainless steel edition series professional
+		battery charger adapter cable case cover screen protector replacement`)
+	rng := rand.New(rand.NewSource(int64(words)))
+	titles := make([]string, 150)
+	for i := range titles {
+		parts := []string{"canon"}
+		for w := 1; w < words; w++ {
+			parts = append(parts, vocab[rng.Intn(len(vocab))])
+		}
+		titles[i] = strings.Join(parts, " ")
+	}
+	return append(titles, strings.Repeat("canon lens ", 90), strings.Repeat("canon lens ", 60))
+}
+
+// generatorTitles returns n titles of benchmark/gen.go's shape: a shared
+// three-letter prefix completed by up to four random letters, two to
+// five words of two to eight random letters, and a tenth of them
+// duplicates of an earlier title with one or two character edits.
+func generatorTitles(rng *rand.Rand, n int) []string {
+	letters := []rune("abcdefghijklmnopqrstuvwxyz")
+	word := func(b []rune, lo, hi int) []rune {
+		return append(b, randRunes(rng, lo+rng.Intn(hi-lo+1), letters)...)
+	}
+	titles := make([]string, 0, n)
+	for len(titles) < n {
+		if len(titles) > 0 && rng.Intn(10) == 0 {
+			base := []rune(titles[rng.Intn(len(titles))])
+			titles = append(titles, "abc"+string(mutate(rng, base[3:], 2, letters)))
+			continue
+		}
+		b := word([]rune("abc"), 0, 4)
+		for w, words := 0, 2+rng.Intn(4); w < words; w++ {
+			b = word(append(b, ' '), 2, 8)
+		}
+		titles = append(titles, string(b))
+	}
+	return titles
+}
+
+// chainPasses applies the block's filter chain to one pair, the way a
+// per-pair kernel would: the length filter, the plane bound in both
+// directions, and the full-count BagBound where a histogram is
+// saturated. Exactly the pairs it passes reach the distance kernel.
+func chainPasses(th *Thresholder, a, c string) bool {
+	la, lc := utf8.RuneCountInString(a), utf8.RuneCountInString(c)
+	longest := max(la, lc)
+	if longest == 0 {
+		return false // two empty strings are decided without a distance
+	}
+	maxDist := th.MaxDist(longest)
+	if longest-min(la, lc) > maxDist {
+		return false
+	}
+	pa, pc := planesOf(a), planesOf(c)
+	if max(bagExcess(pa, pc), bagExcess(pc, pa)) > maxDist {
+		return false
+	}
+	return !pa.saturated() && !pc.saturated() || BagBound(Prepare(a), Prepare(c)) <= maxDist
+}
+
+// TestLevBlockVerifiesExactlyTheChain: the length buckets decide whole
+// lengths at once, but they must neither skip nor add a verification —
+// on the benchmark generator's titles (one skewed 1,300-row block, and
+// the flat workloads' 8-row groups) and on dictionary titles, the pairs
+// reaching the block's distance kernel are exactly those the filter
+// chain passes pair by pair.
+func TestLevBlockVerifiesExactlyTheChain(t *testing.T) {
+	th := NewThresholder(0.8)
+	rng := rand.New(rand.NewSource(41))
+	shapes := []struct {
+		name   string
+		titles []string
+		group  int
+	}{
+		{"generator skew block", generatorTitles(rng, 1300), 1300},
+		{"generator flat groups", generatorTitles(rng, 800), 8},
+	}
+	for _, words := range []int{3, 5, 8, 16} {
+		titles := dictionaryTitles(words)
+		shapes = append(shapes, struct {
+			name   string
+			titles []string
+			group  int
+		}{fmt.Sprintf("%d-word titles", words), titles, len(titles)})
+	}
+	for _, shape := range shapes {
+		var b LevBlock
+		verified, want := 0, 0
+		for g := 0; g < len(shape.titles); g += shape.group {
+			group := shape.titles[g:min(g+shape.group, len(shape.titles))]
+			b.Use(th)
+			for i, s := range group {
+				b.Probe(s, 0, b.Len(), true)
+				for _, c := range group[:i] {
+					if chainPasses(th, c, s) {
+						want++
+					}
+				}
+			}
+			verified += b.verified
+			b.Reset()
+		}
+		if verified != want {
+			t.Errorf("%s: %d pairs reached the block's distance kernel, the per-pair chain passes %d", shape.name, verified, want)
+		}
 	}
 }
 
@@ -332,12 +434,13 @@ func TestLevBlockSteadyStateAllocs(t *testing.T) {
 // TestLevBlockResetDropsReferences: on the external dataflow a row's
 // string aliases a ~32KB decode block, so a block waiting in a free list
 // must not reference any — not even past its slices' lengths, where a
-// dropped cross probe or an earlier, larger group left entries.
+// dropped cross probe or an earlier, larger group left entries — and no
+// row may stay filed in any length bucket.
 func TestLevBlockResetDropsReferences(t *testing.T) {
 	th := NewThresholder(0.8)
 	var b LevBlock
 	b.Use(th)
-	for _, s := range []string{"alpha one", "alpha two", "álpha three", "beta"} {
+	for _, s := range []string{"alpha one", "alpha two", "álpha three", "beta", strings.Repeat("long ", 200)} {
 		b.Probe(s, 0, b.Len(), true)
 	}
 	b.Probe("alpha öne", 0, b.Len(), false) // materializes runes of ASCII rows, then is dropped
@@ -355,7 +458,150 @@ func TestLevBlockResetDropsReferences(t *testing.T) {
 			t.Errorf("wide[%d] still holds a Prepared after Reset", i)
 		}
 	}
+	checkNoBucketRows(t, &b)
 	if b.peq != [128]uint64{} {
 		t.Error("probe pattern table not zeroed")
 	}
+}
+
+// checkNoBucketRows asserts that a Reset block files no row under any
+// length.
+func checkNoBucketRows(t *testing.T, b *LevBlock) {
+	t.Helper()
+	if len(b.occupied) != 0 {
+		t.Errorf("lengths %v still occupied after Reset", b.occupied)
+	}
+	for k, i := range b.index {
+		if i != 0 {
+			t.Errorf("length %d still indexes bucket %d after Reset", k, i-1)
+		}
+	}
+	for i, bk := range b.buckets {
+		if len(bk) != 0 {
+			t.Errorf("bucket %d still files %d rows after Reset", i, len(bk))
+		}
+	}
+}
+
+// TestLevBlockPooledCapacityBounded: a Reset block keeps at most
+// maxPooledBlockRows of capacity, in row order and across its buckets
+// together, whatever the groups before it looked like — and the block
+// it leaves decides the next group correctly.
+func TestLevBlockPooledCapacityBounded(t *testing.T) {
+	th := NewThresholder(0.8)
+	rng := rand.New(rand.NewSource(9))
+	var mixed []string
+	for n := 0; n < 600; n += 7 {
+		mixed = append(mixed, string(randRunes(rng, n, mixedAlphabet)))
+	}
+	huge := strings.Repeat("x", 10_000)
+	load := func(b *LevBlock, rows []string) {
+		for _, s := range rows {
+			b.Probe(s, 0, 0, true)
+		}
+	}
+	checkBounded := func(name string, b *LevBlock) {
+		t.Helper()
+		held := 0
+		for _, bk := range b.buckets {
+			held += cap(bk)
+		}
+		if cap(b.raws) > maxPooledBlockRows || held > maxPooledBlockRows || held != b.bucketCap {
+			t.Errorf("%s: Reset block keeps %d rows of capacity and %d in buckets (counted %d), bound %d",
+				name, cap(b.raws), held, b.bucketCap, maxPooledBlockRows)
+		}
+		checkNoBucketRows(t, b)
+	}
+
+	var b LevBlock
+	b.Use(th)
+	rows := []string{huge}
+	for len(rows) <= maxPooledBlockRows {
+		rows = append(rows, mixed[len(rows)%len(mixed)])
+	}
+	load(&b, rows)
+	b.Reset()
+	checkBounded("one oversized group", &b)
+
+	// Groups that are each small enough can still pile capacity up in
+	// different buckets: 40,000 rows of one length, then one short row
+	// ahead of 40,000 of another, fill two buckets.
+	b.Use(th)
+	load(&b, slices.Repeat([]string{"abcdefgh"}, 40_000))
+	b.Reset()
+	b.Use(th)
+	load(&b, append([]string{"ab"}, slices.Repeat([]string{"abcdefghij"}, 40_000)...))
+	b.Reset()
+	checkBounded("two groups filling different buckets", &b)
+
+	b.Use(th)
+	group := append([]string{huge, huge + "y"}, mixed[:20]...)
+	for i, s := range group {
+		rows, sims := b.Probe(s, 0, i, true)
+		var wantRows []int32
+		var wantSims []float64
+		for j, c := range group[:i] {
+			if sim, ok := th.Match(Prepare(c), Prepare(s)); ok {
+				wantRows, wantSims = append(wantRows, int32(j)), append(wantSims, sim)
+			}
+		}
+		if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
+			t.Fatalf("after a pooled Reset, probe %d: block says rows %v sims %v, per-pair kernel %v %v", i, rows, sims, wantRows, wantSims)
+		}
+	}
+	b.Reset()
+}
+
+// FuzzLevBlockProbe: a block is the per-pair kernel. The input is a row
+// list (split at newlines) and a byte string of probe shapes: each row
+// is probed over [lo, hi) and kept or dropped as the next three bytes
+// say (all rows so far, kept, once they run out), at a threshold the
+// first byte picks. Every probe must return exactly the rows and
+// similarities Thresholder.Match gives pair by pair.
+func FuzzLevBlockProbe(f *testing.F) {
+	f.Add("", []byte{})
+	f.Add("\n\n", []byte{1, 0, 0, 0})
+	f.Add("caméra\ncamera\n日本語\n日本\n\xff\xfe", []byte{1, 0, 9, 0, 0, 9, 1})
+	r63, r64, r65 := strings.Repeat("ab", 31)+"c", strings.Repeat("ab", 32), strings.Repeat("ab", 32)+"c"
+	f.Add(r63+"\n"+r64+"\n"+r65+"\n"+strings.Repeat("é", 64)+"\n"+strings.Repeat("é", 65), []byte{1})
+	long := strings.Repeat("abcdefgh ", 60)
+	f.Add(long+"\n"+long[1:]+"\nabc\n"+long+"x\n"+strings.Repeat("é", maxCachedBound+3), []byte{2, 0, 9, 0, 1, 9, 1, 0, 1, 1})
+	thresholds := []*Thresholder{NewThresholder(0.8), NewThresholder(0.5), NewThresholder(1), NewThresholder(0)}
+	f.Fuzz(func(t *testing.T, text string, ops []byte) {
+		if len(text) > 1<<14 {
+			t.Skip() // the per-pair oracle is quadratic in the rows
+		}
+		th := thresholds[0]
+		if len(ops) > 0 {
+			th, ops = thresholds[int(ops[0])%len(thresholds)], ops[1:]
+		}
+		var b LevBlock
+		b.Use(th)
+		var loaded []string
+		for n, s := range strings.Split(text, "\n") {
+			lo, hi, keep := 0, len(loaded), true
+			if len(ops) >= 3 {
+				lo = int(ops[0]) % (len(loaded) + 1)
+				hi = lo + int(ops[1])%(len(loaded)-lo+1)
+				keep, ops = ops[2]&1 == 0, ops[3:]
+			}
+			rows, sims := b.Probe(s, lo, hi, keep)
+			var wantRows []int32
+			var wantSims []float64
+			for i := lo; i < hi; i++ {
+				if sim, ok := th.Match(Prepare(loaded[i]), Prepare(s)); ok {
+					wantRows, wantSims = append(wantRows, int32(i)), append(wantSims, sim)
+				}
+			}
+			if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
+				t.Fatalf("probe %d %.20q over [%d,%d): block says rows %v sims %v, per-pair kernel rows %v sims %v",
+					n, s, lo, hi, rows, sims, wantRows, wantSims)
+			}
+			if keep {
+				loaded = append(loaded, s)
+			}
+		}
+		b.Reset()
+		checkNoBucketRows(t, &b)
+	})
 }
