@@ -170,28 +170,6 @@ func benchBDM(b *testing.B) *bdm.Matrix {
 	return x
 }
 
-// BenchmarkAblationBlockSplitAssignment compares the paper's greedy
-// descending-size match-task assignment against naive round-robin.
-// Metric: round-robin's max reduce load relative to greedy's (>1 means
-// the greedy heuristic earns its keep).
-func BenchmarkAblationBlockSplitAssignment(b *testing.B) {
-	x := benchBDM(b)
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		greedy, err := core.BlockSplit{}.PlanWithAssign(x, 20, 100, core.GreedyAssign)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rr, err := core.BlockSplit{}.PlanWithAssign(x, 20, 100, core.RoundRobinAssign)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(rr.MaxReduceComparisons()) / float64(greedy.MaxReduceComparisons())
-	}
-	b.ReportMetric(ratio, "roundrobin/greedy-maxload")
-}
-
 // BenchmarkAblationBDMCombiner measures the BDM job with and without
 // the frequency-aggregating combiner (the paper's footnote-2
 // optimization). Metric: map-output reduction factor.

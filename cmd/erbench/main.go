@@ -27,9 +27,6 @@ import (
 	"repro/internal/runio"
 )
 
-// reportTable aliases the report type for compact function signatures.
-type reportTable = report.Table
-
 func main() {
 	var (
 		figure      = flag.Int("figure", 0, "figure to reproduce (8-14)")
@@ -39,7 +36,6 @@ func main() {
 		balance     = flag.Bool("balance", false, "report per-strategy reduce-task balance statistics")
 		imbalance   = flag.Bool("imbalance", false, "execute the jobs and report measured per-strategy reduce-task time imbalance (max/mean, from the obs duration histograms)")
 		quality     = flag.Bool("quality", false, "sweep the match threshold and report precision/recall")
-		snrobust    = flag.Bool("sn", false, "sorted-neighborhood skew-robustness extension table")
 		scale       = flag.Float64("scale", 0.05, "dataset scale factor in (0,1]; 1 = paper-sized datasets")
 		executed    = flag.Bool("exec", false, "figures 9/10: execute the real MapReduce jobs instead of the analytic planner (identical tables, slower)")
 		parallelism = flag.Int("parallelism", 0, "engine worker bound for executed runs (0 = default)")
@@ -64,6 +60,14 @@ func main() {
 	}
 	if (*workers > 0 || *addrFile != "") && *masterAddr == "" {
 		usage(fmt.Errorf("-workers/-master-addr-file require -master"))
+	}
+	// Out-of-range values are refused here, before the master or a
+	// profiler starts; the negated test also refuses a NaN scale.
+	if !(*scale > 0 && *scale <= 1) {
+		usage(fmt.Errorf("-scale must be in (0,1], got %g", *scale))
+	}
+	if *figure != 0 && (*figure < 8 || *figure > 14) {
+		usage(fmt.Errorf("-figure must be in 8..14, got %d", *figure))
 	}
 
 	observer, err := obsCLI.Start(nil)
@@ -130,18 +134,15 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	type namedTable func(context.Context, experiments.Options) (*reportTable, error)
-	var runs []namedTable
+	var figures []int
 	if *all {
-		for _, f := range []int{8, 9, 10, 11, 12, 13, 14} {
-			f := f
-			runs = append(runs, func(ctx context.Context, o experiments.Options) (*reportTable, error) {
-				return experiments.ByNumber(ctx, f, o)
-			})
-		}
+		figures = []int{8, 9, 10, 11, 12, 13, 14}
 	} else if *figure != 0 {
-		f := *figure
-		runs = append(runs, func(ctx context.Context, o experiments.Options) (*reportTable, error) {
+		figures = []int{*figure}
+	}
+	var runs []func(context.Context, experiments.Options) (*report.Table, error)
+	for _, f := range figures {
+		runs = append(runs, func(ctx context.Context, o experiments.Options) (*report.Table, error) {
 			return experiments.ByNumber(ctx, f, o)
 		})
 	}
@@ -159,9 +160,6 @@ func main() {
 	}
 	if *imbalance || *all {
 		runs = append(runs, experiments.Imbalance)
-	}
-	if *snrobust || *all {
-		runs = append(runs, experiments.SNRobustness)
 	}
 	if *masterAddr != "" {
 		// -all deliberately excludes this table: it needs live workers.

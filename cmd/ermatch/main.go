@@ -41,19 +41,17 @@ import (
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/runio"
-	"repro/internal/sn"
 )
 
 func main() {
 	var (
 		in           = flag.String("in", "", "input CSV (default stdin)")
 		attr         = flag.String("attr", datagen.AttrTitle, "attribute carrying the match-relevant text")
-		strategy     = flag.String("strategy", "blocksplit", "basic, blocksplit, pairrange, or sn (sorted neighborhood)")
+		strategy     = flag.String("strategy", "blocksplit", "basic, blocksplit, or pairrange")
 		m            = flag.Int("m", runtime.NumCPU(), "number of map tasks (input partitions)")
 		r            = flag.Int("r", 4*runtime.NumCPU(), "number of reduce tasks")
 		prefix       = flag.Int("prefix", 3, "blocking key length (title prefix)")
 		threshold    = flag.Float64("threshold", 0.8, "minimum normalized edit-distance similarity")
-		window       = flag.Int("window", 10, "sorted-neighborhood window size (strategy sn)")
 		parallelism  = flag.Int("parallelism", runtime.NumCPU(), "engine worker bound: concurrently executing tasks per phase (0 = one goroutine per task)")
 		spillBudget  = flag.String("spill-budget", "0", "per-map-task spill budget in bytes (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
 		tmpdir       = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
@@ -96,12 +94,8 @@ func main() {
 		strat = core.BlockSplit{}
 	case "pairrange":
 		strat = core.PairRange{}
-	case "sn":
-		if *window < 1 {
-			usage(fmt.Errorf("-window must be at least 1, got %d", *window))
-		}
 	default:
-		usage(fmt.Errorf("unknown strategy %q (want basic, blocksplit, pairrange, or sn)", *strategy))
+		usage(fmt.Errorf("unknown strategy %q (want basic, blocksplit, or pairrange)", *strategy))
 	}
 	// Out-of-range counts are bad invocations too, refused here — before
 	// the input is opened — not by whichever layer trips over them.
@@ -111,9 +105,6 @@ func main() {
 	distributed := *masterAddr != "" || *workers > 0 || *addrFile != ""
 	if distributed && *masterAddr == "" {
 		usage(fmt.Errorf("-workers/-master-addr-file require -master"))
-	}
-	if distributed && *strategy == "sn" {
-		usage(fmt.Errorf("strategy sn does not support distributed execution (use basic, blocksplit, or pairrange)"))
 	}
 	// When the match stream goes to stdout (-out -), the human-readable
 	// report moves to stderr so the streamed CSV/NDJSON stays parseable.
@@ -217,71 +208,48 @@ func main() {
 
 	matchAttr := *attr
 	// The prepared matcher caches each entity's comparison form once per
-	// reduce group; every strategy — including sorted neighborhood's
-	// window reducer — runs the prepare-once kernel.
+	// reduce group; every strategy runs the prepare-once kernel.
 	prepared := match.EditDistance(matchAttr, *threshold)
 
-	var (
-		matches     []core.MatchPair
-		comparisons int64
-	)
 	start := time.Now()
-	if *strategy == "sn" {
-		res, err := sn.RunPipeline(ctx, er.FromPartitions(parts), sn.Config{
-			RunOptions:      opts,
-			Attr:            matchAttr,
-			Key:             func(v string) string { return v },
-			Window:          *window,
-			R:               *r,
-			PreparedMatcher: prepared,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(report, "strategy=SortedNeighborhood entities=%d m=%d r=%d window=%d\n",
-			nEntities, *m, *r, *window)
-		matches, comparisons = res.Matches, res.Comparisons
+	var res *er.Result
+	if distributed {
+		// Distributed runs take the declarative job description (the
+		// same parameters, minus the function values a Config carries)
+		// so workers can rebuild the identical jobs from the spec.
+		res, err = er.RunDistributedPipeline(ctx, er.FromPartitions(parts), er.DistParams{
+			Strategy:    *strategy,
+			Attr:        matchAttr,
+			KeyPrefix:   *prefix,
+			Threshold:   *threshold,
+			R:           *r,
+			UseCombiner: true,
+		}, opts)
 	} else {
-		var res *er.Result
-		if distributed {
-			// Distributed runs take the declarative job description (the
-			// same parameters, minus the function values a Config carries)
-			// so workers can rebuild the identical jobs from the spec.
-			res, err = er.RunDistributedPipeline(ctx, er.FromPartitions(parts), er.DistParams{
-				Strategy:    *strategy,
-				Attr:        matchAttr,
-				KeyPrefix:   *prefix,
-				Threshold:   *threshold,
-				R:           *r,
-				UseCombiner: true,
-			}, opts)
-		} else {
-			res, err = er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-				RunOptions:      opts,
-				Strategy:        strat,
-				Attr:            matchAttr,
-				BlockKey:        blocking.NormalizedPrefix(*prefix),
-				PreparedMatcher: prepared,
-				R:               *r,
-				UseCombiner:     true,
-			})
-		}
+		res, err = er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
+			RunOptions:      opts,
+			Strategy:        strat,
+			Attr:            matchAttr,
+			BlockKey:        blocking.NormalizedPrefix(*prefix),
+			PreparedMatcher: prepared,
+			R:               *r,
+			UseCombiner:     true,
+		})
+	}
+	if err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(report, "strategy=%s entities=%d m=%d r=%d\n", strat.Name(), nEntities, *m, *r)
+	if res.BDM != nil {
+		_, largest := res.BDM.LargestBlock()
+		fmt.Fprintf(report, "blocks=%d pairs=%d largest-block=%d\n", res.BDM.NumBlocks(), res.BDM.Pairs(), largest)
+	}
+	if *simulate {
+		t, err := res.SimulatedTime(cluster.DefaultSlots(10), cluster.DefaultCostModel())
 		if err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(report, "strategy=%s entities=%d m=%d r=%d\n", strat.Name(), nEntities, *m, *r)
-		if res.BDM != nil {
-			_, largest := res.BDM.LargestBlock()
-			fmt.Fprintf(report, "blocks=%d pairs=%d largest-block=%d\n", res.BDM.NumBlocks(), res.BDM.Pairs(), largest)
-		}
-		if *simulate {
-			t, err := res.SimulatedTime(cluster.DefaultSlots(10), cluster.DefaultCostModel())
-			if err != nil {
-				fail(err)
-			}
-			defer fmt.Fprintf(report, "simulated-cluster-time=%.0f units (10 nodes)\n", t)
-		}
-		matches, comparisons = res.Matches, res.Comparisons
+		defer fmt.Fprintf(report, "simulated-cluster-time=%.0f units (10 nodes)\n", t)
 	}
 	elapsed := time.Since(start)
 
@@ -289,11 +257,11 @@ func main() {
 		fail(fmt.Errorf("write trace: %w", err))
 	}
 
-	nMatches := int64(len(matches))
+	nMatches := int64(len(res.Matches))
 	if count != nil {
 		nMatches = count()
 	}
-	fmt.Fprintf(report, "comparisons=%d matches=%d wall=%s\n", comparisons, nMatches, elapsed)
+	fmt.Fprintf(report, "comparisons=%d matches=%d wall=%s\n", res.Comparisons, nMatches, elapsed)
 	if outFile != nil {
 		// A failed close can mean lost buffered writes (quota, NFS);
 		// surface it instead of reporting a complete file.
@@ -307,12 +275,12 @@ func main() {
 		fmt.Printf("matches streamed to %s (%s)\n", *out, *format)
 	}
 	if *showPairs {
-		for _, p := range matches {
+		for _, p := range res.Matches {
 			fmt.Printf("%s\t%s\n", p.A, p.B)
 		}
 	}
 	if *showClusters {
-		for _, c := range er.Clusters(matches) {
+		for _, c := range er.Clusters(res.Matches) {
 			fmt.Println(strings.Join(c, " "))
 		}
 	}

@@ -20,7 +20,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.csv")
 	for _, args := range [][]string{
 		{"-m", "0"}, {"-m", "-1"}, {"-r", "0"}, {"-parallelism", "-1"}, {"-prefix", "0"},
-		{"-strategy", "sn", "-window", "0"}, {"-strategy", "nope"},
+		{"-strategy", "sn"}, {"-strategy", "nope"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-in", missing}, args...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "run 'ermatch -h' for usage") {

@@ -88,8 +88,7 @@ type matchTask struct {
 
 // Assignment is the deterministic outcome of BlockSplit's match-task
 // creation and greedy distribution; both the executable job and the
-// analytic planner are driven by it. Exported for the ablation
-// benchmarks, which compare the greedy heuristic against alternatives.
+// analytic planner are driven by it.
 type Assignment struct {
 	ordered []matchTask // descending comparisons
 	loads   []int64     // per reduce task
@@ -108,24 +107,17 @@ type Assignment struct {
 // Split reports whether block k was split into sub-blocks.
 func (a *Assignment) Split(k int) bool { return a.split[k] }
 
-// ReduceLoads returns the per-reduce-task comparison loads.
-func (a *Assignment) ReduceLoads() []int64 { return a.loads }
-
 // NumTasks returns the number of match tasks created.
 func (a *Assignment) NumTasks() int { return len(a.ordered) }
 
-// AssignFunc chooses reduce tasks for match tasks; tasks arrive in
-// descending comparison order. The default is greedy least-loaded.
-type AssignFunc func(tasks []matchTask, r int) (loads []int64)
-
-// GreedyAssign implements the paper's heuristic: process match tasks in
+// greedyAssign implements the paper's heuristic: process match tasks in
 // descending size and give each to the reduce task with the fewest
 // already-assigned comparisons (ties: lowest index). The heap is
 // hand-sifted rather than driven through container/heap, whose
 // interface methods box one loadEntry per push and pop — two heap
 // allocations per match task, which profiling showed dominating the
 // planning phase on large assignments.
-func GreedyAssign(tasks []matchTask, r int) []int64 {
+func greedyAssign(tasks []matchTask, r int) []int64 {
 	loads := make([]int64, r)
 	h := make(loadHeap, r)
 	for i := range h {
@@ -141,28 +133,13 @@ func GreedyAssign(tasks []matchTask, r int) []int64 {
 	return loads
 }
 
-// RoundRobinAssign is the naive baseline for the assignment ablation:
-// match task n goes to reduce task n mod r regardless of size.
-func RoundRobinAssign(tasks []matchTask, r int) []int64 {
-	loads := make([]int64, r)
-	for n := range tasks {
-		tasks[n].reduce = n % r
-		loads[n%r] += tasks[n].comps
-	}
-	return loads
-}
-
 // BuildAssignment performs match-task creation (Algorithm 1, lines 6-21)
-// and reduce-task assignment (lines 22-27) from the BDM, using the given
-// assignment policy (nil = GreedyAssign).
-func BuildAssignment(x *bdm.Matrix, r int, assign AssignFunc) *Assignment {
-	return buildAssignment(x, r, assign, 0)
+// and reduce-task assignment (lines 22-27) from the BDM.
+func BuildAssignment(x *bdm.Matrix, r int) *Assignment {
+	return buildAssignment(x, r, 0)
 }
 
-func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *Assignment {
-	if assign == nil {
-		assign = GreedyAssign
-	}
+func buildAssignment(x *bdm.Matrix, r, maxEntities int) *Assignment {
 	m := x.NumPartitions()
 	a := &Assignment{
 		split:   make([]bool, x.NumBlocks()),
@@ -203,7 +180,7 @@ func buildAssignment(x *bdm.Matrix, r int, assign AssignFunc, maxEntities int) *
 		}
 	}
 	slices.SortFunc(a.ordered, compareTasks)
-	a.loads = assign(a.ordered, r)
+	a.loads = greedyAssign(a.ordered, r)
 	for _, t := range a.ordered {
 		if k := t.id.block; a.split[k] {
 			a.pairs[int(a.where[k])+t.id.i*m+t.id.j] = int32(t.reduce)
@@ -319,20 +296,15 @@ func bsKeyCoding(x *bdm.Matrix) mapreduce.KeyCoding[BSKey] {
 // Job implements Strategy (Algorithm 1). Input records must be the BDM
 // job's side output (blocking-key-annotated entities).
 func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{match: match}, nil, bs.MaxEntitiesPerTask)
+	return blockSplitJob(x, r, matchKernel{match: match}, bs.MaxEntitiesPerTask)
 }
 
 // JobPrepared implements PreparedStrategy.
 func (bs BlockSplit) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{pm: pm}, nil, bs.MaxEntitiesPerTask)
+	return blockSplitJob(x, r, matchKernel{pm: pm}, bs.MaxEntitiesPerTask)
 }
 
-// JobWithAssign is Job with a custom assignment policy (for ablations).
-func (bs BlockSplit) JobWithAssign(x *bdm.Matrix, r int, match Matcher, assign AssignFunc) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{match: match}, assign, bs.MaxEntitiesPerTask)
-}
-
-func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, assign AssignFunc, maxEntities int) (MatchJob, error) {
+func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, maxEntities int) (MatchJob, error) {
 	if err := validateJobParams("BlockSplit", r); err != nil {
 		return nil, err
 	}
@@ -342,7 +314,7 @@ func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, assign AssignFunc, ma
 	// The assignment is deterministic and identical in every map task;
 	// compute it once and share it read-only (each Hadoop map task would
 	// recompute it from the distributed BDM file).
-	asg := buildAssignment(x, r, assign, maxEntities)
+	asg := buildAssignment(x, r, maxEntities)
 	return &mapreduce.Job[AnnotatedEntity, BSKey, entity.Entity, MatchOutput]{
 		Name:           "blocksplit",
 		NumReduceTasks: r,
@@ -443,15 +415,10 @@ func (rd *bsReducer) Reduce(ctx *matchCtx, _ BSKey, values []mapreduce.Rec[BSKey
 // assignment of the executable job and derives all per-task workloads
 // from the BDM alone.
 func (bs BlockSplit) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
-	return blockSplitPlan(x, m, r, nil, bs.MaxEntitiesPerTask)
+	return blockSplitPlan(x, m, r, bs.MaxEntitiesPerTask)
 }
 
-// PlanWithAssign is Plan with a custom assignment policy (ablations).
-func (bs BlockSplit) PlanWithAssign(x *bdm.Matrix, m, r int, assign AssignFunc) (*Plan, error) {
-	return blockSplitPlan(x, m, r, assign, bs.MaxEntitiesPerTask)
-}
-
-func blockSplitPlan(x *bdm.Matrix, m, r int, assign AssignFunc, maxEntities int) (*Plan, error) {
+func blockSplitPlan(x *bdm.Matrix, m, r, maxEntities int) (*Plan, error) {
 	if err := validatePlanParams("BlockSplit", m, r); err != nil {
 		return nil, err
 	}
@@ -461,7 +428,7 @@ func blockSplitPlan(x *bdm.Matrix, m, r int, assign AssignFunc, maxEntities int)
 	if x.NumPartitions() != m {
 		return nil, fmt.Errorf("core: BlockSplit.Plan: BDM has %d partitions, want m=%d", x.NumPartitions(), m)
 	}
-	asg := buildAssignment(x, r, assign, maxEntities)
+	asg := buildAssignment(x, r, maxEntities)
 	p := newPlan("BlockSplit", m, r)
 	copy(p.ReduceComparisons, asg.loads)
 

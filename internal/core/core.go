@@ -68,10 +68,9 @@ type PreparedMatcher interface {
 
 // PreparedReleaser is an optional extension of PreparedMatcher: a
 // matcher whose prepared forms come from a free list implements it, and
-// every per-pair caller (the adapter block of kernel.go, sorted
-// neighborhood, multi-pass) hands each PreparedEntity back via
-// ReleasePrepared as soon as its reduce group is finished. A released
-// entity must never be used again. Matchers without the interface are
+// every per-pair caller (the adapter block of kernel.go) hands each
+// PreparedEntity back via ReleasePrepared as soon as its reduce group
+// is finished. A released entity must never be used again. Matchers without the interface are
 // simply never released (the GC reclaims their prepared forms).
 type PreparedReleaser interface {
 	ReleasePrepared(PreparedEntity)
@@ -80,7 +79,7 @@ type PreparedReleaser interface {
 // PlainMatcher adapts a PreparedMatcher to the plain Matcher form by
 // preparing both entities on every call. It is the transparent fallback
 // for execution paths that only accept a Matcher (custom strategies,
-// sorted neighborhood, serial references); results are identical, only
+// serial references); results are identical, only
 // the per-pair preparation cost returns.
 func PlainMatcher(pm PreparedMatcher) Matcher {
 	rel, _ := pm.(PreparedReleaser)

@@ -45,7 +45,7 @@ func ExampleBuildAssignment() {
 		{e("e", "big"), e("f", "big"), e("g", "small")},
 	}
 	x, _ := bdm.FromPartitions(parts, "k", blocking.Identity())
-	asg := core.BuildAssignment(x, 2, nil)
+	asg := core.BuildAssignment(x, 2)
 	bigIdx, _ := x.BlockIndex("big")
 	smallIdx, _ := x.BlockIndex("small")
 	fmt.Println("big split:", asg.Split(bigIdx))

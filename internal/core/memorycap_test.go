@@ -28,13 +28,13 @@ func TestBlockSplitMemoryCapForcesSplit(t *testing.T) {
 
 	// Default behaviour: with r=2 the average workload is large and the
 	// mid block (40 entities, 780 pairs) is NOT split.
-	def := BuildAssignment(x, 2, nil)
+	def := BuildAssignment(x, 2)
 	if def.Split(midK) {
 		t.Fatal("mid block unexpectedly split without a memory cap")
 	}
 
 	// A 30-entity memory cap forces the split regardless of workload.
-	capped := buildAssignment(x, 2, nil, 30)
+	capped := buildAssignment(x, 2, 30)
 	if !capped.Split(midK) {
 		t.Fatal("memory cap did not force the split")
 	}

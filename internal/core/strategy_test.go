@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestBlockSplitSingleReduceTask(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	parts := randomParts(rng, 80, 3, 4)
 	x := mustBDM(t, parts)
-	asg := BuildAssignment(x, 1, nil)
+	asg := BuildAssignment(x, 1)
 	for _, task := range asg.ordered {
 		if task.id.i != -1 {
 			t.Fatalf("block %d was split with r=1", task.id.block)
@@ -228,38 +229,37 @@ func TestStrategyRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestGreedyAssignBeatsRoundRobin: the ablation claim — greedy
-// descending-size assignment yields a max load no worse than round-robin
-// on skewed inputs (and typically better).
-func TestGreedyAssignBeatsRoundRobin(t *testing.T) {
+// TestGreedyAssignWithinListSchedulingBound: greedy assignment is list
+// scheduling: replayed in order, every match task lands on a reduce
+// task that was least loaded at the time (ties: lowest index), so the
+// max load over r reduce tasks obeys Graham's bound
+// r·max ≤ Σcomps + (r−1)·(largest task).
+func TestGreedyAssignWithinListSchedulingBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	greedyWins := 0
 	for trial := 0; trial < 30; trial++ {
 		parts := randomParts(rng, rng.Intn(400)+50, 4, rng.Intn(6)+2)
 		x := mustBDM(t, parts)
 		r := rng.Intn(8) + 2
-		greedy := BuildAssignment(x, r, GreedyAssign)
-		rr := BuildAssignment(x, r, RoundRobinAssign)
-		if maxLoad(greedy.loads) > maxLoad(rr.loads) {
-			t.Fatalf("greedy max load %d worse than round-robin %d", maxLoad(greedy.loads), maxLoad(rr.loads))
+		a := BuildAssignment(x, r)
+		var total, largest int64
+		loads := make([]int64, r)
+		for _, task := range a.ordered {
+			if least := slices.Index(loads, slices.Min(loads)); task.reduce != least {
+				t.Fatalf("trial %d: task %v on reduce task %d (load %d), least loaded is %d (load %d)",
+					trial, task.id, task.reduce, loads[task.reduce], least, loads[least])
+			}
+			loads[task.reduce] += task.comps
+			total += task.comps
+			largest = max(largest, task.comps)
 		}
-		if maxLoad(greedy.loads) < maxLoad(rr.loads) {
-			greedyWins++
+		if !slices.Equal(loads, a.loads) {
+			t.Fatalf("trial %d: loads %v, tasks sum to %v", trial, a.loads, loads)
+		}
+		if bound := total + int64(r-1)*largest; int64(r)*slices.Max(loads) > bound {
+			t.Fatalf("trial %d: r=%d max load %d, r·max exceeds Σ+(r−1)·largest = %d",
+				trial, r, slices.Max(loads), bound)
 		}
 	}
-	if greedyWins == 0 {
-		t.Error("greedy never beat round-robin across 30 skewed trials; assignment ablation is vacuous")
-	}
-}
-
-func maxLoad(loads []int64) int64 {
-	var mx int64
-	for _, l := range loads {
-		if l > mx {
-			mx = l
-		}
-	}
-	return mx
 }
 
 // TestAssignmentDeterminism: identical inputs produce identical
@@ -268,8 +268,8 @@ func TestAssignmentDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	parts := randomParts(rng, 150, 3, 5)
 	x := mustBDM(t, parts)
-	a1 := BuildAssignment(x, 7, nil)
-	a2 := BuildAssignment(x, 7, nil)
+	a1 := BuildAssignment(x, 7)
+	a2 := BuildAssignment(x, 7)
 	if !reflect.DeepEqual(a1.loads, a2.loads) {
 		t.Fatalf("assignment loads differ: %v vs %v", a1.loads, a2.loads)
 	}
@@ -291,7 +291,7 @@ func TestAssignmentDenseLookup(t *testing.T) {
 		mm := rng.Intn(6) + 1
 		parts := randomParts(rng, rng.Intn(150)+1, mm, rng.Intn(10)+1)
 		x := mustBDM(t, parts)
-		a := BuildAssignment(x, rng.Intn(15)+1, nil)
+		a := BuildAssignment(x, rng.Intn(15)+1)
 		tasks := make(map[taskID]int)
 		for _, task := range a.ordered {
 			tasks[task.id] = task.reduce

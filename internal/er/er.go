@@ -7,11 +7,10 @@
 // partitioned input (in-memory slices, streaming CSV, generators), a
 // MatchSink optionally consumes the match stream without accumulating
 // it (constant-memory output), and the RunOptions block embedded by
-// every workflow configuration — the pipelines' Config, sorted
-// neighborhood, multi-pass — carries the shared engine plumbing. The
+// every workflow configuration carries the shared engine plumbing. The
 // entry points (RunPipeline, RunDualPipeline, RunWithMissingKeysPipeline,
-// and the sn/multipass analogues) take the caller's context and cancel
-// between engine tasks. See DESIGN.md, "Pipeline API".
+// RunDistributedPipeline) take the caller's context and cancel between
+// engine tasks. See DESIGN.md, "Pipeline API".
 package er
 
 import (

@@ -14,10 +14,10 @@ import (
 )
 
 // RunOptions is the execution plumbing shared by every pipeline entry
-// point — one-source, two-source, sorted neighborhood, multi-pass, and
-// the missing-keys decomposition all embed it, so engine selection,
-// out-of-core spilling, and output streaming are configured the same
-// way everywhere (previously each workflow re-declared these fields).
+// point — one-source, two-source and the missing-keys decomposition all
+// embed it, so engine selection, out-of-core spilling, and output
+// streaming are configured the same way everywhere (previously each
+// workflow re-declared these fields).
 type RunOptions struct {
 	// Engine executes the jobs; nil builds one from the fields below.
 	Engine *mapreduce.Engine

@@ -28,7 +28,7 @@ import (
 //     needed.
 //   - Flush is called once after each (sub-)pipeline that streamed to
 //     the sink completes successfully; composite workflows
-//     (missing-keys, multi-pass SN) flush once per sub-run, so Flush
+//     (missing-keys) flush once per sub-run, so Flush
 //     must be safe to call repeatedly. It is not called on error.
 //   - A non-nil error from Consume or Flush fails the run.
 type MatchSink interface {

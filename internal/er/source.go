@@ -12,8 +12,7 @@ import (
 // determines m, the number of map tasks; a Source just abstracts where
 // those partitions come from — an in-memory slice, a
 // CSV stream, a data generator — so every pipeline (one-source, two-source,
-// sorted neighborhood, multi-pass, missing-keys) consumes one input
-// shape.
+// missing-keys) consumes one input shape.
 //
 // Partitions is called once per pipeline run. Sources backed by
 // one-shot streams (FromCSV over a network reader, say) are therefore

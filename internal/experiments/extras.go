@@ -71,20 +71,7 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 		Headers: []string{"ablation", "value", "meaning"},
 	}
 
-	// 1. Greedy vs round-robin match-task assignment.
-	greedy, err := core.BlockSplit{}.PlanWithAssign(x, 20, 100, core.GreedyAssign)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := core.BlockSplit{}.PlanWithAssign(x, 20, 100, core.RoundRobinAssign)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("greedy vs round-robin assignment",
-		float64(rr.MaxReduceComparisons())/float64(greedy.MaxReduceComparisons()),
-		"round-robin max reduce load / greedy")
-
-	// 2. BDM combiner.
+	// 1. BDM combiner.
 	eng := o.engine()
 	_, _, plain, err := bdm.ComputeContext(ctx, eng, parts, bdm.JobOptions{
 		Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20,
@@ -102,7 +89,7 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 		float64(plain.MapOutputRecords)/float64(combined.MapOutputRecords),
 		"map-output reduction factor")
 
-	// 3. PairRange replication overhead across r.
+	// 2. PairRange replication overhead across r.
 	for _, r := range []int{20, 160, 1000} {
 		plan, err := core.PairRange{}.Plan(x, 20, r)
 		if err != nil {
@@ -113,7 +100,7 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 			"replication factor (Basic = 1.0)")
 	}
 
-	// 4. Slot heterogeneity: coarse (1 task/slot) vs fine (8 tasks/slot)
+	// 3. Slot heterogeneity: coarse (1 task/slot) vs fine (8 tasks/slot)
 	// makespan for a perfectly balanced workload.
 	cfg := cluster.DefaultSlots(10)
 	speeds := cfg.SlotSpeeds(cfg.ReduceSlots())
@@ -130,7 +117,7 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 	t.AddRow("task granularity under ±15% slot speeds", mc/mf,
 		"coarse/fine makespan (why more reduce tasks help)")
 
-	// 4b. Speculative execution, measured on the real engine (the
+	// 3b. Speculative execution, measured on the real engine (the
 	// simulator used to carry its own copy of this policy; the engine's
 	// RetryPolicy.SpeculativeSlowdown is now the single implementation).
 	// One map attempt stalls far past the median task duration — with
@@ -142,7 +129,7 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 	t.AddRow("speculative execution (one stalled map attempt)", specRatio,
 		"plain/speculative wall clock on the real engine")
 
-	// 5. BlockSplit memory cap: forcing small match tasks costs little
+	// 4. BlockSplit memory cap: forcing small match tasks costs little
 	// balance but bounds the reduce-side buffer.
 	def, err := core.BlockSplit{}.Plan(x, 20, 100)
 	if err != nil {
