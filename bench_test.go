@@ -252,15 +252,6 @@ func BenchmarkLevenshteinTitles(b *testing.B) {
 	}
 }
 
-func BenchmarkLevenshteinBounded(b *testing.B) {
-	a := "canon eos 5d mark iii digital slr camera body"
-	c := "nikon d850 45mp full frame dslr with battery grip"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		similarity.LevenshteinBounded(a, c, 9) // 0.8 threshold band
-	}
-}
-
 func BenchmarkPairEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -492,18 +483,16 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkMatcherEndToEndPlain is the same pipeline with the plain
-// per-pair matcher (re-deriving runes and DP state on every
-// comparison) — the baseline the prepared kernel is measured against.
+// BenchmarkMatcherEndToEndPlain is the same pipeline with the DP
+// reference as a plain per-pair matcher (no pre-filters, runes and the
+// DP row re-derived on every comparison) — the baseline the kernels are
+// measured against.
 func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
 	matcher := func(x, y entity.Entity) (float64, bool) {
-		tx, ty := x.Attr(datagen.AttrTitle), y.Attr(datagen.AttrTitle)
-		if !similarity.LevenshteinAtLeast(tx, ty, 0.8) {
-			return 0, false
-		}
-		return similarity.LevenshteinSimilarity(tx, ty), true
+		sim := similarity.LevenshteinSimilarity(x.Attr(datagen.AttrTitle), y.Attr(datagen.AttrTitle))
+		return sim, sim >= 0.8
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -521,58 +510,13 @@ func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityKernels pits every prepared comparison kernel
-// against its plain-string counterpart on title-shaped inputs. The
-// prepared sub-benchmarks measure the steady-state per-pair cost
-// (preparation done once outside the loop, as in the reducers) and must
-// report 0 allocs/op — TestPreparedKernelAllocs asserts the same
-// contract.
+// BenchmarkSimilarityKernels measures the kernels the reducers run on
+// title-shaped inputs: preparing one title, and whole reduce groups
+// decided a block at a time (LevBlock) and pair by pair
+// (Thresholder.Match on Prepared values, 0 allocs/op in steady state —
+// TestPreparedKernelAllocs asserts the same contract).
 func BenchmarkSimilarityKernels(b *testing.B) {
 	near1 := "canon eos 5d mark iii digital slr camera body"
-	near2 := "canon eos 5d mark iv digital slr camera body only"
-	far := "nikon d850 45mp full frame dslr with battery grip"
-	p1, p2, pf := similarity.Prepare(near1), similarity.Prepare(near2), similarity.Prepare(far)
-	for _, p := range []*similarity.Prepared{p1, p2, pf} {
-		p.NGramProfile(3)
-	}
-	b.Run("LevenshteinAtLeast/plain", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.LevenshteinAtLeast(near1, near2, 0.8)
-			similarity.LevenshteinAtLeast(near1, far, 0.8)
-		}
-	})
-	b.Run("LevenshteinAtLeast/prepared", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.LevenshteinMatchPrepared(p1, p2, 0.8)
-			similarity.LevenshteinMatchPrepared(p1, pf, 0.8)
-		}
-	})
-	b.Run("TokenJaccard/plain", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.TokenJaccard(near1, near2)
-		}
-	})
-	b.Run("TokenJaccard/prepared", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.TokenJaccardPrepared(p1, p2)
-		}
-	})
-	b.Run("NGramJaccard/plain", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.JaccardNGram(near1, near2, 3)
-		}
-	})
-	b.Run("NGramJaccard/prepared", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.JaccardNGramPrepared(p1, p2, 3)
-		}
-	})
 	b.Run("Prepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

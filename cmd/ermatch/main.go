@@ -102,6 +102,11 @@ func main() {
 	if *m < 1 || *r < 1 || *prefix < 1 || *parallelism < 0 {
 		usage(fmt.Errorf("-m, -r and -prefix must be at least 1 and -parallelism at least 0, got -m %d -r %d -prefix %d -parallelism %d", *m, *r, *prefix, *parallelism))
 	}
+	// A threshold of 0 or below would match every pair here but count
+	// without matching under -master; NaN would match nothing.
+	if !(*threshold > 0 && *threshold <= 1) {
+		usage(fmt.Errorf("-threshold must be in (0,1], got %v", *threshold))
+	}
 	distributed := *masterAddr != "" || *workers > 0 || *addrFile != ""
 	if distributed && *masterAddr == "" {
 		usage(fmt.Errorf("-workers/-master-addr-file require -master"))

@@ -97,44 +97,6 @@ func NormalizedPrefix(n int) KeyFunc {
 	}
 }
 
-// Suffix returns a KeyFunc taking the last n runes of the value. A
-// useful second pass for multi-pass blocking: typos near the front of a
-// title move an entity out of its prefix block but usually not out of
-// its suffix block.
-func Suffix(n int) KeyFunc {
-	if n <= 0 {
-		panic("blocking: Suffix requires n > 0")
-	}
-	return func(v string) string {
-		// Fast path mirror of Prefix: an ASCII byte never continues a
-		// multi-byte rune, so when the last min(n, len(v)) bytes are all
-		// ASCII they are exactly the last runes, wherever the earlier
-		// rune boundaries fall.
-		limit := n
-		if len(v) < limit {
-			limit = len(v)
-		}
-		ascii := true
-		for i := len(v) - limit; i < len(v); i++ {
-			if v[i] >= 0x80 {
-				ascii = false
-				break
-			}
-		}
-		if ascii {
-			if len(v) <= n {
-				return v
-			}
-			return v[len(v)-n:]
-		}
-		r := []rune(v)
-		if len(r) <= n {
-			return string(r)
-		}
-		return string(r[len(r)-n:])
-	}
-}
-
 // Constant returns a KeyFunc mapping every entity to the same block,
 // denoted ⊥ in the paper. It is used when matching entities without a
 // valid blocking key against everything else.

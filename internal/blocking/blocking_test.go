@@ -56,30 +56,6 @@ func TestNormalizedPrefixPanicsOnBadN(t *testing.T) {
 	NormalizedPrefix(0)
 }
 
-func TestSuffix(t *testing.T) {
-	s3 := Suffix(3)
-	tests := map[string]string{
-		"abcdef": "def",
-		"ab":     "ab",
-		"":       "",
-		"日本語です":  "語です",
-	}
-	for in, want := range tests {
-		if got := s3(in); got != want {
-			t.Errorf("Suffix(3)(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestSuffixPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Suffix(0) did not panic")
-		}
-	}()
-	Suffix(0)
-}
-
 func TestConstant(t *testing.T) {
 	c := Constant("⊥")
 	if c("anything") != "⊥" || c("") != "⊥" {

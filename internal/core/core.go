@@ -42,9 +42,9 @@ import (
 type Matcher func(a, b entity.Entity) (float64, bool)
 
 // PreparedEntity is the opaque prepared form of one entity: whatever a
-// PreparedMatcher derives once per entity (cached runes, token sets,
-// n-gram profiles, …) so that the O(group²) comparison loop of a reduce
-// call runs on precomputed forms.
+// PreparedMatcher derives once per entity (cached runes, a rune
+// histogram, …) so that the O(group²) comparison loop of a reduce call
+// runs on precomputed forms.
 type PreparedEntity any
 
 // PreparedMatcher is the two-phase form of Matcher. The reducers of all

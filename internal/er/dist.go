@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -64,6 +65,11 @@ func (p *DistParams) config() (Config, error) {
 	strat, err := p.strategy()
 	if err != nil {
 		return Config{}, err
+	}
+	// Checked here, not left to blocking.NormalizedPrefix's panic: a
+	// worker expands specs that arrived over HTTP.
+	if p.KeyPrefix < 1 || math.IsNaN(p.Threshold) {
+		return Config{}, fmt.Errorf("er: distributed key prefix must be at least 1 and threshold a number, got %d and %v", p.KeyPrefix, p.Threshold)
 	}
 	cfg := Config{
 		Strategy:    strat,

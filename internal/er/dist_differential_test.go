@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -245,5 +246,21 @@ func TestDistributedUnknownStrategy(t *testing.T) {
 	want := fmt.Sprintf("unknown distributed strategy %q", p.Strategy)
 	if got := err.Error(); !strings.Contains(got, want) {
 		t.Fatalf("err = %q, want mention of %q", got, want)
+	}
+}
+
+// TestDistributedBadParams: parameters no pipeline can run are an error
+// before any master or worker work happens, not a panic in the driver or
+// in a worker expanding the spec.
+func TestDistributedBadParams(t *testing.T) {
+	for _, p := range []er.DistParams{
+		{Strategy: "blocksplit", Attr: datagen.AttrTitle, KeyPrefix: 0, Threshold: 0.8, R: 4},
+		{Strategy: "pairrange", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: math.NaN(), R: 4},
+	} {
+		_, err := er.RunDistributedPipeline(context.Background(),
+			er.FromPartitions(entity.SplitRoundRobin(testEntities(20, 1), 2)), p, er.RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "key prefix must be at least 1") {
+			t.Errorf("KeyPrefix %d, Threshold %v: err = %v, want the parameter error", p.KeyPrefix, p.Threshold, err)
+		}
 	}
 }

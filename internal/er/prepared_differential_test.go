@@ -43,10 +43,10 @@ func idFor(i int) string {
 // floats (both sides compute 1 - dist/longest in float64).
 func plainEditDistance(attr string, threshold float64) core.Matcher {
 	return func(a, b entity.Entity) (float64, bool) {
-		if !similarity.LevenshteinAtLeast(a.Attr(attr), b.Attr(attr), threshold) {
-			return 0, false
+		if sim := similarity.LevenshteinSimilarity(a.Attr(attr), b.Attr(attr)); sim >= threshold {
+			return sim, true
 		}
-		return similarity.LevenshteinSimilarity(a.Attr(attr), b.Attr(attr)), true
+		return 0, false
 	}
 }
 
@@ -97,59 +97,6 @@ func TestPreparedMatcherDifferential(t *testing.T) {
 			if !reflect.DeepEqual(preparedRes.Matches, serial) || preparedRes.Comparisons != serialComps {
 				t.Fatalf("%s m=%d r=%d th=%v: prepared result disagrees with serial reference",
 					strat.Name(), m, r, th)
-			}
-		}
-	}
-}
-
-// TestPreparedMatcherDifferentialTokenKernels repeats the differential
-// for the token and n-gram kernels (sorted-slice intersections).
-func TestPreparedMatcherDifferentialTokenKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(4096))
-	es := randEntities(rng, 120)
-	parts := entity.SplitRoundRobin(es, 3)
-	key := blocking.NormalizedPrefix(1)
-	cases := []struct {
-		name     string
-		prepared core.PreparedMatcher
-		plain    core.Matcher
-	}{
-		{
-			name:     "TokenJaccard",
-			prepared: match.TokenJaccard("title", 0.5),
-			plain: func(a, b entity.Entity) (float64, bool) {
-				sim := similarity.TokenJaccard(a.Attr("title"), b.Attr("title"))
-				return sim, sim >= 0.5
-			},
-		},
-		{
-			name:     "NGramJaccard",
-			prepared: match.NGramJaccard("title", 2, 0.4),
-			plain: func(a, b entity.Entity) (float64, bool) {
-				sim := similarity.JaccardNGram(a.Attr("title"), b.Attr("title"), 2)
-				return sim, sim >= 0.4
-			},
-		},
-	}
-	for _, tc := range cases {
-		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			plainRes, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
-				Strategy: strat, Attr: "title", BlockKey: key, Matcher: tc.plain, R: 5,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s plain: %v", tc.name, strat.Name(), err)
-			}
-			preparedRes, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
-				Strategy: strat, Attr: "title", BlockKey: key, PreparedMatcher: tc.prepared, R: 5,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s prepared: %v", tc.name, strat.Name(), err)
-			}
-			if !reflect.DeepEqual(plainRes.Matches, preparedRes.Matches) ||
-				plainRes.Comparisons != preparedRes.Comparisons {
-				t.Fatalf("%s/%s: prepared (matches=%d comps=%d) != plain (matches=%d comps=%d)",
-					tc.name, strat.Name(), len(preparedRes.Matches), preparedRes.Comparisons,
-					len(plainRes.Matches), plainRes.Comparisons)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -566,7 +567,8 @@ func FuzzLevBlockProbe(f *testing.F) {
 	f.Add(r63+"\n"+r64+"\n"+r65+"\n"+strings.Repeat("é", 64)+"\n"+strings.Repeat("é", 65), []byte{1})
 	long := strings.Repeat("abcdefgh ", 60)
 	f.Add(long+"\n"+long[1:]+"\nabc\n"+long+"x\n"+strings.Repeat("é", maxCachedBound+3), []byte{2, 0, 9, 0, 1, 9, 1, 0, 1, 1})
-	thresholds := []*Thresholder{NewThresholder(0.8), NewThresholder(0.5), NewThresholder(1), NewThresholder(0)}
+	f.Add("acme\nacme\n\nacme", []byte{4}) // no pair reaches a NaN threshold
+	thresholds := []*Thresholder{NewThresholder(0.8), NewThresholder(0.5), NewThresholder(1), NewThresholder(0), NewThresholder(math.NaN())}
 	f.Fuzz(func(t *testing.T, text string, ops []byte) {
 		if len(text) > 1<<14 {
 			t.Skip() // the per-pair oracle is quadratic in the rows

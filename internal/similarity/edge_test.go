@@ -42,49 +42,31 @@ func TestEdgeCaseKnownValues(t *testing.T) {
 	if got := LevenshteinSimilarity("a", ""); got != 0 {
 		t.Errorf("LevenshteinSimilarity(\"a\",\"\") = %v, want 0", got)
 	}
-	if !LevenshteinAtLeast("", "", 1) {
-		t.Error("LevenshteinAtLeast(\"\",\"\",1) = false, want true (similarity is exactly 1)")
+	if _, ok := NewThresholder(1).Match(Prepare(""), Prepare("")); !ok {
+		t.Error("Thresholder(1).Match(\"\",\"\") = false, want true (similarity is exactly 1)")
 	}
-	if LevenshteinAtLeast("", "", 1.5) {
-		t.Error("LevenshteinAtLeast(\"\",\"\",1.5) = true, but similarity 1 < 1.5")
-	}
-	if got := Jaro("", ""); got != 1 {
-		t.Errorf("Jaro(\"\",\"\") = %v, want 1", got)
-	}
-	if got := Jaro("a", ""); got != 0 {
-		t.Errorf("Jaro(\"a\",\"\") = %v, want 0", got)
-	}
-	if got := TokenJaccard("  ", ""); got != 1 {
-		t.Errorf("TokenJaccard(whitespace, empty) = %v, want 1 (both tokenless)", got)
-	}
-	if got := JaccardNGram("日", "日", 3); got != 1 {
-		t.Errorf("JaccardNGram(日,日,3) = %v, want 1 (short string is its own gram)", got)
-	}
-	if got := CosineTokens("", "x"); got != 0 {
-		t.Errorf("CosineTokens(\"\",\"x\") = %v, want 0", got)
+	if _, ok := NewThresholder(1.5).Match(Prepare(""), Prepare("")); ok {
+		t.Error("Thresholder(1.5).Match(\"\",\"\") = true, but similarity 1 < 1.5")
 	}
 }
 
-// TestEdgeCaseMeasures runs every measure (plain and prepared) over the
-// full cross product of edge strings and checks range and symmetry; the
-// real assertion is that none of them panics or steps out of [0,1].
+// matchAll is the per-pair kernel as a measure: at threshold 0 every
+// pair matches, with its exact similarity.
+var matchAll = NewThresholder(0)
+
+func preparedSimilarity(a, b string) float64 {
+	sim, _ := matchAll.Match(Prepare(a), Prepare(b))
+	return sim
+}
+
+// TestEdgeCaseMeasures runs the measure (plain and prepared) over the
+// full cross product of edge strings and checks range, symmetry and
+// identity; the real assertion is that neither form panics or steps out
+// of [0,1].
 func TestEdgeCaseMeasures(t *testing.T) {
 	measures := map[string]func(a, b string) float64{
 		"LevenshteinSimilarity": LevenshteinSimilarity,
-		"Jaro":                  Jaro,
-		"JaroWinkler":           JaroWinkler,
-		"TokenJaccard":          TokenJaccard,
-		"JaccardNGram2":         func(a, b string) float64 { return JaccardNGram(a, b, 2) },
-		"CosineTokens":          CosineTokens,
-		"TokenJaccardPrepared": func(a, b string) float64 {
-			return TokenJaccardPrepared(Prepare(a), Prepare(b))
-		},
-		"LevenshteinSimilarityPrepared": func(a, b string) float64 {
-			return LevenshteinSimilarityPrepared(Prepare(a), Prepare(b))
-		},
-		"JaccardNGramPrepared2": func(a, b string) float64 {
-			return JaccardNGramPrepared(Prepare(a), Prepare(b), 2)
-		},
+		"Thresholder.Match":     preparedSimilarity,
 	}
 	for name, sim := range measures {
 		for _, a := range edgeStrings {
@@ -96,30 +78,17 @@ func TestEdgeCaseMeasures(t *testing.T) {
 				if rev := sim(b, a); rev != got {
 					t.Fatalf("%s not symmetric on (%q,%q): %v vs %v", name, a, b, got, rev)
 				}
-				// Identity: 1 up to float rounding (cosine normalizes by
-				// a sqrt'd norm, so exact 1 is not guaranteed).
-				if a == b && name != "Jaro" && name != "JaroWinkler" && sim(a, a) < 1-1e-12 {
-					t.Fatalf("%s(%q,%q) = %v, want 1 (identity)", name, a, a, sim(a, a))
+				if a == b && got != 1 {
+					t.Fatalf("%s(%q,%q) = %v, want 1 (identity)", name, a, a, got)
 				}
 			}
 		}
 	}
-	// Jaro scores 1 on identical non-empty strings too; the exclusion
-	// above is only for the empty/whitespace identity subtleties shared
-	// with the token measures. Pin the non-empty identity here.
-	for _, s := range edgeStrings {
-		if s == "" {
-			continue
-		}
-		if Jaro(s, s) != 1 || JaroWinkler(s, s) != 1 {
-			t.Fatalf("Jaro/JaroWinkler(%q,%q) != 1", s, s)
-		}
-	}
 }
 
-// TestSimilarityPropertyRandom is the randomized property test: every
+// TestSimilarityPropertyRandom is the randomized property test: the
 // measure stays in [0,1] and is symmetric on random unicode-bearing
-// strings.
+// strings, and the prepared form gives the reference's float.
 func TestSimilarityPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	alphabet := []rune("ab 日本é́語x")
@@ -131,24 +100,17 @@ func TestSimilarityPropertyRandom(t *testing.T) {
 		}
 		return string(rs)
 	}
-	measures := map[string]func(a, b string) float64{
-		"LevenshteinSimilarity": LevenshteinSimilarity,
-		"Jaro":                  Jaro,
-		"JaroWinkler":           JaroWinkler,
-		"TokenJaccard":          TokenJaccard,
-		"JaccardNGram3":         func(a, b string) float64 { return JaccardNGram(a, b, 3) },
-		"CosineTokens":          CosineTokens,
-	}
 	for trial := 0; trial < 400; trial++ {
 		a, b := randStr(), randStr()
-		for name, sim := range measures {
-			got := sim(a, b)
-			if got < 0 || got > 1 {
-				t.Fatalf("%s(%q,%q) = %v out of [0,1]", name, a, b, got)
-			}
-			if rev := sim(b, a); rev != got {
-				t.Fatalf("%s not symmetric on (%q,%q): %v vs %v", name, a, b, got, rev)
-			}
+		got := LevenshteinSimilarity(a, b)
+		if got < 0 || got > 1 {
+			t.Fatalf("LevenshteinSimilarity(%q,%q) = %v out of [0,1]", a, b, got)
+		}
+		if rev := LevenshteinSimilarity(b, a); rev != got {
+			t.Fatalf("LevenshteinSimilarity not symmetric on (%q,%q): %v vs %v", a, b, got, rev)
+		}
+		if prep := preparedSimilarity(a, b); prep != got {
+			t.Fatalf("Thresholder.Match(%q,%q) = %v, reference %v", a, b, prep, got)
 		}
 	}
 }

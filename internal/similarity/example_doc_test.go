@@ -16,22 +16,13 @@ func ExampleLevenshteinSimilarity() {
 	// Output: 0.92
 }
 
-func ExampleLevenshteinAtLeast() {
-	// The paper's match rule: normalized similarity >= 0.8, computed
-	// with an early-exit banded distance.
-	fmt.Println(similarity.LevenshteinAtLeast("acme rocket skates", "acme rocket skates!", 0.8))
-	fmt.Println(similarity.LevenshteinAtLeast("acme rocket skates", "bolt cutter", 0.8))
+func ExampleThresholder_Match() {
+	// The paper's match rule: normalized similarity >= 0.8.
+	th := similarity.NewThresholder(0.8)
+	title := similarity.Prepare("acme rocket skates")
+	fmt.Println(th.Match(title, similarity.Prepare("acme rocket skates!")))
+	fmt.Println(th.Match(title, similarity.Prepare("bolt cutter")))
 	// Output:
-	// true
-	// false
-}
-
-func ExampleJaroWinkler() {
-	fmt.Printf("%.4f\n", similarity.JaroWinkler("martha", "marhta"))
-	// Output: 0.9611
-}
-
-func ExampleJaccardNGram() {
-	fmt.Printf("%.2f\n", similarity.JaccardNGram("abcd", "abce", 2))
-	// Output: 0.50
+	// 0.9473684210526316 true
+	// 0 false
 }

@@ -1,43 +1,16 @@
-// Package similarity implements the string similarity measures used by
-// the matcher in the reduce phase: Levenshtein edit distance (the paper's
-// measure, with a 0.8 similarity threshold), Jaro-Winkler, and n-gram
-// Jaccard. All functions operate on runes, not bytes.
+// Package similarity implements the paper's match measure: normalized
+// Levenshtein edit distance against a similarity threshold (0.8 in the
+// paper). All functions operate on runes, not bytes.
 //
-// Every measure exists in two forms: a convenience form on raw strings,
-// and a kernel form on Prepared values (see prepared.go) that skips the
-// per-call rune conversion and tokenization — the form the prepare-once
-// comparison kernel of internal/core uses.
+// Levenshtein and LevenshteinSimilarity are the plain references on raw
+// strings. The kernels the reducers run decide the same predicate on
+// cached forms: Thresholder.Match on Prepared values (see prepared.go)
+// and LevBlock a reduce group at a time (see block.go), both behind
+// length and bag-distance pre-filters and the bit-parallel Myers
+// distance.
 package similarity
 
-import "sync"
-
-// levRowPool recycles the single DP row the Levenshtein kernels need, so
-// steady-state comparisons allocate nothing. Rows beyond maxPooledRow
-// ints are not returned to the pool to avoid pinning memory after one
-// pathological input.
-var levRowPool = sync.Pool{
-	New: func() any {
-		row := make([]int, 0, 128)
-		return &row
-	},
-}
-
-const maxPooledRow = 1 << 16
-
-func getLevRow(n int) *[]int {
-	rp := levRowPool.Get().(*[]int)
-	if cap(*rp) < n {
-		*rp = make([]int, n)
-	}
-	*rp = (*rp)[:n]
-	return rp
-}
-
-func putLevRow(rp *[]int) {
-	if cap(*rp) <= maxPooledRow {
-		levRowPool.Put(rp)
-	}
-}
+import "math"
 
 // Levenshtein returns the edit distance between a and b: the minimum
 // number of single-rune insertions, deletions, and substitutions that
@@ -55,8 +28,7 @@ func levenshteinRunes(ra, rb []rune) int {
 	if n == 0 {
 		return len(rb)
 	}
-	rp := getLevRow(n + 1)
-	row := *rp
+	row := make([]int, n+1)
 	for i := range row {
 		row[i] = i
 	}
@@ -69,103 +41,11 @@ func levenshteinRunes(ra, rb []rune) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			row[i] = min3(row[i]+1, row[i-1]+1, prev+cost)
+			row[i] = min(row[i]+1, row[i-1]+1, prev+cost)
 			prev = cur
 		}
 	}
-	d := row[n]
-	putLevRow(rp)
-	return d
-}
-
-// LevenshteinBounded returns the edit distance between a and b if it is
-// at most maxDist, and (maxDist+1, false) otherwise. The banded dynamic
-// program runs in O(maxDist * max(len)) time, which is what makes a 0.8
-// similarity threshold cheap on long titles.
-func LevenshteinBounded(a, b string, maxDist int) (int, bool) {
-	return levenshteinBoundedRunes([]rune(a), []rune(b), maxDist)
-}
-
-func levenshteinBoundedRunes(ra, rb []rune, maxDist int) (int, bool) {
-	if maxDist < 0 {
-		return maxDist + 1, false
-	}
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	n, m := len(ra), len(rb)
-	if m-n > maxDist {
-		return maxDist + 1, false
-	}
-	if n == 0 {
-		return m, m <= maxDist
-	}
-	const inf = int(^uint(0) >> 2)
-	rp := getLevRow(n + 1)
-	row := *rp
-	for i := range row {
-		if i <= maxDist {
-			row[i] = i
-		} else {
-			row[i] = inf
-		}
-	}
-	for j := 1; j <= m; j++ {
-		// Only cells with |i-j| <= maxDist can contribute.
-		lo := j - maxDist
-		if lo < 1 {
-			lo = 1
-		}
-		hi := j + maxDist
-		if hi > n {
-			hi = n
-		}
-		prev := row[lo-1]
-		if lo == 1 {
-			if j <= maxDist {
-				row[0] = j
-			} else {
-				row[0] = inf
-			}
-		}
-		if lo > 1 {
-			// Left neighbour of the first in-band cell is out of band.
-			row[lo-1] = inf
-		}
-		rowMin := inf
-		for i := lo; i <= hi; i++ {
-			cur := row[i]
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			v := prev + cost
-			if row[i]+1 < v {
-				v = row[i] + 1
-			}
-			if row[i-1]+1 < v {
-				v = row[i-1] + 1
-			}
-			row[i] = v
-			if v < rowMin {
-				rowMin = v
-			}
-			prev = cur
-		}
-		if hi < n {
-			row[hi+1] = inf
-		}
-		if rowMin > maxDist {
-			putLevRow(rp)
-			return maxDist + 1, false
-		}
-	}
-	d := row[n]
-	putLevRow(rp)
-	if d > maxDist {
-		return maxDist + 1, false
-	}
-	return d, true
+	return row[n]
 }
 
 // LevenshteinSimilarity normalizes the edit distance into [0,1]:
@@ -183,26 +63,6 @@ func LevenshteinSimilarity(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(longest)
 }
 
-// LevenshteinAtLeast reports whether the normalized Levenshtein
-// similarity of a and b is >= threshold, using the banded distance to
-// bail out early on clearly dissimilar pairs. It agrees exactly with
-// LevenshteinSimilarity(a, b) >= threshold for every threshold.
-func LevenshteinAtLeast(a, b string, threshold float64) bool {
-	if threshold <= 0 {
-		return true
-	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	longest := la
-	if lb > longest {
-		longest = lb
-	}
-	if longest == 0 {
-		return threshold <= 1 // both empty: similarity is exactly 1
-	}
-	_, ok := LevenshteinBounded(a, b, levenshteinMaxDist(longest, threshold))
-	return ok
-}
-
 // levenshteinMaxDist returns the largest distance d with
 // 1 - d/longest >= threshold (−1 when even d = 0 misses the threshold),
 // evaluated with the exact float arithmetic of LevenshteinSimilarity.
@@ -210,8 +70,12 @@ func LevenshteinAtLeast(a, b string, threshold float64) bool {
 // 1-0.8 rounds to 0.19999…, so longest=5, threshold=0.8 yields 0 instead
 // of 1 and pairs sitting exactly on the threshold are rejected. The
 // float estimate is therefore only a seed, corrected by at most a couple
-// of steps against the real predicate.
+// of steps against the real predicate. No similarity reaches a NaN
+// threshold.
 func levenshteinMaxDist(longest int, threshold float64) int {
+	if math.IsNaN(threshold) {
+		return -1
+	}
 	if threshold <= 0 {
 		return longest // every distance qualifies (dist <= longest always)
 	}
@@ -229,14 +93,4 @@ func levenshteinMaxDist(longest int, threshold float64) int {
 		d--
 	}
 	return d
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

@@ -77,19 +77,21 @@ func TestBlockedMyersWordBoundaries(t *testing.T) {
 				} {
 					want := levenshteinRunes(a, b)
 					pa, pb := Prepare(string(a)), Prepare(string(b))
-					if got := LevenshteinPrepared(pa, pb); got != want {
-						t.Fatalf("LevenshteinPrepared(len %d, len %d, ascii=%v) = %d, want %d",
+					if got := levenshteinPreparedDist(pa, pb); got != want {
+						t.Fatalf("levenshteinPreparedDist(len %d, len %d, ascii=%v) = %d, want %d",
 							la, len(b), pa.ascii, got, want)
 					}
-					for _, maxDist := range []int{0, 1, want - 1, want, want + 1, la + lb} {
-						wd, wok := want, want <= maxDist
-						if !wok {
-							wd = maxDist + 1
+					// The match kernel at the thresholds whose distance
+					// bound sits just below, on and just above the distance.
+					longest := max(la, len(b))
+					for _, maxDist := range []int{want - 1, want, want + 1} {
+						if maxDist < 0 || maxDist > longest {
+							continue
 						}
-						gd, gok := LevenshteinBoundedPrepared(pa, pb, maxDist)
-						if gd != wd || gok != wok {
-							t.Fatalf("LevenshteinBoundedPrepared(len %d, len %d, max %d) = (%d,%v), want (%d,%v)",
-								la, len(b), maxDist, gd, gok, wd, wok)
+						th := NewThresholder(1 - float64(maxDist)/float64(longest))
+						if _, ok := th.Match(pa, pb); ok != (want <= maxDist) {
+							t.Fatalf("Thresholder(max %d of %d).Match(len %d, len %d) = %v, distance %d",
+								maxDist, longest, la, len(b), ok, want)
 						}
 					}
 				}
@@ -117,10 +119,10 @@ func TestBlockedMyersProperty(t *testing.T) {
 		}
 		want := levenshteinRunes(a, b)
 		pa, pb := Prepare(string(a)), Prepare(string(b))
-		if got := LevenshteinPrepared(pa, pb); got != want {
-			t.Fatalf("trial %d: LevenshteinPrepared(%q, %q) = %d, want %d", trial, string(a), string(b), got, want)
+		if got := levenshteinPreparedDist(pa, pb); got != want {
+			t.Fatalf("trial %d: levenshteinPreparedDist(%q, %q) = %d, want %d", trial, string(a), string(b), got, want)
 		}
-		if sim := LevenshteinSimilarityPrepared(pa, pb); sim != LevenshteinSimilarity(string(a), string(b)) {
+		if sim, _ := matchAll.Match(pa, pb); sim != LevenshteinSimilarity(string(a), string(b)) {
 			t.Fatalf("trial %d: similarity mismatch", trial)
 		}
 	}
@@ -135,14 +137,14 @@ func TestBlockedMyersCombiningMarks(t *testing.T) {
 	combining := "é"  // 'e' + combining acute: two runes
 	pa, pb := Prepare(precomposed), Prepare(combining)
 	want := levenshteinRunes([]rune(precomposed), []rune(combining))
-	if got := LevenshteinPrepared(pa, pb); got != want || got != 2 {
+	if got := levenshteinPreparedDist(pa, pb); got != want || got != 2 {
 		t.Fatalf("distance(é, e+U+0301) = %d, want %d (rune granularity)", got, want)
 	}
 	// A long combining-mark string crossing the word boundary.
 	long := strings.Repeat("éä", 40) // 160 runes, 3 words
 	other := strings.Repeat("éä", 39) + "xx́̈"
 	want = levenshteinRunes([]rune(long), []rune(other))
-	if got := LevenshteinPrepared(Prepare(long), Prepare(other)); got != want {
+	if got := levenshteinPreparedDist(Prepare(long), Prepare(other)); got != want {
 		t.Fatalf("long combining-mark distance = %d, want %d", got, want)
 	}
 }
@@ -177,7 +179,7 @@ func TestBagBoundSWAR(t *testing.T) {
 			t.Fatalf("trial %d: BagBound = %d, want %d", trial, got, want)
 		}
 		// Soundness: still a lower bound on the true distance.
-		if d := LevenshteinPrepared(pa, pb); got > d {
+		if d := levenshteinPreparedDist(pa, pb); got > d {
 			t.Fatalf("trial %d: BagBound %d exceeds distance %d", trial, got, d)
 		}
 	}
@@ -185,8 +187,8 @@ func TestBagBoundSWAR(t *testing.T) {
 
 // TestBlockedMyersNoAllocs asserts the steady-state prepared path stays
 // allocation-free across every kernel the dispatch can pick: single-word
-// ASCII, blocked ASCII, and the rune-alphabet kernel, plus the bounded
-// variants and the SWAR pre-filter.
+// ASCII, blocked ASCII, and the rune-alphabet kernel, plus the match
+// kernel behind its filters and the SWAR pre-filter.
 func TestBlockedMyersNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; steady-state 0 allocs does not hold")
@@ -195,10 +197,11 @@ func TestBlockedMyersNoAllocs(t *testing.T) {
 	longA, longB := Prepare(strings.Repeat("abc", 60)), Prepare(strings.Repeat("acb", 60))
 	uniA, uniB := Prepare(strings.Repeat("éá", 50)), Prepare(strings.Repeat("aé́", 49))
 	pairs := [][2]*Prepared{{shortA, shortB}, {longA, longB}, {uniA, uniB}}
+	th := NewThresholder(0.5)
 	for name, fn := range map[string]func(a, b *Prepared){
-		"LevenshteinPrepared":        func(a, b *Prepared) { LevenshteinPrepared(a, b) },
-		"LevenshteinBoundedPrepared": func(a, b *Prepared) { LevenshteinBoundedPrepared(a, b, 30) },
-		"BagBound":                   func(a, b *Prepared) { BagBound(a, b) },
+		"levenshteinPreparedDist": func(a, b *Prepared) { levenshteinPreparedDist(a, b) },
+		"Thresholder.Match":       func(a, b *Prepared) { th.Match(a, b) },
+		"BagBound":                func(a, b *Prepared) { BagBound(a, b) },
 	} {
 		for i, pair := range pairs {
 			a, b := pair[0], pair[1]

@@ -2,42 +2,34 @@ package similarity
 
 import (
 	"math"
-	"slices"
-	"strings"
 	"sync"
 )
 
-// Prepared caches the derived forms of one string that the similarity
-// kernels consume: the rune slice and a fixed-size rune histogram (the
-// pre-filter input) eagerly, the sorted lowercase token set and sorted
-// n-gram profiles lazily on first use. Building a Prepared costs one
-// pass over the string; comparing two Prepared values allocates nothing.
-// The intended pattern is the reduce phase's prepare-once model: derive
-// each entity's Prepared once per key group and run the O(group²)
-// comparisons on the cached forms.
+// Prepared caches the derived forms of one string that the kernels
+// consume: the ASCII classification, a fixed-size rune histogram
+// (the pre-filter input) and, for non-ASCII strings, the rune slice.
+// Building a Prepared costs one pass over the string; comparing two
+// Prepared values allocates nothing. The intended pattern is the reduce
+// phase's prepare-once model: derive each entity's Prepared once per key
+// group and run the O(group²) comparisons on the cached forms.
 //
-// Lazy forms (Tokens, NGramProfile) cache by mutating the receiver, so
-// a Prepared must not be shared across goroutines while they are still
-// being materialized; materializing everything a matcher needs at
-// Prepare time yields a read-only value safe to share. The reducers
-// never share prepared entities across reduce groups, so this is only a
-// concern for custom callers.
+// An ASCII string's rune slice is materialized lazily, by mutating the
+// receiver, the first time a mixed or over-long comparison needs it
+// (runeSeq), so a Prepared must not be shared across goroutines that
+// compare it. The reducers never share prepared entities across reduce
+// groups, so this is only a concern for custom callers.
 type Prepared struct {
 	// Raw is the original string.
 	Raw string
 	// runes is the materialized rune slice. For ASCII strings the bytes
 	// of Raw are the runes, so this stays nil unless a mixed
 	// ASCII/non-ASCII comparison forces materialization (runeSeq).
-	runes  []rune
-	tokens []string // sorted unique lowercase whitespace tokens
-	grams  []gramCount
-	gramN  int
+	runes []rune
 	// hist counts runes per bucket, saturating at 127. Saturation keeps
 	// BagBound sound for arbitrarily long strings: clamping is monotone
 	// and 1-Lipschitz, so it can only shrink bucket differences.
-	hist        [histBuckets]uint8
-	ascii       bool
-	tokensReady bool
+	hist  [histBuckets]uint8
+	ascii bool
 }
 
 // histBuckets is the size of the rune histogram. 32 buckets separate
@@ -49,17 +41,10 @@ const histBuckets = 32
 // histCap is the saturation ceiling of one histogram bucket.
 const histCap = 127
 
-// gramCount is one entry of an n-gram profile: the gram and its
-// multiplicity, sorted by gram.
-type gramCount struct {
-	g string
-	n int
-}
-
 // Prepare derives the eager cached forms of s: the ASCII classification,
-// the rune histogram, and (for non-ASCII strings) the rune slice. Token
-// sets and n-gram profiles are derived lazily. For ASCII strings — the
-// common case for product titles — Prepare performs a single allocation.
+// the rune histogram, and (for non-ASCII strings) the rune slice. For
+// ASCII strings — the common case for product titles — Prepare performs
+// a single allocation.
 func Prepare(s string) *Prepared {
 	p := &Prepared{}
 	p.fill(s)
@@ -85,10 +70,7 @@ func PreparePooled(s string) *Prepared {
 // Release resets p (keeping slice capacities) and returns it to the
 // pool. Only values obtained from PreparePooled may be released.
 func (p *Prepared) Release() {
-	runes, tokens, grams := p.runes, p.tokens, p.grams
-	clear(tokens[:cap(tokens)]) // drop string references past len too
-	clear(grams[:cap(grams)])
-	*p = Prepared{runes: runes[:0], tokens: tokens[:0], grams: grams[:0]}
+	*p = Prepared{runes: p.runes[:0]}
 	preparedPool.Put(p)
 }
 
@@ -98,8 +80,6 @@ func (p *Prepared) fill(s string) {
 	p.Raw = s
 	p.ascii = true
 	p.hist = [histBuckets]uint8{}
-	p.tokensReady = false
-	p.gramN = 0
 	runes := p.runes[:0]
 	p.runes = runes // empty = not materialized; keeps recycled capacity
 	// Fused pass: ASCII classification and histogram in one scan.
@@ -144,65 +124,6 @@ func (p *Prepared) runeSeq() []rune {
 		p.runes = runes
 	}
 	return p.runes
-}
-
-// Tokens returns the sorted unique lowercase whitespace tokens,
-// computing and caching them on first use. The returned slice is
-// shared; callers must not modify it.
-func (p *Prepared) Tokens() []string {
-	if !p.tokensReady {
-		toks := strings.Fields(strings.ToLower(p.Raw))
-		slices.Sort(toks)
-		p.tokens = slices.Compact(toks)
-		p.tokensReady = true
-	}
-	return p.tokens
-}
-
-// NGramProfile returns the sorted n-gram profile of the string,
-// computing and caching it on first use (one n is cached at a time; a
-// matcher uses a single n, so that is the steady state).
-func (p *Prepared) NGramProfile(n int) []gramCount {
-	if n <= 0 {
-		panic("similarity: NGramProfile requires n > 0")
-	}
-	if p.gramN == n {
-		return p.grams
-	}
-	var gs []string
-	if p.ascii {
-		// ASCII grams are substrings sharing Raw's backing array.
-		if ln := len(p.Raw); ln > 0 {
-			if ln <= n {
-				gs = []string{p.Raw}
-			} else {
-				gs = make([]string, 0, ln-n+1)
-				for i := 0; i+n <= ln; i++ {
-					gs = append(gs, p.Raw[i:i+n])
-				}
-			}
-		}
-	} else if len(p.runes) > 0 {
-		if len(p.runes) <= n {
-			gs = []string{string(p.runes)}
-		} else {
-			gs = make([]string, 0, len(p.runes)-n+1)
-			for i := 0; i+n <= len(p.runes); i++ {
-				gs = append(gs, string(p.runes[i:i+n]))
-			}
-		}
-	}
-	slices.Sort(gs)
-	profile := make([]gramCount, 0, len(gs))
-	for _, g := range gs {
-		if k := len(profile); k > 0 && profile[k-1].g == g {
-			profile[k-1].n++
-		} else {
-			profile = append(profile, gramCount{g: g, n: 1})
-		}
-	}
-	p.gramN, p.grams = n, profile
-	return profile
 }
 
 // BagBound returns a lower bound on the Levenshtein distance of the two
@@ -268,7 +189,7 @@ func fold16(v uint64) int {
 // pattern p (1 <= len(p) <= 64) and an ASCII text t, using Myers'
 // bit-parallel algorithm (in Hyyrö's formulation): the DP column is
 // encoded in two 64-bit words and each text byte costs a handful of
-// word operations, an order of magnitude faster than the banded DP on
+// word operations, an order of magnitude faster than the DP on
 // title-length strings. The per-call pattern mask table lives on the
 // stack — no allocation.
 func myersASCII(p, t string) int {
@@ -337,113 +258,13 @@ func levenshteinPreparedDist(a, b *Prepared) int {
 	return myersRunes(ra, rb)
 }
 
-// LevenshteinPrepared is Levenshtein on the cached forms.
-func LevenshteinPrepared(a, b *Prepared) int {
-	return levenshteinPreparedDist(a, b)
-}
-
-// LevenshteinBoundedPrepared is LevenshteinBounded on the cached forms.
-func LevenshteinBoundedPrepared(a, b *Prepared, maxDist int) (int, bool) {
-	if maxDist < 0 {
-		return maxDist + 1, false
-	}
-	if a.ascii && b.ascii {
-		p, t := a.Raw, b.Raw
-		if len(p) > len(t) {
-			p, t = t, p
-		}
-		if len(t)-len(p) > maxDist {
-			return maxDist + 1, false
-		}
-		if len(p) == 0 {
-			return len(t), true // length filter above guarantees len(t) <= maxDist
-		}
-		var d int
-		if len(p) <= 64 {
-			d = myersASCII(p, t)
-		} else {
-			d = myersASCIIBlocked(p, t)
-		}
-		if d <= maxDist {
-			return d, true
-		}
-		return maxDist + 1, false
-	}
-	ra, rb := a.runeSeq(), b.runeSeq()
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(rb)-len(ra) > maxDist {
-		return maxDist + 1, false
-	}
-	if len(ra) == 0 {
-		return len(rb), true // length filter above guarantees len(rb) <= maxDist
-	}
-	if d := myersRunes(ra, rb); d <= maxDist {
-		return d, true
-	}
-	return maxDist + 1, false
-}
-
-// LevenshteinSimilarityPrepared is LevenshteinSimilarity on the cached
-// forms.
-func LevenshteinSimilarityPrepared(a, b *Prepared) float64 {
-	longest := a.RuneLen()
-	if l := b.RuneLen(); l > longest {
-		longest = l
-	}
-	if longest == 0 {
-		return 1
-	}
-	return 1 - float64(levenshteinPreparedDist(a, b))/float64(longest)
-}
-
-// LevenshteinAtLeastPrepared is LevenshteinAtLeast on cached runes, with
-// the pre-filter chain of LevenshteinMatchPrepared.
-func LevenshteinAtLeastPrepared(a, b *Prepared, threshold float64) bool {
-	_, ok := LevenshteinMatchPrepared(a, b, threshold)
-	return ok
-}
-
-// LevenshteinMatchPrepared is the matcher kernel: it reports whether the
-// normalized Levenshtein similarity of a and b reaches the threshold
-// and, if so, the exact similarity. Equivalent to testing
-// LevenshteinSimilarityPrepared(a, b) >= threshold, but clearly
-// dissimilar pairs are rejected by two O(len) pre-filters — the length
-// difference and the histogram bag bound, both lower bounds on the edit
-// distance — before the banded DP runs. Steady-state calls allocate
-// nothing.
-func LevenshteinMatchPrepared(a, b *Prepared, threshold float64) (float64, bool) {
-	la, lb := a.RuneLen(), b.RuneLen()
-	longest, diff := la, la-lb
-	if lb > la {
-		longest, diff = lb, lb-la
-	}
-	if longest == 0 {
-		return 1, threshold <= 1
-	}
-	return levenshteinMatchBounded(a, b, longest, diff, levenshteinMaxDist(longest, threshold))
-}
-
-func levenshteinMatchBounded(a, b *Prepared, longest, diff, maxDist int) (float64, bool) {
-	if maxDist < 0 || diff > maxDist {
-		return 0, false
-	}
-	if maxDist < longest && BagBound(a, b) > maxDist {
-		return 0, false
-	}
-	d, ok := LevenshteinBoundedPrepared(a, b, maxDist)
-	if !ok {
-		return 0, false
-	}
-	return 1 - float64(d)/float64(longest), true
-}
-
-// Thresholder is the fixed-threshold form of LevenshteinMatchPrepared:
-// it caches the per-length distance bounds once, removing the per-pair
-// float arithmetic from the kernel. Matchers that evaluate millions of
-// pairs against one threshold (the paper's setup) should build one
-// Thresholder and reuse it; Match is safe for concurrent use.
+// Thresholder is the per-pair matcher kernel at one similarity
+// threshold: Match decides LevenshteinSimilarity(a, b) >= threshold on
+// Prepared values. It caches the per-length distance bounds once,
+// removing the per-pair float arithmetic from the kernel. Matchers that
+// evaluate millions of pairs against one threshold (the paper's setup)
+// should build one Thresholder and reuse it; Match is safe for
+// concurrent use.
 type Thresholder struct {
 	threshold float64
 	bounds    [maxCachedBound + 1]int16
@@ -505,7 +326,7 @@ func (t *Thresholder) window(l int) (lo, hi int32) {
 
 // MaxDist returns the largest edit distance at which two strings of
 // maximum rune length `longest` still reach the threshold (−1 when none
-// does), identical to the bound LevenshteinAtLeast derives.
+// does), in the float arithmetic of LevenshteinSimilarity.
 func (t *Thresholder) MaxDist(longest int) int {
 	if uint(longest) <= maxCachedBound {
 		return int(t.bounds[longest])
@@ -522,84 +343,27 @@ func (t *Thresholder) maxDistUncached(longest int) int {
 }
 
 // Match reports whether the pair reaches the threshold and, if so, the
-// exact normalized similarity — equivalent to
-// LevenshteinMatchPrepared(a, b, threshold).
+// exact normalized similarity: the same decision and float as
+// LevenshteinSimilarity(a.Raw, b.Raw) >= threshold. Clearly dissimilar
+// pairs are rejected by two O(len) pre-filters — the length difference
+// and the histogram bag bound, both lower bounds on the edit distance —
+// before the exact distance (levenshteinPreparedDist) runs. Steady-state
+// calls allocate nothing.
 func (t *Thresholder) Match(a, b *Prepared) (float64, bool) {
 	la, lb := a.RuneLen(), b.RuneLen()
-	longest, diff := la, la-lb
-	if lb > la {
-		longest, diff = lb, lb-la
-	}
+	longest := max(la, lb)
 	if longest == 0 {
 		return 1, t.threshold <= 1
 	}
-	return levenshteinMatchBounded(a, b, longest, diff, t.MaxDist(longest))
-}
-
-// TokenJaccardPrepared is TokenJaccard on the cached sorted token sets:
-// a single merge walk instead of two map builds per comparison.
-func TokenJaccardPrepared(a, b *Prepared) float64 {
-	ta, tb := a.Tokens(), b.Tokens()
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
+	maxDist := t.MaxDist(longest)
+	if max(la-lb, lb-la) > maxDist {
+		return 0, false
 	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(ta) && j < len(tb) {
-		switch {
-		case ta[i] < tb[j]:
-			i++
-		case ta[i] > tb[j]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
+	if maxDist < longest && BagBound(a, b) > maxDist {
+		return 0, false
 	}
-	union := len(ta) + len(tb) - inter
-	return float64(inter) / float64(union)
-}
-
-// JaccardNGramPrepared is JaccardNGram on cached sorted n-gram profiles
-// (multiset min/max semantics), a single merge walk per comparison. Both
-// profiles are materialized (and cached) on first use; prepare entities
-// up front to keep the comparison loop allocation-free.
-func JaccardNGramPrepared(a, b *Prepared, n int) float64 {
-	ga, gb := a.NGramProfile(n), b.NGramProfile(n)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
+	if d := levenshteinPreparedDist(a, b); d <= maxDist {
+		return 1 - float64(d)/float64(longest), true
 	}
-	inter, union := 0, 0
-	i, j := 0, 0
-	for i < len(ga) && j < len(gb) {
-		switch {
-		case ga[i].g < gb[j].g:
-			union += ga[i].n
-			i++
-		case ga[i].g > gb[j].g:
-			union += gb[j].n
-			j++
-		default:
-			if ga[i].n < gb[j].n {
-				inter += ga[i].n
-				union += gb[j].n
-			} else {
-				inter += gb[j].n
-				union += ga[i].n
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(ga); i++ {
-		union += ga[i].n
-	}
-	for ; j < len(gb); j++ {
-		union += gb[j].n
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	return 0, false
 }

@@ -1,13 +1,14 @@
 package similarity
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// randTitle builds a random string over a small alphabet (with spaces,
-// so tokenization is exercised) to force collisions and near-misses.
+// randTitle builds a random title-like string over a small alphabet
+// (with spaces) to force collisions and near-misses.
 func randTitle(rng *rand.Rand, maxLen int) string {
 	n := rng.Intn(maxLen)
 	var b strings.Builder
@@ -21,88 +22,92 @@ func randTitle(rng *rand.Rand, maxLen int) string {
 	return b.String()
 }
 
+// checkMatch holds Thresholder.Match to the DP reference on one pair:
+// it accepts exactly when LevenshteinSimilarity(a, b) >= threshold, and
+// then with that very float.
+func checkMatch(t *testing.T, th *Thresholder, a, b string) {
+	t.Helper()
+	want := LevenshteinSimilarity(a, b)
+	sim, ok := th.Match(Prepare(a), Prepare(b))
+	if ok != (want >= th.threshold) || ok && sim != want {
+		t.Fatalf("Thresholder(%v).Match(%.40q, %.40q) = (%v, %v), reference similarity %v",
+			th.threshold, a, b, sim, ok, want)
+	}
+}
+
+// checkMatchStream draws trials random pairs of up to maxLn runes from
+// seed and holds each to the DP reference: its distance dispatch, its
+// decision at a drawn threshold, and its decision at its own similarity,
+// which must accept it.
+func checkMatchStream(t *testing.T, seed int64, trials, maxLn int, threshold func(*rand.Rand) float64) {
+	t.Helper()
+	thresholders := map[float64]*Thresholder{}
+	thresholder := func(th float64) *Thresholder {
+		if thresholders[th] == nil {
+			thresholders[th] = NewThresholder(th)
+		}
+		return thresholders[th]
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
+		a, b := randTitle(rng, maxLn), randTitle(rng, maxLn)
+		if got, want := levenshteinPreparedDist(Prepare(a), Prepare(b)), Levenshtein(a, b); got != want {
+			t.Fatalf("levenshteinPreparedDist(%q,%q) = %d, want %d", a, b, got, want)
+		}
+		checkMatch(t, thresholder(threshold(rng)), a, b)
+		// Exact-boundary threshold: the pair's own similarity.
+		checkMatch(t, thresholder(LevenshteinSimilarity(a, b)), a, b)
+	}
+}
+
 // TestLevenshteinAtLeastMatchesSimilarity is the threshold-boundary
-// differential: the banded predicate must agree exactly with the
-// unbounded similarity for every (pair, threshold), including pairs
-// sitting exactly on the threshold — the case the former
+// differential of the per-pair kernel: Thresholder.Match must agree
+// exactly with the DP reference for every (pair, threshold), including
+// pairs sitting exactly on the threshold — the case the former
 // int(float64(longest)*(1-threshold)) bound got wrong (longest=5,
 // t=0.8 yielded maxDist 0 instead of 1).
 func TestLevenshteinAtLeastMatchesSimilarity(t *testing.T) {
 	// The historical failure first: distance 1 at length 5 is exactly
 	// similarity 0.8.
-	if !LevenshteinAtLeast("abcde", "abcdX", 0.8) {
-		t.Fatal("LevenshteinAtLeast rejects a pair exactly on the threshold")
+	if _, ok := NewThresholder(0.8).Match(Prepare("abcde"), Prepare("abcdX")); !ok {
+		t.Fatal("Thresholder(0.8) rejects a pair exactly on the threshold")
 	}
-	rng := rand.New(rand.NewSource(42))
-	thresholds := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 2.0 / 3, 0.75, 0.8, 0.9, 0.95, 1}
-	for trial := 0; trial < 2000; trial++ {
-		a, b := randTitle(rng, 12), randTitle(rng, 12)
-		th := thresholds[rng.Intn(len(thresholds))]
-		want := LevenshteinSimilarity(a, b) >= th
-		if got := LevenshteinAtLeast(a, b, th); got != want {
-			t.Fatalf("LevenshteinAtLeast(%q,%q,%v) = %v, want %v (sim=%v)",
-				a, b, th, got, want, LevenshteinSimilarity(a, b))
-		}
-		// Exact-boundary thresholds: set t to the pair's own similarity.
-		sim := LevenshteinSimilarity(a, b)
-		if sim > 0 && !LevenshteinAtLeast(a, b, sim) {
-			t.Fatalf("LevenshteinAtLeast(%q,%q,sim=%v) = false on its own similarity", a, b, sim)
-		}
-	}
+	fixed := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 2.0 / 3, 0.75, 0.8, 0.9, 0.95, 1}
+	checkMatchStream(t, 42, 2000, 12, func(rng *rand.Rand) float64 { return fixed[rng.Intn(len(fixed))] })
 }
 
-// TestPreparedKernelsEquivalence checks every prepared kernel against
-// its plain-string counterpart on random inputs.
+// TestPreparedKernelsEquivalence holds the per-pair kernel to the DP
+// reference on longer random titles at thresholds in tenths.
 func TestPreparedKernelsEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 1500; trial++ {
-		sa, sb := randTitle(rng, 16), randTitle(rng, 16)
-		pa, pb := Prepare(sa), Prepare(sb)
+	checkMatchStream(t, 7, 1500, 16, func(rng *rand.Rand) float64 { return float64(rng.Intn(11)) / 10 })
+}
 
-		if got, want := LevenshteinPrepared(pa, pb), Levenshtein(sa, sb); got != want {
-			t.Fatalf("LevenshteinPrepared(%q,%q) = %d, want %d", sa, sb, got, want)
+// FuzzThresholderMatch: the per-pair kernel is the DP reference for any
+// two strings — ASCII or not, valid UTF-8 or not, past the 64-rune word —
+// and any threshold, NaN and the infinities included.
+func FuzzThresholderMatch(f *testing.F) {
+	f.Add("acme", "acme", math.NaN())
+	f.Add("acme", "acme", math.Inf(1))
+	f.Add("acme", "acmx", math.Inf(-1))
+	f.Add("", "", 0.0)
+	f.Add("", "", 1.0)
+	f.Add("abcde", "abcdX", 0.8)
+	f.Add("kitten", "sitting", 1-3.0/7) // on its own similarity
+	f.Add(strings.Repeat("ab", 40), strings.Repeat("ba", 40)+"c", 0.9)
+	f.Add("caméra", "camera\xff", 0.5)
+	f.Fuzz(func(t *testing.T, a, b string, threshold float64) {
+		if len(a)*len(b) > 1<<20 {
+			t.Skip() // the DP reference is quadratic
 		}
-		if got, want := LevenshteinSimilarityPrepared(pa, pb), LevenshteinSimilarity(sa, sb); got != want {
-			t.Fatalf("LevenshteinSimilarityPrepared(%q,%q) = %v, want %v", sa, sb, got, want)
-		}
-		maxDist := rng.Intn(6)
-		gd, gok := LevenshteinBoundedPrepared(pa, pb, maxDist)
-		wd, wok := LevenshteinBounded(sa, sb, maxDist)
-		if gd != wd || gok != wok {
-			t.Fatalf("LevenshteinBoundedPrepared(%q,%q,%d) = (%d,%v), want (%d,%v)",
-				sa, sb, maxDist, gd, gok, wd, wok)
-		}
-		th := float64(rng.Intn(11)) / 10
-		if got, want := LevenshteinAtLeastPrepared(pa, pb, th), LevenshteinAtLeast(sa, sb, th); got != want {
-			t.Fatalf("LevenshteinAtLeastPrepared(%q,%q,%v) = %v, want %v", sa, sb, th, got, want)
-		}
-		sim, ok := LevenshteinMatchPrepared(pa, pb, th)
-		if ok != (LevenshteinSimilarity(sa, sb) >= th) {
-			t.Fatalf("LevenshteinMatchPrepared(%q,%q,%v) ok=%v disagrees with similarity", sa, sb, th, ok)
-		}
-		if ok && sim != LevenshteinSimilarity(sa, sb) {
-			t.Fatalf("LevenshteinMatchPrepared(%q,%q,%v) sim=%v, want %v",
-				sa, sb, th, sim, LevenshteinSimilarity(sa, sb))
-		}
-		tsim, tok := NewThresholder(th).Match(pa, pb)
-		if tsim != sim || tok != ok {
-			t.Fatalf("Thresholder(%v).Match(%q,%q) = (%v,%v), want (%v,%v)",
-				th, sa, sb, tsim, tok, sim, ok)
-		}
-		if got, want := TokenJaccardPrepared(pa, pb), TokenJaccard(sa, sb); got != want {
-			t.Fatalf("TokenJaccardPrepared(%q,%q) = %v, want %v", sa, sb, got, want)
-		}
-		n := 1 + rng.Intn(3)
-		if got, want := JaccardNGramPrepared(pa, pb, n), JaccardNGram(sa, sb, n); got != want {
-			t.Fatalf("JaccardNGramPrepared(%q,%q,%d) = %v, want %v", sa, sb, n, got, want)
-		}
-	}
+		checkMatch(t, NewThresholder(threshold), a, b)
+	})
 }
 
 // TestMyersMatchesDP drives the bit-parallel ASCII kernel against the
 // reference DP across the word-size boundary (len 1..80, including
 // exactly 64), plus mixed ASCII/unicode pairs that must take the rune
-// path, at every dispatch point (full, bounded, match).
+// path, at every dispatch point (the distance dispatch, and the match
+// kernel behind its filters).
 func TestMyersMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	randASCII := func(n int) string {
@@ -111,6 +116,10 @@ func TestMyersMatchesDP(t *testing.T) {
 			b[i] = byte('a' + rng.Intn(6))
 		}
 		return string(b)
+	}
+	var thresholders [21]*Thresholder
+	for i := range thresholders {
+		thresholders[i] = NewThresholder(float64(i) / 20)
 	}
 	for trial := 0; trial < 3000; trial++ {
 		la, lb := rng.Intn(81), rng.Intn(81)
@@ -121,26 +130,10 @@ func TestMyersMatchesDP(t *testing.T) {
 		if trial%5 == 0 {
 			sa += "日" // force the mixed-pair rune path
 		}
-		pa, pb := Prepare(sa), Prepare(sb)
-		want := Levenshtein(sa, sb)
-		if got := LevenshteinPrepared(pa, pb); got != want {
-			t.Fatalf("LevenshteinPrepared(len %d, len %d) = %d, want %d", la, lb, got, want)
+		if got, want := levenshteinPreparedDist(Prepare(sa), Prepare(sb)), Levenshtein(sa, sb); got != want {
+			t.Fatalf("levenshteinPreparedDist(len %d, len %d) = %d, want %d", la, lb, got, want)
 		}
-		maxDist := rng.Intn(12)
-		gd, gok := LevenshteinBoundedPrepared(pa, pb, maxDist)
-		wd, wok := LevenshteinBounded(sa, sb, maxDist)
-		if gd != wd || gok != wok {
-			t.Fatalf("LevenshteinBoundedPrepared(len %d, len %d, %d) = (%d,%v), want (%d,%v)",
-				la, lb, maxDist, gd, gok, wd, wok)
-		}
-		th := float64(rng.Intn(21)) / 20
-		sim, ok := LevenshteinMatchPrepared(pa, pb, th)
-		if ok != (LevenshteinSimilarity(sa, sb) >= th) {
-			t.Fatalf("LevenshteinMatchPrepared(len %d, len %d, %v) ok=%v disagrees", la, lb, th, ok)
-		}
-		if ok && sim != LevenshteinSimilarity(sa, sb) {
-			t.Fatalf("LevenshteinMatchPrepared sim=%v, want %v", sim, LevenshteinSimilarity(sa, sb))
-		}
+		checkMatch(t, thresholders[rng.Intn(len(thresholders))], sa, sb)
 	}
 }
 
@@ -187,20 +180,15 @@ func TestPreparedKernelAllocs(t *testing.T) {
 	pa := Prepare("canon eos 5d mark iii digital slr camera body")
 	pb := Prepare("canon eos 5d mark iv digital slr camera body only")
 	pc := Prepare("nikon d850 45mp full frame dslr with battery grip")
-	for _, p := range []*Prepared{pa, pb, pc} {
-		p.NGramProfile(3)
-		p.Tokens() // materialize the lazy forms outside the measured loop
-	}
+	th := NewThresholder(0.8)
 	kernels := map[string]func(){
-		"LevenshteinMatchPrepared/hit":  func() { LevenshteinMatchPrepared(pa, pb, 0.8) },
-		"LevenshteinMatchPrepared/miss": func() { LevenshteinMatchPrepared(pa, pc, 0.8) },
-		"LevenshteinPrepared":           func() { LevenshteinPrepared(pa, pb) },
-		"TokenJaccardPrepared":          func() { TokenJaccardPrepared(pa, pb) },
-		"JaccardNGramPrepared":          func() { JaccardNGramPrepared(pa, pb, 3) },
-		"BagBound":                      func() { BagBound(pa, pb) },
+		"Thresholder.Match/hit":   func() { th.Match(pa, pb) },
+		"Thresholder.Match/miss":  func() { th.Match(pa, pc) },
+		"levenshteinPreparedDist": func() { levenshteinPreparedDist(pa, pb) },
+		"BagBound":                func() { BagBound(pa, pb) },
 	}
 	for name, fn := range kernels {
-		fn() // warm the DP row pool
+		fn() // warm the scratch pools
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
@@ -216,16 +204,7 @@ func TestPreparedAccessors(t *testing.T) {
 	if p.RuneLen() != 15 {
 		t.Fatalf("RuneLen = %d, want 15", p.RuneLen())
 	}
-	toks := p.Tokens()
-	if len(toks) != 2 || toks[0] != "alpha" || toks[1] != "beta" {
-		t.Fatalf("Tokens = %v, want [alpha beta]", toks)
-	}
-	// Profile caching: same n returns the cached slice, new n replaces it.
-	g2 := p.NGramProfile(2)
-	if &g2[0] != &p.NGramProfile(2)[0] {
-		t.Fatal("NGramProfile(2) not cached")
-	}
-	if len(p.NGramProfile(20)) != 1 {
-		t.Fatal("NGramProfile(20) of a 15-rune string should be the whole string")
+	if n := Prepare("日本語 x").RuneLen(); n != 5 {
+		t.Fatalf("RuneLen of a non-ASCII string = %d, want 5 runes", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestLevenshteinKnown(t *testing.T) {
@@ -65,39 +64,6 @@ func TestLevenshteinMetricProperties(t *testing.T) {
 	}
 }
 
-// TestLevenshteinBoundedAgreesWithFull: the banded version must equal
-// the full computation whenever the distance is within the band.
-func TestLevenshteinBoundedAgreesWithFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	randStr := func(n int) string {
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			b.WriteByte(byte('a' + rng.Intn(5)))
-		}
-		return b.String()
-	}
-	for trial := 0; trial < 1000; trial++ {
-		a, b := randStr(rng.Intn(15)), randStr(rng.Intn(15))
-		full := Levenshtein(a, b)
-		for _, maxDist := range []int{0, 1, 2, 5, 20} {
-			got, ok := LevenshteinBounded(a, b, maxDist)
-			if full <= maxDist {
-				if !ok || got != full {
-					t.Fatalf("LevenshteinBounded(%q,%q,%d) = (%d,%v), want (%d,true)", a, b, maxDist, got, ok, full)
-				}
-			} else if ok {
-				t.Fatalf("LevenshteinBounded(%q,%q,%d) = (%d,true), but full distance is %d", a, b, maxDist, got, full)
-			}
-		}
-	}
-}
-
-func TestLevenshteinBoundedNegativeMax(t *testing.T) {
-	if _, ok := LevenshteinBounded("a", "b", -1); ok {
-		t.Error("negative maxDist should never match")
-	}
-}
-
 func TestLevenshteinSimilarity(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -112,143 +78,5 @@ func TestLevenshteinSimilarity(t *testing.T) {
 		if got := LevenshteinSimilarity(tc.a, tc.b); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("LevenshteinSimilarity(%q,%q) = %g, want %g", tc.a, tc.b, got, tc.want)
 		}
-	}
-}
-
-// TestLevenshteinAtLeastAgreesWithSimilarity on random inputs.
-func TestLevenshteinAtLeastAgreesWithSimilarity(t *testing.T) {
-	f := func(a, b string, thRaw uint8) bool {
-		if len(a) > 30 {
-			a = a[:30]
-		}
-		if len(b) > 30 {
-			b = b[:30]
-		}
-		th := float64(thRaw%101) / 100
-		want := LevenshteinSimilarity(a, b) >= th-1e-12
-		// The banded check uses an integer distance cutoff; recompute the
-		// exact acceptance rule it implements.
-		return LevenshteinAtLeast(a, b, th) == want ||
-			boundaryCase(a, b, th) // floating cutoff may differ at exact boundary
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// boundaryCase reports whether the (a,b,threshold) combination sits
-// exactly on the integer cutoff boundary where the two formulations may
-// legitimately differ by float rounding.
-func boundaryCase(a, b string, th float64) bool {
-	la, lb := len([]rune(a)), len([]rune(b))
-	longest := la
-	if lb > longest {
-		longest = lb
-	}
-	if longest == 0 {
-		return false
-	}
-	cut := float64(longest) * (1 - th)
-	return math.Abs(cut-math.Trunc(cut)) < 1e-9 || math.Abs(float64(Levenshtein(a, b))-cut) < 1e-9
-}
-
-func TestJaroKnown(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want float64
-	}{
-		{"", "", 1},
-		{"a", "", 0},
-		{"martha", "marhta", 0.944444},
-		{"dixon", "dicksonx", 0.766667},
-		{"jellyfish", "smellyfish", 0.896296},
-	}
-	for _, tc := range tests {
-		if got := Jaro(tc.a, tc.b); math.Abs(got-tc.want) > 1e-4 {
-			t.Errorf("Jaro(%q,%q) = %.6f, want %.6f", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestJaroWinklerKnown(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want float64
-	}{
-		{"martha", "marhta", 0.961111},
-		{"dwayne", "duane", 0.84},
-		{"same", "same", 1},
-	}
-	for _, tc := range tests {
-		if got := JaroWinkler(tc.a, tc.b); math.Abs(got-tc.want) > 1e-4 {
-			t.Errorf("JaroWinkler(%q,%q) = %.6f, want %.6f", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestJaroRange(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 20 {
-			a = a[:20]
-		}
-		if len(b) > 20 {
-			b = b[:20]
-		}
-		j := Jaro(a, b)
-		jw := JaroWinkler(a, b)
-		return j >= 0 && j <= 1 && jw >= j-1e-12 && jw <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	g := NGrams("abab", 2)
-	if g["ab"] != 2 || g["ba"] != 1 || len(g) != 2 {
-		t.Errorf("NGrams(abab,2) = %v", g)
-	}
-	if g := NGrams("a", 3); g["a"] != 1 || len(g) != 1 {
-		t.Errorf("short string grams = %v", g)
-	}
-	if g := NGrams("", 2); len(g) != 0 {
-		t.Errorf("empty string grams = %v", g)
-	}
-}
-
-func TestNGramsPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NGrams(s, 0) did not panic")
-		}
-	}()
-	NGrams("abc", 0)
-}
-
-func TestJaccardNGram(t *testing.T) {
-	if got := JaccardNGram("abc", "abc", 2); got != 1 {
-		t.Errorf("identical strings = %g, want 1", got)
-	}
-	if got := JaccardNGram("", "", 2); got != 1 {
-		t.Errorf("both empty = %g, want 1", got)
-	}
-	if got := JaccardNGram("abc", "xyz", 2); got != 0 {
-		t.Errorf("disjoint = %g, want 0", got)
-	}
-	// "abcd" grams {ab,bc,cd}; "abce" grams {ab,bc,ce}: 2/4.
-	if got := JaccardNGram("abcd", "abce", 2); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("JaccardNGram(abcd,abce,2) = %g, want 0.5", got)
-	}
-}
-
-func TestTokenJaccard(t *testing.T) {
-	if got := TokenJaccard("the quick fox", "THE QUICK FOX"); got != 1 {
-		t.Errorf("case-insensitive = %g, want 1", got)
-	}
-	if got := TokenJaccard("a b", "b c"); math.Abs(got-1.0/3) > 1e-9 {
-		t.Errorf("TokenJaccard(a b, b c) = %g, want 1/3", got)
-	}
-	if got := TokenJaccard("", ""); got != 1 {
-		t.Errorf("empty = %g, want 1", got)
 	}
 }
