@@ -69,6 +69,9 @@ func main() {
 	if *figure != 0 && (*figure < 8 || *figure > 14) {
 		usage(fmt.Errorf("-figure must be in 8..14, got %d", *figure))
 	}
+	if *maxAttempts < 0 || *taskTimeout < 0 {
+		usage(fmt.Errorf("-max-attempts and -task-timeout must not be negative, got -max-attempts %d -task-timeout %v", *maxAttempts, *taskTimeout))
+	}
 
 	observer, err := obsCLI.Start(nil)
 	if err != nil {

@@ -19,6 +19,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0"}, {"-scale", "-0.5"}, {"-scale", "1.5"}, {"-scale", "NaN"},
 		{"-figure", "7"}, {"-figure", "15"}, {"-figure", "-1"},
+		{"-max-attempts", "-1"}, {"-task-timeout", "-1s"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-master", "127.0.0.1:99999"}, args...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "run 'erbench -h' for usage") {

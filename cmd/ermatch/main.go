@@ -107,6 +107,9 @@ func main() {
 	if !(*threshold > 0 && *threshold <= 1) {
 		usage(fmt.Errorf("-threshold must be in (0,1], got %v", *threshold))
 	}
+	if *maxAttempts < 0 || *taskTimeout < 0 {
+		usage(fmt.Errorf("-max-attempts and -task-timeout must not be negative, got -max-attempts %d -task-timeout %v", *maxAttempts, *taskTimeout))
+	}
 	distributed := *masterAddr != "" || *workers > 0 || *addrFile != ""
 	if distributed && *masterAddr == "" {
 		usage(fmt.Errorf("-workers/-master-addr-file require -master"))

@@ -22,6 +22,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"-m", "0"}, {"-m", "-1"}, {"-r", "0"}, {"-parallelism", "-1"}, {"-prefix", "0"},
 		{"-strategy", "sn"}, {"-strategy", "nope"},
 		{"-threshold", "0"}, {"-threshold", "NaN"}, {"-threshold", "1.5"}, {"-threshold", "-0.1"},
+		{"-max-attempts", "-1"}, {"-task-timeout", "-1s"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-in", missing}, args...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "run 'ermatch -h' for usage") {

@@ -342,7 +342,7 @@ func refuseFrame(rw http.ResponseWriter, err error) {
 
 // handleTask executes one dispatched attempt. The request context is
 // the attempt's lifeline: net/http cancels it when the master hangs up
-// (attempt superseded, lease revoked, master dead), which stops the
+// (attempt timed out or cancelled, lease revoked, master dead), which stops the
 // typed attempt at its usual cancellation points.
 func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	var req TaskRequest

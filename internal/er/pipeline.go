@@ -41,8 +41,8 @@ type RunOptions struct {
 	// match-output memory is O(1) in the match count. See MatchSink for
 	// the ordering and Flush contract.
 	Sink MatchSink
-	// Retry configures task attempts, backoff, and speculative
-	// re-execution for the pipeline's jobs (the zero value means engine
+	// Retry configures task attempts, backoff and per-attempt timeouts
+	// for the pipeline's jobs (the zero value means engine
 	// defaults: see mapreduce.RetryPolicy). Ignored when Engine is set —
 	// configure the engine directly instead.
 	Retry mapreduce.RetryPolicy

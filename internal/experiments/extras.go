@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/bdm"
 	"repro/internal/cluster"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/mapreduce"
 	"repro/internal/match"
 	"repro/internal/report"
 )
@@ -117,18 +115,6 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 	t.AddRow("task granularity under ±15% slot speeds", mc/mf,
 		"coarse/fine makespan (why more reduce tasks help)")
 
-	// 3b. Speculative execution, measured on the real engine (the
-	// simulator used to carry its own copy of this policy; the engine's
-	// RetryPolicy.SpeculativeSlowdown is now the single implementation).
-	// One map attempt stalls far past the median task duration — with
-	// backups enabled a second attempt overtakes it.
-	specRatio, err := speculativeAblation(ctx, o, parts)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("speculative execution (one stalled map attempt)", specRatio,
-		"plain/speculative wall clock on the real engine")
-
 	// 4. BlockSplit memory cap: forcing small match tasks costs little
 	// balance but bounds the reduce-side buffer.
 	def, err := core.BlockSplit{}.Plan(x, 20, 100)
@@ -144,52 +130,6 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 		"max reduce load vs uncapped")
 
 	return t, nil
-}
-
-// speculativeAblation runs the BDM job twice with a fault hook that
-// stalls map task 0's first attempt for stallFor — a deliberate
-// straggler, orders of magnitude past the median task duration. The
-// plain run waits the stall out; the speculative run launches a backup
-// attempt (which the hook leaves alone) as soon as the straggler
-// crosses the slowdown threshold, so its wall clock is bounded by the
-// backup's start, not the stall. Returns the plain/speculative ratio.
-func speculativeAblation(ctx context.Context, o Options, parts entity.Partitions) (float64, error) {
-	const stallFor = 200 * time.Millisecond
-	hook := func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
-		if phase == mapreduce.MapTask && task == 0 && attempt == 1 && point == mapreduce.FaultTaskStart {
-			tm := time.NewTimer(stallFor)
-			defer tm.Stop()
-			select {
-			case <-tm.C:
-			case <-ctx.Done(): // a superseded straggler stops stalling
-			}
-		}
-		return nil
-	}
-	run := func(retry mapreduce.RetryPolicy) (time.Duration, error) {
-		eng := &mapreduce.Engine{Parallelism: o.parallelism(), Retry: retry, FaultHook: hook}
-		start := time.Now()
-		_, _, _, err := bdm.ComputeContext(ctx, eng, parts, bdm.JobOptions{
-			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
-		})
-		return time.Since(start), err
-	}
-	plain, err := run(mapreduce.RetryPolicy{})
-	if err != nil {
-		return 0, err
-	}
-	spec, err := run(mapreduce.RetryPolicy{
-		SpeculativeSlowdown: 1.5,
-		SpeculativeInterval: time.Millisecond,
-		SpeculativeMinAge:   5 * time.Millisecond,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if spec <= 0 {
-		return 0, nil
-	}
-	return float64(plain) / float64(spec), nil
 }
 
 // QualityTable sweeps the match threshold on the DS1 stand-in and

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -52,6 +53,15 @@ func TestAblationsTable(t *testing.T) {
 	}
 	if v := byName["memory cap 64 entities/task"]; v > 1.5 {
 		t.Errorf("memory cap should cost little balance, ratio %g", v)
+	}
+	// No row is a wall-clock measurement: a second run gives the same
+	// table.
+	again, err := Ablations(t.Context(), quickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Rows, tbl.Rows) {
+		t.Errorf("ablations differ between two runs:\n%v\n%v", tbl.Rows, again.Rows)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,15 +13,13 @@ import (
 
 // This file is the task-attempt supervision layer. Every map and reduce
 // task executes as a sequence of *attempts*: a panic or error inside one
-// attempt fails only that attempt, the RetryPolicy decides whether and
-// when the task re-runs, and straggling tasks can be speculatively
-// duplicated — the first attempt to finish commits, the loser is
-// cancelled. Correctness under retries and duplicate attempts rests on a
-// task-commit protocol: an attempt accumulates all of its observable
-// output (records, side output, metrics) privately and the supervisor
-// publishes it atomically on commit, so a failed, retried, or superseded
-// attempt leaves no trace in the Result. See DESIGN.md ("Fault
-// tolerance").
+// attempt fails only that attempt, and the RetryPolicy decides whether
+// and when the task re-runs. A task's attempts run one at a time.
+// Correctness under retries rests on a task-commit protocol: an attempt
+// accumulates all of its observable output (records, side output,
+// metrics) privately and the supervisor publishes it atomically on
+// commit, so a failed or retried attempt leaves no trace in the Result.
+// See DESIGN.md ("Fault tolerance").
 
 // Defaults of the zero-value RetryPolicy. They are deliberately small:
 // the engine runs in-process, so "rack-local re-fetch" style backoffs
@@ -35,53 +32,27 @@ const (
 	// backoff between attempts.
 	DefaultBaseBackoff = 2 * time.Millisecond
 	DefaultMaxBackoff  = 250 * time.Millisecond
-	// DefaultSpeculativeInterval is how often the straggler monitor
-	// re-inspects running tasks; DefaultSpeculativeMinAge is the minimum
-	// task age before a backup may launch (guards against duplicating
-	// sub-millisecond tasks whose median is noise).
-	DefaultSpeculativeInterval = 5 * time.Millisecond
-	DefaultSpeculativeMinAge   = 100 * time.Millisecond
 )
 
 // RetryPolicy governs task re-execution. The zero value enables retries
-// with the defaults above and disables per-attempt timeouts and
-// speculative execution.
+// with the defaults above and disables per-attempt timeouts. Every
+// attempt error is retried except errors marked with Fatal and
+// run-context cancellation.
 type RetryPolicy struct {
 	// MaxAttempts is the attempt budget per task (0 = DefaultMaxAttempts,
 	// 1 = fail on the first error, Hadoop's mapred.map.max.attempts).
-	// A speculative backup gets one attempt of its own on top.
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff shape the capped exponential backoff
 	// before attempt n+1: base·2^(n-1) capped at MaxBackoff, then
 	// jittered into [d/2, d] with a deterministic hash of
-	// (Seed, phase, task, attempt) — retries of different tasks decohere
+	// (phase, task, attempt) — retries of different tasks decohere
 	// without a global randomness source.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Seed seeds the backoff jitter (and nothing else); runs with equal
-	// seeds back off identically.
-	Seed uint64
 	// TaskTimeout, when > 0, bounds each attempt's wall-clock time. A
 	// timed-out attempt fails with context.DeadlineExceeded, which is
 	// retryable; task loops observe the deadline between input records.
 	TaskTimeout time.Duration
-	// Retryable classifies attempt errors: false means the error is
-	// terminal and fails the run immediately. nil retries everything
-	// except errors marked with Fatal and run-context cancellation.
-	Retryable func(error) bool
-	// SpeculativeSlowdown enables speculative execution when > 0: a task
-	// running longer than SpeculativeSlowdown × the median duration of
-	// completed same-phase tasks gets one backup attempt; the first
-	// finisher commits and the loser is cancelled via its context
-	// (Hadoop's single-backup policy; this is the one implementation —
-	// the cluster simulator no longer carries its own copy).
-	SpeculativeSlowdown float64
-	// SpeculativeInterval is the monitor's polling period
-	// (0 = DefaultSpeculativeInterval).
-	SpeculativeInterval time.Duration
-	// SpeculativeMinAge is the minimum age before a task can be backed
-	// up (0 = DefaultSpeculativeMinAge).
-	SpeculativeMinAge time.Duration
 }
 
 func (p *RetryPolicy) maxAttempts() int {
@@ -105,30 +76,6 @@ func (p *RetryPolicy) maxBackoff() time.Duration {
 	return DefaultMaxBackoff
 }
 
-func (p *RetryPolicy) specInterval() time.Duration {
-	if p.SpeculativeInterval > 0 {
-		return p.SpeculativeInterval
-	}
-	return DefaultSpeculativeInterval
-}
-
-func (p *RetryPolicy) specMinAge() time.Duration {
-	if p.SpeculativeMinAge > 0 {
-		return p.SpeculativeMinAge
-	}
-	return DefaultSpeculativeMinAge
-}
-
-func (p *RetryPolicy) retryable(err error) bool {
-	if isFatal(err) {
-		return false
-	}
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
-	return true
-}
-
 // backoffFor returns the sleep before re-running a task after `failed`
 // failed attempts: capped exponential growth with deterministic
 // half-interval jitter (always in [d/2, d]).
@@ -144,7 +91,7 @@ func (p *RetryPolicy) backoffFor(phase TaskKind, task, failed int) time.Duration
 	if half <= 0 {
 		return d
 	}
-	h := splitmix64(p.Seed ^ uint64(phase)<<62 ^ uint64(task)<<20 ^ uint64(failed))
+	h := splitmix64(uint64(phase)<<62 ^ uint64(task)<<20 ^ uint64(failed))
 	return half + time.Duration(h%uint64(half)+1)
 }
 
@@ -176,14 +123,13 @@ func (e *TaskError) Error() string {
 
 func (e *TaskError) Unwrap() error { return e.Cause }
 
-// fatalError marks an error as non-retryable regardless of the policy's
-// Retryable classifier.
+// fatalError marks an error as non-retryable.
 type fatalError struct{ err error }
 
 func (e *fatalError) Error() string { return e.err.Error() }
 func (e *fatalError) Unwrap() error { return e.err }
 
-// Fatal marks err as non-retryable: an attempt failing with a
+// Fatal marks err as terminal: an attempt failing with a
 // Fatal-wrapped error fails its task on the spot, retry budget
 // notwithstanding. The engine uses it for deterministic user-logic bugs
 // (an out-of-range Partition function) that re-running cannot fix.
@@ -237,7 +183,7 @@ func (p FaultPoint) String() string {
 // a non-nil return value fails the attempt with that error (wrap with
 // Fatal to make the failure terminal). ctx is the attempt's context —
 // hooks that sleep (straggler injection) must select on ctx.Done() so a
-// losing attempt cancels promptly. Hooks run on task goroutines and
+// timed-out attempt ends promptly. Hooks run on task goroutines and
 // must be safe for concurrent use.
 type FaultHook func(ctx context.Context, phase TaskKind, task, attempt int, point FaultPoint) error
 
@@ -298,28 +244,23 @@ const cancelCheckMask = 63
 // attemptStats is one phase's attempt accounting, merged into
 // Metrics after the phase completes.
 type attemptStats struct {
-	attempts     int64
-	retries      int64
-	specLaunched int64
-	specWon      int64
+	attempts int64
+	retries  int64
 }
 
 // taskOps is the phase-specific half of the supervisor: how to run one
-// attempt, publish a winner, and release a loser. Implementations are
-// passed by pointer, so the interface conversion never allocates — the
-// dataflow's phases are pointer-shaped views of its runState, which also
-// embeds both supervisors, so it pays zero allocations for supervision.
+// attempt and publish its output. Implementations are passed by
+// pointer, so the interface conversion never allocates — the dataflow's
+// phases are pointer-shaped views of its runState, which also embeds
+// both supervisors, so it pays zero allocations for supervision.
 type taskOps[T any] interface {
 	// runTaskAttempt executes one attempt. It must keep all observable
 	// output private to the attempt and clean up its own resources on
 	// error.
 	runTaskAttempt(ctx context.Context, hook *taskHook, task, attempt int) (T, error)
-	// commitTask publishes a winning attempt's output; it is called at
+	// commitTask publishes a successful attempt's output; it is called at
 	// most once per task. A commit error is terminal for the task.
 	commitTask(task int, out T) error
-	// discardOut releases the output of a completed attempt that lost a
-	// speculation race and will never be committed.
-	discardOut(out T)
 }
 
 // taskSupervisor executes one phase's tasks as supervised attempt
@@ -342,7 +283,6 @@ type taskSupervisor[T any] struct {
 	started atomic.Int64
 
 	stats attemptStats
-	board *specBoard
 
 	// weigh, when set, is a task's relative cost as known before the
 	// phase starts; forEachTask starts the heaviest tasks first. Set
@@ -403,27 +343,12 @@ func (sv *taskSupervisor[T]) supervise(ctx context.Context, n int) (attemptStats
 			sv.record(obs.EvEnd, obs.KPhase, -1, 0, int64(n))
 		}()
 	}
-	if sv.pol.SpeculativeSlowdown > 0 {
-		sv.board = &specBoard{running: make(map[int]*specTask, n)}
-		stop := make(chan struct{})
-		var mwg sync.WaitGroup
-		mwg.Add(1)
-		go func() {
-			defer mwg.Done()
-			sv.monitor(ctx, stop)
-		}()
-		sv.e.forEachTask(ctx, n, sv.weigh, sv)
-		close(stop)
-		mwg.Wait()
-	} else {
-		sv.e.forEachTask(ctx, n, sv.weigh, sv)
-	}
+	sv.e.forEachTask(ctx, n, sv.weigh, sv)
 	return sv.stats, sv.firstErr
 }
 
-// runOne is the taskRunner hook forEachTask drives: it dispatches to
-// the plain or speculative retry loop and records the failure of the
-// lowest-numbered failed task.
+// runOne is the taskRunner hook forEachTask drives: it runs the task's
+// retry loop and records the failure of the lowest-numbered failed task.
 func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 	var begun time.Time
 	if o := sv.obs; o != nil {
@@ -432,12 +357,7 @@ func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 		sv.record(obs.EvBegin, obs.KTask, int32(task), 0, 0)
 		begun = time.Now()
 	}
-	var err error
-	if sv.board != nil {
-		err = sv.runSpecTask(ctx, task)
-	} else {
-		err = sv.runPlainTask(ctx, task)
-	}
+	err := sv.runPlainTask(ctx, task)
 	if o := sv.obs; o != nil {
 		var failed int64
 		if err != nil {
@@ -499,9 +419,9 @@ func (sv *taskSupervisor[T]) runAttempt(ctx context.Context, task, attempt int) 
 	return out, err
 }
 
-// runPlainTask is the non-speculative retry loop: attempts run
-// back-to-back with backoff until one commits, the budget is exhausted,
-// the error is classified non-retryable, or the run is cancelled.
+// runPlainTask is the task's retry loop: attempts run back-to-back with
+// backoff until one commits, the budget is exhausted, the error is
+// Fatal, or the run is cancelled.
 func (sv *taskSupervisor[T]) runPlainTask(ctx context.Context, task int) error {
 	for failed := 0; ; {
 		attempt := failed + 1
@@ -522,7 +442,7 @@ func (sv *taskSupervisor[T]) runPlainTask(ctx context.Context, task int) error {
 			return ctx.Err()
 		}
 		failed++
-		if failed >= sv.maxAttempts || !sv.pol.retryable(err) {
+		if failed >= sv.maxAttempts || isFatal(err) {
 			return &TaskError{Phase: sv.phase, Task: task, Attempt: attempt, Cause: err}
 		}
 		atomic.AddInt64(&sv.stats.retries, 1)
@@ -552,231 +472,8 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// ---- speculative execution ----
-
-// specBoard is the straggler monitor's shared view of one phase:
-// durations of committed tasks (median source) and the currently
-// running primaries.
-type specBoard struct {
-	mu        sync.Mutex
-	durations []time.Duration
-	running   map[int]*specTask
-}
-
-// specTask coordinates one task's primary attempt line with its (at
-// most one) speculative backup.
-type specTask struct {
-	task  int
-	start time.Time
-	// primaryCancel aborts the primary's in-flight attempt when the
-	// backup wins; immutable after registration.
-	primaryCancel context.CancelFunc
-	// backupCancel (guarded by the board mutex) aborts the backup when
-	// the primary wins; backupLaunched flips once, under the same lock.
-	backupCancel   context.CancelFunc
-	backupLaunched bool
-	backupWG       sync.WaitGroup
-	// won flips once, by the attempt that commits.
-	won atomic.Bool
-	// seq hands out attempt numbers shared between the lines.
-	seq atomic.Int64
-	// commitErr records a failed commit (terminal), guarded by won:
-	// only the winning attempt writes it, before the loser can observe
-	// won via join.
-	commitErr error
-}
-
-// runSpecTask is runPlainTask's speculative counterpart: the primary
-// retry loop runs under a cancellable context registered on the board,
-// and the task only settles after any backup attempt has been joined.
-func (sv *taskSupervisor[T]) runSpecTask(ctx context.Context, task int) error {
-	st := &specTask{task: task, start: time.Now()}
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	st.primaryCancel = pcancel
-	b := sv.board
-	b.mu.Lock()
-	b.running[task] = st
-	b.mu.Unlock()
-
-	perr := sv.primaryLoop(pctx, ctx, st)
-
-	b.mu.Lock()
-	delete(b.running, task)
-	b.mu.Unlock()
-	// A backup launched before deregistration must finish before the
-	// task settles (and before the phase returns — no goroutine leaks).
-	st.backupWG.Wait()
-	if st.won.Load() {
-		if st.commitErr != nil {
-			return &TaskError{Phase: sv.phase, Task: task, Attempt: int(st.seq.Load()), Cause: st.commitErr}
-		}
-		return nil
-	}
-	return perr
-}
-
-// primaryLoop is the retry loop of the task's original execution line.
-// actx is the cancellable primary context (cancelled by a winning
-// backup); rctx the run context (cancellation of the whole run).
-func (sv *taskSupervisor[T]) primaryLoop(actx, rctx context.Context, st *specTask) error {
-	for failed := 0; ; {
-		attempt := int(st.seq.Add(1))
-		out, err := sv.runAttempt(actx, st.task, attempt)
-		if err == nil {
-			sv.finish(st, st.task, attempt, out, false)
-			return nil
-		}
-		if st.won.Load() {
-			return nil // superseded by the backup; our failure is moot
-		}
-		if rctx.Err() != nil {
-			return rctx.Err()
-		}
-		if actx.Err() != nil {
-			return nil // cancelled as the loser mid-race
-		}
-		failed++
-		if failed >= sv.maxAttempts || !sv.pol.retryable(err) {
-			return &TaskError{Phase: sv.phase, Task: st.task, Attempt: attempt, Cause: err}
-		}
-		atomic.AddInt64(&sv.stats.retries, 1)
-		backoff := sv.pol.backoffFor(sv.phase, st.task, failed)
-		if o := sv.obs; o != nil {
-			o.Engine.Retries.Inc()
-			sv.record(obs.EvInstant, obs.KRetry, int32(st.task), int32(attempt), int64(backoff))
-		}
-		if !sleepCtx(actx, backoff) {
-			if rctx.Err() != nil {
-				return rctx.Err()
-			}
-			return nil
-		}
-	}
-}
-
-// finish settles a successful attempt: the first finisher commits its
-// output, records the task's duration for the straggler median, and
-// cancels the competing attempt; any later finisher discards. Returns
-// whether this attempt won.
-func (sv *taskSupervisor[T]) finish(st *specTask, task, attempt int, out T, backup bool) bool {
-	if !st.won.CompareAndSwap(false, true) {
-		sv.ops.discardOut(out)
-		return false
-	}
-	b := sv.board
-	b.mu.Lock()
-	other := st.backupCancel
-	if backup {
-		other = st.primaryCancel
-	}
-	launched := st.backupLaunched
-	b.mu.Unlock()
-	if other != nil {
-		other()
-	}
-	if launched && sv.obs != nil {
-		// A backup exists, so whichever line lost is being cancelled.
-		sv.record(obs.EvInstant, obs.KSpecCancel, int32(task), int32(attempt), 0)
-	}
-	if err := sv.ops.commitTask(task, out); err != nil {
-		st.commitErr = err
-		return true
-	}
-	if o := sv.obs; o != nil {
-		o.Engine.Commits.Inc()
-		sv.record(obs.EvInstant, obs.KCommit, int32(task), int32(attempt), 0)
-	}
-	d := time.Since(st.start)
-	b.mu.Lock()
-	b.durations = append(b.durations, d)
-	b.mu.Unlock()
-	return true
-}
-
-// monitor wakes every SpeculativeInterval and launches backups for
-// stragglers until the phase ends.
-func (sv *taskSupervisor[T]) monitor(ctx context.Context, stop <-chan struct{}) {
-	t := time.NewTicker(sv.pol.specInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			sv.scanStragglers(ctx)
-		}
-	}
-}
-
-// scanStragglers launches one backup attempt for every running task
-// older than max(SpeculativeSlowdown × median completed duration,
-// SpeculativeMinAge). The backup gets a single attempt: if it fails,
-// the primary's retry loop is still the task's execution of record.
-func (sv *taskSupervisor[T]) scanStragglers(ctx context.Context) {
-	b := sv.board
-	now := time.Now()
-	var launch []*specTask
-	b.mu.Lock()
-	if len(b.durations) > 0 {
-		threshold := time.Duration(float64(medianDuration(b.durations)) * sv.pol.SpeculativeSlowdown)
-		if minAge := sv.pol.specMinAge(); threshold < minAge {
-			threshold = minAge
-		}
-		for _, st := range b.running {
-			if !st.backupLaunched && !st.won.Load() && now.Sub(st.start) > threshold {
-				st.backupLaunched = true
-				st.backupWG.Add(1)
-				launch = append(launch, st)
-			}
-		}
-	}
-	b.mu.Unlock()
-	for _, st := range launch {
-		bctx, bcancel := context.WithCancel(ctx)
-		b.mu.Lock()
-		st.backupCancel = bcancel
-		b.mu.Unlock()
-		atomic.AddInt64(&sv.stats.specLaunched, 1)
-		if o := sv.obs; o != nil {
-			// Reconciles with Metrics.SpeculativeLaunched (same path).
-			o.Engine.SpecLaunched.Inc()
-			sv.record(obs.EvInstant, obs.KSpecLaunch, int32(st.task), 0, 0)
-		}
-		go func(st *specTask, bctx context.Context, bcancel context.CancelFunc) {
-			defer st.backupWG.Done()
-			defer bcancel()
-			attempt := int(st.seq.Add(1))
-			out, err := sv.runAttempt(bctx, st.task, attempt)
-			if err != nil {
-				return
-			}
-			if sv.finish(st, st.task, attempt, out, true) {
-				atomic.AddInt64(&sv.stats.specWon, 1)
-				if o := sv.obs; o != nil {
-					o.Engine.SpecWon.Inc()
-					sv.record(obs.EvInstant, obs.KSpecWin, int32(st.task), int32(attempt), 0)
-				}
-			}
-		}(st, bctx, bcancel)
-	}
-}
-
-// medianDuration returns the median of ds (callers hold the board lock;
-// ds is non-empty).
-func medianDuration(ds []time.Duration) time.Duration {
-	s := make([]time.Duration, len(ds))
-	copy(s, ds)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
 // addStats merges one phase's attempt accounting into the run metrics.
 func (m *Metrics) addStats(s attemptStats) {
 	m.Attempts += s.attempts
 	m.Retries += s.retries
-	m.SpeculativeLaunched += s.specLaunched
-	m.SpeculativeWon += s.specWon
 }

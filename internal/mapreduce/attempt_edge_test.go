@@ -58,11 +58,10 @@ func TestMaxAttemptsOneCleanRunCountsSingleAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	testleak.Check(t, before)
-	// Exactly one attempt per task: no retries and no speculative
-	// launches may hide behind a fail-fast policy.
-	if res.Attempts != m+r || res.Retries != 0 || res.SpeculativeLaunched != 0 {
-		t.Fatalf("Attempts/Retries/SpeculativeLaunched = %d/%d/%d, want %d/0/0",
-			res.Attempts, res.Retries, res.SpeculativeLaunched, m+r)
+	// Exactly one attempt per task: no retries may hide behind a
+	// fail-fast policy.
+	if res.Attempts != m+r || res.Retries != 0 {
+		t.Fatalf("Attempts/Retries = %d/%d, want %d/0", res.Attempts, res.Retries, m+r)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 func TestBackoffForDeterministicAndBounded(t *testing.T) {
-	p := &RetryPolicy{BaseBackoff: 4 * time.Millisecond, MaxBackoff: 32 * time.Millisecond, Seed: 7}
+	p := &RetryPolicy{BaseBackoff: 4 * time.Millisecond, MaxBackoff: 32 * time.Millisecond}
 	for task := 0; task < 4; task++ {
 		for failed := 1; failed <= 8; failed++ {
 			d := p.backoffFor(MapTask, task, failed)
@@ -51,38 +51,16 @@ func TestBackoffForDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestBackoffSeedChangesJitter(t *testing.T) {
-	p1 := &RetryPolicy{Seed: 1}
-	p2 := &RetryPolicy{Seed: 2}
-	same := true
-	for task := 0; task < 8; task++ {
-		if p1.backoffFor(ReduceTask, task, 1) != p2.backoffFor(ReduceTask, task, 1) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("jitter identical under different seeds for 8 tasks")
-	}
-}
-
 func TestRetryableClassification(t *testing.T) {
 	base := errors.New("transient")
-	var p RetryPolicy
-	if !p.retryable(base) {
-		t.Fatal("nil classifier must retry plain errors")
+	if isFatal(base) {
+		t.Fatal("plain error classified fatal")
 	}
-	if p.retryable(Fatal(base)) {
+	if !isFatal(Fatal(base)) {
 		t.Fatal("Fatal-wrapped error classified retryable")
 	}
-	if p.retryable(fmt.Errorf("wrapped: %w", Fatal(base))) {
+	if !isFatal(fmt.Errorf("wrapped: %w", Fatal(base))) {
 		t.Fatal("Fatal must be detected through wrapping")
-	}
-	p.Retryable = func(error) bool { return false }
-	if p.retryable(base) {
-		t.Fatal("custom classifier ignored")
-	}
-	if p.retryable(Fatal(base)) {
-		t.Fatal("Fatal must override even a true-returning classifier")
 	}
 	if Fatal(nil) != nil {
 		t.Fatal("Fatal(nil) must be nil")

@@ -3,9 +3,8 @@ package mapreduce_test
 // Black-box tests of the task-attempt supervision layer in memory and
 // spilling: transient faults are retried to an identical result,
 // exhausted or fatal faults surface as *TaskError with a clean spill
-// root, per-attempt timeouts retry, and stragglers get a real
-// speculative backup whose winner commits exactly once. Every test
-// asserts the goroutine count returns to its pre-run baseline.
+// root, and per-attempt timeouts retry. Every test asserts the
+// goroutine count returns to its pre-run baseline.
 
 import (
 	"context"
@@ -27,8 +26,6 @@ import (
 func clearAttemptCounters(m *mapreduce.Metrics) {
 	m.Attempts = 0
 	m.Retries = 0
-	m.SpeculativeLaunched = 0
-	m.SpeculativeWon = 0
 }
 
 // normalize strips all execution-history counters from a result.
@@ -156,19 +153,6 @@ func TestFatalFaultFailsFirstAttempt(t *testing.T) {
 	}
 }
 
-func TestRetryableClassifierStopsRetry(t *testing.T) {
-	before := testleak.Snapshot()
-	e := &mapreduce.Engine{Parallelism: 2}
-	e.Retry.Retryable = func(error) bool { return false }
-	e.FaultHook = failFirstAttempt(mapreduce.FaultTaskStart)
-	_, err := wordJob(2, false).RunContext(context.Background(), e, wordInput(1))
-	var te *mapreduce.TaskError
-	if !errors.As(err, &te) || te.Attempt != 1 {
-		t.Fatalf("err = %v, want a first-attempt TaskError under a false classifier", err)
-	}
-	testleak.Check(t, before)
-}
-
 func TestTaskTimeoutRetries(t *testing.T) {
 	const m, r = 2, 3
 	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, wordInput(m))
@@ -200,104 +184,6 @@ func TestTaskTimeoutRetries(t *testing.T) {
 	normalize(res)
 	if !reflect.DeepEqual(res, baseline) {
 		t.Fatal("timed-out-and-retried run diverges from fault-free run")
-	}
-}
-
-// specPolicy is the aggressive straggler policy the speculation tests
-// share: back up any task 1.5× slower than the median, checking every
-// millisecond, with a 5ms floor.
-func specPolicy() mapreduce.RetryPolicy {
-	return mapreduce.RetryPolicy{
-		SpeculativeSlowdown: 1.5,
-		SpeculativeInterval: time.Millisecond,
-		SpeculativeMinAge:   5 * time.Millisecond,
-	}
-}
-
-func TestSpeculativeBackupWins(t *testing.T) {
-	const m, r = 4, 4
-	input := wordInput(m)
-	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalize(baseline)
-	for _, dname := range []string{"typed", "external"} {
-		t.Run(dname, func(t *testing.T) {
-			before := testleak.Snapshot()
-			e, _ := engineFor(t, localResidencies[dname], nil)
-			e.Retry = specPolicy()
-			// Attempt 1 of map task 0 straggles forever; only the backup
-			// (attempt 2) can finish the task.
-			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
-				if phase == mapreduce.MapTask && task == 0 && attempt == 1 && point == mapreduce.FaultTaskStart {
-					<-ctx.Done()
-					return ctx.Err()
-				}
-				return nil
-			}
-			res, err := wordJob(r, false).RunContext(context.Background(), e, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testleak.Check(t, before)
-			if res.SpeculativeLaunched < 1 {
-				t.Fatalf("SpeculativeLaunched = %d, want >= 1", res.SpeculativeLaunched)
-			}
-			if res.SpeculativeWon < 1 {
-				t.Fatalf("SpeculativeWon = %d, want >= 1 (only the backup could finish)", res.SpeculativeWon)
-			}
-			normalize(res)
-			if !reflect.DeepEqual(res, baseline) {
-				t.Fatal("speculative run diverges from fault-free run")
-			}
-		})
-	}
-}
-
-func TestSpeculativePrimaryWins(t *testing.T) {
-	const m, r = 4, 4
-	input := wordInput(m)
-	baseline, err := wordJob(r, false).RunContext(context.Background(), &mapreduce.Engine{}, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalize(baseline)
-	before := testleak.Snapshot()
-	e := &mapreduce.Engine{Parallelism: 4}
-	e.Retry = specPolicy()
-	// The primary of map task 0 straggles long enough for a backup to
-	// launch but then completes; the backup blocks until the winning
-	// primary cancels it, so it can never commit.
-	e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
-		if phase != mapreduce.MapTask || task != 0 || point != mapreduce.FaultTaskStart {
-			return nil
-		}
-		if attempt == 1 {
-			select {
-			case <-time.After(150 * time.Millisecond):
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	res, err := wordJob(r, false).RunContext(context.Background(), e, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testleak.Check(t, before)
-	if res.SpeculativeLaunched < 1 {
-		t.Fatalf("SpeculativeLaunched = %d, want >= 1", res.SpeculativeLaunched)
-	}
-	if res.SpeculativeWon != 0 {
-		t.Fatalf("SpeculativeWon = %d, want 0 (backup can never commit)", res.SpeculativeWon)
-	}
-	normalize(res)
-	if !reflect.DeepEqual(res, baseline) {
-		t.Fatal("speculative run diverges from fault-free run")
 	}
 }
 

@@ -334,8 +334,6 @@ func (p mapPhase[I, K, V, O]) commitTask(task int, out mapOutput[I, K, V]) error
 	return nil
 }
 
-func (p mapPhase[I, K, V, O]) discardOut(out mapOutput[I, K, V]) { out.discard(p.pools) }
-
 // reducePhase is the reduce phase's taskOps.
 type reducePhase[I, K, V, O any] struct{ *runState[I, K, V, O] }
 
@@ -358,8 +356,6 @@ func (p reducePhase[I, K, V, O]) commitTask(task int, out reduceOut[O]) error {
 	p.reduceOut[task] = out.out
 	return nil
 }
-
-func (p reducePhase[I, K, V, O]) discardOut(out reduceOut[O]) { putOutBuf(p.outPool, out.out) }
 
 // reduceInputs lists reduce task idx's share of every committed map
 // output in merge order: map task by map task.
@@ -418,10 +414,9 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp, sideCap: len(input), hook: hook}
 	mapper := st.job.NewMapper()
 	mapper.Configure(m, st.r, idx)
-	// Attempt cancellation (a losing speculative attempt, a per-attempt
-	// timeout) is observed between input records and before the
-	// end-of-input call; the gate keeps background-context runs free of
-	// per-record checks.
+	// Attempt cancellation (a per-attempt timeout, a cancelled run) is
+	// observed between input records and before the end-of-input call;
+	// the gate keeps background-context runs free of per-record checks.
 	check := actx.Done() != nil
 	for i := range input {
 		if check && i&cancelCheckMask == 0 && actx.Err() != nil {

@@ -207,7 +207,7 @@ func TestPooledRecordBuffersStayZero(t *testing.T) {
 			}
 		}
 		bufs := mapreduce.DrainRecBufs[string, int]()
-		if len(bufs) == 0 {
+		if len(bufs) == 0 && !raceEnabled {
 			t.Errorf("%s: the runs returned no record buffer to the pool", label)
 		}
 		for _, b := range bufs {

@@ -116,19 +116,14 @@ type Metrics struct {
 	MapOutputRecords int64
 
 	// Attempt accounting of the fault-tolerance layer (attempt.go).
-	// Attempts counts every task attempt started (retries and
-	// speculative backups included), Retries the re-executions after a
-	// failed attempt, SpeculativeLaunched the backup attempts launched
-	// for stragglers, and SpeculativeWon the backups that finished
-	// before their originals. On a fault-free, speculation-free run
-	// Attempts == len(MapMetrics) + len(ReduceMetrics) and the other
-	// three are zero. Like the TaskMetrics spill counters, all four are
-	// excluded from the differential contract: they describe how the
-	// run executed, not what it computed.
-	Attempts            int64
-	Retries             int64
-	SpeculativeLaunched int64
-	SpeculativeWon      int64
+	// Attempts counts every task attempt started (retries included),
+	// Retries the re-executions after a failed attempt. On a fault-free
+	// run Attempts == len(MapMetrics) + len(ReduceMetrics) and Retries
+	// is zero. Like the TaskMetrics spill counters, both are excluded
+	// from the differential contract: they describe how the run
+	// executed, not what it computed.
+	Attempts int64
+	Retries  int64
 }
 
 // Counter sums the named user counter over all map and reduce tasks.
@@ -166,10 +161,9 @@ type Engine struct {
 	TmpDir string
 	// Retry is the task-attempt supervision policy: every map/reduce
 	// task runs as a sequence of attempts governed by it (panic
-	// recovery, retry with backoff, optional per-attempt timeout and
-	// speculative straggler re-execution). The zero value retries
-	// transient failures up to DefaultMaxAttempts with small capped
-	// exponential backoff and no speculation. See RetryPolicy in
+	// recovery, retry with backoff, optional per-attempt timeout). The
+	// zero value retries transient failures up to DefaultMaxAttempts
+	// with small capped exponential backoff. See RetryPolicy in
 	// attempt.go and DESIGN.md ("Fault tolerance").
 	Retry RetryPolicy
 	// FaultHook, when non-nil, is invoked at the instrumented points of

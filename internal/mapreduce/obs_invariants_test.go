@@ -1,16 +1,17 @@
 package mapreduce_test
 
 // Trace-invariant suite: structural properties every recorded timeline
-// must satisfy, checked on chaos runs in memory and spilling and on a
-// speculative run. The invariants are the contract DESIGN.md's
-// "Observability" section states:
+// must satisfy, checked on chaos runs in memory and spilling. The
+// invariants are the contract DESIGN.md's "Observability" section
+// states:
 //
 //  1. Pairing — every End event has a matching Begin with the same
 //     (kind, phase, job, task, attempt, worker) identity, and no span
 //     is left open when the run returns.
 //  2. Nesting — attempt spans lie inside their task span, task spans
 //     inside their phase span, phase spans inside the job span (by
-//     timestamp containment).
+//     timestamp containment); a task's attempts are numbered 1..n and
+//     run one at a time, attempt k+1 beginning after attempt k ends.
 //  3. Reconciliation — span/instant counts equal the engine's metric
 //     counters AND the Result's execution-history fields byte-exactly:
 //     the trace, the registry, and the Result are three views of the
@@ -108,8 +109,11 @@ func contains(outer, inner [2]int64) bool {
 }
 
 // checkNesting asserts attempt ⊂ task ⊂ phase ⊂ job by timestamp
-// containment, and that every level's parent interval exists.
-func checkNesting(t *testing.T, st traceStats) {
+// containment, that every level's parent interval exists, and that a
+// task's attempts are serial: attempt k+1 begins after attempt k ends.
+// It returns the number of (k, k+1) attempt pairs it checked, which is
+// the run's retry count.
+func checkNesting(t *testing.T, st traceStats) int64 {
 	t.Helper()
 	for pk, piv := range st.phases {
 		jiv, ok := st.jobs[pk[0]]
@@ -129,6 +133,7 @@ func checkNesting(t *testing.T, st traceStats) {
 			t.Fatalf("task %d span %v escapes phase %d span %v", tk[2], tiv, tk[1], piv)
 		}
 	}
+	var pairs int64
 	for ak, aiv := range st.attempts {
 		tiv, ok := st.tasks[[3]int64{ak[0], ak[1], ak[2]}]
 		if !ok {
@@ -137,7 +142,20 @@ func checkNesting(t *testing.T, st traceStats) {
 		if !contains(tiv, aiv) {
 			t.Fatalf("attempt %d span %v escapes task %d span %v", ak[3], aiv, ak[2], tiv)
 		}
+		if ak[3] == 1 {
+			continue
+		}
+		prev, ok := st.attempts[[4]int64{ak[0], ak[1], ak[2], ak[3] - 1}]
+		if !ok {
+			t.Fatalf("attempt %d of task %d has no attempt %d before it", ak[3], ak[2], ak[3]-1)
+		}
+		if aiv[0] < prev[1] {
+			t.Fatalf("task %d: attempt %d begins at %d before attempt %d ends at %d",
+				ak[2], ak[3], aiv[0], ak[3]-1, prev[1])
+		}
+		pairs++
 	}
+	return pairs
 }
 
 // checkReconciliation asserts the three ledgers agree byte-exactly:
@@ -154,8 +172,6 @@ func checkReconciliation(t *testing.T, st traceStats, o *obs.Observer,
 	}
 	eq("attempts", st.begins[obs.KAttempt], o.Engine.Attempts.Value(), res.Attempts)
 	eq("retries", st.instants[obs.KRetry], o.Engine.Retries.Value(), res.Retries)
-	eq("speculative launches", st.instants[obs.KSpecLaunch], o.Engine.SpecLaunched.Value(), res.SpeculativeLaunched)
-	eq("speculative wins", st.instants[obs.KSpecWin], o.Engine.SpecWon.Value(), res.SpeculativeWon)
 
 	total := int64(m + r)
 	if got := st.begins[obs.KTask]; got != total {
@@ -209,49 +225,12 @@ func TestTraceInvariantsUnderChaos(t *testing.T) {
 					t.Fatalf("tracer dropped %d events; invariants need the full timeline", d)
 				}
 				st := checkPairing(t, e.Obs.Tracer.Events())
-				checkNesting(t, st)
+				if pairs := checkNesting(t, st); pairs != res.Retries {
+					t.Fatalf("checked %d serial attempt pairs, want one per retry (%d)", pairs, res.Retries)
+				}
 				checkReconciliation(t, st, e.Obs, res, m, r)
 			})
 		}
-	}
-}
-
-func TestTraceInvariantsUnderSpeculation(t *testing.T) {
-	const m, r = 4, 4
-	input := wordInput(m)
-	for _, dname := range []string{"typed", "external"} {
-		t.Run(dname, func(t *testing.T) {
-			before := testleak.Snapshot()
-			e, _ := engineFor(t, localResidencies[dname], nil)
-			e.Obs = obs.New(obs.Options{Log: obs.Quiet()})
-			e.Retry = specPolicy()
-			// Attempt 1 of map task 0 straggles until cancelled; only its
-			// speculative backup can commit the task.
-			e.FaultHook = func(ctx context.Context, phase mapreduce.TaskKind, task, attempt int, point mapreduce.FaultPoint) error {
-				if phase == mapreduce.MapTask && task == 0 && attempt == 1 && point == mapreduce.FaultTaskStart {
-					<-ctx.Done()
-					return ctx.Err()
-				}
-				return nil
-			}
-			res, err := wordJob(r, false).RunContext(context.Background(), e, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testleak.Check(t, before)
-			if res.SpeculativeLaunched < 1 || res.SpeculativeWon < 1 {
-				t.Fatalf("speculation did not trigger (launched=%d won=%d)",
-					res.SpeculativeLaunched, res.SpeculativeWon)
-			}
-			st := checkPairing(t, e.Obs.Tracer.Events())
-			checkNesting(t, st)
-			checkReconciliation(t, st, e.Obs, res, m, r)
-			// The loser of the race must be visibly cancelled: one
-			// spec-cancel instant per resolved race.
-			if st.instants[obs.KSpecCancel] < 1 {
-				t.Fatal("no spec-cancel instant recorded for the losing attempt")
-			}
-		})
 	}
 }
 

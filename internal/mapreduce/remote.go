@@ -13,7 +13,7 @@ import (
 // This file is the engine's distributed-execution seam, selected by
 // Engine.Remote: the same driver, supervisor and attempt bodies as a
 // local run (dataflow.go), with each attempt dispatched instead of run
-// here — so retries, backoff, speculation, and the task-commit protocol
+// here — so retries, backoff, timeouts and the task-commit protocol
 // apply unchanged to tasks that execute in another process. The worker
 // side runs the one map-attempt body in memory (RemoteRunnable wraps a
 // concrete Job) and hands its output back as a single sorted ERN1 run

@@ -134,7 +134,7 @@ type outputSink[O any] struct {
 // writeAll drains one committed reduce attempt's buffered output under a
 // single lock acquisition, preserving the attempt's emission order. The
 // commit protocol funnels all sink output through here: records of a
-// failed or superseded attempt never reach the sink.
+// failed attempt never reach the sink.
 func (s *outputSink[O]) writeAll(recs []O) {
 	s.mu.Lock()
 	for i := range recs {
@@ -228,8 +228,8 @@ type ReduceContext[O any] struct {
 
 // Emit appends one record to the attempt's buffered output. Under
 // RunStream the buffer is drained to the run's output sink when the
-// attempt commits — never earlier, so a failed, retried, or superseded
-// attempt cannot double-emit (the task-commit protocol).
+// attempt commits — never earlier, so a failed or retried attempt
+// cannot double-emit (the task-commit protocol).
 func (c *ReduceContext[O]) Emit(rec O) {
 	c.hook.fireEmit()
 	c.out = append(c.out, rec)
@@ -329,9 +329,8 @@ func (j *Job[I, K, V, O]) validate(numPartitions int) error {
 //
 // Fault tolerance: every task executes as a sequence of attempts under
 // Engine.Retry — panics in user code are recovered into the attempt's
-// error, transient failures retry with backoff, and stragglers can be
-// speculatively re-executed. A run that fails despite retries returns
-// an error wrapping a *TaskError. See DESIGN.md ("Fault tolerance").
+// error and transient failures retry with backoff. A run that fails
+// despite retries returns an error wrapping a *TaskError. See DESIGN.md ("Fault tolerance").
 func (j *Job[I, K, V, O]) RunContext(ctx context.Context, e *Engine, input [][]I) (*Result[I, O], error) {
 	return j.run(ctx, e, input, nil)
 }
@@ -340,8 +339,8 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, e *Engine, input [][]I
 // emissions are handed to out when the task commits (serialized across
 // tasks, emission order within a task) instead of being accumulated in
 // Result.Output, so peak memory is O(largest task's output) — the
-// commit protocol's price for never double-emitting under retries and
-// speculation — rather than O(total output). A non-nil error from out
+// commit protocol's price for never double-emitting under retries —
+// rather than O(total output). A non-nil error from out
 // fails the run. Metrics and side output are identical to RunContext.
 func (j *Job[I, K, V, O]) RunStream(ctx context.Context, e *Engine, input [][]I, out func(O) error) (*Result[I, O], error) {
 	if out == nil {

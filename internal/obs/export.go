@@ -141,9 +141,8 @@ func chromeArgs(t *Tracer, ev Event) map[string]any {
 // ({"traceEvents": [...]}), loadable in Perfetto and chrome://tracing.
 //
 // Begin/End pairs are matched offline and emitted as complete ("X")
-// events, which tolerate the overlap a speculative backup attempt has
-// with its primary — nested "B"/"E" stacks would not. The recording
-// process is pid 0 ("driver"); master-side dispatch spans carry the
+// events, which need no strict per-thread nesting — "B"/"E" stacks
+// would. The recording process is pid 0 ("driver"); master-side dispatch spans carry the
 // target worker id as pid, which renders a distributed run as one
 // swimlane per worker. Unclosed spans (crash, buffer truncation) are
 // emitted as zero-duration instants so they stay visible.

@@ -256,12 +256,10 @@ func (r *Registry) Names() []string {
 // "dist.worker." for the distributed runtime, "_total" suffix on
 // counters, "_ns" / "_bytes" unit suffixes.
 type EngineMetrics struct {
-	Attempts     *Counter // engine.attempts_total
-	Retries      *Counter // engine.retries_total
-	SpecLaunched *Counter // engine.speculative_launched_total
-	SpecWon      *Counter // engine.speculative_won_total
-	Commits      *Counter // engine.tasks_committed_total
-	Degraded     *Counter // engine.remote_degradations_total
+	Attempts *Counter // engine.attempts_total
+	Retries  *Counter // engine.retries_total
+	Commits  *Counter // engine.tasks_committed_total
+	Degraded *Counter // engine.remote_degradations_total
 
 	Inflight     *Gauge // engine.attempts_inflight
 	TasksPending *Gauge // engine.tasks_pending (queue depth per running phase)
@@ -278,8 +276,6 @@ func newEngineMetrics(r *Registry) *EngineMetrics {
 	return &EngineMetrics{
 		Attempts:          r.Counter("engine.attempts_total"),
 		Retries:           r.Counter("engine.retries_total"),
-		SpecLaunched:      r.Counter("engine.speculative_launched_total"),
-		SpecWon:           r.Counter("engine.speculative_won_total"),
 		Commits:           r.Counter("engine.tasks_committed_total"),
 		Degraded:          r.Counter("engine.remote_degradations_total"),
 		Inflight:          r.Gauge("engine.attempts_inflight"),

@@ -49,11 +49,8 @@ const (
 	KMerge                    // k-way merge feeding a reduce pass
 	KShuffleFetch             // one HTTP range read of remote map output
 	KDispatch                 // master-side: one attempt posted to a worker
-	KCommit                   // instant: a task's winning attempt committed
+	KCommit                   // instant: a task's successful attempt committed
 	KRetry                    // instant: attempt failed, retrying (Arg = backoff ns)
-	KSpecLaunch               // instant: speculative backup attempt launched
-	KSpecWin                  // instant: the backup attempt won the task
-	KSpecCancel               // instant: losing speculative attempt cancelled
 	KWorkerDeath              // instant: master declared a worker dead
 	KReassign                 // instant: a dead worker's in-flight task freed for reassignment
 	kindCount
@@ -61,8 +58,7 @@ const (
 
 var kindNames = [kindCount]string{
 	"job", "phase", "task", "attempt", "spill", "merge", "shuffle-fetch",
-	"dispatch", "commit", "retry", "spec-launch", "spec-win", "spec-cancel",
-	"worker-death", "reassign",
+	"dispatch", "commit", "retry", "worker-death", "reassign",
 }
 
 // String returns the stable lowercase name used by both exporters.

@@ -2,9 +2,9 @@
 // cancellation and fault-tolerance tests: snapshot the goroutine count
 // before the code under test, then Check that the count returns to the
 // snapshot afterwards, waiting out goroutines that are mid-teardown.
-// Supervisor workers, speculative backup attempts, and straggler
-// monitors all must drain on every exit path — a stuck goroutine shows
-// up as a Check failure with the final count.
+// Supervisor workers, timed-out attempts, and dispatch goroutines all
+// must drain on every exit path — a stuck goroutine shows up as a Check
+// failure with the final count.
 package testleak
 
 import (
