@@ -177,11 +177,12 @@ func BenchmarkRunioCodecs(b *testing.B) {
 	if !ok {
 		b.Fatal("entity codec not registered")
 	}
+	dec := c.NewDecoder()
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = c.Append(buf[:0], e)
-		if _, _, err := c.Decode(buf); err != nil {
+		if _, _, err := dec(string(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}

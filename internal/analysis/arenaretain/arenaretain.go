@@ -1,7 +1,6 @@
-// Package arenaretain enforces the arena copy-what-you-retain rule
-// from PR 8's external dataflow: strings handed out by the shared-
-// segment read path alias a refill buffer that is overwritten by the
-// next block, so they are only valid until the reader advances.
+// Package arenaretain enforces the arena copy-what-you-retain rule of
+// the external dataflow: strings handed out by the run read path alias
+// an immutable ~32 KB block, so retaining one pins the whole block.
 // Retaining one — storing it into a struct field reachable beyond the
 // frame, a map, a package-level variable, or sending it on a channel —
 // must go through strings.Clone (or concatenation, which also copies).
@@ -9,13 +8,13 @@
 // The analyzer runs a per-function taint pass. Taint sources are the
 // values the arena hands out:
 //
-//   - results of (*runio.SharedSegmentReader).Next
-//   - results of runio.SharedString (an aliasing view by definition)
+//   - results of (*runio.SegmentReader).Next
+//   - results of runio.String (an aliasing view by definition)
 //   - results of calling a func-typed variable or field with the
 //     decoder shape func(string) (T, int, error) — how the external
-//     dataflow threads shared decoders (recDecoder.kdec/vdec)
-//   - the src parameter of codec Decode methods and of the closures
-//     NewSharedDecoder returns, which receive shared bytes by contract
+//     dataflow threads decoders (recDecoder.kdec/vdec)
+//   - the src parameter of the closures a codec's NewDecoder returns,
+//     which receive block bytes by contract
 //
 // Taint follows assignments, slicing, field reads, and append;
 // strings.Clone, string<->[]byte conversion, and concatenation clear
@@ -40,7 +39,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const hint = "; the bytes alias the shared refill buffer — strings.Clone what you retain"
+const hint = "; the bytes alias an immutable read block — strings.Clone what you retain"
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -78,39 +77,24 @@ func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	s.walk(fd.Body)
 }
 
-// seedParams taints the shared-source parameters: the src argument of
-// codec Decode methods and of the decoder closures NewSharedDecoder
-// builds — both receive arena-backed bytes by contract.
+// seedParams taints the src argument of the decoder closures a codec's
+// NewDecoder builds, which receive arena-backed bytes by contract.
 func (s *taintState) seedParams(fd *ast.FuncDecl) {
-	if fd.Recv == nil {
+	if fd.Recv == nil || fd.Name.Name != "NewDecoder" {
 		return
 	}
-	switch fd.Name.Name {
-	case "Decode":
-		if obj, ok := s.pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && isDecodeSig(obj.Type()) {
-			s.taintParam(fd.Type)
-		}
-	case "NewSharedDecoder":
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				if tv, ok := s.pass.TypesInfo.Types[fl]; ok && isDecodeSig(tv.Type) {
-					s.taintParam(fl.Type)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FuncLit); ok {
+			if tv, ok := s.pass.TypesInfo.Types[fl]; ok && isDecodeSig(tv.Type) && len(fl.Type.Params.List) > 0 {
+				for _, name := range fl.Type.Params.List[0].Names {
+					if obj := s.pass.TypesInfo.Defs[name]; obj != nil {
+						s.taint(obj)
+					}
 				}
 			}
-			return true
-		})
-	}
-}
-
-func (s *taintState) taintParam(ft *ast.FuncType) {
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return
-	}
-	for _, name := range ft.Params.List[0].Names {
-		if obj := s.pass.TypesInfo.Defs[name]; obj != nil {
-			s.taint(obj)
 		}
-	}
+		return true
+	})
 }
 
 func (s *taintState) taint(obj types.Object) {
@@ -267,20 +251,15 @@ func (s *taintState) callTainted(call *ast.CallExpr) bool {
 	return s.isSourceCall(call)
 }
 
-// isSourceCall recognizes the calls whose first result aliases the
-// shared refill buffer.
+// isSourceCall recognizes the calls whose first result aliases a read
+// block.
 func (s *taintState) isSourceCall(call *ast.CallExpr) bool {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if sel := s.pass.TypesInfo.Selections[fun]; sel != nil {
 			switch sel.Kind() {
 			case types.MethodVal:
-				if fun.Sel.Name == "Next" && isSharedReader(sel.Recv()) {
-					return true
-				}
-				if fun.Sel.Name == "Decode" && isDecodeSig(sel.Type()) {
-					return true
-				}
+				return fun.Sel.Name == "Next" && isSegmentReader(sel.Recv())
 			case types.FieldVal:
 				return isDecodeSig(sel.Type())
 			}
@@ -289,8 +268,8 @@ func (s *taintState) isSourceCall(call *ast.CallExpr) bool {
 		switch obj := s.pass.TypesInfo.Uses[fun.Sel].(type) {
 		case *types.Var: // package-level func value
 			return isDecodeSig(obj.Type())
-		case *types.Func: // runio.SharedString returns an aliasing view
-			return obj.Name() == "SharedString" && obj.Pkg() != nil && obj.Pkg().Name() == "runio"
+		case *types.Func: // runio.String returns an aliasing view
+			return obj.Name() == "String" && obj.Pkg() != nil && obj.Pkg().Name() == "runio"
 		}
 	case *ast.Ident:
 		if v, ok := s.objOf(fun).(*types.Var); ok {
@@ -352,9 +331,9 @@ func isStringsClone(pass *analysis.Pass, fun ast.Expr) bool {
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "strings"
 }
 
-// isSharedReader matches *runio.SharedSegmentReader (or the value
-// form) by name, so fixtures with a mini runio package also match.
-func isSharedReader(t types.Type) bool {
+// isSegmentReader matches *runio.SegmentReader (or the value form) by
+// name, so fixtures with a mini runio package also match.
+func isSegmentReader(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -363,11 +342,10 @@ func isSharedReader(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "SharedSegmentReader" && obj.Pkg() != nil && obj.Pkg().Name() == "runio"
+	return obj.Name() == "SegmentReader" && obj.Pkg() != nil && obj.Pkg().Name() == "runio"
 }
 
-// isDecodeSig matches the shared-decoder shape func(string) (T, int,
-// error).
+// isDecodeSig matches the decoder shape func(string) (T, int, error).
 func isDecodeSig(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	if !ok {

@@ -1,6 +1,6 @@
-// Package a exercises the arenaretain analyzer: strings from the
-// shared read path alias a refill buffer and must be cloned before
-// being retained.
+// Package a exercises the arenaretain analyzer: strings from the run
+// read path alias a read block and must be cloned before being
+// retained.
 package a
 
 import (
@@ -21,7 +21,7 @@ type index struct {
 var lastSeen string
 
 // retainClone copies before retaining: ok.
-func retainClone(r *runio.SharedSegmentReader, ix *index) error {
+func retainClone(r *runio.SegmentReader, ix *index) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -32,7 +32,7 @@ func retainClone(r *runio.SharedSegmentReader, ix *index) error {
 }
 
 // retainConcat also copies (concatenation allocates): ok.
-func retainConcat(r *runio.SharedSegmentReader, ix *index) error {
+func retainConcat(r *runio.SegmentReader, ix *index) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -44,7 +44,7 @@ func retainConcat(r *runio.SharedSegmentReader, ix *index) error {
 // localBuilder fills a frame-local record from aliased strings: ok —
 // this is exactly how decoders return records; the caller decides what
 // to retain.
-func localBuilder(r *runio.SharedSegmentReader) (record, error) {
+func localBuilder(r *runio.SegmentReader) (record, error) {
 	s, err := r.Next()
 	if err != nil {
 		return record{}, err
@@ -56,7 +56,7 @@ func localBuilder(r *runio.SharedSegmentReader) (record, error) {
 }
 
 // retainField stores the aliased string through a pointer: flagged.
-func retainField(r *runio.SharedSegmentReader, ix *index) error {
+func retainField(r *runio.SegmentReader, ix *index) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -66,7 +66,7 @@ func retainField(r *runio.SharedSegmentReader, ix *index) error {
 }
 
 // retainMap: the map retains both its keys and values: flagged.
-func retainMap(r *runio.SharedSegmentReader, ix *index) error {
+func retainMap(r *runio.SegmentReader, ix *index) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -77,7 +77,7 @@ func retainMap(r *runio.SharedSegmentReader, ix *index) error {
 }
 
 // retainGlobal: package-level variables outlive every frame: flagged.
-func retainGlobal(r *runio.SharedSegmentReader) error {
+func retainGlobal(r *runio.SegmentReader) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -88,7 +88,7 @@ func retainGlobal(r *runio.SharedSegmentReader) error {
 
 // retainChan: the receiver may hold the string past the next refill:
 // flagged.
-func retainChan(r *runio.SharedSegmentReader, ch chan string) error {
+func retainChan(r *runio.SegmentReader, ch chan string) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -98,8 +98,8 @@ func retainChan(r *runio.SharedSegmentReader, ch chan string) error {
 }
 
 // decoders shows taint flowing through slicing, a func-typed decoder
-// value, and runio.SharedString.
-func decoders(r *runio.SharedSegmentReader, dec func(string) (record, int, error), out *record) error {
+// value, and runio.String.
+func decoders(r *runio.SegmentReader, dec func(string) (record, int, error), out *record) error {
 	s, err := r.Next()
 	if err != nil {
 		return err
@@ -109,24 +109,27 @@ func decoders(r *runio.SharedSegmentReader, dec func(string) (record, int, error
 		return err
 	}
 	out.Key = rec.Key // want `stored in field Key escapes the read frame`
-	v, _, _ := runio.SharedString(s[1:])
+	v, _, _ := runio.String(s[1:])
 	out.Value = v // want `stored in field Value escapes the read frame`
 	return nil
 }
 
-// recCodec's Decode receives shared bytes by contract (seeded taint).
+// recCodec's decoder closure receives block bytes by contract (seeded
+// taint).
 type recCodec struct{}
 
 var capture index
 
-func (recCodec) Decode(src string) (record, int, error) {
-	capture.last = src // want `stored in field last escapes the read frame`
-	return record{Key: src}, len(src), nil
+func (recCodec) NewDecoder() func(string) (record, int, error) {
+	return func(src string) (record, int, error) {
+		capture.last = src // want `stored in field last escapes the read frame`
+		return record{Key: src}, len(src), nil
+	}
 }
 
 // transient documents a store the surrounding engine bounds to the
 // current block, suppressed with a reason.
-func transient(r *runio.SharedSegmentReader, ix *index) error {
+func transient(r *runio.SegmentReader, ix *index) error {
 	s, err := r.Next()
 	if err != nil {
 		return err

@@ -1,12 +1,12 @@
 // Package runio is a fixture stand-in for the arena read path:
-// arenaretain matches SharedSegmentReader.Next and SharedString by
+// arenaretain matches SegmentReader.Next and String by
 // (package name, name), so these mini definitions taint like the real
 // ones.
 package runio
 
 import "errors"
 
-type SharedSegmentReader struct {
+type SegmentReader struct {
 	block []byte
 	off   int
 }
@@ -14,7 +14,7 @@ type SharedSegmentReader struct {
 var errDone = errors.New("done")
 
 // Next returns a record aliasing the reader's block buffer.
-func (s *SharedSegmentReader) Next() (string, error) {
+func (s *SegmentReader) Next() (string, error) {
 	if s.off >= len(s.block) {
 		return "", errDone
 	}
@@ -23,7 +23,7 @@ func (s *SharedSegmentReader) Next() (string, error) {
 	return string(b), nil
 }
 
-// SharedString decodes a length-prefixed view of src, aliasing it.
-func SharedString(src string) (string, int, error) {
+// String decodes a length-prefixed view of src, aliasing it.
+func String(src string) (string, int, error) {
 	return src, len(src), nil
 }

@@ -19,19 +19,19 @@ type goodKeyCodec struct{}
 
 func (goodKeyCodec) Append(dst []byte, v GoodKey) []byte { return dst }
 
-func (goodKeyCodec) Decode(src string) (GoodKey, int, error) { return GoodKey{}, 0, nil }
+func (goodKeyCodec) NewDecoder() func(string) (GoodKey, int, error) { return nil }
 
 type lateKeyCodec struct{}
 
 func (lateKeyCodec) Append(dst []byte, v LateKey) []byte { return dst }
 
-func (lateKeyCodec) Decode(src string) (LateKey, int, error) { return LateKey{}, 0, nil }
+func (lateKeyCodec) NewDecoder() func(string) (LateKey, int, error) { return nil }
 
 type valCodec struct{}
 
 func (valCodec) Append(dst []byte, v Val) []byte { return dst }
 
-func (valCodec) Decode(src string) (Val, int, error) { return Val{}, 0, nil }
+func (valCodec) NewDecoder() func(string) (Val, int, error) { return nil }
 
 func init() {
 	runio.Register[GoodKey](goodKeyCodec{})

@@ -4,7 +4,7 @@ package runio
 
 type Codec[T any] interface {
 	Append(dst []byte, v T) []byte
-	Decode(src string) (T, int, error)
+	NewDecoder() func(src string) (T, int, error)
 }
 
 func Register[T any](c Codec[T]) {}

@@ -21,34 +21,19 @@ func (keyCodec) Append(dst []byte, k Key) []byte {
 	return runio.AppendVarint(dst, int64(k.Partition))
 }
 
-func (keyCodec) Decode(src []byte) (Key, int, error) {
-	var k Key
-	s, n, err := runio.String(src)
-	if err != nil {
-		return k, 0, fmt.Errorf("bdm.Key block key: %w", err)
-	}
-	k.BlockKey = s
-	p, pn, err := runio.Varint(src[n:])
-	if err != nil {
-		return k, 0, fmt.Errorf("bdm.Key partition: %w", err)
-	}
-	k.Partition = int(p)
-	return k, n + pn, nil
-}
-
-// NewSharedDecoder implements runio.SharedDecoder: the decoded BlockKey
-// aliases src. The BDM reducer emits its key into retained output
-// records, so it clones the block key at emit time (see job.go) per the
+// NewDecoder implements runio.Codec: the decoded BlockKey aliases src.
+// The BDM reducer emits its key into retained output records, so it
+// clones the block key at emit time (see job.go) per the
 // copy-what-you-retain contract.
-func (keyCodec) NewSharedDecoder() func(string) (Key, int, error) {
+func (keyCodec) NewDecoder() func(string) (Key, int, error) {
 	return func(src string) (Key, int, error) {
 		var k Key
-		s, n, err := runio.SharedString(src)
+		s, n, err := runio.String(src)
 		if err != nil {
 			return k, 0, fmt.Errorf("bdm.Key block key: %w", err)
 		}
 		k.BlockKey = s
-		p, pn, err := runio.VarintString(src[n:])
+		p, pn, err := runio.Varint(src[n:])
 		if err != nil {
 			return k, 0, fmt.Errorf("bdm.Key partition: %w", err)
 		}

@@ -24,9 +24,9 @@ func FuzzBDMKeyCodec(f *testing.F) {
 			t.Fatal("bdm.Key codec not registered")
 		}
 		enc := c.Append(nil, k)
-		got, n, err := c.Decode(enc)
+		got, n, err := c.NewDecoder()(string(enc))
 		if err != nil {
-			t.Fatalf("Decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		if n != len(enc) || got != k {
 			t.Fatalf("round trip: got (%+v, %d), want (%+v, %d)", got, n, k, len(enc))

@@ -24,13 +24,15 @@ func (bsKeyCodec) Append(dst []byte, k BSKey) []byte {
 	return runio.AppendVarint(dst, int64(k.Role))
 }
 
-func (bsKeyCodec) Decode(src []byte) (BSKey, int, error) {
-	var k BSKey
-	n, err := decodeInts(src, &k.Reduce, &k.Block, &k.I, &k.J, &k.Role)
-	if err != nil {
-		return k, 0, fmt.Errorf("BSKey: %w", err)
+func (bsKeyCodec) NewDecoder() func(string) (BSKey, int, error) {
+	return func(src string) (BSKey, int, error) {
+		var k BSKey
+		n, err := decodeInts(src, [5]*int{&k.Reduce, &k.Block, &k.I, &k.J, &k.Role})
+		if err != nil {
+			return k, 0, fmt.Errorf("BSKey: %w", err)
+		}
+		return k, n, nil
 	}
-	return k, n, nil
 }
 
 type prKeyCodec struct{}
@@ -41,45 +43,33 @@ func (prKeyCodec) Append(dst []byte, k PRKey) []byte {
 	return runio.AppendVarint(dst, k.Index)
 }
 
-func (prKeyCodec) Decode(src []byte) (PRKey, int, error) {
-	var k PRKey
-	n, err := decodeInts(src, &k.Range, &k.Block)
-	if err != nil {
-		return k, 0, fmt.Errorf("PRKey: %w", err)
-	}
-	idx, in, err := runio.Varint(src[n:])
-	if err != nil {
-		return k, 0, fmt.Errorf("PRKey index: %w", err)
-	}
-	k.Index = idx
-	return k, n + in, nil
-}
-
-// decodeInts decodes consecutive zig-zag varints into the given int
-// fields, returning the bytes consumed.
-func decodeInts(src []byte, dst ...*int) (int, error) {
-	n := 0
-	for i, d := range dst {
-		v, vn, err := runio.Varint(src[n:])
+func (prKeyCodec) NewDecoder() func(string) (PRKey, int, error) {
+	return func(src string) (PRKey, int, error) {
+		var k PRKey
+		n, err := decodeInts(src, [5]*int{&k.Range, &k.Block})
 		if err != nil {
-			return 0, fmt.Errorf("field %d: %w", i, err)
+			return k, 0, fmt.Errorf("PRKey: %w", err)
 		}
-		*d = int(v)
-		n += vn
+		idx, in, err := runio.Varint(src[n:])
+		if err != nil {
+			return k, 0, fmt.Errorf("PRKey index: %w", err)
+		}
+		k.Index = idx
+		return k, n + in, nil
 	}
-	return n, nil
 }
 
-// decodeIntsString is decodeInts over a string source for up to five
-// fields (nil stops early). Taking an array instead of a variadic slice
-// keeps the hot shared-decode path free of the ...*int allocation.
-func decodeIntsString(src string, dst [5]*int) (int, error) {
+// decodeInts decodes consecutive zig-zag varints into up to five int
+// fields (nil stops early), returning the bytes consumed. Taking an
+// array instead of a variadic slice keeps the hot decode path free of
+// the ...*int allocation.
+func decodeInts(src string, dst [5]*int) (int, error) {
 	n := 0
 	for i, p := range dst {
 		if p == nil {
 			break
 		}
-		v, vn, err := runio.VarintString(src[n:])
+		v, vn, err := runio.Varint(src[n:])
 		if err != nil {
 			return 0, fmt.Errorf("field %d: %w", i, err)
 		}
@@ -89,56 +79,6 @@ func decodeIntsString(src string, dst [5]*int) (int, error) {
 	return n, nil
 }
 
-// Shared decoders (runio.SharedDecoder) for the strategy key codecs: the
-// composite keys are pure varints (nothing to alias — the win is that
-// having them lets the engine pick the arena read path, which needs
-// BOTH the key and value codec to support shared decoding).
-
-func (bsKeyCodec) NewSharedDecoder() func(string) (BSKey, int, error) {
-	return func(src string) (BSKey, int, error) {
-		var k BSKey
-		n, err := decodeIntsString(src, [5]*int{&k.Reduce, &k.Block, &k.I, &k.J, &k.Role})
-		if err != nil {
-			return k, 0, fmt.Errorf("BSKey: %w", err)
-		}
-		return k, n, nil
-	}
-}
-
-func (prKeyCodec) NewSharedDecoder() func(string) (PRKey, int, error) {
-	return func(src string) (PRKey, int, error) {
-		var k PRKey
-		n, err := decodeIntsString(src, [5]*int{&k.Range, &k.Block})
-		if err != nil {
-			return k, 0, fmt.Errorf("PRKey: %w", err)
-		}
-		idx, in, err := runio.VarintString(src[n:])
-		if err != nil {
-			return k, 0, fmt.Errorf("PRKey index: %w", err)
-		}
-		k.Index = idx
-		return k, n + in, nil
-	}
-}
-
-// NewSharedDecoder for MatchPair aliases both IDs; used only by remote
-// transport decode, which copies into result slices it owns.
-func (matchPairCodec) NewSharedDecoder() func(string) (MatchPair, int, error) {
-	return func(src string) (MatchPair, int, error) {
-		var p MatchPair
-		a, n, err := runio.SharedString(src)
-		if err != nil {
-			return p, 0, fmt.Errorf("MatchPair.A: %w", err)
-		}
-		b, bn, err := runio.SharedString(src[n:])
-		if err != nil {
-			return p, 0, fmt.Errorf("MatchPair.B: %w", err)
-		}
-		p.A, p.B = a, b
-		return p, n + bn, nil
-	}
-}
-
 type matchPairCodec struct{}
 
 func (matchPairCodec) Append(dst []byte, p MatchPair) []byte {
@@ -146,18 +86,22 @@ func (matchPairCodec) Append(dst []byte, p MatchPair) []byte {
 	return runio.AppendString(dst, p.B)
 }
 
-func (matchPairCodec) Decode(src []byte) (MatchPair, int, error) {
-	var p MatchPair
-	a, n, err := runio.String(src)
-	if err != nil {
-		return p, 0, fmt.Errorf("MatchPair.A: %w", err)
+// NewDecoder aliases both IDs; used only by remote transport decode,
+// which copies into result slices it owns.
+func (matchPairCodec) NewDecoder() func(string) (MatchPair, int, error) {
+	return func(src string) (MatchPair, int, error) {
+		var p MatchPair
+		a, n, err := runio.String(src)
+		if err != nil {
+			return p, 0, fmt.Errorf("MatchPair.A: %w", err)
+		}
+		b, bn, err := runio.String(src[n:])
+		if err != nil {
+			return p, 0, fmt.Errorf("MatchPair.B: %w", err)
+		}
+		p.A, p.B = a, b
+		return p, n + bn, nil
 	}
-	b, bn, err := runio.String(src[n:])
-	if err != nil {
-		return p, 0, fmt.Errorf("MatchPair.B: %w", err)
-	}
-	p.A, p.B = a, b
-	return p, n + bn, nil
 }
 
 func init() {

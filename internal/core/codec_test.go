@@ -19,9 +19,10 @@ func codecRoundTrip[T any](t *testing.T, v T) {
 		t.Fatalf("no codec registered for %T", v)
 	}
 	enc := c.Append(nil, v)
-	got, n, err := c.Decode(enc)
+	dec := c.NewDecoder()
+	got, n, err := dec(string(enc))
 	if err != nil {
-		t.Fatalf("Decode(%+v): %v", v, err)
+		t.Fatalf("decode(%+v): %v", v, err)
 	}
 	if n != len(enc) {
 		t.Fatalf("%+v: consumed %d of %d bytes", v, n, len(enc))
@@ -31,7 +32,7 @@ func codecRoundTrip[T any](t *testing.T, v T) {
 	}
 	// Self-delimitation against a following record.
 	enc2 := c.Append(enc, v)
-	got, n, err = c.Decode(enc2)
+	got, n, err = dec(string(enc2))
 	if err != nil || n != len(enc) || !reflect.DeepEqual(got, v) {
 		t.Fatalf("%+v: decode with trailing record failed (n=%d, err=%v)", v, n, err)
 	}

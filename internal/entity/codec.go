@@ -13,7 +13,8 @@ import (
 // newlines, or invalid UTF-8 survive the disk round trip byte-exactly.
 // Attribute order on disk follows the entity's sorted slice order, so
 // the encoding is deterministic; decoding re-establishes the sorted
-// invariant even for foreign byte streams.
+// invariant even for foreign byte streams. Decoded entities alias the
+// string they were decoded from (the runio codec contract).
 type Codec struct{}
 
 // Append implements runio.Codec.
@@ -27,79 +28,40 @@ func (Codec) Append(dst []byte, e Entity) []byte {
 	return dst
 }
 
-// Decode implements runio.Codec. Zero attributes decode to nil Attrs,
-// matching the zero Entity.
-func (Codec) Decode(src []byte) (Entity, int, error) {
-	var e Entity
-	id, n, err := runio.String(src)
-	if err != nil {
-		return e, 0, fmt.Errorf("entity id: %w", err)
-	}
-	e.ID = id
-	count, cn, err := runio.Uvarint(src[n:])
-	if err != nil {
-		return e, 0, fmt.Errorf("entity attr count: %w", err)
-	}
-	n += cn
-	if count > uint64(len(src)-n) {
-		// Each attribute needs at least two bytes; a larger claimed
-		// count is corrupt, and bounding it here keeps the slice
-		// allocation proportional to real data.
-		return e, 0, fmt.Errorf("%w: entity attr count %d exceeds remaining bytes", runio.ErrCorrupt, count)
-	}
-	if count > 0 {
-		e.Attrs = make([]Attr, 0, count)
-		for i := uint64(0); i < count; i++ {
-			k, kn, err := runio.String(src[n:])
-			if err != nil {
-				return e, 0, fmt.Errorf("entity attr name: %w", err)
-			}
-			n += kn
-			v, vn, err := runio.String(src[n:])
-			if err != nil {
-				return e, 0, fmt.Errorf("entity attr value: %w", err)
-			}
-			n += vn
-			e.setAttr(k, v)
-		}
-	}
-	return e, n, nil
-}
-
-// attrChunkLen is the Attr-arena chunk size of the shared decoder: big
-// enough to amortize the chunk allocation over ~100 entities, small
-// enough that one retained entity pins only a few KB of neighbors.
+// attrChunkLen is the Attr-arena chunk size of the decoder: big enough
+// to amortize the chunk allocation over ~100 entities, small enough
+// that one retained entity pins only a few KB of neighbors.
 const attrChunkLen = 256
 
-// NewSharedDecoder implements runio.SharedDecoder. Decoded IDs,
-// attribute names, and attribute values all alias src; the Attrs slices
-// are carved from a chunked arena, so the steady-state cost of decoding
-// an entity is zero allocations.
-func (Codec) NewSharedDecoder() func(string) (Entity, int, error) {
+// NewDecoder implements runio.Codec. Decoded IDs, attribute names, and
+// attribute values all alias src; the Attrs slices are carved from a
+// chunked arena, so the steady-state cost of decoding an entity is zero
+// allocations. Zero attributes decode to nil Attrs, matching the zero
+// Entity.
+func (Codec) NewDecoder() func(string) (Entity, int, error) {
 	var arena []Attr
 	return func(src string) (Entity, int, error) {
 		var e Entity
-		id, n, err := runio.SharedString(src)
+		id, n, err := runio.String(src)
 		if err != nil {
 			return e, 0, fmt.Errorf("entity id: %w", err)
 		}
 		e.ID = id
-		count, cn, err := runio.UvarintString(src[n:])
+		count, cn, err := runio.Uvarint(src[n:])
 		if err != nil {
 			return e, 0, fmt.Errorf("entity attr count: %w", err)
 		}
 		n += cn
-		if count > uint64(len(src)-n) {
+		if count > uint64(len(src)-n)/2 {
+			// Each attribute needs at least two bytes; a larger claimed
+			// count is corrupt, and bounding it here keeps the arena
+			// allocation proportional to real data.
 			return e, 0, fmt.Errorf("%w: entity attr count %d exceeds remaining bytes", runio.ErrCorrupt, count)
 		}
 		if count > 0 {
 			need := int(count)
 			if cap(arena)-len(arena) < need {
-				size := attrChunkLen
-				if need > size {
-					size = need
-				}
-				arena = make([]Attr, 0, size)
+				arena = make([]Attr, 0, max(attrChunkLen, need))
 			}
 			start := len(arena)
 			// Carve a capacity-capped sub-slice so setAttr's appends stay
@@ -107,12 +69,12 @@ func (Codec) NewSharedDecoder() func(string) (Entity, int, error) {
 			// record's carve.
 			e.Attrs = arena[start : start : start+need]
 			for i := uint64(0); i < count; i++ {
-				k, kn, err := runio.SharedString(src[n:])
+				k, kn, err := runio.String(src[n:])
 				if err != nil {
 					return Entity{}, 0, fmt.Errorf("entity attr name: %w", err)
 				}
 				n += kn
-				v, vn, err := runio.SharedString(src[n:])
+				v, vn, err := runio.String(src[n:])
 				if err != nil {
 					return Entity{}, 0, fmt.Errorf("entity attr value: %w", err)
 				}

@@ -1,10 +1,13 @@
 package entity
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/runio"
 )
@@ -17,11 +20,14 @@ func TestEntityCodecRegistered(t *testing.T) {
 
 // FuzzEntityCodec round-trips entities whose ID and attributes carry
 // arbitrary bytes — tabs, newlines, invalid UTF-8 — through the disk
-// codec.
+// codec. One decoder decodes the entity and then a second one carved
+// from the same Attr arena: the first must be unchanged by it, and
+// growing the first must leave the second unchanged.
 func FuzzEntityCodec(f *testing.F) {
 	f.Add("p1", "title", "canon eos 5d", "price", "1299")
 	f.Add("tab\tid", "attr\nname", "value\twith\ttabs", "", "")
 	f.Add(string([]byte{0xff, 0x00}), string([]byte{0xc0, 0x80}), "x", "y", "z")
+	f.Add("dup", "a", "1", "a", "2")
 	f.Fuzz(func(t *testing.T, id, k1, v1, k2, v2 string) {
 		e := Entity{ID: id}
 		if k1 != "" || v1 != "" || k2 != "" || v2 != "" {
@@ -30,9 +36,10 @@ func FuzzEntityCodec(f *testing.F) {
 		}
 		var c Codec
 		enc := c.Append(nil, e)
-		got, n, err := c.Decode(enc)
+		dec := c.NewDecoder()
+		got, n, err := dec(string(enc))
 		if err != nil {
-			t.Fatalf("Decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		if n != len(enc) {
 			t.Fatalf("consumed %d of %d bytes", n, len(enc))
@@ -40,29 +47,85 @@ func FuzzEntityCodec(f *testing.F) {
 		if !reflect.DeepEqual(got, e) {
 			t.Fatalf("round trip: got %+v, want %+v", got, e)
 		}
+		second := New(v2, k1, id).WithAttr(k2, v1)
+		got2, _, err := dec(string(c.Append(nil, second)))
+		if err != nil || !reflect.DeepEqual(got2, second) {
+			t.Fatalf("second decode: got %+v (%v), want %+v", got2, err, second)
+		}
+		if !reflect.DeepEqual(got, e) {
+			t.Fatalf("first entity changed by the second decode: got %+v, want %+v", got, e)
+		}
+		// Growing the first entity must not reach into the second's carve.
+		got.setAttr("\xff\xffextra", "x")
+		if !reflect.DeepEqual(got2, second) {
+			t.Fatalf("second entity changed by growing the first: got %+v, want %+v", got2, second)
+		}
 	})
 }
 
 // FuzzEntityDecodeArbitrary feeds the decoder arbitrary bytes: it must
-// error or succeed, never panic or allocate unboundedly.
+// error or succeed, never panic or allocate unboundedly. A success is
+// re-encoded and decoded again by the same decoder, which must leave
+// the first result unchanged, and growing the first result must leave
+// the second unchanged.
 func FuzzEntityDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((Codec{}).Append(nil, New("id", "a", "b")))
 	f.Add(runio.AppendUvarint(runio.AppendString(nil, "id"), 1<<40))
+	dup := runio.AppendUvarint(runio.AppendString(nil, "id"), 2)
+	for _, s := range []string{"a", "1", "a", "2"} {
+		dup = runio.AppendString(dup, s)
+	}
+	f.Add(dup)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, n, err := (Codec{}).Decode(data)
+		dec := (Codec{}).NewDecoder()
+		e, n, err := dec(string(data))
 		if err == nil {
 			if n > len(data) {
 				t.Fatalf("consumed %d of %d bytes", n, len(data))
 			}
+			want := Entity{ID: strings.Clone(e.ID)}
+			for _, a := range e.Attrs {
+				want.Attrs = append(want.Attrs, Attr{Name: strings.Clone(a.Name), Value: strings.Clone(a.Value)})
+			}
 			// A successful decode must re-encode to an equal value.
 			enc := (Codec{}).Append(nil, e)
-			got, _, err := (Codec{}).Decode(enc)
+			got, _, err := dec(string(enc))
 			if err != nil || !reflect.DeepEqual(got, e) {
 				t.Fatalf("re-encode round trip failed: %v", err)
 			}
+			if !reflect.DeepEqual(e, want) {
+				t.Fatalf("first entity changed by the second decode: got %+v, want %+v", e, want)
+			}
+			// Duplicate names leave the first carve short: growing the
+			// first entity must still not reach into the second's.
+			e.setAttr("\xff\xffextra", "x")
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("second entity changed by growing the first: got %+v, want %+v", got, want)
+			}
 		}
 	})
+}
+
+// A corrupt attribute count is rejected before the decoder sizes its
+// Attr arena by it: every attribute takes at least two bytes, so a
+// 2,000-attribute claim in a record of about 2,000 bytes is corrupt,
+// and rejecting it costs far less than the 64,000-byte arena it claims.
+func TestEntityDecodeRejectsCountBeforeArena(t *testing.T) {
+	const claimed = 2000
+	src := string(append(runio.AppendUvarint(runio.AppendString(nil, "id"), claimed), make([]byte, claimed)...))
+	dec := (Codec{}).NewDecoder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := dec(src)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, runio.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	arena := uint64(claimed * unsafe.Sizeof(Attr{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > arena/8 {
+		t.Fatalf("rejecting a %d-attribute claim allocated %d bytes, the claimed arena is %d", claimed, got, arena)
+	}
 }
 
 func TestScanCSVStreams(t *testing.T) {

@@ -1,9 +1,8 @@
 package mapreduce_test
 
-// Record-blob tests: the two decode paths of DecodeRecords — arena for
-// a codec with a shared decoder, bytes for one without — agree on every
-// valid blob and on every way of cutting one short, and the arena path
-// pays per block, not per field.
+// Record-blob tests: DecodeRecords gives back every valid blob's
+// records, rejects every way of cutting one short, and pays per block,
+// not per field.
 
 import (
 	"errors"
@@ -17,23 +16,12 @@ import (
 	"repro/internal/runio"
 )
 
-// byteOnly hides a codec's shared decoder, which sends DecodeRecords
-// down the byte path over the same encoding.
-type byteOnly[T any] struct{ c runio.Codec[T] }
-
-func (b byteOnly[T]) Append(dst []byte, v T) []byte     { return b.c.Append(dst, v) }
-func (b byteOnly[T]) Decode(src []byte) (T, int, error) { return b.c.Decode(src) }
-
-// annotatedCodec is the registered codec of both jobs' input records,
-// which has a shared decoder because string and entity.Entity do.
+// annotatedCodec is the registered codec of both jobs' input records.
 func annotatedCodec(t testing.TB) runio.Codec[bdm.Annotated] {
 	t.Helper()
 	c, ok := runio.Lookup[bdm.Annotated]()
 	if !ok {
 		t.Fatal("no codec registered for bdm.Annotated")
-	}
-	if _, shared := c.(runio.SharedDecoder[bdm.Annotated]); !shared {
-		t.Fatal("the pair codec of two shared-decoding halves has no shared decoder")
 	}
 	return c
 }
@@ -52,30 +40,26 @@ func annotatedRecords(n int) []bdm.Annotated {
 	return recs
 }
 
-func TestDecodeRecordsSharedPathEqualsBytePath(t *testing.T) {
-	shared := annotatedCodec(t)
-	bytePath := byteOnly[bdm.Annotated]{shared}
+func TestDecodeRecordsRoundTripsAndRejectsDamage(t *testing.T) {
+	c := annotatedCodec(t)
 	for _, n := range []int{0, 1, 40} {
 		recs := annotatedRecords(max(n, 1))[:n]
-		blob := mapreduce.EncodeRecords(shared, recs)
-		a, errA := mapreduce.DecodeRecords(shared, blob, n)
-		b, errB := mapreduce.DecodeRecords[bdm.Annotated](bytePath, blob, n)
-		if errA != nil || errB != nil {
-			t.Fatalf("n=%d: shared err %v, byte err %v", n, errA, errB)
+		blob := mapreduce.EncodeRecords(c, recs)
+		got, err := mapreduce.DecodeRecords(c, blob, n)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !reflect.DeepEqual(a, b) || (n > 0 && !reflect.DeepEqual(a, recs)) || (n == 0 && a != nil) {
-			t.Fatalf("n=%d: paths disagree or do not round-trip", n)
+		if (n > 0 && !reflect.DeepEqual(got, recs)) || (n == 0 && got != nil) {
+			t.Fatalf("n=%d: blob does not round-trip", n)
 		}
 	}
 
-	// Cut short anywhere, lengthened, or miscounted: the same verdict.
+	// Cut short anywhere, lengthened, or miscounted: corrupt.
 	recs := annotatedRecords(12)
-	blob := mapreduce.EncodeRecords(shared, recs)
+	blob := mapreduce.EncodeRecords(c, recs)
 	damaged := func(name string, b []byte, count int) {
-		_, errA := mapreduce.DecodeRecords(shared, b, count)
-		_, errB := mapreduce.DecodeRecords[bdm.Annotated](bytePath, b, count)
-		if !errors.Is(errA, runio.ErrCorrupt) || !errors.Is(errB, runio.ErrCorrupt) {
-			t.Fatalf("%s: shared err %v, byte err %v — want ErrCorrupt from both", name, errA, errB)
+		if _, err := mapreduce.DecodeRecords(c, b, count); !errors.Is(err, runio.ErrCorrupt) {
+			t.Fatalf("%s: err %v, want ErrCorrupt", name, err)
 		}
 	}
 	for cut := 0; cut < len(blob); cut++ {
@@ -87,24 +71,20 @@ func TestDecodeRecordsSharedPathEqualsBytePath(t *testing.T) {
 	damaged("bytes but no records", blob, 0)
 }
 
-func TestDecodeRecordsSharedPathAllocatesPerBlock(t *testing.T) {
+func TestDecodeRecordsAllocatesPerBlock(t *testing.T) {
 	const n = 4000 // × 3 attributes, 7 strings each
-	shared := annotatedCodec(t)
-	blob := mapreduce.EncodeRecords(shared, annotatedRecords(n))
-	decode := func(c runio.Codec[bdm.Annotated]) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := mapreduce.DecodeRecords(c, blob, n); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	c := annotatedCodec(t)
+	blob := mapreduce.EncodeRecords(c, annotatedRecords(n))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := mapreduce.DecodeRecords(c, blob, n); err != nil {
+			t.Fatal(err)
+		}
+	})
 	// The blob sealed as one string, the record slice, and one Attr chunk
-	// per 256 attributes: 49 here, against 8 per record on the byte path.
-	if got := decode(shared); got > n/50 {
-		t.Errorf("shared path: %.0f allocs for %d records, want O(blocks) ≤ %d", got, n, n/50)
-	}
-	if got := decode(byteOnly[bdm.Annotated]{shared}); got < 4*n {
-		t.Errorf("byte path: %.0f allocs for %d records — no longer per field, so this pin compares nothing", got, n)
+	// per 256 attributes: 49 here, where copying every string would take
+	// 8 per record.
+	if allocs > n/50 {
+		t.Errorf("%.0f allocs for %d records, want O(blocks) ≤ %d", allocs, n, n/50)
 	}
 }
 

@@ -305,24 +305,14 @@ func DecodeRecords[T any](c runio.Codec[T], b []byte, count int) ([]T, error) {
 }
 
 // DecodeRecordsInto is DecodeRecords appending into a caller-provided
-// buffer. A codec with a runio.SharedDecoder decodes on the arena path,
-// chosen from the codec type like a run file's read path:
-// one copy seals the blob as an immutable block, and every decoded
-// string aliases it, so the cost is a handful of allocations per blob
-// where the byte path pays one per string field. The records pin that
-// block for as long as any of them is reachable; the engine's callers
-// keep or drop a blob's records together.
+// buffer: count records, no trailing bytes, or an error — dst then
+// holds the records decoded before it, which callers discard. One copy
+// seals the blob as an immutable block, and every decoded string
+// aliases it, so the cost is a handful of allocations per blob. The
+// records pin that block for as long as any of them is reachable; the
+// engine's callers keep or drop a blob's records together.
 func DecodeRecordsInto[T any](c runio.Codec[T], b []byte, count int, dst []T) ([]T, error) {
-	if sd, ok := c.(runio.SharedDecoder[T]); ok {
-		return decodeBlob(sd.NewSharedDecoder(), string(b), count, dst)
-	}
-	return decodeBlob(c.Decode, b, count, dst)
-}
-
-// decodeBlob is the one blob walk of both decode paths: count records,
-// no trailing bytes, or an error — dst then holds the records decoded
-// before it, which callers discard.
-func decodeBlob[T any, S string | []byte](dec func(S) (T, int, error), src S, count int, dst []T) ([]T, error) {
+	dec, src := c.NewDecoder(), string(b)
 	for i := 0; i < count; i++ {
 		v, n, err := dec(src)
 		if err != nil {
@@ -362,30 +352,9 @@ func (c PairCodec[K, V]) Append(dst []byte, p Pair[K, V]) []byte {
 	return c.VC.Append(dst, p.Value)
 }
 
-// Decode implements runio.Codec.
-func (c PairCodec[K, V]) Decode(src []byte) (Pair[K, V], int, error) {
-	var p Pair[K, V]
-	k, n, err := c.KC.Decode(src)
-	if err != nil {
-		return p, 0, fmt.Errorf("pair key: %w", err)
-	}
-	v, n2, err := c.VC.Decode(src[n:])
-	if err != nil {
-		return p, 0, fmt.Errorf("pair value: %w", err)
-	}
-	p.Key, p.Value = k, v
-	return p, n + n2, nil
-}
-
-// sharedPairCodec is PairCodec over two codecs that both have shared
-// decoders: the pair then has one too, so pair-shaped inputs and
-// outputs decode on the arena path.
-type sharedPairCodec[K, V any] struct{ PairCodec[K, V] }
-
-// NewSharedDecoder implements runio.SharedDecoder: both halves alias src.
-func (c sharedPairCodec[K, V]) NewSharedDecoder() func(string) (Pair[K, V], int, error) {
-	kdec := c.KC.(runio.SharedDecoder[K]).NewSharedDecoder()
-	vdec := c.VC.(runio.SharedDecoder[V]).NewSharedDecoder()
+// NewDecoder implements runio.Codec: both halves alias src.
+func (c PairCodec[K, V]) NewDecoder() func(string) (Pair[K, V], int, error) {
+	kdec, vdec := c.KC.NewDecoder(), c.VC.NewDecoder()
 	return func(src string) (Pair[K, V], int, error) {
 		var p Pair[K, V]
 		k, n, err := kdec(src)
@@ -402,9 +371,9 @@ func (c sharedPairCodec[K, V]) NewSharedDecoder() func(string) (Pair[K, V], int,
 }
 
 // RegisterPairCodec registers a codec for Pair[K, V] built from the
-// registered codecs of K and V — with a shared decoder when both halves
-// have one. It panics when either half is missing, like a direct
-// runio.Register of an unregistrable codec would at first use.
+// registered codecs of K and V. It panics when either half is missing,
+// like a direct runio.Register of an unregistrable codec would at
+// first use.
 func RegisterPairCodec[K, V any]() {
 	kc, ok := runio.Lookup[K]()
 	if !ok {
@@ -414,12 +383,5 @@ func RegisterPairCodec[K, V any]() {
 	if !ok {
 		panic(fmt.Sprintf("mapreduce: RegisterPairCodec: no runio codec for value type %T", *new(V)))
 	}
-	pc := PairCodec[K, V]{KC: kc, VC: vc}
-	_, kshared := kc.(runio.SharedDecoder[K])
-	_, vshared := vc.(runio.SharedDecoder[V])
-	if kshared && vshared {
-		runio.Register[Pair[K, V]](sharedPairCodec[K, V]{pc})
-		return
-	}
-	runio.Register[Pair[K, V]](pc)
+	runio.Register[Pair[K, V]](PairCodec[K, V]{KC: kc, VC: vc})
 }

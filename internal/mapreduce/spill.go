@@ -78,14 +78,10 @@ type runStore[K, V any] struct {
 	tmpDir string
 
 	// The codecs are bound (bindCodecs) only when records can leave
-	// memory. shared is true when both implement runio.SharedDecoder, so
-	// merge sources read through the arena path (block strings, aliasing
-	// decoders, zero copies per record) instead of the byte path;
-	// codeWidth is the width of the key-code prefix of each on-disk
-	// record.
+	// memory; codeWidth is the width of the key-code prefix of each
+	// on-disk record.
 	kc        runio.Codec[K]
 	vc        runio.Codec[V]
-	shared    bool
 	codeWidth int
 
 	dirOnce sync.Once
@@ -127,8 +123,7 @@ func lookupCodec[T any](job, role string) (runio.Codec[T], error) {
 	return c, nil
 }
 
-// bindCodecs looks up the key and value codecs and fixes what they
-// decide: the arena read path when both support it, and the on-disk
+// bindCodecs looks up the key and value codecs and fixes the on-disk
 // key-code width.
 func (rs *runStore[K, V]) bindCodecs(job string, coded bool) (err error) {
 	if rs.kc, err = lookupCodec[K](job, "key"); err != nil {
@@ -137,9 +132,6 @@ func (rs *runStore[K, V]) bindCodecs(job string, coded bool) (err error) {
 	if rs.vc, err = lookupCodec[V](job, "value"); err != nil {
 		return err
 	}
-	_, kshared := rs.kc.(runio.SharedDecoder[K])
-	_, vshared := rs.vc.(runio.SharedDecoder[V])
-	rs.shared = kshared && vshared
 	if coded {
 		rs.codeWidth = 16
 	}
@@ -382,63 +374,28 @@ func (sp *spiller[K, V]) spill() error {
 // ---- reading runs back: decoder, merge sources, the merge heap ----
 
 // recDecoder decodes one on-disk record (code ‖ key ‖ value) into a
-// Rec. On the byte path, decoded values never alias the read buffer
-// (codec contract); on the shared path (kdec/vdec non-nil), decoded
-// strings alias the reader's immutable blocks (SharedDecoder contract).
+// Rec. Decoded strings alias the reader's immutable blocks (codec
+// contract).
 type recDecoder[K, V any] struct {
-	kc        runio.Codec[K]
-	vc        runio.Codec[V]
 	codeWidth int
 	kdec      func(string) (K, int, error)
 	vdec      func(string) (V, int, error)
 }
 
-// newRecDecoder builds the per-attempt decoder; the shared decode
-// functions are stateful (arenas) and single-goroutine, hence one
-// decoder per task attempt, shared across that attempt's sources.
+// newRecDecoder builds the per-attempt decoder; the decode functions
+// are stateful (arenas) and single-goroutine, hence one decoder per
+// task attempt, shared across that attempt's sources.
 func (rs *runStore[K, V]) newRecDecoder() *recDecoder[K, V] {
-	d := &recDecoder[K, V]{kc: rs.kc, vc: rs.vc, codeWidth: rs.codeWidth}
-	if rs.shared {
-		d.kdec = rs.kc.(runio.SharedDecoder[K]).NewSharedDecoder()
-		d.vdec = rs.vc.(runio.SharedDecoder[V]).NewSharedDecoder()
-	}
-	return d
+	return &recDecoder[K, V]{codeWidth: rs.codeWidth, kdec: rs.kc.NewDecoder(), vdec: rs.vc.NewDecoder()}
 }
 
-func (d *recDecoder[K, V]) decode(b []byte, dst *Rec[K, V]) error {
+func (d *recDecoder[K, V]) decode(b string, dst *Rec[K, V]) error {
 	if d.codeWidth != 0 {
 		if len(b) < d.codeWidth {
 			return fmt.Errorf("%w: record shorter than key code", runio.ErrCorrupt)
 		}
-		dst.code.Hi = binary.LittleEndian.Uint64(b)
-		dst.code.Lo = binary.LittleEndian.Uint64(b[8:])
-		b = b[d.codeWidth:]
-	} else {
-		dst.code = Code{}
-	}
-	k, n, err := d.kc.Decode(b)
-	if err != nil {
-		return fmt.Errorf("decode key: %w", err)
-	}
-	v, n2, err := d.vc.Decode(b[n:])
-	if err != nil {
-		return fmt.Errorf("decode value: %w", err)
-	}
-	if n+n2 != len(b) {
-		return fmt.Errorf("%w: %d trailing record bytes", runio.ErrCorrupt, len(b)-n-n2)
-	}
-	dst.Key, dst.Value = k, v
-	return nil
-}
-
-// decodeShared is decode over a record string from the arena read path.
-func (d *recDecoder[K, V]) decodeShared(b string, dst *Rec[K, V]) error {
-	if d.codeWidth != 0 {
-		if len(b) < d.codeWidth {
-			return fmt.Errorf("%w: record shorter than key code", runio.ErrCorrupt)
-		}
-		dst.code.Hi, _ = runio.Uint64LEString(b)
-		dst.code.Lo, _ = runio.Uint64LEString(b[8:])
+		dst.code.Hi, _ = runio.Uint64LE(b)
+		dst.code.Lo, _ = runio.Uint64LE(b[8:])
 		b = b[d.codeWidth:]
 	} else {
 		dst.code = Code{}
@@ -505,10 +462,11 @@ func (s *bucketSource[K, V]) next() (*Rec[K, V], error) {
 	return rec, nil
 }
 
-// segSource streams one partition segment of one run on the byte path
-// (a codec without a shared decoder).
+// segSource streams one partition segment of one run: records arrive
+// as substrings of immutable blocks and decode without copying. The
+// reader is embedded by value so the sources of one merge are one slab.
 type segSource[K, V any] struct {
-	sr  *runio.SegmentReader
+	sr  runio.SegmentReader
 	dec *recDecoder[K, V]
 	cur Rec[K, V]
 }
@@ -520,26 +478,6 @@ func (s *segSource[K, V]) next() (*Rec[K, V], error) {
 	}
 	if err == nil {
 		err = s.dec.decode(b, &s.cur)
-	}
-	return &s.cur, err
-}
-
-// sharedSegSource is segSource on the arena read path: records arrive
-// as substrings of immutable blocks and decode without copying. The
-// reader is embedded by value so the sources of one merge are one slab.
-type sharedSegSource[K, V any] struct {
-	sr  runio.SharedSegmentReader
-	dec *recDecoder[K, V]
-	cur Rec[K, V]
-}
-
-func (s *sharedSegSource[K, V]) next() (*Rec[K, V], error) {
-	b, err := s.sr.Next()
-	if err == io.EOF {
-		return nil, nil
-	}
-	if err == nil {
-		err = s.dec.decodeShared(b, &s.cur)
 	}
 	return &s.cur, err
 }
@@ -579,7 +517,6 @@ type merger[I, K, V, O any] struct {
 	dec     *recDecoder[K, V]
 	buckets []bucketSource[K, V]
 	segs    []segSource[K, V]
-	shared  []sharedSegSource[K, V]
 }
 
 type mergeItem[K, V any] struct {
@@ -612,8 +549,7 @@ func resized[T any](s []T, n int) []T {
 // reset points the merger at a new set of inputs, given in tiebreak
 // order, and primes the heap with each one's first record. Segment
 // bytes count as read here, on the attempt's metrics and the obs
-// counter alike. Segments decode on the arena read path when the
-// codecs allow, whatever io.ReaderAt they are read through.
+// counter alike.
 func (mg *merger[I, K, V, O]) reset(inputs []reduceInput[K, V], metrics *TaskMetrics) error {
 	st := mg.st
 	nb := 0
@@ -627,11 +563,7 @@ func (mg *merger[I, K, V, O]) reset(inputs []reduceInput[K, V], metrics *TaskMet
 		if mg.dec == nil {
 			mg.dec = st.newRecDecoder()
 		}
-		if st.shared {
-			mg.shared = resized(mg.shared, ns)
-		} else {
-			mg.segs = resized(mg.segs, ns)
-		}
+		mg.segs = resized(mg.segs, ns)
 	}
 	var spillRead *obs.Counter // nil-safe handle when observability is off
 	if st.obs != nil {
@@ -653,15 +585,11 @@ func (mg *merger[I, K, V, O]) reset(inputs []reduceInput[K, V], metrics *TaskMet
 			nb++
 		case in.Seg.Records == 0:
 			continue
-		case st.shared:
-			s := &mg.shared[ns]
+		default:
+			s := &mg.segs[ns]
 			s.dec = mg.dec
 			s.sr.Init(in.R, in.Seg, in.Path)
 			src = s
-			ns++
-		default:
-			mg.segs[ns] = segSource[K, V]{sr: runio.NewSegmentReader(in.R, in.Seg, in.Path), dec: mg.dec}
-			src = &mg.segs[ns]
 			ns++
 		}
 		if in.bucket == nil {

@@ -8,13 +8,11 @@ import (
 	"sync"
 )
 
-// This file implements the arena read path of the run format: a segment
+// This file implements the read path of the run format: a segment
 // reader that surfaces records as substrings of immutable block
-// strings, so shared decoders (see SharedDecoder) can alias decoded
-// string fields straight out of the read buffer instead of copying
-// every field. One ~32KB block costs one allocation and serves hundreds
-// of records; the byte-path SegmentReader costs one string copy per
-// decoded string field.
+// strings, so decoders (see Codec) can alias decoded string fields
+// straight out of the read buffer instead of copying every field. One
+// ~32KB block costs one allocation and serves hundreds of records.
 //
 // Aliasing makes the block's lifetime the maximum lifetime of any
 // string decoded from it: a caller that retains one decoded string
@@ -23,24 +21,24 @@ import (
 // reducer contract (copy values you retain beyond the call) keeps
 // well-behaved jobs from retaining blocks at all.
 
-// sharedBlockSize is the target block size. Records larger than a block
-// get a dedicated exact-size block.
-const sharedBlockSize = 32 << 10
+// blockSize is the target block size. Records larger than a block get a
+// dedicated exact-size block.
+const blockSize = 32 << 10
 
 // blockScratch pools the transient []byte buffers blocks are read into
 // before being sealed as strings.
 var blockScratch = sync.Pool{
 	New: func() any {
-		b := make([]byte, sharedBlockSize)
+		b := make([]byte, blockSize)
 		return &b
 	},
 }
 
-// SharedSegmentReader streams the records of one segment of a run file
-// like SegmentReader, but returns each record as a string aliasing an
-// immutable block. Zero value is not usable; call Init. Readers read
-// via ReadAt, so concurrent readers can share one open *os.File.
-type SharedSegmentReader struct {
+// SegmentReader streams the records of one segment of a run file,
+// returning each record as a string aliasing an immutable block. It
+// reads via ReadAt, so any number of concurrent readers (one per reduce
+// task) can share a single open *os.File.
+type SegmentReader struct {
 	ra      io.ReaderAt
 	off     int64 // file offset of the first byte not yet read into block
 	unread  int64 // segment payload bytes at off not yet read into block
@@ -50,16 +48,23 @@ type SharedSegmentReader struct {
 	path    string
 }
 
-// Init points the reader at seg of ra; path names the file in
-// corruption errors ("" is allowed). Init (rather than a constructor)
+// NewSegmentReader streams seg from ra (typically the run's *os.File);
+// path names the file in corruption errors ("" is allowed).
+func NewSegmentReader(ra io.ReaderAt, seg Segment, path string) *SegmentReader {
+	s := new(SegmentReader)
+	s.Init(ra, seg, path)
+	return s
+}
+
+// Init points the reader at seg of ra, like NewSegmentReader. Init
 // lets callers embed the reader by value and pay no allocation per
 // segment.
-func (s *SharedSegmentReader) Init(ra io.ReaderAt, seg Segment, path string) {
-	*s = SharedSegmentReader{ra: ra, off: seg.Off, unread: seg.Len, records: seg.Records, path: path}
+func (s *SegmentReader) Init(ra io.ReaderAt, seg Segment, path string) {
+	*s = SegmentReader{ra: ra, off: seg.Off, unread: seg.Len, records: seg.Records, path: path}
 }
 
 // fileOff is the absolute file offset of block[pos] (for error reports).
-func (s *SharedSegmentReader) fileOff() int64 {
+func (s *SegmentReader) fileOff() int64 {
 	return s.off - int64(len(s.block)-s.pos)
 }
 
@@ -67,20 +72,12 @@ func (s *SharedSegmentReader) fileOff() int64 {
 // block and reads at least need more payload bytes into it (a full
 // block when possible). The old block string is released; records
 // already returned keep their own backing block alive independently.
-func (s *SharedSegmentReader) refill(need int) error {
+// A read cut short by the end of the file keeps what it got, so the
+// records before a truncation still decode and the first one past it
+// fails at its own offset.
+func (s *SegmentReader) refill(need int) error {
 	tail := s.block[s.pos:]
-	want := sharedBlockSize
-	if need > want {
-		want = need
-	}
-	readN := int64(want - len(tail))
-	if readN > s.unread {
-		readN = s.unread
-	}
-	if len(tail)+int(readN) < need {
-		return corruptAt(s.path, s.fileOff(),
-			fmt.Sprintf("%d-byte record body, segment has %d bytes left (truncated)", need, len(tail)+int(readN)), nil)
-	}
+	readN := min(int64(max(blockSize, need)-len(tail)), s.unread)
 	var b strings.Builder
 	b.Grow(len(tail) + int(readN))
 	b.WriteString(tail)
@@ -90,27 +87,32 @@ func (s *SharedSegmentReader) refill(need int) error {
 		if int64(cap(buf)) < readN {
 			buf = make([]byte, readN)
 		}
-		buf = buf[:readN]
-		if _, err := s.ra.ReadAt(buf, s.off); err != nil {
-			blockScratch.Put(bufp)
-			return corruptAt(s.path, s.off, fmt.Sprintf("a readable %d-byte block", readN), err)
-		}
-		b.Write(buf)
+		n, err := s.ra.ReadAt(buf[:readN], s.off)
+		b.Write(buf[:n])
 		*bufp = buf[:cap(buf)]
 		blockScratch.Put(bufp)
-		s.off += readN
-		s.unread -= readN
+		if err != nil && err != io.EOF {
+			return corruptAt(s.path, s.off, fmt.Sprintf("a readable %d-byte block", readN), err)
+		}
+		s.off += int64(n)
+		s.unread -= int64(n)
 	}
 	s.block = b.String()
 	s.pos = 0
+	if len(s.block) < need {
+		return corruptAt(s.path, s.fileOff(),
+			fmt.Sprintf("%d-byte record body, file ends after %d bytes (truncated)", need, len(s.block)), io.ErrUnexpectedEOF)
+	}
 	return nil
 }
 
 // Next returns the next record (code ‖ key ‖ value, without the length
 // prefix) as a substring of an immutable block, or io.EOF after the
-// last record. Unlike SegmentReader.Next, the returned string stays
-// valid indefinitely — it pins its backing block while reachable.
-func (s *SharedSegmentReader) Next() (string, error) {
+// last record. The returned string stays valid indefinitely — it pins
+// its backing block while reachable. A truncated or corrupted segment
+// fails with a *CorruptError carrying the file, the offset, and what
+// was expected there — never a bare EOF mid-record.
+func (s *SegmentReader) Next() (string, error) {
 	if s.records <= 0 {
 		return "", io.EOF
 	}
@@ -119,7 +121,7 @@ func (s *SharedSegmentReader) Next() (string, error) {
 			return "", err
 		}
 	}
-	l, n, err := UvarintString(s.block[s.pos:])
+	l, n, err := Uvarint(s.block[s.pos:])
 	if err != nil {
 		return "", corruptAt(s.path, s.fileOff(), fmt.Sprintf("record length uvarint (%d records remain)", s.records), err)
 	}

@@ -167,3 +167,84 @@ func TestSegmentReaderTruncation(t *testing.T) {
 		t.Fatalf("oversized length reported as EOF: %v", ce)
 	}
 }
+
+// TestSegmentReaderTruncationSweep cuts a two-segment run with 16-byte
+// key codes and one record larger than a block at every offset: each
+// segment must yield exactly the records that lie wholly before the
+// cut, then either io.EOF (nothing of it was cut) or a *CorruptError
+// inside the segment — never a bare EOF, a wrong record or a panic.
+// Inside the oversized record's body every cut takes the same path, so
+// there the sweep keeps the 64 offsets around its ends and around the
+// first block boundary and every 61st offset in between (cutting all
+// 33 K offsets takes a second).
+func TestSegmentReaderTruncationSweep(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.run")
+	w, err := Create(path, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// recs[p] holds partition p's records; ends[p] their end offsets.
+	var recs [2][]string
+	var ends [2][]int64
+	for p, sizes := range [2][]int{{5, 40, 0, blockSize + 300, 7, 1}, {3, 90, 2}} {
+		for i, size := range sizes {
+			rec := append(make([]byte, 16), bytes.Repeat([]byte{byte('a' + 3*p + i)}, size)...)
+			rec[0] = byte(i)
+			if err := w.Append(p, rec); err != nil {
+				t.Fatal(err)
+			}
+			recs[p] = append(recs[p], string(rec))
+		}
+	}
+	info, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, seg := range info.Segments {
+		off := seg.Off
+		for _, rec := range recs[p] {
+			off += int64(len(AppendUvarint(nil, uint64(len(rec))))) + int64(len(rec))
+			ends[p] = append(ends[p], off)
+		}
+	}
+	bodyEnd := ends[0][3]
+	bodyStart := bodyEnd - int64(len(recs[0][3]))
+	boundary := info.Segments[0].Off + blockSize
+	for cut := int64(0); cut <= info.FileBytes; cut++ {
+		if cut > bodyStart+64 && cut < bodyEnd-64 && (cut < boundary-64 || cut > boundary+64) && cut%61 != 0 {
+			continue
+		}
+		ra := bytes.NewReader(orig[:cut])
+		for p, seg := range info.Segments {
+			sr := NewSegmentReader(ra, seg, path)
+			got := 0
+			for {
+				rec, err := sr.Next()
+				if err == io.EOF {
+					if got != len(recs[p]) || cut < seg.Off+seg.Len {
+						t.Fatalf("cut %d segment %d: EOF after %d of %d records", cut, p, got, len(recs[p]))
+					}
+					break
+				}
+				if err != nil {
+					var ce *CorruptError
+					if !errors.As(err, &ce) || ce.Path != path || ce.Off < seg.Off || ce.Off > seg.Off+seg.Len {
+						t.Fatalf("cut %d segment %d [%d,%d]: error %v", cut, p, seg.Off, seg.Off+seg.Len, err)
+					}
+					if got == len(recs[p]) || ends[p][got] <= cut {
+						t.Fatalf("cut %d segment %d: record %d fails but lies before the cut: %v", cut, p, got, err)
+					}
+					break
+				}
+				if got == len(recs[p]) || rec != recs[p][got] {
+					t.Fatalf("cut %d segment %d: wrong record %d (%d bytes)", cut, p, got, len(rec))
+				}
+				got++
+			}
+		}
+	}
+}

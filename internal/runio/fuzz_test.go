@@ -15,9 +15,9 @@ func FuzzStringCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		var c StringCodec
 		enc := c.Append(nil, s)
-		got, n, err := c.Decode(enc)
+		got, n, err := c.NewDecoder()(string(enc))
 		if err != nil {
-			t.Fatalf("Decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		if got != s || n != len(enc) {
 			t.Fatalf("round trip: got (%q, %d), want (%q, %d)", got, n, s, len(enc))
@@ -32,12 +32,12 @@ func FuzzIntCodecs(f *testing.F) {
 	f.Add(int64(1)<<62, 1<<31)
 	f.Fuzz(func(t *testing.T, v64 int64, v int) {
 		enc := Int64Codec{}.Append(nil, v64)
-		got64, n, err := Int64Codec{}.Decode(enc)
+		got64, n, err := Int64Codec{}.NewDecoder()(string(enc))
 		if err != nil || got64 != v64 || n != len(enc) {
 			t.Fatalf("int64 %d: got (%d, %d, %v)", v64, got64, n, err)
 		}
 		enc = IntCodec{}.Append(nil, v)
-		got, n, err := IntCodec{}.Decode(enc)
+		got, n, err := IntCodec{}.NewDecoder()(string(enc))
 		if err != nil || got != v || n != len(enc) {
 			t.Fatalf("int %d: got (%d, %d, %v)", v, got, n, err)
 		}
@@ -51,19 +51,20 @@ func FuzzStringDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{0x05, 'a', 'b'})
 	f.Add(AppendUvarint(nil, 1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, n, err := (StringCodec{}).Decode(data)
+		dec := StringCodec{}.NewDecoder()
+		s, n, err := dec(string(data))
 		if err == nil {
 			if n > len(data) {
 				t.Fatalf("consumed %d of %d bytes", n, len(data))
 			}
 			// The decoded string's bytes are the tail of the consumed
 			// prefix (the length prefix itself may be a non-minimal
-			// varint on corrupt input, which Decode tolerates).
+			// varint on corrupt input, which the decoder tolerates).
 			if !bytes.HasSuffix(data[:n], []byte(s)) {
 				t.Fatalf("decoded %q not a suffix of consumed prefix", s)
 			}
 			// Re-encoding must round-trip to the same value.
-			got, _, err := (StringCodec{}).Decode(AppendString(nil, s))
+			got, _, err := dec(string(AppendString(nil, s)))
 			if err != nil || got != s {
 				t.Fatalf("re-encode round trip: (%q, %v)", got, err)
 			}

@@ -272,13 +272,13 @@ func ReadInfo(path string) (*Info, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runio: stat run: %w", err)
 	}
-	hdr := make([]byte, 6+binary.MaxVarintLen64)
-	n, err := io.ReadFull(f, hdr)
+	buf := make([]byte, 6+binary.MaxVarintLen64)
+	n, err := io.ReadFull(f, buf)
 	if err != nil && err != io.ErrUnexpectedEOF {
 		return nil, corruptAt(path, 0, "a readable run header", err)
 	}
-	hdr = hdr[:n]
-	if len(hdr) < 7 || string(hdr[:4]) != runMagic || hdr[4] != runVersion {
+	hdr := string(buf[:n])
+	if len(hdr) < 7 || hdr[:4] != runMagic || hdr[4] != runVersion {
 		return nil, corruptAt(path, 0, fmt.Sprintf("run magic %q version %d, got %q", runMagic, runVersion, hdr), nil)
 	}
 	codeWidth := int(hdr[5])
@@ -312,10 +312,11 @@ func ReadInfo(path string) (*Info, error) {
 	if trailerOff < hdrLen || trailerOff > st.Size()-12 {
 		return nil, corruptAt(path, st.Size()-12, fmt.Sprintf("trailer offset in [%d,%d], got %d", hdrLen, st.Size()-12, trailerOff), nil)
 	}
-	tr := make([]byte, st.Size()-12-trailerOff)
-	if _, err := f.ReadAt(tr, trailerOff); err != nil {
+	trBuf := make([]byte, st.Size()-12-trailerOff)
+	if _, err := f.ReadAt(trBuf, trailerOff); err != nil {
 		return nil, corruptAt(path, trailerOff, "a readable run trailer", err)
 	}
+	tr := string(trBuf)
 	// The trailer holds one (records, length) pair per partition, then
 	// repeats the partition count as a cross-check.
 	info := &Info{Path: path, CodeWidth: codeWidth, FileBytes: st.Size()}
@@ -352,90 +353,9 @@ func ReadInfo(path string) (*Info, error) {
 	return info, nil
 }
 
-// uvarintLen returns the encoded byte length of x in LEB128 form.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 func l2i(x uint64) int64 {
 	if x > 1<<62 {
 		return 1 << 62
 	}
 	return int64(x)
-}
-
-// SegmentReader streams the records of one segment of a run file. It
-// reads through its own buffer via ReadAt, so any number of concurrent
-// readers (one per reduce task) can share a single open *os.File.
-type SegmentReader struct {
-	r         *bufio.Reader
-	remaining int64
-	records   int64
-	buf       []byte
-	path      string
-	off       int64 // absolute file offset of the next read
-}
-
-// segReaderBufSize is the read-ahead buffer per open segment: large
-// enough to amortize syscalls, small enough that a reduce task merging
-// dozens of runs stays within a few MB of buffer memory.
-const segReaderBufSize = 64 << 10
-
-// NewSegmentReader streams seg from ra (typically the run's *os.File);
-// path names the file in corruption errors ("" is allowed). The
-// read-ahead buffer never exceeds the segment itself, so a reduce task
-// merging many small segments (tiny budgets fragment runs) pays buffer
-// memory proportional to its actual input, not to the run count.
-func NewSegmentReader(ra io.ReaderAt, seg Segment, path string) *SegmentReader {
-	bufSize := segReaderBufSize
-	if seg.Len < int64(bufSize) {
-		bufSize = int(seg.Len)
-	}
-	if bufSize < 16 {
-		bufSize = 16
-	}
-	return &SegmentReader{
-		r:         bufio.NewReaderSize(io.NewSectionReader(ra, seg.Off, seg.Len), bufSize),
-		remaining: seg.Len,
-		records:   seg.Records,
-		path:      path,
-		off:       seg.Off,
-	}
-}
-
-// Next returns the next record's bytes (code ‖ key ‖ value, without the
-// length prefix), or io.EOF after the last record. The returned slice
-// is only valid until the following Next call. A truncated or corrupted
-// segment fails with a *CorruptError carrying the file, the offset, and
-// what was expected there — never a bare EOF mid-record.
-func (s *SegmentReader) Next() ([]byte, error) {
-	if s.records <= 0 {
-		return nil, io.EOF
-	}
-	l, err := binary.ReadUvarint(s.r)
-	if err != nil {
-		return nil, corruptAt(s.path, s.off, fmt.Sprintf("record length uvarint (%d records remain)", s.records), err)
-	}
-	pfx := int64(uvarintLen(l))
-	s.remaining -= pfx
-	if l > uint64(s.remaining) {
-		return nil, corruptAt(s.path, s.off, fmt.Sprintf("record of at most %d bytes (segment remainder), got length %d", s.remaining, l), nil)
-	}
-	s.off += pfx
-	if uint64(cap(s.buf)) < l {
-		s.buf = make([]byte, l)
-	}
-	s.buf = s.buf[:l]
-	if _, err := io.ReadFull(s.r, s.buf); err != nil {
-		return nil, corruptAt(s.path, s.off, fmt.Sprintf("%d-byte record body", l), err)
-	}
-	s.off += int64(l)
-	s.remaining -= int64(l)
-	s.records--
-	return s.buf, nil
 }

@@ -16,21 +16,29 @@
 // # The codec contract
 //
 // A Codec[T] serializes values of one concrete type as self-delimiting
-// byte strings:
+// byte strings and hands out decode functions that parse them back from
+// an immutable string source:
 //
-//  1. Round trip: Decode(Append(nil, v)) must return a value
-//     semantically equal to v, consuming exactly the appended bytes.
-//  2. Self-delimitation: Decode must determine the encoding's length
-//     from the bytes themselves (length prefixes, fixed widths); it is
-//     handed a buffer that may contain trailing bytes of the next
-//     record.
-//  3. No aliasing: the decoded value must not retain the input buffer
-//     (readers reuse it between records) — string(b) copies, so
-//     string-building decoders are naturally safe.
-//  4. No panics on corrupt input: Decode returns an error for any byte
-//     string it cannot parse, and must not allocate proportionally to a
-//     length claimed by corrupt data (validate claimed lengths against
-//     len(src) first).
+//  1. Round trip: NewDecoder()(string(Append(nil, v))) must return a
+//     value semantically equal to v, consuming exactly the appended
+//     bytes.
+//  2. Self-delimitation: a decode function must determine the
+//     encoding's length from the bytes themselves (length prefixes,
+//     fixed widths); it is handed a source that may contain trailing
+//     bytes of the next record.
+//  3. May alias: src is an immutable Go string, so decoded values may
+//     hold substrings of it without copying. Readers guarantee src
+//     stays reachable as long as any substring of it is.
+//  4. One goroutine per decode function: it may carry state (arenas,
+//     scratch), so callers obtain one per task attempt.
+//  5. No panics on corrupt input: a decode function returns an error
+//     for any source it cannot parse, and must not allocate
+//     proportionally to a length claimed by corrupt data (validate
+//     claimed lengths against len(src) first).
+//
+// Values decoded this way keep block-sized backing arrays alive while
+// they are reachable, which is why the engine hands them to user code
+// under the "copy what you retain beyond the call" rule.
 //
 // Codecs are looked up once per job Run, never on a per-record path,
 // and must be safe for concurrent use (stateless codecs trivially are).
@@ -102,47 +110,10 @@ type Codec[T any] interface {
 	// Append appends the encoding of v to dst and returns the extended
 	// buffer (append-style).
 	Append(dst []byte, v T) []byte
-	// Decode reads one value from the front of src, returning the value
-	// and the number of bytes consumed.
-	Decode(src []byte) (T, int, error)
-}
-
-// SharedDecoder is the optional arena extension of Codec: codecs whose
-// decoded values can alias an immutable string source implement it so
-// the external dataflow's read path decodes records with zero per-field
-// string copies (see SharedSegmentReader). The contract relaxes exactly
-// one clause of the Codec contract — aliasing:
-//
-//  1. The returned decode function parses one value from the front of
-//     src (same self-delimiting framing as Decode, same consumed-byte
-//     count, same errors on the same corrupt inputs).
-//  2. Decoded values MAY alias src: src is an immutable Go string, so
-//     substrings of it are safe to hand out without copying. Readers
-//     guarantee src stays reachable as long as any substring of it is.
-//  3. The decode function may carry state (arenas, scratch) and is for
-//     a single goroutine; callers obtain one per task attempt. It must
-//     still never panic on corrupt input or allocate proportionally to
-//     a corrupt length claim.
-//
-// Values decoded this way keep block-sized backing arrays alive while
-// they are reachable, which is why the engine hands them to user code
-// under the existing "copy what you retain beyond the call" rule.
-type SharedDecoder[T any] interface {
-	NewSharedDecoder() func(src string) (T, int, error)
-}
-
-// LookupShared returns a fresh shared-decode function for T when the
-// registered codec implements SharedDecoder, or nil.
-func LookupShared[T any]() func(src string) (T, int, error) {
-	c, ok := registry.Load(typeOf[T]())
-	if !ok {
-		return nil
-	}
-	sd, ok := c.(SharedDecoder[T])
-	if !ok {
-		return nil
-	}
-	return sd.NewSharedDecoder()
+	// NewDecoder returns a decode function for one goroutine: it reads
+	// one value from the front of src, returning the value and the
+	// number of bytes consumed.
+	NewDecoder() func(src string) (T, int, error)
 }
 
 // registry maps a reflect.Type to its Codec[T]. Like the engine's
@@ -178,59 +149,16 @@ func Lookup[T any]() (Codec[T], bool) {
 }
 
 // ---- encoding primitives ----
+//
+// The decode primitives parse from a string source: encoding/binary's
+// varint readers only accept []byte, and converting string→[]byte
+// copies.
 
 // AppendUvarint appends x in unsigned LEB128 form.
 func AppendUvarint(dst []byte, x uint64) []byte { return binary.AppendUvarint(dst, x) }
 
 // Uvarint decodes an unsigned LEB128 value from the front of src.
-func Uvarint(src []byte) (uint64, int, error) {
-	x, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	return x, n, nil
-}
-
-// AppendVarint appends x in zig-zag LEB128 form.
-func AppendVarint(dst []byte, x int64) []byte { return binary.AppendVarint(dst, x) }
-
-// Varint decodes a zig-zag LEB128 value from the front of src.
-func Varint(src []byte) (int64, int, error) {
-	x, n := binary.Varint(src)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	return x, n, nil
-}
-
-// AppendString appends s as uvarint length + raw bytes.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// String decodes a length-prefixed string from the front of src. The
-// returned string is a copy and does not alias src.
-func String(src []byte) (string, int, error) {
-	l, n, err := Uvarint(src)
-	if err != nil {
-		return "", 0, fmt.Errorf("%w: string length", ErrCorrupt)
-	}
-	if l > uint64(len(src)-n) {
-		return "", 0, fmt.Errorf("%w: string length %d exceeds remaining %d bytes", ErrCorrupt, l, len(src)-n)
-	}
-	return string(src[n : n+int(l)]), n + int(l), nil
-}
-
-// ---- string-source decode primitives ----
-//
-// Mirrors of the []byte decode primitives that parse from a string
-// source instead. encoding/binary's varint readers only accept []byte,
-// and converting string→[]byte copies, so shared decoders use these
-// hand-rolled equivalents. Same error behavior as the byte versions.
-
-// UvarintString decodes an unsigned LEB128 value from the front of src.
-func UvarintString(src string) (uint64, int, error) {
+func Uvarint(src string) (uint64, int, error) {
 	var x uint64
 	var s uint
 	for i := 0; i < len(src); i++ {
@@ -250,9 +178,12 @@ func UvarintString(src string) (uint64, int, error) {
 	return 0, 0, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
 }
 
-// VarintString decodes a zig-zag LEB128 value from the front of src.
-func VarintString(src string) (int64, int, error) {
-	ux, n, err := UvarintString(src)
+// AppendVarint appends x in zig-zag LEB128 form.
+func AppendVarint(dst []byte, x int64) []byte { return binary.AppendVarint(dst, x) }
+
+// Varint decodes a zig-zag LEB128 value from the front of src.
+func Varint(src string) (int64, int, error) {
+	ux, n, err := Uvarint(src)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
 	}
@@ -263,11 +194,17 @@ func VarintString(src string) (int64, int, error) {
 	return x, n, nil
 }
 
-// SharedString decodes a length-prefixed string from the front of src.
-// The returned string ALIASES src (it is a substring) — callers must
-// only pass immutable sources, per the SharedDecoder contract.
-func SharedString(src string) (string, int, error) {
-	l, n, err := UvarintString(src)
+// AppendString appends s as uvarint length + raw bytes.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// String decodes a length-prefixed string from the front of src. The
+// returned string ALIASES src (it is a substring) — callers must only
+// pass immutable sources, per the codec contract.
+func String(src string) (string, int, error) {
+	l, n, err := Uvarint(src)
 	if err != nil {
 		return "", 0, fmt.Errorf("%w: string length", ErrCorrupt)
 	}
@@ -277,9 +214,9 @@ func SharedString(src string) (string, int, error) {
 	return src[n : n+int(l)], n + int(l), nil
 }
 
-// Uint64LEString reads a fixed 8-byte little-endian uint64 from the
-// front of src (the string-source twin of binary.LittleEndian.Uint64).
-func Uint64LEString(src string) (uint64, error) {
+// Uint64LE reads a fixed 8-byte little-endian uint64 from the front of
+// src (the string-source twin of binary.LittleEndian.Uint64).
+func Uint64LE(src string) (uint64, error) {
 	if len(src) < 8 {
 		return 0, fmt.Errorf("%w: fixed64 needs 8 bytes, have %d", ErrCorrupt, len(src))
 	}
@@ -293,32 +230,21 @@ func Uint64LEString(src string) (uint64, error) {
 // byte content — tabs, newlines, invalid UTF-8 — survives unchanged.
 type StringCodec struct{}
 
-func (StringCodec) Append(dst []byte, v string) []byte     { return AppendString(dst, v) }
-func (StringCodec) Decode(src []byte) (string, int, error) { return String(src) }
+func (StringCodec) Append(dst []byte, v string) []byte { return AppendString(dst, v) }
 
-// NewSharedDecoder implements SharedDecoder: decoded strings alias src.
-func (StringCodec) NewSharedDecoder() func(string) (string, int, error) { return SharedString }
+// NewDecoder implements Codec: decoded strings alias src.
+func (StringCodec) NewDecoder() func(string) (string, int, error) { return String }
 
 // IntCodec encodes ints as zig-zag varints (platform-width safe: the
 // value range of int always fits int64).
 type IntCodec struct{}
 
 func (IntCodec) Append(dst []byte, v int) []byte { return AppendVarint(dst, int64(v)) }
-func (IntCodec) Decode(src []byte) (int, int, error) {
-	x, n, err := Varint(src)
-	if err != nil {
-		return 0, 0, err
-	}
-	if x < math.MinInt || x > math.MaxInt {
-		return 0, 0, fmt.Errorf("%w: int value %d out of range", ErrCorrupt, x)
-	}
-	return int(x), n, nil
-}
 
-// NewSharedDecoder implements SharedDecoder (ints never alias).
-func (IntCodec) NewSharedDecoder() func(string) (int, int, error) {
+// NewDecoder implements Codec.
+func (IntCodec) NewDecoder() func(string) (int, int, error) {
 	return func(src string) (int, int, error) {
-		x, n, err := VarintString(src)
+		x, n, err := Varint(src)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -333,12 +259,9 @@ func (IntCodec) NewSharedDecoder() func(string) (int, int, error) {
 type Int64Codec struct{}
 
 func (Int64Codec) Append(dst []byte, v int64) []byte { return AppendVarint(dst, v) }
-func (Int64Codec) Decode(src []byte) (int64, int, error) {
-	return Varint(src)
-}
 
-// NewSharedDecoder implements SharedDecoder.
-func (Int64Codec) NewSharedDecoder() func(string) (int64, int, error) { return VarintString }
+// NewDecoder implements Codec.
+func (Int64Codec) NewDecoder() func(string) (int64, int, error) { return Varint }
 
 // Float64Codec encodes float64s as fixed 8-byte little-endian IEEE 754
 // bits (exact round trip, including NaN payloads and signed zeros).
@@ -348,17 +271,10 @@ func (Float64Codec) Append(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func (Float64Codec) Decode(src []byte) (float64, int, error) {
-	if len(src) < 8 {
-		return 0, 0, fmt.Errorf("%w: float64 needs 8 bytes, have %d", ErrCorrupt, len(src))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(src)), 8, nil
-}
-
-// NewSharedDecoder implements SharedDecoder.
-func (Float64Codec) NewSharedDecoder() func(string) (float64, int, error) {
+// NewDecoder implements Codec.
+func (Float64Codec) NewDecoder() func(string) (float64, int, error) {
 	return func(src string) (float64, int, error) {
-		bits, err := Uint64LEString(src)
+		bits, err := Uint64LE(src)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -16,19 +16,19 @@ import (
 func roundTrip[T comparable](t *testing.T, c Codec[T], v T) {
 	t.Helper()
 	enc := c.Append(nil, v)
-	got, n, err := c.Decode(enc)
+	dec := c.NewDecoder()
+	got, n, err := dec(string(enc))
 	if err != nil {
-		t.Fatalf("Decode(%v): %v", v, err)
+		t.Fatalf("decode(%v): %v", v, err)
 	}
 	if got != v || n != len(enc) {
-		t.Fatalf("Decode(Append(%v)) = (%v, %d), want (%v, %d)", v, got, n, v, len(enc))
+		t.Fatalf("decode(Append(%v)) = (%v, %d), want (%v, %d)", v, got, n, v, len(enc))
 	}
 	// Self-delimitation: trailing bytes of a next record must be left
 	// untouched.
-	withTail := append(append([]byte(nil), enc...), 0xde, 0xad)
-	got, n, err = c.Decode(withTail)
+	got, n, err = dec(string(enc) + "\xde\xad")
 	if err != nil || got != v || n != len(enc) {
-		t.Fatalf("Decode with tail = (%v, %d, %v), want (%v, %d, nil)", got, n, err, v, len(enc))
+		t.Fatalf("decode with tail = (%v, %d, %v), want (%v, %d, nil)", got, n, err, v, len(enc))
 	}
 }
 
@@ -47,7 +47,7 @@ func TestBuiltinCodecs(t *testing.T) {
 	}
 	// NaN != NaN, so check bit-level round trip separately.
 	enc := Float64Codec{}.Append(nil, math.NaN())
-	got, _, err := Float64Codec{}.Decode(enc)
+	got, _, err := Float64Codec{}.NewDecoder()(string(enc))
 	if err != nil || !math.IsNaN(got) {
 		t.Fatalf("NaN round trip = (%v, %v)", got, err)
 	}
@@ -66,13 +66,13 @@ func TestLookup(t *testing.T) {
 func TestDecodeCorrupt(t *testing.T) {
 	// A huge claimed string length must error, not allocate.
 	bad := AppendUvarint(nil, 1<<40)
-	if _, _, err := (StringCodec{}).Decode(bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := (StringCodec{}).NewDecoder()(string(bad)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge string length: err = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := (StringCodec{}).Decode(nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := (StringCodec{}).NewDecoder()(""); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("empty input must be corrupt")
 	}
-	if _, _, err := (Float64Codec{}).Decode([]byte{1, 2, 3}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := (Float64Codec{}).NewDecoder()("\x01\x02\x03"); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("short float64 must be corrupt")
 	}
 }
@@ -120,7 +120,7 @@ func TestRunWriteRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		var c StringCodec
+		dec := StringCodec{}.NewDecoder()
 		for p, n := range counts {
 			sr := NewSegmentReader(f, info.Segments[p], info.Path)
 			for i := 0; i < n; i++ {
@@ -128,7 +128,7 @@ func TestRunWriteRead(t *testing.T) {
 				if err != nil {
 					t.Fatalf("codeWidth=%d partition %d record %d: %v", codeWidth, p, i, err)
 				}
-				got, used, err := c.Decode(rec[codeWidth:])
+				got, used, err := dec(rec[codeWidth:])
 				if err != nil || got != testPayload(p, i) {
 					t.Fatalf("partition %d record %d: got %q err %v", p, i, got, err)
 				}
