@@ -31,14 +31,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dist"
 	"repro/internal/er"
 	"repro/internal/mapreduce"
-	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/runio"
 )
@@ -86,26 +83,31 @@ func main() {
 		// -format never truncates an existing file.
 		usage(fmt.Errorf("unknown -format %q (want csv or ndjson)", *format))
 	}
-	var strat core.Strategy
-	switch *strategy {
-	case "basic":
-		strat = core.Basic{}
-	case "blocksplit":
-		strat = core.BlockSplit{}
-	case "pairrange":
-		strat = core.PairRange{}
-	default:
-		usage(fmt.Errorf("unknown strategy %q (want basic, blocksplit, or pairrange)", *strategy))
-	}
 	// Out-of-range counts are bad invocations too, refused here — before
 	// the input is opened — not by whichever layer trips over them.
-	if *m < 1 || *r < 1 || *prefix < 1 || *parallelism < 0 {
-		usage(fmt.Errorf("-m, -r and -prefix must be at least 1 and -parallelism at least 0, got -m %d -r %d -prefix %d -parallelism %d", *m, *r, *prefix, *parallelism))
+	if *m < 1 || *r < 1 || *parallelism < 0 {
+		usage(fmt.Errorf("-m and -r must be at least 1 and -parallelism at least 0, got -m %d -r %d -parallelism %d", *m, *r, *parallelism))
 	}
-	// A threshold of 0 or below would match every pair here but count
-	// without matching under -master; NaN would match nothing.
+	// A threshold of 0 or below would count comparisons without
+	// matching; NaN would match nothing.
 	if !(*threshold > 0 && *threshold <= 1) {
 		usage(fmt.Errorf("-threshold must be in (0,1], got %v", *threshold))
+	}
+	// The run is described once, declaratively: the same parameters
+	// drive a local run and a distributed one, whose workers rebuild the
+	// identical jobs from them. Expanding them here checks the strategy
+	// and -prefix before the input is opened.
+	params := er.DistParams{
+		Strategy:    *strategy,
+		Attr:        *attr,
+		KeyPrefix:   *prefix,
+		Threshold:   *threshold,
+		R:           *r,
+		UseCombiner: true,
+	}
+	cfg, err := params.Config()
+	if err != nil {
+		usage(err)
 	}
 	if *maxAttempts < 0 || *taskTimeout < 0 {
 		usage(fmt.Errorf("-max-attempts and -task-timeout must not be negative, got -max-attempts %d -task-timeout %v", *maxAttempts, *taskTimeout))
@@ -214,40 +216,14 @@ func main() {
 		}
 	}
 
-	matchAttr := *attr
-	// The prepared matcher caches each entity's comparison form once per
-	// reduce group; every strategy runs the prepare-once kernel.
-	prepared := match.EditDistance(matchAttr, *threshold)
-
 	start := time.Now()
-	var res *er.Result
-	if distributed {
-		// Distributed runs take the declarative job description (the
-		// same parameters, minus the function values a Config carries)
-		// so workers can rebuild the identical jobs from the spec.
-		res, err = er.RunDistributedPipeline(ctx, er.FromPartitions(parts), er.DistParams{
-			Strategy:    *strategy,
-			Attr:        matchAttr,
-			KeyPrefix:   *prefix,
-			Threshold:   *threshold,
-			R:           *r,
-			UseCombiner: true,
-		}, opts)
-	} else {
-		res, err = er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-			RunOptions:      opts,
-			Strategy:        strat,
-			Attr:            matchAttr,
-			BlockKey:        blocking.NormalizedPrefix(*prefix),
-			PreparedMatcher: prepared,
-			R:               *r,
-			UseCombiner:     true,
-		})
-	}
+	// Without -master (opts.Master nil) this is RunPipeline over the
+	// expanded Config; every strategy runs the prepare-once kernel.
+	res, err := er.RunDistributedPipeline(ctx, er.FromPartitions(parts), params, opts)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(report, "strategy=%s entities=%d m=%d r=%d\n", strat.Name(), nEntities, *m, *r)
+	fmt.Fprintf(report, "strategy=%s entities=%d m=%d r=%d\n", cfg.Strategy.Name(), nEntities, *m, *r)
 	if res.BDM != nil {
 		_, largest := res.BDM.LargestBlock()
 		fmt.Fprintf(report, "blocks=%d pairs=%d largest-block=%d\n", res.BDM.NumBlocks(), res.BDM.Pairs(), largest)

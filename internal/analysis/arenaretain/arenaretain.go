@@ -115,6 +115,8 @@ func (s *taintState) walk(body ast.Node) {
 				lhs = append(lhs, name)
 			}
 			s.assign(lhs, n.Values)
+		case *ast.IncDecStmt:
+			s.mapKeySink(n.X) // m[k]++ stores k like m[k] = v does
 		case *ast.RangeStmt:
 			if s.exprTainted(n.X) {
 				s.taintTarget(n.Key)
@@ -154,7 +156,7 @@ func (s *taintState) assign(lhs, rhs []ast.Expr) {
 // taintTarget marks an assignment destination tainted when it is a
 // plain local variable.
 func (s *taintState) taintTarget(e ast.Expr) {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return
 	}
@@ -168,7 +170,7 @@ func (s *taintState) sink(e ast.Expr) {
 	if !s.reporting {
 		return
 	}
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if v, ok := s.objOf(e).(*types.Var); ok && !v.IsField() && v.Parent() == s.pass.Pkg.Scope() {
 			s.pass.Reportf(e.Pos(), "arena-backed string stored in package-level variable %s"+hint, e.Name)
@@ -192,7 +194,7 @@ func (s *taintState) mapKeySink(e ast.Expr) {
 	if !s.reporting {
 		return
 	}
-	ie, ok := unparen(e).(*ast.IndexExpr)
+	ie, ok := ast.Unparen(e).(*ast.IndexExpr)
 	if ok && isMap(s.pass, ie.X) && s.exprTainted(ie.Index) {
 		s.pass.Reportf(ie.Index.Pos(), "arena-backed string used as a map key is retained by the map"+hint)
 	}
@@ -224,7 +226,7 @@ func (s *taintState) exprTainted(e ast.Expr) bool {
 }
 
 func (s *taintState) callTainted(call *ast.CallExpr) bool {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	// Conversions: string<->[]byte copies (clean); a conversion between
 	// string types aliases (taint follows).
 	if tv, ok := s.pass.TypesInfo.Types[fun]; ok && tv.IsType() {
@@ -254,7 +256,7 @@ func (s *taintState) callTainted(call *ast.CallExpr) bool {
 // isSourceCall recognizes the calls whose first result aliases a read
 // block.
 func (s *taintState) isSourceCall(call *ast.CallExpr) bool {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if sel := s.pass.TypesInfo.Selections[fun]; sel != nil {
 			switch sel.Kind() {
@@ -292,7 +294,7 @@ func (s *taintState) objOf(id *ast.Ident) types.Object {
 func localValueFieldChain(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	e := sel.X
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.Ident:
@@ -371,14 +373,4 @@ func isBasicKind(t types.Type, info types.BasicInfo) bool {
 
 func isStringish(t types.Type) bool {
 	return t != nil && isBasicKind(t, types.IsString)
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

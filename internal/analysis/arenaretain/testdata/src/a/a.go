@@ -76,6 +76,16 @@ func retainMap(r *runio.SegmentReader, ix *index) error {
 	return nil
 }
 
+// countKeys: an increment stores its map key too: flagged.
+func countKeys(r *runio.SegmentReader, counts map[string]int) error {
+	s, err := r.Next()
+	if err != nil {
+		return err
+	}
+	counts[s]++ // want `used as a map key is retained by the map`
+	return nil
+}
+
 // retainGlobal: package-level variables outlive every frame: flagged.
 func retainGlobal(r *runio.SegmentReader) error {
 	s, err := r.Next()

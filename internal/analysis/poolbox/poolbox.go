@@ -48,7 +48,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 				return true
 			}
-			checkArg(pass, unparen(call.Args[0]))
+			checkArg(pass, ast.Unparen(call.Args[0]))
 			return true
 		})
 	}
@@ -61,7 +61,7 @@ func checkArg(pass *analysis.Pass, arg ast.Expr) {
 		if arg.Op.String() != "&" {
 			return
 		}
-		switch inner := unparen(arg.X).(type) {
+		switch inner := ast.Unparen(arg.X).(type) {
 		case *ast.CompositeLit:
 			pass.Reportf(arg.Pos(), "sync.Pool.Put(&T{...}) allocates a fresh value and box on every Put"+hint)
 		case *ast.Ident:
@@ -73,20 +73,10 @@ func checkArg(pass *analysis.Pass, arg ast.Expr) {
 	case *ast.CompositeLit:
 		pass.Reportf(arg.Pos(), "sync.Pool.Put(T{...}) boxes a fresh composite into the pool's interface on every Put"+hint)
 	case *ast.CallExpr:
-		if id, ok := unparen(arg.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(arg.Fun).(*ast.Ident); ok {
 			if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && (b.Name() == "new" || b.Name() == "make") {
 				pass.Reportf(arg.Pos(), "sync.Pool.Put(%s(...)) allocates its argument at the call site on every Put"+hint, b.Name())
 			}
 		}
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
 	}
 }

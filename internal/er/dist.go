@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,13 +56,14 @@ func (p *DistParams) strategy() (core.Strategy, error) {
 	case "pairrange":
 		return core.PairRange{}, nil
 	default:
-		return nil, fmt.Errorf("er: unknown distributed strategy %q (want basic, blocksplit, or pairrange)", p.Strategy)
+		return nil, fmt.Errorf("er: unknown strategy %q (want basic, blocksplit, or pairrange)", p.Strategy)
 	}
 }
 
-// config expands the declarative parameters into the pipeline Config —
-// the single definition both sides of the wire share.
-func (p *DistParams) config() (Config, error) {
+// Config expands the declarative parameters into the pipeline Config —
+// the single definition the driver, cmd/ermatch and a worker building
+// its jobs from a spec share.
+func (p *DistParams) Config() (Config, error) {
 	strat, err := p.strategy()
 	if err != nil {
 		return Config{}, err
@@ -69,7 +71,7 @@ func (p *DistParams) config() (Config, error) {
 	// Checked here, not left to blocking.NormalizedPrefix's panic: a
 	// worker expands specs that arrived over HTTP.
 	if p.KeyPrefix < 1 || math.IsNaN(p.Threshold) {
-		return Config{}, fmt.Errorf("er: distributed key prefix must be at least 1 and threshold a number, got %d and %v", p.KeyPrefix, p.Threshold)
+		return Config{}, fmt.Errorf("er: key prefix must be at least 1 and threshold a number, got %d and %v", p.KeyPrefix, p.Threshold)
 	}
 	cfg := Config{
 		Strategy:    strat,
@@ -84,25 +86,24 @@ func (p *DistParams) config() (Config, error) {
 	return cfg, nil
 }
 
-// The er/match job spec is the parameters as one line of JSON, then —
-// unless the strategy is Basic — the BDM in its canonical text
-// serialization, verbatim: the matrix is most of the spec, and nothing
-// re-escapes or re-scans it on the way to bdm.ReadFrom.
-
-// RunDistributedPipeline executes the workflow of Figure 2 with both
-// jobs' tasks dispatched to worker processes: it starts (or borrows)
-// a dist master, waits for opts.Workers registrations, and runs the
-// BDM and matching jobs with Engine.Remote bound to per-job sessions.
-// Results are byte-identical to RunPipeline over the same parameters —
-// the distributed differential suite holds this across strategies and
+// RunDistributedPipeline runs the workflow of Figure 2 over the Config
+// the parameters expand to. With opts.Master nil it is RunPipeline.
+// With a master it waits for opts.Workers registrations and runs the
+// same two jobs with their tasks dispatched to worker processes, each
+// job through its own master session; the workers rebuild the jobs
+// from the parameters. Results are byte-identical either way — the
+// distributed differential suite holds this across strategies and
 // worker-kill chaos. If every worker dies (or none registers), the
 // engine completes the run locally with a logged warning.
 func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts RunOptions) (*Result, error) {
-	cfg, err := p.config()
+	cfg, err := p.Config()
 	if err != nil {
 		return nil, err
 	}
 	cfg.RunOptions = opts
+	if opts.Master == nil {
+		return RunPipeline(ctx, src, cfg)
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -110,75 +111,54 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 	if err != nil {
 		return nil, err
 	}
-
-	master := opts.Master
-	if master == nil {
-		master = dist.NewMaster(dist.MasterOptions{Addr: opts.MasterAddr, Obs: opts.Obs})
-		if err := master.Start(); err != nil {
-			return nil, err
-		}
-		defer master.Close()
-	}
 	if opts.Workers > 0 {
 		wctx, cancel := context.WithTimeout(ctx, time.Minute)
-		err := master.AwaitWorkers(wctx, opts.Workers)
+		err := opts.Master.AwaitWorkers(wctx, opts.Workers)
 		cancel()
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	baseEng := cfg.ResolveEngine()
-	paramsJSON, err := json.Marshal(&p)
+	params, err := json.Marshal(&p)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	return runPipeline(ctx, parts, nil, cfg, &dispatch{master: opts.Master, params: params})
+}
 
-	var job2Input [][]core.AnnotatedEntity
-	if cfg.Strategy.NeedsBDM() {
-		eng := *baseEng
-		session := master.Session("er/bdm", paramsJSON)
-		eng.Remote = session
-		matrix, side, bdmRes, err := bdm.ComputeContext(ctx, &eng, parts, bdm.JobOptions{
-			Attr:           cfg.Attr,
-			KeyFunc:        cfg.BlockKey,
-			NumReduceTasks: cfg.R,
-			UseCombiner:    cfg.UseCombiner,
-		})
-		session.Close()
-		if err != nil {
-			return nil, err
+// dispatch binds a pipeline's jobs to a dist master; params is the
+// run's DistParams as JSON.
+type dispatch struct {
+	master *dist.Master
+	params []byte
+}
+
+// bind returns the engine the named job runs on and a function to call
+// once the job is done. In process (d nil) that is eng itself. Bound,
+// it is a copy of eng whose Remote is a master session for the job,
+// closed by done. The er/bdm spec is the params JSON; the er/match spec
+// is the params JSON, a newline, then the BDM x in its canonical text
+// serialization (nothing for Basic), verbatim: the matrix is most of
+// the spec, and nothing re-escapes or re-scans it on the way to
+// bdm.ReadFrom.
+func (d *dispatch) bind(eng *mapreduce.Engine, job string, x *bdm.Matrix) (*mapreduce.Engine, func(), error) {
+	if d == nil {
+		return eng, func() {}, nil
+	}
+	spec := d.params
+	if job == "er/match" {
+		buf := bytes.NewBuffer(append(slices.Clip(d.params), '\n'))
+		if x != nil {
+			if _, err := x.WriteTo(buf); err != nil {
+				return nil, nil, err
+			}
 		}
-		res.BDM = matrix
-		res.BDMResult = bdmRes
-		job2Input = side
-	} else {
-		job2Input = AnnotateInput(parts, cfg.Attr, cfg.BlockKey)
+		spec = buf.Bytes()
 	}
-
-	spec := bytes.NewBuffer(append(paramsJSON, '\n'))
-	if res.BDM != nil {
-		if _, err := res.BDM.WriteTo(spec); err != nil {
-			return nil, err
-		}
-	}
-	job, err := buildMatchJob(cfg, res.BDM)
-	if err != nil {
-		return nil, err
-	}
-	eng := *baseEng
-	session := master.Session("er/match", spec.Bytes())
-	eng.Remote = session
-	matchRes, matches, err := runMatchJob(ctx, &eng, job, job2Input, cfg.Sink)
-	session.Close()
-	if err != nil {
-		return nil, err
-	}
-	res.MatchResult = matchRes
-	res.Comparisons = matchRes.Counter(core.ComparisonsCounter)
-	res.Matches = matches
-	return res, nil
+	session := d.master.Session(job, spec)
+	bound := *eng
+	bound.Remote = session
+	return &bound, session.Close, nil
 }
 
 func init() {
@@ -187,16 +167,11 @@ func init() {
 		if err := json.Unmarshal(spec, &p); err != nil {
 			return nil, fmt.Errorf("er/bdm spec: %w", err)
 		}
-		cfg, err := p.config()
+		cfg, err := p.Config()
 		if err != nil {
 			return nil, err
 		}
-		return mapreduce.NewRemoteRunnable(bdm.Job(bdm.JobOptions{
-			Attr:           cfg.Attr,
-			KeyFunc:        cfg.BlockKey,
-			NumReduceTasks: cfg.R,
-			UseCombiner:    cfg.UseCombiner,
-		}))
+		return mapreduce.NewRemoteRunnable(bdm.Job(cfg.bdmJobOptions()))
 	})
 	dist.RegisterJob("er/match", func(spec []byte) (mapreduce.RemoteRunnable, error) {
 		paramsJSON, bdmText, _ := bytes.Cut(spec, []byte{'\n'})
@@ -204,7 +179,7 @@ func init() {
 		if err := json.Unmarshal(paramsJSON, &p); err != nil {
 			return nil, fmt.Errorf("er/match spec: %w", err)
 		}
-		cfg, err := p.config()
+		cfg, err := p.Config()
 		if err != nil {
 			return nil, err
 		}

@@ -22,14 +22,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dist"
 	"repro/internal/entity"
 	"repro/internal/er"
 	"repro/internal/mapreduce"
-	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/testleak"
 )
@@ -45,19 +43,22 @@ func distTestParams(strat core.Strategy) er.DistParams {
 	}
 }
 
-// distLocalConfig is the local-run Config the DistParams expand to on
-// the worker side — the baseline must use the same key and matcher
-// functions the distributed run rebuilds from the declarative spec.
-func distLocalConfig(strat core.Strategy, p er.DistParams) er.Config {
-	return er.Config{
-		RunOptions:      er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
-		Strategy:        strat,
-		Attr:            p.Attr,
-		BlockKey:        blocking.NormalizedPrefix(p.KeyPrefix),
-		PreparedMatcher: match.EditDistance(p.Attr, p.Threshold),
-		R:               p.R,
-		UseCombiner:     p.UseCombiner,
+// localBaseline is the in-process run of the Config the DistParams
+// expand to — the same key and matcher functions a worker rebuilds from
+// the declarative spec — with its execution history zeroed.
+func localBaseline(t *testing.T, parts entity.Partitions, p er.DistParams) *er.Result {
+	t.Helper()
+	cfg, err := p.Config()
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Engine = &mapreduce.Engine{Parallelism: 4}
+	res, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroHistory(res)
+	return res
 }
 
 // startDistMaster starts a master with fast failure detection (50ms
@@ -98,16 +99,25 @@ func TestDistributedDifferential(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			p := distTestParams(strat)
-			baseline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), distLocalConfig(strat, p))
-			if err != nil {
-				t.Fatal(err)
-			}
+			baseline := localBaseline(t, parts, p)
 			if len(baseline.Matches) == 0 {
 				t.Fatal("differential vacuous, no matches")
 			}
-			zeroHistory(baseline)
 
+			// Without a master the entry point is RunPipeline: no
+			// listener, no dispatch goroutine, the local result.
 			before := testleak.Snapshot()
+			local, err := er.RunDistributedPipeline(context.Background(), er.FromPartitions(parts), p, er.RunOptions{Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			testleak.Check(t, before)
+			zeroHistory(local)
+			if !reflect.DeepEqual(local, baseline) {
+				t.Fatal("masterless RunDistributedPipeline diverges from local typed run")
+			}
+
+			before = testleak.Snapshot()
 			master := startDistMaster(t)
 			w1 := startDistWorker(t, master, dist.WorkerOptions{Slots: 2})
 			w2 := startDistWorker(t, master, dist.WorkerOptions{Slots: 2})
@@ -162,11 +172,7 @@ func TestDistributedWorkerKillDifferential(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 4)
 	strat := core.BlockSplit{}
 	p := distTestParams(strat)
-	baseline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), distLocalConfig(strat, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroHistory(baseline)
+	baseline := localBaseline(t, parts, p)
 
 	for _, phase := range []string{"map", "reduce"} {
 		t.Run("kill-mid-"+phase, func(t *testing.T) {
@@ -211,11 +217,7 @@ func TestDistributedNoWorkersDegradesLocal(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 4)
 	strat := core.PairRange{}
 	p := distTestParams(strat)
-	baseline, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), distLocalConfig(strat, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroHistory(baseline)
+	baseline := localBaseline(t, parts, p)
 
 	before := testleak.Snapshot()
 	master := startDistMaster(t)
@@ -235,7 +237,7 @@ func TestDistributedNoWorkersDegradesLocal(t *testing.T) {
 }
 
 // TestDistributedUnknownStrategy: the declarative params reject unknown
-// strategy names before any master or worker work happens.
+// strategy names before any pipeline work happens.
 func TestDistributedUnknownStrategy(t *testing.T) {
 	p := er.DistParams{Strategy: "sorted-neighborhood", Attr: datagen.AttrTitle, KeyPrefix: 3, R: 4}
 	_, err := er.RunDistributedPipeline(context.Background(),
@@ -243,15 +245,15 @@ func TestDistributedUnknownStrategy(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	want := fmt.Sprintf("unknown distributed strategy %q", p.Strategy)
+	want := fmt.Sprintf("unknown strategy %q", p.Strategy)
 	if got := err.Error(); !strings.Contains(got, want) {
 		t.Fatalf("err = %q, want mention of %q", got, want)
 	}
 }
 
 // TestDistributedBadParams: parameters no pipeline can run are an error
-// before any master or worker work happens, not a panic in the driver or
-// in a worker expanding the spec.
+// before any pipeline work happens, not a panic in the driver or in a
+// worker expanding the spec.
 func TestDistributedBadParams(t *testing.T) {
 	for _, p := range []er.DistParams{
 		{Strategy: "blocksplit", Attr: datagen.AttrTitle, KeyPrefix: 0, Threshold: 0.8, R: 4},

@@ -10,7 +10,11 @@
 // every workflow configuration carries the shared engine plumbing. The
 // entry points (RunPipeline, RunDualPipeline, RunWithMissingKeysPipeline,
 // RunDistributedPipeline) take the caller's context and cancel between
-// engine tasks. See DESIGN.md, "Pipeline API".
+// engine tasks. RunPipeline, RunDualPipeline and RunDistributedPipeline
+// share one body for the two jobs; RunDistributedPipeline takes a
+// declarative DistParams and dispatches both jobs to workers when
+// RunOptions.Master is set, and is RunPipeline over DistParams.Config
+// when it is not. See DESIGN.md, "Pipeline API".
 package er
 
 import (
@@ -65,6 +69,12 @@ func (c *Config) validate() error {
 		return fmt.Errorf("er: Config.R must be > 0, got %d", c.R)
 	}
 	return nil
+}
+
+// bdmJobOptions configures Job 1: the BDM job over the blocking key,
+// with as many reduce tasks as the matching job.
+func (c *Config) bdmJobOptions() bdm.JobOptions {
+	return bdm.JobOptions{Attr: c.Attr, KeyFunc: c.BlockKey, NumReduceTasks: c.R, UseCombiner: c.UseCombiner}
 }
 
 // Result is the outcome of one pipeline run.

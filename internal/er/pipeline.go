@@ -50,24 +50,20 @@ type RunOptions struct {
 	// threaded to every job (chaos testing; see mapreduce.ChaosHook).
 	// Ignored when Engine is set.
 	FaultHook mapreduce.FaultHook
-	// MasterAddr, when non-empty, makes RunDistributedPipeline start a
-	// dist master listening on this address and dispatch the pipeline's
-	// tasks to registered workers ("127.0.0.1:0" picks a free port).
-	// Only RunDistributedPipeline reads it.
-	MasterAddr string
-	// Workers is how many registered workers RunDistributedPipeline
-	// waits for before starting the first job (0 = start immediately;
-	// the engine degrades to local execution when none ever register).
-	Workers int
-	// Master, when non-nil, is a started dist master to dispatch
-	// through instead of starting one from MasterAddr — the seam the
-	// in-process differential tests use. The caller owns its lifetime.
+	// Master, when non-nil, is a started dist master: RunDistributedPipeline
+	// dispatches both jobs' tasks through it to registered workers. Nil
+	// runs every task in process. Only RunDistributedPipeline reads it,
+	// and the caller owns the master's lifetime.
 	Master *dist.Master
+	// Workers is how many registered workers RunDistributedPipeline
+	// waits for on Master before starting the first job (0 = start
+	// immediately; the engine degrades to local execution when none
+	// ever register). Ignored when Master is nil.
+	Workers int
 	// Obs, when non-nil, threads tracing and metrics through the
-	// pipeline's engine (and, for RunDistributedPipeline, through a
-	// master started from MasterAddr). Nil keeps every hot path on the
-	// zero-overhead disabled branch. When Engine is set, the engine's
-	// own Obs wins if non-nil; otherwise this one is installed on it.
+	// pipeline's engine. Nil keeps every hot path on the zero-overhead
+	// disabled branch. When Engine is set, the engine's own Obs wins if
+	// non-nil; otherwise this one is installed on it.
 	Obs *obs.Observer
 }
 
@@ -129,7 +125,7 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, parts, nil, cfg)
+	return runPipeline(ctx, parts, nil, cfg, nil)
 }
 
 // RunDualPipeline executes the two-source (R×S) workflow of Appendix I:
@@ -155,23 +151,24 @@ func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg Config) (*Resul
 	for i := len(partsR); i < len(sources); i++ {
 		sources[i] = bdm.SourceS
 	}
-	return runPipeline(ctx, slices.Concat(partsR, partsS), sources, cfg)
+	return runPipeline(ctx, slices.Concat(partsR, partsS), sources, cfg, nil)
 }
 
-// runPipeline is the body of both entry points; sources tags the
-// partitions for two-source matching (nil = one source).
-func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Source, cfg Config) (*Result, error) {
+// runPipeline is the body of every entry point; sources tags the
+// partitions for two-source matching (nil = one source), and d binds
+// the jobs to a dist master (nil = in process).
+func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Source, cfg Config, d *dispatch) (*Result, error) {
 	eng := cfg.ResolveEngine()
 	res := &Result{}
 
 	var job2Input [][]core.AnnotatedEntity
 	if cfg.Strategy.NeedsBDM() {
-		matrix, side, bdmRes, err := bdm.ComputeContext(ctx, eng, parts, bdm.JobOptions{
-			Attr:           cfg.Attr,
-			KeyFunc:        cfg.BlockKey,
-			NumReduceTasks: cfg.R,
-			UseCombiner:    cfg.UseCombiner,
-		})
+		bdmEng, done, err := d.bind(eng, "er/bdm", nil)
+		if err != nil {
+			return nil, err
+		}
+		matrix, side, bdmRes, err := bdm.ComputeContext(ctx, bdmEng, parts, cfg.bdmJobOptions())
+		done()
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +188,12 @@ func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Sou
 	if err != nil {
 		return nil, err
 	}
-	matchRes, matches, err := runMatchJob(ctx, eng, job, job2Input, cfg.Sink)
+	matchEng, done, err := d.bind(eng, "er/match", res.BDM)
+	if err != nil {
+		return nil, err
+	}
+	matchRes, matches, err := runMatchJob(ctx, matchEng, job, job2Input, cfg.Sink)
+	done()
 	if err != nil {
 		return nil, err
 	}

@@ -6,23 +6,21 @@ import (
 	"reflect"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/datagen"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/match"
 	"repro/internal/report"
 )
 
 // Distributed compares local and distributed execution of the full
-// workflow per strategy: same dataset, same parameters, one run on the
-// in-process engine and one dispatched through the caller's dist master
-// (erbench -master starts it and workers register against it). The
-// "identical" column is the PR's headline property — the distributed
-// run's matches and comparison counts must equal the local run's
-// exactly, because task attempts run the same typed kernels and the
-// shuffle ships the same ERN1 byte stream the local external dataflow
-// writes.
+// workflow per strategy: one DistParams, run once on the in-process
+// engine (RunOptions.Master unset) and once dispatched through the
+// caller's dist master (erbench -master starts it and workers register
+// against it). The "identical" column is the headline property — the
+// distributed run's matches and comparison counts must equal the local
+// run's exactly, because task attempts run the same typed kernels and
+// the shuffle ships the same ERN1 byte stream the local external
+// dataflow writes.
 func Distributed(ctx context.Context, o Options) (*report.Table, error) {
 	if o.Master == nil {
 		return nil, fmt.Errorf("experiments: Distributed requires a started dist master (erbench -master)")
@@ -40,31 +38,26 @@ func Distributed(ctx context.Context, o Options) (*report.Table, error) {
 			o.scale(), m, r, o.Workers),
 		Headers: []string{"strategy", "comparisons", "matches", "local wall", "dist wall", "identical"},
 	}
+	localOpts := o.runOptions()
+	localOpts.Master = nil
 	for _, strat := range allStrategies() {
-		start := time.Now()
-		local, err := er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-			RunOptions:      o.runOptions(),
-			Strategy:        strat,
-			Attr:            datagen.AttrTitle,
-			BlockKey:        blocking.NormalizedPrefix(keyPrefix),
-			PreparedMatcher: match.EditDistance(datagen.AttrTitle, threshold),
-			R:               r,
-			UseCombiner:     true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		localWall := time.Since(start)
-
-		start = time.Now()
-		dist, err := er.RunDistributedPipeline(ctx, er.FromPartitions(parts), er.DistParams{
+		p := er.DistParams{
 			Strategy:    strat.Name(),
 			Attr:        datagen.AttrTitle,
 			KeyPrefix:   keyPrefix,
 			Threshold:   threshold,
 			R:           r,
 			UseCombiner: true,
-		}, o.runOptions())
+		}
+		start := time.Now()
+		local, err := er.RunDistributedPipeline(ctx, er.FromPartitions(parts), p, localOpts)
+		if err != nil {
+			return nil, err
+		}
+		localWall := time.Since(start)
+
+		start = time.Now()
+		dist, err := er.RunDistributedPipeline(ctx, er.FromPartitions(parts), p, o.runOptions())
 		if err != nil {
 			return nil, err
 		}
