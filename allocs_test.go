@@ -77,15 +77,14 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 }
 
 // TestBlockKernelAllocsPinned pins the reduce-side comparison path the
-// strategy reducers drive: acquiring match.EditDistance's pooled block,
-// loading and probing a whole group through core.Block (a self-join,
-// then cross probes that are not kept), and releasing it allocates
-// nothing once the pool is warm.
+// strategy reducers drive, for both kinds of core.Matcher: acquiring
+// the matcher's pooled block, loading and probing a whole group through
+// core.Block (a self-join, then cross probes that are not kept), and
+// releasing it allocates nothing once the pool is warm.
 func TestBlockKernelAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; the pin would flake")
 	}
-	bm := match.EditDistance("title", 0.8).(core.BlockMatcher)
 	var group []entity.Entity
 	for i, title := range []string{
 		"canon eos 5d mark iii digital slr camera body",
@@ -98,25 +97,36 @@ func TestBlockKernelAllocsPinned(t *testing.T) {
 	} {
 		group = append(group, entity.New(strconv.Itoa(i), "title", title))
 	}
-	hits := 0
-	cycle := func() {
-		blk := bm.AcquireBlock()
-		for i, e := range group {
-			rows, _ := blk.Probe(e, 0, i, true)
-			hits += len(rows)
+	samePrefix := core.PairFunc(func(a, b entity.Entity) (float64, bool) {
+		return 1, a.Attr("title")[:5] == b.Attr("title")[:5]
+	})
+	for _, row := range []struct {
+		name string
+		m    core.Matcher
+	}{
+		{"match.EditDistance", match.EditDistance("title", 0.8)},
+		{"core.PairFunc", samePrefix},
+	} {
+		hits := 0
+		cycle := func() {
+			blk := row.m.AcquireBlock()
+			for i, e := range group {
+				rows, _ := blk.Probe(e, 0, i, true)
+				hits += len(rows)
+			}
+			for _, e := range group {
+				rows, _ := blk.Probe(e, 3, len(group), false)
+				hits += len(rows)
+			}
+			blk.Release()
 		}
-		for _, e := range group {
-			rows, _ := blk.Probe(e, 3, len(group), false)
-			hits += len(rows)
+		cycle()
+		if hits == 0 {
+			t.Fatalf("%s: the group must produce hits for the pin to cover the hit path", row.name)
 		}
-		blk.Release()
-	}
-	cycle()
-	if hits == 0 {
-		t.Fatal("the group must produce hits for the pin to cover the hit path")
-	}
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Errorf("warm acquire/probe/release cycle: %v allocs, want 0", allocs)
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("%s: warm acquire/probe/release cycle: %v allocs, want 0", row.name, allocs)
+		}
 	}
 }
 

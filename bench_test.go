@@ -460,10 +460,10 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkMatcherEndToEnd runs a real edit-distance matching pass over
 // a small catalog through the PairRange pipeline (the workload of the
-// cmd/ermatch tool). match.EditDistance is a core.BlockMatcher, so this
-// is the block-at-a-time kernel; BenchmarkMatcherEndToEndPlain runs the
-// same pipeline through the per-pair adapter block with a plain matcher
-// so the gap stays visible in one -bench run.
+// cmd/ermatch tool). match.EditDistance's block decides a group a column
+// at a time; BenchmarkMatcherEndToEndPlain runs the same pipeline with a
+// core.PairFunc, whose block loops a per-pair call, so the gap stays
+// visible in one -bench run.
 func BenchmarkMatcherEndToEnd(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
@@ -471,12 +471,12 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
-			Strategy:        core.PairRange{},
-			Attr:            datagen.AttrTitle,
-			BlockKey:        blocking.NormalizedPrefix(3),
-			PreparedMatcher: match.EditDistance(datagen.AttrTitle, 0.8),
-			R:               16,
-			RunOptions:      er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
+			Strategy:   core.PairRange{},
+			Attr:       datagen.AttrTitle,
+			BlockKey:   blocking.NormalizedPrefix(3),
+			Matcher:    match.EditDistance(datagen.AttrTitle, 0.8),
+			R:          16,
+			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -484,16 +484,16 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 }
 
 // BenchmarkMatcherEndToEndPlain is the same pipeline with the DP
-// reference as a plain per-pair matcher (no pre-filters, runes and the
+// reference as a per-pair core.PairFunc (no pre-filters, runes and the
 // DP row re-derived on every comparison) — the baseline the kernels are
 // measured against.
 func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
-	matcher := func(x, y entity.Entity) (float64, bool) {
+	matcher := core.PairFunc(func(x, y entity.Entity) (float64, bool) {
 		sim := similarity.LevenshteinSimilarity(x.Attr(datagen.AttrTitle), y.Attr(datagen.AttrTitle))
 		return sim, sim >= 0.8
-	}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,7 +64,6 @@ func main() {
 		masterAddr   = flag.String("master", "", "run distributed: listen for erworker registrations on this address (e.g. 127.0.0.1:0 or :7400)")
 		workers      = flag.Int("workers", 0, "distributed: wait for this many registered workers before dispatching tasks")
 		addrFile     = flag.String("master-addr-file", "", "distributed: write the master's URL to this file once listening (for scripted worker launch)")
-		obsCLI       obs.CLI
 	)
 	obsCLI.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -188,7 +188,6 @@ func main() {
 	// accumulated in memory.
 	var count func() int64
 	var outFile *os.File
-	var outTmp string
 	if *out != "" {
 		var w io.Writer = os.Stdout
 		if *out != "-" {
@@ -200,10 +199,10 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			outFile, outTmp = f, f.Name()
+			outFile = f
 			cleanupOnFail = func() {
 				f.Close()
-				os.Remove(outTmp)
+				os.Remove(f.Name())
 			}
 			w = f
 		}
@@ -218,7 +217,7 @@ func main() {
 
 	start := time.Now()
 	// Without -master (opts.Master nil) this is RunPipeline over the
-	// expanded Config; every strategy runs the prepare-once kernel.
+	// expanded Config; every strategy runs match.EditDistance's block.
 	res, err := er.RunDistributedPipeline(ctx, er.FromPartitions(parts), params, opts)
 	if err != nil {
 		fail(err)
@@ -252,7 +251,7 @@ func main() {
 		if err := outFile.Close(); err != nil {
 			fail(err)
 		}
-		if err := os.Rename(outTmp, *out); err != nil {
+		if err := os.Rename(outFile.Name(), *out); err != nil {
 			fail(err)
 		}
 		cleanupOnFail = nil
@@ -274,15 +273,20 @@ func main() {
 // because os.Exit skips deferred calls.
 var cleanupOnFail func()
 
-// fail reports a runtime error (exit 1); usage reports a bad
-// invocation — unknown enum value, malformed or out-of-range flag,
-// conflicting flags — with exit 2, matching the other er commands, and
-// is decided before the input or the output file is touched.
+// obsCLI holds the -trace and -obs-addr flags. fail finishes it too:
+// a failed run's trace is the one most worth reading.
+var obsCLI obs.CLI
+
+// fail reports a runtime error (exit 1) after removing the temp output
+// file and writing the -trace file; usage reports a bad invocation —
+// unknown enum value, malformed or out-of-range flag, conflicting flags
+// — with exit 2, matching the other er commands, and is decided before
+// the input or the output file is touched.
 func fail(err error) {
 	if cleanupOnFail != nil {
 		cleanupOnFail()
 	}
-	fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+	fmt.Fprintf(os.Stderr, "ermatch: %v\n", errors.Join(err, obsCLI.Finish()))
 	os.Exit(1)
 }
 

@@ -36,13 +36,13 @@ func main() {
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		start := time.Now()
 		res, err := er.RunPipeline(context.Background(), src, er.Config{
-			RunOptions:      er.RunOptions{Parallelism: runtime.NumCPU()},
-			Strategy:        strat,
-			Attr:            datagen.AttrTitle,
-			BlockKey:        datagen.BlockKey(),
-			PreparedMatcher: matcher,
-			R:               4 * runtime.NumCPU(),
-			UseCombiner:     true,
+			RunOptions:  er.RunOptions{Parallelism: runtime.NumCPU()},
+			Strategy:    strat,
+			Attr:        datagen.AttrTitle,
+			BlockKey:    datagen.BlockKey(),
+			Matcher:     matcher,
+			R:           4 * runtime.NumCPU(),
+			UseCombiner: true,
 		})
 		if err != nil {
 			log.Fatal(err)

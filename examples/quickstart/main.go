@@ -38,18 +38,18 @@ func main() {
 	}
 
 	// Two entities match when their titles' normalized edit-distance
-	// similarity reaches 0.8 — the paper's match rule. The prepared
-	// matcher caches each title's comparison form once per reduce group
-	// instead of re-deriving it on every pair. The Source abstraction
+	// similarity reaches 0.8 — the paper's match rule. The matcher loads
+	// each reduce group's titles into one block and decides every new
+	// title against the block's rows in one call. The Source abstraction
 	// feeds the pipeline (FromEntities splits round-robin into 2 map
 	// partitions); with no Sink configured, matches are collected into
 	// res.Matches, canonically sorted.
 	cfg := er.Config{
-		Strategy:        core.PairRange{},
-		Attr:            "title",
-		BlockKey:        blocking.NormalizedPrefix(3),
-		PreparedMatcher: match.EditDistance("title", 0.8),
-		R:               3,
+		Strategy: core.PairRange{},
+		Attr:     "title",
+		BlockKey: blocking.NormalizedPrefix(3),
+		Matcher:  match.EditDistance("title", 0.8),
+		R:        3,
 	}
 	res, err := er.RunPipeline(context.Background(), er.FromEntities(entities, 2), cfg)
 	if err != nil {

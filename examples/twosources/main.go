@@ -32,11 +32,11 @@ func main() {
 			er.FromEntities(r, 2),
 			er.FromEntities(s, 3),
 			er.Config{
-				Strategy:        strat,
-				Attr:            datagen.AttrTitle,
-				BlockKey:        blocking.NormalizedPrefix(3),
-				PreparedMatcher: matcher,
-				R:               6,
+				Strategy: strat,
+				Attr:     datagen.AttrTitle,
+				BlockKey: blocking.NormalizedPrefix(3),
+				Matcher:  matcher,
+				R:        6,
 			})
 		if err != nil {
 			log.Fatal(err)

@@ -25,15 +25,6 @@ func (Basic) NeedsBDM() bool { return false }
 
 // Job implements Strategy. The BDM is ignored and may be nil.
 func (Basic) Job(_ *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return basicJob(r, matchKernel{match: match})
-}
-
-// JobPrepared implements PreparedStrategy.
-func (Basic) JobPrepared(_ *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return basicJob(r, matchKernel{pm: pm})
-}
-
-func basicJob(r int, kern matchKernel) (MatchJob, error) {
 	if err := validateJobParams("Basic", r); err != nil {
 		return nil, err
 	}
@@ -52,7 +43,7 @@ func basicJob(r int, kern matchKernel) (MatchJob, error) {
 			}
 		},
 		NewReducer: func() mapreduce.Reducer[string, entity.Entity, MatchOutput] {
-			return &basicReducer{group: kern.newGroup()}
+			return &basicReducer{group: &group{m: match}}
 		},
 		Partition: mapreduce.HashPartition,
 		Compare:   strings.Compare,

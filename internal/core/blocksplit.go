@@ -296,15 +296,6 @@ func bsKeyCoding(x *bdm.Matrix) mapreduce.KeyCoding[BSKey] {
 // Job implements Strategy (Algorithm 1). Input records must be the BDM
 // job's side output (blocking-key-annotated entities).
 func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{match: match}, bs.MaxEntitiesPerTask)
-}
-
-// JobPrepared implements PreparedStrategy.
-func (bs BlockSplit) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{pm: pm}, bs.MaxEntitiesPerTask)
-}
-
-func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, maxEntities int) (MatchJob, error) {
 	if err := validateJobParams("BlockSplit", r); err != nil {
 		return nil, err
 	}
@@ -314,7 +305,7 @@ func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, maxEntities int) (Mat
 	// The assignment is deterministic and identical in every map task;
 	// compute it once and share it read-only (each Hadoop map task would
 	// recompute it from the distributed BDM file).
-	asg := buildAssignment(x, r, maxEntities)
+	asg := buildAssignment(x, r, bs.MaxEntitiesPerTask)
 	return &mapreduce.Job[AnnotatedEntity, BSKey, entity.Entity, MatchOutput]{
 		Name:           "blocksplit",
 		NumReduceTasks: r,
@@ -322,7 +313,7 @@ func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, maxEntities int) (Mat
 			return &bsMapper{x: x, asg: asg}
 		},
 		NewReducer: func() mapreduce.Reducer[BSKey, entity.Entity, MatchOutput] {
-			return &bsReducer{group: kern.newGroup()}
+			return &bsReducer{group: &group{m: match}}
 		},
 		Partition: func(key BSKey, r int) int { return key.Reduce % r },
 		Compare:   compareBSKeys,

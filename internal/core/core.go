@@ -21,6 +21,11 @@
 // Two-source matching (Appendix I) is BlockSplit and PairRange over a
 // BDM whose partitions carry source tags (bdm.Matrix.WithSources): the
 // matrix decides which pairs count, and only R×S pairs are compared.
+//
+// Every strategy's reducers compare through one contract: a Matcher
+// hands out a Block per reduce group, the reducer loads the group's
+// entities into it as rows and probes each entity against a row range
+// (kernel.go). PairFunc makes any per-pair function a Matcher.
 package core
 
 import (
@@ -33,65 +38,19 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// Matcher compares two entities and reports their similarity and whether
-// they match. A nil Matcher is valid everywhere and means "count the
-// comparison but do not compare" — used by benchmarks that only measure
-// redistribution behaviour. Matchers are invoked from concurrently
-// executing reduce tasks and must be safe for concurrent use (pure
-// functions, the common case, trivially are).
-type Matcher func(a, b entity.Entity) (float64, bool)
-
-// PreparedEntity is the opaque prepared form of one entity: whatever a
-// PreparedMatcher derives once per entity (cached runes, a rune
-// histogram, …) so that the O(group²) comparison loop of a reduce call
-// runs on precomputed forms.
-type PreparedEntity any
-
-// PreparedMatcher is the two-phase form of Matcher. The reducers of all
-// strategies prepare each entity exactly once per key group — O(group)
-// preparation instead of re-deriving both sides on every one of the
-// O(group²) comparisons — and invoke MatchPrepared on the cached forms
-// (through a Block, see kernel.go). Prepare is called from a single
-// goroutine per reduce group; the returned PreparedEntity is never
-// shared across groups. MatchPrepared must be safe for concurrent use
-// across groups (pure functions are).
+// Matcher decides the pairs of a reduce group. AcquireBlock is called
+// once per group, from the group's goroutine; the reducer loads the
+// group's entities into the returned Block as rows and Releases it when
+// the group ends (see kernel.go). A nil Matcher is valid everywhere and
+// means "count the comparisons but do not compare" — used by runs that
+// only measure redistribution behaviour. Reduce tasks run concurrently,
+// so AcquireBlock must be safe for concurrent use; a Block is used by
+// one goroutine only.
 //
-// A PreparedMatcher must be semantically equivalent to the plain Matcher
-// PlainMatcher derives from it: same decisions, same similarities.
-type PreparedMatcher interface {
-	// Prepare derives the cached comparison form of one entity.
-	Prepare(e entity.Entity) PreparedEntity
-	// MatchPrepared compares two prepared entities and reports their
-	// similarity and whether they match.
-	MatchPrepared(a, b PreparedEntity) (float64, bool)
-}
-
-// PreparedReleaser is an optional extension of PreparedMatcher: a
-// matcher whose prepared forms come from a free list implements it, and
-// every per-pair caller (the adapter block of kernel.go) hands each
-// PreparedEntity back via ReleasePrepared as soon as its reduce group
-// is finished. A released entity must never be used again. Matchers without the interface are
-// simply never released (the GC reclaims their prepared forms).
-type PreparedReleaser interface {
-	ReleasePrepared(PreparedEntity)
-}
-
-// PlainMatcher adapts a PreparedMatcher to the plain Matcher form by
-// preparing both entities on every call. It is the transparent fallback
-// for execution paths that only accept a Matcher (custom strategies,
-// serial references); results are identical, only
-// the per-pair preparation cost returns.
-func PlainMatcher(pm PreparedMatcher) Matcher {
-	rel, _ := pm.(PreparedReleaser)
-	return func(a, b entity.Entity) (float64, bool) {
-		pa, pb := pm.Prepare(a), pm.Prepare(b)
-		sim, ok := pm.MatchPrepared(pa, pb)
-		if rel != nil {
-			rel.ReleasePrepared(pa)
-			rel.ReleasePrepared(pb)
-		}
-		return sim, ok
-	}
+// match.EditDistance, the paper's match rule, supplies a native block;
+// PairFunc turns any per-pair function into a Matcher.
+type Matcher interface {
+	AcquireBlock() Block
 }
 
 // MatchPair is one entry of the match result: the IDs of two entities
@@ -166,22 +125,11 @@ type Strategy interface {
 	NeedsBDM() bool
 	// Job builds the executable MR Job 2. Input records must be the BDM
 	// job's side output (blocking-key-annotated entities). x may be nil
-	// iff !NeedsBDM().
+	// iff !NeedsBDM(); match may be nil (count comparisons only).
 	Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error)
 	// Plan computes the exact per-task workloads Job would produce for m
 	// input partitions and r reduce tasks, without executing anything.
 	Plan(x *bdm.Matrix, m, r int) (*Plan, error)
-}
-
-// PreparedStrategy is implemented by strategies whose matching job can
-// exploit a PreparedMatcher (all in-tree one-source strategies). The
-// job's dataflow and comparison order are identical to Job's; only the
-// per-pair cost changes.
-type PreparedStrategy interface {
-	Strategy
-	// JobPrepared is Job with a prepared matcher driving the reduce
-	// phase. pm may be nil (count comparisons only).
-	JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error)
 }
 
 // Plan holds the exact per-task workloads a strategy's Job 2 produces.
@@ -267,4 +215,31 @@ func validatePlanParams(name string, m, r int) error {
 		return fmt.Errorf("core: %s: number of map tasks must be > 0, got %d", name, m)
 	}
 	return validateJobParams(name, r)
+}
+
+// The frozen benchmark harness (benchmark/trace.go) still names the
+// prepared-matcher API that the one Matcher contract replaced. These
+// aliases keep it compiling and retire with it (ROADMAP item 1d); no
+// other code uses them.
+
+// PreparedMatcher is Matcher.
+type PreparedMatcher = Matcher
+
+// PreparedStrategy is Strategy with JobPrepared.
+type PreparedStrategy interface {
+	Strategy
+	JobPrepared(x *bdm.Matrix, r int, m Matcher) (MatchJob, error)
+}
+
+// JobPrepared is Job.
+func (s Basic) JobPrepared(x *bdm.Matrix, r int, m Matcher) (MatchJob, error) { return s.Job(x, r, m) }
+
+// JobPrepared is Job.
+func (s BlockSplit) JobPrepared(x *bdm.Matrix, r int, m Matcher) (MatchJob, error) {
+	return s.Job(x, r, m)
+}
+
+// JobPrepared is Job.
+func (s PairRange) JobPrepared(x *bdm.Matrix, r int, m Matcher) (MatchJob, error) {
+	return s.Job(x, r, m)
 }

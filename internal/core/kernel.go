@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/entity"
 )
@@ -9,10 +10,8 @@ import (
 // Block is the prepared form of one reduce group: the reducers of all
 // three strategies load a group's entities into a block as rows and
 // decide each arriving entity against a contiguous row range in one
-// call. A matcher that implements BlockMatcher supplies its own block
-// (match.EditDistance runs its filter chain column-wise over a
-// structure-of-arrays block); every other matcher runs through an
-// adapter that loops its per-pair call.
+// call. match.EditDistance runs its filter chain column-wise over a
+// structure-of-arrays block; a PairFunc's block loops its per-pair call.
 type Block interface {
 	// Probe decides e against rows [lo, hi) and returns the matching
 	// rows in ascending order with their similarities. With keep, e then
@@ -26,58 +25,22 @@ type Block interface {
 	Release()
 }
 
-// BlockMatcher is the optional extension of PreparedMatcher for matchers
-// with a native Block. AcquireBlock is called once per reduce group,
-// from the group's goroutine, and the block is Released when the group
-// is finished; implementations recycle storage between the two.
-type BlockMatcher interface {
-	PreparedMatcher
-	AcquireBlock() Block
-}
-
-// matchKernel carries whichever matcher form a job was built with. At
-// most one of match/pm is set; both nil means "count comparisons
-// without comparing" (the nil-Matcher contract).
-type matchKernel struct {
-	match Matcher
-	pm    PreparedMatcher
-}
-
-// newGroup returns one reducer's comparison state.
-func (k matchKernel) newGroup() *group {
-	g := &group{}
-	switch pm := k.pm.(type) {
-	case nil:
-		if k.match != nil {
-			g.own = &plainBlock{match: k.match}
-		}
-	case BlockMatcher:
-		g.bm = pm
-	default:
-		rel, _ := pm.(PreparedReleaser)
-		g.own = &preparedBlock{pm: pm, rel: rel}
-	}
-	return g
-}
-
 // group is the single reduce-side comparison path: a reducer opens it
 // per key group with begin, feeds every value through probe, and closes
 // it with end. It owns the counter and the emits, so a reducer only
 // states which rows each entity meets. With no matcher there is no
 // block and a probe is one counter add: nothing happens per pair.
 type group struct {
-	bm    BlockMatcher // native blocks, acquired per group
-	own   Block        // adapter block, reused across groups
-	block Block        // the open group's block; nil when counting only
-	ids   []string     // row → entity ID, for the emits
+	m     Matcher  // nil counts only
+	block Block    // the open group's block; nil when counting only
+	ids   []string // row → entity ID, for the emits
 }
 
 // begin opens a group of at most n rows.
 func (g *group) begin(n int) {
 	g.ids = slices.Grow(g.ids[:0], n)
-	g.block = g.own
-	if g.bm != nil {
-		g.block = g.bm.AcquireBlock()
+	if g.m != nil {
+		g.block = g.m.AcquireBlock()
 	}
 }
 
@@ -107,18 +70,41 @@ func (g *group) end() {
 	}
 }
 
-// plainBlock adapts a plain Matcher to Block.
+// PairFunc is a Matcher that compares two entities at a time and
+// reports their similarity and whether they match. It must be safe for
+// concurrent use (pure functions, the common case, trivially are). A
+// nil PairFunc counts only, like a nil Matcher.
+type PairFunc func(a, b entity.Entity) (float64, bool)
+
+// AcquireBlock implements Matcher with a pooled block that calls f once
+// per pair.
+func (f PairFunc) AcquireBlock() Block {
+	if f == nil {
+		return nil
+	}
+	b := plainBlockPool.Get().(*plainBlock)
+	b.match = f
+	return b
+}
+
+// plainBlockPool is the process-wide free list of PairFunc blocks; one
+// block at a time serves each running reducer.
+var plainBlockPool = sync.Pool{New: func() any { return new(plainBlock) }}
+
+// plainBlock is a PairFunc's Block: the group's entities as rows.
 type plainBlock struct {
-	match Matcher
+	match PairFunc
 	ents  []entity.Entity
-	hits
+	rows  []int32
+	sims  []float64
 }
 
 func (b *plainBlock) Probe(e entity.Entity, lo, hi int, keep bool) ([]int32, []float64) {
-	b.hits.reset()
+	b.rows, b.sims = b.rows[:0], b.sims[:0]
 	for i, row := range b.ents[lo:hi] {
 		if sim, ok := b.match(row, e); ok {
-			b.hit(lo+i, sim)
+			b.rows = append(b.rows, int32(lo+i))
+			b.sims = append(b.sims, sim)
 		}
 	}
 	if keep {
@@ -127,56 +113,11 @@ func (b *plainBlock) Probe(e entity.Entity, lo, hi int, keep bool) ([]int32, []f
 	return b.rows, b.sims
 }
 
+// Release empties the block — the external dataflow's entities alias
+// ~32KB decode blocks, which a stale row would pin — and returns it to
+// the free list.
 func (b *plainBlock) Release() {
 	clear(b.ents)
-	b.ents = b.ents[:0]
-}
-
-// preparedBlock adapts a per-pair PreparedMatcher to Block: every entity
-// is prepared once, rows are handed back to the matcher's free list (if
-// it has one) when the group ends, a probe that is not kept at once.
-type preparedBlock struct {
-	pm   PreparedMatcher
-	rel  PreparedReleaser
-	prep []PreparedEntity
-	hits
-}
-
-func (b *preparedBlock) Probe(e entity.Entity, lo, hi int, keep bool) ([]int32, []float64) {
-	b.hits.reset()
-	p := b.pm.Prepare(e)
-	for i, row := range b.prep[lo:hi] {
-		if sim, ok := b.pm.MatchPrepared(row, p); ok {
-			b.hit(lo+i, sim)
-		}
-	}
-	if keep {
-		b.prep = append(b.prep, p)
-	} else if b.rel != nil {
-		b.rel.ReleasePrepared(p)
-	}
-	return b.rows, b.sims
-}
-
-func (b *preparedBlock) Release() {
-	if b.rel != nil {
-		for _, p := range b.prep {
-			b.rel.ReleasePrepared(p)
-		}
-	}
-	clear(b.prep)
-	b.prep = b.prep[:0]
-}
-
-// hits is the reusable result of an adapter's Probe.
-type hits struct {
-	rows []int32
-	sims []float64
-}
-
-func (h *hits) reset() { h.rows, h.sims = h.rows[:0], h.sims[:0] }
-
-func (h *hits) hit(row int, sim float64) {
-	h.rows = append(h.rows, int32(row))
-	h.sims = append(h.sims, sim)
+	b.ents, b.match = b.ents[:0], nil
+	plainBlockPool.Put(b)
 }

@@ -81,15 +81,6 @@ func prKeyCoding(x *bdm.Matrix, r int) mapreduce.KeyCoding[PRKey] {
 // Job implements Strategy (Algorithm 2). Input records must be the BDM
 // job's side output (blocking-key-annotated entities).
 func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return pairRangeJob(x, r, matchKernel{match: match})
-}
-
-// JobPrepared implements PreparedStrategy.
-func (PairRange) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return pairRangeJob(x, r, matchKernel{pm: pm})
-}
-
-func pairRangeJob(x *bdm.Matrix, r int, kern matchKernel) (MatchJob, error) {
 	if err := validateJobParams("PairRange", r); err != nil {
 		return nil, err
 	}
@@ -104,7 +95,7 @@ func pairRangeJob(x *bdm.Matrix, r int, kern matchKernel) (MatchJob, error) {
 			return &prMapper{x: x, ranges: ranges}
 		},
 		NewReducer: func() mapreduce.Reducer[PRKey, entity.Entity, MatchOutput] {
-			return &prReducer{x: x, ranges: ranges, group: kern.newGroup()}
+			return &prReducer{x: x, ranges: ranges, group: &group{m: match}}
 		},
 		Partition: func(key PRKey, r int) int { return key.Range % r },
 		Compare:   comparePRKeys,

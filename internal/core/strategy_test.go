@@ -13,7 +13,7 @@ import (
 // recordingMatcher records each compared pair and "matches" everything —
 // the completeness oracle. Matchers run on concurrent reduce tasks, so
 // the shared map is mutex-guarded.
-func recordingMatcher(pairs *map[MatchPair]int) Matcher {
+func recordingMatcher(pairs *map[MatchPair]int) PairFunc {
 	var mu sync.Mutex
 	return func(a, b entity.Entity) (float64, bool) {
 		mu.Lock()

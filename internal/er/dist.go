@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"time"
@@ -37,8 +36,9 @@ type DistParams struct {
 	// KeyPrefix is the normalized-prefix length of the blocking key
 	// (blocking.NormalizedPrefix).
 	KeyPrefix int `json:"key_prefix"`
-	// Threshold, when > 0, matches with the edit-distance matcher at
+	// Threshold, when in (0,1], matches with the edit-distance matcher at
 	// this similarity threshold; 0 counts comparisons without matching.
+	// Config refuses any other value.
 	Threshold float64 `json:"threshold"`
 	// R is the number of reduce tasks of both jobs.
 	R int `json:"r"`
@@ -68,10 +68,11 @@ func (p *DistParams) Config() (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	// Checked here, not left to blocking.NormalizedPrefix's panic: a
-	// worker expands specs that arrived over HTTP.
-	if p.KeyPrefix < 1 || math.IsNaN(p.Threshold) {
-		return Config{}, fmt.Errorf("er: key prefix must be at least 1 and threshold a number, got %d and %v", p.KeyPrefix, p.Threshold)
+	// Checked here, not left to blocking.NormalizedPrefix's panic or to
+	// a threshold that silently matches nothing (above 1) or counts only
+	// (below 0): a worker expands specs that arrived over HTTP.
+	if p.KeyPrefix < 1 || !(p.Threshold >= 0 && p.Threshold <= 1) {
+		return Config{}, fmt.Errorf("er: key prefix must be at least 1 and threshold in [0,1], got %d and %v", p.KeyPrefix, p.Threshold)
 	}
 	cfg := Config{
 		Strategy:    strat,
@@ -81,7 +82,7 @@ func (p *DistParams) Config() (Config, error) {
 		UseCombiner: p.UseCombiner,
 	}
 	if p.Threshold > 0 {
-		cfg.PreparedMatcher = match.EditDistance(p.Attr, p.Threshold)
+		cfg.Matcher = match.EditDistance(p.Attr, p.Threshold)
 	}
 	return cfg, nil
 }
@@ -190,7 +191,7 @@ func init() {
 				return nil, fmt.Errorf("er/match spec BDM: %w", err)
 			}
 		}
-		job, err := buildMatchJob(cfg, matrix)
+		job, err := cfg.Strategy.Job(matrix, cfg.R, cfg.Matcher)
 		if err != nil {
 			return nil, err
 		}

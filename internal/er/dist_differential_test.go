@@ -258,6 +258,8 @@ func TestDistributedBadParams(t *testing.T) {
 	for _, p := range []er.DistParams{
 		{Strategy: "blocksplit", Attr: datagen.AttrTitle, KeyPrefix: 0, Threshold: 0.8, R: 4},
 		{Strategy: "pairrange", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: math.NaN(), R: 4},
+		{Strategy: "pairrange", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: 1.5, R: 4},
+		{Strategy: "blocksplit", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: -0.1, R: 4},
 	} {
 		_, err := er.RunDistributedPipeline(context.Background(),
 			er.FromPartitions(entity.SplitRoundRobin(testEntities(20, 1), 2)), p, er.RunOptions{})

@@ -41,16 +41,11 @@ type Config struct {
 	Attr string
 	// BlockKey derives the blocking key from the attribute value.
 	BlockKey blocking.KeyFunc
-	// Matcher decides whether two entities match. nil counts
-	// comparisons without comparing.
+	// Matcher decides the pairs of each reduce group of the matching
+	// job: match.EditDistance for the paper's rule, or a core.PairFunc
+	// for any per-pair function. nil counts comparisons without
+	// comparing.
 	Matcher core.Matcher
-	// PreparedMatcher, when non-nil, takes precedence over Matcher and
-	// drives the prepare-once comparison kernel: strategies implementing
-	// core.PreparedStrategy (all in-tree ones) prepare each entity once
-	// per reduce group; any other strategy falls back transparently to
-	// the plain path via core.PlainMatcher. Results are identical either
-	// way.
-	PreparedMatcher core.PreparedMatcher
 	// R is the number of reduce tasks of the matching job (and of the
 	// BDM job).
 	R int
@@ -118,20 +113,6 @@ func (r *Result) SimulatedTime(cfg cluster.Config, cm cluster.CostModel) (float6
 	return total, nil
 }
 
-// buildMatchJob selects the matching job's matcher path: the prepared
-// kernel when the config carries a PreparedMatcher and the strategy
-// supports it, the plain-Matcher adapter when it does not, and the plain
-// path otherwise.
-func buildMatchJob(cfg Config, x *bdm.Matrix) (core.MatchJob, error) {
-	if cfg.PreparedMatcher != nil {
-		if ps, ok := cfg.Strategy.(core.PreparedStrategy); ok {
-			return ps.JobPrepared(x, cfg.R, cfg.PreparedMatcher)
-		}
-		return cfg.Strategy.Job(x, cfg.R, core.PlainMatcher(cfg.PreparedMatcher))
-	}
-	return cfg.Strategy.Job(x, cfg.R, cfg.Matcher)
-}
-
 // AnnotateInput converts raw partitions into the blocking-key-annotated
 // records Job 2 consumes, exactly as the BDM job's side output would.
 func AnnotateInput(parts entity.Partitions, attr string, key blocking.KeyFunc) [][]core.AnnotatedEntity {
@@ -170,8 +151,8 @@ func SortMatches(ps []core.MatchPair) {
 
 // SerialMatch is the reference implementation the property tests compare
 // against: group entities by blocking key and compare all pairs within
-// each block with a simple nested loop.
-func SerialMatch(entities []entity.Entity, attr string, key blocking.KeyFunc, match core.Matcher) ([]core.MatchPair, int64) {
+// each block with a simple nested loop. A nil match counts only.
+func SerialMatch(entities []entity.Entity, attr string, key blocking.KeyFunc, match core.PairFunc) ([]core.MatchPair, int64) {
 	blocks := make(map[string][]entity.Entity)
 	for _, e := range entities {
 		k := key(e.Attr(attr))
@@ -198,7 +179,7 @@ func SerialMatch(entities []entity.Entity, attr string, key blocking.KeyFunc, ma
 
 // SerialMatchDual is the two-source reference: compare every R entity
 // with every S entity sharing the same blocking key.
-func SerialMatchDual(r, s []entity.Entity, attr string, key blocking.KeyFunc, match core.Matcher) ([]core.MatchPair, int64) {
+func SerialMatchDual(r, s []entity.Entity, attr string, key blocking.KeyFunc, match core.PairFunc) ([]core.MatchPair, int64) {
 	blocksR := make(map[string][]entity.Entity)
 	for _, e := range r {
 		k := key(e.Attr(attr))

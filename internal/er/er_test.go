@@ -16,7 +16,7 @@ import (
 	"repro/internal/similarity"
 )
 
-func titleMatcher(threshold float64) core.Matcher {
+func titleMatcher(threshold float64) core.PairFunc {
 	return func(a, b entity.Entity) (float64, bool) {
 		sim := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
 		return sim, sim >= threshold

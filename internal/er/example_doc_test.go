@@ -24,10 +24,10 @@ func ExampleRunPipeline() {
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: blocking.NormalizedPrefix(3),
-		Matcher: func(a, b entity.Entity) (float64, bool) {
+		Matcher: core.PairFunc(func(a, b entity.Entity) (float64, bool) {
 			sim := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
 			return sim, sim >= 0.8
-		},
+		}),
 		R: 2,
 	})
 	if err != nil {

@@ -24,10 +24,10 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		es = append(es, entity.New(fmt.Sprintf("e%02d", i), "title", fmt.Sprintf("camera model %d", i%7)))
 	}
 	parts := entity.SplitRoundRobin(es, 3)
-	matcher := func(a, b entity.Entity) (float64, bool) {
+	matcher := core.PairFunc(func(a, b entity.Entity) (float64, bool) {
 		s := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
 		return s, s >= 0.85
-	}
+	})
 	base := er.Config{
 		Strategy:    core.BlockSplit{},
 		Attr:        "title",

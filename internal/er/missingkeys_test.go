@@ -14,7 +14,7 @@ import (
 
 // serialWithMissing is the reference: blocked pairs for keyed entities
 // plus every pair involving at least one no-key entity.
-func serialWithMissing(es []entity.Entity, attr string, key blocking.KeyFunc, match core.Matcher) ([]core.MatchPair, int64) {
+func serialWithMissing(es []entity.Entity, attr string, key blocking.KeyFunc, match core.PairFunc) ([]core.MatchPair, int64) {
 	var keyed, noKey []entity.Entity
 	for _, e := range es {
 		if key(e.Attr(attr)) == "" {
@@ -74,10 +74,12 @@ func missingKeyDataset(rng *rand.Rand, n int) []entity.Entity {
 	return es
 }
 
-func matchSameTail(a, b entity.Entity) (float64, bool) {
+var matchSameTail core.PairFunc = func(a, b entity.Entity) (float64, bool) {
 	ta, tb := a.Attr("title"), b.Attr("title")
 	return 1, ta[len(ta)-1] == tb[len(tb)-1]
 }
+
+var matchAll core.PairFunc = func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }
 
 func TestRunWithMissingKeysAgainstSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -115,7 +117,7 @@ func TestRunWithMissingKeysAllKeyed(t *testing.T) {
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: prefixOrEmpty,
-		Matcher:  func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
+		Matcher:  matchAll,
 		R:        2,
 	})
 	if err != nil {
@@ -139,7 +141,7 @@ func TestRunWithMissingKeysAllMissing(t *testing.T) {
 		Strategy: core.PairRange{},
 		Attr:     "title",
 		BlockKey: prefixOrEmpty,
-		Matcher:  func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
+		Matcher:  matchAll,
 		R:        3,
 	})
 	if err != nil {
@@ -165,7 +167,7 @@ func TestRunWithMissingKeysSingleNoKeyEntity(t *testing.T) {
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: prefixOrEmpty,
-		Matcher:  func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
+		Matcher:  matchAll,
 		R:        2,
 	})
 	if err != nil {

@@ -184,7 +184,7 @@ func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Sou
 		job2Input = AnnotateInput(parts, cfg.Attr, cfg.BlockKey)
 	}
 
-	job, err := buildMatchJob(cfg, res.BDM)
+	job, err := cfg.Strategy.Job(res.BDM, cfg.R, cfg.Matcher)
 	if err != nil {
 		return nil, err
 	}

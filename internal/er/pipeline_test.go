@@ -25,7 +25,7 @@ import (
 	"repro/internal/testleak"
 )
 
-func testMatcher(threshold float64) core.Matcher {
+func testMatcher(threshold float64) core.PairFunc {
 	return func(a, b entity.Entity) (float64, bool) {
 		sim := similarity.LevenshteinSimilarity(a.Attr(datagen.AttrTitle), b.Attr(datagen.AttrTitle))
 		return sim, sim >= threshold
@@ -325,8 +325,8 @@ func TestPipelineReleasesInput(t *testing.T) {
 			return parts, nil
 		})
 		cfg := baseConfig(strat, 1)
-		inner, seen := cfg.Matcher, false
-		cfg.Matcher = func(a, b entity.Entity) (float64, bool) {
+		inner, seen := testMatcher(0.8), false
+		cfg.Matcher = core.PairFunc(func(a, b entity.Entity) (float64, bool) {
 			for i := 0; i < 10 && !seen; i++ {
 				runtime.GC()
 				time.Sleep(time.Millisecond)
@@ -337,7 +337,7 @@ func TestPipelineReleasesInput(t *testing.T) {
 				seen = true
 			}
 			return inner(a, b)
-		}
+		})
 		if _, err := er.RunPipeline(context.Background(), src, cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -38,10 +38,11 @@ func idFor(i int) string {
 	return string([]byte{'e', byte('0' + i/100), byte('0' + (i/10)%10), byte('0' + i%10)})
 }
 
-// plainEditDistance is the hand-written plain Matcher semantically
-// equivalent to match.EditDistance: same decisions, same similarity
-// floats (both sides compute 1 - dist/longest in float64).
-func plainEditDistance(attr string, threshold float64) core.Matcher {
+// plainEditDistance is the serial reference's matcher: the DP
+// Levenshtein similarity, written out without any of the kernels' filters.
+// Its decisions and similarity floats equal match.EditDistance's (both
+// compute 1 - dist/longest in float64).
+func plainEditDistance(attr string, threshold float64) core.PairFunc {
 	return func(a, b entity.Entity) (float64, bool) {
 		if sim := similarity.LevenshteinSimilarity(a.Attr(attr), b.Attr(attr)); sim >= threshold {
 			return sim, true
@@ -50,10 +51,20 @@ func plainEditDistance(attr string, threshold float64) core.Matcher {
 	}
 }
 
-// TestPreparedMatcherDifferential proves the tentpole's correctness
-// claim: the prepared comparison kernel produces bit-identical Matches
-// and Comparisons to the plain matcher on random datasets across all
-// three strategies and several (m, r) shapes.
+// thresholderPairs is the per-pair row of the differentials: a
+// core.PairFunc over similarity.Thresholder.Match, the kernel
+// match.EditDistance's block decides a column at a time.
+func thresholderPairs(attr string, threshold float64) core.PairFunc {
+	th := similarity.NewThresholder(threshold)
+	return func(a, b entity.Entity) (float64, bool) {
+		return th.Match(similarity.Prepare(a.Attr(attr)), similarity.Prepare(b.Attr(attr)))
+	}
+}
+
+// TestPreparedMatcherDifferential: match.EditDistance's native block
+// produces bit-identical Matches and Comparisons to the per-pair
+// Thresholder row and to the serial reference on random datasets across
+// all three strategies and several (m, r) shapes.
 func TestPreparedMatcherDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
@@ -74,28 +85,28 @@ func TestPreparedMatcherDifferential(t *testing.T) {
 				R:        r,
 			}
 			plainCfg := base
-			plainCfg.Matcher = plainEditDistance("title", th)
-			preparedCfg := base
-			preparedCfg.PreparedMatcher = match.EditDistance("title", th)
+			plainCfg.Matcher = thresholderPairs("title", th)
+			blockCfg := base
+			blockCfg.Matcher = match.EditDistance("title", th)
 
 			plainRes, err := RunPipeline(context.Background(), FromPartitions(parts), plainCfg)
 			if err != nil {
-				t.Fatalf("%s plain: %v", strat.Name(), err)
+				t.Fatalf("%s per-pair: %v", strat.Name(), err)
 			}
-			preparedRes, err := RunPipeline(context.Background(), FromPartitions(parts), preparedCfg)
+			blockRes, err := RunPipeline(context.Background(), FromPartitions(parts), blockCfg)
 			if err != nil {
-				t.Fatalf("%s prepared: %v", strat.Name(), err)
+				t.Fatalf("%s block: %v", strat.Name(), err)
 			}
-			if !reflect.DeepEqual(plainRes.Matches, preparedRes.Matches) {
-				t.Fatalf("%s m=%d r=%d th=%v: prepared Matches differ from plain\nplain:    %v\nprepared: %v",
-					strat.Name(), m, r, th, plainRes.Matches, preparedRes.Matches)
+			if !reflect.DeepEqual(plainRes.Matches, blockRes.Matches) {
+				t.Fatalf("%s m=%d r=%d th=%v: block Matches differ from per-pair\nper-pair: %v\nblock:    %v",
+					strat.Name(), m, r, th, plainRes.Matches, blockRes.Matches)
 			}
-			if plainRes.Comparisons != preparedRes.Comparisons {
-				t.Fatalf("%s m=%d r=%d th=%v: prepared Comparisons = %d, plain = %d",
-					strat.Name(), m, r, th, preparedRes.Comparisons, plainRes.Comparisons)
+			if plainRes.Comparisons != blockRes.Comparisons {
+				t.Fatalf("%s m=%d r=%d th=%v: block Comparisons = %d, per-pair = %d",
+					strat.Name(), m, r, th, blockRes.Comparisons, plainRes.Comparisons)
 			}
-			if !reflect.DeepEqual(preparedRes.Matches, serial) || preparedRes.Comparisons != serialComps {
-				t.Fatalf("%s m=%d r=%d th=%v: prepared result disagrees with serial reference",
+			if !reflect.DeepEqual(blockRes.Matches, serial) || blockRes.Comparisons != serialComps {
+				t.Fatalf("%s m=%d r=%d th=%v: block result disagrees with serial reference",
 					strat.Name(), m, r, th)
 			}
 		}
@@ -113,65 +124,24 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 		plainRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
 			Config{
 				Strategy: strat, Attr: "title", BlockKey: key,
-				Matcher: plainEditDistance("title", 0.6), R: 4,
+				Matcher: thresholderPairs("title", 0.6), R: 4,
 			})
 		if err != nil {
-			t.Fatalf("%s plain: %v", strat.Name(), err)
+			t.Fatalf("%s per-pair: %v", strat.Name(), err)
 		}
-		preparedRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
+		blockRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
 			Config{
 				Strategy: strat, Attr: "title", BlockKey: key,
-				PreparedMatcher: match.EditDistance("title", 0.6), R: 4,
+				Matcher: match.EditDistance("title", 0.6), R: 4,
 			})
 		if err != nil {
-			t.Fatalf("%s prepared: %v", strat.Name(), err)
+			t.Fatalf("%s block: %v", strat.Name(), err)
 		}
-		if !reflect.DeepEqual(plainRes.Matches, preparedRes.Matches) ||
-			plainRes.Comparisons != preparedRes.Comparisons {
-			t.Fatalf("%s: prepared dual result differs from plain", strat.Name())
+		if !reflect.DeepEqual(plainRes.Matches, blockRes.Matches) ||
+			plainRes.Comparisons != blockRes.Comparisons {
+			t.Fatalf("%s: block dual result differs from per-pair", strat.Name())
 		}
 	}
-}
-
-// plainOnlyStrategy hides the PreparedStrategy implementation of the
-// wrapped strategy, forcing er.Run's transparent PlainMatcher fallback.
-type plainOnlyStrategy struct{ core.Strategy }
-
-// TestPreparedMatcherFallback: a strategy without JobPrepared still
-// works with a PreparedMatcher via the per-pair adapter, identically.
-func TestPreparedMatcherFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	es := randEntities(rng, 80)
-	parts := entity.SplitRoundRobin(es, 2)
-	key := blocking.NormalizedPrefix(2)
-	if _, ok := any(plainOnlyStrategy{core.PairRange{}}).(core.PreparedStrategy); ok {
-		t.Fatal("plainOnlyStrategy must not implement PreparedStrategy")
-	}
-	want, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
-		Strategy: core.PairRange{}, Attr: "title", BlockKey: key,
-		PreparedMatcher: match.EditDistance("title", 0.7), R: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
-		Strategy: plainOnlyStrategy{core.PairRange{}}, Attr: "title", BlockKey: key,
-		PreparedMatcher: match.EditDistance("title", 0.7), R: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Matches, got.Matches) || want.Comparisons != got.Comparisons {
-		t.Fatal("fallback path result differs from prepared path")
-	}
-}
-
-// perPairOnly hides a matcher's native core.Block (and nothing else),
-// forcing the reducers' adapter-over-PreparedMatcher path.
-type perPairOnly struct{ core.PreparedMatcher }
-
-func (m perPairOnly) ReleasePrepared(p core.PreparedEntity) {
-	m.PreparedMatcher.(core.PreparedReleaser).ReleasePrepared(p)
 }
 
 // mixedEntities is randEntities with accented and CJK runes mixed into
@@ -203,62 +173,71 @@ func blockKernelEngines(t *testing.T) map[string]func() *mapreduce.Engine {
 }
 
 // TestBlockKernelDifferential proves the one reduce-side comparison
-// path is the same path for every matcher form: the native
-// structure-of-arrays block of match.EditDistance, the adapter block
-// over the same matcher's per-pair MatchPrepared, and the adapter block
-// over a hand-written plain Matcher produce identical full Results —
-// matches, similarities in emit order, and every TaskMetrics field —
-// for every strategy over one source and, where it uses the BDM, two,
-// on the typed and the external dataflow.
+// path is the same path for both kinds of core.Matcher: the native
+// structure-of-arrays block of match.EditDistance and a core.PairFunc
+// over similarity.Thresholder.Match produce the serial reference's
+// matches and comparisons and identical full Results — similarities in
+// emit order and every TaskMetrics field — for every strategy over one
+// source and, where it uses the BDM, two, on the typed and the external
+// dataflow.
 func TestBlockKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
 	es := mixedEntities(rng, 220)
 	key := blocking.NormalizedPrefix(1)
 	const th = 0.6
-	type form struct {
-		name     string
-		plain    core.Matcher
-		prepared core.PreparedMatcher
+	forms := []struct {
+		name string
+		m    core.Matcher
+	}{
+		{"native block", match.EditDistance("title", th)},
+		{"PairFunc over Thresholder.Match", thresholderPairs("title", th)},
 	}
-	forms := []form{
-		{name: "native block", prepared: match.EditDistance("title", th)},
-		{name: "adapter over PreparedMatcher", prepared: perPairOnly{match.EditDistance("title", th)}},
-		{name: "adapter over plain Matcher", plain: plainEditDistance("title", th)},
+	type input struct {
+		run    func(cfg Config) (*Result, error)
+		serial func() ([]core.MatchPair, int64)
 	}
-	if _, ok := forms[0].prepared.(core.BlockMatcher); !ok {
-		t.Fatal("match.EditDistance must implement core.BlockMatcher")
-	}
-	if _, ok := forms[1].prepared.(core.BlockMatcher); ok {
-		t.Fatal("perPairOnly must hide the native block")
-	}
-	inputs := map[string]func(cfg Config) (*Result, error){
-		"one source": func(cfg Config) (*Result, error) {
-			return RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 4)), cfg)
+	inputs := map[string]input{
+		"one source": {
+			run: func(cfg Config) (*Result, error) {
+				return RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 4)), cfg)
+			},
+			serial: func() ([]core.MatchPair, int64) {
+				return SerialMatch(es, "title", key, plainEditDistance("title", th))
+			},
 		},
-		"two sources": func(cfg Config) (*Result, error) {
-			return RunDualPipeline(context.Background(),
-				FromPartitions(entity.SplitRoundRobin(es[:130], 2)), FromPartitions(entity.SplitRoundRobin(es[130:], 3)), cfg)
+		"two sources": {
+			run: func(cfg Config) (*Result, error) {
+				return RunDualPipeline(context.Background(),
+					FromPartitions(entity.SplitRoundRobin(es[:130], 2)), FromPartitions(entity.SplitRoundRobin(es[130:], 3)), cfg)
+			},
+			serial: func() ([]core.MatchPair, int64) {
+				return SerialMatchDual(es[:130], es[130:], "title", key, plainEditDistance("title", th))
+			},
 		},
 	}
 	for ename, newEngine := range blockKernelEngines(t) {
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			for iname, run := range inputs {
+			for iname, in := range inputs {
 				if iname == "two sources" && !strat.NeedsBDM() {
 					continue
 				}
+				serial, serialComps := in.serial()
+				if len(serial) == 0 {
+					t.Fatalf("%s/%s/%s: differential vacuous, no matches", ename, strat.Name(), iname)
+				}
 				var want *Result
 				for _, f := range forms {
-					cfg := Config{Strategy: strat, Attr: "title", BlockKey: key, R: 5,
-						Matcher: f.plain, PreparedMatcher: f.prepared}
+					cfg := Config{Strategy: strat, Attr: "title", BlockKey: key, R: 5, Matcher: f.m}
 					cfg.Engine = newEngine()
-					got, err := run(cfg)
+					got, err := in.run(cfg)
 					if err != nil {
 						t.Fatalf("%s/%s/%s/%s: %v", ename, strat.Name(), iname, f.name, err)
 					}
+					if !reflect.DeepEqual(got.Matches, serial) || got.Comparisons != serialComps {
+						t.Fatalf("%s/%s/%s: %s disagrees with the serial reference", ename, strat.Name(), iname, f.name)
+					}
 					if want == nil {
-						if want = got; len(want.Matches) == 0 {
-							t.Fatalf("%s/%s/%s: differential vacuous, no matches", ename, strat.Name(), iname)
-						}
+						want = got
 					} else if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s/%s/%s: %s diverges from %s", ename, strat.Name(), iname, f.name, forms[0].name)
 					}
@@ -276,7 +255,7 @@ func TestBlockKernelChaos(t *testing.T) {
 	parts := entity.SplitRoundRobin(mixedEntities(rng, 200), 3)
 	run := func(hook mapreduce.FaultHook) (*Result, int64) {
 		cfg := Config{Strategy: core.PairRange{}, Attr: "title", BlockKey: blocking.NormalizedPrefix(1), R: 4,
-			PreparedMatcher: match.EditDistance("title", 0.6)}
+			Matcher: match.EditDistance("title", 0.6)}
 		cfg.Engine = &mapreduce.Engine{Parallelism: 3, FaultHook: hook, Retry: mapreduce.RetryPolicy{BaseBackoff: 1}}
 		res, err := RunPipeline(context.Background(), FromPartitions(parts), cfg)
 		if err != nil {

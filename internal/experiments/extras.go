@@ -152,13 +152,13 @@ func QualityTable(ctx context.Context, o Options) (*report.Table, error) {
 	for _, th := range []float64{0.60, 0.70, 0.80, 0.90, 0.95} {
 		th := th
 		res, err := er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-			RunOptions:      o.runOptions(),
-			Strategy:        core.BlockSplit{},
-			Attr:            datagen.AttrTitle,
-			BlockKey:        datagen.BlockKey(),
-			PreparedMatcher: match.EditDistance(datagen.AttrTitle, th),
-			R:               32,
-			UseCombiner:     true,
+			RunOptions:  o.runOptions(),
+			Strategy:    core.BlockSplit{},
+			Attr:        datagen.AttrTitle,
+			BlockKey:    datagen.BlockKey(),
+			Matcher:     match.EditDistance(datagen.AttrTitle, th),
+			R:           32,
+			UseCombiner: true,
 		})
 		if err != nil {
 			return nil, err

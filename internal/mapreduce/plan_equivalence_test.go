@@ -126,7 +126,7 @@ func (d matrixDraw) pairs(parts entity.Partitions) []core.MatchPair {
 	return pairs
 }
 
-func matchAll(entity.Entity, entity.Entity) (float64, bool) { return 1, true }
+var matchAll core.PairFunc = func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }
 
 // drawnMatrix is what the suite reads back from the matrix a strategy
 // planned with.

@@ -1,18 +1,9 @@
-// Package match provides the paper's matcher: EditDistance bridges the
-// similarity kernels to the core.PreparedMatcher interface. It derives a
-// similarity.Prepared form of one entity attribute exactly once per
-// reduce-group membership; the per-pair hot path then runs on the cached
-// forms and allocates nothing in steady state.
-//
-// Paths that only accept a plain core.Matcher (serial references, custom
-// strategies) can wrap it with core.PlainMatcher for identical decisions
-// at the per-pair preparation cost.
-//
-// The prepared forms come from similarity's free list, and EditDistance
-// implements core.PreparedReleaser, so every prepared entity is recycled
-// once its reduce group is finished. EditDistance is also a
-// core.BlockMatcher: the strategy reducers run it a group at a time on a
-// pooled similarity.LevBlock instead of pair by pair.
+// Package match provides the paper's matcher: EditDistance is a
+// core.Matcher whose block is a pooled similarity.LevBlock over one
+// entity attribute. The strategy reducers decide a reduce group a
+// column at a time through it instead of pair by pair; its decisions
+// and similarities are exactly those of similarity.Thresholder.Match,
+// and a steady-state group allocates nothing.
 package match
 
 import (
@@ -28,24 +19,13 @@ import (
 // rule (threshold 0.8). The kernel rejects clearly dissimilar pairs with
 // length and bag-distance pre-filters before running the exact
 // bit-parallel distance.
-func EditDistance(attr string, threshold float64) core.PreparedMatcher {
+func EditDistance(attr string, threshold float64) core.Matcher {
 	return editDistance{attr: attr, th: similarity.NewThresholder(threshold)}
 }
 
 type editDistance struct {
 	attr string
 	th   *similarity.Thresholder
-}
-
-func (m editDistance) Prepare(e entity.Entity) core.PreparedEntity {
-	return similarity.PreparePooled(e.Attr(m.attr))
-}
-
-// ReleasePrepared implements core.PreparedReleaser.
-func (editDistance) ReleasePrepared(p core.PreparedEntity) { p.(*similarity.Prepared).Release() }
-
-func (m editDistance) MatchPrepared(a, b core.PreparedEntity) (float64, bool) {
-	return m.th.Match(a.(*similarity.Prepared), b.(*similarity.Prepared))
 }
 
 // editBlock is EditDistance's core.Block: a LevBlock over the attr
@@ -61,7 +41,7 @@ type editBlock struct {
 // holds about as many blocks as reduce tasks run concurrently.
 var editBlockPool = sync.Pool{New: func() any { return new(editBlock) }}
 
-// AcquireBlock implements core.BlockMatcher.
+// AcquireBlock implements core.Matcher.
 func (m editDistance) AcquireBlock() core.Block {
 	b := editBlockPool.Get().(*editBlock)
 	b.attr = m.attr

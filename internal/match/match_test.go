@@ -3,7 +3,6 @@ package match
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/entity"
 )
 
@@ -13,7 +12,7 @@ import (
 // row would pin it. (similarity's TestLevBlockResetDropsReferences
 // checks the row arrays past their lengths.)
 func TestEditDistanceBlockReleaseDropsReferences(t *testing.T) {
-	bm := EditDistance("title", 0.8).(core.BlockMatcher)
+	bm := EditDistance("title", 0.8)
 	blk := bm.AcquireBlock()
 	for i, title := range []string{"canon eos 5d mk ii", "canon eos 5d mk iii", "cañon eos 5d mk ii"} {
 		rows, _ := blk.Probe(entity.New(string(rune('a'+i)), "title", title), 0, i, true)

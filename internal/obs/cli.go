@@ -87,13 +87,14 @@ func (c *CLI) Start(status func() any) (*Observer, error) {
 
 // Finish writes the -trace file (atomically: temp file renamed over
 // the target on success) and stops the introspection server. Safe to
-// call when Start returned a nil Observer.
+// call when Start returned a nil Observer; only the first call writes.
 func (c *CLI) Finish() error {
 	if c.closer != nil {
 		c.closer()
 		c.closer = nil
 	}
-	if c.obs == nil || c.TracePath == "" {
+	o := c.obs
+	if c.obs = nil; o == nil || c.TracePath == "" {
 		return nil
 	}
 	f, err := os.CreateTemp(filepath.Dir(c.TracePath), "."+filepath.Base(c.TracePath)+".tmp-*")
@@ -102,14 +103,12 @@ func (c *CLI) Finish() error {
 	}
 	switch c.TraceFormat {
 	case "ndjson":
-		err = WriteNDJSON(f, c.obs.Tracer)
+		err = WriteNDJSON(f, o.Tracer)
 	default:
-		err = WriteChromeTrace(f, c.obs.Tracer)
+		err = WriteChromeTrace(f, o.Tracer)
 	}
-	if err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		os.Remove(f.Name())
@@ -119,7 +118,7 @@ func (c *CLI) Finish() error {
 		os.Remove(f.Name())
 		return err
 	}
-	if n := c.obs.Tracer.Dropped(); n > 0 {
+	if n := o.Tracer.Dropped(); n > 0 {
 		fmt.Fprintf(os.Stderr, "obs: trace ring overflowed; %d events dropped (raise the capacity)\n", n)
 	}
 	return nil

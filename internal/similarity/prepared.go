@@ -59,8 +59,8 @@ var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 // PreparePooled is Prepare backed by a free list: the returned value
 // must be handed back via Release once its reduce group is finished and
 // must not be used afterwards. Kernel results are identical to
-// Prepare's. The strategy reducers drive this through the matchers'
-// optional release hook (core.PreparedReleaser).
+// Prepare's. LevBlock draws the Prepared of its non-ASCII rows from
+// here and hands them back when it is Reset.
 func PreparePooled(s string) *Prepared {
 	p := preparedPool.Get().(*Prepared)
 	p.fill(s)
