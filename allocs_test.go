@@ -39,8 +39,7 @@ const typedAllocCeiling = 150
 const obsAllocCeiling = typedAllocCeiling + 10
 
 // The pin runs at Parallelism 1 and 4: raising parallelism must not
-// raise the allocation count (workers share the pooled scratch; the
-// parallel sort's helper goroutines are the only per-worker cost).
+// raise the allocation count (workers share the pooled scratch).
 // Each point runs twice — observability disabled (Obs nil, the default)
 // and enabled — so a regression in either path fails the build.
 func TestTypedEngineAllocsPinned(t *testing.T) {

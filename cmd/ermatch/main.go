@@ -9,7 +9,8 @@
 // engine's retry policy and deterministic fault injection. With
 // -master the process becomes the master of a distributed run: it
 // listens for erworker registrations and dispatches both jobs' tasks
-// to them, producing output byte-identical to the local run.
+// to them, producing output byte-identical to the local run. A failed
+// run's exit status names its failure class; ermatch -h lists them.
 //
 // Usage:
 //
@@ -66,6 +67,11 @@ func main() {
 		addrFile     = flag.String("master-addr-file", "", "distributed: write the master's URL to this file once listening (for scripted worker launch)")
 	)
 	obsCLI.RegisterFlags(flag.CommandLine)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprint(flag.CommandLine.Output(), exitStatus)
+	}
 	flag.Parse()
 	if flag.NArg() > 0 {
 		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
@@ -277,17 +283,45 @@ var cleanupOnFail func()
 // a failed run's trace is the one most worth reading.
 var obsCLI obs.CLI
 
-// fail reports a runtime error (exit 1) after removing the temp output
-// file and writing the -trace file; usage reports a bad invocation —
-// unknown enum value, malformed or out-of-range flag, conflicting flags
-// — with exit 2, matching the other er commands, and is decided before
-// the input or the output file is touched.
+// exitStatus is the exit status section of ermatch -h.
+const exitStatus = `
+Exit status:
+  0  success
+  1  any other runtime error (an unreadable input, an unwritable output)
+  2  bad invocation, decided before the input is opened
+  3  a task failed: its attempts ran out, or it failed fatally
+  4  corrupt data: a run file or record blob failed its checks, or a
+     worker sent a malformed frame
+  5  no live workers to run a task on
+`
+
+// exitCode maps a runtime error to its exit status (exitStatus):
+// corruption first, since it reaches ermatch inside a *TaskError.
+func exitCode(err error) int {
+	var te *mapreduce.TaskError
+	switch {
+	case errors.Is(err, runio.ErrCorrupt), errors.Is(err, dist.ErrFrame):
+		return 4
+	case errors.Is(err, mapreduce.ErrNoWorkers):
+		return 5
+	case errors.As(err, &te):
+		return 3
+	}
+	return 1
+}
+
+// fail reports a runtime error, with the exit status of its class
+// (exitCode), after removing the temp output file and writing the
+// -trace file; usage reports a bad invocation — unknown enum value,
+// malformed or out-of-range flag, conflicting flags — with exit 2,
+// matching the other er commands, and is decided before the input or
+// the output file is touched.
 func fail(err error) {
 	if cleanupOnFail != nil {
 		cleanupOnFail()
 	}
 	fmt.Fprintf(os.Stderr, "ermatch: %v\n", errors.Join(err, obsCLI.Finish()))
-	os.Exit(1)
+	os.Exit(exitCode(err))
 }
 
 func usage(err error) {

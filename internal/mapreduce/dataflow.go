@@ -102,9 +102,6 @@ func (st *runState[I, K, V, O]) bindWireCodecs() (err error) {
 // where intermediate records reside, and what that requires.
 func (st *runState[I, K, V, O]) configure(e *Engine) error {
 	st.e, st.obs, st.tmpDir, st.remote = e, e.Obs, e.TmpDir, e.Remote
-	// limiter bounds the extra goroutines all of this run's sorts may
-	// spawn (nil = serial).
-	st.limiter = newSortLimiter(e.Parallelism)
 	switch {
 	case st.remote != nil:
 		return st.bindWireCodecs()

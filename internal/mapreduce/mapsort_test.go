@@ -5,7 +5,10 @@ package mapreduce_test
 // gathers the records once — into the tail buckets or into a spilled
 // run. Whatever the coding, the budget and the parallelism, what the
 // reducers see must be slices.SortStableFunc of the map tasks'
-// emissions, concatenated in task order, by (partition, Compare).
+// emissions, concatenated in task order, by (partition, Compare). The
+// codings include two whose codes vary in one byte only, at either end
+// of the code, so a radix sort that mishandles its first or last byte
+// position, or the copy back after an odd number of passes, shows.
 
 import (
 	"context"
@@ -73,6 +76,23 @@ func TestMapSideSortIsStableSortByPartitionAndCompare(t *testing.T) {
 			mapreduce.KeyCoding[string]{},
 			func(rng *rand.Rand) string { return strings.Repeat("z", rng.Intn(7)) + fmt.Sprint(rng.Intn(50)) },
 		},
+		// Runs of one letter, ordered by length: the codes differ only in
+		// Lo's low byte (where BlockSplit keeps a value's role), so the
+		// sort makes one pass.
+		"lo-low-byte": {
+			mapreduce.KeyCoding[string]{Encode: func(k string) mapreduce.Code {
+				return mapreduce.Code{Hi: 0x5a5a, Lo: 0x3c00 | uint64(len(k))}
+			}, Exact: true},
+			func(rng *rand.Rand) string { return strings.Repeat("a", 1+rng.Intn(60)) },
+		},
+		// The same keys with the length in Hi's top byte: one pass, the
+		// last byte position.
+		"hi-top-byte": {
+			mapreduce.KeyCoding[string]{Encode: func(k string) mapreduce.Code {
+				return mapreduce.Code{Hi: uint64(len(k))<<56 | 0x77, Lo: 0xff}
+			}, Exact: true},
+			func(rng *rand.Rand) string { return strings.Repeat("b", 1+rng.Intn(60)) },
+		},
 	}
 	for cname, c := range codings {
 		rng := rand.New(rand.NewSource(int64(len(cname))))
@@ -92,10 +112,9 @@ func TestMapSideSortIsStableSortByPartitionAndCompare(t *testing.T) {
 			}
 			return job.Compare(a.Key, b.Key)
 		})
-		// Budgets: the tail only (long enough, > 2·2048 records, for the
-		// sort to go parallel); runs of a handful of records plus a tail;
-		// runs of thousands of records (parallel again for the short
-		// uncoded records) plus a tail.
+		// Budgets: the tail only; runs of a handful of records (most
+		// partitions of a run under the insertion sort's 32) plus a tail;
+		// runs of thousands of records plus a tail.
 		for _, budget := range []int64{0, 300, 64 << 10} {
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("%s/budget=%d/par=%d", cname, budget, par)

@@ -61,9 +61,8 @@ type runStore[K, V any] struct {
 	part func(K, int) int
 	// tie orders two keys whose binary codes are equal; nil when equal
 	// codes mean equal keys (an Exact coding).
-	tie     func(a, b K) int
-	pools   *recPools[K, V]
-	limiter *sortLimiter
+	tie   func(a, b K) int
+	pools *recPools[K, V]
 
 	// obs/jobID carry the run's observability identity into spill and
 	// merge spans. nil/0 when observability is off — including always on

@@ -25,9 +25,6 @@ type sortEntry struct {
 // tasks, runs and jobs; entries hold no pointers, so nothing is cleared.
 var sortEntryPool slicePool[sortEntry]
 
-// cmpSortEntryCode orders the entries of one partition by code.
-func cmpSortEntryCode(a, b *sortEntry) int { return a.code.Cmp(b.code) }
-
 // sortedEntries is the engine's one map-side sort: it returns the order
 // in which a map task's buffered records leave it — by reduce partition,
 // then by key, equal keys in emission order (the order the shuffle's
@@ -37,15 +34,14 @@ func cmpSortEntryCode(a, b *sortEntry) int { return a.code.Cmp(b.code) }
 //
 // No step touches a record unless it must. Entries are dealt into
 // partition order by counting, then each partition's entries are sorted
-// by code. Only when equal codes do not mean equal keys (a coding that
-// is not Exact, or none: all codes zero) is each run of equal codes then
-// sorted by the job's Compare, reached through idx. Such a run is in
-// emission order, so its records are visited front to back, and when
-// its keys are in fact all equal — every key no longer than a prefix
-// code's 16 bytes — the sort finds it already in order after one pass.
-// Both sorts are the shared stable merge sort, parallel when the run's
-// limiter has free workers and bitwise-identical to the serial order
-// either way (parsort.go).
+// by code (radixSortEntries). Only when equal codes do not mean equal
+// keys (a coding that is not Exact, or none: all codes zero) is each run
+// of equal codes then sorted by the job's Compare, reached through idx.
+// Such a run is in emission order, so its records are visited front to
+// back, and when its keys are in fact all equal — every key no longer
+// than a prefix code's 16 bytes — the merge sort finds it already in
+// order after one pass. Both sorts are stable, so the result is the one
+// permutation ordered by (partition, key, emission).
 func (rs *runStore[K, V]) sortedEntries(recs []Rec[K, V]) ([]sortEntry, error) {
 	n := len(recs)
 	entries := getScratch(&sortEntryPool, n)
@@ -82,20 +78,154 @@ func (rs *runStore[K, V]) sortedEntries(recs []Rec[K, V]) ([]sortEntry, error) {
 	lo := 0
 	for _, end := range ends {
 		hi := int(end)
-		stableSortParallelG(entries[lo:hi], scratch[lo:hi], rs.limiter, cmpSortEntryCode)
-		if byKey != nil {
-			for lo < hi {
-				tied := lo + 1
-				for tied < hi && entries[tied].code == entries[lo].code {
-					tied++
-				}
-				stableSortParallelG(entries[lo:tied], scratch[lo:tied], rs.limiter, byKey)
-				lo = tied
+		radixSortEntries(entries[lo:hi], scratch[lo:hi])
+		for byKey != nil && lo < hi {
+			tied := lo + 1
+			for tied < hi && entries[tied].code == entries[lo].code {
+				tied++
 			}
+			stableSortSerialG(entries[lo:tied], scratch[lo:tied], byKey)
+			lo = tied
 		}
 		lo = hi
 	}
 	return entries, nil
+}
+
+// insertionMax is the partition size up to which an insertion sort
+// beats the radix sort's fixed cost (a 256-bucket count per pass).
+const insertionMax = 32
+
+// radixSortEntries sorts a by code, stably, with scratch (as long as a)
+// as the other side of each pass. It is a least-significant-digit radix
+// sort over the code's 16 bytes, Lo's lowest first, and it makes a
+// count-and-scatter pass only for the bytes on which two entries
+// differ — found by one AND/OR sweep, so a byte every code shares (most
+// of a block index's high bytes, all of an absent coding) costs nothing.
+// Each pass is stable (entries are scattered front to back into their
+// byte's bucket), so after the last one the entries are ordered by the
+// whole code and equal codes keep their order in a.
+func radixSortEntries(a, scratch []sortEntry) {
+	if len(a) <= insertionMax {
+		for i := 1; i < len(a); i++ {
+			e, j := a[i], i
+			for ; j > 0 && e.code.Cmp(a[j-1].code) < 0; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = e
+		}
+		return
+	}
+	andHi, andLo := ^uint64(0), ^uint64(0)
+	var orHi, orLo uint64
+	for i := range a {
+		andHi, orHi = andHi&a[i].code.Hi, orHi|a[i].code.Hi
+		andLo, orLo = andLo&a[i].code.Lo, orLo|a[i].code.Lo
+	}
+	vary := Code{Hi: orHi ^ andHi, Lo: orLo ^ andLo}
+	src, dst := a, scratch[:len(a)]
+	for shift := uint(0); shift < 128; shift += 8 {
+		if codeByte(vary, shift) != 0 {
+			radixPass(src, dst, shift)
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// codeByte is the byte of c at shift, counted from Lo's lowest bit.
+func codeByte(c Code, shift uint) byte {
+	w := c.Lo
+	if shift >= 64 {
+		w = c.Hi
+	}
+	return byte(w >> (shift % 64))
+}
+
+// radixPass scatters src into dst stably by each code's byte at shift.
+func radixPass(src, dst []sortEntry, shift uint) {
+	var count [256]int32
+	for i := range src {
+		count[codeByte(src[i].code, shift)]++
+	}
+	var sum int32
+	for b, c := range count {
+		count[b] = sum
+		sum += c
+	}
+	for i := range src {
+		b := codeByte(src[i].code, shift)
+		dst[count[b]] = src[i]
+		count[b]++
+	}
+}
+
+// insertionRun is the run length below which the merge sort's
+// insertion sort beats merging; it is also the initial width of the
+// bottom-up merge.
+const insertionRun = 24
+
+// insertionSortG is a stable insertion sort (equal keys never swap).
+func insertionSortG[T any](a []T, cmp func(x, y *T) int) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && cmp(&a[j], &a[j-1]) < 0; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+// mergeRunsG merges the two adjacent sorted runs a[:mid] and a[mid:] in
+// place, taking from the left run on ties (stability). The left run is
+// staged in scratch (which must hold at least mid elements); the merged
+// output is written from the front of a, which can never overtake the
+// unread part of the right run.
+func mergeRunsG[T any](a []T, mid int, scratch []T, cmp func(x, y *T) int) {
+	if cmp(&a[mid-1], &a[mid]) <= 0 {
+		return // already in order
+	}
+	left := scratch[:mid]
+	copy(left, a[:mid])
+	i, j, k := 0, mid, 0
+	for i < mid && j < len(a) {
+		if cmp(&a[j], &left[i]) < 0 {
+			a[k] = a[j]
+			j++
+		} else {
+			a[k] = left[i]
+			i++
+		}
+		k++
+	}
+	for i < mid {
+		a[k] = left[i]
+		i++
+		k++
+	}
+}
+
+// stableSortSerialG sorts a stably with the classic insertion-run +
+// bottom-up merge scheme. scratch must hold at least len(a) elements.
+func stableSortSerialG[T any](a, scratch []T, cmp func(x, y *T) int) {
+	n := len(a)
+	if n < 2 {
+		return
+	}
+	if n <= insertionRun {
+		insertionSortG(a, cmp)
+		return
+	}
+	for lo := 0; lo < n; lo += insertionRun {
+		hi := min(lo+insertionRun, n)
+		insertionSortG(a[lo:hi], cmp)
+	}
+	for width := insertionRun; width < n; width *= 2 {
+		for lo := 0; lo+width < n; lo += 2 * width {
+			hi := min(lo+2*width, n)
+			mergeRunsG(a[lo:hi], width, scratch[lo:lo+width], cmp)
+		}
+	}
 }
 
 // ---- pooled typed scratch buffers ----
