@@ -41,6 +41,10 @@ func (s Source) String() string {
 // with each other (Compares), a block's pairs (BlockPairs), and how
 // entities are counted (EntityOffset, SourceSize). Untagged, every
 // partition holds R.
+//
+// A matrix with missing keys (Section III; see WithMissingKeys) turns
+// the block of the empty key into the ⊥ row, which compares its
+// keyless entities with each other and with every keyed entity.
 type Matrix struct {
 	keys    []string       // block index -> blocking key
 	index   map[string]int // blocking key -> block index
@@ -49,6 +53,8 @@ type Matrix struct {
 	total   []int          // [block] -> Σ over partitions
 	sources []Source       // partition -> source; nil = one source
 	totalS  []int          // [block] -> Σ over S partitions; nil = one source
+	keyed   []int          // partition -> #entities with a key; nil = no ⊥ row
+	nKeyed  int            // Σ keyed
 	offsets []int64        // [block] -> Σ pairs of preceding blocks (o(i))
 	pairs   int64          // total number of pairs P
 }
@@ -58,6 +64,9 @@ type Matrix struct {
 // pairs of entities from different sources count. The receiver is not
 // modified.
 func (x *Matrix) WithSources(sources []Source) (*Matrix, error) {
+	if x.keyed != nil {
+		return nil, fmt.Errorf("bdm: a matrix with a ⊥ row takes no source tags")
+	}
 	if len(sources) != x.m {
 		return nil, fmt.Errorf("bdm: %d partitions but %d source tags", x.m, len(sources))
 	}
@@ -77,6 +86,40 @@ func (x *Matrix) WithSources(sources []Source) (*Matrix, error) {
 	y.finalize()
 	return &y, nil
 }
+
+// WithMissingKeys returns the matrix with the block of the empty key as
+// the ⊥ row of Section III: the entities without a blocking key, n⊥ of
+// them, are compared with each other and with all nK keyed entities.
+// The row holds every entity, the keyless ones first, and its pairs are
+// the first n⊥ columns of its triangle, C(n⊥,2) + n⊥·nK. The empty key
+// sorts first, so the ⊥ row is block 0. Without keyless entities there
+// is no ⊥ row and the matrix is returned as it is. The receiver is not
+// modified.
+func (x *Matrix) WithMissingKeys() (*Matrix, error) {
+	if x.sources != nil {
+		return nil, fmt.Errorf("bdm: a matrix with source tags takes no ⊥ row")
+	}
+	y := *x
+	if len(x.keys) == 0 || x.keys[0] != "" || x.total[0] == 0 {
+		return &y, nil
+	}
+	y.keyed = make([]int, x.m)
+	for _, row := range x.sizes[1:] {
+		for p, n := range row {
+			y.keyed[p] += n
+			y.nKeyed += n
+		}
+	}
+	y.finalize()
+	return &y, nil
+}
+
+// MissingKeys reports whether block 0 is a ⊥ row.
+func (x *Matrix) MissingKeys() bool { return x.keyed != nil }
+
+// KeyedIn returns the entities of partition p that have a blocking key:
+// the ⊥ row's keyed entities there. Only a matrix with a ⊥ row has them.
+func (x *Matrix) KeyedIn(p int) int { return x.keyed[p] }
 
 // TwoSources reports whether the matrix's partitions carry source tags.
 func (x *Matrix) TwoSources() bool { return x.sources != nil }
@@ -110,14 +153,21 @@ func (x *Matrix) BlockIndex(key string) (int, bool) {
 	return k, ok
 }
 
-// Size returns the total number of entities in block k.
-func (x *Matrix) Size(k int) int { return x.total[k] }
+// Size returns the number of entities block k compares: those of its
+// key, and in a ⊥ row every keyed entity as well.
+func (x *Matrix) Size(k int) int {
+	if k == 0 && x.keyed != nil {
+		return x.total[0] + x.nKeyed
+	}
+	return x.total[k]
+}
 
-// SizeIn returns the number of entities of block k in partition p.
+// SizeIn returns the number of entities of block k in partition p — in
+// a ⊥ row, its keyless ones.
 func (x *Matrix) SizeIn(k, p int) int { return x.sizes[k][p] }
 
 // SourceSize returns |Φk,src|, the entities of block k in src's
-// partitions.
+// partitions — in a ⊥ row, n⊥ of them.
 func (x *Matrix) SourceSize(k int, src Source) int {
 	s := 0
 	if x.totalS != nil {
@@ -130,12 +180,16 @@ func (x *Matrix) SourceSize(k int, src Source) int {
 }
 
 // BlockPairs returns the number of entity pairs block k compares:
-// |Φk|·(|Φk|−1)/2 for one source, |Φk,R|·|Φk,S| for two.
+// |Φk|·(|Φk|−1)/2 for one source, |Φk,R|·|Φk,S| for two, and
+// C(n⊥,2) + n⊥·nK for a ⊥ row.
 func (x *Matrix) BlockPairs(k int) int64 {
 	if x.sources != nil {
 		return int64(x.SourceSize(k, SourceR)) * int64(x.totalS[k])
 	}
 	n := int64(x.total[k])
+	if k == 0 && x.keyed != nil {
+		return n*(n-1)/2 + n*int64(x.nKeyed)
+	}
 	return n * (n - 1) / 2
 }
 

@@ -2,6 +2,7 @@ package bdm
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,15 +38,21 @@ func FuzzBDMKeyCodec(f *testing.F) {
 // FuzzMatrixSerialize round-trips a matrix through the quoted-key text
 // format of WriteTo/ReadFrom — the same arbitrary-byte-key concern as
 // the runio codecs, on the other on-disk artifact of the workflow. tags
-// is the header's source field: "" for one source, valid tags make a
-// two-source matrix, and any other tags spliced into a header must be
-// rejected with an error naming line 1.
+// is the header's third field: "" for one source, valid tags make a
+// two-source matrix, the ⊥ marker a matrix with missing keys when a key
+// is empty, and any other tags — or a ⊥ marker over cells without an
+// empty key — spliced into a header must be rejected with an error
+// naming line 1.
 func FuzzMatrixSerialize(f *testing.F) {
 	f.Add("canon", "nikon", 2, 1, 3, "")
 	f.Add("tab\tkey", "nl\nkey", 0, 0, 1, "")
 	f.Add(string([]byte{0xff, 0xfe}), string([]byte{0x00}), 1, 2, 9, "")
 	f.Add("canon", "nikon", 2, 1, 3, "RSSR")
 	f.Add("canon", "nikon", 2, 1, 3, "RSxR")
+	f.Add("", "nikon", 2, 1, 3, bottomMarker)
+	f.Add("", "", 3, 3, 1, bottomMarker)
+	f.Add("canon", "nikon", 2, 1, 3, bottomMarker)
+	f.Add("", "nikon", 2, 1, 3, bottomMarker+"R")
 	f.Fuzz(func(t *testing.T, key1, key2 string, p1, p2, count int, tags string) {
 		m := 4
 		norm := func(p int) int {
@@ -69,7 +76,19 @@ func FuzzMatrixSerialize(f *testing.F) {
 			t.Fatalf("FromCells: %v", err)
 		}
 		sources, badTags := parseSources(tags, m)
-		if tags != "" && badTags == nil {
+		switch {
+		case tags == bottomMarker:
+			if x, err = x.WithMissingKeys(); err != nil {
+				t.Fatalf("WithMissingKeys: %v", err)
+			}
+			if x.MissingKeys() != (key1 == "" || key2 == "") {
+				t.Fatalf("keys %q, %q: ⊥ row %v", key1, key2, x.MissingKeys())
+			}
+			badTags = nil
+			if !x.MissingKeys() {
+				badTags = errors.New("⊥ marker without an empty key")
+			}
+		case tags != "" && badTags == nil:
 			if x, err = x.WithSources(sources); err != nil {
 				t.Fatalf("WithSources: %v", err)
 			}

@@ -12,10 +12,10 @@ import (
 // as triples (blocking key, partition index, count), one per non-zero
 // cell, which the second job's map tasks read at initialization time.
 // WriteTo/ReadFrom implement that on-disk format: a header line with the
-// partition count — and, for two sources, a third field with one R or S
-// per partition — then one tab-separated cell per line. Blocking keys
-// are quoted so that keys containing tabs or newlines survive the round
-// trip.
+// partition count — and a third field with, for two sources, one R or S
+// per partition, or, with missing keys, the ⊥ marker — then one
+// tab-separated cell per line. Blocking keys are quoted so that keys
+// containing tabs or newlines survive the round trip.
 
 // WriteTo serializes the matrix in the cell format. It returns the
 // number of bytes written.
@@ -28,6 +28,9 @@ func (x *Matrix) WriteTo(w io.Writer) (int64, error) {
 		for _, s := range x.sources {
 			line = append(line, s.String()...)
 		}
+	}
+	if x.keyed != nil {
+		line = append(line, "\t"+bottomMarker...)
 	}
 	c, err := bw.Write(append(line, '\n'))
 	n += int64(c)
@@ -81,7 +84,8 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		return nil, fmt.Errorf("bdm: line 1: malformed partition count %q", parts)
 	}
 	var sources []Source
-	if tagged {
+	bottom := tags == bottomMarker
+	if tagged && !bottom {
 		if sources, err = parseSources(tags, m); err != nil {
 			return nil, fmt.Errorf("bdm: line 1: %w", err)
 		}
@@ -110,11 +114,20 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		cells = append(cells, Cell{BlockKey: key, Partition: part, Count: cnt})
 	}
 	x, err := FromCells(cells, m)
-	if err != nil || sources == nil {
+	switch {
+	case err != nil || !tagged:
 		return x, err
+	case !bottom:
+		return x.WithSources(sources)
 	}
-	return x.WithSources(sources)
+	if x, err = x.WithMissingKeys(); err == nil && !x.MissingKeys() {
+		return nil, fmt.Errorf("bdm: line 1: ⊥ marker, but every entity has a key")
+	}
+	return x, err
 }
+
+// bottomMarker is the header field of a matrix with a ⊥ row.
+const bottomMarker = "⊥"
 
 // parseSources reads the header's source tags: one R or S per partition.
 func parseSources(tags string, m int) ([]Source, error) {

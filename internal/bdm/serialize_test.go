@@ -18,7 +18,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []*Matrix{one, dualMatrix(t)} {
+	for _, x := range []*Matrix{one, dualMatrix(t), bottomMatrix(t)} {
 		var buf bytes.Buffer
 		n, err := x.WriteTo(&buf)
 		if err != nil {
@@ -92,26 +92,31 @@ func TestSerializeFuzz(t *testing.T) {
 
 func TestReadFromErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":           "",
-		"bad header":      "nope\t3\n",
-		"bad partitions":  "bdm\tzero\n",
-		"zero partitions": "bdm\t0\n",
-		"short line":      "bdm\t2\n\"a\"\t1\n",
-		"bad key quoting": "bdm\t2\nnoquotes\t0\t1\n",
-		"bad count":       "bdm\t2\n\"a\"\t0\tmany\n",
-		"bad partition":   "bdm\t2\n\"a\"\tx\t1\n",
-		"out of range":    "bdm\t2\n\"a\"\t7\t1\n",
-		"duplicate cells": "bdm\t2\n\"a\"\t0\t1\n\"a\"\t0\t2\n",
-		"bad source tag":  "bdm\t2\tRX\n\"a\"\t0\t1\n",
-		"short tags":      "bdm\t2\tR\n\"a\"\t0\t1\n",
-		"empty tags":      "bdm\t2\t\n",
-		"fourth field":    "bdm\t2\tRS\tR\n",
+		"empty":                "",
+		"bad header":           "nope\t3\n",
+		"bad partitions":       "bdm\tzero\n",
+		"zero partitions":      "bdm\t0\n",
+		"short line":           "bdm\t2\n\"a\"\t1\n",
+		"bad key quoting":      "bdm\t2\nnoquotes\t0\t1\n",
+		"bad count":            "bdm\t2\n\"a\"\t0\tmany\n",
+		"bad partition":        "bdm\t2\n\"a\"\tx\t1\n",
+		"out of range":         "bdm\t2\n\"a\"\t7\t1\n",
+		"duplicate cells":      "bdm\t2\n\"a\"\t0\t1\n\"a\"\t0\t2\n",
+		"bad source tag":       "bdm\t2\tRX\n\"a\"\t0\t1\n",
+		"short tags":           "bdm\t2\tR\n\"a\"\t0\t1\n",
+		"empty tags":           "bdm\t2\t\n",
+		"fourth field":         "bdm\t2\tRS\tR\n",
+		"⊥ without keyless":    "bdm\t2\t⊥\n\"a\"\t0\t1\n",
+		"⊥ of an empty matrix": "bdm\t2\t⊥\n",
+		"⊥ twice":              "bdm\t2\t⊥⊥\n\"\"\t0\t1\n",
+		"⊥ and tags":           "bdm\t2\tRS⊥\n\"\"\t0\t1\n",
+		"⊥ then tags":          "bdm\t2\t⊥\tRS\n\"\"\t0\t1\n",
 	}
 	for name, input := range cases {
 		_, err := ReadFrom(strings.NewReader(input))
 		if err == nil {
 			t.Errorf("%s: want error", name)
-		} else if strings.Contains(input, "\tR") && !strings.Contains(err.Error(), "line 1:") {
+		} else if strings.ContainsAny(input, "R⊥") && !strings.Contains(err.Error(), "line 1:") {
 			t.Errorf("%s: error %q does not name line 1", name, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package bdm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -79,6 +80,70 @@ func TestWithSourcesValidation(t *testing.T) {
 	}
 	if _, err := x.WithSources([]Source{SourceR, Source(7), SourceS}); err == nil {
 		t.Error("invalid source: want error")
+	}
+	// Source tags and a ⊥ row do not combine, in either order.
+	if _, err := x.WithMissingKeys(); err == nil {
+		t.Error("⊥ row on a tagged matrix: want error")
+	}
+	if _, err := bottomMatrix(t).WithSources([]Source{SourceR, SourceS, SourceS}); err == nil {
+		t.Error("source tags on a matrix with a ⊥ row: want error")
+	}
+}
+
+// bottomMatrix is dualParts' entities with a ⊥ row: x and z lose their
+// keys, so ⊥ holds 4 keyless entities (2, 1, 1 per partition) and y's
+// and the rest's 3 keyed ones (1, 1, 1).
+func bottomMatrix(t *testing.T) *Matrix {
+	t.Helper()
+	x, err := unmarkedBottom(t).WithMissingKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// unmarkedBottom is bottomMatrix before WithMissingKeys.
+func unmarkedBottom(t *testing.T) *Matrix {
+	t.Helper()
+	parts, _ := dualParts()
+	x, err := FromPartitions(parts, "k", func(v string) string {
+		if v == "x" {
+			return ""
+		}
+		return v
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+func TestWithMissingKeys(t *testing.T) {
+	x := bottomMatrix(t)
+	if !x.MissingKeys() || x.BlockKey(0) != "" || x.SourceSize(0, SourceR) != 4 {
+		t.Fatalf("⊥ row %v, block 0 %q, n⊥ = %d; want a ⊥ row of 4 keyless entities", x.MissingKeys(), x.BlockKey(0), x.SourceSize(0, SourceR))
+	}
+	for p, want := range []int{1, 1, 1} {
+		if got := x.KeyedIn(p); got != want {
+			t.Errorf("KeyedIn(%d) = %d, want %d", p, got, want)
+		}
+	}
+	// The row holds all 7 entities, and its pairs are the first 4
+	// columns of their triangle: C(4,2) + 4·3 = 18. z's pair adds 1.
+	if x.Size(0) != 7 || x.SizeIn(0, 0) != 2 || x.BlockPairs(0) != 18 || x.Pairs() != 19 || x.TotalEntities() != 7 {
+		t.Errorf("⊥ row of %d entities (%d in Π0), %d pairs, P = %d, %d entities; want 7 (2), 18, 19, 7", x.Size(0), x.SizeIn(0, 0), x.BlockPairs(0), x.Pairs(), x.TotalEntities())
+	}
+	// Without keyless entities there is no ⊥ row, and the matrix is the
+	// one it was made from; that one is untouched either way.
+	parts, _ := dualParts()
+	one, _ := FromPartitions(parts, "k", blocking.Identity())
+	same, err := one.WithMissingKeys()
+	if err != nil || same.MissingKeys() || !reflect.DeepEqual(same, one) {
+		t.Errorf("all keyed: ⊥ row %v, err %v, want the matrix unchanged", same.MissingKeys(), err)
+	}
+	plain := unmarkedBottom(t)
+	if _, err := plain.WithMissingKeys(); err != nil || plain.MissingKeys() || plain.Size(0) != 4 || plain.Pairs() != 7 {
+		t.Error("WithMissingKeys changed its receiver")
 	}
 }
 

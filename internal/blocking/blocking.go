@@ -13,9 +13,9 @@ import (
 )
 
 // KeyFunc derives the blocking key from an entity attribute value. The
-// empty string is a valid key (the paper treats entities without a
-// blocking key via a Cartesian-product special case; callers that need
-// that behaviour should use Constant for the no-key subset).
+// empty string is a valid key. An entity without a blocking key, which
+// the paper matches against every other (Section III), gets the empty
+// key, and er.RunWithMissingKeysPipeline treats it so.
 type KeyFunc func(attrValue string) string
 
 // Prefix returns a KeyFunc taking the first n runes of the value,
@@ -95,13 +95,6 @@ func NormalizedPrefix(n int) KeyFunc {
 		}
 		return b.String()
 	}
-}
-
-// Constant returns a KeyFunc mapping every entity to the same block,
-// denoted ⊥ in the paper. It is used when matching entities without a
-// valid blocking key against everything else.
-func Constant(key string) KeyFunc {
-	return func(string) string { return key }
 }
 
 // Identity uses the attribute value itself as the blocking key. Useful

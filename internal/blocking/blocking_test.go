@@ -56,13 +56,6 @@ func TestNormalizedPrefixPanicsOnBadN(t *testing.T) {
 	NormalizedPrefix(0)
 }
 
-func TestConstant(t *testing.T) {
-	c := Constant("⊥")
-	if c("anything") != "⊥" || c("") != "⊥" {
-		t.Error("Constant not constant")
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	id := Identity()
 	for _, s := range []string{"", "x", "block-42"} {

@@ -21,7 +21,10 @@ import (
 // Over a two-source matrix (Appendix I-A) a block's work is its R×S
 // pairs, and a split block yields only the cross products of an R and an
 // S partition; in every task the R entities are the rows each S entity
-// is compared with.
+// is compared with. Over a matrix with missing keys (Section III) the ⊥
+// row is a block like the others, of every keyless entity as rows and
+// every keyed entity as probes, and split it makes tasks of sub-blocks
+// the same way.
 //
 // The zero value is the paper's strategy. MaxEntitiesPerTask additionally
 // enforces the memory constraint Section IV alludes to ("assigns entire
@@ -55,11 +58,16 @@ type BSKey struct {
 }
 
 // The values of BSKey.Role. A cross product's rows sort before its
-// probes, so the reducer needs nothing but the key.
+// probes, so the reducer needs nothing but the key. In the ⊥ row a
+// keyed entity is a probe of its self-join, and a cross product k.j×i
+// has four roles: j's keyless rows, i's keyed probes, which meet those
+// alone, j's keyed rows, then i's keyless probes, which meet them all.
 const (
-	roleMember = iota // self-join: meets every value before it, then is kept
-	roleRow           // cross product: is kept, meets nothing
-	roleProbe         // cross product: meets every row, is not kept
+	roleMember    = iota // self-join: meets every value before it, then is kept
+	roleRow              // cross product: is kept, meets nothing
+	roleProbe            // cross product: meets every row before it, is not kept
+	roleLateRow          // ⊥ cross product: a row after the first probes
+	roleLateProbe        // ⊥ cross product: a probe after the late rows
 )
 
 func (k BSKey) String() string {
@@ -156,26 +164,17 @@ func buildAssignment(x *bdm.Matrix, r, maxEntities int) *Assignment {
 			a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: -1, j: -1}, comps: comps})
 			continue
 		}
-		// Split along the input partitions; skip combinations with an
-		// empty side (|Φik|·|Φjk| = 0) and those the matrix does not
-		// compare (two sources: partitions of one source).
+		// Split along the input partitions.
 		a.split[k] = true
 		a.where[k] = int32(len(a.pairs))
 		for range m * m {
 			a.pairs = append(a.pairs, -1)
 		}
 		for i := 0; i < m; i++ {
-			ni := int64(x.SizeIn(k, i))
 			for j := 0; j <= i; j++ {
-				nj := int64(x.SizeIn(k, j))
-				if ni*nj == 0 || !x.Compares(i, j) {
-					continue
+				if comps, ok := taskPairs(x, k, i, j); ok {
+					a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: i, j: j}, comps: comps})
 				}
-				comps := ni * nj
-				if i == j {
-					comps = ni * (ni - 1) / 2
-				}
-				a.ordered = append(a.ordered, matchTask{id: taskID{block: k, i: i, j: j}, comps: comps})
 			}
 		}
 	}
@@ -189,6 +188,25 @@ func buildAssignment(x *bdm.Matrix, r, maxEntities int) *Assignment {
 		}
 	}
 	return a
+}
+
+// taskPairs returns the comparisons of match task k.j×i (i ≥ j) of a
+// split block, and whether there is such a task: one with an entity on
+// each side, a keyless one among them in a ⊥ row, whose partitions the
+// matrix compares (two sources: not of one source). In a ⊥ row, with ⊥i
+// keyless and Ki keyed entities in partition i, sub-block i compares
+// C(⊥i,2) + ⊥i·Ki pairs and a cross product ⊥j·(⊥i+Ki) + Kj·⊥i.
+func taskPairs(x *bdm.Matrix, k, i, j int) (int64, bool) {
+	ni, nj := int64(x.SizeIn(k, i)), int64(x.SizeIn(k, j))
+	ki, kj := int64(0), int64(0)
+	if k == 0 && x.MissingKeys() {
+		ki, kj = int64(x.KeyedIn(i)), int64(x.KeyedIn(j))
+	}
+	comps := ni*nj + ni*kj + ki*nj
+	if i == j {
+		comps = ni*(ni-1)/2 + ni*ki
+	}
+	return comps, (ni+ki)*(nj+kj) > 0 && ni+nj > 0 && x.Compares(i, j)
 }
 
 // compareTasks orders match tasks descending by comparisons; ties by
@@ -339,42 +357,61 @@ func (mp *bsMapper) Configure(m, _, partitionIndex int) {
 
 // Map implements Algorithm 1 lines 29-44: one output per unsplit block
 // entity, one per match task of its partition (own sub-block + one cross
-// product per other compared partition) per split-block entity.
+// product per other compared partition) per split-block entity — and
+// the same again for a keyed entity's place in the ⊥ row.
 func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Entity], rec AnnotatedEntity) {
 	k, ok := mp.x.BlockIndex(rec.Key)
 	if !ok {
 		panic(fmt.Sprintf("core: BlockSplit: blocking key %q not present in BDM", rec.Key))
 	}
+	mp.emit(ctx, k, rec.Value, false)
+	if k != 0 && mp.x.MissingKeys() {
+		mp.emit(ctx, 0, rec.Value, true)
+	}
+}
+
+// emit sends e, an entity of block k — with keyed, a keyed entity of
+// the ⊥ row — to its match tasks. A keyed entity meets only keyless
+// ones, so it skips the tasks of a partition without them.
+func (mp *bsMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Entity], k int, e entity.Entity, keyed bool) {
 	if !mp.asg.split[k] {
 		if mp.x.BlockPairs(k) == 0 {
 			return // nothing to compare
 		}
-		ctx.Emit(BSKey{Reduce: mp.asg.reduceOf(k, -1, -1), Block: k, I: -1, J: -1, Role: mp.role(-1, -1)}, rec.Value)
+		ctx.Emit(BSKey{Reduce: mp.asg.reduceOf(k, -1, -1), Block: k, I: -1, J: -1, Role: mp.role(k, -1, -1, keyed)}, e)
 		return
 	}
 	for i := 0; i < mp.m; i++ {
 		hi, lo := max(mp.partition, i), min(mp.partition, i)
 		reduce := mp.asg.reduceOf(k, hi, lo)
-		if reduce < 0 {
-			continue // empty or uncompared counterpart partition
+		if reduce < 0 || keyed && mp.x.SizeIn(0, i) == 0 {
+			continue // no such task, or nothing in it to compare with
 		}
-		ctx.Emit(BSKey{Reduce: reduce, Block: k, I: hi, J: lo, Role: mp.role(hi, lo)}, rec.Value)
+		ctx.Emit(BSKey{Reduce: reduce, Block: k, I: hi, J: lo, Role: mp.role(k, hi, lo, keyed)}, e)
 	}
 }
 
 // role is the part this partition's entities play in match task
 // k.lo×hi: with two sources R is the row side of every task, with one
-// source a cross product's rows are the lower partition's.
-func (mp *bsMapper) role(hi, lo int) int {
+// source a cross product's rows are the lower partition's. In the ⊥ row
+// a keyed entity is a probe, except on the row side of a cross product,
+// where it is a late row, and the keyless probes come late.
+func (mp *bsMapper) role(k, hi, lo int, keyed bool) int {
 	switch {
 	case mp.x.TwoSources() && mp.x.PartitionSource(mp.partition) == bdm.SourceR:
 		return roleRow
 	case mp.x.TwoSources():
 		return roleProbe
+	case keyed && hi != lo && mp.partition == lo:
+		return roleLateRow
+	case keyed:
+		return roleProbe
 	case hi == lo:
 		return roleMember
 	case mp.partition == lo:
 		return roleRow
+	case k == 0 && mp.x.MissingKeys():
+		return roleLateProbe
 	}
 	return roleProbe
 }
@@ -386,16 +423,16 @@ func (rd *bsReducer) Configure(_, _, _ int) {}
 // Reduce implements Algorithm 1 lines 48-65, reading each value's role
 // from its key: a self-join member meets every row loaded before it and
 // becomes a row; a cross product's rows, which sort first, are loaded,
-// and each probe meets all of them without being kept.
+// and each probe meets all rows loaded before it without being kept.
 func (rd *bsReducer) Reduce(ctx *matchCtx, _ BSKey, values []mapreduce.Rec[BSKey, entity.Entity]) {
 	rd.begin(len(values))
 	for _, v := range values {
 		switch v.Key.Role {
 		case roleMember:
 			rd.probe(ctx, v.Value, 0, rd.len(), true)
-		case roleRow:
+		case roleRow, roleLateRow:
 			rd.probe(ctx, v.Value, 0, 0, true)
-		default:
+		default: // roleProbe, roleLateProbe
 			rd.probe(ctx, v.Value, 0, rd.len(), false)
 		}
 	}
@@ -422,46 +459,41 @@ func blockSplitPlan(x *bdm.Matrix, m, r, maxEntities int) (*Plan, error) {
 	asg := buildAssignment(x, r, maxEntities)
 	p := newPlan("BlockSplit", m, r)
 	copy(p.ReduceComparisons, asg.loads)
-
-	for _, t := range asg.ordered {
-		k := t.id.block
-		switch {
-		case t.id.i < 0: // unsplit: receives the whole block (if non-trivial)
-			if t.comps > 0 {
-				p.ReduceRecords[t.reduce] += int64(x.Size(k))
-			}
-		case t.id.i == t.id.j: // sub-block self-join
-			p.ReduceRecords[t.reduce] += int64(x.SizeIn(k, t.id.i))
-		default: // cross product of two sub-blocks
-			p.ReduceRecords[t.reduce] += int64(x.SizeIn(k, t.id.i) + x.SizeIn(k, t.id.j))
+	for k := 0; k < x.NumBlocks(); k++ {
+		for pi := 0; pi < m; pi++ {
+			p.MapRecords[pi] += int64(x.SizeIn(k, pi))
 		}
 	}
-
-	for k := 0; k < x.NumBlocks(); k++ {
-		comps := x.BlockPairs(k)
-		split := asg.split[k]
-		for pi := 0; pi < m; pi++ {
-			n := int64(x.SizeIn(k, pi))
-			if n == 0 {
-				continue
+	// Every entity a map task emits is a record of the task it goes to.
+	add := func(reduce, pi int, n int64) {
+		p.MapEmits[pi] += n
+		p.ReduceRecords[reduce] += n
+	}
+	for _, t := range asg.ordered {
+		k, i, j := t.id.block, t.id.i, t.id.j
+		switch {
+		case i < 0: // unsplit: receives the whole block, if it compares anything
+			for pi := 0; pi < m && t.comps > 0; pi++ {
+				add(t.reduce, pi, sent(x, k, pi, -1))
 			}
-			p.MapRecords[pi] += n
-			switch {
-			case !split && comps > 0:
-				p.MapEmits[pi] += n
-			case split:
-				// Each entity of partition pi is emitted once per match
-				// task involving pi: one per non-empty partition it is
-				// compared with (its own sub-block included).
-				emitsPer := int64(0)
-				for i := 0; i < m; i++ {
-					if x.SizeIn(k, i) > 0 && x.Compares(pi, i) {
-						emitsPer++
-					}
-				}
-				p.MapEmits[pi] += n * emitsPer
-			}
+		case i == j: // sub-block self-join
+			add(t.reduce, i, sent(x, k, i, i))
+		default: // cross product of two sub-blocks
+			add(t.reduce, i, sent(x, k, i, j))
+			add(t.reduce, j, sent(x, k, j, i))
 		}
 	}
 	return p, nil
+}
+
+// sent returns the entities partition i sends to a match task of block
+// k: its block-k entities, and in the ⊥ row its keyed ones too, except
+// to a split task shared with a partition j without keyless entities
+// for them to meet (j < 0: the unsplit block's task).
+func sent(x *bdm.Matrix, k, i, j int) int64 {
+	n := x.SizeIn(k, i)
+	if k == 0 && x.MissingKeys() && (j < 0 || x.SizeIn(0, j) > 0) {
+		n += x.KeyedIn(i)
+	}
+	return int64(n)
 }

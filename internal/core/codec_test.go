@@ -68,7 +68,7 @@ func FuzzPRKeyCodec(f *testing.F) {
 func TestStrategyValueCodecsRegistered(t *testing.T) {
 	codecRoundTrip(t, "blocking-key")                 // Basic key
 	codecRoundTrip(t, entity.New("id", "title", "x")) // every strategy's value
-	for _, role := range []int{roleMember, roleRow, roleProbe} {
+	for _, role := range []int{roleMember, roleRow, roleProbe, roleLateRow, roleLateProbe} {
 		codecRoundTrip(t, BSKey{Reduce: 1, Block: 2, I: -1, J: -1, Role: role})
 	}
 	codecRoundTrip(t, PRKey{Range: 1, Block: 2, Index: 3})

@@ -76,7 +76,7 @@ func TestDualBDMExample(t *testing.T) {
 	if got := x.EntityOffset(zk, 2); got != 2 {
 		t.Errorf("EntityOffset(z, Π2) = %d, want 2", got)
 	}
-	if got := entityBase(x, zk, 2); got != 4 {
+	if got := entityBase(x, zk, 2, false); got != 4 {
 		t.Errorf("entityBase(z, Π2) = %d, want 4", got)
 	}
 }

@@ -71,15 +71,18 @@ func PairIndex(x *bdm.Matrix, k int, ex, ey int64) int64 {
 }
 
 // geometry is how one block's entity indexes pair up — PairRange's one
-// seam between its two enumerations, chosen from the matrix. One source:
+// seam between its enumerations, chosen from the matrix. One source:
 // the triangle of pairs x1 < x2 of the block's n entities, enumerated
-// column-wise by c(x1, x2, n) above. Two sources (Appendix I-B): the
-// |Φk,R|×|Φk,S| rectangle, enumerated row-wise by x·|Φk,S| + y, where
-// R's entities hold indexes 0..|Φk,R|−1 and S's the ones after them, so
-// that x1 < x2 in every pair and a group's R rows sort before its S
-// probes.
+// column-wise by c(x1, x2, n) above, whose first nR columns count. nR
+// is n for an ordinary block; a ⊥ row (Section III) caps it at its n⊥
+// keyless entities, indexed before its keyed ones, so that its pairs are
+// those of a keyless entity with any other. Two sources (Appendix I-B):
+// the |Φk,R|×|Φk,S| rectangle, enumerated row-wise by x·|Φk,S| + y,
+// where R's entities hold indexes 0..|Φk,R|−1 and S's the ones after
+// them, so that x1 < x2 in every pair and a group's R rows sort before
+// its S probes.
 type geometry struct {
-	n, nR int64 // entities of the block; with two sources, those of R
+	n, nR int64 // entities of the block; those of its cells: R's, or ⊥'s
 	rect  bool  // two sources
 }
 
@@ -99,12 +102,12 @@ func (g geometry) pair(x1, x2 int64) int64 {
 // pair with every x1 < before, as the first with every x2 in [after, n).
 func (g geometry) partners(x int64) (before, after int64) {
 	switch {
-	case !g.rect:
-		return x, x + 1
-	case x < g.nR:
+	case x >= g.nR:
+		return g.nR, g.n
+	case g.rect:
 		return 0, g.nR
 	}
-	return g.nR, g.n
+	return x, x + 1
 }
 
 // relevant returns, as merged intervals, the indexes of the entities
@@ -132,10 +135,17 @@ func (g geometry) relevant(a, b int64) []interval {
 }
 
 // entityBase returns the index of block k's first entity in partition
-// p: a block's entities are indexed in partition order, R's before S's.
-func entityBase(x *bdm.Matrix, k, p int) int64 {
+// p: a block's entities are indexed in partition order, R's before S's,
+// and a ⊥ row's keyless ones before its keyed ones, which keyed picks.
+func entityBase(x *bdm.Matrix, k, p int, keyed bool) int64 {
 	base := x.EntityOffset(k, p)
-	if x.PartitionSource(p) == bdm.SourceS {
+	if keyed {
+		base = 0
+		for q := range p {
+			base += x.KeyedIn(q)
+		}
+	}
+	if keyed || x.PartitionSource(p) == bdm.SourceS {
 		base += x.SourceSize(k, bdm.SourceR)
 	}
 	return int64(base)

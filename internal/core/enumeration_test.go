@@ -138,13 +138,14 @@ func TestRangesPartitionProperty(t *testing.T) {
 }
 
 // bruteRelevantRanges recomputes an entity's relevant ranges by
-// enumerating all its pairs.
-func bruteRelevantRanges(rg Ranges, ex, n, off int64) []int {
+// enumerating all its pairs: those of the triangle of n entities whose
+// first entity is below the row cap nR.
+func bruteRelevantRanges(rg Ranges, ex, n, nR, off int64) []int {
 	set := make(map[int]bool)
-	for k := int64(0); k < ex; k++ {
+	for k := int64(0); k < min(ex, nR); k++ {
 		set[rg.Index(CellIndex(k, ex, n)+off)] = true
 	}
-	for y := ex + 1; y < n; y++ {
+	for y := ex + 1; y < n && ex < nR; y++ {
 		set[rg.Index(CellIndex(ex, y, n)+off)] = true
 	}
 	out := make([]int, 0, len(set))
@@ -156,19 +157,30 @@ func bruteRelevantRanges(rg Ranges, ex, n, off int64) []int {
 	return out
 }
 
+// drawTriangle draws a block of n entities and its row cap: n for an
+// ordinary block in half the trials, a ⊥ row's keyless count in [1, n]
+// in the other half.
+func drawTriangle(rng *rand.Rand, maxN int) geometry {
+	n := int64(rng.Intn(maxN) + 2)
+	if rng.Intn(2) == 0 {
+		return geometry{n: n, nR: n}
+	}
+	return geometry{n: n, nR: 1 + rng.Int63n(n)}
+}
+
 func TestRelevantRangesAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 300; trial++ {
-		n := int64(rng.Intn(40) + 2)
+	for trial := 0; trial < 600; trial++ {
+		g := drawTriangle(rng, 40)
 		off := int64(rng.Intn(100))
-		total := off + n*(n-1)/2 + int64(rng.Intn(50))
+		total := off + ColumnStart(g.nR, g.n) + int64(rng.Intn(50))
 		r := rng.Intn(20) + 1
 		rg := NewRanges(total, r)
-		for ex := int64(0); ex < n; ex++ {
-			got := rg.relevantRanges(geometry{n: n}, ex, off, nil)
-			want := bruteRelevantRanges(rg, ex, n, off)
+		for ex := int64(0); ex < g.n; ex++ {
+			got := rg.relevantRanges(g, ex, off, nil)
+			want := bruteRelevantRanges(rg, ex, g.n, g.nR, off)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d off=%d r=%d ex=%d: relevantRanges = %v, want %v", n, off, r, ex, got, want)
+				t.Fatalf("%+v off=%d r=%d ex=%d: relevantRanges = %v, want %v", g, off, r, ex, got, want)
 			}
 		}
 	}
@@ -176,7 +188,7 @@ func TestRelevantRangesAgainstBruteForce(t *testing.T) {
 
 func TestRelevantRangesSingletonBlock(t *testing.T) {
 	rg := NewRanges(100, 4)
-	if got := rg.relevantRanges(geometry{n: 1}, 0, 0, nil); len(got) != 0 {
+	if got := rg.relevantRanges(geometry{n: 1, nR: 1}, 0, 0, nil); len(got) != 0 {
 		t.Errorf("singleton block entity has relevant ranges %v, want none", got)
 	}
 }
@@ -195,12 +207,12 @@ func bruteRelevantEntities(a, b, n int64) map[int64]bool {
 
 func TestRelevantEntitiesAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 500; trial++ {
-		n := int64(rng.Intn(30) + 2)
-		total := n * (n - 1) / 2
+	for trial := 0; trial < 1000; trial++ {
+		g := drawTriangle(rng, 30)
+		n, total := g.n, ColumnStart(g.nR, g.n)
 		a := int64(rng.Intn(int(total)))
 		b := a + 1 + int64(rng.Intn(int(total-a)))
-		ivs := relevantEntities(a, b, n)
+		ivs := g.relevant(a, b)
 		want := bruteRelevantEntities(a, b, n)
 		var gotCount int64
 		got := make(map[int64]bool)

@@ -57,15 +57,15 @@ func FuzzBSKeyCoding(f *testing.F) {
 	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), int64(1), int64(0), int64(0))
 	f.Add(int64(1<<31), int64(1<<15), int64(0), int64(0), int64(1<<31), int64(1<<15), int64(0), int64(0))
 	// The same task on both sides, every pair of roles.
-	for ra := int64(roleMember); ra <= roleProbe; ra++ {
-		for rb := int64(roleMember); rb <= roleProbe; rb++ {
+	for ra := int64(roleMember); ra <= roleLateProbe; ra++ {
+		for rb := int64(roleMember); rb <= roleLateProbe; rb++ {
 			f.Add(int64(7), int64(3), int64(2), ra, int64(7), int64(3), int64(2), rb)
 		}
 	}
 	coding := bsKeyCoding(mustTestBDM(f))
 	f.Fuzz(func(t *testing.T, blockA, iA, jA, roleA, blockB, iB, jB, roleB int64) {
-		a := BSKey{Block: clampNonNeg(blockA, 1<<32), I: clampPart(iA), J: clampPart(jA), Role: clampNonNeg(roleA, 3)}
-		b := BSKey{Block: clampNonNeg(blockB, 1<<32), I: clampPart(iB), J: clampPart(jB), Role: clampNonNeg(roleB, 3)}
+		a := BSKey{Block: clampNonNeg(blockA, 1<<32), I: clampPart(iA), J: clampPart(jA), Role: clampNonNeg(roleA, roleLateProbe+1)}
+		b := BSKey{Block: clampNonNeg(blockB, 1<<32), I: clampPart(iB), J: clampPart(jB), Role: clampNonNeg(roleB, roleLateProbe+1)}
 		if err := coding.Verify(compareBSKeys, groupBSKeys, a, b); err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +99,8 @@ func TestKeyCodingsRandomMatrix(t *testing.T) {
 	small := func(n int) int { return rng.Intn(n) }
 	for trial := 0; trial < 50000; trial++ {
 		{
-			a := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1, Role: small(3)}
-			b := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1, Role: small(3)}
+			a := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1, Role: small(roleLateProbe + 1)}
+			b := BSKey{Block: small(4), I: small(4) - 1, J: small(4) - 1, Role: small(roleLateProbe + 1)}
 			if err := bs.Verify(compareBSKeys, groupBSKeys, a, b); err != nil {
 				t.Fatal("BSKey:", err)
 			}

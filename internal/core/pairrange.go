@@ -21,7 +21,9 @@ import (
 //
 // Over a two-source matrix (Appendix I-B) a block's pairs are its R×S
 // cells, enumerated row-wise instead (see geometry); ranges, routing and
-// the reducer are otherwise the same.
+// the reducer are otherwise the same. Over a matrix with missing keys
+// every keyed entity is also an entity of the ⊥ row, whose triangle is
+// capped at its keyless entities' columns.
 type PairRange struct{}
 
 // Name implements Strategy.
@@ -111,7 +113,10 @@ type prMapper struct {
 	// partition will receive (Algorithm 2 lines 4-8): its partition's
 	// base index in the block, then incremented per entity seen.
 	entityIndex []int64
-	scratch     []int
+	// keyedIndex is the ⊥ row index of the partition's next keyed
+	// entity.
+	keyedIndex int64
+	scratch    []int
 }
 
 func (mp *prMapper) Configure(m, _, partitionIndex int) {
@@ -120,23 +125,36 @@ func (mp *prMapper) Configure(m, _, partitionIndex int) {
 	}
 	mp.entityIndex = make([]int64, mp.x.NumBlocks())
 	for k := range mp.entityIndex {
-		mp.entityIndex[k] = entityBase(mp.x, k, partitionIndex)
+		mp.entityIndex[k] = entityBase(mp.x, k, partitionIndex, false)
+	}
+	if mp.x.MissingKeys() {
+		mp.keyedIndex = entityBase(mp.x, 0, partitionIndex, true)
 	}
 }
 
 // Map implements Algorithm 2 lines 10-26: compute the entity's global
 // block-wise index, find all ranges containing one of its pairs, and
-// emit one annotated copy per relevant range.
+// emit one annotated copy per relevant range — and the same again for a
+// keyed entity's place in the ⊥ row.
 func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Entity], rec AnnotatedEntity) {
 	k, ok := mp.x.BlockIndex(rec.Key)
 	if !ok {
 		panic(fmt.Sprintf("core: PairRange: blocking key %q not present in BDM", rec.Key))
 	}
-	x := mp.entityIndex[k]
+	mp.emit(ctx, k, mp.entityIndex[k], rec.Value)
 	mp.entityIndex[k]++
+	if k != 0 && mp.x.MissingKeys() {
+		mp.emit(ctx, 0, mp.keyedIndex, rec.Value)
+		mp.keyedIndex++
+	}
+}
+
+// emit sends e, entity x of block k, to every range holding one of its
+// pairs.
+func (mp *prMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Entity], k int, x int64, e entity.Entity) {
 	mp.scratch = mp.ranges.relevantRanges(geometryOf(mp.x, k), x, mp.x.PairOffset(k), mp.scratch)
 	for _, rg := range mp.scratch {
-		ctx.Emit(PRKey{Range: rg, Block: k, Index: x}, rec.Value)
+		ctx.Emit(PRKey{Range: rg, Block: k, Index: x}, e)
 	}
 }
 
@@ -197,7 +215,8 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 //     (geometry.relevant);
 //   - map emits: the per-partition share of those intervals — entities
 //     of partition p hold the contiguous index interval
-//     [entityBase(k,p), entityBase(k,p)+|Φk,p|) within block k.
+//     [entityBase(k,p), entityBase(k,p)+|Φk,p|) within block k, and in
+//     a ⊥ row its keyed entities a second one after the keyless.
 func (PairRange) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 	if err := validatePlanParams("PairRange", m, r); err != nil {
 		return nil, err
@@ -238,12 +257,18 @@ func (PairRange) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 			p.ReduceRecords[j] += intervalsTotal(ivs)
 			// Charge each relevant entity to its owning partition's map
 			// task.
+			charge := func(pi int, keyed bool, size int64) {
+				base := entityBase(x, kk, pi, keyed)
+				for _, iv := range ivs {
+					p.MapEmits[pi] += intersectLen(iv, base, base+size)
+				}
+			}
 			for pi := 0; pi < m; pi++ {
 				if size := int64(x.SizeIn(kk, pi)); size > 0 {
-					base := entityBase(x, kk, pi)
-					for _, iv := range ivs {
-						p.MapEmits[pi] += intersectLen(iv, base, base+size)
-					}
+					charge(pi, false, size)
+				}
+				if kk == 0 && x.MissingKeys() {
+					charge(pi, true, int64(x.KeyedIn(pi)))
 				}
 			}
 		}

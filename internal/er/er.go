@@ -10,11 +10,11 @@
 // every workflow configuration carries the shared engine plumbing. The
 // entry points (RunPipeline, RunDualPipeline, RunWithMissingKeysPipeline,
 // RunDistributedPipeline) take the caller's context and cancel between
-// engine tasks. RunPipeline, RunDualPipeline and RunDistributedPipeline
-// share one body for the two jobs; RunDistributedPipeline takes a
-// declarative DistParams and dispatches both jobs to workers when
-// RunOptions.Master is set, and is RunPipeline over DistParams.Config
-// when it is not. See DESIGN.md, "Pipeline API".
+// engine tasks, and all four share one body for the two jobs: two
+// sources and missing keys only shape the matrix Job 2 plans with.
+// RunDistributedPipeline takes a declarative DistParams and dispatches
+// both jobs to workers when RunOptions.Master is set, and is RunPipeline
+// over DistParams.Config when it is not. See DESIGN.md, "Pipeline API".
 package er
 
 import (
@@ -80,7 +80,7 @@ type Result struct {
 	// the matching job's reduce phase.
 	Comparisons int64
 	// BDM is the block distribution matrix (nil for Basic), source-tagged
-	// for a two-source run.
+	// for a two-source run and with a ⊥ row for a missing-keys run.
 	BDM *bdm.Matrix
 	// BDMResult / MatchResult expose the raw outputs and per-task
 	// metrics of the two jobs (BDMResult is nil for Basic).

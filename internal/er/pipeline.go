@@ -14,10 +14,9 @@ import (
 )
 
 // RunOptions is the execution plumbing shared by every pipeline entry
-// point — one-source, two-source and the missing-keys decomposition all
-// embed it, so engine selection, out-of-core spilling, and output
-// streaming are configured the same way everywhere (previously each
-// workflow re-declared these fields).
+// point — one source, two sources and missing keys run the one body
+// over it, so engine selection, out-of-core spilling, and output
+// streaming are configured the same way everywhere.
 type RunOptions struct {
 	// Engine executes the jobs; nil builds one from the fields below.
 	Engine *mapreduce.Engine
@@ -118,14 +117,7 @@ func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, 
 // error wrapping ctx.Err(); a configured Sink streams the matches (see
 // RunOptions.Sink).
 func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	parts, err := src.Partitions()
-	if err != nil {
-		return nil, err
-	}
-	return runPipeline(ctx, parts, nil, cfg, nil)
+	return runSource(ctx, src, nil, cfg)
 }
 
 // RunDualPipeline executes the two-source (R×S) workflow of Appendix I:
@@ -135,9 +127,6 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if !cfg.Strategy.NeedsBDM() {
-		return nil, fmt.Errorf("er: %s needs no BDM, so it cannot match two sources", cfg.Strategy.Name())
 	}
 	partsR, err := srcR.Partitions()
 	if err != nil {
@@ -151,18 +140,45 @@ func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg Config) (*Resul
 	for i := len(partsR); i < len(sources); i++ {
 		sources[i] = bdm.SourceS
 	}
-	return runPipeline(ctx, slices.Concat(partsR, partsS), sources, cfg, nil)
+	return runPipeline(ctx, slices.Concat(partsR, partsS), func(x *bdm.Matrix) (*bdm.Matrix, error) {
+		return x.WithSources(sources)
+	}, cfg, nil)
 }
 
-// runPipeline is the body of every entry point; sources tags the
-// partitions for two-source matching (nil = one source), and d binds
-// the jobs to a dist master (nil = in process).
-func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Source, cfg Config, d *dispatch) (*Result, error) {
+// RunWithMissingKeysPipeline matches entities without a blocking key
+// (Section III): cfg.BlockKey returns "" for them, and each is compared
+// with every other entity, keyed or not, while keyed entities are
+// compared within their blocks. The paper decomposes this into
+// matchB(R−R∅) ∪ match⊥(R∅, R−R∅) ∪ match⊥(R∅); here the BDM turns the
+// block of the empty key into the ⊥ row that holds both Cartesian parts
+// (bdm.Matrix.WithMissingKeys), so the run is RunPipeline's two jobs
+// with one plan. The strategy must need the BDM (BlockSplit, PairRange).
+func RunWithMissingKeysPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
+	return runSource(ctx, src, (*bdm.Matrix).WithMissingKeys, cfg)
+}
+
+// runSource validates cfg and runs the one body over src's partitions.
+func runSource(ctx context.Context, src Source, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	parts, err := src.Partitions()
+	if err != nil {
+		return nil, err
+	}
+	return runPipeline(ctx, parts, shape, cfg, nil)
+}
+
+// runPipeline is the body of every entry point; shape, when non-nil,
+// turns Job 1's matrix into the one Job 2 plans with (source tags, a ⊥
+// row), and d binds the jobs to a dist master (nil = in process).
+func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config, d *dispatch) (*Result, error) {
 	eng := cfg.ResolveEngine()
 	res := &Result{}
 
 	var job2Input [][]core.AnnotatedEntity
-	if cfg.Strategy.NeedsBDM() {
+	switch {
+	case cfg.Strategy.NeedsBDM():
 		bdmEng, done, err := d.bind(eng, "er/bdm", nil)
 		if err != nil {
 			return nil, err
@@ -172,15 +188,17 @@ func runPipeline(ctx context.Context, parts entity.Partitions, sources []bdm.Sou
 		if err != nil {
 			return nil, err
 		}
-		if sources != nil {
-			if matrix, err = matrix.WithSources(sources); err != nil {
+		if shape != nil {
+			if matrix, err = shape(matrix); err != nil {
 				return nil, err
 			}
 		}
 		res.BDM = matrix
 		res.BDMResult = bdmRes
 		job2Input = side
-	} else {
+	case shape != nil:
+		return nil, fmt.Errorf("er: %s needs no BDM, so it has no matrix to plan source tags or a ⊥ row on", cfg.Strategy.Name())
+	default:
 		job2Input = AnnotateInput(parts, cfg.Attr, cfg.BlockKey)
 	}
 

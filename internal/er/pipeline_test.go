@@ -50,7 +50,7 @@ func baseConfig(strat core.Strategy, par int) er.Config {
 }
 
 // missingKeyBlocker drops the blocking key for part of the dataset so
-// the decomposition exercises all three sub-runs.
+// a missing-keys run compares ⊥×⊥, ⊥×keyed and blocked pairs.
 func missingKeyBlocker(v string) string {
 	if len(v) > 0 && v[0]%4 == 0 {
 		return ""
@@ -275,37 +275,68 @@ func TestPipelineCancelled(t *testing.T) {
 	}
 }
 
-// TestMissingKeysSinkStreamsDisjointParts: the three decomposition
-// parts emit disjoint pair sets, so a Canonical sink over the streamed
-// union equals the collected (deduplicated) Matches.
+// TestMissingKeysSinkStreamsDisjointParts: the blocked, ⊥×keyed and ⊥×⊥
+// pairs are disjoint parts of one run's stream, so every pair is streamed
+// once and a Canonical sink over the stream equals the collected matches.
+// The run is one run, so its sink is flushed once and a CSV sink writes
+// one header — on mixed input and on the degenerate inputs.
 func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 	es := testEntities(120, 29)
-	parts := entity.SplitRoundRobin(es, 3)
-	cfg := baseConfig(core.PairRange{}, 2)
-	cfg.BlockKey = missingKeyBlocker
-	collected, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := &countingSink{}
-	canon := &er.Canonical{}
-	for _, sink := range []er.MatchSink{count, canon} {
-		cfg.Sink = sink
-		res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), cfg)
-		if err != nil {
-			t.Fatal(err)
+	keyless := func(string) string { return "" }
+	matchAll := core.PairFunc(func(entity.Entity, entity.Entity) (float64, bool) { return 1, true })
+	for _, c := range []struct {
+		name string
+		es   []entity.Entity
+		key  blocking.KeyFunc
+	}{
+		{"mixed", es, missingKeyBlocker},
+		{"all keyed", es, blocking.Prefix(3)},
+		{"all keyless", es[:20], keyless},
+		{"one keyless alone", es[:1], keyless},
+	} {
+		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
+			name := c.name + " " + strat.Name()
+			cfg := baseConfig(strat, 2)
+			cfg.BlockKey, cfg.Matcher = c.key, matchAll
+			parts := entity.SplitRoundRobin(c.es, 3)
+			collected, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count, canon, csvOut := &countingSink{}, &er.Canonical{}, &bytes.Buffer{}
+			for _, sink := range []er.MatchSink{count, canon, er.NewCSVSink(csvOut)} {
+				cfg.Sink = sink
+				res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(parts), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Matches != nil {
+					t.Fatalf("%s: result accumulated matches despite sink", name)
+				}
+			}
+			if count.flushes != 1 || count.n != collected.Comparisons || int64(len(collected.Matches)) != collected.Comparisons {
+				t.Errorf("%s: %d flushes, %d pairs streamed, %d collected, %d compared; want 1 flush and every pair once", name, count.flushes, count.n, len(collected.Matches), collected.Comparisons)
+			}
+			if got := canon.Matches(); len(got) != len(collected.Matches) || len(got) > 0 && !reflect.DeepEqual(got, collected.Matches) {
+				t.Errorf("%s: Canonical sink over the stream differs from the collected matches", name)
+			}
+			if lines := strings.Split(strings.TrimSuffix(csvOut.String(), "\n"), "\n"); lines[0] != "a,b,similarity" || len(lines) != 1+len(collected.Matches) || strings.Count(csvOut.String(), "a,b,similarity") != 1 {
+				t.Errorf("%s: CSV sink wrote %d lines, want one header and %d rows", name, len(lines), len(collected.Matches))
+			}
+			if c.name == "mixed" {
+				kinds := map[int]int{}
+				byID := map[string]string{}
+				for _, e := range c.es {
+					byID[e.ID] = c.key(e.Attr(datagen.AttrTitle))
+				}
+				for _, p := range collected.Matches {
+					kinds[min(len(byID[p.A]), 1)+min(len(byID[p.B]), 1)]++
+				}
+				if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+					t.Errorf("%s: pairs by keyed sides %v, want ⊥×⊥, ⊥×keyed and blocked pairs", name, kinds)
+				}
+			}
 		}
-		if res.Matches != nil {
-			t.Fatal("missing-keys result accumulated matches despite sink")
-		}
-	}
-	if !reflect.DeepEqual(canon.Matches(), collected.Matches) {
-		t.Fatal("Canonical sink over missing-keys stream differs from collected matches")
-	}
-	// Raw stream length == deduplicated length proves disjointness for
-	// this dataset (every streamed pair is distinct).
-	if count.n != int64(len(collected.Matches)) {
-		t.Fatalf("raw stream carried %d pairs, %d distinct — parts not disjoint?", count.n, len(collected.Matches))
 	}
 }
 

@@ -26,10 +26,8 @@ import (
 //     the collecting path does not run. The in-tree strategies emit
 //     each pair at most once; Canonical restores set semantics when
 //     needed.
-//   - Flush is called once after each (sub-)pipeline that streamed to
-//     the sink completes successfully; composite workflows
-//     (missing-keys) flush once per sub-run, so Flush
-//     must be safe to call repeatedly. It is not called on error.
+//   - Flush is called once after a successful run. It is not called on
+//     error.
 //   - A non-nil error from Consume or Flush fails the run.
 type MatchSink interface {
 	Consume(p core.MatchPair, similarity float64) error
@@ -85,8 +83,7 @@ func (c *Canonical) Consume(p core.MatchPair, _ float64) error {
 	return nil
 }
 
-// Flush implements MatchSink: it re-establishes the canonical sort
-// (idempotent, so composite workflows may flush repeatedly).
+// Flush implements MatchSink: it establishes the canonical sort.
 func (c *Canonical) Flush() error {
 	SortMatches(c.matches)
 	return nil
