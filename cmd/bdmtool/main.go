@@ -46,8 +46,14 @@ func main() {
 	if flag.NArg() > 0 {
 		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
-	// A bad -plan name is a usage error; validate it before any work so
-	// a typo fails fast with exit 2 instead of after the BDM run.
+	// Bad flags are usage errors, decided before the input is opened so
+	// that a typo fails fast with exit 2 instead of after the BDM run.
+	switch {
+	case *m < 1 || *r < 1 || *prefix < 1 || *nodes < 1:
+		usage(fmt.Errorf("-m, -r, -prefix and -nodes must be at least 1, got %d, %d, %d and %d", *m, *r, *prefix, *nodes))
+	case *top < 0:
+		usage(fmt.Errorf("-top must be 0 (all blocks) or more, got %d", *top))
+	}
 	if *plan != "" {
 		if _, err := planStrategy(*plan); err != nil {
 			usage(err)

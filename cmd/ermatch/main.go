@@ -176,7 +176,7 @@ func main() {
 	// aliasing the file's bytes: the pre-map memory high-water mark is the
 	// input's text plus one Entity and its attributes per row. Nothing
 	// here holds the partitions once the pipeline has them, so Job 2 runs
-	// on Job 1's side output alone.
+	// on the annotated copy Job 1 counted alone.
 	var src er.Source
 	if *in != "" {
 		src = er.FromCSVFile(*in, *m)

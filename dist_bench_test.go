@@ -18,7 +18,7 @@ import (
 // a flat-shaped input (20,000 random titles over the 17,576 three-letter
 // prefixes: many records, few pairs), so what it times is the
 // distributed data plane — input blobs out, ERN1 runs served and
-// range-read, side output and matches back — and not the kernel. With
+// range-read, matches back — and not the kernel. With
 // -benchmem its B/op and allocs/op cover master and workers together;
 // `make bench-smoke` runs it once so the path cannot rot unseen.
 func BenchmarkDistRoundTrip(b *testing.B) {

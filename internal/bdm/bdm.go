@@ -5,8 +5,9 @@
 // MR job to compute their routing decisions.
 //
 // The package provides the matrix type itself, a direct in-memory
-// builder, and the MapReduce job of Algorithm 3 that computes the matrix
-// and side-writes the blocking-key-annotated entities consumed by Job 2.
+// builder, the one blocking-key annotation of the input (Annotate), and
+// the MapReduce job of Algorithm 3 that counts the annotated entities
+// into the matrix; Job 2 reads the same annotated entities.
 package bdm
 
 import (

@@ -115,7 +115,8 @@ func TestCellsRoundTrip(t *testing.T) {
 // TestMRJobAgreesWithDirectBuilder is the core BDM property: Algorithm 3
 // executed on the MR engine produces exactly the direct computation, for
 // random inputs, any reduce-task count, with and without the per-task
-// aggregation of footnote 2 (UseCombiner).
+// aggregation of footnote 2 (UseCombiner); and what ComputeContext hands
+// Job 2 is the annotated input the job ran on.
 func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
@@ -124,17 +125,18 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 		n := rng.Intn(200)
 		for i := 0; i < n; i++ {
 			p := rng.Intn(m)
-			key := fmt.Sprintf("b%02d", rng.Intn(10))
-			parts[p] = append(parts[p], entity.New(fmt.Sprintf("e%d", i), "k", key))
+			value := fmt.Sprintf("b%02d-%d", rng.Intn(10), i)
+			parts[p] = append(parts[p], entity.New(fmt.Sprintf("e%d", i), "k", value))
 		}
-		want, err := FromPartitions(parts, "k", blocking.Identity())
+		key := blocking.Prefix(3)
+		want, err := FromPartitions(parts, "k", key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, combiner := range []bool{false, true} {
 			r := rng.Intn(7) + 1
-			got, side, res, err := ComputeContext(context.Background(), &mapreduce.Engine{}, parts, JobOptions{
-				Attr: "k", KeyFunc: blocking.Identity(), NumReduceTasks: r, UseCombiner: combiner,
+			got, input, res, err := ComputeContext(context.Background(), &mapreduce.Engine{}, parts, JobOptions{
+				Attr: "k", KeyFunc: key, NumReduceTasks: r, UseCombiner: combiner,
 			})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -151,14 +153,21 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 			if res.MapOutputRecords != int64(wantOut) {
 				t.Fatalf("trial %d (combiner=%v): MapOutputRecords = %d, want %d", trial, combiner, res.MapOutputRecords, wantOut)
 			}
-			// Side output preserves partitioning and annotates keys.
+			// The annotated input is the job's: every partition in place,
+			// each entity in place with KeyFunc(Attr), all of it read by
+			// the map task of its partition.
+			if len(input) != m {
+				t.Fatalf("trial %d: %d annotated partitions, want %d", trial, len(input), m)
+			}
 			for p := range parts {
-				if len(side[p]) != len(parts[p]) {
-					t.Fatalf("side output partition %d has %d records, want %d", p, len(side[p]), len(parts[p]))
+				if len(input[p]) != len(parts[p]) || res.MapMetrics[p].InputRecords != int64(len(parts[p])) {
+					t.Fatalf("trial %d: partition %d: %d annotated, %d read by its map task, want %d",
+						trial, p, len(input[p]), res.MapMetrics[p].InputRecords, len(parts[p]))
 				}
-				for j, kv := range side[p] {
-					if kv.Key != parts[p][j].Attr("k") {
-						t.Fatalf("side output key mismatch at %d/%d", p, j)
+				for j, rec := range input[p] {
+					e := parts[p][j]
+					if rec.Value.ID != e.ID || rec.Key != key(e.Attr("k")) {
+						t.Fatalf("trial %d: annotated %d/%d is (%q, %s), want (%q, %s)", trial, p, j, rec.Key, rec.Value.ID, key(e.Attr("k")), e.ID)
 					}
 				}
 			}
@@ -186,6 +195,19 @@ func TestJobPanicsOnBadOptions(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanic("nil KeyFunc", func() { Job(JobOptions{NumReduceTasks: 1}) })
 	assertPanic("r=0", func() { Job(JobOptions{KeyFunc: blocking.Identity()}) })
+}
+
+// TestComputeContextRejectsBadOptions: bad options are an error before
+// anything runs, not a panic.
+func TestComputeContextRejectsBadOptions(t *testing.T) {
+	for name, opts := range map[string]JobOptions{
+		"nil KeyFunc": {NumReduceTasks: 1},
+		"r=0":         {KeyFunc: blocking.Identity()},
+		"r=-1":        {KeyFunc: blocking.Identity(), NumReduceTasks: -1},
+	} {
+		if _, _, _, err := ComputeContext(context.Background(), &mapreduce.Engine{}, parts2(), opts); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
 }

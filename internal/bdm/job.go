@@ -37,9 +37,10 @@ var keyCoding = mapreduce.KeyCoding[Key]{
 	Encode: func(k Key) mapreduce.Code { return mapreduce.StringPrefixCode(k.BlockKey) },
 }
 
-// Annotated is a blocking-key-annotated entity: the record format of
-// the BDM job's side output ("additionalOutput" of Algorithm 3) and of
-// the matching job's input.
+// Annotated is a blocking-key-annotated entity: the input record of
+// both jobs. Annotate computes every key once, the BDM job counts them,
+// and the matching job reads the same records — Algorithm 3's
+// "additionalOutput" without a second copy of the input.
 type Annotated = mapreduce.Pair[string, entity.Entity]
 
 // CountRecord is one reduce output of the BDM job: a (block, partition)
@@ -54,6 +55,8 @@ type JobOptions struct {
 	// Attr is the entity attribute the blocking key is derived from.
 	Attr string
 	// KeyFunc derives the blocking key from the attribute value.
+	// ComputeContext annotates with Attr and KeyFunc; Job reads the keys
+	// from its input records.
 	KeyFunc blocking.KeyFunc
 	// NumReduceTasks is r for the BDM job.
 	NumReduceTasks int
@@ -64,18 +67,14 @@ type JobOptions struct {
 	UseCombiner bool
 }
 
-// Job returns the MapReduce job of Algorithm 3. The map function
-// computes each entity's blocking key, side-writes the annotated entity
-// for Job 2, and emits (blockingKey.partitionIndex, 1) — or, with
-// UseCombiner, one (blockingKey.partitionIndex, n) per block. Input records
-// are annotated entities whose key is ignored (pass "" when running the
-// job standalone). Partitioning is by blocking key only so all cells of
-// one block are produced by the same reduce task; sort and group use
-// the entire composite key.
+// Job returns the MapReduce job of Algorithm 3 over annotated input
+// (Annotate): the map function counts each record's blocking key and
+// emits (blockingKey.partitionIndex, 1) — or, with UseCombiner, one
+// (blockingKey.partitionIndex, n) per block. The key is read from the
+// record, so Attr and KeyFunc are not used here. Partitioning is by
+// blocking key only so all cells of one block are produced by the same
+// reduce task; sort and group use the entire composite key.
 func Job(opts JobOptions) *mapreduce.Job[Annotated, Key, int, CountRecord] {
-	if opts.KeyFunc == nil {
-		panic("bdm: JobOptions.KeyFunc is required")
-	}
 	if opts.NumReduceTasks <= 0 {
 		panic("bdm: JobOptions.NumReduceTasks must be > 0")
 	}
@@ -83,7 +82,7 @@ func Job(opts JobOptions) *mapreduce.Job[Annotated, Key, int, CountRecord] {
 		Name:           "bdm",
 		NumReduceTasks: opts.NumReduceTasks,
 		NewMapper: func() mapreduce.Mapper[Annotated, Key, int] {
-			return &bdmMapper{attr: opts.Attr, keyFunc: opts.KeyFunc, aggregate: opts.UseCombiner}
+			return &bdmMapper{aggregate: opts.UseCombiner}
 		},
 		NewReducer: func() mapreduce.Reducer[Key, int, CountRecord] {
 			return &countReducer{}
@@ -99,8 +98,6 @@ func Job(opts JobOptions) *mapreduce.Job[Annotated, Key, int, CountRecord] {
 }
 
 type bdmMapper struct {
-	attr      string
-	keyFunc   blocking.KeyFunc
 	partition int
 	aggregate bool
 	cells     countTable
@@ -152,14 +149,10 @@ func (t *countTable) add(block string) {
 func (m *bdmMapper) Configure(_, _, partitionIndex int) { m.partition = partitionIndex }
 
 func (m *bdmMapper) Map(ctx *mapreduce.MapContext[Annotated, Key, int], rec Annotated) {
-	e := rec.Value
-	blockKey := m.keyFunc(e.Attr(m.attr))
-	// additionalOutput: the annotated entity for the second MR job.
-	ctx.SideEmit(Annotated{Key: blockKey, Value: e})
 	if m.aggregate {
-		m.cells.add(blockKey)
+		m.cells.add(rec.Key)
 	} else {
-		ctx.Emit(Key{BlockKey: blockKey, Partition: m.partition}, 1)
+		ctx.Emit(Key{BlockKey: rec.Key, Partition: m.partition}, 1)
 	}
 }
 
@@ -195,18 +188,35 @@ func (c *countReducer) Reduce(ctx *mapreduce.ReduceContext[CountRecord], key Key
 	ctx.Emit(CountRecord{Key: key, Value: sum})
 }
 
-// ComputeContext runs Algorithm 3 over the partitioned input and returns
-// the assembled Matrix plus the per-partition side output (entities
-// annotated with their blocking key) that forms the input of the second
-// MR job. Cancellation follows the engine's between-task semantics.
-func ComputeContext(ctx context.Context, eng *mapreduce.Engine, parts entity.Partitions, opts JobOptions) (*Matrix, [][]Annotated, *JobResult, error) {
+// Annotate pairs every entity of parts with its blocking key,
+// keyFunc(e.Attr(attr)), in its partition and position: the one place a
+// blocking key is computed. Both jobs read what it returns — the BDM job
+// counts the keys, the matching job routes by them.
+func Annotate(parts entity.Partitions, attr string, keyFunc blocking.KeyFunc) [][]Annotated {
 	input := make([][]Annotated, len(parts))
 	for i, p := range parts {
 		input[i] = make([]Annotated, len(p))
 		for j, e := range p {
-			input[i][j] = Annotated{Value: e}
+			input[i][j] = Annotated{Key: keyFunc(e.Attr(attr)), Value: e}
 		}
 	}
+	return input
+}
+
+// ComputeContext runs Algorithm 3 over the partitioned input: it
+// annotates parts once (Annotate), runs the BDM job over the annotated
+// partitions, and returns the assembled Matrix, the annotated partitions
+// the job counted (the matching job's input, in the job's partitioning)
+// and the job's result. Cancellation follows the engine's between-task
+// semantics.
+func ComputeContext(ctx context.Context, eng *mapreduce.Engine, parts entity.Partitions, opts JobOptions) (*Matrix, [][]Annotated, *JobResult, error) {
+	switch {
+	case opts.KeyFunc == nil:
+		return nil, nil, nil, fmt.Errorf("bdm: compute: JobOptions.KeyFunc is required")
+	case opts.NumReduceTasks < 1:
+		return nil, nil, nil, fmt.Errorf("bdm: compute: JobOptions.NumReduceTasks must be at least 1, got %d", opts.NumReduceTasks)
+	}
+	input := Annotate(parts, opts.Attr, opts.KeyFunc)
 	res, err := Job(opts).RunContext(ctx, eng, input)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bdm: compute: %w", err)
@@ -218,7 +228,7 @@ func ComputeContext(ctx context.Context, eng *mapreduce.Engine, parts entity.Par
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bdm: compute: assemble matrix: %w", err)
 	}
-	return matrix, res.SideOutput, res, nil
+	return matrix, input, res, nil
 }
 
 // FromPartitions builds the Matrix directly in memory, without running

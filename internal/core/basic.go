@@ -34,10 +34,8 @@ func (Basic) Job(_ *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, string, entity.Entity] {
 			return &mapreduce.MapperFunc[AnnotatedEntity, string, entity.Entity]{
 				OnMap: func(ctx *mapreduce.MapContext[AnnotatedEntity, string, entity.Entity], rec AnnotatedEntity) {
-					// Input records are the BDM job's side output
-					// (blocking key, entity); Basic forwards them
-					// unchanged. (Run standalone, the blocking key would
-					// be computed here — the dataflow is identical.)
+					// Input records are annotated entities (blocking
+					// key, entity); Basic forwards them unchanged.
 					ctx.Emit(rec.Key, rec.Value)
 				},
 			}

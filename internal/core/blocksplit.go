@@ -312,7 +312,7 @@ func bsKeyCoding(x *bdm.Matrix) mapreduce.KeyCoding[BSKey] {
 }
 
 // Job implements Strategy (Algorithm 1). Input records must be the BDM
-// job's side output (blocking-key-annotated entities).
+// job's input (blocking-key-annotated entities, bdm.Annotate).
 func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("BlockSplit", r); err != nil {
 		return nil, err

@@ -12,7 +12,7 @@
 //     of pair indexes.
 //
 // Each strategy can produce an executable mapreduce.Job (Job 2 of the
-// paper's workflow, consuming the BDM job's annotated side output) and an
+// paper's workflow, consuming the BDM job's annotated input) and an
 // analytic Plan that computes the identical per-task workloads directly
 // from the BDM without materializing any pairs. Plans make cluster-scale
 // experiments (Figures 13/14) tractable on one machine; tests assert that
@@ -124,7 +124,7 @@ type Strategy interface {
 	// as a single job without the preprocessing step).
 	NeedsBDM() bool
 	// Job builds the executable MR Job 2. Input records must be the BDM
-	// job's side output (blocking-key-annotated entities). x may be nil
+	// job's input (blocking-key-annotated entities). x may be nil
 	// iff !NeedsBDM(); match may be nil (count comparisons only).
 	Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error)
 	// Plan computes the exact per-task workloads Job would produce for m

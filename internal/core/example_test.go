@@ -74,7 +74,7 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 	// builder, with and without the combiner.
 	for _, combiner := range []bool{false, true} {
 		eng := &mapreduce.Engine{}
-		x, side, res, err := bdm.ComputeContext(context.Background(), eng, exampleParts(), bdm.JobOptions{
+		x, input, res, err := bdm.ComputeContext(context.Background(), eng, exampleParts(), bdm.JobOptions{
 			Attr:           exAttr,
 			KeyFunc:        blocking.Identity(),
 			NumReduceTasks: 3,
@@ -87,13 +87,13 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 		if !reflect.DeepEqual(x.Cells(), want.Cells()) {
 			t.Errorf("combiner=%v: MR cells = %v, want %v", combiner, x.Cells(), want.Cells())
 		}
-		// The side output must mirror the input partitioning with
+		// The annotated input must mirror the input partitioning with
 		// blocking-key annotations.
-		if len(side) != 2 || len(side[0]) != 7 || len(side[1]) != 7 {
-			t.Fatalf("combiner=%v: side output shape wrong: %d/%d", combiner, len(side[0]), len(side[1]))
+		if len(input) != 2 || len(input[0]) != 7 || len(input[1]) != 7 {
+			t.Fatalf("combiner=%v: annotated input shape wrong: %d/%d", combiner, len(input[0]), len(input[1]))
 		}
-		if got := side[1][4].Key; got != "z" {
-			t.Errorf("M's side-output key = %q, want z", got)
+		if got := input[1][4].Key; got != "z" {
+			t.Errorf("M's annotated key = %q, want z", got)
 		}
 		// Aggregating per map task compresses the map output: one pair
 		// per non-zero (block, partition) cell instead of one per entity.

@@ -81,7 +81,7 @@ func prKeyCoding(x *bdm.Matrix, r int) mapreduce.KeyCoding[PRKey] {
 }
 
 // Job implements Strategy (Algorithm 2). Input records must be the BDM
-// job's side output (blocking-key-annotated entities).
+// job's input (blocking-key-annotated entities, bdm.Annotate).
 func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("PairRange", r); err != nil {
 		return nil, err

@@ -84,14 +84,7 @@ func mustBDM(t *testing.T, parts entity.Partitions) *bdm.Matrix {
 // annotatedInput builds the typed job input: each entity annotated with
 // its blocking key read from the given attribute.
 func annotatedInput(parts entity.Partitions, attr string) [][]AnnotatedEntity {
-	input := make([][]AnnotatedEntity, len(parts))
-	for i, p := range parts {
-		input[i] = make([]AnnotatedEntity, len(p))
-		for j, e := range p {
-			input[i][j] = AnnotatedEntity{Key: e.Attr(attr), Value: e}
-		}
-	}
-	return input
+	return bdm.Annotate(parts, attr, blocking.Identity())
 }
 
 // runStrategy executes a strategy end to end with the given matcher and

@@ -25,9 +25,14 @@ import (
 // writes the blob it encoded, the receiver reads it with one ReadFull
 // into a buffer of exactly plen bytes. A frame ends where its lengths
 // say: trailing bytes are an error, like a short read.
+//
+// Version 2: a map response is a header only; in version 1 it carried
+// the attempt's side output, which an older master would take from an
+// empty payload to be an empty Job 2 input. The versions refuse each
+// other instead.
 const (
 	frameMagic     = "ERF"
-	frameVersion   = 1
+	frameVersion   = 2
 	framePrefixLen = 16
 
 	// maxFrameHeader bounds the metadata of one message. The largest

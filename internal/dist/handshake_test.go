@@ -240,3 +240,40 @@ func TestMasterFailsTheAttemptOnAWorkerThatAnswersJSON(t *testing.T) {
 		t.Fatal("a worker that answers garbage kept its lease")
 	}
 }
+
+// TestMasterRefusesAMapResponseWithAPayload: a map response is a header
+// only. A worker that answers a map task with records — a build from
+// before that rule — fails the attempt with a retryable ErrFrame and
+// loses its lease; nothing it sent is read as the task's output.
+func TestMasterRefusesAMapResponseWithAPayload(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		records int
+		payload []byte
+	}{
+		{"records and a payload", 1, []byte("x")},
+		{"a payload alone", 0, []byte("x")},
+		{"a record count alone", 2, nil},
+	} {
+		m := testMaster(t)
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			if r.URL.Path != pathTask {
+				return // the spec install: 200, nothing said
+			}
+			w.Header().Set("Content-Type", frameContentType)
+			w.Write(buildFrame(t, &TaskResponse{Records: tc.records, RunURL: "http://x/run/1"}, tc.payload))
+		}))
+		registerRaw(t, m, fake.URL)
+		s := m.Session(wordsJobName, []byte("spec"))
+		_, err := s.RunMapAttempt(context.Background(), 2, 0, 1, nil, 0, filepath.Join(t.TempDir(), "m.run"))
+		s.Close()
+		fake.Close()
+		if !errors.Is(err, ErrFrame) || mapreduce.IsFatal(err) {
+			t.Errorf("%s: err = %v, want a retryable ErrFrame", tc.name, err)
+		}
+		if m.Workers() != 0 {
+			t.Errorf("%s: the worker kept its lease", tc.name)
+		}
+	}
+}

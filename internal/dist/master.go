@@ -612,10 +612,12 @@ func (s *Session) release() {
 // worker's run file to replicaPath and validates it structurally
 // (runio.ReadInfo re-reads the trailer and segment index); the
 // validated local Info — not the worker's claim — is what the engine
-// commits. From commit on, the task's output survives the worker.
+// commits. From commit on, the task's output survives the worker. A map
+// response is a header only: one that carries records is from a build
+// this one does not speak to, and fails the attempt with ErrFrame.
 func (s *Session) RunMapAttempt(ctx context.Context, m, task, attempt int, input []byte, inputCount int, replicaPath string) (*mapreduce.RemoteMapResult, error) {
 	var resp TaskResponse
-	ws, side, err := s.dispatch(ctx, &TaskRequest{
+	ws, payload, err := s.dispatch(ctx, &TaskRequest{
 		JobID:   s.ref.ID,
 		Phase:   "map",
 		M:       m,
@@ -626,6 +628,11 @@ func (s *Session) RunMapAttempt(ctx context.Context, m, task, attempt int, input
 	if err != nil {
 		return nil, err
 	}
+	if len(payload) != 0 || resp.Records != 0 {
+		s.m.markDead(ws, "map response carries a payload")
+		return nil, fmt.Errorf("dist: worker %d: map task %d attempt %d: %w: response carries %d records in %d payload bytes, want a header only",
+			ws.id, task, attempt, ErrFrame, resp.Records, len(payload))
+	}
 	if err := s.download(ctx, ws, resp.RunURL, replicaPath); err != nil {
 		return nil, fmt.Errorf("replicate map task %d run: %w", task, err)
 	}
@@ -634,13 +641,7 @@ func (s *Session) RunMapAttempt(ctx context.Context, m, task, attempt int, input
 		os.Remove(replicaPath)
 		return nil, fmt.Errorf("validate map task %d replica: %w", task, err)
 	}
-	return &mapreduce.RemoteMapResult{
-		Info:      info,
-		Origin:    resp.RunURL,
-		Side:      side,
-		SideCount: resp.Records,
-		Metrics:   resp.Metrics,
-	}, nil
+	return &mapreduce.RemoteMapResult{Info: info, Origin: resp.RunURL, Metrics: resp.Metrics}, nil
 }
 
 // RunReduceAttempt dispatches one reduce attempt. Each map task's

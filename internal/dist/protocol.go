@@ -19,7 +19,9 @@
 // no record byte is ever escaped or scanned. A job's spec crosses to a
 // worker once per session (/job); task requests name the job by id, and
 // a worker that does not hold that id answers statusUnknownJob, on
-// which the master sends the spec again, once. Task failures cross the
+// which the master sends the spec again, once. A map response is a
+// header only (its output is the run the master then downloads); a
+// reduce response's payload is the task's output. Task failures cross the
 // wire as ErrorResponse with the engine's two orthogonal
 // classifications preserved: Fatal (don't retry) and Corrupt
 // (structural ERN1/blob damage, runio.ErrCorrupt).
@@ -152,8 +154,9 @@ type TaskRequest struct {
 }
 
 // TaskResponse is the header of a /task response frame: a completed
-// attempt. The payload is the attempt's side output (map) or its
-// output (reduce) as a record blob.
+// attempt. A map response has no payload (the attempt's output is its
+// run); a reduce response's payload is the attempt's output as a record
+// blob.
 type TaskResponse struct {
 	Metrics mapreduce.TaskMetrics `json:"metrics"`
 	// Records is the number of records in the payload.

@@ -433,11 +433,7 @@ func (w *Worker) execMap(ctx context.Context, rw http.ResponseWriter, rr mapredu
 		return
 	}
 	token := w.registerRun(req.JobID, runPath)
-	w.respond(rw, &TaskResponse{
-		Metrics: res.Metrics,
-		Records: res.SideCount,
-		RunURL:  w.URL() + pathRun + token,
-	}, res.Side)
+	w.respond(rw, &TaskResponse{Metrics: res.Metrics, RunURL: w.URL() + pathRun + token}, nil)
 }
 
 func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, job workerJob, req *TaskRequest) {

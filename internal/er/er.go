@@ -114,16 +114,9 @@ func (r *Result) SimulatedTime(cfg cluster.Config, cm cluster.CostModel) (float6
 }
 
 // AnnotateInput converts raw partitions into the blocking-key-annotated
-// records Job 2 consumes, exactly as the BDM job's side output would.
+// records Job 2 consumes: bdm.Annotate, the records Job 1 counts.
 func AnnotateInput(parts entity.Partitions, attr string, key blocking.KeyFunc) [][]core.AnnotatedEntity {
-	input := make([][]core.AnnotatedEntity, len(parts))
-	for i, p := range parts {
-		input[i] = make([]core.AnnotatedEntity, len(p))
-		for j, e := range p {
-			input[i][j] = core.AnnotatedEntity{Key: key(e.Attr(attr)), Value: e}
-		}
-	}
-	return input
+	return bdm.Annotate(parts, attr, key)
 }
 
 // CollectMatches extracts, deduplicates, and sorts the match pairs from

@@ -2,6 +2,7 @@ package er
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -253,6 +254,41 @@ func TestEvaluateDeduplicatesPredictions(t *testing.T) {
 	q := Evaluate(predicted, truth)
 	if q.TruePositives != 1 || q.FalsePositives != 0 {
 		t.Errorf("quality = %+v", q)
+	}
+}
+
+// TestJob1CertificateRefusesAMatrixOffByOne: Job 2 reads exactly the
+// partitions Job 1 counted, so a matrix whose column p does not sum to
+// partition p's size stops the run with a typed error naming the task
+// and both figures; the matrix Job 1 computed passes.
+func TestJob1CertificateRefusesAMatrixOffByOne(t *testing.T) {
+	parts := entity.SplitRoundRobin(smallDataset(), 3)
+	input := AnnotateInput(parts, "title", blocking.Prefix(3))
+	x, err := bdm.FromPartitions(parts, "title", blocking.Prefix(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkCounted("bdm", x, input); err != nil {
+		t.Fatalf("the matrix of the input itself: %v", err)
+	}
+	cells := x.Cells()
+	for i := range cells {
+		if cells[i].Partition == 1 {
+			cells[i].Count++
+			break
+		}
+	}
+	off, err := bdm.FromCells(cells, len(parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = checkCounted("bdm", off, input)
+	var pm *PlanMismatchError
+	if !errors.As(err, &pm) {
+		t.Fatalf("err = %v, want a *PlanMismatchError", err)
+	}
+	if want := (PlanMismatchError{Job: "bdm", Task: 1, Figure: pm.Figure, Planned: int64(len(input[1]) + 1), Executed: int64(len(input[1]))}); *pm != want {
+		t.Errorf("mismatch = %+v, want %+v", *pm, want)
 	}
 }
 

@@ -6,8 +6,8 @@ package er_test
 // × fault kind — proving the engine's commit protocol holds through the
 // two-job pipeline, not just a single job. Attempt counters and spill
 // counters are zeroed before comparison (execution history, not
-// output); everything else — matches, comparisons, BDM, side output,
-// every TaskMetrics field — must match exactly.
+// output); everything else — matches, comparisons, BDM, every
+// TaskMetrics field — must match exactly.
 
 import (
 	"context"

@@ -107,11 +107,11 @@ func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, 
 }
 
 // RunPipeline executes the full workflow of Figure 2 over the source's
-// partitions: Job 1 computes the BDM and side-writes
-// blocking-key-annotated entities per partition; Job 2 redistributes
-// them with the configured strategy and performs the matching. For the
-// Basic strategy only a single job runs (it needs no BDM); its input is
-// annotated inline to keep the dataflow identical.
+// partitions, annotated once with their blocking keys: Job 1 counts the
+// keys into the BDM; Job 2 reads the same annotated partitions,
+// redistributes them with the configured strategy and performs the
+// matching. For the Basic strategy only the second job runs (it needs no
+// BDM) over the same annotation.
 //
 // Cancelling ctx stops the run between engine tasks and returns an
 // error wrapping ctx.Err(); a configured Sink streams the matches (see
@@ -183,9 +183,12 @@ func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.M
 		if err != nil {
 			return nil, err
 		}
-		matrix, side, bdmRes, err := bdm.ComputeContext(ctx, bdmEng, parts, cfg.bdmJobOptions())
+		matrix, input, bdmRes, err := bdm.ComputeContext(ctx, bdmEng, parts, cfg.bdmJobOptions())
 		done()
 		if err != nil {
+			return nil, err
+		}
+		if err := checkCounted(bdmRes.JobName, matrix, input); err != nil {
 			return nil, err
 		}
 		if shape != nil {
@@ -195,7 +198,7 @@ func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.M
 		}
 		res.BDM = matrix
 		res.BDMResult = bdmRes
-		job2Input = side
+		job2Input = input
 	case shape != nil:
 		return nil, fmt.Errorf("er: %s needs no BDM, so it has no matrix to plan source tags or a ⊥ row on", cfg.Strategy.Name())
 	default:
@@ -219,4 +222,36 @@ func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.M
 	res.Comparisons = matchRes.Counter(core.ComparisonsCounter)
 	res.Matches = matches
 	return res, nil
+}
+
+// PlanMismatchError reports a job whose execution disagrees with the
+// plan Job 2 is built on: a figure of one task that the plan fixed in
+// advance and the run measured otherwise. Job 2 could then not be
+// trusted to compare every pair exactly once, so the run stops.
+type PlanMismatchError struct {
+	Job      string // the job's name
+	Task     int    // the task index (a map task is an input partition)
+	Figure   string // what was counted
+	Planned  int64  // the plan's value
+	Executed int64  // the run's value
+}
+
+func (e *PlanMismatchError) Error() string {
+	return fmt.Sprintf("er: job %q task %d: %s: planned %d, executed %d", e.Job, e.Task, e.Figure, e.Planned, e.Executed)
+}
+
+// checkCounted is Job 1's certificate: Job 2 reads exactly the
+// partitions Job 1 counted, so partition p must hold Σ_k SizeIn(k, p)
+// entities, the matrix column Job 2's plan assumes.
+func checkCounted(job string, x *bdm.Matrix, input [][]core.AnnotatedEntity) error {
+	for p := range input {
+		var planned int64
+		for k := 0; k < x.NumBlocks(); k++ {
+			planned += int64(x.SizeIn(k, p))
+		}
+		if executed := int64(len(input[p])); planned != executed {
+			return &PlanMismatchError{Job: job, Task: p, Figure: "entities (Σ_k SizeIn(k, p))", Planned: planned, Executed: executed}
+		}
+	}
+	return nil
 }

@@ -340,7 +340,7 @@ func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 	}
 }
 
-// TestPipelineReleasesInput: once Job 1's side output exists, nothing in
+// TestPipelineReleasesInput: once the input is annotated, nothing in
 // the pipeline holds the source's partition arrays, so Job 2 runs
 // without them (on the yardstick's flat dataset they are 5.3 MB).
 // Checked for both strategies' jobs — the matcher forces collections

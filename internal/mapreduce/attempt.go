@@ -16,8 +16,8 @@ import (
 // attempt fails only that attempt, and the RetryPolicy decides whether
 // and when the task re-runs. A task's attempts run one at a time.
 // Correctness under retries rests on a task-commit protocol: an attempt
-// accumulates all of its observable output (records, side output,
-// metrics) privately and the supervisor publishes it atomically on
+// accumulates all of its observable output (records, metrics)
+// privately and the supervisor publishes it atomically on
 // commit, so a failed or retried attempt leaves no trace in the Result.
 // See DESIGN.md ("Fault tolerance").
 

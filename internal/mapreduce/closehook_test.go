@@ -203,7 +203,8 @@ func TestCloseEmitFaultRetried(t *testing.T) {
 }
 
 // bdmInput is a partitioned catalog of a few dozen blocks, and the BDM
-// job's input built from it.
+// job's input built from it: the catalog annotated with the keys the
+// tests' JobOptions name.
 func bdmInput(m int) (entity.Partitions, [][]bdm.Annotated) {
 	var es []entity.Entity
 	for i := 0; i < 400; i++ {
@@ -212,20 +213,7 @@ func bdmInput(m int) (entity.Partitions, [][]bdm.Annotated) {
 		es = append(es, entity.New(fmt.Sprintf("e%03d", i), "title", fmt.Sprintf("b%02d item %d", block, i)))
 	}
 	parts := entity.SplitRoundRobin(es, m)
-	return parts, bdmJobInput(parts)
-}
-
-// bdmJobInput is the BDM job's input over parts: the entities, not yet
-// annotated with a blocking key.
-func bdmJobInput(parts entity.Partitions) [][]bdm.Annotated {
-	input := make([][]bdm.Annotated, len(parts))
-	for i, p := range parts {
-		input[i] = make([]bdm.Annotated, len(p))
-		for k, e := range p {
-			input[i][k] = bdm.Annotated{Value: e}
-		}
-	}
-	return input
+	return parts, bdm.Annotate(parts, "title", blocking.NormalizedPrefix(3))
 }
 
 // matrixOf assembles the matrix a BDM job result describes.
@@ -291,7 +279,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 		if want == nil {
 			want = res
 		} else if !reflect.DeepEqual(res, want) {
-			t.Errorf("%s: BDM job Result (TaskMetrics, side output included) diverges from the other residencies", name)
+			t.Errorf("%s: BDM job Result (TaskMetrics included) diverges from the other residencies", name)
 		}
 	}
 }

@@ -54,13 +54,13 @@ type runState[I, K, V, O any] struct {
 	input     [][]I
 	res       *Result[I, O]
 	sink      *outputSink[O]
-	mapOut    []mapOutput[I, K, V]
+	mapOut    []mapOutput[K, V]
 	reduceOut [][]O
 
 	// The supervisors are embedded, and the phases are pointer-shaped
 	// views of this struct, so the fault-free path allocates nothing for
 	// supervision.
-	mapSup taskSupervisor[mapOutput[I, K, V]]
+	mapSup taskSupervisor[mapOutput[K, V]]
 	redSup taskSupervisor[reduceOut[O]]
 }
 
@@ -163,10 +163,9 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 			MapMetrics:    make([]TaskMetrics, m),
 			ReduceMetrics: make([]TaskMetrics, r),
 		},
-		SideOutput: make([][]I, m),
 	}
 	st.m, st.input, st.res, st.sink = m, input, res, sink
-	st.mapOut = make([]mapOutput[I, K, V], m)
+	st.mapOut = make([]mapOutput[K, V], m)
 	st.reduceOut = make([][]O, r)
 	if st.remote != nil {
 		st.replicas = make([]RemoteRun, m)
@@ -254,7 +253,7 @@ func (st *runState[I, K, V, O]) reduceRecords(task int) int64 {
 // attempt until the supervisor commits it: zero or more sorted runs,
 // all sections of one file, plus the in-memory tail, bucketed by reduce
 // partition and sorted.
-type mapOutput[I, K, V any] struct {
+type mapOutput[K, V any] struct {
 	runs []*runio.Info
 	// file is what the runs are read through: the attempt's spill file,
 	// still open from writing, or nil for a replica until a degraded
@@ -262,7 +261,6 @@ type mapOutput[I, K, V any] struct {
 	file    *os.File
 	buckets [][]Rec[K, V]
 	flat    []Rec[K, V] // the buckets' shared backing array (pooled)
-	side    []I
 	metrics TaskMetrics
 	// dir is the attempt's spill directory ("" when it never spilled);
 	// replica names a distributed attempt's run, a file of its own.
@@ -271,7 +269,7 @@ type mapOutput[I, K, V any] struct {
 }
 
 // release closes the output's fd and recycles its bucket array.
-func (out *mapOutput[I, K, V]) release(pools *recPools[K, V]) {
+func (out *mapOutput[K, V]) release(pools *recPools[K, V]) {
 	if out.file != nil {
 		out.file.Close()
 	}
@@ -280,7 +278,7 @@ func (out *mapOutput[I, K, V]) release(pools *recPools[K, V]) {
 
 // discard is release for an output that will never be committed: its
 // files go too.
-func (out *mapOutput[I, K, V]) discard(pools *recPools[K, V]) {
+func (out *mapOutput[K, V]) discard(pools *recPools[K, V]) {
 	out.release(pools)
 	if out.dir != "" {
 		os.RemoveAll(out.dir)
@@ -299,14 +297,14 @@ type reduceOut[O any] struct {
 // mapPhase is the map phase's taskOps.
 type mapPhase[I, K, V, O any] struct{ *runState[I, K, V, O] }
 
-func (p mapPhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (mapOutput[I, K, V], error) {
+func (p mapPhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (mapOutput[K, V], error) {
 	if p.remote != nil {
 		return p.remoteMapAttempt(actx, hook, task, attempt)
 	}
 	return p.runMapAttempt(actx, hook, task, attempt, p.m, p.input[task])
 }
 
-func (p mapPhase[I, K, V, O]) commitTask(task int, out mapOutput[I, K, V]) error {
+func (p mapPhase[I, K, V, O]) commitTask(task int, out mapOutput[K, V]) error {
 	if out.dir != "" {
 		// Adopt the attempt's spill directory under the task's final
 		// name; the rename is the commit point for the on-disk runs. The
@@ -323,7 +321,6 @@ func (p mapPhase[I, K, V, O]) commitTask(task int, out mapOutput[I, K, V]) error
 	out.metrics.Kind = MapTask
 	out.metrics.Index = task
 	p.res.MapMetrics[task] = out.metrics
-	p.res.SideOutput[task] = out.side
 	p.mapOut[task] = out
 	if p.remote != nil {
 		p.replicas[task] = out.replica
@@ -391,7 +388,7 @@ func appendInputs[K, V any](inputs []reduceInput[K, V], p int, runs []*runio.Inf
 // runMapAttempt is the one map-attempt body: run the mapper over the
 // task's input into a spiller, give it its end-of-input call, and sort
 // what is left in memory into the tail buckets.
-func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, input []I) (out mapOutput[I, K, V], err error) {
+func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, input []I) (out mapOutput[K, V], err error) {
 	// Declared before recoverAttempt so it runs after it (LIFO): by the
 	// time the attempt's files and buffers are released, a recovered
 	// panic has already been translated into err.
@@ -408,7 +405,7 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 		return out, err
 	}
 	metrics := &out.metrics
-	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp, sideCap: len(input), hook: hook}
+	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp, hook: hook}
 	mapper := st.job.NewMapper()
 	mapper.Configure(m, st.r, idx)
 	// Attempt cancellation (a per-attempt timeout, a cancelled run) is
@@ -428,7 +425,6 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 		}
 		closer.Close(ctx)
 	}
-	out.side = ctx.side
 	if sp.err != nil {
 		return out, sp.err
 	}

@@ -4,9 +4,9 @@ package mapreduce_test
 // the match job of every strategy — must produce the reference's Result
 // (reference_test.go) on the engine, wherever the intermediate records
 // reside: in memory, spilled several runs per map task, and dispatched.
-// The comparison covers the complete Result — raw job outputs, side
-// outputs, comparison counts and every TaskMetrics field of the
-// differential contract — across Basic/BlockSplit/PairRange × 1..4 map
+// The comparison covers the complete Result — raw job outputs,
+// comparison counts and every TaskMetrics field of the differential
+// contract — across Basic/BlockSplit/PairRange × 1..4 map
 // partitions × 1..8 reduce tasks, and BlockSplit/PairRange over two
 // sources in 2..4 partitions, each with sequential (Parallelism 1) and
 // concurrent (Parallelism 4) execution. The reference sorts by Compare
@@ -36,8 +36,9 @@ func titleMatcher(threshold float64) core.PairFunc {
 	}
 }
 
-// checkBDMJob holds the BDM job over parts to the reference everywhere
-// and returns the reference's matrix and side output: Job 2's input.
+// checkBDMJob holds the BDM job over parts, annotated by opts, to the
+// reference everywhere and returns the reference's matrix and the
+// annotated partitions the job counted: Job 2's input.
 func checkBDMJob(t *testing.T, name string, parts entity.Partitions, opts bdm.JobOptions, par int) (*bdm.Matrix, [][]bdm.Annotated) {
 	t.Helper()
 	job := bdm.Job(opts)
@@ -45,10 +46,11 @@ func checkBDMJob(t *testing.T, name string, parts entity.Partitions, opts bdm.Jo
 	if err != nil {
 		t.Fatal(err)
 	}
+	input := bdm.Annotate(parts, opts.Attr, opts.KeyFunc)
 	// A task's records of one block are one matrix cell when the mapper
 	// aggregates, so its runs are few.
-	want := checkEverywhere(t, name+"/bdm", job, rr, par, bdmJobInput(parts), 1)
-	return matrixOf(t, want, len(parts)), want.SideOutput
+	want := checkEverywhere(t, name+"/bdm", job, rr, par, input, 1)
+	return matrixOf(t, want, len(parts)), input
 }
 
 // checkMatchJob holds a strategy's match job to the reference everywhere.
@@ -185,21 +187,20 @@ func dualCatalog() (partsR, partsS []entity.Entity) {
 	return partsR, partsS
 }
 
-// TestDataflowDifferentialSideOutput pins the side-output path (the BDM
-// job's annotated entities, one record per input record when the mapper
-// does not aggregate) to the reference, including the per-map-task
-// partitioning the matching job depends on.
-func TestDataflowDifferentialSideOutput(t *testing.T) {
+// TestDataflowDifferentialBDMJobPerEntity pins the BDM job that does
+// not aggregate — one (blockingKey.partitionIndex, 1) per annotated
+// entity — to the reference in memory, spilled and dispatched, and its
+// matrix to the one computed directly from the entities.
+func TestDataflowDifferentialBDMJobPerEntity(t *testing.T) {
 	parts := entity.SplitRoundRobin(skewedEntities(), 3)
-	_, side := checkBDMJob(t, "side-output", parts, bdm.JobOptions{
-		Attr:           "title",
-		KeyFunc:        blocking.NormalizedPrefix(3),
-		NumReduceTasks: 4,
-	}, 2)
-	for i, p := range parts {
-		if len(side[i]) != len(p) {
-			t.Errorf("map task %d side-wrote %d records for %d entities", i, len(side[i]), len(p))
-		}
+	opts := bdm.JobOptions{Attr: "title", KeyFunc: blocking.NormalizedPrefix(3), NumReduceTasks: 4}
+	got, _ := checkBDMJob(t, "per-entity", parts, opts, 2)
+	want, err := bdm.FromPartitions(parts, opts.Attr, opts.KeyFunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Cells(), want.Cells()) {
+		t.Errorf("the job's matrix has %d blocks and differs from the direct one's %d", got.NumBlocks(), want.NumBlocks())
 	}
 }
 

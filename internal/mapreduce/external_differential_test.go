@@ -5,7 +5,7 @@ package mapreduce_test
 // spill runs + external merge) and on the in-memory typed engine, with
 // budgets tiny enough that every map task flushes several runs. The
 // comparison covers the complete Result — match pairs, comparison
-// counts, raw job outputs, side outputs, and every TaskMetrics field
+// counts, raw job outputs, and every TaskMetrics field
 // except the external-only spill counters — across Basic/BlockSplit/
 // PairRange × 1..4 map partitions × 1..8 reduce tasks (UseCombiner on),
 // and BlockSplit/PairRange over two sources, each with sequential and
@@ -131,9 +131,9 @@ func checkExternalStrategies(t *testing.T, ins []strategyInput) {
 	}
 }
 
-// TestExternalDifferentialSideOutput pins the side-output path (the BDM
-// job's annotated entities, which never spill) to byte equality.
-func TestExternalDifferentialSideOutput(t *testing.T) {
+// TestExternalDifferentialBDMJob holds the BDM job's Result over the
+// annotated input to byte equality between memory and disk.
+func TestExternalDifferentialBDMJob(t *testing.T) {
 	parts := entity.SplitRoundRobin(skewedEntities(), 3)
 	job := bdm.Job(bdm.JobOptions{
 		Attr:           "title",
@@ -141,7 +141,7 @@ func TestExternalDifferentialSideOutput(t *testing.T) {
 		NumReduceTasks: 4,
 		UseCombiner:    true,
 	})
-	input := bdmJobInput(parts)
+	input := bdm.Annotate(parts, "title", blocking.NormalizedPrefix(3))
 	typed, err := job.RunContext(context.Background(), &mapreduce.Engine{Parallelism: 2}, input)
 	if err != nil {
 		t.Fatalf("typed run: %v", err)
@@ -157,6 +157,6 @@ func TestExternalDifferentialSideOutput(t *testing.T) {
 	assertSpilled(t, "bdm", ext.MapMetrics, 1)
 	clearResultSpillCounters(&ext.Metrics)
 	if !reflect.DeepEqual(typed, ext) {
-		t.Errorf("BDM job Result (incl. SideOutput) diverges between dataflows\ntyped: %+v\nexternal: %+v", typed, ext)
+		t.Errorf("BDM job Result diverges between dataflows\ntyped: %+v\nexternal: %+v", typed, ext)
 	}
 }

@@ -68,12 +68,11 @@ func (k TaskKind) String() string {
 // TaskMetrics records the observable work of one task; the cluster
 // simulator converts these into simulated execution time.
 type TaskMetrics struct {
-	Kind              TaskKind
-	Index             int
-	InputRecords      int64
-	InputGroups       int64 // reduce only: number of reduce() invocations
-	OutputRecords     int64
-	SideOutputRecords int64
+	Kind          TaskKind
+	Index         int
+	InputRecords  int64
+	InputGroups   int64 // reduce only: number of reduce() invocations
+	OutputRecords int64
 	// MaxGroupRecords is the largest value list passed to a single
 	// reduce() call — the lower bound on the reduce task's in-memory
 	// buffering, which is the paper's memory argument against Basic

@@ -1,8 +1,8 @@
 package mapreduce_test
 
 // The model tests: the Section II semantics the paper's strategies rely
-// on — part/comp/group on keys only, the map-task-stable merge, per-task
-// side output, metrics and counters — pinned on small fixtures with
+// on — part/comp/group on keys only, the map-task-stable merge, metrics
+// and counters — pinned on small fixtures with
 // hand-written expectations. Every job runs with and without its
 // KeyCoding, so the key-code path and the comparator path are both
 // pinned, and every successful run is also held to the reference.
@@ -272,27 +272,6 @@ func TestGroupCoarserThanSort(t *testing.T) {
 	bothCodings(t, job, func(t *testing.T, job *mapreduce.Job[ck, ck, struct{}, out]) {
 		if res := runChecked(t, &mapreduce.Engine{}, job, input); !reflect.DeepEqual(res.Output, want) {
 			t.Errorf("output = %v, want %v (secondary sort broken)", res.Output, want)
-		}
-	})
-}
-
-func TestSideOutputPerTask(t *testing.T) {
-	job := wordJob(2, false)
-	job.NewMapper = func() mapreduce.Mapper[string, string, int] {
-		return &mapreduce.MapperFunc[string, string, int]{
-			OnMap: func(ctx *mapreduce.MapContext[string, string, int], line string) {
-				ctx.SideEmit("side:" + line)
-				ctx.Emit(line, 1)
-			},
-		}
-	}
-	bothCodings(t, job, func(t *testing.T, job *wordCount) {
-		res := runChecked(t, &mapreduce.Engine{}, job, [][]string{{"a", "b"}, {"c"}})
-		if want := [][]string{{"side:a", "side:b"}, {"side:c"}}; !reflect.DeepEqual(res.SideOutput, want) {
-			t.Errorf("side output = %v, want %v", res.SideOutput, want)
-		}
-		if res.MapMetrics[0].SideOutputRecords != 2 {
-			t.Errorf("map 0 side records = %d, want 2", res.MapMetrics[0].SideOutputRecords)
 		}
 	})
 }

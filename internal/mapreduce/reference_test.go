@@ -28,8 +28,7 @@ func (j *Job[I, K, V, O]) Reference(input [][]I) *Result[I, O] {
 			MapMetrics:    make([]TaskMetrics, m),
 			ReduceMetrics: make([]TaskMetrics, r),
 		},
-		Output:     []O{},
-		SideOutput: make([][]I, m),
+		Output: []O{},
 	}
 	group := j.Group
 	if group == nil {
@@ -51,7 +50,6 @@ func (j *Job[I, K, V, O]) Reference(input [][]I) *Result[I, O] {
 		if closer, ok := mapper.(MapCloser[I, K, V]); ok {
 			closer.Close(ctx)
 		}
-		res.SideOutput[i] = ctx.side
 		res.MapOutputRecords += metrics.OutputRecords
 		for _, rec := range emitted.recs {
 			p := j.Partition(rec.Key, r)

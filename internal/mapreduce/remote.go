@@ -35,19 +35,16 @@ var ErrNoWorkers = errors.New("mapreduce: no live workers")
 // RemoteMapResult is a completed remote map attempt as the driver sees
 // it: the run's segment index (Path pointing at the master-local
 // replica the dispatcher fetched), the worker URL the run can also be
-// range-read from, and the attempt's side output as a record blob.
+// range-read from, and the attempt's metrics. A map attempt's output is
+// its run and nothing else.
 type RemoteMapResult struct {
 	// Info describes the attempt's ERN1 run file; Info.Path must name a
 	// file readable by this process (the dispatcher's replica).
 	Info *runio.Info
 	// Origin is the worker's run-serving URL ("" when the run only
 	// exists locally). Reducers prefer it and fall back to the replica.
-	Origin string
-	// Side is the attempt's side output, SideCount records encoded with
-	// the job's input codec (see EncodeRecords).
-	Side      []byte
-	SideCount int
-	Metrics   TaskMetrics
+	Origin  string
+	Metrics TaskMetrics
 }
 
 // RemoteReduceResult is a completed remote reduce attempt: the emitted
@@ -170,12 +167,7 @@ func (st *runState[I, K, V, O]) execMapToRun(actx context.Context, hook *taskHoo
 	}
 	mout.metrics.SpillRuns++
 	mout.metrics.SpillBytesWritten += info.FileBytes
-	return &RemoteMapResult{
-		Info:      info,
-		Side:      EncodeRecords(st.ic, mout.side),
-		SideCount: len(mout.side),
-		Metrics:   mout.metrics,
-	}, nil
+	return &RemoteMapResult{Info: info, Metrics: mout.metrics}, nil
 }
 
 // The master side. Map and reduce attempts go through the dispatcher
@@ -199,7 +191,7 @@ func (st *runState[I, K, V, O]) logDegraded() {
 
 // remoteMapAttempt dispatches one map attempt; its output is the replica
 // of the worker's run in the run directory.
-func (st *runState[I, K, V, O]) remoteMapAttempt(actx context.Context, hook *taskHook, task, attempt int) (out mapOutput[I, K, V], err error) {
+func (st *runState[I, K, V, O]) remoteMapAttempt(actx context.Context, hook *taskHook, task, attempt int) (out mapOutput[K, V], err error) {
 	dir, err := st.runDir()
 	if err != nil {
 		return out, err
@@ -209,17 +201,13 @@ func (st *runState[I, K, V, O]) remoteMapAttempt(actx context.Context, hook *tas
 	rm, err := st.remote.RunMapAttempt(actx, st.m, task, attempt, EncodeRecords(st.ic, input), len(input), path)
 	if errors.Is(err, ErrNoWorkers) {
 		// Degradation ladder, bottom rung: no live worker — run the
-		// attempt in-process so the job still completes. Its side output
-		// round-trips through the codec even so: one code path.
+		// attempt in-process so the job still completes, into a run file
+		// as a worker would: one code path.
 		st.logDegraded()
 		rm, err = st.execMapToRun(actx, hook, task, attempt, st.m, input, path)
 	}
 	if err != nil {
 		return out, err
-	}
-	if out.side, err = DecodeRecords(st.ic, rm.Side, rm.SideCount); err != nil {
-		os.Remove(path)
-		return out, fmt.Errorf("map task %d: decode side output: %w", task, err)
 	}
 	rm.Info.Path = path
 	out.runs = []*runio.Info{rm.Info}
@@ -267,8 +255,8 @@ func (st *runState[I, K, V, O]) remoteReduceAttempt(actx context.Context, hook *
 const encodeSample = 16
 
 // EncodeRecords concatenates the codec encodings of recs into one blob
-// (nil for an empty slice) — the record-blob convention remote inputs,
-// side outputs, and reduce outputs cross process boundaries in. The
+// (nil for an empty slice) — the record-blob convention remote inputs
+// and reduce outputs cross process boundaries in. The
 // blob is allocated once, at the size the first records predict plus an
 // eighth; records that run longer than that grow it the usual way.
 func EncodeRecords[T any](c runio.Codec[T], recs []T) []byte {
@@ -292,8 +280,7 @@ func EncodeRecords[T any](c runio.Codec[T], recs []T) []byte {
 }
 
 // DecodeRecords decodes a record blob produced by EncodeRecords. A
-// zero-count blob decodes to nil, so side output round-trips its
-// nil-ness (the differential suite compares with reflect.DeepEqual).
+// zero-count blob decodes to nil.
 func DecodeRecords[T any](c runio.Codec[T], b []byte, count int) ([]T, error) {
 	if count == 0 {
 		if len(b) != 0 {

@@ -1,7 +1,7 @@
 package mapreduce_test
 
 // RunStream tests: streamed output must carry exactly the records a
-// collecting run accumulates (same metrics, same side output), leave
+// collecting run accumulates (same metrics), leave
 // Result.Output empty, and surface sink errors as run failures — in
 // memory and spilling.
 
@@ -63,7 +63,7 @@ func TestRunStreamMatchesRunContext(t *testing.T) {
 			collected.Output = nil
 			res.Output = nil
 			if !reflect.DeepEqual(res, collected) {
-				t.Fatalf("%s par %d: metrics/side output differ between stream and collect\nstream:  %+v\ncollect: %+v",
+				t.Fatalf("%s par %d: metrics differ between stream and collect\nstream:  %+v\ncollect: %+v",
 					dname, par, res.Metrics, collected.Metrics)
 			}
 		}

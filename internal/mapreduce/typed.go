@@ -10,9 +10,7 @@ import (
 // the execution model described in the package comment. A Job[I, K, V, O]
 // fixes four concrete types —
 //
-//	I – one map-input record (and, by convention, one side-output
-//	    record: SideEmit writes records of the input type so a
-//	    pipeline's next job can consume SideOutput as its input),
+//	I – one map-input record,
 //	K – the intermediate (shuffle) key,
 //	V – the intermediate value,
 //	O – one reduce-output record —
@@ -159,10 +157,6 @@ type Result[I, O any] struct {
 	// Output contains the concatenated reduce outputs in reduce task
 	// order (within a task, in emission order).
 	Output []O
-	// SideOutput holds each map task's side output, indexed by map task
-	// (= input partition) index. Side records have the input type I so a
-	// follow-up job can consume them as its partitioned input.
-	SideOutput [][]I
 }
 
 // MapContext is passed to map (and close) calls for emitting
@@ -173,14 +167,8 @@ type MapContext[I, K, V any] struct {
 	// spill receives every emission: the attempt's map-output buffer,
 	// which flushes sorted runs to disk under a finite Engine.SpillBudget
 	// and is a plain in-memory append otherwise (see spill.go).
-	spill *spiller[K, V]
-	side  []I
-	// sideCap sizes the side-output buffer on first use: side emitters
-	// (the BDM job) write at most one record per input record, so the
-	// task's input size is an exact upper bound and the buffer never
-	// regrows.
-	sideCap int
-	encode  func(K) Code
+	spill  *spiller[K, V]
+	encode func(K) Code
 	// hook is the attempt's fault-injection binding (nil when the engine
 	// has no FaultHook installed).
 	hook *taskHook
@@ -196,18 +184,6 @@ func (c *MapContext[I, K, V]) Emit(key K, value V) {
 	}
 	c.spill.add(Rec[K, V]{code: code, Key: key, Value: value})
 	c.metrics.OutputRecords++
-}
-
-// SideEmit writes a record of the input type to the task's side output,
-// bypassing the shuffle. The BDM job uses it for the "additionalOutput"
-// of Algorithm 3: blocking-key-annotated entities, written per map task
-// so the second job sees the identical input partitioning.
-func (c *MapContext[I, K, V]) SideEmit(rec I) {
-	if c.side == nil && c.sideCap > 0 {
-		c.side = make([]I, 0, c.sideCap)
-	}
-	c.side = append(c.side, rec)
-	c.metrics.SideOutputRecords++
 }
 
 // Inc adds delta to the named user counter for this task.
@@ -341,7 +317,7 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, e *Engine, input [][]I
 // Result.Output, so peak memory is O(largest task's output) — the
 // commit protocol's price for never double-emitting under retries —
 // rather than O(total output). A non-nil error from out
-// fails the run. Metrics and side output are identical to RunContext.
+// fails the run. Metrics are identical to RunContext.
 func (j *Job[I, K, V, O]) RunStream(ctx context.Context, e *Engine, input [][]I, out func(O) error) (*Result[I, O], error) {
 	if out == nil {
 		return j.run(ctx, e, input, nil)
