@@ -10,8 +10,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/entity"
@@ -75,6 +76,29 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestJob2RecordSizesPinned pins the widths that bound Job 2's memory:
+// every strategy's shuffled record is a 16-byte key code, a key of at
+// most 16 bytes and a 32-byte entity.Row. A wider key field or a value
+// that carried the entity again would grow every record of a split
+// block's replicas.
+func TestJob2RecordSizesPinned(t *testing.T) {
+	for name, got := range map[string]uintptr{
+		"core.BSKey":                            unsafe.Sizeof(core.BSKey{}),
+		"core.PRKey":                            unsafe.Sizeof(core.PRKey{}),
+		"mapreduce.Rec[string, entity.Row]":     unsafe.Sizeof(mapreduce.Rec[string, entity.Row]{}),
+		"mapreduce.Rec[core.BSKey, entity.Row]": unsafe.Sizeof(mapreduce.Rec[core.BSKey, entity.Row]{}),
+		"mapreduce.Rec[core.PRKey, entity.Row]": unsafe.Sizeof(mapreduce.Rec[core.PRKey, entity.Row]{}),
+	} {
+		want := uintptr(64)
+		if strings.HasPrefix(name, "core.") {
+			want = 16
+		}
+		if got != want {
+			t.Errorf("%s is %d bytes, want %d", name, got, want)
+		}
+	}
+}
+
 // TestBlockKernelAllocsPinned pins the reduce-side comparison path the
 // strategy reducers drive, for both kinds of core.Matcher: acquiring
 // the matcher's pooled block, loading and probing a whole group through
@@ -84,8 +108,7 @@ func TestBlockKernelAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; the pin would flake")
 	}
-	var group []entity.Entity
-	for i, title := range []string{
+	group := []string{
 		"canon eos 5d mark iii digital slr camera body",
 		"canon eos 5d mark iv digital slr camera body",
 		"canon powershot sx740 compact travel zoom",
@@ -93,11 +116,9 @@ func TestBlockKernelAllocsPinned(t *testing.T) {
 		"canon eos 5d mark iii digital slr camera bodies",
 		"caméra canon eos 5d mark iii",
 		"cable hdmi 3m",
-	} {
-		group = append(group, entity.New(strconv.Itoa(i), "title", title))
 	}
-	samePrefix := core.PairFunc(func(a, b entity.Entity) (float64, bool) {
-		return 1, a.Attr("title")[:5] == b.Attr("title")[:5]
+	samePrefix := core.PairFunc(func(a, b string) (float64, bool) {
+		return 1, a[:5] == b[:5]
 	})
 	for _, row := range []struct {
 		name string
@@ -109,12 +130,12 @@ func TestBlockKernelAllocsPinned(t *testing.T) {
 		hits := 0
 		cycle := func() {
 			blk := row.m.AcquireBlock()
-			for i, e := range group {
-				rows, _ := blk.Probe(e, 0, i, true)
+			for i, title := range group {
+				rows, _ := blk.Probe(title, 0, i, true)
 				hits += len(rows)
 			}
-			for _, e := range group {
-				rows, _ := blk.Probe(e, 3, len(group), false)
+			for _, title := range group {
+				rows, _ := blk.Probe(title, 3, len(group), false)
 				hits += len(rows)
 			}
 			blk.Release()

@@ -490,8 +490,8 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
-	matcher := core.PairFunc(func(x, y entity.Entity) (float64, bool) {
-		sim := similarity.LevenshteinSimilarity(x.Attr(datagen.AttrTitle), y.Attr(datagen.AttrTitle))
+	matcher := core.PairFunc(func(x, y string) (float64, bool) {
+		sim := similarity.LevenshteinSimilarity(x, y)
 		return sim, sim >= 0.8
 	})
 	b.ReportAllocs()

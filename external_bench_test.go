@@ -170,12 +170,12 @@ func samplePeakHeap(fn func()) uint64 {
 }
 
 // BenchmarkRunioCodecs measures the per-record disk codec hot path:
-// encode + decode of a typical annotated entity record.
+// encode + decode of a typical Job 2 value, an entity's row.
 func BenchmarkRunioCodecs(b *testing.B) {
-	e := entity.New("prod-0001234", datagen.AttrTitle, "canon powershot sx130is 12.1 mp digital camera")
-	c, ok := runio.Lookup[entity.Entity]()
+	e := entity.Row{ID: "prod-0001234", Text: "canon powershot sx130is 12.1 mp digital camera"}
+	c, ok := runio.Lookup[entity.Row]()
 	if !ok {
-		b.Fatal("entity codec not registered")
+		b.Fatal("row codec not registered")
 	}
 	dec := c.NewDecoder()
 	var buf []byte

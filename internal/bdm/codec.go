@@ -47,8 +47,8 @@ func init() {
 	// Distributed execution also moves the BDM job's input and output
 	// records across process boundaries: register codecs for both pair
 	// shapes (Annotated and CountRecord). The element codecs exist by
-	// now — string and int are runio builtins, entity.Entity is
-	// registered by the entity package's init, Key just above.
-	mapreduce.RegisterPairCodec[string, entity.Entity]()
+	// now — string and int are runio builtins, entity.Row is registered
+	// by the entity package's init, Key just above.
+	mapreduce.RegisterPairCodec[string, entity.Row]()
 	mapreduce.RegisterPairCodec[Key, int]()
 }

@@ -37,11 +37,11 @@ var keyCoding = mapreduce.KeyCoding[Key]{
 	Encode: func(k Key) mapreduce.Code { return mapreduce.StringPrefixCode(k.BlockKey) },
 }
 
-// Annotated is a blocking-key-annotated entity: the input record of
-// both jobs. Annotate computes every key once, the BDM job counts them,
-// and the matching job reads the same records — Algorithm 3's
+// Annotated is a blocking-key-annotated row: the input record of both
+// jobs. Annotate computes every key once, the BDM job counts them, and
+// the matching job reads the same records — Algorithm 3's
 // "additionalOutput" without a second copy of the input.
-type Annotated = mapreduce.Pair[string, entity.Entity]
+type Annotated = mapreduce.Pair[string, entity.Row]
 
 // CountRecord is one reduce output of the BDM job: a (block, partition)
 // key with its entity count — a matrix cell in record form.
@@ -188,16 +188,20 @@ func (c *countReducer) Reduce(ctx *mapreduce.ReduceContext[CountRecord], key Key
 	ctx.Emit(CountRecord{Key: key, Value: sum})
 }
 
-// Annotate pairs every entity of parts with its blocking key,
-// keyFunc(e.Attr(attr)), in its partition and position: the one place a
-// blocking key is computed. Both jobs read what it returns — the BDM job
-// counts the keys, the matching job routes by them.
+// Annotate turns every entity of parts into a row of its ID and attr's
+// text, keyed by the blocking key keyFunc(text), in its partition and
+// position: the one place a blocking key is computed and the last place
+// an Entity is read. Both jobs read what it returns — the BDM job counts
+// the keys, the matching job routes by them and matches the texts. The
+// rows alias the entities' strings but not their attribute slices, so
+// once it returns nothing of the result holds parts.
 func Annotate(parts entity.Partitions, attr string, keyFunc blocking.KeyFunc) [][]Annotated {
 	input := make([][]Annotated, len(parts))
 	for i, p := range parts {
 		input[i] = make([]Annotated, len(p))
 		for j, e := range p {
-			input[i][j] = Annotated{Key: keyFunc(e.Attr(attr)), Value: e}
+			text := e.Attr(attr)
+			input[i][j] = Annotated{Key: keyFunc(text), Value: entity.Row{ID: e.ID, Text: text}}
 		}
 	}
 	return input

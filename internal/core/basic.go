@@ -28,19 +28,19 @@ func (Basic) Job(_ *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("Basic", r); err != nil {
 		return nil, err
 	}
-	return &mapreduce.Job[AnnotatedEntity, string, entity.Entity, MatchOutput]{
+	return &mapreduce.Job[AnnotatedEntity, string, entity.Row, MatchOutput]{
 		Name:           "basic",
 		NumReduceTasks: r,
-		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, string, entity.Entity] {
-			return &mapreduce.MapperFunc[AnnotatedEntity, string, entity.Entity]{
-				OnMap: func(ctx *mapreduce.MapContext[AnnotatedEntity, string, entity.Entity], rec AnnotatedEntity) {
-					// Input records are annotated entities (blocking
-					// key, entity); Basic forwards them unchanged.
+		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, string, entity.Row] {
+			return &mapreduce.MapperFunc[AnnotatedEntity, string, entity.Row]{
+				OnMap: func(ctx *mapreduce.MapContext[AnnotatedEntity, string, entity.Row], rec AnnotatedEntity) {
+					// Input records are annotated rows (blocking key,
+					// row); Basic forwards them unchanged.
 					ctx.Emit(rec.Key, rec.Value)
 				},
 			}
 		},
-		NewReducer: func() mapreduce.Reducer[string, entity.Entity, MatchOutput] {
+		NewReducer: func() mapreduce.Reducer[string, entity.Row, MatchOutput] {
 			return &basicReducer{group: &group{m: match}}
 		},
 		Partition: mapreduce.HashPartition,
@@ -60,7 +60,7 @@ func (b *basicReducer) Configure(_, _, _ int) {}
 // every already-seen entity is what forces a reduce task to keep an
 // entire block in memory — the paper's memory-bottleneck argument
 // against Basic.
-func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[string, entity.Entity]) {
+func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[string, entity.Row]) {
 	b.begin(len(values))
 	for _, v := range values {
 		b.probe(ctx, v.Value, 0, b.len(), true)

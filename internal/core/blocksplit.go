@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/bdm"
@@ -49,12 +50,14 @@ func (BlockSplit) NeedsBDM() bool { return true }
 // (Block, I, J, Role) and grouping (Block, I, J). The split component
 // (I, J) encodes the match task: I = J = −1 for an unsplit block (k.*),
 // I = J = i for sub-block k.i, and I > J for the cross product k.J×I.
-// Role is the value's part in its task, decided by the mapper.
+// Role is the value's part in its task, decided by the mapper. The
+// fields are as narrow as Job's limits allow (keyLimits), so the key
+// takes 16 bytes.
 type BSKey struct {
-	Reduce int
-	Block  int
-	I, J   int
-	Role   int
+	Reduce int32
+	Block  int32
+	I, J   int16
+	Role   int8
 }
 
 // The values of BSKey.Role. A cross product's rows sort before its
@@ -290,29 +293,23 @@ func compareBSKeys(a, b BSKey) int {
 }
 
 // bsKeyCoding packs a BSKey into an exact order-preserving code: block ‖
-// i+1 ‖ j+1 in the high word — the grouping key, hence GroupBits 64; the
-// +1 maps the unsplit sentinel −1 to 0 — and the role in the low word.
-// The split components share 32 bits, so a BDM of 2¹⁶ partitions or more
-// (or of more than 2³² blocks) disables the coding and the engine falls
-// back to the struct comparator.
-func bsKeyCoding(x *bdm.Matrix) mapreduce.KeyCoding[BSKey] {
-	if x.NumBlocks() > 1<<32 || x.NumPartitions() >= 1<<16 {
-		return mapreduce.KeyCoding[BSKey]{}
-	}
-	return mapreduce.KeyCoding[BSKey]{
-		Encode: func(k BSKey) mapreduce.Code {
-			return mapreduce.Code{
-				Hi: uint64(uint32(k.Block))<<32 | uint64(uint16(k.I+1))<<16 | uint64(uint16(k.J+1)),
-				Lo: uint64(k.Role),
-			}
-		},
-		Exact:     true,
-		GroupBits: 64,
-	}
+// i ‖ j in the high word — the grouping key, hence GroupBits 64 — and
+// the role in the low word. Each field is stored with its sign bit
+// flipped, which orders the whole range of its type as unsigned, so
+// every key a job can build is coded.
+var bsKeyCoding = mapreduce.KeyCoding[BSKey]{
+	Encode: func(k BSKey) mapreduce.Code {
+		return mapreduce.Code{
+			Hi: uint64(uint32(k.Block)^1<<31)<<32 | uint64(uint16(k.I)^1<<15)<<16 | uint64(uint16(k.J)^1<<15),
+			Lo: uint64(uint8(k.Role) ^ 1<<7),
+		}
+	},
+	Exact:     true,
+	GroupBits: 64,
 }
 
 // Job implements Strategy (Algorithm 1). Input records must be the BDM
-// job's input (blocking-key-annotated entities, bdm.Annotate).
+// job's input (blocking-key-annotated rows, bdm.Annotate).
 func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("BlockSplit", r); err != nil {
 		return nil, err
@@ -320,23 +317,26 @@ func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) 
 	if x == nil {
 		return nil, fmt.Errorf("core: BlockSplit requires a BDM")
 	}
+	if err := keyLimits("BlockSplit", x.NumBlocks(), x.NumPartitions(), r, math.MaxInt16); err != nil {
+		return nil, err
+	}
 	// The assignment is deterministic and identical in every map task;
 	// compute it once and share it read-only (each Hadoop map task would
 	// recompute it from the distributed BDM file).
 	asg := buildAssignment(x, r, bs.MaxEntitiesPerTask)
-	return &mapreduce.Job[AnnotatedEntity, BSKey, entity.Entity, MatchOutput]{
+	return &mapreduce.Job[AnnotatedEntity, BSKey, entity.Row, MatchOutput]{
 		Name:           "blocksplit",
 		NumReduceTasks: r,
-		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, BSKey, entity.Entity] {
+		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, BSKey, entity.Row] {
 			return &bsMapper{x: x, asg: asg}
 		},
-		NewReducer: func() mapreduce.Reducer[BSKey, entity.Entity, MatchOutput] {
+		NewReducer: func() mapreduce.Reducer[BSKey, entity.Row, MatchOutput] {
 			return &bsReducer{group: &group{m: match}}
 		},
-		Partition: func(key BSKey, r int) int { return key.Reduce % r },
+		Partition: func(key BSKey, r int) int { return int(key.Reduce) % r },
 		Compare:   compareBSKeys,
 		Group:     groupBSKeys,
-		Coding:    bsKeyCoding(x),
+		Coding:    bsKeyCoding,
 	}, nil
 }
 
@@ -359,7 +359,7 @@ func (mp *bsMapper) Configure(m, _, partitionIndex int) {
 // entity, one per match task of its partition (own sub-block + one cross
 // product per other compared partition) per split-block entity — and
 // the same again for a keyed entity's place in the ⊥ row.
-func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Entity], rec AnnotatedEntity) {
+func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Row], rec AnnotatedEntity) {
 	k, ok := mp.x.BlockIndex(rec.Key)
 	if !ok {
 		panic(fmt.Sprintf("core: BlockSplit: blocking key %q not present in BDM", rec.Key))
@@ -373,12 +373,12 @@ func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity
 // emit sends e, an entity of block k — with keyed, a keyed entity of
 // the ⊥ row — to its match tasks. A keyed entity meets only keyless
 // ones, so it skips the tasks of a partition without them.
-func (mp *bsMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Entity], k int, e entity.Entity, keyed bool) {
+func (mp *bsMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Row], k int, e entity.Row, keyed bool) {
 	if !mp.asg.split[k] {
 		if mp.x.BlockPairs(k) == 0 {
 			return // nothing to compare
 		}
-		ctx.Emit(BSKey{Reduce: mp.asg.reduceOf(k, -1, -1), Block: k, I: -1, J: -1, Role: mp.role(k, -1, -1, keyed)}, e)
+		ctx.Emit(BSKey{Reduce: int32(mp.asg.reduceOf(k, -1, -1)), Block: int32(k), I: -1, J: -1, Role: mp.role(k, -1, -1, keyed)}, e)
 		return
 	}
 	for i := 0; i < mp.m; i++ {
@@ -387,7 +387,7 @@ func (mp *bsMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entit
 		if reduce < 0 || keyed && mp.x.SizeIn(0, i) == 0 {
 			continue // no such task, or nothing in it to compare with
 		}
-		ctx.Emit(BSKey{Reduce: reduce, Block: k, I: hi, J: lo, Role: mp.role(k, hi, lo, keyed)}, e)
+		ctx.Emit(BSKey{Reduce: int32(reduce), Block: int32(k), I: int16(hi), J: int16(lo), Role: mp.role(k, hi, lo, keyed)}, e)
 	}
 }
 
@@ -396,7 +396,7 @@ func (mp *bsMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entit
 // source a cross product's rows are the lower partition's. In the ⊥ row
 // a keyed entity is a probe, except on the row side of a cross product,
 // where it is a late row, and the keyless probes come late.
-func (mp *bsMapper) role(k, hi, lo int, keyed bool) int {
+func (mp *bsMapper) role(k, hi, lo int, keyed bool) int8 {
 	switch {
 	case mp.x.TwoSources() && mp.x.PartitionSource(mp.partition) == bdm.SourceR:
 		return roleRow
@@ -424,7 +424,7 @@ func (rd *bsReducer) Configure(_, _, _ int) {}
 // from its key: a self-join member meets every row loaded before it and
 // becomes a row; a cross product's rows, which sort first, are loaded,
 // and each probe meets all rows loaded before it without being kept.
-func (rd *bsReducer) Reduce(ctx *matchCtx, _ BSKey, values []mapreduce.Rec[BSKey, entity.Entity]) {
+func (rd *bsReducer) Reduce(ctx *matchCtx, _ BSKey, values []mapreduce.Rec[BSKey, entity.Row]) {
 	rd.begin(len(values))
 	for _, v := range values {
 		switch v.Key.Role {

@@ -10,9 +10,10 @@ import (
 // runio codecs for every intermediate key type the redistribution
 // strategies shuffle, registered at init so all of them run unchanged
 // on the external (out-of-core) dataflow. Composite keys are flat
-// sequences of zig-zag varints; the values are entities, whose codec the
-// entity package registers. The 128-bit binary key code is not part of
-// these encodings — the engine stores it as a fixed-width record prefix.
+// sequences of zig-zag varints; the values are entity.Rows, whose codec
+// the entity package registers. The 128-bit binary key code is not part
+// of these encodings — the engine stores it as a fixed-width record
+// prefix.
 
 type bsKeyCodec struct{}
 
@@ -26,10 +27,14 @@ func (bsKeyCodec) Append(dst []byte, k BSKey) []byte {
 
 func (bsKeyCodec) NewDecoder() func(string) (BSKey, int, error) {
 	return func(src string) (BSKey, int, error) {
-		var k BSKey
-		n, err := decodeInts(src, [5]*int{&k.Reduce, &k.Block, &k.I, &k.J, &k.Role})
+		var f [5]int64
+		n, err := decodeInts(src, f[:])
+		k := BSKey{Reduce: int32(f[0]), Block: int32(f[1]), I: int16(f[2]), J: int16(f[3]), Role: int8(f[4])}
+		if err == nil && [5]int64{int64(k.Reduce), int64(k.Block), int64(k.I), int64(k.J), int64(k.Role)} != f {
+			err = fmt.Errorf("%w: a field overflows its type", runio.ErrCorrupt)
+		}
 		if err != nil {
-			return k, 0, fmt.Errorf("BSKey: %w", err)
+			return BSKey{}, 0, fmt.Errorf("BSKey: %w", err)
 		}
 		return k, n, nil
 	}
@@ -45,35 +50,31 @@ func (prKeyCodec) Append(dst []byte, k PRKey) []byte {
 
 func (prKeyCodec) NewDecoder() func(string) (PRKey, int, error) {
 	return func(src string) (PRKey, int, error) {
-		var k PRKey
-		n, err := decodeInts(src, [5]*int{&k.Range, &k.Block})
-		if err != nil {
-			return k, 0, fmt.Errorf("PRKey: %w", err)
+		var f [3]int64
+		n, err := decodeInts(src, f[:])
+		k := PRKey{Range: int32(f[0]), Block: int32(f[1]), Index: f[2]}
+		if err == nil && (int64(k.Range) != f[0] || int64(k.Block) != f[1]) {
+			err = fmt.Errorf("%w: a field overflows its type", runio.ErrCorrupt)
 		}
-		idx, in, err := runio.Varint(src[n:])
 		if err != nil {
-			return k, 0, fmt.Errorf("PRKey index: %w", err)
+			return PRKey{}, 0, fmt.Errorf("PRKey: %w", err)
 		}
-		k.Index = idx
-		return k, n + in, nil
+		return k, n, nil
 	}
 }
 
-// decodeInts decodes consecutive zig-zag varints into up to five int
-// fields (nil stops early), returning the bytes consumed. Taking an
-// array instead of a variadic slice keeps the hot decode path free of
-// the ...*int allocation.
-func decodeInts(src string, dst [5]*int) (int, error) {
+// decodeInts decodes len(dst) consecutive zig-zag varints into dst and
+// returns the bytes consumed. The decoders narrow each into its key
+// field and refuse a value the field cannot hold: truncating it would
+// decode another key.
+func decodeInts(src string, dst []int64) (int, error) {
 	n := 0
-	for i, p := range dst {
-		if p == nil {
-			break
-		}
+	for i := range dst {
 		v, vn, err := runio.Varint(src[n:])
 		if err != nil {
 			return 0, fmt.Errorf("field %d: %w", i, err)
 		}
-		*p = int(v)
+		dst[i] = v
 		n += vn
 	}
 	return n, nil

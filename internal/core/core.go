@@ -23,24 +23,26 @@
 // matrix decides which pairs count, and only R×S pairs are compared.
 //
 // Every strategy's reducers compare through one contract: a Matcher
-// hands out a Block per reduce group, the reducer loads the group's
-// entities into it as rows and probes each entity against a row range
-// (kernel.go). PairFunc makes any per-pair function a Matcher.
+// hands out a Block per reduce group, the reducer loads the texts of the
+// group's rows into it and probes each text against a row range
+// (kernel.go). PairFunc makes any per-pair function a Matcher. Job 2's
+// records carry entity.Rows — an entity's ID and the text of the
+// attribute it is matched on — never an entity.
 package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bdm"
 	"repro/internal/cluster"
-	"repro/internal/entity"
 	"repro/internal/mapreduce"
 )
 
 // Matcher decides the pairs of a reduce group. AcquireBlock is called
 // once per group, from the group's goroutine; the reducer loads the
-// group's entities into the returned Block as rows and Releases it when
+// group's texts into the returned Block as rows and Releases it when
 // the group ends (see kernel.go). A nil Matcher is valid everywhere and
 // means "count the comparisons but do not compare" — used by runs that
 // only measure redistribution behaviour. Reduce tasks run concurrently,
@@ -91,10 +93,10 @@ func CompareMatchPairs(a, b MatchPair) int {
 // path in the contexts' Inc.
 const ComparisonsCounter = mapreduce.ComparisonsCounter
 
-// AnnotatedEntity is one input record of a matching job: an entity
-// annotated with its blocking key — the format of the BDM job's side
-// output (Algorithm 3's "additionalOutput").
-type AnnotatedEntity = mapreduce.Pair[string, entity.Entity]
+// AnnotatedEntity is one input record of a matching job: an entity's
+// row annotated with its blocking key (bdm.Annotate), the record the
+// BDM job counts (Algorithm 3's "additionalOutput").
+type AnnotatedEntity = bdm.Annotated
 
 // MatchOutput is one emitted match: the canonical pair and its
 // similarity.
@@ -102,7 +104,7 @@ type MatchOutput = mapreduce.Pair[MatchPair, float64]
 
 // MatchJob is a runnable matching job (Job 2 of the paper's workflow)
 // with the strategy's intermediate key/value types erased: all
-// strategies consume blocking-key-annotated entities and emit match
+// strategies consume blocking-key-annotated rows and emit match
 // pairs, but each redistributes through its own composite key type.
 type MatchJob = mapreduce.JobRunner[AnnotatedEntity, MatchOutput]
 
@@ -124,7 +126,7 @@ type Strategy interface {
 	// as a single job without the preprocessing step).
 	NeedsBDM() bool
 	// Job builds the executable MR Job 2. Input records must be the BDM
-	// job's input (blocking-key-annotated entities). x may be nil
+	// job's input (blocking-key-annotated rows). x may be nil
 	// iff !NeedsBDM(); match may be nil (count comparisons only).
 	Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error)
 	// Plan computes the exact per-task workloads Job would produce for m
@@ -206,6 +208,19 @@ func newPlan(strategy string, m, r int) *Plan {
 func validateJobParams(name string, r int) error {
 	if r <= 0 {
 		return fmt.Errorf("core: %s: number of reduce tasks must be > 0, got %d", name, r)
+	}
+	return nil
+}
+
+// keyLimits refuses a job whose indexes its strategy's key cannot hold:
+// BSKey and PRKey store block and reduce (range) indexes as int32, and
+// BSKey stores a split component, a partition index, as int16, so
+// maxPartitions is math.MaxInt16 for BlockSplit. Below the limits every
+// key field is exact, and so is its key coding.
+func keyLimits(name string, blocks, m, r, maxPartitions int) error {
+	if blocks > math.MaxInt32 || r > math.MaxInt32 || m > maxPartitions {
+		return fmt.Errorf("core: %s: %d blocks, %d reduce tasks or %d partitions exceed the key's limits (%d, %d, %d)",
+			name, blocks, r, m, math.MaxInt32, math.MaxInt32, maxPartitions)
 	}
 	return nil
 }

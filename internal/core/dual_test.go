@@ -112,8 +112,8 @@ func TestDualExampleCompleteness(t *testing.T) {
 	want := expectedDualPairs(parts, sources)
 	for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
 		for _, r := range []int{1, 2, 3, 5, 11} {
-			got := make(map[MatchPair]int)
-			res := runStrategy(t, strat, x, parts, r, recordingMatcher(&got))
+			res := runStrategy(t, strat, x, parts, r, matchAll)
+			got := comparedPairs(res)
 			if len(got) != len(want) {
 				t.Fatalf("%s r=%d: %d distinct pairs, want %d", strat.Name(), r, len(got), len(want))
 			}
@@ -186,8 +186,7 @@ func TestDualCompletenessFuzz(t *testing.T) {
 		want := expectedDualPairs(parts, sources)
 		r := rng.Intn(8) + 1
 		for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
-			got := make(map[MatchPair]int)
-			runStrategy(t, strat, x, parts, r, recordingMatcher(&got))
+			got := comparedPairs(runStrategy(t, strat, x, parts, r, matchAll))
 			if len(got) != len(want) {
 				t.Fatalf("%s trial %d r=%d: %d pairs, want %d", strat.Name(), trial, r, len(got), len(want))
 			}

@@ -56,9 +56,7 @@ func TestBlockSplitMemoryCapPreservesCompleteness(t *testing.T) {
 	parts := memoryCapDataset()
 	x := mustBDM(t, parts)
 	want := expectedPairs(parts)
-	got := make(map[MatchPair]int)
-	strat := BlockSplit{MaxEntitiesPerTask: 25}
-	runStrategy(t, strat, x, parts, 3, recordingMatcher(&got))
+	got := comparedPairs(runStrategy(t, BlockSplit{MaxEntitiesPerTask: 25}, x, parts, 3, matchAll))
 	if len(got) != len(want) {
 		t.Fatalf("compared %d distinct pairs, want %d", len(got), len(want))
 	}

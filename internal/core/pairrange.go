@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bdm"
@@ -35,10 +36,12 @@ func (PairRange) NeedsBDM() bool { return true }
 // PRKey is the composite map-output key: range index ‖ block index ‖
 // entity index. Partitioning uses only Range; sorting uses the whole
 // key; grouping uses (Range, Block) so one reduce call sees a block's
-// relevant entities in ascending entity-index order.
+// relevant entities in ascending entity-index order. Range and Block
+// are as narrow as Job's limits allow (keyLimits), so the key takes 16
+// bytes.
 type PRKey struct {
-	Range int
-	Block int
+	Range int32
+	Block int32
 	Index int64
 }
 
@@ -62,26 +65,22 @@ func groupPRKeys(a, b PRKey) int {
 }
 
 // prKeyCoding packs a PRKey into an exact order-preserving code:
-// range ‖ block in the high word, the entity index in the low word.
-// Grouping is on (range, block), i.e. exactly the high 64 bits.
-func prKeyCoding(x *bdm.Matrix, r int) mapreduce.KeyCoding[PRKey] {
-	if x.NumBlocks() > 1<<32 || r > 1<<31 {
-		return mapreduce.KeyCoding[PRKey]{}
-	}
-	return mapreduce.KeyCoding[PRKey]{
-		Encode: func(k PRKey) mapreduce.Code {
-			return mapreduce.Code{
-				Hi: uint64(uint32(k.Range))<<32 | uint64(uint32(k.Block)),
-				Lo: uint64(k.Index),
-			}
-		},
-		Exact:     true,
-		GroupBits: 64,
-	}
+// range ‖ block in the high word, the entity index in the low word, each
+// with its sign bit flipped (see bsKeyCoding). Grouping is on (range,
+// block), i.e. exactly the high 64 bits.
+var prKeyCoding = mapreduce.KeyCoding[PRKey]{
+	Encode: func(k PRKey) mapreduce.Code {
+		return mapreduce.Code{
+			Hi: uint64(uint32(k.Range)^1<<31)<<32 | uint64(uint32(k.Block)^1<<31),
+			Lo: uint64(k.Index) ^ 1<<63,
+		}
+	},
+	Exact:     true,
+	GroupBits: 64,
 }
 
 // Job implements Strategy (Algorithm 2). Input records must be the BDM
-// job's input (blocking-key-annotated entities, bdm.Annotate).
+// job's input (blocking-key-annotated rows, bdm.Annotate).
 func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("PairRange", r); err != nil {
 		return nil, err
@@ -89,20 +88,23 @@ func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if x == nil {
 		return nil, fmt.Errorf("core: PairRange requires a BDM")
 	}
+	if err := keyLimits("PairRange", x.NumBlocks(), x.NumPartitions(), r, math.MaxInt); err != nil {
+		return nil, err
+	}
 	ranges := NewRanges(x.Pairs(), r)
-	return &mapreduce.Job[AnnotatedEntity, PRKey, entity.Entity, MatchOutput]{
+	return &mapreduce.Job[AnnotatedEntity, PRKey, entity.Row, MatchOutput]{
 		Name:           "pairrange",
 		NumReduceTasks: r,
-		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, PRKey, entity.Entity] {
+		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, PRKey, entity.Row] {
 			return &prMapper{x: x, ranges: ranges}
 		},
-		NewReducer: func() mapreduce.Reducer[PRKey, entity.Entity, MatchOutput] {
+		NewReducer: func() mapreduce.Reducer[PRKey, entity.Row, MatchOutput] {
 			return &prReducer{x: x, ranges: ranges, group: &group{m: match}}
 		},
-		Partition: func(key PRKey, r int) int { return key.Range % r },
+		Partition: func(key PRKey, r int) int { return int(key.Range) % r },
 		Compare:   comparePRKeys,
 		Group:     groupPRKeys,
-		Coding:    prKeyCoding(x, r),
+		Coding:    prKeyCoding,
 	}, nil
 }
 
@@ -136,7 +138,7 @@ func (mp *prMapper) Configure(m, _, partitionIndex int) {
 // block-wise index, find all ranges containing one of its pairs, and
 // emit one annotated copy per relevant range — and the same again for a
 // keyed entity's place in the ⊥ row.
-func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Entity], rec AnnotatedEntity) {
+func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Row], rec AnnotatedEntity) {
 	k, ok := mp.x.BlockIndex(rec.Key)
 	if !ok {
 		panic(fmt.Sprintf("core: PairRange: blocking key %q not present in BDM", rec.Key))
@@ -151,10 +153,10 @@ func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity
 
 // emit sends e, entity x of block k, to every range holding one of its
 // pairs.
-func (mp *prMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Entity], k int, x int64, e entity.Entity) {
+func (mp *prMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Row], k int, x int64, e entity.Row) {
 	mp.scratch = mp.ranges.relevantRanges(geometryOf(mp.x, k), x, mp.x.PairOffset(k), mp.scratch)
 	for _, rg := range mp.scratch {
-		ctx.Emit(PRKey{Range: rg, Block: k, Index: x}, e)
+		ctx.Emit(PRKey{Range: int32(rg), Block: int32(k), Index: x}, e)
 	}
 }
 
@@ -182,9 +184,9 @@ func (rd *prReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 // one run of the rows loaded so far; its two ends are found by binary
 // search and the run is probed in one call. Completeness is covered by
 // property tests against serial matching.
-func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey, entity.Entity]) {
-	g := geometryOf(rd.x, k.Block)
-	off := rd.x.PairOffset(k.Block)
+func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey, entity.Row]) {
+	g := geometryOf(rd.x, int(k.Block))
+	off := rd.x.PairOffset(int(k.Block))
 	// Comparing pair indexes against the task's [lo, hi) interval avoids
 	// the per-pair division of Ranges.Index: p >= hi iff the pair's range
 	// exceeds this task, p >= lo iff it is at least this task (every

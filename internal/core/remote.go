@@ -14,11 +14,11 @@ import (
 // strategies build (one case per strategy).
 func RemoteRunnableFor(j MatchJob) (mapreduce.RemoteRunnable, error) {
 	switch jt := j.(type) {
-	case *mapreduce.Job[AnnotatedEntity, string, entity.Entity, MatchOutput]:
+	case *mapreduce.Job[AnnotatedEntity, string, entity.Row, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // Basic
-	case *mapreduce.Job[AnnotatedEntity, BSKey, entity.Entity, MatchOutput]:
+	case *mapreduce.Job[AnnotatedEntity, BSKey, entity.Row, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // BlockSplit
-	case *mapreduce.Job[AnnotatedEntity, PRKey, entity.Entity, MatchOutput]:
+	case *mapreduce.Job[AnnotatedEntity, PRKey, entity.Row, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // PairRange
 	default:
 		return nil, fmt.Errorf("core: no remote execution support for match job type %T", j)

@@ -4,23 +4,23 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/entity"
 )
 
-// recordingMatcher records each compared pair and "matches" everything —
-// the completeness oracle. Matchers run on concurrent reduce tasks, so
-// the shared map is mutex-guarded.
-func recordingMatcher(pairs *map[MatchPair]int) PairFunc {
-	var mu sync.Mutex
-	return func(a, b entity.Entity) (float64, bool) {
-		mu.Lock()
-		(*pairs)[NewMatchPair(a.ID, b.ID)]++
-		mu.Unlock()
-		return 1, true
+// matchAll "matches" every pair it is shown, so a job's output holds
+// each compared pair once per comparison — the completeness oracle.
+var matchAll PairFunc = func(string, string) (float64, bool) { return 1, true }
+
+// comparedPairs counts the pairs of a matchAll job's output: how many
+// times the job compared each.
+func comparedPairs(res *MatchJobResult) map[MatchPair]int {
+	got := make(map[MatchPair]int)
+	for _, o := range res.Output {
+		got[o.Key]++
 	}
+	return got
 }
 
 // expectedPairs computes the set of within-block pairs serially.
@@ -58,8 +58,7 @@ func TestStrategyCompleteness(t *testing.T) {
 		want := expectedPairs(parts)
 
 		for _, strat := range []Strategy{Basic{}, BlockSplit{}, PairRange{}} {
-			got := make(map[MatchPair]int)
-			runStrategy(t, strat, x, parts, r, recordingMatcher(&got))
+			got := comparedPairs(runStrategy(t, strat, x, parts, r, matchAll))
 			if len(got) != len(want) {
 				t.Fatalf("trial %d (n=%d m=%d r=%d): %s compared %d distinct pairs, want %d",
 					trial, n, m, r, strat.Name(), len(got), len(want))
@@ -178,8 +177,7 @@ func TestBlockSplitSinglePartition(t *testing.T) {
 	parts := entity.Partitions{randomParts(rng, 100, 1, 3).Flatten()}
 	x := mustBDM(t, parts)
 	want := expectedPairs(parts)
-	got := make(map[MatchPair]int)
-	runStrategy(t, BlockSplit{}, x, parts, 5, recordingMatcher(&got))
+	got := comparedPairs(runStrategy(t, BlockSplit{}, x, parts, 5, matchAll))
 	if len(got) != len(want) {
 		t.Errorf("m=1: compared %d pairs, want %d", len(got), len(want))
 	}
@@ -197,8 +195,8 @@ func TestStrategiesHandleAllSingletonBlocks(t *testing.T) {
 		t.Fatalf("Pairs = %d, want 0", x.Pairs())
 	}
 	for _, strat := range []Strategy{Basic{}, BlockSplit{}, PairRange{}} {
-		got := make(map[MatchPair]int)
-		res := runStrategy(t, strat, x, parts, 4, recordingMatcher(&got))
+		res := runStrategy(t, strat, x, parts, 4, matchAll)
+		got := comparedPairs(res)
 		if len(got) != 0 {
 			t.Errorf("%s compared %d pairs on singleton blocks", strat.Name(), len(got))
 		}
@@ -334,8 +332,8 @@ func TestPairRangeEmptyTrailingRanges(t *testing.T) {
 	}}
 	x := mustBDM(t, parts) // P = 3
 	r := 8
-	got := make(map[MatchPair]int)
-	res := runStrategy(t, PairRange{}, x, parts, r, recordingMatcher(&got))
+	res := runStrategy(t, PairRange{}, x, parts, r, matchAll)
+	got := comparedPairs(res)
 	if len(got) != 3 {
 		t.Fatalf("compared %d pairs, want 3", len(got))
 	}

@@ -30,9 +30,13 @@ import (
 // the attempt's side output, which an older master would take from an
 // empty payload to be an empty Job 2 input. The versions refuse each
 // other instead.
+//
+// Version 3: both jobs' records carry an entity.Row (id ‖ text) where
+// version 2 carried the whole entity (id ‖ attribute count ‖ attributes);
+// a version-2 peer would read the text's length as an attribute count.
 const (
 	frameMagic     = "ERF"
-	frameVersion   = 2
+	frameVersion   = 3
 	framePrefixLen = 16
 
 	// maxFrameHeader bounds the metadata of one message. The largest

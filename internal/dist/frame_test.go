@@ -71,7 +71,7 @@ func TestFrameMalformed(t *testing.T) {
 	}{
 		{"empty body", nil, -1, "truncated prefix"},
 		{"a JSON client", []byte(`{"job":{"name":"er/match"},"phase":"map","input":"AAAA"}`), -1, "bad magic"},
-		{"another build's version", patch(3, frameVersion+1), -1, "frame version"},
+		{"another build's version", patch(3, frameVersion-1), -1, "frame version"},
 		{"oversize header claim", patch(4, le32(maxFrameHeader+1)...), -1, "header length"},
 		{"oversize payload claim", patch(8, le64(maxFramePayload+1)...), -1, "payload length"},
 		{"payload claim past the body", patch(8, le64(1<<20)...), -1, "claimed bytes"},

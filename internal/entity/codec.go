@@ -6,11 +6,14 @@ import (
 	"repro/internal/runio"
 )
 
-// Codec is the runio codec for Entity, the dominant shuffle value type
-// of every matching job: the external dataflow serializes spilled
-// entities with it. Layout: id ‖ attribute count ‖ (name ‖ value)*,
-// all strings length-prefixed, so IDs and attributes containing tabs,
-// newlines, or invalid UTF-8 survive the disk round trip byte-exactly.
+// Codec is the runio codec for Entity. No job of the pipeline shuffles
+// entities any more — both jobs read Rows (row.go) — but the frozen
+// benchmark harness (benchmark/trace.go) still writes entities to a run
+// file in its runio pass, so the codec stays registered and retires
+// with it (ROADMAP item 1d). Layout: id ‖ attribute count ‖
+// (name ‖ value)*, all strings length-prefixed, so IDs and attributes
+// containing tabs, newlines, or invalid UTF-8 survive the disk round
+// trip byte-exactly.
 // Attribute order on disk follows the entity's sorted slice order, so
 // the encoding is deterministic; decoding re-establishes the sorted
 // invariant even for foreign byte streams. Decoded entities alias the
@@ -28,64 +31,44 @@ func (Codec) Append(dst []byte, e Entity) []byte {
 	return dst
 }
 
-// attrChunkLen is the Attr-arena chunk size of the decoder: big enough
-// to amortize the chunk allocation over ~100 entities, small enough
-// that one retained entity pins only a few KB of neighbors.
-const attrChunkLen = 256
-
 // NewDecoder implements runio.Codec. Decoded IDs, attribute names, and
-// attribute values all alias src; the Attrs slices are carved from a
-// chunked arena, so the steady-state cost of decoding an entity is zero
-// allocations. Zero attributes decode to nil Attrs, matching the zero
-// Entity.
+// attribute values all alias src; each entity's Attrs is its own
+// allocation, sized by the record's count once the count is known to
+// fit the bytes left. Zero attributes decode to nil Attrs, matching the
+// zero Entity.
 func (Codec) NewDecoder() func(string) (Entity, int, error) {
-	var arena []Attr
 	return func(src string) (Entity, int, error) {
-		var e Entity
 		id, n, err := runio.String(src)
 		if err != nil {
-			return e, 0, fmt.Errorf("entity id: %w", err)
+			return Entity{}, 0, fmt.Errorf("entity id: %w", err)
 		}
-		e.ID = id
 		count, cn, err := runio.Uvarint(src[n:])
 		if err != nil {
-			return e, 0, fmt.Errorf("entity attr count: %w", err)
+			return Entity{}, 0, fmt.Errorf("entity attr count: %w", err)
 		}
 		n += cn
 		if count > uint64(len(src)-n)/2 {
 			// Each attribute needs at least two bytes; a larger claimed
-			// count is corrupt, and bounding it here keeps the arena
+			// count is corrupt, and bounding it here keeps the Attrs
 			// allocation proportional to real data.
-			return e, 0, fmt.Errorf("%w: entity attr count %d exceeds remaining bytes", runio.ErrCorrupt, count)
+			return Entity{}, 0, fmt.Errorf("%w: entity attr count %d exceeds remaining bytes", runio.ErrCorrupt, count)
 		}
+		e := Entity{ID: id}
 		if count > 0 {
-			need := int(count)
-			if cap(arena)-len(arena) < need {
-				arena = make([]Attr, 0, max(attrChunkLen, need))
+			e.Attrs = make([]Attr, 0, count)
+		}
+		for i := uint64(0); i < count; i++ {
+			k, kn, err := runio.String(src[n:])
+			if err != nil {
+				return Entity{}, 0, fmt.Errorf("entity attr name: %w", err)
 			}
-			start := len(arena)
-			// Carve a capacity-capped sub-slice so setAttr's appends stay
-			// inside the carved region and can never grow into a later
-			// record's carve.
-			e.Attrs = arena[start : start : start+need]
-			for i := uint64(0); i < count; i++ {
-				k, kn, err := runio.String(src[n:])
-				if err != nil {
-					return Entity{}, 0, fmt.Errorf("entity attr name: %w", err)
-				}
-				n += kn
-				v, vn, err := runio.String(src[n:])
-				if err != nil {
-					return Entity{}, 0, fmt.Errorf("entity attr value: %w", err)
-				}
-				n += vn
-				e.setAttr(k, v)
+			n += kn
+			v, vn, err := runio.String(src[n:])
+			if err != nil {
+				return Entity{}, 0, fmt.Errorf("entity attr value: %w", err)
 			}
-			// Duplicate names shrink the result below the carve; reclaim
-			// the spare slots for the next record and clamp the entity's
-			// capacity so nothing can reach past its own attributes.
-			arena = arena[:start+len(e.Attrs)]
-			e.Attrs = e.Attrs[:len(e.Attrs):len(e.Attrs)]
+			n += vn
+			e.setAttr(k, v)
 		}
 		return e, n, nil
 	}

@@ -24,10 +24,10 @@ type Attr struct {
 // source. Attrs holds the record's payload (e.g., a product title) as a
 // slice sorted by attribute name with unique names — an invariant every
 // constructor in this package maintains. The slice representation makes
-// an entity one allocation instead of a map plus per-bucket overhead,
-// which is what lets the external dataflow decode spilled entities out
-// of reused arenas (see codec.go); two entities with the same
-// attributes are reflect.DeepEqual regardless of how they were built.
+// an entity one allocation instead of a map plus per-bucket overhead;
+// two entities with the same attributes are reflect.DeepEqual
+// regardless of how they were built. Entities are ingest's form: the
+// jobs read Rows (row.go), which bdm.Annotate makes of them.
 type Entity struct {
 	ID    string
 	Attrs []Attr

@@ -31,7 +31,8 @@ type DistParams struct {
 	// Strategy names the redistribution scheme: "basic", "blocksplit",
 	// or "pairrange".
 	Strategy string `json:"strategy"`
-	// Attr is the entity attribute the blocking key is derived from.
+	// Attr is the entity attribute the blocking key is derived from and
+	// the one Job 2 matches on (Config.Attr).
 	Attr string `json:"attr"`
 	// KeyPrefix is the normalized-prefix length of the blocking key
 	// (blocking.NormalizedPrefix).

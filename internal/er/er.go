@@ -37,7 +37,9 @@ type Config struct {
 	// Strategy selects the redistribution scheme (core.Basic{},
 	// core.BlockSplit{}, core.PairRange{}).
 	Strategy core.Strategy
-	// Attr is the entity attribute the blocking key is derived from.
+	// Attr is the entity attribute the blocking key is derived from,
+	// and the one Job 2 matches on: bdm.Annotate puts its text in every
+	// row, and the Matcher compares those texts.
 	Attr string
 	// BlockKey derives the blocking key from the attribute value.
 	BlockKey blocking.KeyFunc
@@ -143,8 +145,10 @@ func SortMatches(ps []core.MatchPair) {
 }
 
 // SerialMatch is the reference implementation the property tests compare
-// against: group entities by blocking key and compare all pairs within
-// each block with a simple nested loop. A nil match counts only.
+// against: group entities by blocking key and compare the attr texts of
+// all pairs within each block with a simple nested loop — attr is both
+// the blocking and the match attribute, as in the pipeline. A nil match
+// counts only.
 func SerialMatch(entities []entity.Entity, attr string, key blocking.KeyFunc, match core.PairFunc) ([]core.MatchPair, int64) {
 	blocks := make(map[string][]entity.Entity)
 	for _, e := range entities {
@@ -160,7 +164,7 @@ func SerialMatch(entities []entity.Entity, attr string, key blocking.KeyFunc, ma
 				if match == nil {
 					continue
 				}
-				if _, ok := match(block[i], block[j]); ok {
+				if _, ok := match(block[i].Attr(attr), block[j].Attr(attr)); ok {
 					pairs = append(pairs, core.NewMatchPair(block[i].ID, block[j].ID))
 				}
 			}
@@ -187,7 +191,7 @@ func SerialMatchDual(r, s []entity.Entity, attr string, key blocking.KeyFunc, ma
 			if match == nil {
 				continue
 			}
-			if _, ok := match(er, es); ok {
+			if _, ok := match(er.Attr(attr), es.Attr(attr)); ok {
 				pairs = append(pairs, core.NewMatchPair(er.ID, es.ID))
 			}
 		}

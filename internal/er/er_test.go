@@ -18,8 +18,8 @@ import (
 )
 
 func titleMatcher(threshold float64) core.PairFunc {
-	return func(a, b entity.Entity) (float64, bool) {
-		sim := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
+	return func(a, b string) (float64, bool) {
+		sim := similarity.LevenshteinSimilarity(a, b)
 		return sim, sim >= threshold
 	}
 }
@@ -294,7 +294,13 @@ func TestJob1CertificateRefusesAMatrixOffByOne(t *testing.T) {
 
 // annotate helper sanity.
 func TestAnnotateInput(t *testing.T) {
-	parts := entity.SplitRoundRobin(smallDataset(), 2)
+	// A second attribute, sorted before the key's, that the rows must
+	// not carry.
+	es := smallDataset()
+	for i := range es {
+		es[i] = es[i].WithAttr("brand", "brand of "+es[i].ID)
+	}
+	parts := entity.SplitRoundRobin(es, 2)
 	input := AnnotateInput(parts, "title", blocking.Prefix(3))
 	if len(input) != 2 {
 		t.Fatal("wrong partition count")
@@ -303,6 +309,10 @@ func TestAnnotateInput(t *testing.T) {
 		for j, e := range p {
 			if input[i][j].Key != blocking.Prefix(3)(e.Attr("title")) {
 				t.Fatalf("key mismatch at %d/%d", i, j)
+			}
+			// The row carries the ID and the text of the key's attribute.
+			if want := (entity.Row{ID: e.ID, Text: e.Attr("title")}); input[i][j].Value != want {
+				t.Fatalf("row at %d/%d = %+v, want %+v", i, j, input[i][j].Value, want)
 			}
 		}
 	}

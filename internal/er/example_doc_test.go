@@ -24,8 +24,8 @@ func ExampleRunPipeline() {
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
 		BlockKey: blocking.NormalizedPrefix(3),
-		Matcher: core.PairFunc(func(a, b entity.Entity) (float64, bool) {
-			sim := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
+		Matcher: core.PairFunc(func(a, b string) (float64, bool) {
+			sim := similarity.LevenshteinSimilarity(a, b)
 			return sim, sim >= 0.8
 		}),
 		R: 2,

@@ -24,8 +24,8 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		es = append(es, entity.New(fmt.Sprintf("e%02d", i), "title", fmt.Sprintf("camera model %d", i%7)))
 	}
 	parts := entity.SplitRoundRobin(es, 3)
-	matcher := core.PairFunc(func(a, b entity.Entity) (float64, bool) {
-		s := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
+	matcher := core.PairFunc(func(a, b string) (float64, bool) {
+		s := similarity.LevenshteinSimilarity(a, b)
 		return s, s >= 0.85
 	})
 	base := er.Config{

@@ -26,8 +26,8 @@ import (
 )
 
 func testMatcher(threshold float64) core.PairFunc {
-	return func(a, b entity.Entity) (float64, bool) {
-		sim := similarity.LevenshteinSimilarity(a.Attr(datagen.AttrTitle), b.Attr(datagen.AttrTitle))
+	return func(a, b string) (float64, bool) {
+		sim := similarity.LevenshteinSimilarity(a, b)
 		return sim, sim >= threshold
 	}
 }
@@ -283,7 +283,7 @@ func TestPipelineCancelled(t *testing.T) {
 func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 	es := testEntities(120, 29)
 	keyless := func(string) string { return "" }
-	matchAll := core.PairFunc(func(entity.Entity, entity.Entity) (float64, bool) { return 1, true })
+	matchAll := core.PairFunc(func(string, string) (float64, bool) { return 1, true })
 	for _, c := range []struct {
 		name string
 		es   []entity.Entity
@@ -341,10 +341,12 @@ func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 }
 
 // TestPipelineReleasesInput: once the input is annotated, nothing in
-// the pipeline holds the source's partition arrays, so Job 2 runs
-// without them (on the yardstick's flat dataset they are 5.3 MB).
-// Checked for both strategies' jobs — the matcher forces collections
-// from inside Job 2 and looks for the arrays' finalizers.
+// the pipeline holds the source's partition arrays or the entities'
+// attribute slices — Job 2's rows alias only the strings — so Job 2
+// runs without them (on the yardstick's flat dataset the arrays alone
+// are 5.3 MB). Checked for both strategies' jobs — the matcher forces
+// collections from inside Job 2 and looks for the finalizers of each
+// partition's array and of its first entity's attributes.
 func TestPipelineReleasesInput(t *testing.T) {
 	for _, strat := range []core.Strategy{core.BlockSplit{}, core.Basic{}} {
 		var freed atomic.Int32
@@ -352,19 +354,20 @@ func TestPipelineReleasesInput(t *testing.T) {
 			parts := entity.SplitRoundRobin(testEntities(200, 9), 3)
 			for p := range parts {
 				runtime.SetFinalizer(&parts[p][0], func(*entity.Entity) { freed.Add(1) })
+				runtime.SetFinalizer(&parts[p][0].Attrs[0], func(*entity.Attr) { freed.Add(1) })
 			}
 			return parts, nil
 		})
 		cfg := baseConfig(strat, 1)
 		inner, seen := testMatcher(0.8), false
-		cfg.Matcher = core.PairFunc(func(a, b entity.Entity) (float64, bool) {
+		cfg.Matcher = core.PairFunc(func(a, b string) (float64, bool) {
 			for i := 0; i < 10 && !seen; i++ {
 				runtime.GC()
 				time.Sleep(time.Millisecond)
-				seen = freed.Load() == 3
+				seen = freed.Load() == 6
 			}
 			if !seen {
-				t.Errorf("%s: %d of 3 partition arrays freed while Job 2 compares", strat.Name(), freed.Load())
+				t.Errorf("%s: %d of 3 partition arrays and 3 attribute slices freed while Job 2 compares", strat.Name(), freed.Load())
 				seen = true
 			}
 			return inner(a, b)

@@ -42,9 +42,9 @@ func idFor(i int) string {
 // Levenshtein similarity, written out without any of the kernels' filters.
 // Its decisions and similarity floats equal match.EditDistance's (both
 // compute 1 - dist/longest in float64).
-func plainEditDistance(attr string, threshold float64) core.PairFunc {
-	return func(a, b entity.Entity) (float64, bool) {
-		if sim := similarity.LevenshteinSimilarity(a.Attr(attr), b.Attr(attr)); sim >= threshold {
+func plainEditDistance(threshold float64) core.PairFunc {
+	return func(a, b string) (float64, bool) {
+		if sim := similarity.LevenshteinSimilarity(a, b); sim >= threshold {
 			return sim, true
 		}
 		return 0, false
@@ -54,10 +54,10 @@ func plainEditDistance(attr string, threshold float64) core.PairFunc {
 // thresholderPairs is the per-pair row of the differentials: a
 // core.PairFunc over similarity.Thresholder.Match, the kernel
 // match.EditDistance's block decides a column at a time.
-func thresholderPairs(attr string, threshold float64) core.PairFunc {
+func thresholderPairs(threshold float64) core.PairFunc {
 	th := similarity.NewThresholder(threshold)
-	return func(a, b entity.Entity) (float64, bool) {
-		return th.Match(similarity.Prepare(a.Attr(attr)), similarity.Prepare(b.Attr(attr)))
+	return func(a, b string) (float64, bool) {
+		return th.Match(similarity.Prepare(a), similarity.Prepare(b))
 	}
 }
 
@@ -76,7 +76,7 @@ func TestPreparedMatcherDifferential(t *testing.T) {
 		parts := entity.SplitRoundRobin(es, m)
 		key := blocking.NormalizedPrefix(2)
 
-		serial, serialComps := SerialMatch(es, "title", key, plainEditDistance("title", th))
+		serial, serialComps := SerialMatch(es, "title", key, plainEditDistance(th))
 		for _, strat := range strategies {
 			base := Config{
 				Strategy: strat,
@@ -85,7 +85,7 @@ func TestPreparedMatcherDifferential(t *testing.T) {
 				R:        r,
 			}
 			plainCfg := base
-			plainCfg.Matcher = thresholderPairs("title", th)
+			plainCfg.Matcher = thresholderPairs(th)
 			blockCfg := base
 			blockCfg.Matcher = match.EditDistance("title", th)
 
@@ -124,7 +124,7 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 		plainRes, err := RunDualPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
 			Config{
 				Strategy: strat, Attr: "title", BlockKey: key,
-				Matcher: thresholderPairs("title", 0.6), R: 4,
+				Matcher: thresholderPairs(0.6), R: 4,
 			})
 		if err != nil {
 			t.Fatalf("%s per-pair: %v", strat.Name(), err)
@@ -190,7 +190,7 @@ func TestBlockKernelDifferential(t *testing.T) {
 		m    core.Matcher
 	}{
 		{"native block", match.EditDistance("title", th)},
-		{"PairFunc over Thresholder.Match", thresholderPairs("title", th)},
+		{"PairFunc over Thresholder.Match", thresholderPairs(th)},
 	}
 	type input struct {
 		run    func(cfg Config) (*Result, error)
@@ -202,7 +202,7 @@ func TestBlockKernelDifferential(t *testing.T) {
 				return RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 4)), cfg)
 			},
 			serial: func() ([]core.MatchPair, int64) {
-				return SerialMatch(es, "title", key, plainEditDistance("title", th))
+				return SerialMatch(es, "title", key, plainEditDistance(th))
 			},
 		},
 		"two sources": {
@@ -211,7 +211,7 @@ func TestBlockKernelDifferential(t *testing.T) {
 					FromPartitions(entity.SplitRoundRobin(es[:130], 2)), FromPartitions(entity.SplitRoundRobin(es[130:], 3)), cfg)
 			},
 			serial: func() ([]core.MatchPair, int64) {
-				return SerialMatchDual(es[:130], es[130:], "title", key, plainEditDistance("title", th))
+				return SerialMatchDual(es[:130], es[130:], "title", key, plainEditDistance(th))
 			},
 		},
 	}

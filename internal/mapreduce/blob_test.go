@@ -26,17 +26,20 @@ func annotatedCodec(t testing.TB) runio.Codec[bdm.Annotated] {
 	return c
 }
 
+// annotatedRecords returns n records whose IDs and texts carry tabs,
+// newlines and invalid UTF-8, and one record with an empty text.
 func annotatedRecords(n int) []bdm.Annotated {
 	recs := make([]bdm.Annotated, n)
 	for i := range recs {
 		recs[i] = bdm.Annotated{
 			Key: fmt.Sprintf("k%02d", i%7),
-			Value: entity.New(fmt.Sprintf("e%05d", i), "title", fmt.Sprintf("title of entity %d\twith a tab", i)).
-				WithAttr("venue", "v").
-				WithAttr("year", fmt.Sprint(1990+i%30)),
+			Value: entity.Row{
+				ID:   fmt.Sprintf("e%05d\n\xff", i),
+				Text: fmt.Sprintf("title of entity %d\twith a tab, \xc0\x80 and\na newline", i),
+			},
 		}
 	}
-	recs[n/2].Value = entity.Entity{ID: "no-attrs"}
+	recs[n/2].Value = entity.Row{ID: "no-text"}
 	return recs
 }
 
@@ -72,7 +75,7 @@ func TestDecodeRecordsRoundTripsAndRejectsDamage(t *testing.T) {
 }
 
 func TestDecodeRecordsAllocatesPerBlock(t *testing.T) {
-	const n = 4000 // × 3 attributes, 7 strings each
+	const n = 4000 // 3 strings each
 	c := annotatedCodec(t)
 	blob := mapreduce.EncodeRecords(c, annotatedRecords(n))
 	allocs := testing.AllocsPerRun(5, func() {
@@ -80,11 +83,10 @@ func TestDecodeRecordsAllocatesPerBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The blob sealed as one string, the record slice, and one Attr chunk
-	// per 256 attributes: 49 here, where copying every string would take
-	// 8 per record.
-	if allocs > n/50 {
-		t.Errorf("%.0f allocs for %d records, want O(blocks) ≤ %d", allocs, n, n/50)
+	// The blob sealed as one string and the record slice, where copying
+	// every string would take 3 per record.
+	if allocs > 4 {
+		t.Errorf("%.0f allocs for %d records, want O(blocks) ≤ 4", allocs, n)
 	}
 }
 

@@ -30,8 +30,8 @@ import (
 )
 
 func titleMatcher(threshold float64) core.PairFunc {
-	return func(a, b entity.Entity) (float64, bool) {
-		s := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
+	return func(a, b string) (float64, bool) {
+		s := similarity.LevenshteinSimilarity(a, b)
 		return s, s >= threshold
 	}
 }

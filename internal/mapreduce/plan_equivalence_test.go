@@ -174,7 +174,7 @@ func (d matrixDraw) pairs(parts entity.Partitions) []core.MatchPair {
 	return pairs
 }
 
-var matchAll core.PairFunc = func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }
+var matchAll core.PairFunc = func(string, string) (float64, bool) { return 1, true }
 
 // drawnMatrix is what the suite reads back from the matrix a strategy
 // planned with.
@@ -217,74 +217,98 @@ func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
 	for trial := 0; trial < 6*corners; trial++ {
 		d := drawMatrix(rng, trial)
 		parts := d.partitions(rng)
-		want := d.pairs(parts)
-		input := er.AnnotateInput(parts, "k", blocking.Identity())
 		strategies := []core.Strategy{core.BlockSplit{}, core.BlockSplit{MaxEntitiesPerTask: 1 + rng.Intn(8)}, core.PairRange{}}
 		if d.sources == nil && d.bottom == nil {
 			strategies = append(strategies, core.Basic{})
 		}
-		for _, strat := range strategies {
-			name := fmt.Sprintf("trial %d: %s%+v m=%d r=%d sources=%v ⊥=%v", trial, strat.Name(), strat, len(parts), d.r, d.sources, d.bottom)
-			x, plan, job := drawnJob(t, strat, parts, d.sources, d.bottom != nil, d.r)
-			for k, row := range d.sizes {
-				bk, ok := x.BlockIndex(fmt.Sprintf("b%d", k))
-				if ok != (slices.Max(row) > 0) {
-					t.Fatalf("%s: drawn block %d present=%v in the matrix, drawn %v", name, k, ok, row)
-				}
-				for p, n := range row {
-					if ok && x.SizeIn(bk, p) != n {
-						t.Fatalf("%s: cell (%d, %d) holds %d entities, drawn %d", name, k, p, x.SizeIn(bk, p), n)
-					}
-				}
-			}
-			if x.MissingKeys() != (d.bottom != nil) {
-				t.Fatalf("%s: ⊥ row %v in the matrix, drawn %v", name, x.MissingKeys(), d.bottom)
-			}
-			for p, n := range d.bottom {
-				keyed := 0
-				for _, row := range d.sizes {
-					keyed += row[p]
-				}
-				if x.SizeIn(0, p) != n || x.KeyedIn(p) != keyed {
-					t.Fatalf("%s: ⊥ row of partition %d holds %d keyless, %d keyed entities; drawn %d, %d", name, p, x.SizeIn(0, p), x.KeyedIn(p), n, keyed)
-				}
-			}
-			if x.Pairs() != int64(len(want)) {
-				t.Fatalf("%s: P = %d, the serial reference has %d pairs", name, x.Pairs(), len(want))
-			}
+		checkDraw(t, fmt.Sprintf("trial %d", trial), d, parts, strategies)
+	}
+}
 
-			rr, err := core.RemoteRunnableFor(job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := checkEverywhere(t, name, job, rr, 2, input, 0)
+// TestPlanExecutionEquivalenceWidePartitions is the suite's BlockSplit
+// row with more partitions than a byte can index: one block with an
+// entity in each of 260 partitions is split into 260 sub-blocks, so its
+// tasks' split components reach 259. A split component narrowed below
+// 16 bits would merge or misorder tasks there.
+func TestPlanExecutionEquivalenceWidePartitions(t *testing.T) {
+	const m = 260
+	d := matrixDraw{sizes: [][]int{make([]int, m), make([]int, m)}, r: 4}
+	for p := range d.sizes[0] {
+		d.sizes[0][p] = 1
+	}
+	d.sizes[1][0], d.sizes[1][m/2], d.sizes[1][m-1] = 2, 1, 2
+	checkDraw(t, "wide", d, d.partitions(rand.New(rand.NewSource(5))), []core.Strategy{core.BlockSplit{}})
+}
 
-			// Every candidate pair exactly once: the match-all matcher
-			// emits each comparison.
-			got := make([]core.MatchPair, len(ref.Output))
-			for i, o := range ref.Output {
-				got[i] = o.Key
+// checkDraw checks each strategy over parts, the entities synthesized
+// for d: the matrix is the drawn one, every candidate pair is compared
+// exactly once, executed workloads equal planned ones task by task, and
+// every dataflow gives Job.Reference's result.
+func checkDraw(t *testing.T, label string, d matrixDraw, parts entity.Partitions, strategies []core.Strategy) {
+	t.Helper()
+	want := d.pairs(parts)
+	input := er.AnnotateInput(parts, "k", blocking.Identity())
+	for _, strat := range strategies {
+		name := fmt.Sprintf("%s: %s%+v m=%d r=%d sources=%v ⊥=%v", label, strat.Name(), strat, len(parts), d.r, d.sources, d.bottom)
+		x, plan, job := drawnJob(t, strat, parts, d.sources, d.bottom != nil, d.r)
+		for k, row := range d.sizes {
+			bk, ok := x.BlockIndex(fmt.Sprintf("b%d", k))
+			if ok != (slices.Max(row) > 0) {
+				t.Fatalf("%s: drawn block %d present=%v in the matrix, drawn %v", name, k, ok, row)
 			}
-			er.SortMatches(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: compared %d pairs, the serial reference has %d (or a pair twice)", name, len(got), len(want))
+			for p, n := range row {
+				if ok && x.SizeIn(bk, p) != n {
+					t.Fatalf("%s: cell (%d, %d) holds %d entities, drawn %d", name, k, p, x.SizeIn(bk, p), n)
+				}
 			}
+		}
+		if x.MissingKeys() != (d.bottom != nil) {
+			t.Fatalf("%s: ⊥ row %v in the matrix, drawn %v", name, x.MissingKeys(), d.bottom)
+		}
+		for p, n := range d.bottom {
+			keyed := 0
+			for _, row := range d.sizes {
+				keyed += row[p]
+			}
+			if x.SizeIn(0, p) != n || x.KeyedIn(p) != keyed {
+				t.Fatalf("%s: ⊥ row of partition %d holds %d keyless, %d keyed entities; drawn %d, %d", name, p, x.SizeIn(0, p), x.KeyedIn(p), n, keyed)
+			}
+		}
+		if x.Pairs() != int64(len(want)) {
+			t.Fatalf("%s: P = %d, the serial reference has %d pairs", name, x.Pairs(), len(want))
+		}
 
-			// Executed = planned, task by task.
-			for i, mt := range ref.MapMetrics {
-				if mt.InputRecords != plan.MapRecords[i] || mt.OutputRecords != plan.MapEmits[i] {
-					t.Errorf("%s: map task %d read %d, emitted %d; planned %d, %d", name, i, mt.InputRecords, mt.OutputRecords, plan.MapRecords[i], plan.MapEmits[i])
-				}
+		rr, err := core.RemoteRunnableFor(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := checkEverywhere(t, name, job, rr, 2, input, 0)
+
+		// Every candidate pair exactly once: the match-all matcher
+		// emits each comparison.
+		got := make([]core.MatchPair, len(ref.Output))
+		for i, o := range ref.Output {
+			got[i] = o.Key
+		}
+		er.SortMatches(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: compared %d pairs, the serial reference has %d (or a pair twice)", name, len(got), len(want))
+		}
+
+		// Executed = planned, task by task.
+		for i, mt := range ref.MapMetrics {
+			if mt.InputRecords != plan.MapRecords[i] || mt.OutputRecords != plan.MapEmits[i] {
+				t.Errorf("%s: map task %d read %d, emitted %d; planned %d, %d", name, i, mt.InputRecords, mt.OutputRecords, plan.MapRecords[i], plan.MapEmits[i])
 			}
-			for j, rt := range ref.ReduceMetrics {
-				if rt.InputRecords != plan.ReduceRecords[j] || rt.Counter(core.ComparisonsCounter) != plan.ReduceComparisons[j] {
-					t.Errorf("%s: reduce task %d got %d records, %d comparisons; planned %d, %d", name, j, rt.InputRecords, rt.Counter(core.ComparisonsCounter), plan.ReduceRecords[j], plan.ReduceComparisons[j])
-				}
+		}
+		for j, rt := range ref.ReduceMetrics {
+			if rt.InputRecords != plan.ReduceRecords[j] || rt.Counter(core.ComparisonsCounter) != plan.ReduceComparisons[j] {
+				t.Errorf("%s: reduce task %d got %d records, %d comparisons; planned %d, %d", name, j, rt.InputRecords, rt.Counter(core.ComparisonsCounter), plan.ReduceRecords[j], plan.ReduceComparisons[j])
 			}
-			if _, ok := strat.(core.PairRange); ok {
-				if q := core.NewRanges(x.Pairs(), d.r).Q; plan.MaxReduceComparisons() > q {
-					t.Errorf("%s: a reduce task compares %d pairs > ceil(P/r) = %d", name, plan.MaxReduceComparisons(), q)
-				}
+		}
+		if _, ok := strat.(core.PairRange); ok {
+			if q := core.NewRanges(x.Pairs(), d.r).Q; plan.MaxReduceComparisons() > q {
+				t.Errorf("%s: a reduce task compares %d pairs > ceil(P/r) = %d", name, plan.MaxReduceComparisons(), q)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package match provides the paper's matcher: EditDistance is a
-// core.Matcher whose block is a pooled similarity.LevBlock over one
-// entity attribute. The strategy reducers decide a reduce group a
-// column at a time through it instead of pair by pair; its decisions
+// core.Matcher whose block is a pooled similarity.LevBlock over the
+// texts Job 2's rows carry. The strategy reducers decide a reduce group
+// a column at a time through it instead of pair by pair; its decisions
 // and similarities are exactly those of similarity.Thresholder.Match,
 // and a steady-state group allocates nothing.
 package match
@@ -10,29 +10,32 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/entity"
 	"repro/internal/similarity"
 )
 
 // EditDistance matches two entities when the normalized Levenshtein
-// similarity of their attr values reaches threshold — the paper's match
-// rule (threshold 0.8). The kernel rejects clearly dissimilar pairs with
+// similarity of their texts reaches threshold — the paper's match rule
+// (threshold 0.8). The kernel rejects clearly dissimilar pairs with
 // length and bag-distance pre-filters before running the exact
 // bit-parallel distance.
+//
+// The texts are those of the attribute Job 2 matches on, er.Config.Attr,
+// which bdm.Annotate puts in every row; attr is unused. The frozen
+// benchmark harness (benchmark/trace.go) still passes it, so the
+// parameter stays until that harness retires (ROADMAP item 1d), like
+// the aliases at the end of core.go.
 func EditDistance(attr string, threshold float64) core.Matcher {
-	return editDistance{attr: attr, th: similarity.NewThresholder(threshold)}
+	return editDistance{th: similarity.NewThresholder(threshold)}
 }
 
 type editDistance struct {
-	attr string
-	th   *similarity.Thresholder
+	th *similarity.Thresholder
 }
 
-// editBlock is EditDistance's core.Block: a LevBlock over the attr
-// values of the group's entities.
+// editBlock is EditDistance's core.Block: a LevBlock over the texts of
+// the group's rows, whose Probe it is.
 type editBlock struct {
 	similarity.LevBlock
-	attr string
 }
 
 // editBlockPool is the process-wide free list of edit-distance blocks.
@@ -44,13 +47,8 @@ var editBlockPool = sync.Pool{New: func() any { return new(editBlock) }}
 // AcquireBlock implements core.Matcher.
 func (m editDistance) AcquireBlock() core.Block {
 	b := editBlockPool.Get().(*editBlock)
-	b.attr = m.attr
 	b.Use(m.th)
 	return b
-}
-
-func (b *editBlock) Probe(e entity.Entity, lo, hi int, keep bool) ([]int32, []float64) {
-	return b.LevBlock.Probe(e.Attr(b.attr), lo, hi, keep)
 }
 
 // Release empties the block — the external dataflow's values alias

@@ -6,8 +6,9 @@
 # benchmark's build directory are not the system and are left out.
 #
 # With a revision as $1 (make loc BASE=<rev>) the table gains that
-# revision's count and the delta: BASE is checked out with git worktree
-# into a temporary directory, counted, and removed again.
+# revision's count and the delta: BASE's tree is extracted with git
+# archive into a temporary directory, counted, and removed again, so
+# .git is never written.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,8 +29,9 @@ if [ $# -eq 0 ]; then
 fi
 
 base=$(mktemp -d)
-trap 'git worktree remove --force "$base/tree" >/dev/null 2>&1 || true; rm -rf "$base"' EXIT
-git worktree add --detach --quiet "$base/tree" "$1"
+trap 'rm -rf "$base"' EXIT
+mkdir "$base/tree"
+git archive "$1" | tar -x -C "$base/tree"
 count "$base/tree" >"$base/parent"
 count . >"$base/change"
 printf '%6s  %6s  %6s  %s\n' parent change delta "package (against $1)"
