@@ -12,7 +12,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"sort"
 )
 
 // This file implements the `go vet -vettool` driver protocol, the same
@@ -229,14 +228,4 @@ func PrintJSON(w io.Writer, fset *token.FileSet, unitID string, diags []Diagnost
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// SortedAnalyzerNames returns the analyzer names in listing order.
-func SortedAnalyzerNames(analyzers []*Analyzer) []string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return names
 }

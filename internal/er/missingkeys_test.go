@@ -1,4 +1,4 @@
-package er
+package er_test
 
 import (
 	"context"
@@ -11,46 +11,8 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/er"
 )
-
-// serialWithMissing is the reference: blocked pairs for keyed entities
-// plus every pair involving at least one no-key entity.
-func serialWithMissing(es []entity.Entity, attr string, key blocking.KeyFunc, match core.PairFunc) ([]core.MatchPair, int64) {
-	var keyed, noKey []entity.Entity
-	for _, e := range es {
-		if key(e.Attr(attr)) == "" {
-			noKey = append(noKey, e)
-		} else {
-			keyed = append(keyed, e)
-		}
-	}
-	var pairs []core.MatchPair
-	var comparisons int64
-	try := func(a, b entity.Entity) {
-		comparisons++
-		if match == nil {
-			return
-		}
-		if _, ok := match(a.Attr(attr), b.Attr(attr)); ok {
-			pairs = append(pairs, core.NewMatchPair(a.ID, b.ID))
-		}
-	}
-	blockPairs, blockComps := SerialMatch(keyed, attr, key, match)
-	pairs = append(pairs, blockPairs...)
-	comparisons += blockComps
-	for _, a := range noKey {
-		for _, b := range keyed {
-			try(a, b)
-		}
-	}
-	for i := range noKey {
-		for j := i + 1; j < len(noKey); j++ {
-			try(noKey[i], noKey[j])
-		}
-	}
-	SortMatches(pairs)
-	return pairs, comparisons
-}
 
 // prefixOrEmpty blocks on the first 2 letters; values starting with '?'
 // have no valid key.
@@ -84,7 +46,7 @@ var matchAll core.PairFunc = func(string, string) (float64, bool) { return 1, tr
 // checkPlanned holds a missing-keys run to the house standard: its
 // matrix has the ⊥ row, P is the reference's comparisons, and the one
 // matching job executed its Plan task by task.
-func checkPlanned(t *testing.T, name string, res *Result, cfg Config, m int, wantComps int64) {
+func checkPlanned(t *testing.T, name string, res *er.Result, cfg er.Config, m int, wantComps int64) {
 	t.Helper()
 	if res.BDM == nil || res.BDMResult == nil || res.BDM.Pairs() != wantComps {
 		t.Fatalf("%s: want a BDM with P = %d, got %v", name, wantComps, res.BDM)
@@ -109,17 +71,18 @@ func TestRunWithMissingKeysAgainstSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 10; trial++ {
 		es := missingKeyDataset(rng, rng.Intn(60)+10)
-		want, wantComps := serialWithMissing(es, "title", prefixOrEmpty, matchSameTail)
 		m := rng.Intn(3) + 1
+		in := pipelineInput{parts: entity.SplitRoundRobin(es, m), bottom: true, key: prefixOrEmpty}
+		want, wantComps := serialOracle(in, matchSameTail)
 		for _, strat := range []core.Strategy{core.BlockSplit{}, core.BlockSplit{MaxEntitiesPerTask: 6}, core.PairRange{}} {
-			cfg := Config{
+			cfg := er.Config{
 				Strategy: strat,
 				Attr:     "title",
 				BlockKey: prefixOrEmpty,
 				Matcher:  matchSameTail,
 				R:        rng.Intn(6) + 1,
 			}
-			res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, m)), cfg)
+			res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(in.parts), cfg)
 			name := fmt.Sprintf("trial %d %+v", trial, strat)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -144,12 +107,12 @@ func TestRunWithMissingKeysAllKeyed(t *testing.T) {
 		entity.New("c", "title", "bb z"),
 	}
 	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
-		cfg := Config{Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 2}
-		res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), cfg)
+		cfg := er.Config{Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 2}
+		res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), cfg)
+		plain, err := er.RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,8 +132,8 @@ func TestRunWithMissingKeysAllMissing(t *testing.T) {
 		entity.New("c", "title", "?z"),
 	}
 	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
-		cfg := Config{Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 3}
-		res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), cfg)
+		cfg := er.Config{Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 3}
+		res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +153,8 @@ func TestRunWithMissingKeysSingleNoKeyEntity(t *testing.T) {
 		entity.New("q", "title", "?"),
 	}
 	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
-		cfg := Config{Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 2}
-		res, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 1)), cfg)
+		cfg := er.Config{Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 2}
+		res, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 1)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,10 +180,10 @@ func TestMissingKeysCrossHonoursMemoryCap(t *testing.T) {
 		}
 		es = append(es, entity.New(fmt.Sprintf("e%03d", i), "title", title))
 	}
-	parts := FromPartitions(entity.SplitRoundRobin(es, 3))
-	run := func(strat core.Strategy) (*Result, int64) {
+	parts := er.FromPartitions(entity.SplitRoundRobin(es, 3))
+	run := func(strat core.Strategy) (*er.Result, int64) {
 		t.Helper()
-		res, err := RunWithMissingKeysPipeline(context.Background(), parts, Config{
+		res, err := er.RunWithMissingKeysPipeline(context.Background(), parts, er.Config{
 			Strategy: strat, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchSameTail, R: 1,
 		})
 		if err != nil {
@@ -245,7 +208,7 @@ func TestMissingKeysCrossHonoursMemoryCap(t *testing.T) {
 // row on, so it is refused, as RunDualPipeline refuses it.
 func TestRunWithMissingKeysRefusesBasic(t *testing.T) {
 	es := missingKeyDataset(rand.New(rand.NewSource(3)), 20)
-	_, err := RunWithMissingKeysPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
+	_, err := er.RunWithMissingKeysPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), er.Config{
 		Strategy: core.Basic{}, Attr: "title", BlockKey: prefixOrEmpty, Matcher: matchAll, R: 2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "Basic") {

@@ -20,21 +20,6 @@ import (
 	"repro/internal/testleak"
 )
 
-// clearAttemptCounters zeroes the execution-history counters (see the
-// Metrics doc: they describe how the run executed, not what it
-// computed) so faulted and fault-free Results compare byte-for-byte.
-func clearAttemptCounters(m *mapreduce.Metrics) {
-	m.Attempts = 0
-	m.Retries = 0
-}
-
-// normalize strips all execution-history counters from a result.
-func normalize(res *mapreduce.Result[string, mapreduce.Pair[string, int]]) {
-	clearAttemptCounters(&res.Metrics)
-	clearSpillCounters(res.MapMetrics)
-	clearSpillCounters(res.ReduceMetrics)
-}
-
 // failFirstAttempt fails attempt 1 of every task at the given point
 // with a transient error.
 func failFirstAttempt(at mapreduce.FaultPoint) mapreduce.FaultHook {
@@ -53,7 +38,7 @@ func TestRetryTransientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(baseline)
+	normalize(&baseline.Metrics)
 	for dname, where := range localResidencies {
 		for _, at := range []mapreduce.FaultPoint{mapreduce.FaultTaskStart, mapreduce.FaultEmit} {
 			t.Run(fmt.Sprintf("%s/%s", dname, at), func(t *testing.T) {
@@ -73,7 +58,7 @@ func TestRetryTransientFault(t *testing.T) {
 				if res.Attempts != 2*(m+r) {
 					t.Fatalf("Attempts = %d, want %d", res.Attempts, 2*(m+r))
 				}
-				normalize(res)
+				normalize(&res.Metrics)
 				if !reflect.DeepEqual(res, baseline) {
 					t.Fatal("retried run diverges from fault-free run")
 				}
@@ -159,7 +144,7 @@ func TestTaskTimeoutRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(baseline)
+	normalize(&baseline.Metrics)
 	before := testleak.Snapshot()
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Retry.TaskTimeout = 20 * time.Millisecond
@@ -181,7 +166,7 @@ func TestTaskTimeoutRetries(t *testing.T) {
 	if res.Retries != 1 || res.Attempts != m+r+1 {
 		t.Fatalf("Attempts/Retries = %d/%d, want %d/1", res.Attempts, res.Retries, m+r+1)
 	}
-	normalize(res)
+	normalize(&res.Metrics)
 	if !reflect.DeepEqual(res, baseline) {
 		t.Fatal("timed-out-and-retried run diverges from fault-free run")
 	}

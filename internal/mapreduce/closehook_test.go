@@ -140,7 +140,7 @@ func TestCloseHookOncePerAttemptAfterLastMap(t *testing.T) {
 		if !reflect.DeepEqual(res.Output, baseline.Output) {
 			t.Errorf("%s: aggregating in the mapper changed the job's output", name)
 		}
-		normalize(res)
+		normalize(&res.Metrics)
 		if want == nil {
 			want = res
 		} else if !reflect.DeepEqual(res, want) {
@@ -175,7 +175,7 @@ func TestCloseEmitFaultRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(baseline)
+	normalize(&baseline.Metrics)
 	for dname, where := range localResidencies {
 		t.Run(dname, func(t *testing.T) {
 			job, tally := probedWordJob(t, r, input)
@@ -194,7 +194,7 @@ func TestCloseEmitFaultRetried(t *testing.T) {
 			if tally.mappers != 2*m || tally.closes != 2*m {
 				t.Errorf("%d mappers built, %d Close calls, want %d of each", tally.mappers, tally.closes, 2*m)
 			}
-			normalize(res)
+			normalize(&res.Metrics)
 			if !reflect.DeepEqual(res, baseline) {
 				t.Errorf("run retried after a close-time emit fault diverges from the fault-free run\ngot:  %+v\nwant: %+v", res, baseline)
 			}
@@ -274,8 +274,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 		if !reflect.DeepEqual(matrixOf(t, res, m).Cells(), direct.Cells()) {
 			t.Errorf("%s: matrix differs from bdm.FromPartitions", name)
 		}
-		clearAttemptCounters(&res.Metrics)
-		clearResultSpillCounters(&res.Metrics)
+		normalize(&res.Metrics)
 		if want == nil {
 			want = res
 		} else if !reflect.DeepEqual(res, want) {

@@ -1,23 +1,27 @@
 package mapreduce_test
 
-// Dataflow differential test: the jobs of the paper — the BDM job and
-// the match job of every strategy — must produce the reference's Result
-// (reference_test.go) on the engine, wherever the intermediate records
-// reside: in memory, spilled several runs per map task, and dispatched.
-// The comparison covers the complete Result — raw job outputs,
-// comparison counts and every TaskMetrics field of the differential
-// contract — across Basic/BlockSplit/PairRange × 1..4 map
-// partitions × 1..8 reduce tasks, and BlockSplit/PairRange over two
-// sources in 2..4 partitions, each with sequential (Parallelism 1) and
-// concurrent (Parallelism 4) execution. The reference sorts by Compare
-// and groups by Group alone, so this is also the proof that the
-// strategies' key codes order and group their keys exactly as their
-// comparators do.
+// The strategy table's catalog rows (plan_equivalence_test.go):
+// skewedEntities in m = 1..4 partitions under Basic, BlockSplit and
+// PairRange, and dualCatalog's R in 1..2 partitions followed by its S
+// in 1..2 under the two that need the BDM, each at r = 1..8 with the
+// title matcher. The named tests select their runs:
+//
+//   - TestDataflowDifferential{,Dual}Strategies: Parallelism 1 and 4,
+//     in memory and dispatched;
+//   - TestExternalDifferential{,Dual}Strategies: the same spilled, at
+//     least 4 runs per match-job map task;
+//   - TestStrategyMatrixShuffleDifferential: the per-entity Job 1 over
+//     every catalog, everywhere at Parallelism 2 — Job 2's input and
+//     matrix are the aggregating Job 1's, which checkRow asserts.
+//
+// The reference sorts by Compare and groups by Group alone, so P1 is
+// also the proof that the strategies' key codes order and group their
+// keys exactly as their comparators do.
 
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bdm"
@@ -29,138 +33,41 @@ import (
 	"repro/internal/similarity"
 )
 
+// titleMatcher decides a pair of catalog titles by their Levenshtein
+// similarity, which it computes once per pair of texts: a catalog
+// repeats seven titles per stem.
 func titleMatcher(threshold float64) core.PairFunc {
+	var sims sync.Map // [2]string → float64
 	return func(a, b string) (float64, bool) {
-		s := similarity.LevenshteinSimilarity(a, b)
-		return s, s >= threshold
-	}
-}
-
-// checkBDMJob holds the BDM job over parts, annotated by opts, to the
-// reference everywhere and returns the reference's matrix and the
-// annotated partitions the job counted: Job 2's input.
-func checkBDMJob(t *testing.T, name string, parts entity.Partitions, opts bdm.JobOptions, par int) (*bdm.Matrix, [][]bdm.Annotated) {
-	t.Helper()
-	job := bdm.Job(opts)
-	rr, err := mapreduce.NewRemoteRunnable(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := bdm.Annotate(parts, opts.Attr, opts.KeyFunc)
-	// A task's records of one block are one matrix cell when the mapper
-	// aggregates, so its runs are few.
-	want := checkEverywhere(t, name+"/bdm", job, rr, par, input, 1)
-	return matrixOf(t, want, len(parts)), input
-}
-
-// checkMatchJob holds a strategy's match job to the reference everywhere.
-func checkMatchJob(t *testing.T, name string, job core.MatchJob, par int, input [][]core.AnnotatedEntity) {
-	t.Helper()
-	rr, err := core.RemoteRunnableFor(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := checkEverywhere(t, name+"/match", job, rr, par, input, 4)
-	if want.Counter(core.ComparisonsCounter) == 0 || len(want.Output) == 0 {
-		t.Fatalf("%s: differential vacuous: %d comparisons, %d matches", name, want.Counter(core.ComparisonsCounter), len(want.Output))
-	}
-}
-
-// strategyInput is one input of the strategy tables: skewedEntities in
-// m partitions of one source, or dualCatalog's R partitions followed by
-// its S partitions — the layout er.RunDualPipeline gives them.
-type strategyInput struct {
-	name  string
-	parts entity.Partitions
-	mR    int // two sources: the first mR partitions hold R; 0 = one source
-}
-
-// strategyInputs are m = 1..4 partitions of one source or, with two,
-// 1..2 + 1..2 partitions of two.
-func strategyInputs(two bool) []strategyInput {
-	var ins []strategyInput
-	if !two {
-		for m := 1; m <= 4; m++ {
-			ins = append(ins, strategyInput{name: fmt.Sprintf("m=%d", m), parts: entity.SplitRoundRobin(skewedEntities(), m)})
+		s, ok := sims.Load([2]string{a, b})
+		if !ok {
+			s, _ = sims.LoadOrStore([2]string{a, b}, similarity.LevenshteinSimilarity(a, b))
 		}
-		return ins
+		return s.(float64), s.(float64) >= threshold
 	}
-	esR, esS := dualCatalog()
-	for mR := 1; mR <= 2; mR++ {
-		for mS := 1; mS <= 2; mS++ {
-			parts := append(entity.SplitRoundRobin(esR, mR), entity.SplitRoundRobin(esS, mS)...)
-			ins = append(ins, strategyInput{name: fmt.Sprintf("mR=%d/mS=%d", mR, mS), parts: parts, mR: mR})
+}
+
+// skewedEntities builds a small catalog whose prefix-3 blocking yields
+// one dominant block, a few mid-size blocks, and singletons — the skew
+// shape that forces BlockSplit to split and PairRange to range-straddle.
+func skewedEntities() []entity.Entity {
+	var es []entity.Entity
+	add := func(n int, stem string) {
+		for i := 0; i < n; i++ {
+			es = append(es, entity.New(
+				fmt.Sprintf("%s-%03d", stem, i),
+				"title",
+				fmt.Sprintf("%s model %d edition", stem, i%7),
+			))
 		}
 	}
-	return ins
-}
-
-// sources returns the input's source tags, nil for one source.
-func (in strategyInput) sources() []bdm.Source {
-	if in.mR == 0 {
-		return nil
-	}
-	sources := make([]bdm.Source, len(in.parts))
-	for p := in.mR; p < len(sources); p++ {
-		sources[p] = bdm.SourceS
-	}
-	return sources
-}
-
-// run runs the whole pipeline over the input.
-func (in strategyInput) run(cfg er.Config) (*er.Result, error) {
-	if in.mR == 0 {
-		return er.RunPipeline(context.Background(), er.FromPartitions(in.parts), cfg)
-	}
-	return er.RunDualPipeline(context.Background(), er.FromPartitions(in.parts[:in.mR]), er.FromPartitions(in.parts[in.mR:]), cfg)
-}
-
-// checkStrategyMatrix holds both jobs of the workflow to the reference
-// for every strategy × input × 1..8 reduce tasks; the strategies that
-// need no BDM match one source only.
-func checkStrategyMatrix(t *testing.T, ins []strategyInput, pars []int, combiner bool) {
-	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
-	for _, in := range ins {
-		for r := 1; r <= 8; r++ {
-			for _, strat := range strategies {
-				if in.mR > 0 && !strat.NeedsBDM() {
-					continue
-				}
-				for _, par := range pars {
-					name := fmt.Sprintf("%s/%s/r=%d/par=%d/combiner=%v", strat.Name(), in.name, r, par, combiner)
-					var matrix *bdm.Matrix
-					input := er.AnnotateInput(in.parts, "title", blocking.NormalizedPrefix(3))
-					if strat.NeedsBDM() {
-						matrix, input = checkBDMJob(t, name, in.parts, bdm.JobOptions{
-							Attr:           "title",
-							KeyFunc:        blocking.NormalizedPrefix(3),
-							NumReduceTasks: r,
-							UseCombiner:    combiner,
-						}, par)
-					}
-					var err error
-					if sources := in.sources(); sources != nil {
-						if matrix, err = matrix.WithSources(sources); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-					}
-					job, err := strat.Job(matrix, r, titleMatcher(0.85))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					checkMatchJob(t, name, job, par, input)
-				}
-			}
-		}
-	}
-}
-
-func TestDataflowDifferentialStrategies(t *testing.T) {
-	checkStrategyMatrix(t, strategyInputs(false), []int{1, 4}, true)
-}
-
-func TestDataflowDifferentialDualStrategies(t *testing.T) {
-	checkStrategyMatrix(t, strategyInputs(true), []int{1, 4}, true)
+	add(40, "canon eos")  // dominant block ("can")
+	add(14, "nikon d850") // mid block
+	add(9, "sony alpha")  // mid block
+	add(5, "fuji xt")     // small block
+	add(1, "leica m11")   // singleton
+	add(1, "pentax k3")   // singleton
+	return es
 }
 
 // dualCatalog builds a skewed two-source catalog: a dominant shared
@@ -187,21 +94,93 @@ func dualCatalog() (partsR, partsS []entity.Entity) {
 	return partsR, partsS
 }
 
-// TestDataflowDifferentialBDMJobPerEntity pins the BDM job that does
+// catalogRow is the table's row of one catalog layout.
+func catalogRow(name string, parts entity.Partitions, sources []bdm.Source, strategies []core.Strategy, how runs) stratRow {
+	return stratRow{
+		name: name, parts: parts, attr: "title", key: blocking.NormalizedPrefix(3),
+		sources: sources, strategies: strategies, rs: []int{1, 2, 3, 4, 5, 6, 7, 8},
+		match: titleMatcher(0.85), runs: how,
+	}
+}
+
+// catalogRows are the catalog rows of one source or two, run as how
+// says.
+func catalogRows(two bool, how runs) []stratRow {
+	var rows []stratRow
+	if !two {
+		for m := 1; m <= 4; m++ {
+			rows = append(rows, catalogRow(fmt.Sprintf("m=%d", m), entity.SplitRoundRobin(skewedEntities(), m), nil,
+				[]core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}, how))
+		}
+		return rows
+	}
+	esR, esS := dualCatalog()
+	for mR := 1; mR <= 2; mR++ {
+		for mS := 1; mS <= 2; mS++ {
+			sources := make([]bdm.Source, mR+mS)
+			for p := mR; p < len(sources); p++ {
+				sources[p] = bdm.SourceS
+			}
+			rows = append(rows, catalogRow(fmt.Sprintf("mR=%d/mS=%d", mR, mS), append(entity.SplitRoundRobin(esR, mR), entity.SplitRoundRobin(esS, mS)...), sources,
+				[]core.Strategy{core.BlockSplit{}, core.PairRange{}}, how))
+		}
+	}
+	return rows
+}
+
+// The catalog tests' runs.
+var (
+	inPlace     = runs{pars: []int{1, 4}, where: map[string]residency{"memory": inMemory, "dispatched": distributed}, minRuns: 4}
+	spilledOnly = runs{pars: []int{1, 4}, where: map[string]residency{"spilled": spilling}, minRuns: 4}
+	par2        = runs{pars: []int{2}, where: everywhere, minRuns: 1}
+)
+
+func checkRows(t *testing.T, rows []stratRow) {
+	for _, rw := range rows {
+		checkRow(t, rw)
+	}
+}
+
+func TestDataflowDifferentialStrategies(t *testing.T) {
+	checkRows(t, catalogRows(false, inPlace))
+}
+
+func TestDataflowDifferentialDualStrategies(t *testing.T) {
+	checkRows(t, catalogRows(true, inPlace))
+}
+
+func TestExternalDifferentialStrategies(t *testing.T) {
+	checkRows(t, catalogRows(false, spilledOnly))
+}
+
+func TestExternalDifferentialDualStrategies(t *testing.T) {
+	checkRows(t, catalogRows(true, spilledOnly))
+}
+
+func TestStrategyMatrixShuffleDifferential(t *testing.T) {
+	for _, rw := range append(catalogRows(false, par2), catalogRows(true, par2)...) {
+		rw.perEntity, rw.strategies = true, nil
+		checkRow(t, rw)
+	}
+}
+
+// TestDataflowDifferentialBDMJobPerEntity holds the BDM job that does
 // not aggregate — one (blockingKey.partitionIndex, 1) per annotated
-// entity — to the reference in memory, spilled and dispatched, and its
-// matrix to the one computed directly from the entities.
+// entity — to the reference in memory, spilled and dispatched at
+// Parallelism 1, and its matrix to the one computed directly from the
+// entities.
 func TestDataflowDifferentialBDMJobPerEntity(t *testing.T) {
-	parts := entity.SplitRoundRobin(skewedEntities(), 3)
-	opts := bdm.JobOptions{Attr: "title", KeyFunc: blocking.NormalizedPrefix(3), NumReduceTasks: 4}
-	got, _ := checkBDMJob(t, "per-entity", parts, opts, 2)
-	want, err := bdm.FromPartitions(parts, opts.Attr, opts.KeyFunc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Cells(), want.Cells()) {
-		t.Errorf("the job's matrix has %d blocks and differs from the direct one's %d", got.NumBlocks(), want.NumBlocks())
-	}
+	rw := catalogRow("job1", entity.SplitRoundRobin(skewedEntities(), 3), nil, nil, runs{pars: []int{1}, where: everywhere, minRuns: 1})
+	rw.rs, rw.perEntity = []int{4}, true
+	checkRow(t, rw)
+}
+
+// TestExternalDifferentialBDMJob holds the aggregating BDM job, spilled
+// at Parallelism 2, to the reference.
+func TestExternalDifferentialBDMJob(t *testing.T) {
+	rw := catalogRow("job1", entity.SplitRoundRobin(skewedEntities(), 3), nil, nil, runs{pars: []int{2}, where: map[string]residency{"spilled": spilling}, minRuns: 1})
+	rw.rs = []int{4}
+	checkRow(t, rw)
 }
 
 // TestBDMJobCountTableAgainstReference holds the aggregating BDM job to
@@ -210,7 +189,7 @@ func TestDataflowDifferentialBDMJobPerEntity(t *testing.T) {
 // right after it, after byte 16 (where the sort's prefix code ends too)
 // or only in length, the empty key, and more distinct keys per task than
 // the table starts with room for, so that it grows with all of them in it.
-// Over two sources the job is the same; its matrix, tagged, is the
+// The last partition is a second source: the matrix, tagged, is the
 // direct one tagged.
 func TestBDMJobCountTableAgainstReference(t *testing.T) {
 	var keys []string
@@ -225,30 +204,31 @@ func TestBDMJobCountTableAgainstReference(t *testing.T) {
 		}
 	}
 	for _, m := range []int{1, 3} {
-		parts := entity.SplitRoundRobin(es, m)
-		name := fmt.Sprintf("m=%d", m)
-		got, _ := checkBDMJob(t, name, parts, bdm.JobOptions{
-			Attr: "k", KeyFunc: blocking.Identity(), NumReduceTasks: 4, UseCombiner: true,
-		}, 2)
-		want, err := bdm.FromPartitions(parts, "k", blocking.Identity())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumBlocks() != len(keys) || !reflect.DeepEqual(got.Cells(), want.Cells()) {
-			t.Fatalf("%s: the job's matrix has %d blocks and differs from the direct one's %d", name, got.NumBlocks(), want.NumBlocks())
-		}
 		sources := make([]bdm.Source, m)
 		sources[m-1] = bdm.SourceS
-		gotTagged, err := got.WithSources(sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTagged, err := want.WithSources(sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotTagged, wantTagged) {
-			t.Fatalf("%s: the job's two-source matrix differs from the direct one", name)
-		}
+		checkRow(t, stratRow{
+			name: fmt.Sprintf("m=%d", m), parts: entity.SplitRoundRobin(es, m), attr: "k", key: blocking.Identity(),
+			sources: sources, rs: []int{4}, runs: par2,
+		})
+	}
+}
+
+// TestShuffleMaxGroupRecordsMatchesBlockSizes pins the semantics of the
+// streamed MaxGroupRecords metric on a concrete case: with Basic and one
+// reduce task, the largest group is exactly the dominant block.
+func TestShuffleMaxGroupRecordsMatchesBlockSizes(t *testing.T) {
+	es := skewedEntities()
+	res, err := er.RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 3)), er.Config{
+		Strategy:   core.Basic{},
+		Attr:       "title",
+		BlockKey:   blocking.NormalizedPrefix(3),
+		R:          1,
+		RunOptions: er.RunOptions{Engine: &mapreduce.Engine{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.MatchResult.ReduceMetrics[0].MaxGroupRecords; got != 40 {
+		t.Errorf("MaxGroupRecords = %d, want 40 (the dominant block)", got)
 	}
 }

@@ -1,11 +1,11 @@
 package mapreduce_test
 
 // The engine against the reference (reference_test.go): random jobs over
-// random inputs must produce the reference's full Result — output, side
-// output and every TaskMetrics field of the differential contract —
-// wherever the intermediate records reside. This file also holds what
-// the other suites share for that comparison: the residency rows, the
-// engine builder and the Result check.
+// random inputs must produce the reference's full Result — output and
+// every TaskMetrics field of the differential contract — wherever the
+// intermediate records reside. This file also holds what the other
+// suites share for that comparison: the residency rows, the engine
+// builder, the one execution-history normalizer and the Result check.
 
 import (
 	"context"
@@ -41,6 +41,11 @@ var (
 	everywhere       = map[string]residency{"memory": inMemory, "spilled": spilling, "dispatched": distributed}
 )
 
+// tinySpillBudget forces a spill roughly every record or two: the
+// smallest catalog match-job map task emits ≥ 17 records of ≥ 25
+// encoded bytes, so every such task writes ≥ 4 runs (asserted).
+const tinySpillBudget = 64
+
 // engineFor builds a Parallelism-2 engine for one residency and returns
 // the directory it may write to ("" in memory), whose emptiness callers
 // assert afterwards. Spilling engines get a budget of a record or two
@@ -59,6 +64,32 @@ func engineFor(t *testing.T, where residency, rr mapreduce.RemoteRunnable) (*map
 	return e, e.TmpDir
 }
 
+// normalize zeroes the execution-history counters of a Result's
+// Metrics — the attempt counters and the spill counters — which record
+// how a run executed, not what it computed; the rest compares
+// byte-for-byte across residencies, fault schedules and the reference.
+func normalize(m *mapreduce.Metrics) {
+	m.Attempts, m.Retries = 0, 0
+	for _, ms := range [][]mapreduce.TaskMetrics{m.MapMetrics, m.ReduceMetrics} {
+		for i := range ms {
+			ms[i].SpillRuns, ms[i].SpillBytesWritten, ms[i].SpillBytesRead = 0, 0, 0
+		}
+	}
+}
+
+// assertSpilled checks every map task flushed at least minRuns runs.
+func assertSpilled(t *testing.T, name string, ms []mapreduce.TaskMetrics, minRuns int64) {
+	t.Helper()
+	for i := range ms {
+		if ms[i].SpillRuns < minRuns {
+			t.Errorf("%s: map task %d spilled %d runs, want >= %d", name, i, ms[i].SpillRuns, minRuns)
+		}
+		if ms[i].SpillRuns > 0 && ms[i].SpillBytesWritten == 0 {
+			t.Errorf("%s: map task %d has runs but no bytes written", name, i)
+		}
+	}
+}
+
 // referencer is the method the test variant of package mapreduce adds to
 // Job, as type-erased jobs (core.MatchJob) are asserted to it.
 type referencer[I, O any] interface {
@@ -66,45 +97,66 @@ type referencer[I, O any] interface {
 }
 
 // checkAgainstReference holds an engine Result to the reference's. The
-// attempt and spill counters describe how the engine executed, which the
-// reference did not do; they are cleared on a copy of the engine's side.
+// execution history is cleared on a copy of the engine's side.
 func checkAgainstReference[I, O any](t *testing.T, name string, got, want *mapreduce.Result[I, O]) {
 	t.Helper()
 	norm := *got
 	norm.MapMetrics = slices.Clone(got.MapMetrics)
 	norm.ReduceMetrics = slices.Clone(got.ReduceMetrics)
-	clearAttemptCounters(&norm.Metrics)
-	clearResultSpillCounters(&norm.Metrics)
+	normalize(&norm.Metrics)
 	if !reflect.DeepEqual(&norm, want) {
 		t.Errorf("%s: Result diverges from the reference\nengine:    %+v\nreference: %+v", name, norm, want)
 	}
 }
 
-// checkEverywhere runs the job in memory, spilled (at least minRuns runs
-// per map task) and through the in-process dispatcher at the given
-// parallelism, holds every Result to the reference's, which it returns,
-// and requires each run to leave its directory empty.
-func checkEverywhere[I, O any](t *testing.T, name string, job mapreduce.JobRunner[I, O], rr mapreduce.RemoteRunnable, par int, input [][]I, minRuns int64) *mapreduce.Result[I, O] {
+// runs is how checkEverywhere runs a job: at each parallelism, in each
+// residency, with at least minRuns spill runs per spilled map task, and
+// faulted on the -chaos-seed schedule if chaos is set.
+type runs struct {
+	pars    []int
+	where   map[string]residency
+	minRuns int64
+	chaos   bool
+}
+
+// checkEverywhere runs the job as how says, holds every Result to the
+// reference's, which it returns with the retries the runs took, and
+// requires each run to leave its directory empty.
+func checkEverywhere[I, O any](t *testing.T, name string, job mapreduce.JobRunner[I, O], rr mapreduce.RemoteRunnable, input [][]I, how runs) (*mapreduce.Result[I, O], int64) {
 	t.Helper()
 	want := job.(referencer[I, O]).Reference(input)
-	for label, where := range everywhere {
-		e, tmp := engineFor(t, where, rr)
-		e.Parallelism = par
-		got, err := job.RunContext(context.Background(), e, input)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", name, label, err)
-		}
-		if where == spilling {
-			assertSpilled(t, name, got.MapMetrics, minRuns)
-		}
-		checkAgainstReference(t, name+"/"+label, got, want)
-		if where != inMemory {
-			if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
-				t.Fatalf("%s/%s: temp dir not empty after the run: %v (err %v)", name, label, ents, err)
+	var retries int64
+	for _, par := range how.pars {
+		for label, where := range how.where {
+			label = fmt.Sprintf("%s/par=%d/%s", name, par, label)
+			e, tmp := engineFor(t, where, rr)
+			e.Parallelism = par
+			if how.chaos {
+				// A dispatched attempt's hook points fire on the worker:
+				// the dispatcher fails it as a lost worker instead.
+				hook := mapreduce.ChaosHook(*chaosSeed, 0.3, 0)
+				e.Retry.BaseBackoff, e.FaultHook = 1, hook
+				if d, ok := e.Remote.(*localDispatcher); ok {
+					d.fail = hook
+				}
+			}
+			got, err := job.RunContext(context.Background(), e, input)
+			if err != nil {
+				t.Fatalf("%s: chaos=%v chaos-seed=%d: %v", label, how.chaos, *chaosSeed, err)
+			}
+			if where == spilling {
+				assertSpilled(t, label, got.MapMetrics, how.minRuns)
+			}
+			retries += got.Retries
+			checkAgainstReference(t, label, got, want)
+			if where != inMemory {
+				if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+					t.Fatalf("%s: temp dir not empty after the run: %v (err %v)", label, ents, err)
+				}
 			}
 		}
 	}
-	return want
+	return want, retries
 }
 
 // randomJob fans each input number out into one to three records under
@@ -169,10 +221,8 @@ func TestEngineAgainstReferenceModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("trial %d (m=%d r=%d %s par=%d)", trial, m, r, cname, par)
-				checkEverywhere(t, name, job, rr, par, input, 0)
-			}
+			name := fmt.Sprintf("trial %d (m=%d r=%d %s)", trial, m, r, cname)
+			checkEverywhere(t, name, job, rr, input, runs{pars: []int{1, 4}, where: everywhere})
 		}
 	}
 }

@@ -146,8 +146,6 @@ func TestExternalShuffleMemoryBounded(t *testing.T) {
 		t.Fatalf("external peak heap %d MB not meaningfully below typed %d MB", extPeak>>20, typedPeak>>20)
 	}
 	// Results must still agree byte-for-byte.
-	clearSpillCounters(extRes.MapMetrics)
-	clearSpillCounters(extRes.ReduceMetrics)
 	if fmt.Sprint(typedRes.Output) != fmt.Sprint(extRes.Output) {
 		t.Fatal("external output diverges from typed under memory pressure")
 	}

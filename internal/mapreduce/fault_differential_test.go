@@ -32,7 +32,7 @@ func TestFaultScheduleDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		normalize(baseline)
+		normalize(&baseline.Metrics)
 		for dname, where := range localResidencies {
 			for _, rate := range []float64{0.2, 0.6} {
 				t.Run(fmt.Sprintf("aggregate=%v/%s/rate=%v", aggregate, dname, rate), func(t *testing.T) {
@@ -50,7 +50,7 @@ func TestFaultScheduleDifferential(t *testing.T) {
 					if res.Attempts != int64(m+r)+res.Retries {
 						t.Fatalf("chaos-seed=%d: Attempts = %d, want %d tasks + %d retries", *chaosSeed, res.Attempts, m+r, res.Retries)
 					}
-					normalize(res)
+					normalize(&res.Metrics)
 					if !reflect.DeepEqual(res, baseline) {
 						t.Fatalf("chaos-seed=%d: chaotic run diverges from fault-free run", *chaosSeed)
 					}
@@ -71,7 +71,7 @@ func TestSpillFaultDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(baseline)
+	normalize(&baseline.Metrics)
 	for _, at := range []mapreduce.FaultPoint{mapreduce.FaultSpill, mapreduce.FaultMerge} {
 		t.Run(at.String(), func(t *testing.T) {
 			before := testleak.Snapshot()
@@ -96,7 +96,7 @@ func TestSpillFaultDifferential(t *testing.T) {
 			if res.Retries == 0 {
 				t.Fatal("injected disk faults caused no retries")
 			}
-			normalize(res)
+			normalize(&res.Metrics)
 			if !reflect.DeepEqual(res, baseline) {
 				t.Fatal("disk-faulted run diverges from fault-free run")
 			}

@@ -1,17 +1,24 @@
 package mapreduce_test
 
-// The paper's invariant under generated matrices (ROADMAP 2d): a block
-// distribution matrix is drawn directly — one source or two, or one
-// source with a ⊥ row of keyless entities, corners included — and
-// entities are synthesized to produce it. For every
-// draw, BlockSplit (with and without a memory cap) and PairRange must
-// compare each candidate pair exactly once, execute exactly the
-// per-task workloads their Plan predicts, and run in memory, spilled
-// and dispatched to the full Result of Job.Reference.
+// The one strategy differential. A row names an input — a generated
+// matrix here, skewedEntities or dualCatalog in
+// dataflow_differential_test.go — in one shape (one source, two, or one
+// with a ⊥ row), the strategies, the reduce task counts, the runs
+// (parallelisms, residencies, a fault schedule), the Job 1 mapper and a
+// matcher. checkRow holds every row to three properties:
+//
+//   - P1. Job 1's and Job 2's Results equal Job.Reference's in every
+//     run, faulted ones included.
+//   - P2. Job 2 executes exactly the per-task figures of its Plan.
+//   - P3. Job 2 compares every candidate pair exactly once, and its
+//     matches are the serial oracle's.
+//
+// Each named test is a selection of rows.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -20,7 +27,159 @@ import (
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/er"
+	"repro/internal/mapreduce"
 )
+
+// stratRow is one row of the strategy table.
+type stratRow struct {
+	name       string
+	parts      entity.Partitions
+	attr       string
+	key        blocking.KeyFunc
+	sources    []bdm.Source    // the partitions' source tags; nil = one source
+	bottom     bool            // a ⊥ row of keyless entities
+	strategies []core.Strategy // none: Job 1 alone
+	rs         []int           // reduce tasks, of both jobs
+	perEntity  bool            // Job 1 emits a 1 per entity, not one record per cell
+	match      core.PairFunc
+	runs       // minRuns is for Job 2's spilled map tasks
+}
+
+// checkRow checks P1, P2 and P3 on rw and returns the retries its runs
+// took.
+func checkRow(t *testing.T, rw stratRow) int64 {
+	t.Helper()
+	m := len(rw.parts)
+	input := bdm.Annotate(rw.parts, rw.attr, rw.key)
+	direct, err := bdm.FromPartitions(rw.parts, rw.attr, rw.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, comps := serialOracle(rw.parts, rw.sources, rw.bottom, rw.attr, rw.key, rw.match)
+	// An aggregating Job 1 task spills a handful of records: one run.
+	job1Runs := rw.runs
+	job1Runs.minRuns = min(job1Runs.minRuns, 1)
+	var retries int64
+	for _, r := range rw.rs {
+		name := fmt.Sprintf("%s/r=%d", rw.name, r)
+		job1 := bdm.Job(bdm.JobOptions{NumReduceTasks: r, UseCombiner: !rw.perEntity})
+		rr1, err := mapreduce.NewRemoteRunnable(job1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref1, n := checkEverywhere(t, name+"/bdm", job1, rr1, input, job1Runs)
+		retries += n
+		x := matrixOf(t, ref1, m)
+		if !reflect.DeepEqual(x.Cells(), direct.Cells()) {
+			t.Fatalf("%s: Job 1's matrix differs from bdm.FromPartitions'", name)
+		}
+		x = shape(t, x, rw.sources, rw.bottom)
+		if x.Pairs() != comps {
+			t.Fatalf("%s: P = %d, the serial oracle compares %d pairs", name, x.Pairs(), comps)
+		}
+		for _, strat := range rw.strategies {
+			name := fmt.Sprintf("%s/%s%+v", name, strat.Name(), strat)
+			plan, err := strat.Plan(x, m, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, err := strat.Job(x, r, rw.match)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := core.RemoteRunnableFor(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, n := checkEverywhere(t, name+"/match", job, rr, input, rw.runs)
+			retries += n
+
+			// P3: the output holds one record per match.
+			got := make([]core.MatchPair, len(ref.Output))
+			for i, o := range ref.Output {
+				got[i] = o.Key
+			}
+			er.SortMatches(got)
+			if !slices.Equal(got, pairs) || ref.Counter(core.ComparisonsCounter) != comps {
+				t.Fatalf("%s: %d matches in %d comparisons; the serial oracle has %d in %d (or a pair twice)", name, len(got), ref.Counter(core.ComparisonsCounter), len(pairs), comps)
+			}
+
+			// P2: executed = planned, task by task.
+			for i, mt := range ref.MapMetrics {
+				if mt.InputRecords != plan.MapRecords[i] || mt.OutputRecords != plan.MapEmits[i] {
+					t.Errorf("%s: map task %d read %d, emitted %d; planned %d, %d", name, i, mt.InputRecords, mt.OutputRecords, plan.MapRecords[i], plan.MapEmits[i])
+				}
+			}
+			for j, rt := range ref.ReduceMetrics {
+				if rt.InputRecords != plan.ReduceRecords[j] || rt.Counter(core.ComparisonsCounter) != plan.ReduceComparisons[j] {
+					t.Errorf("%s: reduce task %d got %d records, %d comparisons; planned %d, %d", name, j, rt.InputRecords, rt.Counter(core.ComparisonsCounter), plan.ReduceRecords[j], plan.ReduceComparisons[j])
+				}
+			}
+			if _, ok := strat.(core.PairRange); ok {
+				if q := core.NewRanges(x.Pairs(), r).Q; plan.MaxReduceComparisons() > q {
+					t.Errorf("%s: a reduce task compares %d pairs > ceil(P/r) = %d", name, plan.MaxReduceComparisons(), q)
+				}
+			}
+		}
+	}
+	return retries
+}
+
+// shape tags x with the partitions' sources or gives it a ⊥ row.
+func shape(t *testing.T, x *bdm.Matrix, sources []bdm.Source, bottom bool) *bdm.Matrix {
+	t.Helper()
+	var err error
+	switch {
+	case sources != nil:
+		x, err = x.WithSources(sources)
+	case bottom:
+		x, err = x.WithMissingKeys()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// serialOracle is the table's one P3 reference, the serial matcher of
+// the input's shape: er.SerialMatchDual over the R and S partitions,
+// er.SerialMatch over one source and, with a ⊥ row, er.SerialMatch over
+// the keyed entities plus every pair with a keyless side.
+func serialOracle(parts entity.Partitions, sources []bdm.Source, bottom bool, attr string, key blocking.KeyFunc, match core.PairFunc) ([]core.MatchPair, int64) {
+	if sources != nil {
+		var r, s []entity.Entity
+		for p, part := range parts {
+			if sources[p] == bdm.SourceS {
+				s = append(s, part...)
+			} else {
+				r = append(r, part...)
+			}
+		}
+		return er.SerialMatchDual(r, s, attr, key, match)
+	}
+	if !bottom {
+		return er.SerialMatch(parts.Flatten(), attr, key, match)
+	}
+	var keyed, keyless []entity.Entity
+	for _, e := range parts.Flatten() {
+		if key(e.Attr(attr)) == "" {
+			keyless = append(keyless, e)
+		} else {
+			keyed = append(keyed, e)
+		}
+	}
+	pairs, comps := er.SerialMatch(keyed, attr, key, match)
+	for i, a := range keyless {
+		for _, b := range slices.Concat(keyless[i+1:], keyed) {
+			comps++
+			if _, ok := match(a.Attr(attr), b.Attr(attr)); ok {
+				pairs = append(pairs, core.NewMatchPair(a.ID, b.ID))
+			}
+		}
+	}
+	er.SortMatches(pairs)
+	return pairs, comps
+}
 
 // matrixDraw is one generated matrix: entity counts per block and
 // partition, the partitions' source tags (nil = one source), the
@@ -113,7 +272,8 @@ func drawMatrix(rng *rand.Rand, trial int) matrixDraw {
 	}
 	d.r = 1 + rng.Intn(8)
 	if corner == 2 {
-		d.r = len(d.pairs(d.partitions(rng))) + 1 + rng.Intn(4)
+		_, pairs := serialOracle(d.partitions(rng), d.sources, d.bottom != nil, "k", blocking.Identity(), matchAll)
+		d.r = int(pairs) + 1 + rng.Intn(4)
 	}
 	return d
 }
@@ -141,79 +301,62 @@ func (d matrixDraw) partitions(rng *rand.Rand) entity.Partitions {
 	return parts
 }
 
-// pairs is the serial reference's candidate pairs of parts, sorted. With
-// a ⊥ row it is brute force: every pair of one key or with a keyless
-// side.
-func (d matrixDraw) pairs(parts entity.Partitions) []core.MatchPair {
-	if d.bottom != nil {
-		es := parts.Flatten()
-		pairs := []core.MatchPair{}
-		for i, a := range es {
-			for _, b := range es[i+1:] {
-				if ka, kb := a.Attr("k"), b.Attr("k"); ka == kb || ka == "" || kb == "" {
-					pairs = append(pairs, core.NewMatchPair(a.ID, b.ID))
-				}
-			}
-		}
-		er.SortMatches(pairs)
-		return pairs
-	}
-	if d.sources == nil {
-		pairs, _ := er.SerialMatch(parts.Flatten(), "k", blocking.Identity(), matchAll)
-		return pairs
-	}
-	var r, s []entity.Entity
-	for p, part := range parts {
-		if d.sources[p] == bdm.SourceS {
-			s = append(s, part...)
-		} else {
-			r = append(r, part...)
-		}
-	}
-	pairs, _ := er.SerialMatchDual(r, s, "k", blocking.Identity(), matchAll)
-	return pairs
-}
-
+// matchAll is the draw rows' matcher: it emits every comparison.
 var matchAll core.PairFunc = func(string, string) (float64, bool) { return 1, true }
 
-// drawnMatrix is what the suite reads back from the matrix a strategy
-// planned with.
-type drawnMatrix interface {
-	Pairs() int64
-	BlockIndex(key string) (int, bool)
-	SizeIn(k, p int) int
-	MissingKeys() bool
-	KeyedIn(p int) int
+// row is the strategy table's row of d over parts: every strategy the
+// shape admits, everywhere at Parallelism 2.
+func (d matrixDraw) row(name string, parts entity.Partitions, strategies []core.Strategy) stratRow {
+	return stratRow{
+		name: name, parts: parts, attr: "k", key: blocking.Identity(),
+		sources: d.sources, bottom: d.bottom != nil,
+		strategies: strategies, rs: []int{d.r}, match: matchAll,
+		runs: runs{pars: []int{2}, where: everywhere},
+	}
 }
 
-// drawnJob builds the matrix of parts, tagged with sources or given a ⊥
-// row, and strat's plan and match job over it — the one place the suite
-// meets the strategies' API.
-func drawnJob(t *testing.T, strat core.Strategy, parts entity.Partitions, sources []bdm.Source, bottom bool, r int) (drawnMatrix, *core.Plan, core.MatchJob) {
+// checkMatrix checks that parts produce the drawn matrix: its cells,
+// its ⊥ row and its keyed entities per partition.
+func (d matrixDraw) checkMatrix(t *testing.T, name string, parts entity.Partitions) {
 	t.Helper()
 	x, err := bdm.FromPartitions(parts, "k", blocking.Identity())
-	switch {
-	case err == nil && sources != nil:
-		x, err = x.WithSources(sources)
-	case err == nil && bottom:
-		x, err = x.WithMissingKeys()
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := strat.Plan(x, len(parts), r)
-	if err != nil {
-		t.Fatal(err)
+	x = shape(t, x, d.sources, d.bottom != nil)
+	for k, cells := range d.sizes {
+		bk, ok := x.BlockIndex(fmt.Sprintf("b%d", k))
+		if ok != (slices.Max(cells) > 0) {
+			t.Fatalf("%s: drawn block %d present=%v in the matrix, drawn %v", name, k, ok, cells)
+		}
+		for p, n := range cells {
+			if ok && x.SizeIn(bk, p) != n {
+				t.Fatalf("%s: cell (%d, %d) holds %d entities, drawn %d", name, k, p, x.SizeIn(bk, p), n)
+			}
+		}
 	}
-	job, err := strat.Job(x, r, matchAll)
-	if err != nil {
-		t.Fatal(err)
+	if x.MissingKeys() != (d.bottom != nil) {
+		t.Fatalf("%s: ⊥ row %v in the matrix, drawn %v", name, x.MissingKeys(), d.bottom)
 	}
-	return x, plan, job
+	for p, n := range d.bottom {
+		keyed := 0
+		for _, cells := range d.sizes {
+			keyed += cells[p]
+		}
+		if x.SizeIn(0, p) != n || x.KeyedIn(p) != keyed {
+			t.Fatalf("%s: ⊥ row of partition %d holds %d keyless, %d keyed entities; drawn %d, %d", name, p, x.SizeIn(0, p), x.KeyedIn(p), n, keyed)
+		}
+	}
 }
 
+// TestPlanExecutionEquivalenceFuzz checks the rows of generated
+// matrices, six per corner: BlockSplit with and without a memory cap,
+// PairRange and, over one source, Basic. Every second round of corners
+// counts with the per-entity Job 1, and every fifth draw runs under the
+// -chaos-seed schedule; the chaos-smoke job randomizes the seed.
 func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var retries int64
 	for trial := 0; trial < 6*corners; trial++ {
 		d := drawMatrix(rng, trial)
 		parts := d.partitions(rng)
@@ -221,11 +364,21 @@ func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
 		if d.sources == nil && d.bottom == nil {
 			strategies = append(strategies, core.Basic{})
 		}
-		checkDraw(t, fmt.Sprintf("trial %d", trial), d, parts, strategies)
+		name := fmt.Sprintf("trial %d: m=%d sources=%v ⊥=%v", trial, len(parts), d.sources, d.bottom)
+		d.checkMatrix(t, name, parts)
+		rw := d.row(name, parts, strategies)
+		rw.perEntity = trial/corners%2 == 1
+		rw.chaos = trial%5 == 4
+		if n := checkRow(t, rw); rw.chaos {
+			retries += n
+		}
+	}
+	if retries == 0 {
+		t.Errorf("chaos-seed=%d: the chaos rows retried no attempt", *chaosSeed)
 	}
 }
 
-// TestPlanExecutionEquivalenceWidePartitions is the suite's BlockSplit
+// TestPlanExecutionEquivalenceWidePartitions is the table's BlockSplit
 // row with more partitions than a byte can index: one block with an
 // entity in each of 260 partitions is split into 260 sub-blocks, so its
 // tasks' split components reach 259. A split component narrowed below
@@ -237,79 +390,7 @@ func TestPlanExecutionEquivalenceWidePartitions(t *testing.T) {
 		d.sizes[0][p] = 1
 	}
 	d.sizes[1][0], d.sizes[1][m/2], d.sizes[1][m-1] = 2, 1, 2
-	checkDraw(t, "wide", d, d.partitions(rand.New(rand.NewSource(5))), []core.Strategy{core.BlockSplit{}})
-}
-
-// checkDraw checks each strategy over parts, the entities synthesized
-// for d: the matrix is the drawn one, every candidate pair is compared
-// exactly once, executed workloads equal planned ones task by task, and
-// every dataflow gives Job.Reference's result.
-func checkDraw(t *testing.T, label string, d matrixDraw, parts entity.Partitions, strategies []core.Strategy) {
-	t.Helper()
-	want := d.pairs(parts)
-	input := er.AnnotateInput(parts, "k", blocking.Identity())
-	for _, strat := range strategies {
-		name := fmt.Sprintf("%s: %s%+v m=%d r=%d sources=%v ⊥=%v", label, strat.Name(), strat, len(parts), d.r, d.sources, d.bottom)
-		x, plan, job := drawnJob(t, strat, parts, d.sources, d.bottom != nil, d.r)
-		for k, row := range d.sizes {
-			bk, ok := x.BlockIndex(fmt.Sprintf("b%d", k))
-			if ok != (slices.Max(row) > 0) {
-				t.Fatalf("%s: drawn block %d present=%v in the matrix, drawn %v", name, k, ok, row)
-			}
-			for p, n := range row {
-				if ok && x.SizeIn(bk, p) != n {
-					t.Fatalf("%s: cell (%d, %d) holds %d entities, drawn %d", name, k, p, x.SizeIn(bk, p), n)
-				}
-			}
-		}
-		if x.MissingKeys() != (d.bottom != nil) {
-			t.Fatalf("%s: ⊥ row %v in the matrix, drawn %v", name, x.MissingKeys(), d.bottom)
-		}
-		for p, n := range d.bottom {
-			keyed := 0
-			for _, row := range d.sizes {
-				keyed += row[p]
-			}
-			if x.SizeIn(0, p) != n || x.KeyedIn(p) != keyed {
-				t.Fatalf("%s: ⊥ row of partition %d holds %d keyless, %d keyed entities; drawn %d, %d", name, p, x.SizeIn(0, p), x.KeyedIn(p), n, keyed)
-			}
-		}
-		if x.Pairs() != int64(len(want)) {
-			t.Fatalf("%s: P = %d, the serial reference has %d pairs", name, x.Pairs(), len(want))
-		}
-
-		rr, err := core.RemoteRunnableFor(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := checkEverywhere(t, name, job, rr, 2, input, 0)
-
-		// Every candidate pair exactly once: the match-all matcher
-		// emits each comparison.
-		got := make([]core.MatchPair, len(ref.Output))
-		for i, o := range ref.Output {
-			got[i] = o.Key
-		}
-		er.SortMatches(got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: compared %d pairs, the serial reference has %d (or a pair twice)", name, len(got), len(want))
-		}
-
-		// Executed = planned, task by task.
-		for i, mt := range ref.MapMetrics {
-			if mt.InputRecords != plan.MapRecords[i] || mt.OutputRecords != plan.MapEmits[i] {
-				t.Errorf("%s: map task %d read %d, emitted %d; planned %d, %d", name, i, mt.InputRecords, mt.OutputRecords, plan.MapRecords[i], plan.MapEmits[i])
-			}
-		}
-		for j, rt := range ref.ReduceMetrics {
-			if rt.InputRecords != plan.ReduceRecords[j] || rt.Counter(core.ComparisonsCounter) != plan.ReduceComparisons[j] {
-				t.Errorf("%s: reduce task %d got %d records, %d comparisons; planned %d, %d", name, j, rt.InputRecords, rt.Counter(core.ComparisonsCounter), plan.ReduceRecords[j], plan.ReduceComparisons[j])
-			}
-		}
-		if _, ok := strat.(core.PairRange); ok {
-			if q := core.NewRanges(x.Pairs(), d.r).Q; plan.MaxReduceComparisons() > q {
-				t.Errorf("%s: a reduce task compares %d pairs > ceil(P/r) = %d", name, plan.MaxReduceComparisons(), q)
-			}
-		}
-	}
+	parts := d.partitions(rand.New(rand.NewSource(5)))
+	d.checkMatrix(t, "wide", parts)
+	checkRow(t, d.row("wide", parts, []core.Strategy{core.BlockSplit{}}))
 }

@@ -31,32 +31,38 @@ func init() {
 
 // localDispatcher executes dispatched attempts in-process through the
 // same RemoteRunnable a worker would build, with the run files written
-// directly at the master's replica paths. failMaps/failReduces inject
-// transient dispatch errors (the "worker died mid-task" shape); down
-// simulates an empty worker pool.
+// directly at the master's replica paths. A dispatch fails as a lost
+// worker (a transient error) where fail injects a fault at task start;
+// down simulates an empty worker pool.
 type localDispatcher struct {
-	rr          mapreduce.RemoteRunnable
-	down        bool
-	failMaps    atomic.Int64
-	failReduces atomic.Int64
+	rr   mapreduce.RemoteRunnable
+	down bool
+	fail mapreduce.FaultHook
+}
+
+// dispatch reports how dispatching one attempt fails, if it does.
+func (d *localDispatcher) dispatch(ctx context.Context, phase mapreduce.TaskKind, task, attempt int) error {
+	if d.down {
+		return mapreduce.ErrNoWorkers
+	}
+	if d.fail != nil {
+		if err := d.fail(ctx, phase, task, attempt, mapreduce.FaultTaskStart); err != nil {
+			return fmt.Errorf("%s task %d: worker lost: %w", phase, task, err)
+		}
+	}
+	return nil
 }
 
 func (d *localDispatcher) RunMapAttempt(ctx context.Context, m, task, attempt int, input []byte, inputCount int, replicaPath string) (*mapreduce.RemoteMapResult, error) {
-	if d.down {
-		return nil, mapreduce.ErrNoWorkers
-	}
-	if d.failMaps.Add(-1) >= 0 {
-		return nil, fmt.Errorf("map task %d: worker lost", task)
+	if err := d.dispatch(ctx, mapreduce.MapTask, task, attempt); err != nil {
+		return nil, err
 	}
 	return d.rr.ExecRemoteMap(ctx, m, task, attempt, input, inputCount, replicaPath)
 }
 
 func (d *localDispatcher) RunReduceAttempt(ctx context.Context, m, task, attempt int, runs []mapreduce.RemoteRun) (*mapreduce.RemoteReduceResult, error) {
-	if d.down {
-		return nil, mapreduce.ErrNoWorkers
-	}
-	if d.failReduces.Add(-1) >= 0 {
-		return nil, fmt.Errorf("reduce task %d: worker lost", task)
+	if err := d.dispatch(ctx, mapreduce.ReduceTask, task, attempt); err != nil {
+		return nil, err
 	}
 	var srcs []mapreduce.SegmentSource
 	for _, run := range runs {
@@ -82,7 +88,7 @@ func TestRemoteDispatchMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			normalize(baseline)
+			normalize(&baseline.Metrics)
 			before := testleak.Snapshot()
 			rr, err := mapreduce.NewRemoteRunnable(wordJob(r, aggregate))
 			if err != nil {
@@ -94,7 +100,7 @@ func TestRemoteDispatchMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			testleak.Check(t, before)
-			normalize(res)
+			normalize(&res.Metrics)
 			if !reflect.DeepEqual(res, baseline) {
 				t.Fatal("remote-dispatched run diverges from local typed run")
 			}
@@ -112,15 +118,14 @@ func TestRemoteDispatchErrorRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(baseline)
+	normalize(&baseline.Metrics)
 	before := testleak.Snapshot()
 	rr, err := mapreduce.NewRemoteRunnable(wordJob(r, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &localDispatcher{rr: rr}
-	d.failMaps.Store(1)    // first map dispatch dies
-	d.failReduces.Store(1) // first reduce dispatch dies
+	// Every task's first dispatch dies.
+	d := &localDispatcher{rr: rr, fail: failFirstAttempt(mapreduce.FaultTaskStart)}
 	e := &mapreduce.Engine{Parallelism: 2, TmpDir: t.TempDir(), Remote: d}
 	e.Retry.BaseBackoff = 1
 	res, err := wordJob(r, false).RunContext(context.Background(), e, input)
@@ -128,10 +133,10 @@ func TestRemoteDispatchErrorRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	testleak.Check(t, before)
-	if res.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2 (one lost map, one lost reduce)", res.Retries)
+	if res.Retries != m+r {
+		t.Fatalf("Retries = %d, want %d (one lost worker per task)", res.Retries, m+r)
 	}
-	normalize(res)
+	normalize(&res.Metrics)
 	if !reflect.DeepEqual(res, baseline) {
 		t.Fatal("run with lost-worker retries diverges from local typed run")
 	}
@@ -144,7 +149,7 @@ func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(baseline)
+	normalize(&baseline.Metrics)
 	before := testleak.Snapshot()
 	var logs atomic.Int64
 	var lastLog atomic.Value
@@ -172,7 +177,7 @@ func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 	if errors.Is(err, mapreduce.ErrNoWorkers) {
 		t.Fatal("ErrNoWorkers leaked out of a degraded run")
 	}
-	normalize(res)
+	normalize(&res.Metrics)
 	if !reflect.DeepEqual(res, baseline) {
 		t.Fatal("degraded-to-local run diverges from local typed run")
 	}

@@ -73,7 +73,6 @@ func (k Kind) String() string {
 // Event zero value is safely phase-less; engine code maps its TaskKind
 // (map=0, reduce=1) through PhaseOf.
 const (
-	PhaseNone   uint8 = 0
 	PhaseMap    uint8 = 1
 	PhaseReduce uint8 = 2
 )

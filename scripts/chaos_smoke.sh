@@ -3,9 +3,10 @@
 # detector.
 #
 # Runs the fault-schedule differential suites (engine-level and
-# ER-pipeline-level) plus the mid-phase cancellation tests with -race
-# and a randomized chaos seed. The seed is echoed up front: a failing
-# run reproduces with
+# ER-pipeline-level), the strategy table's generated draws (every fifth
+# runs under the chaos schedule) and the mid-phase cancellation tests
+# with -race and a randomized chaos seed. The seed is echoed up front: a
+# failing run reproduces with
 #
 #   CHAOS_SEED=<seed> scripts/chaos_smoke.sh
 #
@@ -18,6 +19,7 @@ SEED="${CHAOS_SEED:-$RANDOM$RANDOM$RANDOM}"
 echo "chaos-smoke: seed=$SEED (reproduce with CHAOS_SEED=$SEED $0)"
 
 SUITES=(TestFaultScheduleDifferential TestSpillFaultDifferential
+    TestPlanExecutionEquivalenceFuzz
     TestERFaultScheduleDifferential TestERChaosDifferential TestCancelMidPhase)
 PACKAGES=(./internal/mapreduce ./internal/er)
 PATTERN="^($(IFS='|'; echo "${SUITES[*]}"))\$"
