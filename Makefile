@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-cancel-race fuzz-smoke bench-smoke bench bench-compare bench-all loc smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
+.PHONY: check vet build test test-race test-cancel-race fuzz-smoke bench-smoke bench bench-compare bench-all ab loc smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
 
 # check is the CI gate: static analysis, build, tests, benchmark smoke.
 check: vet build test bench-smoke
@@ -71,6 +71,17 @@ bench:
 #   make bench-compare A=parent.json B=change.json
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
+
+# ab runs the claim protocol: PAIRS alternating pairs of the named
+# workloads on BASE and on this tree, each frozen into a temporary
+# directory, then per metric each side's median and quartiles, the
+# pairs won and the verdict (scripts/abpairs.sh):
+#   make ab BASE=origin/main W="flat-spill flat-mem" PAIRS=10 SEED=7 SECONDS=15
+PAIRS ?= 10
+SEED ?= 1
+SECONDS ?= 15
+ab:
+	scripts/abpairs.sh "$(BASE)" "$(W)" $(PAIRS) $(SEED) $(SECONDS)
 
 # bench-all runs the full figure + micro benchmark suite (slow).
 bench-all:

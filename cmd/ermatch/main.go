@@ -174,20 +174,17 @@ func main() {
 
 	// Rows are built in place in the m input partitions, their strings
 	// aliasing the file's bytes: the pre-map memory high-water mark is the
-	// input's text plus one Entity and its attributes per row. Nothing
-	// here holds the partitions once the pipeline has them, so Job 2 runs
-	// on the annotated copy Job 1 counted alone.
+	// input's text plus one Entity and its attributes per row. The source
+	// is handed to the pipeline unread. Its one read-and-annotate step is
+	// the only holder of the partitions, so they are garbage before Job 1
+	// starts, and both jobs run on the annotated rows alone (a caller
+	// that read them here would keep them alive through Job 1).
 	var src er.Source
 	if *in != "" {
 		src = er.FromCSVFile(*in, *m)
 	} else {
 		src = er.FromCSV(os.Stdin, *m)
 	}
-	parts, err := src.Partitions()
-	if err != nil {
-		fail(err)
-	}
-	nEntities := parts.Total()
 
 	// -out installs a streaming writer sink: matches flow from the
 	// reduce tasks to the file as they are found and are never
@@ -224,9 +221,14 @@ func main() {
 	start := time.Now()
 	// Without -master (opts.Master nil) this is RunPipeline over the
 	// expanded Config; every strategy runs match.EditDistance's block.
-	res, err := er.RunDistributedPipeline(ctx, er.FromPartitions(parts), params, opts)
+	res, err := er.RunDistributedPipeline(ctx, src, params, opts)
 	if err != nil {
 		fail(err)
+	}
+	// Job 2's map tasks read every entity once, whatever the strategy.
+	var nEntities int64
+	for _, t := range res.MatchResult.Metrics.MapMetrics {
+		nEntities += t.InputRecords
 	}
 	fmt.Fprintf(report, "strategy=%s entities=%d m=%d r=%d\n", cfg.Strategy.Name(), nEntities, *m, *r)
 	if res.BDM != nil {

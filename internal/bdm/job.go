@@ -208,31 +208,43 @@ func Annotate(parts entity.Partitions, attr string, keyFunc blocking.KeyFunc) []
 }
 
 // ComputeContext runs Algorithm 3 over the partitioned input: it
-// annotates parts once (Annotate), runs the BDM job over the annotated
-// partitions, and returns the assembled Matrix, the annotated partitions
-// the job counted (the matching job's input, in the job's partitioning)
-// and the job's result. Cancellation follows the engine's between-task
-// semantics.
+// annotates parts once (Annotate) and counts the annotated partitions
+// (Count). It returns the assembled Matrix, the annotated partitions the
+// job counted (the matching job's input, in the job's partitioning) and
+// the job's result. A pipeline annotates and counts in two steps
+// instead, so that nothing holds parts while Job 1 runs.
 func ComputeContext(ctx context.Context, eng *mapreduce.Engine, parts entity.Partitions, opts JobOptions) (*Matrix, [][]Annotated, *JobResult, error) {
-	switch {
-	case opts.KeyFunc == nil:
+	if opts.KeyFunc == nil {
 		return nil, nil, nil, fmt.Errorf("bdm: compute: JobOptions.KeyFunc is required")
-	case opts.NumReduceTasks < 1:
-		return nil, nil, nil, fmt.Errorf("bdm: compute: JobOptions.NumReduceTasks must be at least 1, got %d", opts.NumReduceTasks)
 	}
 	input := Annotate(parts, opts.Attr, opts.KeyFunc)
+	matrix, res, err := Count(ctx, eng, input, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return matrix, input, res, nil
+}
+
+// Count runs the BDM job over annotated input and assembles the Matrix
+// from its output, one column per partition of input. Only the keys of
+// the records are read, so opts.Attr and opts.KeyFunc are not used.
+// Cancellation follows the engine's between-task semantics.
+func Count(ctx context.Context, eng *mapreduce.Engine, input [][]Annotated, opts JobOptions) (*Matrix, *JobResult, error) {
+	if opts.NumReduceTasks < 1 {
+		return nil, nil, fmt.Errorf("bdm: compute: JobOptions.NumReduceTasks must be at least 1, got %d", opts.NumReduceTasks)
+	}
 	res, err := Job(opts).RunContext(ctx, eng, input)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bdm: compute: %w", err)
+		return nil, nil, fmt.Errorf("bdm: compute: %w", err)
 	}
 	matrix, err := fromCells(len(res.Output), func(i int) Cell {
 		rec := &res.Output[i]
 		return Cell{BlockKey: rec.Key.BlockKey, Partition: rec.Key.Partition, Count: rec.Value}
-	}, len(parts))
+	}, len(input))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bdm: compute: assemble matrix: %w", err)
+		return nil, nil, fmt.Errorf("bdm: compute: assemble matrix: %w", err)
 	}
-	return matrix, input, res, nil
+	return matrix, res, nil
 }
 
 // FromPartitions builds the Matrix directly in memory, without running

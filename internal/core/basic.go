@@ -61,6 +61,7 @@ func (b *basicReducer) Configure(_, _, _ int) {}
 // entire block in memory — the paper's memory-bottleneck argument
 // against Basic.
 func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[string, entity.Row]) {
+	touch(b.group, values)
 	b.begin(len(values))
 	for _, v := range values {
 		b.probe(ctx, v.Value, 0, b.len(), true)

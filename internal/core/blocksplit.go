@@ -425,6 +425,7 @@ func (rd *bsReducer) Configure(_, _, _ int) {}
 // becomes a row; a cross product's rows, which sort first, are loaded,
 // and each probe meets all rows loaded before it without being kept.
 func (rd *bsReducer) Reduce(ctx *matchCtx, _ BSKey, values []mapreduce.Rec[BSKey, entity.Row]) {
+	touch(rd.group, values)
 	rd.begin(len(values))
 	for _, v := range values {
 		switch v.Key.Role {

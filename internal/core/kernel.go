@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/entity"
+	"repro/internal/mapreduce"
 )
 
 // Block is the prepared form of one reduce group: the reducers of all
@@ -34,6 +35,25 @@ type group struct {
 	m     Matcher  // nil counts only
 	block Block    // the open group's block; nil when counting only
 	ids   []string // row → entity ID, for the emits
+	ends  byte     // what touch read, kept so the reads stay
+}
+
+// touch reads the first and last byte of every value's text before a
+// group's probes: the loads do not depend on each other, so their cache
+// misses overlap here instead of stalling the block's preparation of
+// each text in turn (a BlockSplit or PairRange key is exact, so nothing
+// else reads a text before its probe). Counting only reads no text.
+func touch[K any](g *group, values []mapreduce.Rec[K, entity.Row]) {
+	if g.m == nil {
+		return
+	}
+	var ends byte
+	for i := range values {
+		if t := values[i].Value.Text; t != "" {
+			ends += t[0] + t[len(t)-1]
+		}
+	}
+	g.ends = ends
 }
 
 // begin opens a group of at most n rows.

@@ -192,6 +192,7 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 	// exceeds this task, p >= lo iff it is at least this task (every
 	// valid p is < P, so the clamped bounds preserve both equivalences).
 	lo, hi := rd.ranges.Bounds(rd.task)
+	touch(rd.group, values)
 	rd.begin(len(values))
 	for _, v := range values {
 		x2 := v.Key.Index

@@ -74,6 +74,11 @@ type Worker struct {
 	jobRuns   map[string][]string  // JobRef.ID → tokens
 	nextToken int64
 
+	// fresh holds the server's connections that have not yet carried a
+	// request (http.StateNew); see closeFresh.
+	freshMu sync.Mutex
+	fresh   map[net.Conn]struct{}
+
 	ctx       context.Context
 	cancel    context.CancelFunc
 	serveDone chan struct{}
@@ -127,6 +132,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		jobs:      map[string]workerJob{},
 		runs:      map[string]string{},
 		jobRuns:   map[string][]string{},
+		fresh:     map[net.Conn]struct{}{},
 		serveDone: make(chan struct{}),
 		loopDone:  make(chan struct{}),
 	}
@@ -165,7 +171,8 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	} else {
 		mux.Handle(pathStatus, obs.StatusHandler(w.statusSnapshot))
 	}
-	w.srv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout}
+	w.srv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout, ConnState: w.trackFresh}
+	w.srv.RegisterOnShutdown(w.closeFresh)
 	go func() {
 		defer close(w.serveDone)
 		w.srv.Serve(ln)
@@ -212,6 +219,31 @@ func (w *Worker) shutdown(graceful bool) {
 			os.RemoveAll(w.dir)
 		}
 	})
+}
+
+// trackFresh is the server's ConnState hook: it keeps w.fresh, the
+// connections that have not yet carried a request.
+func (w *Worker) trackFresh(c net.Conn, state http.ConnState) {
+	w.freshMu.Lock()
+	if state == http.StateNew {
+		w.fresh[c] = struct{}{}
+	} else {
+		delete(w.fresh, c)
+	}
+	w.freshMu.Unlock()
+}
+
+// closeFresh runs when Stop's Shutdown has closed the listener: it
+// closes the connections that never carried a request. Shutdown waits
+// for every connection to go idle, and it counts a new one as active
+// until it is 5 s old (golang/go#22682), so a connection a peer's
+// http.Transport dialed but never used would hold Stop for 5 s.
+func (w *Worker) closeFresh() {
+	w.freshMu.Lock()
+	defer w.freshMu.Unlock()
+	for c := range w.fresh {
+		c.Close()
+	}
 }
 
 // Dir returns the worker's run directory (left behind by Kill).

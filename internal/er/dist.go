@@ -109,7 +109,9 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	parts, err := src.Partitions()
+	// Annotated before the wait, so that ingest overlaps the workers'
+	// registration.
+	input, err := annotate(src, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +127,7 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, parts, nil, cfg, &dispatch{master: opts.Master, params: params})
+	return runPipeline(ctx, input, nil, cfg, &dispatch{master: opts.Master, params: params})
 }
 
 // dispatch binds a pipeline's jobs to a dist master; params is the

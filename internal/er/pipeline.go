@@ -8,7 +8,6 @@ import (
 	"repro/internal/bdm"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/entity"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
@@ -108,10 +107,11 @@ func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, 
 
 // RunPipeline executes the full workflow of Figure 2 over the source's
 // partitions, annotated once with their blocking keys: Job 1 counts the
-// keys into the BDM; Job 2 reads the same annotated partitions,
-// redistributes them with the configured strategy and performs the
-// matching. For the Basic strategy only the second job runs (it needs no
-// BDM) over the same annotation.
+// keys into the BDM; Job 2 reads the same annotated rows, redistributes
+// them with the configured strategy and performs the matching. For the
+// Basic strategy only the second job runs (it needs no BDM) over the
+// same annotation. The partitions themselves are dropped once they are
+// annotated, before Job 1 starts (annotate).
 //
 // Cancelling ctx stops the run between engine tasks and returns an
 // error wrapping ctx.Err(); a configured Sink streams the matches (see
@@ -128,19 +128,19 @@ func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg Config) (*Resul
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	partsR, err := srcR.Partitions()
+	inputR, err := annotate(srcR, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	partsS, err := srcS.Partitions()
+	inputS, err := annotate(srcS, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	sources := make([]bdm.Source, len(partsR)+len(partsS))
-	for i := len(partsR); i < len(sources); i++ {
+	sources := make([]bdm.Source, len(inputR)+len(inputS))
+	for i := len(inputR); i < len(sources); i++ {
 		sources[i] = bdm.SourceS
 	}
-	return runPipeline(ctx, slices.Concat(partsR, partsS), func(x *bdm.Matrix) (*bdm.Matrix, error) {
+	return runPipeline(ctx, slices.Concat(inputR, inputS), func(x *bdm.Matrix) (*bdm.Matrix, error) {
 		return x.WithSources(sources)
 	}, cfg, nil)
 }
@@ -157,33 +157,50 @@ func RunWithMissingKeysPipeline(ctx context.Context, src Source, cfg Config) (*R
 	return runSource(ctx, src, (*bdm.Matrix).WithMissingKeys, cfg)
 }
 
-// runSource validates cfg and runs the one body over src's partitions.
+// runSource validates cfg and runs the one body over src's annotated
+// partitions.
 func runSource(ctx context.Context, src Source, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	input, err := annotate(src, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	return runPipeline(ctx, input, shape, cfg, nil)
+}
+
+// annotate is the one step of a run that holds the source's
+// partitions: it reads them, annotates every entity with its blocking
+// key and match text (bdm.Annotate) and returns the rows alone. The
+// rows alias only the entities' strings, so once it returns the
+// partition arrays and the entities' attribute slices are garbage, and
+// the jobs run without them: the GC paces itself by a smaller live
+// heap, and the pages they held are reused instead of new ones being
+// faulted in.
+func annotate(src Source, cfg *Config) ([][]core.AnnotatedEntity, error) {
 	parts, err := src.Partitions()
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, parts, shape, cfg, nil)
+	return AnnotateInput(parts, cfg.Attr, cfg.BlockKey), nil
 }
 
-// runPipeline is the body of every entry point; shape, when non-nil,
-// turns Job 1's matrix into the one Job 2 plans with (source tags, a ⊥
-// row), and d binds the jobs to a dist master (nil = in process).
-func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config, d *dispatch) (*Result, error) {
+// runPipeline is the body of every entry point, over annotated input;
+// shape, when non-nil, turns Job 1's matrix into the one Job 2 plans
+// with (source tags, a ⊥ row), and d binds the jobs to a dist master
+// (nil = in process).
+func runPipeline(ctx context.Context, input [][]core.AnnotatedEntity, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config, d *dispatch) (*Result, error) {
 	eng := cfg.ResolveEngine()
 	res := &Result{}
 
-	var job2Input [][]core.AnnotatedEntity
 	switch {
 	case cfg.Strategy.NeedsBDM():
 		bdmEng, done, err := d.bind(eng, "er/bdm", nil)
 		if err != nil {
 			return nil, err
 		}
-		matrix, input, bdmRes, err := bdm.ComputeContext(ctx, bdmEng, parts, cfg.bdmJobOptions())
+		matrix, bdmRes, err := bdm.Count(ctx, bdmEng, input, cfg.bdmJobOptions())
 		done()
 		if err != nil {
 			return nil, err
@@ -198,11 +215,8 @@ func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.M
 		}
 		res.BDM = matrix
 		res.BDMResult = bdmRes
-		job2Input = input
 	case shape != nil:
 		return nil, fmt.Errorf("er: %s needs no BDM, so it has no matrix to plan source tags or a ⊥ row on", cfg.Strategy.Name())
-	default:
-		job2Input = AnnotateInput(parts, cfg.Attr, cfg.BlockKey)
 	}
 
 	job, err := cfg.Strategy.Job(res.BDM, cfg.R, cfg.Matcher)
@@ -213,7 +227,7 @@ func runPipeline(ctx context.Context, parts entity.Partitions, shape func(*bdm.M
 	if err != nil {
 		return nil, err
 	}
-	matchRes, matches, err := runMatchJob(ctx, matchEng, job, job2Input, cfg.Sink)
+	matchRes, matches, err := runMatchJob(ctx, matchEng, job, input, cfg.Sink)
 	done()
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/dist"
 	"repro/internal/entity"
 	"repro/internal/er"
 	"repro/internal/mapreduce"
@@ -340,40 +342,92 @@ func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 	}
 }
 
-// TestPipelineReleasesInput: once the input is annotated, nothing in
-// the pipeline holds the source's partition arrays or the entities'
-// attribute slices — Job 2's rows alias only the strings — so Job 2
-// runs without them (on the yardstick's flat dataset the arrays alone
-// are 5.3 MB). Checked for both strategies' jobs — the matcher forces
-// collections from inside Job 2 and looks for the finalizers of each
-// partition's array and of its first entity's attributes.
+// TestPipelineReleasesInput: a run's partitions live only in its
+// read-and-annotate step. The annotated rows alias only the entities'
+// strings, so once they exist nothing holds the source's partition
+// arrays or the entities' attribute slices (on the yardstick's flat
+// dataset ~9 MB), and neither job runs with them. Checked for every
+// entry point when the first task attempt of the first job starts —
+// from the engine's FaultHook in process, from the worker's
+// TaskStarted hook when dispatched — by forcing collections until the
+// finalizers of each partition's array and of its first entity's
+// attributes have run.
 func TestPipelineReleasesInput(t *testing.T) {
-	for _, strat := range []core.Strategy{core.BlockSplit{}, core.Basic{}} {
-		var freed atomic.Int32
-		src := er.SourceFunc(func() (entity.Partitions, error) {
-			parts := entity.SplitRoundRobin(testEntities(200, 9), 3)
+	// Each case counts into its own counter, so that a partition a
+	// failing case kept alive cannot be counted when it dies later.
+	var freed *atomic.Int32
+	source := func(seed int64) er.Source {
+		return er.SourceFunc(func() (entity.Partitions, error) {
+			parts, n := entity.SplitRoundRobin(testEntities(200, seed), 3), freed
 			for p := range parts {
-				runtime.SetFinalizer(&parts[p][0], func(*entity.Entity) { freed.Add(1) })
-				runtime.SetFinalizer(&parts[p][0].Attrs[0], func(*entity.Attr) { freed.Add(1) })
+				runtime.SetFinalizer(&parts[p][0], func(*entity.Entity) { n.Add(1) })
+				runtime.SetFinalizer(&parts[p][0].Attrs[0], func(*entity.Attr) { n.Add(1) })
 			}
 			return parts, nil
 		})
-		cfg := baseConfig(strat, 1)
-		inner, seen := testMatcher(0.8), false
-		cfg.Matcher = core.PairFunc(func(a, b string) (float64, bool) {
-			for i := 0; i < 10 && !seen; i++ {
-				runtime.GC()
-				time.Sleep(time.Millisecond)
-				seen = freed.Load() == 6
+	}
+	inProcess := func(strat core.Strategy, blockKey blocking.KeyFunc, run func(er.Config) (*er.Result, error)) func(func()) error {
+		return func(atStart func()) error {
+			cfg := baseConfig(strat, 1)
+			if blockKey != nil {
+				cfg.BlockKey = blockKey
 			}
-			if !seen {
-				t.Errorf("%s: %d of 3 partition arrays and 3 attribute slices freed while Job 2 compares", strat.Name(), freed.Load())
-				seen = true
+			cfg.Engine.FaultHook = func(_ context.Context, _ mapreduce.TaskKind, _, _ int, point mapreduce.FaultPoint) error {
+				if point == mapreduce.FaultTaskStart {
+					atStart()
+				}
+				return nil
 			}
-			return inner(a, b)
+			_, err := run(cfg)
+			return err
+		}
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name    string
+		sources int32
+		run     func(atStart func()) error
+	}{
+		{"RunPipeline/blocksplit", 1, inProcess(core.BlockSplit{}, nil, func(cfg er.Config) (*er.Result, error) {
+			return er.RunPipeline(ctx, source(9), cfg)
+		})},
+		{"RunPipeline/basic", 1, inProcess(core.Basic{}, nil, func(cfg er.Config) (*er.Result, error) {
+			return er.RunPipeline(ctx, source(9), cfg)
+		})},
+		{"RunDualPipeline", 2, inProcess(core.PairRange{}, nil, func(cfg er.Config) (*er.Result, error) {
+			return er.RunDualPipeline(ctx, source(9), source(10), cfg)
+		})},
+		{"RunWithMissingKeysPipeline", 1, inProcess(core.BlockSplit{}, missingKeyBlocker, func(cfg er.Config) (*er.Result, error) {
+			return er.RunWithMissingKeysPipeline(ctx, source(9), cfg)
+		})},
+		{"RunDistributedPipeline", 1, func(atStart func()) error {
+			master := startDistMaster(t)
+			startDistWorker(t, master, dist.WorkerOptions{Slots: 1, TaskStarted: func(context.Context, string, int, int) { atStart() }})
+			_, err := er.RunDistributedPipeline(ctx, source(9), distTestParams(core.BlockSplit{}), er.RunOptions{Parallelism: 1, Master: master, Workers: 1})
+			return err
+		}},
+	} {
+		freed = new(atomic.Int32)
+		want := 6 * c.sources
+		var once sync.Once
+		var checked atomic.Bool
+		err := c.run(func() {
+			once.Do(func() {
+				for i := 0; i < 20 && freed.Load() != want; i++ {
+					runtime.GC()
+					time.Sleep(time.Millisecond)
+				}
+				if got := freed.Load(); got != want {
+					t.Errorf("%s: %d of %d partition arrays and attribute slices freed when the first task attempt starts", c.name, got, want)
+				}
+				checked.Store(true)
+			})
 		})
-		if _, err := er.RunPipeline(context.Background(), src, cfg); err != nil {
-			t.Fatal(err)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !checked.Load() {
+			t.Errorf("%s: no task attempt started", c.name)
 		}
 	}
 }
