@@ -1,15 +1,14 @@
 // Package repro_test holds the benchmark harness that regenerates every
 // table and figure of the paper's evaluation section (run with
-// `go test -bench=. -benchmem`), ablation benchmarks for the engine and
-// strategy design choices documented in DESIGN.md, and micro-benchmarks
-// for the hot paths of the library.
+// `go test -bench=. -benchmem`), the shuffle and kernel benchmarks that
+// are the while-you-work micro view of the engine and the comparison
+// kernels, and the allocation pins. The repo's yardstick is
+// `go run ./benchmark` (benchmark/README.md), not these.
 //
 // The Figure* benchmarks execute the same experiment harness as
 // cmd/erbench; each iteration regenerates the complete figure. Reported
 // custom metrics summarize the figure's headline numbers so that
-// `-bench` output alone documents the reproduction. DESIGN.md describes
-// the shuffle/merge model the BenchmarkShuffleMerge and
-// BenchmarkEngineAllocs regression benchmarks guard.
+// `-bench` output alone documents the reproduction.
 package repro_test
 
 import (
@@ -20,16 +19,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bdm"
-	"repro/internal/blocking"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/datagen"
-	"repro/internal/entity"
-	"repro/internal/er"
 	"repro/internal/experiments"
 	"repro/internal/mapreduce"
-	"repro/internal/match"
 	"repro/internal/report"
 	"repro/internal/similarity"
 )
@@ -156,183 +147,6 @@ func BenchmarkFigure14ScalabilityDS2(b *testing.B) {
 	b.ReportMetric(prSpeedup, "pairrange-speedup@100")
 }
 
-// ---- Ablation benchmarks (design choices from DESIGN.md) ----
-
-// benchBDM builds the default ablation input: the DS1 stand-in at bench
-// scale, partitioned round-robin over 20 map tasks.
-func benchBDM(b *testing.B) *bdm.Matrix {
-	b.Helper()
-	es, _ := datagen.Generate(datagen.DS1Spec(0.05))
-	x, err := bdm.FromPartitions(entity.SplitRoundRobin(es, 20), datagen.AttrTitle, datagen.BlockKey())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return x
-}
-
-// BenchmarkAblationBDMCombiner measures the BDM job with and without
-// the frequency-aggregating combiner (the paper's footnote-2
-// optimization). Metric: map-output reduction factor.
-func BenchmarkAblationBDMCombiner(b *testing.B) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.05))
-	parts := entity.SplitRoundRobin(es, 20)
-	eng := &mapreduce.Engine{Parallelism: 4}
-	var reduction float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, plain, err := bdm.ComputeContext(context.Background(), eng, parts, bdm.JobOptions{
-			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, combined, err := bdm.ComputeContext(context.Background(), eng, parts, bdm.JobOptions{
-			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reduction = float64(plain.MapOutputRecords) / float64(combined.MapOutputRecords)
-	}
-	b.ReportMetric(reduction, "map-output-reduction")
-}
-
-// BenchmarkAblationPairRangeRanges sweeps the number of ranges r and
-// reports the replication overhead (map emits per input entity) at the
-// largest r — the cost PairRange pays for its perfect balance.
-func BenchmarkAblationPairRangeRanges(b *testing.B) {
-	x := benchBDM(b)
-	var emitsPerEntity float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range []int{10, 100, 1000} {
-			plan, err := core.PairRange{}.Plan(x, 20, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			emitsPerEntity = float64(plan.TotalMapEmits()) / float64(x.TotalEntities())
-		}
-	}
-	b.ReportMetric(emitsPerEntity, "emits-per-entity@r=1000")
-}
-
-// BenchmarkAblationSlotHeterogeneity quantifies how much of the
-// benefit-from-more-reduce-tasks effect (Figure 10) stems from slot
-// speed heterogeneity: makespan ratio r=20 vs r=160 on heterogeneous
-// slots for a perfectly balanced workload.
-func BenchmarkAblationSlotHeterogeneity(b *testing.B) {
-	cfg := cluster.DefaultSlots(10)
-	speeds := cfg.SlotSpeeds(cfg.ReduceSlots())
-	coarse := make([]float64, 20) // one 1000-unit task per slot
-	for j := range coarse {
-		coarse[j] = 1000
-	}
-	fine := make([]float64, 160) // eight 125-unit tasks per slot
-	for j := range fine {
-		fine[j] = 125
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mcoarse := cluster.ScheduleWithSpeeds(coarse, speeds)
-		mfine := cluster.ScheduleWithSpeeds(fine, speeds)
-		ratio = mcoarse.Makespan / mfine.Makespan
-	}
-	b.ReportMetric(ratio, "coarse/fine-makespan")
-}
-
-// ---- Micro-benchmarks for the library's hot paths ----
-
-func BenchmarkLevenshteinTitles(b *testing.B) {
-	a := "canon eos 5d mark iii digital slr camera body"
-	c := "canon eos 5d mark iv digital slr camera body only"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		similarity.Levenshtein(a, c)
-	}
-}
-
-func BenchmarkPairEnumeration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for p := int64(0); p < 1000; p++ {
-			core.CellOf(p, 1<<20)
-		}
-	}
-}
-
-func BenchmarkBDMFromPartitions(b *testing.B) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.05))
-	parts := entity.SplitRoundRobin(es, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBDMJobExecution(b *testing.B) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.05))
-	parts := entity.SplitRoundRobin(es, 20)
-	eng := &mapreduce.Engine{Parallelism: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := bdm.ComputeContext(context.Background(), eng, parts, bdm.JobOptions{
-			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanBlockSplit(b *testing.B) {
-	x := benchBDM(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (core.BlockSplit{}).Plan(x, 20, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanPairRange(b *testing.B) {
-	x := benchBDM(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (core.PairRange{}).Plan(x, 20, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEndToEndStrategies executes the full two-job pipeline
-// (counting matcher) on a 1% DS1 sample for each strategy — the
-// library's end-to-end throughput.
-func BenchmarkEndToEndStrategies(b *testing.B) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.01))
-	parts := entity.SplitRoundRobin(es, 4)
-	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-		b.Run(strat.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
-					Strategy:    strat,
-					Attr:        datagen.AttrTitle,
-					BlockKey:    datagen.BlockKey(),
-					R:           16,
-					RunOptions:  er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
-					UseCombiner: true,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // shuffleKey is the composite integer key of the shuffle benchmarks.
 type shuffleKey struct{ block, sub int }
 
@@ -425,88 +239,6 @@ func BenchmarkShuffleMerge(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEngineAllocs tracks the engine's per-job allocation
-// footprint on a small fixed job so that allocs/op regressions in the
-// task hot paths (bucketing, spill sort, group streaming) are caught.
-func BenchmarkEngineAllocs(b *testing.B) {
-	input := shuffleBenchInput(4, 500)
-	b.Run("typed", func(b *testing.B) {
-		job := shuffleBenchJob(4, true)
-		eng := mapreduce.Engine{}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := job.RunContext(context.Background(), &eng, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSchedule measures the cluster simulator's list scheduler.
-func BenchmarkSchedule(b *testing.B) {
-	costs := make([]float64, 1000)
-	for i := range costs {
-		costs[i] = float64(i%97 + 1)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cluster.Schedule(costs, 200)
-	}
-}
-
-// BenchmarkMatcherEndToEnd runs a real edit-distance matching pass over
-// a small catalog through the PairRange pipeline (the workload of the
-// cmd/ermatch tool). match.EditDistance's block decides a group a column
-// at a time; BenchmarkMatcherEndToEndPlain runs the same pipeline with a
-// core.PairFunc, whose block loops a per-pair call, so the gap stays
-// visible in one -bench run.
-func BenchmarkMatcherEndToEnd(b *testing.B) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
-	parts := entity.SplitRoundRobin(es, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
-			Strategy:   core.PairRange{},
-			Attr:       datagen.AttrTitle,
-			BlockKey:   blocking.NormalizedPrefix(3),
-			Matcher:    match.EditDistance(datagen.AttrTitle, 0.8),
-			R:          16,
-			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatcherEndToEndPlain is the same pipeline with the DP
-// reference as a per-pair core.PairFunc (no pre-filters, runes and the
-// DP row re-derived on every comparison) — the baseline the kernels are
-// measured against.
-func BenchmarkMatcherEndToEndPlain(b *testing.B) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
-	parts := entity.SplitRoundRobin(es, 4)
-	matcher := core.PairFunc(func(x, y string) (float64, bool) {
-		sim := similarity.LevenshteinSimilarity(x, y)
-		return sim, sim >= 0.8
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), er.Config{
-			Strategy:   core.PairRange{},
-			Attr:       datagen.AttrTitle,
-			BlockKey:   blocking.NormalizedPrefix(3),
-			Matcher:    matcher,
-			R:          16,
-			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -23,19 +23,13 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/arenaretain"
-	"repro/internal/analysis/codecreg"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/metricname"
-	"repro/internal/analysis/obsnilsafe"
 	"repro/internal/analysis/poolbox"
 )
 
 var analyzers = []*analysis.Analyzer{
 	arenaretain.Analyzer,
-	codecreg.Analyzer,
 	ctxflow.Analyzer,
-	metricname.Analyzer,
-	obsnilsafe.Analyzer,
 	poolbox.Analyzer,
 }
 

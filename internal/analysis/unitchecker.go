@@ -180,16 +180,12 @@ func RunUnit(configFile string, analyzers []*Analyzer) (*Result, *Unit, error) {
 	return res, u, nil
 }
 
-// newTypesInfo allocates the full set of type-checker maps the
-// analyzers read (Instances in particular, for codecreg).
+// newTypesInfo allocates the type-checker maps the analyzers read.
 func newTypesInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 }

@@ -85,8 +85,3 @@ func gini(loads []int64) float64 {
 func (p *Plan) ComparisonStats() LoadStats {
 	return ComputeLoadStats(p.ReduceComparisons)
 }
-
-// RecordStats summarizes the plan's per-reduce-task input record loads.
-func (p *Plan) RecordStats() LoadStats {
-	return ComputeLoadStats(p.ReduceRecords)
-}

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,5 +143,26 @@ func TestJobRefIDStableAndSpecSensitive(t *testing.T) {
 	}
 	if a.ID == c.ID || a.ID == d.ID {
 		t.Fatal("different spec or name collided on job ID")
+	}
+}
+
+// TestMetricHandlesRegister builds the master's and the worker's metric
+// handles on a real Observer, so the registry checks every dist.* name
+// against its kind's grammar (it panics on one off it). Each handle is
+// live, and each has a name of its own.
+func TestMetricHandlesRegister(t *testing.T) {
+	o := obs.New(obs.Options{Log: obs.Quiet()})
+	want := len(o.Reg.Names()) // the engine's
+	for _, handles := range []any{newMasterMetrics(o), newWorkerMetrics(o)} {
+		v := reflect.ValueOf(handles)
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsNil() {
+				t.Errorf("%s.%s is nil on a live Observer", v.Type().Name(), v.Type().Field(i).Name)
+			}
+		}
+		want += v.NumField()
+	}
+	if got := len(o.Reg.Names()); got != want {
+		t.Errorf("%d metric names registered, want %d: %v", got, want, o.Reg.Names())
 	}
 }

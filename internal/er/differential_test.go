@@ -22,6 +22,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,22 +100,24 @@ func serialOracle(in pipelineInput, match core.PairFunc) ([]core.MatchPair, int6
 }
 
 // erFault is one fault schedule of the table. install mutates the
-// engine (hook and/or retry policy); extOnly restricts disk faults to
-// the runs that reach disk points; mayMiss marks a random schedule that
-// need not fail any attempt of a small run.
+// engine (hook and/or retry policy) of a row's strategy; extOnly
+// restricts disk faults to the runs that reach disk points; mayMiss
+// marks a random schedule that need not fail any attempt of a small
+// run; inBDM marks a schedule that fails Job 1's attempts only.
 type erFault struct {
 	name    string
 	extOnly bool
 	mayMiss bool
-	install func(e *mapreduce.Engine)
+	inBDM   bool
+	install func(e *mapreduce.Engine, strat core.Strategy)
 }
 
 // failFirstAt fails attempt 1 of every task of the given phase at the
 // given point — FaultEmit faults panic through the user map/reduce
 // frames (the injected-panic carrier), making "map-panic"/"reduce-panic"
 // literal descriptions of the unwinding path.
-func failFirstAt(phase mapreduce.TaskKind, point mapreduce.FaultPoint) func(e *mapreduce.Engine) {
-	return func(e *mapreduce.Engine) {
+func failFirstAt(phase mapreduce.TaskKind, point mapreduce.FaultPoint) func(*mapreduce.Engine, core.Strategy) {
+	return func(e *mapreduce.Engine, _ core.Strategy) {
 		e.Retry.BaseBackoff = 1
 		e.FaultHook = func(ctx context.Context, ph mapreduce.TaskKind, task, attempt int, pt mapreduce.FaultPoint) error {
 			if ph == phase && pt == point && attempt == 1 {
@@ -125,32 +128,47 @@ func failFirstAt(phase mapreduce.TaskKind, point mapreduce.FaultPoint) func(e *m
 	}
 }
 
+// straggler stalls attempt 1 of map task 0 of one job until the 200 ms
+// TaskTimeout: the match job, or Job 1 when inBDM is set. 200 ms is far
+// past any stall-free attempt on these inputs, -race included, so only
+// the straggler times out, and the retry is the only way the task
+// finishes. A strategy that needs the BDM runs Job 1 first, so the
+// match job's task 0 is the second one to start a first attempt.
+func straggler(inBDM bool) erFault {
+	name := "straggler-timeout"
+	if inBDM {
+		name += "-bdm"
+	}
+	return erFault{name: name, inBDM: inBDM, install: func(e *mapreduce.Engine, strat core.Strategy) {
+		target := int32(1)
+		if strat.NeedsBDM() && !inBDM {
+			target = 2
+		}
+		var started atomic.Int32
+		e.Retry = mapreduce.RetryPolicy{BaseBackoff: 1, TaskTimeout: 200 * time.Millisecond}
+		e.FaultHook = func(ctx context.Context, ph mapreduce.TaskKind, task, attempt int, pt mapreduce.FaultPoint) error {
+			if ph == mapreduce.MapTask && task == 0 && attempt == 1 && pt == mapreduce.FaultTaskStart && started.Add(1) == target {
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return nil
+		}
+	}}
+}
+
 func erFaults() []erFault {
 	return []erFault{
 		{name: "map-panic", install: failFirstAt(mapreduce.MapTask, mapreduce.FaultEmit)},
 		{name: "reduce-panic", install: failFirstAt(mapreduce.ReduceTask, mapreduce.FaultEmit)},
 		{name: "spill-transient", extOnly: true, install: failFirstAt(mapreduce.MapTask, mapreduce.FaultSpill)},
-		{name: "straggler-timeout", install: func(e *mapreduce.Engine) {
-			// 200 ms is far past any stall-free attempt on these inputs,
-			// -race included, so only the straggler times out.
-			e.Retry = mapreduce.RetryPolicy{BaseBackoff: 1, TaskTimeout: 200 * time.Millisecond}
-			// Attempt 1 of map task 0 straggles until its deadline; the
-			// retry is the only way the task finishes.
-			e.FaultHook = func(ctx context.Context, ph mapreduce.TaskKind, task, attempt int, pt mapreduce.FaultPoint) error {
-				if ph == mapreduce.MapTask && task == 0 && attempt == 1 && pt == mapreduce.FaultTaskStart {
-					<-ctx.Done()
-					return ctx.Err()
-				}
-				return nil
-			}
-		}},
+		straggler(false),
 	}
 }
 
 // chaosFault is the seeded random schedule: every hook point of every
 // attempt may fail, final attempts excepted.
 func chaosFault(seed uint64) erFault {
-	return erFault{name: fmt.Sprintf("chaos-seed=%d", seed), mayMiss: true, install: func(e *mapreduce.Engine) {
+	return erFault{name: fmt.Sprintf("chaos-seed=%d", seed), mayMiss: true, install: func(e *mapreduce.Engine, _ core.Strategy) {
 		e.Retry.BaseBackoff = 1
 		e.FaultHook = mapreduce.ChaosHook(seed, 0.3, 0)
 	}}
@@ -194,7 +212,7 @@ func (rw pipelineRow) run(t *testing.T) *er.Result {
 		e.SpillBudget, e.TmpDir = 128, t.TempDir()
 	}
 	if rw.fault.install != nil {
-		rw.fault.install(e)
+		rw.fault.install(e, rw.strat)
 	}
 	var m core.Matcher = match.EditDistance("title", rw.in.th)
 	if rw.pairFunc {
@@ -227,14 +245,21 @@ func (rw pipelineRow) run(t *testing.T) *er.Result {
 // run of its input and strategy (P1). A nil want makes this run the
 // want, which it returns once it holds it to the serial oracle (P3):
 // the other rows' matches and comparisons are the want's. A
-// deterministic fault schedule must have failed a match-job attempt.
+// deterministic fault schedule must have failed an attempt of the job
+// it targets: Job 1 under inBDM, the match job otherwise.
 func checkPipeline(t *testing.T, name string, rw pipelineRow, want *er.Result) *er.Result {
 	t.Helper()
 	before := testleak.Snapshot()
 	res := rw.run(t)
 	testleak.Check(t, before)
-	if rw.fault.install != nil && !rw.fault.mayMiss && res.MatchResult.Retries == 0 {
-		t.Fatalf("%s: fault %s never failed a match-job attempt", name, rw.fault.name)
+	if rw.fault.install != nil && !rw.fault.mayMiss {
+		job, retries := "the match job", res.MatchResult.Retries
+		if rw.fault.inBDM {
+			job, retries = "Job 1", res.BDMResult.Retries
+		}
+		if retries == 0 {
+			t.Fatalf("%s: fault %s never failed an attempt of %s", name, rw.fault.name, job)
+		}
 	}
 	zeroHistory(res)
 	if want != nil {
@@ -305,11 +330,17 @@ func TestERChaosDifferential(t *testing.T) {
 // TestERFaultScheduleDifferential runs every fault input and strategy
 // under each fault kind: one source in both residencies, two sources
 // and the ⊥ row spilled only, where every kind has its fault point,
-// which halves their straggler timeouts.
+// which halves their straggler timeouts. The stragglers stall the match
+// job; one row, one source in memory under BlockSplit, stalls Job 1.
 func TestERFaultScheduleDifferential(t *testing.T) {
 	for _, in := range faultInputs() {
 		for _, strat := range in.strategies() {
 			want := checkPipeline(t, strat.Name()+in.name, pipelineRow{in: in, strat: strat}, nil)
+			if in.name == "" && strat.Name() == (core.BlockSplit{}).Name() {
+				t.Run(strat.Name()+"/typed/straggler-timeout-bdm", func(t *testing.T) {
+					checkPipeline(t, t.Name(), pipelineRow{in: in, strat: strat, fault: straggler(true)}, want)
+				})
+			}
 			for dname, spilling := range residencies {
 				for _, fault := range erFaults() {
 					if !spilling && (fault.extOnly || in.name != "") {

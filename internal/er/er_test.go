@@ -175,7 +175,8 @@ func TestCollectMatchesDeduplicates(t *testing.T) {
 // TestPlanWorkloadsMatchExecutedWorkloads: the analytic path (planner +
 // BDM workload model) must agree with the executing engine's measured
 // workloads in every component — the bridge that justifies planner-mode
-// figures.
+// figures — with Job 1 aggregating per map task or emitting per entity
+// (the experiments' ablation row reads the latter off the model).
 func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 8; trial++ {
@@ -184,42 +185,44 @@ func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 		m := rng.Intn(4) + 1
 		r := rng.Intn(6) + 1
 		parts := entity.SplitRoundRobin(es, m)
-		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-			res, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
-				Strategy:    strat,
-				Attr:        datagen.AttrTitle,
-				BlockKey:    datagen.BlockKey(),
-				R:           r,
-				UseCombiner: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Plans need the BDM; compute it directly for Basic.
-			x := res.BDM
-			if x == nil {
-				var err2 error
-				x, err2 = bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey())
-				if err2 != nil {
-					t.Fatal(err2)
+		for _, combiner := range []bool{true, false} {
+			for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
+				res, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
+					Strategy:    strat,
+					Attr:        datagen.AttrTitle,
+					BlockKey:    datagen.BlockKey(),
+					R:           r,
+					UseCombiner: combiner,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			planned, _, err := PlanWorkloads(x, strat, m, r, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			executed := res.Workloads()
-			if len(planned) != len(executed) {
-				t.Fatalf("%s: %d planned workloads vs %d executed", strat.Name(), len(planned), len(executed))
-			}
-			for i := range planned {
-				p, e := planned[i], executed[i]
-				if !reflect.DeepEqual(p.MapRecords, e.MapRecords) ||
-					!reflect.DeepEqual(p.MapEmits, e.MapEmits) ||
-					!reflect.DeepEqual(p.ReduceRecords, e.ReduceRecords) ||
-					!reflect.DeepEqual(p.ReduceComparisons, e.ReduceComparisons) {
-					t.Fatalf("%s trial %d job %d (%s): planned workload differs from executed\nplanned:  %+v\nexecuted: %+v",
-						strat.Name(), trial, i, p.Name, p, e)
+				// Plans need the BDM; compute it directly for Basic.
+				x := res.BDM
+				if x == nil {
+					var err2 error
+					x, err2 = bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey())
+					if err2 != nil {
+						t.Fatal(err2)
+					}
+				}
+				planned, _, err := PlanWorkloads(x, strat, m, r, combiner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				executed := res.Workloads()
+				if len(planned) != len(executed) {
+					t.Fatalf("%s: %d planned workloads vs %d executed", strat.Name(), len(planned), len(executed))
+				}
+				for i := range planned {
+					p, e := planned[i], executed[i]
+					if !reflect.DeepEqual(p.MapRecords, e.MapRecords) ||
+						!reflect.DeepEqual(p.MapEmits, e.MapEmits) ||
+						!reflect.DeepEqual(p.ReduceRecords, e.ReduceRecords) ||
+						!reflect.DeepEqual(p.ReduceComparisons, e.ReduceComparisons) {
+						t.Fatalf("%s trial %d combiner=%v job %d (%s): planned workload differs from executed\nplanned:  %+v\nexecuted: %+v",
+							strat.Name(), trial, combiner, i, p.Name, p, e)
+					}
 				}
 			}
 		}

@@ -44,24 +44,6 @@ func (f SinkFunc) Consume(p core.MatchPair, sim float64) error { return f(p, sim
 // Flush implements MatchSink (no-op).
 func (f SinkFunc) Flush() error { return nil }
 
-// Collect accumulates every streamed match in arrival order, raw (no
-// dedup, no sort) — the minimal sink, mostly useful in tests and as a
-// building block.
-type Collect struct {
-	Pairs []core.MatchPair
-	Sims  []float64
-}
-
-// Consume implements MatchSink.
-func (c *Collect) Consume(p core.MatchPair, sim float64) error {
-	c.Pairs = append(c.Pairs, p)
-	c.Sims = append(c.Sims, sim)
-	return nil
-}
-
-// Flush implements MatchSink (no-op).
-func (c *Collect) Flush() error { return nil }
-
 // Canonical deduplicates the streamed matches and, at Flush, sorts them
 // into the canonical order — the streamed twin of the collecting path's
 // CollectMatches. Memory is O(distinct matches), which is exactly what

@@ -22,7 +22,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/mapreduce"
 	"repro/internal/report"
 )
 
@@ -81,13 +80,6 @@ func (o Options) runOptions() er.RunOptions {
 	ro := o.RunOptions
 	ro.Parallelism = o.parallelism()
 	return ro
-}
-
-// engine builds the executed-mode engine: in-memory typed by default,
-// the out-of-core external dataflow when a spill budget is set.
-func (o Options) engine() *mapreduce.Engine {
-	ro := o.runOptions()
-	return ro.ResolveEngine()
 }
 
 // strategies in the order the paper plots them.

@@ -69,22 +69,10 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 		Headers: []string{"ablation", "value", "meaning"},
 	}
 
-	// 1. BDM combiner.
-	eng := o.engine()
-	_, _, plain, err := bdm.ComputeContext(ctx, eng, parts, bdm.JobOptions{
-		Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20,
-	})
-	if err != nil {
-		return nil, err
-	}
-	_, _, combined, err := bdm.ComputeContext(ctx, eng, parts, bdm.JobOptions{
-		Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
-	})
-	if err != nil {
-		return nil, err
-	}
+	// 1. BDM combiner: Job 1's map output per entity against per
+	// (block, partition) cell, read off the matrix.
 	t.AddRow("BDM combiner (paper footnote 2)",
-		float64(plain.MapOutputRecords)/float64(combined.MapOutputRecords),
+		float64(er.BDMWorkload(x, 20, false).TotalMapEmits())/float64(er.BDMWorkload(x, 20, true).TotalMapEmits()),
 		"map-output reduction factor")
 
 	// 2. PairRange replication overhead across r.

@@ -54,7 +54,15 @@ func seqJob(r int, coding mapreduce.KeyCoding[string]) *mapreduce.Job[mapreduce.
 }
 
 func TestMapSideSortIsStableSortByPartitionAndCompare(t *testing.T) {
-	const m, r, perTask = 3, 5, 9000
+	const m, r = 3, 5
+	// Under the race detector fewer records, and the largest budget
+	// shrunk with them, run every cell below (each task still spills
+	// runs of hundreds of records plus a tail) in under a third of the
+	// time.
+	perTask, bigBudget := 9000, int64(64<<10)
+	if raceEnabled {
+		perTask, bigBudget = 2500, 12<<10
+	}
 	codings := map[string]struct {
 		coding mapreduce.KeyCoding[string]
 		key    func(rng *rand.Rand) string
@@ -115,7 +123,7 @@ func TestMapSideSortIsStableSortByPartitionAndCompare(t *testing.T) {
 		// Budgets: the tail only; runs of a handful of records (most
 		// partitions of a run under the insertion sort's 32) plus a tail;
 		// runs of thousands of records plus a tail.
-		for _, budget := range []int64{0, 300, 64 << 10} {
+		for _, budget := range []int64{0, 300, bigBudget} {
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("%s/budget=%d/par=%d", cname, budget, par)
 				e := &mapreduce.Engine{Parallelism: par, SpillBudget: budget, TmpDir: t.TempDir()}

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -161,48 +163,60 @@ func NewRegistry() *Registry {
 	}
 }
 
+// The name grammar of each kind: <area>[.<area>...].<noun>_<suffix>,
+// every word lowercase [a-z][a-z0-9]*, the leaf's words joined by '_'
+// and its last word the kind's suffix. /debug/vars and trace tooling
+// read a metric's area, kind and unit off its name alone, and a name is
+// append-only once emitted.
+var (
+	counterName   = metricName("total")
+	gaugeName     = metricName("inflight|pending|live|waiting")
+	histogramName = metricName("ns|bytes|seconds")
+)
+
+func metricName(suffixes string) *regexp.Regexp {
+	return regexp.MustCompile(`^([a-z][a-z0-9]*\.)+[a-z][a-z0-9]*(_[a-z0-9]+)*_(` + suffixes + `)$`)
+}
+
+// handle returns the metric of that name in m, creating it with mk on
+// first use. A name is checked when it is registered, and one off its
+// kind's grammar panics: registration happens at setup only, so the
+// first run or test that builds the metric fails.
+func handle[T any](r *Registry, m map[string]*T, grammar *regexp.Regexp, name string, mk func() *T) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := m[name]
+	if !ok {
+		if !grammar.MatchString(name) {
+			panic(fmt.Sprintf("obs: metric name %q does not match %s", name, grammar))
+		}
+		h = mk()
+		m[name] = h
+	}
+	return h
+}
+
 // Counter returns the named counter, creating it on first use.
 // Nil-safe: a nil registry returns a nil (still usable) handle.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return handle(r, r.counters, counterName, name, func() *Counter { return &Counter{} })
 }
 
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return handle(r, r.gauges, gaugeName, name, func() *Gauge { return &Gauge{} })
 }
 
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return handle(r, r.hists, histogramName, name, NewHistogram)
 }
 
 // Snapshot renders every metric into a JSON-encodable map: counters
@@ -251,10 +265,9 @@ func (r *Registry) Names() []string {
 // supervisor and dataflows never do a map lookup: the registry resolves
 // each name exactly once, in newEngineMetrics at Observer construction.
 //
-// Naming scheme: dot-separated, lowercase, snake-cased leaves;
-// "engine." prefix for supervisor/dataflow metrics, "dist.master." /
-// "dist.worker." for the distributed runtime, "_total" suffix on
-// counters, "_ns" / "_bytes" unit suffixes.
+// Names follow the registry's grammar (counterName and its siblings):
+// "engine." for supervisor/dataflow metrics, "dist.master." /
+// "dist.worker." for the distributed runtime.
 type EngineMetrics struct {
 	Attempts *Counter // engine.attempts_total
 	Retries  *Counter // engine.retries_total

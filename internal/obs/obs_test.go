@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -113,35 +115,144 @@ func TestRegistryIdentityAndSnapshot(t *testing.T) {
 		t.Fatal("same name must return the same counter")
 	}
 	c.Add(3)
-	r.Gauge("a.g").Set(-2)
+	r.Gauge("a.g_live").Set(-2)
 	r.Histogram("a.h_ns").Observe(7)
 	snap := r.Snapshot()
 	if snap["a.b_total"] != int64(3) {
 		t.Fatalf("counter snapshot = %v", snap["a.b_total"])
 	}
-	if snap["a.g"] != int64(-2) {
-		t.Fatalf("gauge snapshot = %v", snap["a.g"])
+	if snap["a.g_live"] != int64(-2) {
+		t.Fatalf("gauge snapshot = %v", snap["a.g_live"])
 	}
 	if hs, ok := snap["a.h_ns"].(HistSnapshot); !ok || hs.Count != 1 {
 		t.Fatalf("hist snapshot = %#v", snap["a.h_ns"])
 	}
 	names := r.Names()
-	if len(names) != 3 || names[0] != "a.b_total" || names[1] != "a.g" || names[2] != "a.h_ns" {
+	if len(names) != 3 || names[0] != "a.b_total" || names[1] != "a.g_live" || names[2] != "a.h_ns" {
 		t.Fatalf("Names = %v", names)
 	}
 }
 
+// TestNilRegistryYieldsUsableNilHandles holds the disabled path's
+// contract: "observability off" is spelled nil, so every exported method
+// of every handle reachable from Observer's fields must work on a nil
+// receiver and report only zero values. Each row calls one method; the
+// reflective walk below fails on a method that has no row.
 func TestNilRegistryYieldsUsableNilHandles(t *testing.T) {
-	var r *Registry
-	c, g, h := r.Counter("x"), r.Gauge("y"), r.Histogram("z")
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil registry must hand out nil handles")
+	var (
+		o  *Observer
+		tr *Tracer
+		r  *Registry
+		c  *Counter
+		g  *Gauge
+		h  *Histogram
+	)
+	calls := map[string]func() bool{
+		"Observer.Logger":    func() bool { return o.Logger() == slog.Default() },
+		"Tracer.Record":      func() bool { tr.Record(Event{}); return true },
+		"Tracer.InternJob":   func() bool { return tr.InternJob("x") == 0 },
+		"Tracer.JobName":     func() bool { return tr.JobName(0) == "" },
+		"Tracer.Events":      func() bool { return tr.Events() == nil },
+		"Tracer.Len":         func() bool { return tr.Len() == 0 },
+		"Tracer.Dropped":     func() bool { return tr.Dropped() == 0 },
+		"Tracer.Cap":         func() bool { return tr.Cap() == 0 },
+		"Registry.Counter":   func() bool { return r.Counter("a.b_total") == nil },
+		"Registry.Gauge":     func() bool { return r.Gauge("a.b_live") == nil },
+		"Registry.Histogram": func() bool { return r.Histogram("a.b_ns") == nil },
+		"Registry.Snapshot":  func() bool { return len(r.Snapshot()) == 0 },
+		"Registry.Names":     func() bool { return r.Names() == nil },
+		"Counter.Add":        func() bool { c.Add(1); return true },
+		"Counter.Inc":        func() bool { c.Inc(); return true },
+		"Counter.Value":      func() bool { return c.Value() == 0 },
+		"Gauge.Add":          func() bool { g.Add(1); return true },
+		"Gauge.Set":          func() bool { g.Set(1); return true },
+		"Gauge.Value":        func() bool { return g.Value() == 0 },
+		"Histogram.Observe":  func() bool { h.Observe(1); return true },
+		"Histogram.Snapshot": func() bool { return h.Snapshot() == HistSnapshot{} },
 	}
-	c.Inc()
-	g.Add(1)
-	h.Observe(1) // none may panic
-	if len(r.Snapshot()) != 0 || r.Names() != nil {
-		t.Fatal("nil registry must snapshot empty")
+	for name, call := range calls {
+		if !call() {
+			t.Errorf("%s on a nil receiver reports a non-zero value", name)
+		}
+	}
+	// Every struct type of this package reachable through Observer's
+	// (pointer) fields is a handle; a method a row does not name is a
+	// method nobody has called on nil.
+	var handles []string
+	seen := map[reflect.Type]bool{}
+	for queue := []reflect.Type{reflect.TypeOf(Observer{})}; len(queue) > 0; queue = queue[1:] {
+		typ := queue[0]
+		if seen[typ] {
+			continue
+		}
+		seen[typ] = true
+		handles = append(handles, typ.Name())
+		for i := 0; i < typ.NumField(); i++ {
+			ft := typ.Field(i).Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct && ft.PkgPath() == typ.PkgPath() {
+				queue = append(queue, ft)
+			}
+		}
+		for pt, i := reflect.PointerTo(typ), 0; i < pt.NumMethod(); i++ {
+			if name := typ.Name() + "." + pt.Method(i).Name; calls[name] == nil {
+				t.Errorf("%s has no nil-receiver row", name)
+			}
+		}
+	}
+	slices.Sort(handles)
+	if want := []string{"Counter", "EngineMetrics", "Gauge", "Histogram", "Observer", "Registry", "Tracer"}; !slices.Equal(handles, want) {
+		t.Errorf("handles reachable from Observer = %v, want %v", handles, want)
+	}
+}
+
+// TestRegistryRefusesOffGrammarNames: registering a name off its kind's
+// grammar panics, and the name is not registered.
+func TestRegistryRefusesOffGrammarNames(t *testing.T) {
+	r := NewRegistry()
+	register := map[string]func(string){
+		"counter":   func(n string) { r.Counter(n) },
+		"gauge":     func(n string) { r.Gauge(n) },
+		"histogram": func(n string) { r.Histogram(n) },
+	}
+	for _, tc := range []struct {
+		kind, name string
+		ok         bool
+	}{
+		{"counter", "engine.attempts_total", true},
+		{"counter", "dist.master.reassigned_attempts_total", true},
+		{"gauge", "engine.tasks_pending", true},
+		{"gauge", "dist.master.workers_live", true},
+		{"histogram", "dist.master.lease_age_ns", true},
+		{"histogram", "runio.spill_bytes", true},
+		{"histogram", "a1.b2_c3_seconds", true},
+		{"counter", "attempts_total", false}, // no area
+		{"counter", "engine.retries", false}, // no suffix
+		{"counter", "engine.attempts_count", false},
+		{"counter", "engine.retries_ns", false}, // another kind's suffix
+		{"counter", "Engine.attempts_total", false},
+		{"counter", "engine..attempts_total", false},
+		{"counter", "engine.attempts__total", false},
+		{"counter", "engine.1attempts_total", false},
+		{"counter", "engine.attempts-x_total", false},
+		{"gauge", "engine.tasks_total", false},
+		{"gauge", "engine.g", false},
+		{"histogram", "engine.map_task_ms", false},
+		{"histogram", "engine.map_task_ns.x", false},
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			register[tc.kind](tc.name)
+			return false
+		}()
+		if panicked == tc.ok {
+			t.Errorf("%s %q: panicked = %v, want %v", tc.kind, tc.name, panicked, !tc.ok)
+		}
+	}
+	if names := r.Names(); len(names) != 7 {
+		t.Errorf("registered %v, want the seven valid names only", names)
 	}
 }
 
