@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-cancel-race fuzz-smoke bench-smoke bench bench-compare bench-all ab loc smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
+.PHONY: check vet build test test-race test-cancel-race fuzz-smoke bench-smoke bench bench-compare bench-all ab loc smoke-lowmem smoke-chaos smoke-dist clean
 
 # check is the CI gate: static analysis, build, tests, benchmark smoke.
 check: vet build test bench-smoke
@@ -111,13 +111,9 @@ smoke-chaos:
 # smoke-dist runs the match pipeline across real worker processes
 # (master + 3 erworkers over HTTP), SIGKILLs one worker mid-reduce,
 # and asserts the output is a local run's, line for line once sorted,
-# and that gracefully stopped workers leave empty run directories.
-smoke-dist:
-	scripts/dist_smoke.sh
-
-# smoke-obs runs the distributed comparison with tracing and the
-# introspection server on, polls /status and /debug/vars live, and
+# and that gracefully stopped workers leave empty run directories. The
+# same run polls the live /status and /debug/vars endpoints and
 # validates the exported traces (chrome trace_event with per-worker
 # swimlanes; worker-side ndjson) via scripts/tracecheck.
-smoke-obs:
-	scripts/obs_smoke.sh
+smoke-dist:
+	scripts/dist_smoke.sh

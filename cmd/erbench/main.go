@@ -18,7 +18,6 @@ import (
 	"runtime/pprof"
 	"syscall"
 
-	"repro/internal/dist"
 	"repro/internal/entity"
 	"repro/internal/experiments"
 	"repro/internal/mapreduce"
@@ -35,20 +34,16 @@ func main() {
 		ablations   = flag.Bool("ablations", false, "run the design-choice ablations")
 		balance     = flag.Bool("balance", false, "report per-strategy reduce-task balance statistics")
 		imbalance   = flag.Bool("imbalance", false, "execute the jobs and report measured per-strategy reduce-task time imbalance (max/mean, from the obs duration histograms)")
-		quality     = flag.Bool("quality", false, "sweep the match threshold and report precision/recall")
 		scale       = flag.Float64("scale", 0.05, "dataset scale factor in (0,1]; 1 = paper-sized datasets")
 		executed    = flag.Bool("exec", false, "figures 9/10: execute the real MapReduce jobs instead of the analytic planner (identical tables, slower)")
 		parallelism = flag.Int("parallelism", 0, "engine worker bound for executed runs (0 = default)")
 		spillBudget = flag.String("spill-budget", "0", "per-map-task spill budget in bytes for executed runs (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
-		tmpdir      = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
+		tmpdir      = flag.String("tmpdir", "", "where spilled runs go (default: system temp dir); created on first use")
 		in          = flag.String("in", "", "CSV dataset replacing the generated DS1 stand-in (streamed row by row)")
 		csv         = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		maxAttempts = flag.Int("max-attempts", 0, "per-task attempt budget for executed runs (0 = engine default)")
 		taskTimeout = flag.Duration("task-timeout", 0, "per-attempt wall-clock timeout for executed runs (0 = none)")
 		faults      = flag.String("faults", "", "deterministic fault injection 'rate[:seed]' for executed runs (e.g. 0.2:7)")
-		masterAddr  = flag.String("master", "", "run the distributed-vs-local comparison: listen for erworker registrations on this address (e.g. 127.0.0.1:0)")
-		workers     = flag.Int("workers", 0, "distributed: wait for this many registered workers before dispatching tasks")
-		addrFile    = flag.String("master-addr-file", "", "distributed: write the master's URL to this file once listening (for scripted worker launch)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file after the selected runs")
 		obsCLI      obs.CLI
@@ -58,19 +53,16 @@ func main() {
 	if flag.NArg() > 0 {
 		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
-	if (*workers > 0 || *addrFile != "") && *masterAddr == "" {
-		usage(fmt.Errorf("-workers/-master-addr-file require -master"))
-	}
-	// Out-of-range values are refused here, before the master or a
-	// profiler starts; the negated test also refuses a NaN scale.
+	// Out-of-range values are refused here, before the input is read or
+	// a profiler starts; the negated test also refuses a NaN scale.
 	if !(*scale > 0 && *scale <= 1) {
 		usage(fmt.Errorf("-scale must be in (0,1], got %g", *scale))
 	}
 	if *figure != 0 && (*figure < 8 || *figure > 14) {
 		usage(fmt.Errorf("-figure must be in 8..14, got %d", *figure))
 	}
-	if *maxAttempts < 0 || *taskTimeout < 0 {
-		usage(fmt.Errorf("-max-attempts and -task-timeout must not be negative, got -max-attempts %d -task-timeout %v", *maxAttempts, *taskTimeout))
+	if *parallelism < 0 || *maxAttempts < 0 || *taskTimeout < 0 {
+		usage(fmt.Errorf("-parallelism, -max-attempts and -task-timeout must not be negative, got -parallelism %d -max-attempts %d -task-timeout %v", *parallelism, *maxAttempts, *taskTimeout))
 	}
 
 	observer, err := obsCLI.Start(nil)
@@ -113,27 +105,8 @@ func main() {
 			fail(fmt.Errorf("-in %s contains no entities", *in))
 		}
 	}
-	if *masterAddr != "" {
-		// The master starts before the table runs so its URL can be
-		// published for scripted worker launch; the Distributed table
-		// dispatches both jobs' tasks through it per strategy.
-		master := dist.NewMaster(dist.MasterOptions{Addr: *masterAddr, Obs: observer, PProf: obsCLI.PProf})
-		if err := master.Start(); err != nil {
-			fail(err)
-		}
-		defer master.Close()
-		if *addrFile != "" {
-			if err := os.WriteFile(*addrFile, []byte(master.URL()+"\n"), 0o644); err != nil {
-				fail(err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "erbench: master listening at %s (waiting for %d workers)\n", master.URL(), *workers)
-		opts.Master = master
-		opts.Workers = *workers
-	}
-
-	// The run context: Ctrl-C / SIGTERM cancels every engine and dist
-	// task attempt below (the experiments API threads it throughout).
+	// The run context: Ctrl-C / SIGTERM cancels every engine task
+	// attempt below (the experiments API threads it throughout).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -158,18 +131,11 @@ func main() {
 	if *balance || *all {
 		runs = append(runs, experiments.BalanceTable)
 	}
-	if *quality || *all {
-		runs = append(runs, experiments.QualityTable)
-	}
 	if *imbalance || *all {
 		runs = append(runs, experiments.Imbalance)
 	}
-	if *masterAddr != "" {
-		// -all deliberately excludes this table: it needs live workers.
-		runs = append(runs, experiments.Distributed)
-	}
 	if len(runs) == 0 {
-		fmt.Fprintln(os.Stderr, "erbench: specify -figure 8..14, -all, -appendix, -ablations, -balance, -imbalance, -quality, or -master")
+		fmt.Fprintln(os.Stderr, "erbench: specify -figure 8..14, -all, -appendix, -ablations, -balance or -imbalance")
 		flag.Usage()
 		os.Exit(2)
 	}

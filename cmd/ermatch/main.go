@@ -91,8 +91,8 @@ func main() {
 	}
 	// Out-of-range counts are bad invocations too, refused here — before
 	// the input is opened — not by whichever layer trips over them.
-	if *m < 1 || *r < 1 || *parallelism < 0 {
-		usage(fmt.Errorf("-m and -r must be at least 1 and -parallelism at least 0, got -m %d -r %d -parallelism %d", *m, *r, *parallelism))
+	if *m < 1 || *r < 1 || *parallelism < 0 || *workers < 0 {
+		usage(fmt.Errorf("-m and -r must be at least 1 and -parallelism and -workers at least 0, got -m %d -r %d -parallelism %d -workers %d", *m, *r, *parallelism, *workers))
 	}
 	// A threshold of 0 or below would count comparisons without
 	// matching; NaN would match nothing.

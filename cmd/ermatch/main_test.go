@@ -44,6 +44,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"-strategy", "sn"}, {"-strategy", "nope"},
 		{"-threshold", "0"}, {"-threshold", "NaN"}, {"-threshold", "1.5"}, {"-threshold", "-0.1"},
 		{"-max-attempts", "-1"}, {"-task-timeout", "-1s"},
+		{"-master", "127.0.0.1:0", "-workers", "-1"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-in", missing}, args...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "run 'ermatch -h' for usage") {

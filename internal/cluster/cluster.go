@@ -147,26 +147,8 @@ func (cm CostModel) ReduceTaskCost(records, comparisons int64) float64 {
 // tasks or all reduce tasks of a job).
 type PhaseResult struct {
 	Makespan float64
-	// SlotBusy is the total busy time per slot, for utilization reports.
-	SlotBusy []float64
 	// Assignment[i] is the slot that executed task i.
 	Assignment []int
-	// TaskStart[i] / TaskEnd[i] bound task i's simulated execution.
-	TaskStart []float64
-	TaskEnd   []float64
-}
-
-// Utilization returns average slot busy time divided by the makespan,
-// in [0,1]. A perfectly balanced phase scores 1.
-func (p PhaseResult) Utilization() float64 {
-	if p.Makespan == 0 || len(p.SlotBusy) == 0 {
-		return 1
-	}
-	var sum float64
-	for _, b := range p.SlotBusy {
-		sum += b
-	}
-	return sum / (float64(len(p.SlotBusy)) * p.Makespan)
 }
 
 // Schedule runs event-driven list scheduling over homogeneous slots:
@@ -203,12 +185,7 @@ func ScheduleWithSpeeds(costs []float64, speeds []float64) PhaseResult {
 			panic(fmt.Sprintf("cluster: slot %d has non-positive speed %g", i, s))
 		}
 	}
-	res := PhaseResult{
-		SlotBusy:   make([]float64, len(speeds)),
-		Assignment: make([]int, len(costs)),
-		TaskStart:  make([]float64, len(costs)),
-		TaskEnd:    make([]float64, len(costs)),
-	}
+	res := PhaseResult{Assignment: make([]int, len(costs))}
 	// Min-heap of (freeTime, slotIndex).
 	h := make(slotHeap, len(speeds))
 	for i := range h {
@@ -218,11 +195,7 @@ func ScheduleWithSpeeds(costs []float64, speeds []float64) PhaseResult {
 	for i, c := range costs {
 		s := heap.Pop(&h).(slotState)
 		res.Assignment[i] = s.idx
-		d := c / speeds[s.idx]
-		res.TaskStart[i] = s.free
-		res.SlotBusy[s.idx] += d
-		s.free += d
-		res.TaskEnd[i] = s.free
+		s.free += c / speeds[s.idx]
 		if s.free > res.Makespan {
 			res.Makespan = s.free
 		}
@@ -285,27 +258,20 @@ func (w JobWorkload) TotalMapEmits() int64 {
 	return t
 }
 
-// JobResult is the simulated execution of a single job.
-type JobResult struct {
-	MapPhase    PhaseResult
-	ReducePhase PhaseResult
-	Time        float64
-}
-
 // SimulateJob computes the simulated wall-clock time of one job on the
 // cluster: job overhead + map-phase makespan + reduce-phase makespan.
 // (Hadoop overlaps shuffle with the map phase; the paper's workloads are
 // reduce-dominated, so the sequential approximation preserves shapes.)
-func SimulateJob(cfg Config, cm CostModel, w JobWorkload) (JobResult, error) {
+func SimulateJob(cfg Config, cm CostModel, w JobWorkload) (float64, error) {
 	if err := cfg.validate(); err != nil {
-		return JobResult{}, err
+		return 0, err
 	}
 	if len(w.MapRecords) != len(w.MapEmits) {
-		return JobResult{}, fmt.Errorf("cluster: job %q: MapRecords and MapEmits lengths differ (%d vs %d)",
+		return 0, fmt.Errorf("cluster: job %q: MapRecords and MapEmits lengths differ (%d vs %d)",
 			w.Name, len(w.MapRecords), len(w.MapEmits))
 	}
 	if len(w.ReduceRecords) != len(w.ReduceComparisons) {
-		return JobResult{}, fmt.Errorf("cluster: job %q: ReduceRecords and ReduceComparisons lengths differ (%d vs %d)",
+		return 0, fmt.Errorf("cluster: job %q: ReduceRecords and ReduceComparisons lengths differ (%d vs %d)",
 			w.Name, len(w.ReduceRecords), len(w.ReduceComparisons))
 	}
 	mapCosts := make([]float64, len(w.MapRecords))
@@ -316,12 +282,9 @@ func SimulateJob(cfg Config, cm CostModel, w JobWorkload) (JobResult, error) {
 	for j := range redCosts {
 		redCosts[j] = cm.ReduceTaskCost(w.ReduceRecords[j], w.ReduceComparisons[j])
 	}
-	res := JobResult{
-		MapPhase:    ScheduleWithSpeeds(mapCosts, cfg.SlotSpeeds(cfg.MapSlots())),
-		ReducePhase: ScheduleWithSpeeds(redCosts, cfg.SlotSpeeds(cfg.ReduceSlots())),
-	}
-	res.Time = cm.JobOverhead + res.MapPhase.Makespan + res.ReducePhase.Makespan
-	return res, nil
+	return cm.JobOverhead +
+		ScheduleWithSpeeds(mapCosts, cfg.SlotSpeeds(cfg.MapSlots())).Makespan +
+		ScheduleWithSpeeds(redCosts, cfg.SlotSpeeds(cfg.ReduceSlots())).Makespan, nil
 }
 
 // WorkloadFromResult extracts a JobWorkload from an executed MR job's

@@ -104,15 +104,7 @@ func (r *Result) Workloads() []cluster.JobWorkload {
 // SimulatedTime runs the cluster simulator over the run's workloads and
 // returns the total simulated execution time.
 func (r *Result) SimulatedTime(cfg cluster.Config, cm cluster.CostModel) (float64, error) {
-	var total float64
-	for _, w := range r.Workloads() {
-		jr, err := cluster.SimulateJob(cfg, cm, w)
-		if err != nil {
-			return 0, err
-		}
-		total += jr.Time
-	}
-	return total, nil
+	return SimulateWorkloads(cfg, cm, r.Workloads())
 }
 
 // AnnotateInput converts raw partitions into the blocking-key-annotated

@@ -229,37 +229,6 @@ func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 	}
 }
 
-func TestQualityMetrics(t *testing.T) {
-	truth := []core.MatchPair{{A: "a", B: "b"}, {A: "c", B: "d"}, {A: "e", B: "f"}}
-	predicted := []core.MatchPair{{A: "b", B: "a"}, {A: "c", B: "d"}, {A: "x", B: "y"}}
-	q := Evaluate(predicted, truth)
-	if q.TruePositives != 2 || q.FalsePositives != 1 || q.FalseNegatives != 1 {
-		t.Fatalf("quality = %+v", q)
-	}
-	if p := q.Precision(); p != 2.0/3 {
-		t.Errorf("precision = %g", p)
-	}
-	if r := q.Recall(); r != 2.0/3 {
-		t.Errorf("recall = %g", r)
-	}
-	if f := q.F1(); f != 2.0/3 {
-		t.Errorf("f1 = %g", f)
-	}
-	empty := Evaluate(nil, nil)
-	if empty.Precision() != 1 || empty.Recall() != 1 || empty.F1() != 1 {
-		t.Error("empty evaluation should be perfect")
-	}
-}
-
-func TestEvaluateDeduplicatesPredictions(t *testing.T) {
-	truth := []core.MatchPair{{A: "a", B: "b"}}
-	predicted := []core.MatchPair{{A: "a", B: "b"}, {A: "b", B: "a"}}
-	q := Evaluate(predicted, truth)
-	if q.TruePositives != 1 || q.FalsePositives != 0 {
-		t.Errorf("quality = %+v", q)
-	}
-}
-
 // TestJob1CertificateRefusesAMatrixOffByOne: Job 2 reads exactly the
 // partitions Job 1 counted, so a matrix whose column p does not sum to
 // partition p's size stops the run with a typed error naming the task

@@ -211,13 +211,6 @@ func TestSources(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("FromPartitions: %v / %v", err, got)
 	}
-	got, err = er.FromEntities(es, 3).Partitions()
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("FromEntities: %v", err)
-	}
-	if _, err := er.FromEntities(es, 0).Partitions(); err == nil {
-		t.Fatal("FromEntities m=0: want error")
-	}
 
 	var buf bytes.Buffer
 	if err := entity.WriteCSV(&buf, es, []string{datagen.AttrTitle, datagen.AttrBlock}); err != nil {

@@ -65,11 +65,11 @@ func PlanWorkloads(x *bdm.Matrix, strat core.Strategy, m, r int, combiner bool) 
 func SimulateWorkloads(cfg cluster.Config, cm cluster.CostModel, ws []cluster.JobWorkload) (float64, error) {
 	var total float64
 	for _, w := range ws {
-		jr, err := cluster.SimulateJob(cfg, cm, w)
+		t, err := cluster.SimulateJob(cfg, cm, w)
 		if err != nil {
 			return 0, fmt.Errorf("er: simulate job %q: %w", w.Name, err)
 		}
-		total += jr.Time
+		total += t
 	}
 	return total, nil
 }

@@ -39,17 +39,6 @@ func FromPartitions(parts entity.Partitions) Source {
 	return SourceFunc(func() (entity.Partitions, error) { return parts, nil })
 }
 
-// FromEntities splits a flat entity slice into m round-robin partitions
-// (the paper's "arbitrary order" input layout).
-func FromEntities(es []entity.Entity, m int) Source {
-	return SourceFunc(func() (entity.Partitions, error) {
-		if m <= 0 {
-			return nil, fmt.Errorf("er: FromEntities requires m > 0, got %d", m)
-		}
-		return entity.SplitRoundRobin(es, m), nil
-	})
-}
-
 // FromCSV reads a CSV dataset (entity.WriteCSV format) into m
 // round-robin partitions whose strings alias the input's bytes
 // (entity.ReadPartitionsCSV): the input is held once, as text, and

@@ -10,7 +10,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/match"
 	"repro/internal/report"
 )
 
@@ -118,51 +117,6 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 		"max reduce load vs uncapped")
 
 	return t, nil
-}
-
-// QualityTable sweeps the match threshold on the DS1 stand-in and
-// reports precision/recall/F1 against the generator's injected
-// duplicates — executed end to end (real comparisons). Not a paper
-// figure (the paper fixes the threshold at 0.8 and studies runtime);
-// included because a downstream user tuning a matcher needs it.
-func QualityTable(ctx context.Context, o Options) (*report.Table, error) {
-	spec := datagen.DS1Spec(minScale(o.scale(), 0.02))
-	es, truthPairs := datagen.Generate(spec)
-	truth := make([]core.MatchPair, len(truthPairs))
-	for i, tp := range truthPairs {
-		truth[i] = core.NewMatchPair(tp[0], tp[1])
-	}
-	parts := entity.SplitRoundRobin(es, 8)
-	t := &report.Table{
-		Title:   fmt.Sprintf("Match quality vs. threshold (DS1 scale=%g, %d entities, %d true duplicates)", minScale(o.scale(), 0.02), len(es), len(truth)),
-		Headers: []string{"threshold", "comparisons", "matches", "precision", "recall", "F1"},
-	}
-	for _, th := range []float64{0.60, 0.70, 0.80, 0.90, 0.95} {
-		th := th
-		res, err := er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-			RunOptions:  o.runOptions(),
-			Strategy:    core.BlockSplit{},
-			Attr:        datagen.AttrTitle,
-			BlockKey:    datagen.BlockKey(),
-			Matcher:     match.EditDistance(datagen.AttrTitle, th),
-			R:           32,
-			UseCombiner: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		q := er.Evaluate(res.Matches, truth)
-		t.AddRow(th, res.Comparisons, len(res.Matches), q.Precision(), q.Recall(), q.F1())
-	}
-	return t, nil
-}
-
-// minScale caps the scale for executed-mode tables.
-func minScale(s, cap float64) float64 {
-	if s > cap {
-		return cap
-	}
-	return s
 }
 
 // BalanceTable reports per-strategy load statistics (straggler factor,

@@ -84,31 +84,3 @@ func TestBalanceTable(t *testing.T) {
 		t.Errorf("PairRange max/mean = %g, want ~1", pr)
 	}
 }
-
-func TestQualityTable(t *testing.T) {
-	tbl, err := QualityTable(t.Context(), quickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	prevRecall := 2.0
-	for _, row := range tbl.Rows {
-		p := parseFloat(t, row[3])
-		rc := parseFloat(t, row[4])
-		if p < 0 || p > 1 || rc < 0 || rc > 1 {
-			t.Errorf("threshold %s: precision=%g recall=%g out of range", row[0], p, rc)
-		}
-		// Recall is non-increasing in the threshold.
-		if rc > prevRecall+1e-9 {
-			t.Errorf("recall increased with threshold at %s (%g after %g)", row[0], rc, prevRecall)
-		}
-		prevRecall = rc
-	}
-	// At 0.8 (the paper's threshold) recall should be near-perfect on
-	// lightly perturbed duplicates.
-	if rc := parseFloat(t, tbl.Rows[2][4]); rc < 0.9 {
-		t.Errorf("recall at threshold 0.8 = %g, want > 0.9", rc)
-	}
-}

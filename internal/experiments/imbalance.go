@@ -73,3 +73,11 @@ func Imbalance(ctx context.Context, o Options) (*report.Table, error) {
 	}
 	return t, nil
 }
+
+// minScale caps the scale for executed-mode tables.
+func minScale(s, cap float64) float64 {
+	if s > cap {
+		return cap
+	}
+	return s
+}

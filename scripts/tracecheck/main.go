@@ -1,5 +1,5 @@
 // Command tracecheck validates an exported obs trace file — the CI
-// obs-smoke gate. For the chrome format it decodes the trace_event
+// dist-smoke gate. For the chrome format it decodes the trace_event
 // wrapper and checks the structural properties Perfetto needs: only
 // X/i/M phases, non-negative durations, and process_name metadata for
 // every pid; -min-complete and -min-worker-lanes turn "the trace is
