@@ -2,22 +2,12 @@ GO ?= go
 
 .PHONY: check vet build test test-race test-cancel-race fuzz-smoke bench-smoke bench bench-compare bench-all ab loc smoke-lowmem smoke-chaos smoke-dist clean
 
-# check is the CI gate: static analysis, build, tests, benchmark smoke.
+# check is the CI gate: vet, build, tests, benchmark smoke.
 check: vet build test bench-smoke
 
-# vet gates on three layers: stock go vet, erlint (the repo's
-# invariant analyzers — internal/analysis, DESIGN.md "Static
-# analysis"), and gofmt-clean sources (fixtures under testdata
-# included). erlint is built once and driven through go vet's
-# -vettool protocol, so per-package results are cached by the go
-# build cache like any other vet check; -list prints each analyzer's
-# invariant with live finding/suppression counts.
+# vet is go vet plus a gofmt check over every source file.
 vet:
 	$(GO) vet ./...
-	@mkdir -p bin
-	$(GO) build -o bin/erlint ./cmd/erlint
-	$(GO) vet -vettool=bin/erlint ./...
-	bin/erlint -list
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 

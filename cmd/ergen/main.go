@@ -37,10 +37,10 @@ func main() {
 	)
 	switch *dataset {
 	case "ds1":
-		entities, _ = datagen.Generate(datagen.DS1Spec(*scale))
+		entities = datagen.Generate(datagen.DS1Spec(*scale))
 		attrs = []string{datagen.AttrTitle}
 	case "ds2":
-		entities, _ = datagen.Generate(datagen.DS2Spec(*scale))
+		entities = datagen.Generate(datagen.DS2Spec(*scale))
 		attrs = []string{datagen.AttrTitle}
 	case "exp":
 		entities = datagen.Exponential(*n, *blocks, *skew, *seed)

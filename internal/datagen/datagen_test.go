@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -114,13 +115,19 @@ func TestApportionExact(t *testing.T) {
 
 func TestGenerateProfile(t *testing.T) {
 	spec := DS1Spec(0.05)
-	es, truth := Generate(spec)
-	wantLen := spec.N + int(float64(spec.N)*spec.DupRate)
-	if len(es) != wantLen {
-		t.Fatalf("generated %d entities, want %d", len(es), wantLen)
+	es := Generate(spec)
+	dups := int(float64(spec.N) * spec.DupRate)
+	if len(es) != spec.N+dups {
+		t.Fatalf("generated %d entities, want %d", len(es), spec.N+dups)
 	}
-	if len(truth) != int(float64(spec.N)*spec.DupRate) {
-		t.Fatalf("truth has %d pairs", len(truth))
+	gotDups := 0
+	for _, e := range es {
+		if e.ID[0] == 'd' {
+			gotDups++
+		}
+	}
+	if gotDups != dups {
+		t.Fatalf("generated %d duplicates, want %d", gotDups, dups)
 	}
 	st := ComputeStats(es, AttrTitle, BlockKey())
 	if st.LargestBlockFrac > 0.10 {
@@ -129,23 +136,12 @@ func TestGenerateProfile(t *testing.T) {
 	if st.LargestPairsFrac < 0.60 {
 		t.Errorf("largest block holds %.1f%% of pairs, want > 60%% (paper: >70%%)", 100*st.LargestPairsFrac)
 	}
-	// Duplicates share their base's block (prefix preserved).
-	byID := make(map[string]string, len(es))
-	for _, e := range es {
-		byID[e.ID] = e.Attr(AttrTitle)
-	}
-	key := BlockKey()
-	for _, tp := range truth {
-		if key(byID[tp[0]]) != key(byID[tp[1]]) {
-			t.Fatalf("duplicate %s left its base's block (%q vs %q)", tp[1], byID[tp[0]], byID[tp[1]])
-		}
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, ta := Generate(DS1Spec(0.01))
-	b, tb := Generate(DS1Spec(0.01))
-	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(ta, tb) {
+	a := Generate(DS1Spec(0.01))
+	b := Generate(DS1Spec(0.01))
+	if !reflect.DeepEqual(a, b) {
 		t.Error("DS1 generation not deterministic")
 	}
 }
@@ -184,7 +180,7 @@ func TestHeadTailSizes(t *testing.T) {
 }
 
 func TestTwoSourcesPartition(t *testing.T) {
-	es, _ := Generate(DS1Spec(0.01))
+	es := Generate(DS1Spec(0.01))
 	r, s := TwoSources(es, 0.5, 1)
 	if len(r)+len(s) != len(es) {
 		t.Fatalf("split lost entities: %d + %d != %d", len(r), len(s), len(es))
@@ -206,26 +202,20 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
+// TestPerturbKeepsPrefix: a duplicate stays in its base's block.
 func TestPerturbKeepsPrefix(t *testing.T) {
-	es, truth := Generate(DS1Spec(0.02))
-	if len(truth) == 0 {
-		t.Fatal("no duplicates generated")
-	}
-	byID := make(map[string]string)
-	for _, e := range es {
-		byID[e.ID] = e.Attr(AttrTitle)
-	}
-	for _, tp := range truth {
-		base, dup := byID[tp[0]], byID[tp[1]]
-		if len(dup) < 3 || base[:3] != dup[:3] {
-			t.Fatalf("perturbation broke the prefix: %q -> %q", base, dup)
+	rng := rand.New(rand.NewSource(1))
+	key := BlockKey()
+	for _, e := range Generate(DS1Spec(0.02)) {
+		base := e.Attr(AttrTitle)
+		if dup := perturb(rng, base); key(dup) != key(base) {
+			t.Fatalf("perturbation left the block: %q -> %q", base, dup)
 		}
 	}
 }
 
 func TestBlockPrefixesDistinct(t *testing.T) {
-	es, _ := Generate(Spec{N: 100, Blocks: 26 * 26 * 26, Alpha: 0.5, Seed: 1})
-	_ = es // generation with the max block count must not panic
+	Generate(Spec{N: 100, Blocks: 26 * 26 * 26, Alpha: 0.5, Seed: 1}) // the max block count must not panic
 	defer func() {
 		if recover() == nil {
 			t.Error("too many blocks did not panic")

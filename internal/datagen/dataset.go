@@ -92,9 +92,8 @@ func minInt(a, b int) int {
 }
 
 // Generate produces the dataset: base entities with Zipf block sizes,
-// then injected near-duplicates. The returned truth slice lists the
-// (base, duplicate) ID pairs a perfect matcher should find.
-func Generate(spec Spec) (entities []entity.Entity, truth [][2]string) {
+// then injected near-duplicates.
+func Generate(spec Spec) []entity.Entity {
 	if spec.N <= 0 || spec.Blocks <= 0 {
 		panic(fmt.Sprintf("datagen: Generate requires N > 0 and Blocks > 0, got N=%d Blocks=%d", spec.N, spec.Blocks))
 	}
@@ -107,7 +106,7 @@ func Generate(spec Spec) (entities []entity.Entity, truth [][2]string) {
 		sizes = zipfSizes(spec.N, spec.Blocks, spec.Alpha)
 	}
 
-	entities = make([]entity.Entity, 0, spec.N)
+	entities := make([]entity.Entity, 0, spec.N)
 	id := 0
 	for k, size := range sizes {
 		for i := 0; i < size; i++ {
@@ -120,9 +119,7 @@ func Generate(spec Spec) (entities []entity.Entity, truth [][2]string) {
 	dups := int(float64(len(entities)) * spec.DupRate)
 	for d := 0; d < dups; d++ {
 		base := entities[rng.Intn(spec.N)]
-		dup := entity.New(fmt.Sprintf("d%08d", d), AttrTitle, perturb(rng, base.Attr(AttrTitle)))
-		entities = append(entities, dup)
-		truth = append(truth, [2]string{base.ID, dup.ID})
+		entities = append(entities, entity.New(fmt.Sprintf("d%08d", d), AttrTitle, perturb(rng, base.Attr(AttrTitle))))
 	}
 
 	// Shuffle so the on-disk (and partition) order is independent of the
@@ -130,7 +127,7 @@ func Generate(spec Spec) (entities []entity.Entity, truth [][2]string) {
 	rng.Shuffle(len(entities), func(i, j int) {
 		entities[i], entities[j] = entities[j], entities[i]
 	})
-	return entities, truth
+	return entities
 }
 
 // BlockKey returns the blocking function matching the generated titles:

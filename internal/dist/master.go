@@ -276,7 +276,8 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if req.Slots < 1 {
 		req.Slots = 1
 	}
-	//erlint:ignore ctxflow per-worker lease root: must outlive any single dispatch request, cancelled on worker death
+	// The per-worker lease root: it must outlive any single dispatch
+	// request, and is cancelled on worker death.
 	ctx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
 	if m.closed {
@@ -596,7 +597,8 @@ func (s *Session) release() {
 		JobID string `json:"job_id"`
 	}{s.ref.ID})
 	for _, u := range urls {
-		//erlint:ignore ctxflow best-effort release broadcast during job teardown runs after the job context is done
+		// A best-effort release broadcast during job teardown: it runs
+		// after the job context is done.
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+pathRelease, bytes.NewReader(body))
 		if err == nil {

@@ -159,7 +159,8 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	w.ln = ln
 	w.client = &http.Client{Transport: &http.Transport{}}
-	//erlint:ignore ctxflow worker lifecycle root: this context is the serve loop lifetime, cancelled by Close
+	// The worker lifecycle root: this context is the serve loop's
+	// lifetime, cancelled by Close.
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc(pathJob, w.handleJob)
@@ -205,7 +206,8 @@ func (w *Worker) shutdown(graceful bool) {
 		w.cancel()
 		<-w.loopDone
 		if graceful {
-			//erlint:ignore ctxflow graceful-shutdown timeout deliberately outlives the cancelled worker lifecycle context
+			// The graceful-shutdown timeout deliberately outlives the
+			// cancelled worker lifecycle context.
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			w.srv.Shutdown(ctx)
 			cancel()

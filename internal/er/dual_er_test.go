@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunDualAgainstSerial(t *testing.T) {
-	es, _ := datagen.Generate(datagen.DS1Spec(0.003))
+	es := datagen.Generate(datagen.DS1Spec(0.003))
 	r, s := datagen.TwoSources(es, 0.5, 5)
 	want, wantComps := SerialMatchDual(r, s, datagen.AttrTitle, datagen.BlockKey(), titleMatcher(0.85))
 	for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {

@@ -72,7 +72,7 @@ func TestRunAgainstSerialFuzz(t *testing.T) {
 			Alpha:  0.8,
 			Seed:   int64(trial),
 		}
-		es, _ := datagen.Generate(spec)
+		es := datagen.Generate(spec)
 		want, _ := SerialMatch(es, datagen.AttrTitle, datagen.BlockKey(), titleMatcher(0.85))
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 			res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, rng.Intn(4)+1)), Config{
@@ -181,7 +181,7 @@ func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 8; trial++ {
 		spec := datagen.Spec{N: rng.Intn(200) + 30, Blocks: rng.Intn(20) + 2, Alpha: 0.8, Seed: int64(trial)}
-		es, _ := datagen.Generate(spec)
+		es := datagen.Generate(spec)
 		m := rng.Intn(4) + 1
 		r := rng.Intn(6) + 1
 		parts := entity.SplitRoundRobin(es, m)

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/blocking"
 	"repro/internal/core"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/entity"
 	"repro/internal/er"
 	"repro/internal/mapreduce"
+	"repro/internal/runio"
 	"repro/internal/similarity"
 	"repro/internal/testleak"
 )
@@ -35,8 +37,7 @@ func testMatcher(threshold float64) core.PairFunc {
 }
 
 func testEntities(n int, seed int64) []entity.Entity {
-	es, _ := datagen.Generate(datagen.Spec{N: n, Blocks: 12, Alpha: 0.8, DupRate: 0.2, Seed: seed})
-	return es
+	return datagen.Generate(datagen.Spec{N: n, Blocks: 12, Alpha: 0.8, DupRate: 0.2, Seed: seed})
 }
 
 func baseConfig(strat core.Strategy, par int) er.Config {
@@ -422,5 +423,69 @@ func TestPipelineReleasesInput(t *testing.T) {
 		if !checked.Load() {
 			t.Errorf("%s: no task attempt started", c.name)
 		}
+	}
+}
+
+// TestPipelineRetainsNoBlock: a decoded record aliases one of the
+// ~32 KB blocks its segment reader sealed, so whatever outlives a reduce
+// call — a BDM count key, a match pair's IDs — must be copied, or one
+// retained string pins its whole block. Each strategy runs spilled, and
+// BlockSplit once dispatched to an in-process worker; with the Result
+// still reachable, forced collections must free every sealed block.
+func TestPipelineRetainsNoBlock(t *testing.T) {
+	type blocks struct{ sealed, freed atomic.Int64 }
+	var cur atomic.Pointer[blocks]
+	runio.BlockSealed = func(block string) {
+		// The tiny allocator may batch a shorter block with live objects.
+		if len(block) < 16 {
+			return
+		}
+		b := cur.Load()
+		b.sealed.Add(1)
+		runtime.AddCleanup(unsafe.StringData(block), func(b *blocks) { b.freed.Add(1) }, b)
+	}
+	t.Cleanup(func() { runio.BlockSealed = nil })
+	parts := entity.SplitRoundRobin(testEntities(300, 4), 3)
+	spilled := func(strat core.Strategy) func() (*er.Result, error) {
+		return func() (*er.Result, error) {
+			cfg := baseConfig(strat, 1)
+			cfg.Engine.SpillBudget, cfg.Engine.TmpDir = 128, t.TempDir()
+			return er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (*er.Result, error)
+	}{
+		{"basic", spilled(core.Basic{})},
+		{"blocksplit", spilled(core.BlockSplit{})},
+		{"pairrange", spilled(core.PairRange{})},
+		{"dispatched/blocksplit", func() (*er.Result, error) {
+			master := startDistMaster(t)
+			startDistWorker(t, master, dist.WorkerOptions{Slots: 1})
+			return er.RunDistributedPipeline(context.Background(), er.FromPartitions(parts), distTestParams(core.BlockSplit{}),
+				er.RunOptions{Parallelism: 1, Master: master, Workers: 1})
+		}},
+	} {
+		b := new(blocks)
+		cur.Store(b)
+		res, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(res.Matches) == 0 {
+			t.Fatalf("%s: no matches, nothing could retain a block", c.name)
+		}
+		for i := 0; i < 50 && b.freed.Load() != b.sealed.Load(); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if b.sealed.Load() == 0 {
+			t.Errorf("%s: no block sealed, the run read no spilled run", c.name)
+		}
+		if freed, sealed := b.freed.Load(), b.sealed.Load(); freed != sealed {
+			t.Errorf("%s: %d of %d sealed blocks freed while the Result is reachable", c.name, freed, sealed)
+		}
+		runtime.KeepAlive(res)
 	}
 }

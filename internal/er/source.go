@@ -25,8 +25,7 @@ type Source interface {
 // for data generators and any custom ingestion:
 //
 //	src := er.SourceFunc(func() (entity.Partitions, error) {
-//		es, _ := datagen.Generate(datagen.DS1Spec(0.02))
-//		return entity.SplitRoundRobin(es, 8), nil
+//		return entity.SplitRoundRobin(datagen.Generate(datagen.DS1Spec(0.02)), 8), nil
 //	})
 type SourceFunc func() (entity.Partitions, error)
 

@@ -94,13 +94,11 @@ func ds1(o Options) []entity.Entity {
 	if o.Dataset != nil {
 		return o.Dataset
 	}
-	es, _ := datagen.Generate(datagen.DS1Spec(o.scale()))
-	return es
+	return datagen.Generate(datagen.DS1Spec(o.scale()))
 }
 
 func ds2(o Options) []entity.Entity {
-	es, _ := datagen.Generate(datagen.DS2Spec(o.scale()))
-	return es
+	return datagen.Generate(datagen.DS2Spec(o.scale()))
 }
 
 func buildBDM(es []entity.Entity, m int, key blocking.KeyFunc) (*bdm.Matrix, error) {

@@ -28,7 +28,7 @@ import (
 func Imbalance(ctx context.Context, o Options) (*report.Table, error) {
 	scale := minScale(o.scale(), 0.02)
 	spec := datagen.DS1Spec(scale)
-	es, _ := datagen.Generate(spec)
+	es := datagen.Generate(spec)
 	parts := entity.SplitRoundRobin(es, 8)
 	const r = 32
 

@@ -410,7 +410,8 @@ func (d *recDecoder[K, V]) decode(b string, dst *Rec[K, V]) error {
 	if n+n2 != len(b) {
 		return fmt.Errorf("%w: %d trailing record bytes", runio.ErrCorrupt, len(b)-n-n2)
 	}
-	//erlint:ignore arenaretain engine-internal transient: the record aliases the block only until the group callback returns; sinks clone what they retain
+	// An engine-internal transient: the record aliases the block only
+	// until the group callback returns; sinks clone what they retain.
 	dst.Key, dst.Value = k, v
 	return nil
 }

@@ -34,6 +34,11 @@ var blockScratch = sync.Pool{
 	},
 }
 
+// BlockSealed, when non-nil, is called once with every block refill
+// seals. It is a test hook, nil in production: tests attach cleanups to
+// the blocks to prove that nothing retains a decoded record.
+var BlockSealed func(block string)
+
 // SegmentReader streams the records of one segment of a run file,
 // returning each record as a string aliasing an immutable block. It
 // reads via ReadAt, so any number of concurrent readers (one per reduce
@@ -99,6 +104,9 @@ func (s *SegmentReader) refill(need int) error {
 	}
 	s.block = b.String()
 	s.pos = 0
+	if BlockSealed != nil {
+		BlockSealed(s.block)
+	}
 	if len(s.block) < need {
 		return corruptAt(s.path, s.fileOff(),
 			fmt.Sprintf("%d-byte record body, file ends after %d bytes (truncated)", need, len(s.block)), io.ErrUnexpectedEOF)

@@ -2,7 +2,7 @@
 # Code lines per package: non-blank, non-comment, non-test Go lines —
 # the count a simplicity PR reports its line delta in (ROADMAP: "report
 # the line delta the way earlier PRs reported speedups"). A line is a
-# comment when it starts with //. Analyzer fixtures (testdata) and the
+# comment when it starts with //. Test data (testdata) and the
 # benchmark's build directory are not the system and are left out.
 #
 # With a revision as $1 (make loc BASE=<rev>) the table gains that
