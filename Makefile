@@ -87,8 +87,10 @@ loc:
 clean:
 	$(GO) clean ./...
 
-# smoke-lowmem executes the Figure 9 jobs out-of-core with GOMEMLIMIT
-# far below the shuffle volume, asserting success and spill cleanup.
+# smoke-lowmem runs ermatch out-of-core on the full-size DS1 stand-in,
+# once per strategy, with GOMEMLIMIT far below the shuffle volume,
+# asserting success, real spilling, spill cleanup and output equal to
+# an in-memory run's.
 smoke-lowmem:
 	scripts/lowmem_smoke.sh
 

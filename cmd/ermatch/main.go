@@ -30,10 +30,8 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/dist"
 	"repro/internal/er"
@@ -44,27 +42,25 @@ import (
 
 func main() {
 	var (
-		in           = flag.String("in", "", "input CSV (default stdin)")
-		attr         = flag.String("attr", datagen.AttrTitle, "attribute carrying the match-relevant text")
-		strategy     = flag.String("strategy", "blocksplit", "basic, blocksplit, or pairrange")
-		m            = flag.Int("m", runtime.NumCPU(), "number of map tasks (input partitions)")
-		r            = flag.Int("r", 4*runtime.NumCPU(), "number of reduce tasks")
-		prefix       = flag.Int("prefix", 3, "blocking key length (title prefix)")
-		threshold    = flag.Float64("threshold", 0.8, "minimum normalized edit-distance similarity")
-		parallelism  = flag.Int("parallelism", runtime.NumCPU(), "engine worker bound: concurrently executing tasks per phase (0 = one goroutine per task)")
-		spillBudget  = flag.String("spill-budget", "0", "per-map-task spill budget in bytes (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
-		tmpdir       = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
-		out          = flag.String("out", "", "stream matches to this file instead of buffering them ('-' = stdout)")
-		format       = flag.String("format", "csv", "match output format for -out: csv or ndjson")
-		showPairs    = flag.Bool("pairs", false, "print every match pair")
-		showClusters = flag.Bool("clusters", false, "print duplicate clusters (transitive closure)")
-		simulate     = flag.Bool("simulate", false, "also report simulated cluster time (10 nodes)")
-		maxAttempts  = flag.Int("max-attempts", 0, "per-task attempt budget before the run fails (0 = engine default)")
-		taskTimeout  = flag.Duration("task-timeout", 0, "per-attempt wall-clock timeout; a timed-out attempt is retried (0 = none)")
-		faults       = flag.String("faults", "", "deterministic fault injection 'rate[:seed]' for chaos testing (e.g. 0.2:7)")
-		masterAddr   = flag.String("master", "", "run distributed: listen for erworker registrations on this address (e.g. 127.0.0.1:0 or :7400)")
-		workers      = flag.Int("workers", 0, "distributed: wait for this many registered workers before dispatching tasks")
-		addrFile     = flag.String("master-addr-file", "", "distributed: write the master's URL to this file once listening (for scripted worker launch)")
+		in          = flag.String("in", "", "input CSV (default stdin)")
+		attr        = flag.String("attr", datagen.AttrTitle, "attribute carrying the match-relevant text")
+		strategy    = flag.String("strategy", "blocksplit", "basic, blocksplit, or pairrange")
+		m           = flag.Int("m", runtime.NumCPU(), "number of map tasks (input partitions)")
+		r           = flag.Int("r", 4*runtime.NumCPU(), "number of reduce tasks")
+		prefix      = flag.Int("prefix", 3, "blocking key length (title prefix)")
+		threshold   = flag.Float64("threshold", 0.8, "minimum normalized edit-distance similarity")
+		parallelism = flag.Int("parallelism", runtime.NumCPU(), "engine worker bound: concurrently executing tasks per phase (0 = one goroutine per task)")
+		spillBudget = flag.String("spill-budget", "0", "per-map-task spill budget in bytes (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
+		tmpdir      = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
+		out         = flag.String("out", "", "stream matches to this file instead of buffering them ('-' = stdout)")
+		format      = flag.String("format", "csv", "match output format for -out: csv or ndjson")
+		showPairs   = flag.Bool("pairs", false, "print every match pair")
+		maxAttempts = flag.Int("max-attempts", 0, "per-task attempt budget before the run fails (0 = engine default)")
+		taskTimeout = flag.Duration("task-timeout", 0, "per-attempt wall-clock timeout; a timed-out attempt is retried (0 = none)")
+		faults      = flag.String("faults", "", "deterministic fault injection 'rate[:seed]' for chaos testing (e.g. 0.2:7)")
+		masterAddr  = flag.String("master", "", "run distributed: listen for erworker registrations on this address (e.g. 127.0.0.1:0 or :7400)")
+		workers     = flag.Int("workers", 0, "distributed: wait for this many registered workers before dispatching tasks")
+		addrFile    = flag.String("master-addr-file", "", "distributed: write the master's URL to this file once listening (for scripted worker launch)")
 	)
 	obsCLI.RegisterFlags(flag.CommandLine)
 	flag.Usage = func() {
@@ -81,8 +77,8 @@ func main() {
 	if err != nil {
 		usage(fmt.Errorf("invalid -spill-budget value: %v", err))
 	}
-	if *out != "" && (*showPairs || *showClusters) {
-		usage(fmt.Errorf("-out streams matches without buffering them; it cannot be combined with -pairs or -clusters"))
+	if *out != "" && *showPairs {
+		usage(fmt.Errorf("-out streams matches without buffering them; it cannot be combined with -pairs"))
 	}
 	if *out != "" && *format != "csv" && *format != "ndjson" {
 		// Validated before the output file is touched, so a typo'd
@@ -235,13 +231,6 @@ func main() {
 		_, largest := res.BDM.LargestBlock()
 		fmt.Fprintf(report, "blocks=%d pairs=%d largest-block=%d\n", res.BDM.NumBlocks(), res.BDM.Pairs(), largest)
 	}
-	if *simulate {
-		t, err := res.SimulatedTime(cluster.DefaultSlots(10), cluster.DefaultCostModel())
-		if err != nil {
-			fail(err)
-		}
-		defer fmt.Fprintf(report, "simulated-cluster-time=%.0f units (10 nodes)\n", t)
-	}
 	elapsed := time.Since(start)
 
 	if err := obsCLI.Finish(); err != nil {
@@ -268,11 +257,6 @@ func main() {
 	if *showPairs {
 		for _, p := range res.Matches {
 			fmt.Printf("%s\t%s\n", p.A, p.B)
-		}
-	}
-	if *showClusters {
-		for _, c := range er.Clusters(res.Matches) {
-			fmt.Println(strings.Join(c, " "))
 		}
 	}
 }

@@ -34,21 +34,30 @@ func buildErmatch(t *testing.T) string {
 // TestBadInvocationsExit2 builds ermatch and checks that out-of-range
 // flags are bad invocations — exit 2 with the usage hint, decided before
 // the input is opened (the -in file does not exist, which would
-// otherwise be a runtime error, exit 1) — and that a spreadsheet
-// export's byte-order mark is not part of the header.
+// otherwise be a runtime error, exit 1) — that -simulate is an unknown
+// flag, since the simulator reads plans and not a run's metrics, and
+// that a spreadsheet export's byte-order mark is not part of the
+// header.
 func TestBadInvocationsExit2(t *testing.T) {
 	bin := buildErmatch(t)
 	missing := filepath.Join(t.TempDir(), "missing.csv")
-	for _, args := range [][]string{
-		{"-m", "0"}, {"-m", "-1"}, {"-r", "0"}, {"-parallelism", "-1"}, {"-prefix", "0"},
-		{"-strategy", "sn"}, {"-strategy", "nope"},
-		{"-threshold", "0"}, {"-threshold", "NaN"}, {"-threshold", "1.5"}, {"-threshold", "-0.1"},
-		{"-max-attempts", "-1"}, {"-task-timeout", "-1s"},
-		{"-master", "127.0.0.1:0", "-workers", "-1"},
+	const hint, unknown = "run 'ermatch -h' for usage", "flag provided but not defined"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-m", "0"}, hint}, {[]string{"-m", "-1"}, hint}, {[]string{"-r", "0"}, hint},
+		{[]string{"-parallelism", "-1"}, hint}, {[]string{"-prefix", "0"}, hint},
+		{[]string{"-strategy", "sn"}, hint}, {[]string{"-strategy", "nope"}, hint},
+		{[]string{"-threshold", "0"}, hint}, {[]string{"-threshold", "NaN"}, hint},
+		{[]string{"-threshold", "1.5"}, hint}, {[]string{"-threshold", "-0.1"}, hint},
+		{[]string{"-max-attempts", "-1"}, hint}, {[]string{"-task-timeout", "-1s"}, hint},
+		{[]string{"-master", "127.0.0.1:0", "-workers", "-1"}, hint},
+		{[]string{"-simulate"}, unknown},
 	} {
-		out, err := exec.Command(bin, append([]string{"-in", missing}, args...)...).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "run 'ermatch -h' for usage") {
-			t.Errorf("ermatch %v: %v, want exit 2 and the usage hint\n%s", args, err, out)
+		out, err := exec.Command(bin, append([]string{"-in", missing}, tc.args...)...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("ermatch %v: %v, want exit 2 and %q\n%s", tc.args, err, tc.want, out)
 		}
 	}
 	if out, err := exec.Command(bin, "-in", missing).CombinedOutput(); err == nil || err.(*exec.ExitError).ExitCode() != 1 {

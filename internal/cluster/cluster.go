@@ -5,8 +5,9 @@
 // next pending task is assigned to the freed process — Hadoop's
 // slot-based scheduling, modeled as event-driven list scheduling.
 //
-// Task costs are derived from mapreduce.TaskMetrics (or from the analytic
-// planners in internal/core) via a CostModel whose constants encode the
+// Task costs are derived from the analytic plans of internal/core and
+// internal/er (which the test suites hold equal to the executing
+// engine's per-task metrics) via a CostModel whose constants encode the
 // paper's observation that the reduce-side pair comparisons dominate
 // (>95% of) the runtime.
 package cluster
@@ -14,8 +15,6 @@ package cluster
 import (
 	"container/heap"
 	"fmt"
-
-	"repro/internal/mapreduce"
 )
 
 // Config describes the simulated cluster.
@@ -151,31 +150,15 @@ type PhaseResult struct {
 	Assignment []int
 }
 
-// Schedule runs event-driven list scheduling over homogeneous slots:
-// tasks are assigned in index order, each to the process that frees
-// earliest (ties broken by lowest slot index). This reproduces Hadoop's
+// ScheduleWithSpeeds runs event-driven list scheduling: tasks are
+// assigned in index order, each to the process that frees earliest
+// (ties broken by lowest slot index). This reproduces Hadoop's
 // behaviour of handing the next pending task to whichever process
 // finished first, including the straggler effects the paper's figures
-// exhibit.
-func Schedule(costs []float64, slots int) PhaseResult {
-	if slots <= 0 {
-		panic("cluster: Schedule requires slots > 0")
-	}
-	return ScheduleWithSpeeds(costs, uniformSpeeds(slots))
-}
-
-func uniformSpeeds(slots int) []float64 {
-	speeds := make([]float64, slots)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	return speeds
-}
-
-// ScheduleWithSpeeds is Schedule over heterogeneous slots: task duration
-// on slot i is cost/speeds[i]. Slow slots naturally receive fewer tasks
-// because they free up later — which is why fine-grained workloads (many
-// small reduce tasks) tolerate heterogeneity better than coarse ones.
+// exhibit. Task duration on slot i is cost/speeds[i]. Slow slots
+// naturally receive fewer tasks because they free up later — which is
+// why fine-grained workloads (many small reduce tasks) tolerate
+// heterogeneity better than coarse ones.
 func ScheduleWithSpeeds(costs []float64, speeds []float64) PhaseResult {
 	if len(speeds) == 0 {
 		panic("cluster: ScheduleWithSpeeds requires at least one slot")
@@ -240,15 +223,6 @@ type JobWorkload struct {
 	ReduceComparisons []int64
 }
 
-// TotalComparisons sums the reduce-side pair comparisons.
-func (w JobWorkload) TotalComparisons() int64 {
-	var t int64
-	for _, c := range w.ReduceComparisons {
-		t += c
-	}
-	return t
-}
-
 // TotalMapEmits sums the map-output key-value pairs (Figure 12's metric).
 func (w JobWorkload) TotalMapEmits() int64 {
 	var t int64
@@ -285,26 +259,4 @@ func SimulateJob(cfg Config, cm CostModel, w JobWorkload) (float64, error) {
 	return cm.JobOverhead +
 		ScheduleWithSpeeds(mapCosts, cfg.SlotSpeeds(cfg.MapSlots())).Makespan +
 		ScheduleWithSpeeds(redCosts, cfg.SlotSpeeds(cfg.ReduceSlots())).Makespan, nil
-}
-
-// WorkloadFromResult extracts a JobWorkload from an executed MR job's
-// metrics. The "comparisons" user counter must have been maintained by
-// the reduce function (the strategies in internal/core do).
-func WorkloadFromResult(res *mapreduce.Metrics) JobWorkload {
-	w := JobWorkload{
-		Name:              res.JobName,
-		MapRecords:        make([]int64, len(res.MapMetrics)),
-		MapEmits:          make([]int64, len(res.MapMetrics)),
-		ReduceRecords:     make([]int64, len(res.ReduceMetrics)),
-		ReduceComparisons: make([]int64, len(res.ReduceMetrics)),
-	}
-	for i := range res.MapMetrics {
-		w.MapRecords[i] = res.MapMetrics[i].InputRecords
-		w.MapEmits[i] = res.MapMetrics[i].OutputRecords
-	}
-	for j := range res.ReduceMetrics {
-		w.ReduceRecords[j] = res.ReduceMetrics[j].InputRecords
-		w.ReduceComparisons[j] = res.ReduceMetrics[j].Counter("comparisons")
-	}
-	return w
 }

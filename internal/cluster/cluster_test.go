@@ -7,8 +7,17 @@ import (
 	"testing/quick"
 )
 
+// unitSpeeds is a homogeneous cluster of the given number of slots.
+func unitSpeeds(slots int) []float64 {
+	speeds := make([]float64, slots)
+	for i := range speeds {
+		speeds[i] = 1
+	}
+	return speeds
+}
+
 func TestScheduleSingleSlot(t *testing.T) {
-	res := Schedule([]float64{3, 1, 4, 1, 5}, 1)
+	res := ScheduleWithSpeeds([]float64{3, 1, 4, 1, 5}, unitSpeeds(1))
 	if res.Makespan != 14 {
 		t.Errorf("makespan = %g, want 14", res.Makespan)
 	}
@@ -17,7 +26,7 @@ func TestScheduleSingleSlot(t *testing.T) {
 func TestScheduleListOrder(t *testing.T) {
 	// Two slots, tasks in order 4,3,2,1: slot0←4, slot1←3, slot1 frees
 	// at 3 → gets 2 (→5), slot0 frees at 4 → gets 1 (→5). Makespan 5.
-	res := Schedule([]float64{4, 3, 2, 1}, 2)
+	res := ScheduleWithSpeeds([]float64{4, 3, 2, 1}, unitSpeeds(2))
 	if res.Makespan != 5 {
 		t.Errorf("makespan = %g, want 5", res.Makespan)
 	}
@@ -33,7 +42,7 @@ func TestScheduleStragglerDominates(t *testing.T) {
 	// One huge task lower-bounds the makespan regardless of slots —
 	// the Basic-strategy effect.
 	costs := []float64{100, 1, 1, 1, 1, 1, 1, 1}
-	res := Schedule(costs, 8)
+	res := ScheduleWithSpeeds(costs, unitSpeeds(8))
 	if res.Makespan != 100 {
 		t.Errorf("makespan = %g, want 100", res.Makespan)
 	}
@@ -49,7 +58,7 @@ func TestScheduleMoreSlotsNeverSlower(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for slots := 1; slots <= 8; slots *= 2 {
-			ms := Schedule(costs, slots).Makespan
+			ms := ScheduleWithSpeeds(costs, unitSpeeds(slots)).Makespan
 			if ms > prev+1e-9 {
 				t.Fatalf("trial %d: %d slots slower (%g) than fewer (%g)", trial, slots, ms, prev)
 			}
@@ -75,7 +84,7 @@ func TestScheduleBounds(t *testing.T) {
 				maxTask = costs[i]
 			}
 		}
-		ms := Schedule(costs, slots).Makespan
+		ms := ScheduleWithSpeeds(costs, unitSpeeds(slots)).Makespan
 		lower := math.Max(total/float64(slots), maxTask)
 		upper := total/float64(slots) + maxTask
 		return ms >= lower-1e-6 && ms <= upper+1e-6
@@ -88,10 +97,10 @@ func TestScheduleBounds(t *testing.T) {
 func TestSchedulePanicsOnZeroSlots(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Schedule(.., 0) did not panic")
+			t.Error("ScheduleWithSpeeds over no slots did not panic")
 		}
 	}()
-	Schedule([]float64{1}, 0)
+	ScheduleWithSpeeds([]float64{1}, nil)
 }
 
 func TestConfigSlots(t *testing.T) {
@@ -150,13 +159,9 @@ func TestSimulateJobValidation(t *testing.T) {
 
 func TestWorkloadTotals(t *testing.T) {
 	w := JobWorkload{
-		MapEmits:          []int64{3, 4},
-		ReduceComparisons: []int64{5, 6, 7},
+		MapEmits: []int64{3, 4},
 	}
 	if w.TotalMapEmits() != 7 {
 		t.Errorf("TotalMapEmits = %d", w.TotalMapEmits())
-	}
-	if w.TotalComparisons() != 18 {
-		t.Errorf("TotalComparisons = %d", w.TotalComparisons())
 	}
 }

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/bdm"
 	"repro/internal/blocking"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/entity"
 )
@@ -88,23 +87,6 @@ type Result struct {
 	// metrics of the two jobs (BDMResult is nil for Basic).
 	BDMResult   *bdm.JobResult
 	MatchResult *core.MatchJobResult
-}
-
-// Workloads converts the run's metrics into cluster-simulator workloads,
-// in execution order (BDM job first when present).
-func (r *Result) Workloads() []cluster.JobWorkload {
-	var ws []cluster.JobWorkload
-	if r.BDMResult != nil {
-		ws = append(ws, cluster.WorkloadFromResult(&r.BDMResult.Metrics))
-	}
-	ws = append(ws, cluster.WorkloadFromResult(&r.MatchResult.Metrics))
-	return ws
-}
-
-// SimulatedTime runs the cluster simulator over the run's workloads and
-// returns the total simulated execution time.
-func (r *Result) SimulatedTime(cfg cluster.Config, cm cluster.CostModel) (float64, error) {
-	return SimulateWorkloads(cfg, cm, r.Workloads())
 }
 
 // AnnotateInput converts raw partitions into the blocking-key-annotated

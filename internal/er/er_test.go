@@ -3,6 +3,7 @@ package er
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -120,10 +121,7 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.BDM != nil || res.BDMResult != nil {
-		t.Error("Basic should not compute a BDM")
-	}
-	if got := len(res.Workloads()); got != 1 {
-		t.Errorf("Basic has %d workloads, want 1 (single job)", got)
+		t.Error("Basic should run the matching job only, without a BDM")
 	}
 	res2, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.BlockSplit{},
@@ -134,28 +132,8 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.BDM == nil || len(res2.Workloads()) != 2 {
+	if res2.BDM == nil || res2.BDMResult == nil {
 		t.Error("BlockSplit should run the BDM job first")
-	}
-}
-
-func TestSimulatedTime(t *testing.T) {
-	es := smallDataset()
-	res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
-		Strategy: core.PairRange{},
-		Attr:     "title",
-		BlockKey: blocking.Prefix(3),
-		R:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := res.SimulatedTime(cluster.DefaultSlots(2), cluster.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm <= 0 {
-		t.Errorf("simulated time = %g", tm)
 	}
 }
 
@@ -173,60 +151,96 @@ func TestCollectMatchesDeduplicates(t *testing.T) {
 }
 
 // TestPlanWorkloadsMatchExecutedWorkloads: the analytic path (planner +
-// BDM workload model) must agree with the executing engine's measured
-// workloads in every component — the bridge that justifies planner-mode
+// BDM workload model) must agree with the executing engine's per-task
+// metrics in every component — the bridge that justifies plan-only
 // figures — with Job 1 aggregating per map task or emitting per entity
-// (the experiments' ablation row reads the latter off the model).
+// (the experiments' ablation row reads the latter off the model). The
+// trials are small random DS1-style inputs plus one in Figure 9's
+// shape: exponential block sizes keyed by the block attribute itself,
+// with more reduce tasks than blocks.
 func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
+	type trial struct {
+		es   []entity.Entity
+		attr string
+		key  blocking.KeyFunc
+		m, r int
+		name string
+	}
 	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 8; trial++ {
-		spec := datagen.Spec{N: rng.Intn(200) + 30, Blocks: rng.Intn(20) + 2, Alpha: 0.8, Seed: int64(trial)}
-		es := datagen.Generate(spec)
-		m := rng.Intn(4) + 1
-		r := rng.Intn(6) + 1
-		parts := entity.SplitRoundRobin(es, m)
+	var trials []trial
+	for i := 0; i < 8; i++ {
+		spec := datagen.Spec{N: rng.Intn(200) + 30, Blocks: rng.Intn(20) + 2, Alpha: 0.8, Seed: int64(i)}
+		trials = append(trials, trial{
+			es: datagen.Generate(spec), attr: datagen.AttrTitle, key: datagen.BlockKey(),
+			m: rng.Intn(4) + 1, r: rng.Intn(6) + 1, name: fmt.Sprintf("random %d", i),
+		})
+	}
+	trials = append(trials, trial{
+		es: datagen.Exponential(600, 10, 0.6, 42), attr: datagen.AttrBlock, key: blocking.Identity(),
+		m: 5, r: 16, name: "figure 9 shape",
+	})
+	for _, tr := range trials {
+		parts := entity.SplitRoundRobin(tr.es, tr.m)
+		// Plans need the BDM; compute it directly, since Basic has none.
+		x, err := bdm.FromPartitions(parts, tr.attr, tr.key)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, combiner := range []bool{true, false} {
 			for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 				res, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
 					Strategy:    strat,
-					Attr:        datagen.AttrTitle,
-					BlockKey:    datagen.BlockKey(),
-					R:           r,
+					Attr:        tr.attr,
+					BlockKey:    tr.key,
+					R:           tr.r,
 					UseCombiner: combiner,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Plans need the BDM; compute it directly for Basic.
-				x := res.BDM
-				if x == nil {
-					var err2 error
-					x, err2 = bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey())
-					if err2 != nil {
-						t.Fatal(err2)
-					}
-				}
-				planned, _, err := PlanWorkloads(x, strat, m, r, combiner)
+				planned, _, err := PlanWorkloads(x, strat, tr.m, tr.r, combiner)
 				if err != nil {
 					t.Fatal(err)
 				}
-				executed := res.Workloads()
+				var executed []*mapreduce.Metrics
+				if res.BDMResult != nil {
+					executed = append(executed, &res.BDMResult.Metrics)
+				}
+				executed = append(executed, &res.MatchResult.Metrics)
 				if len(planned) != len(executed) {
-					t.Fatalf("%s: %d planned workloads vs %d executed", strat.Name(), len(planned), len(executed))
+					t.Fatalf("%s %s: %d planned jobs vs %d executed", tr.name, strat.Name(), len(planned), len(executed))
 				}
 				for i := range planned {
-					p, e := planned[i], executed[i]
-					if !reflect.DeepEqual(p.MapRecords, e.MapRecords) ||
-						!reflect.DeepEqual(p.MapEmits, e.MapEmits) ||
-						!reflect.DeepEqual(p.ReduceRecords, e.ReduceRecords) ||
-						!reflect.DeepEqual(p.ReduceComparisons, e.ReduceComparisons) {
-						t.Fatalf("%s trial %d combiner=%v job %d (%s): planned workload differs from executed\nplanned:  %+v\nexecuted: %+v",
-							strat.Name(), trial, combiner, i, p.Name, p, e)
+					if diff := workloadDiff(planned[i], executed[i]); diff != "" {
+						t.Fatalf("%s %s combiner=%v job %d (%s): planned workload differs from executed: %s",
+							tr.name, strat.Name(), combiner, i, planned[i].Name, diff)
 					}
 				}
 			}
 		}
 	}
+}
+
+// workloadDiff names the first task whose planned records, emits or
+// comparisons differ from what the executed job measured, or returns "".
+func workloadDiff(w cluster.JobWorkload, got *mapreduce.Metrics) string {
+	if len(w.MapRecords) != len(got.MapMetrics) || len(w.ReduceRecords) != len(got.ReduceMetrics) {
+		return fmt.Sprintf("planned %d map and %d reduce tasks, executed %d and %d",
+			len(w.MapRecords), len(w.ReduceRecords), len(got.MapMetrics), len(got.ReduceMetrics))
+	}
+	for i, tm := range got.MapMetrics {
+		if w.MapRecords[i] != tm.InputRecords || w.MapEmits[i] != tm.OutputRecords {
+			return fmt.Sprintf("map task %d: planned %d records in, %d out; executed %d, %d",
+				i, w.MapRecords[i], w.MapEmits[i], tm.InputRecords, tm.OutputRecords)
+		}
+	}
+	for j, tm := range got.ReduceMetrics {
+		if w.ReduceRecords[j] != tm.InputRecords || w.ReduceComparisons[j] != tm.Counter("comparisons") {
+			return fmt.Sprintf("reduce task %d: planned %d records, %d comparisons; executed %d, %d",
+				j, w.ReduceRecords[j], w.ReduceComparisons[j], tm.InputRecords, tm.Counter("comparisons"))
+		}
+	}
+	return ""
 }
 
 // TestJob1CertificateRefusesAMatrixOffByOne: Job 2 reads exactly the

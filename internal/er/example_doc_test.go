@@ -41,19 +41,3 @@ func ExampleRunPipeline() {
 	// pairs compared: 3
 	// match: p1 p2
 }
-
-// Clusters turns pairwise matches into duplicate groups via transitive
-// closure.
-func ExampleClusters() {
-	pairs := []core.MatchPair{
-		core.NewMatchPair("a", "b"),
-		core.NewMatchPair("c", "b"),
-		core.NewMatchPair("x", "y"),
-	}
-	for _, c := range er.Clusters(pairs) {
-		fmt.Println(c)
-	}
-	// Output:
-	// [a b c]
-	// [x y]
-}

@@ -4,10 +4,12 @@
 // figure plots. The cmd/erbench CLI and the repository's benchmarks are
 // thin wrappers around this package.
 //
-// Execution-time figures use the analytic planners plus the cluster
-// simulator (see DESIGN.md for the substitution argument); the planners
-// are validated against the executing MapReduce engine by the test
-// suites in internal/core and internal/er.
+// Execution-time figures come from plans only: the analytic planners
+// plus the cluster simulator (see DESIGN.md for the substitution
+// argument). The test suites in internal/core and internal/er hold the
+// plans equal to the executing MapReduce engine's per-task metrics;
+// the one table that executes jobs is Imbalance, which measures wall
+// time rather than simulating it.
 package experiments
 
 import (
@@ -26,31 +28,18 @@ import (
 )
 
 // Options tunes the harness. Scale shrinks the DS1/DS2 stand-ins for
-// quick runs; 1.0 reproduces full-size datasets (planner mode keeps even
-// those fast).
+// quick runs; 1.0 reproduces full-size datasets (plans keep even those
+// fast).
 type Options struct {
-	// RunOptions is the shared execution plumbing for executed-mode
-	// runs: Parallelism bounds concurrently executing tasks per phase
-	// (0 = the harness default of 8; cmd/erbench -parallelism),
-	// SpillBudget > 0 selects the out-of-core external dataflow
-	// (cmd/erbench -spill-budget) with TmpDir as the spill-directory
-	// root (cmd/erbench -tmpdir).
-	er.RunOptions
-
 	Scale float64
 	Cost  cluster.CostModel
-	// Executed switches Figures 9 and 10 from the analytic planner to
-	// real execution on the MapReduce engine: both jobs run, every
-	// comparison is counted by the reduce functions, and the cluster
-	// simulator consumes the *measured* per-task workloads. Because the
-	// planners are exact, executed and planner mode produce identical
-	// tables (a property the tests assert); executed mode exists to
-	// demonstrate that, and is limited by real O(P) work.
-	Executed bool
 	// Dataset, when non-nil, replaces the generated DS1 stand-in with a
 	// real dataset (cmd/erbench -in streams one from CSV via
 	// entity.ScanCSV).
 	Dataset []entity.Entity
+	// TmpDir is where Imbalance's out-of-core runs spill (cmd/erbench
+	// -tmpdir; "" is the system temp dir).
+	TmpDir string
 }
 
 // DefaultOptions uses a 5% scale — large enough for stable shapes,
@@ -64,22 +53,6 @@ func (o Options) scale() float64 {
 		return 0.05
 	}
 	return o.Scale
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return 8
-	}
-	return o.Parallelism
-}
-
-// runOptions returns the executed-mode RunOptions with the harness's
-// parallelism default applied; engine resolution and the out-of-core
-// switch live in er.RunOptions.ResolveEngine.
-func (o Options) runOptions() er.RunOptions {
-	ro := o.RunOptions
-	ro.Parallelism = o.parallelism()
-	return ro
 }
 
 // strategies in the order the paper plots them.
@@ -104,29 +77,6 @@ func ds2(o Options) []entity.Entity {
 func buildBDM(es []entity.Entity, m int, key blocking.KeyFunc) (*bdm.Matrix, error) {
 	parts := entity.SplitRoundRobin(es, m)
 	return bdm.FromPartitions(parts, datagen.AttrTitle, key)
-}
-
-// strategyTime returns the simulated execution time of the full workflow
-// for one strategy, using the analytic planner or — in executed mode —
-// the measured workloads of a real engine run.
-func strategyTime(ctx context.Context, o Options, parts entity.Partitions, x *bdm.Matrix, strat core.Strategy, attr string, key blocking.KeyFunc, r int, cfg cluster.Config) (float64, error) {
-	if !o.Executed {
-		t, _, err := er.SimulatedStrategyTime(x, strat, x.NumPartitions(), r, cfg, o.Cost)
-		return t, err
-	}
-	res, err := er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-		RunOptions:  o.runOptions(),
-		Strategy:    strat,
-		Attr:        attr,
-		BlockKey:    key,
-		Matcher:     nil, // count comparisons only
-		R:           r,
-		UseCombiner: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return er.SimulateWorkloads(cfg, o.Cost, res.Workloads())
 }
 
 // Figure8 reproduces the dataset-statistics table: entities, blocks,
@@ -169,15 +119,14 @@ func Figure9(ctx context.Context, o Options) (*report.Table, error) {
 	}
 	for _, s := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		es := datagen.Exponential(nEntities, blocks, s, 42)
-		parts := entity.SplitRoundRobin(es, m)
-		x, err := bdm.FromPartitions(parts, datagen.AttrBlock, blocking.Identity())
+		x, err := bdm.FromPartitions(entity.SplitRoundRobin(es, m), datagen.AttrBlock, blocking.Identity())
 		if err != nil {
 			return nil, err
 		}
 		pairs := x.Pairs()
 		row := []any{s, pairs}
 		for _, strat := range allStrategies() {
-			tt, err := strategyTime(ctx, o, parts, x, strat, datagen.AttrBlock, blocking.Identity(), r, cfg)
+			tt, _, err := er.SimulatedStrategyTime(x, strat, m, r, cfg, o.Cost)
 			if err != nil {
 				return nil, err
 			}
@@ -198,9 +147,7 @@ func Figure10(ctx context.Context, o Options) (*report.Table, error) {
 		nodes = 10
 		m     = 20
 	)
-	es := ds1(o)
-	parts := entity.SplitRoundRobin(es, m)
-	x, err := bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey())
+	x, err := buildBDM(ds1(o), m, datagen.BlockKey())
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +159,7 @@ func Figure10(ctx context.Context, o Options) (*report.Table, error) {
 	for r := 20; r <= 160; r += 20 {
 		row := []any{r}
 		for _, strat := range allStrategies() {
-			tt, err := strategyTime(ctx, o, parts, x, strat, datagen.AttrTitle, datagen.BlockKey(), r, cfg)
+			tt, _, err := er.SimulatedStrategyTime(x, strat, m, r, cfg, o.Cost)
 			if err != nil {
 				return nil, err
 			}

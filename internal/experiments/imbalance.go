@@ -47,7 +47,7 @@ func Imbalance(ctx context.Context, o Options) (*report.Table, error) {
 		for _, strat := range allStrategies() {
 			observer := obs.New(obs.Options{Log: obs.Quiet()})
 			ro := er.RunOptions{
-				Parallelism: o.parallelism(),
+				Parallelism: 8,
 				SpillBudget: df.spillBudget,
 				TmpDir:      o.TmpDir,
 				Obs:         observer,
@@ -74,7 +74,7 @@ func Imbalance(ctx context.Context, o Options) (*report.Table, error) {
 	return t, nil
 }
 
-// minScale caps the scale for executed-mode tables.
+// minScale caps the scale for the executed table.
 func minScale(s, cap float64) float64 {
 	if s > cap {
 		return cap

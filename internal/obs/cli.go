@@ -9,7 +9,7 @@ import (
 )
 
 // CLI is the observability command-line surface shared by the er
-// commands (ermatch, erbench, erworker): trace capture,
+// commands that run jobs (ermatch, erworker): trace capture,
 // the live introspection server, and the structured-log threshold.
 // Register the flags, then call Start once flags are parsed and Finish
 // on the way out.

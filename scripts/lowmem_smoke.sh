@@ -1,30 +1,45 @@
 #!/usr/bin/env sh
-# Low-memory smoke for the out-of-core dataflow: executes the real
-# MapReduce jobs of Figure 9 (erbench -exec) with GOMEMLIMIT set well
-# below the shuffle volume and a small -spill-budget, asserting the run
-# succeeds and leaves the spill directory empty. The CI job calls this;
+# Low-memory smoke for the out-of-core dataflow: runs ermatch over the
+# full-size DS1 stand-in with GOMEMLIMIT set well below the shuffle
+# volume and a small -spill-budget, once per strategy. Each run must
+# succeed, really spill (its trace has spill spans), leave the spill
+# directory empty, and write the same matches as an in-memory run of
+# the same strategy. The CI job calls this;
 # usage: scripts/lowmem_smoke.sh [scale] [budget] [gomemlimit]
 set -eu
 
 cd "$(dirname "$0")/.."
 
-scale="${1:-0.25}"
+scale="${1:-1}"
 budget="${2:-1m}"
 memlimit="${3:-24MiB}"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-go build -o "$tmp/erbench" ./cmd/erbench
+go build -o "$tmp/" ./cmd/ergen ./cmd/ermatch ./scripts/tracecheck
+"$tmp/ergen" -dataset ds1 -scale "$scale" -out "$tmp/ds1.csv"
 mkdir "$tmp/spill"
 
-echo "==> erbench -figure 9 -exec -scale $scale -spill-budget $budget (GOMEMLIMIT=$memlimit)"
-GOMEMLIMIT="$memlimit" "$tmp/erbench" -figure 9 -exec -scale "$scale" \
-	-spill-budget "$budget" -tmpdir "$tmp/spill"
+# -parallelism 1 makes the streamed -out file byte-identical between
+# runs, so the spilled output is compared with cmp, unsorted.
+for strategy in basic blocksplit pairrange; do
+	echo "==> ermatch -strategy $strategy -spill-budget $budget (GOMEMLIMIT=$memlimit), scale $scale"
+	"$tmp/ermatch" -in "$tmp/ds1.csv" -strategy "$strategy" -m 4 -r 16 \
+		-parallelism 1 -out "$tmp/mem.csv" >/dev/null
+	GOMEMLIMIT="$memlimit" "$tmp/ermatch" -in "$tmp/ds1.csv" -strategy "$strategy" -m 4 -r 16 \
+		-parallelism 1 -spill-budget "$budget" -tmpdir "$tmp/spill" \
+		-trace "$tmp/spill.trace.json" -out "$tmp/spill.csv"
 
-if [ -n "$(ls -A "$tmp/spill")" ]; then
-	echo "FAIL: spill directory not empty after run:" >&2
-	ls -l "$tmp/spill" >&2
-	exit 1
-fi
-echo "low-memory smoke OK (spill dir clean)"
+	if [ -n "$(ls -A "$tmp/spill")" ]; then
+		echo "FAIL: $strategy: spill directory not empty after run:" >&2
+		ls -l "$tmp/spill" >&2
+		exit 1
+	fi
+	"$tmp/tracecheck" -require spill "$tmp/spill.trace.json"
+	if ! cmp "$tmp/mem.csv" "$tmp/spill.csv"; then
+		echo "FAIL: $strategy: spilled output differs from the in-memory run" >&2
+		exit 1
+	fi
+done
+echo "low-memory smoke OK (three strategies spilled, outputs equal, spill dir clean)"
