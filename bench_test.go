@@ -26,7 +26,7 @@ import (
 )
 
 func benchOptions() experiments.Options {
-	return experiments.DefaultOptions() // 5% scale, calibrated cost model
+	return experiments.DefaultOptions() // 5% scale
 }
 
 func cell(b *testing.B, t *report.Table, row, col int) float64 {
@@ -43,7 +43,7 @@ func cell(b *testing.B, t *report.Table, row, col int) float64 {
 func BenchmarkFigure8DatasetStats(b *testing.B) {
 	var largestPairShare float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure8(b.Context(), benchOptions())
+		t, err := experiments.Figure8(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkFigure8DatasetStats(b *testing.B) {
 func BenchmarkFigure9Skew(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure9(b.Context(), benchOptions())
+		t, err := experiments.Figure9(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFigure9Skew(b *testing.B) {
 func BenchmarkFigure10ReduceTasks(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure10(b.Context(), benchOptions())
+		t, err := experiments.Figure10(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkFigure10ReduceTasks(b *testing.B) {
 func BenchmarkFigure11Sorted(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure11(b.Context(), benchOptions())
+		t, err := experiments.Figure11(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkFigure11Sorted(b *testing.B) {
 func BenchmarkFigure12MapOutput(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure12(b.Context(), benchOptions())
+		t, err := experiments.Figure12(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkFigure12MapOutput(b *testing.B) {
 func BenchmarkFigure13ScalabilityDS1(b *testing.B) {
 	var bsSpeedup, basicSpeedup float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure13(b.Context(), benchOptions())
+		t, err := experiments.Figure13(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkFigure13ScalabilityDS1(b *testing.B) {
 func BenchmarkFigure14ScalabilityDS2(b *testing.B) {
 	var prSpeedup float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure14(b.Context(), benchOptions())
+		t, err := experiments.Figure14(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

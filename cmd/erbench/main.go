@@ -31,7 +31,7 @@ func main() {
 		imbalance = flag.Bool("imbalance", false, "execute the jobs and report measured per-strategy reduce-task time imbalance (max/mean, from the obs duration histograms)")
 		scale     = flag.Float64("scale", 0.05, "dataset scale factor in (0,1]; 1 = paper-sized datasets")
 		tmpdir    = flag.String("tmpdir", "", "where -imbalance's out-of-core runs spill (default: system temp dir); created on first use")
-		in        = flag.String("in", "", "CSV dataset replacing the generated DS1 stand-in (streamed row by row)")
+		in        = flag.String("in", "", "CSV dataset replacing the generated DS1 stand-in")
 		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	)
 	flag.Parse()
@@ -55,17 +55,14 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Stream the dataset one row at a time (entity.ScanCSV): the
-		// only full materialization is the entity slice the figures
-		// partition, not a second CSV-row copy.
-		scanErr := entity.ScanCSV(f, func(e entity.Entity) error {
-			opts.Dataset = append(opts.Dataset, e)
-			return nil
-		})
+		// The figures partition the dataset themselves: read it as one
+		// partition, in file order.
+		parts, err := entity.ReadPartitionsCSV(f, 1)
 		f.Close()
-		if scanErr != nil {
-			fail(scanErr)
+		if err != nil {
+			fail(err)
 		}
+		opts.Dataset = parts[0]
 		if len(opts.Dataset) == 0 {
 			// A nil Dataset would silently fall back to the generated
 			// DS1 stand-in; an empty -in file is a user error.
@@ -73,7 +70,7 @@ func main() {
 		}
 	}
 	// The run context: Ctrl-C / SIGTERM cancels every engine task
-	// attempt below (the experiments API threads it throughout).
+	// attempt of -imbalance, the one table that runs jobs.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -83,10 +80,10 @@ func main() {
 	} else if *figure != 0 {
 		figures = []int{*figure}
 	}
-	var runs []func(context.Context, experiments.Options) (*report.Table, error)
+	var runs []func(experiments.Options) (*report.Table, error)
 	for _, f := range figures {
-		runs = append(runs, func(ctx context.Context, o experiments.Options) (*report.Table, error) {
-			return experiments.ByNumber(ctx, f, o)
+		runs = append(runs, func(o experiments.Options) (*report.Table, error) {
+			return experiments.ByNumber(f, o)
 		})
 	}
 	if *appendix || *all {
@@ -99,7 +96,9 @@ func main() {
 		runs = append(runs, experiments.BalanceTable)
 	}
 	if *imbalance || *all {
-		runs = append(runs, experiments.Imbalance)
+		runs = append(runs, func(o experiments.Options) (*report.Table, error) {
+			return experiments.Imbalance(ctx, o)
+		})
 	}
 	if len(runs) == 0 {
 		fmt.Fprintln(os.Stderr, "erbench: specify -figure 8..14, -all, -appendix, -ablations, -balance or -imbalance")
@@ -108,7 +107,7 @@ func main() {
 	}
 
 	for i, run := range runs {
-		table, err := run(ctx, opts)
+		table, err := run(opts)
 		if err != nil {
 			fail(err)
 		}

@@ -1,10 +1,11 @@
 // Command ermatch runs blocking-based entity resolution over a CSV
 // dataset with a selectable load-balancing strategy, executing the full
-// two-job MapReduce workflow on the in-process engine. Matches can be
-// streamed to a file (-out) through the pipeline's writer sinks instead
-// of being buffered — written atomically: the stream lands in a temp
-// file renamed over -out only on success, so a failed or interrupted
-// run never leaves a partial file. Ctrl-C cancels the run between
+// two-job MapReduce workflow on the in-process engine. Matches stream
+// as CSV to a file or, with -out -, to stdout, and are never buffered;
+// without -out only their count is printed. A file is written
+// atomically: the stream lands in a temp file renamed over -out only
+// on success, so a failed or interrupted run never leaves a partial
+// file. Ctrl-C cancels the run between
 // engine tasks, and -max-attempts/-task-timeout/-faults expose the
 // engine's retry policy and deterministic fault injection. With
 // -master the process becomes the master of a distributed run: it
@@ -53,8 +54,7 @@ func main() {
 		spillBudget = flag.String("spill-budget", "0", "per-map-task spill budget in bytes (suffixes k/m/g); 0 keeps map output in memory, > 0 spills a sorted run to disk each time a task has buffered that much")
 		tmpdir      = flag.String("tmpdir", "", "where spilled runs (and, with -master, replicas of worker output) go (default: system temp dir); created on first use")
 		out         = flag.String("out", "", "stream matches to this file instead of buffering them ('-' = stdout)")
-		format      = flag.String("format", "csv", "match output format for -out: csv or ndjson")
-		showPairs   = flag.Bool("pairs", false, "print every match pair")
+		format      = flag.String("format", "csv", "match output format for -out: csv, the only one")
 		maxAttempts = flag.Int("max-attempts", 0, "per-task attempt budget before the run fails (0 = engine default)")
 		taskTimeout = flag.Duration("task-timeout", 0, "per-attempt wall-clock timeout; a timed-out attempt is retried (0 = none)")
 		faults      = flag.String("faults", "", "deterministic fault injection 'rate[:seed]' for chaos testing (e.g. 0.2:7)")
@@ -77,13 +77,10 @@ func main() {
 	if err != nil {
 		usage(fmt.Errorf("invalid -spill-budget value: %v", err))
 	}
-	if *out != "" && *showPairs {
-		usage(fmt.Errorf("-out streams matches without buffering them; it cannot be combined with -pairs"))
-	}
-	if *out != "" && *format != "csv" && *format != "ndjson" {
+	if *format != "csv" {
 		// Validated before the output file is touched, so a typo'd
 		// -format never truncates an existing file.
-		usage(fmt.Errorf("unknown -format %q (want csv or ndjson)", *format))
+		usage(fmt.Errorf("unknown -format %q (want csv)", *format))
 	}
 	// Out-of-range counts are bad invocations too, refused here — before
 	// the input is opened — not by whichever layer trips over them.
@@ -119,7 +116,7 @@ func main() {
 		usage(fmt.Errorf("-workers/-master-addr-file require -master"))
 	}
 	// When the match stream goes to stdout (-out -), the human-readable
-	// report moves to stderr so the streamed CSV/NDJSON stays parseable.
+	// report moves to stderr so the streamed CSV stays parseable.
 	report := io.Writer(os.Stdout)
 	if *out == "-" {
 		report = os.Stderr
@@ -205,13 +202,8 @@ func main() {
 			}
 			w = f
 		}
-		if *format == "csv" {
-			s := er.NewCSVSink(w)
-			opts.Sink, count = s, s.Count
-		} else {
-			s := er.NewNDJSONSink(w)
-			opts.Sink, count = s, s.Count
-		}
+		s := er.NewCSVSink(w)
+		opts.Sink, count = s, s.Count
 	}
 
 	start := time.Now()
@@ -253,11 +245,6 @@ func main() {
 		}
 		cleanupOnFail = nil
 		fmt.Printf("matches streamed to %s (%s)\n", *out, *format)
-	}
-	if *showPairs {
-		for _, p := range res.Matches {
-			fmt.Printf("%s\t%s\n", p.A, p.B)
-		}
 	}
 }
 

@@ -35,8 +35,9 @@ func buildErmatch(t *testing.T) string {
 // flags are bad invocations — exit 2 with the usage hint, decided before
 // the input is opened (the -in file does not exist, which would
 // otherwise be a runtime error, exit 1) — that -simulate is an unknown
-// flag, since the simulator reads plans and not a run's metrics, and
-// that a spreadsheet export's byte-order mark is not part of the
+// flag, since the simulator reads plans and not a run's metrics, as is
+// -pairs, since -out - streams the pairs, that -format takes csv only,
+// and that a spreadsheet export's byte-order mark is not part of the
 // header.
 func TestBadInvocationsExit2(t *testing.T) {
 	bin := buildErmatch(t)
@@ -53,7 +54,8 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{[]string{"-threshold", "1.5"}, hint}, {[]string{"-threshold", "-0.1"}, hint},
 		{[]string{"-max-attempts", "-1"}, hint}, {[]string{"-task-timeout", "-1s"}, hint},
 		{[]string{"-master", "127.0.0.1:0", "-workers", "-1"}, hint},
-		{[]string{"-simulate"}, unknown},
+		{[]string{"-simulate"}, unknown}, {[]string{"-pairs"}, unknown},
+		{[]string{"-format", "ndjson"}, hint}, {[]string{"-out", "-", "-format", "ndjson"}, hint},
 	} {
 		out, err := exec.Command(bin, append([]string{"-in", missing}, tc.args...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
@@ -63,9 +65,9 @@ func TestBadInvocationsExit2(t *testing.T) {
 	if out, err := exec.Command(bin, "-in", missing).CombinedOutput(); err == nil || err.(*exec.ExitError).ExitCode() != 1 {
 		t.Errorf("ermatch on a missing file: %v, want exit 1\n%s", err, out)
 	}
-	cmd := exec.Command(bin, "-pairs", "-m", "2", "-r", "2")
+	cmd := exec.Command(bin, "-out", "-", "-m", "2", "-r", "2")
 	cmd.Stdin = strings.NewReader("\xef\xbb\xbfid,title\na,foo bar\nb,foo bar\n")
-	if out, err := cmd.CombinedOutput(); err != nil || !strings.Contains(string(out), "a\tb\n") {
+	if out, err := cmd.Output(); err != nil || string(out) != "a,b,similarity\na,b,1\n" {
 		t.Errorf("ermatch on input with a byte-order mark: %v\n%s", err, out)
 	}
 }

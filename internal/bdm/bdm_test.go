@@ -128,7 +128,7 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 			value := fmt.Sprintf("b%02d-%d", rng.Intn(10), i)
 			parts[p] = append(parts[p], entity.New(fmt.Sprintf("e%d", i), "k", value))
 		}
-		key := blocking.Prefix(3)
+		key := blocking.NormalizedPrefix(3)
 		want, err := FromPartitions(parts, "k", key)
 		if err != nil {
 			t.Fatal(err)

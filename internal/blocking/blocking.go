@@ -18,43 +18,6 @@ import (
 // key, and er.RunWithMissingKeysPipeline treats it so.
 type KeyFunc func(attrValue string) string
 
-// Prefix returns a KeyFunc taking the first n runes of the value,
-// unmodified. Values shorter than n map to themselves.
-func Prefix(n int) KeyFunc {
-	if n <= 0 {
-		panic("blocking: Prefix requires n > 0")
-	}
-	return func(v string) string {
-		// Fast path: when the first min(n, len(v)) bytes are ASCII, the
-		// first n runes are exactly those bytes (and an all-ASCII value
-		// shorter than n runes is its own key) — a substring, no
-		// allocation. The rune-slice fallback only runs for values with
-		// a multi-byte rune in the prefix.
-		limit := n
-		if len(v) < limit {
-			limit = len(v)
-		}
-		ascii := true
-		for i := 0; i < limit; i++ {
-			if v[i] >= 0x80 {
-				ascii = false
-				break
-			}
-		}
-		if ascii {
-			if len(v) <= n {
-				return v
-			}
-			return v[:n]
-		}
-		r := []rune(v)
-		if len(r) <= n {
-			return string(r)
-		}
-		return string(r[:n])
-	}
-}
-
 // NormalizedPrefix lowercases the value, strips leading non-letter runes,
 // and takes the first n letters. This is the paper's "first three letters
 // of the title" key made robust to case and stray punctuation.

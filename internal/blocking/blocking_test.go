@@ -2,31 +2,6 @@ package blocking
 
 import "testing"
 
-func TestPrefix(t *testing.T) {
-	p3 := Prefix(3)
-	tests := map[string]string{
-		"abcdef": "abc",
-		"ab":     "ab",
-		"":       "",
-		"日本語です":  "日本語", // rune-wise
-		"ABC":    "ABC", // no normalization
-	}
-	for in, want := range tests {
-		if got := p3(in); got != want {
-			t.Errorf("Prefix(3)(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestPrefixPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Prefix(0) did not panic")
-		}
-	}()
-	Prefix(0)
-}
-
 func TestNormalizedPrefix(t *testing.T) {
 	p3 := NormalizedPrefix(3)
 	tests := map[string]string{

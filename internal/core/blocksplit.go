@@ -144,12 +144,9 @@ func greedyAssign(tasks []matchTask, r int) []int64 {
 	return loads
 }
 
-// BuildAssignment performs match-task creation (Algorithm 1, lines 6-21)
-// and reduce-task assignment (lines 22-27) from the BDM.
-func BuildAssignment(x *bdm.Matrix, r int) *Assignment {
-	return buildAssignment(x, r, 0)
-}
-
+// buildAssignment performs match-task creation (Algorithm 1, lines
+// 6-21) and reduce-task assignment (lines 22-27) from the BDM, with
+// match tasks capped at maxEntities entities when it is > 0.
 func buildAssignment(x *bdm.Matrix, r, maxEntities int) *Assignment {
 	m := x.NumPartitions()
 	a := &Assignment{

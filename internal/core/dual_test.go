@@ -131,7 +131,7 @@ func TestDualExampleCompleteness(t *testing.T) {
 
 func TestDualBlockSplitSplitsLargestBlock(t *testing.T) {
 	x := dualExampleBDM(t)
-	asg := BuildAssignment(x, 3)
+	asg := buildAssignment(x, 3, 0)
 	// P=11, avg=11/3=3: w (4 pairs) and z (6 pairs) split; x (1) stays.
 	if asg.avg != 3 {
 		t.Fatalf("avg = %d, want 3", asg.avg)

@@ -3,10 +3,7 @@ package core_test
 import (
 	"fmt"
 
-	"repro/internal/bdm"
-	"repro/internal/blocking"
 	"repro/internal/core"
-	"repro/internal/entity"
 )
 
 // The paper's pair enumeration: cell indexes of the upper triangle of a
@@ -36,23 +33,3 @@ func ExampleNewRanges() {
 	// range 1: [7,13]
 	// range 2: [14,19]
 }
-
-// BuildAssignment shows BlockSplit's match-task creation on a skewed
-// two-block input: the large block is split, the small one is not.
-func ExampleBuildAssignment() {
-	parts := entity.Partitions{
-		{e("a", "big"), e("b", "big"), e("c", "big"), e("d", "small")},
-		{e("e", "big"), e("f", "big"), e("g", "small")},
-	}
-	x, _ := bdm.FromPartitions(parts, "k", blocking.Identity())
-	asg := core.BuildAssignment(x, 2)
-	bigIdx, _ := x.BlockIndex("big")
-	smallIdx, _ := x.BlockIndex("small")
-	fmt.Println("big split:", asg.Split(bigIdx))
-	fmt.Println("small split:", asg.Split(smallIdx))
-	// Output:
-	// big split: true
-	// small split: false
-}
-
-func e(id, key string) entity.Entity { return entity.New(id, "k", key) }

@@ -108,7 +108,7 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 
 func TestPaperExampleBlockSplitAssignment(t *testing.T) {
 	x := exampleBDM(t)
-	asg := BuildAssignment(x, 3)
+	asg := buildAssignment(x, 3, 0)
 
 	// avg = P/r = 20/3 = 6; only block z (10 pairs) is split.
 	if asg.avg != 6 {

@@ -28,7 +28,7 @@ func TestBlockSplitMemoryCapForcesSplit(t *testing.T) {
 
 	// Default behaviour: with r=2 the average workload is large and the
 	// mid block (40 entities, 780 pairs) is NOT split.
-	def := BuildAssignment(x, 2)
+	def := buildAssignment(x, 2, 0)
 	if def.Split(midK) {
 		t.Fatal("mid block unexpectedly split without a memory cap")
 	}

@@ -159,7 +159,7 @@ func TestBlockSplitSingleReduceTask(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	parts := randomParts(rng, 80, 3, 4)
 	x := mustBDM(t, parts)
-	asg := BuildAssignment(x, 1)
+	asg := buildAssignment(x, 1, 0)
 	for _, task := range asg.ordered {
 		if task.id.i != -1 {
 			t.Fatalf("block %d was split with r=1", task.id.block)
@@ -174,7 +174,7 @@ func TestBlockSplitSinglePartition(t *testing.T) {
 	// m=1: splitting is a no-op (one sub-block = whole block) but the
 	// dataflow must still be exhaustive.
 	rng := rand.New(rand.NewSource(37))
-	parts := entity.Partitions{randomParts(rng, 100, 1, 3).Flatten()}
+	parts := entity.Partitions{slices.Concat(randomParts(rng, 100, 1, 3)...)}
 	x := mustBDM(t, parts)
 	want := expectedPairs(parts)
 	got := comparedPairs(runStrategy(t, BlockSplit{}, x, parts, 5, matchAll))
@@ -238,7 +238,7 @@ func TestGreedyAssignWithinListSchedulingBound(t *testing.T) {
 		parts := randomParts(rng, rng.Intn(400)+50, 4, rng.Intn(6)+2)
 		x := mustBDM(t, parts)
 		r := rng.Intn(8) + 2
-		a := BuildAssignment(x, r)
+		a := buildAssignment(x, r, 0)
 		var total, largest int64
 		loads := make([]int64, r)
 		for _, task := range a.ordered {
@@ -266,8 +266,8 @@ func TestAssignmentDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	parts := randomParts(rng, 150, 3, 5)
 	x := mustBDM(t, parts)
-	a1 := BuildAssignment(x, 7)
-	a2 := BuildAssignment(x, 7)
+	a1 := buildAssignment(x, 7, 0)
+	a2 := buildAssignment(x, 7, 0)
 	if !reflect.DeepEqual(a1.loads, a2.loads) {
 		t.Fatalf("assignment loads differ: %v vs %v", a1.loads, a2.loads)
 	}
@@ -289,7 +289,7 @@ func TestAssignmentDenseLookup(t *testing.T) {
 		mm := rng.Intn(6) + 1
 		parts := randomParts(rng, rng.Intn(150)+1, mm, rng.Intn(10)+1)
 		x := mustBDM(t, parts)
-		a := BuildAssignment(x, rng.Intn(15)+1)
+		a := buildAssignment(x, rng.Intn(15)+1, 0)
 		tasks := make(map[taskID]int)
 		for _, task := range a.ordered {
 			tasks[task.id] = task.reduce

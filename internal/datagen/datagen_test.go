@@ -5,10 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/blocking"
 	"repro/internal/entity"
+	"repro/internal/er"
 )
 
 func blockCounts(es []entity.Entity, attr string) map[string]int {
@@ -233,16 +234,42 @@ func TestZipfSizesMonotone(t *testing.T) {
 	}
 }
 
+// TestBlockKeyIsThreeLetterPrefix: every DS1, DS2 and two-source title
+// starts with three lowercase ASCII letters, and those are its key, so
+// the figures block generated data on the same keys whether the key
+// normalizes or not.
 func TestBlockKeyIsThreeLetterPrefix(t *testing.T) {
 	key := BlockKey()
-	if key("abcdef") != "abc" || key("ab") != "ab" {
-		t.Error("BlockKey is not the 3-letter prefix")
+	ds1 := Generate(DS1Spec(0.05))
+	r, s := TwoSources(ds1, 0.5, 17)
+	for name, es := range map[string][]entity.Entity{
+		"DS1": ds1, "DS2": Generate(DS2Spec(0.01)), "R": r, "S": s,
+	} {
+		for _, e := range es {
+			title := e.Attr(AttrTitle)
+			if len(title) < 3 || strings.Trim(title[:3], lowercase) != "" {
+				t.Fatalf("%s: title %q does not start with three [a-z] bytes", name, title)
+			}
+			if k := key(title); k != title[:3] {
+				t.Fatalf("%s: BlockKey(%q) = %q, want %q", name, title, k, title[:3])
+			}
+		}
 	}
-	// Matches blocking.Prefix(3) behaviour exactly.
-	p := blocking.Prefix(3)
-	for _, s := range []string{"", "a", "abcd", "xyz trailing"} {
-		if key(s) != p(s) {
-			t.Errorf("BlockKey(%q) != Prefix(3)", s)
+}
+
+// TestBlockKeyMatchesPipelineKey: erbench -in and ermatch block real
+// data alike. datagen.BlockKey, which the figures use, and the key
+// er.DistParams expands to, which ermatch uses, agree on titles with
+// upper case, leading punctuation and digits.
+func TestBlockKeyMatchesPipelineKey(t *testing.T) {
+	cfg, err := (&er.DistParams{Strategy: "basic", Attr: AttrTitle, KeyPrefix: 3, R: 1}).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := BlockKey()
+	for _, title := range []string{"Foo bar", "foo baz", "(foo)", "9to5", "  FOO", "\"Quoted\" title", "Ünïcode", "ab", ""} {
+		if got, want := key(title), cfg.BlockKey(title); got != want {
+			t.Errorf("BlockKey(%q) = %q, the pipeline's key is %q", title, got, want)
 		}
 	}
 }

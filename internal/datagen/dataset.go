@@ -130,9 +130,11 @@ func Generate(spec Spec) []entity.Entity {
 	return entities
 }
 
-// BlockKey returns the blocking function matching the generated titles:
-// the first three letters (the paper's default blocking for DS1/DS2).
-func BlockKey() blocking.KeyFunc { return blocking.Prefix(3) }
+// BlockKey returns the paper's default blocking for DS1/DS2, the first
+// three letters of the title: blocking.NormalizedPrefix(3), the key
+// ermatch and the pipeline use. Every generated title starts with three
+// lowercase ASCII letters, which are its key.
+func BlockKey() blocking.KeyFunc { return blocking.NormalizedPrefix(3) }
 
 // blockPrefixes returns n distinct 3-letter prefixes in a seeded-random
 // order so that block sizes are not correlated with lexicographic order.

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,12 +24,25 @@ import (
 	"repro/internal/testleak"
 )
 
+// testLog routes a debug-level slog.TextHandler into the test log.
+func testLog(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(logWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+// logWriter writes each line the handler renders to t.Log.
+type logWriter struct{ t testing.TB }
+
+func (w logWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 func testMaster(t *testing.T) *Master {
 	t.Helper()
 	m := NewMaster(MasterOptions{
 		HeartbeatInterval: 20 * time.Millisecond,
 		LeaseTTL:          100 * time.Millisecond,
-		Log:               obs.LogfLogger(slog.LevelDebug, t.Logf),
+		Log:               testLog(t),
 	})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)

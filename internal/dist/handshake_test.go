@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
 	"repro/internal/runio"
 )
 
@@ -70,7 +68,7 @@ func wordsJob() *mapreduce.Job[string, string, int, mapreduce.Pair[string, int]]
 func startTestWorker(t *testing.T, m *Master) *Worker {
 	t.Helper()
 	w, err := StartWorker(WorkerOptions{MasterURL: m.URL(), Dir: t.TempDir(), Slots: 1,
-		Log: obs.LogfLogger(slog.LevelDebug, t.Logf)})
+		Log: testLog(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,8 @@ func FuzzEntityCodec(f *testing.F) {
 		if !reflect.DeepEqual(got, e) {
 			t.Fatalf("round trip: got %+v, want %+v", got, e)
 		}
-		second := New(v2, k1, id).WithAttr(k2, v1)
+		second := New(v2, k1, id)
+		second.setAttr(k2, v1)
 		got2, _, err := dec(string(c.Append(nil, second)))
 		if err != nil || !reflect.DeepEqual(got2, second) {
 			t.Fatalf("second decode: got %+v (%v), want %+v", got2, err, second)
@@ -128,50 +129,6 @@ func TestEntityDecodeRejectsCountBeforeArena(t *testing.T) {
 	}
 }
 
-func TestScanCSVStreams(t *testing.T) {
-	const csv = "id,title,price\np1,canon eos,100\np2,nikon d850,200\np3,sony alpha,300\n"
-	var ids []string
-	err := ScanCSV(strings.NewReader(csv), func(e Entity) error {
-		ids = append(ids, e.ID)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"p1", "p2", "p3"}; !reflect.DeepEqual(ids, want) {
-		t.Fatalf("ids = %v, want %v", ids, want)
-	}
-
-	// ReadCSV is a thin wrapper: identical records.
-	all, err := ReadCSV(strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 || all[1].Attr("title") != "nikon d850" {
-		t.Fatalf("ReadCSV = %v", all)
-	}
-}
-
-func TestScanCSVCallbackErrorStops(t *testing.T) {
-	const csv = "id,title\np1,a\np2,b\np3,c\n"
-	calls := 0
-	sentinel := errStop{}
-	err := ScanCSV(strings.NewReader(csv), func(e Entity) error {
-		calls++
-		if calls == 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if err != sentinel || calls != 2 {
-		t.Fatalf("err = %v after %d calls, want sentinel after 2", err, calls)
-	}
-}
-
-type errStop struct{}
-
-func (errStop) Error() string { return "stop" }
-
 func TestReadPartitionsCSV(t *testing.T) {
 	const csv = "id,title\np0,a\np1,b\np2,c\np3,d\np4,e\n"
 	ps, err := ReadPartitionsCSV(strings.NewReader(csv), 2)
@@ -179,7 +136,7 @@ func TestReadPartitionsCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Must match SplitRoundRobin over the same rows exactly.
-	all, _ := ReadCSV(strings.NewReader(csv))
+	all, _ := readRows(strings.NewReader(csv))
 	want := SplitRoundRobin(all, 2)
 	if !reflect.DeepEqual(ps, want) {
 		t.Fatalf("ReadPartitionsCSV = %v, want %v", ps, want)
@@ -189,10 +146,9 @@ func TestReadPartitionsCSV(t *testing.T) {
 	}
 }
 
-// The loaders that keep every row carve attribute arrays from slabs and
-// alias their strings out of the input's blocks, and ReadPartitionsCSV
-// sizes its partitions before it builds a row; none of it may show in
-// what they return.
+// ReadPartitionsCSV carves attribute arrays from slabs, aliases its
+// strings out of the input's blocks and sizes its partitions before it
+// builds a row; none of it may show in what it returns.
 func TestReadPartitionsCSVLarge(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("id,title,price\n")
@@ -200,19 +156,13 @@ func TestReadPartitionsCSVLarge(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "p%d,title %d,%d\n", i, i, i%7)
 	}
-	all, err := ReadCSV(strings.NewReader(b.String()))
+	all, err := readRows(strings.NewReader(b.String()))
 	if err != nil || len(all) != n {
-		t.Fatalf("ReadCSV: %d rows, err %v", len(all), err)
+		t.Fatalf("readRows: %d rows, err %v", len(all), err)
 	}
-	var scanned []Entity
-	if err := ScanCSV(strings.NewReader(b.String()), func(e Entity) error {
-		scanned = append(scanned, e)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(all, scanned) {
-		t.Fatal("ReadCSV and ScanCSV disagree")
+	again, err := readRows(strings.NewReader(b.String()))
+	if err != nil || !reflect.DeepEqual(all, again) {
+		t.Fatalf("two reads of one input disagree (err %v)", err)
 	}
 	for _, m := range []int{1, 3, 4, 7} {
 		ps, err := ReadPartitionsCSV(strings.NewReader(b.String()), m)
@@ -231,7 +181,7 @@ func TestReadPartitionsCSVLarge(t *testing.T) {
 	// Rows are neighbours in a slab: growing one must not reach the next.
 	grown := all[0]
 	grown.setAttr("zzz", "x")
-	if grown.Attr("zzz") != "x" || !reflect.DeepEqual(all[1], scanned[1]) {
+	if grown.Attr("zzz") != "x" || !reflect.DeepEqual(all[1], again[1]) {
 		t.Fatalf("row 1 after growing row 0: %v", all[1])
 	}
 }

@@ -31,23 +31,8 @@ func WriteCSV(w io.Writer, entities []Entity, attrs []string) error {
 	return cw.Error()
 }
 
-// ScanCSV streams entities from CSV produced by WriteCSV (or any CSV
-// whose first column is an id and whose header names the attribute
-// columns), invoking fn once per row in input order. The dialect is
-// what encoding/csv reads with FieldsPerRecord = -1 — RFC 4180 quotes,
-// CRLF, blank lines skipped, ragged rows — and one leading UTF-8
-// byte-order mark, which spreadsheet exports carry, is not part of the
-// header. Only one row is materialized at a time, so callers can
-// partition or filter arbitrarily large datasets without holding the
-// full entity slice: each row is copied out of the read buffer, and a
-// kept entity keeps nothing else reachable. A non-nil error from fn
-// stops the scan and is returned unwrapped.
-func ScanCSV(r io.Reader, fn func(Entity) error) error {
-	return (&csvReader{src: r}).scan(0, fn)
-}
-
-// attrSlabRows is how many rows' attribute arrays the loaders that keep
-// every row (ReadCSV, ReadPartitionsCSV) carve from one allocation.
+// attrSlabRows is how many rows' attribute arrays ReadPartitionsCSV
+// carves from one allocation.
 const attrSlabRows = 1024
 
 // csvBlockSize is how much input is read at a time and sealed into one
@@ -244,84 +229,22 @@ func (r *csvReader) loadAll() (lines int, err error) {
 	return lines, nil
 }
 
-// cloneRow moves a record's fields out of the block into one string of
-// their own, which is what a caller that keeps few rows must be handed.
-func cloneRow(rec []string) {
-	var b strings.Builder
-	for _, f := range rec {
-		b.WriteString(f)
-	}
-	s := b.String()
-	for i, f := range rec {
-		rec[i], s = s[:len(f)], s[len(f):]
-	}
-}
-
-// scan reads the header row and invokes fn for every record after it.
-// The rows' attribute arrays are carved from slabs of slabRows rows each
-// and their strings alias the blocks; slabRows = 0 is for a caller that
-// may keep few rows, which a kept row must not pin a slab or a block
-// for: one attribute array and one copied-out string per row. A loader
-// that keeps every row loses nothing to either and spares the collector
-// two objects per row.
-func (r *csvReader) scan(slabRows int, fn func(Entity) error) error {
-	header, err := r.read()
-	if err != nil {
-		return fmt.Errorf("entity: read csv header: %w", err)
-	}
-	if header[0] != "id" {
-		return fmt.Errorf("entity: csv header must start with %q, got %v", "id", header)
-	}
-	header = slices.Clone(header)
-	cloneRow(header) // the names are in every entity: they must not pin the first block
-	width := len(header) - 1
-	slab := []Attr{}
-	for {
-		rec, err := r.read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("entity: read csv row: %w", err)
-		}
-		if slabRows == 0 {
-			cloneRow(rec)
-		}
-		if len(slab) < width {
-			slab = make([]Attr, max(slabRows, 1)*width)
-		}
-		e := Entity{ID: rec[0], Attrs: slab[:0:width]}
-		slab = slab[width:]
-		for i := 1; i < len(rec) && i < len(header); i++ {
-			e.setAttr(header[i], rec[i])
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-}
-
-// ReadCSV reads all entities into a slice, for callers that need the
-// full dataset in memory.
-func ReadCSV(r io.Reader) ([]Entity, error) {
-	var out []Entity
-	err := (&csvReader{src: r}).scan(attrSlabRows, func(e Entity) error {
-		out = append(out, e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReadPartitionsCSV reads a CSV dataset into m round-robin partitions
 // (the SplitRoundRobin layout) — the input path of the pipeline, whose
-// partitions feed the map tasks. Every row is kept and with it every
-// block, so the input is read whole before a row is built, its line
-// count sizes the partitions once, and row i is built in place at
-// ps[i%m][i/m]. Only a file with fewer rows than lines (blank lines,
-// newlines inside quotes) has its partitions copied down to size.
+// partitions feed the map tasks, and the package's one CSV reader. The
+// first column is the id and the header names the attribute columns
+// (what WriteCSV writes). The dialect is what encoding/csv reads with
+// FieldsPerRecord = -1 — RFC 4180 quotes, CRLF, blank lines skipped,
+// ragged rows — and one leading UTF-8 byte-order mark, which
+// spreadsheet exports carry, is not part of the header.
+//
+// Every row is kept and with it every block, so the input is read
+// whole before a row is built, its line count sizes the partitions
+// once, and row i is built in place at ps[i%m][i/m]. The rows' strings
+// alias the blocks and their attribute arrays are carved from slabs of
+// attrSlabRows rows, which spares the collector two objects per row.
+// Only a file with fewer rows than lines (blank lines, newlines inside
+// quotes) has its partitions copied down to size.
 func ReadPartitionsCSV(r io.Reader, m int) (Partitions, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("entity: ReadPartitionsCSV requires m > 0, got %d", m)
@@ -331,22 +254,46 @@ func ReadPartitionsCSV(r io.Reader, m int) (Partitions, error) {
 	if err != nil {
 		return nil, err
 	}
+	header, err := rd.read()
+	if err != nil {
+		return nil, fmt.Errorf("entity: read csv header: %w", err)
+	}
+	if header[0] != "id" {
+		return nil, fmt.Errorf("entity: csv header must start with %q, got %v", "id", header)
+	}
+	header = slices.Clone(header)
+	for i := range header {
+		header[i] = strings.Clone(header[i]) // the names are in every entity: they must not pin the first block
+	}
 	ps := make(Partitions, m)
 	for p := range ps {
 		if rows := (lines - 1 - p + m - 1) / m; rows > 0 { // one line is the header
 			ps[p] = make(Partition, rows)
 		}
 	}
+	width := len(header) - 1
+	slab := []Attr{}
 	n, p, i := 0, 0, 0
-	err = rd.scan(attrSlabRows, func(e Entity) error {
+	for {
+		rec, err := rd.read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("entity: read csv row: %w", err)
+		}
+		if len(slab) < width {
+			slab = make([]Attr, attrSlabRows*width)
+		}
+		e := Entity{ID: rec[0], Attrs: slab[:0:width]}
+		slab = slab[width:]
+		for c := 1; c < len(rec) && c < len(header); c++ {
+			e.setAttr(header[c], rec[c])
+		}
 		ps[p][i] = e
 		if n, p = n+1, p+1; p == m {
 			p, i = 0, i+1
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	for p := range ps {
 		if rows := (n - p + m - 1) / m; rows < len(ps[p]) {

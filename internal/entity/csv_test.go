@@ -1,13 +1,11 @@
 package entity
 
 import (
-	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -43,6 +41,15 @@ func refReadCSV(in string) ([]Entity, error) {
 	}
 }
 
+// readRows reads in as one partition: its rows in input order.
+func readRows(in io.Reader) ([]Entity, error) {
+	ps, err := ReadPartitionsCSV(in, 1)
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
 // withBlockSize runs fn with input sealed in blocks of n bytes.
 func withBlockSize(n int, fn func()) {
 	defer func(old int) { csvBlockSize = old }(csvBlockSize)
@@ -50,8 +57,8 @@ func withBlockSize(n int, fn func()) {
 	fn()
 }
 
-// checkAgainstReference holds ReadCSV, ScanCSV and ReadPartitionsCSV
-// (m = 1 and 3) to the oracle on one input: the same entities, or the
+// checkAgainstReference holds ReadPartitionsCSV (m = 1 and 3) to the
+// oracle on one input: the same entities, or the
 // same error down to the *csv.ParseError's lines and column. The oracle
 // is fed the input without its byte-order mark.
 func checkAgainstReference(t *testing.T, in string) {
@@ -70,14 +77,6 @@ func checkAgainstReference(t *testing.T, in string) {
 			t.Fatalf("%s(%q) = %v, reference %v", name, in, got, want)
 		}
 	}
-	all, err := ReadCSV(strings.NewReader(in))
-	check("ReadCSV", all, err)
-	var scanned []Entity
-	err = ScanCSV(strings.NewReader(in), func(e Entity) error {
-		scanned = append(scanned, e)
-		return nil
-	})
-	check("ScanCSV", scanned, err)
 	for _, m := range []int{1, 3} {
 		ps, err := ReadPartitionsCSV(strings.NewReader(in), m)
 		var rows []Entity
@@ -133,7 +132,7 @@ func TestCSVConformance(t *testing.T) {
 	for _, size := range []int{64 << 10, 16, 5, 1} {
 		withBlockSize(size, func() {
 			for _, c := range csvConformance {
-				got, err := ReadCSV(strings.NewReader(c.in))
+				got, err := readRows(strings.NewReader(c.in))
 				var pe *csv.ParseError
 				switch {
 				case c.want != nil:
@@ -154,7 +153,7 @@ func TestCSVConformance(t *testing.T) {
 // TestCSVAttrsInvariant: whatever the header's order and repeats, an
 // entity's Attrs are sorted by name and unique.
 func TestCSVAttrsInvariant(t *testing.T) {
-	all, err := ReadCSV(strings.NewReader("id,z,a,m,a,z\nx,1,2,3,4,5\n"))
+	all, err := readRows(strings.NewReader("id,z,a,m,a,z\nx,1,2,3,4,5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestCSVLongLine(t *testing.T) {
 	long := strings.Repeat("x", 1000)
 	in := "id,title\na," + long + "\nb,\"" + long + "\n" + long + "\"\nc,z\n"
 	withBlockSize(7, func() {
-		got, err := ReadCSV(strings.NewReader(in))
+		got, err := readRows(strings.NewReader(in))
 		want := []Entity{mk("a", long), mk("b", long+"\n"+long), mk("c", "z")}
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("got %d rows, err %v", len(got), err)
@@ -183,8 +182,8 @@ func TestCSVLongLine(t *testing.T) {
 func TestCSVReadError(t *testing.T) {
 	boom := errors.New("boom")
 	r := io.MultiReader(strings.NewReader("id,title\na,foo\nb,ba"), iotestErrReader{boom})
-	if _, err := ReadCSV(r); !errors.Is(err, boom) {
-		t.Fatalf("ReadCSV error = %v, want %v", err, boom)
+	if _, err := readRows(r); !errors.Is(err, boom) {
+		t.Fatalf("readRows error = %v, want %v", err, boom)
 	}
 }
 
@@ -192,8 +191,8 @@ type iotestErrReader struct{ err error }
 
 func (r iotestErrReader) Read([]byte) (int, error) { return 0, r.err }
 
-// FuzzCSVMatchesEncodingCSV: for arbitrary bytes and block sizes the
-// three loaders and the encoding/csv reference either all fail alike or
+// FuzzCSVMatchesEncodingCSV: for arbitrary bytes and block sizes
+// ReadPartitionsCSV at m = 1 and 3 and the encoding/csv reference either all fail alike or
 // yield the same entity sequence.
 func FuzzCSVMatchesEncodingCSV(f *testing.F) {
 	for _, c := range csvConformance {
@@ -208,40 +207,4 @@ func FuzzCSVMatchesEncodingCSV(f *testing.F) {
 		}
 		withBlockSize(size, func() { checkAgainstReference(t, in) })
 	})
-}
-
-// TestScanCSVKeepsNoBlock: an entity kept from ScanCSV holds its own
-// copy of the row, so dropping the others frees the input's blocks; one
-// kept from ReadCSV pins its block and slab, which is why ReadCSV is
-// for callers that keep every row.
-func TestScanCSVKeepsNoBlock(t *testing.T) {
-	var in bytes.Buffer
-	in.WriteString("id,title\n")
-	for i := 0; in.Len() < 16<<20; i++ {
-		fmt.Fprintf(&in, "p%d,%s\n", i, strings.Repeat("t", 100))
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	var kept Entity
-	n := 0
-	if err := ScanCSV(bytes.NewReader(in.Bytes()), func(e Entity) error {
-		if n++; n == 1000 {
-			kept = e
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if grew := int64(heap() - before); grew > 1<<20 {
-		t.Fatalf("one kept entity holds %d bytes of a %d-byte input reachable", grew, in.Len())
-	}
-	if kept.ID != "p999" || len(kept.Attr("title")) != 100 {
-		t.Fatalf("kept = %v", kept)
-	}
-	runtime.KeepAlive(in)
 }

@@ -69,16 +69,6 @@ func (e *Entity) setAttr(name, value string) {
 	e.Attrs = attrs
 }
 
-// WithAttr returns a copy of e with the named attribute set. The
-// original entity is not modified; the attribute slice is copied.
-func (e Entity) WithAttr(name, value string) Entity {
-	attrs := make([]Attr, len(e.Attrs), len(e.Attrs)+1)
-	copy(attrs, e.Attrs)
-	out := Entity{ID: e.ID, Attrs: attrs}
-	out.setAttr(name, value)
-	return out
-}
-
 // String renders the entity as "id{k=v, ...}" with attributes sorted by
 // name (the slice order), for deterministic logs and test output.
 func (e Entity) String() string {
@@ -110,15 +100,6 @@ func (ps Partitions) Total() int {
 		n += len(p)
 	}
 	return n
-}
-
-// Flatten concatenates all partitions in order into a single slice.
-func (ps Partitions) Flatten() []Entity {
-	out := make([]Entity, 0, ps.Total())
-	for _, p := range ps {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // SplitRoundRobin distributes entities over m partitions in round-robin

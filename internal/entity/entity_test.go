@@ -19,9 +19,9 @@ func TestEntityBasics(t *testing.T) {
 	if e.Attr("missing") != "" {
 		t.Error("missing attr should be empty")
 	}
-	e2 := e.WithAttr("brand", "acme")
+	e2 := Entity{ID: "e1", Attrs: []Attr{{"brand", "acme"}, {"title", "hello"}}}
 	if e2.Attr("brand") != "acme" || e.Attr("brand") != "" {
-		t.Error("WithAttr must copy, not mutate")
+		t.Error("Attr reads the wrong attribute")
 	}
 	if got := e2.String(); got != "e1{brand=acme, title=hello}" {
 		t.Errorf("String() = %q", got)
@@ -103,14 +103,6 @@ func TestSplitPanicsOnBadM(t *testing.T) {
 	}
 }
 
-func TestFlatten(t *testing.T) {
-	ps := Partitions{{mk("a", "")}, {mk("b", ""), mk("c", "")}}
-	flat := ps.Flatten()
-	if len(flat) != 3 || flat[0].ID != "a" || flat[2].ID != "c" {
-		t.Errorf("Flatten = %v", flat)
-	}
-}
-
 func TestSortByAttr(t *testing.T) {
 	es := []Entity{mk("1", "zebra"), mk("2", "apple"), mk("3", "apple")}
 	sorted := SortByAttr(es, "title")
@@ -128,14 +120,14 @@ func TestSortByAttr(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	es := []Entity{
 		New("e1", "title", "hello, world"),
-		New("e2", "title", "line\nbreak").WithAttr("brand", "acme"),
+		{ID: "e2", Attrs: []Attr{{"brand", "acme"}, {"title", "line\nbreak"}}},
 		New("e3", "title", `with "quotes"`),
 	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, es, []string{"title", "brand"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readRows(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +149,10 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
+	if _, err := readRows(strings.NewReader("")); err == nil {
 		t.Error("empty input: want error")
 	}
-	if _, err := ReadCSV(strings.NewReader("name,title\nx,y\n")); err == nil {
+	if _, err := readRows(strings.NewReader("name,title\nx,y\n")); err == nil {
 		t.Error("header without id: want error")
 	}
 }
@@ -175,7 +167,7 @@ func TestPartitionsEqualAfterCSV(t *testing.T) {
 	if err := WriteCSV(&buf, es, []string{"title"}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	back, err := readRows(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

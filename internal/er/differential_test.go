@@ -73,13 +73,13 @@ func (in pipelineInput) strategies() []core.Strategy {
 // every pair with a keyless side.
 func serialOracle(in pipelineInput, match core.PairFunc) ([]core.MatchPair, int64) {
 	if in.mR > 0 {
-		return er.SerialMatchDual(in.parts[:in.mR].Flatten(), in.parts[in.mR:].Flatten(), "title", in.key, match)
+		return er.SerialMatchDual(slices.Concat(in.parts[:in.mR]...), slices.Concat(in.parts[in.mR:]...), "title", in.key, match)
 	}
 	if !in.bottom {
-		return er.SerialMatch(in.parts.Flatten(), "title", in.key, match)
+		return er.SerialMatch(slices.Concat(in.parts...), "title", in.key, match)
 	}
 	var keyed, keyless []entity.Entity
-	for _, e := range in.parts.Flatten() {
+	for _, e := range slices.Concat(in.parts...) {
 		if in.key(e.Attr("title")) == "" {
 			keyless = append(keyless, e)
 		} else {
@@ -99,8 +99,8 @@ func serialOracle(in pipelineInput, match core.PairFunc) ([]core.MatchPair, int6
 	return pairs, comps
 }
 
-// erFault is one fault schedule of the table. install mutates the
-// engine (hook and/or retry policy) of a row's strategy; extOnly
+// erFault is one fault schedule of the table. install sets the fault
+// hook and/or retry policy of a row's strategy; extOnly
 // restricts disk faults to the runs that reach disk points; mayMiss
 // marks a random schedule that need not fail any attempt of a small
 // run; inBDM marks a schedule that fails Job 1's attempts only.
@@ -109,15 +109,15 @@ type erFault struct {
 	extOnly bool
 	mayMiss bool
 	inBDM   bool
-	install func(e *mapreduce.Engine, strat core.Strategy)
+	install func(o *er.RunOptions, strat core.Strategy)
 }
 
 // failFirstAt fails attempt 1 of every task of the given phase at the
 // given point — FaultEmit faults panic through the user map/reduce
 // frames (the injected-panic carrier), making "map-panic"/"reduce-panic"
 // literal descriptions of the unwinding path.
-func failFirstAt(phase mapreduce.TaskKind, point mapreduce.FaultPoint) func(*mapreduce.Engine, core.Strategy) {
-	return func(e *mapreduce.Engine, _ core.Strategy) {
+func failFirstAt(phase mapreduce.TaskKind, point mapreduce.FaultPoint) func(*er.RunOptions, core.Strategy) {
+	return func(e *er.RunOptions, _ core.Strategy) {
 		e.Retry.BaseBackoff = 1
 		e.FaultHook = func(ctx context.Context, ph mapreduce.TaskKind, task, attempt int, pt mapreduce.FaultPoint) error {
 			if ph == phase && pt == point && attempt == 1 {
@@ -139,7 +139,7 @@ func straggler(inBDM bool) erFault {
 	if inBDM {
 		name += "-bdm"
 	}
-	return erFault{name: name, inBDM: inBDM, install: func(e *mapreduce.Engine, strat core.Strategy) {
+	return erFault{name: name, inBDM: inBDM, install: func(e *er.RunOptions, strat core.Strategy) {
 		target := int32(1)
 		if strat.NeedsBDM() && !inBDM {
 			target = 2
@@ -168,7 +168,7 @@ func erFaults() []erFault {
 // chaosFault is the seeded random schedule: every hook point of every
 // attempt may fail, final attempts excepted.
 func chaosFault(seed uint64) erFault {
-	return erFault{name: fmt.Sprintf("chaos-seed=%d", seed), mayMiss: true, install: func(e *mapreduce.Engine, _ core.Strategy) {
+	return erFault{name: fmt.Sprintf("chaos-seed=%d", seed), mayMiss: true, install: func(e *er.RunOptions, _ core.Strategy) {
 		e.Retry.BaseBackoff = 1
 		e.FaultHook = mapreduce.ChaosHook(seed, 0.3, 0)
 	}}
@@ -207,12 +207,12 @@ func zeroHistory(res *er.Result) {
 // run runs rw's pipeline through the entry point of its shape.
 func (rw pipelineRow) run(t *testing.T) *er.Result {
 	t.Helper()
-	e := &mapreduce.Engine{Parallelism: 4}
+	opts := er.RunOptions{Parallelism: 4}
 	if rw.spilling {
-		e.SpillBudget, e.TmpDir = 128, t.TempDir()
+		opts.SpillBudget, opts.TmpDir = 128, t.TempDir()
 	}
 	if rw.fault.install != nil {
-		rw.fault.install(e, rw.strat)
+		rw.fault.install(&opts, rw.strat)
 	}
 	var m core.Matcher = match.EditDistance("title", rw.in.th)
 	if rw.pairFunc {
@@ -222,7 +222,7 @@ func (rw pipelineRow) run(t *testing.T) *er.Result {
 		})
 	}
 	cfg := er.Config{
-		RunOptions: er.RunOptions{Engine: e},
+		RunOptions: opts,
 		Strategy:   rw.strat, Attr: "title", BlockKey: rw.in.key, Matcher: m, R: rw.in.r, UseCombiner: rw.in.combiner,
 	}
 	var res *er.Result

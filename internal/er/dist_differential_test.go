@@ -27,8 +27,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/mapreduce"
-	"repro/internal/obs"
 	"repro/internal/testleak"
 )
 
@@ -52,13 +50,26 @@ func localBaseline(t *testing.T, parts entity.Partitions, p er.DistParams) *er.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = &mapreduce.Engine{Parallelism: 4}
+	cfg.Parallelism = 4
 	res, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zeroHistory(res)
 	return res
+}
+
+// testLog routes a debug-level slog.TextHandler into the test log.
+func testLog(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(logWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+// logWriter writes each line the handler renders to t.Log.
+type logWriter struct{ t testing.TB }
+
+func (w logWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 // startDistMaster starts a master with fast failure detection (50ms
@@ -68,7 +79,7 @@ func startDistMaster(t *testing.T) *dist.Master {
 	m := dist.NewMaster(dist.MasterOptions{
 		HeartbeatInterval: 50 * time.Millisecond,
 		LeaseTTL:          250 * time.Millisecond,
-		Log:               obs.LogfLogger(slog.LevelDebug, t.Logf),
+		Log:               testLog(t),
 	})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
@@ -84,7 +95,7 @@ func startDistWorker(t *testing.T, master *dist.Master, opts dist.WorkerOptions)
 		opts.Dir = t.TempDir()
 	}
 	if opts.Log == nil {
-		opts.Log = obs.LogfLogger(slog.LevelDebug, t.Logf)
+		opts.Log = testLog(t)
 	}
 	w, err := dist.StartWorker(opts)
 	if err != nil {

@@ -45,13 +45,13 @@ func TestRunDualValidation(t *testing.T) {
 	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{}); err == nil {
 		t.Error("empty config: want error")
 	}
-	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.BlockSplit{}, BlockKey: blocking.Prefix(3)}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.BlockSplit{}, BlockKey: blocking.NormalizedPrefix(3)}); err == nil {
 		t.Error("R=0: want error")
 	}
 	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.BlockSplit{}, R: 2}); err == nil {
 		t.Error("nil BlockKey: want error")
 	}
-	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.Basic{}, BlockKey: blocking.Prefix(3), R: 2}); err == nil {
+	if _, err := RunDualPipeline(context.Background(), FromPartitions(parts), FromPartitions(parts), Config{Strategy: core.Basic{}, BlockKey: blocking.NormalizedPrefix(3), R: 2}); err == nil {
 		t.Error("Basic needs no BDM to tag: want error")
 	}
 }
@@ -60,7 +60,7 @@ func TestSerialMatchDualCountsOnly(t *testing.T) {
 	r := []entity.Entity{entity.New("r1", "title", "abc x"), entity.New("r2", "title", "xyz")}
 	s := []entity.Entity{entity.New("s1", "title", "abc y"), entity.New("s2", "title", "abq")}
 	// Blocks by 3-prefix: "abc": r1 × s1; others singleton per source.
-	pairs, comps := SerialMatchDual(r, s, "title", blocking.Prefix(3), nil)
+	pairs, comps := SerialMatchDual(r, s, "title", blocking.NormalizedPrefix(3), nil)
 	if comps != 1 {
 		t.Errorf("comparisons = %d, want 1", comps)
 	}

@@ -1,13 +1,14 @@
 // Package er provides the high-level entity-resolution pipeline: the
 // two-job MapReduce workflow of Figure 2 (BDM computation followed by
-// the load-balanced matching job), result collection, simulated-time
-// accounting, and match-quality metrics.
+// the load-balanced matching job), and the analytic workloads of both
+// jobs that the cluster simulator reads (planmode.go).
 //
 // The pipeline surface is composable: a Source supplies the
-// partitioned input (in-memory slices, streaming CSV, generators), a
-// MatchSink optionally consumes the match stream without accumulating
-// it (constant-memory output), and the RunOptions block embedded by
-// every workflow configuration carries the shared engine plumbing. The
+// partitioned input (in-memory partitions, a CSV file or reader, a
+// function), the match job always streams its pairs into a MatchSink —
+// the caller's, which keeps nothing (constant-memory output), or a
+// Canonical that becomes Result.Matches — and the RunOptions block
+// embedded by every workflow configuration builds the engine. The
 // entry points (RunPipeline, RunDualPipeline, RunWithMissingKeysPipeline,
 // RunDistributedPipeline) take the caller's context and cancel between
 // engine tasks, and all four share one body for the two jobs: two
@@ -75,7 +76,8 @@ func (c *Config) bdmJobOptions() bdm.JobOptions {
 
 // Result is the outcome of one pipeline run.
 type Result struct {
-	// Matches holds the deduplicated match pairs in canonical order.
+	// Matches holds the deduplicated match pairs in canonical order;
+	// nil when RunOptions.Sink received them instead.
 	Matches []core.MatchPair
 	// Comparisons is the total number of pair comparisons performed by
 	// the matching job's reduce phase.
@@ -93,24 +95,6 @@ type Result struct {
 // records Job 2 consumes: bdm.Annotate, the records Job 1 counts.
 func AnnotateInput(parts entity.Partitions, attr string, key blocking.KeyFunc) [][]core.AnnotatedEntity {
 	return bdm.Annotate(parts, attr, key)
-}
-
-// CollectMatches extracts, deduplicates, and sorts the match pairs from
-// a matching job's output. (BlockSplit replicates entities of split
-// blocks, but every pair is still compared exactly once, so duplicates
-// can only arise from user matchers emitting on reflexive inputs;
-// deduplication keeps the result canonical regardless.)
-func CollectMatches(res *core.MatchJobResult) []core.MatchPair {
-	seen := make(map[core.MatchPair]bool, len(res.Output))
-	out := make([]core.MatchPair, 0, len(res.Output))
-	for _, rec := range res.Output {
-		if !seen[rec.Key] {
-			seen[rec.Key] = true
-			out = append(out, rec.Key)
-		}
-	}
-	SortMatches(out)
-	return out
 }
 
 // SortMatches orders pairs lexicographically for deterministic output.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bdm"
@@ -82,7 +83,7 @@ func TestRunAgainstSerialFuzz(t *testing.T) {
 				BlockKey:   datagen.BlockKey(),
 				Matcher:    titleMatcher(0.85),
 				R:          rng.Intn(8) + 1,
-				RunOptions: RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
+				RunOptions: RunOptions{Parallelism: 4},
 			})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, strat.Name(), err)
@@ -101,7 +102,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{}); err == nil {
 		t.Error("empty config: want error")
 	}
-	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{Strategy: core.Basic{}, BlockKey: blocking.Prefix(1)}); err == nil {
+	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{Strategy: core.Basic{}, BlockKey: blocking.NormalizedPrefix(1)}); err == nil {
 		t.Error("R=0: want error")
 	}
 	if _, err := RunPipeline(context.Background(), FromPartitions(parts), Config{Strategy: core.Basic{}, R: 2}); err == nil {
@@ -114,7 +115,7 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 	res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.Basic{},
 		Attr:     "title",
-		BlockKey: blocking.Prefix(3),
+		BlockKey: blocking.NormalizedPrefix(3),
 		R:        2,
 	})
 	if err != nil {
@@ -126,7 +127,7 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 	res2, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 		Strategy: core.BlockSplit{},
 		Attr:     "title",
-		BlockKey: blocking.Prefix(3),
+		BlockKey: blocking.NormalizedPrefix(3),
 		R:        2,
 	})
 	if err != nil {
@@ -137,16 +138,31 @@ func TestBasicSkipsBDMJob(t *testing.T) {
 	}
 }
 
+// TestCollectMatchesDeduplicates: a run without a sink collects its
+// matches as a set in canonical order. Entities that share an ID make
+// every strategy emit one pair twice, and the serial oracle, which does
+// not deduplicate, lists it twice; the collected matches hold it once.
 func TestCollectMatchesDeduplicates(t *testing.T) {
-	res := &core.MatchJobResult{Output: []core.MatchOutput{
-		{Key: core.NewMatchPair("b", "a")},
-		{Key: core.NewMatchPair("a", "b")},
-		{Key: core.NewMatchPair("c", "d")},
-	}}
-	got := CollectMatches(res)
-	want := []core.MatchPair{{A: "a", B: "b"}, {A: "c", B: "d"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CollectMatches = %v, want %v", got, want)
+	es := append(smallDataset(), entity.New("a2", "title", "acme rocket skates!!"))
+	want, _ := SerialMatch(es, "title", blocking.NormalizedPrefix(3), titleMatcher(0.8))
+	if len(slices.Compact(slices.Clone(want))) == len(want) {
+		t.Fatal("test vacuous: the oracle lists no pair twice")
+	}
+	want = slices.Compact(want)
+	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
+		res, err := RunPipeline(context.Background(), FromPartitions(entity.SplitRoundRobin(es, 3)), Config{
+			Strategy: strat,
+			Attr:     "title",
+			BlockKey: blocking.NormalizedPrefix(3),
+			Matcher:  titleMatcher(0.8),
+			R:        4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Matches, want) {
+			t.Errorf("%s: matches = %v, want %v", strat.Name(), res.Matches, want)
+		}
 	}
 }
 
@@ -249,8 +265,8 @@ func workloadDiff(w cluster.JobWorkload, got *mapreduce.Metrics) string {
 // and both figures; the matrix Job 1 computed passes.
 func TestJob1CertificateRefusesAMatrixOffByOne(t *testing.T) {
 	parts := entity.SplitRoundRobin(smallDataset(), 3)
-	input := AnnotateInput(parts, "title", blocking.Prefix(3))
-	x, err := bdm.FromPartitions(parts, "title", blocking.Prefix(3))
+	input := AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
+	x, err := bdm.FromPartitions(parts, "title", blocking.NormalizedPrefix(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +300,16 @@ func TestAnnotateInput(t *testing.T) {
 	// not carry.
 	es := smallDataset()
 	for i := range es {
-		es[i] = es[i].WithAttr("brand", "brand of "+es[i].ID)
+		es[i].Attrs = []entity.Attr{{Name: "brand", Value: "brand of " + es[i].ID}, es[i].Attrs[0]}
 	}
 	parts := entity.SplitRoundRobin(es, 2)
-	input := AnnotateInput(parts, "title", blocking.Prefix(3))
+	input := AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
 	if len(input) != 2 {
 		t.Fatal("wrong partition count")
 	}
 	for i, p := range parts {
 		for j, e := range p {
-			if input[i][j].Key != blocking.Prefix(3)(e.Attr("title")) {
+			if input[i][j].Key != blocking.NormalizedPrefix(3)(e.Attr("title")) {
 				t.Fatalf("key mismatch at %d/%d", i, j)
 			}
 			// The row carries the ID and the text of the key's attribute.

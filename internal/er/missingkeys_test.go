@@ -20,7 +20,7 @@ func prefixOrEmpty(v string) string {
 	if len(v) == 0 || v[0] == '?' {
 		return ""
 	}
-	return blocking.Prefix(2)(v)
+	return blocking.NormalizedPrefix(2)(v)
 }
 
 func missingKeyDataset(rng *rand.Rand, n int) []entity.Entity {

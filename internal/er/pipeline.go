@@ -14,39 +14,32 @@ import (
 
 // RunOptions is the execution plumbing shared by every pipeline entry
 // point — one source, two sources and missing keys run the one body
-// over it, so engine selection, out-of-core spilling, and output
-// streaming are configured the same way everywhere.
+// over it, so the engine, out-of-core spilling, and output streaming
+// are configured the same way everywhere.
 type RunOptions struct {
-	// Engine executes the jobs; nil builds one from the fields below.
-	Engine *mapreduce.Engine
 	// Parallelism bounds the number of concurrently executing tasks per
-	// phase when Engine is nil (0 = one goroutine per task, the engine
-	// default). Ignored when Engine is set — configure the engine
-	// directly instead.
+	// phase (0 = one goroutine per task, the engine default).
 	Parallelism int
 	// SpillBudget, when > 0, runs the jobs out of core: a map task
 	// spills a sorted run to disk whenever it has buffered this many
 	// encoded bytes (see mapreduce.Engine.SpillBudget). 0 keeps every
-	// intermediate record in memory. Ignored when Engine is set.
+	// intermediate record in memory.
 	SpillBudget int64
 	// TmpDir is where a run that spills, or a distributed run that
 	// replicates worker output, creates its directory ("" = the system
-	// temp dir). Ignored when Engine is set.
+	// temp dir).
 	TmpDir string
 	// Sink, when non-nil, receives the matching phase's emitted pairs
 	// as a stream instead of having them collected into the result
-	// (Result.Matches stays nil and MatchResult.Output stays empty), so
-	// match-output memory is O(1) in the match count. See MatchSink for
-	// the ordering and Flush contract.
+	// (Result.Matches stays nil), so match-output memory is O(1) in the
+	// match count. See MatchSink for the ordering and Flush contract.
 	Sink MatchSink
 	// Retry configures task attempts, backoff and per-attempt timeouts
 	// for the pipeline's jobs (the zero value means engine
-	// defaults: see mapreduce.RetryPolicy). Ignored when Engine is set —
-	// configure the engine directly instead.
+	// defaults: see mapreduce.RetryPolicy).
 	Retry mapreduce.RetryPolicy
 	// FaultHook, when non-nil, is the deterministic fault-injection hook
 	// threaded to every job (chaos testing; see mapreduce.ChaosHook).
-	// Ignored when Engine is set.
 	FaultHook mapreduce.FaultHook
 	// Master, when non-nil, is a started dist master: RunDistributedPipeline
 	// dispatches both jobs' tasks through it to registered workers. Nil
@@ -60,38 +53,27 @@ type RunOptions struct {
 	Workers int
 	// Obs, when non-nil, threads tracing and metrics through the
 	// pipeline's engine. Nil keeps every hot path on the zero-overhead
-	// disabled branch. When Engine is set, the engine's own Obs wins if
-	// non-nil; otherwise this one is installed on it.
+	// disabled branch.
 	Obs *obs.Observer
 }
 
-// ResolveEngine returns the effective engine: the configured one, or a
-// fresh engine built from the option fields.
+// ResolveEngine returns the engine the options describe.
 func (o *RunOptions) ResolveEngine() *mapreduce.Engine {
-	if o.Engine != nil {
-		if o.Engine.Obs == nil {
-			o.Engine.Obs = o.Obs
-		}
-		return o.Engine
-	}
 	return &mapreduce.Engine{
 		Parallelism: o.Parallelism, Retry: o.Retry, FaultHook: o.FaultHook, Obs: o.Obs,
 		SpillBudget: o.SpillBudget, TmpDir: o.TmpDir,
 	}
 }
 
-// runMatchJob executes a matching job against the configured output
-// path: collecting (nil sink — output and canonical matches land in the
-// result) or streaming (each emission goes to the
-// sink, which is flushed after a successful run; the returned matches
-// are nil and res.Output stays empty).
+// runMatchJob streams a matching job's emissions into sink, which is
+// flushed after a successful run. A nil sink is a Canonical whose
+// deduplicated, sorted matches are returned; with a sink the returned
+// matches are nil. res.Output stays empty either way.
 func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, input [][]core.AnnotatedEntity, sink MatchSink) (*core.MatchJobResult, []core.MatchPair, error) {
+	var canon *Canonical
 	if sink == nil {
-		res, err := job.RunContext(ctx, eng, input)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, CollectMatches(res), nil
+		canon = &Canonical{}
+		sink = canon
 	}
 	res, err := job.RunStream(ctx, eng, input, func(o core.MatchOutput) error {
 		return sink.Consume(o.Key, o.Value)
@@ -102,7 +84,10 @@ func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, 
 	if err := sink.Flush(); err != nil {
 		return nil, nil, err
 	}
-	return res, nil, nil
+	if canon == nil {
+		return res, nil, nil
+	}
+	return res, canon.Matches(), nil
 }
 
 // RunPipeline executes the full workflow of Figure 2 over the source's

@@ -42,7 +42,7 @@ func testEntities(n int, seed int64) []entity.Entity {
 
 func baseConfig(strat core.Strategy, par int) er.Config {
 	return er.Config{
-		RunOptions:  er.RunOptions{Engine: &mapreduce.Engine{Parallelism: par}},
+		RunOptions:  er.RunOptions{Parallelism: par},
 		Strategy:    strat,
 		Attr:        datagen.AttrTitle,
 		BlockKey:    datagen.BlockKey(),
@@ -58,7 +58,7 @@ func missingKeyBlocker(v string) string {
 	if len(v) > 0 && v[0]%4 == 0 {
 		return ""
 	}
-	return blocking.Prefix(3)(v)
+	return blocking.NormalizedPrefix(3)(v)
 }
 
 // countingSink counts without retaining — the "non-collecting sink" of
@@ -74,7 +74,7 @@ func (c *countingSink) Flush() error                          { c.flushes++; ret
 // TestStreamingSinkDoesNotAccumulate is the constant-memory output pin:
 // with a non-collecting sink installed, no match is accumulated
 // anywhere in the result (Matches nil, MatchResult.Output empty), the
-// sink sees exactly the emissions a collecting run accumulates, and all
+// sink sees exactly the matches a collecting run returns, and all
 // metrics stay byte-identical.
 func TestStreamingSinkDoesNotAccumulate(t *testing.T) {
 	es := testEntities(200, 9)
@@ -84,7 +84,7 @@ func TestStreamingSinkDoesNotAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitted := len(collected.MatchResult.Output)
+	emitted := len(collected.Matches)
 	if emitted == 0 {
 		t.Fatal("test vacuous: no matches emitted")
 	}
@@ -102,7 +102,7 @@ func TestStreamingSinkDoesNotAccumulate(t *testing.T) {
 		t.Fatalf("MatchResult.Output holds %d records, want 0 (not accumulated)", n)
 	}
 	if sink.n != int64(emitted) {
-		t.Fatalf("sink consumed %d matches, collecting run emitted %d", sink.n, emitted)
+		t.Fatalf("sink consumed %d matches, collecting run returned %d", sink.n, emitted)
 	}
 	if sink.flushes != 1 {
 		t.Fatalf("sink flushed %d times, want 1", sink.flushes)
@@ -110,19 +110,16 @@ func TestStreamingSinkDoesNotAccumulate(t *testing.T) {
 	if streamed.Comparisons != collected.Comparisons {
 		t.Fatalf("comparisons %d != %d", streamed.Comparisons, collected.Comparisons)
 	}
-	// Full metrics equality: only the output residency may differ.
-	a, b := *collected, *streamed
-	a.Matches, b.Matches = nil, nil
-	ao, bo := *a.MatchResult, *b.MatchResult
-	ao.Output, bo.Output = nil, nil
-	a.MatchResult, b.MatchResult = &ao, &bo
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("streaming run diverges from collecting run beyond output residency")
+	// Full metrics equality: only the collected matches may differ.
+	a := *collected
+	a.Matches = nil
+	if !reflect.DeepEqual(&a, streamed) {
+		t.Fatal("streaming run diverges from collecting run beyond the collected matches")
 	}
 }
 
-// TestCanonicalSinkMatchesCollect: the deduping Canonical sink must
-// reproduce exactly the legacy collected Matches.
+// TestCanonicalSinkMatchesCollect: a Canonical sink the caller installs
+// holds exactly the matches a run without a sink returns.
 func TestCanonicalSinkMatchesCollect(t *testing.T) {
 	es := testEntities(150, 13)
 	parts := entity.SplitRoundRobin(es, 2)
@@ -141,34 +138,27 @@ func TestCanonicalSinkMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestWriterSinks pins the writer sinks' wire formats and counters
-// (unit level), then runs a sequential pipeline into the CSV sink and
-// cross-checks the row count against the collecting run.
+// TestWriterSinks pins the CSV sink's wire format and counter (unit
+// level), then runs a sequential pipeline into it and cross-checks the
+// row count against the collecting run.
 func TestWriterSinks(t *testing.T) {
-	var csvBuf, njBuf bytes.Buffer
+	var csvBuf bytes.Buffer
 	cs := er.NewCSVSink(&csvBuf)
-	ns := er.NewNDJSONSink(&njBuf)
-	for _, s := range []er.MatchSink{cs, ns} {
-		if err := s.Consume(core.MatchPair{A: "a1", B: "b:2"}, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Consume(core.MatchPair{A: `q"uote`, B: "c,comma"}, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	if err := cs.Consume(core.MatchPair{A: "a1", B: "b:2"}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Consume(core.MatchPair{A: `q"uote`, B: "c,comma"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	wantCSV := "a,b,similarity\na1,b:2,0.5\n\"q\"\"uote\",\"c,comma\",1\n"
 	if got := csvBuf.String(); got != wantCSV {
 		t.Errorf("csv sink wrote %q, want %q", got, wantCSV)
 	}
-	wantNJ := `{"a":"a1","b":"b:2","similarity":0.5}` + "\n" + `{"a":"q\"uote","b":"c,comma","similarity":1}` + "\n"
-	if got := njBuf.String(); got != wantNJ {
-		t.Errorf("ndjson sink wrote %q, want %q", got, wantNJ)
-	}
-	if cs.Count() != 2 || ns.Count() != 2 {
-		t.Errorf("counts = %d, %d, want 2, 2", cs.Count(), ns.Count())
+	if cs.Count() != 2 {
+		t.Errorf("count = %d, want 2", cs.Count())
 	}
 
 	// A zero-match run must still leave the header (Flush writes it
@@ -183,7 +173,7 @@ func TestWriterSinks(t *testing.T) {
 	}
 
 	// Pipeline-level: at Parallelism 1 the stream is deterministic; the
-	// CSV must hold exactly one row per collected emission plus header.
+	// CSV must hold exactly one row per collected match plus header.
 	es := testEntities(120, 17)
 	parts := entity.SplitRoundRobin(es, 2)
 	cfg := baseConfig(core.Basic{}, 1)
@@ -197,7 +187,7 @@ func TestWriterSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotRows := strings.Count(out.String(), "\n")
-	if want := len(collected.MatchResult.Output) + 1; gotRows != want {
+	if want := len(collected.Matches) + 1; gotRows != want {
 		t.Fatalf("csv rows = %d, want %d", gotRows, want)
 	}
 }
@@ -286,7 +276,7 @@ func TestMissingKeysSinkStreamsDisjointParts(t *testing.T) {
 		key  blocking.KeyFunc
 	}{
 		{"mixed", es, missingKeyBlocker},
-		{"all keyed", es, blocking.Prefix(3)},
+		{"all keyed", es, blocking.NormalizedPrefix(3)},
 		{"all keyless", es[:20], keyless},
 		{"one keyless alone", es[:1], keyless},
 	} {
@@ -366,7 +356,7 @@ func TestPipelineReleasesInput(t *testing.T) {
 			if blockKey != nil {
 				cfg.BlockKey = blockKey
 			}
-			cfg.Engine.FaultHook = func(_ context.Context, _ mapreduce.TaskKind, _, _ int, point mapreduce.FaultPoint) error {
+			cfg.FaultHook = func(_ context.Context, _ mapreduce.TaskKind, _, _ int, point mapreduce.FaultPoint) error {
 				if point == mapreduce.FaultTaskStart {
 					atStart()
 				}
@@ -449,7 +439,7 @@ func TestPipelineRetainsNoBlock(t *testing.T) {
 	spilled := func(strat core.Strategy) func() (*er.Result, error) {
 		return func() (*er.Result, error) {
 			cfg := baseConfig(strat, 1)
-			cfg.Engine.SpillBudget, cfg.Engine.TmpDir = 128, t.TempDir()
+			cfg.SpillBudget, cfg.TmpDir = 128, t.TempDir()
 			return er.RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 		}
 	}

@@ -60,30 +60,22 @@ func PlanWorkloads(x *bdm.Matrix, strat core.Strategy, m, r int, combiner bool) 
 	return ws, plan, nil
 }
 
-// SimulateWorkloads runs the cluster simulator over the workloads in
-// order and returns the total simulated time.
-func SimulateWorkloads(cfg cluster.Config, cm cluster.CostModel, ws []cluster.JobWorkload) (float64, error) {
+// SimulatedStrategyTime is the one-call convenience used by the
+// experiment harness: plan the workflow analytically and simulate its
+// jobs in order on cfg under the default cost model, returning the
+// total simulated time.
+func SimulatedStrategyTime(x *bdm.Matrix, strat core.Strategy, m, r int, cfg cluster.Config) (float64, error) {
+	ws, _, err := PlanWorkloads(x, strat, m, r, true)
+	if err != nil {
+		return 0, err
+	}
 	var total float64
 	for _, w := range ws {
-		t, err := cluster.SimulateJob(cfg, cm, w)
+		t, err := cluster.SimulateJob(cfg, cluster.DefaultCostModel(), w)
 		if err != nil {
 			return 0, fmt.Errorf("er: simulate job %q: %w", w.Name, err)
 		}
 		total += t
 	}
 	return total, nil
-}
-
-// SimulatedStrategyTime is the one-call convenience used by the
-// experiment harness: plan the workflow analytically and simulate it.
-func SimulatedStrategyTime(x *bdm.Matrix, strat core.Strategy, m, r int, cfg cluster.Config, cm cluster.CostModel) (float64, *core.Plan, error) {
-	ws, plan, err := PlanWorkloads(x, strat, m, r, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	t, err := SimulateWorkloads(cfg, cm, ws)
-	if err != nil {
-		return 0, nil, err
-	}
-	return t, plan, nil
 }

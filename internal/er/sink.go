@@ -1,9 +1,7 @@
 package er
 
 import (
-	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 	"sync/atomic"
@@ -11,21 +9,20 @@ import (
 	"repro/internal/core"
 )
 
-// MatchSink consumes a pipeline's emitted matches as a stream. When a
-// sink is installed (RunOptions.Sink), the matching job's reduce phase
-// hands every emitted pair to Consume instead of accumulating it in
-// Result.Matches / MatchResult.Output, so peak memory is independent of
-// the match count — the output half of the out-of-core story.
+// MatchSink consumes a pipeline's emitted matches as a stream: the
+// matching job's reduce phase hands every emitted pair to Consume. When
+// a sink is installed (RunOptions.Sink) nothing is accumulated in
+// Result.Matches, so peak memory is independent of the match count —
+// the output half of the out-of-core story.
 //
 // Contract:
 //   - Consume is never called concurrently (the engine serializes
 //     streamed emissions), but the order across reduce tasks is the
 //     tasks' completion interleaving — deterministic only at
 //     Parallelism 1. Within one reduce task, emission order holds.
-//   - The stream carries raw emissions: the usual dedup/sort pass of
-//     the collecting path does not run. The in-tree strategies emit
-//     each pair at most once; Canonical restores set semantics when
-//     needed.
+//   - The stream carries raw emissions, not deduplicated or sorted.
+//     The in-tree strategies emit each pair at most once; Canonical
+//     restores set semantics when needed.
 //   - Flush is called once after a successful run. It is not called on
 //     error.
 //   - A non-nil error from Consume or Flush fails the run.
@@ -34,20 +31,11 @@ type MatchSink interface {
 	Flush() error
 }
 
-// SinkFunc adapts a plain consume function to the MatchSink interface
-// (Flush is a no-op).
-type SinkFunc func(p core.MatchPair, similarity float64) error
-
-// Consume implements MatchSink.
-func (f SinkFunc) Consume(p core.MatchPair, sim float64) error { return f(p, sim) }
-
-// Flush implements MatchSink (no-op).
-func (f SinkFunc) Flush() error { return nil }
-
 // Canonical deduplicates the streamed matches and, at Flush, sorts them
-// into the canonical order — the streamed twin of the collecting path's
-// CollectMatches. Memory is O(distinct matches), which is exactly what
-// a collecting run's Result.Matches holds.
+// into the canonical order. A run without a sink streams into one, and
+// its matches are Result.Matches. (Every pair is compared exactly once,
+// so duplicates arise only from duplicate entity IDs; deduplication
+// keeps the result a set regardless.) Memory is O(distinct matches).
 type Canonical struct {
 	seen    map[core.MatchPair]bool
 	matches []core.MatchPair
@@ -120,33 +108,3 @@ func (s *CSVSink) Flush() error {
 
 // Count returns the number of matches consumed so far.
 func (s *CSVSink) Count() int64 { return s.n.Load() }
-
-// NDJSONSink streams matches as newline-delimited JSON objects
-// {"a":…,"b":…,"similarity":…} — constant memory in the match count.
-type NDJSONSink struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	n   atomic.Int64
-}
-
-// NewNDJSONSink returns an NDJSONSink writing to w.
-func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	bw := bufio.NewWriter(w)
-	return &NDJSONSink{w: bw, enc: json.NewEncoder(bw)}
-}
-
-// Consume implements MatchSink.
-func (s *NDJSONSink) Consume(p core.MatchPair, sim float64) error {
-	s.n.Add(1)
-	return s.enc.Encode(struct {
-		A          string  `json:"a"`
-		B          string  `json:"b"`
-		Similarity float64 `json:"similarity"`
-	}{p.A, p.B, sim})
-}
-
-// Flush implements MatchSink.
-func (s *NDJSONSink) Flush() error { return s.w.Flush() }
-
-// Count returns the number of matches consumed so far.
-func (s *NDJSONSink) Count() int64 { return s.n.Load() }

@@ -13,8 +13,6 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 
 	"repro/internal/bdm"
@@ -32,10 +30,8 @@ import (
 // fast).
 type Options struct {
 	Scale float64
-	Cost  cluster.CostModel
 	// Dataset, when non-nil, replaces the generated DS1 stand-in with a
-	// real dataset (cmd/erbench -in streams one from CSV via
-	// entity.ScanCSV).
+	// real dataset (cmd/erbench -in reads one from CSV).
 	Dataset []entity.Entity
 	// TmpDir is where Imbalance's out-of-core runs spill (cmd/erbench
 	// -tmpdir; "" is the system temp dir).
@@ -45,7 +41,7 @@ type Options struct {
 // DefaultOptions uses a 5% scale — large enough for stable shapes,
 // small enough for seconds-long runs.
 func DefaultOptions() Options {
-	return Options{Scale: 0.05, Cost: cluster.DefaultCostModel()}
+	return Options{Scale: 0.05}
 }
 
 func (o Options) scale() float64 {
@@ -81,7 +77,7 @@ func buildBDM(es []entity.Entity, m int, key blocking.KeyFunc) (*bdm.Matrix, err
 
 // Figure8 reproduces the dataset-statistics table: entities, blocks,
 // size and pair share of the largest block, total pairs.
-func Figure8(ctx context.Context, o Options) (*report.Table, error) {
+func Figure8(o Options) (*report.Table, error) {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Figure 8: datasets (scale=%g)", o.scale()),
 		Headers: []string{"dataset", "entities", "blocks", "largest block", "largest %ents", "pairs", "largest %pairs"},
@@ -104,7 +100,7 @@ func Figure8(ctx context.Context, o Options) (*report.Table, error) {
 // nodes, m=20 map tasks, r=100 reduce tasks. Basic is fastest at s=0
 // (no BDM job) and degrades steeply with skew; BlockSplit and PairRange
 // stay flat.
-func Figure9(ctx context.Context, o Options) (*report.Table, error) {
+func Figure9(o Options) (*report.Table, error) {
 	const (
 		nodes  = 10
 		m      = 20
@@ -126,7 +122,7 @@ func Figure9(ctx context.Context, o Options) (*report.Table, error) {
 		pairs := x.Pairs()
 		row := []any{s, pairs}
 		for _, strat := range allStrategies() {
-			tt, _, err := er.SimulatedStrategyTime(x, strat, m, r, cfg, o.Cost)
+			tt, err := er.SimulatedStrategyTime(x, strat, m, r, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +138,7 @@ func Figure9(ctx context.Context, o Options) (*report.Table, error) {
 // for r ∈ {20..160}, nodes=10, m=20. Basic is bounded below by its
 // largest block and shows peaks when several large blocks hash to the
 // same reduce task; BlockSplit and PairRange improve with r.
-func Figure10(ctx context.Context, o Options) (*report.Table, error) {
+func Figure10(o Options) (*report.Table, error) {
 	const (
 		nodes = 10
 		m     = 20
@@ -159,7 +155,7 @@ func Figure10(ctx context.Context, o Options) (*report.Table, error) {
 	for r := 20; r <= 160; r += 20 {
 		row := []any{r}
 		for _, strat := range allStrategies() {
-			tt, _, err := er.SimulatedStrategyTime(x, strat, m, r, cfg, o.Cost)
+			tt, err := er.SimulatedStrategyTime(x, strat, m, r, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +171,7 @@ func Figure10(ctx context.Context, o Options) (*report.Table, error) {
 // sorted by title and split contiguously. Sorting groups large blocks
 // into few partitions, crippling BlockSplit's splitting; PairRange is
 // unaffected.
-func Figure11(ctx context.Context, o Options) (*report.Table, error) {
+func Figure11(o Options) (*report.Table, error) {
 	const (
 		nodes = 10
 		m     = 20
@@ -201,7 +197,7 @@ func Figure11(ctx context.Context, o Options) (*report.Table, error) {
 		row := []any{r}
 		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
 			for _, x := range []*bdm.Matrix{unsortedBDM, sortedBDM} {
-				tt, _, err := er.SimulatedStrategyTime(x, strat, m, r, cfg, o.Cost)
+				tt, err := er.SimulatedStrategyTime(x, strat, m, r, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -218,7 +214,7 @@ func Figure11(ctx context.Context, o Options) (*report.Table, error) {
 // Basic always emits exactly one pair per entity; BlockSplit grows
 // step-wise (splitting more blocks as r grows); PairRange grows almost
 // linearly with r and eventually emits the most.
-func Figure12(ctx context.Context, o Options) (*report.Table, error) {
+func Figure12(o Options) (*report.Table, error) {
 	const m = 20
 	es := ds1(o)
 	x, err := buildBDM(es, m, datagen.BlockKey())
@@ -250,7 +246,7 @@ var scalabilityNodes = []int{1, 2, 5, 10, 20, 40, 100}
 // speedup for n nodes with m=2n map and r=10n reduce tasks. Basic stops
 // scaling past ~2 nodes; the balanced strategies scale near-linearly up
 // to ~10 nodes at DS1's size.
-func Figure13(ctx context.Context, o Options) (*report.Table, error) {
+func Figure13(o Options) (*report.Table, error) {
 	return scalability("Figure 13", ds1(o), allStrategies(), o)
 }
 
@@ -258,7 +254,7 @@ func Figure13(ctx context.Context, o Options) (*report.Table, error) {
 // PairRange only — the paper drops Basic for the large dataset). The
 // 10× larger workload keeps per-task comparisons reasonable, so
 // near-linear scaling extends to ~40 nodes.
-func Figure14(ctx context.Context, o Options) (*report.Table, error) {
+func Figure14(o Options) (*report.Table, error) {
 	return scalability("Figure 14", ds2(o), []core.Strategy{core.BlockSplit{}, core.PairRange{}}, o)
 }
 
@@ -281,7 +277,7 @@ func scalability(name string, es []entity.Entity, strats []core.Strategy, o Opti
 		cfg := cluster.DefaultSlots(nodes)
 		row := []any{nodes, m, r}
 		for i, strat := range strats {
-			tt, _, err := er.SimulatedStrategyTime(x, strat, m, r, cfg, o.Cost)
+			tt, err := er.SimulatedStrategyTime(x, strat, m, r, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -304,22 +300,22 @@ func scaledCount(n int, scale float64) int {
 }
 
 // ByNumber dispatches to the figure functions; valid numbers are 8-14.
-func ByNumber(ctx context.Context, figure int, o Options) (*report.Table, error) {
+func ByNumber(figure int, o Options) (*report.Table, error) {
 	switch figure {
 	case 8:
-		return Figure8(ctx, o)
+		return Figure8(o)
 	case 9:
-		return Figure9(ctx, o)
+		return Figure9(o)
 	case 10:
-		return Figure10(ctx, o)
+		return Figure10(o)
 	case 11:
-		return Figure11(ctx, o)
+		return Figure11(o)
 	case 12:
-		return Figure12(ctx, o)
+		return Figure12(o)
 	case 13:
-		return Figure13(ctx, o)
+		return Figure13(o)
 	case 14:
-		return Figure14(ctx, o)
+		return Figure14(o)
 	default:
 		return nil, fmt.Errorf("experiments: no figure %d (valid: 8-14)", figure)
 	}

@@ -24,7 +24,7 @@ func parseFloat(t *testing.T, s string) float64 {
 }
 
 func TestFigure8Profile(t *testing.T) {
-	tbl, err := Figure8(t.Context(), quickOptions())
+	tbl, err := Figure8(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFigure8Profile(t *testing.T) {
 }
 
 func TestFigure9Shapes(t *testing.T) {
-	tbl, err := Figure9(t.Context(), quickOptions())
+	tbl, err := Figure9(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFigure9Shapes(t *testing.T) {
 }
 
 func TestFigure10Shapes(t *testing.T) {
-	tbl, err := Figure10(t.Context(), quickOptions())
+	tbl, err := Figure10(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFigure10Shapes(t *testing.T) {
 }
 
 func TestFigure11Shapes(t *testing.T) {
-	tbl, err := Figure11(t.Context(), quickOptions())
+	tbl, err := Figure11(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFigure11Shapes(t *testing.T) {
 }
 
 func TestFigure12Shapes(t *testing.T) {
-	tbl, err := Figure12(t.Context(), quickOptions())
+	tbl, err := Figure12(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFigure12Shapes(t *testing.T) {
 }
 
 func TestFigure13Shapes(t *testing.T) {
-	tbl, err := Figure13(t.Context(), quickOptions())
+	tbl, err := Figure13(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestFigure13Shapes(t *testing.T) {
 }
 
 func TestFigure14Shapes(t *testing.T) {
-	tbl, err := Figure14(t.Context(), quickOptions())
+	tbl, err := Figure14(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestFigure14Shapes(t *testing.T) {
 }
 
 func TestByNumber(t *testing.T) {
-	if _, err := ByNumber(t.Context(), 7, quickOptions()); err == nil {
+	if _, err := ByNumber(7, quickOptions()); err == nil {
 		t.Error("figure 7 should be rejected")
 	}
-	if _, err := ByNumber(t.Context(), 8, quickOptions()); err != nil {
+	if _, err := ByNumber(8, quickOptions()); err != nil {
 		t.Errorf("figure 8: %v", err)
 	}
 }

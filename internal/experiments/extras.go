@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bdm"
@@ -18,7 +17,7 @@ import (
 // the DS1 stand-in into two overlapping sources and reports, per reduce
 // task count, the cross-source pair count and each strategy's straggler
 // factor (max/mean reduce load) and Gini coefficient.
-func AppendixDual(ctx context.Context, o Options) (*report.Table, error) {
+func AppendixDual(o Options) (*report.Table, error) {
 	es := ds1(o)
 	r1, s1 := datagen.TwoSources(es, 0.5, 17)
 	parts := append(entity.SplitRoundRobin(r1, 10), entity.SplitRoundRobin(s1, 10)...)
@@ -56,7 +55,7 @@ func AppendixDual(ctx context.Context, o Options) (*report.Table, error) {
 
 // Ablations quantifies the design choices DESIGN.md calls out, on the
 // DS1 stand-in with m=20.
-func Ablations(ctx context.Context, o Options) (*report.Table, error) {
+func Ablations(o Options) (*report.Table, error) {
 	es := ds1(o)
 	parts := entity.SplitRoundRobin(es, 20)
 	x, err := bdm.FromPartitions(parts, datagen.AttrTitle, datagen.BlockKey())
@@ -122,7 +121,7 @@ func Ablations(ctx context.Context, o Options) (*report.Table, error) {
 // BalanceTable reports per-strategy load statistics (straggler factor,
 // CV, Gini) on the DS1 stand-in — the quantitative core of the paper's
 // balance argument, independent of any cost model.
-func BalanceTable(ctx context.Context, o Options) (*report.Table, error) {
+func BalanceTable(o Options) (*report.Table, error) {
 	es := ds1(o)
 	const m, r = 20, 100
 	x, err := bdm.FromPartitions(entity.SplitRoundRobin(es, m), datagen.AttrTitle, datagen.BlockKey())

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAppendixDual(t *testing.T) {
-	tbl, err := AppendixDual(t.Context(), quickOptions())
+	tbl, err := AppendixDual(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestAppendixDual(t *testing.T) {
 }
 
 func TestAblationsTable(t *testing.T) {
-	tbl, err := Ablations(t.Context(), quickOptions())
+	tbl, err := Ablations(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAblationsTable(t *testing.T) {
 	}
 	// No row is a wall-clock measurement: a second run gives the same
 	// table.
-	again, err := Ablations(t.Context(), quickOptions())
+	again, err := Ablations(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestAblationsTable(t *testing.T) {
 }
 
 func TestBalanceTable(t *testing.T) {
-	tbl, err := BalanceTable(t.Context(), quickOptions())
+	tbl, err := BalanceTable(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"repro/internal/datagen"

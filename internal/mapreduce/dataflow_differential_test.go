@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/mapreduce"
 	"repro/internal/similarity"
 )
 
@@ -219,11 +218,10 @@ func TestBDMJobCountTableAgainstReference(t *testing.T) {
 func TestShuffleMaxGroupRecordsMatchesBlockSizes(t *testing.T) {
 	es := skewedEntities()
 	res, err := er.RunPipeline(context.Background(), er.FromPartitions(entity.SplitRoundRobin(es, 3)), er.Config{
-		Strategy:   core.Basic{},
-		Attr:       "title",
-		BlockKey:   blocking.NormalizedPrefix(3),
-		R:          1,
-		RunOptions: er.RunOptions{Engine: &mapreduce.Engine{}},
+		Strategy: core.Basic{},
+		Attr:     "title",
+		BlockKey: blocking.NormalizedPrefix(3),
+		R:        1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -158,10 +158,10 @@ func serialOracle(parts entity.Partitions, sources []bdm.Source, bottom bool, at
 		return er.SerialMatchDual(r, s, attr, key, match)
 	}
 	if !bottom {
-		return er.SerialMatch(parts.Flatten(), attr, key, match)
+		return er.SerialMatch(slices.Concat(parts...), attr, key, match)
 	}
 	var keyed, keyless []entity.Entity
-	for _, e := range parts.Flatten() {
+	for _, e := range slices.Concat(parts...) {
 		if key(e.Attr(attr)) == "" {
 			keyless = append(keyless, e)
 		} else {

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
 	"repro/internal/testleak"
 )
 
@@ -157,10 +156,11 @@ func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 		Parallelism: 2,
 		TmpDir:      t.TempDir(),
 		Remote:      &localDispatcher{down: true},
-		Log: obs.LogfLogger(slog.LevelDebug, func(format string, args ...any) {
+		Log: slog.New(slog.NewTextHandler(writerFunc(func(line []byte) (int, error) {
 			logs.Add(1)
-			lastLog.Store(fmt.Sprintf(format, args...))
-		}),
+			lastLog.Store(string(line))
+			return len(line), nil
+		}), &slog.HandlerOptions{Level: slog.LevelDebug})),
 	}
 	res, err := wordJob(r, false).RunContext(context.Background(), e, input)
 	if err != nil {
@@ -182,3 +182,8 @@ func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 		t.Fatal("degraded-to-local run diverges from local typed run")
 	}
 }
+
+// writerFunc is an io.Writer that calls itself.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

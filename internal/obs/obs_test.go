@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"math"
 	"reflect"
@@ -356,26 +355,6 @@ func TestWriteChromeTracePairsSpans(t *testing.T) {
 	}
 	if !sawWorkerLane {
 		t.Fatal("worker pid must get a 'worker N' process_name")
-	}
-}
-
-func TestLogfLoggerRendersAttrs(t *testing.T) {
-	var got []string
-	log := LogfLogger(slog.LevelInfo, func(format string, args ...any) {
-		got = append(got, strings.TrimSpace(fmt.Sprintf(format, args...)))
-	})
-	log.Debug("hidden") // below threshold
-	log.Warn("worker died", "worker", 3, "why", "lease expired")
-	log.WithGroup("dist").Info("hello", "n", 1)
-	if len(got) != 2 {
-		t.Fatalf("got %d lines: %v", len(got), got)
-	}
-	if !strings.Contains(got[0], "WARN") || !strings.Contains(got[0], "worker died") ||
-		!strings.Contains(got[0], "worker=3") || !strings.Contains(got[0], "why=lease expired") {
-		t.Fatalf("warn line = %q", got[0])
-	}
-	if !strings.Contains(got[1], "dist.n=1") {
-		t.Fatalf("group attrs must flatten to dotted keys: %q", got[1])
 	}
 }
 
