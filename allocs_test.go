@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -78,22 +77,20 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 
 // TestJob2RecordSizesPinned pins the widths that bound Job 2's memory:
 // every strategy's shuffled record is a 16-byte key code, a key of at
-// most 16 bytes and a 32-byte entity.Row. A wider key field or a value
-// that carried the entity again would grow every record of a split
-// block's replicas.
+// most 16 bytes and a 32-byte entity.Row, and Basic's key is the
+// 4-byte block id, as is Job 2's input record's. A wider key field or a
+// value that carried the entity again would grow every record of a
+// split block's replicas.
 func TestJob2RecordSizesPinned(t *testing.T) {
-	for name, got := range map[string]uintptr{
-		"core.BSKey":                            unsafe.Sizeof(core.BSKey{}),
-		"core.PRKey":                            unsafe.Sizeof(core.PRKey{}),
-		"mapreduce.Rec[string, entity.Row]":     unsafe.Sizeof(mapreduce.Rec[string, entity.Row]{}),
-		"mapreduce.Rec[core.BSKey, entity.Row]": unsafe.Sizeof(mapreduce.Rec[core.BSKey, entity.Row]{}),
-		"mapreduce.Rec[core.PRKey, entity.Row]": unsafe.Sizeof(mapreduce.Rec[core.PRKey, entity.Row]{}),
+	for name, size := range map[string][2]uintptr{
+		"core.BSKey":                            {unsafe.Sizeof(core.BSKey{}), 16},
+		"core.PRKey":                            {unsafe.Sizeof(core.PRKey{}), 16},
+		"core.AnnotatedEntity":                  {unsafe.Sizeof(core.AnnotatedEntity{}), 40},
+		"mapreduce.Rec[int32, entity.Row]":      {unsafe.Sizeof(mapreduce.Rec[int32, entity.Row]{}), 56},
+		"mapreduce.Rec[core.BSKey, entity.Row]": {unsafe.Sizeof(mapreduce.Rec[core.BSKey, entity.Row]{}), 64},
+		"mapreduce.Rec[core.PRKey, entity.Row]": {unsafe.Sizeof(mapreduce.Rec[core.PRKey, entity.Row]{}), 64},
 	} {
-		want := uintptr(64)
-		if strings.HasPrefix(name, "core.") {
-			want = 16
-		}
-		if got != want {
+		if got, want := size[0], size[1]; got != want {
 			t.Errorf("%s is %d bytes, want %d", name, got, want)
 		}
 	}

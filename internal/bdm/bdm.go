@@ -5,9 +5,10 @@
 // MR job to compute their routing decisions.
 //
 // The package provides the matrix type itself, a direct in-memory
-// builder, the one blocking-key annotation of the input (Annotate), and
-// the MapReduce job of Algorithm 3 that counts the annotated entities
-// into the matrix; Job 2 reads the same annotated entities.
+// builder, the one blocking-key annotation of the input (Annotate), which
+// numbers the blocks, and the MapReduce job of Algorithm 3 that counts
+// the annotated entities' block ids into the matrix; Job 2 reads the same
+// annotated entities.
 package bdm
 
 import (
@@ -34,7 +35,8 @@ func (s Source) String() string {
 
 // Matrix is the block distribution matrix. Blocks are indexed 0..b-1 in
 // lexicographic order of their blocking key (the paper permits any fixed
-// order agreed on by all map tasks).
+// order agreed on by all map tasks): the block ids Annotate gives the
+// rows.
 //
 // A matrix of two sources R and S (Appendix I; see WithSources) also
 // records which source each partition holds. It is the one place the
@@ -47,17 +49,16 @@ func (s Source) String() string {
 // the block of the empty key into the ⊥ row, which compares its
 // keyless entities with each other and with every keyed entity.
 type Matrix struct {
-	keys    []string       // block index -> blocking key
-	index   map[string]int // blocking key -> block index
-	sizes   [][]int        // [block][partition] -> #entities
-	m       int            // number of partitions
-	total   []int          // [block] -> Σ over partitions
-	sources []Source       // partition -> source; nil = one source
-	totalS  []int          // [block] -> Σ over S partitions; nil = one source
-	keyed   []int          // partition -> #entities with a key; nil = no ⊥ row
-	nKeyed  int            // Σ keyed
-	offsets []int64        // [block] -> Σ pairs of preceding blocks (o(i))
-	pairs   int64          // total number of pairs P
+	keys    []string // block index -> blocking key, ascending
+	sizes   [][]int  // [block][partition] -> #entities
+	m       int      // number of partitions
+	total   []int    // [block] -> Σ over partitions
+	sources []Source // partition -> source; nil = one source
+	totalS  []int    // [block] -> Σ over S partitions; nil = one source
+	keyed   []int    // partition -> #entities with a key; nil = no ⊥ row
+	nKeyed  int      // Σ keyed
+	offsets []int64  // [block] -> Σ pairs of preceding blocks (o(i))
+	pairs   int64    // total number of pairs P
 }
 
 // WithSources returns the matrix with partition p tagged as holding
@@ -147,12 +148,6 @@ func (x *Matrix) NumPartitions() int { return x.m }
 
 // BlockKey returns the blocking key of block k.
 func (x *Matrix) BlockKey(k int) string { return x.keys[k] }
-
-// BlockIndex returns the index of the given blocking key.
-func (x *Matrix) BlockIndex(key string) (int, bool) {
-	k, ok := x.index[key]
-	return k, ok
-}
 
 // Size returns the number of entities block k compares: those of its
 // key, and in a ⊥ row every keyed entity as well.
@@ -244,72 +239,61 @@ type Cell struct {
 	Count     int
 }
 
-// FromCells assembles a Matrix from reduce-output cells. m must cover
-// every referenced partition index. Duplicate cells for the same
-// (block, partition) are rejected.
+// FromCells assembles a Matrix from reduce-output cells: it sorts their
+// keys and hands FromCounts each cell under its key's rank, found by
+// binary search. m must cover every referenced partition index.
+// Duplicate cells for the same (block, partition) are rejected.
 func FromCells(cells []Cell, m int) (*Matrix, error) {
-	return fromCells(len(cells), func(i int) Cell { return cells[i] }, m)
-}
-
-// fromCells is FromCells over n cells read through cell, so that the
-// BDM job's reduce output is assembled without a copy in Cell form.
-func fromCells(n int, cell func(i int) Cell, m int) (*Matrix, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("bdm: FromCells requires m > 0, got %d", m)
-	}
 	keys := []string{}
-	for i := 0; i < n; i++ {
-		c := cell(i)
-		if c.Partition < 0 || c.Partition >= m {
-			return nil, fmt.Errorf("bdm: cell %q references partition %d outside [0,%d)", c.BlockKey, c.Partition, m)
-		}
-		if c.Count < 0 {
-			return nil, fmt.Errorf("bdm: cell %q partition %d has negative count %d", c.BlockKey, c.Partition, c.Count)
-		}
-		// Reduce output arrives grouped by block: dropping adjacent
-		// repeats first leaves the sort one key per block, not per cell.
+	for _, c := range cells {
+		// Cells arrive grouped by block: dropping adjacent repeats first
+		// leaves the sort one key per block, not per cell.
 		if len(keys) == 0 || keys[len(keys)-1] != c.BlockKey {
 			keys = append(keys, c.BlockKey)
 		}
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
+	counts := make([]CountRecord, len(cells))
+	for i, c := range cells {
+		if c.Partition != int(int32(c.Partition)) {
+			return nil, fmt.Errorf("bdm: cell %q references partition %d outside [0,%d)", c.BlockKey, c.Partition, m)
+		}
+		k, _ := slices.BinarySearch(keys, c.BlockKey)
+		counts[i] = CountRecord{Key: Key{Block: int32(k), Partition: int32(c.Partition)}, Value: c.Count}
+	}
+	return FromCounts(keys, m, counts)
+}
 
+// FromCounts is the one matrix assembler: the matrix of m partitions
+// whose blocks are keys, sorted, and whose cells are the BDM job's
+// output records, by block id. Counts must be positive, and a
+// (block, partition) cell may appear once.
+func FromCounts(keys []string, m int, counts []CountRecord) (*Matrix, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("bdm: a matrix needs m > 0, got %d", m)
+	}
 	// All rows are carved out of one flat backing array (one allocation
-	// instead of one per block). Cells are initialized to -1 so duplicate
-	// detection needs no auxiliary set; absent cells become 0 afterwards.
+	// instead of one per block).
 	backing := make([]int, len(keys)*m)
-	for i := range backing {
-		backing[i] = -1
-	}
-	x := &Matrix{
-		keys:  keys,
-		index: make(map[string]int, len(keys)),
-		sizes: make([][]int, len(keys)),
-		m:     m,
-		total: make([]int, len(keys)),
-	}
-	for i, k := range keys {
-		x.index[k] = i
+	x := &Matrix{keys: keys, sizes: make([][]int, len(keys)), m: m, total: make([]int, len(keys))}
+	for i := range keys {
 		x.sizes[i] = backing[i*m : (i+1)*m : (i+1)*m]
 	}
-	// A block's cells arrive together: one lookup places them all.
-	k, block := 0, ""
-	for i := 0; i < n; i++ {
-		c := cell(i)
-		if i == 0 || c.BlockKey != block {
-			k, block = x.index[c.BlockKey], c.BlockKey
+	for _, c := range counts {
+		k, p := int(c.Key.Block), int(c.Key.Partition)
+		switch {
+		case k < 0 || k >= len(keys):
+			return nil, fmt.Errorf("bdm: a cell references block %d outside [0,%d)", k, len(keys))
+		case p < 0 || p >= m:
+			return nil, fmt.Errorf("bdm: cell %q references partition %d outside [0,%d)", keys[k], p, m)
+		case c.Value <= 0:
+			return nil, fmt.Errorf("bdm: cell %q partition %d has count %d, not a positive one", keys[k], p, c.Value)
+		case x.sizes[k][p] != 0:
+			return nil, fmt.Errorf("bdm: duplicate cell for block %q partition %d", keys[k], p)
 		}
-		if x.sizes[k][c.Partition] >= 0 {
-			return nil, fmt.Errorf("bdm: duplicate cell for block %q partition %d", c.BlockKey, c.Partition)
-		}
-		x.sizes[k][c.Partition] = c.Count
-		x.total[k] += c.Count
-	}
-	for i := range backing {
-		if backing[i] < 0 {
-			backing[i] = 0
-		}
+		x.sizes[k][p] = c.Value
+		x.total[k] += c.Value
 	}
 	x.finalize()
 	return x, nil

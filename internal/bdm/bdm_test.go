@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestFromPartitions(t *testing.T) {
 	if x.BlockKey(0) != "x" || x.BlockKey(2) != "z" {
 		t.Errorf("block order = %q..%q", x.BlockKey(0), x.BlockKey(2))
 	}
-	xk, _ := x.BlockIndex("x")
+	xk, _ := blockIndex(x, "x")
 	if x.SizeIn(xk, 0) != 2 || x.SizeIn(xk, 1) != 1 || x.Size(xk) != 3 {
 		t.Errorf("x sizes wrong: %d/%d total %d", x.SizeIn(xk, 0), x.SizeIn(xk, 1), x.Size(xk))
 	}
@@ -58,7 +59,7 @@ func TestEntityOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xk, _ := x.BlockIndex("x")
+	xk, _ := blockIndex(x, "x")
 	if got := x.EntityOffset(xk, 0); got != 0 {
 		t.Errorf("EntityOffset(x, 0) = %d, want 0", got)
 	}
@@ -154,8 +155,8 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 				t.Fatalf("trial %d (combiner=%v): MapOutputRecords = %d, want %d", trial, combiner, res.MapOutputRecords, wantOut)
 			}
 			// The annotated input is the job's: every partition in place,
-			// each entity in place with KeyFunc(Attr), all of it read by
-			// the map task of its partition.
+			// each entity in place with the id of KeyFunc(Attr) in the
+			// matrix, all of it read by the map task of its partition.
 			if len(input) != m {
 				t.Fatalf("trial %d: %d annotated partitions, want %d", trial, len(input), m)
 			}
@@ -166,8 +167,8 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 				}
 				for j, rec := range input[p] {
 					e := parts[p][j]
-					if rec.Value.ID != e.ID || rec.Key != key(e.Attr("k")) {
-						t.Fatalf("trial %d: annotated %d/%d is (%q, %s), want (%q, %s)", trial, p, j, rec.Key, rec.Value.ID, key(e.Attr("k")), e.ID)
+					if rec.Value.ID != e.ID || got.BlockKey(int(rec.Key)) != key(e.Attr("k")) {
+						t.Fatalf("trial %d: annotated %d/%d is (%q, %s), want (%q, %s)", trial, p, j, got.BlockKey(int(rec.Key)), rec.Value.ID, key(e.Attr("k")), e.ID)
 					}
 				}
 			}
@@ -210,4 +211,10 @@ func TestComputeContextRejectsBadOptions(t *testing.T) {
 			t.Errorf("%s: no error", name)
 		}
 	}
+}
+
+// blockIndex returns the block of key in x, and whether x has one.
+func blockIndex(x *Matrix, key string) (int, bool) {
+	k, ok := slices.BinarySearch(x.keys, key)
+	return k, ok
 }

@@ -11,19 +11,18 @@ import (
 )
 
 // FuzzBDMKeyCodec round-trips the BDM job's composite key through the
-// external dataflow's disk codec, including blocking keys with tabs,
-// newlines, and invalid UTF-8 — byte content a blocking.KeyFunc can
-// legitimately produce from dirty attribute values.
+// external dataflow's disk codec over the whole int32 range of both
+// fields, and refuses an encoding whose field overflows int32.
 func FuzzBDMKeyCodec(f *testing.F) {
-	f.Add("canon", 0)
-	f.Add("tab\tkey\nnewline", 3)
-	f.Add(string([]byte{0xff, 0x00, 0xc0}), -1)
-	f.Fuzz(func(t *testing.T, blockKey string, partition int) {
-		k := Key{BlockKey: blockKey, Partition: partition}
+	f.Add(int32(0), int32(0), int64(0))
+	f.Add(int32(17575), int32(3), int64(1)<<31)
+	f.Add(int32(-1<<31), int32(1<<31-1), int64(-1)<<31-1)
+	f.Fuzz(func(t *testing.T, block, partition int32, wide int64) {
 		c, ok := runio.Lookup[Key]()
 		if !ok {
 			t.Fatal("bdm.Key codec not registered")
 		}
+		k := Key{Block: block, Partition: partition}
 		enc := c.Append(nil, k)
 		got, n, err := c.NewDecoder()(string(enc))
 		if err != nil {
@@ -31,6 +30,13 @@ func FuzzBDMKeyCodec(f *testing.F) {
 		}
 		if n != len(enc) || got != k {
 			t.Fatalf("round trip: got (%+v, %d), want (%+v, %d)", got, n, k, len(enc))
+		}
+		if int64(int32(wide)) == wide {
+			return
+		}
+		over := runio.AppendVarint(runio.AppendVarint(nil, int64(block)), wide)
+		if _, _, err := c.NewDecoder()(string(over)); !errors.Is(err, runio.ErrCorrupt) {
+			t.Fatalf("partition %d decoded with err = %v, want runio.ErrCorrupt", wide, err)
 		}
 	})
 }

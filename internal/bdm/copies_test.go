@@ -13,18 +13,19 @@ import (
 )
 
 // perCellBytes is the allocation ComputeContext may spend per matrix
-// cell beyond the one annotated copy of its input: the count tables,
-// map output, sort and merge of the cell records, and the matrix. On
-// amd64 it measured 160–200 B per cell with the engine's pools warm and
-// about 600 B on a cold first run, so the bound below holds the minimum
-// of three runs.
+// cell beyond the one annotated copy of its input: the numbering table,
+// the count arrays, map output, sort and merge of the cell records, and
+// the matrix. A cold first run spends more than a run with the engine's
+// pools warm, so the bound below holds the minimum of three runs. Here
+// it also covers the block-id column Job 1 reads, 4 B a record: on
+// amd64 the minimum measured 4.77 MB against a bound of 6.05 MB.
 const perCellBytes = 512
 
 // TestComputeContextCopiesInputOnce pins the number of copies Job 1
-// makes of its input: one []Annotated of n records, which both jobs
-// read, plus a per-cell term. A second copy of the n records (a wrap
-// for the job and an annotated output beside it) is 5.6 MB here and
-// does not fit under the bound.
+// makes of its input: one []Annotated of n records, which Job 2 reads
+// and whose ids Job 1 counts, plus a per-cell term. A second copy of
+// the n records (a wrap for the job and an annotated output beside it)
+// is 4 MB here and does not fit under the bound.
 func TestComputeContextCopiesInputOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; the bound would flake")

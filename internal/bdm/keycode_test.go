@@ -4,21 +4,19 @@ import (
 	"testing"
 )
 
-// FuzzBDMKeyCoding proves the BDM job's 16-byte blocking-key prefix
-// code is order-preserving against the full (BlockKey, Partition)
-// comparator: unequal prefixes must decide the order, equal comparison
-// keys must get equal codes. The coding is deliberately neither Exact
-// nor group-deciding (two keys sharing a 16-byte prefix fall back to
-// the comparator), which Verify checks by omission.
+// FuzzBDMKeyCoding proves the BDM job's key code exact and
+// order-preserving against the (Block, Partition) comparator: unequal
+// keys get codes in their order, equal keys equal codes, and the
+// grouping key — the whole key — is the code's high word.
 func FuzzBDMKeyCoding(f *testing.F) {
-	f.Add("", 0, "", 1)
-	f.Add("can", 0, "can", 0)
-	f.Add("canon eos 5d mark iv", 2, "canon eos 5d mark iii", 1)
-	f.Add("\x00", 0, "\x00\x00", 0)
-	f.Fuzz(func(t *testing.T, keyA string, partA int, keyB string, partB int) {
-		a := Key{BlockKey: keyA, Partition: partA}
-		b := Key{BlockKey: keyB, Partition: partB}
-		if err := keyCoding.Verify(compareKeys, nil, a, b); err != nil {
+	f.Add(int32(0), int32(0), int32(0), int32(1))
+	f.Add(int32(3), int32(0), int32(3), int32(0))
+	f.Add(int32(-1), int32(2), int32(0), int32(1))
+	f.Add(int32(1<<31-1), int32(-1<<31), int32(-1<<31), int32(1<<31-1))
+	f.Fuzz(func(t *testing.T, blockA, partA, blockB, partB int32) {
+		a := Key{Block: blockA, Partition: partA}
+		b := Key{Block: blockB, Partition: partB}
+		if err := keyCoding.Verify(compareKeys, compareKeys, a, b); err != nil {
 			t.Fatal(err)
 		}
 	})

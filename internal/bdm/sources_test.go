@@ -37,7 +37,7 @@ func TestWithSources(t *testing.T) {
 	if x.NumBlocks() != 3 || x.NumPartitions() != 3 || !x.TwoSources() {
 		t.Fatalf("shape %d×%d (two sources: %v), want 3×3 tagged", x.NumBlocks(), x.NumPartitions(), x.TwoSources())
 	}
-	xk, ok := x.BlockIndex("x")
+	xk, ok := blockIndex(x, "x")
 	if !ok {
 		t.Fatal("block x missing")
 	}

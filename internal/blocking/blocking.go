@@ -43,16 +43,18 @@ func NormalizedPrefix(n int) KeyFunc {
 			}
 		}
 		var b strings.Builder
+		letters := 0
 		for _, r := range v {
 			r = unicode.ToLower(r)
 			if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-				if b.Len() == 0 {
+				if letters == 0 {
 					continue // strip leading separators
 				}
 				break
 			}
 			b.WriteRune(r)
-			if b.Len() >= n {
+			letters++
+			if letters == n {
 				break
 			}
 		}

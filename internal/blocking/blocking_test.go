@@ -22,6 +22,24 @@ func TestNormalizedPrefix(t *testing.T) {
 	}
 }
 
+// TestNormalizedPrefixCountsLetters: n is letters, not bytes, so
+// titles that share only their first multi-byte letter or two get
+// distinct keys.
+func TestNormalizedPrefixCountsLetters(t *testing.T) {
+	p3 := NormalizedPrefix(3)
+	for _, pair := range [][2]string{{"日本語です", "日本人"}, {"Ünïcode", "Ünterwegs"}} {
+		a, b := p3(pair[0]), p3(pair[1])
+		if a == b {
+			t.Errorf("%q and %q share the key %q", pair[0], pair[1], a)
+		}
+	}
+	for in, want := range map[string]string{"日本語です": "日本語", "Ünïcode": "ünï", "Ünterwegs": "ünt", "éa": "éa"} {
+		if got := p3(in); got != want {
+			t.Errorf("NormalizedPrefix(3)(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestNormalizedPrefixPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
 
 	"repro/internal/bdm"
 	"repro/internal/entity"
@@ -10,11 +10,12 @@ import (
 )
 
 // Basic is the straightforward MR implementation of blocking-based ER
-// described in Section III: map emits (blocking key, entity), the default
-// hash partitioner routes whole blocks to reduce tasks, and each reduce
-// call compares all entities of one block. It needs no BDM and no
-// preprocessing job, but the match work of an entire block lands on a
-// single reduce task, so skewed block sizes dominate the execution time.
+// described in Section III: map emits (block id, entity), the default
+// hash partitioner routes whole blocks to reduce tasks — Hadoop's on an
+// int key is id % r — and each reduce call compares all entities of one
+// block. It needs no BDM and no preprocessing job, but the match work
+// of an entire block lands on a single reduce task, so skewed block
+// sizes dominate the execution time.
 type Basic struct{}
 
 // Name implements Strategy.
@@ -28,27 +29,33 @@ func (Basic) Job(_ *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("Basic", r); err != nil {
 		return nil, err
 	}
-	return &mapreduce.Job[AnnotatedEntity, string, entity.Row, MatchOutput]{
+	return &mapreduce.Job[AnnotatedEntity, int32, entity.Row, MatchOutput]{
 		Name:           "basic",
 		NumReduceTasks: r,
-		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, string, entity.Row] {
-			return &mapreduce.MapperFunc[AnnotatedEntity, string, entity.Row]{
-				OnMap: func(ctx *mapreduce.MapContext[AnnotatedEntity, string, entity.Row], rec AnnotatedEntity) {
-					// Input records are annotated rows (blocking key,
-					// row); Basic forwards them unchanged.
+		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, int32, entity.Row] {
+			return &mapreduce.MapperFunc[AnnotatedEntity, int32, entity.Row]{
+				OnMap: func(ctx *mapreduce.MapContext[AnnotatedEntity, int32, entity.Row], rec AnnotatedEntity) {
+					// Input records are annotated rows (block id, row);
+					// Basic forwards them unchanged.
 					ctx.Emit(rec.Key, rec.Value)
 				},
 			}
 		},
-		NewReducer: func() mapreduce.Reducer[string, entity.Row, MatchOutput] {
+		NewReducer: func() mapreduce.Reducer[int32, entity.Row, MatchOutput] {
 			return &basicReducer{group: &group{m: match}}
 		},
-		Partition: mapreduce.HashPartition,
-		Compare:   strings.Compare,
-		// The blocking key is an arbitrary string: a 16-byte prefix code
-		// decides most comparisons, ties fall back to the full compare.
-		Coding: mapreduce.KeyCoding[string]{Encode: mapreduce.StringPrefixCode},
+		Partition: func(id int32, r int) int { return int(id) % r },
+		Compare:   cmp.Compare[int32],
+		Coding:    basicKeyCoding,
 	}, nil
+}
+
+// basicKeyCoding is the block id's exact code, its sign bit flipped
+// (see bsKeyCoding).
+var basicKeyCoding = mapreduce.KeyCoding[int32]{
+	Encode:    func(id int32) mapreduce.Code { return mapreduce.Code{Hi: uint64(uint32(id) ^ 1<<31)} },
+	Exact:     true,
+	GroupBits: 64,
 }
 
 type basicReducer struct{ *group }
@@ -60,7 +67,7 @@ func (b *basicReducer) Configure(_, _, _ int) {}
 // every already-seen entity is what forces a reduce task to keep an
 // entire block in memory — the paper's memory-bottleneck argument
 // against Basic.
-func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[string, entity.Row]) {
+func (b *basicReducer) Reduce(ctx *matchCtx, _ int32, values []mapreduce.Rec[int32, entity.Row]) {
 	touch(b.group, values)
 	b.begin(len(values))
 	for _, v := range values {
@@ -70,7 +77,7 @@ func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[st
 }
 
 // Plan implements Strategy: per-reduce-task comparisons follow from
-// hash-partitioning whole blocks; the map phase emits exactly one
+// partitioning whole blocks by id; the map phase emits exactly one
 // key-value pair per input entity.
 func (Basic) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 	if err := validatePlanParams("Basic", m, r); err != nil {
@@ -84,7 +91,7 @@ func (Basic) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 	}
 	p := newPlan("Basic", m, r)
 	for k := 0; k < x.NumBlocks(); k++ {
-		j := mapreduce.HashPartition(x.BlockKey(k), r)
+		j := k % r
 		p.ReduceComparisons[j] += x.BlockPairs(k)
 		p.ReduceRecords[j] += int64(x.Size(k))
 		for pi := 0; pi < m; pi++ {

@@ -306,7 +306,7 @@ var bsKeyCoding = mapreduce.KeyCoding[BSKey]{
 }
 
 // Job implements Strategy (Algorithm 1). Input records must be the BDM
-// job's input (blocking-key-annotated rows, bdm.Annotate).
+// job's input (block-id-annotated rows, bdm.Annotate).
 func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("BlockSplit", r); err != nil {
 		return nil, err
@@ -357,10 +357,7 @@ func (mp *bsMapper) Configure(m, _, partitionIndex int) {
 // product per other compared partition) per split-block entity — and
 // the same again for a keyed entity's place in the ⊥ row.
 func (mp *bsMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, BSKey, entity.Row], rec AnnotatedEntity) {
-	k, ok := mp.x.BlockIndex(rec.Key)
-	if !ok {
-		panic(fmt.Sprintf("core: BlockSplit: blocking key %q not present in BDM", rec.Key))
-	}
+	k := blockOf(mp.x, rec, "BlockSplit")
 	mp.emit(ctx, k, rec.Value, false)
 	if k != 0 && mp.x.MissingKeys() {
 		mp.emit(ctx, 0, rec.Value, true)

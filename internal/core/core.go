@@ -94,9 +94,18 @@ func CompareMatchPairs(a, b MatchPair) int {
 const ComparisonsCounter = mapreduce.ComparisonsCounter
 
 // AnnotatedEntity is one input record of a matching job: an entity's
-// row annotated with its blocking key (bdm.Annotate), the record the
-// BDM job counts (Algorithm 3's "additionalOutput").
+// row annotated with its block id (bdm.Annotate), the record whose id
+// the BDM job counts (Algorithm 3's "additionalOutput").
 type AnnotatedEntity = bdm.Annotated
+
+// blockOf returns rec's block: its id, which must index x.
+func blockOf(x *bdm.Matrix, rec AnnotatedEntity, strategy string) int {
+	k := int(rec.Key)
+	if k < 0 || k >= x.NumBlocks() {
+		panic(fmt.Sprintf("core: %s: block id %d outside the BDM's %d blocks", strategy, k, x.NumBlocks()))
+	}
+	return k
+}
 
 // MatchOutput is one emitted match: the canonical pair and its
 // similarity.
@@ -104,7 +113,7 @@ type MatchOutput = mapreduce.Pair[MatchPair, float64]
 
 // MatchJob is a runnable matching job (Job 2 of the paper's workflow)
 // with the strategy's intermediate key/value types erased: all
-// strategies consume blocking-key-annotated rows and emit match
+// strategies consume block-id-annotated rows and emit match
 // pairs, but each redistributes through its own composite key type.
 type MatchJob = mapreduce.JobRunner[AnnotatedEntity, MatchOutput]
 
@@ -126,7 +135,7 @@ type Strategy interface {
 	// as a single job without the preprocessing step).
 	NeedsBDM() bool
 	// Job builds the executable MR Job 2. Input records must be the BDM
-	// job's input (blocking-key-annotated rows). x may be nil
+	// job's input (block-id-annotated rows). x may be nil
 	// iff !NeedsBDM(); match may be nil (count comparisons only).
 	Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error)
 	// Plan computes the exact per-task workloads Job would produce for m

@@ -52,7 +52,7 @@ func TestDualBDMExample(t *testing.T) {
 	wantPairs := map[string]int64{"w": 4, "x": 1, "y": 0, "z": 6}
 	var total int64
 	for key, want := range wantPairs {
-		k, ok := x.BlockIndex(key)
+		k, ok := blockIndex(x, key)
 		if !ok {
 			t.Fatalf("block %q missing", key)
 		}
@@ -64,7 +64,7 @@ func TestDualBDMExample(t *testing.T) {
 	if got := x.Pairs(); got != total {
 		t.Errorf("Pairs = %d, want %d", got, total)
 	}
-	zk, _ := x.BlockIndex("z")
+	zk, _ := blockIndex(x, "z")
 	if got := x.SourceSize(zk, bdm.SourceR); got != 2 {
 		t.Errorf("|z,R| = %d, want 2", got)
 	}
@@ -140,7 +140,7 @@ func TestDualBlockSplitSplitsLargestBlock(t *testing.T) {
 	for _, task := range asg.ordered {
 		comps[task.id] = task.comps
 	}
-	zk, _ := x.BlockIndex("z")
+	zk, _ := blockIndex(x, "z")
 	if !asg.Split(zk) {
 		t.Error("block z was not split despite exceeding the average workload")
 	}
@@ -158,7 +158,7 @@ func TestDualBlockSplitSplitsLargestBlock(t *testing.T) {
 		}
 	}
 	// Block y has no S entities: no comparisons anywhere.
-	yk, _ := x.BlockIndex("y")
+	yk, _ := blockIndex(x, "y")
 	for id, c := range comps {
 		if id.block == yk && c != 0 {
 			t.Errorf("block y got match task %v with %d comps despite empty S side", id, c)

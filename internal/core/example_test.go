@@ -43,7 +43,7 @@ func TestPaperExampleBDM(t *testing.T) {
 	}
 	wantSizes := map[string][2]int{"w": {2, 2}, "x": {1, 1}, "y": {2, 1}, "z": {2, 3}}
 	for key, want := range wantSizes {
-		k, ok := x.BlockIndex(key)
+		k, ok := blockIndex(x, key)
 		if !ok {
 			t.Fatalf("block %q missing", key)
 		}
@@ -63,7 +63,7 @@ func TestPaperExampleBDM(t *testing.T) {
 	}
 	// The largest block z holds 10 of 20 pairs (50%) with 5 of 14
 	// entities (~35%), the skew the paper highlights.
-	zk, _ := x.BlockIndex("z")
+	zk, _ := blockIndex(x, "z")
 	if got := x.BlockPairs(zk); got != 10 {
 		t.Errorf("z pairs = %d, want 10", got)
 	}
@@ -88,12 +88,12 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 			t.Errorf("combiner=%v: MR cells = %v, want %v", combiner, x.Cells(), want.Cells())
 		}
 		// The annotated input must mirror the input partitioning with
-		// blocking-key annotations.
+		// block-id annotations.
 		if len(input) != 2 || len(input[0]) != 7 || len(input[1]) != 7 {
 			t.Fatalf("combiner=%v: annotated input shape wrong: %d/%d", combiner, len(input[0]), len(input[1]))
 		}
-		if got := input[1][4].Key; got != "z" {
-			t.Errorf("M's annotated key = %q, want z", got)
+		if got := x.BlockKey(int(input[1][4].Key)); got != "z" {
+			t.Errorf("M's annotated block = %q, want z", got)
 		}
 		// Aggregating per map task compresses the map output: one pair
 		// per non-zero (block, partition) cell instead of one per entity.
@@ -114,7 +114,7 @@ func TestPaperExampleBlockSplitAssignment(t *testing.T) {
 	if asg.avg != 6 {
 		t.Fatalf("avg workload = %d, want 6", asg.avg)
 	}
-	zk, _ := x.BlockIndex("z")
+	zk, _ := blockIndex(x, "z")
 	// Match tasks in descending order: 0.* (6), 3.0×1 (6), 2.* (3),
 	// 3.1 (3), 1.* (1), 3.0 (1) — exactly the paper's ordering.
 	wantOrder := []struct {
@@ -169,7 +169,7 @@ func TestPaperExampleBlockSplitExecution(t *testing.T) {
 
 func TestPaperExamplePairRangeEnumeration(t *testing.T) {
 	x := exampleBDM(t)
-	zk, _ := x.BlockIndex("z")
+	zk, _ := blockIndex(x, "z")
 	// Pair indexes of Figure 6: p3(0,2)=11, p3(2,4)=18, p0(2,3)=5.
 	if got := PairIndex(x, zk, 0, 2); got != 11 {
 		t.Errorf("p3(0,2) = %d, want 11 (M's pmin)", got)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,6 +80,10 @@ func TestKeyCodingsRandomMatrix(t *testing.T) {
 			if err := prKeyCoding.Verify(comparePRKeys, groupPRKeys, a, b); err != nil {
 				t.Fatal("PRKey:", err)
 			}
+		}
+		a, b := int32(around(math.MinInt32)), int32(around(math.MinInt32))
+		if err := basicKeyCoding.Verify(cmp.Compare[int32], nil, a, b); err != nil {
+			t.Fatal("Basic's block id:", err)
 		}
 	}
 }

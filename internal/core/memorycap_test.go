@@ -24,7 +24,7 @@ func memoryCapDataset() entity.Partitions {
 func TestBlockSplitMemoryCapForcesSplit(t *testing.T) {
 	parts := memoryCapDataset()
 	x := mustBDM(t, parts)
-	midK, _ := x.BlockIndex("mid")
+	midK, _ := blockIndex(x, "mid")
 
 	// Default behaviour: with r=2 the average workload is large and the
 	// mid block (40 entities, 780 pairs) is NOT split.

@@ -80,7 +80,7 @@ var prKeyCoding = mapreduce.KeyCoding[PRKey]{
 }
 
 // Job implements Strategy (Algorithm 2). Input records must be the BDM
-// job's input (blocking-key-annotated rows, bdm.Annotate).
+// job's input (block-id-annotated rows, bdm.Annotate).
 func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := validateJobParams("PairRange", r); err != nil {
 		return nil, err
@@ -139,10 +139,7 @@ func (mp *prMapper) Configure(m, _, partitionIndex int) {
 // emit one annotated copy per relevant range — and the same again for a
 // keyed entity's place in the ⊥ row.
 func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Row], rec AnnotatedEntity) {
-	k, ok := mp.x.BlockIndex(rec.Key)
-	if !ok {
-		panic(fmt.Sprintf("core: PairRange: blocking key %q not present in BDM", rec.Key))
-	}
+	k := blockOf(mp.x, rec, "PairRange")
 	mp.emit(ctx, k, mp.entityIndex[k], rec.Value)
 	mp.entityIndex[k]++
 	if k != 0 && mp.x.MissingKeys() {

@@ -14,7 +14,7 @@ import (
 // strategies build (one case per strategy).
 func RemoteRunnableFor(j MatchJob) (mapreduce.RemoteRunnable, error) {
 	switch jt := j.(type) {
-	case *mapreduce.Job[AnnotatedEntity, string, entity.Row, MatchOutput]:
+	case *mapreduce.Job[AnnotatedEntity, int32, entity.Row, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // Basic
 	case *mapreduce.Job[AnnotatedEntity, BSKey, entity.Row, MatchOutput]:
 		return mapreduce.NewRemoteRunnable(jt) // BlockSplit

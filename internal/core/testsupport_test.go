@@ -82,9 +82,10 @@ func mustBDM(t *testing.T, parts entity.Partitions) *bdm.Matrix {
 }
 
 // annotatedInput builds the typed job input: each entity annotated with
-// its blocking key read from the given attribute.
+// the id of its blocking key read from the given attribute.
 func annotatedInput(parts entity.Partitions, attr string) [][]AnnotatedEntity {
-	return bdm.Annotate(parts, attr, blocking.Identity())
+	input, _ := bdm.Annotate(parts, attr, blocking.Identity())
+	return input
 }
 
 // runStrategy executes a strategy end to end with the given matcher and
@@ -100,4 +101,14 @@ func runStrategy(t *testing.T, strat Strategy, x *bdm.Matrix, parts entity.Parti
 		t.Fatalf("%s: Run: %v", strat.Name(), err)
 	}
 	return res
+}
+
+// blockIndex returns the block of key in x, and whether x has one.
+func blockIndex(x *bdm.Matrix, key string) (int, bool) {
+	for k := 0; k < x.NumBlocks(); k++ {
+		if x.BlockKey(k) == key {
+			return k, true
+		}
+	}
+	return -1, false
 }

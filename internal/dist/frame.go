@@ -34,9 +34,15 @@ import (
 // Version 3: both jobs' records carry an entity.Row (id ‖ text) where
 // version 2 carried the whole entity (id ‖ attribute count ‖ attributes);
 // a version-2 peer would read the text's length as an attribute count.
+//
+// Version 4: a row's blocking key travels as its block id, an int32
+// varint, where version 3 sent the key string: Job 1's map input is the
+// id column alone, Job 2's records are (id, row), and Job 1's key is
+// (block, partition) as two varints. A version-3 peer would read an id
+// as a string length.
 const (
 	frameMagic     = "ERF"
-	frameVersion   = 3
+	frameVersion   = 4
 	framePrefixLen = 16
 
 	// maxFrameHeader bounds the metadata of one message. The largest

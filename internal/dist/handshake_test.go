@@ -195,7 +195,7 @@ func TestWorkerRefusesWhatIsNotAFrame(t *testing.T) {
 	w := startTestWorker(t, m)
 	good := buildFrame(t, &TaskRequest{JobID: "nobody-installed-this", Phase: "map", M: 1}, nil)
 	otherBuild := bytes.Clone(good)
-	otherBuild[3] = frameVersion - 1 // a peer from before the row records
+	otherBuild[3] = frameVersion - 1 // a peer from before the block ids
 	hugeHeader := bytes.Clone(good)
 	hugeHeader[6] = 0xff // header length ≥ 0xff0000 > maxFrameHeader
 	cases := []struct {

@@ -111,7 +111,7 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 	}
 	// Annotated before the wait, so that ingest overlaps the workers'
 	// registration.
-	input, err := annotate(src, &cfg)
+	in, err := annotate(&cfg, src)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, input, nil, cfg, &dispatch{master: opts.Master, params: params})
+	return runPipeline(ctx, in, nil, cfg, &dispatch{master: opts.Master, params: params})
 }
 
 // dispatch binds a pipeline's jobs to a dist master; params is the

@@ -91,10 +91,12 @@ type Result struct {
 	MatchResult *core.MatchJobResult
 }
 
-// AnnotateInput converts raw partitions into the blocking-key-annotated
-// records Job 2 consumes: bdm.Annotate, the records Job 1 counts.
+// AnnotateInput converts raw partitions into the block-id-annotated
+// records Job 2 consumes: bdm.Annotate's rows, whose ids Job 1 counts,
+// without the key table.
 func AnnotateInput(parts entity.Partitions, attr string, key blocking.KeyFunc) [][]core.AnnotatedEntity {
-	return bdm.Annotate(parts, attr, key)
+	input, _ := bdm.Annotate(parts, attr, key)
+	return input
 }
 
 // SortMatches orders pairs lexicographically for deterministic output.

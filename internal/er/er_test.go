@@ -304,13 +304,17 @@ func TestAnnotateInput(t *testing.T) {
 	}
 	parts := entity.SplitRoundRobin(es, 2)
 	input := AnnotateInput(parts, "title", blocking.NormalizedPrefix(3))
+	x, err := bdm.FromPartitions(parts, "title", blocking.NormalizedPrefix(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(input) != 2 {
 		t.Fatal("wrong partition count")
 	}
 	for i, p := range parts {
 		for j, e := range p {
-			if input[i][j].Key != blocking.NormalizedPrefix(3)(e.Attr("title")) {
-				t.Fatalf("key mismatch at %d/%d", i, j)
+			if x.BlockKey(int(input[i][j].Key)) != blocking.NormalizedPrefix(3)(e.Attr("title")) {
+				t.Fatalf("block mismatch at %d/%d", i, j)
 			}
 			// The row carries the ID and the text of the key's attribute.
 			if want := (entity.Row{ID: e.ID, Text: e.Attr("title")}); input[i][j].Value != want {

@@ -3,11 +3,11 @@ package er
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/bdm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/entity"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
@@ -113,19 +113,15 @@ func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg Config) (*Resul
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	inputR, err := annotate(srcR, &cfg)
+	in, err := annotate(&cfg, srcR, srcS)
 	if err != nil {
 		return nil, err
 	}
-	inputS, err := annotate(srcS, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	sources := make([]bdm.Source, len(inputR)+len(inputS))
-	for i := len(inputR); i < len(sources); i++ {
+	sources := make([]bdm.Source, len(in.rows))
+	for i := in.firstOf[1]; i < len(sources); i++ {
 		sources[i] = bdm.SourceS
 	}
-	return runPipeline(ctx, slices.Concat(inputR, inputS), func(x *bdm.Matrix) (*bdm.Matrix, error) {
+	return runPipeline(ctx, in, func(x *bdm.Matrix) (*bdm.Matrix, error) {
 		return x.WithSources(sources)
 	}, cfg, nil)
 }
@@ -148,35 +144,53 @@ func runSource(ctx context.Context, src Source, shape func(*bdm.Matrix) (*bdm.Ma
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	input, err := annotate(src, &cfg)
+	in, err := annotate(&cfg, src)
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, input, shape, cfg, nil)
+	return runPipeline(ctx, in, shape, cfg, nil)
 }
 
-// annotate is the one step of a run that holds the source's
-// partitions: it reads them, annotates every entity with its blocking
-// key and match text (bdm.Annotate) and returns the rows alone. The
+// annotated is a run's input: the rows of every source's partitions,
+// each annotated with its block id, and the sorted key table the ids
+// index (bdm.Annotate). firstOf[i] is the first partition of source i.
+type annotated struct {
+	rows    [][]core.AnnotatedEntity
+	keys    []string
+	firstOf []int
+}
+
+// annotate is the one step of a run that holds the sources'
+// partitions: it reads them, annotates every entity with its block id
+// and match text (bdm.Annotate), numbering the keys of all sources
+// through one table, and returns the rows and the key table alone. The
 // rows alias only the entities' strings, so once it returns the
 // partition arrays and the entities' attribute slices are garbage, and
 // the jobs run without them: the GC paces itself by a smaller live
 // heap, and the pages they held are reused instead of new ones being
 // faulted in.
-func annotate(src Source, cfg *Config) ([][]core.AnnotatedEntity, error) {
-	parts, err := src.Partitions()
-	if err != nil {
-		return nil, err
+func annotate(cfg *Config, srcs ...Source) (annotated, error) {
+	var parts entity.Partitions
+	firstOf := make([]int, len(srcs))
+	for i, src := range srcs {
+		p, err := src.Partitions()
+		if err != nil {
+			return annotated{}, err
+		}
+		firstOf[i] = len(parts)
+		parts = append(parts, p...)
 	}
-	return AnnotateInput(parts, cfg.Attr, cfg.BlockKey), nil
+	rows, keys := bdm.Annotate(parts, cfg.Attr, cfg.BlockKey)
+	return annotated{rows: rows, keys: keys, firstOf: firstOf}, nil
 }
 
 // runPipeline is the body of every entry point, over annotated input;
 // shape, when non-nil, turns Job 1's matrix into the one Job 2 plans
 // with (source tags, a ⊥ row), and d binds the jobs to a dist master
 // (nil = in process).
-func runPipeline(ctx context.Context, input [][]core.AnnotatedEntity, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config, d *dispatch) (*Result, error) {
+func runPipeline(ctx context.Context, in annotated, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config, d *dispatch) (*Result, error) {
 	eng := cfg.ResolveEngine()
+	input := in.rows
 	res := &Result{}
 
 	switch {
@@ -185,7 +199,7 @@ func runPipeline(ctx context.Context, input [][]core.AnnotatedEntity, shape func
 		if err != nil {
 			return nil, err
 		}
-		matrix, bdmRes, err := bdm.Count(ctx, bdmEng, input, cfg.bdmJobOptions())
+		matrix, bdmRes, err := bdm.Count(ctx, bdmEng, input, in.keys, cfg.bdmJobOptions())
 		done()
 		if err != nil {
 			return nil, err

@@ -6,15 +6,14 @@ import (
 	"repro/internal/bdm"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/mapreduce"
 )
 
 // BDMWorkload computes the analytic workload of the BDM job (Job 1) from
 // the matrix it would produce: every map task reads its partition and
 // emits one pair per entity (or one partial count per non-empty
 // (block, partition) cell when the mapper aggregates); each reduce
-// task receives the cells of the blocks hashed to it and performs no
-// comparisons.
+// task receives the cells of the blocks partitioned to it by id
+// (block % r) and performs no comparisons.
 func BDMWorkload(x *bdm.Matrix, r int, combiner bool) cluster.JobWorkload {
 	m := x.NumPartitions()
 	w := cluster.JobWorkload{
@@ -25,7 +24,7 @@ func BDMWorkload(x *bdm.Matrix, r int, combiner bool) cluster.JobWorkload {
 		ReduceComparisons: make([]int64, r),
 	}
 	for k := 0; k < x.NumBlocks(); k++ {
-		j := mapreduce.HashPartition(x.BlockKey(k), r)
+		j := k % r
 		for p := 0; p < m; p++ {
 			n := int64(x.SizeIn(k, p))
 			if n == 0 {

@@ -32,7 +32,7 @@ func annotatedRecords(n int) []bdm.Annotated {
 	recs := make([]bdm.Annotated, n)
 	for i := range recs {
 		recs[i] = bdm.Annotated{
-			Key: fmt.Sprintf("k%02d", i%7),
+			Key: int32(i%7) - 3,
 			Value: entity.Row{
 				ID:   fmt.Sprintf("e%05d\n\xff", i),
 				Text: fmt.Sprintf("title of entity %d\twith a tab, \xc0\x80 and\na newline", i),

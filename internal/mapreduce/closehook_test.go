@@ -202,10 +202,10 @@ func TestCloseEmitFaultRetried(t *testing.T) {
 	}
 }
 
-// bdmInput is a partitioned catalog of a few dozen blocks, and the BDM
-// job's input built from it: the catalog annotated with the keys the
-// tests' JobOptions name.
-func bdmInput(m int) (entity.Partitions, [][]bdm.Annotated) {
+// bdmInput is a partitioned catalog of a few dozen blocks, the BDM
+// job's input built from it — the block ids of the catalog annotated
+// with the keys the tests' JobOptions name — and the ids' key table.
+func bdmInput(m int) (entity.Partitions, [][]int32, []string) {
 	var es []entity.Entity
 	for i := 0; i < 400; i++ {
 		// Blocks of uneven size, unevenly spread over the partitions.
@@ -213,17 +213,14 @@ func bdmInput(m int) (entity.Partitions, [][]bdm.Annotated) {
 		es = append(es, entity.New(fmt.Sprintf("e%03d", i), "title", fmt.Sprintf("b%02d item %d", block, i)))
 	}
 	parts := entity.SplitRoundRobin(es, m)
-	return parts, bdm.Annotate(parts, "title", blocking.NormalizedPrefix(3))
+	input, keys := bdm.Annotate(parts, "title", blocking.NormalizedPrefix(3))
+	return parts, bdm.BlockIDs(input), keys
 }
 
-// matrixOf assembles the matrix a BDM job result describes.
-func matrixOf(t *testing.T, res *bdm.JobResult, m int) *bdm.Matrix {
+// matrixOf assembles the matrix a BDM job result describes over keys.
+func matrixOf(t *testing.T, res *bdm.JobResult, keys []string, m int) *bdm.Matrix {
 	t.Helper()
-	cells := make([]bdm.Cell, 0, len(res.Output))
-	for _, rec := range res.Output {
-		cells = append(cells, bdm.Cell{BlockKey: rec.Key.BlockKey, Partition: rec.Key.Partition, Count: rec.Value})
-	}
-	x, err := bdm.FromCells(cells, m)
+	x, err := bdm.FromCounts(keys, m, res.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +233,7 @@ func matrixOf(t *testing.T, res *bdm.JobResult, m int) *bdm.Matrix {
 // and its matrix is the directly computed one.
 func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 	const m, r = 3, 5
-	parts, input := bdmInput(m)
+	parts, input, keys := bdmInput(m)
 	direct, err := bdm.FromPartitions(parts, "title", blocking.NormalizedPrefix(3))
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +268,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 		if got := int(res.MapOutputRecords); got != len(direct.Cells()) {
 			t.Errorf("%s: MapOutputRecords = %d, want the %d non-zero cells", name, got, len(direct.Cells()))
 		}
-		if !reflect.DeepEqual(matrixOf(t, res, m).Cells(), direct.Cells()) {
+		if !reflect.DeepEqual(matrixOf(t, res, keys, m).Cells(), direct.Cells()) {
 			t.Errorf("%s: matrix differs from bdm.FromPartitions", name)
 		}
 		normalize(&res.Metrics)
@@ -287,7 +284,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 // halfway through flushing its count table is superseded whole.
 func TestBDMCloseEmitFaultNeitherLosesNorDoubleCounts(t *testing.T) {
 	const m, r = 3, 5
-	parts, input := bdmInput(m)
+	parts, input, keys := bdmInput(m)
 	direct, err := bdm.FromPartitions(parts, "title", blocking.NormalizedPrefix(3))
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +303,7 @@ func TestBDMCloseEmitFaultNeitherLosesNorDoubleCounts(t *testing.T) {
 		if res.Retries != m {
 			t.Errorf("%s: Retries = %d, want %d", name, res.Retries, m)
 		}
-		if !reflect.DeepEqual(matrixOf(t, res, m).Cells(), direct.Cells()) {
+		if !reflect.DeepEqual(matrixOf(t, res, keys, m).Cells(), direct.Cells()) {
 			t.Errorf("%s: matrix after close-time faults differs from bdm.FromPartitions", name)
 		}
 	}

@@ -43,8 +43,10 @@ var (
 
 // tinySpillBudget forces a spill roughly every record or two: the
 // smallest catalog match-job map task emits ≥ 17 records of ≥ 25
-// encoded bytes, so every such task writes ≥ 4 runs (asserted).
-const tinySpillBudget = 64
+// encoded bytes, so every such task writes ≥ 4 runs, and the smallest
+// aggregating BDM map task emits 3 cells of 19 bytes, so it writes one
+// (asserted).
+const tinySpillBudget = 48
 
 // engineFor builds a Parallelism-2 engine for one residency and returns
 // the directory it may write to ("" in memory), whose emptiness callers

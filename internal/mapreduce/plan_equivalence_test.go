@@ -50,7 +50,8 @@ type stratRow struct {
 func checkRow(t *testing.T, rw stratRow) int64 {
 	t.Helper()
 	m := len(rw.parts)
-	input := bdm.Annotate(rw.parts, rw.attr, rw.key)
+	input, keys := bdm.Annotate(rw.parts, rw.attr, rw.key)
+	ids := bdm.BlockIDs(input)
 	direct, err := bdm.FromPartitions(rw.parts, rw.attr, rw.key)
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +68,9 @@ func checkRow(t *testing.T, rw stratRow) int64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref1, n := checkEverywhere(t, name+"/bdm", job1, rr1, input, job1Runs)
+		ref1, n := checkEverywhere(t, name+"/bdm", job1, rr1, ids, job1Runs)
 		retries += n
-		x := matrixOf(t, ref1, m)
+		x := matrixOf(t, ref1, keys, m)
 		if !reflect.DeepEqual(x.Cells(), direct.Cells()) {
 			t.Fatalf("%s: Job 1's matrix differs from bdm.FromPartitions'", name)
 		}
@@ -325,7 +326,7 @@ func (d matrixDraw) checkMatrix(t *testing.T, name string, parts entity.Partitio
 	}
 	x = shape(t, x, d.sources, d.bottom != nil)
 	for k, cells := range d.sizes {
-		bk, ok := x.BlockIndex(fmt.Sprintf("b%d", k))
+		bk, ok := blockIndex(x, fmt.Sprintf("b%d", k))
 		if ok != (slices.Max(cells) > 0) {
 			t.Fatalf("%s: drawn block %d present=%v in the matrix, drawn %v", name, k, ok, cells)
 		}
@@ -393,4 +394,14 @@ func TestPlanExecutionEquivalenceWidePartitions(t *testing.T) {
 	parts := d.partitions(rand.New(rand.NewSource(5)))
 	d.checkMatrix(t, "wide", parts)
 	checkRow(t, d.row("wide", parts, []core.Strategy{core.BlockSplit{}}))
+}
+
+// blockIndex returns the block of key in x, and whether x has one.
+func blockIndex(x *bdm.Matrix, key string) (int, bool) {
+	for k := 0; k < x.NumBlocks(); k++ {
+		if x.BlockKey(k) == key {
+			return k, true
+		}
+	}
+	return -1, false
 }

@@ -22,8 +22,8 @@ import (
 // compares (see keycode.go). This file is the API; dataflow.go runs it.
 
 // Pair is a plain typed key-value record. It is the input/output record
-// shape used throughout the pipeline (e.g. blocking-key-annotated
-// entities, emitted match pairs).
+// shape used throughout the pipeline (e.g. block-id-annotated rows,
+// emitted match pairs).
 type Pair[K, V any] struct {
 	Key   K
 	Value V

@@ -255,6 +255,25 @@ func (IntCodec) NewDecoder() func(string) (int, int, error) {
 	}
 }
 
+// Int32Codec encodes int32s as zig-zag varints.
+type Int32Codec struct{}
+
+func (Int32Codec) Append(dst []byte, v int32) []byte { return AppendVarint(dst, int64(v)) }
+
+// NewDecoder implements Codec.
+func (Int32Codec) NewDecoder() func(string) (int32, int, error) {
+	return func(src string) (int32, int, error) {
+		x, n, err := Varint(src)
+		if err != nil {
+			return 0, 0, err
+		}
+		if x < math.MinInt32 || x > math.MaxInt32 {
+			return 0, 0, fmt.Errorf("%w: int32 value %d out of range", ErrCorrupt, x)
+		}
+		return int32(x), n, nil
+	}
+}
+
 // Int64Codec encodes int64s as zig-zag varints.
 type Int64Codec struct{}
 
@@ -285,6 +304,7 @@ func (Float64Codec) NewDecoder() func(string) (float64, int, error) {
 func init() {
 	Register[string](StringCodec{})
 	Register[int](IntCodec{})
+	Register[int32](Int32Codec{})
 	Register[int64](Int64Codec{})
 	Register[float64](Float64Codec{})
 }
