@@ -40,9 +40,14 @@ import (
 // id column alone, Job 2's records are (id, row), and Job 1's key is
 // (block, partition) as two varints. A version-3 peer would read an id
 // as a string length.
+//
+// Version 5: a run record is key ‖ value (run version 2), where version
+// 4's were key code ‖ key ‖ value, and a segment reference no longer
+// says how long that code is. A version-4 worker would take a record's
+// first 16 bytes for a key code and decode the rest out of step.
 const (
 	frameMagic     = "ERF"
-	frameVersion   = 4
+	frameVersion   = 5
 	framePrefixLen = 16
 
 	// maxFrameHeader bounds the metadata of one message. The largest

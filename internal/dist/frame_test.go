@@ -29,7 +29,7 @@ func buildFrame(t *testing.T, meta any, payload []byte) []byte {
 
 func TestFrameRoundTrip(t *testing.T) {
 	req := TaskRequest{JobID: "abc", Phase: "reduce", M: 4, Task: 3, Attempt: 2, Records: 7,
-		Sources: []SegmentRef{{MapTask: 1, URLs: []string{"http://a/run/1", "http://m/replica/9"}, Off: 16, Len: 99, Records: 7, CodeWidth: 16}}}
+		Sources: []SegmentRef{{MapTask: 1, URLs: []string{"http://a/run/1", "http://m/replica/9"}, Off: 16, Len: 99, Records: 7}}}
 	// Every byte value, so nothing in the payload path escapes or trims.
 	payload := make([]byte, 70000)
 	for i := range payload {

@@ -663,12 +663,11 @@ func (s *Session) RunReduceAttempt(ctx context.Context, m, task, attempt int, ru
 		}
 		urls = append(urls, s.replicaURL(run.Path))
 		refs = append(refs, SegmentRef{
-			MapTask:   run.MapTask,
-			URLs:      urls,
-			Off:       seg.Off,
-			Len:       seg.Len,
-			Records:   seg.Records,
-			CodeWidth: run.Info.CodeWidth,
+			MapTask: run.MapTask,
+			URLs:    urls,
+			Off:     seg.Off,
+			Len:     seg.Len,
+			Records: seg.Records,
 		})
 	}
 	var resp TaskResponse

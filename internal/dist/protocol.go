@@ -128,12 +128,11 @@ func NewJobRef(name string, spec []byte) JobRef {
 // from, in preference order (origin worker first, master replica last —
 // the fallback when the origin is dead).
 type SegmentRef struct {
-	MapTask   int      `json:"map_task"`
-	URLs      []string `json:"urls"`
-	Off       int64    `json:"off"`
-	Len       int64    `json:"len"`
-	Records   int64    `json:"records"`
-	CodeWidth int      `json:"code_width"`
+	MapTask int      `json:"map_task"`
+	URLs    []string `json:"urls"`
+	Off     int64    `json:"off"`
+	Len     int64    `json:"len"`
+	Records int64    `json:"records"`
 }
 
 // TaskRequest is the header of a /task request frame: one task attempt

@@ -113,7 +113,7 @@ func TestCloseHookOncePerAttemptAfterLastMap(t *testing.T) {
 	engines := map[string]func(*wordCount) *mapreduce.Engine{
 		"memory":   func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{} },
 		"spill=1":  func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{SpillBudget: 1, TmpDir: t.TempDir()} },
-		"spill=48": func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{SpillBudget: 48, TmpDir: t.TempDir()} },
+		"spill=16": func(*wordCount) *mapreduce.Engine { return &mapreduce.Engine{SpillBudget: 16, TmpDir: t.TempDir()} },
 		"distributed": func(j *wordCount) *mapreduce.Engine {
 			rr, err := mapreduce.NewRemoteRunnable(j)
 			if err != nil {
@@ -248,7 +248,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 		"distributed": {Parallelism: 2, TmpDir: t.TempDir(), Remote: &localDispatcher{rr: rr}},
 		"degraded":    {TmpDir: t.TempDir(), Remote: &localDispatcher{down: true}, Log: obs.Quiet()},
 	}
-	for _, budget := range []int64{1, 40, 300, 1 << 20} {
+	for _, budget := range []int64{1, 8, 48, 1 << 20} {
 		engines[fmt.Sprintf("spill=%d", budget)] = &mapreduce.Engine{Parallelism: 2, SpillBudget: budget, TmpDir: t.TempDir()}
 	}
 	var want *bdm.JobResult
@@ -292,7 +292,7 @@ func TestBDMCloseEmitFaultNeitherLosesNorDoubleCounts(t *testing.T) {
 	opts := bdm.JobOptions{Attr: "title", KeyFunc: blocking.NormalizedPrefix(3), NumReduceTasks: r, UseCombiner: true}
 	for name, e := range map[string]*mapreduce.Engine{
 		"memory":  {Parallelism: 2},
-		"spilled": {Parallelism: 2, SpillBudget: 40, TmpDir: t.TempDir()},
+		"spilled": {Parallelism: 2, SpillBudget: 8, TmpDir: t.TempDir()},
 	} {
 		e.Retry.BaseBackoff = 1
 		e.FaultHook = failNthMapEmit(7)

@@ -25,11 +25,10 @@ import (
 // phases' shared data and supervisors.
 type runState[I, K, V, O any] struct {
 	runStore[K, V]
-	job    *Job[I, K, V, O]
-	encode func(K) Code
-	exact  bool
-	gbits  int
-	group  func(a, b K) int
+	job   *Job[I, K, V, O]
+	exact bool
+	gbits int
+	group func(a, b K) int
 
 	outPool *slicePool[O] // pooled []O reduce-output buffers
 
@@ -70,7 +69,6 @@ type runState[I, K, V, O any] struct {
 func newRunState[I, K, V, O any](j *Job[I, K, V, O]) *runState[I, K, V, O] {
 	st := &runState[I, K, V, O]{
 		job:     j,
-		encode:  j.Coding.Encode,
 		exact:   j.Coding.Exact,
 		gbits:   j.Coding.GroupBits,
 		group:   j.Group,
@@ -79,7 +77,7 @@ func newRunState[I, K, V, O any](j *Job[I, K, V, O]) *runState[I, K, V, O] {
 	if st.group == nil {
 		st.group = j.Compare
 	}
-	st.r, st.part, st.pools = j.NumReduceTasks, j.Partition, poolFor[K, V]()
+	st.r, st.part, st.encode, st.pools = j.NumReduceTasks, j.Partition, j.Coding.Encode, poolFor[K, V]()
 	if !st.exact {
 		st.tie = j.Compare
 	}
@@ -95,7 +93,7 @@ func (st *runState[I, K, V, O]) bindWireCodecs() (err error) {
 	if st.oc, err = lookupCodec[O](st.job.Name, "output"); err != nil {
 		return err
 	}
-	return st.bindCodecs(st.job.Name, st.encode != nil)
+	return st.bindCodecs(st.job.Name)
 }
 
 // configure applies the engine's settings to a driver-side run state:
@@ -107,7 +105,7 @@ func (st *runState[I, K, V, O]) configure(e *Engine) error {
 		return st.bindWireCodecs()
 	case e.SpillBudget > 0:
 		st.budget = e.SpillBudget
-		return st.bindCodecs(st.job.Name, st.encode != nil)
+		return st.bindCodecs(st.job.Name)
 	}
 	return nil
 }
@@ -405,7 +403,7 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 		return out, err
 	}
 	metrics := &out.metrics
-	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp, hook: hook}
+	ctx := &MapContext[I, K, V]{metrics: metrics, spill: sp, hook: hook}
 	mapper := st.job.NewMapper()
 	mapper.Configure(m, st.r, idx)
 	// Attempt cancellation (a per-attempt timeout, a cancelled run) is

@@ -41,12 +41,12 @@ var (
 	everywhere       = map[string]residency{"memory": inMemory, "spilled": spilling, "dispatched": distributed}
 )
 
-// tinySpillBudget forces a spill roughly every record or two: the
-// smallest catalog match-job map task emits ≥ 17 records of ≥ 25
-// encoded bytes, so every such task writes ≥ 4 runs, and the smallest
-// aggregating BDM map task emits 3 cells of 19 bytes, so it writes one
-// (asserted).
-const tinySpillBudget = 48
+// tinySpillBudget forces a spill at every match-job record and every
+// third Job 1 cell: the smallest catalog match-job map task emits ≥ 17
+// records of ≥ 37 encoded bytes (key ‖ value), so every such task
+// writes ≥ 17 runs (≥ 4 asserted), and the smallest aggregating BDM map
+// task emits 3 cells of 3 bytes, 9 ≥ 8, so it writes one (asserted).
+const tinySpillBudget = 8
 
 // engineFor builds a Parallelism-2 engine for one residency and returns
 // the directory it may write to ("" in memory), whose emptiness callers

@@ -23,8 +23,8 @@ import (
 // (word, 1) per occurrence — or, with aggregate, counts its partition's
 // words itself and emits one (word, n) per distinct word from its
 // end-of-input hook — and reduce sums. Keys get the engine's
-// string-prefix coding, exercising the coded-key disk layout with
-// inexact codes.
+// string-prefix coding, so a spilled run's decoder recomputes inexact
+// codes.
 func wordJob(r int, aggregate bool) *mapreduce.Job[string, string, int, mapreduce.Pair[string, int]] {
 	j := &mapreduce.Job[string, string, int, mapreduce.Pair[string, int]]{
 		Name:           "wordcount",
@@ -118,7 +118,7 @@ func wordInput(m int) [][]string {
 // given a path that does not exist and must leave it that way.
 func TestExternalWordCountDifferential(t *testing.T) {
 	for _, aggregate := range []bool{false, true} {
-		for _, budget := range []int64{0, 1, 64, 200, 1 << 20} {
+		for _, budget := range []int64{0, 1, 16, 100, 1 << 20} {
 			for m := 1; m <= 3; m++ {
 				name := fmt.Sprintf("aggregate=%v/budget=%d/m=%d", aggregate, budget, m)
 				input := wordInput(m)
@@ -138,14 +138,12 @@ func TestExternalWordCountDifferential(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 
-				if budget == 1 {
-					// Every record triggers a spill: each map task must
-					// have flushed at least 4 runs.
-					for i := range got.MapMetrics {
-						if got.MapMetrics[i].SpillRuns < 4 {
-							t.Errorf("%s: map task %d spilled %d runs, want >= 4",
-								name, i, got.MapMetrics[i].SpillRuns)
-						}
+				// At budget 1 every record triggers a spill, so each map
+				// task must have flushed at least 4 runs; at the other
+				// spilling budgets, at least one.
+				for i := range got.MapMetrics {
+					if runs := got.MapMetrics[i].SpillRuns; (budget == 1 && runs < 4) || (spills && runs < 1) {
+						t.Errorf("%s: map task %d spilled %d runs", name, i, runs)
 					}
 				}
 				if spills {
@@ -173,7 +171,7 @@ func TestExternalWordCountDifferential(t *testing.T) {
 }
 
 // TestExternalNoCoding runs the external dataflow without a KeyCoding
-// (codeWidth 0 on disk, comparator-only merge).
+// (zero codes, comparator-only merge).
 func TestExternalNoCoding(t *testing.T) {
 	input := wordInput(3)
 	job := wordJob(4, true)

@@ -7,9 +7,11 @@ import "fmt"
 // counterpart of Hadoop's RawComparator model, where the shuffle
 // compares serialized key bytes instead of deserialized objects. A
 // strategy packs its composite key into a 128-bit code once per record
-// at map-output time; every subsequent comparison in the spill sort and
-// the reduce-side k-way merge heap is then one or two unsigned integer
-// comparisons instead of a multi-field struct walk or string compare.
+// at map-output time, and once more per record read back from a run
+// (runs store the key, not its code); every comparison in the spill
+// sort and the reduce-side k-way merge heap is then one or two unsigned
+// integer comparisons instead of a multi-field struct walk or string
+// compare.
 //
 // # The encoding contract
 //

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -59,6 +58,10 @@ import (
 type runStore[K, V any] struct {
 	r    int
 	part func(K, int) int
+	// encode is the job's key coding (nil without one): Emit codes each
+	// emitted key with it, and the decoder recodes each key read back
+	// from a run, since runs store no codes.
+	encode func(K) Code
 	// tie orders two keys whose binary codes are equal; nil when equal
 	// codes mean equal keys (an Exact coding).
 	tie   func(a, b K) int
@@ -77,11 +80,9 @@ type runStore[K, V any] struct {
 	tmpDir string
 
 	// The codecs are bound (bindCodecs) only when records can leave
-	// memory; codeWidth is the width of the key-code prefix of each
-	// on-disk record.
-	kc        runio.Codec[K]
-	vc        runio.Codec[V]
-	codeWidth int
+	// memory.
+	kc runio.Codec[K]
+	vc runio.Codec[V]
 
 	dirOnce sync.Once
 	dir     string
@@ -122,27 +123,18 @@ func lookupCodec[T any](job, role string) (runio.Codec[T], error) {
 	return c, nil
 }
 
-// bindCodecs looks up the key and value codecs and fixes the on-disk
-// key-code width.
-func (rs *runStore[K, V]) bindCodecs(job string, coded bool) (err error) {
+// bindCodecs looks up the key and value codecs.
+func (rs *runStore[K, V]) bindCodecs(job string) (err error) {
 	if rs.kc, err = lookupCodec[K](job, "key"); err != nil {
 		return err
 	}
-	if rs.vc, err = lookupCodec[V](job, "value"); err != nil {
-		return err
-	}
-	if coded {
-		rs.codeWidth = 16
-	}
-	return nil
+	rs.vc, err = lookupCodec[V](job, "value")
+	return err
 }
 
-// appendRec appends one record's on-disk form: code ‖ key ‖ value.
+// appendRec appends one record's on-disk form: key ‖ value. The key
+// code is not stored; the decoder recomputes it from the key.
 func (rs *runStore[K, V]) appendRec(dst []byte, rec *Rec[K, V]) []byte {
-	if rs.codeWidth != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, rec.code.Hi)
-		dst = binary.LittleEndian.AppendUint64(dst, rec.code.Lo)
-	}
 	dst = rs.kc.Append(dst, rec.Key)
 	return rs.vc.Append(dst, rec.Value)
 }
@@ -152,7 +144,7 @@ func (rs *runStore[K, V]) appendRec(dst []byte, rec *Rec[K, V]) []byte {
 // worker, or the master running a dispatched attempt itself, hands map
 // output back.
 func (rs *runStore[K, V]) writeRun(path string, buckets [][]Rec[K, V]) (*runio.Info, error) {
-	w, err := runio.Create(path, len(buckets), rs.codeWidth)
+	w, err := runio.Create(path, len(buckets), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +328,7 @@ func (sp *spiller[K, V]) spill() error {
 			return err
 		}
 	}
-	w, err := runio.NewRunWriter(sp.f, sp.fileOff, rs.r, rs.codeWidth)
+	w, err := runio.NewRunWriter(sp.f, sp.fileOff, rs.r)
 	if err != nil {
 		return err
 	}
@@ -372,33 +364,23 @@ func (sp *spiller[K, V]) spill() error {
 
 // ---- reading runs back: decoder, merge sources, the merge heap ----
 
-// recDecoder decodes one on-disk record (code ‖ key ‖ value) into a
-// Rec. Decoded strings alias the reader's immutable blocks (codec
-// contract).
+// recDecoder decodes one on-disk record (key ‖ value) into a Rec and
+// recomputes its key code. Decoded strings alias the reader's immutable
+// blocks (codec contract).
 type recDecoder[K, V any] struct {
-	codeWidth int
-	kdec      func(string) (K, int, error)
-	vdec      func(string) (V, int, error)
+	encode func(K) Code
+	kdec   func(string) (K, int, error)
+	vdec   func(string) (V, int, error)
 }
 
 // newRecDecoder builds the per-attempt decoder; the decode functions
 // are stateful (arenas) and single-goroutine, hence one decoder per
 // task attempt, shared across that attempt's sources.
 func (rs *runStore[K, V]) newRecDecoder() *recDecoder[K, V] {
-	return &recDecoder[K, V]{codeWidth: rs.codeWidth, kdec: rs.kc.NewDecoder(), vdec: rs.vc.NewDecoder()}
+	return &recDecoder[K, V]{encode: rs.encode, kdec: rs.kc.NewDecoder(), vdec: rs.vc.NewDecoder()}
 }
 
 func (d *recDecoder[K, V]) decode(b string, dst *Rec[K, V]) error {
-	if d.codeWidth != 0 {
-		if len(b) < d.codeWidth {
-			return fmt.Errorf("%w: record shorter than key code", runio.ErrCorrupt)
-		}
-		dst.code.Hi, _ = runio.Uint64LE(b)
-		dst.code.Lo, _ = runio.Uint64LE(b[8:])
-		b = b[d.codeWidth:]
-	} else {
-		dst.code = Code{}
-	}
 	k, n, err := d.kdec(b)
 	if err != nil {
 		return fmt.Errorf("decode key: %w", err)
@@ -410,9 +392,13 @@ func (d *recDecoder[K, V]) decode(b string, dst *Rec[K, V]) error {
 	if n+n2 != len(b) {
 		return fmt.Errorf("%w: %d trailing record bytes", runio.ErrCorrupt, len(b)-n-n2)
 	}
+	var code Code
+	if d.encode != nil {
+		code = d.encode(k)
+	}
 	// An engine-internal transient: the record aliases the block only
 	// until the group callback returns; sinks clone what they retain.
-	dst.Key, dst.Value = k, v
+	dst.code, dst.Key, dst.Value = code, k, v
 	return nil
 }
 

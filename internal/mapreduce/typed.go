@@ -167,8 +167,7 @@ type MapContext[I, K, V any] struct {
 	// spill receives every emission: the attempt's map-output buffer,
 	// which flushes sorted runs to disk under a finite Engine.SpillBudget
 	// and is a plain in-memory append otherwise (see spill.go).
-	spill  *spiller[K, V]
-	encode func(K) Code
+	spill *spiller[K, V]
 	// hook is the attempt's fault-injection binding (nil when the engine
 	// has no FaultHook installed).
 	hook *taskHook
@@ -179,8 +178,8 @@ type MapContext[I, K, V any] struct {
 func (c *MapContext[I, K, V]) Emit(key K, value V) {
 	c.hook.fireEmit()
 	var code Code
-	if c.encode != nil {
-		code = c.encode(key)
+	if encode := c.spill.rs.encode; encode != nil {
+		code = encode(key)
 	}
 	c.spill.add(Rec[K, V]{code: code, Key: key, Value: value})
 	c.metrics.OutputRecords++

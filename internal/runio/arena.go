@@ -114,7 +114,7 @@ func (s *SegmentReader) refill(need int) error {
 	return nil
 }
 
-// Next returns the next record (code ‖ key ‖ value, without the length
+// Next returns the next record (key ‖ value, without the length
 // prefix) as a substring of an immutable block, or io.EOF after the
 // last record. The returned string stays valid indefinitely — it pins
 // its backing block while reachable. A truncated or corrupted segment

@@ -71,12 +71,12 @@ func TestReadInfoCorruptionTable(t *testing.T) {
 	}{
 		{"empty file", func(b []byte) []byte { return nil }},
 		{"header magic flipped", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"wrong version", func(b []byte) []byte { b[4] = 99; return b }},
-		{"bad code width", func(b []byte) []byte { b[5] = 7; return b }},
+		// A version-1 run, whose records began with a 16-byte key code.
+		{"wrong version", func(b []byte) []byte { b[4] = runVersion - 1; return b }},
 		{"implausible partition count", func(b []byte) []byte {
 			// 5-byte uvarint claiming ~2^34 partitions in a tiny file.
-			head := append([]byte{}, b[:6]...)
-			return append(append(head, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), b[7:]...)
+			head := append([]byte{}, b[:5]...)
+			return append(append(head, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), b[6:]...)
 		}},
 		{"truncated to header", func(b []byte) []byte { return b[:8] }},
 		{"truncated mid-records", func(b []byte) []byte { return b[:len(b)/2] }},
@@ -168,8 +168,9 @@ func TestSegmentReaderTruncation(t *testing.T) {
 	}
 }
 
-// TestSegmentReaderTruncationSweep cuts a two-segment run with 16-byte
-// key codes and one record larger than a block at every offset: each
+// TestSegmentReaderTruncationSweep cuts a two-segment run whose records
+// open with a 16-byte opaque prefix, one of them larger than a block,
+// at every offset: each
 // segment must yield exactly the records that lie wholly before the
 // cut, then either io.EOF (nothing of it was cut) or a *CorruptError
 // inside the segment — never a bare EOF, a wrong record or a panic.
@@ -179,7 +180,7 @@ func TestSegmentReaderTruncation(t *testing.T) {
 // 33 K offsets takes a second).
 func TestSegmentReaderTruncationSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.run")
-	w, err := Create(path, 2, 16)
+	w, err := Create(path, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,9 @@ import (
 //
 // Layout:
 //
-//	header:  magic "ERN1" | version (1 byte) | code width (1 byte)
-//	         | uvarint numPartitions
+//	header:  magic "ERN1" | version (1 byte) | uvarint numPartitions
 //	records: per partition, ascending: uvarint recordLen | record bytes
-//	         (record bytes = key code [code width] ‖ key ‖ value)
+//	         (record bytes = key ‖ value)
 //	trailer: per partition: uvarint records | uvarint byteLen
 //	         | uvarint numPartitions | fixed64 trailerOffset | magic
 //
@@ -31,7 +30,7 @@ import (
 
 const (
 	runMagic   = "ERN1"
-	runVersion = 1
+	runVersion = 2
 )
 
 // Segment locates one reduce partition's records inside a run file.
@@ -46,9 +45,6 @@ type Segment struct {
 // Info describes a finished run file.
 type Info struct {
 	Path string
-	// CodeWidth is the fixed byte width of the binary key code prefix
-	// of every record (0 when the job has no key coding, 16 otherwise).
-	CodeWidth int
 	// Segments is indexed by reduce partition.
 	Segments []Segment
 	// Records and Bytes total the segments; FileBytes is the full file
@@ -90,14 +86,19 @@ var bwPool = sync.Pool{
 }
 
 // Create opens a new run file for writing. numPartitions is the job's
-// reduce task count r; codeWidth must be 0 or 16. The writer owns the
-// file and closes it on Finish/Abort.
+// reduce task count r. The writer owns the file and closes it on
+// Finish/Abort. Records carry no key code since run version 2, so the
+// third parameter must be 0; it stays only because the benchmark tree
+// passes it, and retires with ROADMAP item 27.
 func Create(path string, numPartitions, codeWidth int) (*Writer, error) {
+	if codeWidth != 0 {
+		return nil, fmt.Errorf("runio: Create %s: records carry no key code, code width must be 0, got %d", path, codeWidth)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runio: create run: %w", err)
 	}
-	w, err := NewRunWriter(f, 0, numPartitions, codeWidth)
+	w, err := NewRunWriter(f, 0, numPartitions)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -114,13 +115,10 @@ func Create(path string, numPartitions, codeWidth int) (*Writer, error) {
 // retains ownership of f: Finish flushes the section but leaves the
 // file open, and nothing may write to f between NewRunWriter and
 // Finish except this writer.
-func NewRunWriter(f *os.File, base int64, numPartitions, codeWidth int) (*Writer, error) {
+func NewRunWriter(f *os.File, base int64, numPartitions int) (*Writer, error) {
 	path := f.Name()
 	if numPartitions <= 0 {
 		return nil, fmt.Errorf("runio: Create %s: numPartitions must be > 0, got %d", path, numPartitions)
-	}
-	if codeWidth != 0 && codeWidth != 16 {
-		return nil, fmt.Errorf("runio: Create %s: code width must be 0 or 16, got %d", path, codeWidth)
 	}
 	bw := bwPool.Get().(*bufio.Writer)
 	bw.Reset(f)
@@ -129,14 +127,13 @@ func NewRunWriter(f *os.File, base int64, numPartitions, codeWidth int) (*Writer
 		bw:   bw,
 		base: base,
 		info: Info{
-			Path:      path,
-			CodeWidth: codeWidth,
-			Segments:  make([]Segment, numPartitions),
+			Path:     path,
+			Segments: make([]Segment, numPartitions),
 		},
 	}
 	var hdr []byte
 	hdr = append(hdr, runMagic...)
-	hdr = append(hdr, runVersion, byte(codeWidth))
+	hdr = append(hdr, runVersion)
 	hdr = binary.AppendUvarint(hdr, uint64(numPartitions))
 	if _, err := w.bw.Write(hdr); err != nil {
 		w.releaseBW()
@@ -149,7 +146,7 @@ func NewRunWriter(f *os.File, base int64, numPartitions, codeWidth int) (*Writer
 	return w, nil
 }
 
-// Append writes one encoded record (code ‖ key ‖ value bytes) into the
+// Append writes one encoded record (key ‖ value bytes) into the
 // given partition's segment. Partitions must be non-decreasing.
 func (w *Writer) Append(partition int, rec []byte) error {
 	if w.err != nil {
@@ -261,7 +258,9 @@ func (w *Writer) releaseBW() {
 
 // ReadInfo recovers a run's segment index from its trailer, proving the
 // format is self-describing. The in-process engine uses the Info
-// returned by Finish instead; this path exists for tooling and tests.
+// returned by Finish instead; the distributed master validates every
+// map task's downloaded replica with it (dist.Session.RunMapAttempt)
+// before any reduce attempt reads that replica.
 func ReadInfo(path string) (*Info, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -272,29 +271,25 @@ func ReadInfo(path string) (*Info, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runio: stat run: %w", err)
 	}
-	buf := make([]byte, 6+binary.MaxVarintLen64)
+	buf := make([]byte, 5+binary.MaxVarintLen64)
 	n, err := io.ReadFull(f, buf)
 	if err != nil && err != io.ErrUnexpectedEOF {
 		return nil, corruptAt(path, 0, "a readable run header", err)
 	}
 	hdr := string(buf[:n])
-	if len(hdr) < 7 || hdr[:4] != runMagic || hdr[4] != runVersion {
+	if len(hdr) < 6 || hdr[:4] != runMagic || hdr[4] != runVersion {
 		return nil, corruptAt(path, 0, fmt.Sprintf("run magic %q version %d, got %q", runMagic, runVersion, hdr), nil)
 	}
-	codeWidth := int(hdr[5])
-	if codeWidth != 0 && codeWidth != 16 {
-		return nil, corruptAt(path, 5, fmt.Sprintf("code width 0 or 16, got %d", codeWidth), nil)
-	}
-	numPartitions, pn, err := Uvarint(hdr[6:])
+	numPartitions, pn, err := Uvarint(hdr[5:])
 	if err != nil {
-		return nil, corruptAt(path, 6, "partition count uvarint", err)
+		return nil, corruptAt(path, 5, "partition count uvarint", err)
 	}
-	hdrLen := int64(6 + pn)
+	hdrLen := int64(5 + pn)
 	// Every partition occupies at least two trailer bytes (two
 	// uvarints), so a claimed count the file cannot hold is corrupt —
 	// reject it before sizing any allocation by it.
 	if numPartitions == 0 || numPartitions > uint64(st.Size())/2 {
-		return nil, corruptAt(path, 6, fmt.Sprintf("plausible partition count for a %d-byte file, got %d", st.Size(), numPartitions), nil)
+		return nil, corruptAt(path, 5, fmt.Sprintf("plausible partition count for a %d-byte file, got %d", st.Size(), numPartitions), nil)
 	}
 
 	// Fixed-size footer: 8-byte trailer offset + 4-byte magic.
@@ -319,7 +314,7 @@ func ReadInfo(path string) (*Info, error) {
 	tr := string(trBuf)
 	// The trailer holds one (records, length) pair per partition, then
 	// repeats the partition count as a cross-check.
-	info := &Info{Path: path, CodeWidth: codeWidth, FileBytes: st.Size()}
+	info := &Info{Path: path, FileBytes: st.Size()}
 	rest := tr
 	entries := make([]Segment, 0, numPartitions)
 	for i := uint64(0); i < numPartitions; i++ {

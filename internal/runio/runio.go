@@ -8,10 +8,10 @@
 // time.
 //
 // The package is deliberately independent of the engine: it knows
-// nothing about jobs, keys codes, or merge order. The engine passes the
-// 128-bit binary key code through as an opaque fixed-width prefix of
-// each record (see Writer), so on-disk records sort and group exactly
-// like their in-memory counterparts.
+// nothing about jobs, key codes, or merge order. A record is the
+// engine's opaque key ‖ value bytes (see Writer); the engine recomputes
+// a decoded key's binary code, so on-disk records sort and group
+// exactly like their in-memory counterparts.
 //
 // # The codec contract
 //

@@ -79,17 +79,16 @@ func TestDecodeCorrupt(t *testing.T) {
 
 // writeTestRun writes records ("p<partition>-r<i>" payloads) into a run
 // with the given per-partition counts and returns the info.
-func writeTestRun(t *testing.T, path string, codeWidth int, counts []int) *Info {
+func writeTestRun(t *testing.T, path string, counts []int) *Info {
 	t.Helper()
-	w, err := Create(path, len(counts), codeWidth)
+	w, err := Create(path, len(counts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c StringCodec
 	for p, n := range counts {
 		for i := 0; i < n; i++ {
-			rec := make([]byte, codeWidth)
-			rec = c.Append(rec, testPayload(p, i))
+			rec := c.Append(nil, testPayload(p, i))
 			if err := w.Append(p, rec); err != nil {
 				t.Fatal(err)
 			}
@@ -107,51 +106,63 @@ func testPayload(p, i int) string {
 }
 
 func TestRunWriteRead(t *testing.T) {
-	for _, codeWidth := range []int{0, 16} {
-		counts := []int{3, 0, 5, 1, 0}
-		path := filepath.Join(t.TempDir(), "test.run")
-		info := writeTestRun(t, path, codeWidth, counts)
+	counts := []int{3, 0, 5, 1, 0}
+	path := filepath.Join(t.TempDir(), "test.run")
+	info := writeTestRun(t, path, counts)
 
-		if info.Records != 9 {
-			t.Fatalf("info.Records = %d, want 9", info.Records)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		dec := StringCodec{}.NewDecoder()
-		for p, n := range counts {
-			sr := NewSegmentReader(f, info.Segments[p], info.Path)
-			for i := 0; i < n; i++ {
-				rec, err := sr.Next()
-				if err != nil {
-					t.Fatalf("codeWidth=%d partition %d record %d: %v", codeWidth, p, i, err)
-				}
-				got, used, err := dec(rec[codeWidth:])
-				if err != nil || got != testPayload(p, i) {
-					t.Fatalf("partition %d record %d: got %q err %v", p, i, got, err)
-				}
-				if codeWidth+used != len(rec) {
-					t.Fatalf("partition %d record %d: %d trailing bytes", p, i, len(rec)-codeWidth-used)
-				}
+	if info.Records != 9 {
+		t.Fatalf("info.Records = %d, want 9", info.Records)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := StringCodec{}.NewDecoder()
+	for p, n := range counts {
+		sr := NewSegmentReader(f, info.Segments[p], info.Path)
+		for i := 0; i < n; i++ {
+			rec, err := sr.Next()
+			if err != nil {
+				t.Fatalf("partition %d record %d: %v", p, i, err)
 			}
-			if _, err := sr.Next(); err != io.EOF {
-				t.Fatalf("partition %d: want EOF after %d records, got %v", p, n, err)
+			got, used, err := dec(rec)
+			if err != nil || got != testPayload(p, i) {
+				t.Fatalf("partition %d record %d: got %q err %v", p, i, got, err)
+			}
+			if used != len(rec) {
+				t.Fatalf("partition %d record %d: %d trailing bytes", p, i, len(rec)-used)
 			}
 		}
+		if _, err := sr.Next(); err != io.EOF {
+			t.Fatalf("partition %d: want EOF after %d records, got %v", p, n, err)
+		}
+	}
+}
+
+// TestCreateRefusesCodeWidth: records carry no key code since run
+// version 2, so Create refuses a nonzero width before touching the
+// filesystem.
+func TestCreateRefusesCodeWidth(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coded.run")
+	if w, err := Create(path, 4, 16); err == nil {
+		w.Abort()
+		t.Fatal("Create with a 16-byte code width succeeded")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused Create left %s behind (stat: %v)", path, err)
 	}
 }
 
 func TestRunInfoSelfDescribing(t *testing.T) {
 	counts := []int{2, 0, 4}
 	path := filepath.Join(t.TempDir(), "self.run")
-	want := writeTestRun(t, path, 16, counts)
+	want := writeTestRun(t, path, counts)
 	got, err := ReadInfo(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CodeWidth != want.CodeWidth || got.Records != want.Records || got.Bytes != want.Bytes || got.FileBytes != want.FileBytes {
+	if got.Records != want.Records || got.Bytes != want.Bytes || got.FileBytes != want.FileBytes {
 		t.Fatalf("ReadInfo totals = %+v, want %+v", got, want)
 	}
 	for p := range want.Segments {
@@ -164,7 +175,7 @@ func TestRunInfoSelfDescribing(t *testing.T) {
 func TestRunInfoCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ok.run")
-	writeTestRun(t, path, 0, []int{1, 1})
+	writeTestRun(t, path, []int{1, 1})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
