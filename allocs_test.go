@@ -99,8 +99,8 @@ func TestJob2RecordSizesPinned(t *testing.T) {
 // TestBlockKernelAllocsPinned pins the reduce-side comparison path the
 // strategy reducers drive, for both kinds of core.Matcher: acquiring
 // the matcher's pooled block, loading and probing a whole group through
-// core.Block (a self-join, then cross probes that are not kept), and
-// releasing it allocates nothing once the pool is warm.
+// core.Block (a loaded row, a self-join, then cross probes that are not
+// kept), and releasing it allocates nothing once the pool is warm.
 func TestBlockKernelAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; the pin would flake")
@@ -127,12 +127,13 @@ func TestBlockKernelAllocsPinned(t *testing.T) {
 		hits := 0
 		cycle := func() {
 			blk := row.m.AcquireBlock()
-			for i, title := range group {
-				rows, _ := blk.Probe(title, 0, i, true)
+			blk.Add(group[0])
+			for _, title := range group[1:] {
+				rows, _ := blk.Probe(title, true)
 				hits += len(rows)
 			}
 			for _, title := range group {
-				rows, _ := blk.Probe(title, 3, len(group), false)
+				rows, _ := blk.Probe(title, false)
 				hits += len(rows)
 			}
 			blk.Release()

@@ -283,7 +283,7 @@ func BenchmarkSimilarityKernels(b *testing.B) {
 				for g := 0; g+group <= len(titles); g += group {
 					blk.Use(th)
 					for _, s := range titles[g : g+group] {
-						blk.Probe(s, 0, blk.Len(), true)
+						blk.Probe(s, true)
 					}
 					blk.Reset()
 				}

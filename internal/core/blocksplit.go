@@ -118,9 +118,6 @@ type Assignment struct {
 // Split reports whether block k was split into sub-blocks.
 func (a *Assignment) Split(k int) bool { return a.split[k] }
 
-// NumTasks returns the number of match tasks created.
-func (a *Assignment) NumTasks() int { return len(a.ordered) }
-
 // greedyAssign implements the paper's heuristic: process match tasks in
 // descending size and give each to the reduce task with the fewest
 // already-assigned comparisons (ties: lowest index). The heap is

@@ -24,8 +24,8 @@
 //
 // Every strategy's reducers compare through one contract: a Matcher
 // hands out a Block per reduce group, the reducer loads the texts of the
-// group's rows into it and probes each text against a row range
-// (kernel.go). PairFunc makes any per-pair function a Matcher. Job 2's
+// group's rows into it and probes each text against the rows loaded so
+// far (kernel.go). PairFunc makes any per-pair function a Matcher. Job 2's
 // records carry entity.Rows — an entity's ID and the text of the
 // attribute it is matched on — never an entity.
 package core
@@ -157,16 +157,6 @@ type Plan struct {
 	// performs.
 	ReduceRecords     []int64
 	ReduceComparisons []int64
-}
-
-// TotalComparisons sums the per-reduce-task comparisons; for a correct
-// plan this equals the BDM's total pair count P.
-func (p *Plan) TotalComparisons() int64 {
-	var t int64
-	for _, c := range p.ReduceComparisons {
-		t += c
-	}
-	return t
 }
 
 // TotalMapEmits sums the emitted map-output key-value pairs (the metric

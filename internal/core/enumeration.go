@@ -33,9 +33,6 @@ func ColumnStart(x, n int64) int64 {
 	return CellIndex(x, x+1, n)
 }
 
-// ColumnLen returns the number of pairs in column x: n−1−x.
-func ColumnLen(x, n int64) int64 { return n - 1 - x }
-
 // CellOf inverts CellIndex: it returns the (x, y) pair with
 // CellIndex(x,y,n) == p. It panics if p is outside [0, n(n−1)/2).
 func CellOf(p, n int64) (x, y int64) {
@@ -62,12 +59,6 @@ func ColumnOf(p, n int64) int64 {
 		}
 	}
 	return lo
-}
-
-// PairIndex returns the global pair index p_k(x,y) of entities with
-// block-k entity indexes x < y.
-func PairIndex(x *bdm.Matrix, k int, ex, ey int64) int64 {
-	return geometryOf(x, k).pair(ex, ey) + x.PairOffset(k)
 }
 
 // geometry is how one block's entity indexes pair up — PairRange's one
@@ -110,28 +101,63 @@ func (g geometry) partners(x int64) (before, after int64) {
 	return x, x + 1
 }
 
+// cell inverts pair: it returns the pair with block-local index p.
+func (g geometry) cell(p int64) (x1, x2 int64) {
+	if g.rect {
+		nS := g.n - g.nR
+		return p / nS, g.nR + p%nS
+	}
+	return CellOf(p, g.n)
+}
+
+// corners is a range's share [a, b) of one block's pairs, a < b, read
+// as its first cell (xa, ya) and its last (xb, yb): the pairs of the
+// columns xa..xb (rows in R×S), from (xa, ya) on and up to (xb, yb).
+type corners struct{ xa, ya, xb, yb int64 }
+
+func (g geometry) corners(a, b int64) corners {
+	xa, ya := g.cell(a)
+	xb, yb := g.cell(b - 1)
+	return corners{xa, ya, xb, yb}
+}
+
+// meets is a PairRange probe within the share: entity x2 arrives after
+// loaded rows, which are the share's columns below it in order (row i
+// is column xa+i). It is compared with rows [first, end) — all of them,
+// but row xa when (xa, x2) precedes (xa, ya) and row xb when (xb, x2)
+// follows (xb, yb) — and becomes a row iff it is one of the columns.
+func (c corners) meets(g geometry, x2 int64, loaded int) (first, end int, keep bool) {
+	keep = c.xa <= x2 && x2 <= c.xb
+	if before, _ := g.partners(x2); before == 0 {
+		return 0, 0, keep
+	}
+	first, end = 0, loaded
+	if c.xa < x2 && x2 < c.ya {
+		first = 1
+	}
+	if x2 > c.yb {
+		end--
+	}
+	return first, end, keep
+}
+
 // relevant returns, as merged intervals, the indexes of the entities
 // that hold a pair with block-local index in [a, b), a < b — a range's
-// reduce input within the block, computed without enumerating pairs.
+// reduce input within the block, computed without enumerating pairs:
+// the columns xa..xb, column xa's partners from ya on, and those of the
+// columns after it, which start at column xa+1's first partner and end
+// at yb when xb is column xa+1.
 func (g geometry) relevant(a, b int64) []interval {
-	if !g.rect {
-		return relevantEntities(a, b, g.n)
+	c := g.corners(a, b)
+	if c.xa == c.xb {
+		return mergeIntervals([]interval{{c.xa, c.xb + 1}, {c.ya, c.yb + 1}})
 	}
-	// R: the rows xa..xb. S: the partial first row, the partial last
-	// row, and all of S once a full row lies between them.
-	nS := g.n - g.nR
-	xa, xb := a/nS, (b-1)/nS
-	ya, yb := g.nR+a%nS, g.nR+(b-1)%nS
-	ivs := []interval{{xa, xb + 1}}
-	switch {
-	case xa == xb:
-		ivs = append(ivs, interval{ya, yb + 1})
-	case xb == xa+1:
-		ivs = append(ivs, interval{ya, g.n}, interval{g.nR, yb + 1})
-	default:
-		ivs = append(ivs, interval{g.nR, g.n})
+	_, next := g.partners(c.xa + 1)
+	end := g.n
+	if c.xb == c.xa+1 {
+		end = c.yb + 1
 	}
-	return mergeIntervals(ivs)
+	return mergeIntervals([]interval{{c.xa, c.xb + 1}, {c.ya, g.n}, {next, end}})
 }
 
 // entityBase returns the index of block k's first entity in partition
@@ -304,39 +330,4 @@ func intersectLen(a interval, blo, bhi int64) int64 {
 		return 0
 	}
 	return hi - lo
-}
-
-// relevantEntities returns the set of entity indexes (as merged
-// intervals) of a block of size n that participate in at least one pair
-// with local pair index in [a, b). Used by the PairRange planner to
-// compute exact reduce-input sizes and per-partition map emits without
-// enumerating pairs.
-func relevantEntities(a, b, n int64) []interval {
-	if b <= a || n < 2 {
-		return nil
-	}
-	xa := ColumnOf(a, n)
-	xb := ColumnOf(b-1, n)
-	ya := xa + 1 + (a - ColumnStart(xa, n))
-	yb := xb + 1 + (b - 1 - ColumnStart(xb, n))
-
-	ivs := make([]interval, 0, 4)
-	// Column entities: every column with at least one pair in [a,b).
-	ivs = append(ivs, interval{xa, xb + 1})
-	if xa == xb {
-		// Single column: rows ya..yb.
-		ivs = append(ivs, interval{ya, yb + 1})
-	} else {
-		// First (partial) column contributes rows ya..n−1.
-		ivs = append(ivs, interval{ya, n})
-		// Full columns in between contribute rows xa+2..n−1 (already
-		// subsumed by {ya..n−1} only when ya <= xa+2; keep both and let
-		// the merge handle it).
-		if xb > xa+1 {
-			ivs = append(ivs, interval{xa + 2, n})
-		}
-		// Last (partial) column contributes rows xb+1..yb.
-		ivs = append(ivs, interval{xb + 1, yb + 1})
-	}
-	return mergeIntervals(ivs)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -79,7 +80,7 @@ func TestColumnStartAndLen(t *testing.T) {
 			if got := ColumnStart(x, n); got != pos {
 				t.Fatalf("n=%d: ColumnStart(%d) = %d, want %d", n, x, got, pos)
 			}
-			pos += ColumnLen(x, n)
+			pos += n - 1 - x // column x pairs x with x+1..n-1
 		}
 		if pos != n*(n-1)/2 {
 			t.Fatalf("n=%d: columns cover %d pairs, want %d", n, pos, n*(n-1)/2)
@@ -193,27 +194,53 @@ func TestRelevantRangesSingletonBlock(t *testing.T) {
 	}
 }
 
-// bruteRelevantEntities recomputes the entity set touching local pair
-// interval [a,b) by enumeration.
-func bruteRelevantEntities(a, b, n int64) map[int64]bool {
-	set := make(map[int64]bool)
-	for p := a; p < b; p++ {
-		x, y := CellOf(p, n)
-		set[x] = true
-		set[y] = true
+// drawGeometry draws a block of at most maxN+1 entities in one of the
+// three shapes: a triangle, a ⊥ row or an R×S rectangle.
+func drawGeometry(rng *rand.Rand, maxN int) geometry {
+	g := drawTriangle(rng, maxN)
+	if rng.Intn(3) == 0 {
+		g.nR, g.rect = 1+rng.Int63n(g.n-1), true
 	}
-	return set
+	return g
+}
+
+// forEachPair calls f with every pair (x1, x2) of g, x1 ascending.
+func forEachPair(g geometry, f func(x1, x2 int64)) {
+	for x1 := int64(0); x1 < g.nR; x1++ {
+		_, after := g.partners(x1)
+		for x2 := after; x2 < g.n; x2++ {
+			f(x1, x2)
+		}
+	}
+}
+
+// blockPairs returns the number of pairs of g.
+func blockPairs(g geometry) int64 {
+	var n int64
+	forEachPair(g, func(_, _ int64) { n++ })
+	return n
+}
+
+// drawShare draws a geometry with pairs and a non-empty share [a, b)
+// of them.
+func drawShare(rng *rand.Rand, maxN int) (g geometry, a, b int64) {
+	g = drawGeometry(rng, maxN)
+	total := blockPairs(g)
+	a = rng.Int63n(total)
+	return g, a, a + 1 + rng.Int63n(total-a)
 }
 
 func TestRelevantEntitiesAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 1000; trial++ {
-		g := drawTriangle(rng, 30)
-		n, total := g.n, ColumnStart(g.nR, g.n)
-		a := int64(rng.Intn(int(total)))
-		b := a + 1 + int64(rng.Intn(int(total-a)))
+	for trial := 0; trial < 1500; trial++ {
+		g, a, b := drawShare(rng, 30)
+		want := make(map[int64]bool)
+		forEachPair(g, func(x1, x2 int64) {
+			if p := g.pair(x1, x2); a <= p && p < b {
+				want[x1], want[x2] = true, true
+			}
+		})
 		ivs := g.relevant(a, b)
-		want := bruteRelevantEntities(a, b, n)
 		var gotCount int64
 		got := make(map[int64]bool)
 		for _, iv := range ivs {
@@ -223,25 +250,69 @@ func TestRelevantEntitiesAgainstBruteForce(t *testing.T) {
 			}
 		}
 		if int64(len(got)) != gotCount {
-			t.Fatalf("n=%d [%d,%d): intervals overlap after merge: %v", n, a, b, ivs)
+			t.Fatalf("%+v [%d,%d): intervals overlap after merge: %v", g, a, b, ivs)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d [%d,%d): relevantEntities = %v, want %v entities", n, a, b, ivs, len(want))
+			t.Fatalf("%+v [%d,%d): relevant = %v, want %v entities", g, a, b, ivs, len(want))
+		}
+	}
+}
+
+// TestCornersMeetAgainstBruteForce: fed a share's relevant entities in
+// index order, as a PairRange reducer is, corners.meets keeps exactly
+// the entities that are the first of a pair in the share, and compares
+// each entity with exactly its partners in the share — over triangles,
+// ⊥ rows and R×S rectangles.
+func TestCornersMeetAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 3000; trial++ {
+		g, a, b := drawShare(rng, 30)
+		firsts, partners := make(map[int64]bool), make(map[int64][]int64)
+		forEachPair(g, func(x1, x2 int64) {
+			if p := g.pair(x1, x2); a <= p && p < b {
+				firsts[x1] = true
+				partners[x2] = append(partners[x2], x1)
+			}
+		})
+		c := g.corners(a, b)
+		var rows []int64 // the entities kept, in order
+		for _, iv := range g.relevant(a, b) {
+			for x2 := iv.lo; x2 < iv.hi; x2++ {
+				first, end, keep := c.meets(g, x2, len(rows))
+				if first < 0 || first > end || end > len(rows) {
+					t.Fatalf("%+v [%d,%d) %+v: entity %d meets rows [%d,%d) of %d", g, a, b, c, x2, first, end, len(rows))
+				}
+				if met := rows[first:end]; !slices.Equal(met, partners[x2]) {
+					t.Fatalf("%+v [%d,%d) %+v: entity %d meets %v, its partners in the share are %v", g, a, b, c, x2, met, partners[x2])
+				}
+				if keep != firsts[x2] {
+					t.Fatalf("%+v [%d,%d) %+v: entity %d kept = %v, first of a pair in the share = %v", g, a, b, c, x2, keep, firsts[x2])
+				}
+				if keep {
+					rows = append(rows, x2)
+				}
+			}
 		}
 	}
 }
 
 func TestRelevantEntitiesEmptyAndDegenerate(t *testing.T) {
-	if ivs := relevantEntities(5, 5, 10); len(ivs) != 0 {
-		t.Errorf("empty interval gave %v", ivs)
-	}
-	if ivs := relevantEntities(0, 1, 1); len(ivs) != 0 {
-		t.Errorf("block of size 1 gave %v", ivs)
-	}
-	// Whole triangle: all n entities.
-	ivs := relevantEntities(0, 10, 5)
-	if intervalsTotal(ivs) != 5 {
-		t.Errorf("full interval covers %d entities, want 5 (%v)", intervalsTotal(ivs), ivs)
+	for _, tc := range []struct {
+		g    geometry
+		a, b int64
+		want int64
+	}{
+		{geometry{n: 2, nR: 2}, 0, 1, 2},             // the one pair of a block of two
+		{geometry{n: 5, nR: 5}, 0, 10, 5},            // the whole triangle
+		{geometry{n: 5, nR: 5}, 9, 10, 2},            // its last pair
+		{geometry{n: 5, nR: 1}, 0, 4, 5},             // a ⊥ row of one keyless entity
+		{geometry{n: 5, nR: 2, rect: true}, 0, 6, 5}, // the whole rectangle
+		{geometry{n: 5, nR: 2, rect: true}, 2, 4, 4}, // one R row's last pair and the next's first
+		{geometry{n: 5, nR: 2, rect: true}, 5, 6, 2}, // its last pair
+	} {
+		if ivs := tc.g.relevant(tc.a, tc.b); intervalsTotal(ivs) != tc.want {
+			t.Errorf("%+v [%d,%d): relevant covers %d entities, want %d (%v)", tc.g, tc.a, tc.b, intervalsTotal(ivs), tc.want, ivs)
+		}
 	}
 }
 

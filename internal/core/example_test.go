@@ -171,13 +171,14 @@ func TestPaperExamplePairRangeEnumeration(t *testing.T) {
 	x := exampleBDM(t)
 	zk, _ := blockIndex(x, "z")
 	// Pair indexes of Figure 6: p3(0,2)=11, p3(2,4)=18, p0(2,3)=5.
-	if got := PairIndex(x, zk, 0, 2); got != 11 {
+	pairIndex := func(k int, ex, ey int64) int64 { return geometryOf(x, k).pair(ex, ey) + x.PairOffset(k) }
+	if got := pairIndex(zk, 0, 2); got != 11 {
 		t.Errorf("p3(0,2) = %d, want 11 (M's pmin)", got)
 	}
-	if got := PairIndex(x, zk, 2, 4); got != 18 {
+	if got := pairIndex(zk, 2, 4); got != 18 {
 		t.Errorf("p3(2,4) = %d, want 18 (M's pmax)", got)
 	}
-	if got := PairIndex(x, 0, 2, 3); got != 5 {
+	if got := pairIndex(0, 2, 3); got != 5 {
 		t.Errorf("p0(2,3) = %d, want 5", got)
 	}
 

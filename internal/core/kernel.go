@@ -10,17 +10,18 @@ import (
 
 // Block is the prepared form of one reduce group: the reducers of all
 // three strategies load the texts of a group's rows into a block and
-// decide each arriving text against a contiguous row range in one call.
-// match.EditDistance runs its filter chain column-wise over a
+// decide each arriving text against every row loaded so far in one
+// call. match.EditDistance runs its filter chain column-wise over a
 // structure-of-arrays block; a PairFunc's block loops its per-pair call.
 type Block interface {
-	// Probe decides text against rows [lo, hi) and returns the matching
+	// Probe decides text against every row and returns the matching
 	// rows in ascending order with their similarities. With keep, text
-	// then becomes the block's next row; an empty range just loads it.
-	// The returned slices belong to the block and are reused by the
-	// next call. Decisions and similarities must be exactly those of
-	// the matcher's per-pair form.
-	Probe(text string, lo, hi int, keep bool) (rows []int32, sims []float64)
+	// then becomes the block's next row. The returned slices belong to
+	// the block and are reused by the next call. Decisions and
+	// similarities must be exactly those of the matcher's per-pair form.
+	Probe(text string, keep bool) (rows []int32, sims []float64)
+	// Add makes text the block's next row without deciding it.
+	Add(text string)
 	// Release ends the group: the block drops every reference to the
 	// group's texts and must not be used again.
 	Release()
@@ -70,14 +71,22 @@ func (g *group) len() int { return len(g.ids) }
 // probe compares row e against rows [lo, hi), counting hi-lo
 // comparisons and emitting each match in ascending row order — the
 // order of the reducers' former inner loops. With keep, e becomes the
-// next row.
+// next row. It is the one place a row range exists: the block decides e
+// against every loaded row, and the hits outside [lo, hi) — at most
+// PairRange's two end rows — are dropped here.
 func (g *group) probe(ctx *matchCtx, e entity.Row, lo, hi int, keep bool) {
 	ctx.Inc(ComparisonsCounter, int64(hi-lo))
-	if g.block != nil {
-		rows, sims := g.block.Probe(e.Text, lo, hi, keep)
+	switch {
+	case g.block == nil:
+	case lo < hi:
+		rows, sims := g.block.Probe(e.Text, keep)
 		for i, row := range rows {
-			ctx.Emit(MatchOutput{Key: NewMatchPair(g.ids[row], e.ID), Value: sims[i]})
+			if lo <= int(row) && int(row) < hi {
+				ctx.Emit(MatchOutput{Key: NewMatchPair(g.ids[row], e.ID), Value: sims[i]})
+			}
 		}
+	case keep:
+		g.block.Add(e.Text)
 	}
 	if keep {
 		g.ids = append(g.ids, e.ID)
@@ -121,19 +130,21 @@ type plainBlock struct {
 	sims  []float64
 }
 
-func (b *plainBlock) Probe(text string, lo, hi int, keep bool) ([]int32, []float64) {
+func (b *plainBlock) Probe(text string, keep bool) ([]int32, []float64) {
 	b.rows, b.sims = b.rows[:0], b.sims[:0]
-	for i, row := range b.texts[lo:hi] {
+	for i, row := range b.texts {
 		if sim, ok := b.match(row, text); ok {
-			b.rows = append(b.rows, int32(lo+i))
+			b.rows = append(b.rows, int32(i))
 			b.sims = append(b.sims, sim)
 		}
 	}
 	if keep {
-		b.texts = append(b.texts, text)
+		b.Add(text)
 	}
 	return b.rows, b.sims
 }
+
+func (b *plainBlock) Add(text string) { b.texts = append(b.texts, text) }
 
 // Release empties the block — the external dataflow's texts alias
 // ~32KB decode blocks, which a stale row would pin — and returns it to

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bdm"
 	"repro/internal/entity"
@@ -170,37 +169,30 @@ func (rd *prReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 // group it receives the block's relevant entities in ascending index
 // order — the index travels in each record's key — and compares exactly
 // the candidate pairs (x1, x2), x1 < x2, whose pair index falls into
-// this task's range. An entity meets the rows loaded before it if it is
-// the second of any pair, and becomes a row if it is the first of one.
+// this task's range.
 //
 // Deviation from the paper's listing: when a candidate pair's range
 // exceeds the task's range, the listing returns from the whole reduce
 // call. That would skip valid pairs — e.g. after (x1,x2) overshoots,
-// (x1', x2+1) with x1' < x1 can still fall in range. Pair indexes grow
-// with both components, so for a fixed x2 the in-range partners x1 are
-// one run of the rows loaded so far; its two ends are found by binary
-// search and the run is probed in one call. Completeness is covered by
-// property tests against serial matching.
+// (x1', x2+1) with x1' < x1 can still fall in range. Instead the
+// task reads its share of the block once, as the share's corner cells
+// (xa, ya) and (xb, yb): the share is the columns xa..xb, from (xa, ya)
+// on and up to (xb, yb). An entity becomes a row iff it is one of those
+// columns, so the rows are xa, xa+1, … in order, and a probe meets every
+// row loaded before it but at most the two ends (corners.meets). The
+// block decides the probe against all rows; group.probe drops a hit on
+// an excluded end. Completeness is covered by property tests against
+// brute force and serial matching.
 func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey, entity.Row]) {
 	g := geometryOf(rd.x, int(k.Block))
-	off := rd.x.PairOffset(int(k.Block))
-	// Comparing pair indexes against the task's [lo, hi) interval avoids
-	// the per-pair division of Ranges.Index: p >= hi iff the pair's range
-	// exceeds this task, p >= lo iff it is at least this task (every
-	// valid p is < P, so the clamped bounds preserve both equivalences).
 	lo, hi := rd.ranges.Bounds(rd.task)
+	off := rd.x.PairOffset(int(k.Block))
+	c := g.corners(max(lo, off)-off, min(hi, off+rd.x.BlockPairs(int(k.Block)))-off)
 	touch(rd.group, values)
 	rd.begin(len(values))
 	for _, v := range values {
-		x2 := v.Key.Index
-		before, after := g.partners(x2)
-		rows := 0
-		if before > 0 {
-			rows = rd.len()
-		}
-		first := sort.Search(rows, func(i int) bool { return g.pair(values[i].Key.Index, x2)+off >= lo })
-		end := first + sort.Search(rows-first, func(i int) bool { return g.pair(values[first+i].Key.Index, x2)+off >= hi })
-		rd.probe(ctx, v.Value, first, end, after < g.n)
+		first, end, keep := c.meets(g, v.Key.Index, rd.len())
+		rd.probe(ctx, v.Value, first, end, keep)
 	}
 	rd.end()
 }

@@ -294,8 +294,8 @@ func TestAssignmentDenseLookup(t *testing.T) {
 		for _, task := range a.ordered {
 			tasks[task.id] = task.reduce
 		}
-		if len(tasks) != a.NumTasks() {
-			t.Fatalf("trial %d: %d distinct ids among %d tasks", trial, len(tasks), a.NumTasks())
+		if len(tasks) != len(a.ordered) {
+			t.Fatalf("trial %d: %d distinct ids among %d tasks", trial, len(tasks), len(a.ordered))
 		}
 		for k := 0; k < x.NumBlocks(); k++ {
 			if !a.Split(k) {
@@ -439,7 +439,7 @@ func TestLoadsSumToP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s.Plan: %v", strat.Name(), err)
 			}
-			if got := plan.TotalComparisons(); got != x.Pairs() {
+			if got := sumLoads(plan.ReduceComparisons); got != x.Pairs() {
 				t.Errorf("%s: Σ comparisons = %d, want P=%d", strat.Name(), got, x.Pairs())
 			}
 		}

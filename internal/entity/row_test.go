@@ -1,6 +1,7 @@
 package entity
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -37,12 +38,13 @@ func FuzzRowCodec(f *testing.F) {
 
 // FuzzRowDecodeArbitrary feeds the decoder arbitrary bytes: it must
 // decode a row or return a typed runio.ErrCorrupt, never panic. A
-// decoded row round-trips through its own encoding.
+// decoded row re-encodes to exactly the bytes it was decoded from.
 func FuzzRowDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((RowCodec{}).Append(nil, Row{ID: "id", Text: "text"}))
 	f.Add(runio.AppendUvarint(runio.AppendString(nil, "id"), 1<<40))
 	f.Add([]byte{0x80, 0x80, 0x80})
+	f.Add([]byte{0x82, 0x00, 'i', 'd', 0x00}) // non-minimal ID length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, n, err := (RowCodec{}).NewDecoder()(string(data))
 		if err != nil {
@@ -54,9 +56,8 @@ func FuzzRowDecodeArbitrary(f *testing.F) {
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		enc := (RowCodec{}).Append(nil, r)
-		if again, m, err := (RowCodec{}).NewDecoder()(string(enc)); err != nil || m != len(enc) || again != r {
-			t.Fatalf("decoded %+v, whose encoding decodes to %+v after %d of %d bytes (%v)", r, again, m, len(enc), err)
+		if enc := (RowCodec{}).Append(nil, r); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("decoded %+v from %x, which re-encodes to %x", r, data[:n], enc)
 		}
 	})
 }

@@ -140,11 +140,34 @@ func TestCloseHookOncePerAttemptAfterLastMap(t *testing.T) {
 		if !reflect.DeepEqual(res.Output, baseline.Output) {
 			t.Errorf("%s: aggregating in the mapper changed the job's output", name)
 		}
+		checkSpilled(t, name, res.MapMetrics)
 		normalize(&res.Metrics)
 		if want == nil {
 			want = res
 		} else if !reflect.DeepEqual(res, want) {
 			t.Errorf("%s: Result (TaskMetrics included) diverges from the other residencies\ngot:  %+v\nwant: %+v", name, res, want)
+		}
+	}
+}
+
+// checkSpilled holds a residency's map tasks to its spill budget: at
+// "spill=1" every record is a run of its own; at any other budget below
+// every map task's encoded output each task spilled at least once; at
+// "spill=1048576", above it, none did.
+func checkSpilled(t *testing.T, name string, maps []mapreduce.TaskMetrics) {
+	t.Helper()
+	var budget int64
+	if _, err := fmt.Sscanf(name, "spill=%d", &budget); err != nil {
+		return
+	}
+	for _, mt := range maps {
+		switch {
+		case budget == 1 && mt.SpillRuns != mt.OutputRecords:
+			t.Errorf("%s: map task %d spilled %d runs for %d records", name, mt.Index, mt.SpillRuns, mt.OutputRecords)
+		case budget < 1<<20 && mt.SpillRuns < 1:
+			t.Errorf("%s: map task %d never spilled", name, mt.Index)
+		case budget >= 1<<20 && mt.SpillRuns != 0:
+			t.Errorf("%s: map task %d spilled %d runs under a budget above its output", name, mt.Index, mt.SpillRuns)
 		}
 	}
 }
@@ -257,14 +280,7 @@ func TestBDMJobAggregatesInMapperEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if name == "spill=1" {
-			// Every cell record spilled as a run of its own.
-			for i := range res.MapMetrics {
-				if res.MapMetrics[i].SpillRuns != res.MapMetrics[i].OutputRecords {
-					t.Errorf("%s: map task %d spilled %d runs for %d records", name, i, res.MapMetrics[i].SpillRuns, res.MapMetrics[i].OutputRecords)
-				}
-			}
-		}
+		checkSpilled(t, name, res.MapMetrics)
 		if got := int(res.MapOutputRecords); got != len(direct.Cells()) {
 			t.Errorf("%s: MapOutputRecords = %d, want the %d non-zero cells", name, got, len(direct.Cells()))
 		}

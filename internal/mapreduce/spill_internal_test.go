@@ -13,9 +13,8 @@ import (
 // A record on disk is key ‖ value and carries no key code, so a decode
 // must either fail with a runio.ErrCorrupt, or give a Rec whose code is
 // the one encode computes from the decoded key and whose appendRec is
-// the input. The runio decoders accept non-minimal varints, and those
-// re-encode shorter: then appendRec must give a shorter record that
-// decodes to the same Rec and re-encodes to itself.
+// the input: the runio decoders accept only minimal varints, so a
+// record has one encoding.
 func FuzzRecDecode(f *testing.F) {
 	rs := &runStore[string, int]{
 		encode: StringPrefixCode,
@@ -50,19 +49,8 @@ func FuzzRecDecode(f *testing.F) {
 		if want := StringPrefixCode(got.Key); got.code != want {
 			t.Fatalf("decoded code %v, want encode(%q) = %v", got.code, got.Key, want)
 		}
-		enc := rs.appendRec(nil, &got)
-		if bytes.Equal(enc, data) {
-			return
-		}
-		var again Rec[string, int]
-		if len(enc) >= len(data) {
+		if enc := rs.appendRec(nil, &got); !bytes.Equal(enc, data) {
 			t.Fatalf("appendRec of the decoded record is %x, input %x", enc, data)
-		}
-		if err := dec.decode(string(enc), &again); err != nil || again != got {
-			t.Fatalf("re-encoded record %x decodes to %+v (%v), want %+v", enc, again, err, got)
-		}
-		if !bytes.Equal(rs.appendRec(nil, &again), enc) {
-			t.Fatalf("re-encoded record %x does not re-encode to itself", enc)
 		}
 	})
 }

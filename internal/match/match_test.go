@@ -11,7 +11,7 @@ func TestEditDistanceBlockReleaseDropsReferences(t *testing.T) {
 	bm := EditDistance("title", 0.8)
 	blk := bm.AcquireBlock()
 	for i, title := range []string{"canon eos 5d mk ii", "canon eos 5d mk iii", "cañon eos 5d mk ii"} {
-		rows, _ := blk.Probe(title, 0, i, true)
+		rows, _ := blk.Probe(title, true)
 		if i == 1 && len(rows) == 0 {
 			t.Fatal("second row must hit the first for the test to hold prepared state")
 		}

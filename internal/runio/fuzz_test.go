@@ -45,29 +45,23 @@ func FuzzIntCodecs(f *testing.F) {
 }
 
 // FuzzStringDecodeArbitrary feeds arbitrary bytes to the decoder: it
-// must either error or consume a prefix, never panic or over-allocate.
+// must either error or consume a prefix, never panic or over-allocate,
+// and a decoded string re-encodes to exactly the prefix it consumed.
 func FuzzStringDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 'a', 'b'})
 	f.Add(AppendUvarint(nil, 1<<40))
+	f.Add([]byte{0x83, 0x00, 'a', 'b', 'c'}) // non-minimal length
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := StringCodec{}.NewDecoder()
-		s, n, err := dec(string(data))
-		if err == nil {
-			if n > len(data) {
-				t.Fatalf("consumed %d of %d bytes", n, len(data))
-			}
-			// The decoded string's bytes are the tail of the consumed
-			// prefix (the length prefix itself may be a non-minimal
-			// varint on corrupt input, which the decoder tolerates).
-			if !bytes.HasSuffix(data[:n], []byte(s)) {
-				t.Fatalf("decoded %q not a suffix of consumed prefix", s)
-			}
-			// Re-encoding must round-trip to the same value.
-			got, _, err := dec(string(AppendString(nil, s)))
-			if err != nil || got != s {
-				t.Fatalf("re-encode round trip: (%q, %v)", got, err)
-			}
+		s, n, err := StringCodec{}.NewDecoder()(string(data))
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		if enc := AppendString(nil, s); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("decoded %q from %x, which re-encodes to %x", s, data[:n], enc)
 		}
 	})
 }

@@ -157,7 +157,9 @@ func Lookup[T any]() (Codec[T], bool) {
 // AppendUvarint appends x in unsigned LEB128 form.
 func AppendUvarint(dst []byte, x uint64) []byte { return binary.AppendUvarint(dst, x) }
 
-// Uvarint decodes an unsigned LEB128 value from the front of src.
+// Uvarint decodes an unsigned LEB128 value from the front of src. Only
+// the minimal form is accepted — a zero final byte after a continuation
+// byte is corrupt — so a decoded value re-encodes to exactly its input.
 func Uvarint(src string) (uint64, int, error) {
 	var x uint64
 	var s uint
@@ -167,8 +169,8 @@ func Uvarint(src string) (uint64, int, error) {
 		}
 		b := src[i]
 		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				break // overflows uint64
+			if i > 0 && b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+				break // not minimal, or overflows uint64
 			}
 			return x | uint64(b)<<s, i + 1, nil
 		}

@@ -63,17 +63,31 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestDecodeCorrupt: each input is refused with ErrCorrupt. A huge
+// claimed string length errors before anything is allocated for it, and
+// a non-minimal varint is corrupt, so every value has one encoding.
 func TestDecodeCorrupt(t *testing.T) {
-	// A huge claimed string length must error, not allocate.
-	bad := AppendUvarint(nil, 1<<40)
-	if _, _, err := (StringCodec{}).NewDecoder()(string(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge string length: err = %v, want ErrCorrupt", err)
-	}
-	if _, _, err := (StringCodec{}).NewDecoder()(""); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("empty input must be corrupt")
-	}
-	if _, _, err := (Float64Codec{}).NewDecoder()("\x01\x02\x03"); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("short float64 must be corrupt")
+	uvarint := func(s string) error { _, _, err := Uvarint(s); return err }
+	str := func(s string) error { _, _, err := (StringCodec{}).NewDecoder()(s); return err }
+	for _, tc := range []struct {
+		name   string
+		decode func(string) error
+		src    string
+	}{
+		{"huge string length", str, string(AppendUvarint(nil, 1<<40))},
+		{"empty string", str, ""},
+		{"short float64", func(s string) error { _, _, err := (Float64Codec{}).NewDecoder()(s); return err }, "\x01\x02\x03"},
+		{"empty uvarint", uvarint, ""},
+		{"unterminated uvarint", uvarint, "\x80\x80"},
+		{"uvarint past 64 bits", uvarint, "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"},
+		{"non-minimal uvarint 3", uvarint, "\x83\x00"},
+		{"non-minimal uvarint 0", uvarint, "\x80\x80\x00"},
+		{"non-minimal string length", str, "\x83\x00abc"},
+		{"non-minimal varint", func(s string) error { _, _, err := Varint(s); return err }, "\x81\x00"},
+	} {
+		if err := tc.decode(tc.src); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s %x: err = %v, want ErrCorrupt", tc.name, tc.src, err)
+		}
 	}
 }
 

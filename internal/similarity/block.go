@@ -6,11 +6,11 @@ import (
 )
 
 // LevBlock is the block-at-a-time form of Thresholder.Match: the strings
-// of one reduce group held so that one string is decided against a
-// contiguous range of rows in a single call. Rows are filed in buckets by
-// rune length: each occupied length holds its rows in ascending order
-// with their bit-plane histograms (bag.go) and masses side by side. A
-// probe of length l runs the filter chain bucket-wise:
+// of one reduce group held so that one string is decided against all of
+// them in a single call. Rows are filed in buckets by rune length: each
+// occupied length holds its rows in ascending order with their
+// bit-plane histograms (bag.go) and masses side by side. A probe of
+// length l runs the filter chain bucket-wise:
 //
 //  1. the length filter decides whole buckets: only the occupied lengths
 //     inside the probe's window are visited, and within one the distance
@@ -24,9 +24,9 @@ import (
 // Hits come out of each bucket in row order and are merged into row
 // order once the probe is done; only they are sorted, never the pairs.
 //
-// Every pair in the range is decided: a pair in a bucket the probe does
-// not visit fails the length filter, and all filters are lower bounds on
-// the edit distance, so the hit set and the similarity floats are exactly
+// Every pair is decided: a pair in a bucket the probe does not visit
+// fails the length filter, and all filters are lower bounds on the edit
+// distance, so the hit set and the similarity floats are exactly
 // Thresholder.Match's. Lengths past maxCachedBound share one overflow
 // bucket that applies the length filter row by row, so no string sizes
 // the bucket table.
@@ -124,28 +124,28 @@ func (b *LevBlock) truncate(n int) {
 	b.raws, b.lens, b.wide = b.raws[:n], b.lens[:n], b.wide[:n]
 }
 
-// Probe decides s against rows [lo, hi) and returns the rows it matches
-// in ascending order with the exact similarities, exactly as
+// Probe decides s against every row and returns the rows it matches in
+// ascending order with the exact similarities, exactly as
 // Thresholder.Match would decide each pair. With keep, s then becomes
-// the block's next row; a block is loaded by probing with an empty
-// range. The returned slices are reused by the next call.
-func (b *LevBlock) Probe(s string, lo, hi int, keep bool) (rows []int32, sims []float64) {
+// the block's next row. The returned slices are reused by the next call.
+func (b *LevBlock) Probe(s string, keep bool) (rows []int32, sims []float64) {
 	row := len(b.raws)
-	if lo < 0 || hi > row {
-		panic("similarity: LevBlock.Probe: row range outside the block")
-	}
 	var e bucketRow
 	l := b.push(s, &e)
 	b.rows, b.sims = b.rows[:0], b.sims[:0]
-	if lo < hi {
-		b.scan(&e, l, lo, hi)
-	}
+	b.scan(&e, l)
 	if keep {
 		b.file(&e, l)
 	} else {
 		b.truncate(row)
 	}
 	return b.rows, b.sims
+}
+
+// Add makes s the block's next row without deciding it.
+func (b *LevBlock) Add(s string) {
+	var e bucketRow
+	b.file(&e, b.push(s, &e))
 }
 
 // push appends s to the row-order arrays, fills e with its histogram and
@@ -193,25 +193,9 @@ func (b *LevBlock) file(e *bucketRow, l int) {
 	b.bucketCap += cap(*bk) - c
 }
 
-// cut returns the part of a bucket whose rows lie in [lo, hi). Bucket
-// rows ascend, so it is a binary search at either end that needs one;
-// the common ranges (from the first row, to the probe) need none.
-func cut(bk []bucketRow, lo, hi, all int32) []bucketRow {
-	byRow := func(e bucketRow, r int32) int { return int(e.row - r) }
-	if hi < all {
-		n, _ := slices.BinarySearchFunc(bk, hi, byRow)
-		bk = bk[:n]
-	}
-	if lo > 0 {
-		n, _ := slices.BinarySearchFunc(bk, lo, byRow)
-		bk = bk[n:]
-	}
-	return bk
-}
-
 // scan runs the filter chain of the pushed probe e, l runes long, against
-// rows [lo, hi).
-func (b *LevBlock) scan(e *bucketRow, l, lo, hi int) {
+// every row.
+func (b *LevBlock) scan(e *bucketRow, l int) {
 	t := b.th
 	wlo, whi := t.window(l)
 	if whi < wlo {
@@ -228,7 +212,7 @@ func (b *LevBlock) scan(e *bucketRow, l, lo, hi int) {
 		if k > whi {
 			break
 		}
-		bk := cut(b.buckets[b.index[k]-1], int32(lo), int32(hi), e.row)
+		bk := b.buckets[b.index[k]-1]
 		if k == overflowLen {
 			for i := range bk {
 				c := &bk[i]

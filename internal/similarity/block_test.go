@@ -170,9 +170,9 @@ func blockCorpus(rng *rand.Rand) []string {
 	return out
 }
 
-// TestLevBlockMatchesThresholder: a block probe over any row range is
-// exactly the per-pair kernel — and the rune-DP reference — applied to
-// each row in ascending order: same hit set, same float similarities.
+// TestLevBlockMatchesThresholder: a block probe is exactly the per-pair
+// kernel — and the rune-DP reference — applied to each row in ascending
+// order: same hit set, same float similarities.
 func TestLevBlockMatchesThresholder(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	corpus := blockCorpus(rng)
@@ -183,33 +183,30 @@ func TestLevBlockMatchesThresholder(t *testing.T) {
 		var loaded []string
 		for n, s := range corpus {
 			// Alternate the three shapes the reducers use: a self-join row
-			// (probe everything so far, keep), a loaded row (empty range,
-			// keep), and a cross probe over a sub-range (not kept).
-			lo, hi, keep := 0, len(loaded), true
-			switch n % 3 {
-			case 1:
-				hi = 0
-			case 2:
-				lo = rng.Intn(len(loaded) + 1)
-				hi = lo + rng.Intn(len(loaded)-lo+1)
-				keep = false
+			// (probe, keep), a loaded row (add) and a cross probe (probe,
+			// drop).
+			if n%3 == 1 {
+				b.Add(s)
+				loaded = append(loaded, s)
+				continue
 			}
-			rows, sims := b.Probe(s, lo, hi, keep)
+			keep := n%3 == 0
+			rows, sims := b.Probe(s, keep)
 			var wantRows []int32
 			var wantSims []float64
-			for i := lo; i < hi; i++ {
-				sim, ok := th.Match(Prepare(loaded[i]), Prepare(s))
-				if refSim, refOK := refMatch(loaded[i], s, threshold); ok != refOK || (ok && sim != refSim) {
+			for i, c := range loaded {
+				sim, ok := th.Match(Prepare(c), Prepare(s))
+				if refSim, refOK := refMatch(c, s, threshold); ok != refOK || (ok && sim != refSim) {
 					t.Fatalf("th=%v: Thresholder.Match(%.12q, %.12q) = (%v, %v), rune DP says (%v, %v)",
-						threshold, loaded[i], s, sim, ok, refSim, refOK)
+						threshold, c, s, sim, ok, refSim, refOK)
 				}
 				if ok {
 					wantRows, wantSims = append(wantRows, int32(i)), append(wantSims, sim)
 				}
 			}
 			if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
-				t.Fatalf("th=%v probe %d %.12q over [%d,%d): block says rows %v sims %v, per-pair kernel rows %v sims %v",
-					threshold, n, s, lo, hi, rows, sims, wantRows, wantSims)
+				t.Fatalf("th=%v probe %d %.12q over %d rows: block says rows %v sims %v, per-pair kernel rows %v sims %v",
+					threshold, n, s, len(loaded), rows, sims, wantRows, wantSims)
 			}
 			if keep {
 				loaded = append(loaded, s)
@@ -246,7 +243,7 @@ func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
 		var b LevBlock
 		b.Use(th)
 		for _, s := range titles {
-			b.Probe(s, 0, b.Len(), true)
+			b.Probe(s, true)
 		}
 		if b.verified > perPair {
 			t.Errorf("%d-word titles: %d pairs reached the block's distance kernel, %d the per-pair kernel's (%d pass the length filter)",
@@ -354,7 +351,7 @@ func TestLevBlockVerifiesExactlyTheChain(t *testing.T) {
 			group := shape.titles[g:min(g+shape.group, len(shape.titles))]
 			b.Use(th)
 			for i, s := range group {
-				b.Probe(s, 0, b.Len(), true)
+				b.Probe(s, true)
 				for _, c := range group[:i] {
 					if chainPasses(th, c, s) {
 						want++
@@ -414,11 +411,11 @@ func TestLevBlockSteadyStateAllocs(t *testing.T) {
 	cycle := func() {
 		b.Use(th)
 		for _, s := range group {
-			rows, _ := b.Probe(s, 0, b.Len(), true)
+			rows, _ := b.Probe(s, true)
 			hits += len(rows)
 		}
 		for _, s := range group {
-			rows, _ := b.Probe(s, 1, b.Len(), false)
+			rows, _ := b.Probe(s, false)
 			hits += len(rows)
 		}
 		b.Reset()
@@ -442,9 +439,9 @@ func TestLevBlockResetDropsReferences(t *testing.T) {
 	var b LevBlock
 	b.Use(th)
 	for _, s := range []string{"alpha one", "alpha two", "álpha three", "beta", strings.Repeat("long ", 200)} {
-		b.Probe(s, 0, b.Len(), true)
+		b.Probe(s, true)
 	}
-	b.Probe("alpha öne", 0, b.Len(), false) // materializes runes of ASCII rows, then is dropped
+	b.Probe("alpha öne", false) // materializes runes of ASCII rows, then is dropped
 	b.Reset()
 	if b.Len() != 0 || b.th != nil {
 		t.Fatalf("Reset left %d rows, threshold %v", b.Len(), b.th)
@@ -498,7 +495,7 @@ func TestLevBlockPooledCapacityBounded(t *testing.T) {
 	huge := strings.Repeat("x", 10_000)
 	load := func(b *LevBlock, rows []string) {
 		for _, s := range rows {
-			b.Probe(s, 0, 0, true)
+			b.Add(s)
 		}
 	}
 	checkBounded := func(name string, b *LevBlock) {
@@ -538,7 +535,7 @@ func TestLevBlockPooledCapacityBounded(t *testing.T) {
 	b.Use(th)
 	group := append([]string{huge, huge + "y"}, mixed[:20]...)
 	for i, s := range group {
-		rows, sims := b.Probe(s, 0, i, true)
+		rows, sims := b.Probe(s, true)
 		var wantRows []int32
 		var wantSims []float64
 		for j, c := range group[:i] {
@@ -554,19 +551,19 @@ func TestLevBlockPooledCapacityBounded(t *testing.T) {
 }
 
 // FuzzLevBlockProbe: a block is the per-pair kernel. The input is a row
-// list (split at newlines) and a byte string of probe shapes: each row
-// is probed over [lo, hi) and kept or dropped as the next three bytes
-// say (all rows so far, kept, once they run out), at a threshold the
-// first byte picks. Every probe must return exactly the rows and
-// similarities Thresholder.Match gives pair by pair.
+// list (split at newlines) and a byte string of shapes: each row is
+// probed and kept, added, or probed and dropped as the next byte says
+// (probed and kept once they run out), at a threshold the first byte
+// picks. Every probe must return exactly the rows and similarities
+// Thresholder.Match gives pair by pair.
 func FuzzLevBlockProbe(f *testing.F) {
 	f.Add("", []byte{})
-	f.Add("\n\n", []byte{1, 0, 0, 0})
-	f.Add("caméra\ncamera\n日本語\n日本\n\xff\xfe", []byte{1, 0, 9, 0, 0, 9, 1})
+	f.Add("\n\n", []byte{1, 0, 1, 2})
+	f.Add("caméra\ncamera\n日本語\n日本\n\xff\xfe", []byte{1, 0, 2, 0, 1, 2, 1})
 	r63, r64, r65 := strings.Repeat("ab", 31)+"c", strings.Repeat("ab", 32), strings.Repeat("ab", 32)+"c"
 	f.Add(r63+"\n"+r64+"\n"+r65+"\n"+strings.Repeat("é", 64)+"\n"+strings.Repeat("é", 65), []byte{1})
 	long := strings.Repeat("abcdefgh ", 60)
-	f.Add(long+"\n"+long[1:]+"\nabc\n"+long+"x\n"+strings.Repeat("é", maxCachedBound+3), []byte{2, 0, 9, 0, 1, 9, 1, 0, 1, 1})
+	f.Add(long+"\n"+long[1:]+"\nabc\n"+long+"x\n"+strings.Repeat("é", maxCachedBound+3), []byte{2, 1, 0, 2, 0, 1})
 	f.Add("acme\nacme\n\nacme", []byte{4}) // no pair reaches a NaN threshold
 	thresholds := []*Thresholder{NewThresholder(0.8), NewThresholder(0.5), NewThresholder(1), NewThresholder(0), NewThresholder(math.NaN())}
 	f.Fuzz(func(t *testing.T, text string, ops []byte) {
@@ -581,27 +578,33 @@ func FuzzLevBlockProbe(f *testing.F) {
 		b.Use(th)
 		var loaded []string
 		for n, s := range strings.Split(text, "\n") {
-			lo, hi, keep := 0, len(loaded), true
-			if len(ops) >= 3 {
-				lo = int(ops[0]) % (len(loaded) + 1)
-				hi = lo + int(ops[1])%(len(loaded)-lo+1)
-				keep, ops = ops[2]&1 == 0, ops[3:]
+			op := byte(0)
+			if len(ops) > 0 {
+				op, ops = ops[0]%3, ops[1:]
 			}
-			rows, sims := b.Probe(s, lo, hi, keep)
+			if op == 1 {
+				b.Add(s)
+				loaded = append(loaded, s)
+				continue
+			}
+			rows, sims := b.Probe(s, op == 0)
 			var wantRows []int32
 			var wantSims []float64
-			for i := lo; i < hi; i++ {
-				if sim, ok := th.Match(Prepare(loaded[i]), Prepare(s)); ok {
+			for i, c := range loaded {
+				if sim, ok := th.Match(Prepare(c), Prepare(s)); ok {
 					wantRows, wantSims = append(wantRows, int32(i)), append(wantSims, sim)
 				}
 			}
 			if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
-				t.Fatalf("probe %d %.20q over [%d,%d): block says rows %v sims %v, per-pair kernel rows %v sims %v",
-					n, s, lo, hi, rows, sims, wantRows, wantSims)
+				t.Fatalf("probe %d %.20q over %d rows: block says rows %v sims %v, per-pair kernel rows %v sims %v",
+					n, s, len(loaded), rows, sims, wantRows, wantSims)
 			}
-			if keep {
+			if op == 0 {
 				loaded = append(loaded, s)
 			}
+		}
+		if b.Len() != len(loaded) {
+			t.Fatalf("block has %d rows, want %d", b.Len(), len(loaded))
 		}
 		b.Reset()
 		checkNoBucketRows(t, &b)
