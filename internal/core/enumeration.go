@@ -1,10 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 
 	"repro/internal/bdm"
 )
@@ -141,23 +138,22 @@ func (c corners) meets(g geometry, x2 int64, loaded int) (first, end int, keep b
 	return first, end, keep
 }
 
-// relevant returns, as merged intervals, the indexes of the entities
-// that hold a pair with block-local index in [a, b), a < b — a range's
-// reduce input within the block, computed without enumerating pairs:
-// the columns xa..xb, column xa's partners from ya on, and those of the
-// columns after it, which start at column xa+1's first partner and end
-// at yb when xb is column xa+1.
-func (g geometry) relevant(a, b int64) []interval {
-	c := g.corners(a, b)
+// relevant returns the indexes of the entities that hold a pair of the
+// share c — a range's reduce input within the block, computed without
+// enumerating pairs: the columns xa..xb, column xa's partners from ya
+// on, and those of the columns after it, which start at column xa+1's
+// first partner and end at yb when xb is column xa+1. Listed in this
+// order, each interval starts no lower than the one kept before it.
+func (g geometry) relevant(c corners) span {
 	if c.xa == c.xb {
-		return mergeIntervals([]interval{{c.xa, c.xb + 1}, {c.ya, c.yb + 1}})
+		return mergeIntervals(span{{c.xa, c.xb + 1}, {c.ya, c.yb + 1}})
 	}
 	_, next := g.partners(c.xa + 1)
 	end := g.n
 	if c.xb == c.xa+1 {
 		end = c.yb + 1
 	}
-	return mergeIntervals([]interval{{c.xa, c.xb + 1}, {c.ya, g.n}, {next, end}})
+	return mergeIntervals(span{{c.xa, c.xb + 1}, {next, end}, {c.ya, g.n}})
 }
 
 // entityBase returns the index of block k's first entity in partition
@@ -221,61 +217,6 @@ func (rg Ranges) Bounds(k int) (lo, hi int64) {
 	return lo, hi
 }
 
-// Size returns the number of pairs in range k.
-func (rg Ranges) Size(k int) int64 {
-	lo, hi := rg.Bounds(k)
-	return hi - lo
-}
-
-// relevantRanges returns, in ascending order, every range that contains
-// at least one pair involving the entity with index ex in a block of
-// geometry g whose global pair offset is off.
-//
-// The entity is the second of the "row pairs" (k, ex), k < before, whose
-// indexes are strictly increasing but not contiguous, and the first of
-// the "column pairs" (ex, after)...(ex, n−1), which are contiguous. Row
-// ranges are found by galloping over range boundaries (monotonicity of
-// the pair index in its first argument); column ranges form one
-// contiguous run.
-func (rg Ranges) relevantRanges(g geometry, ex, off int64, out []int) []int {
-	out = out[:0]
-	before, after := g.partners(ex)
-	// Row pairs: index f(k) = pair(k, ex)+off is strictly increasing in
-	// k, so the sequence of range indexes is non-decreasing; enumerate
-	// each distinct range once via binary search for the last k still
-	// inside the current range.
-	for k := int64(0); k < before; {
-		r := rg.Index(g.pair(k, ex) + off)
-		out = append(out, r)
-		// Find the largest k' < before with range(f(k')) == r.
-		_, hi := rg.Bounds(r)
-		k = searchFirstAtLeast(k+1, before, func(kk int64) bool {
-			return g.pair(kk, ex)+off >= hi
-		})
-	}
-	// Column pairs: contiguous indexes.
-	if after < g.n {
-		first := rg.Index(g.pair(ex, after) + off)
-		last := rg.Index(g.pair(ex, g.n-1) + off)
-		for r := first; r <= last; r++ {
-			if len(out) > 0 && out[len(out)-1] == r {
-				continue
-			}
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// searchFirstAtLeast returns the smallest k in [lo, hi] for which
-// pred(k) is true, assuming pred is monotone (false...true); returns hi
-// when pred is false everywhere in [lo, hi).
-func searchFirstAtLeast(lo, hi int64, pred func(int64) bool) int64 {
-	return lo + int64(sort.Search(int(hi-lo), func(i int) bool {
-		return pred(lo + int64(i))
-	}))
-}
-
 // interval is a half-open [lo, hi) range of entity indexes.
 type interval struct{ lo, hi int64 }
 
@@ -287,32 +228,53 @@ func (iv interval) len() int64 {
 	return iv.hi - iv.lo
 }
 
-// mergeIntervals sorts and merges overlapping/adjacent intervals.
-func mergeIntervals(ivs []interval) []interval {
-	kept := ivs[:0]
+// span is a share's relevant entities: disjoint intervals of entity
+// indexes in ascending order, the unused ones empty. Three suffice
+// (geometry.relevant), so a span is a value, never a heap slice.
+type span [3]interval
+
+// mergeIntervals merges ivs into a span, dropping the empty ones: an
+// interval that overlaps or abuts the last one kept widens it. Each
+// must start no lower than the last one kept.
+func mergeIntervals(ivs span) (s span) {
+	n := 0
 	for _, iv := range ivs {
-		if !iv.empty() {
-			kept = append(kept, iv)
+		switch {
+		case iv.empty():
+		case n > 0 && iv.lo <= s[n-1].hi:
+			s[n-1].hi = max(s[n-1].hi, iv.hi)
+		default:
+			s[n] = iv
+			n++
 		}
 	}
-	slices.SortFunc(kept, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
-	out := kept[:0]
-	for _, iv := range kept {
-		if n := len(out); n > 0 && iv.lo <= out[n-1].hi {
-			if iv.hi > out[n-1].hi {
-				out[n-1].hi = iv.hi
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
+	return s
 }
 
-func intervalsTotal(ivs []interval) int64 {
+// has reports whether entity x is in s.
+func (s *span) has(x int64) bool {
+	for _, iv := range s {
+		if iv.lo <= x && x < iv.hi {
+			return true
+		}
+	}
+	return false
+}
+
+// len returns the number of entities in s.
+func (s *span) len() int64 {
 	var t int64
-	for _, iv := range ivs {
+	for _, iv := range s {
 		t += iv.len()
+	}
+	return t
+}
+
+// within returns the number of entities of s in [lo, hi).
+func (s *span) within(lo, hi int64) int64 {
+	var t int64
+	for _, iv := range s {
+		t += intersectLen(iv, lo, hi)
 	}
 	return t
 }

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/entity"
 )
 
 func TestCellIndexSmall(t *testing.T) {
@@ -109,7 +111,8 @@ func TestRangesBounds(t *testing.T) {
 		}
 		var total int64
 		for k := 0; k < tc.r; k++ {
-			total += rg.Size(k)
+			lo, hi := rg.Bounds(k)
+			total += hi - lo
 		}
 		if total != tc.p {
 			t.Errorf("NewRanges(%d,%d): range sizes sum to %d", tc.p, tc.r, total)
@@ -138,26 +141,6 @@ func TestRangesPartitionProperty(t *testing.T) {
 	}
 }
 
-// bruteRelevantRanges recomputes an entity's relevant ranges by
-// enumerating all its pairs: those of the triangle of n entities whose
-// first entity is below the row cap nR.
-func bruteRelevantRanges(rg Ranges, ex, n, nR, off int64) []int {
-	set := make(map[int]bool)
-	for k := int64(0); k < min(ex, nR); k++ {
-		set[rg.Index(CellIndex(k, ex, n)+off)] = true
-	}
-	for y := ex + 1; y < n && ex < nR; y++ {
-		set[rg.Index(CellIndex(ex, y, n)+off)] = true
-	}
-	out := make([]int, 0, len(set))
-	for r := 0; r < rg.R; r++ {
-		if set[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // drawTriangle draws a block of n entities and its row cap: n for an
 // ordinary block in half the trials, a ⊥ row's keyless count in [1, n]
 // in the other half.
@@ -169,28 +152,125 @@ func drawTriangle(rng *rand.Rand, maxN int) geometry {
 	return geometry{n: n, nR: 1 + rng.Int63n(n)}
 }
 
+// bruteRelevantRanges recomputes the relevant ranges of entity e of
+// block g, whose pairs start at off, by enumerating its pairs.
+func bruteRelevantRanges(rg Ranges, g geometry, e, off int64) []int {
+	var out []int
+	forEachPair(g, func(x1, x2 int64) {
+		if x1 == e || x2 == e {
+			out = append(out, rg.Index(g.pair(x1, x2)+off))
+		}
+	})
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestRelevantRangesAgainstBruteForce: the ranges a mapper routes an
+// entity to, those of its block's shares that hold it, are exactly the
+// ranges of its pairs, ascending; and no share whose first column lies
+// above the entity holds it, so the mapper's scan may stop there.
 func TestRelevantRangesAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 600; trial++ {
-		g := drawTriangle(rng, 40)
-		off := int64(rng.Intn(100))
-		total := off + ColumnStart(g.nR, g.n) + int64(rng.Intn(50))
-		r := rng.Intn(20) + 1
-		rg := NewRanges(total, r)
-		for ex := int64(0); ex < g.n; ex++ {
-			got := rg.relevantRanges(g, ex, off, nil)
-			want := bruteRelevantRanges(rg, ex, g.n, g.nR, off)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v off=%d r=%d ex=%d: relevantRanges = %v, want %v", g, off, r, ex, got, want)
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 5+rng.Intn(120))
+		rng.Read(data)
+		x := decodeShape(data).matrix(t)
+		ranges := NewRanges(x.Pairs(), 1+rng.Intn(24))
+		table := newShareTable(x, ranges)
+		for k := range x.NumBlocks() {
+			g, off := geometryOf(x, k), x.PairOffset(k)
+			for e := int64(0); e < g.n; e++ {
+				var got []int
+				for _, sh := range table.of(k) {
+					if !sh.entities.has(e) {
+						continue
+					}
+					if sh.xa > e {
+						t.Fatalf("trial %d block %+v: share of range %d starts at column %d and holds entity %d", trial, g, sh.task, sh.xa, e)
+					}
+					got = append(got, sh.task)
+				}
+				if want := bruteRelevantRanges(ranges, g, e, off); !slices.Equal(got, want) {
+					t.Fatalf("trial %d block %+v r=%d entity %d: routed to %v, want %v", trial, g, ranges.R, e, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestRelevantRangesSingletonBlock(t *testing.T) {
-	rg := NewRanges(100, 4)
-	if got := rg.relevantRanges(geometry{n: 1, nR: 1}, 0, 0, nil); len(got) != 0 {
-		t.Errorf("singleton block entity has relevant ranges %v, want none", got)
+	x := mustBDM(t, entity.Partitions{{entity.New("a", "k", "x"), entity.New("b", "k", "y"), entity.New("c", "k", "y")}})
+	k, ok := blockIndex(x, "x")
+	if !ok {
+		t.Fatal("no block x")
+	}
+	if got := newShareTable(x, NewRanges(x.Pairs(), 4)).of(k); len(got) != 0 {
+		t.Errorf("singleton block has shares %+v, want none", got)
+	}
+}
+
+// TestShareTableAgainstBruteForce: over random matrices of one source,
+// two sources and with a ⊥ row, block k's shares are exactly the ranges
+// that hold one of its pairs, in range order, each with its corners,
+// and a share's entities are exactly those holding one of the range's
+// pairs: the entities a mapper routes there. Singleton and one-source
+// blocks of two sources have no share.
+func TestShareTableAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var shapes [3]int
+	singletons := 0
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 5+rng.Intn(120))
+		rng.Read(data)
+		s := decodeShape(data)
+		x := s.matrix(t)
+		shapes[s.kind()]++
+		ranges := NewRanges(x.Pairs(), 1+rng.Intn(24))
+		table := newShareTable(x, ranges)
+		for k := range x.NumBlocks() {
+			g, off := geometryOf(x, k), x.PairOffset(k)
+			if g.n == 1 {
+				singletons++
+			}
+			want := make(map[int]map[int64]bool) // range → its entities
+			forEachPair(g, func(x1, x2 int64) {
+				j := ranges.Index(g.pair(x1, x2) + off)
+				if want[j] == nil {
+					want[j] = make(map[int64]bool)
+				}
+				want[j][x1], want[j][x2] = true, true
+			})
+			shares := table.of(k)
+			if len(shares) != len(want) {
+				t.Fatalf("trial %d block %+v: %d shares, %d ranges hold its pairs", trial, g, len(shares), len(want))
+			}
+			for i, sh := range shares {
+				if i > 0 && sh.task != shares[i-1].task+1 {
+					t.Fatalf("trial %d block %+v: share of range %d follows range %d's", trial, g, sh.task, shares[i-1].task)
+				}
+				lo, hi := ranges.Bounds(sh.task)
+				if c := g.corners(max(lo, off)-off, min(hi, off+x.BlockPairs(k))-off); sh.corners != c || table.at(k, sh.task) != c {
+					t.Fatalf("trial %d block %+v range %d: corners %+v, at %+v, want %+v", trial, g, sh.task, sh.corners, table.at(k, sh.task), c)
+				}
+				var got []int64
+				for e := int64(0); e < g.n; e++ {
+					if sh.entities.has(e) {
+						got = append(got, e)
+					}
+				}
+				if len(got) != len(want[sh.task]) || int64(len(got)) != sh.entities.len() {
+					t.Fatalf("trial %d block %+v range %d: entities %v (len %d), want %v", trial, g, sh.task, got, sh.entities.len(), want[sh.task])
+				}
+				for _, e := range got {
+					if !want[sh.task][e] {
+						t.Fatalf("trial %d block %+v range %d: entity %d holds none of its pairs", trial, g, sh.task, e)
+					}
+				}
+			}
+		}
+	}
+	if slices.Min(shapes[:]) == 0 || singletons == 0 {
+		t.Fatalf("drew %v matrices of one source, two sources and a ⊥ row, %d singleton blocks", shapes, singletons)
 	}
 }
 
@@ -240,17 +320,15 @@ func TestRelevantEntitiesAgainstBruteForce(t *testing.T) {
 				want[x1], want[x2] = true, true
 			}
 		})
-		ivs := g.relevant(a, b)
-		var gotCount int64
+		ivs := g.relevant(g.corners(a, b))
 		got := make(map[int64]bool)
-		for _, iv := range ivs {
-			gotCount += iv.len()
+		for i, iv := range ivs {
+			if i > 0 && !iv.empty() && iv.lo <= ivs[i-1].hi {
+				t.Fatalf("%+v [%d,%d): intervals not disjoint and ascending: %v", g, a, b, ivs)
+			}
 			for e := iv.lo; e < iv.hi; e++ {
 				got[e] = true
 			}
-		}
-		if int64(len(got)) != gotCount {
-			t.Fatalf("%+v [%d,%d): intervals overlap after merge: %v", g, a, b, ivs)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v [%d,%d): relevant = %v, want %v entities", g, a, b, ivs, len(want))
@@ -276,7 +354,7 @@ func TestCornersMeetAgainstBruteForce(t *testing.T) {
 		})
 		c := g.corners(a, b)
 		var rows []int64 // the entities kept, in order
-		for _, iv := range g.relevant(a, b) {
+		for _, iv := range g.relevant(c) {
 			for x2 := iv.lo; x2 < iv.hi; x2++ {
 				first, end, keep := c.meets(g, x2, len(rows))
 				if first < 0 || first > end || end > len(rows) {
@@ -310,17 +388,23 @@ func TestRelevantEntitiesEmptyAndDegenerate(t *testing.T) {
 		{geometry{n: 5, nR: 2, rect: true}, 2, 4, 4}, // one R row's last pair and the next's first
 		{geometry{n: 5, nR: 2, rect: true}, 5, 6, 2}, // its last pair
 	} {
-		if ivs := tc.g.relevant(tc.a, tc.b); intervalsTotal(ivs) != tc.want {
-			t.Errorf("%+v [%d,%d): relevant covers %d entities, want %d (%v)", tc.g, tc.a, tc.b, intervalsTotal(ivs), tc.want, ivs)
+		if ivs := tc.g.relevant(tc.g.corners(tc.a, tc.b)); ivs.len() != tc.want {
+			t.Errorf("%+v [%d,%d): relevant covers %d entities, want %d (%v)", tc.g, tc.a, tc.b, ivs.len(), tc.want, ivs)
 		}
 	}
 }
 
 func TestMergeIntervals(t *testing.T) {
-	got := mergeIntervals([]interval{{5, 7}, {1, 3}, {2, 4}, {7, 7}, {6, 9}})
-	want := []interval{{1, 4}, {5, 9}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mergeIntervals = %v, want %v", got, want)
+	for _, tc := range []struct{ in, want span }{
+		{span{{1, 3}, {2, 4}, {5, 7}}, span{{1, 4}, {5, 7}}}, // overlap
+		{span{{1, 3}, {3, 4}, {6, 9}}, span{{1, 4}, {6, 9}}}, // abut
+		{span{{1, 9}, {2, 4}, {3, 12}}, span{{1, 12}}},       // a later start below the kept end
+		{span{{1, 3}, {7, 7}, {5, 6}}, span{{1, 3}, {5, 6}}}, // an empty one between
+		{span{{1, 3}, {4, 5}, {6, 7}}, span{{1, 3}, {4, 5}, {6, 7}}},
+	} {
+		if got := mergeIntervals(tc.in); got != tc.want {
+			t.Errorf("mergeIntervals(%v) = %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }
 

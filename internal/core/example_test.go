@@ -193,16 +193,27 @@ func TestPaperExamplePairRangeEnumeration(t *testing.T) {
 	}
 
 	// M (index 2 in z, pairs 11, 14, 17, 18) is needed by ranges 1 and 2.
-	got := ranges.relevantRanges(geometryOf(x, zk), 2, x.PairOffset(zk), nil)
-	if !reflect.DeepEqual(got, []int{1, 2}) {
+	shares := newShareTable(x, ranges)
+	if got := routes(shares, zk, 2); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("M's relevant ranges = %v, want [1 2]", got)
 	}
 	// F (index 0, pairs 10-13) is needed only by range 1 — the paper
 	// notes reduce task 2 receives all of Φ3 but F.
-	got = ranges.relevantRanges(geometryOf(x, zk), 0, x.PairOffset(zk), nil)
-	if !reflect.DeepEqual(got, []int{1}) {
+	if got := routes(shares, zk, 0); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("F's relevant ranges = %v, want [1]", got)
 	}
+}
+
+// routes returns the ranges whose share of block k holds entity x: where
+// a mapper sends it.
+func routes(t *shareTable, k int, x int64) []int {
+	var out []int
+	for _, s := range t.of(k) {
+		if s.entities.has(x) {
+			out = append(out, s.task)
+		}
+	}
+	return out
 }
 
 func TestPaperExamplePairRangeExecution(t *testing.T) {

@@ -90,15 +90,15 @@ func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	if err := keyLimits("PairRange", x.NumBlocks(), x.NumPartitions(), r, math.MaxInt); err != nil {
 		return nil, err
 	}
-	ranges := NewRanges(x.Pairs(), r)
+	shares := newShareTable(x, NewRanges(x.Pairs(), r))
 	return &mapreduce.Job[AnnotatedEntity, PRKey, entity.Row, MatchOutput]{
 		Name:           "pairrange",
 		NumReduceTasks: r,
 		NewMapper: func() mapreduce.Mapper[AnnotatedEntity, PRKey, entity.Row] {
-			return &prMapper{x: x, ranges: ranges}
+			return &prMapper{x: x, shares: shares}
 		},
 		NewReducer: func() mapreduce.Reducer[PRKey, entity.Row, MatchOutput] {
-			return &prReducer{x: x, ranges: ranges, group: &group{m: match}}
+			return &prReducer{x: x, shares: shares, group: &group{m: match}}
 		},
 		Partition: func(key PRKey, r int) int { return int(key.Range) % r },
 		Compare:   comparePRKeys,
@@ -107,9 +107,62 @@ func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
 	}, nil
 }
 
+// shareTable is PairRange's one relation between ranges and blocks,
+// built once from the BDM: every block's shares, one per range that
+// holds some of its pairs, in range order. A share carries its corner
+// cells and the entities they make relevant. The mappers route by the
+// table, the reducers read their groups' corners from it, and Plan sums
+// it.
+type shareTable struct {
+	start  []int // block k's shares are shares[start[k]:start[k+1]]
+	shares []share
+}
+
+// share is one block's pairs in range task: the intersection of the
+// two pair intervals, read as its corner cells.
+type share struct {
+	task int
+	corners
+	entities span
+}
+
+func newShareTable(x *bdm.Matrix, ranges Ranges) *shareTable {
+	// Blocks and ranges both cut [0, P) into intervals, so the shares,
+	// their non-empty intersections, number fewer than the two together.
+	t := &shareTable{
+		start:  make([]int, x.NumBlocks()+1),
+		shares: make([]share, 0, x.NumBlocks()+int(min(int64(ranges.R), ranges.P))),
+	}
+	for k := range x.NumBlocks() {
+		t.start[k] = len(t.shares)
+		off, pairs := x.PairOffset(k), x.BlockPairs(k)
+		if pairs == 0 {
+			continue
+		}
+		g := geometryOf(x, k)
+		for j := ranges.Index(off); j <= ranges.Index(off+pairs-1); j++ {
+			lo, hi := ranges.Bounds(j)
+			c := g.corners(max(lo, off)-off, min(hi, off+pairs)-off)
+			t.shares = append(t.shares, share{task: j, corners: c, entities: g.relevant(c)})
+		}
+	}
+	t.start[x.NumBlocks()] = len(t.shares)
+	return t
+}
+
+// of returns block k's shares.
+func (t *shareTable) of(k int) []share { return t.shares[t.start[k]:t.start[k+1]] }
+
+// at returns the corners of task's share of block k: a block's shares
+// are those of consecutive ranges.
+func (t *shareTable) at(k, task int) corners {
+	s := t.of(k)
+	return s[task-s[0].task].corners
+}
+
 type prMapper struct {
 	x      *bdm.Matrix
-	ranges Ranges
+	shares *shareTable
 	// entityIndex[k] is the index the next block-k entity of this
 	// partition will receive (Algorithm 2 lines 4-8): its partition's
 	// base index in the block, then incremented per entity seen.
@@ -117,7 +170,6 @@ type prMapper struct {
 	// keyedIndex is the ⊥ row index of the partition's next keyed
 	// entity.
 	keyedIndex int64
-	scratch    []int
 }
 
 func (mp *prMapper) Configure(m, _, partitionIndex int) {
@@ -134,9 +186,9 @@ func (mp *prMapper) Configure(m, _, partitionIndex int) {
 }
 
 // Map implements Algorithm 2 lines 10-26: compute the entity's global
-// block-wise index, find all ranges containing one of its pairs, and
-// emit one annotated copy per relevant range — and the same again for a
-// keyed entity's place in the ⊥ row.
+// block-wise index and emit one annotated copy per range holding one of
+// its pairs — and the same again for a keyed entity's place in the ⊥
+// row.
 func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Row], rec AnnotatedEntity) {
 	k := blockOf(mp.x, rec, "PairRange")
 	mp.emit(ctx, k, mp.entityIndex[k], rec.Value)
@@ -147,18 +199,26 @@ func (mp *prMapper) Map(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity
 	}
 }
 
-// emit sends e, entity x of block k, to every range holding one of its
-// pairs.
+// emit sends e, entity x of block k, to every share of k that holds it.
+// No share holds an entity below its first column, and the first
+// columns ascend with the range, so the scan stops at the first share
+// that starts above x.
 func (mp *prMapper) emit(ctx *mapreduce.MapContext[AnnotatedEntity, PRKey, entity.Row], k int, x int64, e entity.Row) {
-	mp.scratch = mp.ranges.relevantRanges(geometryOf(mp.x, k), x, mp.x.PairOffset(k), mp.scratch)
-	for _, rg := range mp.scratch {
-		ctx.Emit(PRKey{Range: int32(rg), Block: int32(k), Index: x}, e)
+	shares := mp.shares.of(k)
+	for i := range shares {
+		s := &shares[i]
+		if s.xa > x {
+			return
+		}
+		if s.entities.has(x) {
+			ctx.Emit(PRKey{Range: int32(s.task), Block: int32(k), Index: x}, e)
+		}
 	}
 }
 
 type prReducer struct {
 	x      *bdm.Matrix
-	ranges Ranges
+	shares *shareTable
 	task   int
 	*group
 }
@@ -175,19 +235,17 @@ func (rd *prReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 // exceeds the task's range, the listing returns from the whole reduce
 // call. That would skip valid pairs — e.g. after (x1,x2) overshoots,
 // (x1', x2+1) with x1' < x1 can still fall in range. Instead the
-// task reads its share of the block once, as the share's corner cells
-// (xa, ya) and (xb, yb): the share is the columns xa..xb, from (xa, ya)
-// on and up to (xb, yb). An entity becomes a row iff it is one of those
-// columns, so the rows are xa, xa+1, … in order, and a probe meets every
-// row loaded before it but at most the two ends (corners.meets). The
-// block decides the probe against all rows; group.probe drops a hit on
-// an excluded end. Completeness is covered by property tests against
-// brute force and serial matching.
+// task reads its share of the block from the share table, as the
+// share's corner cells (xa, ya) and (xb, yb): the share is the columns
+// xa..xb, from (xa, ya) on and up to (xb, yb). An entity becomes a row
+// iff it is one of those columns, so the rows are xa, xa+1, … in order,
+// and a probe meets every row loaded before it but at most the two ends
+// (corners.meets). The block decides the probe against all rows;
+// group.probe drops a hit on an excluded end. Completeness is covered
+// by property tests against brute force and serial matching.
 func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey, entity.Row]) {
 	g := geometryOf(rd.x, int(k.Block))
-	lo, hi := rd.ranges.Bounds(rd.task)
-	off := rd.x.PairOffset(int(k.Block))
-	c := g.corners(max(lo, off)-off, min(hi, off+rd.x.BlockPairs(int(k.Block)))-off)
+	c := rd.shares.at(int(k.Block), rd.task)
 	touch(rd.group, values)
 	rd.begin(len(values))
 	for _, v := range values {
@@ -197,15 +255,13 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 	rd.end()
 }
 
-// Plan implements Strategy. All quantities are exact and computed in
-// O((b + r·m) log) time from the BDM, never touching pairs:
+// Plan implements Strategy. All quantities are exact and computed from
+// the BDM and its share table, never touching pairs:
 //
 //   - reduce comparisons: range k processes exactly its pair-interval
 //     size;
-//   - reduce records: for each range and each block it overlaps, the
-//     relevant entities form a union of at most four index intervals
-//     (geometry.relevant);
-//   - map emits: the per-partition share of those intervals — entities
+//   - reduce records: the entities of each of the range's shares;
+//   - map emits: the per-partition part of those entities — entities
 //     of partition p hold the contiguous index interval
 //     [entityBase(k,p), entityBase(k,p)+|Φk,p|) within block k, and in
 //     a ⊥ row its keyed entities a second one after the keyless.
@@ -222,45 +278,25 @@ func (PairRange) Plan(x *bdm.Matrix, m, r int) (*Plan, error) {
 	ranges := NewRanges(x.Pairs(), r)
 	p := newPlan("PairRange", m, r)
 
-	for pi := 0; pi < m; pi++ {
-		for k := 0; k < x.NumBlocks(); k++ {
-			p.MapRecords[pi] += int64(x.SizeIn(k, pi))
-		}
-	}
-
-	// Walk blocks and ranges in tandem; both partition [0, P).
-	k := 0
-	for j := 0; j < r; j++ {
+	for j := range r {
 		lo, hi := ranges.Bounds(j)
 		p.ReduceComparisons[j] = hi - lo
-		if hi <= lo {
-			continue
+	}
+	shares := newShareTable(x, ranges)
+	for k := range x.NumBlocks() {
+		for pi := range m {
+			p.MapRecords[pi] += int64(x.SizeIn(k, pi))
 		}
-		// Advance to the first block whose pair interval reaches lo.
-		for k < x.NumBlocks() && x.PairOffset(k)+x.BlockPairs(k) <= lo {
-			k++
-		}
-		for kk := k; kk < x.NumBlocks() && x.PairOffset(kk) < hi; kk++ {
-			bLo, bHi := x.PairOffset(kk), x.PairOffset(kk)+x.BlockPairs(kk)
-			if bHi <= bLo {
-				continue
-			}
-			ivs := geometryOf(x, kk).relevant(max(lo, bLo)-bLo, min(hi, bHi)-bLo)
-			p.ReduceRecords[j] += intervalsTotal(ivs)
+		for _, s := range shares.of(k) {
+			p.ReduceRecords[s.task] += s.entities.len()
 			// Charge each relevant entity to its owning partition's map
 			// task.
-			charge := func(pi int, keyed bool, size int64) {
-				base := entityBase(x, kk, pi, keyed)
-				for _, iv := range ivs {
-					p.MapEmits[pi] += intersectLen(iv, base, base+size)
-				}
-			}
-			for pi := 0; pi < m; pi++ {
-				if size := int64(x.SizeIn(kk, pi)); size > 0 {
-					charge(pi, false, size)
-				}
-				if kk == 0 && x.MissingKeys() {
-					charge(pi, true, int64(x.KeyedIn(pi)))
+			for pi := range m {
+				base := entityBase(x, k, pi, false)
+				p.MapEmits[pi] += s.entities.within(base, base+int64(x.SizeIn(k, pi)))
+				if k == 0 && x.MissingKeys() {
+					base := entityBase(x, 0, pi, true)
+					p.MapEmits[pi] += s.entities.within(base, base+int64(x.KeyedIn(pi)))
 				}
 			}
 		}

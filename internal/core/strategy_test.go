@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
+	"repro/internal/bdm"
+	"repro/internal/blocking"
 	"repro/internal/entity"
 )
 
@@ -75,23 +79,146 @@ func TestStrategyCompleteness(t *testing.T) {
 	}
 }
 
-// TestPlanExecutionEquivalenceFuzz: for random inputs, every plan
-// quantity must equal the executed engine's metrics, for all strategies.
-// internal/mapreduce's test of the same name draws the matrix itself and
-// adds the spilled and dispatched legs.
-func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
+// FuzzPlanExecution is the paper's invariant for any matrix: for every
+// strategy the shape admits, the executed task metrics equal Plan, and
+// every candidate pair is compared exactly once. internal/mapreduce's
+// TestPlanExecutionEquivalenceFuzz adds the spilled and dispatched legs.
+func FuzzPlanExecution(f *testing.F) {
+	// The draws of the seeded loop this target replaced.
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(150) + 1
-		mm := rng.Intn(6) + 1
-		blocks := rng.Intn(10) + 1
-		r := rng.Intn(15) + 1
-		parts := randomParts(rng, n, mm, blocks)
-		x := mustBDM(t, parts)
-		for _, strat := range []Strategy{Basic{}, BlockSplit{}, PairRange{}} {
-			assertPlanMatchesExecution(t, strat, x, parts, "k", r)
+	for range 20 {
+		n, m, blocks, r := rng.Intn(150)+1, rng.Intn(6)+1, rng.Intn(10)+1, rng.Intn(15)+1
+		data := make([]byte, 5+n)
+		data[0], data[1], data[2] = byte(blocks-1), byte(m-1), byte(r-1)
+		for p, part := range randomParts(rng, n, m, blocks) {
+			for _, e := range part {
+				i, _ := strconv.Atoi(e.ID[1:])
+				k, _ := strconv.Atoi(e.Attr("k")[1:])
+				data[5+i] = byte(p + m*k)
+			}
+		}
+		f.Add(data)
+	}
+	// Two sources in partitions 1 and 3 of four, and a ⊥ row of three
+	// blocks with keyless entities in both of two partitions.
+	f.Add([]byte{2, 3, 6, 1, 0b1010, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 5, 6, 7})
+	f.Add([]byte{2, 1, 4, 2, 0, 0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 0, 1, 2, 7, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := decodeShape(data)
+		x := s.matrix(t)
+		strategies := []Strategy{BlockSplit{}, PairRange{}}
+		if s.kind() == oneSource {
+			strategies = append(strategies, Basic{})
+		}
+		want := s.candidatePairs()
+		for _, strat := range strategies {
+			res := runStrategy(t, strat, x, s.parts, s.r, matchAll)
+			assertPlanEquals(t, strat, x, res)
+			got := comparedPairs(res)
+			for p, n := range got {
+				if !want[p] || n != 1 {
+					t.Fatalf("%s r=%d: pair %v compared %d times, a candidate: %v", strat.Name(), s.r, p, n, want[p])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s r=%d: compared %d pairs, want %d", strat.Name(), s.r, len(got), len(want))
+			}
+		}
+	})
+}
+
+// planShape is a matrix decoded from fuzz bytes: its partitions, their
+// source tags (nil = one source), whether keyless entities form a ⊥
+// row, and r.
+type planShape struct {
+	parts   entity.Partitions
+	sources []bdm.Source
+	bottom  bool
+	r       int
+}
+
+// The kinds of planShape.
+const (
+	oneSource = iota
+	twoSources
+	bottomRow
+)
+
+// decodeShape reads the number of blocks (1–10), of partitions (1–6),
+// r (1–16), the kind, the source bits of the partitions, and then one
+// byte per entity, at most 200: its partition, and its block or, in a ⊥
+// row's shape, no key. Missing header bytes read as zero.
+func decodeShape(data []byte) planShape {
+	var h [5]byte
+	n := copy(h[:], data)
+	blocks, m := 1+int(h[0])%10, 1+int(h[1])%6
+	s := planShape{parts: make(entity.Partitions, m), r: 1 + int(h[2])%16}
+	keys := blocks
+	switch h[3] % 3 {
+	case twoSources:
+		s.sources = make([]bdm.Source, m)
+		for p := range s.sources {
+			s.sources[p] = bdm.Source(h[4] >> p & 1)
+		}
+	case bottomRow:
+		s.bottom, keys = true, blocks+1
+	}
+	for i, b := range data[n:min(len(data), n+200)] {
+		key := ""
+		if k := int(b) / m % keys; k < blocks {
+			key = fmt.Sprintf("b%03d", k)
+		}
+		p := int(b) % m
+		s.parts[p] = append(s.parts[p], entity.New(fmt.Sprintf("e%04d", i), "k", key))
+	}
+	return s
+}
+
+func (s planShape) kind() int {
+	switch {
+	case s.sources != nil:
+		return twoSources
+	case s.bottom:
+		return bottomRow
+	}
+	return oneSource
+}
+
+// matrix is s's BDM.
+func (s planShape) matrix(tb testing.TB) *bdm.Matrix {
+	tb.Helper()
+	x, err := bdm.FromPartitions(s.parts, "k", blocking.Identity())
+	switch {
+	case err != nil:
+	case s.sources != nil:
+		x, err = x.WithSources(s.sources)
+	case s.bottom:
+		x, err = x.WithMissingKeys()
+	}
+	if err != nil {
+		tb.Fatalf("BDM of %d partitions: %v", len(s.parts), err)
+	}
+	return x
+}
+
+// candidatePairs is s's serial oracle: the pairs of one block, across
+// sources only with two, and in a ⊥ row every pair with a keyless side.
+func (s planShape) candidatePairs() map[MatchPair]bool {
+	if s.sources != nil {
+		return expectedDualPairs(s.parts, s.sources)
+	}
+	want := expectedPairs(s.parts)
+	if s.bottom {
+		all := slices.Concat(s.parts...)
+		for _, a := range all {
+			for _, b := range all {
+				if a.Attr("k") == "" && b.Attr("k") != "" {
+					want[NewMatchPair(a.ID, b.ID)] = true
+				}
+			}
 		}
 	}
+	return want
 }
 
 // TestPairRangeBalanceBound: PairRange guarantees every reduce task at
@@ -112,6 +239,27 @@ func TestPairRangeBalanceBound(t *testing.T) {
 				t.Fatalf("reduce task %d has %d comparisons > ceil(P/r)=%d", j, c, q)
 			}
 		}
+	}
+}
+
+// TestPairRangePlanAllocsFlat: PairRange.Plan allocates the same for a
+// handful of shares as for hundreds — the share table is one
+// allocation, and a share's entities are a value, not a slice.
+func TestPairRangePlanAllocsFlat(t *testing.T) {
+	x := mustBDM(t, randomParts(rand.New(rand.NewSource(3)), 400, 4, 12))
+	allocs := func(r int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := (PairRange{}).Plan(x, 4, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := newShareTable(x, NewRanges(x.Pairs(), 1)), newShareTable(x, NewRanges(x.Pairs(), 300))
+	if len(many.shares) < len(few.shares)+250 {
+		t.Fatalf("%d and %d shares: r does not multiply them", len(few.shares), len(many.shares))
+	}
+	if a, b := allocs(1), allocs(300); a != b {
+		t.Errorf("Plan allocates %v times for %d shares, %v for %d", a, len(few.shares), b, len(many.shares))
 	}
 }
 

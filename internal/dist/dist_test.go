@@ -12,9 +12,11 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -166,7 +168,7 @@ func TestJobRefIDStableAndSpecSensitive(t *testing.T) {
 // live, and each has a name of its own.
 func TestMetricHandlesRegister(t *testing.T) {
 	o := obs.New(obs.Options{Log: obs.Quiet()})
-	want := len(o.Reg.Names()) // the engine's
+	want := len(o.Reg.Snapshot()) // the engine's
 	for _, handles := range []any{newMasterMetrics(o), newWorkerMetrics(o)} {
 		v := reflect.ValueOf(handles)
 		for i := 0; i < v.NumField(); i++ {
@@ -176,7 +178,7 @@ func TestMetricHandlesRegister(t *testing.T) {
 		}
 		want += v.NumField()
 	}
-	if got := len(o.Reg.Names()); got != want {
-		t.Errorf("%d metric names registered, want %d: %v", got, want, o.Reg.Names())
+	if snap := o.Reg.Snapshot(); len(snap) != want {
+		t.Errorf("%d metric names registered, want %d: %v", len(snap), want, slices.Sorted(maps.Keys(snap)))
 	}
 }

@@ -69,11 +69,12 @@ func (p *DistParams) Config() (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	// Checked here, not left to blocking.NormalizedPrefix's panic or to
-	// a threshold that silently matches nothing (above 1) or counts only
-	// (below 0): a worker expands specs that arrived over HTTP.
-	if p.KeyPrefix < 1 || !(p.Threshold >= 0 && p.Threshold <= 1) {
-		return Config{}, fmt.Errorf("er: key prefix must be at least 1 and threshold in [0,1], got %d and %v", p.KeyPrefix, p.Threshold)
+	// Checked here, not left to blocking.NormalizedPrefix's panic, to
+	// the job's panic on R < 1 or to a threshold that silently matches
+	// nothing (above 1) or counts only (below 0): a worker expands specs
+	// that arrived over HTTP.
+	if p.KeyPrefix < 1 || p.R < 1 || !(p.Threshold >= 0 && p.Threshold <= 1) {
+		return Config{}, fmt.Errorf("er: key prefix and r must be at least 1 and threshold in [0,1], got %d, %d and %v", p.KeyPrefix, p.R, p.Threshold)
 	}
 	cfg := Config{
 		Strategy:    strat,

@@ -271,11 +271,17 @@ func TestDistributedBadParams(t *testing.T) {
 		{Strategy: "pairrange", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: math.NaN(), R: 4},
 		{Strategy: "pairrange", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: 1.5, R: 4},
 		{Strategy: "blocksplit", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: -0.1, R: 4},
+		{Strategy: "blocksplit", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: 0.8, R: 0},
+		{Strategy: "pairrange", Attr: datagen.AttrTitle, KeyPrefix: 3, Threshold: 0.8, R: -1},
 	} {
+		// Both worker builders expand a spec through Config first.
+		if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), "must be at least 1") {
+			t.Errorf("KeyPrefix %d, Threshold %v, R %d: Config err = %v, want the parameter error", p.KeyPrefix, p.Threshold, p.R, err)
+		}
 		_, err := er.RunDistributedPipeline(context.Background(),
 			er.FromPartitions(entity.SplitRoundRobin(testEntities(20, 1), 2)), p, er.RunOptions{})
-		if err == nil || !strings.Contains(err.Error(), "key prefix must be at least 1") {
-			t.Errorf("KeyPrefix %d, Threshold %v: err = %v, want the parameter error", p.KeyPrefix, p.Threshold, err)
+		if err == nil || !strings.Contains(err.Error(), "must be at least 1") {
+			t.Errorf("KeyPrefix %d, Threshold %v, R %d: err = %v, want the parameter error", p.KeyPrefix, p.Threshold, p.R, err)
 		}
 	}
 }

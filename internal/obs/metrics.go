@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"regexp"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -238,27 +237,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names returns the sorted metric names (tests, debug output).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // EngineMetrics holds direct pointers to the engine's metrics so the
