@@ -242,25 +242,16 @@ func BenchmarkShuffleMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityKernels measures the kernels the reducers run on
-// title-shaped inputs: preparing one title, and whole reduce groups
-// decided a block at a time (LevBlock) and pair by pair
-// (Thresholder.Match on Prepared values, 0 allocs/op in steady state —
-// TestPreparedKernelAllocs asserts the same contract).
+// BenchmarkSimilarityKernels measures the kernel the reducers run,
+// LevBlock, on whole reduce groups of title-shaped inputs (0 allocs/op
+// in steady state — TestLevBlockSteadyStateAllocs asserts the same
+// contract).
 func BenchmarkSimilarityKernels(b *testing.B) {
-	near1 := "canon eos 5d mark iii digital slr camera body"
-	b.Run("Prepare", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			similarity.Prepare(near1)
-		}
-	})
-	// Reduce groups decided both ways, on the two title shapes that
-	// stress opposite ends of the filter chain: uniform random letters
-	// (benchmark/gen.go's shape — few repeated letters, the bit planes
-	// decide nearly everything) and dictionary words (English letter
-	// frequencies — 'e', 't' and the space saturate the planes and the
-	// full-count histogram has to carry the bag filter). The skew
+	// Two title shapes stress opposite ends of the filter chain: uniform
+	// random letters (benchmark/gen.go's shape — few repeated letters, the
+	// bit planes decide nearly everything) and dictionary words (English
+	// letter frequencies — 'e', 't' and the space saturate the planes and
+	// the full-count histogram has to carry the bag filter). The skew
 	// workloads' groups are ~1,300 rows; the flat ones' are ~8, where the
 	// per-group cost of the block's length buckets shows.
 	th := similarity.NewThresholder(0.8)
@@ -286,24 +277,6 @@ func BenchmarkSimilarityKernels(b *testing.B) {
 						blk.Probe(s, true)
 					}
 					blk.Reset()
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
-		})
-		b.Run("Thresholder/"+shape.name, func(b *testing.B) {
-			b.ReportAllocs()
-			prep := make([]*similarity.Prepared, group)
-			for i := 0; i < b.N; i++ {
-				for g := 0; g+group <= len(titles); g += group {
-					for j, s := range titles[g : g+group] {
-						prep[j] = similarity.PreparePooled(s)
-						for _, p := range prep[:j] {
-							th.Match(p, prep[j])
-						}
-					}
-					for _, p := range prep {
-						p.Release()
-					}
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")

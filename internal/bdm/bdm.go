@@ -14,6 +14,7 @@ package bdm
 import (
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // Source identifies one of the two input sources in the two-source
@@ -231,40 +232,6 @@ func (x *Matrix) LargestBlock() (k, size int) {
 	return k, size
 }
 
-// Cell is one non-zero matrix cell in the reduce output of Algorithm 3:
-// (blocking key, partition index, number of entities).
-type Cell struct {
-	BlockKey  string
-	Partition int
-	Count     int
-}
-
-// FromCells assembles a Matrix from reduce-output cells: it sorts their
-// keys and hands FromCounts each cell under its key's rank, found by
-// binary search. m must cover every referenced partition index.
-// Duplicate cells for the same (block, partition) are rejected.
-func FromCells(cells []Cell, m int) (*Matrix, error) {
-	keys := []string{}
-	for _, c := range cells {
-		// Cells arrive grouped by block: dropping adjacent repeats first
-		// leaves the sort one key per block, not per cell.
-		if len(keys) == 0 || keys[len(keys)-1] != c.BlockKey {
-			keys = append(keys, c.BlockKey)
-		}
-	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	counts := make([]CountRecord, len(cells))
-	for i, c := range cells {
-		if c.Partition != int(int32(c.Partition)) {
-			return nil, fmt.Errorf("bdm: cell %q references partition %d outside [0,%d)", c.BlockKey, c.Partition, m)
-		}
-		k, _ := slices.BinarySearch(keys, c.BlockKey)
-		counts[i] = CountRecord{Key: Key{Block: int32(k), Partition: int32(c.Partition)}, Value: c.Count}
-	}
-	return FromCounts(keys, m, counts)
-}
-
 // FromCounts is the one matrix assembler: the matrix of m partitions
 // whose blocks are keys, sorted, and whose cells are the BDM job's
 // output records, by block id. Counts must be positive, and a
@@ -311,30 +278,17 @@ func (x *Matrix) finalize() {
 	}
 }
 
-// Cells returns the matrix's non-zero cells in (block, partition) order —
-// the row-wise enumeration the paper describes as the reduce output.
-func (x *Matrix) Cells() []Cell {
-	var cells []Cell
-	for k, key := range x.keys {
-		for p := 0; p < x.m; p++ {
-			if x.sizes[k][p] > 0 {
-				cells = append(cells, Cell{BlockKey: key, Partition: p, Count: x.sizes[k][p]})
-			}
-		}
-	}
-	return cells
-}
-
 // String renders the matrix as a small table for logs and tests.
 func (x *Matrix) String() string {
-	s := fmt.Sprintf("BDM %d blocks × %d partitions, P=%d pairs", len(x.keys), x.m, x.pairs)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "BDM %d blocks × %d partitions, P=%d pairs", len(x.keys), x.m, x.pairs)
 	if x.sources != nil {
-		s += fmt.Sprintf(", sources %v", x.sources)
+		fmt.Fprintf(&sb, ", sources %v", x.sources)
 	}
-	s += "\n"
+	sb.WriteByte('\n')
 	for k, key := range x.keys {
-		s += fmt.Sprintf("  Φ%-3d %-12q %v total=%d pairs=%d offset=%d\n",
+		fmt.Fprintf(&sb, "  Φ%-3d %-12q %v total=%d pairs=%d offset=%d\n",
 			k, key, x.sizes[k], x.total[k], x.BlockPairs(k), x.offsets[k])
 	}
-	return s
+	return sb.String()
 }

@@ -68,26 +68,48 @@ func TestEntityOffset(t *testing.T) {
 	}
 }
 
-func TestFromCellsValidation(t *testing.T) {
-	if _, err := FromCells(nil, 0); err == nil {
-		t.Error("m=0: want error")
+// cell is one count record for FromCounts: n entities of block k in
+// partition p.
+func cell(k, p, n int) CountRecord {
+	return CountRecord{Key: Key{Block: int32(k), Partition: int32(p)}, Value: n}
+}
+
+// nonZeroCells returns the number of non-zero cells of x: the lines its
+// WriteTo writes after the header.
+func nonZeroCells(x *Matrix) int {
+	n := 0
+	for _, row := range x.sizes {
+		for _, c := range row {
+			if c > 0 {
+				n++
+			}
+		}
 	}
-	if _, err := FromCells([]Cell{{BlockKey: "a", Partition: 5, Count: 1}}, 2); err == nil {
-		t.Error("partition out of range: want error")
-	}
-	if _, err := FromCells([]Cell{{BlockKey: "a", Partition: 0, Count: -1}}, 2); err == nil {
-		t.Error("negative count: want error")
-	}
-	if _, err := FromCells([]Cell{
-		{BlockKey: "a", Partition: 0, Count: 1},
-		{BlockKey: "a", Partition: 0, Count: 2},
-	}, 2); err == nil {
-		t.Error("duplicate cell: want error")
+	return n
+}
+
+func TestFromCountsValidation(t *testing.T) {
+	for name, tc := range map[string]struct {
+		keys   []string
+		m      int
+		counts []CountRecord
+	}{
+		"m=0":                    {nil, 0, nil},
+		"partition out of range": {[]string{"a"}, 2, []CountRecord{cell(0, 5, 1)}},
+		"negative partition":     {[]string{"a"}, 2, []CountRecord{cell(0, -1, 1)}},
+		"block out of range":     {[]string{"a"}, 2, []CountRecord{cell(1, 0, 1)}},
+		"negative count":         {[]string{"a"}, 2, []CountRecord{cell(0, 0, -1)}},
+		"zero count":             {[]string{"a"}, 2, []CountRecord{cell(0, 0, 0)}},
+		"duplicate cell":         {[]string{"a"}, 2, []CountRecord{cell(0, 0, 1), cell(0, 0, 2)}},
+	} {
+		if _, err := FromCounts(tc.keys, tc.m, tc.counts); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	x, err := FromCells(nil, 3)
+	x, err := FromCounts(nil, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,17 +121,27 @@ func TestEmptyMatrix(t *testing.T) {
 	}
 }
 
+// TestCellsRoundTrip: the matrix FromPartitions counts is the one
+// FromCounts assembles from its own non-zero cells, by block id.
 func TestCellsRoundTrip(t *testing.T) {
 	x, err := FromPartitions(parts2(), "k", blocking.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := FromCells(x.Cells(), x.NumPartitions())
+	var counts []CountRecord
+	for k := range x.NumBlocks() {
+		for p := range x.NumPartitions() {
+			if n := x.SizeIn(k, p); n > 0 {
+				counts = append(counts, cell(k, p, n))
+			}
+		}
+	}
+	y, err := FromCounts(x.keys, x.NumPartitions(), counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(x.Cells(), y.Cells()) {
-		t.Error("Cells round trip changed the matrix")
+	if !reflect.DeepEqual(x, y) {
+		t.Errorf("cells round trip changed the matrix:\n%v\nvs\n%v", x, y)
 	}
 }
 
@@ -142,14 +174,14 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if !reflect.DeepEqual(got.Cells(), want.Cells()) {
-				t.Fatalf("trial %d (r=%d combiner=%v): MR cells differ", trial, r, combiner)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (r=%d combiner=%v): MR matrix differs:\n%v\nvs\n%v", trial, r, combiner, got, want)
 			}
 			// Footnote 2: one map-output record per non-zero cell instead
 			// of one per entity.
 			wantOut := n
 			if combiner {
-				wantOut = len(want.Cells())
+				wantOut = nonZeroCells(want)
 			}
 			if res.MapOutputRecords != int64(wantOut) {
 				t.Fatalf("trial %d (combiner=%v): MapOutputRecords = %d, want %d", trial, combiner, res.MapOutputRecords, wantOut)

@@ -48,7 +48,8 @@ func FuzzBDMKeyCodec(f *testing.F) {
 // two-source matrix, the ⊥ marker a matrix with missing keys when a key
 // is empty, and any other tags — or a ⊥ marker over cells without an
 // empty key — spliced into a header must be rejected with an error
-// naming line 1.
+// naming line 1. With two keys, the text with its two cell lines swapped
+// must be rejected with an error naming the line out of order.
 func FuzzMatrixSerialize(f *testing.F) {
 	f.Add("canon", "nikon", 2, 1, 3, "")
 	f.Add("tab\tkey", "nl\nkey", 0, 0, 1, "")
@@ -71,15 +72,17 @@ func FuzzMatrixSerialize(f *testing.F) {
 		if count < 0 {
 			count = -count
 		}
-		cells := []Cell{
-			{BlockKey: key1, Partition: norm(p1), Count: count%1000 + 1},
+		keys := []string{key1}
+		counts := []CountRecord{cell(0, norm(p1), count%1000+1)}
+		switch {
+		case key2 > key1:
+			keys, counts = append(keys, key2), append(counts, cell(1, norm(p2), 1))
+		case key2 < key1:
+			keys, counts = []string{key2, key1}, []CountRecord{cell(0, norm(p2), 1), cell(1, norm(p1), count%1000+1)}
 		}
-		if key2 != key1 {
-			cells = append(cells, Cell{BlockKey: key2, Partition: norm(p2), Count: 1})
-		}
-		x, err := FromCells(cells, m)
+		x, err := FromCounts(keys, m, counts)
 		if err != nil {
-			t.Fatalf("FromCells: %v", err)
+			t.Fatalf("FromCounts: %v", err)
 		}
 		sources, badTags := parseSources(tags, m)
 		switch {
@@ -119,6 +122,16 @@ func FuzzMatrixSerialize(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, x) {
 			t.Fatalf("round trip mismatch:\nwant %v\ngot  %v", x, back)
+		}
+		if key1 == key2 {
+			return
+		}
+		// The larger key's cell line ahead of the smaller one's is refused
+		// where the smaller key arrives.
+		lines := strings.SplitAfter(buf.String(), "\n")
+		lines[1], lines[2] = lines[2], lines[1]
+		if _, err := ReadFrom(strings.NewReader(strings.Join(lines, ""))); err == nil || !strings.Contains(err.Error(), "line 3:") {
+			t.Fatalf("ReadFrom of swapped cell lines: err = %v, want an error naming line 3\ninput:\n%s", err, buf.String())
 		}
 	})
 }

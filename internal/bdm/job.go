@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"strings"
@@ -280,17 +281,29 @@ func Count(ctx context.Context, eng *mapreduce.Engine, input [][]Annotated, keys
 
 // FromPartitions builds the Matrix directly in memory, without running
 // the MR job. The analytic planners and the data-generation tooling use
-// it; tests assert it agrees exactly with the MR computation.
+// it; tests assert it agrees exactly with the MR computation, so it
+// counts independently of Annotate: one row of counts per key in a map,
+// the keys sorted once and handed to FromCounts as their ranks.
 func FromPartitions(parts entity.Partitions, attr string, keyFunc blocking.KeyFunc) (*Matrix, error) {
-	var cells []Cell
+	rows := make(map[string][]int) // key -> count per partition
 	for p, part := range parts {
-		counts := make(map[string]int)
 		for _, e := range part {
-			counts[keyFunc(e.Attr(attr))]++
-		}
-		for key, n := range counts {
-			cells = append(cells, Cell{BlockKey: key, Partition: p, Count: n})
+			key := keyFunc(e.Attr(attr))
+			if rows[key] == nil {
+				rows[key] = make([]int, len(parts))
+			}
+			rows[key][p]++
 		}
 	}
-	return FromCells(cells, len(parts))
+	keys := slices.AppendSeq(make([]string, 0, len(rows)), maps.Keys(rows))
+	slices.Sort(keys)
+	var counts []CountRecord
+	for k, key := range keys {
+		for p, n := range rows[key] {
+			if n > 0 {
+				counts = append(counts, CountRecord{Key: Key{Block: int32(k), Partition: int32(p)}, Value: n})
+			}
+		}
+	}
+	return FromCounts(keys, len(parts), counts)
 }

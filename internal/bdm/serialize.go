@@ -62,8 +62,12 @@ func (x *Matrix) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom parses a matrix previously written by WriteTo. It reads r to
 // the end first — the matrix is larger than its text — and parses the
-// text in place: a key without escapes is a substring of it, cells is
-// sized from the line count, and no per-line slice is built.
+// text in place: a key without escapes is a substring of it, the counts
+// are sized from the line count, and no per-line slice is built. Keys
+// are numbered as they arrive: a line whose key equals the previous
+// line's continues that block, and a larger key opens the next block
+// id. A key below the previous one is refused, so FromCounts gets the
+// ids with no sort and no search.
 func ReadFrom(r io.Reader) (*Matrix, error) {
 	var sb strings.Builder
 	if _, err := io.Copy(&sb, r); err != nil {
@@ -90,7 +94,8 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 			return nil, fmt.Errorf("bdm: line 1: %w", err)
 		}
 	}
-	cells := make([]Cell, 0, strings.Count(text, "\n")+1)
+	keys := []string{}
+	counts := make([]CountRecord, 0, strings.Count(text, "\n")+1)
 	for line := 2; text != ""; line++ {
 		var row string
 		row, text = cutLine(text)
@@ -100,10 +105,15 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 			return nil, fmt.Errorf("bdm: line %d: want 3 fields, got %d", line, strings.Count(row, "\t")+1)
 		}
 		key, err := strconv.Unquote(quoted)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, fmt.Errorf("bdm: line %d: bad key %q: %w", line, quoted, err)
+		case len(keys) > 0 && key < keys[len(keys)-1]:
+			return nil, fmt.Errorf("bdm: line %d: key %q out of order after %q", line, key, keys[len(keys)-1])
+		case len(keys) == 0 || key != keys[len(keys)-1]:
+			keys = append(keys, key)
 		}
-		part, err := strconv.Atoi(partText)
+		part, err := strconv.ParseInt(partText, 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("bdm: line %d: bad partition %q: %w", line, partText, err)
 		}
@@ -111,9 +121,9 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bdm: line %d: bad count %q: %w", line, countText, err)
 		}
-		cells = append(cells, Cell{BlockKey: key, Partition: part, Count: cnt})
+		counts = append(counts, CountRecord{Key: Key{Block: int32(len(keys) - 1), Partition: int32(part)}, Value: cnt})
 	}
-	x, err := FromCells(cells, m)
+	x, err := FromCounts(keys, m, counts)
 	switch {
 	case err != nil || !tagged:
 		return x, err

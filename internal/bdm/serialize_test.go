@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,8 +59,8 @@ func TestSerializeAwkwardKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(x.Cells(), back.Cells()) {
-		t.Errorf("awkward keys mangled:\n%v\nvs\n%v", x.Cells(), back.Cells())
+	if !reflect.DeepEqual(x, back) {
+		t.Errorf("awkward keys mangled:\n%v\nvs\n%v", x, back)
 	}
 }
 
@@ -84,8 +85,8 @@ func TestSerializeFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(x.Cells(), back.Cells()) {
-			t.Fatalf("trial %d: round trip mismatch", trial)
+		if !reflect.DeepEqual(x, back) {
+			t.Fatalf("trial %d: round trip mismatch:\n%v\nvs\n%v", trial, x, back)
 		}
 	}
 }
@@ -102,6 +103,9 @@ func TestReadFromErrors(t *testing.T) {
 		"bad partition":        "bdm\t2\n\"a\"\tx\t1\n",
 		"out of range":         "bdm\t2\n\"a\"\t7\t1\n",
 		"duplicate cells":      "bdm\t2\n\"a\"\t0\t1\n\"a\"\t0\t2\n",
+		"keys out of order":    "bdm\t2\n\"b\"\t0\t1\n\"a\"\t0\t1\n",
+		"key returns":          "bdm\t2\n\"a\"\t0\t1\n\"b\"\t0\t1\n\"a\"\t1\t1\n",
+		"partition past int32": "bdm\t2\n\"a\"\t4294967296\t1\n",
 		"bad source tag":       "bdm\t2\tRX\n\"a\"\t0\t1\n",
 		"short tags":           "bdm\t2\tR\n\"a\"\t0\t1\n",
 		"empty tags":           "bdm\t2\t\n",
@@ -118,6 +122,12 @@ func TestReadFromErrors(t *testing.T) {
 			t.Errorf("%s: want error", name)
 		} else if strings.ContainsAny(input, "R⊥") && !strings.Contains(err.Error(), "line 1:") {
 			t.Errorf("%s: error %q does not name line 1", name, err)
+		}
+	}
+	// The order refusals name the line where the smaller key arrives.
+	for name, line := range map[string]string{"keys out of order": "line 3:", "key returns": "line 4:"} {
+		if _, err := ReadFrom(strings.NewReader(cases[name])); err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("%s: err = %v, want an error naming %s", name, err, line)
 		}
 	}
 }
@@ -146,8 +156,12 @@ func TestWriteToFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("bdm\t%d\n", x.NumPartitions())
-	for _, c := range x.Cells() {
-		want += fmt.Sprintf("%s\t%d\t%d\n", strconv.Quote(c.BlockKey), c.Partition, c.Count)
+	for k := range x.NumBlocks() {
+		for p := range x.NumPartitions() {
+			if n := x.SizeIn(k, p); n > 0 {
+				want += fmt.Sprintf("%s\t%d\t%d\n", strconv.Quote(x.BlockKey(k)), p, n)
+			}
+		}
 	}
 	var buf bytes.Buffer
 	if n, err := x.WriteTo(&buf); err != nil || n != int64(len(want)) {
@@ -170,34 +184,64 @@ func TestWriteToFormat(t *testing.T) {
 	}
 }
 
-// TestReadFromAllocatesPerMatrix: parsing costs the text, the cell
-// slice and the matrix — not a string, a field slice or a growth step
-// per cell.
+// TestReadFromAllocatesPerMatrix: parsing costs the text, the key
+// table, the count records and the matrix — not a string, a field slice
+// or a growth step per cell.
 func TestReadFromAllocatesPerMatrix(t *testing.T) {
 	const blocks, m = 3000, 4
-	var cells []Cell
-	for k := 0; k < blocks; k++ {
-		for p := 0; p < m; p++ {
-			cells = append(cells, Cell{BlockKey: fmt.Sprintf("key%05d", k), Partition: p, Count: 1 + (k+p)%5})
-		}
-	}
-	x, err := FromCells(cells, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
+	text := flatMatrixText(t, blocks, m)
 	allocs := testing.AllocsPerRun(5, func() {
 		back, err := ReadFrom(strings.NewReader(text))
 		if err != nil || back.NumBlocks() != blocks {
 			t.Fatalf("ReadFrom: %v", err)
 		}
 	})
-	// About 20 today, nearly all of them FromCells assembling the matrix.
+	// About 25 today: the key table's growth steps, then FromCounts
+	// assembling the matrix.
 	if allocs > 40 {
-		t.Errorf("ReadFrom of %d cells: %.0f allocs, want a number that does not grow with the cells", len(cells), allocs)
+		t.Errorf("ReadFrom of %d cells: %.0f allocs, want a number that does not grow with the cells", blocks*m, allocs)
+	}
+}
+
+// flatMatrix returns a matrix of the flat workloads' shape: blocks keys,
+// every one in each of m partitions.
+func flatMatrix(t *testing.T, blocks, m int) *Matrix {
+	t.Helper()
+	keys := make([]string, blocks)
+	var counts []CountRecord
+	for k := range keys {
+		keys[k] = fmt.Sprintf("key%05d", k)
+		for p := 0; p < m; p++ {
+			counts = append(counts, cell(k, p, 1+(k+p)%5))
+		}
+	}
+	x, err := FromCounts(keys, m, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// flatMatrixText is flatMatrix in WriteTo's text.
+func flatMatrixText(t *testing.T, blocks, m int) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := flatMatrix(t, blocks, m).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestMatrixStringLinear: String allocates a small multiple of what it
+// returns (about 6× today, mostly the builder's growth steps), not a
+// copy of the text so far per block.
+func TestMatrixStringLinear(t *testing.T) {
+	x := flatMatrix(t, 3000, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := x.String()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 10*uint64(len(s)) {
+		t.Errorf("String of %d blocks allocated %d B for %d B of text, want at most 10×", x.NumBlocks(), alloc, len(s))
 	}
 }

@@ -84,8 +84,8 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 			t.Fatalf("Compute(combiner=%v): %v", combiner, err)
 		}
 		want := exampleBDM(t)
-		if !reflect.DeepEqual(x.Cells(), want.Cells()) {
-			t.Errorf("combiner=%v: MR cells = %v, want %v", combiner, x.Cells(), want.Cells())
+		if !reflect.DeepEqual(x, want) {
+			t.Errorf("combiner=%v: MR matrix = %v, want %v", combiner, x, want)
 		}
 		// The annotated input must mirror the input partitioning with
 		// block-id annotations.

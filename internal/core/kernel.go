@@ -18,7 +18,9 @@ type Block interface {
 	// rows in ascending order with their similarities. With keep, text
 	// then becomes the block's next row. The returned slices belong to
 	// the block and are reused by the next call. Decisions and
-	// similarities must be exactly those of the matcher's per-pair form.
+	// similarities must be exactly those of the matcher's pair-by-pair
+	// reference (for match.EditDistance, the rune DP,
+	// similarity.LevenshteinSimilarity).
 	Probe(text string, keep bool) (rows []int32, sims []float64)
 	// Add makes text the block's next row without deciding it.
 	Add(text string)

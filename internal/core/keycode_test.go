@@ -123,7 +123,7 @@ func TestKeyLimitsRefuseOutOfRange(t *testing.T) {
 		}
 	}
 	for m, ok := range map[int]bool{math.MaxInt16: true, math.MaxInt16 + 1: false} {
-		wide, err := bdm.FromCells(nil, m)
+		wide, err := bdm.FromCounts(nil, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -181,7 +181,7 @@ type pipelineRow struct {
 	strat    core.Strategy
 	spilling bool
 	fault    erFault
-	pairFunc bool // a core.PairFunc over Thresholder.Match, not match.EditDistance's native block
+	pairFunc bool // a core.PairFunc over the rune DP, not match.EditDistance's native block
 }
 
 // zeroHistory strips the execution-history counters from an er.Result
@@ -216,9 +216,9 @@ func (rw pipelineRow) run(t *testing.T) *er.Result {
 	}
 	var m core.Matcher = match.EditDistance("title", rw.in.th)
 	if rw.pairFunc {
-		th := similarity.NewThresholder(rw.in.th)
 		m = core.PairFunc(func(a, b string) (float64, bool) {
-			return th.Match(similarity.Prepare(a), similarity.Prepare(b))
+			sim := similarity.LevenshteinSimilarity(a, b)
+			return sim, sim >= rw.in.th
 		})
 	}
 	cfg := er.Config{
@@ -416,10 +416,10 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 // TestBlockKernelDifferential proves the one reduce-side comparison
 // path is the same path for both kinds of core.Matcher: the native
 // structure-of-arrays block of match.EditDistance and a core.PairFunc
-// over similarity.Thresholder.Match produce identical full Results —
-// similarities in emit order and every TaskMetrics field — for every
-// strategy over one source and, where it uses the BDM, two, on the
-// typed and the external dataflow.
+// over the rune DP, similarity.LevenshteinSimilarity, produce identical
+// full Results — similarities in emit order and every TaskMetrics field
+// — for every strategy over one source and, where it uses the BDM, two,
+// on the typed and the external dataflow.
 func TestBlockKernelDifferential(t *testing.T) {
 	es := mixedEntities(rand.New(rand.NewSource(1313)), 220)
 	one := pipelineInput{name: "one source", parts: entity.SplitRoundRobin(es, 4), key: blocking.NormalizedPrefix(1), th: 0.6, r: 5}

@@ -273,14 +273,22 @@ func TestJob1CertificateRefusesAMatrixOffByOne(t *testing.T) {
 	if err := checkCounted("bdm", x, input); err != nil {
 		t.Fatalf("the matrix of the input itself: %v", err)
 	}
-	cells := x.Cells()
-	for i := range cells {
-		if cells[i].Partition == 1 {
-			cells[i].Count++
-			break
+	// The same cells, but the first one of partition 1 counts one more.
+	keys := make([]string, x.NumBlocks())
+	var counts []bdm.CountRecord
+	bumped := false
+	for k := range keys {
+		keys[k] = x.BlockKey(k)
+		for p := range parts {
+			if n := x.SizeIn(k, p); n > 0 {
+				if p == 1 && !bumped {
+					n, bumped = n+1, true
+				}
+				counts = append(counts, bdm.CountRecord{Key: bdm.Key{Block: int32(k), Partition: int32(p)}, Value: n})
+			}
 		}
 	}
-	off, err := bdm.FromCells(cells, len(parts))
+	off, err := bdm.FromCounts(keys, len(parts), counts)
 	if err != nil {
 		t.Fatal(err)
 	}

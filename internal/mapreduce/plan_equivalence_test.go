@@ -71,7 +71,7 @@ func checkRow(t *testing.T, rw stratRow) int64 {
 		ref1, n := checkEverywhere(t, name+"/bdm", job1, rr1, ids, job1Runs)
 		retries += n
 		x := matrixOf(t, ref1, keys, m)
-		if !reflect.DeepEqual(x.Cells(), direct.Cells()) {
+		if !reflect.DeepEqual(x, direct) {
 			t.Fatalf("%s: Job 1's matrix differs from bdm.FromPartitions'", name)
 		}
 		x = shape(t, x, rw.sources, rw.bottom)

@@ -2,8 +2,9 @@
 // core.Matcher whose block is a pooled similarity.LevBlock over the
 // texts Job 2's rows carry. The strategy reducers decide a reduce group
 // a column at a time through it instead of pair by pair; its decisions
-// and similarities are exactly those of similarity.Thresholder.Match,
-// and a steady-state group allocates nothing.
+// and similarities are exactly those of the rune-DP reference,
+// similarity.LevenshteinSimilarity, and a steady-state group allocates
+// nothing.
 package match
 
 import (

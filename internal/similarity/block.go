@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// LevBlock is the block-at-a-time form of Thresholder.Match: the strings
-// of one reduce group held so that one string is decided against all of
-// them in a single call. Rows are filed in buckets by rune length: each
-// occupied length holds its rows in ascending order with their
+// LevBlock is the match kernel: it decides LevenshteinSimilarity(a, b)
+// >= threshold for the strings of one reduce group, held so that one
+// string is decided against all of them in a single call. Rows are
+// filed in buckets by rune length: each occupied length holds its rows in ascending order with their
 // bit-plane histograms (bag.go) and masses side by side. A probe of
 // length l runs the filter chain bucket-wise:
 //
@@ -19,22 +19,23 @@ import (
 //     popcount bag bound;
 //  3. on what is left, the exact Myers distance taken straight from the
 //     raw strings — after the full-count BagBound where a histogram is
-//     saturated, so the chain never rejects less than Thresholder.Match.
+//     saturated, so the chain never rejects less than the length filter
+//     and BagBound do pair by pair.
 //
 // Hits come out of each bucket in row order and are merged into row
 // order once the probe is done; only they are sorted, never the pairs.
 //
 // Every pair is decided: a pair in a bucket the probe does not visit
 // fails the length filter, and all filters are lower bounds on the edit
-// distance, so the hit set and the similarity floats are exactly
-// Thresholder.Match's. Lengths past maxCachedBound share one overflow
-// bucket that applies the length filter row by row, so no string sizes
-// the bucket table.
+// distance, so the hit set and the similarity floats are exactly those
+// of the rune DP (LevenshteinSimilarity). Lengths past maxCachedBound
+// share one overflow bucket that applies the length filter row by row,
+// so no string sizes the bucket table.
 //
 // A row owns a pooled Prepared only when it needs one: rows containing
 // non-ASCII runes (their rune slice; a pair with such a row on either
-// side is verified by the per-pair Prepared kernels) and rows of
-// saturated pairs that survive stage 2 (the byte histogram).
+// side is verified by the rune-alphabet Myers, levenshteinPreparedDist)
+// and rows of saturated pairs that survive stage 2 (the byte histogram).
 //
 // The zero value is an empty block; Use binds it to a threshold and
 // Reset empties it, dropping every string reference, so owners can keep
@@ -125,8 +126,8 @@ func (b *LevBlock) truncate(n int) {
 }
 
 // Probe decides s against every row and returns the rows it matches in
-// ascending order with the exact similarities, exactly as
-// Thresholder.Match would decide each pair. With keep, s then becomes
+// ascending order with the exact similarities, exactly as the rune DP
+// would decide each pair. With keep, s then becomes
 // the block's next row. The returned slices are reused by the next call.
 func (b *LevBlock) Probe(s string, keep bool) (rows []int32, sims []float64) {
 	row := len(b.raws)

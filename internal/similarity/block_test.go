@@ -65,7 +65,7 @@ func checkPlaneBound(t *testing.T, a, b string) {
 	if d := levenshteinRunes([]rune(a), []rune(b)); got > d {
 		t.Fatalf("plane bound(%.20q, %.20q) = %d exceeds edit distance %d: filter unsound", a, b, got, d)
 	}
-	if full := BagBound(Prepare(a), Prepare(b)); !pa.saturated() && !pb.saturated() && got < full {
+	if full := BagBound(prepare(a), prepare(b)); !pa.saturated() && !pb.saturated() && got < full {
 		t.Fatalf("plane bound(%.20q, %.20q) = %d below BagBound %d with no bucket saturated", a, b, got, full)
 	}
 }
@@ -170,9 +170,9 @@ func blockCorpus(rng *rand.Rand) []string {
 	return out
 }
 
-// TestLevBlockMatchesThresholder: a block probe is exactly the per-pair
-// kernel — and the rune-DP reference — applied to each row in ascending
-// order: same hit set, same float similarities.
+// TestLevBlockMatchesThresholder: a block probe at a Thresholder is
+// exactly the rune-DP reference applied to each row in ascending order:
+// same hit set, same float similarities.
 func TestLevBlockMatchesThresholder(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	corpus := blockCorpus(rng)
@@ -195,17 +195,12 @@ func TestLevBlockMatchesThresholder(t *testing.T) {
 			var wantRows []int32
 			var wantSims []float64
 			for i, c := range loaded {
-				sim, ok := th.Match(Prepare(c), Prepare(s))
-				if refSim, refOK := refMatch(c, s, threshold); ok != refOK || (ok && sim != refSim) {
-					t.Fatalf("th=%v: Thresholder.Match(%.12q, %.12q) = (%v, %v), rune DP says (%v, %v)",
-						threshold, c, s, sim, ok, refSim, refOK)
-				}
-				if ok {
+				if sim, ok := refMatch(c, s, threshold); ok {
 					wantRows, wantSims = append(wantRows, int32(i)), append(wantSims, sim)
 				}
 			}
 			if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
-				t.Fatalf("th=%v probe %d %.12q over %d rows: block says rows %v sims %v, per-pair kernel rows %v sims %v",
+				t.Fatalf("th=%v probe %d %.12q over %d rows: block says rows %v sims %v, rune DP rows %v sims %v",
 					threshold, n, s, len(loaded), rows, sims, wantRows, wantSims)
 			}
 			if keep {
@@ -222,8 +217,8 @@ func TestLevBlockMatchesThresholder(t *testing.T) {
 // TestLevBlockFiltersNoWeakerThanPerPair: on dictionary-word titles —
 // English letter frequencies, where 'e', 't' and the space saturate the
 // bit planes — the block's filter chain lets no more pairs through to
-// the distance kernel than the per-pair kernel's length filter and
-// BagBound do.
+// the distance kernel than the length filter and the full-count
+// BagBound do applied pair by pair.
 func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
 	th := NewThresholder(0.8)
 	for _, words := range []int{3, 5, 8, 16} {
@@ -234,7 +229,7 @@ func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
 				longest := max(len(a), len(c))
 				if maxDist := th.MaxDist(longest); longest-min(len(a), len(c)) <= maxDist {
 					lengthOnly++
-					if BagBound(Prepare(a), Prepare(c)) <= maxDist {
+					if BagBound(prepare(a), prepare(c)) <= maxDist {
 						perPair++
 					}
 				}
@@ -246,7 +241,7 @@ func TestLevBlockFiltersNoWeakerThanPerPair(t *testing.T) {
 			b.Probe(s, true)
 		}
 		if b.verified > perPair {
-			t.Errorf("%d-word titles: %d pairs reached the block's distance kernel, %d the per-pair kernel's (%d pass the length filter)",
+			t.Errorf("%d-word titles: %d pairs reached the block's distance kernel, %d pass the length filter and BagBound pair by pair (%d the length filter)",
 				words, b.verified, perPair, lengthOnly)
 		}
 		b.Reset()
@@ -298,8 +293,8 @@ func generatorTitles(rng *rand.Rand, n int) []string {
 	return titles
 }
 
-// chainPasses applies the block's filter chain to one pair, the way a
-// per-pair kernel would: the length filter, the plane bound in both
+// chainPasses applies the block's filter chain to one pair by itself:
+// the length filter, the plane bound in both
 // directions, and the full-count BagBound where a histogram is
 // saturated. Exactly the pairs it passes reach the distance kernel.
 func chainPasses(th *Thresholder, a, c string) bool {
@@ -316,7 +311,7 @@ func chainPasses(th *Thresholder, a, c string) bool {
 	if max(bagExcess(pa, pc), bagExcess(pc, pa)) > maxDist {
 		return false
 	}
-	return !pa.saturated() && !pc.saturated() || BagBound(Prepare(a), Prepare(c)) <= maxDist
+	return !pa.saturated() && !pc.saturated() || BagBound(prepare(a), prepare(c)) <= maxDist
 }
 
 // TestLevBlockVerifiesExactlyTheChain: the length buckets decide whole
@@ -392,7 +387,10 @@ func TestThresholderWindow(t *testing.T) {
 
 // TestLevBlockSteadyStateAllocs pins the block's allocation contract: a
 // warm block loads and probes a whole group — hits, non-ASCII rows and
-// dropped cross probes included — without allocating.
+// dropped cross probes included — without allocating. The group reaches
+// every ASCII distance kernel: the probe's mask table (probes of 64
+// bytes or fewer), myersASCII (a 70-byte probe against a 60-byte row)
+// and myersASCIIBlocked (two 180-byte rows).
 func TestLevBlockSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; steady-state 0 allocs does not hold")
@@ -405,6 +403,10 @@ func TestLevBlockSteadyStateAllocs(t *testing.T) {
 		"canon eos 5d mark iii digital slr camera bodies",
 		"caméra canon eos 5d mark iii",
 		"caméra canon eos 5d mark iv",
+		strings.Repeat("abc", 20),
+		strings.Repeat("abc", 23) + "a",
+		strings.Repeat("abc", 60),
+		strings.Repeat("acb", 60),
 	}
 	var b LevBlock
 	hits := 0
@@ -539,23 +541,23 @@ func TestLevBlockPooledCapacityBounded(t *testing.T) {
 		var wantRows []int32
 		var wantSims []float64
 		for j, c := range group[:i] {
-			if sim, ok := th.Match(Prepare(c), Prepare(s)); ok {
+			if sim, ok := refMatch(c, s, th.threshold); ok {
 				wantRows, wantSims = append(wantRows, int32(j)), append(wantSims, sim)
 			}
 		}
 		if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
-			t.Fatalf("after a pooled Reset, probe %d: block says rows %v sims %v, per-pair kernel %v %v", i, rows, sims, wantRows, wantSims)
+			t.Fatalf("after a pooled Reset, probe %d: block says rows %v sims %v, rune DP %v %v", i, rows, sims, wantRows, wantSims)
 		}
 	}
 	b.Reset()
 }
 
-// FuzzLevBlockProbe: a block is the per-pair kernel. The input is a row
-// list (split at newlines) and a byte string of shapes: each row is
-// probed and kept, added, or probed and dropped as the next byte says
-// (probed and kept once they run out), at a threshold the first byte
-// picks. Every probe must return exactly the rows and similarities
-// Thresholder.Match gives pair by pair.
+// FuzzLevBlockProbe: a block is the rune DP. The input is a row list
+// (split at newlines) and a byte string of shapes: each row is probed
+// and kept, added, or probed and dropped as the next byte says (probed
+// and kept once they run out), at a threshold the first byte picks.
+// Every probe must return exactly the rows and similarities refMatch
+// gives pair by pair.
 func FuzzLevBlockProbe(f *testing.F) {
 	f.Add("", []byte{})
 	f.Add("\n\n", []byte{1, 0, 1, 2})
@@ -568,7 +570,7 @@ func FuzzLevBlockProbe(f *testing.F) {
 	thresholds := []*Thresholder{NewThresholder(0.8), NewThresholder(0.5), NewThresholder(1), NewThresholder(0), NewThresholder(math.NaN())}
 	f.Fuzz(func(t *testing.T, text string, ops []byte) {
 		if len(text) > 1<<14 {
-			t.Skip() // the per-pair oracle is quadratic in the rows
+			t.Skip() // the DP oracle is quadratic
 		}
 		th := thresholds[0]
 		if len(ops) > 0 {
@@ -591,12 +593,12 @@ func FuzzLevBlockProbe(f *testing.F) {
 			var wantRows []int32
 			var wantSims []float64
 			for i, c := range loaded {
-				if sim, ok := th.Match(Prepare(c), Prepare(s)); ok {
+				if sim, ok := refMatch(c, s, th.threshold); ok {
 					wantRows, wantSims = append(wantRows, int32(i)), append(wantSims, sim)
 				}
 			}
 			if !slices.Equal(rows, wantRows) || !slices.Equal(sims, wantSims) {
-				t.Fatalf("probe %d %.20q over %d rows: block says rows %v sims %v, per-pair kernel rows %v sims %v",
+				t.Fatalf("probe %d %.20q over %d rows: block says rows %v sims %v, rune DP rows %v sims %v",
 					n, s, len(loaded), rows, sims, wantRows, wantSims)
 			}
 			if op == 0 {

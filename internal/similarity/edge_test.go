@@ -42,31 +42,29 @@ func TestEdgeCaseKnownValues(t *testing.T) {
 	if got := LevenshteinSimilarity("a", ""); got != 0 {
 		t.Errorf("LevenshteinSimilarity(\"a\",\"\") = %v, want 0", got)
 	}
-	if _, ok := NewThresholder(1).Match(Prepare(""), Prepare("")); !ok {
-		t.Error("Thresholder(1).Match(\"\",\"\") = false, want true (similarity is exactly 1)")
+	if _, ok := probePair(NewThresholder(1), "", ""); !ok {
+		t.Error("a block at 1 rejects (\"\",\"\"), want a match (similarity is exactly 1)")
 	}
-	if _, ok := NewThresholder(1.5).Match(Prepare(""), Prepare("")); ok {
-		t.Error("Thresholder(1.5).Match(\"\",\"\") = true, but similarity 1 < 1.5")
+	if _, ok := probePair(NewThresholder(1.5), "", ""); ok {
+		t.Error("a block at 1.5 matches (\"\",\"\"), but similarity 1 < 1.5")
 	}
 }
 
-// matchAll is the per-pair kernel as a measure: at threshold 0 every
+// blockSimilarity is the block kernel as a measure: at matchAll every
 // pair matches, with its exact similarity.
-var matchAll = NewThresholder(0)
-
-func preparedSimilarity(a, b string) float64 {
-	sim, _ := matchAll.Match(Prepare(a), Prepare(b))
+func blockSimilarity(a, b string) float64 {
+	sim, _ := probePair(matchAll, a, b)
 	return sim
 }
 
-// TestEdgeCaseMeasures runs the measure (plain and prepared) over the
+// TestEdgeCaseMeasures runs the measure (plain and block) over the
 // full cross product of edge strings and checks range, symmetry and
 // identity; the real assertion is that neither form panics or steps out
 // of [0,1].
 func TestEdgeCaseMeasures(t *testing.T) {
 	measures := map[string]func(a, b string) float64{
 		"LevenshteinSimilarity": LevenshteinSimilarity,
-		"Thresholder.Match":     preparedSimilarity,
+		"LevBlock":              blockSimilarity,
 	}
 	for name, sim := range measures {
 		for _, a := range edgeStrings {
@@ -88,7 +86,7 @@ func TestEdgeCaseMeasures(t *testing.T) {
 
 // TestSimilarityPropertyRandom is the randomized property test: the
 // measure stays in [0,1] and is symmetric on random unicode-bearing
-// strings, and the prepared form gives the reference's float.
+// strings, and the block kernel gives the reference's float.
 func TestSimilarityPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	alphabet := []rune("ab 日本é́語x")
@@ -109,8 +107,8 @@ func TestSimilarityPropertyRandom(t *testing.T) {
 		if rev := LevenshteinSimilarity(b, a); rev != got {
 			t.Fatalf("LevenshteinSimilarity not symmetric on (%q,%q): %v vs %v", a, b, got, rev)
 		}
-		if prep := preparedSimilarity(a, b); prep != got {
-			t.Fatalf("Thresholder.Match(%q,%q) = %v, reference %v", a, b, prep, got)
+		if blk := blockSimilarity(a, b); blk != got {
+			t.Fatalf("LevBlock(%q,%q) = %v, reference %v", a, b, blk, got)
 		}
 	}
 }

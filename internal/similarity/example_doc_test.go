@@ -16,13 +16,13 @@ func ExampleLevenshteinSimilarity() {
 	// Output: 0.92
 }
 
-func ExampleThresholder_Match() {
+func ExampleLevBlock() {
 	// The paper's match rule: normalized similarity >= 0.8.
-	th := similarity.NewThresholder(0.8)
-	title := similarity.Prepare("acme rocket skates")
-	fmt.Println(th.Match(title, similarity.Prepare("acme rocket skates!")))
-	fmt.Println(th.Match(title, similarity.Prepare("bolt cutter")))
-	// Output:
-	// 0.9473684210526316 true
-	// 0 false
+	var b similarity.LevBlock
+	b.Use(similarity.NewThresholder(0.8))
+	b.Add("acme rocket skates")
+	b.Add("bolt cutter")
+	fmt.Println(b.Probe("acme rocket skates!", false))
+	b.Reset()
+	// Output: [0] [0.9473684210526316]
 }

@@ -2,12 +2,11 @@
 // Levenshtein edit distance against a similarity threshold (0.8 in the
 // paper). All functions operate on runes, not bytes.
 //
-// Levenshtein and LevenshteinSimilarity are the plain references on raw
-// strings. The kernels the reducers run decide the same predicate on
-// cached forms: Thresholder.Match on Prepared values (see prepared.go)
-// and LevBlock a reduce group at a time (see block.go), both behind
-// length and bag-distance pre-filters and the bit-parallel Myers
-// distance.
+// Levenshtein and LevenshteinSimilarity are the plain rune-DP references
+// on raw strings. The one kernel the reducers run, LevBlock (block.go),
+// decides the same predicate a reduce group at a time, behind length and
+// bag-distance pre-filters and the bit-parallel Myers distance; Prepared
+// (prepared.go) is its per-row cache.
 package similarity
 
 import "math"

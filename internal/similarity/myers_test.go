@@ -76,21 +76,23 @@ func TestBlockedMyersWordBoundaries(t *testing.T) {
 					randRunes(rng, lb, alphabet),            // unrelated
 				} {
 					want := levenshteinRunes(a, b)
-					pa, pb := Prepare(string(a)), Prepare(string(b))
+					pa, pb := prepare(string(a)), prepare(string(b))
 					if got := levenshteinPreparedDist(pa, pb); got != want {
 						t.Fatalf("levenshteinPreparedDist(len %d, len %d, ascii=%v) = %d, want %d",
 							la, len(b), pa.ascii, got, want)
 					}
-					// The match kernel at the thresholds whose distance
-					// bound sits just below, on and just above the distance.
+					// The block kernel at matchAll, which reaches the
+					// distance on every pair, and at the thresholds whose
+					// distance bound sits just below, on and just above it.
+					checkMatch(t, matchAll, string(a), string(b))
 					longest := max(la, len(b))
 					for _, maxDist := range []int{want - 1, want, want + 1} {
 						if maxDist < 0 || maxDist > longest {
 							continue
 						}
 						th := NewThresholder(1 - float64(maxDist)/float64(longest))
-						if _, ok := th.Match(pa, pb); ok != (want <= maxDist) {
-							t.Fatalf("Thresholder(max %d of %d).Match(len %d, len %d) = %v, distance %d",
+						if _, ok := probePair(th, string(a), string(b)); ok != (want <= maxDist) {
+							t.Fatalf("block at max %d of %d, len %d probed with len %d: match %v, distance %d",
 								maxDist, longest, la, len(b), ok, want)
 						}
 					}
@@ -101,8 +103,9 @@ func TestBlockedMyersWordBoundaries(t *testing.T) {
 }
 
 // TestBlockedMyersProperty is the randomized differential: both blocked
-// kernels (ASCII multi-word and rune-alphabet) must agree with the DP
-// reference on arbitrary lengths straddling several words.
+// kernels — the rune-alphabet one directly, the ASCII multi-word one
+// through a block probe at matchAll — must agree with the DP reference
+// on arbitrary lengths straddling several words.
 func TestBlockedMyersProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	for trial := 0; trial < 800; trial++ {
@@ -118,11 +121,11 @@ func TestBlockedMyersProperty(t *testing.T) {
 			b = randRunes(rng, rng.Intn(200), alphabet)
 		}
 		want := levenshteinRunes(a, b)
-		pa, pb := Prepare(string(a)), Prepare(string(b))
+		pa, pb := prepare(string(a)), prepare(string(b))
 		if got := levenshteinPreparedDist(pa, pb); got != want {
 			t.Fatalf("trial %d: levenshteinPreparedDist(%q, %q) = %d, want %d", trial, string(a), string(b), got, want)
 		}
-		if sim, _ := matchAll.Match(pa, pb); sim != LevenshteinSimilarity(string(a), string(b)) {
+		if sim, _ := probePair(matchAll, string(a), string(b)); sim != LevenshteinSimilarity(string(a), string(b)) {
 			t.Fatalf("trial %d: similarity mismatch", trial)
 		}
 	}
@@ -135,7 +138,7 @@ func TestBlockedMyersProperty(t *testing.T) {
 func TestBlockedMyersCombiningMarks(t *testing.T) {
 	precomposed := "é" // single rune U+00E9
 	combining := "é"  // 'e' + combining acute: two runes
-	pa, pb := Prepare(precomposed), Prepare(combining)
+	pa, pb := prepare(precomposed), prepare(combining)
 	want := levenshteinRunes([]rune(precomposed), []rune(combining))
 	if got := levenshteinPreparedDist(pa, pb); got != want || got != 2 {
 		t.Fatalf("distance(é, e+U+0301) = %d, want %d (rune granularity)", got, want)
@@ -144,7 +147,7 @@ func TestBlockedMyersCombiningMarks(t *testing.T) {
 	long := strings.Repeat("éä", 40) // 160 runes, 3 words
 	other := strings.Repeat("éä", 39) + "xx́̈"
 	want = levenshteinRunes([]rune(long), []rune(other))
-	if got := levenshteinPreparedDist(Prepare(long), Prepare(other)); got != want {
+	if got := levenshteinPreparedDist(prepare(long), prepare(other)); got != want {
 		t.Fatalf("long combining-mark distance = %d, want %d", got, want)
 	}
 }
@@ -161,7 +164,7 @@ func TestBagBoundSWAR(t *testing.T) {
 		{strings.Repeat("ab", 200), strings.Repeat("ba", 199) + "xy"},
 	}
 	for _, c := range cases {
-		pa, pb := Prepare(c.a), Prepare(c.b)
+		pa, pb := prepare(c.a), prepare(c.b)
 		if got, want := BagBound(pa, pb), bagBoundRef(pa, pb); got != want {
 			t.Fatalf("BagBound(%.8q, %.8q) = %d, want %d", c.a, c.b, got, want)
 		}
@@ -173,7 +176,7 @@ func TestBagBoundSWAR(t *testing.T) {
 		}
 		a := string(randRunes(rng, rng.Intn(300), alphabet))
 		b := string(randRunes(rng, rng.Intn(300), alphabet))
-		pa, pb := Prepare(a), Prepare(b)
+		pa, pb := prepare(a), prepare(b)
 		got, want := BagBound(pa, pb), bagBoundRef(pa, pb)
 		if got != want {
 			t.Fatalf("trial %d: BagBound = %d, want %d", trial, got, want)
@@ -185,27 +188,29 @@ func TestBagBoundSWAR(t *testing.T) {
 	}
 }
 
-// TestBlockedMyersNoAllocs asserts the steady-state prepared path stays
-// allocation-free across every kernel the dispatch can pick: single-word
-// ASCII, blocked ASCII, and the rune-alphabet kernel, plus the match
-// kernel behind its filters and the SWAR pre-filter.
+// TestBlockedMyersNoAllocs asserts the prepared kernels' allocation
+// contract: once both sides are prepared (an ASCII side's runes
+// materialized by the first call), the rune-alphabet kernel — in one
+// word, in several, and on a title pair — and the SWAR pre-filter
+// allocate nothing. TestLevBlockSteadyStateAllocs pins the block and its
+// ASCII kernels.
 func TestBlockedMyersNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; steady-state 0 allocs does not hold")
 	}
-	shortA, shortB := Prepare(strings.Repeat("ab", 20)), Prepare(strings.Repeat("ba", 20))
-	longA, longB := Prepare(strings.Repeat("abc", 60)), Prepare(strings.Repeat("acb", 60))
-	uniA, uniB := Prepare(strings.Repeat("éá", 50)), Prepare(strings.Repeat("aé́", 49))
-	pairs := [][2]*Prepared{{shortA, shortB}, {longA, longB}, {uniA, uniB}}
-	th := NewThresholder(0.5)
+	shortA, shortB := prepare(strings.Repeat("ab", 20)), prepare(strings.Repeat("ba", 20))
+	longA, longB := prepare(strings.Repeat("abc", 60)), prepare(strings.Repeat("acb", 60))
+	uniA, uniB := prepare(strings.Repeat("éá", 50)), prepare(strings.Repeat("aé́", 49))
+	titleA := prepare("canon eos 5d mark iii digital slr camera body")
+	titleB := prepare("canon eos 5d mark iv digital slr camera body only")
+	pairs := [][2]*Prepared{{shortA, shortB}, {longA, longB}, {uniA, uniB}, {titleA, titleB}}
 	for name, fn := range map[string]func(a, b *Prepared){
 		"levenshteinPreparedDist": func(a, b *Prepared) { levenshteinPreparedDist(a, b) },
-		"Thresholder.Match":       func(a, b *Prepared) { th.Match(a, b) },
 		"BagBound":                func(a, b *Prepared) { BagBound(a, b) },
 	} {
 		for i, pair := range pairs {
 			a, b := pair[0], pair[1]
-			fn(a, b) // warm the scratch pools
+			fn(a, b) // materialize the runes
 			if allocs := testing.AllocsPerRun(200, func() { fn(a, b) }); allocs != 0 {
 				t.Errorf("%s pair %d: %v allocs/op, want 0", name, i, allocs)
 			}

@@ -5,19 +5,16 @@ import (
 	"sync"
 )
 
-// Prepared caches the derived forms of one string that the kernels
-// consume: the ASCII classification, a fixed-size rune histogram
-// (the pre-filter input) and, for non-ASCII strings, the rune slice.
-// Building a Prepared costs one pass over the string; comparing two
-// Prepared values allocates nothing. The intended pattern is the reduce
-// phase's prepare-once model: derive each entity's Prepared once per key
-// group and run the O(group²) comparisons on the cached forms.
+// Prepared is LevBlock's per-row cache for the rows that need more than
+// their raw bytes: the rune slice of a non-ASCII string, and the
+// full-count rune histogram (BagBound) that a pair with a saturated bit
+// plane is checked against. LevBlock draws each from the free list
+// (PreparePooled) and hands it back when it is Reset.
 //
 // An ASCII string's rune slice is materialized lazily, by mutating the
-// receiver, the first time a mixed or over-long comparison needs it
+// receiver, the first time a comparison with a non-ASCII row needs it
 // (runeSeq), so a Prepared must not be shared across goroutines that
-// compare it. The reducers never share prepared entities across reduce
-// groups, so this is only a concern for custom callers.
+// compare it.
 type Prepared struct {
 	// Raw is the original string.
 	Raw string
@@ -41,26 +38,15 @@ const histBuckets = 32
 // histCap is the saturation ceiling of one histogram bucket.
 const histCap = 127
 
-// Prepare derives the eager cached forms of s: the ASCII classification,
-// the rune histogram, and (for non-ASCII strings) the rune slice. For
-// ASCII strings — the common case for product titles — Prepare performs
-// a single allocation.
-func Prepare(s string) *Prepared {
-	p := &Prepared{}
-	p.fill(s)
-	return p
-}
-
 // preparedPool recycles Prepared values between PreparePooled and
-// Release, making the steady-state prepare-once reduce loop
-// allocation-free for ASCII strings.
+// Release, so a warm LevBlock allocates none.
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 
-// PreparePooled is Prepare backed by a free list: the returned value
-// must be handed back via Release once its reduce group is finished and
-// must not be used afterwards. Kernel results are identical to
-// Prepare's. LevBlock draws the Prepared of its non-ASCII rows from
-// here and hands them back when it is Reset.
+// PreparePooled derives the cached forms of s on a value from the free
+// list: the ASCII classification, the rune histogram and, for a
+// non-ASCII string, the rune slice. The value must be handed back via
+// Release once its reduce group is finished and must not be used
+// afterwards.
 func PreparePooled(s string) *Prepared {
 	p := preparedPool.Get().(*Prepared)
 	p.fill(s)
@@ -105,16 +91,8 @@ func (p *Prepared) fill(s string) {
 	}
 }
 
-// RuneLen returns the length of the string in runes.
-func (p *Prepared) RuneLen() int {
-	if p.ascii {
-		return len(p.Raw)
-	}
-	return len(p.runes)
-}
-
 // runeSeq returns the rune slice, materializing and caching it for
-// ASCII strings that end up in a mixed or over-long comparison.
+// an ASCII string that ends up in a comparison with a non-ASCII one.
 func (p *Prepared) runeSeq() []rune {
 	if len(p.runes) == 0 && len(p.Raw) > 0 {
 		runes := p.runes[:0]
@@ -228,26 +206,11 @@ func myersASCIIMasks(peq *[128]uint64, m int, t string) int {
 	return score
 }
 
-// levenshteinPreparedDist dispatches a prepared pair to the fastest
-// exact kernel: single-word Myers for ASCII pairs whose shorter side
-// fits in 64 runes, blocked (multi-word) Myers for longer ASCII pairs,
-// and the rune-alphabet blocked Myers for everything else (materializing
-// cached runes for ASCII strings only in a mixed pair). The rune DP
-// (levenshteinRunes) survives as the property-test reference only.
+// levenshteinPreparedDist returns the exact distance of a pair in which
+// at least one side is non-ASCII: the rune-alphabet blocked Myers,
+// materializing the runes of an ASCII partner. LevBlock.distance runs
+// the ASCII kernels on pairs of ASCII rows itself.
 func levenshteinPreparedDist(a, b *Prepared) int {
-	if a.ascii && b.ascii {
-		p, t := a.Raw, b.Raw
-		if len(p) > len(t) {
-			p, t = t, p
-		}
-		if len(p) == 0 {
-			return len(t)
-		}
-		if len(p) <= 64 {
-			return myersASCII(p, t)
-		}
-		return myersASCIIBlocked(p, t)
-	}
 	ra, rb := a.runeSeq(), b.runeSeq()
 	if len(ra) > len(rb) {
 		ra, rb = rb, ra
@@ -258,13 +221,12 @@ func levenshteinPreparedDist(a, b *Prepared) int {
 	return myersRunes(ra, rb)
 }
 
-// Thresholder is the per-pair matcher kernel at one similarity
-// threshold: Match decides LevenshteinSimilarity(a, b) >= threshold on
-// Prepared values. It caches the per-length distance bounds once,
-// removing the per-pair float arithmetic from the kernel. Matchers that
-// evaluate millions of pairs against one threshold (the paper's setup)
-// should build one Thresholder and reuse it; Match is safe for
-// concurrent use.
+// Thresholder is one similarity threshold as LevBlock's filters read
+// it: the largest distance that reaches the threshold for each rune
+// length, and the window of partner lengths that can, computed once so
+// that no probe does float arithmetic. Matchers that decide millions of
+// pairs against one threshold (the paper's setup) build one Thresholder
+// and share it; it is immutable and safe for concurrent use.
 type Thresholder struct {
 	threshold float64
 	bounds    [maxCachedBound + 1]int16
@@ -340,30 +302,4 @@ func (t *Thresholder) MaxDist(longest int) int {
 //go:noinline
 func (t *Thresholder) maxDistUncached(longest int) int {
 	return levenshteinMaxDist(longest, t.threshold)
-}
-
-// Match reports whether the pair reaches the threshold and, if so, the
-// exact normalized similarity: the same decision and float as
-// LevenshteinSimilarity(a.Raw, b.Raw) >= threshold. Clearly dissimilar
-// pairs are rejected by two O(len) pre-filters — the length difference
-// and the histogram bag bound, both lower bounds on the edit distance —
-// before the exact distance (levenshteinPreparedDist) runs. Steady-state
-// calls allocate nothing.
-func (t *Thresholder) Match(a, b *Prepared) (float64, bool) {
-	la, lb := a.RuneLen(), b.RuneLen()
-	longest := max(la, lb)
-	if longest == 0 {
-		return 1, t.threshold <= 1
-	}
-	maxDist := t.MaxDist(longest)
-	if max(la-lb, lb-la) > maxDist {
-		return 0, false
-	}
-	if maxDist < longest && BagBound(a, b) > maxDist {
-		return 0, false
-	}
-	if d := levenshteinPreparedDist(a, b); d <= maxDist {
-		return 1 - float64(d)/float64(longest), true
-	}
-	return 0, false
 }

@@ -22,23 +22,50 @@ func randTitle(rng *rand.Rand, maxLen int) string {
 	return b.String()
 }
 
-// checkMatch holds Thresholder.Match to the DP reference on one pair:
-// it accepts exactly when LevenshteinSimilarity(a, b) >= threshold, and
-// then with that very float.
+// prepare derives p's cached forms on a fresh value, outside the free
+// list, for tests of the kernels that read them.
+func prepare(s string) *Prepared {
+	p := new(Prepared)
+	p.fill(s)
+	return p
+}
+
+// probePair decides one pair through a one-row LevBlock: row is loaded,
+// then probe is probed and dropped.
+func probePair(th *Thresholder, row, probe string) (float64, bool) {
+	var b LevBlock
+	b.Use(th)
+	defer b.Reset()
+	b.Add(row)
+	if rows, sims := b.Probe(probe, false); len(rows) == 1 {
+		return sims[0], true
+	}
+	return 0, false
+}
+
+// checkMatch holds a one-row LevBlock probe, in both orders, to the
+// rune-DP reference on one pair: it accepts exactly when refMatch does,
+// and then with that very float.
 func checkMatch(t *testing.T, th *Thresholder, a, b string) {
 	t.Helper()
-	want := LevenshteinSimilarity(a, b)
-	sim, ok := th.Match(Prepare(a), Prepare(b))
-	if ok != (want >= th.threshold) || ok && sim != want {
-		t.Fatalf("Thresholder(%v).Match(%.40q, %.40q) = (%v, %v), reference similarity %v",
-			th.threshold, a, b, sim, ok, want)
+	want, wantOK := refMatch(a, b, th.threshold)
+	for _, pair := range [][2]string{{a, b}, {b, a}} {
+		if sim, ok := probePair(th, pair[0], pair[1]); ok != wantOK || ok && sim != want {
+			t.Fatalf("Thresholder(%v): row %.40q probed with %.40q = (%v, %v), rune DP says (%v, %v)",
+				th.threshold, pair[0], pair[1], sim, ok, want, wantOK)
+		}
 	}
 }
 
+// matchAll accepts every pair with its exact similarity, so a probe at
+// it reaches the distance kernel on every pair: its similarity holds the
+// block's distance dispatch to the DP.
+var matchAll = NewThresholder(0)
+
 // checkMatchStream draws trials random pairs of up to maxLn runes from
-// seed and holds each to the DP reference: its distance dispatch, its
-// decision at a drawn threshold, and its decision at its own similarity,
-// which must accept it.
+// seed and holds each to the DP reference: the rune kernel's distance,
+// and a block probe at matchAll, at a drawn threshold and at the pair's
+// own similarity, which must accept it.
 func checkMatchStream(t *testing.T, seed int64, trials, maxLn int, threshold func(*rand.Rand) float64) {
 	t.Helper()
 	thresholders := map[float64]*Thresholder{}
@@ -51,9 +78,10 @@ func checkMatchStream(t *testing.T, seed int64, trials, maxLn int, threshold fun
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
 		a, b := randTitle(rng, maxLn), randTitle(rng, maxLn)
-		if got, want := levenshteinPreparedDist(Prepare(a), Prepare(b)), Levenshtein(a, b); got != want {
+		if got, want := levenshteinPreparedDist(prepare(a), prepare(b)), Levenshtein(a, b); got != want {
 			t.Fatalf("levenshteinPreparedDist(%q,%q) = %d, want %d", a, b, got, want)
 		}
+		checkMatch(t, matchAll, a, b)
 		checkMatch(t, thresholder(threshold(rng)), a, b)
 		// Exact-boundary threshold: the pair's own similarity.
 		checkMatch(t, thresholder(LevenshteinSimilarity(a, b)), a, b)
@@ -61,30 +89,31 @@ func checkMatchStream(t *testing.T, seed int64, trials, maxLn int, threshold fun
 }
 
 // TestLevenshteinAtLeastMatchesSimilarity is the threshold-boundary
-// differential of the per-pair kernel: Thresholder.Match must agree
-// exactly with the DP reference for every (pair, threshold), including
+// differential of the block kernel: a probe must agree exactly with the
+// DP reference for every (pair, threshold), including
 // pairs sitting exactly on the threshold — the case the former
 // int(float64(longest)*(1-threshold)) bound got wrong (longest=5,
 // t=0.8 yielded maxDist 0 instead of 1).
 func TestLevenshteinAtLeastMatchesSimilarity(t *testing.T) {
 	// The historical failure first: distance 1 at length 5 is exactly
 	// similarity 0.8.
-	if _, ok := NewThresholder(0.8).Match(Prepare("abcde"), Prepare("abcdX")); !ok {
-		t.Fatal("Thresholder(0.8) rejects a pair exactly on the threshold")
+	if _, ok := probePair(NewThresholder(0.8), "abcde", "abcdX"); !ok {
+		t.Fatal("a block at 0.8 rejects a pair exactly on the threshold")
 	}
 	fixed := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 2.0 / 3, 0.75, 0.8, 0.9, 0.95, 1}
 	checkMatchStream(t, 42, 2000, 12, func(rng *rand.Rand) float64 { return fixed[rng.Intn(len(fixed))] })
 }
 
-// TestPreparedKernelsEquivalence holds the per-pair kernel to the DP
-// reference on longer random titles at thresholds in tenths.
+// TestPreparedKernelsEquivalence holds the block kernel and the rune
+// kernel to the DP reference on longer random titles at thresholds in
+// tenths.
 func TestPreparedKernelsEquivalence(t *testing.T) {
 	checkMatchStream(t, 7, 1500, 16, func(rng *rand.Rand) float64 { return float64(rng.Intn(11)) / 10 })
 }
 
-// FuzzThresholderMatch: the per-pair kernel is the DP reference for any
-// two strings — ASCII or not, valid UTF-8 or not, past the 64-rune word —
-// and any threshold, NaN and the infinities included.
+// FuzzThresholderMatch: a one-row block probe at a Thresholder is the DP
+// reference for any two strings — ASCII or not, valid UTF-8 or not, past
+// the 64-rune word — and any threshold, NaN and the infinities included.
 func FuzzThresholderMatch(f *testing.F) {
 	f.Add("acme", "acme", math.NaN())
 	f.Add("acme", "acme", math.Inf(1))
@@ -103,11 +132,13 @@ func FuzzThresholderMatch(f *testing.F) {
 	})
 }
 
-// TestMyersMatchesDP drives the bit-parallel ASCII kernel against the
-// reference DP across the word-size boundary (len 1..80, including
-// exactly 64), plus mixed ASCII/unicode pairs that must take the rune
-// path, at every dispatch point (the distance dispatch, and the match
-// kernel behind its filters).
+// TestMyersMatchesDP drives the block's ASCII distance dispatch — the
+// probe's mask table, myersASCII with the row as pattern, and blocked
+// Myers — against the reference DP across the word-size boundary (len
+// 1..80, including exactly 64), plus mixed ASCII/unicode pairs that must
+// take the rune kernel with the ASCII side's runes materialized: at
+// matchAll, where every pair reaches the distance, and behind the
+// filters at a drawn threshold.
 func TestMyersMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	randASCII := func(n int) string {
@@ -130,9 +161,10 @@ func TestMyersMatchesDP(t *testing.T) {
 		if trial%5 == 0 {
 			sa += "日" // force the mixed-pair rune path
 		}
-		if got, want := levenshteinPreparedDist(Prepare(sa), Prepare(sb)), Levenshtein(sa, sb); got != want {
+		if got, want := levenshteinPreparedDist(prepare(sa), prepare(sb)), Levenshtein(sa, sb); got != want {
 			t.Fatalf("levenshteinPreparedDist(len %d, len %d) = %d, want %d", la, lb, got, want)
 		}
+		checkMatch(t, matchAll, sa, sb)
 		checkMatch(t, thresholders[rng.Intn(len(thresholders))], sa, sb)
 	}
 }
@@ -158,14 +190,14 @@ func TestBagBoundLowerBound(t *testing.T) {
 		} else {
 			sa, sb = randUni(), randUni()
 		}
-		pa, pb := Prepare(sa), Prepare(sb)
+		pa, pb := prepare(sa), prepare(sb)
 		bag, lev := BagBound(pa, pb), Levenshtein(sa, sb)
 		if bag > lev {
 			t.Fatalf("BagBound(%q,%q) = %d > Levenshtein = %d: filter unsound", sa, sb, bag, lev)
 		}
 	}
 	// Symmetry and identity.
-	pa, pb := Prepare("abca"), Prepare("cab x")
+	pa, pb := prepare("abca"), prepare("cab x")
 	if BagBound(pa, pb) != BagBound(pb, pa) {
 		t.Fatal("BagBound not symmetric")
 	}
@@ -174,37 +206,21 @@ func TestBagBoundLowerBound(t *testing.T) {
 	}
 }
 
-// TestPreparedKernelAllocs asserts the hot path's allocation contract:
-// once both sides are prepared, a comparison allocates nothing.
-func TestPreparedKernelAllocs(t *testing.T) {
-	pa := Prepare("canon eos 5d mark iii digital slr camera body")
-	pb := Prepare("canon eos 5d mark iv digital slr camera body only")
-	pc := Prepare("nikon d850 45mp full frame dslr with battery grip")
-	th := NewThresholder(0.8)
-	kernels := map[string]func(){
-		"Thresholder.Match/hit":   func() { th.Match(pa, pb) },
-		"Thresholder.Match/miss":  func() { th.Match(pa, pc) },
-		"levenshteinPreparedDist": func() { levenshteinPreparedDist(pa, pb) },
-		"BagBound":                func() { BagBound(pa, pb) },
-	}
-	for name, fn := range kernels {
-		fn() // warm the scratch pools
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
-		}
-	}
-}
-
-// TestPreparedAccessors covers the small cached-form accessors.
+// TestPreparedAccessors covers the cached forms: the raw string, the
+// rune slice a non-ASCII string carries, and the one an ASCII string
+// materializes on demand.
 func TestPreparedAccessors(t *testing.T) {
-	p := Prepare("Beta alpha beta")
-	if p.Raw != "Beta alpha beta" {
-		t.Fatalf("Raw = %q", p.Raw)
+	p := PreparePooled("Beta alpha beta")
+	if p.Raw != "Beta alpha beta" || len(p.runes) != 0 {
+		t.Fatalf("Raw = %q with %d runes cached, want no runes before a comparison needs them", p.Raw, len(p.runes))
 	}
-	if p.RuneLen() != 15 {
-		t.Fatalf("RuneLen = %d, want 15", p.RuneLen())
+	if n := len(p.runeSeq()); n != 15 {
+		t.Fatalf("runeSeq of an ASCII string has %d runes, want 15", n)
 	}
-	if n := Prepare("日本語 x").RuneLen(); n != 5 {
-		t.Fatalf("RuneLen of a non-ASCII string = %d, want 5 runes", n)
+	p.Release()
+	q := PreparePooled("日本語 x")
+	if len(q.runes) != 5 || q.ascii {
+		t.Fatalf("a non-ASCII string caches %d runes (ascii=%v), want 5", len(q.runes), q.ascii)
 	}
+	q.Release()
 }
