@@ -1,6 +1,7 @@
 // Command ermatch runs blocking-based entity resolution over a CSV
 // dataset with a selectable load-balancing strategy, executing the full
-// two-job MapReduce workflow on the in-process engine. Matches stream
+// two-job workflow (the BDM count, then the MapReduce matching job) on
+// the in-process engine. Matches stream
 // as CSV to a file or, with -out -, to stdout, and are never buffered;
 // without -out only their count is printed. A file is written
 // atomically: the stream lands in a temp file renamed over -out only
@@ -9,8 +10,8 @@
 // engine tasks, and -max-attempts/-task-timeout/-faults expose the
 // engine's retry policy and deterministic fault injection. With
 // -master the process becomes the master of a distributed run: it
-// listens for erworker registrations and dispatches both jobs' tasks
-// to them, producing output byte-identical to the local run. A failed
+// listens for erworker registrations and dispatches the matching job's
+// tasks to them, producing output byte-identical to the local run. A failed
 // run's exit status names its failure class; ermatch -h lists them.
 //
 // Usage:
@@ -97,12 +98,11 @@ func main() {
 	// identical jobs from them. Expanding them here checks the strategy
 	// and -prefix before the input is opened.
 	params := er.DistParams{
-		Strategy:    *strategy,
-		Attr:        *attr,
-		KeyPrefix:   *prefix,
-		Threshold:   *threshold,
-		R:           *r,
-		UseCombiner: true,
+		Strategy:  *strategy,
+		Attr:      *attr,
+		KeyPrefix: *prefix,
+		Threshold: *threshold,
+		R:         *r,
 	}
 	cfg, err := params.Config()
 	if err != nil {
@@ -168,10 +168,11 @@ func main() {
 	// Rows are built in place in the m input partitions, their strings
 	// aliasing the file's bytes: the pre-map memory high-water mark is the
 	// input's text plus one Entity and its attributes per row. The source
-	// is handed to the pipeline unread. Its one read-and-annotate step is
-	// the only holder of the partitions, so they are garbage before Job 1
-	// starts, and both jobs run on the annotated rows alone (a caller
-	// that read them here would keep them alive through Job 1).
+	// is handed to the pipeline unread. Its one read-and-annotate step,
+	// which also takes Job 1's count, is the only holder of the
+	// partitions, so they are garbage before the matching job starts,
+	// which runs on the annotated rows alone (a caller that read them
+	// here would keep them alive through it).
 	var src er.Source
 	if *in != "" {
 		src = er.FromCSVFile(*in, *m)

@@ -26,8 +26,8 @@ import (
 	"repro/internal/dist"
 	"repro/internal/obs"
 
-	// Imported for its job builders: the er package registers the
-	// "er/bdm" and "er/match" constructors this worker executes.
+	// Imported for its job builder: the er package registers the
+	// "er/match" constructor this worker executes.
 	_ "repro/internal/er"
 )
 

@@ -43,12 +43,11 @@ func BenchmarkDistRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := er.DistParams{
-		Strategy:    "blocksplit",
-		Attr:        datagen.AttrTitle,
-		KeyPrefix:   3,
-		Threshold:   0.8,
-		R:           16,
-		UseCombiner: true,
+		Strategy:  "blocksplit",
+		Attr:      datagen.AttrTitle,
+		KeyPrefix: 3,
+		Threshold: 0.8,
+		R:         16,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

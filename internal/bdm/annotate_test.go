@@ -2,6 +2,7 @@ package bdm
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 
 // FuzzAnnotateNumbering holds Annotate's block ids to a map[string]int
 // oracle of the sorted distinct keys: ids are dense, id order is key
-// order, and equal keys get equal ids, whatever the keys' bytes. data
+// order, and equal keys get equal ids, whatever the keys' bytes. Its
+// count, assembled, must be FromPartitions' matrix. data
 // is a sequence of length-prefixed keys (a length byte, mod 40, then
 // that many bytes), dealt round robin over m%4+1 partitions.
 func FuzzAnnotateNumbering(f *testing.F) {
@@ -44,7 +46,7 @@ func FuzzAnnotateNumbering(f *testing.F) {
 			oracle[k] = id
 		}
 
-		input, keys := Annotate(parts, "k", blocking.Identity())
+		input, keys, counts := Annotate(parts, "k", blocking.Identity())
 		if !slices.Equal(keys, distinct) {
 			t.Fatalf("key table %q, want the sorted distinct keys %q", keys, distinct)
 		}
@@ -66,6 +68,13 @@ func FuzzAnnotateNumbering(f *testing.F) {
 		}
 		if i := slices.Index(used, false); i >= 0 {
 			t.Fatalf("id %d (key %q) names no row: ids are not dense", i, keys[i])
+		}
+		got, err := FromCounts(keys, len(parts), counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := FromPartitions(parts, "k", blocking.Identity()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("counted matrix\n%vwant FromPartitions' (err %v)\n%v", got, err, want)
 		}
 	})
 }

@@ -5,10 +5,9 @@
 // MR job to compute their routing decisions.
 //
 // The package provides the matrix type itself, a direct in-memory
-// builder, the one blocking-key annotation of the input (Annotate), which
-// numbers the blocks, and the MapReduce job of Algorithm 3 that counts
-// the annotated entities' block ids into the matrix; Job 2 reads the same
-// annotated entities.
+// builder, and the one blocking-key annotation of the input (Annotate),
+// which numbers the blocks and counts the annotated entities into the
+// matrix, Algorithm 3's count; Job 2 reads the same annotated entities.
 package bdm
 
 import (
@@ -233,34 +232,26 @@ func (x *Matrix) LargestBlock() (k, size int) {
 }
 
 // FromCounts is the one matrix assembler: the matrix of m partitions
-// whose blocks are keys, sorted, and whose cells are the BDM job's
-// output records, by block id. Counts must be positive, and a
-// (block, partition) cell may appear once.
-func FromCounts(keys []string, m int, counts []CountRecord) (*Matrix, error) {
-	if m <= 0 {
+// whose blocks are keys, sorted, and whose cells are counts, block by
+// block: counts[k*m+p] entities of block k in partition p. The rows
+// are carved out of counts, which the matrix keeps. No count may be
+// negative.
+func FromCounts(keys []string, m int, counts []int) (*Matrix, error) {
+	switch {
+	case m <= 0:
 		return nil, fmt.Errorf("bdm: a matrix needs m > 0, got %d", m)
+	case len(counts) != len(keys)*m:
+		return nil, fmt.Errorf("bdm: %d counts for %d blocks × %d partitions", len(counts), len(keys), m)
 	}
-	// All rows are carved out of one flat backing array (one allocation
-	// instead of one per block).
-	backing := make([]int, len(keys)*m)
 	x := &Matrix{keys: keys, sizes: make([][]int, len(keys)), m: m, total: make([]int, len(keys))}
-	for i := range keys {
-		x.sizes[i] = backing[i*m : (i+1)*m : (i+1)*m]
-	}
-	for _, c := range counts {
-		k, p := int(c.Key.Block), int(c.Key.Partition)
-		switch {
-		case k < 0 || k >= len(keys):
-			return nil, fmt.Errorf("bdm: a cell references block %d outside [0,%d)", k, len(keys))
-		case p < 0 || p >= m:
-			return nil, fmt.Errorf("bdm: cell %q references partition %d outside [0,%d)", keys[k], p, m)
-		case c.Value <= 0:
-			return nil, fmt.Errorf("bdm: cell %q partition %d has count %d, not a positive one", keys[k], p, c.Value)
-		case x.sizes[k][p] != 0:
-			return nil, fmt.Errorf("bdm: duplicate cell for block %q partition %d", keys[k], p)
+	for k := range keys {
+		x.sizes[k] = counts[k*m : (k+1)*m : (k+1)*m]
+		for p, n := range x.sizes[k] {
+			if n < 0 {
+				return nil, fmt.Errorf("bdm: block %q partition %d has count %d", keys[k], p, n)
+			}
+			x.total[k] += n
 		}
-		x.sizes[k][p] = c.Value
-		x.total[k] += c.Value
 	}
 	x.finalize()
 	return x, nil

@@ -68,12 +68,6 @@ func TestEntityOffset(t *testing.T) {
 	}
 }
 
-// cell is one count record for FromCounts: n entities of block k in
-// partition p.
-func cell(k, p, n int) CountRecord {
-	return CountRecord{Key: Key{Block: int32(k), Partition: int32(p)}, Value: n}
-}
-
 // nonZeroCells returns the number of non-zero cells of x: the lines its
 // WriteTo writes after the header.
 func nonZeroCells(x *Matrix) int {
@@ -92,15 +86,13 @@ func TestFromCountsValidation(t *testing.T) {
 	for name, tc := range map[string]struct {
 		keys   []string
 		m      int
-		counts []CountRecord
+		counts []int
 	}{
-		"m=0":                    {nil, 0, nil},
-		"partition out of range": {[]string{"a"}, 2, []CountRecord{cell(0, 5, 1)}},
-		"negative partition":     {[]string{"a"}, 2, []CountRecord{cell(0, -1, 1)}},
-		"block out of range":     {[]string{"a"}, 2, []CountRecord{cell(1, 0, 1)}},
-		"negative count":         {[]string{"a"}, 2, []CountRecord{cell(0, 0, -1)}},
-		"zero count":             {[]string{"a"}, 2, []CountRecord{cell(0, 0, 0)}},
-		"duplicate cell":         {[]string{"a"}, 2, []CountRecord{cell(0, 0, 1), cell(0, 0, 2)}},
+		"m=0":              {nil, 0, nil},
+		"a count short":    {[]string{"a"}, 2, []int{1}},
+		"a count too many": {[]string{"a"}, 2, []int{1, 0, 1}},
+		"no counts":        {[]string{"a", "b"}, 1, nil},
+		"negative count":   {[]string{"a", "b"}, 2, []int{1, 0, 0, -1}},
 	} {
 		if _, err := FromCounts(tc.keys, tc.m, tc.counts); err == nil {
 			t.Errorf("%s: want error", name)
@@ -122,18 +114,16 @@ func TestEmptyMatrix(t *testing.T) {
 }
 
 // TestCellsRoundTrip: the matrix FromPartitions counts is the one
-// FromCounts assembles from its own non-zero cells, by block id.
+// FromCounts assembles from its own cells, block by block.
 func TestCellsRoundTrip(t *testing.T) {
 	x, err := FromPartitions(parts2(), "k", blocking.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts []CountRecord
+	var counts []int
 	for k := range x.NumBlocks() {
 		for p := range x.NumPartitions() {
-			if n := x.SizeIn(k, p); n > 0 {
-				counts = append(counts, cell(k, p, n))
-			}
+			counts = append(counts, x.SizeIn(k, p))
 		}
 	}
 	y, err := FromCounts(x.keys, x.NumPartitions(), counts)
@@ -145,11 +135,11 @@ func TestCellsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMRJobAgreesWithDirectBuilder is the core BDM property: Algorithm 3
-// executed on the MR engine produces exactly the direct computation, for
-// random inputs, any reduce-task count, with and without the per-task
-// aggregation of footnote 2 (UseCombiner); and what ComputeContext hands
-// Job 2 is the annotated input the job ran on.
+// TestMRJobAgreesWithDirectBuilder is the core BDM property: Algorithm
+// 3's count, taken where Annotate numbers the keys, is exactly the
+// direct computation for random inputs; its JobResult records one
+// map-output record per non-zero cell, as footnote 2's combiner emits;
+// and what ComputeContext hands Job 2 is the annotated input it counted.
 func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
@@ -166,42 +156,31 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, combiner := range []bool{false, true} {
-			r := rng.Intn(7) + 1
-			got, input, res, err := ComputeContext(context.Background(), &mapreduce.Engine{}, parts, JobOptions{
-				Attr: "k", KeyFunc: key, NumReduceTasks: r, UseCombiner: combiner,
-			})
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
+		got, input, res, err := ComputeContext(context.Background(), nil, parts, JobOptions{Attr: "k", KeyFunc: key})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: counted matrix differs:\n%v\nvs\n%v", trial, got, want)
+		}
+		wantRes := &JobResult{mapreduce.Metrics{JobName: "bdm", MapOutputRecords: int64(nonZeroCells(want))}}
+		if !reflect.DeepEqual(res, wantRes) {
+			t.Fatalf("trial %d: JobResult = %+v, want %+v", trial, res, wantRes)
+		}
+		// The annotated input is the counted one: every partition in
+		// place, each entity in place with the id of KeyFunc(Attr) in the
+		// matrix.
+		if len(input) != m {
+			t.Fatalf("trial %d: %d annotated partitions, want %d", trial, len(input), m)
+		}
+		for p := range parts {
+			if len(input[p]) != len(parts[p]) {
+				t.Fatalf("trial %d: partition %d: %d annotated, want %d", trial, p, len(input[p]), len(parts[p]))
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (r=%d combiner=%v): MR matrix differs:\n%v\nvs\n%v", trial, r, combiner, got, want)
-			}
-			// Footnote 2: one map-output record per non-zero cell instead
-			// of one per entity.
-			wantOut := n
-			if combiner {
-				wantOut = nonZeroCells(want)
-			}
-			if res.MapOutputRecords != int64(wantOut) {
-				t.Fatalf("trial %d (combiner=%v): MapOutputRecords = %d, want %d", trial, combiner, res.MapOutputRecords, wantOut)
-			}
-			// The annotated input is the job's: every partition in place,
-			// each entity in place with the id of KeyFunc(Attr) in the
-			// matrix, all of it read by the map task of its partition.
-			if len(input) != m {
-				t.Fatalf("trial %d: %d annotated partitions, want %d", trial, len(input), m)
-			}
-			for p := range parts {
-				if len(input[p]) != len(parts[p]) || res.MapMetrics[p].InputRecords != int64(len(parts[p])) {
-					t.Fatalf("trial %d: partition %d: %d annotated, %d read by its map task, want %d",
-						trial, p, len(input[p]), res.MapMetrics[p].InputRecords, len(parts[p]))
-				}
-				for j, rec := range input[p] {
-					e := parts[p][j]
-					if rec.Value.ID != e.ID || got.BlockKey(int(rec.Key)) != key(e.Attr("k")) {
-						t.Fatalf("trial %d: annotated %d/%d is (%q, %s), want (%q, %s)", trial, p, j, got.BlockKey(int(rec.Key)), rec.Value.ID, key(e.Attr("k")), e.ID)
-					}
+			for j, rec := range input[p] {
+				e := parts[p][j]
+				if rec.Value.ID != e.ID || got.BlockKey(int(rec.Key)) != key(e.Attr("k")) {
+					t.Fatalf("trial %d: annotated %d/%d is (%q, %s), want (%q, %s)", trial, p, j, got.BlockKey(int(rec.Key)), rec.Value.ID, key(e.Attr("k")), e.ID)
 				}
 			}
 		}
@@ -219,29 +198,11 @@ func TestMatrixString(t *testing.T) {
 	}
 }
 
-func TestJobPanicsOnBadOptions(t *testing.T) {
-	assertPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	assertPanic("r=0", func() { Job(JobOptions{KeyFunc: blocking.Identity()}) })
-}
-
-// TestComputeContextRejectsBadOptions: bad options are an error before
-// anything runs, not a panic.
+// TestComputeContextRejectsBadOptions: a missing KeyFunc is an error
+// before anything runs, not a panic.
 func TestComputeContextRejectsBadOptions(t *testing.T) {
-	for name, opts := range map[string]JobOptions{
-		"nil KeyFunc": {NumReduceTasks: 1},
-		"r=0":         {KeyFunc: blocking.Identity()},
-		"r=-1":        {KeyFunc: blocking.Identity(), NumReduceTasks: -1},
-	} {
-		if _, _, _, err := ComputeContext(context.Background(), &mapreduce.Engine{}, parts2(), opts); err == nil {
-			t.Errorf("%s: no error", name)
-		}
+	if _, _, _, err := ComputeContext(context.Background(), nil, parts2(), JobOptions{NumReduceTasks: 1}); err == nil {
+		t.Error("nil KeyFunc: no error")
 	}
 }
 

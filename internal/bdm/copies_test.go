@@ -9,23 +9,21 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/entity"
-	"repro/internal/mapreduce"
 )
 
 // perCellBytes is the allocation ComputeContext may spend per matrix
 // cell beyond the one annotated copy of its input: the numbering table,
-// the count arrays, map output, sort and merge of the cell records, and
-// the matrix. A cold first run spends more than a run with the engine's
-// pools warm, so the bound below holds the minimum of three runs. Here
-// it also covers the block-id column Job 1 reads, 4 B a record: on
-// amd64 the minimum measured 4.77 MB against a bound of 6.05 MB.
-const perCellBytes = 512
+// the sorted key table, the counts and the matrix. On amd64 it measured
+// 59 B a cell (4.23 MB against a bound of 4.51 MB); the BDM job that
+// counted before, with its map output, sort, merge and the block-id
+// column it read, took 192.
+const perCellBytes = 128
 
 // TestComputeContextCopiesInputOnce pins the number of copies Job 1
 // makes of its input: one []Annotated of n records, which Job 2 reads
-// and whose ids Job 1 counts, plus a per-cell term. A second copy of
-// the n records (a wrap for the job and an annotated output beside it)
-// is 4 MB here and does not fit under the bound.
+// and whose ids are counted as they are numbered, plus a per-cell term.
+// A second copy of the n records is 4 MB here and does not fit under
+// the bound.
 func TestComputeContextCopiesInputOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at will; the bound would flake")
@@ -41,14 +39,13 @@ func TestComputeContextCopiesInputOnce(t *testing.T) {
 		es[i] = entity.New(fmt.Sprintf("e%06d", i), "title", fmt.Sprintf("%s item %d", key, i))
 	}
 	parts := entity.SplitRoundRobin(es, m)
-	opts := JobOptions{Attr: "title", KeyFunc: blocking.NormalizedPrefix(3), NumReduceTasks: 4, UseCombiner: true}
-	eng := &mapreduce.Engine{Parallelism: 1}
+	opts := JobOptions{Attr: "title", KeyFunc: blocking.NormalizedPrefix(3)}
 
 	least, cells := ^uint64(0), 0
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		x, _, _, err := ComputeContext(context.Background(), eng, parts, opts)
+		x, _, _, err := ComputeContext(context.Background(), nil, parts, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

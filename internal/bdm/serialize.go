@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -62,12 +63,14 @@ func (x *Matrix) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom parses a matrix previously written by WriteTo. It reads r to
 // the end first — the matrix is larger than its text — and parses the
-// text in place: a key without escapes is a substring of it, the counts
-// are sized from the line count, and no per-line slice is built. Keys
-// are numbered as they arrive: a line whose key equals the previous
-// line's continues that block, and a larger key opens the next block
-// id. A key below the previous one is refused, so FromCounts gets the
-// ids with no sort and no search.
+// text in place: a key without escapes is a substring of it, and no
+// per-line slice is built. Keys are numbered as they arrive: a line
+// whose key equals the previous line's continues that block, and a
+// larger key opens the next block id and its row of counts. A key below
+// the previous one is refused, so FromCounts gets the rows with no sort
+// and no search. Every refusal names its line: a partition outside the
+// header's count, a count that is not positive and a second cell for
+// one key and partition included.
 func ReadFrom(r io.Reader) (*Matrix, error) {
 	var sb strings.Builder
 	if _, err := io.Copy(&sb, r); err != nil {
@@ -95,7 +98,9 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		}
 	}
 	keys := []string{}
-	counts := make([]CountRecord, 0, strings.Count(text, "\n")+1)
+	// FromCounts' cells, m per block; one per line when every block has
+	// an entity in every partition.
+	counts := make([]int, 0, strings.Count(text, "\n")+1)
 	for line := 2; text != ""; line++ {
 		var row string
 		row, text = cutLine(text)
@@ -112,8 +117,9 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 			return nil, fmt.Errorf("bdm: line %d: key %q out of order after %q", line, key, keys[len(keys)-1])
 		case len(keys) == 0 || key != keys[len(keys)-1]:
 			keys = append(keys, key)
+			counts = slices.Grow(counts, m)[:len(counts)+m] // past len, never written: zero
 		}
-		part, err := strconv.ParseInt(partText, 10, 32)
+		part, err := strconv.Atoi(partText)
 		if err != nil {
 			return nil, fmt.Errorf("bdm: line %d: bad partition %q: %w", line, partText, err)
 		}
@@ -121,7 +127,16 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bdm: line %d: bad count %q: %w", line, countText, err)
 		}
-		counts = append(counts, CountRecord{Key: Key{Block: int32(len(keys) - 1), Partition: int32(part)}, Value: cnt})
+		switch cell := (len(keys)-1)*m + part; {
+		case part < 0 || part >= m:
+			return nil, fmt.Errorf("bdm: line %d: partition %d outside [0,%d)", line, part, m)
+		case cnt <= 0:
+			return nil, fmt.Errorf("bdm: line %d: count %d is not positive", line, cnt)
+		case counts[cell] != 0:
+			return nil, fmt.Errorf("bdm: line %d: second cell for key %q partition %d", line, key, part)
+		default:
+			counts[cell] = cnt
+		}
 	}
 	x, err := FromCounts(keys, m, counts)
 	switch {

@@ -2,6 +2,7 @@ package bdm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -115,6 +116,9 @@ func TestReadFromErrors(t *testing.T) {
 		"⊥ twice":              "bdm\t2\t⊥⊥\n\"\"\t0\t1\n",
 		"⊥ and tags":           "bdm\t2\tRS⊥\n\"\"\t0\t1\n",
 		"⊥ then tags":          "bdm\t2\t⊥\tRS\n\"\"\t0\t1\n",
+		"partition m":          "bdm\t2\n\"a\"\t0\t1\n\"b\"\t2\t1\n",
+		"zero count":           "bdm\t2\n\"a\"\t0\t1\n\"a\"\t1\t0\n",
+		"second cell":          "bdm\t2\n\"a\"\t1\t1\n\"b\"\t0\t1\n\"b\"\t1\t1\n\"b\"\t0\t2\n",
 	}
 	for name, input := range cases {
 		_, err := ReadFrom(strings.NewReader(input))
@@ -124,8 +128,13 @@ func TestReadFromErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not name line 1", name, err)
 		}
 	}
-	// The order refusals name the line where the smaller key arrives.
-	for name, line := range map[string]string{"keys out of order": "line 3:", "key returns": "line 4:"} {
+	// The order refusals name the line where the smaller key arrives,
+	// and the cell refusals the line of the cell.
+	for name, line := range map[string]string{
+		"keys out of order": "line 3:", "key returns": "line 4:",
+		"out of range": "line 2:", "partition m": "line 3:", "partition past int32": "line 2:",
+		"zero count": "line 3:", "duplicate cells": "line 3:", "second cell": "line 5:",
+	} {
 		if _, err := ReadFrom(strings.NewReader(cases[name])); err == nil || !strings.Contains(err.Error(), line) {
 			t.Errorf("%s: err = %v, want an error naming %s", name, err, line)
 		}
@@ -185,7 +194,7 @@ func TestWriteToFormat(t *testing.T) {
 }
 
 // TestReadFromAllocatesPerMatrix: parsing costs the text, the key
-// table, the count records and the matrix — not a string, a field slice
+// table, the counts and the matrix — not a string, a field slice
 // or a growth step per cell.
 func TestReadFromAllocatesPerMatrix(t *testing.T) {
 	const blocks, m = 3000, 4
@@ -208,11 +217,11 @@ func TestReadFromAllocatesPerMatrix(t *testing.T) {
 func flatMatrix(t *testing.T, blocks, m int) *Matrix {
 	t.Helper()
 	keys := make([]string, blocks)
-	var counts []CountRecord
+	var counts []int
 	for k := range keys {
 		keys[k] = fmt.Sprintf("key%05d", k)
 		for p := 0; p < m; p++ {
-			counts = append(counts, cell(k, p, 1+(k+p)%5))
+			counts = append(counts, 1+(k+p)%5)
 		}
 	}
 	x, err := FromCounts(keys, m, counts)
@@ -244,4 +253,103 @@ func TestMatrixStringLinear(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 10*uint64(len(s)) {
 		t.Errorf("String of %d blocks allocated %d B for %d B of text, want at most 10×", x.NumBlocks(), alloc, len(s))
 	}
+}
+
+// FuzzMatrixSerialize round-trips a matrix through the quoted-key text
+// format of WriteTo/ReadFrom — the same arbitrary-byte-key concern as
+// the runio codecs, on the other on-disk artifact of the workflow. tags
+// is the header's third field: "" for one source, valid tags make a
+// two-source matrix, the ⊥ marker a matrix with missing keys when a key
+// is empty, and any other tags — or a ⊥ marker over cells without an
+// empty key — spliced into a header must be rejected with an error
+// naming line 1. With two keys, the text with its two cell lines swapped
+// must be rejected with an error naming the line out of order.
+func FuzzMatrixSerialize(f *testing.F) {
+	f.Add("canon", "nikon", 2, 1, 3, "")
+	f.Add("tab\tkey", "nl\nkey", 0, 0, 1, "")
+	f.Add(string([]byte{0xff, 0xfe}), string([]byte{0x00}), 1, 2, 9, "")
+	f.Add("canon", "nikon", 2, 1, 3, "RSSR")
+	f.Add("canon", "nikon", 2, 1, 3, "RSxR")
+	f.Add("", "nikon", 2, 1, 3, bottomMarker)
+	f.Add("", "", 3, 3, 1, bottomMarker)
+	f.Add("canon", "nikon", 2, 1, 3, bottomMarker)
+	f.Add("", "nikon", 2, 1, 3, bottomMarker+"R")
+	f.Fuzz(func(t *testing.T, key1, key2 string, p1, p2, count int, tags string) {
+		m := 4
+		norm := func(p int) int {
+			p %= m
+			if p < 0 {
+				p += m
+			}
+			return p
+		}
+		if count < 0 {
+			count = -count
+		}
+		row := func(p, n int) []int {
+			cells := make([]int, m)
+			cells[norm(p)] = n
+			return cells
+		}
+		keys, counts := []string{key1}, row(p1, count%1000+1)
+		switch {
+		case key2 > key1:
+			keys, counts = append(keys, key2), append(counts, row(p2, 1)...)
+		case key2 < key1:
+			keys, counts = []string{key2, key1}, append(row(p2, 1), counts...)
+		}
+		x, err := FromCounts(keys, m, counts)
+		if err != nil {
+			t.Fatalf("FromCounts: %v", err)
+		}
+		sources, badTags := parseSources(tags, m)
+		switch {
+		case tags == bottomMarker:
+			if x, err = x.WithMissingKeys(); err != nil {
+				t.Fatalf("WithMissingKeys: %v", err)
+			}
+			if x.MissingKeys() != (key1 == "" || key2 == "") {
+				t.Fatalf("keys %q, %q: ⊥ row %v", key1, key2, x.MissingKeys())
+			}
+			badTags = nil
+			if !x.MissingKeys() {
+				badTags = errors.New("⊥ marker without an empty key")
+			}
+		case tags != "" && badTags == nil:
+			if x, err = x.WithSources(sources); err != nil {
+				t.Fatalf("WithSources: %v", err)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := x.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		if tags != "" && badTags != nil {
+			if strings.ContainsAny(tags, "\r\n") {
+				return // not one header field
+			}
+			bad := strings.Replace(buf.String(), "\n", "\t"+tags+"\n", 1)
+			if _, err := ReadFrom(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "line 1:") {
+				t.Fatalf("ReadFrom of header tags %q: err = %v, want an error naming line 1", tags, err)
+			}
+			return
+		}
+		back, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadFrom: %v\ninput:\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(back, x) {
+			t.Fatalf("round trip mismatch:\nwant %v\ngot  %v", x, back)
+		}
+		if key1 == key2 {
+			return
+		}
+		// The larger key's cell line ahead of the smaller one's is refused
+		// where the smaller key arrives.
+		lines := strings.SplitAfter(buf.String(), "\n")
+		lines[1], lines[2] = lines[2], lines[1]
+		if _, err := ReadFrom(strings.NewReader(strings.Join(lines, ""))); err == nil || !strings.Contains(err.Error(), "line 3:") {
+			t.Fatalf("ReadFrom of swapped cell lines: err = %v, want an error naming line 3\ninput:\n%s", err, buf.String())
+		}
+	})
 }

@@ -12,9 +12,9 @@
 //     of pair indexes.
 //
 // Each strategy can produce an executable mapreduce.Job (Job 2 of the
-// paper's workflow, consuming the BDM job's annotated input) and an
-// analytic Plan that computes the identical per-task workloads directly
-// from the BDM without materializing any pairs. Plans make cluster-scale
+// paper's workflow, consuming the annotated input the BDM is counted
+// from) and an analytic Plan that computes the identical per-task
+// workloads directly from the BDM without materializing any pairs. Plans make cluster-scale
 // experiments (Figures 13/14) tractable on one machine; tests assert that
 // executed workloads and planned workloads agree exactly.
 //
@@ -95,7 +95,7 @@ const ComparisonsCounter = mapreduce.ComparisonsCounter
 
 // AnnotatedEntity is one input record of a matching job: an entity's
 // row annotated with its block id (bdm.Annotate), the record whose id
-// the BDM job counts (Algorithm 3's "additionalOutput").
+// the BDM counts (Algorithm 3's "additionalOutput").
 type AnnotatedEntity = bdm.Annotated
 
 // blockOf returns rec's block: its id, which must index x.

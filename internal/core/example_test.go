@@ -70,39 +70,30 @@ func TestPaperExampleBDM(t *testing.T) {
 }
 
 func TestPaperExampleBDMViaMapReduce(t *testing.T) {
-	// The MR computation (Algorithm 3) must agree with the direct
-	// builder, with and without the combiner.
-	for _, combiner := range []bool{false, true} {
-		eng := &mapreduce.Engine{}
-		x, input, res, err := bdm.ComputeContext(context.Background(), eng, exampleParts(), bdm.JobOptions{
-			Attr:           exAttr,
-			KeyFunc:        blocking.Identity(),
-			NumReduceTasks: 3,
-			UseCombiner:    combiner,
-		})
-		if err != nil {
-			t.Fatalf("Compute(combiner=%v): %v", combiner, err)
-		}
-		want := exampleBDM(t)
-		if !reflect.DeepEqual(x, want) {
-			t.Errorf("combiner=%v: MR matrix = %v, want %v", combiner, x, want)
-		}
-		// The annotated input must mirror the input partitioning with
-		// block-id annotations.
-		if len(input) != 2 || len(input[0]) != 7 || len(input[1]) != 7 {
-			t.Fatalf("combiner=%v: annotated input shape wrong: %d/%d", combiner, len(input[0]), len(input[1]))
-		}
-		if got := x.BlockKey(int(input[1][4].Key)); got != "z" {
-			t.Errorf("M's annotated block = %q, want z", got)
-		}
-		// Aggregating per map task compresses the map output: one pair
-		// per non-zero (block, partition) cell instead of one per entity.
-		if combiner && res.MapOutputRecords != 8 {
-			t.Errorf("combined map output = %d records, want 8 cells", res.MapOutputRecords)
-		}
-		if !combiner && res.MapOutputRecords != 14 {
-			t.Errorf("uncombined map output = %d records, want 14", res.MapOutputRecords)
-		}
+	// Algorithm 3's count must agree with the direct builder.
+	x, input, res, err := bdm.ComputeContext(context.Background(), nil, exampleParts(), bdm.JobOptions{
+		Attr:    exAttr,
+		KeyFunc: blocking.Identity(),
+	})
+	if err != nil {
+		t.Fatalf("ComputeContext: %v", err)
+	}
+	want := exampleBDM(t)
+	if !reflect.DeepEqual(x, want) {
+		t.Errorf("counted matrix = %v, want %v", x, want)
+	}
+	// The annotated input must mirror the input partitioning with
+	// block-id annotations.
+	if len(input) != 2 || len(input[0]) != 7 || len(input[1]) != 7 {
+		t.Fatalf("annotated input shape wrong: %d/%d", len(input[0]), len(input[1]))
+	}
+	if got := x.BlockKey(int(input[1][4].Key)); got != "z" {
+		t.Errorf("M's annotated block = %q, want z", got)
+	}
+	// The count is recorded as footnote 2's combiner emits it: one record
+	// per non-zero (block, partition) cell instead of one per entity.
+	if res.MapOutputRecords != 8 {
+		t.Errorf("count's map output = %d records, want 8 cells", res.MapOutputRecords)
 	}
 }
 

@@ -100,7 +100,7 @@ func mustBDM(t *testing.T, parts entity.Partitions) *bdm.Matrix {
 // annotatedInput builds the typed job input: each entity annotated with
 // the id of its blocking key read from the given attribute.
 func annotatedInput(parts entity.Partitions, attr string) [][]AnnotatedEntity {
-	input, _ := bdm.Annotate(parts, attr, blocking.Identity())
+	input, _, _ := bdm.Annotate(parts, attr, blocking.Identity())
 	return input
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Codec is the runio codec for Entity. No job of the pipeline shuffles
-// entities any more — both jobs read Rows (row.go) — but the frozen
+// entities any more — Job 2 reads Rows (row.go) — but the frozen
 // benchmark harness (benchmark/trace.go) still writes entities to a run
 // file in its runio pass, so the codec stays registered and retires
 // with it (ROADMAP item 1d). Layout: id ‖ attribute count ‖

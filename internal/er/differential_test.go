@@ -22,7 +22,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,14 +47,13 @@ var residencies = map[string]bool{"typed": false, "external": true}
 
 // pipelineInput is one input of the table in one shape.
 type pipelineInput struct {
-	name     string // labels the input in test names and failures
-	parts    entity.Partitions
-	mR       int  // two sources: the first mR partitions hold R, the rest S
-	bottom   bool // key leaves some entities keyless: a ⊥ row
-	key      blocking.KeyFunc
-	th       float64 // the matcher's threshold
-	r        int
-	combiner bool // Job 1 aggregates per map task
+	name   string // labels the input in test names and failures
+	parts  entity.Partitions
+	mR     int  // two sources: the first mR partitions hold R, the rest S
+	bottom bool // key leaves some entities keyless: a ⊥ row
+	key    blocking.KeyFunc
+	th     float64 // the matcher's threshold
+	r      int
 }
 
 // strategies are the strategies of in's shape: Basic matches one
@@ -103,12 +101,11 @@ func serialOracle(in pipelineInput, match core.PairFunc) ([]core.MatchPair, int6
 // hook and/or retry policy of a row's strategy; extOnly
 // restricts disk faults to the runs that reach disk points; mayMiss
 // marks a random schedule that need not fail any attempt of a small
-// run; inBDM marks a schedule that fails Job 1's attempts only.
+// run.
 type erFault struct {
 	name    string
 	extOnly bool
 	mayMiss bool
-	inBDM   bool
 	install func(o *er.RunOptions, strat core.Strategy)
 }
 
@@ -128,26 +125,19 @@ func failFirstAt(phase mapreduce.TaskKind, point mapreduce.FaultPoint) func(*er.
 	}
 }
 
-// straggler stalls attempt 1 of map task 0 of one job until the 200 ms
-// TaskTimeout: the match job, or Job 1 when inBDM is set. 200 ms is far
-// past any stall-free attempt on these inputs, -race included, so only
-// the straggler times out, and the retry is the only way the task
-// finishes. A strategy that needs the BDM runs Job 1 first, so the
-// match job's task 0 is the second one to start a first attempt.
-func straggler(inBDM bool) erFault {
+// straggler stalls attempt 1 of the match job's task 0 of the given
+// phase until the 200 ms TaskTimeout. 200 ms is far past any stall-free
+// attempt on these inputs, -race included, so only the straggler times
+// out, and the retry is the only way the task finishes.
+func straggler(phase mapreduce.TaskKind) erFault {
 	name := "straggler-timeout"
-	if inBDM {
-		name += "-bdm"
+	if phase == mapreduce.ReduceTask {
+		name += "-reduce"
 	}
-	return erFault{name: name, inBDM: inBDM, install: func(e *er.RunOptions, strat core.Strategy) {
-		target := int32(1)
-		if strat.NeedsBDM() && !inBDM {
-			target = 2
-		}
-		var started atomic.Int32
+	return erFault{name: name, install: func(e *er.RunOptions, _ core.Strategy) {
 		e.Retry = mapreduce.RetryPolicy{BaseBackoff: 1, TaskTimeout: 200 * time.Millisecond}
 		e.FaultHook = func(ctx context.Context, ph mapreduce.TaskKind, task, attempt int, pt mapreduce.FaultPoint) error {
-			if ph == mapreduce.MapTask && task == 0 && attempt == 1 && pt == mapreduce.FaultTaskStart && started.Add(1) == target {
+			if ph == phase && task == 0 && attempt == 1 && pt == mapreduce.FaultTaskStart {
 				<-ctx.Done()
 				return ctx.Err()
 			}
@@ -161,7 +151,7 @@ func erFaults() []erFault {
 		{name: "map-panic", install: failFirstAt(mapreduce.MapTask, mapreduce.FaultEmit)},
 		{name: "reduce-panic", install: failFirstAt(mapreduce.ReduceTask, mapreduce.FaultEmit)},
 		{name: "spill-transient", extOnly: true, install: failFirstAt(mapreduce.MapTask, mapreduce.FaultSpill)},
-		straggler(false),
+		straggler(mapreduce.MapTask),
 	}
 }
 
@@ -223,7 +213,7 @@ func (rw pipelineRow) run(t *testing.T) *er.Result {
 	}
 	cfg := er.Config{
 		RunOptions: opts,
-		Strategy:   rw.strat, Attr: "title", BlockKey: rw.in.key, Matcher: m, R: rw.in.r, UseCombiner: rw.in.combiner,
+		Strategy:   rw.strat, Attr: "title", BlockKey: rw.in.key, Matcher: m, R: rw.in.r,
 	}
 	var res *er.Result
 	var err error
@@ -245,20 +235,16 @@ func (rw pipelineRow) run(t *testing.T) *er.Result {
 // run of its input and strategy (P1). A nil want makes this run the
 // want, which it returns once it holds it to the serial oracle (P3):
 // the other rows' matches and comparisons are the want's. A
-// deterministic fault schedule must have failed an attempt of the job
-// it targets: Job 1 under inBDM, the match job otherwise.
+// deterministic fault schedule must have failed an attempt of the match
+// job.
 func checkPipeline(t *testing.T, name string, rw pipelineRow, want *er.Result) *er.Result {
 	t.Helper()
 	before := testleak.Snapshot()
 	res := rw.run(t)
 	testleak.Check(t, before)
 	if rw.fault.install != nil && !rw.fault.mayMiss {
-		job, retries := "the match job", res.MatchResult.Retries
-		if rw.fault.inBDM {
-			job, retries = "Job 1", res.BDMResult.Retries
-		}
-		if retries == 0 {
-			t.Fatalf("%s: fault %s never failed an attempt of %s", name, rw.fault.name, job)
+		if res.MatchResult.Retries == 0 {
+			t.Fatalf("%s: fault %s never failed an attempt of the match job", name, rw.fault.name)
 		}
 	}
 	zeroHistory(res)
@@ -299,7 +285,7 @@ func checkForms(t *testing.T, in pipelineInput, where map[string]bool) {
 // two), and with missingKeyBlocker leaving some of them keyless. The
 // one-source input has no name, so its subtests keep their names.
 func faultInputs() []pipelineInput {
-	one := pipelineInput{parts: entity.SplitRoundRobin(testEntities(150, 3), 3), key: datagen.BlockKey(), th: 0.8, r: 5, combiner: true}
+	one := pipelineInput{parts: entity.SplitRoundRobin(testEntities(150, 3), 3), key: datagen.BlockKey(), th: 0.8, r: 5}
 	two, bottom := one, one
 	two.name, two.mR = "/two-sources", 1
 	bottom.name, bottom.bottom, bottom.key = "/missing-keys", true, missingKeyBlocker
@@ -330,15 +316,16 @@ func TestERChaosDifferential(t *testing.T) {
 // TestERFaultScheduleDifferential runs every fault input and strategy
 // under each fault kind: one source in both residencies, two sources
 // and the ⊥ row spilled only, where every kind has its fault point,
-// which halves their straggler timeouts. The stragglers stall the match
-// job; one row, one source in memory under BlockSplit, stalls Job 1.
+// which halves their straggler timeouts. The stragglers stall a map
+// task; one row, one source in memory under BlockSplit, stalls a reduce
+// task.
 func TestERFaultScheduleDifferential(t *testing.T) {
 	for _, in := range faultInputs() {
 		for _, strat := range in.strategies() {
 			want := checkPipeline(t, strat.Name()+in.name, pipelineRow{in: in, strat: strat}, nil)
 			if in.name == "" && strat.Name() == (core.BlockSplit{}).Name() {
-				t.Run(strat.Name()+"/typed/straggler-timeout-bdm", func(t *testing.T) {
-					checkPipeline(t, t.Name(), pipelineRow{in: in, strat: strat, fault: straggler(true)}, want)
+				t.Run(strat.Name()+"/typed/straggler-timeout-reduce", func(t *testing.T) {
+					checkPipeline(t, t.Name(), pipelineRow{in: in, strat: strat, fault: straggler(mapreduce.ReduceTask)}, want)
 				})
 			}
 			for dname, spilling := range residencies {

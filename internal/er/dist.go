@@ -17,14 +17,16 @@ import (
 	"repro/internal/match"
 )
 
-// Distributed execution of the two-job workflow. A pipeline Config
-// cannot cross a process boundary (it carries function values:
-// BlockKey, Matcher), so the distributed entry point takes DistParams —
-// a declarative job description both the driver and the worker binary
-// expand into the *same* Config — and ships it to workers as the job
-// spec, together with the serialized BDM for Job 2. The worker-side
-// builders registered here (er/bdm, er/match) are what cmd/erworker
-// executes; any process that imports this package can serve er jobs.
+// Distributed execution of the two-job workflow. Job 1, the count, runs
+// in the driver, where the annotated rows already are; Job 2 is
+// dispatched. A pipeline Config cannot cross a process boundary (it
+// carries function values: BlockKey, Matcher), so the distributed entry
+// point takes DistParams — a declarative job description both the
+// driver and the worker binary expand into the *same* Config — and
+// ships it to workers as the job spec, together with the serialized
+// BDM. The worker-side builder registered here (er/match) is what
+// cmd/erworker executes; any process that imports this package can
+// serve er jobs.
 
 // DistParams describes a distributable pipeline run declaratively.
 type DistParams struct {
@@ -41,9 +43,12 @@ type DistParams struct {
 	// this similarity threshold; 0 counts comparisons without matching.
 	// Config refuses any other value.
 	Threshold float64 `json:"threshold"`
-	// R is the number of reduce tasks of both jobs.
+	// R is the number of reduce tasks of the matching job.
 	R int `json:"r"`
-	// UseCombiner makes the BDM job aggregate per map task.
+	// UseCombiner is ignored: it made the BDM job, which the count in
+	// bdm.Annotate replaced, aggregate per map task. It stays in the
+	// spec, whose fields master and workers must agree on, until ROADMAP
+	// item 27 retires it.
 	UseCombiner bool `json:"use_combiner"`
 }
 
@@ -77,11 +82,10 @@ func (p *DistParams) Config() (Config, error) {
 		return Config{}, fmt.Errorf("er: key prefix and r must be at least 1 and threshold in [0,1], got %d, %d and %v", p.KeyPrefix, p.R, p.Threshold)
 	}
 	cfg := Config{
-		Strategy:    strat,
-		Attr:        p.Attr,
-		BlockKey:    blocking.NormalizedPrefix(p.KeyPrefix),
-		R:           p.R,
-		UseCombiner: p.UseCombiner,
+		Strategy: strat,
+		Attr:     p.Attr,
+		BlockKey: blocking.NormalizedPrefix(p.KeyPrefix),
+		R:        p.R,
 	}
 	if p.Threshold > 0 {
 		cfg.Matcher = match.EditDistance(p.Attr, p.Threshold)
@@ -92,9 +96,9 @@ func (p *DistParams) Config() (Config, error) {
 // RunDistributedPipeline runs the workflow of Figure 2 over the Config
 // the parameters expand to. With opts.Master nil it is RunPipeline.
 // With a master it waits for opts.Workers registrations and runs the
-// same two jobs with their tasks dispatched to worker processes, each
-// job through its own master session; the workers rebuild the jobs
-// from the parameters. Results are byte-identical either way — the
+// same workflow with the matching job's tasks dispatched to worker
+// processes through a master session; the workers rebuild the job from
+// the parameters and the BDM. Results are byte-identical either way — the
 // distributed differential suite holds this across strategies and
 // worker-kill chaos. If every worker dies (or none registers), the
 // engine completes the run locally with a logged warning.
@@ -138,46 +142,30 @@ type dispatch struct {
 	params []byte
 }
 
-// bind returns the engine the named job runs on and a function to call
-// once the job is done. In process (d nil) that is eng itself. Bound,
-// it is a copy of eng whose Remote is a master session for the job,
-// closed by done. The er/bdm spec is the params JSON; the er/match spec
-// is the params JSON, a newline, then the BDM x in its canonical text
-// serialization (nothing for Basic), verbatim: the matrix is most of
-// the spec, and nothing re-escapes or re-scans it on the way to
-// bdm.ReadFrom.
-func (d *dispatch) bind(eng *mapreduce.Engine, job string, x *bdm.Matrix) (*mapreduce.Engine, func(), error) {
+// bind returns the engine the matching job runs on and a function to
+// call once the job is done. In process (d nil) that is eng itself.
+// Bound, it is a copy of eng whose Remote is an er/match session,
+// closed by done. The spec is the params JSON, a newline, then the BDM
+// x in its canonical text serialization (nothing for Basic), verbatim:
+// the matrix is most of the spec, and nothing re-escapes or re-scans it
+// on the way to bdm.ReadFrom.
+func (d *dispatch) bind(eng *mapreduce.Engine, x *bdm.Matrix) (*mapreduce.Engine, func(), error) {
 	if d == nil {
 		return eng, func() {}, nil
 	}
-	spec := d.params
-	if job == "er/match" {
-		buf := bytes.NewBuffer(append(slices.Clip(d.params), '\n'))
-		if x != nil {
-			if _, err := x.WriteTo(buf); err != nil {
-				return nil, nil, err
-			}
+	buf := bytes.NewBuffer(append(slices.Clip(d.params), '\n'))
+	if x != nil {
+		if _, err := x.WriteTo(buf); err != nil {
+			return nil, nil, err
 		}
-		spec = buf.Bytes()
 	}
-	session := d.master.Session(job, spec)
+	session := d.master.Session("er/match", buf.Bytes())
 	bound := *eng
 	bound.Remote = session
 	return &bound, session.Close, nil
 }
 
 func init() {
-	dist.RegisterJob("er/bdm", func(spec []byte) (mapreduce.RemoteRunnable, error) {
-		var p DistParams
-		if err := json.Unmarshal(spec, &p); err != nil {
-			return nil, fmt.Errorf("er/bdm spec: %w", err)
-		}
-		cfg, err := p.Config()
-		if err != nil {
-			return nil, err
-		}
-		return mapreduce.NewRemoteRunnable(bdm.Job(cfg.bdmJobOptions()))
-	})
 	dist.RegisterJob("er/match", func(spec []byte) (mapreduce.RemoteRunnable, error) {
 		paramsJSON, bdmText, _ := bytes.Cut(spec, []byte{'\n'})
 		var p DistParams

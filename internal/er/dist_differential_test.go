@@ -32,12 +32,11 @@ import (
 
 func distTestParams(strat core.Strategy) er.DistParams {
 	return er.DistParams{
-		Strategy:    strat.Name(),
-		Attr:        datagen.AttrTitle,
-		KeyPrefix:   3,
-		Threshold:   0.8,
-		R:           5,
-		UseCombiner: true,
+		Strategy:  strat.Name(),
+		Attr:      datagen.AttrTitle,
+		KeyPrefix: 3,
+		Threshold: 0.8,
+		R:         5,
 	}
 }
 

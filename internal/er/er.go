@@ -1,7 +1,8 @@
 // Package er provides the high-level entity-resolution pipeline: the
-// two-job MapReduce workflow of Figure 2 (BDM computation followed by
-// the load-balanced matching job), and the analytic workloads of both
-// jobs that the cluster simulator reads (planmode.go).
+// two-job workflow of Figure 2 (the BDM count, taken where the input is
+// annotated, followed by the load-balanced MapReduce matching job), and
+// the analytic workloads of both jobs that the cluster simulator reads
+// (planmode.go).
 //
 // The pipeline surface is composable: a Source supplies the
 // partitioned input (in-memory partitions, a CSV file or reader, a
@@ -14,8 +15,8 @@
 // engine tasks, and all four share one body for the two jobs: two
 // sources and missing keys only shape the matrix Job 2 plans with.
 // RunDistributedPipeline takes a declarative DistParams and dispatches
-// both jobs to workers when RunOptions.Master is set, and is RunPipeline
-// over DistParams.Config when it is not. See DESIGN.md, "Pipeline API".
+// the matching job to workers when RunOptions.Master is set, and is
+// RunPipeline over DistParams.Config when it is not. See DESIGN.md, "Pipeline API".
 package er
 
 import (
@@ -48,12 +49,8 @@ type Config struct {
 	// for any per-pair function. nil counts comparisons without
 	// comparing.
 	Matcher core.Matcher
-	// R is the number of reduce tasks of the matching job (and of the
-	// BDM job).
+	// R is the number of reduce tasks of the matching job.
 	R int
-	// UseCombiner makes the BDM job aggregate per map task (the paper's
-	// footnote 2; bdm.JobOptions.UseCombiner).
-	UseCombiner bool
 }
 
 func (c *Config) validate() error {
@@ -68,12 +65,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// bdmJobOptions configures Job 1: the BDM job over the blocking key,
-// with as many reduce tasks as the matching job.
-func (c *Config) bdmJobOptions() bdm.JobOptions {
-	return bdm.JobOptions{Attr: c.Attr, KeyFunc: c.BlockKey, NumReduceTasks: c.R, UseCombiner: c.UseCombiner}
-}
-
 // Result is the outcome of one pipeline run.
 type Result struct {
 	// Matches holds the deduplicated match pairs in canonical order;
@@ -85,17 +76,18 @@ type Result struct {
 	// BDM is the block distribution matrix (nil for Basic), source-tagged
 	// for a two-source run and with a ⊥ row for a missing-keys run.
 	BDM *bdm.Matrix
-	// BDMResult / MatchResult expose the raw outputs and per-task
-	// metrics of the two jobs (BDMResult is nil for Basic).
+	// BDMResult records Job 1's count (bdm.CountResult; nil for Basic),
+	// and MatchResult exposes the matching job's raw output and per-task
+	// metrics.
 	BDMResult   *bdm.JobResult
 	MatchResult *core.MatchJobResult
 }
 
 // AnnotateInput converts raw partitions into the block-id-annotated
-// records Job 2 consumes: bdm.Annotate's rows, whose ids Job 1 counts,
-// without the key table.
+// records Job 2 consumes: bdm.Annotate's rows, without the key table
+// and the count.
 func AnnotateInput(parts entity.Partitions, attr string, key blocking.KeyFunc) [][]core.AnnotatedEntity {
-	input, _ := bdm.Annotate(parts, attr, key)
+	input, _, _ := bdm.Annotate(parts, attr, key)
 	return input
 }
 

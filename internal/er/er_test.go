@@ -167,13 +167,14 @@ func TestCollectMatchesDeduplicates(t *testing.T) {
 }
 
 // TestPlanWorkloadsMatchExecutedWorkloads: the analytic path (planner +
-// BDM workload model) must agree with the executing engine's per-task
-// metrics in every component — the bridge that justifies plan-only
-// figures — with Job 1 aggregating per map task or emitting per entity
-// (the experiments' ablation row reads the latter off the model). The
-// trials are small random DS1-style inputs plus one in Figure 9's
-// shape: exponential block sizes keyed by the block attribute itself,
-// with more reduce tasks than blocks.
+// workload model) must agree with the executing engine's per-task
+// metrics of the matching job in every component — the bridge that
+// justifies plan-only figures. Job 1 is a count in the driver, with no
+// tasks to measure; the paper's model of its aggregating map tasks must
+// emit the cells the count records. The trials are small random
+// DS1-style inputs plus one in Figure 9's shape: exponential block
+// sizes keyed by the block attribute itself, with more reduce tasks
+// than blocks.
 func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 	type trial struct {
 		es   []entity.Entity
@@ -202,36 +203,32 @@ func TestPlanWorkloadsMatchExecutedWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, combiner := range []bool{true, false} {
-			for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
-				res, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
-					Strategy:    strat,
-					Attr:        tr.attr,
-					BlockKey:    tr.key,
-					R:           tr.r,
-					UseCombiner: combiner,
-				})
-				if err != nil {
-					t.Fatal(err)
+		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
+			res, err := RunPipeline(context.Background(), FromPartitions(parts), Config{
+				Strategy: strat,
+				Attr:     tr.attr,
+				BlockKey: tr.key,
+				R:        tr.r,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			planned, _, err := PlanWorkloads(x, strat, tr.m, tr.r, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strat.NeedsBDM() {
+				var cells int64
+				for _, n := range planned[0].MapEmits {
+					cells += n
 				}
-				planned, _, err := PlanWorkloads(x, strat, tr.m, tr.r, combiner)
-				if err != nil {
-					t.Fatal(err)
+				if res.BDMResult.MapOutputRecords != cells {
+					t.Fatalf("%s %s: the count records %d cells, the model's Job 1 emits %d", tr.name, strat.Name(), res.BDMResult.MapOutputRecords, cells)
 				}
-				var executed []*mapreduce.Metrics
-				if res.BDMResult != nil {
-					executed = append(executed, &res.BDMResult.Metrics)
-				}
-				executed = append(executed, &res.MatchResult.Metrics)
-				if len(planned) != len(executed) {
-					t.Fatalf("%s %s: %d planned jobs vs %d executed", tr.name, strat.Name(), len(planned), len(executed))
-				}
-				for i := range planned {
-					if diff := workloadDiff(planned[i], executed[i]); diff != "" {
-						t.Fatalf("%s %s combiner=%v job %d (%s): planned workload differs from executed: %s",
-							tr.name, strat.Name(), combiner, i, planned[i].Name, diff)
-					}
-				}
+			}
+			match := planned[len(planned)-1]
+			if diff := workloadDiff(match, &res.MatchResult.Metrics); diff != "" {
+				t.Fatalf("%s %s: planned workload differs from executed: %s", tr.name, strat.Name(), diff)
 			}
 		}
 	}
@@ -270,29 +267,28 @@ func TestJob1CertificateRefusesAMatrixOffByOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkCounted("bdm", x, input); err != nil {
+	if err := checkCounted(x, input); err != nil {
 		t.Fatalf("the matrix of the input itself: %v", err)
 	}
 	// The same cells, but the first one of partition 1 counts one more.
 	keys := make([]string, x.NumBlocks())
-	var counts []bdm.CountRecord
+	var counts []int
 	bumped := false
 	for k := range keys {
 		keys[k] = x.BlockKey(k)
 		for p := range parts {
-			if n := x.SizeIn(k, p); n > 0 {
-				if p == 1 && !bumped {
-					n, bumped = n+1, true
-				}
-				counts = append(counts, bdm.CountRecord{Key: bdm.Key{Block: int32(k), Partition: int32(p)}, Value: n})
+			n := x.SizeIn(k, p)
+			if p == 1 && n > 0 && !bumped {
+				n, bumped = n+1, true
 			}
+			counts = append(counts, n)
 		}
 	}
 	off, err := bdm.FromCounts(keys, len(parts), counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = checkCounted("bdm", off, input)
+	err = checkCounted(off, input)
 	var pm *PlanMismatchError
 	if !errors.As(err, &pm) {
 		t.Fatalf("err = %v, want a *PlanMismatchError", err)

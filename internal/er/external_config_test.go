@@ -29,12 +29,11 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		return s, s >= 0.85
 	})
 	base := er.Config{
-		Strategy:    core.BlockSplit{},
-		Attr:        "title",
-		BlockKey:    blocking.NormalizedPrefix(3),
-		Matcher:     matcher,
-		R:           4,
-		UseCombiner: true,
+		Strategy: core.BlockSplit{},
+		Attr:     "title",
+		BlockKey: blocking.NormalizedPrefix(3),
+		Matcher:  matcher,
+		R:        4,
 	}
 	mem, err := er.RunPipeline(context.Background(), er.FromPartitions(parts), base)
 	if err != nil {

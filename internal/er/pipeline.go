@@ -42,12 +42,13 @@ type RunOptions struct {
 	// threaded to every job (chaos testing; see mapreduce.ChaosHook).
 	FaultHook mapreduce.FaultHook
 	// Master, when non-nil, is a started dist master: RunDistributedPipeline
-	// dispatches both jobs' tasks through it to registered workers. Nil
+	// dispatches the matching job's tasks through it to registered
+	// workers. Nil
 	// runs every task in process. Only RunDistributedPipeline reads it,
 	// and the caller owns the master's lifetime.
 	Master *dist.Master
 	// Workers is how many registered workers RunDistributedPipeline
-	// waits for on Master before starting the first job (0 = start
+	// waits for on Master before starting the matching job (0 = start
 	// immediately; the engine degrades to local execution when none
 	// ever register). Ignored when Master is nil.
 	Workers int
@@ -91,12 +92,12 @@ func runMatchJob(ctx context.Context, eng *mapreduce.Engine, job core.MatchJob, 
 }
 
 // RunPipeline executes the full workflow of Figure 2 over the source's
-// partitions, annotated once with their blocking keys: Job 1 counts the
-// keys into the BDM; Job 2 reads the same annotated rows, redistributes
-// them with the configured strategy and performs the matching. For the
-// Basic strategy only the second job runs (it needs no BDM) over the
-// same annotation. The partitions themselves are dropped once they are
-// annotated, before Job 1 starts (annotate).
+// partitions, annotated once with their blocking keys: Job 1 is the
+// annotation's count of the keys, the BDM; Job 2 reads the same
+// annotated rows, redistributes them with the configured strategy and
+// performs the matching. The Basic strategy needs no BDM and plans on
+// none. The partitions themselves are dropped once they are annotated,
+// before Job 2 starts (annotate).
 //
 // Cancelling ctx stops the run between engine tasks and returns an
 // error wrapping ctx.Err(); a configured Sink streams the matches (see
@@ -152,18 +153,21 @@ func runSource(ctx context.Context, src Source, shape func(*bdm.Matrix) (*bdm.Ma
 }
 
 // annotated is a run's input: the rows of every source's partitions,
-// each annotated with its block id, and the sorted key table the ids
-// index (bdm.Annotate). firstOf[i] is the first partition of source i.
+// each annotated with its block id, the sorted key table the ids index
+// and the rows' count by block and partition (bdm.Annotate). firstOf[i]
+// is the first partition of source i.
 type annotated struct {
 	rows    [][]core.AnnotatedEntity
 	keys    []string
+	counts  []int
 	firstOf []int
 }
 
 // annotate is the one step of a run that holds the sources'
 // partitions: it reads them, annotates every entity with its block id
-// and match text (bdm.Annotate), numbering the keys of all sources
-// through one table, and returns the rows and the key table alone. The
+// and match text (bdm.Annotate), numbering and counting the keys of all
+// sources through one table, and returns the rows, the key table and
+// the count alone. The
 // rows alias only the entities' strings, so once it returns the
 // partition arrays and the entities' attribute slices are garbage, and
 // the jobs run without them: the GC paces itself by a smaller live
@@ -180,40 +184,34 @@ func annotate(cfg *Config, srcs ...Source) (annotated, error) {
 		firstOf[i] = len(parts)
 		parts = append(parts, p...)
 	}
-	rows, keys := bdm.Annotate(parts, cfg.Attr, cfg.BlockKey)
-	return annotated{rows: rows, keys: keys, firstOf: firstOf}, nil
+	rows, keys, counts := bdm.Annotate(parts, cfg.Attr, cfg.BlockKey)
+	return annotated{rows: rows, keys: keys, counts: counts, firstOf: firstOf}, nil
 }
 
 // runPipeline is the body of every entry point, over annotated input;
-// shape, when non-nil, turns Job 1's matrix into the one Job 2 plans
-// with (source tags, a ⊥ row), and d binds the jobs to a dist master
-// (nil = in process).
+// shape, when non-nil, turns the counted matrix into the one Job 2
+// plans with (source tags, a ⊥ row), and d binds the matching job to a
+// dist master (nil = in process).
 func runPipeline(ctx context.Context, in annotated, shape func(*bdm.Matrix) (*bdm.Matrix, error), cfg Config, d *dispatch) (*Result, error) {
-	eng := cfg.ResolveEngine()
 	input := in.rows
 	res := &Result{}
 
 	switch {
 	case cfg.Strategy.NeedsBDM():
-		bdmEng, done, err := d.bind(eng, "er/bdm", nil)
+		matrix, err := bdm.FromCounts(in.keys, len(input), in.counts)
 		if err != nil {
 			return nil, err
 		}
-		matrix, bdmRes, err := bdm.Count(ctx, bdmEng, input, in.keys, cfg.bdmJobOptions())
-		done()
-		if err != nil {
+		if err := checkCounted(matrix, input); err != nil {
 			return nil, err
 		}
-		if err := checkCounted(bdmRes.JobName, matrix, input); err != nil {
-			return nil, err
-		}
+		res.BDMResult = bdm.CountResult(matrix)
 		if shape != nil {
 			if matrix, err = shape(matrix); err != nil {
 				return nil, err
 			}
 		}
 		res.BDM = matrix
-		res.BDMResult = bdmRes
 	case shape != nil:
 		return nil, fmt.Errorf("er: %s needs no BDM, so it has no matrix to plan source tags or a ⊥ row on", cfg.Strategy.Name())
 	}
@@ -222,7 +220,7 @@ func runPipeline(ctx context.Context, in annotated, shape func(*bdm.Matrix) (*bd
 	if err != nil {
 		return nil, err
 	}
-	matchEng, done, err := d.bind(eng, "er/match", res.BDM)
+	matchEng, done, err := d.bind(cfg.ResolveEngine(), res.BDM)
 	if err != nil {
 		return nil, err
 	}
@@ -256,14 +254,14 @@ func (e *PlanMismatchError) Error() string {
 // checkCounted is Job 1's certificate: Job 2 reads exactly the
 // partitions Job 1 counted, so partition p must hold Σ_k SizeIn(k, p)
 // entities, the matrix column Job 2's plan assumes.
-func checkCounted(job string, x *bdm.Matrix, input [][]core.AnnotatedEntity) error {
+func checkCounted(x *bdm.Matrix, input [][]core.AnnotatedEntity) error {
 	for p := range input {
 		var planned int64
 		for k := 0; k < x.NumBlocks(); k++ {
 			planned += int64(x.SizeIn(k, p))
 		}
 		if executed := int64(len(input[p])); planned != executed {
-			return &PlanMismatchError{Job: job, Task: p, Figure: "entities (Σ_k SizeIn(k, p))", Planned: planned, Executed: executed}
+			return &PlanMismatchError{Job: "bdm", Task: p, Figure: "entities (Σ_k SizeIn(k, p))", Planned: planned, Executed: executed}
 		}
 	}
 	return nil

@@ -42,13 +42,12 @@ func testEntities(n int, seed int64) []entity.Entity {
 
 func baseConfig(strat core.Strategy, par int) er.Config {
 	return er.Config{
-		RunOptions:  er.RunOptions{Parallelism: par},
-		Strategy:    strat,
-		Attr:        datagen.AttrTitle,
-		BlockKey:    datagen.BlockKey(),
-		Matcher:     testMatcher(0.8),
-		R:           5,
-		UseCombiner: true,
+		RunOptions: er.RunOptions{Parallelism: par},
+		Strategy:   strat,
+		Attr:       datagen.AttrTitle,
+		BlockKey:   datagen.BlockKey(),
+		Matcher:    testMatcher(0.8),
+		R:          5,
 	}
 }
 

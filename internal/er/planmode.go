@@ -8,12 +8,16 @@ import (
 	"repro/internal/core"
 )
 
-// BDMWorkload computes the analytic workload of the BDM job (Job 1) from
-// the matrix it would produce: every map task reads its partition and
-// emits one pair per entity (or one partial count per non-empty
-// (block, partition) cell when the mapper aggregates); each reduce
-// task receives the cells of the blocks partitioned to it by id
-// (block % r) and performs no comparisons.
+// BDMWorkload computes the analytic workload of the paper's BDM job
+// (Job 1, Algorithm 3) from the matrix it would produce: every map task
+// reads its partition and emits one pair per entity (or one partial
+// count per non-empty (block, partition) cell when the mapper
+// aggregates, footnote 2); each reduce task receives the cells of the
+// blocks partitioned to it by id (block % r) and performs no
+// comparisons. It models the paper's cluster for the figures, like
+// cluster.DefaultCostModel: the pipeline counts the matrix in the
+// driver (bdm.Annotate) and runs no such job, and only the combiner's
+// total, the non-zero cells, is held to the count's record.
 func BDMWorkload(x *bdm.Matrix, r int, combiner bool) cluster.JobWorkload {
 	m := x.NumPartitions()
 	w := cluster.JobWorkload{
@@ -44,8 +48,9 @@ func BDMWorkload(x *bdm.Matrix, r int, combiner bool) cluster.JobWorkload {
 }
 
 // PlanWorkloads computes the analytic workloads of the full workflow for
-// the given strategy: the BDM job (when the strategy needs it) followed
-// by the matching job. It also returns the matching job's plan.
+// the given strategy: the paper's BDM job (when the strategy needs it;
+// see BDMWorkload) followed by the matching job. It also returns the
+// matching job's plan.
 func PlanWorkloads(x *bdm.Matrix, strat core.Strategy, m, r int, combiner bool) ([]cluster.JobWorkload, *core.Plan, error) {
 	plan, err := strat.Plan(x, m, r)
 	if err != nil {

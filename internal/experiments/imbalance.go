@@ -52,13 +52,12 @@ func Imbalance(ctx context.Context, o Options) (*report.Table, error) {
 				Obs:         observer,
 			}
 			res, err := er.RunPipeline(ctx, er.FromPartitions(parts), er.Config{
-				RunOptions:  ro,
-				Strategy:    strat,
-				Attr:        datagen.AttrTitle,
-				BlockKey:    datagen.BlockKey(),
-				Matcher:     match.EditDistance(datagen.AttrTitle, 0.8),
-				R:           r,
-				UseCombiner: true,
+				RunOptions: ro,
+				Strategy:   strat,
+				Attr:       datagen.AttrTitle,
+				BlockKey:   datagen.BlockKey(),
+				Matcher:    match.EditDistance(datagen.AttrTitle, 0.8),
+				R:          r,
 			})
 			if err != nil {
 				return nil, err

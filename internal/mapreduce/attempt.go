@@ -154,7 +154,7 @@ const (
 	// code runs.
 	FaultTaskStart FaultPoint = iota
 	// FaultEmit fires on every Emit of the attempt's map or reduce
-	// context, a mapper's end-of-input emissions included.
+	// context.
 	FaultEmit
 	// FaultSpill fires before a map task over its spill budget writes a
 	// sorted run to disk.

@@ -384,8 +384,8 @@ func appendInputs[K, V any](inputs []reduceInput[K, V], p int, runs []*runio.Inf
 }
 
 // runMapAttempt is the one map-attempt body: run the mapper over the
-// task's input into a spiller, give it its end-of-input call, and sort
-// what is left in memory into the tail buckets.
+// task's input into a spiller and sort what is left in memory into the
+// tail buckets.
 func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, input []I) (out mapOutput[K, V], err error) {
 	// Declared before recoverAttempt so it runs after it (LIFO): by the
 	// time the attempt's files and buffers are released, a recovered
@@ -407,8 +407,8 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 	mapper := st.job.NewMapper()
 	mapper.Configure(m, st.r, idx)
 	// Attempt cancellation (a per-attempt timeout, a cancelled run) is
-	// observed between input records and before the end-of-input call;
-	// the gate keeps background-context runs free of per-record checks.
+	// observed between input records; the gate keeps background-context
+	// runs free of per-record checks.
 	check := actx.Done() != nil
 	for i := range input {
 		if check && i&cancelCheckMask == 0 && actx.Err() != nil {
@@ -416,12 +416,6 @@ func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHo
 		}
 		metrics.InputRecords++
 		mapper.Map(ctx, input[i])
-	}
-	if closer, ok := mapper.(MapCloser[I, K, V]); ok {
-		if check && actx.Err() != nil {
-			return out, actx.Err()
-		}
-		closer.Close(ctx)
 	}
 	if sp.err != nil {
 		return out, sp.err

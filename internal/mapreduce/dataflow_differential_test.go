@@ -9,10 +9,7 @@ package mapreduce_test
 //   - TestDataflowDifferential{,Dual}Strategies: Parallelism 1 and 4,
 //     in memory and dispatched;
 //   - TestExternalDifferential{,Dual}Strategies: the same spilled, at
-//     least 4 runs per match-job map task;
-//   - TestStrategyMatrixShuffleDifferential: the per-entity Job 1 over
-//     every catalog, everywhere at Parallelism 2 — Job 2's input and
-//     matrix are the aggregating Job 1's, which checkRow asserts.
+//     least 4 runs per match-job map task.
 //
 // The reference sorts by Compare and groups by Group alone, so P1 is
 // also the proof that the strategies' key codes order and group their
@@ -131,7 +128,6 @@ func catalogRows(two bool, how runs) []stratRow {
 var (
 	inPlace     = runs{pars: []int{1, 4}, where: map[string]residency{"memory": inMemory, "dispatched": distributed}, minRuns: 4}
 	spilledOnly = runs{pars: []int{1, 4}, where: map[string]residency{"spilled": spilling}, minRuns: 4}
-	par2        = runs{pars: []int{2}, where: everywhere, minRuns: 1}
 )
 
 func checkRows(t *testing.T, rows []stratRow) {
@@ -156,40 +152,14 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 	checkRows(t, catalogRows(true, spilledOnly))
 }
 
-func TestStrategyMatrixShuffleDifferential(t *testing.T) {
-	for _, rw := range append(catalogRows(false, par2), catalogRows(true, par2)...) {
-		rw.perEntity, rw.strategies = true, nil
-		checkRow(t, rw)
-	}
-}
-
-// TestDataflowDifferentialBDMJobPerEntity holds the BDM job that does
-// not aggregate — one (blockingKey.partitionIndex, 1) per annotated
-// entity — to the reference in memory, spilled and dispatched at
-// Parallelism 1, and its matrix to the one computed directly from the
-// entities.
-func TestDataflowDifferentialBDMJobPerEntity(t *testing.T) {
-	rw := catalogRow("job1", entity.SplitRoundRobin(skewedEntities(), 3), nil, nil, runs{pars: []int{1}, where: everywhere, minRuns: 1})
-	rw.rs, rw.perEntity = []int{4}, true
-	checkRow(t, rw)
-}
-
-// TestExternalDifferentialBDMJob holds the aggregating BDM job, spilled
-// at Parallelism 2, to the reference.
-func TestExternalDifferentialBDMJob(t *testing.T) {
-	rw := catalogRow("job1", entity.SplitRoundRobin(skewedEntities(), 3), nil, nil, runs{pars: []int{2}, where: map[string]residency{"spilled": spilling}, minRuns: 1})
-	rw.rs = []int{4}
-	checkRow(t, rw)
-}
-
-// TestBDMJobCountTableAgainstReference holds the aggregating BDM job to
-// the reference on the blocking keys its count table could get wrong:
-// keys that agree on the 8-byte word the table is probed by and differ
-// right after it, after byte 16 (where the sort's prefix code ends too)
-// or only in length, the empty key, and more distinct keys per task than
-// the table starts with room for, so that it grows with all of them in it.
-// The last partition is a second source: the matrix, tagged, is the
-// direct one tagged.
+// TestBDMJobCountTableAgainstReference holds Job 1's count to
+// bdm.FromPartitions on the blocking keys Annotate's numbering table
+// could get wrong: keys that agree on the 8-byte word the table is
+// probed by and differ right after it, after byte 16 (where the prefix
+// code ends) or only in length, the empty key, and more distinct keys
+// than the table starts with room for, so that it grows with all of
+// them in it. The last partition is a second source: the matrix,
+// tagged, is the direct one tagged.
 func TestBDMJobCountTableAgainstReference(t *testing.T) {
 	var keys []string
 	for i := 0; i < 150; i++ {
@@ -207,7 +177,7 @@ func TestBDMJobCountTableAgainstReference(t *testing.T) {
 		sources[m-1] = bdm.SourceS
 		checkRow(t, stratRow{
 			name: fmt.Sprintf("m=%d", m), parts: entity.SplitRoundRobin(es, m), attr: "k", key: blocking.Identity(),
-			sources: sources, rs: []int{4}, runs: par2,
+			sources: sources,
 		})
 	}
 }

@@ -41,11 +41,10 @@ var (
 	everywhere       = map[string]residency{"memory": inMemory, "spilled": spilling, "dispatched": distributed}
 )
 
-// tinySpillBudget forces a spill at every match-job record and every
-// third Job 1 cell: the smallest catalog match-job map task emits ≥ 17
-// records of ≥ 37 encoded bytes (key ‖ value), so every such task
-// writes ≥ 17 runs (≥ 4 asserted), and the smallest aggregating BDM map
-// task emits 3 cells of 3 bytes, 9 ≥ 8, so it writes one (asserted).
+// tinySpillBudget forces a spill at every match-job record: the
+// smallest catalog match-job map task emits ≥ 17 records of ≥ 37
+// encoded bytes (key ‖ value), so every such task writes ≥ 17 runs
+// (≥ 4 asserted).
 const tinySpillBudget = 8
 
 // engineFor builds a Parallelism-2 engine for one residency and returns

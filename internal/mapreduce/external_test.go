@@ -13,20 +13,23 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/mapreduce"
 )
 
+// wordCount is wordJob's job type.
+type wordCount = mapreduce.Job[string, string, int, mapreduce.Pair[string, int]]
+
 // wordJob builds a typed job over (doc line → word counts): map emits
-// (word, 1) per occurrence — or, with aggregate, counts its partition's
-// words itself and emits one (word, n) per distinct word from its
-// end-of-input hook — and reduce sums. Keys get the engine's
-// string-prefix coding, so a spilled run's decoder recomputes inexact
-// codes.
-func wordJob(r int, aggregate bool) *mapreduce.Job[string, string, int, mapreduce.Pair[string, int]] {
-	j := &mapreduce.Job[string, string, int, mapreduce.Pair[string, int]]{
+// (word, 1) per occurrence — or, with aggregate, counts each line's
+// words itself and emits one (word, n) per distinct word of the line —
+// and reduce sums. Keys get the engine's string-prefix coding, so a
+// spilled run's decoder recomputes inexact codes.
+func wordJob(r int, aggregate bool) *wordCount {
+	j := &wordCount{
 		Name:           "wordcount",
 		NumReduceTasks: r,
 		NewMapper: func() mapreduce.Mapper[string, string, int] {
@@ -55,16 +58,15 @@ func wordJob(r int, aggregate bool) *mapreduce.Job[string, string, int, mapreduc
 		Coding:    mapreduce.KeyCoding[string]{Encode: mapreduce.StringPrefixCode},
 	}
 	if aggregate {
-		j.NewMapper = func() mapreduce.Mapper[string, string, int] { return &aggWords{slot: map[string]int{}} }
+		j.NewMapper = func() mapreduce.Mapper[string, string, int] { return &aggWords{} }
 	}
 	return j
 }
 
-// aggWords is the in-mapper-aggregating word count (the shape of the BDM
-// job's mapper): a per-task count table, emitted in first-seen order by
-// Close.
+// aggWords is the in-mapper-aggregating word count: a count table per
+// input line, emitted in first-seen order, so values other than 1 reach
+// the shuffle and the reducer's sums.
 type aggWords struct {
-	slot   map[string]int
 	words  []string
 	counts []int
 }
@@ -72,19 +74,15 @@ type aggWords struct {
 func (a *aggWords) Configure(m, r, partitionIndex int) {}
 
 func (a *aggWords) Map(ctx *mapreduce.MapContext[string, string, int], line string) {
+	a.words, a.counts = a.words[:0], a.counts[:0]
 	for _, w := range strings.Fields(line) {
-		i, ok := a.slot[w]
-		if !ok {
+		i := slices.Index(a.words, w)
+		if i < 0 {
 			i = len(a.words)
-			a.slot[w] = i
-			a.words = append(a.words, w)
-			a.counts = append(a.counts, 0)
+			a.words, a.counts = append(a.words, w), append(a.counts, 0)
 		}
 		a.counts[i]++
 	}
-}
-
-func (a *aggWords) Close(ctx *mapreduce.MapContext[string, string, int]) {
 	for i, w := range a.words {
 		ctx.Emit(w, a.counts[i])
 	}

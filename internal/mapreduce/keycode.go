@@ -32,10 +32,10 @@ import "fmt"
 //
 // Fixed-width-packable keys (PairRange's range‖block‖index, BlockSplit's
 // block‖i‖j, …) get exact codes and never fall back. Variable-width keys
-// (Basic's blocking-key strings, the BDM job's blockKey.partition) get a
-// 16-byte big-endian prefix code: unequal prefixes decide the order,
-// equal prefixes fall back to the struct comparator — exactly Hadoop's
-// "compare bytes, deserialize only on a tie" discipline.
+// (strings) get a 16-byte big-endian prefix code: unequal prefixes
+// decide the order, equal prefixes fall back to the comparator —
+// exactly Hadoop's "compare bytes, deserialize only on a tie"
+// discipline.
 //
 // DESIGN.md ("Binary key codes") documents the contract; per-key fuzz
 // and property tests in the strategy packages enforce it.

@@ -78,7 +78,8 @@ func TestReferenceWordCountByHand(t *testing.T) {
 		if !reflect.DeepEqual(res.Output, want) {
 			t.Errorf("aggregate=%v: output = %v, want %v", aggregate, res.Output, want)
 		}
-		// Plain: 4+5 words emitted. Aggregated: {a,b,c} from each task.
+		// Plain: 4+5 words emitted. Aggregated: {a,b}, {c}, {b,a} and {c},
+		// one record per distinct word of each line.
 		records := map[bool]int64{false: 9, true: 6}[aggregate]
 		if res.MapOutputRecords != records {
 			t.Errorf("aggregate=%v: MapOutputRecords = %d, want %d", aggregate, res.MapOutputRecords, records)
@@ -95,7 +96,7 @@ func TestReferenceWordCountByHand(t *testing.T) {
 }
 
 func TestInMapperAggregationReducesMapOutput(t *testing.T) {
-	input := [][]string{{"a a a a b", "a b"}, {"b b"}}
+	input := [][]string{{"a a a a b a b"}, {"b b"}}
 	bothCodings(t, wordJob(3, false), func(t *testing.T, plainJob *wordCount) {
 		aggJob := wordJob(3, true)
 		aggJob.Coding = plainJob.Coding
@@ -104,7 +105,7 @@ func TestInMapperAggregationReducesMapOutput(t *testing.T) {
 		if plain.MapOutputRecords != 9 {
 			t.Errorf("plain map output = %d, want 9", plain.MapOutputRecords)
 		}
-		// Map task 0 emits {a,b}, map task 1 emits {b}: 3 aggregated records.
+		// Line 0 emits {a,b}, line 1 emits {b}: 3 aggregated records.
 		if aggregated.MapOutputRecords != 3 {
 			t.Errorf("aggregated map output = %d, want 3", aggregated.MapOutputRecords)
 		}

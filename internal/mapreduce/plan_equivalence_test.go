@@ -4,11 +4,12 @@ package mapreduce_test
 // matrix here, skewedEntities or dualCatalog in
 // dataflow_differential_test.go — in one shape (one source, two, or one
 // with a ⊥ row), the strategies, the reduce task counts, the runs
-// (parallelisms, residencies, a fault schedule), the Job 1 mapper and a
-// matcher. checkRow holds every row to three properties:
+// (parallelisms, residencies, a fault schedule) and a matcher. checkRow
+// holds every row to the counted matrix and three properties:
 //
-//   - P1. Job 1's and Job 2's Results equal Job.Reference's in every
-//     run, faulted ones included.
+//   - Job 1's count (bdm.Annotate) is bdm.FromPartitions' matrix.
+//   - P1. Job 2's Results equal Job.Reference's in every run, faulted
+//     ones included.
 //   - P2. Job 2 executes exactly the per-task figures of its Plan.
 //   - P3. Job 2 compares every candidate pair exactly once, and its
 //     matches are the serial oracle's.
@@ -27,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/er"
-	"repro/internal/mapreduce"
 )
 
 // stratRow is one row of the strategy table.
@@ -38,46 +38,37 @@ type stratRow struct {
 	key        blocking.KeyFunc
 	sources    []bdm.Source    // the partitions' source tags; nil = one source
 	bottom     bool            // a ⊥ row of keyless entities
-	strategies []core.Strategy // none: Job 1 alone
-	rs         []int           // reduce tasks, of both jobs
-	perEntity  bool            // Job 1 emits a 1 per entity, not one record per cell
+	strategies []core.Strategy // none: the count alone
+	rs         []int           // reduce tasks of Job 2
 	match      core.PairFunc
 	runs       // minRuns is for Job 2's spilled map tasks
 }
 
-// checkRow checks P1, P2 and P3 on rw and returns the retries its runs
-// took.
+// checkRow checks the count, P1, P2 and P3 on rw and returns the
+// retries its runs took.
 func checkRow(t *testing.T, rw stratRow) int64 {
 	t.Helper()
 	m := len(rw.parts)
-	input, keys := bdm.Annotate(rw.parts, rw.attr, rw.key)
-	ids := bdm.BlockIDs(input)
+	input, keys, counts := bdm.Annotate(rw.parts, rw.attr, rw.key)
+	x, err := bdm.FromCounts(keys, m, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct, err := bdm.FromPartitions(rw.parts, rw.attr, rw.key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(x, direct) {
+		t.Fatalf("%s: the counted matrix differs from bdm.FromPartitions'", rw.name)
+	}
+	x = shape(t, x, rw.sources, rw.bottom)
 	pairs, comps := serialOracle(rw.parts, rw.sources, rw.bottom, rw.attr, rw.key, rw.match)
-	// An aggregating Job 1 task spills a handful of records: one run.
-	job1Runs := rw.runs
-	job1Runs.minRuns = min(job1Runs.minRuns, 1)
+	if x.Pairs() != comps {
+		t.Fatalf("%s: P = %d, the serial oracle compares %d pairs", rw.name, x.Pairs(), comps)
+	}
 	var retries int64
 	for _, r := range rw.rs {
 		name := fmt.Sprintf("%s/r=%d", rw.name, r)
-		job1 := bdm.Job(bdm.JobOptions{NumReduceTasks: r, UseCombiner: !rw.perEntity})
-		rr1, err := mapreduce.NewRemoteRunnable(job1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref1, n := checkEverywhere(t, name+"/bdm", job1, rr1, ids, job1Runs)
-		retries += n
-		x := matrixOf(t, ref1, keys, m)
-		if !reflect.DeepEqual(x, direct) {
-			t.Fatalf("%s: Job 1's matrix differs from bdm.FromPartitions'", name)
-		}
-		x = shape(t, x, rw.sources, rw.bottom)
-		if x.Pairs() != comps {
-			t.Fatalf("%s: P = %d, the serial oracle compares %d pairs", name, x.Pairs(), comps)
-		}
 		for _, strat := range rw.strategies {
 			name := fmt.Sprintf("%s/%s%+v", name, strat.Name(), strat)
 			plan, err := strat.Plan(x, m, r)
@@ -352,9 +343,8 @@ func (d matrixDraw) checkMatrix(t *testing.T, name string, parts entity.Partitio
 
 // TestPlanExecutionEquivalenceFuzz checks the rows of generated
 // matrices, six per corner: BlockSplit with and without a memory cap,
-// PairRange and, over one source, Basic. Every second round of corners
-// counts with the per-entity Job 1, and every fifth draw runs under the
-// -chaos-seed schedule; the chaos-smoke job randomizes the seed.
+// PairRange and, over one source, Basic. Every fifth draw runs under
+// the -chaos-seed schedule; the chaos-smoke job randomizes the seed.
 func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var retries int64
@@ -368,7 +358,6 @@ func TestPlanExecutionEquivalenceFuzz(t *testing.T) {
 		name := fmt.Sprintf("trial %d: m=%d sources=%v ⊥=%v", trial, len(parts), d.sources, d.bottom)
 		d.checkMatrix(t, name, parts)
 		rw := d.row(name, parts, strategies)
-		rw.perEntity = trial/corners%2 == 1
 		rw.chaos = trial%5 == 4
 		if n := checkRow(t, rw); rw.chaos {
 			retries += n

@@ -47,9 +47,6 @@ func (j *Job[I, K, V, O]) Reference(input [][]I) *Result[I, O] {
 		for _, rec := range part {
 			mapper.Map(ctx, rec)
 		}
-		if closer, ok := mapper.(MapCloser[I, K, V]); ok {
-			closer.Close(ctx)
-		}
 		res.MapOutputRecords += metrics.OutputRecords
 		for _, rec := range emitted.recs {
 			p := j.Partition(rec.Key, r)

@@ -48,20 +48,6 @@ type Mapper[I, K, V any] interface {
 	Map(ctx *MapContext[I, K, V], rec I)
 }
 
-// MapCloser is the optional end-of-input hook of a Mapper — Hadoop's
-// Mapper.close. A mapper that implements it has Close called exactly
-// once per attempt, after the last Map call and before the attempt's
-// output is sorted, with the context the Map calls received: what it
-// emits is map output like any other (counted, spilled, fault-injected
-// and panic-recovered the same way). It is how a mapper aggregates over
-// its whole partition — the BDM job's per-task count table — where
-// Hadoop would run a combiner over the sorted output; the engine has no
-// combiner. The hook is optional rather than a Mapper method because
-// almost no mapper needs it; the attempt body asserts it once.
-type MapCloser[I, K, V any] interface {
-	Close(ctx *MapContext[I, K, V])
-}
-
 // Reducer is instantiated once per reduce task. Reduce is called once
 // per key group with the group's first key and all values in merged
 // order. The values slice is only valid for the duration of the call:
