@@ -104,8 +104,9 @@ smoke-chaos:
 # (master + 3 erworkers over HTTP), SIGKILLs one worker mid-reduce,
 # and asserts the output is a local run's, line for line once sorted,
 # and that gracefully stopped workers leave empty run directories. The
-# same run polls the live /status and /debug/vars endpoints and
-# validates the exported traces (chrome trace_event with per-worker
-# swimlanes; worker-side ndjson) via scripts/tracecheck.
+# same run validates the exported traces via scripts/tracecheck: the
+# master's chrome trace_event must show dispatches, commits, per-worker
+# swimlanes, the worker death and the reassign; worker 1's ndjson must
+# hold its task and shuffle-fetch spans.
 smoke-dist:
 	scripts/dist_smoke.sh

@@ -30,10 +30,10 @@ import (
 const typedAllocCeiling = 150
 
 // obsAllocCeiling bounds the same job with an Observer attached. The
-// tracer records into preallocated slots and every counter is a plain
-// atomic, so the enabled path's only extra steady-state allocations
-// are the handful of timer/closure values the span helpers capture —
-// single digits, absorbed by the shared headroom. The pin documents
+// tracer records into preallocated slots, so the enabled path's only
+// extra steady-state allocations are the handful of timer/closure
+// values the span helpers capture — single digits, absorbed by the
+// shared headroom. The pin documents
 // that enabling observability must not change the allocation class of
 // the hot path (per-record or per-task costs would add hundreds).
 const obsAllocCeiling = typedAllocCeiling + 10
@@ -57,7 +57,7 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 			ceiling, mode := typedAllocCeiling, "obs disabled"
 			if observed {
 				// Quiet keeps slog out of the measurement: the pin is
-				// about the tracing/metrics hot path, not log rendering.
+				// about the tracing hot path, not log rendering.
 				eng.Obs = obs.New(obs.Options{Log: obs.Quiet()})
 				ceiling, mode = obsAllocCeiling, "obs enabled"
 			}

@@ -28,7 +28,7 @@ func main() {
 		appendix  = flag.Bool("appendix", false, "run the Appendix I two-source experiment")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablations")
 		balance   = flag.Bool("balance", false, "report per-strategy reduce-task balance statistics")
-		imbalance = flag.Bool("imbalance", false, "execute the jobs and report measured per-strategy reduce-task time imbalance (max/mean, from the obs duration histograms)")
+		imbalance = flag.Bool("imbalance", false, "execute the jobs and report measured per-strategy reduce-task time imbalance (max/mean, from the match job's task spans in the trace)")
 		scale     = flag.Float64("scale", 0.05, "dataset scale factor in (0,1]; 1 = paper-sized datasets")
 		tmpdir    = flag.String("tmpdir", "", "where -imbalance's out-of-core runs spill (default: system temp dir); created on first use")
 		in        = flag.String("in", "", "CSV dataset replacing the generated DS1 stand-in")

@@ -131,7 +131,7 @@ func main() {
 	if err != nil {
 		usage(fmt.Errorf("invalid -faults value: %v (expected rate[:seed], rate in [0,1])", err))
 	}
-	observer, err := obsCLI.Start(nil)
+	observer, err := obsCLI.Start()
 	if err != nil {
 		usage(err)
 	}
@@ -148,9 +148,9 @@ func main() {
 		// the input is read, so its URL is in -master-addr-file while
 		// ingest runs: scripted workers start and register during it, not
 		// after it. The pipeline then dispatches through it. It shares
-		// the run's Observer: dispatch spans and dist.master.* metrics
-		// land in the same trace and /debug/vars as the engine's.
-		master := dist.NewMaster(dist.MasterOptions{Addr: *masterAddr, Obs: observer, PProf: obsCLI.PProf})
+		// the run's Observer: dispatch spans land in the same trace as
+		// the engine's.
+		master := dist.NewMaster(dist.MasterOptions{Addr: *masterAddr, Obs: observer})
 		if err := master.Start(); err != nil {
 			fail(err)
 		}
@@ -253,7 +253,7 @@ func main() {
 // because os.Exit skips deferred calls.
 var cleanupOnFail func()
 
-// obsCLI holds the -trace and -obs-addr flags. fail finishes it too:
+// obsCLI holds the -trace and -log-level flags. fail finishes it too:
 // a failed run's trace is the one most worth reading.
 var obsCLI obs.CLI
 

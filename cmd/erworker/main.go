@@ -53,11 +53,9 @@ func main() {
 		*master = "http://" + *master
 	}
 
-	// The worker's task mux doubles as its introspection surface when
-	// observed (/debug/vars, /status, opt-in pprof); -obs-addr serves
-	// the same Observer on a separate listener, and -trace captures the
-	// worker-side task/shuffle timeline on graceful shutdown.
-	observer, err := obsCLI.Start(nil)
+	// -trace captures the worker-side task/shuffle timeline on
+	// graceful shutdown.
+	observer, err := obsCLI.Start()
 	if err != nil {
 		usage(err)
 	}
@@ -67,7 +65,6 @@ func main() {
 		Dir:       *dir,
 		Slots:     *slots,
 		Obs:       observer,
-		PProf:     obsCLI.PProf,
 	}
 	if *markReduce != "" || *slowReduce > 0 {
 		opts.TaskStarted = func(ctx context.Context, phase string, task, attempt int) {

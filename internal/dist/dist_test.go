@@ -12,17 +12,13 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
-	"maps"
 	"net"
 	"net/http"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
 	"repro/internal/testleak"
 )
 
@@ -159,26 +155,5 @@ func TestJobRefIDStableAndSpecSensitive(t *testing.T) {
 	}
 	if a.ID == c.ID || a.ID == d.ID {
 		t.Fatal("different spec or name collided on job ID")
-	}
-}
-
-// TestMetricHandlesRegister builds the master's and the worker's metric
-// handles on a real Observer, so the registry checks every dist.* name
-// against its kind's grammar (it panics on one off it). Each handle is
-// live, and each has a name of its own.
-func TestMetricHandlesRegister(t *testing.T) {
-	o := obs.New(obs.Options{Log: obs.Quiet()})
-	want := len(o.Reg.Snapshot()) // the engine's
-	for _, handles := range []any{newMasterMetrics(o), newWorkerMetrics(o)} {
-		v := reflect.ValueOf(handles)
-		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).IsNil() {
-				t.Errorf("%s.%s is nil on a live Observer", v.Type().Name(), v.Type().Field(i).Name)
-			}
-		}
-		want += v.NumField()
-	}
-	if snap := o.Reg.Snapshot(); len(snap) != want {
-		t.Errorf("%d metric names registered, want %d: %v", len(snap), want, slices.Sorted(maps.Keys(snap)))
 	}
 }

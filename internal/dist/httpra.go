@@ -28,11 +28,9 @@ type httpReaderAt struct {
 
 	// Observability identity (all zero when the worker runs unobserved):
 	// every range read becomes a KShuffleFetch span under the reduce
-	// task's lane with Arg = bytes fetched, and bytes feed the
-	// dist.worker.shuffle_read_bytes_total counter. The obs pointer
-	// gates recording; bytes is nil-safe on its own.
+	// task's lane with Arg = bytes fetched. The obs pointer gates
+	// recording.
 	obs     *obs.Observer
-	bytes   *obs.Counter
 	job     uint32
 	task    int32
 	attempt int32
@@ -57,7 +55,6 @@ func (r *httpReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	for _, u := range r.urls {
 		n, err := r.readRange(u, p, off)
 		if err == nil {
-			r.bytes.Add(int64(n))
 			return n, nil
 		}
 		if r.ctx.Err() != nil {

@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,12 +44,9 @@ type MasterOptions struct {
 	// degradations) as structured records. Nil falls back to
 	// Obs.Logger(), which is slog.Default() when Obs is nil too.
 	Log *slog.Logger
-	// Obs, when non-nil, enables tracing (dispatch spans per worker,
-	// death/reassignment instants), dist.master.* metrics, and the
-	// /debug/vars introspection endpoint on the control-plane mux.
+	// Obs, when non-nil, enables tracing: dispatch spans per worker
+	// and death/reassignment instants.
 	Obs *obs.Observer
-	// PProf opts the control-plane mux into net/http/pprof handlers.
-	PProf bool
 }
 
 // workerState is the master's view of one registered worker.
@@ -78,15 +74,11 @@ type Master struct {
 	client *http.Client
 	log    *slog.Logger
 	obs    *obs.Observer
-	met    masterMetrics
 
 	mu      sync.Mutex
 	closed  bool
 	nextID  int64
 	workers map[int64]*workerState
-	// deaths is the reassignment history served by /status: the most
-	// recent worker deaths, oldest first, capped at deathHistoryCap.
-	deaths []deathRecord
 	// changed is closed and replaced whenever worker availability
 	// changes (register, death, slot release) — a broadcast that wakes
 	// every acquire/AwaitWorkers waiter to re-check.
@@ -99,51 +91,6 @@ type Master struct {
 	monStop   chan struct{}
 	monDone   chan struct{}
 }
-
-// masterMetrics caches the master's dist.master.* registry handles so
-// hot paths never do a name lookup. Every handle is nil when the master
-// has no Observer; the obs metric methods are nil-safe, so call sites
-// stay unconditional.
-type masterMetrics struct {
-	workersLive    *obs.Gauge     // dist.master.workers_live
-	dispatches     *obs.Counter   // dist.master.dispatch_total
-	dispatchErrors *obs.Counter   // dist.master.dispatch_errors_total
-	dispatchInfl   *obs.Gauge     // dist.master.dispatch_inflight
-	acquireWaiting *obs.Gauge     // dist.master.acquire_waiting
-	workerDeaths   *obs.Counter   // dist.master.worker_deaths_total
-	reassigned     *obs.Counter   // dist.master.reassigned_attempts_total
-	leaseAgeNS     *obs.Histogram // dist.master.lease_age_ns
-}
-
-func newMasterMetrics(o *obs.Observer) masterMetrics {
-	if o == nil {
-		return masterMetrics{}
-	}
-	r := o.Reg
-	return masterMetrics{
-		workersLive:    r.Gauge("dist.master.workers_live"),
-		dispatches:     r.Counter("dist.master.dispatch_total"),
-		dispatchErrors: r.Counter("dist.master.dispatch_errors_total"),
-		dispatchInfl:   r.Gauge("dist.master.dispatch_inflight"),
-		acquireWaiting: r.Gauge("dist.master.acquire_waiting"),
-		workerDeaths:   r.Counter("dist.master.worker_deaths_total"),
-		reassigned:     r.Counter("dist.master.reassigned_attempts_total"),
-		leaseAgeNS:     r.Histogram("dist.master.lease_age_ns"),
-	}
-}
-
-// deathRecord is one entry in the reassignment history: which worker
-// died, why, and how many attempts were in flight to it (each of those
-// is cancelled and reassigned by the supervisor's retry loop).
-type deathRecord struct {
-	WorkerID        int64     `json:"worker_id"`
-	URL             string    `json:"url"`
-	Why             string    `json:"why"`
-	InflightAtDeath int       `json:"inflight_at_death"`
-	At              time.Time `json:"at"`
-}
-
-const deathHistoryCap = 64
 
 // NewMaster creates an unstarted Master.
 func NewMaster(opts MasterOptions) *Master {
@@ -167,7 +114,6 @@ func NewMaster(opts MasterOptions) *Master {
 		m.log = opts.Obs.Logger() // slog.Default() when Obs is nil too
 	}
 	m.obs = opts.Obs
-	m.met = newMasterMetrics(opts.Obs)
 	m.client = &http.Client{Transport: &http.Transport{}}
 	return m
 }
@@ -187,13 +133,6 @@ func (m *Master) Start() error {
 	mux.HandleFunc(pathRegister, m.handleRegister)
 	mux.HandleFunc(pathHeartbeat, m.handleHeartbeat)
 	mux.HandleFunc(pathReplica, m.handleReplica)
-	// Introspection rides the control-plane mux: /status always (it
-	// needs no Observer), /debug/vars and opt-in pprof when observed.
-	if m.obs != nil {
-		obs.Attach(mux, m.obs, m.statusSnapshot, m.opts.PProf)
-	} else {
-		mux.Handle(pathStatus, obs.StatusHandler(m.statusSnapshot))
-	}
 	m.srv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout}
 	go func() {
 		defer close(m.serveDone)
@@ -299,7 +238,6 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 	m.broadcastLocked()
 	n := len(m.workers)
 	m.mu.Unlock()
-	m.met.workersLive.Set(int64(n))
 	m.log.Info("dist master: worker registered",
 		"worker", ws.id, "url", ws.url, "slots", ws.slots, "live", n)
 	writeJSON(w, RegisterResponse{
@@ -355,9 +293,6 @@ func (m *Master) monitor() {
 		m.mu.Lock()
 		var dead []*workerState
 		for _, ws := range m.workers {
-			// Lease age of every live worker, sampled once per tick —
-			// the /debug/vars view of heartbeat health.
-			m.met.leaseAgeNS.Observe(now.Sub(ws.lastBeat).Nanoseconds())
 			if now.Sub(ws.lastBeat) > m.opts.LeaseTTL {
 				dead = append(dead, ws)
 			}
@@ -379,19 +314,6 @@ func (m *Master) markDeadLocked(ws *workerState, why string) {
 	ws.cancel()
 	m.broadcastLocked()
 	inflight := ws.inflight
-	m.deaths = append(m.deaths, deathRecord{
-		WorkerID:        ws.id,
-		URL:             ws.url,
-		Why:             why,
-		InflightAtDeath: inflight,
-		At:              time.Now(),
-	})
-	if len(m.deaths) > deathHistoryCap {
-		m.deaths = m.deaths[len(m.deaths)-deathHistoryCap:]
-	}
-	m.met.workersLive.Set(int64(len(m.workers)))
-	m.met.workerDeaths.Inc()
-	m.met.reassigned.Add(int64(inflight))
 	if o := m.obs; o != nil {
 		o.Tracer.Record(obs.Event{Type: obs.EvInstant, Kind: obs.KWorkerDeath,
 			Task: -1, Worker: int32(ws.id), Arg: int64(inflight)})
@@ -454,50 +376,11 @@ func (m *Master) acquire(ctx context.Context) (*workerState, func(), error) {
 		ch := m.changed
 		m.mu.Unlock()
 		// Workers exist but every slot is busy: this acquire queues.
-		m.met.acquireWaiting.Add(1)
 		select {
 		case <-ctx.Done():
-			m.met.acquireWaiting.Add(-1)
 			return nil, nil, ctx.Err()
 		case <-ch:
 		}
-		m.met.acquireWaiting.Add(-1)
-	}
-}
-
-// statusSnapshot assembles the /status view: live workers with their
-// load and lease age, plus the recent death/reassignment history.
-func (m *Master) statusSnapshot() any {
-	type workerStatus struct {
-		WorkerID     int64  `json:"worker_id"`
-		URL          string `json:"url"`
-		Slots        int    `json:"slots"`
-		Inflight     int    `json:"inflight"`
-		LeaseAgeMill int64  `json:"lease_age_millis"`
-	}
-	now := time.Now()
-	m.mu.Lock()
-	ws := make([]workerStatus, 0, len(m.workers))
-	for _, w := range m.workers {
-		ws = append(ws, workerStatus{
-			WorkerID:     w.id,
-			URL:          w.url,
-			Slots:        w.slots,
-			Inflight:     w.inflight,
-			LeaseAgeMill: now.Sub(w.lastBeat).Milliseconds(),
-		})
-	}
-	deaths := append([]deathRecord(nil), m.deaths...)
-	replicas := len(m.replicas)
-	closed := m.closed
-	m.mu.Unlock()
-	sort.Slice(ws, func(i, j int) bool { return ws[i].WorkerID < ws[j].WorkerID })
-	return map[string]any{
-		"role":     "master",
-		"closed":   closed,
-		"workers":  ws,
-		"deaths":   deaths,
-		"replicas": replicas,
 	}
 }
 
@@ -717,18 +600,13 @@ func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, payload []byt
 	// The dispatch span carries Worker — the Chrome exporter turns that
 	// into per-worker swimlanes, so a killed worker's attempts visibly
 	// migrate to the survivors.
-	m := s.m
-	m.met.dispatches.Inc()
-	m.met.dispatchInfl.Add(1)
 	s.recordDispatch(obs.EvBegin, treq, ws, 0)
 	blob, err := s.exchange(ctx, ws, treq, payload, out)
 	var failed int64
 	if err != nil {
 		failed = 1
-		m.met.dispatchErrors.Inc()
 	}
 	s.recordDispatch(obs.EvEnd, treq, ws, failed)
-	m.met.dispatchInfl.Add(-1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -756,10 +634,10 @@ var errUnknownJob = errors.New("worker does not hold the job")
 
 // exchange runs one task attempt on one acquired worker: the spec
 // first, if this session has not given it to this worker yet, then the
-// task frame; dispatch wraps it with the span and counters. A worker
-// that answers statusUnknownJob has lost its runnable (a /release from
-// a session with the same spec, a restart behind the same lease): it is
-// sent the spec again and the task once more.
+// task frame; dispatch wraps it with the span. A worker that answers
+// statusUnknownJob has lost its runnable (a /release from a session
+// with the same spec, a restart behind the same lease): it is sent the
+// spec again and the task once more.
 func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskRequest, payload []byte, out *TaskResponse) ([]byte, error) {
 	// The dispatch context dies with the attempt or with the worker's
 	// lease, whichever goes first — a hung worker cannot hang the task.

@@ -55,9 +55,6 @@ const (
 	pathTask      = "/task"
 	pathRun       = "/run/"
 	pathRelease   = "/release"
-	// Introspection endpoints (master and workers both serve them;
-	// obs.Attach mounts /debug/vars and the opt-in pprof handlers).
-	pathStatus = "/status"
 )
 
 const (

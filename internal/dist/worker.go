@@ -38,11 +38,9 @@ type WorkerOptions struct {
 	// Log receives operational events as structured records. Nil falls
 	// back to Obs.Logger(), which is slog.Default() when Obs is nil too.
 	Log *slog.Logger
-	// Obs, when non-nil, enables worker-side task spans, shuffle-read
-	// tracing, dist.worker.* metrics, and /debug/vars on the task mux.
+	// Obs, when non-nil, enables worker-side task spans and
+	// shuffle-read tracing.
 	Obs *obs.Observer
-	// PProf opts the task mux into net/http/pprof handlers.
-	PProf bool
 	// TaskStarted, when non-nil, runs at the top of every task attempt
 	// — the chaos seam: tests and cmd/erworker use it to stall a
 	// chosen phase or mark the moment a kill becomes interesting. The
@@ -63,7 +61,6 @@ type Worker struct {
 	client *http.Client
 	log    *slog.Logger
 	obs    *obs.Observer
-	met    workerMetrics
 	// id is the master-assigned worker id of the current registration
 	// (0 before the first one) — stamped on every worker-side span.
 	id atomic.Int64
@@ -93,30 +90,6 @@ type workerJob struct {
 	rr   mapreduce.RemoteRunnable
 }
 
-// workerMetrics caches the worker's dist.worker.* registry handles.
-// All handles are nil (and every call a no-op) without an Observer.
-type workerMetrics struct {
-	tasks         *obs.Counter // dist.worker.tasks_total
-	taskErrors    *obs.Counter // dist.worker.task_errors_total
-	inflight      *obs.Gauge   // dist.worker.tasks_inflight
-	shuffleBytes  *obs.Counter // dist.worker.shuffle_read_bytes_total
-	registrations *obs.Counter // dist.worker.registrations_total
-}
-
-func newWorkerMetrics(o *obs.Observer) workerMetrics {
-	if o == nil {
-		return workerMetrics{}
-	}
-	r := o.Reg
-	return workerMetrics{
-		tasks:         r.Counter("dist.worker.tasks_total"),
-		taskErrors:    r.Counter("dist.worker.task_errors_total"),
-		inflight:      r.Gauge("dist.worker.tasks_inflight"),
-		shuffleBytes:  r.Counter("dist.worker.shuffle_read_bytes_total"),
-		registrations: r.Counter("dist.worker.registrations_total"),
-	}
-}
-
 // StartWorker launches a worker: it binds the task server, then keeps a
 // registration with the master alive in the background (registering,
 // heartbeating, and re-registering as needed) until Stop or Kill.
@@ -141,7 +114,6 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		w.log = opts.Obs.Logger() // slog.Default() when Obs is nil too
 	}
 	w.obs = opts.Obs
-	w.met = newWorkerMetrics(opts.Obs)
 	dir, err := os.MkdirTemp(opts.Dir, "erworker-*")
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker: create run dir: %w", err)
@@ -167,11 +139,6 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	mux.HandleFunc(pathTask, w.handleTask)
 	mux.HandleFunc(pathRun, w.handleRun)
 	mux.HandleFunc(pathRelease, w.handleRelease)
-	if w.obs != nil {
-		obs.Attach(mux, w.obs, w.statusSnapshot, opts.PProf)
-	} else {
-		mux.Handle(pathStatus, obs.StatusHandler(w.statusSnapshot))
-	}
 	w.srv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout, ConnState: w.trackFresh}
 	w.srv.RegisterOnShutdown(w.closeFresh)
 	go func() {
@@ -268,7 +235,6 @@ func (w *Worker) registerLoop() {
 			continue
 		}
 		w.id.Store(reg.WorkerID)
-		w.met.registrations.Inc()
 		w.log.Info("dist worker: registered",
 			"worker", reg.WorkerID, "master", w.opts.MasterURL, "url", w.URL())
 		interval := time.Duration(reg.HeartbeatMillis) * time.Millisecond
@@ -395,13 +361,8 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	// Worker-side task span: the worker's own timeline of dispatched
 	// attempts (its engine-side obs stays nil — master-side supervision
 	// already traces attempts; this is the remote half of the picture).
-	w.met.tasks.Inc()
-	w.met.inflight.Add(1)
 	w.recordTask(obs.EvBegin, job.name, &req)
-	defer func() {
-		w.recordTask(obs.EvEnd, job.name, &req)
-		w.met.inflight.Add(-1)
-	}()
+	defer w.recordTask(obs.EvEnd, job.name, &req)
 	ctx := r.Context()
 	if w.opts.TaskStarted != nil {
 		w.opts.TaskStarted(ctx, req.Phase, req.Task, req.Attempt)
@@ -433,24 +394,6 @@ func (w *Worker) recordTask(typ obs.EventType, jobName string, req *TaskRequest)
 	})
 }
 
-// statusSnapshot assembles the worker's /status view.
-func (w *Worker) statusSnapshot() any {
-	w.mu.Lock()
-	jobs := len(w.jobs)
-	runs := len(w.runs)
-	w.mu.Unlock()
-	return map[string]any{
-		"role":        "worker",
-		"worker_id":   w.id.Load(),
-		"master_url":  w.opts.MasterURL,
-		"url":         w.URL(),
-		"slots":       w.opts.Slots,
-		"dir":         w.dir,
-		"cached_jobs": jobs,
-		"served_runs": runs,
-	}
-}
-
 func (w *Worker) execMap(ctx context.Context, rw http.ResponseWriter, rr mapreduce.RemoteRunnable, req *TaskRequest, input []byte) {
 	jobDir := filepath.Join(w.dir, req.JobID)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
@@ -478,7 +421,6 @@ func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, job wor
 			// Shuffle fetches trace under the reduce task's lane: one
 			// span per range read, Arg = bytes fetched.
 			ra.obs = o
-			ra.bytes = w.met.shuffleBytes
 			ra.job = o.Tracer.InternJob(job.name)
 			ra.task = int32(req.Task)
 			ra.attempt = int32(req.Attempt)
@@ -512,7 +454,6 @@ func (w *Worker) respond(rw http.ResponseWriter, resp *TaskResponse, payload []b
 }
 
 func (w *Worker) taskError(rw http.ResponseWriter, err error) {
-	w.met.taskErrors.Inc()
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(http.StatusInternalServerError)
 	json.NewEncoder(rw).Encode(newErrorResponse(err))

@@ -52,8 +52,8 @@ type RunOptions struct {
 	// immediately; the engine degrades to local execution when none
 	// ever register). Ignored when Master is nil.
 	Workers int
-	// Obs, when non-nil, threads tracing and metrics through the
-	// pipeline's engine. Nil keeps every hot path on the zero-overhead
+	// Obs, when non-nil, threads tracing through the pipeline's
+	// engine. Nil keeps every hot path on the zero-overhead
 	// disabled branch.
 	Obs *obs.Observer
 }

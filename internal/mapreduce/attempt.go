@@ -274,13 +274,11 @@ type taskSupervisor[T any] struct {
 	maxAttempts int
 	ops         taskOps[T]
 
-	// obs mirrors e.Obs; nil disables every trace/metric site below at
-	// the cost of one nil check. jobID is the interned trace id of the
-	// running job; started counts tasks handed to runOne, reconciling
-	// the tasks-pending gauge when a phase aborts early.
-	obs     *obs.Observer
-	jobID   uint32
-	started atomic.Int64
+	// obs mirrors e.Obs; nil disables every trace site below at the
+	// cost of one nil check. jobID is the interned trace id of the
+	// running job.
+	obs   *obs.Observer
+	jobID uint32
 
 	stats attemptStats
 
@@ -314,8 +312,7 @@ func (sv *taskSupervisor[T]) init(e *Engine, phase TaskKind, jobID uint32, ops t
 }
 
 // record emits one trace event stamped with the supervisor's job and
-// phase identity. Callers guard on sv.obs themselves when they bundle
-// metric updates; record alone is safe to call either way.
+// phase identity. Safe to call with observability off.
 func (sv *taskSupervisor[T]) record(typ obs.EventType, kind obs.Kind, task, attempt int32, arg int64) {
 	if sv.obs == nil {
 		return
@@ -333,15 +330,9 @@ func (sv *taskSupervisor[T]) record(typ obs.EventType, kind obs.Kind, task, atte
 // order (a *TaskError, or the context error when the run was
 // cancelled).
 func (sv *taskSupervisor[T]) supervise(ctx context.Context, n int) (attemptStats, error) {
-	if o := sv.obs; o != nil {
+	if sv.obs != nil {
 		sv.record(obs.EvBegin, obs.KPhase, -1, 0, int64(n))
-		o.Engine.TasksPending.Add(int64(n))
-		defer func() {
-			// Tasks never started (early abort) leave the pending gauge;
-			// started ones already decremented themselves in runOne.
-			o.Engine.TasksPending.Add(sv.started.Load() - int64(n))
-			sv.record(obs.EvEnd, obs.KPhase, -1, 0, int64(n))
-		}()
+		defer sv.record(obs.EvEnd, obs.KPhase, -1, 0, int64(n))
 	}
 	sv.e.forEachTask(ctx, n, sv.weigh, sv)
 	return sv.stats, sv.firstErr
@@ -350,30 +341,14 @@ func (sv *taskSupervisor[T]) supervise(ctx context.Context, n int) (attemptStats
 // runOne is the taskRunner hook forEachTask drives: it runs the task's
 // retry loop and records the failure of the lowest-numbered failed task.
 func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
-	var begun time.Time
-	if o := sv.obs; o != nil {
-		sv.started.Add(1)
-		o.Engine.TasksPending.Add(-1)
-		sv.record(obs.EvBegin, obs.KTask, int32(task), 0, 0)
-		begun = time.Now()
-	}
+	sv.record(obs.EvBegin, obs.KTask, int32(task), 0, 0)
 	err := sv.runPlainTask(ctx, task)
-	if o := sv.obs; o != nil {
+	if sv.obs != nil {
 		var failed int64
 		if err != nil {
 			failed = 1
 		}
 		sv.record(obs.EvEnd, obs.KTask, int32(task), 0, failed)
-		if err == nil {
-			// The per-task duration histograms feed the load-imbalance
-			// view (max/mean task time); failed tasks would skew it.
-			d := int64(time.Since(begun))
-			if sv.phase == MapTask {
-				o.Engine.MapTaskNS.Observe(d)
-			} else {
-				o.Engine.ReduceTaskNS.Observe(d)
-			}
-		}
 	}
 	if err != nil {
 		sv.errMu.Lock()
@@ -388,13 +363,9 @@ func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 // binding, and attempt accounting.
 func (sv *taskSupervisor[T]) runAttempt(ctx context.Context, task, attempt int) (T, error) {
 	atomic.AddInt64(&sv.stats.attempts, 1)
-	if o := sv.obs; o != nil {
-		// The attempt-span count reconciles exactly with Metrics.Attempts:
-		// both increments sit on this one code path.
-		o.Engine.Attempts.Inc()
-		o.Engine.Inflight.Add(1)
-		sv.record(obs.EvBegin, obs.KAttempt, int32(task), int32(attempt), 0)
-	}
+	// The attempt-span count reconciles exactly with Metrics.Attempts:
+	// both sit on this one code path.
+	sv.record(obs.EvBegin, obs.KAttempt, int32(task), int32(attempt), 0)
 	actx := ctx
 	var cancel context.CancelFunc
 	if sv.pol.TaskTimeout > 0 {
@@ -408,8 +379,7 @@ func (sv *taskSupervisor[T]) runAttempt(ctx context.Context, task, attempt int) 
 	if cancel != nil {
 		cancel()
 	}
-	if o := sv.obs; o != nil {
-		o.Engine.Inflight.Add(-1)
+	if sv.obs != nil {
 		var failed int64
 		if err != nil {
 			failed = 1
@@ -430,10 +400,7 @@ func (sv *taskSupervisor[T]) runPlainTask(ctx context.Context, task int) error {
 			if cerr := sv.ops.commitTask(task, out); cerr != nil {
 				return &TaskError{Phase: sv.phase, Task: task, Attempt: attempt, Cause: cerr}
 			}
-			if o := sv.obs; o != nil {
-				o.Engine.Commits.Inc()
-				sv.record(obs.EvInstant, obs.KCommit, int32(task), int32(attempt), 0)
-			}
+			sv.record(obs.EvInstant, obs.KCommit, int32(task), int32(attempt), 0)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -447,10 +414,7 @@ func (sv *taskSupervisor[T]) runPlainTask(ctx context.Context, task int) error {
 		}
 		atomic.AddInt64(&sv.stats.retries, 1)
 		backoff := sv.pol.backoffFor(sv.phase, task, failed)
-		if o := sv.obs; o != nil {
-			o.Engine.Retries.Inc()
-			sv.record(obs.EvInstant, obs.KRetry, int32(task), int32(attempt), int64(backoff))
-		}
+		sv.record(obs.EvInstant, obs.KRetry, int32(task), int32(attempt), int64(backoff))
 		if !sleepCtx(ctx, backoff) {
 			return ctx.Err()
 		}

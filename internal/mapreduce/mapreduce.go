@@ -176,11 +176,11 @@ type Engine struct {
 	// — see remote.go and internal/dist). It overrides SpillBudget.
 	Remote RemoteDispatcher
 	// Obs, when non-nil, enables the observability layer: task-timeline
-	// tracing, engine metrics, and structured logging (see internal/obs
-	// and DESIGN.md "Observability"). Nil disables it entirely; the
-	// disabled path costs one nil check per would-be event and never
-	// allocates. Durations and event counts live only here — TaskMetrics
-	// stays deterministic and inside the differential contract.
+	// tracing and structured logging (see internal/obs and DESIGN.md
+	// "Observability"). Nil disables it entirely; the disabled path
+	// costs one nil check per would-be event and never allocates.
+	// Durations live only in the trace — TaskMetrics stays
+	// deterministic and inside the differential contract.
 	Obs *obs.Observer
 	// Log receives the engine's rare operational warnings (e.g. the
 	// no-workers degradation notice). Nil falls back to Obs.Log, then to

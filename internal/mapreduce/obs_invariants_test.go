@@ -12,10 +12,9 @@ package mapreduce_test
 //     inside their phase span, phase spans inside the job span (by
 //     timestamp containment); a task's attempts are numbered 1..n and
 //     run one at a time, attempt k+1 beginning after attempt k ends.
-//  3. Reconciliation — span/instant counts equal the engine's metric
-//     counters AND the Result's execution-history fields byte-exactly:
-//     the trace, the registry, and the Result are three views of the
-//     same ledger.
+//  3. Reconciliation — span/instant counts equal the Result's
+//     execution-history fields byte-exactly: the trace and the Result
+//     are two views of the same ledger.
 import (
 	"context"
 	"fmt"
@@ -31,6 +30,8 @@ import (
 // the event buffer.
 type traceStats struct {
 	begins   map[obs.Kind]int64
+	ends     map[obs.Kind]int64
+	okEnds   map[obs.Kind]int64 // ends with Arg 0: the span succeeded
 	instants map[obs.Kind]int64
 	// intervals by span identity, for the nesting checks
 	jobs     map[uint32][2]int64
@@ -56,6 +57,8 @@ func checkPairing(t *testing.T, events []obs.Event) traceStats {
 	t.Helper()
 	st := traceStats{
 		begins:   map[obs.Kind]int64{},
+		ends:     map[obs.Kind]int64{},
+		okEnds:   map[obs.Kind]int64{},
 		instants: map[obs.Kind]int64{},
 		jobs:     map[uint32][2]int64{},
 		phases:   map[[2]uint32][2]int64{},
@@ -76,6 +79,10 @@ func checkPairing(t *testing.T, events []obs.Event) traceStats {
 			}
 			begin := stack[len(stack)-1]
 			open[k] = stack[:len(stack)-1]
+			st.ends[ev.Kind]++
+			if ev.Arg == 0 {
+				st.okEnds[ev.Kind]++
+			}
 			if ev.TS < begin.TS {
 				t.Fatalf("event %d: %s span ends at %d before it begins at %d", i, ev.Kind, ev.TS, begin.TS)
 			}
@@ -158,27 +165,26 @@ func checkNesting(t *testing.T, st traceStats) int64 {
 	return pairs
 }
 
-// checkReconciliation asserts the three ledgers agree byte-exactly:
-// trace counts == registry counters == Result execution history.
-func checkReconciliation(t *testing.T, st traceStats, o *obs.Observer,
+// checkReconciliation asserts the two ledgers agree byte-exactly:
+// trace counts == Result execution history.
+func checkReconciliation(t *testing.T, st traceStats,
 	res *mapreduce.Result[string, mapreduce.Pair[string, int]], m, r int) {
 	t.Helper()
-	eq := func(what string, trace, metric, result int64) {
+	eq := func(what string, trace, result int64) {
 		t.Helper()
-		if trace != metric || trace != result {
-			t.Fatalf("%s: trace=%d metric=%d result=%d — the three ledgers must agree",
-				what, trace, metric, result)
+		if trace != result {
+			t.Fatalf("%s: trace=%d result=%d — the two ledgers must agree", what, trace, result)
 		}
 	}
-	eq("attempts", st.begins[obs.KAttempt], o.Engine.Attempts.Value(), res.Attempts)
-	eq("retries", st.instants[obs.KRetry], o.Engine.Retries.Value(), res.Retries)
+	eq("attempts", st.begins[obs.KAttempt], res.Attempts)
+	eq("retries", st.instants[obs.KRetry], res.Retries)
 
 	total := int64(m + r)
 	if got := st.begins[obs.KTask]; got != total {
 		t.Fatalf("task spans = %d, want %d (every task exactly one span, however many attempts)", got, total)
 	}
-	if got := st.instants[obs.KCommit]; got != total || o.Engine.Commits.Value() != total {
-		t.Fatalf("commits: trace=%d metric=%d, want %d (exactly-once)", got, o.Engine.Commits.Value(), total)
+	if got := st.instants[obs.KCommit]; got != total {
+		t.Fatalf("commits = %d, want %d (exactly-once)", got, total)
 	}
 	if got := st.begins[obs.KJob]; got != 1 {
 		t.Fatalf("job spans = %d, want 1", got)
@@ -186,19 +192,15 @@ func checkReconciliation(t *testing.T, st traceStats, o *obs.Observer,
 	if got := st.begins[obs.KPhase]; got != 2 {
 		t.Fatalf("phase spans = %d, want 2 (map + reduce)", got)
 	}
-	// Liveness gauges must return to zero once the run is over.
-	if v := o.Engine.Inflight.Value(); v != 0 {
-		t.Fatalf("attempts_inflight = %d after run, want 0", v)
+	// Every attempt and task span is closed once the run is over.
+	for _, k := range []obs.Kind{obs.KAttempt, obs.KTask} {
+		if st.ends[k] != st.begins[k] {
+			t.Fatalf("%s spans: %d begins, %d ends", k, st.begins[k], st.ends[k])
+		}
 	}
-	if v := o.Engine.TasksPending.Value(); v != 0 {
-		t.Fatalf("tasks_pending = %d after run, want 0", v)
-	}
-	// Each committed task contributes exactly one duration observation.
-	if c := o.Engine.MapTaskNS.Snapshot().Count; c != int64(m) {
-		t.Fatalf("map_task_ns count = %d, want %d", c, m)
-	}
-	if c := o.Engine.ReduceTaskNS.Snapshot().Count; c != int64(r) {
-		t.Fatalf("reduce_task_ns count = %d, want %d", c, r)
+	// Each committed task closes its span exactly once as succeeded.
+	if got := st.okEnds[obs.KTask]; got != total {
+		t.Fatalf("task ends with Arg 0 = %d, want %d", got, total)
 	}
 }
 
@@ -228,7 +230,7 @@ func TestTraceInvariantsUnderChaos(t *testing.T) {
 				if pairs := checkNesting(t, st); pairs != res.Retries {
 					t.Fatalf("checked %d serial attempt pairs, want one per retry (%d)", pairs, res.Retries)
 				}
-				checkReconciliation(t, st, e.Obs, res, m, r)
+				checkReconciliation(t, st, res, m, r)
 			})
 		}
 	}
@@ -242,7 +244,8 @@ func TestTracerOverflowKeepsPrefix(t *testing.T) {
 	const m, r = 4, 5
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Obs = obs.New(obs.Options{TraceCapacity: 8, Log: obs.Quiet()})
-	if _, err := wordJob(r, false).RunContext(context.Background(), e, wordInput(m)); err != nil {
+	res, err := wordJob(r, false).RunContext(context.Background(), e, wordInput(m))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Obs.Tracer.Dropped() == 0 {
@@ -265,9 +268,8 @@ func TestTracerOverflowKeepsPrefix(t *testing.T) {
 			open[k]--
 		}
 	}
-	// Counters keep the truth even when the trace is truncated.
-	if e.Obs.Engine.Commits.Value() != m+r {
-		t.Fatalf("commits metric = %d, want %d (metrics must not be ring-bounded)",
-			e.Obs.Engine.Commits.Value(), m+r)
+	// The Result keeps the truth even when the trace is truncated.
+	if res.Attempts != m+r {
+		t.Fatalf("Result.Attempts = %d, want %d (the Result must not be ring-bounded)", res.Attempts, m+r)
 	}
 }

@@ -183,9 +183,6 @@ func (st *runState[I, K, V, O]) execMapToRun(actx context.Context, hook *taskHoo
 func (st *runState[I, K, V, O]) logDegraded() {
 	st.degradeOnce.Do(func() {
 		st.e.logger().Warn("no live workers; degrading to local execution", "job", st.job.Name)
-		if o := st.obs; o != nil {
-			o.Engine.Degraded.Inc()
-		}
 	})
 }
 

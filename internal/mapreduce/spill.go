@@ -347,14 +347,6 @@ func (sp *spiller[K, V]) spill() error {
 	sp.runs = append(sp.runs, info)
 	sp.metrics.SpillRuns++
 	sp.metrics.SpillBytesWritten += info.FileBytes
-	if o := rs.obs; o != nil {
-		// Obs counters count every attempt's spills as they happen;
-		// TaskMetrics above is attempt-private and published only on
-		// commit — that asymmetry is deliberate (obs is observational,
-		// TaskMetrics is inside the differential contract).
-		o.Engine.SpillRuns.Inc()
-		o.Engine.SpillBytesWritten.Add(info.FileBytes)
-	}
 	clear(sp.recs)
 	sp.recs = sp.recs[:0]
 	sp.enc = sp.enc[:0]
@@ -551,10 +543,6 @@ func (mg *merger[I, K, V, O]) reset(inputs []reduceInput[K, V], metrics *TaskMet
 		}
 		mg.segs = resized(mg.segs, ns)
 	}
-	var spillRead *obs.Counter // nil-safe handle when observability is off
-	if st.obs != nil {
-		spillRead = st.obs.Engine.SpillBytesRead
-	}
 	if mg.group == nil {
 		mg.group = st.pools.getRecBuf()
 	}
@@ -580,7 +568,6 @@ func (mg *merger[I, K, V, O]) reset(inputs []reduceInput[K, V], metrics *TaskMet
 		}
 		if in.bucket == nil {
 			metrics.SpillBytesRead += in.Seg.Len
-			spillRead.Add(in.Seg.Len)
 		}
 		head, err := src.next()
 		if err != nil {

@@ -9,19 +9,16 @@ import (
 )
 
 // CLI is the observability command-line surface shared by the er
-// commands that run jobs (ermatch, erworker): trace capture,
-// the live introspection server, and the structured-log threshold.
+// commands that run jobs (ermatch, erworker): trace capture and the
+// structured-log threshold.
 // Register the flags, then call Start once flags are parsed and Finish
 // on the way out.
 type CLI struct {
 	TracePath   string
 	TraceFormat string
-	Addr        string
-	PProf       bool
 	LogLevel    string
 
-	obs    *Observer
-	closer func()
+	obs *Observer
 }
 
 // RegisterFlags installs the shared flags on fs (typically
@@ -29,14 +26,8 @@ type CLI struct {
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.TracePath, "trace", "", "write the run's task timeline to this file on exit (see -trace-format)")
 	fs.StringVar(&c.TraceFormat, "trace-format", "chrome", "trace export format: chrome (trace_event JSON, Perfetto-loadable) or ndjson")
-	fs.StringVar(&c.Addr, "obs-addr", "", "serve /debug/vars and /status on this address while running (e.g. 127.0.0.1:6060)")
-	fs.BoolVar(&c.PProf, "pprof", false, "with -obs-addr: also mount the net/http/pprof handlers")
 	fs.StringVar(&c.LogLevel, "log-level", "warn", "structured log threshold: debug, info, warn, or error")
 }
-
-// Enabled reports whether any tracing/metrics surface was requested.
-// Logging level applies regardless.
-func (c *CLI) Enabled() bool { return c.TracePath != "" || c.Addr != "" }
 
 // ParseLevel maps the -log-level strings to slog levels.
 func ParseLevel(s string) (slog.Level, error) {
@@ -55,44 +46,30 @@ func ParseLevel(s string) (slog.Level, error) {
 
 // Start materializes the flags: it installs the leveled stderr logger
 // as the process default (the engine and dist runtime resolve to
-// slog.Default when not configured explicitly), builds the Observer
-// when tracing or the introspection server was requested (nil
-// otherwise — hot paths stay on the zero-overhead disabled branch),
-// and binds the -obs-addr listener. status feeds /status and may be
-// nil.
-func (c *CLI) Start(status func() any) (*Observer, error) {
+// slog.Default when not configured explicitly) and builds the Observer
+// when a trace was requested (nil otherwise — hot paths stay on the
+// zero-overhead disabled branch).
+func (c *CLI) Start() (*Observer, error) {
 	lvl, err := ParseLevel(c.LogLevel)
 	if err != nil {
 		return nil, err
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	slog.SetDefault(log)
-	if !c.Enabled() {
+	if c.TracePath == "" {
 		return nil, nil
 	}
 	if c.TraceFormat != "chrome" && c.TraceFormat != "ndjson" {
 		return nil, fmt.Errorf("unknown -trace-format %q (want chrome or ndjson)", c.TraceFormat)
 	}
 	c.obs = New(Options{Log: log})
-	if c.Addr != "" {
-		url, closer, err := Serve(c.Addr, c.obs, status, c.PProf)
-		if err != nil {
-			return nil, err
-		}
-		c.closer = closer
-		fmt.Fprintf(os.Stderr, "obs: serving /debug/vars at %s\n", url)
-	}
 	return c.obs, nil
 }
 
 // Finish writes the -trace file (atomically: temp file renamed over
-// the target on success) and stops the introspection server. Safe to
-// call when Start returned a nil Observer; only the first call writes.
+// the target on success). Safe to call when Start returned a nil
+// Observer; only the first call writes.
 func (c *CLI) Finish() error {
-	if c.closer != nil {
-		c.closer()
-		c.closer = nil
-	}
 	o := c.obs
 	if c.obs = nil; o == nil || c.TracePath == "" {
 		return nil

@@ -1,8 +1,8 @@
 package obs
 
 // Unit tests for the observability primitives themselves: ring claim
-// and drop-newest overflow, interning, histogram exactness, registry
-// identity, both exporters' output validity, and the slog adapters.
+// and drop-newest overflow, interning, both exporters' output validity,
+// and the slog adapters.
 // The engine-level invariants (span pairing, nesting, reconciliation
 // with Metrics) live in the mapreduce and er test suites.
 
@@ -11,8 +11,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
-	"maps"
-	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -77,61 +75,6 @@ func TestInternJobStableIDs(t *testing.T) {
 	}
 }
 
-func TestHistogramExactStats(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int64{10, 20, 30, 100} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 4 || s.Sum != 160 || s.Min != 10 || s.Max != 100 {
-		t.Fatalf("snapshot = %+v, want count=4 sum=160 min=10 max=100", s)
-	}
-	if s.Mean != 40 {
-		t.Fatalf("Mean = %g, want 40", s.Mean)
-	}
-	if got := s.MaxOverMean(); math.Abs(got-2.5) > 1e-9 {
-		t.Fatalf("MaxOverMean = %g, want 2.5", got)
-	}
-}
-
-func TestHistogramEmptyAndNil(t *testing.T) {
-	var nilH *Histogram
-	nilH.Observe(1) // must not panic
-	if s := nilH.Snapshot(); s != (HistSnapshot{}) {
-		t.Fatalf("nil histogram snapshot = %+v, want zero", s)
-	}
-	if s := NewHistogram().Snapshot(); s != (HistSnapshot{}) {
-		t.Fatalf("empty histogram snapshot = %+v, want zero (min must not leak MaxInt64)", s)
-	}
-	if (HistSnapshot{}).MaxOverMean() != 0 {
-		t.Fatal("empty MaxOverMean must be 0")
-	}
-}
-
-func TestRegistryIdentityAndSnapshot(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.b_total")
-	if r.Counter("a.b_total") != c {
-		t.Fatal("same name must return the same counter")
-	}
-	c.Add(3)
-	r.Gauge("a.g_live").Set(-2)
-	r.Histogram("a.h_ns").Observe(7)
-	snap := r.Snapshot()
-	if snap["a.b_total"] != int64(3) {
-		t.Fatalf("counter snapshot = %v", snap["a.b_total"])
-	}
-	if snap["a.g_live"] != int64(-2) {
-		t.Fatalf("gauge snapshot = %v", snap["a.g_live"])
-	}
-	if hs, ok := snap["a.h_ns"].(HistSnapshot); !ok || hs.Count != 1 {
-		t.Fatalf("hist snapshot = %#v", snap["a.h_ns"])
-	}
-	if names := slices.Sorted(maps.Keys(snap)); !slices.Equal(names, []string{"a.b_total", "a.g_live", "a.h_ns"}) {
-		t.Fatalf("metric names = %v", names)
-	}
-}
-
 // TestNilRegistryYieldsUsableNilHandles holds the disabled path's
 // contract: "observability off" is spelled nil, so every exported method
 // of every handle reachable from Observer's fields must work on a nil
@@ -141,32 +84,16 @@ func TestNilRegistryYieldsUsableNilHandles(t *testing.T) {
 	var (
 		o  *Observer
 		tr *Tracer
-		r  *Registry
-		c  *Counter
-		g  *Gauge
-		h  *Histogram
 	)
 	calls := map[string]func() bool{
-		"Observer.Logger":    func() bool { return o.Logger() == slog.Default() },
-		"Tracer.Record":      func() bool { tr.Record(Event{}); return true },
-		"Tracer.InternJob":   func() bool { return tr.InternJob("x") == 0 },
-		"Tracer.JobName":     func() bool { return tr.JobName(0) == "" },
-		"Tracer.Events":      func() bool { return tr.Events() == nil },
-		"Tracer.Len":         func() bool { return tr.Len() == 0 },
-		"Tracer.Dropped":     func() bool { return tr.Dropped() == 0 },
-		"Tracer.Cap":         func() bool { return tr.Cap() == 0 },
-		"Registry.Counter":   func() bool { return r.Counter("a.b_total") == nil },
-		"Registry.Gauge":     func() bool { return r.Gauge("a.b_live") == nil },
-		"Registry.Histogram": func() bool { return r.Histogram("a.b_ns") == nil },
-		"Registry.Snapshot":  func() bool { return len(r.Snapshot()) == 0 },
-		"Counter.Add":        func() bool { c.Add(1); return true },
-		"Counter.Inc":        func() bool { c.Inc(); return true },
-		"Counter.Value":      func() bool { return c.Value() == 0 },
-		"Gauge.Add":          func() bool { g.Add(1); return true },
-		"Gauge.Set":          func() bool { g.Set(1); return true },
-		"Gauge.Value":        func() bool { return g.Value() == 0 },
-		"Histogram.Observe":  func() bool { h.Observe(1); return true },
-		"Histogram.Snapshot": func() bool { return h.Snapshot() == HistSnapshot{} },
+		"Observer.Logger":  func() bool { return o.Logger() == slog.Default() },
+		"Tracer.Record":    func() bool { tr.Record(Event{}); return true },
+		"Tracer.InternJob": func() bool { return tr.InternJob("x") == 0 },
+		"Tracer.JobName":   func() bool { return tr.JobName(0) == "" },
+		"Tracer.Events":    func() bool { return tr.Events() == nil },
+		"Tracer.Len":       func() bool { return tr.Len() == 0 },
+		"Tracer.Dropped":   func() bool { return tr.Dropped() == 0 },
+		"Tracer.Cap":       func() bool { return tr.Cap() == 0 },
 	}
 	for name, call := range calls {
 		if !call() {
@@ -201,56 +128,8 @@ func TestNilRegistryYieldsUsableNilHandles(t *testing.T) {
 		}
 	}
 	slices.Sort(handles)
-	if want := []string{"Counter", "EngineMetrics", "Gauge", "Histogram", "Observer", "Registry", "Tracer"}; !slices.Equal(handles, want) {
+	if want := []string{"Observer", "Tracer"}; !slices.Equal(handles, want) {
 		t.Errorf("handles reachable from Observer = %v, want %v", handles, want)
-	}
-}
-
-// TestRegistryRefusesOffGrammarNames: registering a name off its kind's
-// grammar panics, and the name is not registered.
-func TestRegistryRefusesOffGrammarNames(t *testing.T) {
-	r := NewRegistry()
-	register := map[string]func(string){
-		"counter":   func(n string) { r.Counter(n) },
-		"gauge":     func(n string) { r.Gauge(n) },
-		"histogram": func(n string) { r.Histogram(n) },
-	}
-	for _, tc := range []struct {
-		kind, name string
-		ok         bool
-	}{
-		{"counter", "engine.attempts_total", true},
-		{"counter", "dist.master.reassigned_attempts_total", true},
-		{"gauge", "engine.tasks_pending", true},
-		{"gauge", "dist.master.workers_live", true},
-		{"histogram", "dist.master.lease_age_ns", true},
-		{"histogram", "runio.spill_bytes", true},
-		{"histogram", "a1.b2_c3_seconds", true},
-		{"counter", "attempts_total", false}, // no area
-		{"counter", "engine.retries", false}, // no suffix
-		{"counter", "engine.attempts_count", false},
-		{"counter", "engine.retries_ns", false}, // another kind's suffix
-		{"counter", "Engine.attempts_total", false},
-		{"counter", "engine..attempts_total", false},
-		{"counter", "engine.attempts__total", false},
-		{"counter", "engine.1attempts_total", false},
-		{"counter", "engine.attempts-x_total", false},
-		{"gauge", "engine.tasks_total", false},
-		{"gauge", "engine.g", false},
-		{"histogram", "engine.map_task_ms", false},
-		{"histogram", "engine.map_task_ns.x", false},
-	} {
-		panicked := func() (p bool) {
-			defer func() { p = recover() != nil }()
-			register[tc.kind](tc.name)
-			return false
-		}()
-		if panicked == tc.ok {
-			t.Errorf("%s %q: panicked = %v, want %v", tc.kind, tc.name, panicked, !tc.ok)
-		}
-	}
-	if snap := r.Snapshot(); len(snap) != 7 {
-		t.Errorf("registered %v, want the seven valid names only", slices.Sorted(maps.Keys(snap)))
 	}
 }
 
@@ -359,7 +238,7 @@ func TestWriteChromeTracePairsSpans(t *testing.T) {
 
 func TestObserverDefaultsAndQuiet(t *testing.T) {
 	o := New(Options{})
-	if o.Tracer == nil || o.Reg == nil || o.Engine == nil || o.Log == nil {
+	if o.Tracer == nil || o.Log == nil {
 		t.Fatal("New must wire every component")
 	}
 	if o.Tracer.Cap() != DefaultTraceCapacity {

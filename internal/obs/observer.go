@@ -5,17 +5,14 @@ import (
 	"os"
 )
 
-// Observer bundles the three observability facilities a run threads
-// through the engine and the distributed runtime. A nil *Observer
-// means "observability off": every call site guards on one nil check
-// and the disabled path records, counts, and logs nothing.
+// Observer bundles the two observability facilities a run threads
+// through the engine and the distributed runtime: the task-timeline
+// tracer and the structured logger. A nil *Observer means
+// "observability off": every call site guards on one nil check and
+// the disabled path records nothing.
 type Observer struct {
 	Tracer *Tracer
-	Reg    *Registry
 	Log    *slog.Logger
-	// Engine holds the preallocated engine metric handles so hot paths
-	// never consult the registry maps.
-	Engine *EngineMetrics
 }
 
 // Options configures New.
@@ -28,15 +25,12 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// New builds a fully wired Observer: tracer, registry with the engine
-// metrics preallocated, and a quiet-by-default structured logger.
+// New builds a fully wired Observer: a tracer and a quiet-by-default
+// structured logger.
 func New(opts Options) *Observer {
-	reg := NewRegistry()
 	o := &Observer{
 		Tracer: NewTracer(opts.TraceCapacity),
-		Reg:    reg,
 		Log:    opts.Log,
-		Engine: newEngineMetrics(reg),
 	}
 	if o.Log == nil {
 		o.Log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))

@@ -1,10 +1,9 @@
 // Package obs is the engine's observability layer: a fixed-capacity
-// task-timeline tracer, an atomic metrics registry, structured logging,
-// and HTTP introspection handlers. The whole layer is optional — every
-// recording entry point (Tracer.Record, Counter.Add, Histogram.Observe,
-// ...) is nil-safe, and engine code guards span construction behind a
-// single nil check on the *Observer, so a run without an observer pays
-// one pointer comparison per would-be event and allocates nothing.
+// task-timeline tracer and structured logging. The whole layer is
+// optional — the recording entry point (Tracer.Record) is nil-safe,
+// and engine code guards span construction behind a single nil check
+// on the *Observer, so a run without an observer pays one pointer
+// comparison per would-be event and allocates nothing.
 //
 // Design constraints, in order:
 //
@@ -16,9 +15,9 @@
 //     nondeterministic, so they must never leak into the engine's
 //     TaskMetrics, which the differential tests compare byte-for-byte
 //     across dataflows.
-//  3. Export is offline: the buffer is read after the run (or from an
-//     introspection endpoint) and rendered as NDJSON or Chrome
-//     trace_event JSON; the recorder itself never formats anything.
+//  3. Export is offline: the buffer is read after the run and rendered
+//     as NDJSON or Chrome trace_event JSON; the recorder itself never
+//     formats anything.
 package obs
 
 import (

@@ -5,11 +5,14 @@
 // every pid; -min-complete and -min-worker-lanes turn "the trace is
 // non-trivial" and "the run really dispatched to N workers" into hard
 // assertions. For ndjson it checks every line parses and the final
-// meta line's event count matches the lines before it.
+// meta line's event count matches the lines before it. -require names
+// events that must each appear at least once: a substring of a chrome
+// event's name, or an ndjson event's exact kind.
 //
 // Usage:
 //
 //	go run ./scripts/tracecheck -format chrome -min-complete 1 -min-worker-lanes 2 trace.json
+//	go run ./scripts/tracecheck -format ndjson -require attempt,shuffle-fetch trace.ndjson
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -36,7 +40,7 @@ func main() {
 		format   = flag.String("format", "chrome", "trace format to validate: chrome or ndjson")
 		minX     = flag.Int("min-complete", 1, "chrome: minimum number of complete (X) span events")
 		minLanes = flag.Int("min-worker-lanes", 0, "chrome: minimum number of distinct worker process lanes (pid != 0)")
-		require  = flag.String("require", "", "chrome: comma-separated event-name substrings that must each appear at least once (e.g. worker-death,reassign)")
+		require  = flag.String("require", "", "comma-separated events that must each appear at least once: chrome event-name substrings (e.g. worker-death,reassign) or ndjson kinds (e.g. attempt,shuffle-fetch)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -48,15 +52,15 @@ func main() {
 	}
 	defer f.Close()
 
+	var wanted []string
+	if *require != "" {
+		wanted = strings.Split(*require, ",")
+	}
 	switch *format {
 	case "chrome":
-		var wanted []string
-		if *require != "" {
-			wanted = strings.Split(*require, ",")
-		}
 		checkChrome(f, *minX, *minLanes, wanted)
 	case "ndjson":
-		checkNDJSON(f)
+		checkNDJSON(f, wanted)
 	default:
 		fail("unknown -format %q", *format)
 	}
@@ -113,14 +117,7 @@ func checkChrome(f *os.File, minX, minLanes int, require []string) {
 		fail("only %d worker lane(s), want >= %d", workerLanes, minLanes)
 	}
 	for _, want := range require {
-		found := false
-		for _, ev := range doc.TraceEvents {
-			if strings.Contains(ev.Name, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(doc.TraceEvents, func(ev chromeEvent) bool { return strings.Contains(ev.Name, want) }) {
 			fail("no event named like %q in the trace", want)
 		}
 	}
@@ -128,11 +125,12 @@ func checkChrome(f *os.File, minX, minLanes int, require []string) {
 		xs, instants, len(named), workerLanes)
 }
 
-func checkNDJSON(f *os.File) {
+func checkNDJSON(f *os.File, require []string) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var events int
 	var meta map[string]any
+	kinds := map[string]bool{}
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue
@@ -148,6 +146,8 @@ func checkNDJSON(f *os.File) {
 		if meta != nil {
 			fail("event line after the meta line")
 		}
+		kind, _ := line["kind"].(string)
+		kinds[kind] = true
 		events++
 	}
 	if err := sc.Err(); err != nil {
@@ -158,6 +158,11 @@ func checkNDJSON(f *os.File) {
 	}
 	if got, _ := meta["events"].(float64); int(got) != events {
 		fail("meta says %d events, file has %d", int(got), events)
+	}
+	for _, want := range require {
+		if !kinds[want] {
+			fail("no event of kind %q in the trace", want)
+		}
 	}
 	fmt.Printf("tracecheck: ok — %d ndjson events, meta consistent\n", events)
 }
